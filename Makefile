@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-smoke bench-diff soak soak-smoke fuzz
+.PHONY: check fmt vet lint build test race bench bench-smoke bench-diff soak soak-smoke fuzz fuzz-smoke
 
 # check is the CI gate: formatting, vet, the repo-invariant lint, build, and
 # the race-enabled tests.
@@ -118,7 +118,17 @@ bench-diff:
 		-time-noisy '$(BENCH_TIME_NOISY)' -threshold-time-noisy $(BENCH_THRESHOLD_TIME_NOISY) \
 		$(BENCH_OLD) $(BENCH_NEW)
 
+# fuzz runs every fuzz target in the tree for FUZZTIME each (go test -fuzz
+# takes one target and one package at a time); fuzz-smoke is the short
+# configuration CI runs on every push.
+FUZZTIME ?= 30s
+FUZZ_TARGETS = core/FuzzTrieVsReference rov/FuzzIndex rov/FuzzCompactIndex rov/FuzzDiff \
+	rtr/FuzzReadPDU bgp/FuzzReadMessage bgp/FuzzReadMRT prefix/FuzzParse
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzTrieVsReference -fuzztime=30s ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzIndex -fuzztime=30s ./internal/rov/
-	$(GO) test -run='^$$' -fuzz=FuzzCompactIndex -fuzztime=30s ./internal/rov/
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t ($(FUZZTIME))"; \
+		$(GO) test -run='^$$' -fuzz="^$${t#*/}$$" -fuzztime=$(FUZZTIME) ./internal/$${t%/*}/ || exit 1; \
+	done
+
+fuzz-smoke:
+	$(MAKE) fuzz FUZZTIME=5s

@@ -233,7 +233,6 @@ func TestFactsCollected(t *testing.T) {
 		"(*repro/internal/rov.Index).Validate",
 		"repro/internal/rov.validateOn",
 		"(*repro/internal/rov.CompactIndex).Validate",
-		"(*repro/internal/rov.CompactIndex).ValidateRoute",
 		"(*repro/internal/rov.CompactIndex).ValidateBatchSorted",
 		"(*repro/internal/rov.famCompact).validateCompact",
 		"repro/internal/rov.keyMatch",

@@ -96,8 +96,8 @@ func main() {
 	}
 
 	// Follow mode: the multi-cache supervisor owns the session lifecycles —
-	// one reconnect supervisor per cache, the most preferred healthy one
-	// serving. The validation index follows the delta stream in place
+	// one reconnect loop per cache, the most preferred healthy one serving.
+	// The validation index follows the delta stream in place
 	// (O(delta) per update); a cache switch arrives as the structural diff
 	// between the carried table and the new cache's table, so the index is
 	// reset to a full table only when every cache was out past the Expire
@@ -141,7 +141,7 @@ func main() {
 	signal.Notify(sigc, os.Interrupt)
 
 	// First successful sync: print the table. The LiveIndex is the source —
-	// the client generation that produced the sync may already be gone (the
+	// the connection that produced the sync may already be gone (the
 	// supervisor could be mid-redial), but the index carries the table.
 	select {
 	case serial := <-updates:
@@ -192,6 +192,6 @@ func printStats(m *rtr.MultiSupervisor) {
 	for _, u := range st.Upstreams {
 		fmt.Fprintf(os.Stderr, "# cache %s: up=%t active=%t failovers=%d failbacks=%d dials=%d serial-resumes=%d reset-fallbacks=%d rebuilds=%d\n",
 			u.Name, u.Up, u.Active, u.Failovers, u.Failbacks,
-			u.Supervisor.Dials, u.Supervisor.SerialResumes, u.Supervisor.ResetFallbacks, u.Supervisor.Rebuilds)
+			u.Dials, u.SerialResumes, u.ResetFallbacks, u.Rebuilds)
 	}
 }

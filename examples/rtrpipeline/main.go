@@ -164,7 +164,7 @@ func main() {
 	for _, u := range st.Upstreams {
 		fmt.Printf("router: cache %s: up=%t active=%t failovers=%d failbacks=%d dials=%d reset-fallbacks=%d rebuilds=%d\n",
 			u.Name, u.Up, u.Active, u.Failovers, u.Failbacks,
-			u.Supervisor.Dials, u.Supervisor.ResetFallbacks, u.Supervisor.Rebuilds)
+			u.Dials, u.ResetFallbacks, u.Rebuilds)
 	}
 
 	// 9. The serving read path. Between deltas the live index answers from

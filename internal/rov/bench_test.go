@@ -64,12 +64,6 @@ func BenchmarkValidateBatch(b *testing.B) {
 			dst = ix.ValidateBatch(routes, dst)
 		}
 	})
-	b.Run("parallel4", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = ix.ValidateBatchParallel(routes, dst, 4)
-		}
-	})
 }
 
 // BenchmarkCompactBuild measures the compact build from a sorted set: the

@@ -381,15 +381,6 @@ func (cx *CompactIndex) Validate(p prefix.Prefix, origin rpki.ASN) State {
 	return cx.fams[famSlot(p.Family())].validateCompact(cx.entries, p, origin)
 }
 
-// ValidateRoute is a convenience wrapper over (prefix, origin) pairs
-// expressed as a VRP-shaped route.
-//
-//repro:noalloc
-func (cx *CompactIndex) ValidateRoute(p prefix.Prefix, origin rpki.ASN) (State, bool) {
-	s := cx.Validate(p, origin)
-	return s, s == Valid
-}
-
 // ValidateBatch classifies every route in one pass, writing states into dst
 // (grown if needed) and returning it. dst[i] corresponds to routes[i].
 func (cx *CompactIndex) ValidateBatch(routes []Route, dst []State) []State {
@@ -483,10 +474,15 @@ func (cx *CompactIndex) ValidateBatchSorted(routes []Route, dst []State) []State
 	return dst
 }
 
+// batchBlock is the parallel batch work-unit size: big enough that channel
+// handoff cost vanishes, small enough to level skew between workers.
+const batchBlock = 512
+
 // ValidateBatchParallel is ValidateBatch fanned out over a fixed pool of
 // min(workers, blocks) goroutines draining route blocks from a channel — the
-// same worker-pool shape as Index.ValidateBatchParallel. Workers write
-// disjoint dst ranges, so the result is identical to the serial batch.
+// Compress worker-pool pattern. Workers write disjoint dst ranges, so the
+// result is identical to the serial batch. Values < 2 (or batches of one
+// block) run serially.
 func (cx *CompactIndex) ValidateBatchParallel(routes []Route, dst []State, workers int) []State {
 	if cap(dst) < len(routes) {
 		dst = make([]State, len(routes))

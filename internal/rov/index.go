@@ -1,7 +1,7 @@
 package rov
 
 import (
-	"sync"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/prefix"
@@ -90,7 +90,9 @@ var termsScratch = core.NewBufPool[int32](4, 1<<20)
 // inserts every VRP's path and counts entries per terminal node, then a
 // prefix-sum turns counts into slab offsets; the second drops each entry
 // into its node's span. The input need not be sorted (LiveIndex compaction
-// feeds walk order) and is not retained.
+// feeds walk order) and is not retained. A VRP listed more than once is
+// indexed once — an RTR Cache Response may repeat an announcement, and a
+// table is a set.
 func newIndexFromVRPs(vrps []rpki.VRP) *Index {
 	ix := &Index{size: len(vrps)}
 	var perFam [2]int
@@ -129,7 +131,12 @@ func newIndexFromVRPs(vrps []rpki.VRP) *Index {
 	for i, v := range vrps {
 		f := &ix.fams[famSlot(v.Prefix.Family())]
 		sp := &f.eng.Nodes[terms[i]].Val
-		ix.entries[sp.off+sp.n] = entry{maxLength: v.MaxLength, as: v.AS}
+		e := entry{maxLength: v.MaxLength, as: v.AS}
+		if slices.Contains(ix.entries[sp.off:sp.off+sp.n], e) {
+			ix.size-- // the reserved cell stays unused past the span's end
+			continue
+		}
+		ix.entries[sp.off+sp.n] = e
 		sp.n++
 	}
 	return ix
@@ -178,13 +185,6 @@ func (ix *Index) Validate(p prefix.Prefix, origin rpki.ASN) State {
 	return validateOn(f.eng.Nodes, f.root, ix.entries, p, origin)
 }
 
-// ValidateRoute is a convenience wrapper over (prefix, origin) pairs
-// expressed as a VRP-shaped route.
-func (ix *Index) ValidateRoute(p prefix.Prefix, origin rpki.ASN) (State, bool) {
-	s := ix.Validate(p, origin)
-	return s, s == Valid
-}
-
 // ValidateBatch classifies every route in one pass, writing states into dst
 // (grown if needed) and returning it. The per-family slab headers are
 // hoisted out of the loop, so a batch amortizes the root and bounds lookups
@@ -208,48 +208,6 @@ func (ix *Index) ValidateBatch(routes []Route, dst []State) []State {
 			dst[i] = NotFound
 		}
 	}
-	return dst
-}
-
-// batchBlock is the parallel batch work-unit size: big enough that channel
-// handoff cost vanishes, small enough to level skew between workers.
-const batchBlock = 512
-
-// ValidateBatchParallel is ValidateBatch fanned out over a fixed pool of
-// exactly min(workers, blocks) goroutines draining route blocks from a
-// channel — the Compress worker-pool pattern. Workers write disjoint dst
-// ranges, so the result is identical to the serial batch. Values < 2 (or
-// batches of one block) run serially.
-func (ix *Index) ValidateBatchParallel(routes []Route, dst []State, workers int) []State {
-	if cap(dst) < len(routes) {
-		dst = make([]State, len(routes))
-	} else {
-		dst = dst[:len(routes)]
-	}
-	blocks := (len(routes) + batchBlock - 1) / batchBlock
-	if workers > blocks {
-		workers = blocks
-	}
-	if workers < 2 {
-		return ix.ValidateBatch(routes, dst)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for lo := range jobs {
-				hi := min(lo+batchBlock, len(routes))
-				ix.ValidateBatch(routes[lo:hi], dst[lo:hi])
-			}
-		}()
-	}
-	for lo := 0; lo < len(routes); lo += batchBlock {
-		jobs <- lo
-	}
-	close(jobs)
-	wg.Wait()
 	return dst
 }
 

@@ -212,16 +212,17 @@ func (l *LiveIndex) Apply(announce, withdraw []rpki.VRP) {
 	}
 }
 
-// ResetTo atomically replaces the table with vrps (which must be free of
-// duplicates — an RTR full-sync table is), rebuilding into fresh slabs.
-// This is the reset-and-replace path for an RTR session the client could
-// not diff against (state expired or lost across a cache restart): deltas
-// no longer describe the new table, so the derived index is rebuilt once
-// instead. Readers holding older snapshots are unaffected; an in-flight
-// background compaction of the replaced table discards its rebuild.
+// ResetTo atomically replaces the table with the set of vrps (a repeated
+// VRP counts once), rebuilding into fresh slabs. This is the full-sync path:
+// an RTR client commits every Reset Query response through it, and a
+// consumer replaces its derived table with it when deltas no longer describe
+// the new one (state expired or lost across a cache restart). Readers
+// holding older snapshots are unaffected — rov.Diff against one is the exact
+// delta of the replacement; an in-flight background compaction of the
+// replaced table discards its rebuild.
 func (l *LiveIndex) ResetTo(vrps []rpki.VRP) {
 	nw := newIndexFromVRPs(vrps)
-	cpt := newCompactFromVRPs(vrps)
+	cpt := CompactFromIndex(nw)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.gen++

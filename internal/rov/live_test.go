@@ -418,8 +418,8 @@ func TestLiveIndexCompactSwitchover(t *testing.T) {
 	}
 }
 
-// TestValidateBatchMatchesValidate pins the batch APIs (serial and
-// parallel) to the single-query path, including dst reuse.
+// TestValidateBatchMatchesValidate pins the batch API to the single-query
+// path, including dst reuse.
 func TestValidateBatchMatchesValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var vrps []rpki.VRP
@@ -446,21 +446,6 @@ func TestValidateBatchMatchesValidate(t *testing.T) {
 	reused := ix.ValidateBatch(routes, got)
 	if &reused[0] != &got[0] {
 		t.Fatal("batch reallocated a sufficient dst")
-	}
-	for _, workers := range []int{2, 4, 9} {
-		par := ix.ValidateBatchParallel(routes, nil, workers)
-		for i := range routes {
-			if par[i] != want[i] {
-				t.Fatalf("parallel(%d)[%d] = %v, want %v", workers, i, par[i], want[i])
-			}
-		}
-	}
-	// Degenerate parallel calls fall back to serial.
-	small := ix.ValidateBatchParallel(routes[:3], nil, 8)
-	for i := range small {
-		if small[i] != want[i] {
-			t.Fatalf("small parallel[%d] = %v, want %v", i, small[i], want[i])
-		}
 	}
 }
 

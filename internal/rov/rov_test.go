@@ -101,16 +101,6 @@ func TestIPv6Validation(t *testing.T) {
 	}
 }
 
-func TestValidateRoute(t *testing.T) {
-	ix := NewIndex(runningExampleSet())
-	if s, ok := ix.ValidateRoute(mp("168.122.0.0/16"), 111); !ok || s != Valid {
-		t.Error("ValidateRoute Valid case wrong")
-	}
-	if _, ok := ix.ValidateRoute(mp("168.122.0.0/24"), 666); ok {
-		t.Error("ValidateRoute Invalid case wrong")
-	}
-}
-
 func TestStateString(t *testing.T) {
 	if NotFound.String() != "NotFound" || Invalid.String() != "Invalid" || Valid.String() != "Valid" {
 		t.Error("State strings wrong")

@@ -4,14 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/rov"
 	"repro/internal/rpki"
 )
 
 // Client is the router side of the protocol: it synchronizes a local copy of
 // the cache's VRP set — the table a router consults for origin validation.
+// The table is a rov.LiveIndex the client is handed at construction (NewClient
+// creates an empty one) and commits every End of Data straight into, so the
+// synchronized table is a validation index from the first sync on and
+// outlives the connection that filled it.
 //
 // A single dispatch goroutine, started by NewClient, owns ReadPDU for the
 // connection's lifetime. It reads whole PDUs and routes each one: Serial
@@ -29,15 +35,6 @@ type Client struct {
 	// before the first exchange.
 	Version byte
 
-	// OnDelta, when set, receives each completed non-empty update's applied
-	// delta synchronously on the dispatch goroutine, before the producing
-	// Sync or Reset returns — the original (pre-fan-out) delivery contract.
-	//
-	// Deprecated: use Subscribe, which supports multiple consumers and does
-	// not stall the dispatch loop while a consumer runs. Set OnDelta before
-	// the first sync and do not change it while syncs are in flight.
-	OnDelta func(announced, withdrawn []rpki.VRP)
-
 	// SubscribeQueue bounds each subscriber's pending-update queue (default
 	// 16). A consumer that falls further behind has its oldest pending
 	// updates coalesced pairwise — net effect preserved — rather than
@@ -46,6 +43,9 @@ type Client struct {
 	SubscribeQueue int
 
 	conn net.Conn
+	// table is the session table. Only the dispatch goroutine writes it
+	// (commit); everyone else reads snapshots.
+	table *rov.LiveIndex
 
 	// reqMu serializes Sync/Reset callers: the protocol allows at most one
 	// outstanding query per connection, so concurrent callers simply queue.
@@ -55,7 +55,6 @@ type Client struct {
 	sessionID uint16
 	serial    Serial
 	haveState bool
-	vrps      map[rpki.VRP]struct{}
 	// refresh/retry/expire hold the timers from the most recent version-1
 	// End of Data PDU (seconds); haveTimers reports whether one was seen.
 	refresh, retry, expire uint32
@@ -63,8 +62,8 @@ type Client struct {
 	// fullSyncs counts committed full (Reset Query) exchanges; a resumed
 	// client that syncs with it still zero resumed purely by Serial Query.
 	fullSyncs int
-	// subs are the Subscribe/SubscribeUpdates consumers, each with its own
-	// drainer goroutine and bounded queue.
+	// subs are the Subscribe consumers, each with its own drainer goroutine
+	// and bounded queue.
 	subs []*subscriber
 	// req is the at-most-one in-flight exchange; nil while idle.
 	req *request
@@ -92,10 +91,11 @@ type request struct {
 	// not answer Cache Reset): the update cannot be applied onto the local
 	// table, so the rest of it is consumed — keeping the stream framed —
 	// and the exchange resolves as a cache reset at End of Data.
-	discard     bool
-	session     uint16
-	staged      map[rpki.VRP]struct{}
-	withdrawals []rpki.VRP
+	discard bool
+	session uint16
+	// announced/withdrawn stage the response's prefix PDUs in arrival order;
+	// commit hands them to the table, which gives them set semantics.
+	announced, withdrawn []rpki.VRP
 }
 
 // finish resolves the exchange. Both the dispatch loop (normal completion)
@@ -105,24 +105,16 @@ func (r *request) finish(err error) {
 	r.once.Do(func() { r.result <- err })
 }
 
-// SessionState is the resumable half of a client session: everything a
-// reconnect needs to continue the cache's delta stream on a fresh
-// connection instead of refetching the table. A Supervisor captures it from
-// a dead client (Client.SessionState) and seeds the replacement with it
-// (NewClientResume), whose first Sync then issues a Serial Query for
-// Serial against SessionID — the RFC 8210 resumption handshake.
+// SessionState identifies the last completed sync of a session: what a
+// reconnect needs, next to the session table, to continue the cache's delta
+// stream on a fresh connection instead of refetching the table. A
+// MultiSupervisor upstream captures it from a dead client
+// (Client.SessionState) and hands it to the replacement (NewClientResume),
+// whose first Sync then issues a Serial Query for Serial against SessionID —
+// the RFC 8210 resumption handshake.
 type SessionState struct {
-	// SessionID and Serial identify the last completed sync.
 	SessionID uint16
 	Serial    Serial
-	// VRPs is the synchronized table at Serial. A resumed client seeds its
-	// local table from it, so incremental updates — and the delta of a full
-	// Reset fallback — stay relative to the pre-disconnect table.
-	VRPs []rpki.VRP
-	// Refresh/Retry/Expire are the timers from the most recent version-1
-	// End of Data (seconds); HasTimers reports whether one was seen.
-	Refresh, Retry, Expire uint32
-	HasTimers              bool
 }
 
 // Dial connects to a cache at addr ("host:port").
@@ -135,67 +127,48 @@ func Dial(addr string) (*Client, error) {
 }
 
 // NewClient wraps an established connection (useful with net.Pipe in tests)
-// and starts the dispatch goroutine that owns all reads from it.
+// with a fresh, empty session table, and starts the dispatch goroutine that
+// owns all reads from it.
 func NewClient(nc net.Conn) *Client {
-	return NewClientResume(nc, nil)
+	return NewClientResume(nc, rov.NewLiveIndex(rpki.NewSet(nil)), nil)
 }
 
-// NewClientResume wraps an established connection like NewClient, but seeds
-// the client with a previous session's state so the first Sync resumes the
-// cache's delta stream (Serial Query) instead of refetching the table
-// (Reset Query). When the cache cannot serve the incremental stream — it
-// restarted with a new session ID, or evicted the delta chain — Sync falls
-// back to a full reset whose subscriber delta is computed against the
-// seeded table, so delta-fed consumers resync without a rebuild. A nil st
-// is a fresh start, identical to NewClient.
-func NewClientResume(nc net.Conn, st *SessionState) *Client {
+// NewClientResume wraps an established connection like NewClient, but
+// commits into table — typically the session table of a previous connection
+// to the same cache, carried by pointer, never copied — and, when st is
+// non-nil, resumes that session: the first Sync issues a Serial Query
+// instead of a Reset Query. When the cache cannot serve the incremental
+// stream — it restarted with a new session ID, or evicted the delta chain —
+// Sync falls back to a full reset, whose subscriber delta is the diff
+// against the carried table, so delta-fed consumers resync without a
+// rebuild. A nil st is a fresh start on whatever table holds.
+func NewClientResume(nc net.Conn, table *rov.LiveIndex, st *SessionState) *Client {
 	c := &Client{
 		Version:  Version1,
 		conn:     nc,
-		vrps:     make(map[rpki.VRP]struct{}),
+		table:    table,
 		notifyCh: make(chan Serial, 1),
 		done:     make(chan struct{}),
 	}
 	if st != nil {
-		c.sessionID = st.SessionID
-		c.serial = st.Serial
-		c.haveState = true
-		for _, v := range st.VRPs {
-			c.vrps[v] = struct{}{}
-		}
-		if st.HasTimers {
-			c.refresh, c.retry, c.expire = st.Refresh, st.Retry, st.Expire
-			c.haveTimers = true
-		}
+		c.sessionID, c.serial, c.haveState = st.SessionID, st.Serial, true
 	}
 	//repro:owns-goroutine (*Client).Close
 	go c.dispatch()
 	return c
 }
 
-// SessionState snapshots the resumable session state for handoff to a
-// replacement client (NewClientResume), or nil when no sync has completed —
-// nothing to resume. It remains available after the dispatch loop dies: the
-// synchronized table outlives its connection.
+// SessionState returns the session and serial of the last completed sync for
+// handoff to a replacement client (NewClientResume), or nil when no sync has
+// completed — nothing to resume. It remains available after the dispatch
+// loop dies, as does the table.
 func (c *Client) SessionState() *SessionState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.haveState {
 		return nil
 	}
-	st := &SessionState{
-		SessionID: c.sessionID,
-		Serial:    c.serial,
-		VRPs:      make([]rpki.VRP, 0, len(c.vrps)),
-		Refresh:   c.refresh,
-		Retry:     c.retry,
-		Expire:    c.expire,
-		HasTimers: c.haveTimers,
-	}
-	for v := range c.vrps {
-		st.VRPs = append(st.VRPs, v)
-	}
-	return st
+	return &SessionState{SessionID: c.sessionID, Serial: c.serial}
 }
 
 // Close closes the connection; the dispatch loop observes the closed socket,
@@ -222,23 +195,22 @@ func (c *Client) Err() error {
 	return c.err
 }
 
-// Update is one committed sync delivered to SubscribeUpdates consumers:
-// the VRPs the update actually added to and removed from the local table
-// (announces already present and withdrawals of absent VRPs are excluded;
-// on a full reset the delta is relative to the table being replaced). Full
-// marks a Reset Query exchange — a consumer tracking session continuity can
-// tell a table replacement from an incremental delta even when the delta
-// happens to be empty. Consumers must not mutate the slices: coalesced
-// updates may share them with other subscribers.
-type Update struct {
-	Announced, Withdrawn []rpki.VRP
-	Full                 bool
+// delta is one committed sync as queued for a Subscribe consumer: the VRPs
+// the update actually added to and removed from the table. Consumers must
+// not mutate the slices: coalesced deltas may share them with other
+// subscribers.
+type delta struct {
+	announced, withdrawn []rpki.VRP
 }
 
 // Subscribe registers fn as a delta consumer: after every completed update
-// with a non-empty delta it receives the VRPs the update added and removed.
-// This is how a validation index — rov.LiveIndex — follows the table in
-// O(delta) instead of rebuilding from Set after every sync.
+// with a non-empty delta it receives exactly the VRPs the update added and
+// removed, in canonical prefix order: announces already present, withdrawals
+// of absent VRPs and a VRP both announced and withdrawn by one update are
+// excluded, and on a full reset the delta is relative to the table being
+// replaced (the diff of the table's snapshots before and after the commit).
+// This is how a second index follows the table in O(delta) instead of
+// rebuilding from Set after every sync.
 //
 // Backpressure contract: each consumer runs on its own drainer goroutine
 // fed by a bounded queue (SubscribeQueue), so a slow or blocking consumer
@@ -257,21 +229,6 @@ type Update struct {
 // subsequent deltas; register before the first sync to observe the full
 // table history.
 func (c *Client) Subscribe(fn func(announced, withdrawn []rpki.VRP)) {
-	c.SubscribeUpdates(func(u Update) {
-		if len(u.Announced) == 0 && len(u.Withdrawn) == 0 {
-			return
-		}
-		fn(u.Announced, u.Withdrawn)
-	})
-}
-
-// SubscribeUpdates registers fn as an update consumer with the same
-// backpressure contract as Subscribe, but delivering the full Update value:
-// fn additionally sees empty full-reset updates (Full set, no delta), which
-// Subscribe filters out — the signal a reconnect supervisor needs to tell
-// "resynced to an identical (possibly empty) table" from "nothing
-// happened".
-func (c *Client) SubscribeUpdates(fn func(Update)) {
 	sub := &subscriber{c: c, fn: fn, wake: make(chan struct{}, 1)}
 	c.mu.Lock()
 	c.subs = append(c.subs, sub)
@@ -282,27 +239,26 @@ func (c *Client) SubscribeUpdates(fn func(Update)) {
 
 // FlushSubscribers blocks until every update committed before the call has
 // been delivered to every subscriber — the synchronization point for
-// callers that need delivery to have happened (a supervisor reading a
-// subscriber-fed mirror, a test asserting on consumer state). It must not
-// be called from a consumer, which would wait on its own queue.
+// callers that need delivery to have happened (a test or benchmark
+// asserting on consumer state). It must not be called from a consumer,
+// which would wait on its own queue.
 func (c *Client) FlushSubscribers() {
 	c.mu.Lock()
-	subs := make([]*subscriber, len(c.subs))
-	copy(subs, c.subs)
+	subs := slices.Clone(c.subs)
 	c.mu.Unlock()
 	for _, sub := range subs {
 		sub.flush()
 	}
 }
 
-// subscriber is one Subscribe/SubscribeUpdates consumer: a bounded pending
-// queue and the drainer goroutine that owns delivery to fn.
+// subscriber is one Subscribe consumer: a bounded pending queue and the
+// drainer goroutine that owns delivery to fn.
 type subscriber struct {
 	c  *Client
-	fn func(Update)
+	fn func(announced, withdrawn []rpki.VRP)
 
 	mu sync.Mutex
-	q  []Update
+	q  []delta
 	// inFlight is true while the drainer is executing fn on a popped update;
 	// the queue being empty means "delivered" only once it is false again.
 	inFlight bool
@@ -315,15 +271,15 @@ type subscriber struct {
 	wake chan struct{}
 }
 
-// enqueue appends u to the pending queue, coalescing into the newest
-// pending update when the consumer is depth behind. Called by the dispatch
+// enqueue appends d to the pending queue, coalescing into the newest
+// pending delta when the consumer is depth behind. Called by the dispatch
 // goroutine with no Client locks held.
-func (sub *subscriber) enqueue(u Update, depth int) {
+func (sub *subscriber) enqueue(d delta, depth int) {
 	sub.mu.Lock()
 	if len(sub.q) >= depth {
-		sub.q[len(sub.q)-1] = coalesceUpdates(sub.q[len(sub.q)-1], u)
+		sub.q[len(sub.q)-1] = coalesce(sub.q[len(sub.q)-1], d)
 	} else {
-		sub.q = append(sub.q, u)
+		sub.q = append(sub.q, d)
 	}
 	sub.mu.Unlock()
 	select {
@@ -360,13 +316,13 @@ func (sub *subscriber) run() {
 			}
 			continue
 		}
-		u := sub.q[0]
+		d := sub.q[0]
 		copy(sub.q, sub.q[1:])
-		sub.q[len(sub.q)-1] = Update{}
+		sub.q[len(sub.q)-1] = delta{}
 		sub.q = sub.q[:len(sub.q)-1]
 		sub.inFlight = true
 		sub.mu.Unlock()
-		sub.fn(u)
+		sub.fn(d.announced, d.withdrawn)
 	}
 }
 
@@ -386,47 +342,45 @@ func (sub *subscriber) flush() {
 	<-ch
 }
 
-// coalesceUpdates folds two consecutive updates into their exact net
+// coalesce folds two consecutive deltas into their exact net
 // effect: a VRP announced by a and withdrawn by b (or vice versa) cancels;
 // everything else carries through. The two announce sets — like the two
 // withdraw sets — are disjoint by construction (b's delta is relative to
 // the table after a), so the union needs no dedup.
-func coalesceUpdates(a, b Update) Update {
-	inB := func(vs []rpki.VRP) map[rpki.VRP]struct{} {
-		if len(vs) == 0 {
-			return nil
-		}
-		m := make(map[rpki.VRP]struct{}, len(vs))
-		for _, v := range vs {
-			m[v] = struct{}{}
-		}
-		return m
-	}
-	bwd, bann := inB(b.Withdrawn), inB(b.Announced)
-	awd, aann := inB(a.Withdrawn), inB(a.Announced)
-	var out Update
-	out.Full = a.Full || b.Full
-	for _, v := range a.Announced {
+func coalesce(a, b delta) delta {
+	bwd, bann := vrpSet(b.withdrawn), vrpSet(b.announced)
+	awd, aann := vrpSet(a.withdrawn), vrpSet(a.announced)
+	var out delta
+	for _, v := range a.announced {
 		if _, ok := bwd[v]; !ok {
-			out.Announced = append(out.Announced, v)
+			out.announced = append(out.announced, v)
 		}
 	}
-	for _, v := range b.Announced {
+	for _, v := range b.announced {
 		if _, ok := awd[v]; !ok {
-			out.Announced = append(out.Announced, v)
+			out.announced = append(out.announced, v)
 		}
 	}
-	for _, v := range a.Withdrawn {
+	for _, v := range a.withdrawn {
 		if _, ok := bann[v]; !ok {
-			out.Withdrawn = append(out.Withdrawn, v)
+			out.withdrawn = append(out.withdrawn, v)
 		}
 	}
-	for _, v := range b.Withdrawn {
+	for _, v := range b.withdrawn {
 		if _, ok := aann[v]; !ok {
-			out.Withdrawn = append(out.Withdrawn, v)
+			out.withdrawn = append(out.withdrawn, v)
 		}
 	}
 	return out
+}
+
+// vrpSet returns vs as a membership set.
+func vrpSet(vs []rpki.VRP) map[rpki.VRP]struct{} {
+	m := make(map[rpki.VRP]struct{}, len(vs))
+	for _, v := range vs {
+		m[v] = struct{}{}
+	}
+	return m
 }
 
 // Timers returns the Refresh/Retry/Expire intervals advertised by the cache
@@ -469,21 +423,11 @@ func (c *Client) FullSyncs() int {
 
 // Set returns the synchronized VRPs as a normalized set.
 func (c *Client) Set() *rpki.Set {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]rpki.VRP, 0, len(c.vrps))
-	for v := range c.vrps {
-		out = append(out, v)
-	}
-	return rpki.NewSet(out)
+	return rpki.NewSet(c.table.Snapshot().AppendVRPs(nil))
 }
 
 // Len returns the number of synchronized VRPs.
-func (c *Client) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.vrps)
-}
+func (c *Client) Len() int { return c.table.Len() }
 
 // Reset performs a full synchronization (Reset Query → Cache Response →
 // prefix PDUs → End of Data). Concurrent Reset/Sync callers are serialized.
@@ -631,7 +575,6 @@ func (c *Client) advance(req *request, pdu PDU, version byte) (finished bool, ex
 		case *CacheResponse:
 			req.started = true
 			req.session = p.SessionID
-			req.staged = make(map[rpki.VRP]struct{})
 			if !req.full {
 				// An incremental update is only meaningful against the
 				// session it continues (RFC 8210 §5.5: a session change
@@ -659,9 +602,9 @@ func (c *Client) advance(req *request, pdu PDU, version byte) (finished bool, ex
 	switch p := pdu.(type) {
 	case *Prefix:
 		if p.Flags&FlagAnnounce != 0 {
-			req.staged[p.VRP] = struct{}{}
+			req.announced = append(req.announced, p.VRP)
 		} else {
-			req.withdrawals = append(req.withdrawals, p.VRP)
+			req.withdrawn = append(req.withdrawn, p.VRP)
 		}
 		return false, nil, nil
 	case *RouterKey:
@@ -683,56 +626,39 @@ func (c *Client) advance(req *request, pdu PDU, version byte) (finished bool, ex
 	}
 }
 
-// commit applies a completed update on the dispatch goroutine: it swaps in
-// the new table state, adopts version-1 timers, drops a now-stale pending
-// notify, delivers the applied delta synchronously to OnDelta, and enqueues
-// it on every subscriber's drainer queue. Non-full updates with an empty
-// delta are not delivered at all; a full update is always enqueued (even
-// empty), carrying the Full marker SubscribeUpdates documents.
+// commit applies a completed update on the dispatch goroutine: it commits
+// the staged prefixes into the table, records the new session state (table
+// first, so no reader ever sees a serial ahead of its table), adopts
+// version-1 timers, drops a now-stale pending notify, and enqueues the
+// applied delta on every subscriber's drainer queue.
+//
+// Within one update withdrawals win over announcements of the same VRP and
+// repeats count once — the table has set semantics. An incremental update
+// path-copies into the table in O(delta); a full one builds the new index
+// in one pass and swaps it in. Either way the subscribers' delta is the
+// structural diff of the table's snapshots before and after, which is exact
+// by construction and, for an incremental update, visits only the changed
+// paths. With no subscriber no diff is taken.
 func (c *Client) commit(req *request, eod *EndOfData, version byte) {
 	c.mu.Lock()
-	wantDelta := c.OnDelta != nil || len(c.subs) > 0
-	var ann, wd []rpki.VRP
-	if req.full {
-		// Replace the table; the delta reported to consumers is the
-		// difference against the table being replaced. The staged map is
-		// this exchange's scratch state, dead after commit, so it becomes
-		// the new table directly.
-		next := req.staged
-		for _, v := range req.withdrawals {
-			delete(next, v)
-		}
-		if wantDelta {
-			for v := range c.vrps {
-				if _, ok := next[v]; !ok {
-					wd = append(wd, v)
-				}
-			}
-			for v := range next {
-				if _, ok := c.vrps[v]; !ok {
-					ann = append(ann, v)
-				}
-			}
-		}
-		c.vrps = next
-	} else {
-		for v := range req.staged {
-			if _, ok := c.vrps[v]; !ok {
-				c.vrps[v] = struct{}{}
-				if wantDelta {
-					ann = append(ann, v)
-				}
-			}
-		}
-		for _, v := range req.withdrawals {
-			if _, ok := c.vrps[v]; ok {
-				delete(c.vrps, v)
-				if wantDelta {
-					wd = append(wd, v)
-				}
-			}
-		}
+	subs := slices.Clone(c.subs)
+	depth := c.SubscribeQueue
+	c.mu.Unlock()
+	var before *rov.Index
+	if len(subs) > 0 {
+		before = c.table.Snapshot()
 	}
+	if req.full {
+		next := req.announced
+		if len(req.withdrawn) > 0 {
+			gone := vrpSet(req.withdrawn)
+			next = slices.DeleteFunc(next, func(v rpki.VRP) bool { _, ok := gone[v]; return ok })
+		}
+		c.table.ResetTo(next)
+	} else {
+		c.table.Apply(req.announced, req.withdrawn)
+	}
+	c.mu.Lock()
 	c.sessionID = req.session
 	c.serial = eod.Serial
 	c.haveState = true
@@ -743,23 +669,20 @@ func (c *Client) commit(req *request, eod *EndOfData, version byte) {
 		c.refresh, c.retry, c.expire = eod.Refresh, eod.Retry, eod.Expire
 		c.haveTimers = true
 	}
-	onDelta := c.OnDelta
-	subs := make([]*subscriber, len(c.subs))
-	copy(subs, c.subs)
-	depth := c.SubscribeQueue
 	c.mu.Unlock()
+	c.dropStaleNotify(eod.Serial)
+	if before == nil {
+		return
+	}
+	ann, wd := rov.Diff(before, c.table.Snapshot())
+	if len(ann) == 0 && len(wd) == 0 {
+		return
+	}
 	if depth <= 0 {
 		depth = 16
 	}
-	c.dropStaleNotify(eod.Serial)
-	if onDelta != nil && (len(ann) > 0 || len(wd) > 0) {
-		onDelta(ann, wd)
-	}
-	if req.full || len(ann) > 0 || len(wd) > 0 {
-		u := Update{Announced: ann, Withdrawn: wd, Full: req.full}
-		for _, sub := range subs {
-			sub.enqueue(u, depth)
-		}
+	for _, sub := range subs {
+		sub.enqueue(delta{announced: ann, withdrawn: wd}, depth)
 	}
 }
 

@@ -109,10 +109,9 @@ func TestConcurrentSyncResetDispatch(t *testing.T) {
 
 // TestSubscribeMultipleConsumers pins the post-fan-out Subscribe contract:
 // every registered consumer sees every applied non-empty delta exactly once
-// and in commit order on its own drainer goroutine; the deprecated OnDelta
-// hook still fires synchronously before Sync returns; and FlushSubscribers
-// is the point after which consumer state may be asserted on. A second
-// consumer keeps simple counters, the cmd/rtrclient pattern.
+// and in commit order on its own drainer goroutine, and FlushSubscribers is
+// the point after which consumer state may be asserted on. A second consumer
+// keeps simple counters, the cmd/rtrclient pattern.
 func TestSubscribeMultipleConsumers(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
@@ -125,12 +124,6 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 	}
 	defer c.Close()
 
-	// OnDelta keeps the synchronous contract: delivery on the dispatch
-	// goroutine happens-before Sync returns, no locking needed.
-	onDeltaCalls := 0
-	c.OnDelta = func(ann, wd []rpki.VRP) {
-		onDeltaCalls++
-	}
 	// Subscribe consumers each run on their own drainer goroutine: their
 	// state is read only after FlushSubscribers, which is the documented
 	// synchronization point, so plain fields are still race-free.
@@ -138,18 +131,7 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 	mirrorDeliveries := 0
 	c.Subscribe(func(ann, wd []rpki.VRP) {
 		mirrorDeliveries++
-		for _, v := range ann {
-			if _, ok := mirror[v]; ok {
-				t.Errorf("announced already-present VRP %s", v)
-			}
-			mirror[v] = struct{}{}
-		}
-		for _, v := range wd {
-			if _, ok := mirror[v]; !ok {
-				t.Errorf("withdrew absent VRP %s", v)
-			}
-			delete(mirror, v)
-		}
+		replayDelta(t, mirror, ann, wd)
 	})
 	var announced, withdrawn, counterDeliveries int
 	c.Subscribe(func(ann, wd []rpki.VRP) {
@@ -160,27 +142,19 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 	checkDeliveries := func(want int) {
 		t.Helper()
 		c.FlushSubscribers()
-		if onDeltaCalls != want || mirrorDeliveries != want || counterDeliveries != want {
-			t.Fatalf("deliveries ondelta/mirror/counter = %d/%d/%d, want %d each",
-				onDeltaCalls, mirrorDeliveries, counterDeliveries, want)
+		if mirrorDeliveries != want || counterDeliveries != want {
+			t.Fatalf("deliveries mirror/counter = %d/%d, want %d each", mirrorDeliveries, counterDeliveries, want)
 		}
 	}
 	checkMirror := func() {
 		t.Helper()
-		vrps := make([]rpki.VRP, 0, len(mirror))
-		for v := range mirror {
-			vrps = append(vrps, v)
-		}
-		if got := rpki.NewSet(vrps); !got.Equal(c.Set()) {
+		if got := mirrorSet(mirror); !got.Equal(c.Set()) {
 			t.Fatalf("subscriber mirror %v != table %v", got.VRPs(), c.Set().VRPs())
 		}
 	}
 
 	if _, err := c.Sync(); err != nil { // initial full sync
 		t.Fatal(err)
-	}
-	if onDeltaCalls != 1 {
-		t.Fatalf("OnDelta fired %d times before Sync returned, want 1 (synchronous contract)", onDeltaCalls)
 	}
 	checkDeliveries(1)
 	checkMirror()
@@ -241,18 +215,7 @@ func TestSubscribeSlowConsumerBackpressure(t *testing.T) {
 		if slowDeliveries == 1 {
 			<-gate
 		}
-		for _, v := range ann {
-			if _, ok := slowMirror[v]; ok {
-				t.Errorf("slow consumer: announced already-present VRP %s", v)
-			}
-			slowMirror[v] = struct{}{}
-		}
-		for _, v := range wd {
-			if _, ok := slowMirror[v]; !ok {
-				t.Errorf("slow consumer: withdrew absent VRP %s", v)
-			}
-			delete(slowMirror, v)
-		}
+		replayDelta(t, slowMirror, ann, wd)
 	})
 	fastDeliveries := 0
 	c.Subscribe(func(ann, wd []rpki.VRP) { fastDeliveries++ })
@@ -288,11 +251,7 @@ func TestSubscribeSlowConsumerBackpressure(t *testing.T) {
 	if slowDeliveries > 1+2 || slowDeliveries < 2 {
 		t.Errorf("slow consumer saw %d deliveries, want 2..3 (coalesced)", slowDeliveries)
 	}
-	vrps := make([]rpki.VRP, 0, len(slowMirror))
-	for v := range slowMirror {
-		vrps = append(vrps, v)
-	}
-	if got := rpki.NewSet(vrps); !got.Equal(cur) {
+	if got := mirrorSet(slowMirror); !got.Equal(cur) {
 		t.Fatalf("slow consumer mirror has %d VRPs, want %d — a coalesced delta was lost", got.Len(), cur.Len())
 	}
 }

@@ -443,13 +443,13 @@ func parseErrorReport(body []byte, code uint16, version byte) (PDU, byte, error)
 		return nil, version, protoErr(ErrCorruptData, "short Error Report")
 	}
 	cl := binary.BigEndian.Uint32(body)
-	if uint64(4+cl+4) > uint64(len(body)) {
+	if uint64(cl)+8 > uint64(len(body)) { // widened first: 4+cl+4 wraps in uint32
 		return nil, version, protoErr(ErrCorruptData, "Error Report causing-PDU length overflow")
 	}
 	causing := append([]byte(nil), body[4:4+cl]...)
 	rest := body[4+cl:]
 	tl := binary.BigEndian.Uint32(rest)
-	if uint64(4+tl) > uint64(len(rest)) {
+	if uint64(tl)+4 > uint64(len(rest)) {
 		return nil, version, protoErr(ErrCorruptData, "Error Report text length overflow")
 	}
 	return &ErrorReport{Code: code, CausingPDU: causing, Text: string(rest[4 : 4+tl])}, version, nil

@@ -452,11 +452,13 @@ func TestMultipleClients(t *testing.T) {
 	}
 }
 
-// TestOnDeltaReportsAppliedDeltas pins the Client.OnDelta hook: it must
-// fire with exactly the VRPs each update added and removed — across the
-// initial full sync, an incremental delta, and a no-op sync (no callback) —
-// keeping a live validation index in step with the table.
-func TestOnDeltaReportsAppliedDeltas(t *testing.T) {
+// TestSubscribeReportsAppliedDeltas pins the exactness of Subscribe's
+// deltas: a consumer receives exactly the VRPs each update added and removed
+// — across the initial full sync, an incremental delta, and a no-op sync (no
+// delivery) — so replaying them keeps a second table in step with the
+// client's. FlushSubscribers is the point after which consumer state may be
+// read.
+func TestSubscribeReportsAppliedDeltas(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
@@ -470,28 +472,17 @@ func TestOnDeltaReportsAppliedDeltas(t *testing.T) {
 
 	mirror := map[rpki.VRP]struct{}{}
 	calls := 0
-	c.OnDelta = func(announced, withdrawn []rpki.VRP) {
+	c.Subscribe(func(announced, withdrawn []rpki.VRP) {
 		calls++
-		for _, v := range announced {
-			if _, ok := mirror[v]; ok {
-				t.Errorf("announced already-present VRP %s", v)
-			}
-			mirror[v] = struct{}{}
-		}
-		for _, v := range withdrawn {
-			if _, ok := mirror[v]; !ok {
-				t.Errorf("withdrew absent VRP %s", v)
-			}
-			delete(mirror, v)
-		}
-	}
-	checkMirror := func() {
+		replayDelta(t, mirror, announced, withdrawn)
+	})
+	check := func(wantCalls int) {
 		t.Helper()
-		vrps := make([]rpki.VRP, 0, len(mirror))
-		for v := range mirror {
-			vrps = append(vrps, v)
+		c.FlushSubscribers()
+		if calls != wantCalls {
+			t.Fatalf("deliveries = %d, want %d", calls, wantCalls)
 		}
-		if got := rpki.NewSet(vrps); !got.Equal(c.Set()) {
+		if got := mirrorSet(mirror); !got.Equal(c.Set()) {
 			t.Fatalf("delta mirror %v != table %v", got.VRPs(), c.Set().VRPs())
 		}
 	}
@@ -499,10 +490,10 @@ func TestOnDeltaReportsAppliedDeltas(t *testing.T) {
 	if _, err := c.Sync(); err != nil { // initial full sync: everything announced
 		t.Fatal(err)
 	}
-	if calls != 1 || len(mirror) != set.Len() {
-		t.Fatalf("after full sync: %d calls, %d mirrored VRPs", calls, len(mirror))
+	check(1)
+	if len(mirror) != set.Len() {
+		t.Fatalf("after full sync: %d mirrored VRPs, want %d", len(mirror), set.Len())
 	}
-	checkMirror()
 
 	// Incremental update: one VRP dropped, one added.
 	next := rpki.NewSet(append(set.VRPs()[1:],
@@ -514,19 +505,40 @@ func TestOnDeltaReportsAppliedDeltas(t *testing.T) {
 	if _, err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 {
-		t.Fatalf("after incremental sync: %d calls", calls)
-	}
-	checkMirror()
+	check(2)
 
-	// A sync with nothing new must not fire the hook.
+	// A sync with nothing new must not deliver.
 	if _, err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 {
-		t.Fatalf("no-op sync fired OnDelta (calls = %d)", calls)
+	check(2)
+}
+
+// replayDelta applies one Subscribe delivery to a set-shaped mirror and
+// fails the test when the delta is not exact: an announce of a VRP the
+// mirror holds, or a withdrawal of one it does not.
+func replayDelta(t *testing.T, mirror map[rpki.VRP]struct{}, announced, withdrawn []rpki.VRP) {
+	t.Helper()
+	for _, v := range announced {
+		if _, ok := mirror[v]; ok {
+			t.Errorf("announced already-present VRP %s", v)
+		}
+		mirror[v] = struct{}{}
 	}
-	checkMirror()
+	for _, v := range withdrawn {
+		if _, ok := mirror[v]; !ok {
+			t.Errorf("withdrew absent VRP %s", v)
+		}
+		delete(mirror, v)
+	}
+}
+
+func mirrorSet(mirror map[rpki.VRP]struct{}) *rpki.Set {
+	vrps := make([]rpki.VRP, 0, len(mirror))
+	for v := range mirror {
+		vrps = append(vrps, v)
+	}
+	return rpki.NewSet(vrps)
 }
 
 // TestSerialDeltaMatchesChainedDeltas pins the snapshot-diff refactor to the

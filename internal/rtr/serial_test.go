@@ -1,12 +1,9 @@
 package rtr
 
 import (
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
-
-	"repro/internal/rpki"
 )
 
 func TestSerialLess(t *testing.T) {
@@ -57,70 +54,6 @@ func TestSerialProperties(t *testing.T) {
 	if err := quick.Check(g, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestPollerLifecycle(t *testing.T) {
-	set := testVRPs()
-	srv := NewServer(set)
-	addr, stop := startServer(t, srv)
-	defer stop()
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var updates atomic.Int32
-	p := NewPoller(c)
-	p.OnUpdate = func(Serial) { updates.Add(1) }
-	errCh := make(chan error, 1)
-	go func() { errCh <- p.Run() }()
-
-	// Initial sync happens inside Run.
-	waitFor(t, func() bool { return updates.Load() >= 1 })
-	if !p.Healthy() {
-		t.Fatal("poller unhealthy after initial sync")
-	}
-	if p.LastSync().IsZero() {
-		t.Fatal("LastSync not recorded")
-	}
-
-	// A server update triggers notify -> sync -> OnUpdate.
-	next := rpki.NewSet(append(set.VRPs(),
-		rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}))
-	srv.UpdateSet(next)
-	waitFor(t, func() bool { return updates.Load() >= 2 })
-	if !c.Set().Equal(next) {
-		t.Fatal("poller did not converge")
-	}
-
-	p.Stop()
-	if err := <-errCh; err != nil {
-		t.Fatalf("Run returned %v after Stop", err)
-	}
-	// Stop is idempotent.
-	p.Stop()
-}
-
-func TestPollerExpiry(t *testing.T) {
-	set := testVRPs()
-	srv := NewServer(set)
-	// The poller adopts the cache's advertised timers after each sync, so
-	// the short Expire must come from the server's End of Data PDU.
-	srv.Expire = 1
-	addr, stop := startServer(t, srv)
-	defer stop()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPoller(c)
-	errCh := make(chan error, 1)
-	go func() { errCh <- p.Run() }()
-	waitFor(t, func() bool { return !p.LastSync().IsZero() })
-	// No further syncs: health must decay past the Expire window.
-	waitFor(t, func() bool { return !p.Healthy() })
-	p.Stop()
-	<-errCh
 }
 
 func waitFor(t *testing.T, cond func() bool) {
