@@ -40,7 +40,7 @@ race:
 
 # BENCH_JSON is where bench archives its parsed results (committed to the
 # repo so the perf trajectory across PRs is tracked in-tree).
-BENCH_JSON ?= BENCH_PR10.json
+BENCH_JSON ?= BENCH_PR13.json
 
 # bench runs the in-package core, rov, and rtr benchmarks plus the
 # paper-evaluation benches; -count=1 defeats test caching so numbers are
@@ -104,7 +104,7 @@ bench-smoke:
 # inside the window is a scheduler coin flip and ns/op on identical code
 # spans well past the ordinary threshold (measured: 2.9–6.3 µs for the same
 # binary); they get the looser BENCH_THRESHOLD_TIME_NOISY gate.
-BENCH_OLD ?= BENCH_PR8.json
+BENCH_OLD ?= BENCH_PR10.json
 BENCH_NEW ?= $(BENCH_JSON)
 BENCH_THRESHOLD ?= 50
 BENCH_THRESHOLD_MEM ?= 10

@@ -222,6 +222,7 @@ func TestFactsCollected(t *testing.T) {
 		"repro/internal/rov.NewIndex",
 		"repro/internal/rov.NewCompactIndex",
 		"repro/internal/rov.CompactFromIndex",
+		"(*repro/internal/rov.Table).Snapshot",
 		"(*repro/internal/rov.LiveIndex).Snapshot",
 		"(*repro/internal/rov.LiveIndex).CompactSnapshot",
 	} {

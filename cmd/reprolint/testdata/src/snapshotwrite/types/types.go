@@ -48,5 +48,25 @@ func goodCompact(h *Holder) {
 	h.Cur.Store(nw)
 }
 
+// Reader composes a Holder the way rov.LiveIndex composes rov.Table: the
+// write side is a field, and a Load() reached through it is as frozen as a
+// direct one.
+type Reader struct {
+	tab Holder
+}
+
+func badThroughComposed(r *Reader) {
+	t := r.tab.Cur.Load()
+	t.Vals[0] = 1 // want "write through a published snapshot"
+}
+
+// goodThroughComposed republishes through the composed holder.
+func goodThroughComposed(r *Reader) {
+	old := r.tab.Cur.Load()
+	r.tab.Cur.Store(&Table{N: old.N, Vals: append([]int(nil), old.Vals...)})
+}
+
 var _ = badCompact
 var _ = goodCompact
+var _ = badThroughComposed
+var _ = goodThroughComposed

@@ -3,6 +3,7 @@ package rov
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/prefix"
@@ -168,4 +169,76 @@ func BenchmarkSnapshotDiff(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLiveApplyBulk is the measurement behind bulkDivisor: one Apply of
+// delta ÷ table = 1/64 … 4 new VRPs into a table of today's size (33,615
+// VRPs), forced down each of Apply's two paths. The path-copy rows include
+// what the path leaves behind — they wait out the compaction the delta's
+// garbage starts, because a router pays for that rebuild too, only later —
+// and report the garbage as a metric. The bulk rows are one index build of
+// table + delta. Every iteration starts from a freshly built table.
+func BenchmarkLiveApplyBulk(b *testing.B) {
+	const size = 33615
+	all := benchSet().VRPs()
+	base := all[:size]
+	// Four tables' worth of VRPs outside base: the rest of benchSet, then the
+	// same random shape at an AS range benchSet does not use.
+	fresh := append([]rpki.VRP(nil), all[size:]...)
+	seen := map[rpki.VRP]bool{}
+	rng := rand.New(rand.NewSource(3))
+	for len(fresh) < 4*size {
+		l := uint8(8 + rng.Intn(17))
+		p, _ := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
+		v := rpki.VRP{Prefix: p, MaxLength: l, AS: rpki.ASN(40000 + rng.Intn(30000))}
+		if !seen[v] {
+			seen[v] = true
+			fresh = append(fresh, v)
+		}
+	}
+	for _, r := range []struct {
+		name string
+		ops  int
+	}{
+		{"1_64", size / 64}, {"1_16", size / 16}, {"1_8", size / 8}, {"1_4", size / 4},
+		{"1_3", size / 3}, {"1_2", size / 2}, {"1", size}, {"4", 4 * size},
+	} {
+		delta := fresh[:r.ops]
+		b.Run("pathcopy/"+r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			garbage := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				t := NewTable(base)
+				b.StartTimer()
+				t.mu.Lock()
+				t.applyDelta(t.cur.Load(), delta, nil)
+				garbage = t.garbageNodes
+				for t.compacting {
+					t.mu.Unlock()
+					runtime.Gosched()
+					t.mu.Lock()
+				}
+				t.mu.Unlock()
+				if t.Len() != size+r.ops {
+					b.Fatalf("table holds %d VRPs, want %d", t.Len(), size+r.ops)
+				}
+			}
+			b.ReportMetric(float64(garbage), "garbage-nodes")
+		})
+		b.Run("bulk/"+r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				t := NewTable(base)
+				b.StartTimer()
+				t.mu.Lock()
+				t.applyBulk(t.cur.Load(), delta, nil)
+				t.mu.Unlock()
+				if t.Len() != size+r.ops {
+					b.Fatalf("table holds %d VRPs, want %d", t.Len(), size+r.ops)
+				}
+			}
+		})
+	}
 }

@@ -10,7 +10,7 @@ import (
 
 // This file is the structural snapshot diff: the delta between two published
 // Index snapshots, computed by walking both tries in lockstep and skipping
-// every subtree the two provably share. Snapshots from one LiveIndex history
+// every subtree the two provably share. Snapshots from one Table history
 // share their arena lineage (path copying clones only the touched paths), so
 // the walk visits O(changed · prefix bits) nodes no matter how large the
 // table is; snapshots from unrelated builds — two different caches — share
@@ -98,8 +98,8 @@ func appendEntryDiff(dst []rpki.VRP, p prefix.Prefix, have, other []entry) []rpk
 // DiffSince returns the delta from old — any snapshot this LiveIndex
 // previously returned — to the current table. Snapshots retained across
 // Apply calls share the arena, so the cost tracks the number of VRPs that
-// changed in between; a snapshot predating a compaction or ResetTo falls
-// back to the linear walk.
+// changed in between; a snapshot predating a compaction, a bulk Apply or
+// ResetTo falls back to the linear walk.
 //
 //repro:immutable
 func (l *LiveIndex) DiffSince(old *Index) (announced, withdrawn []rpki.VRP) {

@@ -166,6 +166,36 @@ func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 	l.ResetTo(next)
 	checkDiffAgainstNaive(t, old, l.Snapshot())
 
+	// So does a bulk Apply: the delta it applied — no-ops, a repeat and an
+	// announce the same delta withdraws included — is exactly what Diff finds
+	// between the snapshots on either side of it.
+	before := l.Snapshot()
+	ann := append(randomTable(rng, 80), next[0], next[1])
+	ann = append(ann, ann[0])
+	wd := append([]rpki.VRP{ann[1], markerVRP(3)}, next[10:50]...)
+	l.Apply(ann, wd)
+	if before.fams[0].eng.SharedArena(&l.Snapshot().fams[0].eng) {
+		t.Fatalf("%d operations into %d VRPs were path-copied, not rebuilt", len(ann)+len(wd), before.Len())
+	}
+	applied := map[rpki.VRP]bool{}
+	for _, v := range next {
+		applied[v] = true
+	}
+	for _, v := range ann {
+		applied[v] = true
+	}
+	for _, v := range wd {
+		delete(applied, v)
+	}
+	var after []rpki.VRP
+	for v := range applied {
+		after = append(after, v)
+	}
+	wantA, wantW := naiveSetDiff(next, after)
+	if gotA, gotW := Diff(before, l.Snapshot()); !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotW, wantW) {
+		t.Fatalf("Diff across a bulk Apply: +%d -%d, want the applied net delta +%d -%d", len(gotA), len(gotW), len(wantA), len(wantW))
+	}
+
 	// DiffSince is Diff against the current snapshot.
 	a1, w1 := l.DiffSince(old)
 	a2, w2 := Diff(old, l.Snapshot())

@@ -19,6 +19,12 @@ import (
 // second quad so v6 paths diverge), len and mlDelta are clamped to the
 // family's range, and as is folded into a small origin space so matches,
 // covers and misses all occur.
+//
+// Tag bit 4 batches: an announce or withdraw carrying it joins an open delta
+// instead of being applied alone, and the next op without it — or the end of
+// the input — applies the delta as one Apply. A batch against the table it
+// lands on falls on either side of Apply's bulk threshold, and may announce
+// and withdraw one VRP (withdraw wins), repeat a VRP, or net to nothing.
 func FuzzIndex(f *testing.F) {
 	// The RFC 6811 / §2 running example: ROA (168.122.0.0/16, AS 111), the
 	// legitimate announcement, the subprefix hijack by AS 666, the owner's
@@ -44,11 +50,40 @@ func FuzzIndex(f *testing.F) {
 		10, 32, 1, 13, 184, 48, 0, 200, // query a /48 under it
 		9, 32, 1, 13, 184, 32, 16, 200, // withdraw it
 	})
+	// Batched ops (tag bit 4 set): a four-VRP first sync as one bulk delta
+	// that also announces and withdraws one VRP and repeats another, then a
+	// one-VRP delta small enough to path-copy, then a batch that nets to
+	// nothing, then one that empties the table.
+	// (18 = announce, 16 = withdraw, both batched and IPv4.)
+	f.Add([]byte{
+		18, 10, 0, 0, 0, 8, 0, 1, 18, 10, 1, 0, 0, 16, 0, 1, 18, 10, 2, 0, 0, 16, 0, 2,
+		18, 10, 3, 0, 0, 16, 0, 3, 18, 10, 4, 0, 0, 16, 0, 4, 18, 10, 1, 0, 0, 16, 0, 1,
+		16, 10, 4, 0, 0, 16, 0, 4, // withdraw 10.4/16 in the batch that announced it
+		0, 10, 9, 0, 0, 16, 0, 5, // flushes the batch, then a lone announce
+		18, 10, 0, 0, 0, 8, 0, 1, 18, 10, 1, 0, 0, 16, 0, 1, 16, 192, 0, 2, 0, 24, 0, 7, // two re-announces + an absent withdraw
+		2, 10, 1, 2, 0, 24, 0, 1, // query (flushes)
+		16, 10, 0, 0, 0, 8, 0, 1, 16, 10, 1, 0, 0, 16, 0, 1, 16, 10, 2, 0, 0, 16, 0, 2,
+		16, 10, 3, 0, 0, 16, 0, 3, 16, 10, 9, 0, 0, 16, 0, 5, // left open: flushed at the end
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		state := map[rpki.VRP]struct{}{}
 		live := NewLiveIndex(rpki.NewSet(nil))
 		var queries []Route
+		var ann, wd []rpki.VRP // the open batch
+		flush := func() {
+			if len(ann)+len(wd) == 0 {
+				return
+			}
+			live.Apply(ann, wd)
+			for _, v := range ann {
+				state[v] = struct{}{}
+			}
+			for _, v := range wd {
+				delete(state, v)
+			}
+			ann, wd = ann[:0], wd[:0]
+		}
 		for len(data) >= 8 {
 			op := data[:8]
 			data = data[8:]
@@ -68,27 +103,28 @@ func FuzzIndex(f *testing.F) {
 				t.Fatal(err)
 			}
 			origin := rpki.ASN(op[7]) % 8
-			switch tag % 3 {
-			case 0: // announce
-				ml := l + op[6]%(famMax-l+1)
-				if ml > p.MaxLen() {
-					ml = p.MaxLen()
-				}
-				v := rpki.VRP{Prefix: p, MaxLength: ml, AS: origin}
-				live.Apply([]rpki.VRP{v}, nil)
-				state[v] = struct{}{}
-			case 1: // withdraw
-				ml := l + op[6]%(famMax-l+1)
-				if ml > p.MaxLen() {
-					ml = p.MaxLen()
-				}
-				v := rpki.VRP{Prefix: p, MaxLength: ml, AS: origin}
-				live.Apply(nil, []rpki.VRP{v})
-				delete(state, v)
-			case 2: // query
+			if tag%3 == 2 || tag&16 == 0 {
+				flush()
+			}
+			if tag%3 == 2 {
 				queries = append(queries, Route{Prefix: p, Origin: origin})
+				continue
+			}
+			ml := l + op[6]%(famMax-l+1)
+			if ml > p.MaxLen() {
+				ml = p.MaxLen()
+			}
+			v := rpki.VRP{Prefix: p, MaxLength: ml, AS: origin}
+			if tag%3 == 0 {
+				ann = append(ann, v)
+			} else {
+				wd = append(wd, v)
+			}
+			if tag&16 == 0 {
+				flush()
 			}
 		}
+		flush()
 		vrps := make([]rpki.VRP, 0, len(state))
 		for v := range state {
 			vrps = append(vrps, v)

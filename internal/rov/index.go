@@ -31,7 +31,7 @@ type span struct {
 }
 
 // famIndex is one address family's trie: an engine slab and the root's slab
-// index. Freshly built indexes root at node 0; LiveIndex snapshots root at
+// index. Freshly built indexes root at node 0; Table snapshots root at
 // whatever node the last path-copied update produced.
 type famIndex struct {
 	eng  core.Engine[span]
@@ -40,11 +40,11 @@ type famIndex struct {
 
 // Index answers RFC 6811 queries in O(route prefix length). Build one with
 // NewIndex; an Index is immutable and safe for concurrent readers. For a
-// table that changes in place (RTR deltas), see LiveIndex.
+// table that changes in place (RTR deltas), see Table and LiveIndex.
 //
 // Published indexes are never written through: lock-free readers hold them
 // with no synchronization, so every update path-copies into fresh cells and
-// republishes (see LiveIndex.Apply). reprolint's snapshotwrite check
+// republishes (see Table.Apply). reprolint's snapshotwrite check
 // enforces this outside the sanctioned construction paths in this package.
 //
 //repro:immutable
@@ -80,7 +80,7 @@ func NewIndex(s *rpki.Set) *Index {
 
 // termsScratch pools the per-build terminal-node index scratch shared by
 // newIndexFromVRPs and the compact build: one int32 per VRP, dead the moment
-// the build returns. LiveIndex compaction rebuilds on every garbage
+// the build returns. Table compaction rebuilds on every garbage
 // threshold crossing, so without the pool each compaction allocates (and
 // immediately discards) a table-sized slice. Bounds mirror the engine slab
 // pools: a few buffers, capped at paper-scale tables.
@@ -89,7 +89,7 @@ var termsScratch = core.NewBufPool[int32](4, 1<<20)
 // newIndexFromVRPs builds the two-slab index in two passes: the first
 // inserts every VRP's path and counts entries per terminal node, then a
 // prefix-sum turns counts into slab offsets; the second drops each entry
-// into its node's span. The input need not be sorted (LiveIndex compaction
+// into its node's span. The input need not be sorted (Table compaction
 // feeds walk order) and is not retained. A VRP listed more than once is
 // indexed once — an RTR Cache Response may repeat an announcement, and a
 // table is a set.
@@ -212,7 +212,7 @@ func (ix *Index) ValidateBatch(routes []Route, dst []State) []State {
 }
 
 // AppendVRPs appends the indexed VRP set to dst in per-family canonical
-// prefix order and returns the extended slice. LiveIndex compaction
+// prefix order and returns the extended slice. Table compaction
 // rebuilds from it; callers can use it to export or diff a snapshot's
 // table without retaining the index.
 func (ix *Index) AppendVRPs(dst []rpki.VRP) []rpki.VRP {

@@ -2,6 +2,7 @@ package rov
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -17,10 +18,10 @@ func settle(t *testing.T, l *LiveIndex) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		l.mu.Lock()
-		busy := l.compacting
-		need := !busy && l.needCompact(&l.cur.Load().bit)
-		l.mu.Unlock()
+		l.tab.mu.Lock()
+		busy := l.tab.compacting
+		need := !busy && l.tab.needCompact(l.tab.cur.Load())
+		l.tab.mu.Unlock()
 		if busy {
 			if time.Now().After(deadline) {
 				t.Fatal("compaction did not finish")
@@ -75,6 +76,7 @@ func randomProbe(rng *rand.Rand) Route {
 // snapshot is held to the same answers.
 func TestDifferentialLiveIndexVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	bulks, copies := 0, 0
 	for trial := 0; trial < 20; trial++ {
 		state := map[rpki.VRP]struct{}{}
 		var init []rpki.VRP
@@ -85,21 +87,34 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 		}
 		live := NewLiveIndex(rpki.NewSet(init))
 		for step := 0; step < 12; step++ {
+			// Deltas on both sides of Apply's bulk threshold: a handful of
+			// operations most steps, as many as the table holds every third.
+			nAnn, maxWd := rng.Intn(6), 4
+			if step%3 == 2 {
+				nAnn, maxWd = rng.Intn(2*len(state)+2), len(state)
+			}
 			var ann, wd []rpki.VRP
-			for i := 0; i < rng.Intn(6); i++ {
+			for i := 0; i < nAnn; i++ {
 				ann = append(ann, randomVRP(rng)) // may duplicate existing state
 			}
 			for v := range state {
 				if rng.Intn(5) == 0 {
 					wd = append(wd, v)
 				}
-				if len(wd) >= 4 {
+				if len(wd) >= maxWd {
 					break
 				}
 			}
 			if rng.Intn(2) == 0 {
 				wd = append(wd, randomVRP(rng)) // likely-absent withdraw
 			}
+			if len(ann) > 0 && rng.Intn(2) == 0 {
+				ann = append(ann, ann[0]) // repeated within one delta: counts once
+				v := randomVRP(rng)       // announced and withdrawn by one delta: withdraw wins
+				ann, wd = append(ann, v), append(wd, v)
+			}
+			before, compactBefore := live.Snapshot(), live.CompactSnapshot()
+			bulk := len(ann)+len(wd) > 0 && (len(ann)+len(wd))*bulkDivisor >= before.Len()
 			live.Apply(ann, wd)
 			for _, v := range ann {
 				state[v] = struct{}{}
@@ -107,12 +122,34 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 			for _, v := range wd {
 				delete(state, v)
 			}
-
-			cur := make([]rpki.VRP, 0, len(state))
-			for v := range state {
-				cur = append(cur, v)
+			// The path taken shows in the arenas: a path copy shares the old
+			// snapshot's slabs, a build does not; a delta that nets to nothing
+			// publishes nothing and keeps the compact half it found.
+			switch after := live.Snapshot(); {
+			case after == before:
+				if a, w := Diff(before, NewIndex(setOf(state))); len(a)+len(w) != 0 {
+					t.Fatalf("trial %d step %d: Apply kept the old snapshot over a real change (+%d -%d)", trial, step, len(a), len(w))
+				}
+				if live.CompactSnapshot() != compactBefore {
+					t.Fatalf("trial %d step %d: a no-op delta replaced the compact snapshot", trial, step)
+				}
+			case bulk:
+				bulks++
+				if before.fams[0].eng.SharedArena(&after.fams[0].eng) {
+					t.Fatalf("trial %d step %d: %d ops into %d VRPs were path-copied", trial, step, len(ann)+len(wd), before.Len())
+				}
+				if live.CompactSnapshot() == nil {
+					t.Fatalf("trial %d step %d: bulk Apply returned without a compact snapshot", trial, step)
+				}
+			default:
+				copies++
+				if !before.fams[0].eng.SharedArena(&after.fams[0].eng) {
+					t.Fatalf("trial %d step %d: %d ops into %d VRPs rebuilt the table", trial, step, len(ann)+len(wd), before.Len())
+				}
 			}
-			set := rpki.NewSet(cur)
+
+			set := setOf(state)
+			cur := set.VRPs()
 			ix, cx, ref := NewIndex(set), NewCompactIndex(set), NewReference(set)
 			if live.Len() != set.Len() || ix.Len() != set.Len() || cx.Len() != set.Len() {
 				t.Fatalf("trial %d step %d: live %d / index %d / compact %d / set %d VRPs",
@@ -154,55 +191,256 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 			}
 		}
 	}
+	if bulks < 20 || copies < 20 {
+		t.Fatalf("differential covered %d bulk and %d path-copied deltas, want at least 20 of each", bulks, copies)
+	}
+}
+
+// setOf returns the map's keys as a normalized set.
+func setOf(state map[rpki.VRP]struct{}) *rpki.Set {
+	vrps := make([]rpki.VRP, 0, len(state))
+	for v := range state {
+		vrps = append(vrps, v)
+	}
+	return rpki.NewSet(vrps)
 }
 
 // TestLiveIndexDeltaEdgeCases pins the no-op and boundary behaviors of
-// Apply against a from-scratch NewIndex after every delta.
+// Apply against a from-scratch NewIndex after every delta, on both of Apply's
+// paths: into a table of a few VRPs, where these one- and two-VRP deltas are
+// bulk, and into one padded with a hundred unrelated VRPs, where they are
+// path-copied.
 func TestLiveIndexDeltaEdgeCases(t *testing.T) {
 	v1 := rpki.VRP{Prefix: mp("168.122.0.0/16"), MaxLength: 24, AS: 111}
 	v1tight := rpki.VRP{Prefix: mp("168.122.0.0/16"), MaxLength: 16, AS: 111}
 	v2 := rpki.VRP{Prefix: mp("87.254.32.0/19"), MaxLength: 19, AS: 31283}
 	v6 := rpki.VRP{Prefix: mp("2001:db8::/32"), MaxLength: 48, AS: 64496}
 
-	check := func(l *LiveIndex, want ...rpki.VRP) {
-		t.Helper()
-		set := rpki.NewSet(want)
-		if l.Len() != set.Len() {
-			t.Fatalf("live has %d VRPs, want %d", l.Len(), set.Len())
+	for _, padding := range []int{0, 100} {
+		var pad []rpki.VRP
+		for k := 0; k < padding; k++ {
+			pad = append(pad, markerVRP(k))
 		}
-		ref := NewReference(set)
-		rng := rand.New(rand.NewSource(7))
-		for q := 0; q < 300; q++ {
-			r := randomProbe(rng)
-			if got, wantS := l.Validate(r.Prefix, r.Origin), ref.Validate(r.Prefix, r.Origin); got != wantS {
-				t.Fatalf("Validate(%s, %v) = %v, want %v", r.Prefix, r.Origin, got, wantS)
+		check := func(l *LiveIndex, want ...rpki.VRP) {
+			t.Helper()
+			set := rpki.NewSet(append(want, pad...))
+			if l.Len() != set.Len() {
+				t.Fatalf("padding %d: live has %d VRPs, want %d", padding, l.Len(), set.Len())
+			}
+			ref := NewReference(set)
+			rng := rand.New(rand.NewSource(7))
+			for q := 0; q < 300; q++ {
+				r := randomProbe(rng)
+				if got, wantS := l.Validate(r.Prefix, r.Origin), ref.Validate(r.Prefix, r.Origin); got != wantS {
+					t.Fatalf("padding %d: Validate(%s, %v) = %v, want %v", padding, r.Prefix, r.Origin, got, wantS)
+				}
+			}
+			for _, v := range want {
+				if got := l.Validate(v.Prefix, v.AS); got != Valid {
+					t.Fatalf("padding %d: Validate(%s, %v) = %v, want Valid", padding, v.Prefix, v.AS, got)
+				}
 			}
 		}
-		for _, v := range want {
-			if got := l.Validate(v.Prefix, v.AS); got != Valid {
-				t.Fatalf("Validate(%s, %v) = %v, want Valid", v.Prefix, v.AS, got)
-			}
-		}
+
+		l := NewLiveIndex(rpki.NewSet(pad))
+		check(l)
+		l.Apply([]rpki.VRP{v1, v2, v6}, nil) // first announce, into an empty table when unpadded
+		check(l, v1, v2, v6)
+		l.Apply([]rpki.VRP{v1}, nil) // duplicate announce: no-op
+		check(l, v1, v2, v6)
+		l.Apply(nil, []rpki.VRP{v1tight}) // withdraw of absent sibling entry: no-op
+		check(l, v1, v2, v6)
+		l.Apply([]rpki.VRP{v1tight}, nil) // second entry at the same prefix node
+		check(l, v1, v1tight, v2, v6)
+		l.Apply(nil, []rpki.VRP{v1}) // withdraw one of two entries at a node
+		check(l, v1tight, v2, v6)
+		l.Apply([]rpki.VRP{v2}, []rpki.VRP{v2}) // announce+withdraw in one delta: withdraw wins
+		check(l, v1tight, v6)
+		l.Apply([]rpki.VRP{v2, v2, v2}, nil) // repeated within one delta: counts once
+		check(l, v1tight, v2, v6)
+		l.Apply(nil, []rpki.VRP{v1tight, v2, v6}) // back to the padding (empty when unpadded)
+		check(l)
+		l.Apply(nil, []rpki.VRP{v1}) // withdraw of an absent VRP: no-op
+		check(l)
 	}
+}
+
+// TestApplyBulk pins what is particular to Apply's build path: a delta as
+// large as the table goes into fresh slabs with the compact half rebuilt
+// before Apply returns, a delta of that size that nets to nothing publishes
+// nothing at all, and the table can be filled from empty and emptied again
+// that way.
+func TestApplyBulk(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	table := randomTable(rng, 300)
+	absent := markerVRP(1)
 
 	l := NewLiveIndex(rpki.NewSet(nil))
-	check(l)
-	l.Apply([]rpki.VRP{v1, v2, v6}, nil) // first announce into an empty table
-	check(l, v1, v2, v6)
-	l.Apply([]rpki.VRP{v1}, nil) // duplicate announce: no-op
-	check(l, v1, v2, v6)
-	l.Apply(nil, []rpki.VRP{v1tight}) // withdraw of absent sibling entry: no-op
-	check(l, v1, v2, v6)
-	l.Apply([]rpki.VRP{v1tight}, nil) // second entry at the same prefix node
-	check(l, v1, v1tight, v2, v6)
-	l.Apply(nil, []rpki.VRP{v1}) // withdraw one of two entries at a node
-	check(l, v1tight, v2, v6)
-	l.Apply([]rpki.VRP{v2}, []rpki.VRP{v2}) // announce+withdraw in one delta: withdraw wins
-	check(l, v1tight, v6)
-	l.Apply(nil, []rpki.VRP{v1tight, v6}) // back to empty
-	check(l)
-	l.Apply(nil, []rpki.VRP{v1}) // withdraw from empty: no-op
-	check(l)
+	l.Apply(table, nil) // the first full sync as one announce delta
+	if l.Len() != len(table) || l.CompactSnapshot() == nil || l.CompactSnapshot().Len() != len(table) {
+		t.Fatalf("bulk into empty: %d VRPs, compact %v; want %d with a compact snapshot", l.Len(), l.CompactSnapshot(), len(table))
+	}
+	l.tab.mu.Lock()
+	garbage := l.tab.garbageNodes + l.tab.garbageEntries
+	l.tab.mu.Unlock()
+	if garbage != 0 {
+		t.Fatalf("bulk into empty left %d garbage cells: the delta was path-copied", garbage)
+	}
+
+	// Every VRP re-announced, an absent one withdrawn, another announced and
+	// withdrawn at once: 302 operations, no change — the published snapshot
+	// and its compact half must be the very same values.
+	ix, cx := l.Snapshot(), l.CompactSnapshot()
+	noop := append(append([]rpki.VRP(nil), table...), absent)
+	l.Apply(noop, []rpki.VRP{absent, markerVRP(2)})
+	if l.Snapshot() != ix || l.CompactSnapshot() != cx {
+		t.Fatal("a bulk delta that nets to nothing replaced the published snapshot")
+	}
+
+	// Withdraw wins inside a bulk delta, and repeats count once.
+	half := table[:150]
+	l.Apply(append([]rpki.VRP{absent, absent, half[0]}, half...), half)
+	want := rpki.NewSet(append([]rpki.VRP{absent}, table[150:]...))
+	if got := rpki.NewSet(l.Snapshot().AppendVRPs(nil)); !got.Equal(want) {
+		t.Fatalf("bulk announce+withdraw: %d VRPs, want %d", got.Len(), want.Len())
+	}
+	if got := rpki.NewSet(l.CompactSnapshot().AppendVRPs(nil)); !got.Equal(want) {
+		t.Fatalf("bulk announce+withdraw: compact snapshot holds %d VRPs, want %d", got.Len(), want.Len())
+	}
+
+	// A bulk delta that empties the table.
+	l.Apply(nil, l.Snapshot().AppendVRPs(nil))
+	if l.Len() != 0 || l.CompactSnapshot() == nil || l.Validate(table[200].Prefix, table[200].AS) != NotFound {
+		t.Fatalf("bulk withdraw of everything: %d VRPs left, compact %v", l.Len(), l.CompactSnapshot())
+	}
+}
+
+// TestBulkApplyAgainstReadersAndCompaction runs the build path against what
+// shares the table with it (under -race): readers holding a pre-bulk
+// snapshot keep their answers, and a bulk Apply that
+// lands while a compaction is rebuilding the table it replaces makes the
+// compactor discard its rebuild, so nothing it read is resurrected and the
+// replay log is empty afterwards.
+func TestBulkApplyAgainstReadersAndCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	base := randomTable(rng, 400)
+	l := NewLiveIndex(rpki.NewSet(base))
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	l.tab.mu.Lock()
+	l.tab.compactHook = func() {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-release
+	}
+	l.tab.mu.Unlock()
+
+	// Churn one-VRP deltas (path-copied) until a compaction starts and stalls.
+	stalled := false
+	for i := 0; i < 200000 && !stalled; i++ {
+		v := markerVRP(i % 200)
+		l.Apply([]rpki.VRP{v}, nil)
+		l.Apply(nil, []rpki.VRP{v})
+		select {
+		case <-started:
+			stalled = true
+		default:
+		}
+	}
+	if !stalled {
+		t.Fatal("churn never triggered a compaction")
+	}
+	l.Apply([]rpki.VRP{markerVRP(0)}, nil) // logged for replay: the bulk must drop it
+
+	// Readers pin the pre-bulk table while the bulk delta lands.
+	before := l.Snapshot()
+	beforeRef := NewReference(rpki.NewSet(before.AppendVRPs(nil)))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p := randomProbe(rng)
+				if got, want := before.Validate(p.Prefix, p.Origin), beforeRef.Validate(p.Prefix, p.Origin); got != want {
+					t.Errorf("pre-bulk snapshot changed its answer: Validate(%s, %v) = %v, want %v", p.Prefix, p.Origin, got, want)
+					return
+				}
+			}
+		}(int64(500 + r))
+	}
+
+	// The bulk delta: withdraw everything the compactor is rebuilding,
+	// announce a disjoint table.
+	next := make([]rpki.VRP, 300)
+	for k := range next {
+		next[k] = markerVRP(1000 + k)
+	}
+	l.Apply(next, before.AppendVRPs(nil))
+	close(release)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		l.tab.mu.Lock()
+		busy, logged := l.tab.compacting, len(l.tab.pending)
+		l.tab.mu.Unlock()
+		if !busy {
+			if logged != 0 {
+				t.Fatalf("replay log holds %d ops after the discarded compaction", logged)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("compaction did not finish")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if got, want := rpki.NewSet(l.Snapshot().AppendVRPs(nil)), rpki.NewSet(next); !got.Equal(want) {
+		extra, missing := naiveSetDiff(want.VRPs(), got.VRPs())
+		t.Fatalf("after bulk-during-compaction: %d resurrected, %d missing", len(extra), len(missing))
+	}
+	// The table keeps working on the rebuilt slabs.
+	l.Apply(nil, next[:1])
+	if l.Len() != len(next)-1 {
+		t.Fatalf("delta after bulk: %d VRPs, want %d", l.Len(), len(next)-1)
+	}
+}
+
+// TestTableStartsNoGoroutine pins that a write-side table is plain data until
+// its garbage crosses the compaction threshold: building one, resetting it,
+// bulk-applying into it and path-copying small deltas start nothing.
+func TestTableStartsNoGoroutine(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	base := randomTable(rng, 2000)
+	before := runtime.NumGoroutine()
+	tab := NewTable(nil)
+	tab.Apply(base, nil)
+	tab.ResetTo(base[:1500])
+	for k := 0; k < 20; k++ {
+		tab.Apply([]rpki.VRP{markerVRP(k)}, base[k:k+1])
+	}
+	tab.mu.Lock()
+	compacting, garbage := tab.compacting, tab.garbageNodes
+	tab.mu.Unlock()
+	if compacting || garbage == 0 {
+		t.Fatalf("compacting=%v with %d garbage nodes: the small deltas should have path-copied without compacting", compacting, garbage)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after using a Table, %d before", after, before)
+	}
+	if tab.Len() != 1500 {
+		t.Fatalf("table holds %d VRPs, want 1500", tab.Len())
+	}
 }
 
 // TestLiveIndexSnapshotPersistence pins the snapshot-swap contract: a
@@ -399,9 +637,9 @@ func TestLiveIndexCompactSwitchover(t *testing.T) {
 		settle(t, l)
 		time.Sleep(time.Millisecond)
 	}
-	l.mu.Lock()
+	l.tab.mu.Lock()
 	builds := l.compactBuilds
-	l.mu.Unlock()
+	l.tab.mu.Unlock()
 	if builds < 2 {
 		t.Fatalf("compact snapshot never republished: %d builds", builds)
 	}
@@ -475,15 +713,15 @@ func TestLiveIndexBackgroundCompactionApplyLatency(t *testing.T) {
 	l := NewLiveIndex(rpki.NewSet(base))
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	l.mu.Lock()
-	l.compactHook = func() {
+	l.tab.mu.Lock()
+	l.tab.compactHook = func() {
 		select {
 		case started <- struct{}{}:
 		default:
 		}
 		<-release
 	}
-	l.mu.Unlock()
+	l.tab.mu.Unlock()
 
 	// Readers validate arbitrary snapshots against a reference built from
 	// the very same snapshot for the whole test, including the stalled
@@ -548,9 +786,9 @@ func TestLiveIndexBackgroundCompactionApplyLatency(t *testing.T) {
 			t.Fatalf("marker %d not visible immediately after Apply during stalled compaction: %v", k, got)
 		}
 	}
-	l.mu.Lock()
-	busy := l.compacting
-	l.mu.Unlock()
+	l.tab.mu.Lock()
+	busy := l.tab.compacting
+	l.tab.mu.Unlock()
 	if !busy {
 		t.Fatal("compaction finished while its hook was held — Apply must not have published the markers through it")
 	}
@@ -620,15 +858,15 @@ func TestLiveIndexResetTo(t *testing.T) {
 	l = NewLiveIndex(rpki.NewSet(base))
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	l.mu.Lock()
-	l.compactHook = func() {
+	l.tab.mu.Lock()
+	l.tab.compactHook = func() {
 		select {
 		case started <- struct{}{}:
 		default:
 		}
 		<-release
 	}
-	l.mu.Unlock()
+	l.tab.mu.Unlock()
 	stalled := false
 	for i := 0; i < 200000 && !stalled; i++ {
 		v := randomVRP(rng)
@@ -649,9 +887,9 @@ func TestLiveIndexResetTo(t *testing.T) {
 	// Wait for the doomed compaction to observe the reset and discard.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		l.mu.Lock()
-		busy := l.compacting
-		l.mu.Unlock()
+		l.tab.mu.Lock()
+		busy := l.tab.compacting
+		l.tab.mu.Unlock()
 		if !busy {
 			break
 		}
@@ -693,16 +931,16 @@ func TestLiveIndexPendingLogBounded(t *testing.T) {
 	const limit = 64
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	l.mu.Lock()
-	l.pendingLimit = limit
-	l.compactHook = func() {
+	l.tab.mu.Lock()
+	l.tab.pendingLimit = limit
+	l.tab.compactHook = func() {
 		select {
 		case started <- struct{}{}:
 		default:
 		}
 		<-release
 	}
-	l.mu.Unlock()
+	l.tab.mu.Unlock()
 
 	state := map[rpki.VRP]struct{}{}
 	for _, v := range rpki.NewSet(base).VRPs() {
@@ -737,16 +975,16 @@ func TestLiveIndexPendingLogBounded(t *testing.T) {
 			l.Apply([]rpki.VRP{v}, nil)
 			state[v] = struct{}{}
 		}
-		l.mu.Lock()
-		n := len(l.pending)
-		l.mu.Unlock()
+		l.tab.mu.Lock()
+		n := len(l.tab.pending)
+		l.tab.mu.Unlock()
 		if n > limit {
 			t.Fatalf("pending log grew to %d ops, limit %d", n, limit)
 		}
 	}
-	l.mu.Lock()
-	aborts := l.compactAborts
-	l.mu.Unlock()
+	l.tab.mu.Lock()
+	aborts := l.tab.compactAborts
+	l.tab.mu.Unlock()
 	if aborts == 0 {
 		t.Fatal("no compaction abort despite churn past the limit")
 	}

@@ -17,10 +17,11 @@
 //
 // Three implementations are provided. Index (index.go) is the serving-path
 // validator: an arena trie on the core engine with a parallel value slab,
-// answering single queries and batches. LiveIndex (live.go) wraps it with
-// in-place RTR delta updates under an atomic snapshot swap. Reference
-// (below) is a linear scan used to cross-check both in property and fuzz
-// tests.
+// answering single queries and batches. Table (table.go) wraps it with
+// in-place RTR delta updates under an atomic snapshot swap, and LiveIndex
+// (live.go) adds the compact read-side structure (compact.go) to a Table.
+// Reference (below) is a linear scan used to cross-check them in property
+// and fuzz tests.
 package rov
 
 import (

@@ -1,0 +1,427 @@
+package rov
+
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/core"
+	"repro/internal/prefix"
+	"repro/internal/rpki"
+)
+
+// Table is the write side of a live validation table: the VRP set an RTR feed
+// maintains, held as a bit-at-a-time Index that announce and withdraw deltas
+// update in O(delta · prefix bits) — never a rebuild of the full set — while
+// anyone may take immutable snapshots lock-free. It is what a session keeps
+// when nothing validates against it directly: an RTR client's synchronized
+// table, a cache server's snapshot ring. A table that also serves the
+// validation hot path is a LiveIndex, which is a Table plus the compact
+// read-side structure derived from it.
+//
+// The trick is that the arena is append-only and snapshots are persistent
+// in the functional-data-structure sense. A published *Index is never
+// mutated: Apply clones the nodes along each touched path to the slab tail
+// (path copying), hangs the modified terminal span off the copies, and
+// installs a new root, all in a new Index value that shares the slab
+// backing arrays with its predecessor. Readers that loaded the old snapshot
+// keep walking the old root over the old nodes; the atomic pointer swap
+// publishes the new root with a happens-before edge over the appends.
+// Superseded nodes and relocated spans become garbage in the shared slabs.
+//
+// When garbage outweighs live data, a background goroutine compacts:
+// it rebuilds the live set into fresh slabs from an immutable snapshot —
+// off the Apply path, so no delta ever pays the O(live set) rebuild in its
+// latency — then replays the deltas that arrived during the rebuild and
+// publishes through the same snapshot swap. Old snapshots stay intact. A
+// table whose garbage never crosses the threshold never starts a goroutine.
+type Table struct {
+	mu  sync.Mutex // serializes writers (Apply, ResetTo, compaction publish)
+	cur atomic.Pointer[Index]
+
+	// Writer-side garbage accounting, guarded by mu: slab cells no longer
+	// reachable from the *current* snapshot's roots.
+	garbageNodes   int
+	garbageEntries int
+
+	// compacting marks an in-flight background compaction; while it is set,
+	// Apply records each delta operation in the pending log so the
+	// compactor can replay the updates its rebuild snapshot predates. The
+	// log is one flat buffer with capacity reused across compactions, so
+	// steady-state logging allocates nothing. Guarded by mu.
+	compacting bool
+	pending    []pendingOp
+	// pendingLimit bounds the replay log (0 means maxPendingOps). When churn
+	// outpaces the rebuild and the log hits the limit, Apply aborts the
+	// compaction — gen++ makes the compactor discard its stale rebuild —
+	// and the garbage counters, left intact, retrigger a fresh compaction
+	// from a newer snapshot once the aborted one drains. Without the bound,
+	// sustained churn (replayed MRT update streams) grows the log without
+	// limit while the rebuild keeps falling further behind.
+	pendingLimit  int
+	compactAborts int
+	// gen is bumped by every wholesale replacement (ResetTo, a bulk Apply)
+	// and by a replay-log-overflow abort; a compaction that started against
+	// an older generation discards its rebuild instead of resurrecting
+	// replaced (or stale) data.
+	gen uint64
+
+	// rebuilt, when set, runs each time the table has published freshly built
+	// slabs no delta has touched yet — after ResetTo, a bulk Apply, and a
+	// compaction no delta raced with — on the goroutine that built them, with
+	// mu released. LiveIndex sets it at construction to derive its compact
+	// half; a bare Table has nothing to derive.
+	rebuilt func()
+
+	// compactHook, when set (tests), runs on the compactor goroutine before
+	// the rebuild — a seam to stall compaction and observe Apply continuing.
+	compactHook func()
+}
+
+// pendingOp is one delta operation recorded for replay onto a compacted
+// rebuild, in application order (an Apply's announces precede its
+// withdraws, so announce+withdraw of one VRP nets to the withdraw).
+type pendingOp struct {
+	v        rpki.VRP
+	announce bool
+}
+
+// maxPendingOps is the default replay-log bound: past it, a compaction is
+// abandoned rather than chased (see Table.pendingLimit).
+const maxPendingOps = 1 << 16
+
+// bulkDivisor sets where a delta stops being path-copied and the table is
+// rebuilt instead: an Apply of at least size/bulkDivisor operations (announces
+// plus withdraws, against the current table size). Path copying costs each
+// operation its prefix length in cloned nodes — 0.9 µs and 14 nodes of
+// garbage an operation at today's 33,615 VRPs — and a delta of half the
+// table leaves more garbage than the table has live nodes, so the compaction
+// it starts rebuilds everything anyway; a build costs 0.3 µs a VRP of table
+// plus delta, once. BenchmarkLiveApplyBulk (one P, delta ÷ table swept from
+// 1/64 to 4, compaction waited out): path copy 7.4 ms against a build's
+// 14.7 ms at 1/3, 31.7 ms against 18.6 ms at 1/2, 51.9 ms against 22.6 ms
+// at 1.
+const bulkDivisor = 2
+
+// NewTable builds a table over vrps (a repeated VRP counts once).
+func NewTable(vrps []rpki.VRP) *Table {
+	t := &Table{}
+	t.cur.Store(newIndexFromVRPs(vrps))
+	return t
+}
+
+// Snapshot returns the current immutable index. The snapshot stays valid —
+// and keeps answering with its table version — for as long as the caller
+// holds it, regardless of later Apply calls.
+//
+//repro:immutable
+func (t *Table) Snapshot() *Index { return t.cur.Load() }
+
+// Len returns the number of VRPs in the current table.
+func (t *Table) Len() int { return t.Snapshot().Len() }
+
+// Apply installs one RTR delta: announced VRPs are added, withdrawn VRPs
+// removed, in that order (an RTR update may announce and withdraw the same
+// VRP; withdraw wins, matching the rtr.Client table semantics). Announcing
+// a VRP already in the table and withdrawing one that is absent are no-ops,
+// and a delta made of nothing else leaves the published snapshot in place.
+//
+// A delta small against the table is path-copied: the cost is
+// O((len(announce)+len(withdraw)) · prefix bits) amortized and the set size
+// never enters — compaction runs on a background goroutine, so even the
+// delta that crosses the garbage threshold pays only its own path-copy work.
+// A delta of at least half the table's size (bulkDivisor) — the first full
+// sync into an empty table above all — is a build instead: the
+// resulting set goes into fresh slabs exactly as ResetTo would put it there
+// — unless it equals the table, and then nothing is published — and
+// snapshots on either side of it share no arena lineage (Diff across it is
+// exact, by the full walk).
+func (t *Table) Apply(announce, withdraw []rpki.VRP) {
+	t.mu.Lock()
+	old := t.cur.Load()
+	fresh := false
+	if ops := len(announce) + len(withdraw); ops > 0 && ops*bulkDivisor >= old.size {
+		fresh = t.applyBulk(old, announce, withdraw)
+	} else {
+		t.applyDelta(old, announce, withdraw)
+	}
+	t.mu.Unlock()
+	if fresh && t.rebuilt != nil {
+		t.rebuilt()
+	}
+}
+
+// applyBulk is Apply's build path: the table old ∪ announce ∖ withdraw goes
+// into fresh slabs and replaces old's, unless the delta nets to nothing. It
+// reports whether it published. Callers hold mu.
+func (t *Table) applyBulk(old *Index, announce, withdraw []rpki.VRP) bool {
+	gone := make(map[rpki.VRP]struct{}, len(withdraw))
+	for _, v := range withdraw {
+		gone[v] = struct{}{}
+	}
+	next := old.AppendVRPs(make([]rpki.VRP, 0, old.size+len(announce)))
+	if len(gone) > 0 {
+		next = slices.DeleteFunc(next, func(v rpki.VRP) bool { _, ok := gone[v]; return ok })
+	}
+	changed := len(next) != old.size
+	for _, v := range announce {
+		if _, ok := gone[v]; ok || old.has(v) {
+			continue // withdraw wins; already present
+		}
+		next = append(next, v) // a repeat within announce is dropped by the build
+		changed = true
+	}
+	if changed {
+		t.replace(newIndexFromVRPs(next))
+	}
+	return changed
+}
+
+// applyDelta is Apply's path-copy path: each operation clones its path onto
+// the slab tail of a new snapshot sharing old's slabs; the snapshot is
+// published if anything changed, and the garbage left behind may start a
+// background compaction. Callers hold mu.
+func (t *Table) applyDelta(old *Index, announce, withdraw []rpki.VRP) {
+	nw := &Index{fams: old.fams, entries: old.entries, size: old.size}
+	changed := false
+	for _, v := range announce {
+		if t.announce(nw, v) {
+			changed = true
+		}
+	}
+	for _, v := range withdraw {
+		if t.withdraw(nw, v) {
+			changed = true
+		}
+	}
+	if changed {
+		t.cur.Store(nw)
+	}
+	switch {
+	case t.compacting:
+		// A compaction is rebuilding from a snapshot that predates this
+		// delta: record it (copied — the caller owns the slices) so the
+		// compactor can replay it onto the rebuild before publishing.
+		for _, v := range announce {
+			t.pending = append(t.pending, pendingOp{v: v, announce: true})
+		}
+		for _, v := range withdraw {
+			t.pending = append(t.pending, pendingOp{v: v})
+		}
+		limit := t.pendingLimit
+		if limit <= 0 {
+			limit = maxPendingOps
+		}
+		if len(t.pending) > limit {
+			// Churn has outpaced the rebuild: abort and retry rather than
+			// let the log grow without bound. The gen bump makes the
+			// in-flight compactor discard its rebuild; the garbage counters
+			// stay up, so once it drains, the next Apply starts a fresh
+			// compaction from a snapshot that already includes this churn.
+			t.gen++
+			t.compactAborts++
+			t.resetPending()
+		}
+	case t.needCompact(nw):
+		t.compacting = true
+		go t.compact(nw, t.gen, t.compactHook)
+	}
+}
+
+// ResetTo atomically replaces the table with the set of vrps (a repeated
+// VRP counts once), rebuilding into fresh slabs. This is the full-sync path:
+// an RTR client commits every Reset Query response through it, and a
+// consumer replaces its derived table with it when deltas no longer describe
+// the new one (state expired or lost across a cache restart). Readers
+// holding older snapshots are unaffected — rov.Diff against one is the exact
+// delta of the replacement; an in-flight background compaction of the
+// replaced table discards its rebuild.
+func (t *Table) ResetTo(vrps []rpki.VRP) {
+	nw := newIndexFromVRPs(vrps)
+	t.mu.Lock()
+	t.replace(nw)
+	t.mu.Unlock()
+	if t.rebuilt != nil {
+		t.rebuilt()
+	}
+}
+
+// replace publishes nw — freshly built slabs — in place of the whole table:
+// the one routine behind ResetTo and applyBulk. The generation bump makes
+// an in-flight compaction of the replaced table discard its rebuild, and the
+// replay log and garbage counters, which described the old slabs, start
+// over. Callers hold mu.
+func (t *Table) replace(nw *Index) {
+	t.gen++
+	t.resetPending()
+	t.garbageNodes, t.garbageEntries = 0, 0
+	t.cur.Store(nw)
+}
+
+// resetPending empties the replay log, keeping moderate capacity for reuse
+// (the point of the flat buffer: steady-state logging allocates nothing)
+// but releasing outsized buffers left by a churn burst. Callers hold mu.
+func (t *Table) resetPending() {
+	const keep = 1 << 16
+	if cap(t.pending) > keep {
+		t.pending = nil
+	} else {
+		t.pending = t.pending[:0]
+	}
+}
+
+// compact rebuilds the live set of src into fresh slabs, replays the deltas
+// applied while the rebuild ran, and publishes the result. It runs on its
+// own goroutine and takes t.mu only for the final replay-and-swap, so Apply
+// latency stays bounded by the delta size throughout. src is an immutable
+// published snapshot: later Applies only append past its slab bounds.
+func (t *Table) compact(src *Index, gen uint64, hook func()) {
+	if hook != nil {
+		hook()
+	}
+	rebuilt := newIndexFromVRPs(src.AppendVRPs(make([]rpki.VRP, 0, src.size)))
+	t.mu.Lock()
+	t.compacting = false
+	if t.gen != gen {
+		// The table was replaced wholesale while we rebuilt the old one, or
+		// the replay log overflowed and Apply aborted us: either way the
+		// rebuild is stale. Drop it; the garbage accounting (zeroed by a
+		// replacement, left intact by an abort) decides whether a fresh
+		// compaction follows.
+		t.resetPending()
+		t.mu.Unlock()
+		return
+	}
+	t.garbageNodes, t.garbageEntries = 0, 0
+	// Replay the net effect, not the op stream: for one VRP the last
+	// recorded op decides presence (announce and withdraw are both
+	// idempotent state-setters), and ops on distinct VRPs commute, so a
+	// churn burst that announced and withdrew the same VRP many times
+	// collapses to a single op instead of double-applying the whole window.
+	quiet := len(t.pending) == 0
+	if !quiet {
+		last := make(map[rpki.VRP]bool, len(t.pending))
+		for _, op := range t.pending {
+			last[op.v] = op.announce
+		}
+		for v, ann := range last {
+			if ann {
+				t.announce(rebuilt, v)
+			} else {
+				t.withdraw(rebuilt, v)
+			}
+		}
+	}
+	t.resetPending()
+	t.cur.Store(rebuilt)
+	t.mu.Unlock()
+	// Still on the compactor goroutine, off every Apply path: whatever is
+	// derived from a quiescent table (LiveIndex's compact half) is derived
+	// here — but only after a rebuild no delta raced with. A delta during the
+	// rebuild means the writer is churning, and anything built for this
+	// version would be invalidated before it lands.
+	if quiet && t.rebuilt != nil {
+		t.rebuilt()
+	}
+}
+
+// has reports whether v is in the table.
+func (ix *Index) has(v rpki.VRP) bool {
+	f := &ix.fams[famSlot(v.Prefix.Family())]
+	idx := f.eng.PathFind(f.root, v.Prefix)
+	if idx < 0 {
+		return false
+	}
+	sp := f.eng.Nodes[idx].Val
+	return slices.Contains(ix.entries[sp.off:sp.off+sp.n], entry{maxLength: v.MaxLength, as: v.AS})
+}
+
+// announce adds one VRP to the in-construction snapshot, reporting whether
+// the table changed (false: the VRP was already present).
+func (t *Table) announce(nw *Index, v rpki.VRP) bool {
+	if nw.has(v) {
+		return false
+	}
+	f := &nw.fams[famSlot(v.Prefix.Family())]
+	idx := t.pathCopy(f, v.Prefix)
+	sp := f.eng.Nodes[idx].Val
+	// Relocate the span to the slab tail with the new entry appended; the
+	// old span cells become garbage (still read by older snapshots).
+	off := int32(len(nw.entries))
+	nw.entries = append(nw.entries, nw.entries[sp.off:sp.off+sp.n]...)
+	nw.entries = append(nw.entries, entry{maxLength: v.MaxLength, as: v.AS})
+	f.eng.Nodes[idx].Val = span{off: off, n: sp.n + 1}
+	t.garbageEntries += int(sp.n)
+	nw.size++
+	return true
+}
+
+// withdraw removes one VRP from the in-construction snapshot, reporting
+// whether the table changed (false: the VRP was absent).
+func (t *Table) withdraw(nw *Index, v rpki.VRP) bool {
+	f := &nw.fams[famSlot(v.Prefix.Family())]
+	idx := f.eng.PathFind(f.root, v.Prefix)
+	if idx < 0 {
+		return false
+	}
+	sp := f.eng.Nodes[idx].Val
+	e := entry{maxLength: v.MaxLength, as: v.AS}
+	pos := int32(-1)
+	for i, have := range nw.entries[sp.off : sp.off+sp.n] {
+		if have == e {
+			pos = int32(i)
+			break
+		}
+	}
+	if pos < 0 {
+		return false // not in the table
+	}
+	nidx := t.pathCopy(f, v.Prefix)
+	if sp.n == 1 {
+		// Span emptied. The node chain stays as structural garbage until
+		// compaction prunes it.
+		f.eng.Nodes[nidx].Val = span{}
+	} else {
+		off := int32(len(nw.entries))
+		nw.entries = append(nw.entries, nw.entries[sp.off:sp.off+pos]...)
+		nw.entries = append(nw.entries, nw.entries[sp.off+pos+1:sp.off+sp.n]...)
+		f.eng.Nodes[nidx].Val = span{off: off, n: sp.n - 1}
+	}
+	t.garbageEntries += int(sp.n)
+	nw.size--
+	return true
+}
+
+// pathCopy clones the nodes along p's path — creating the ones that do not
+// exist — onto the slab tail, reroots the family at the cloned root, and
+// returns the new terminal's index. Nothing reachable from any published
+// snapshot is written.
+func (t *Table) pathCopy(f *famIndex, p prefix.Prefix) int32 {
+	e := &f.eng
+	cur := e.Clone(f.root)
+	t.garbageNodes++
+	f.root = cur
+	for depth := uint8(0); depth < p.Len(); depth++ {
+		bit := p.Bit(depth)
+		var next int32
+		if c := e.Nodes[cur].Children[bit]; c != core.NoChild {
+			next = e.Clone(c)
+			t.garbageNodes++
+		} else {
+			next = e.Alloc(span{})
+		}
+		e.Nodes[cur].Children[bit] = next
+		cur = next
+	}
+	return cur
+}
+
+// needCompact reports whether superseded slab cells outweigh live ones.
+// The floors keep small tables from compacting on every delta.
+func (t *Table) needCompact(nw *Index) bool {
+	totalNodes := len(nw.fams[0].eng.Nodes) + len(nw.fams[1].eng.Nodes)
+	if 2*t.garbageNodes > totalNodes && totalNodes > 1024 {
+		return true
+	}
+	return 2*t.garbageEntries > len(nw.entries) && len(nw.entries) > 1024
+}

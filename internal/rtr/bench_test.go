@@ -79,3 +79,38 @@ func BenchmarkPublishDelta(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClientReset measures a router's cold start against a cache on
+// loopback: dial, Reset Query, today's 33,615-PDU table streamed, decoded
+// and committed into the client's table. reads/op counts the client side's
+// Read calls on the socket — its read(2) syscalls.
+func BenchmarkClientReset(b *testing.B) {
+	srv := NewServer(bigVRPSet(33615))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go func() { _ = srv.Serve(l) }() // returns when Close closes the listener
+	defer srv.Close()
+	var reads int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nc, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		cc := &countingConn{Conn: nc}
+		c := NewClient(cc)
+		if err := c.Reset(); err != nil {
+			b.Fatal(err)
+		}
+		if c.Len() != 33615 {
+			b.Fatalf("synced %d VRPs", c.Len())
+		}
+		c.Close()
+		<-c.Done()
+		reads += cc.reads.Load()
+	}
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
+}

@@ -217,12 +217,25 @@ func TestSubscribeSlowConsumerBackpressure(t *testing.T) {
 		}
 		replayDelta(t, slowMirror, ann, wd)
 	})
+	// The fast consumer reports each delivery, and the test takes the report
+	// before it syncs again: a consumer that keeps up is never coalesced, but
+	// one whose drainer merely has not been scheduled yet would be.
 	fastDeliveries := 0
-	c.Subscribe(func(ann, wd []rpki.VRP) { fastDeliveries++ })
+	fastSeen := make(chan struct{}, 1)
+	c.Subscribe(func(ann, wd []rpki.VRP) { fastDeliveries++; fastSeen <- struct{}{} })
+	awaitFast := func() {
+		t.Helper()
+		select {
+		case <-fastSeen:
+		case <-time.After(5 * time.Second):
+			t.Fatal("fast consumer was not delivered an update while the slow one is wedged")
+		}
+	}
 
 	if _, err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	awaitFast()
 	// With the slow consumer wedged in delivery #1, run many more updates
 	// than its queue holds. Sync must keep returning — the dispatch loop is
 	// not stalled — and the fast consumer must see every delta.
@@ -238,6 +251,7 @@ func TestSubscribeSlowConsumerBackpressure(t *testing.T) {
 		if _, err := c.Sync(); err != nil {
 			t.Fatal(err)
 		}
+		awaitFast()
 	}
 	close(gate)
 	c.FlushSubscribers()

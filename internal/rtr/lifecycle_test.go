@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -226,7 +227,7 @@ func expectQuery(conn net.Conn, session int, serial Serial) error {
 
 // answer serves one response: Cache Response, the announcements, and an End
 // of Data advertising Refresh 1800s, Retry 300s and the given Expire.
-func answer(conn net.Conn, session uint16, serial Serial, expire uint32, announce ...rpki.VRP) error {
+func answer(conn io.Writer, session uint16, serial Serial, expire uint32, announce ...rpki.VRP) error {
 	if err := WritePDU(conn, Version1, &CacheResponse{SessionID: session}); err != nil {
 		return err
 	}

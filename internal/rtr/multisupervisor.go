@@ -39,7 +39,7 @@ type Upstream struct {
 // dies, failing back when a more-preferred one recovers.
 //
 // What crosses a reconnect is {session, serial, timers, table}: the table is
-// the upstream's rov.LiveIndex, handed to every client of that upstream by
+// the upstream's rov.Table, handed to every client of that upstream by
 // pointer and committed into directly, so it is never copied and never
 // refetched unless the cache says so (Cache Reset — then the reset is a diff
 // against it). Every upstream — serving or not — keeps its table synced, so
@@ -130,7 +130,7 @@ type upstream struct {
 	rank int
 	// table is the cache's synchronized table: every client of this upstream
 	// commits into it, and reconcile diffs its snapshots.
-	table *rov.LiveIndex
+	table *rov.Table
 	// session is what the next connection resumes from; nil starts over
 	// with a Reset Query. Touched only by the upstream's goroutine.
 	session *SessionState
@@ -203,7 +203,7 @@ func NewMultiSupervisor(upstreams ...Upstream) *MultiSupervisor {
 		doneCh:     make(chan struct{}),
 	}
 	for i, cfg := range upstreams {
-		m.ups = append(m.ups, &upstream{Upstream: cfg, m: m, rank: i, table: rov.NewLiveIndex(rpki.NewSet(nil))})
+		m.ups = append(m.ups, &upstream{Upstream: cfg, m: m, rank: i, table: rov.NewTable(nil)})
 	}
 	return m
 }

@@ -37,8 +37,9 @@ func relisten(t *testing.T, addr string) net.Listener {
 	}
 }
 
-// liveTable reads the LiveIndex's current table as a normalized set.
-func liveTable(l *rov.LiveIndex) *rpki.Set {
+// liveTable reads a table's (rov.Table, rov.LiveIndex) current VRPs as a
+// normalized set.
+func liveTable(l interface{ Snapshot() *rov.Index }) *rpki.Set {
 	return rpki.NewSet(l.Snapshot().AppendVRPs(nil))
 }
 

@@ -316,12 +316,24 @@ func protoErr(code uint16, format string, args ...interface{}) error {
 	return &ProtocolError{Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
+// maxFixedBody is the longest body among the fixed-size PDUs (IPv6 Prefix:
+// 24 bytes). Only Router Key and Error Report bodies vary in length.
+const maxFixedBody = 24
+
 // ReadPDU reads and parses one PDU. It returns the PDU, its version byte,
 // and an error. Malformed input yields a *ProtocolError whose Code is
 // suitable for an Error Report.
+//
+// It consumes exactly the PDU's bytes from r, so a caller that wants fewer,
+// larger reads from a socket hands it a bufio.Reader it owns.
 func ReadPDU(r io.Reader) (PDU, byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// Header and fixed-size body share one scratch array, so framing a PDU
+	// costs no allocation of its own per part — a table-sized response is
+	// tens of thousands of 12- and 24-byte bodies. (The array escapes through
+	// r, which is why it is one array and not two.)
+	var buf [headerLen + maxFixedBody]byte
+	hdr := buf[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, 0, err
 	}
 	version := hdr[0]
@@ -334,7 +346,12 @@ func ReadPDU(r io.Reader) (PDU, byte, error) {
 	if length < headerLen || length > MaxPDUSize {
 		return nil, version, protoErr(ErrCorruptData, "bad PDU length %d", length)
 	}
-	body := make([]byte, length-headerLen)
+	var body []byte
+	if n := int(length) - headerLen; n <= maxFixedBody {
+		body = buf[headerLen : headerLen+n]
+	} else {
+		body = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, version, err
 	}

@@ -70,8 +70,9 @@ type Server struct {
 	writeMu sync.Mutex
 	// live applies each delta as a persistent-snapshot update; its retained
 	// snapshots share an arena lineage, which is what makes the on-demand
-	// serial-to-serial diff structural instead of a full table walk.
-	live *rov.LiveIndex
+	// serial-to-serial diff structural instead of a full table walk. Write
+	// side only: the cache serves snapshots and diffs and validates nothing.
+	live *rov.Table
 
 	// shards is the session registry: connections hash across fixed shards,
 	// so connect/disconnect contends on 1/connShards of the registry and a
@@ -96,6 +97,10 @@ type Server struct {
 
 	nextShard atomic.Uint32
 }
+
+// queryBufSize is each connection's read buffer: room for a Serial Query and
+// a Reset Query back to back, no more (see handle).
+const queryBufSize = 32
 
 // connShards is the session-registry shard count. Fixed: shards exist to
 // split lock contention, not to be tuned.
@@ -226,7 +231,7 @@ func NewServer(initial *rpki.Set) *Server {
 		Writers:      4,
 		QueueDepth:   32,
 		WriteTimeout: 30 * time.Second,
-		live:         rov.NewLiveIndex(initial),
+		live:         rov.NewTable(initial.VRPs()),
 		stopCh:       make(chan struct{}),
 	}
 	p := &published{session: 0x5eed, serial: 1}
@@ -743,8 +748,12 @@ func (s *Server) handle(nc net.Conn) {
 	}
 	defer s.release(c)
 
+	// A router's queries are 8 and 12 bytes: through a reader that holds one,
+	// header and body arrive in a single read(2). The buffer is per
+	// connection, and a cache serves thousands, hence the size.
+	br := bufio.NewReaderSize(nc, queryBufSize)
 	for {
-		pdu, version, err := ReadPDU(nc)
+		pdu, version, err := ReadPDU(br)
 		if err != nil {
 			var pe *ProtocolError
 			if errors.As(err, &pe) {

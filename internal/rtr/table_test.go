@@ -28,7 +28,7 @@ func TestClientSessionChangeWithoutCacheReset(t *testing.T) {
 
 	cli, srv := net.Pipe()
 	defer srv.Close()
-	carried := rov.NewLiveIndex(rpki.NewSet([]rpki.VRP{v1}))
+	carried := rov.NewTable([]rpki.VRP{v1})
 	c := NewClientResume(cli, carried, &SessionState{SessionID: oldSess, Serial: 7})
 	defer c.Close()
 
@@ -120,7 +120,7 @@ func TestSloppyResponsesKeepTableAndDeltaExact(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cli, srv := net.Pipe()
 			defer srv.Close()
-			c := NewClientResume(cli, rov.NewLiveIndex(rpki.NewSet([]rpki.VRP{v1})), &SessionState{SessionID: session, Serial: 7})
+			c := NewClientResume(cli, rov.NewTable([]rpki.VRP{v1}), &SessionState{SessionID: session, Serial: 7})
 			defer c.Close()
 			var got []recorded
 			c.Subscribe(func(a, w []rpki.VRP) { got = append(got, recorded{ann: a, wd: w}) })
@@ -202,7 +202,7 @@ func TestRandomCacheHistoryAcrossReconnects(t *testing.T) {
 	addr, stop := startServer(t, srv)
 	defer stop()
 
-	table := rov.NewLiveIndex(rpki.NewSet(nil))
+	table := rov.NewTable(nil)
 	replay := map[rpki.VRP]struct{}{}
 	var c *Client
 	var st *SessionState
