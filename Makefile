@@ -69,7 +69,8 @@ bench:
 # soak is the full router-population acceptance run: thousands of pollers,
 # sustained churn, a handful of wedged routers the cache must shed without
 # the publish path noticing. soak-smoke is the small configuration CI runs
-# on every push.
+# on every push. Both fail unless every wedged router was shed and no poller
+# was.
 soak:
 	$(GO) run ./cmd/rtrload -clients 2000 -duration 60s -vrps 50000 -churn 64 \
 		-interval 1s -stall 8 -write-timeout 5s

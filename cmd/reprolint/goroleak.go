@@ -1,7 +1,7 @@
 package main
 
 // goroleak: every `go` statement in non-test module code must have a
-// provable stop path. The supervisor/compactor/dispatch/writer-pool
+// provable stop path. The supervisor/compactor/dispatch/writer
 // lifecycles all follow one of three shapes, checked in order through the
 // call graph:
 //

@@ -4,8 +4,7 @@ package main
 // request and state locks, the server's registry and per-conn locks, the
 // multi-supervisor's delivery and state locks, the live index's writer lock.
 // Two functions that acquire the same two locks in opposite orders are a
-// deadlock waiting for the interleaving that -race never draws; the sharded
-// session registry of ROADMAP item 2 multiplies exactly this shape. The
+// deadlock waiting for the interleaving that -race never draws. The
 // check identifies each lock by its declaration — pkg.Type.field for struct
 // mutexes, pkg.var for package-level ones — collects every acquisition in
 // internal/rtr + internal/rov, composes a transitive acquires-summary per

@@ -14,7 +14,11 @@
 // Usage:
 //
 //	rtrload [-clients 2000] [-duration 30s] [-vrps 50000] [-churn 64]
-//	        [-interval 100ms] [-stall 0] [-bench-out FILE] [-cpuprofile FILE]
+//	        [-interval 100ms] [-stall 0] [-write-timeout 5s] [-bench-out FILE]
+//	        [-cpuprofile FILE]
+//
+// It exits non-zero when a poller dies mid-soak, when pollers were shed, or
+// when fewer than -stall wedged routers were.
 //
 // With -bench-out the percentiles are also written as go-bench result lines
 // (BenchmarkRTRLoad/...) so cmd/benchjson folds them into the per-PR
@@ -47,8 +51,6 @@ func main() {
 		vrps       = flag.Int("vrps", 50_000, "base table size")
 		churn      = flag.Int("churn", 64, "VRPs announced or withdrawn per publish")
 		interval   = flag.Duration("interval", 100*time.Millisecond, "publish interval")
-		writers    = flag.Int("writers", 0, "server writer-pool size (0 = server default)")
-		queue      = flag.Int("queue", 0, "server per-conn queue depth (0 = server default)")
 		wtimeout   = flag.Duration("write-timeout", 5*time.Second, "server per-write deadline")
 		stall      = flag.Int("stall", 0, "wedged routers: connect, query, never read")
 		ramp       = flag.Int("ramp", 64, "concurrent dials while connecting the population")
@@ -61,12 +63,6 @@ func main() {
 	}
 
 	srv := rtr.NewServer(baseTable(*vrps))
-	if *writers > 0 {
-		srv.Writers = *writers
-	}
-	if *queue > 0 {
-		srv.QueueDepth = *queue
-	}
 	srv.WriteTimeout = *wtimeout
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -116,9 +112,11 @@ func main() {
 	}
 	log.Printf("population connected and synced in %v", time.Since(rampStart).Round(time.Millisecond))
 
-	// The wedged routers: tiny receive window, a few full-table queries,
-	// and then silence. The server must shed them by write deadline or
-	// queue overflow without the publish path ever noticing.
+	// The wedged routers: tiny receive window, enough full-table queries
+	// that the answers cannot all sit in kernel socket buffers, and then
+	// silence. The server must shed them by write deadline without the
+	// publish path ever noticing.
+	queries := stallQueries(*vrps)
 	stalled := make([]net.Conn, 0, *stall)
 	for i := 0; i < *stall; i++ {
 		nc, err := net.Dial("tcp", addr)
@@ -129,7 +127,7 @@ func main() {
 		if tc, ok := nc.(*net.TCPConn); ok {
 			tc.SetReadBuffer(4096)
 		}
-		for q := 0; q < 4; q++ {
+		for q := 0; q < queries; q++ {
 			if err := rtr.WritePDU(nc, rtr.Version1, &rtr.ResetQuery{}); err != nil {
 				break
 			}
@@ -137,14 +135,20 @@ func main() {
 		stalled = append(stalled, nc)
 	}
 
-	// Publish-time ledger: slot k holds the UnixNano instant publish k+1
-	// (serial base+k+1) started, written before ApplyDelta runs so the
-	// measured latency includes the whole notify fan-out.
+	// Publish-time ledger: slot k holds the instant publish k (serial
+	// base+k) started, written before ApplyDelta runs so the measured
+	// latency includes the whole notify fan-out. Instants are offsets from
+	// epoch on the monotonic clock: a wall-clock step mid-run must not read
+	// as latency.
+	epoch := time.Now()
 	maxPubs := int(*duration / *interval)
 	pubTimes := make([]atomic.Int64, maxPubs+1)
 	base := srv.Serial()
 
 	var syncs, syncErrs atomic.Int64
+	// closing is set before the harness closes the population: a Sync that
+	// fails after it was cut off by the teardown, not by the server.
+	var closing atomic.Bool
 	samples := make([][]time.Duration, *clients)
 	var popWG sync.WaitGroup
 	for i, c := range pop {
@@ -157,7 +161,9 @@ func main() {
 				}
 				s, err := c.Sync()
 				if err != nil {
-					syncErrs.Add(1)
+					if !closing.Load() {
+						syncErrs.Add(1)
+					}
 					return
 				}
 				syncs.Add(1)
@@ -166,7 +172,7 @@ func main() {
 				// one, and its publish instant is the honest latency base.
 				if k := int(uint32(s) - uint32(base)); k >= 1 && k <= maxPubs {
 					if t := pubTimes[k].Load(); t != 0 {
-						samples[i] = append(samples[i], time.Since(time.Unix(0, t)))
+						samples[i] = append(samples[i], time.Since(epoch)-time.Duration(t))
 					}
 				}
 			}
@@ -197,7 +203,7 @@ func main() {
 	tick := time.NewTicker(*interval)
 	for k := 1; k <= maxPubs; k++ {
 		<-tick.C
-		pubTimes[k].Store(time.Now().UnixNano())
+		pubTimes[k].Store(int64(time.Since(epoch)))
 		start := time.Now()
 		if k%2 == 1 {
 			srv.ApplyDelta(churnSet, nil)
@@ -212,6 +218,7 @@ func main() {
 	// exit through WaitNotify's sticky error.
 	time.Sleep(2 * *interval)
 	alive := srv.ConnCount()
+	closing.Store(true)
 	for _, c := range pop {
 		c.Close()
 	}
@@ -233,8 +240,9 @@ func main() {
 	if stalledLeft < 0 {
 		stalledLeft = 0
 	}
+	shed := *stall - stalledLeft
 	fmt.Printf("sessions: %d registered at end of churn (%d pollers); stalled routers shed: %d of %d\n",
-		alive, *clients, len(stalled)-stalledLeft, *stall)
+		alive, *clients, shed, *stall)
 
 	if *benchOut != "" {
 		if err := writeBench(*benchOut, pubP, syncP); err != nil {
@@ -247,6 +255,26 @@ func main() {
 	if alive < *clients {
 		log.Fatalf("only %d of %d pollers still registered after the churn phase", alive, *clients)
 	}
+	if shed < *stall {
+		log.Fatalf("only %d of %d stalled routers were shed: %d queued answers to a %d-VRP table did not wedge them for -write-timeout, or -duration is too short for it",
+			shed, *stall, queries, *vrps)
+	}
+}
+
+// stallQueries is how many Reset Queries a wedged router sends before going
+// silent: enough that the pending answers (20 bytes a VRP) pass
+// stallPendingBytes, within what the server lets one router queue.
+func stallQueries(vrps int) int {
+	const (
+		// Four times Linux's default 4 MiB send-buffer ceiling
+		// (net.ipv4.tcp_wmem): answers that fit the socket buffers are
+		// written at once and the router never wedges anything.
+		stallPendingBytes = 16 << 20
+		// The server disconnects a router with more than 32 unanswered
+		// queries (overflow); the soak wants the write-deadline path.
+		maxQueries = 32
+	)
+	return min(max(4, 1+stallPendingBytes/(20*vrps)), maxQueries)
 }
 
 // baseTable builds the n-VRP starting table.

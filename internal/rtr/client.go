@@ -40,13 +40,6 @@ type Client struct {
 	// before the first exchange.
 	Version byte
 
-	// SubscribeQueue bounds each subscriber's pending-update queue (default
-	// 16). A consumer that falls further behind has its oldest pending
-	// updates coalesced pairwise — net effect preserved — rather than
-	// blocking the dispatch loop or dropping deltas. Set before the first
-	// Subscribe call.
-	SubscribeQueue int
-
 	conn net.Conn
 	// table is the session table. Only the dispatch goroutine writes it
 	// (commit); everyone else reads snapshots.
@@ -54,6 +47,8 @@ type Client struct {
 
 	// reqMu serializes Sync/Reset callers: the protocol allows at most one
 	// outstanding query per connection, so concurrent callers simply queue.
+	// It is held through the delivery to subscribers, which is what keeps
+	// deliveries sequential and in commit order.
 	reqMu sync.Mutex
 
 	mu        sync.Mutex
@@ -67,9 +62,8 @@ type Client struct {
 	// fullSyncs counts committed full (Reset Query) exchanges; a resumed
 	// client that syncs with it still zero resumed purely by Serial Query.
 	fullSyncs int
-	// subs are the Subscribe consumers, each with its own drainer goroutine
-	// and bounded queue.
-	subs []*subscriber
+	// subs are the Subscribe consumers, in registration order.
+	subs []func(announced, withdrawn []rpki.VRP)
 	// req is the at-most-one in-flight exchange; nil while idle.
 	req *request
 	// err is the sticky failure recorded when the dispatch loop dies.
@@ -85,6 +79,9 @@ type Client struct {
 // request exactly once.
 type request struct {
 	full bool
+	// subs are the consumers registered when the exchange began; with none,
+	// commit takes no diff.
+	subs []func(announced, withdrawn []rpki.VRP)
 
 	once   sync.Once
 	result chan error // buffered: finish never blocks the dispatch loop
@@ -101,6 +98,9 @@ type request struct {
 	// announced/withdrawn stage the response's prefix PDUs in arrival order;
 	// commit hands them to the table, which gives them set semantics.
 	announced, withdrawn []rpki.VRP
+	// added/removed are what commit changed in the table — the subscribers'
+	// delta, delivered by the requesting goroutine once result has resolved.
+	added, removed []rpki.VRP
 }
 
 // finish resolves the exchange. Both the dispatch loop (normal completion)
@@ -200,14 +200,6 @@ func (c *Client) Err() error {
 	return c.err
 }
 
-// delta is one committed sync as queued for a Subscribe consumer: the VRPs
-// the update actually added to and removed from the table. Consumers must
-// not mutate the slices: coalesced deltas may share them with other
-// subscribers.
-type delta struct {
-	announced, withdrawn []rpki.VRP
-}
-
 // Subscribe registers fn as a delta consumer: after every completed update
 // with a non-empty delta it receives exactly the VRPs the update added and
 // removed, in canonical prefix order: announces already present, withdrawals
@@ -217,166 +209,32 @@ type delta struct {
 // This is how a second index follows the table in O(delta) instead of
 // rebuilding from Set after every sync.
 //
-// Backpressure contract: each consumer runs on its own drainer goroutine
-// fed by a bounded queue (SubscribeQueue), so a slow or blocking consumer
-// never stalls the dispatch loop — PDUs, notifies, and other consumers keep
-// flowing. Per-consumer delivery stays sequential and in commit order (no
-// two invocations of one consumer ever overlap), but delivery is
-// asynchronous: it may complete after the Sync or Reset call that produced
-// the update returns (FlushSubscribers waits for it), and different
-// consumers observe the same update at different times. A consumer that
-// falls more than SubscribeQueue updates behind has its oldest pending
-// updates coalesced pairwise into their exact net effect — it sees fewer,
-// larger updates, never a lost or reordered delta. Consumers may read
-// Client state but must not call Sync, Reset, Close, or FlushSubscribers.
+// Delivery runs on the goroutine that called Sync or Reset, after the
+// update has committed and before the call returns, consumers in
+// registration order. Exchanges are serialized, so deliveries never overlap
+// and arrive in commit order, and nothing is queued: a slow consumer slows
+// the caller that is syncing, never the dispatch loop — PDUs keep being
+// read and Serial Notifies keep reaching Notify while it runs. Consumers
+// may read Client state but must not call Sync, Reset or FlushSubscribers,
+// which wait for the exchange they are running inside. Consumers must not
+// mutate the slices: every consumer is handed the same ones.
 //
-// A consumer registered after updates have been applied sees only
-// subsequent deltas; register before the first sync to observe the full
-// table history.
+// A consumer registered while an exchange is in flight, or after updates
+// have been applied, sees only subsequent deltas; register before the first
+// sync to observe the full table history.
 func (c *Client) Subscribe(fn func(announced, withdrawn []rpki.VRP)) {
-	sub := &subscriber{c: c, fn: fn, wake: make(chan struct{}, 1)}
 	c.mu.Lock()
-	c.subs = append(c.subs, sub)
+	c.subs = append(c.subs, fn)
 	c.mu.Unlock()
-	//repro:owns-goroutine (*Client).Close
-	go sub.run()
 }
 
-// FlushSubscribers blocks until every update committed before the call has
-// been delivered to every subscriber — the synchronization point for
-// callers that need delivery to have happened (a test or benchmark
-// asserting on consumer state). It must not be called from a consumer,
-// which would wait on its own queue.
+// FlushSubscribers blocks until any Sync or Reset in flight on another
+// goroutine has delivered to every subscriber and returned. A caller that
+// syncs on its own goroutine needs no flush: Sync returns after delivery.
 func (c *Client) FlushSubscribers() {
-	c.mu.Lock()
-	subs := slices.Clone(c.subs)
-	c.mu.Unlock()
-	for _, sub := range subs {
-		sub.flush()
-	}
-}
-
-// subscriber is one Subscribe consumer: a bounded pending queue and the
-// drainer goroutine that owns delivery to fn.
-type subscriber struct {
-	c  *Client
-	fn func(announced, withdrawn []rpki.VRP)
-
-	mu sync.Mutex
-	q  []delta
-	// inFlight is true while the drainer is executing fn on a popped update;
-	// the queue being empty means "delivered" only once it is false again.
-	inFlight bool
-	// flushWaiters are closed by the drainer when it observes an empty queue
-	// with no delivery in flight.
-	flushWaiters []chan struct{}
-	// wake carries one token from enqueue to the parked drainer. Capacity 1:
-	// a dropped token means one is already pending, and the drainer rechecks
-	// the queue after consuming it.
-	wake chan struct{}
-}
-
-// enqueue appends d to the pending queue, coalescing into the newest
-// pending delta when the consumer is depth behind. Called by the dispatch
-// goroutine with no Client locks held.
-func (sub *subscriber) enqueue(d delta, depth int) {
-	sub.mu.Lock()
-	if len(sub.q) >= depth {
-		sub.q[len(sub.q)-1] = coalesce(sub.q[len(sub.q)-1], d)
-	} else {
-		sub.q = append(sub.q, d)
-	}
-	sub.mu.Unlock()
-	select {
-	case sub.wake <- struct{}{}:
-	default:
-	}
-}
-
-// run is the drainer: pop and deliver pending updates in order, release
-// flush waiters whenever the queue runs dry, park on wake, and exit once
-// the client is done and everything pending has been delivered.
-func (sub *subscriber) run() {
-	for {
-		sub.mu.Lock()
-		sub.inFlight = false
-		if len(sub.q) == 0 {
-			for _, ch := range sub.flushWaiters {
-				close(ch)
-			}
-			sub.flushWaiters = nil
-			done := false
-			select {
-			case <-sub.c.done:
-				done = true
-			default:
-			}
-			sub.mu.Unlock()
-			if done {
-				return
-			}
-			select {
-			case <-sub.wake:
-			case <-sub.c.done:
-			}
-			continue
-		}
-		d := sub.q[0]
-		copy(sub.q, sub.q[1:])
-		sub.q[len(sub.q)-1] = delta{}
-		sub.q = sub.q[:len(sub.q)-1]
-		sub.inFlight = true
-		sub.mu.Unlock()
-		sub.fn(d.announced, d.withdrawn)
-	}
-}
-
-// flush blocks until the queue is empty with no delivery in flight. Updates
-// are only enqueued by the dispatch goroutine, which stops before the
-// client's done channel closes — so the drainer always lives long enough to
-// release every waiter registered here.
-func (sub *subscriber) flush() {
-	sub.mu.Lock()
-	if len(sub.q) == 0 && !sub.inFlight {
-		sub.mu.Unlock()
-		return
-	}
-	ch := make(chan struct{})
-	sub.flushWaiters = append(sub.flushWaiters, ch)
-	sub.mu.Unlock()
-	<-ch
-}
-
-// coalesce folds two consecutive deltas into their exact net
-// effect: a VRP announced by a and withdrawn by b (or vice versa) cancels;
-// everything else carries through. The two announce sets — like the two
-// withdraw sets — are disjoint by construction (b's delta is relative to
-// the table after a), so the union needs no dedup.
-func coalesce(a, b delta) delta {
-	bwd, bann := vrpSet(b.withdrawn), vrpSet(b.announced)
-	awd, aann := vrpSet(a.withdrawn), vrpSet(a.announced)
-	var out delta
-	for _, v := range a.announced {
-		if _, ok := bwd[v]; !ok {
-			out.announced = append(out.announced, v)
-		}
-	}
-	for _, v := range b.announced {
-		if _, ok := awd[v]; !ok {
-			out.announced = append(out.announced, v)
-		}
-	}
-	for _, v := range a.withdrawn {
-		if _, ok := bann[v]; !ok {
-			out.withdrawn = append(out.withdrawn, v)
-		}
-	}
-	for _, v := range b.withdrawn {
-		if _, ok := aann[v]; !ok {
-			out.withdrawn = append(out.withdrawn, v)
-		}
-	}
-	return out
+	// The lock is the wait: an exchange delivers while holding it.
+	c.reqMu.Lock()
+	c.reqMu.Unlock()
 }
 
 // vrpSet returns vs as a membership set.
@@ -496,8 +354,9 @@ type cacheResetError struct{}
 func (cacheResetError) Error() string { return "rtr: cache reset" }
 
 // exchange runs one query/response exchange against the dispatch loop:
-// register the request, write the query, wait for the loop to resolve it.
-// The caller must hold reqMu.
+// register the request, write the query, wait for the loop to resolve it,
+// and hand the committed delta to the subscribers. The caller must hold
+// reqMu.
 func (c *Client) exchange(full bool, q PDU) error {
 	req := &request{full: full, result: make(chan error, 1)}
 	c.mu.Lock()
@@ -506,6 +365,7 @@ func (c *Client) exchange(full bool, q PDU) error {
 		c.mu.Unlock()
 		return err
 	}
+	req.subs = slices.Clone(c.subs)
 	c.req = req
 	c.mu.Unlock()
 	// Register before writing: the response must never beat the registration
@@ -515,7 +375,15 @@ func (c *Client) exchange(full bool, q PDU) error {
 		// not block forever waiting for a response that was never requested.
 		c.fail(err)
 	}
-	return <-req.result
+	if err := <-req.result; err != nil {
+		return err
+	}
+	if len(req.added) > 0 || len(req.removed) > 0 {
+		for _, fn := range req.subs {
+			fn(req.added, req.removed)
+		}
+	}
+	return nil
 }
 
 // readBufSize is the dispatch goroutine's read buffer: a full-table response
@@ -648,8 +516,9 @@ func (c *Client) advance(req *request, pdu PDU, version byte) (finished bool, ex
 // commit applies a completed update on the dispatch goroutine: it commits
 // the staged prefixes into the table, records the new session state (table
 // first, so no reader ever sees a serial ahead of its table), adopts
-// version-1 timers, drops a now-stale pending notify, and enqueues the
-// applied delta on every subscriber's drainer queue.
+// version-1 timers, drops a now-stale pending notify, and leaves the applied
+// delta on the request for the requesting goroutine to deliver — the
+// dispatch goroutine never runs a consumer.
 //
 // Within one update withdrawals win over announcements of the same VRP and
 // repeats count once — the table has set semantics. An incremental update
@@ -659,12 +528,8 @@ func (c *Client) advance(req *request, pdu PDU, version byte) (finished bool, ex
 // by construction and, for an incremental update, visits only the changed
 // paths. With no subscriber no diff is taken.
 func (c *Client) commit(req *request, eod *EndOfData, version byte) {
-	c.mu.Lock()
-	subs := slices.Clone(c.subs)
-	depth := c.SubscribeQueue
-	c.mu.Unlock()
 	var before *rov.Index
-	if len(subs) > 0 {
+	if len(req.subs) > 0 {
 		before = c.table.Snapshot()
 	}
 	if req.full {
@@ -690,18 +555,8 @@ func (c *Client) commit(req *request, eod *EndOfData, version byte) {
 	}
 	c.mu.Unlock()
 	c.dropStaleNotify(eod.Serial)
-	if before == nil {
-		return
-	}
-	ann, wd := rov.Diff(before, c.table.Snapshot())
-	if len(ann) == 0 && len(wd) == 0 {
-		return
-	}
-	if depth <= 0 {
-		depth = 16
-	}
-	for _, sub := range subs {
-		sub.enqueue(delta{announced: ann, withdrawn: wd}, depth)
+	if before != nil {
+		req.added, req.removed = rov.Diff(before, c.table.Snapshot())
 	}
 }
 

@@ -107,11 +107,11 @@ func TestConcurrentSyncResetDispatch(t *testing.T) {
 	}
 }
 
-// TestSubscribeMultipleConsumers pins the post-fan-out Subscribe contract:
-// every registered consumer sees every applied non-empty delta exactly once
-// and in commit order on its own drainer goroutine, and FlushSubscribers is
-// the point after which consumer state may be asserted on. A second consumer
-// keeps simple counters, the cmd/rtrclient pattern.
+// TestSubscribeMultipleConsumers pins the Subscribe contract: every
+// registered consumer sees every applied non-empty delta exactly once, in
+// commit order and registration order, before the Sync that produced it
+// returns — consumer state is plain fields, read right after Sync. A second
+// consumer keeps simple counters, the cmd/rtrclient pattern.
 func TestSubscribeMultipleConsumers(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
@@ -124,30 +124,28 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Subscribe consumers each run on their own drainer goroutine: their
-	// state is read only after FlushSubscribers, which is the documented
-	// synchronization point, so plain fields are still race-free.
 	mirror := map[rpki.VRP]struct{}{}
-	mirrorDeliveries := 0
+	var order []string
 	c.Subscribe(func(ann, wd []rpki.VRP) {
-		mirrorDeliveries++
+		order = append(order, "mirror")
 		replayDelta(t, mirror, ann, wd)
 	})
-	var announced, withdrawn, counterDeliveries int
+	var announced, withdrawn int
 	c.Subscribe(func(ann, wd []rpki.VRP) {
-		counterDeliveries++
+		order = append(order, "counter")
 		announced += len(ann)
 		withdrawn += len(wd)
 	})
-	checkDeliveries := func(want int) {
+	check := func(deliveries int) {
 		t.Helper()
-		c.FlushSubscribers()
-		if mirrorDeliveries != want || counterDeliveries != want {
-			t.Fatalf("deliveries mirror/counter = %d/%d, want %d each", mirrorDeliveries, counterDeliveries, want)
+		if len(order) != 2*deliveries {
+			t.Fatalf("%d consumer calls, want %d", len(order), 2*deliveries)
 		}
-	}
-	checkMirror := func() {
-		t.Helper()
+		for i, who := range order {
+			if want := []string{"mirror", "counter"}[i%2]; who != want {
+				t.Fatalf("consumer call %d went to %s, want %s (registration order)", i, who, want)
+			}
+		}
 		if got := mirrorSet(mirror); !got.Equal(c.Set()) {
 			t.Fatalf("subscriber mirror %v != table %v", got.VRPs(), c.Set().VRPs())
 		}
@@ -156,8 +154,7 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 	if _, err := c.Sync(); err != nil { // initial full sync
 		t.Fatal(err)
 	}
-	checkDeliveries(1)
-	checkMirror()
+	check(1)
 	if announced != set.Len() || withdrawn != 0 {
 		t.Fatalf("counters after full sync: +%d -%d, want +%d -0", announced, withdrawn, set.Len())
 	}
@@ -173,8 +170,7 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 	if _, err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	checkDeliveries(2)
-	checkMirror()
+	check(2)
 	if announced != set.Len()+1 || withdrawn != 1 {
 		t.Fatalf("counters after incremental sync: +%d -%d, want +%d -1", announced, withdrawn, set.Len()+1)
 	}
@@ -183,16 +179,16 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 	if _, err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	checkDeliveries(2)
-	checkMirror()
+	check(2)
 }
 
-// TestSubscribeSlowConsumerBackpressure pins the fan-out's backpressure
-// semantics: a consumer that blocks does not stall the dispatch loop (other
-// consumers and Sync keep making progress), and once it falls more than
-// SubscribeQueue updates behind, its pending updates coalesce to their
-// exact net effect — fewer, larger deliveries; no delta lost.
-func TestSubscribeSlowConsumerBackpressure(t *testing.T) {
+// TestSubscribeBlockingConsumer pins where delivery runs: on the goroutine
+// that called Sync, never on the dispatch loop. A consumer that blocks
+// inside its callback holds up that Sync (and FlushSubscribers) until it
+// returns, while the dispatch loop keeps reading — a newer Serial Notify
+// still reaches Notify(). Then concurrent Sync callers race a publisher:
+// deliveries must not overlap and must arrive in commit order.
+func TestSubscribeBlockingConsumer(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
@@ -203,69 +199,116 @@ func TestSubscribeSlowConsumerBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SubscribeQueue = 2
 
-	// The slow consumer parks on a gate after its first delivery; its
-	// mirror applies every delta it eventually sees.
-	gate := make(chan struct{})
-	slowMirror := map[rpki.VRP]struct{}{}
-	slowDeliveries := 0
+	// Consumer state is plain: deliveries are serialized by the client, and
+	// the test reads it after a Sync or FlushSubscribers of its own.
+	mirror := map[rpki.VRP]struct{}{}
+	var serials []Serial
+	entered, gate := make(chan struct{}), make(chan struct{})
 	c.Subscribe(func(ann, wd []rpki.VRP) {
-		slowDeliveries++
-		if slowDeliveries == 1 {
+		if len(serials) == 1 { // the second delivery blocks
+			close(entered)
 			<-gate
 		}
-		replayDelta(t, slowMirror, ann, wd)
+		serials = append(serials, c.Serial())
+		replayDelta(t, mirror, ann, wd)
 	})
-	// The fast consumer reports each delivery, and the test takes the report
-	// before it syncs again: a consumer that keeps up is never coalesced, but
-	// one whose drainer merely has not been scheduled yet would be.
-	fastDeliveries := 0
-	fastSeen := make(chan struct{}, 1)
-	c.Subscribe(func(ann, wd []rpki.VRP) { fastDeliveries++; fastSeen <- struct{}{} })
-	awaitFast := func() {
-		t.Helper()
-		select {
-		case <-fastSeen:
-		case <-time.After(5 * time.Second):
-			t.Fatal("fast consumer was not delivered an update while the slow one is wedged")
-		}
-	}
-
 	if _, err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	awaitFast()
-	// With the slow consumer wedged in delivery #1, run many more updates
-	// than its queue holds. Sync must keep returning — the dispatch loop is
-	// not stalled — and the fast consumer must see every delta.
-	const updates = 8
+	if len(serials) != 1 {
+		t.Fatalf("Sync returned with %d deliveries made, want 1", len(serials))
+	}
+
 	cur := set
-	for i := 0; i < updates; i++ {
+	publish := func(i int) {
 		cur = rpki.NewSet(append(cur.VRPs(),
-			rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(8 + i), AS: rpki.ASN(400 + i)}))
+			rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(8 + i%24), AS: rpki.ASN(400 + i)}))
 		srv.UpdateSet(cur)
-		if _, err := c.WaitNotify(); err != nil {
-			t.Fatal(err)
+	}
+	publish(0)
+	if _, err := c.WaitNotify(); err != nil {
+		t.Fatal(err)
+	}
+	syncDone := make(chan error, 1)
+	go func() {
+		_, err := c.Sync()
+		syncDone <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("consumer was not called")
+	}
+	// The consumer is parked inside its callback. The dispatch loop is not:
+	// the next publish's notify comes through.
+	publish(1)
+	select {
+	case s := <-c.Notify():
+		if s != srv.Serial() {
+			t.Fatalf("notified of serial %d, want %d", s, srv.Serial())
 		}
-		if _, err := c.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		awaitFast()
+	case <-time.After(5 * time.Second):
+		t.Fatal("no Serial Notify while a consumer blocks: the dispatch loop is stalled")
+	}
+	select {
+	case err := <-syncDone:
+		t.Fatalf("Sync returned (%v) while its delivery was still running", err)
+	default:
+	}
+	flushed := make(chan struct{})
+	go func() {
+		c.FlushSubscribers()
+		close(flushed)
+	}()
+	select {
+	case <-flushed:
+		t.Fatal("FlushSubscribers returned while a delivery was still running")
+	case <-time.After(50 * time.Millisecond):
 	}
 	close(gate)
-	c.FlushSubscribers()
+	if err := <-syncDone; err != nil {
+		t.Fatal(err)
+	}
+	<-flushed
 
-	if fastDeliveries != updates+1 {
-		t.Errorf("fast consumer saw %d deliveries, want %d", fastDeliveries, updates+1)
+	// Concurrent callers: whichever goroutine's Sync commits an update
+	// delivers it before the next exchange starts.
+	const callers, rounds = 4, 16
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := c.Sync(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
 	}
-	// The slow consumer saw the wedged delivery plus at most SubscribeQueue
-	// coalesced ones — strictly fewer than the update count — and its
-	// mirror still converged to the exact final table.
-	if slowDeliveries > 1+2 || slowDeliveries < 2 {
-		t.Errorf("slow consumer saw %d deliveries, want 2..3 (coalesced)", slowDeliveries)
+	for i := 2; i < 2+rounds; i++ {
+		publish(i)
 	}
-	if got := mirrorSet(slowMirror); !got.Equal(cur) {
-		t.Fatalf("slow consumer mirror has %d VRPs, want %d — a coalesced delta was lost", got.Len(), cur.Len())
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent Sync: %v", err)
+	}
+	if _, err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(serials); i++ {
+		if !SerialNewer(serials[i], serials[i-1]) {
+			t.Fatalf("delivery %d carried serial %d after %d: out of commit order", i, serials[i], serials[i-1])
+		}
+	}
+	if last := serials[len(serials)-1]; last != srv.Serial() {
+		t.Fatalf("last delivery at serial %d, cache is at %d", last, srv.Serial())
+	}
+	if got := mirrorSet(mirror); !got.Equal(cur) {
+		t.Fatalf("consumer mirror has %d VRPs, want %d", got.Len(), cur.Len())
 	}
 }

@@ -456,8 +456,8 @@ func TestMultipleClients(t *testing.T) {
 // deltas: a consumer receives exactly the VRPs each update added and removed
 // — across the initial full sync, an incremental delta, and a no-op sync (no
 // delivery) — so replaying them keeps a second table in step with the
-// client's. FlushSubscribers is the point after which consumer state may be
-// read.
+// client's. Delivery happens before Sync returns, so consumer state is read
+// right after it.
 func TestSubscribeReportsAppliedDeltas(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
@@ -478,7 +478,6 @@ func TestSubscribeReportsAppliedDeltas(t *testing.T) {
 	})
 	check := func(wantCalls int) {
 		t.Helper()
-		c.FlushSubscribers()
 		if calls != wantCalls {
 			t.Fatalf("deliveries = %d, want %d", calls, wantCalls)
 		}

@@ -21,14 +21,15 @@ import (
 // The server is built for router-population scale (ROADMAP item 2): every
 // piece of state a response needs lives in one immutable published value
 // swapped atomically on each update, so the read paths — full responses,
-// serial-query answers, notifies — never take a server-wide lock. Sessions
-// live in a sharded registry, and all writes to routers flow through
-// per-connection bounded outbound queues drained by a fixed writer pool:
-// publishing is queue handoff, never socket I/O, so one stalled router
-// cannot slow an update down. A router that stops draining its TCP side
-// either overflows its queue or exceeds the write deadline, and is
-// disconnected; a healthy RFC 8210 router simply redials and resumes with a
-// Serial Query.
+// serial-query answers, notifies — never take a server-wide lock. Each
+// connection has two goroutines, one per direction: the handler reads
+// queries and the writer owns every write, fed by the connection's bounded
+// outbound queue. Publishing is queue handoff, never socket I/O, so a
+// stalled router cannot slow an update down, and because no writer is
+// shared, it cannot slow another router's answer down either. A router that
+// stops draining its TCP side either overflows its queue or exceeds the
+// write deadline, and is disconnected; a healthy RFC 8210 router simply
+// redials and resumes with a Serial Query.
 //
 // The cache stores no delta chains: each update's table goes into a short
 // ring of immutable rov snapshots sharing one arena lineage, and the answer
@@ -46,19 +47,10 @@ type Server struct {
 	// KeepDeltas bounds how many past serials remain answerable by
 	// incremental updates (older Serial Queries get Cache Reset). Default 16.
 	KeepDeltas int
-	// Writers is the size of the writer pool draining the per-connection
-	// outbound queues. Default 4. Set before Serve.
-	Writers int
-	// QueueDepth bounds each connection's outbound response queue. A router
-	// that queues more unanswered queries than this — it is sending queries
-	// without reading responses — is disconnected. Serial Notifies do not
-	// count against the bound: the notify mailbox coalesces to the newest
-	// serial and can never overflow. Default 32. Set before Serve.
-	QueueDepth int
 	// WriteTimeout bounds each queued write (one PDU, or one streamed
 	// response). A router whose TCP receive window stays closed past it is
-	// disconnected instead of pinning a pool writer forever. Default 30s.
-	// Set before Serve.
+	// disconnected instead of holding its writer and its queue forever.
+	// Default 30s. Set before Serve.
 	WriteTimeout time.Duration
 
 	// pub is the published state: session, serial, and the snapshot ring,
@@ -74,61 +66,28 @@ type Server struct {
 	// side only: the cache serves snapshots and diffs and validates nothing.
 	live *rov.Table
 
-	// shards is the session registry: connections hash across fixed shards,
-	// so connect/disconnect contends on 1/connShards of the registry and a
-	// notify broadcast never holds more than one shard lock at a time.
-	shards [connShards]connShard
-
-	// The writer pool: conns with pending output wait in dispatchQ (each at
-	// most once — conn.scheduled), and wake carries one token per parked
-	// writer. Tokens are sent after the queue append and dropped when the
-	// channel is full, which is safe: a full channel means enough pending
-	// tokens to re-check the queue after the append in any interleaving.
-	dispatchMu sync.Mutex
-	dispatchQ  []*conn
-	wake       chan struct{}
-	stopCh     chan struct{}
-	startPool  sync.Once
-	writerWG   sync.WaitGroup
-
-	stateMu  sync.Mutex
+	// regMu guards the session registry, the listener, and closed. It is held
+	// to add, remove, or copy out the membership, never across a mailbox offer
+	// or a socket call. closed flips under it during Close, so a connection
+	// racing the shutdown sweep can never register unnoticed.
+	regMu    sync.Mutex
+	conns    map[*conn]struct{}
 	listener net.Listener
 	closed   bool
-
-	nextShard atomic.Uint32
+	// writerWG counts the per-connection writer goroutines; Close waits on it.
+	writerWG sync.WaitGroup
 }
 
 // queryBufSize is each connection's read buffer: room for a Serial Query and
 // a Reset Query back to back, no more (see handle).
 const queryBufSize = 32
 
-// connShards is the session-registry shard count. Fixed: shards exist to
-// split lock contention, not to be tuned.
-const connShards = 16
-
-// connShard is one registry shard. closed flips under mu during Server.Close
-// so a connection racing the shutdown sweep can never register unnoticed.
-type connShard struct {
-	mu     sync.Mutex
-	conns  map[*conn]struct{}
-	closed bool
-}
-
-func (sh *connShard) add(c *conn) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.closed {
-		return false
-	}
-	sh.conns[c] = struct{}{}
-	return true
-}
-
-func (sh *connShard) remove(c *conn) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	delete(sh.conns, c)
-}
+// queueDepth bounds each connection's outbound response queue. A router that
+// queues more unanswered queries than this — it is sending queries without
+// reading responses — is disconnected. Serial Notifies do not count against
+// the bound: the notify mailbox coalesces to the newest serial and can never
+// overflow.
+const queueDepth = 32
 
 // published is the immutable publish state. Publishers build a fresh value
 // (including a fresh snaps slice) and swap the pointer; a stored value is
@@ -195,12 +154,17 @@ type outItem struct {
 }
 
 type conn struct {
-	c     net.Conn
-	shard *connShard
+	c net.Conn
 	// bw is the connection's reused encode buffer: streamed responses write
 	// through it PDU by PDU, so a full-table answer is allocation-bounded
 	// instead of materializing len(vrps)+2 PDU values.
 	bw *bufio.Writer
+	// wake carries one token from offerNotify/enqueue/disconnect to the
+	// parked writer. The token is sent after the mailbox, queue or state
+	// update and dropped when one is already pending, which is safe: the
+	// writer re-checks all three under mu after consuming a token, so a
+	// pending token covers any update made before it is consumed.
+	wake chan struct{}
 
 	mu      sync.Mutex
 	version byte // fixed by the most recent PDU received from the router
@@ -211,11 +175,6 @@ type conn struct {
 	notifySerial Serial
 	hasNotify    bool
 	queue        []outItem
-	// scheduled marks the conn as either waiting in dispatchQ or being
-	// drained by a writer — the invariant that keeps each conn owned by at
-	// most one writer at a time, so PDU framing on the socket is never
-	// interleaved.
-	scheduled bool
 }
 
 // NewServer creates a cache serving the given initial VRP set.
@@ -228,18 +187,13 @@ func NewServer(initial *rpki.Set) *Server {
 		Retry:        600,
 		Expire:       7200,
 		KeepDeltas:   16,
-		Writers:      4,
-		QueueDepth:   32,
 		WriteTimeout: 30 * time.Second,
 		live:         rov.NewTable(initial.VRPs()),
-		stopCh:       make(chan struct{}),
+		conns:        make(map[*conn]struct{}),
 	}
 	p := &published{session: 0x5eed, serial: 1}
 	p.snaps = []serialSnapshot{{serial: p.serial, table: s.live.Snapshot()}}
 	s.pub.Store(p)
-	for i := range s.shards {
-		s.shards[i].conns = make(map[*conn]struct{})
-	}
 	return s
 }
 
@@ -280,9 +234,9 @@ func (s *Server) UpdateSet(next *rpki.Set) {
 	s.writeMu.Lock()
 	prev := s.pub.Load().current()
 	ann, wd := rov.Diff(prev, rov.NewIndex(next))
-	session, serial := s.publishLocked(ann, wd)
+	serial := s.publishLocked(ann, wd)
 	s.writeMu.Unlock()
-	s.broadcastNotify(session, serial)
+	s.broadcastNotify(serial)
 }
 
 // ApplyDelta publishes an announce/withdraw delta directly — the O(delta)
@@ -293,9 +247,9 @@ func (s *Server) UpdateSet(next *rpki.Set) {
 // returns the serial the delta was published under.
 func (s *Server) ApplyDelta(announced, withdrawn []rpki.VRP) Serial {
 	s.writeMu.Lock()
-	session, serial := s.publishLocked(announced, withdrawn)
+	serial := s.publishLocked(announced, withdrawn)
 	s.writeMu.Unlock()
-	s.broadcastNotify(session, serial)
+	s.broadcastNotify(serial)
 	return serial
 }
 
@@ -305,10 +259,10 @@ func (s *Server) ApplyDelta(announced, withdrawn []rpki.VRP) Serial {
 // that stay answerable). The snaps slice is freshly allocated per publish —
 // the ring is small — so the previous published value stays immutable under
 // concurrent readers. Caller holds writeMu.
-func (s *Server) publishLocked(announced, withdrawn []rpki.VRP) (session uint16, serial Serial) {
+func (s *Server) publishLocked(announced, withdrawn []rpki.VRP) Serial {
 	old := s.pub.Load()
 	s.live.Apply(announced, withdrawn)
-	serial = SerialAdvance(old.serial, 1)
+	serial := SerialAdvance(old.serial, 1)
 	keep := s.KeepDeltas + 2
 	if keep < 1 {
 		keep = 1
@@ -321,36 +275,28 @@ func (s *Server) publishLocked(announced, withdrawn []rpki.VRP) (session uint16,
 	snaps = append(snaps, old.snaps[start:]...)
 	snaps = append(snaps, serialSnapshot{serial: serial, table: s.live.Snapshot()})
 	s.pub.Store(&published{session: old.session, serial: serial, snaps: snaps})
-	return old.session, serial
+	return serial
 }
 
 // broadcastNotify offers the new serial to every connection's notify
-// mailbox. Shard locks are held only to copy the membership, mailbox offers
-// take only the target's own lock, and queue handoff to the writer pool is
-// non-blocking — no socket is touched on this path.
-func (s *Server) broadcastNotify(session uint16, serial Serial) {
-	_ = session // notifies are rendered from the published state at write time
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if len(sh.conns) == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		conns := make([]*conn, 0, len(sh.conns))
-		for c := range sh.conns {
-			conns = append(conns, c)
-		}
-		sh.mu.Unlock()
-		for _, c := range conns {
-			s.offerNotify(c, serial)
-		}
+// mailbox. The registry lock is held only to copy the membership, mailbox
+// offers take only the target's own lock, and waking a writer is a
+// non-blocking send — no socket is touched on this path.
+func (s *Server) broadcastNotify(serial Serial) {
+	s.regMu.Lock()
+	conns := make([]*conn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	s.regMu.Unlock()
+	for _, c := range conns {
+		s.offerNotify(c, serial)
 	}
 }
 
-// offerNotify coalesces serial into c's notify mailbox and schedules the
-// conn. Newest serial wins by RFC 1982 comparison; the mailbox is one slot,
-// so notify pressure can never overflow a router's queue.
+// offerNotify coalesces serial into c's notify mailbox and wakes its writer.
+// Newest serial wins by RFC 1982 comparison; the mailbox is one slot, so
+// notify pressure can never overflow a router's queue.
 func (s *Server) offerNotify(c *conn, serial Serial) {
 	c.mu.Lock()
 	if c.state != connActive {
@@ -361,32 +307,24 @@ func (s *Server) offerNotify(c *conn, serial Serial) {
 		c.notifySerial = serial
 	}
 	c.hasNotify = true
-	sched := !c.scheduled
-	c.scheduled = true
 	c.mu.Unlock()
-	if sched {
-		s.dispatch(c)
-	}
+	c.wakeWriter()
 }
 
 // enqueue appends a response descriptor to c's bounded outbound queue and
-// schedules the conn, disconnecting it on overflow. closeAfter marks the
+// wakes its writer, disconnecting the conn on overflow. closeAfter marks the
 // item terminal: no further enqueues are accepted and the writer closes the
 // socket once the queue drains. Returns false when the conn is no longer
 // accepting work.
 func (s *Server) enqueue(c *conn, item outItem, closeAfter bool) bool {
-	depth := s.QueueDepth
-	if depth <= 0 {
-		depth = 32
-	}
 	c.mu.Lock()
 	if c.state != connActive {
 		c.mu.Unlock()
 		return false
 	}
-	if len(c.queue) >= depth {
+	if len(c.queue) >= queueDepth {
 		c.mu.Unlock()
-		s.logf("rtr server: %v: outbound queue overflow (%d pending); disconnecting", c.c.RemoteAddr(), depth)
+		s.logf("rtr server: %v: outbound queue overflow (%d pending); disconnecting", c.c.RemoteAddr(), queueDepth)
 		s.disconnect(c)
 		return false
 	}
@@ -394,86 +332,33 @@ func (s *Server) enqueue(c *conn, item outItem, closeAfter bool) bool {
 	if closeAfter {
 		c.state = connClosing
 	}
-	sched := !c.scheduled
-	c.scheduled = true
 	c.mu.Unlock()
-	if sched {
-		s.dispatch(c)
-	}
+	c.wakeWriter()
 	return true
 }
 
-// dispatch hands a scheduled conn to the writer pool. The wake send is
-// non-blocking: see the field comment on wake for why a dropped token can
-// never strand the queue.
-func (s *Server) dispatch(c *conn) {
-	s.dispatchMu.Lock()
-	s.dispatchQ = append(s.dispatchQ, c)
-	s.dispatchMu.Unlock()
+// wakeWriter leaves a token for the conn's writer. Non-blocking: see the
+// field comment on wake for why a dropped token can never strand output.
+func (c *conn) wakeWriter() {
 	select {
-	case s.wake <- struct{}{}:
+	case c.wake <- struct{}{}:
 	default:
 	}
 }
 
-// nextConn pops the oldest scheduled conn, or nil when none waits.
-func (s *Server) nextConn() *conn {
-	s.dispatchMu.Lock()
-	defer s.dispatchMu.Unlock()
-	if len(s.dispatchQ) == 0 {
-		return nil
-	}
-	c := s.dispatchQ[0]
-	copy(s.dispatchQ, s.dispatchQ[1:])
-	s.dispatchQ[len(s.dispatchQ)-1] = nil
-	s.dispatchQ = s.dispatchQ[:len(s.dispatchQ)-1]
-	return c
-}
-
-// startWriters launches the writer pool (once, on the first connection).
-func (s *Server) startWriters() {
-	n := s.Writers
-	if n <= 0 {
-		n = 4
-	}
-	s.wake = make(chan struct{}, n)
-	s.writerWG.Add(n)
-	for i := 0; i < n; i++ {
-		go s.writer()
-	}
-}
-
-// writer is one pool worker: drain scheduled conns, park on wake when the
-// dispatch queue is empty, exit on stopCh.
-func (s *Server) writer() {
-	defer s.writerWG.Done()
-	for {
-		c := s.nextConn()
-		if c == nil {
-			select {
-			case <-s.wake:
-			case <-s.stopCh:
-				return
-			}
-			continue
-		}
-		s.drain(c)
-	}
-}
-
-// drain writes c's pending output: the notify mailbox first (it supersedes
-// nothing — a notify may legally interleave anywhere in the stream — and
-// clearing it first keeps "new data" latency independent of queued
-// responses), then queued response descriptors in FIFO order. It returns
-// when the conn has no pending output (clearing scheduled under the same
-// lock that observed emptiness, so a concurrent enqueue either sees
-// scheduled and is picked up by this loop, or reschedules) or on write
-// error, which tears the conn down.
+// drain is the conn's writer goroutine, the only one that ever writes to the
+// socket, so PDU framing is never interleaved. It writes pending output —
+// the notify mailbox first (it supersedes nothing — a notify may legally
+// interleave anywhere in the stream — and clearing it first keeps "new
+// data" latency independent of queued responses), then queued response
+// descriptors in FIFO order — and parks on wake when there is none. It exits
+// when the conn dies: by disconnect from any goroutine, on its own write
+// error, or after the terminal Error Report of a closing conn has drained.
 func (s *Server) drain(c *conn) {
+	defer s.writerWG.Done()
 	for {
 		c.mu.Lock()
 		if c.state == connDead {
-			c.scheduled = false
 			c.mu.Unlock()
 			return
 		}
@@ -494,12 +379,13 @@ func (s *Server) drain(c *conn) {
 			c.queue = c.queue[:len(c.queue)-1]
 		default:
 			closing := c.state == connClosing
-			c.scheduled = false
 			c.mu.Unlock()
 			if closing {
 				s.disconnect(c)
+				return
 			}
-			return
+			<-c.wake
+			continue
 		}
 		version := c.version
 		c.mu.Unlock()
@@ -522,8 +408,10 @@ func (s *Server) drain(c *conn) {
 }
 
 // disconnect tears a conn down from any goroutine: mark it dead, drop
-// pending output, close the socket, deregister. Idempotent — the handler's
-// exit path, a writer's failed write, an overflow, and Close may race here.
+// pending output, end its writer, close the socket (which unblocks a writer
+// mid-write and the handler mid-read), deregister. Idempotent — the
+// handler's exit path, the writer's failed write, an overflow, and Close may
+// race here.
 func (s *Server) disconnect(c *conn) {
 	c.mu.Lock()
 	if c.state == connDead {
@@ -534,8 +422,11 @@ func (s *Server) disconnect(c *conn) {
 	c.queue = nil
 	c.hasNotify = false
 	c.mu.Unlock()
+	c.wakeWriter()
 	c.c.Close()
-	c.shard.remove(c)
+	s.regMu.Lock()
+	delete(s.conns, c)
+	s.regMu.Unlock()
 }
 
 // writeNotify renders and writes one Serial Notify. The session comes from
@@ -650,13 +541,13 @@ func (s *Server) streamSerial(c *conn, version byte, q SerialQuery) error {
 // Serve accepts router connections on l until Close is called. It always
 // returns a non-nil error (net.ErrClosed after Close).
 func (s *Server) Serve(l net.Listener) error {
-	s.stateMu.Lock()
+	s.regMu.Lock()
 	if s.closed {
-		s.stateMu.Unlock()
+		s.regMu.Unlock()
 		return errors.New("rtr: server closed")
 	}
 	s.listener = l
-	s.stateMu.Unlock()
+	s.regMu.Unlock()
 	for {
 		nc, err := l.Accept()
 		if err != nil {
@@ -676,33 +567,26 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(l)
 }
 
-// Close stops the listener, disconnects all routers, and stops the writer
-// pool.
+// Close stops the listener, disconnects all routers, and waits for their
+// writers to exit.
 func (s *Server) Close() error {
-	s.stateMu.Lock()
-	alreadyClosed := s.closed
-	s.closed = true
-	var err error
-	if s.listener != nil && !alreadyClosed {
-		err = s.listener.Close()
-	}
-	s.stateMu.Unlock()
-	if alreadyClosed {
+	s.regMu.Lock()
+	if s.closed {
+		s.regMu.Unlock()
 		return nil
 	}
-	close(s.stopCh)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.closed = true
-		conns := make([]*conn, 0, len(sh.conns))
-		for c := range sh.conns {
-			conns = append(conns, c)
-		}
-		sh.mu.Unlock()
-		for _, c := range conns {
-			s.disconnect(c)
-		}
+	s.closed = true
+	var err error
+	if s.listener != nil {
+		err = s.listener.Close()
+	}
+	conns := make([]*conn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	s.regMu.Unlock()
+	for _, c := range conns {
+		s.disconnect(c)
 	}
 	s.writerWG.Wait()
 	return err
@@ -714,38 +598,40 @@ func (s *Server) logf(format string, args ...interface{}) {
 	}
 }
 
-// ConnCount reports the number of currently registered router sessions
-// across all shards. It is an observability hook: the soak harness and the
-// slow-router tests use it to watch routers being disconnected by write
-// deadline or queue overflow.
+// ConnCount reports the number of currently registered router sessions. It
+// is an observability hook: the soak harness and the slow-router tests use
+// it to watch routers being disconnected by write deadline or queue
+// overflow.
 func (s *Server) ConnCount() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.conns)
-		sh.mu.Unlock()
-	}
-	return n
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	return len(s.conns)
 }
 
 // handle runs one router session: it owns the read side, parses queries,
-// and enqueues response descriptors for the writer pool. It never writes to
-// the socket itself.
+// and enqueues response descriptors for the conn's writer, which it starts.
+// It never writes to the socket itself.
 func (s *Server) handle(nc net.Conn) {
-	s.startPool.Do(s.startWriters)
-	sh := &s.shards[s.nextShard.Add(1)%connShards]
 	c := &conn{
 		c:       nc,
-		shard:   sh,
 		bw:      bufio.NewWriterSize(nc, 4096),
+		wake:    make(chan struct{}, 1),
 		version: Version1,
 		state:   connActive,
 	}
-	if !sh.add(c) {
+	// Registering and counting the writer in one critical section with the
+	// closed check means Close either sees this conn in the registry, with
+	// its writer already counted, or this conn sees closed.
+	s.regMu.Lock()
+	if s.closed {
+		s.regMu.Unlock()
 		nc.Close() // lost the race with Close
 		return
 	}
+	s.conns[c] = struct{}{}
+	s.writerWG.Add(1)
+	s.regMu.Unlock()
+	go s.drain(c)
 	defer s.release(c)
 
 	// A router's queries are 8 and 12 bytes: through a reader that holds one,

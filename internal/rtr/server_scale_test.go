@@ -26,94 +26,108 @@ func bigVRPSet(n int) *rpki.Set {
 }
 
 // TestSlowRouterIsolation is the regression test for the retired
-// blockinglock suppression: one router wedges its TCP read side with a
-// multi-megabyte response pending, and the cache must keep publishing at
-// full speed — UpdateSet latency bounded, every healthy router still
-// notified — then disconnect the wedged router by write deadline instead
-// of ever blocking a publisher on its socket.
+// blockinglock suppression and for the retired writer pool: routers wedge
+// their TCP read side with multi-megabyte responses pending, and the cache
+// must keep publishing at full speed — every healthy router notified and
+// synced within the round bound, far below the write deadline a publisher
+// or a shared writer blocked on a wedged socket would eat — then disconnect
+// the wedged routers by write deadline.
 func TestSlowRouterIsolation(t *testing.T) {
-	set := bigVRPSet(50_000)
-	srv := NewServer(set)
-	srv.WriteTimeout = 300 * time.Millisecond
-	addr, stop := startServer(t, srv)
-	defer stop()
+	cases := []struct {
+		name             string
+		stalled, healthy int
+		writeTimeout     time.Duration
+		// round bounds publish → every healthy router synced. Loose enough
+		// for a loaded CI machine under -race.
+		round time.Duration
+	}{
+		{"one stalled router", 1, 4, 300 * time.Millisecond, 2 * time.Second},
+		// Twice the routers the pool had writers: it served the healthy
+		// router only after two rounds of WriteTimeout (3.8 s).
+		{"more stalled routers than a pool has writers", 8, 1, 2 * time.Second, 500 * time.Millisecond},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(bigVRPSet(50_000))
+			srv.WriteTimeout = tc.writeTimeout
+			addr, stop := startServer(t, srv)
+			defer stop()
 
-	const healthy = 4
-	clients := make([]*Client, healthy)
-	for i := range clients {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		clients[i] = c
-	}
-
-	// The stalled router: shrink its receive buffer so the server's writes
-	// hit a closed TCP window fast, queue several full-table responses, and
-	// never read a byte.
-	stalled, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stalled.Close()
-	if tc, ok := stalled.(*net.TCPConn); ok {
-		tc.SetReadBuffer(4096)
-	}
-	for i := 0; i < 8; i++ {
-		if err := WritePDU(stalled, Version1, &ResetQuery{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Give a pool writer time to pick the wedged conn up and block mid-write.
-	time.Sleep(100 * time.Millisecond)
-
-	// Publish through the wedge. Each UpdateSet must return promptly: the
-	// notify path is queue handoff only. The bound is loose enough for a
-	// loaded CI machine but far below the write deadline a blocking send
-	// would eat per stalled router.
-	cur := set.VRPs()
-	for i := 0; i < 3; i++ {
-		cur = append(cur, rpki.VRP{Prefix: mp("192.0.2.0/24"), MaxLength: uint8(25 + i), AS: 65000})
-		next := rpki.NewSet(cur)
-		start := time.Now()
-		srv.UpdateSet(next)
-		if d := time.Since(start); d > 2*time.Second {
-			t.Fatalf("UpdateSet #%d took %v with one stalled router — publisher is coupled to router sockets", i, d)
-		}
-		for j, c := range clients {
-			if _, err := c.WaitNotify(); err != nil {
-				t.Fatalf("healthy client %d missed notify #%d: %v", j, i, err)
+			clients := make([]*Client, tc.healthy)
+			for i := range clients {
+				c, err := Dial(addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				if err := c.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				clients[i] = c
 			}
-			if _, err := c.Sync(); err != nil {
-				t.Fatalf("healthy client %d sync #%d: %v", j, i, err)
-			}
-		}
-	}
 
-	// The wedged router is disconnected by the write deadline, not tolerated
-	// forever. The registry is the observable: the kernel may sit on the
-	// closed socket's undelivered bytes indefinitely while the peer's window
-	// is closed, so the client side is no witness.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.ConnCount() != healthy {
-		if time.Now().After(deadline) {
-			t.Fatalf("stalled router still registered: connCount = %d, want %d", srv.ConnCount(), healthy)
-		}
-		time.Sleep(10 * time.Millisecond)
+			// The stalled routers: shrink the receive buffer so the server's
+			// writes hit a closed TCP window fast, queue several full-table
+			// responses, and never read a byte.
+			for i := 0; i < tc.stalled; i++ {
+				stalled, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer stalled.Close()
+				if tcp, ok := stalled.(*net.TCPConn); ok {
+					tcp.SetReadBuffer(4096)
+				}
+				for q := 0; q < 8; q++ {
+					if err := WritePDU(stalled, Version1, &ResetQuery{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Give the writers time to fill the socket buffers and block
+			// mid-write.
+			time.Sleep(100 * time.Millisecond)
+
+			// Publish through the wedge.
+			for i := 0; i < 3; i++ {
+				v := rpki.VRP{Prefix: mp("192.0.2.0/24"), MaxLength: uint8(25 + i), AS: 65000}
+				start := time.Now()
+				srv.ApplyDelta([]rpki.VRP{v}, nil)
+				for j, c := range clients {
+					if _, err := c.WaitNotify(); err != nil {
+						t.Fatalf("healthy client %d missed notify #%d: %v", j, i, err)
+					}
+					if _, err := c.Sync(); err != nil {
+						t.Fatalf("healthy client %d sync #%d: %v", j, i, err)
+					}
+				}
+				if d := time.Since(start); d > tc.round {
+					t.Fatalf("publish #%d reached the healthy routers in %v, want under %v — they are coupled to the stalled routers' sockets", i, d, tc.round)
+				}
+			}
+
+			// The wedged routers are disconnected by the write deadline, not
+			// tolerated forever. The registry is the observable: the kernel
+			// may sit on the closed socket's undelivered bytes indefinitely
+			// while the peer's window is closed, so the client side is no
+			// witness.
+			deadline := time.Now().Add(tc.writeTimeout + 5*time.Second)
+			for srv.ConnCount() != tc.healthy {
+				if time.Now().After(deadline) {
+					t.Fatalf("stalled routers still registered: connCount = %d, want %d", srv.ConnCount(), tc.healthy)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 
 // TestQueueOverflowDisconnect pins the overflow policy: a router that keeps
 // sending queries without draining responses overflows its bounded outbound
-// queue and is disconnected — the queue never grows without bound and the
-// writer pool never owes it unbounded work.
+// queue and is disconnected — the queue never grows without bound and its
+// writer never owes it unbounded work.
 func TestQueueOverflowDisconnect(t *testing.T) {
 	srv := NewServer(bigVRPSet(50_000))
-	srv.QueueDepth = 4
 	addr, stop := startServer(t, srv)
 	defer stop()
 
@@ -125,10 +139,10 @@ func TestQueueOverflowDisconnect(t *testing.T) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetReadBuffer(4096)
 	}
-	// Far more queries than QueueDepth, none of their responses read. The
-	// first response wedges a writer against the closed window; the queue
+	// Far more queries than queueDepth, none of their responses read. The
+	// first responses wedge the writer against the closed window; the queue
 	// passes the bound; the server disconnects.
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 4*queueDepth; i++ {
 		if err := WritePDU(nc, Version1, &ResetQuery{}); err != nil {
 			break // already disconnected: also a pass
 		}

@@ -154,7 +154,6 @@ func TestSloppyResponsesKeepTableAndDeltaExact(t *testing.T) {
 			if err := <-scriptErr; err != nil {
 				t.Fatalf("scripted cache: %v", err)
 			}
-			c.FlushSubscribers()
 
 			if want := rpki.NewSet(tc.want); !c.Set().Equal(want) || c.Len() != want.Len() {
 				t.Fatalf("table = %v (Len %d), want %v", c.Set().VRPs(), c.Len(), want.VRPs())
@@ -240,7 +239,6 @@ func TestRandomCacheHistoryAcrossReconnects(t *testing.T) {
 			st = c.SessionState()
 			c.Close()
 			<-c.Done()
-			c.FlushSubscribers()
 			fullSyncs += c.FullSyncs()
 			reconnects++
 			connect()
@@ -248,7 +246,6 @@ func TestRandomCacheHistoryAcrossReconnects(t *testing.T) {
 		if _, err := c.Sync(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		c.FlushSubscribers()
 		if got := c.Set(); !got.Equal(mirrorSet(want)) {
 			t.Fatalf("step %d: client table %v != cache table %v", step, got.VRPs(), mirrorSet(want).VRPs())
 		}
