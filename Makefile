@@ -40,7 +40,7 @@ race:
 
 # BENCH_JSON is where bench archives its parsed results (committed to the
 # repo so the perf trajectory across PRs is tracked in-tree).
-BENCH_JSON ?= BENCH_PR13.json
+BENCH_JSON ?= BENCH_PR15.json
 
 # bench runs the in-package core, rov, and rtr benchmarks plus the
 # paper-evaluation benches; -count=1 defeats test caching so numbers are
@@ -95,8 +95,7 @@ bench-smoke:
 # and gated tightly by BENCH_THRESHOLD_MEM, so allocation regressions fail
 # CI even where wall-clock noise would hide them — except for the
 # benchmarks listed in BENCH_MEM_NOISY, whose allocation profile is
-# scheduler-dependent (parallel workers grow worker-local arenas by
-# demand-order doubling, and the live-index delta benches amortize the
+# scheduler-dependent (the live-index delta benches amortize the
 # background compactor's O(table) rebuild allocations into whatever
 # iteration count the run happened to draw, so B/op swings run to run on
 # identical code); those are gated at the wall-clock threshold instead.
@@ -110,7 +109,7 @@ BENCH_NEW ?= $(BENCH_JSON)
 BENCH_THRESHOLD ?= 50
 BENCH_THRESHOLD_MEM ?= 10
 BENCH_THRESHOLD_TIME_NOISY ?= 200
-BENCH_MEM_NOISY ?= repro.BenchmarkAblationParallelism/*,repro.BenchmarkLiveIndexDelta/*,repro/internal/rov.BenchmarkLiveApply
+BENCH_MEM_NOISY ?= repro.BenchmarkLiveIndexDelta/*,repro/internal/rov.BenchmarkLiveApply
 BENCH_TIME_NOISY ?= repro.BenchmarkLiveIndexDelta/*,repro/internal/rov.BenchmarkLiveApply,repro/cmd/rtrload.BenchmarkRTRLoad/*
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCH_THRESHOLD) \
@@ -123,7 +122,7 @@ bench-diff:
 # takes one target and one package at a time); fuzz-smoke is the short
 # configuration CI runs on every push.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = core/FuzzTrieVsReference rov/FuzzIndex rov/FuzzCompactIndex rov/FuzzDiff \
+FUZZ_TARGETS = core/FuzzTrieVsReference core/FuzzCompressVsTrie rov/FuzzIndex rov/FuzzCompactIndex rov/FuzzDiff \
 	rtr/FuzzReadPDU bgp/FuzzReadMessage bgp/FuzzReadMRT prefix/FuzzParse
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

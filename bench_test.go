@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation.
-// Each bench corresponds to a row of the experiment index in DESIGN.md §3:
+// Each bench corresponds to a row of this experiment index:
 //
 //	BenchmarkFigure2               F2  — the 4→2 trie compression example
 //	BenchmarkCompressToday         S7a/S7c — status-quo compression (39,949 tuples)
@@ -375,27 +375,5 @@ func BenchmarkSemanticEqualVerifier(b *testing.B) {
 		if ok, ce := core.SemanticEqual(d.VRPs, compressed); !ok {
 			b.Fatalf("verifier rejected a correct compression: %v", ce)
 		}
-	}
-}
-
-// BenchmarkAblationParallelism times the paper's §7.2 future-work item:
-// compressing the full-deployment PDU list with tries processed in
-// parallel.
-func BenchmarkAblationParallelism(b *testing.B) {
-	d := getHeadline(b)
-	full := core.FullDeploymentMinimal(d.Table)
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("p%d", par), func(b *testing.B) {
-			// One untimed warm-up fills the slab pools, so B/op reports the
-			// steady state: with b.N of 2-3 at this scale, the cold-start
-			// slab allocations otherwise swing the figure by whole size
-			// classes between runs.
-			core.Compress(full, core.Options{Parallelism: par})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				core.Compress(full, core.Options{Parallelism: par})
-			}
-		})
 	}
 }

@@ -24,9 +24,9 @@
 // one metric (0 disables that metric's gate): wall-clock numbers need a
 // generous threshold on noisy hardware, while allocation metrics are exact
 // and can be gated tightly. The exception is benchmarks whose allocation
-// profile is itself scheduler-dependent (parallel workers growing
-// worker-local arenas by demand-order doubling): list those with
-// -mem-noisy to gate their memory metrics at the wall-clock threshold.
+// profile is itself scheduler-dependent (the live-index delta benches
+// amortizing background compaction): list those with -mem-noisy to gate
+// their memory metrics at the wall-clock threshold.
 // Benchmarks whose timed loop couples to background work (the live index's
 // asynchronous compactor amortizing O(table) rebuilds into the window) swing
 // even further on identical code: list those with -time-noisy and set

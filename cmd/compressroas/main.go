@@ -1,14 +1,14 @@
 // Command compressroas is the repository's drop-in equivalent of the
 // paper's compress_roas utility (§7.1): it reads a list of (prefix,
 // maxLength, ASN) tuples — from a VRP CSV or by cryptographically scanning a
-// .roa repository directory — compresses it with the trie algorithm, and
+// .roa repository directory — compresses it with Algorithm 1, and
 // writes the compressed CSV. With -verify it proves the output authorizes
 // exactly the same routes as the input.
 //
 // Usage:
 //
 //	compressroas [-in vrps.csv | -repo dir] [-out out.csv] [-mode strict|literal]
-//	             [-subsume] [-verify] [-stats] [-parallel N]
+//	             [-subsume] [-verify] [-stats]
 package main
 
 import (
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -26,28 +25,27 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input VRP CSV file ('-' for stdin)")
-		repoDir  = flag.String("repo", "", "scan a signed .roa repository directory instead of reading CSV")
-		out      = flag.String("out", "-", "output CSV file ('-' for stdout)")
-		mode     = flag.String("mode", "strict", "compression mode: strict (semantics-preserving) or literal (paper's Algorithm 1 verbatim)")
-		subsume  = flag.Bool("subsume", false, "also delete tuples subsumed by an ancestor tuple")
-		verify   = flag.Bool("verify", true, "verify the output authorizes exactly the input's routes")
-		stats    = flag.Bool("stats", false, "print compression statistics to stderr")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "build/compress/extract that many tries concurrently (1 = sequential)")
+		in      = flag.String("in", "", "input VRP CSV file ('-' for stdin)")
+		repoDir = flag.String("repo", "", "scan a signed .roa repository directory instead of reading CSV")
+		out     = flag.String("out", "-", "output CSV file ('-' for stdout)")
+		mode    = flag.String("mode", "strict", "compression mode: strict (semantics-preserving) or literal (paper's Algorithm 1 verbatim)")
+		subsume = flag.Bool("subsume", false, "also delete tuples subsumed by an ancestor tuple")
+		verify  = flag.Bool("verify", true, "verify the output authorizes exactly the input's routes")
+		stats   = flag.Bool("stats", false, "print compression statistics to stderr")
 	)
 	flag.Parse()
-	if err := run(*in, *repoDir, *out, *mode, *subsume, *verify, *stats, *parallel); err != nil {
+	if err := run(*in, *repoDir, *out, *mode, *subsume, *verify, *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "compressroas:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, repoDir, out, mode string, subsume, verify, stats bool, parallel int) error {
+func run(in, repoDir, out, mode string, subsume, verify, stats bool) error {
 	set, err := load(in, repoDir)
 	if err != nil {
 		return err
 	}
-	opts := core.Options{Subsumption: subsume, Parallelism: parallel}
+	opts := core.Options{Subsumption: subsume}
 	switch mode {
 	case "strict":
 		opts.Mode = core.Strict

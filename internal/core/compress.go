@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"slices"
 
 	"repro/internal/rpki"
 )
@@ -21,8 +21,9 @@ const (
 	// children" are the *nearest* present descendants under each branch,
 	// however deep. When a direct child sits more than one bit down, raising
 	// the parent's maxLength authorizes intermediate-length prefixes that
-	// were not in the input. Literal exists for ablation comparison; see the
-	// fidelity note in DESIGN.md.
+	// were not in the input: {p/19, p0/21, p1/20} becomes p/19-20, which
+	// authorizes the p0/20 nobody announced (TestLiteralDivergesOnGappedInput).
+	// Literal exists for ablation comparison.
 	Literal
 )
 
@@ -37,15 +38,6 @@ type Options struct {
 	// semantics-preserving and yields extra compression on inputs with
 	// redundant tuples. Off by default to match the paper.
 	Subsumption bool
-
-	// Parallelism compresses that many tries concurrently — the paper's
-	// §7.2 suggestion ("Performance could be improved by parallelizing
-	// across tries"; tries are per-(AS, family) and fully independent).
-	// A fixed pool of exactly min(Parallelism, len(tries)) worker
-	// goroutines consumes tries from a channel, so Parallelism bounds both
-	// concurrent work and goroutine count. Values < 2 run sequentially.
-	// Output is identical either way.
-	Parallelism int
 }
 
 // Result reports what a compression run did.
@@ -66,21 +58,6 @@ func (r Result) SavedFraction() float64 {
 	return 1 - float64(r.Out)/float64(r.In)
 }
 
-// testHookCompress, when non-nil, observes every compressTrie call made by
-// Compress: it is invoked with true on entry and false on exit. The
-// worker-pool regression test uses it to assert the Parallelism concurrency
-// bound; it must never be set outside tests.
-var testHookCompress func(entering bool)
-
-// compressOne wraps compressTrie with the test hook.
-func compressOne(t *Trie, opts Options) Result {
-	if hook := testHookCompress; hook != nil {
-		hook(true)
-		defer hook(false)
-	}
-	return compressTrie(t, opts)
-}
-
 // Compress is the package's main entry point — the compress_roas utility of
 // §7. It rewrites the VRP set into an equivalent set that uses maxLength,
 // returning the new set and run statistics. The input set is not modified.
@@ -89,223 +66,104 @@ func compressOne(t *Trie, opts Options) Result {
 // same routes as the input: in particular, compressing a minimal ROA set
 // yields a minimal ROA set ("This 'compressed' ROA is still minimal", §7).
 //
-// The whole pipeline is parallel end to end: each worker of the fixed pool
-// builds a group's trie, compresses it, extracts its tuples into a per-trie
-// run, and releases the trie, so no serial build or extraction phase remains.
-// Each run is emitted in canonical order (trie Walk is a pre-order of the key
-// space and compression never changes keys), and ByOrigin yields groups in
-// canonical Set order, so the runs concatenate into the final Set without the
-// O(n log n) re-sort of rpki.NewSet (see rpki.SetFromSortedRuns). Output is
-// bit-identical at every Parallelism setting.
+// No trie is built: a Set's canonical order is the pre-order of each (AS,
+// family) group's trie, so Algorithm 1 runs on the group's slice directly
+// (see compressGroup), and the groups' outputs, appended in group order, are
+// the output Set's canonical order.
 func Compress(s *rpki.Set, opts Options) (*rpki.Set, Result) {
 	groups := s.ByOrigin()
 	res := Result{In: s.Len(), TrieCount: len(groups)}
-	results := make([]Result, len(groups))
-	runs := make([][]rpki.VRP, len(groups))
-	// process handles one group end to end, appending its tuple run to the
-	// worker-local arena buf (runs alias the arena; a growth reallocation
-	// leaves earlier runs pointing at the old backing array, which stays
-	// valid). The three-index slice keeps runs from overlapping later
-	// appends.
-	process := func(i int, buf []rpki.VRP) []rpki.VRP {
-		t := buildGroupTrie(groups[i])
-		results[i] = compressOne(t, opts)
-		start := len(buf)
-		buf = t.Tuples(buf)
-		runs[i] = buf[start:len(buf):len(buf)]
-		t.Release()
-		return buf
+	out := make([]rpki.VRP, 0, s.Len())
+	var stack []int32
+	for _, g := range groups {
+		out, stack = compressGroup(out, stack, g.VRPs, opts, &res)
 	}
-	if workers := min(opts.Parallelism, len(groups)); workers > 1 {
-		// Fixed worker pool: exactly `workers` goroutines drain the job
-		// channel, so a full-deployment snapshot never has more than
-		// Parallelism pipeline goroutines in flight.
-		arenaCap := s.Len()/workers + 1 // output never exceeds input
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				buf := make([]rpki.VRP, 0, arenaCap)
-				for i := range jobs {
-					buf = process(i, buf)
-				}
-			}()
-		}
-		for i := range groups {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		buf := make([]rpki.VRP, 0, s.Len())
-		for i := range groups {
-			buf = process(i, buf)
-		}
-	}
-	for _, r := range results {
-		res.Merged += r.Merged
-		res.Subsumed += r.Subsumed
-		res.Raised += r.Raised
-	}
-	cs := rpki.SetFromSortedRuns(runs)
+	cs := rpki.NewSet(out)
 	res.Out = cs.Len()
 	return cs, res
 }
 
-// compressTrie runs Algorithm 1 over one trie in place.
+// absorbed marks, in place of a maxLength (none is above 128), a tuple its
+// parent now covers; compressGroup drops marked tuples before it returns.
+const absorbed = 0xFF
+
+// compressGroup runs Algorithm 1 over one (AS, family) group, given in
+// canonical order, and appends what remains of it to out, in canonical
+// order. stack is scratch, returned for reuse; res accumulates the counters.
 //
-// "we iterate through the trie using a depth-first search (DFS). As the
-// DFS backtracks through the trie we run the compression function." The DFS
-// is iterative: a frame is pushed in the descend stage (stage 0), its
-// children are queued, and the compression function runs when the frame
-// resurfaces with its subtree finished (stage 1).
-func compressTrie(t *Trie, opts Options) Result {
-	var res Result
-	if opts.Subsumption {
-		res.Subsumed = subsume(t)
-	}
-	var scratch []int32
-	if opts.Mode == Literal {
-		// One BFS queue reused across every nearestPresent call of this trie.
-		scratch = make([]int32, 0, 64)
-	}
-	type frame struct {
-		idx   int32
-		stage uint8
-	}
-	stack := make([]frame, 1, 2*maxDepth)
-	stack[0] = frame{idx: 0}
-	for len(stack) > 0 {
-		top := len(stack) - 1
-		f := stack[top]
-		if f.stage == 0 {
-			stack[top].stage = 1
-			n := &t.eng.Nodes[f.idx]
-			if c := n.Children[1]; c != NoChild {
-				stack = append(stack, frame{idx: c})
-			}
-			if c := n.Children[0]; c != NoChild {
-				stack = append(stack, frame{idx: c})
-			}
+// "we iterate through the trie using a depth-first search (DFS). As the DFS
+// backtracks through the trie we run the compression function." Canonical
+// order lists a trie node before its descendants and a left subtree before
+// the right one, so walking the slice backwards reaches a tuple after its
+// whole subtree: the backtrack. The stack holds the roots of the finished
+// subtrees still waiting for a parent, leftmost on top; those a tuple's
+// prefix contains are its nearest tuples below, and the shortest under each
+// branch are the paper's "direct children". A tuple absorbed by its parent is
+// never looked at again: nothing above the parent can reach past it.
+func compressGroup(out []rpki.VRP, stack []int32, g []rpki.VRP, opts Options, res *Result) ([]rpki.VRP, []int32) {
+	start := len(out)
+	// The group as its trie would hold it: of tuples for one prefix the
+	// largest maxLength (the last); with Subsumption, no tuple whose
+	// maxLength a kept ancestor's reaches. Kept ancestors' maxLengths grow
+	// down the chain, so the nearest, on top of the stack, has the largest.
+	stack = stack[:0]
+	for i, v := range g {
+		if i+1 < len(g) && g[i+1].Prefix == v.Prefix {
 			continue
 		}
-		stack = stack[:top]
-		n := &t.eng.Nodes[f.idx]
-		if !n.Val.present {
-			continue
+		if opts.Subsumption {
+			for len(stack) > 0 && !out[stack[len(stack)-1]].Prefix.Contains(v.Prefix) {
+				stack = stack[:len(stack)-1]
+			}
+			if len(stack) > 0 && v.MaxLength <= out[stack[len(stack)-1]].MaxLength {
+				res.Subsumed++
+				continue
+			}
+			stack = append(stack, int32(len(out)))
 		}
-		var l, r int32
-		switch opts.Mode {
-		case Strict:
-			l = presentAtDepthPlusOne(t, n.Children[0])
-			r = presentAtDepthPlusOne(t, n.Children[1])
-		case Literal:
-			l = nearestPresent(t, n.Children[0], &scratch)
-			r = nearestPresent(t, n.Children[1], &scratch)
+		out = append(out, v)
+	}
+
+	w := out[start:]
+	stack = stack[:0]
+	merged := res.Merged
+	for i := len(w) - 1; i >= 0; i-- {
+		n := &w[i]
+		depth := n.Prefix.Len()
+		var child [2]*rpki.VRP // the shortest tuple under each branch, leftmost on ties
+		top := len(stack)
+		for top > 0 && n.Prefix.Contains(w[stack[top-1]].Prefix) {
+			top--
+			c := &w[stack[top]]
+			if b := c.Prefix.Bit(depth); child[b] == nil || c.Prefix.Len() < child[b].Prefix.Len() {
+				child[b] = c
+			}
 		}
-		if l < 0 || r < 0 {
+		stack = append(stack[:top], int32(i))
+		l, r := child[0], child[1]
+		if l == nil || r == nil {
 			continue // "if node has both direct children" fails
 		}
-		ln, rn := &t.eng.Nodes[l], &t.eng.Nodes[r]
-		minChildVal := ln.Val.value
-		if rn.Val.value < minChildVal {
-			minChildVal = rn.Val.value
+		if opts.Mode == Strict && (l.Prefix.Len() != depth+1 || r.Prefix.Len() != depth+1) {
+			continue
 		}
-		if minChildVal > n.Val.value {
+		if m := min(l.MaxLength, r.MaxLength); m > n.MaxLength {
 			// "Adjust parent's maxLength to cover children."
-			n.Val.value = minChildVal
+			n.MaxLength = m
 			res.Raised++
 		}
-		if ln.Val.value <= n.Val.value {
-			ln.Val.present = false // "left child now covered by father"
-			t.size--
+		if l.MaxLength <= n.MaxLength {
+			l.MaxLength = absorbed // "left child now covered by father"
 			res.Merged++
 		}
-		if rn.Val.value <= n.Val.value {
-			rn.Val.present = false
-			t.size--
+		if r.MaxLength <= n.MaxLength {
+			r.MaxLength = absorbed
 			res.Merged++
 		}
 	}
-	return res
-}
-
-// presentAtDepthPlusOne returns c if it is a present node (c is already the
-// depth+1 child index), else -1.
-func presentAtDepthPlusOne(t *Trie, c int32) int32 {
-	if c != NoChild && t.eng.Nodes[c].Val.present {
-		return c
+	if res.Merged > merged {
+		kept := slices.DeleteFunc(w, func(v rpki.VRP) bool { return v.MaxLength == absorbed })
+		out = out[:start+len(kept)]
 	}
-	return -1
-}
-
-// nearestPresent returns the shortest-keyed present node in the subtree
-// rooted at c — the paper's "direct child" — or -1 when the subtree holds
-// none. When both branches of a structural node hold present descendants at
-// equal minimal depth there is no unique shortest key; we take the left (0)
-// branch's, matching a pre-order scan of the key space.
-//
-// scratch is a caller-owned BFS queue reused across calls (compressTrie holds
-// one per trie); the possibly-grown slice is stored back through the pointer
-// so capacity accumulates instead of being reallocated per present node.
-func nearestPresent(t *Trie, c int32, scratch *[]int32) int32 {
-	if c == NoChild {
-		return -1
-	}
-	// BFS by depth to find the minimal-depth present node; head indexes into
-	// the queue rather than re-slicing so the backing array keeps its start.
-	queue := append((*scratch)[:0], c)
-	found := int32(-1)
-	for head := 0; head < len(queue); head++ {
-		i := queue[head]
-		n := &t.eng.Nodes[i]
-		if n.Val.present {
-			found = i
-			break
-		}
-		if n.Children[0] != NoChild {
-			queue = append(queue, n.Children[0])
-		}
-		if n.Children[1] != NoChild {
-			queue = append(queue, n.Children[1])
-		}
-	}
-	*scratch = queue
-	return found
-}
-
-// subsume deletes every present node whose maxLength does not exceed the
-// largest maxLength among its present ancestors. Sound for any input: the
-// ancestor authorizes a superset of the deleted tuple's routes.
-func subsume(t *Trie) int {
-	removed := 0
-	type frame struct {
-		idx int32
-		g   int16
-	}
-	stack := make([]frame, 1, maxDepth+1)
-	stack[0] = frame{idx: 0, g: -1}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := &t.eng.Nodes[f.idx]
-		g := f.g
-		if n.Val.present {
-			if int16(n.Val.value) <= g {
-				n.Val.present = false
-				t.size--
-				removed++
-			} else {
-				g = int16(n.Val.value)
-			}
-		}
-		for bit := 0; bit < 2; bit++ {
-			if c := n.Children[bit]; c != NoChild {
-				stack = append(stack, frame{idx: c, g: g})
-			}
-		}
-	}
-	return removed
+	return out, stack
 }

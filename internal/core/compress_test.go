@@ -2,13 +2,12 @@ package core
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/prefix"
 	"repro/internal/rpki"
+	"repro/internal/synth"
 )
 
 // TestFigure2Golden reproduces Figure 2 of the paper exactly: the minimal
@@ -316,87 +315,279 @@ func TestCompressQuick(t *testing.T) {
 	}
 }
 
-// manyTrieSet builds one mergeable (parent + both children) family per AS so
-// the set fans out into count independent tries.
-func manyTrieSet(rng *rand.Rand, count int) *rpki.Set {
-	var vrps []rpki.VRP
-	for as := 1; as <= count; as++ {
-		l := uint8(8 + rng.Intn(10))
-		p, err := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
+// What follows is Algorithm 1 as the paper states it — a bit-trie per group,
+// compressed in place as a DFS backtracks through it — kept as the reference
+// Compress's slice-walking implementation is tested against.
+
+// compressViaTries is Compress as it ran on tries: build each group's,
+// compress it in place, read its tuples back.
+func compressViaTries(s *rpki.Set, opts Options) (*rpki.Set, Result) {
+	tries := BuildTries(s)
+	res := Result{In: s.Len(), TrieCount: len(tries)}
+	var out []rpki.VRP
+	for _, t := range tries {
+		r := compressTrie(t, opts)
+		res.Merged += r.Merged
+		res.Subsumed += r.Subsumed
+		res.Raised += r.Raised
+		out = t.Tuples(out)
+	}
+	ReleaseTries(tries)
+	cs := rpki.NewSet(out)
+	res.Out = cs.Len()
+	return cs, res
+}
+
+// compressTrie runs Algorithm 1 over one trie in place.
+//
+// "we iterate through the trie using a depth-first search (DFS). As the
+// DFS backtracks through the trie we run the compression function." The DFS
+// is iterative: a frame is pushed in the descend stage (stage 0), its
+// children are queued, and the compression function runs when the frame
+// resurfaces with its subtree finished (stage 1).
+func compressTrie(t *Trie, opts Options) Result {
+	var res Result
+	if opts.Subsumption {
+		res.Subsumed = subsume(t)
+	}
+	var scratch []int32
+	if opts.Mode == Literal {
+		// One BFS queue reused across every nearestPresent call of this trie.
+		scratch = make([]int32, 0, 64)
+	}
+	type frame struct {
+		idx   int32
+		stage uint8
+	}
+	stack := make([]frame, 1, 2*maxDepth)
+	stack[0] = frame{idx: 0}
+	for len(stack) > 0 {
+		top := len(stack) - 1
+		f := stack[top]
+		if f.stage == 0 {
+			stack[top].stage = 1
+			n := &t.eng.Nodes[f.idx]
+			if c := n.Children[1]; c != NoChild {
+				stack = append(stack, frame{idx: c})
+			}
+			if c := n.Children[0]; c != NoChild {
+				stack = append(stack, frame{idx: c})
+			}
+			continue
+		}
+		stack = stack[:top]
+		n := &t.eng.Nodes[f.idx]
+		if !n.Val.present {
+			continue
+		}
+		var l, r int32
+		switch opts.Mode {
+		case Strict:
+			l = presentAtDepthPlusOne(t, n.Children[0])
+			r = presentAtDepthPlusOne(t, n.Children[1])
+		case Literal:
+			l = nearestPresent(t, n.Children[0], &scratch)
+			r = nearestPresent(t, n.Children[1], &scratch)
+		}
+		if l < 0 || r < 0 {
+			continue // "if node has both direct children" fails
+		}
+		ln, rn := &t.eng.Nodes[l], &t.eng.Nodes[r]
+		minChildVal := ln.Val.value
+		if rn.Val.value < minChildVal {
+			minChildVal = rn.Val.value
+		}
+		if minChildVal > n.Val.value {
+			// "Adjust parent's maxLength to cover children."
+			n.Val.value = minChildVal
+			res.Raised++
+		}
+		if ln.Val.value <= n.Val.value {
+			ln.Val.present = false // "left child now covered by father"
+			t.size--
+			res.Merged++
+		}
+		if rn.Val.value <= n.Val.value {
+			rn.Val.present = false
+			t.size--
+			res.Merged++
+		}
+	}
+	return res
+}
+
+// presentAtDepthPlusOne returns c if it is a present node (c is already the
+// depth+1 child index), else -1.
+func presentAtDepthPlusOne(t *Trie, c int32) int32 {
+	if c != NoChild && t.eng.Nodes[c].Val.present {
+		return c
+	}
+	return -1
+}
+
+// nearestPresent returns the shortest-keyed present node in the subtree
+// rooted at c — the paper's "direct child" — or -1 when the subtree holds
+// none. When both branches of a structural node hold present descendants at
+// equal minimal depth there is no unique shortest key; we take the left (0)
+// branch's, matching a pre-order scan of the key space.
+//
+// scratch is a caller-owned BFS queue reused across calls (compressTrie holds
+// one per trie); the possibly-grown slice is stored back through the pointer
+// so capacity accumulates instead of being reallocated per present node.
+func nearestPresent(t *Trie, c int32, scratch *[]int32) int32 {
+	if c == NoChild {
+		return -1
+	}
+	// BFS by depth to find the minimal-depth present node; head indexes into
+	// the queue rather than re-slicing so the backing array keeps its start.
+	queue := append((*scratch)[:0], c)
+	found := int32(-1)
+	for head := 0; head < len(queue); head++ {
+		i := queue[head]
+		n := &t.eng.Nodes[i]
+		if n.Val.present {
+			found = i
+			break
+		}
+		if n.Children[0] != NoChild {
+			queue = append(queue, n.Children[0])
+		}
+		if n.Children[1] != NoChild {
+			queue = append(queue, n.Children[1])
+		}
+	}
+	*scratch = queue
+	return found
+}
+
+// subsume deletes every present node whose maxLength does not exceed the
+// largest maxLength among its present ancestors. Sound for any input: the
+// ancestor authorizes a superset of the deleted tuple's routes.
+func subsume(t *Trie) int {
+	removed := 0
+	type frame struct {
+		idx int32
+		g   int16
+	}
+	stack := make([]frame, 1, maxDepth+1)
+	stack[0] = frame{idx: 0, g: -1}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := &t.eng.Nodes[f.idx]
+		g := f.g
+		if n.Val.present {
+			if int16(n.Val.value) <= g {
+				n.Val.present = false
+				t.size--
+				removed++
+			} else {
+				g = int16(n.Val.value)
+			}
+		}
+		for bit := 0; bit < 2; bit++ {
+			if c := n.Children[bit]; c != NoChild {
+				stack = append(stack, frame{idx: c, g: g})
+			}
+		}
+	}
+	return removed
+}
+
+// groupFromBytes decodes one (AS, family) group from fuzz input. Byte 0
+// picks the family (low bit) and the AS; every three bytes after it are one
+// tuple: a prefix length, the address's leading byte (the rest is zero), and
+// a byte whose low bit sets the prefix's last bit — so parents and sibling
+// pairs are frequent at every depth, /0 and /128 included — whose next bit
+// forces maxLength to the family maximum, and whose remaining bits are
+// maxLength's distance from the length. Equal prefixes with different
+// maxLengths come out often.
+func groupFromBytes(data []byte) []rpki.VRP {
+	if len(data) == 0 {
+		return nil
+	}
+	fam, as := prefix.IPv4, rpki.ASN(data[0]>>1)
+	if data[0]&1 != 0 {
+		fam = prefix.IPv6
+	}
+	var out []rpki.VRP
+	for d := data[1:]; len(d) >= 3; d = d[3:] {
+		l := d[0] % (fam.MaxLen() + 1)
+		p, err := prefix.Make(fam, uint64(d[1])<<56, 0, l)
 		if err != nil {
 			panic(err)
 		}
-		vrps = append(vrps,
-			rpki.VRP{Prefix: p, MaxLength: l, AS: rpki.ASN(as)},
-			rpki.VRP{Prefix: p.Child(0), MaxLength: l + 1, AS: rpki.ASN(as)},
-			rpki.VRP{Prefix: p.Child(1), MaxLength: l + 1, AS: rpki.ASN(as)})
-	}
-	return rpki.NewSet(vrps)
-}
-
-// TestCompressParallelismTwoManyTries is the worker-pool regression test:
-// Parallelism: 2 over hundreds of tries must produce output and statistics
-// identical to sequential mode — the guarantee in the Options doc comment.
-func TestCompressParallelismTwoManyTries(t *testing.T) {
-	in := manyTrieSet(rand.New(rand.NewSource(97)), 400)
-	seq, seqRes := Compress(in, Options{})
-	par, parRes := Compress(in, Options{Parallelism: 2})
-	if !seq.Equal(par) {
-		t.Fatalf("Parallelism 2 output differs from sequential\nseq: %v\npar: %v",
-			seq.VRPs(), par.VRPs())
-	}
-	if seqRes != parRes {
-		t.Fatalf("stats differ: %+v vs %+v", seqRes, parRes)
-	}
-	if err := VerifyCompression(in, par); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCompressParallelismBoundsWorkers asserts that Compress with
-// Parallelism: N never has more than N compression goroutines in flight —
-// the fixed worker pool, unlike the former goroutine-per-trie fan-out, caps
-// goroutine count and not just concurrent work.
-func TestCompressParallelismBoundsWorkers(t *testing.T) {
-	const limit = 3
-	var inflight, peak atomic.Int32
-	testHookCompress = func(entering bool) {
-		if !entering {
-			inflight.Add(-1)
-			return
+		if l > 0 && d[2]&1 != 0 && p.LastBit() == 0 {
+			p = p.Sibling()
 		}
-		n := inflight.Add(1)
-		for {
-			m := peak.Load()
-			if n <= m || peak.CompareAndSwap(m, n) {
-				break
+		ml := min(int(l)+int(d[2]>>2)%6, int(fam.MaxLen()))
+		if d[2]&2 != 0 {
+			ml = int(fam.MaxLen())
+		}
+		out = append(out, rpki.VRP{Prefix: p, MaxLength: uint8(ml), AS: as})
+	}
+	return out
+}
+
+// checkAgainstTrieReference fails t unless Compress and the trie reference
+// agree on set — tuples and every Result counter — under all four options.
+func checkAgainstTrieReference(t *testing.T, set *rpki.Set) {
+	t.Helper()
+	for _, opts := range []Options{
+		{Mode: Strict}, {Mode: Strict, Subsumption: true},
+		{Mode: Literal}, {Mode: Literal, Subsumption: true},
+	} {
+		got, gotRes := Compress(set, opts)
+		want, wantRes := compressViaTries(set, opts)
+		if gotRes != wantRes {
+			t.Fatalf("opts %+v on %d tuples: Compress reports %+v, reference %+v", opts, set.Len(), gotRes, wantRes)
+		}
+		if added, removed := want.Diff(got); len(added)+len(removed) > 0 {
+			t.Fatalf("opts %+v on %d tuples: Compress has %v that the reference lacks, and lacks its %v", opts, set.Len(), added, removed)
+		}
+	}
+}
+
+// TestCompressMatchesTrieReference is the differential test that lets
+// Compress run without tries: on random groups dense in parents, siblings
+// and repeated prefixes, one to three groups to a set, it must produce what
+// the paper-literal trie implementation produces.
+func TestCompressMatchesTrieReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2017))
+	for trial := 0; trial < 5000; trial++ {
+		var vrps []rpki.VRP
+		for g := 1 + rng.Intn(3); g > 0; g-- {
+			data := []byte{byte(rng.Intn(8))}
+			// Lengths from a window of four and two leading bytes keep the
+			// group's tuples on a few shared paths.
+			base, lead := rng.Intn(126), byte(rng.Intn(256))
+			for n := rng.Intn(40); n > 0; n-- {
+				data = append(data, byte(base+rng.Intn(4)), lead^byte(rng.Intn(2)<<uint(rng.Intn(8))), byte(rng.Intn(256)))
 			}
+			vrps = append(vrps, groupFromBytes(data)...)
 		}
-		// Hold the slot briefly so overlapping workers actually overlap.
-		time.Sleep(50 * time.Microsecond)
-	}
-	defer func() { testHookCompress = nil }()
-	in := manyTrieSet(rand.New(rand.NewSource(101)), 300)
-	Compress(in, Options{Parallelism: limit})
-	if got := peak.Load(); got > limit {
-		t.Fatalf("%d compression goroutines in flight, limit %d", got, limit)
-	} else if got < 2 {
-		t.Logf("peak concurrency %d; pool never overlapped (slow machine?)", got)
+		checkAgainstTrieReference(t, rpki.NewSet(vrps))
 	}
 }
 
-func TestCompressParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 30; trial++ {
-		in := randomSet(rng, 60)
-		seq, seqRes := Compress(in, Options{})
-		par, parRes := Compress(in, Options{Parallelism: 8})
-		if !seq.Equal(par) {
-			t.Fatalf("trial %d: parallel output differs\nseq: %v\npar: %v",
-				trial, seq.VRPs(), par.VRPs())
-		}
-		if seqRes.Merged != parRes.Merged || seqRes.Raised != parRes.Raised {
-			t.Fatalf("trial %d: stats differ: %+v vs %+v", trial, seqRes, parRes)
-		}
+// FuzzCompressVsTrie is the same comparison on fuzzer-chosen groups.
+func FuzzCompressVsTrie(f *testing.F) {
+	f.Add([]byte{0, 19, 87, 0, 20, 87, 0, 20, 87, 1, 21, 87, 0}) // Figure 2's shape
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 128, 9, 0, 128, 9, 1, 127, 9, 2})
+	f.Add([]byte{2, 8, 10, 0, 8, 10, 8, 8, 10, 2, 9, 10, 0, 9, 10, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstTrieReference(t, rpki.NewSet(groupFromBytes(data)))
+	})
+}
+
+// TestCompressMatchesTrieReferenceAtScale makes the same comparison on the
+// calibrated 6/1/2017 snapshot and its full-deployment minimal set, the
+// inputs behind Table 1.
+func TestCompressMatchesTrieReferenceAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping paper-scale differential")
 	}
+	d := synth.Generate(synth.Params6_1())
+	checkAgainstTrieReference(t, d.VRPs)
+	checkAgainstTrieReference(t, FullDeploymentMinimal(d.Table))
 }

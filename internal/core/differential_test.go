@@ -50,7 +50,7 @@ func TestStrictMatchesLiteralOnGapFreeInputs(t *testing.T) {
 	}
 }
 
-// TestLiteralDivergesOnGappedInput pins the counterexample from DESIGN.md:
+// TestLiteralDivergesOnGappedInput pins the counterexample in Literal's doc:
 // {p/19, p0../21, p1../20} — Literal merges across the 2-bit gap and
 // authorizes a route the input never did; Strict must not.
 func TestLiteralDivergesOnGappedInput(t *testing.T) {

@@ -156,7 +156,7 @@ func TestEngineDifferential(t *testing.T) {
 			withAS[i] = x
 		}
 		in := rpki.NewSet(withAS)
-		for _, opts := range []Options{{}, {Subsumption: true}, {Parallelism: 2}} {
+		for _, opts := range []Options{{}, {Subsumption: true}} {
 			out, res := Compress(in, opts)
 			if ok, ce := SemanticEqual(in, out); !ok {
 				t.Fatalf("trial %d opts %+v: compression changed semantics: %s", trial, opts, ce)

@@ -1,9 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/prefix"
 	"repro/internal/rpki"
@@ -17,9 +16,9 @@ import (
 // maxLength over present ancestors (g). A prefix q is authorized iff
 // len(q) <= g(q), and g only changes at tuple nodes, so equality can be
 // decided by comparing g at tuple nodes and at the roots of tuple-free
-// subtrees (see DESIGN.md). The procedure is O(total tuple bits) and returns
-// a concrete counterexample route on inequality, which the tests and the
-// compressroas -verify flag surface directly.
+// subtrees, where it bounds every depth below. The procedure is O(total
+// tuple bits) and returns a concrete counterexample route on inequality,
+// which the tests and the compressroas -verify flag surface directly.
 
 // mval is the merged trie's per-node payload: one maxLength bound per side,
 // -1 when the side holds no tuple at the node.
@@ -34,49 +33,18 @@ type mtrie struct {
 	fam prefix.Family
 }
 
-// mtrieSlabs recycles merged-trie slabs, the same bounded free-reuse
-// treatment trieSlabs gives Trie slabs: SemanticEqual over a full snapshot
-// builds one mtrie per (AS, family), and without reuse each of those is a
-// fresh slab allocation on every verification run.
+// mtrieSlabs keeps the merged trie's slab from one SemanticEqual call to the
+// next, so a cache verifying every refresh allocates none (bounded like
+// trieSlabs).
 var mtrieSlabs = NewSlabPool[mval](poolMaxSlabs, poolMaxNodeCap)
-
-// mtrieFree recycles the mtrie structs themselves, bounded like the slab
-// pool: the structs are the only remaining per-group garbage once the slabs
-// are pooled, so a repeated verification run stays allocation-steady.
-var mtrieFree = struct {
-	mu   sync.Mutex
-	free []*mtrie
-}{}
 
 // mAbsent is the payload of a node neither side holds a tuple at.
 var mAbsent = mval{valA: -1, valB: -1}
 
-func newMtrie(fam prefix.Family) *mtrie {
-	mtrieFree.mu.Lock()
-	var m *mtrie
-	if n := len(mtrieFree.free); n > 0 {
-		m = mtrieFree.free[n-1]
-		mtrieFree.free[n-1] = nil
-		mtrieFree.free = mtrieFree.free[:n-1]
-	}
-	mtrieFree.mu.Unlock()
-	if m == nil {
-		m = &mtrie{}
-	}
+// reset empties the trie for a group of family fam, keeping its slab.
+func (m *mtrie) reset(fam prefix.Family) {
 	m.fam = fam
-	m.eng.Init(0, mAbsent, mtrieSlabs)
-	return m
-}
-
-// release returns the mtrie's slab to the slab pool and the struct to the
-// free list; the mtrie must not be used afterwards.
-func (m *mtrie) release() {
-	m.eng.Release(mtrieSlabs)
-	mtrieFree.mu.Lock()
-	if len(mtrieFree.free) < poolMaxSlabs {
-		mtrieFree.free = append(mtrieFree.free, m)
-	}
-	mtrieFree.mu.Unlock()
+	m.eng.Nodes = append(m.eng.Nodes[:0], Node[mval]{Val: mAbsent})
 }
 
 func (m *mtrie) insert(p prefix.Prefix, maxLength uint8, sideB bool) {
@@ -109,49 +77,55 @@ func (c Counterexample) String() string {
 }
 
 // SemanticEqual reports whether a and b authorize exactly the same routes.
-// On inequality it returns a counterexample.
+// On inequality it returns a counterexample: the first, in canonical order,
+// of the first (AS, family) group in which the sets disagree.
+//
+// The sets' groups are walked in lockstep: for each group either side holds,
+// the merged trie is built and walked, into one slab reused from group to
+// group, so one group's trie is alive at a time.
 func SemanticEqual(a, b *rpki.Set) (bool, *Counterexample) {
-	type key struct {
-		as  rpki.ASN
-		fam prefix.Family
-	}
-	merged := make(map[key]*mtrie)
-	defer func() {
-		for _, m := range merged {
-			m.release()
+	ga, gb := a.ByOrigin(), b.ByOrigin()
+	var m mtrie
+	m.eng.Init(0, mAbsent, mtrieSlabs)
+	defer m.eng.Release(mtrieSlabs)
+	for len(ga) > 0 || len(gb) > 0 {
+		// The next group in canonical order: on one side only, or on both.
+		var sideA, sideB rpki.OriginGroup
+		c := groupOrder(ga, gb)
+		if c <= 0 {
+			sideA, ga = ga[0], ga[1:]
 		}
-	}()
-	rootFor := func(k key) *mtrie {
-		m, ok := merged[k]
-		if !ok {
-			m = newMtrie(k.fam)
-			merged[k] = m
+		if c >= 0 {
+			sideB, gb = gb[0], gb[1:]
 		}
-		return m
-	}
-	for _, v := range a.VRPs() {
-		rootFor(key{v.AS, v.Prefix.Family()}).insert(v.Prefix, v.MaxLength, false)
-	}
-	for _, v := range b.VRPs() {
-		rootFor(key{v.AS, v.Prefix.Family()}).insert(v.Prefix, v.MaxLength, true)
-	}
-	// Deterministic iteration order for reproducible counterexamples.
-	keys := make([]key, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].as != keys[j].as {
-			return keys[i].as < keys[j].as
+		g := sideA
+		if c > 0 {
+			g = sideB
 		}
-		return keys[i].fam < keys[j].fam
-	})
-	for _, k := range keys {
-		if ce := diffTrie(merged[k], k.as); ce != nil {
+		m.reset(g.Family)
+		for _, v := range sideA.VRPs {
+			m.insert(v.Prefix, v.MaxLength, false)
+		}
+		for _, v := range sideB.VRPs {
+			m.insert(v.Prefix, v.MaxLength, true)
+		}
+		if ce := diffTrie(&m, g.AS); ce != nil {
 			return false, ce
 		}
 	}
 	return true, nil
+}
+
+// groupOrder compares the groups heading two ByOrigin lists in canonical
+// Set order; an exhausted list sorts after everything.
+func groupOrder(ga, gb []rpki.OriginGroup) int {
+	switch {
+	case len(gb) == 0:
+		return -1
+	case len(ga) == 0:
+		return 1
+	}
+	return cmp.Or(cmp.Compare(ga[0].AS, gb[0].AS), cmp.Compare(ga[0].Family, gb[0].Family))
 }
 
 // diffFrame is one pending work item of the diff traversal. With absentBit

@@ -177,3 +177,52 @@ func TestSemanticEqualAgainstBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestSemanticEqualGroupWalk covers the lockstep walk over (AS, family)
+// groups: a group only one side holds — at the front, in the middle and at
+// the end of the walk, in either family, on either side — must produce a
+// counterexample in that group, and groups the sides share tuple for tuple,
+// or differ in without disagreeing, must not hide a later group that does.
+func TestSemanticEqualGroupWalk(t *testing.T) {
+	shared := []rpki.VRP{
+		v("10.0.0.0/8", 8, 100), v("2001:db8::/32", 48, 100),
+		v("20.0.0.0/8", 10, 200), v("2001:db9::/32", 32, 300),
+	}
+	for _, extra := range []rpki.VRP{
+		v("30.0.0.0/8", 8, 50), v("2001:dba::/32", 32, 50), // before every shared group
+		v("30.0.0.0/8", 8, 150), v("2001:dba::/32", 32, 200), // between two
+		v("30.0.0.0/8", 8, 300),                              // before its own AS's only group
+		v("30.0.0.0/8", 8, 400), v("2001:dba::/32", 32, 400), // after all
+	} {
+		with, without := rpki.NewSet(append([]rpki.VRP{extra}, shared...)), rpki.NewSet(shared)
+		for _, inA := range []bool{true, false} {
+			a, b := with, without
+			if !inA {
+				a, b = without, with
+			}
+			ok, ce := SemanticEqual(a, b)
+			if ok || ce == nil {
+				t.Fatalf("group of %v on one side only (A: %v) went unnoticed", extra, inA)
+			}
+			if ce.AuthorizedA != inA || ce.Route.AS != extra.AS || !extra.Prefix.Contains(ce.Route.Prefix) {
+				t.Fatalf("group of %v on one side only (A: %v): counterexample %v", extra, inA, ce)
+			}
+		}
+	}
+
+	// AS 100's groups are identical; AS 200's differ in tuples but not in
+	// routes; AS 300's disagree on one /33.
+	a := rpki.NewSet(shared)
+	b := rpki.NewSet([]rpki.VRP{
+		shared[0], shared[1],
+		v("20.0.0.0/8", 9, 200), v("20.0.0.0/9", 10, 200), v("20.128.0.0/9", 10, 200),
+		v("2001:db9::/32", 32, 300), v("2001:db9:8000::/33", 33, 300),
+	})
+	ok, ce := SemanticEqual(a, b)
+	if ok || ce == nil || ce.AuthorizedA || ce.Route != v("2001:db9:8000::/33", 33, 300) {
+		t.Fatalf("differing last group: equal %v, counterexample %v", ok, ce)
+	}
+	if ok, ce := SemanticEqual(a, rpki.NewSet(b.VRPs()[:5])); ok || ce == nil || ce.Route.AS != 300 || !ce.AuthorizedA {
+		t.Fatalf("last group missing from B: equal %v, counterexample %v", ok, ce)
+	}
+}

@@ -2,7 +2,9 @@
 // prefix trie of Figure 2 and the compress_roas algorithm (Algorithm 1) that
 // rewrites a set of VRP tuples into a smaller, semantically identical set
 // that uses the maxLength attribute — without ever authorizing a route the
-// input did not authorize. The package also implements the analyses the
+// input did not authorize. (Compress itself walks each group's sorted tuples,
+// which are the trie's pre-order, without building the trie; the analyses
+// below build it.) The package also implements the analyses the
 // paper builds on that algorithm: minimal-ROA conversion (§6, §7.2),
 // forged-origin subprefix hijack vulnerability detection (§4, §6), and an
 // exact semantic-equivalence verifier used to prove compression safe.
@@ -45,17 +47,17 @@ type Trie struct {
 	size int // number of present nodes
 }
 
-// trieSlabs recycles Trie slabs. Compress releases every trie it builds once
-// the tuples are extracted, so repeated runs over full RPKI snapshots reuse
-// a steady-state set of slabs instead of reallocating O(tries) of them per
-// run. The pool is bounded (see SlabPool): at most poolMaxSlabs slabs stay
-// resident, and a slab larger than poolMaxNodeCap nodes is dropped on
-// Release rather than pinned until the next GC.
+// trieSlabs recycles Trie slabs. A caller that releases its tries once it has
+// read them (IsMinimal over BuildTries) reuses a steady-state set of slabs
+// across full RPKI snapshots instead of reallocating O(tries) of them per
+// run. The pool is bounded (see SlabPool): at most poolMaxSlabs
+// slabs stay resident, and a slab larger than poolMaxNodeCap nodes is dropped
+// on Release rather than pinned until the next GC.
 var trieSlabs = NewSlabPool[tval](poolMaxSlabs, poolMaxNodeCap)
 
 const (
-	// poolMaxSlabs comfortably covers the Compress steady state: one slab in
-	// flight per pipeline worker plus headroom for release bursts.
+	// poolMaxSlabs covers a caller building and releasing tries a few at a
+	// time; a ReleaseTries burst past it is dropped to the GC.
 	poolMaxSlabs = 32
 	// poolMaxNodeCap drops outlier slabs (≈12 MiB of nodes) that a single
 	// giant origin group would otherwise pin in the pool forever.
@@ -80,9 +82,9 @@ func newTrieCap(as rpki.ASN, fam prefix.Family, hint int) *Trie {
 
 // Release returns the trie's node slab to an internal pool for reuse by
 // future tries. The trie must not be used afterwards. Calling Release is
-// optional — an unreleased trie is simply garbage collected — but bulk
-// pipelines (Compress over a full snapshot) release tries as they finish to
-// keep slab allocation O(working set) instead of O(total tries).
+// optional — an unreleased trie is simply garbage collected — but a pass over
+// a full snapshot's tries releases them as it finishes with them to keep slab
+// allocation O(working set) instead of O(total tries).
 func (t *Trie) Release() {
 	t.eng.Release(trieSlabs)
 	t.size = 0
@@ -118,8 +120,8 @@ func (t *Trie) Insert(p prefix.Prefix, maxLength uint8) {
 		panic(fmt.Sprintf("core: maxLength %d invalid for %s", maxLength, p))
 	}
 	// The descend loop is hand-inlined over the slab rather than routed
-	// through Engine.PathInsert: trie building is the hottest path of
-	// Compress and the per-bit method calls showed up in its profile.
+	// through Engine.PathInsert: the per-bit method calls showed up in the
+	// profile of building a full snapshot's tries.
 	nodes := t.eng.Nodes
 	idx := int32(0)
 	for depth := uint8(0); depth < p.Len(); depth++ {
@@ -166,9 +168,9 @@ func (t *Trie) Tuples(dst []rpki.VRP) []rpki.VRP {
 }
 
 // Walk visits every present tuple in canonical order. Like Insert it walks
-// the slab directly (pre-order of the key space, matching Engine.Walk):
-// tuple extraction is on the Compress hot path, and the engine's generic
-// visit-every-node callback costs a second closure indirection per node.
+// the slab directly (pre-order of the key space, matching Engine.Walk): the
+// engine's generic visit-every-node callback costs a second closure
+// indirection per node.
 func (t *Trie) Walk(fn func(p prefix.Prefix, maxLength uint8)) {
 	nodes := t.eng.Nodes
 	stack := make([]engineFrame, 1, maxDepth+1)
@@ -240,8 +242,9 @@ type countFrame struct {
 // cover it), saturating at the uint64 maximum. This measures the authorized
 // route space that vulnerability analysis (§4) compares against BGP.
 //
-// The traversal propagates g — the maximum maxLength over present ancestors
-// (see DESIGN.md): a prefix q is authorized iff len(q) <= g(q). Absent
+// The traversal propagates g — the maximum maxLength over present ancestors:
+// a prefix q is authorized iff len(q) <= g(q), and g changes only at tuple
+// nodes. Absent
 // subtrees under an authorizing ancestor are complete binary trees and are
 // counted in closed form.
 func (t *Trie) CountAuthorized() uint64 {

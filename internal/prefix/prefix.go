@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -534,8 +535,5 @@ func leadingZeros64(x uint64) int {
 	return n
 }
 
-// Sort sorts prefixes in canonical order (see Compare) using an in-place
-// pattern-defeating-free quicksort via the standard library contract.
-func Sort(ps []Prefix) {
-	sortSlice(ps, func(a, b Prefix) bool { return a.Compare(b) < 0 })
-}
+// Sort sorts prefixes in place in canonical order (see Compare).
+func Sort(ps []Prefix) { slices.SortFunc(ps, Prefix.Compare) }

@@ -2,12 +2,6 @@ package prefix
 
 import "sort"
 
-// sortSlice is a thin wrapper over sort.Slice kept separate so prefix.go
-// stays free of the sort import.
-func sortSlice(ps []Prefix, less func(a, b Prefix) bool) {
-	sort.Slice(ps, func(i, j int) bool { return less(ps[i], ps[j]) })
-}
-
 // SearchContaining returns the indexes in the canonically sorted slice ps of
 // all prefixes that contain q, shortest first. ps must be sorted with Sort.
 func SearchContaining(ps []Prefix, q Prefix) []int {

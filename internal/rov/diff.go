@@ -1,7 +1,7 @@
 package rov
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/prefix"
@@ -85,12 +85,7 @@ func appendEntryDiff(dst []rpki.VRP, p prefix.Prefix, have, other []entry) []rpk
 		}
 	}
 	if seg := dst[start:]; len(seg) > 1 {
-		sort.Slice(seg, func(i, j int) bool {
-			if seg[i].AS != seg[j].AS {
-				return seg[i].AS < seg[j].AS
-			}
-			return seg[i].MaxLength < seg[j].MaxLength
-		})
+		slices.SortFunc(seg, rpki.VRP.Compare) // one prefix: by (AS, MaxLength)
 	}
 	return dst
 }

@@ -12,8 +12,7 @@ package rpki
 import (
 	"errors"
 	"fmt"
-	"os"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/prefix"
@@ -161,116 +160,8 @@ type Set struct {
 }
 
 // NewSet builds a normalized Set from the given tuples. The input slice is
-// not retained.
-func NewSet(vrps []VRP) *Set {
-	s := &Set{vrps: append([]VRP(nil), vrps...)}
-	s.normalize()
-	return s
-}
-
-// debugSortedRuns enables an O(n) per-run order assertion inside
-// SetFromSortedRuns. It is switched on by the package tests (and can be
-// forced via the RPKI_DEBUG environment variable) to catch callers handing
-// over runs that are not actually in canonical order.
-var debugSortedRuns = os.Getenv("RPKI_DEBUG") != ""
-
-// SetFromSortedRuns builds a normalized Set from runs of VRPs that are each
-// already in canonical order (see VRP.Compare). It is the merge-based
-// counterpart of NewSet for producers — like the per-trie tuple extraction
-// of the compression pipeline — whose output is born sorted: instead of
-// re-sorting the concatenation (O(n log n)) it concatenates when the runs
-// are globally ordered end-to-end (the common case: per-(AS, family) runs
-// emitted in canonical group order), falling back to a k-way heap merge when
-// they are not. Exact duplicates are dropped either way. The input slices
-// are not retained.
-//
-// Runs that are internally unsorted violate the contract and yield an
-// unspecified (possibly unnormalized) Set; build with RPKI_DEBUG=1 or run
-// the tests to assert the contract.
-func SetFromSortedRuns(runs [][]VRP) *Set {
-	total := 0
-	ordered := true
-	var last VRP
-	haveLast := false
-	for _, r := range runs {
-		if debugSortedRuns {
-			for i := 1; i < len(r); i++ {
-				if r[i-1].Compare(r[i]) > 0 {
-					panic(fmt.Sprintf("rpki: SetFromSortedRuns run out of order: %s > %s", r[i-1], r[i]))
-				}
-			}
-		}
-		total += len(r)
-		if len(r) == 0 {
-			continue
-		}
-		if haveLast && last.Compare(r[0]) > 0 {
-			ordered = false
-		}
-		last, haveLast = r[len(r)-1], true
-	}
-	out := make([]VRP, 0, total)
-	if ordered {
-		for _, r := range runs {
-			for _, v := range r {
-				if n := len(out); n > 0 && out[n-1] == v {
-					continue
-				}
-				out = append(out, v)
-			}
-		}
-		return &Set{vrps: out}
-	}
-	return &Set{vrps: mergeRuns(runs, out)}
-}
-
-// mergeRuns k-way-merges individually sorted runs into out (dedup inline)
-// using a min-heap of run heads keyed by their next VRP.
-func mergeRuns(runs [][]VRP, out []VRP) []VRP {
-	heads := make([][]VRP, 0, len(runs))
-	for _, r := range runs {
-		if len(r) > 0 {
-			heads = append(heads, r)
-		}
-	}
-	// Build the heap: less = first VRP of each remaining run.
-	less := func(a, b []VRP) bool { return a[0].Compare(b[0]) < 0 }
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		siftDown(heads, i, less)
-	}
-	for len(heads) > 0 {
-		v := heads[0][0]
-		if n := len(out); n == 0 || out[n-1] != v {
-			out = append(out, v)
-		}
-		if rest := heads[0][1:]; len(rest) > 0 {
-			heads[0] = rest
-		} else {
-			heads[0] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-		}
-		siftDown(heads, 0, less)
-	}
-	return out
-}
-
-func siftDown(h [][]VRP, i int, less func(a, b []VRP) bool) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && less(h[l], h[m]) {
-			m = l
-		}
-		if r < len(h) && less(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
+// neither retained nor modified.
+func NewSet(vrps []VRP) *Set { return &Set{vrps: normalized(vrps)} }
 
 // SetFromROAs expands a slice of ROAs into a normalized Set.
 func SetFromROAs(roas []ROA) *Set {
@@ -278,20 +169,48 @@ func SetFromROAs(roas []ROA) *Set {
 	for _, r := range roas {
 		all = append(all, r.VRPs()...)
 	}
-	s := &Set{vrps: all}
-	s.normalize()
-	return s
+	return NewSet(all)
 }
 
-func (s *Set) normalize() {
-	sort.Slice(s.vrps, func(i, j int) bool { return s.vrps[i].Compare(s.vrps[j]) < 0 })
-	out := s.vrps[:0]
-	for i, v := range s.vrps {
-		if i == 0 || v != s.vrps[i-1] {
-			out = append(out, v)
+// normalized returns vrps sorted and deduplicated, in a new slice. Input
+// mostly arrives in canonical order already — a validator's list with the
+// new tuples at its tail, Compress's output, a Set's own tuples — so only
+// what follows the longest strictly ascending prefix is sorted, and merged
+// in; input in no order at all is the case where that is everything.
+func normalized(vrps []VRP) []VRP {
+	k := min(1, len(vrps))
+	for k < len(vrps) && vrps[k-1].Compare(vrps[k]) < 0 {
+		k++
+	}
+	return mergeTail(vrps[:k], vrps[k:])
+}
+
+// mergeTail returns, in a new slice, the union of head, which is strictly
+// ascending, and tail, which is in any order. Each tail tuple's place in
+// head is found by binary search and the tuples between two places are
+// copied in bulk: O(len(head)) moves plus a sort of the tail.
+//
+// One buffer serves as output and as the tail's sorting space: the tail is
+// sorted at its end, and the merge, writing from the front, has written at
+// most len(head)+j tuples when it reads the tail's j-th, so it never
+// overtakes what it has yet to read.
+func mergeTail(head, tail []VRP) []VRP {
+	out := make([]VRP, len(head)+len(tail))
+	sorted := out[len(head):]
+	copy(sorted, tail)
+	slices.SortFunc(sorted, VRP.Compare)
+	w := 0
+	for _, v := range slices.Compact(sorted) {
+		n, dup := slices.BinarySearchFunc(head, v, VRP.Compare)
+		w += copy(out[w:], head[:n])
+		head = head[n:]
+		if !dup {
+			out[w] = v
+			w++
 		}
 	}
-	s.vrps = out
+	w += copy(out[w:], head)
+	return out[:w]
 }
 
 // Len returns the number of distinct tuples — the "# PDUs" quantity of
@@ -303,10 +222,7 @@ func (s *Set) Len() int { return len(s.vrps) }
 func (s *Set) VRPs() []VRP { return s.vrps }
 
 // Add inserts tuples and re-normalizes.
-func (s *Set) Add(vrps ...VRP) {
-	s.vrps = append(s.vrps, vrps...)
-	s.normalize()
-}
+func (s *Set) Add(vrps ...VRP) { s.vrps = mergeTail(s.vrps, vrps) }
 
 // Equal reports whether the two sets contain exactly the same tuples
 // (syntactic equality; for semantic route-set equality see package core).
@@ -320,6 +236,26 @@ func (s *Set) Equal(t *Set) bool {
 		}
 	}
 	return true
+}
+
+// Diff returns what turns s into t: the tuples only t holds, and the tuples
+// only s holds, each in canonical order — one merge over the two sorted
+// tables, in which runs both share cost an equality test a tuple.
+func (s *Set) Diff(t *Set) (added, removed []VRP) {
+	a, b := s.vrps, t.vrps
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] == b[0]:
+			a, b = a[1:], b[1:]
+		case a[0].Compare(b[0]) < 0:
+			removed = append(removed, a[0])
+			a = a[1:]
+		default:
+			added = append(added, b[0])
+			b = b[1:]
+		}
+	}
+	return append(added, b...), append(removed, a...)
 }
 
 // Clone returns an independent copy of the set.
@@ -396,8 +332,7 @@ func (s *Set) MaxPermissive() *Set {
 		v.MaxLength = v.Prefix.MaxLen()
 		out = append(out, v)
 	}
-	t := &Set{vrps: out}
-	t.normalize()
+	t := &Set{vrps: normalized(out)}
 	// Drop tuples whose prefix is contained in another tuple of the same AS
 	// with the same (maximal) maxLength: they authorize nothing extra. This
 	// mirrors the paper's lower-bound count, which counts the prefixes that

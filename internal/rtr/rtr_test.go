@@ -1,6 +1,8 @@
 package rtr
 
 import (
+	"fmt"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -349,10 +351,10 @@ func TestKeepDeltasEvictionBoundary(t *testing.T) {
 }
 
 // diffSets computes the announce/withdraw delta between two full sets by a
-// linear dual walk in canonical order. It was the server's UpdateSet diff
-// until the rov.Diff snapshot path replaced it; it stays here as the
-// independent reference implementation the differential tests check the
-// structural diff against.
+// linear dual walk in canonical order, written apart from rpki.Set.Diff (the
+// walk UpdateSet takes its delta with): it stays here as the independent
+// reference implementation the differential tests check the structural diff
+// behind Serial Query answers against.
 func diffSets(old, next *rpki.Set) []Prefix {
 	var out []Prefix
 	a, b := old.VRPs(), next.VRPs()
@@ -655,5 +657,159 @@ func TestSerialDeltaMatchesChainedDeltas(t *testing.T) {
 	pdus := serialQueryResponse(t, addr, session, 1)
 	if _, ok := pdus[len(pdus)-1].(*CacheReset); !ok {
 		t.Fatalf("serial 1 (evicted): got %T, want CacheReset", pdus[len(pdus)-1])
+	}
+}
+
+// TestUpdateSetUnchangedPublishesNothing: refreshing the cache with the
+// table it already serves — a SIGHUP on an unchanged file — takes no serial
+// and wakes no router, whether the served set is retained or, after an
+// ApplyDelta, read back from the table.
+func TestUpdateSetUnchangedPublishesNothing(t *testing.T) {
+	set := testVRPs()
+	srv := NewServer(set)
+	addr, stop := startServer(t, srv)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	quiet := func(what string, before Serial) {
+		t.Helper()
+		if got := srv.Serial(); got != before {
+			t.Fatalf("%s moved the serial from %d to %d", what, before, got)
+		}
+		// The server writes a pending notify ahead of any queued response, so
+		// one sent by the call above would be here before this Sync returns.
+		if got, err := c.Sync(); err != nil || got != before {
+			t.Fatalf("%s: Sync = %d, %v, want %d", what, got, err, before)
+		}
+		select {
+		case s := <-c.Notify():
+			t.Fatalf("%s notified serial %d", what, s)
+		default:
+		}
+	}
+	before := srv.Serial()
+	srv.UpdateSet(rpki.NewSet(set.VRPs()))
+	quiet("UpdateSet with an equal set", before)
+
+	extra := rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}
+	after := srv.ApplyDelta([]rpki.VRP{extra}, nil)
+	if s, err := c.WaitNotify(); err != nil || s != after {
+		t.Fatalf("WaitNotify = %d, %v, want %d", s, err, after)
+	}
+	grown := set.Clone()
+	grown.Add(extra)
+	srv.UpdateSet(grown)
+	quiet("UpdateSet with the table ApplyDelta left", after)
+
+	srv.UpdateSet(set)
+	if s, err := c.WaitNotify(); err != nil || s != after+1 {
+		t.Fatalf("after a real change WaitNotify = %d, %v, want %d", s, err, after+1)
+	}
+	if _, err := c.Sync(); err != nil || !c.Set().Equal(set) {
+		t.Fatalf("after a real change: %v, table %v, want %v", err, c.Set().VRPs(), set.VRPs())
+	}
+}
+
+// TestUpdateSetApplyDeltaInterleaved runs random histories of UpdateSet —
+// small changes, wholesale replacements, repeats of the served table — and
+// ApplyDelta, which leaves the set UpdateSet retained stale, while a follower
+// keeps syncing incrementally. After every step a router connecting fresh
+// must be handed exactly the intended table, and at the end the follower,
+// which got there by Serial Queries alone, must hold it too.
+func TestUpdateSetApplyDeltaInterleaved(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	pool := make([]rpki.VRP, 400)
+	for i := range pool {
+		pool[i] = rpki.VRP{Prefix: mp(fmt.Sprintf("10.%d.%d.0/24", i%7, i%200)), MaxLength: uint8(24 + i%3), AS: rpki.ASN(64500 + i%11)}
+	}
+	pick := func(n int) []rpki.VRP {
+		out := make([]rpki.VRP, n)
+		for i := range out {
+			out[i] = pool[rng.Intn(len(pool))]
+		}
+		return out
+	}
+	want := rpki.NewSet(pick(200))
+	srv := NewServer(want)
+	addr, stop := startServer(t, srv)
+	defer stop()
+
+	follower, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	following := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := follower.Sync(); err != nil {
+				following <- err
+				return
+			}
+			if _, err := follower.WaitNotify(); err != nil {
+				following <- nil // closed below, once the history is over
+				return
+			}
+		}
+	}()
+
+	for step := 0; step < 120; step++ {
+		switch op := rng.Intn(8); {
+		case op < 3: // ApplyDelta; withdrawals win, as in the table
+			a, w := pick(rng.Intn(6)), pick(rng.Intn(6))
+			srv.ApplyDelta(a, w)
+			gone := vrpSet(w)
+			next := make([]rpki.VRP, 0, want.Len()+len(a))
+			for _, v := range append(want.VRPs(), a...) {
+				if _, ok := gone[v]; !ok {
+					next = append(next, v)
+				}
+			}
+			want = rpki.NewSet(next)
+		case op < 6: // a validator cycle: most of the table stays
+			kept := want.VRPs()[rng.Intn(want.Len()/8+1):]
+			want = rpki.NewSet(append(pick(rng.Intn(8)), kept...))
+			srv.UpdateSet(want)
+		case op < 7: // the same table again
+			want = rpki.NewSet(want.VRPs())
+			srv.UpdateSet(want)
+		default: // a different table altogether
+			want = rpki.NewSet(pick(150 + rng.Intn(100)))
+			srv.UpdateSet(want)
+		}
+		fresh, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = fresh.Reset()
+		got := fresh.Set()
+		fresh.Close()
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if added, removed := want.Diff(got); len(added)+len(removed) > 0 {
+			t.Fatalf("step %d: a fresh router holds %v too many and lacks %v", step, added, removed)
+		}
+	}
+
+	// The follower saw every serial or a later one; let it catch up, then
+	// end its loop.
+	deadline := time.Now().Add(5 * time.Second)
+	for follower.Serial() != srv.Serial() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	follower.Close()
+	if err := <-following; err != nil {
+		t.Fatalf("follower: %v", err)
+	}
+	if !follower.Set().Equal(want) || follower.FullSyncs() != 1 {
+		t.Fatalf("follower ended at serial %d (cache %d) after %d full syncs, %d VRPs against the cache's %d",
+			follower.Serial(), srv.Serial(), follower.FullSyncs(), follower.Len(), want.Len())
 	}
 }

@@ -65,6 +65,11 @@ type Server struct {
 	// serial-to-serial diff structural instead of a full table walk. Write
 	// side only: the cache serves snapshots and diffs and validates nothing.
 	live *rov.Table
+	// served is the set the table was last replaced with — NewServer's or
+	// UpdateSet's argument, shared with the caller — against which the next
+	// UpdateSet takes its delta; nil once ApplyDelta has moved the table away
+	// from it. Guarded by writeMu.
+	served *rpki.Set
 
 	// regMu guards the session registry, the listener, and closed. It is held
 	// to add, remove, or copy out the membership, never across a mailbox offer
@@ -177,7 +182,8 @@ type conn struct {
 	queue        []outItem
 }
 
-// NewServer creates a cache serving the given initial VRP set.
+// NewServer creates a cache serving the given initial VRP set, which the
+// server keeps and the caller must not modify afterwards.
 func NewServer(initial *rpki.Set) *Server {
 	if initial == nil {
 		initial = rpki.NewSet(nil)
@@ -189,6 +195,7 @@ func NewServer(initial *rpki.Set) *Server {
 		KeepDeltas:   16,
 		WriteTimeout: 30 * time.Second,
 		live:         rov.NewTable(initial.VRPs()),
+		served:       initial,
 		conns:        make(map[*conn]struct{}),
 	}
 	p := &published{session: 0x5eed, serial: 1}
@@ -220,20 +227,30 @@ func (s *Server) SetSession(id uint16, serial Serial) {
 	})
 }
 
-// UpdateSet replaces the served VRP set, publishes the new table under the
-// next serial, and notifies connected routers. The announce/withdraw delta
-// is derived with rov.Diff against the previous retained snapshot — the
-// same structural diff that synthesizes Serial Query answers — so applying
-// it keeps the whole ring on one arena lineage. (Building next's index is
-// necessarily O(next); callers holding an explicit delta should use
-// ApplyDelta, which is O(delta) end to end.)
+// UpdateSet replaces the served VRP set with next — which the server keeps,
+// and the caller must not modify afterwards — publishes the new table under
+// the next serial, and notifies connected routers. A next equal to the
+// served table publishes nothing: no serial, no notify.
+//
+// The announce/withdraw delta is one merge of the set served so far against
+// next (rpki.Set.Diff), both in canonical order, and the table takes it as
+// ApplyDelta would, so the whole ring stays on one arena lineage. After an
+// ApplyDelta the set served so far is first read back from the table.
 //
 // UpdateSet never performs socket I/O: notifying N routers is N coalescing
 // mailbox offers, so publish latency is independent of the slowest router.
 func (s *Server) UpdateSet(next *rpki.Set) {
 	s.writeMu.Lock()
-	prev := s.pub.Load().current()
-	ann, wd := rov.Diff(prev, rov.NewIndex(next))
+	prev := s.served
+	if prev == nil {
+		prev = rpki.NewSet(s.pub.Load().current().AppendVRPs(nil))
+	}
+	s.served = next
+	ann, wd := prev.Diff(next)
+	if len(ann)+len(wd) == 0 {
+		s.writeMu.Unlock()
+		return
+	}
 	serial := s.publishLocked(ann, wd)
 	s.writeMu.Unlock()
 	s.broadcastNotify(serial)
@@ -247,6 +264,7 @@ func (s *Server) UpdateSet(next *rpki.Set) {
 // returns the serial the delta was published under.
 func (s *Server) ApplyDelta(announced, withdrawn []rpki.VRP) Serial {
 	s.writeMu.Lock()
+	s.served = nil
 	serial := s.publishLocked(announced, withdrawn)
 	s.writeMu.Unlock()
 	s.broadcastNotify(serial)
