@@ -544,6 +544,60 @@ func (g *CallGraph) composeBottomUp(update func(*funcNode) bool) {
 	}
 }
 
+// runs reports whether the callee executes on the caller's goroutine as part
+// of the call: storing a func value does not run it, and a spawned goroutine's
+// behaviour is its own.
+func (e callEdge) runs() bool { return e.kind != edgeRef && !e.spawn }
+
+// witness is the evidence a bottom-up summary carries up the graph: what was
+// found, where, and through which calls.
+type witness struct {
+	pos   token.Pos
+	desc  string
+	chain []string // callee names from the summarized function down; empty = in its own body
+}
+
+// via returns w as seen from a caller of callee.
+func (w *witness) via(callee *funcNode) *witness {
+	return &witness{pos: w.pos, desc: w.desc, chain: append([]string{callee.name}, w.chain...)}
+}
+
+// detail renders "desc at file:line:col via a → b".
+func (w *witness) detail(fset *token.FileSet) string {
+	s := fmt.Sprintf("%s at %s", w.desc, fset.Position(w.pos))
+	if len(w.chain) > 0 {
+		s += " via " + strings.Join(w.chain, " → ")
+	}
+	return s
+}
+
+// firstWitness composes a may-property bottom-up: a function has a witness if
+// its own body does (own) or the first callee that runs as part of it does.
+// Barrier callees are trusted and contribute nothing.
+func (g *CallGraph) firstWitness(own map[*funcNode]*witness, barrier map[*funcNode]bool) map[*funcNode]*witness {
+	out := make(map[*funcNode]*witness)
+	g.composeBottomUp(func(n *funcNode) bool {
+		if out[n] != nil {
+			return false
+		}
+		if w := own[n]; w != nil {
+			out[n] = w
+			return true
+		}
+		for _, e := range n.out {
+			if !e.runs() || barrier[e.callee] {
+				continue
+			}
+			if w := out[e.callee]; w != nil {
+				out[n] = w.via(e.callee)
+				return true
+			}
+		}
+		return false
+	})
+	return out
+}
+
 func unparen(e ast.Expr) ast.Expr {
 	for {
 		p, ok := e.(*ast.ParenExpr)

@@ -10,17 +10,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 )
 
 // Analyzer is one invariant check. Exactly one of Run and RunModule is set:
-// Run analyzers see one package at a time and fan out on the worker pool;
-// RunModule analyzers see every loaded package at once plus the call graph,
-// and run after the per-package phase.
+// Run analyzers see one package at a time; RunModule analyzers see every
+// loaded package at once plus the call graph.
 type Analyzer struct {
 	// Name is the check name used in findings and //lint:ignore directives.
 	Name string
@@ -76,7 +72,10 @@ func (m *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // TypeOf returns the static type of e, or nil.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
+func (p *Pass) TypeOf(e ast.Expr) types.Type { return typeOfIn(p.Package, e) }
+
+// typeOfIn returns the static type of e in package p, or nil.
+func typeOfIn(p *Package, e ast.Expr) types.Type {
 	if tv, ok := p.Info.Types[e]; ok {
 		return tv.Type
 	}
@@ -235,122 +234,35 @@ func (d *ignoreDirective) matches(check string) bool {
 	return false
 }
 
-// runStats reports where a run spent its wall-clock, for reprolint -v.
-type runStats struct {
-	Packages int
-	Workers  int
-	PkgPhase time.Duration // parallel per-package checks
-	ModPhase time.Duration // call-graph build + module-level checks
-}
-
 // runAnalyzers runs every analyzer over every package, applies suppression,
-// and returns the surviving findings sorted by position. Malformed
+// and returns the surviving findings sorted by position. Type checking
+// already happened in dependency order inside the loader; the analyzers run
+// in registry order on the calling goroutine, module-level ones sharing one
+// call graph (all checks together are ~60 ms of a run that spends 1.7 s
+// loading, so there is nothing for a worker pool to win). Malformed
 // //lint:ignore directives are themselves findings (check "lint"): a
 // suppression without a stated reason suppresses nothing and documents
 // nothing, and a suppression naming a check that is not registered guards
 // nothing.
 func runAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Finding {
-	return runAnalyzersTimed(fset, pkgs, analyzers, nil)
-}
-
-// runAnalyzersTimed is runAnalyzers with optional phase timing. Type
-// checking already happened in dependency order inside the loader; the
-// per-package check phase is embarrassingly parallel over read-only
-// types.Info, so it fans out on a bounded worker pool. Module-level
-// analyzers then run over the shared call graph, each collecting into its
-// own slice, and everything is merged, suppressed, and sorted at the end —
-// output is deterministic regardless of scheduling.
-func runAnalyzersTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, stats *runStats) []Finding {
 	facts := collectFacts(pkgs)
 	ignores := collectIgnores(fset, pkgs)
 
-	var pkgAnalyzers, modAnalyzers []*Analyzer
+	var raw []Finding
+	var graph *CallGraph
 	for _, a := range analyzers {
 		if a.RunModule != nil {
-			modAnalyzers = append(modAnalyzers, a)
-		} else {
-			pkgAnalyzers = append(pkgAnalyzers, a)
-		}
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pkgs) && len(pkgs) > 0 {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	pkgStart := time.Now()
-	perPkg := make([][]Finding, len(pkgs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				p := pkgs[i]
-				for _, a := range pkgAnalyzers {
-					if a.AppliesTo != nil && !a.AppliesTo(p.Path) {
-						continue
-					}
-					pass := &Pass{
-						Package:  p,
-						Fset:     fset,
-						Facts:    facts,
-						check:    a.Name,
-						findings: &perPkg[i],
-					}
-					a.Run(pass)
-				}
+			if graph == nil {
+				graph = buildCallGraph(fset, pkgs)
 			}
-		}()
-	}
-	for i := range pkgs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	pkgPhase := time.Since(pkgStart)
-
-	modStart := time.Now()
-	perMod := make([][]Finding, len(modAnalyzers))
-	if len(modAnalyzers) > 0 {
-		graph := buildCallGraph(fset, pkgs)
-		var mwg sync.WaitGroup
-		for i, a := range modAnalyzers {
-			mwg.Add(1)
-			go func(i int, a *Analyzer) {
-				defer mwg.Done()
-				m := &ModulePass{
-					Fset:     fset,
-					Pkgs:     pkgs,
-					Facts:    facts,
-					Graph:    graph,
-					check:    a.Name,
-					findings: &perMod[i],
-				}
-				a.RunModule(m)
-			}(i, a)
+			a.RunModule(&ModulePass{Fset: fset, Pkgs: pkgs, Facts: facts, Graph: graph, check: a.Name, findings: &raw})
+			continue
 		}
-		mwg.Wait()
-	}
-	modPhase := time.Since(modStart)
-
-	if stats != nil {
-		stats.Packages = len(pkgs)
-		stats.Workers = workers
-		stats.PkgPhase = pkgPhase
-		stats.ModPhase = modPhase
-	}
-
-	var raw []Finding
-	for _, fs := range perPkg {
-		raw = append(raw, fs...)
-	}
-	for _, fs := range perMod {
-		raw = append(raw, fs...)
+		for _, p := range pkgs {
+			if a.AppliesTo == nil || a.AppliesTo(p.Path) {
+				a.Run(&Pass{Package: p, Fset: fset, Facts: facts, check: a.Name, findings: &raw})
+			}
+		}
 	}
 
 	known := map[string]bool{"lint": true}
@@ -389,7 +301,7 @@ func runAnalyzersTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyz
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename

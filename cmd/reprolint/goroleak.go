@@ -50,72 +50,48 @@ type ownsAnnotation struct {
 	used    bool
 }
 
-// loopWhere records which function an unbounded loop was found in, for the
-// finding message.
-type loopWhere struct {
-	fn    string
-	chain []string
-}
-
 func runGoroLeak(m *ModulePass) {
 	g := m.Graph
 
 	// Property composition over the call graph. canStop: a blocking
 	// receive/select is reachable (ref edges included — a stored handler
 	// with a receive is still a stop path once invoked). hasLoop: an
-	// unconditioned for loop is reachable through calls that actually run
-	// (static + interface edges only).
+	// unconditioned for loop is reachable through calls that actually run;
+	// its witness names the looping function.
 	canStop := make(map[*funcNode]bool)
-	hasLoop := make(map[*funcNode]*loopWhere)
 	ownStop := make(map[*funcNode]bool)
-	ownLoop := make(map[*funcNode]bool)
+	ownLoop := make(map[*funcNode]*witness)
 	for _, n := range g.nodes {
 		if n.body == nil {
 			continue
 		}
-		ownStop[n] = bodyHasBlockingReceive(n)
-		ownLoop[n] = bodyHasUnboundedLoop(n)
+		// A receive, a default-less select or a range over a channel ends
+		// when the channel is closed; a send or a blocking call does not.
+		walkHeld(g, n, heldEvents{blocks: func(op blockingOp, _ heldSet) {
+			if op.kind == blockReceive || op.kind == blockSelect || op.kind == blockRange {
+				ownStop[n] = true
+			}
+		}})
+		if bodyHasUnboundedLoop(n) {
+			ownLoop[n] = &witness{pos: n.Pos(), desc: n.name}
+		}
 	}
+	hasLoop := g.firstWitness(ownLoop, nil)
 	g.composeBottomUp(func(n *funcNode) bool {
-		grew := false
-		if !canStop[n] {
-			if ownStop[n] {
+		if canStop[n] {
+			return false
+		}
+		if ownStop[n] {
+			canStop[n] = true
+			return true
+		}
+		for _, e := range n.out {
+			if !e.spawn && canStop[e.callee] {
 				canStop[n] = true
-				grew = true
-			} else {
-				for _, e := range n.out {
-					if e.spawn {
-						continue
-					}
-					if canStop[e.callee] {
-						canStop[n] = true
-						grew = true
-						break
-					}
-				}
+				return true
 			}
 		}
-		if hasLoop[n] == nil {
-			if ownLoop[n] {
-				hasLoop[n] = &loopWhere{fn: n.name}
-				grew = true
-			} else {
-				for _, e := range n.out {
-					if e.spawn || e.kind == edgeRef {
-						continue
-					}
-					if w := hasLoop[e.callee]; w != nil {
-						chain := make([]string, 0, len(w.chain)+1)
-						chain = append(chain, e.callee.name)
-						chain = append(chain, w.chain...)
-						hasLoop[n] = &loopWhere{fn: w.fn, chain: chain}
-						grew = true
-						break
-					}
-				}
-			}
-		}
-		return grew
+		return false
 	})
 
 	// Collect annotations per file, then check every go statement in scope.
@@ -177,7 +153,7 @@ func runGoroLeak(m *ModulePass) {
 }
 
 func checkGoStmt(m *ModulePass, g *CallGraph, n *funcNode, gs *ast.GoStmt,
-	annots map[string]map[int]*ownsAnnotation, canStop map[*funcNode]bool, hasLoop map[*funcNode]*loopWhere) {
+	annots map[string]map[int]*ownsAnnotation, canStop map[*funcNode]bool, hasLoop map[*funcNode]*witness) {
 
 	pos := m.Fset.Position(gs.Pos())
 	var annot *ownsAnnotation
@@ -223,7 +199,7 @@ func checkGoStmt(m *ModulePass, g *CallGraph, n *funcNode, gs *ast.GoStmt,
 		if w := hasLoop[tgt]; w != nil {
 			// The chain ends at the looping function itself; only the
 			// intermediate hops are worth naming.
-			where := w.fn
+			where := w.desc
 			if len(w.chain) > 1 {
 				where += " (via " + strings.Join(w.chain[:len(w.chain)-1], " → ") + ")"
 			}
@@ -234,78 +210,9 @@ func checkGoStmt(m *ModulePass, g *CallGraph, n *funcNode, gs *ast.GoStmt,
 	// No receive, but no unbounded loop either: the goroutine terminates.
 }
 
-// bodyHasBlockingReceive reports whether the node's own body (literals
-// excluded) contains a select with no default, a blocking receive, or a
-// range over a channel. Receives that are the comm clause of a select with a
-// default are non-blocking and do not count.
-func bodyHasBlockingReceive(n *funcNode) bool {
-	nonBlocking := make(map[ast.Node]bool)
-	found := false
-	ast.Inspect(n.body, func(nd ast.Node) bool {
-		if found {
-			return false
-		}
-		switch t := nd.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range t.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				found = true
-				return false
-			}
-			for _, c := range t.Body.List {
-				cc, ok := c.(*ast.CommClause)
-				if !ok || cc.Comm == nil {
-					continue
-				}
-				if arrow := commReceive(cc.Comm); arrow != nil {
-					nonBlocking[arrow] = true
-				}
-			}
-		case *ast.UnaryExpr:
-			if t.Op == token.ARROW && !nonBlocking[t] {
-				found = true
-				return false
-			}
-		case *ast.RangeStmt:
-			if typ := typeOfIn(n.pkg, t.X); typ != nil {
-				if _, isChan := typ.Underlying().(*types.Chan); isChan {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// commReceive extracts the receive expression from a select comm clause.
-func commReceive(s ast.Stmt) *ast.UnaryExpr {
-	var e ast.Expr
-	switch t := s.(type) {
-	case *ast.ExprStmt:
-		e = t.X
-	case *ast.AssignStmt:
-		if len(t.Rhs) == 1 {
-			e = t.Rhs[0]
-		}
-	}
-	if u, ok := unparen(e).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-		return u
-	}
-	return nil
-}
-
 // bodyHasUnboundedLoop reports whether the node's own body (literals
 // excluded) contains a `for` with no condition. Range loops are bounded
-// (range over a channel is a receive, caught by the receive scan).
+// (range over a channel is a receive, classified by blockingPrimitive).
 func bodyHasUnboundedLoop(n *funcNode) bool {
 	found := false
 	ast.Inspect(n.body, func(nd ast.Node) bool {

@@ -25,7 +25,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 var hotAllocAnalyzer = &Analyzer{
@@ -38,14 +37,6 @@ var hotAllocAnalyzer = &Analyzer{
 type allocSite struct {
 	pos  token.Pos
 	desc string
-}
-
-// allocWitness is the first allocation reachable from a function, with the
-// call chain that reaches it.
-type allocWitness struct {
-	pos   token.Pos
-	desc  string
-	chain []string
 }
 
 // trustedPkgs are external packages hotalloc accepts calls into: none of
@@ -83,29 +74,13 @@ func runHotAlloc(m *ModulePass) {
 
 	// Bottom-up: a function has a witness if it allocates itself or calls a
 	// non-annotated function that does. Annotated callees are barriers.
-	witness := make(map[*funcNode]*allocWitness)
-	g.composeBottomUp(func(n *funcNode) bool {
-		if witness[n] != nil {
-			return false
+	own := make(map[*funcNode]*witness)
+	for n, ss := range sites {
+		if len(ss) > 0 {
+			own[n] = &witness{pos: ss[0].pos, desc: ss[0].desc}
 		}
-		if own := sites[n]; len(own) > 0 {
-			witness[n] = &allocWitness{pos: own[0].pos, desc: own[0].desc}
-			return true
-		}
-		for _, e := range n.out {
-			if e.kind == edgeRef || e.spawn || annotated[e.callee] {
-				continue
-			}
-			if w := witness[e.callee]; w != nil {
-				chain := make([]string, 0, len(w.chain)+1)
-				chain = append(chain, e.callee.name)
-				chain = append(chain, w.chain...)
-				witness[n] = &allocWitness{pos: w.pos, desc: w.desc, chain: chain}
-				return true
-			}
-		}
-		return false
-	})
+	}
+	allocates := g.firstWitness(own, annotated)
 
 	for _, n := range g.nodes {
 		if !annotated[n] || n.body == nil {
@@ -116,19 +91,15 @@ func runHotAlloc(m *ModulePass) {
 		}
 		reported := make(map[token.Pos]bool)
 		for _, e := range n.out {
-			if e.kind == edgeRef || e.spawn || annotated[e.callee] || reported[e.pos] {
+			if !e.runs() || annotated[e.callee] || reported[e.pos] {
 				continue
 			}
-			w := witness[e.callee]
+			w := allocates[e.callee]
 			if w == nil {
 				continue
 			}
 			reported[e.pos] = true
-			detail := fmt.Sprintf("%s at %s", w.desc, m.Fset.Position(w.pos))
-			if len(w.chain) > 0 {
-				detail += " via " + strings.Join(w.chain, " → ")
-			}
-			m.Reportf(e.pos, "hot path %s calls %s, which allocates (%s)", n.name, e.callee.name, detail)
+			m.Reportf(e.pos, "hot path %s calls %s, which allocates (%s)", n.name, e.callee.name, w.detail(m.Fset))
 		}
 	}
 }

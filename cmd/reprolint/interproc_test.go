@@ -126,27 +126,49 @@ func TestCallGraph(t *testing.T) {
 	}
 }
 
-// TestSuppressionInventory audits every //lint:ignore in the repository:
-// each directive must be well-formed and name only registered checks, so a
-// typo'd suppression cannot silently guard nothing.
-func TestSuppressionInventory(t *testing.T) {
+// loadRepo loads the whole module from the test's working directory
+// (cmd/reprolint), which it also returns.
+func loadRepo(t *testing.T) (wd string, loader *Loader, pkgs []*Package) {
+	t.Helper()
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader, err := NewLoader(wd)
+	loader, err = NewLoader(wd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.Load([]string{"./..."})
+	pkgs, err = loader.Load([]string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return wd, loader, pkgs
+}
+
+// TestSuppressionInventory audits every //lint:ignore in the repository:
+// each directive must be well-formed and name only registered checks, so a
+// typo'd suppression cannot silently guard nothing.
+func TestSuppressionInventory(t *testing.T) {
+	wd, loader, pkgs := loadRepo(t)
 
 	known := map[string]bool{"lint": true}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
+
+	// blockinglock suppressions are an exact allow-list, keyed by file and
+	// the statement under the directive: the four exchange calls Client.Sync
+	// and Client.Reset make under reqMu, which serialises whole exchanges by
+	// design (only other Sync/Reset/FlushSubscribers callers queue on it). Any
+	// other site means a lock held across a blocking operation again and
+	// needs that design argument made, not a directive.
+	root := filepath.Dir(filepath.Dir(wd))
+	wantBlocking := map[string]int{
+		"internal/rtr/client.go: return c.exchange(true, &ResetQuery{})":                  1,
+		"internal/rtr/client.go: if err := c.exchange(true, &ResetQuery{}); err != nil {": 2,
+		"internal/rtr/client.go: if err := c.exchange(false, q); err != nil {":            1,
+	}
+	gotBlocking := make(map[string]int)
 
 	seen := make(map[*ignoreDirective]bool)
 	for _, byLine := range collectIgnores(loader.Fset, pkgs) {
@@ -164,22 +186,54 @@ func TestSuppressionInventory(t *testing.T) {
 					if !known[c] {
 						t.Errorf("%s: suppression names unregistered check %q", d.pos, c)
 					}
-					// The RTR server's writer-pool rework removed the last
-					// blockinglock suppression (a publisher that wrote to
-					// router sockets under its own lock). The check's
-					// invariant now holds everywhere unaided; a new
-					// suppression would mean a publish path blocking on I/O
-					// again and needs that design argument re-made, not a
-					// directive.
 					if c == "blockinglock" {
-						t.Errorf("%s: blockinglock suppression reintroduced; hold-and-write designs were retired with the RTR writer pool", d.pos)
+						src, err := os.ReadFile(d.pos.Filename)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rel, _ := filepath.Rel(root, d.pos.Filename)
+						stmt := strings.TrimSpace(strings.Split(string(src), "\n")[d.pos.Line])
+						gotBlocking[filepath.ToSlash(rel)+": "+stmt]++
 					}
 				}
 			}
 		}
 	}
+	for site, n := range gotBlocking {
+		if wantBlocking[site] != n {
+			t.Errorf("%d blockinglock suppression(s) at %q, allow-list has %d", n, site, wantBlocking[site])
+		}
+	}
+	for site, n := range wantBlocking {
+		if gotBlocking[site] == 0 {
+			t.Errorf("allow-listed blockinglock suppression %q (%d) is gone; shrink the list", site, n)
+		}
+	}
 	if len(seen) == 0 {
 		t.Fatal("no //lint:ignore directives found; inventory test is scanning nothing")
+	}
+}
+
+// TestBlockingLockSeesExchange runs blockinglock on the real tree without the
+// suppression layer: the inter-procedural summary must reach through
+// Client.Sync/Reset into exchange's PDU write (the intraprocedural scan this
+// check replaced saw nothing at a call site), and those four call sites must
+// be all it finds — the allow-list above is what silences them.
+func TestBlockingLockSeesExchange(t *testing.T) {
+	_, loader, pkgs := loadRepo(t)
+	var raw []Finding
+	blockingLockAnalyzer.RunModule(&ModulePass{
+		Fset: loader.Fset, Pkgs: pkgs, Facts: collectFacts(pkgs),
+		Graph: buildCallGraph(loader.Fset, pkgs), check: "blockinglock", findings: &raw,
+	})
+	const want = "call to (*rtr.Client).exchange may block while rtr.Client.reqMu is held"
+	for _, f := range raw {
+		if !strings.Contains(f.Msg, want) || !strings.Contains(f.Msg, "blocking call rtr.WritePDU") {
+			t.Errorf("unexpected raw finding: %s", f)
+		}
+	}
+	if len(raw) != 4 {
+		t.Errorf("got %d raw blockinglock findings, want the 4 exchange calls under reqMu: %v", len(raw), raw)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -30,38 +29,13 @@ var lockOrderAnalyzer = &Analyzer{
 	RunModule: runLockOrder,
 }
 
-func lockOrderScoped(path string) bool {
+// lockScoped is where lockorder and blockinglock enforce their invariants:
+// the packages that stack mutexes, plus the two checks' testdata.
+func lockScoped(path string) bool {
 	return strings.Contains(path, "internal/rtr") ||
 		strings.Contains(path, "internal/rov") ||
-		strings.Contains(path, "testdata/src/lockorder")
-}
-
-// lockAcq is one (possibly transitive) lock acquisition in a function's
-// summary: where it happens and through which call chain.
-type lockAcq struct {
-	pos   token.Pos
-	chain []string // callee names from the summarized function down; empty = direct
-}
-
-// lockPair is one direct "to acquired while from held" observation.
-type lockPair struct {
-	from, to       string
-	fromPos, toPos token.Pos
-}
-
-// lockCallSite is a resolved call made while locks are held.
-type lockCallSite struct {
-	held   map[string]token.Pos
-	callee *funcNode
-	pos    token.Pos
-}
-
-// lockFnInfo is the intraprocedural harvest of one function.
-type lockFnInfo struct {
-	node     *funcNode
-	acquires map[string]token.Pos
-	pairs    []lockPair
-	calls    []lockCallSite
+		strings.Contains(path, "testdata/src/lockorder") ||
+		strings.Contains(path, "testdata/src/blockinglock")
 }
 
 // lockWitness is one lock-graph edge's evidence.
@@ -77,48 +51,47 @@ type lockWitness struct {
 func runLockOrder(m *ModulePass) {
 	g := m.Graph
 
-	// Phase 1: intraprocedural scan of every function in scope.
-	infoByNode := make(map[*funcNode]*lockFnInfo)
+	// Phase 1: every scoped function's direct acquisitions.
+	direct := make(map[*funcNode]map[string]token.Pos)
 	var scoped []*funcNode
 	for _, n := range g.nodes {
-		if n.body == nil || !lockOrderScoped(n.pkg.Path) {
+		if n.body == nil || !lockScoped(n.pkg.Path) {
 			continue
 		}
-		fi := &lockFnInfo{node: n, acquires: make(map[string]token.Pos)}
-		scanLockFn(m, fi)
-		infoByNode[n] = fi
+		acq := make(map[string]token.Pos)
+		walkHeld(g, n, heldEvents{acquire: func(key string, pos token.Pos, _ heldSet) {
+			if _, dup := acq[key]; !dup {
+				acq[key] = pos
+			}
+		}})
+		direct[n] = acq
 		scoped = append(scoped, n)
 	}
 
 	// Phase 2: compose transitive acquires bottom-up over the call graph.
 	// Direct acquisitions only exist for scoped functions, but composition
 	// runs module-wide so a scoped→unscoped→scoped call chain still carries.
-	summaries := make(map[*funcNode]map[string]lockAcq)
+	summaries := make(map[*funcNode]map[string]*witness)
 	g.composeBottomUp(func(n *funcNode) bool {
 		s := summaries[n]
 		if s == nil {
-			s = make(map[string]lockAcq)
+			s = make(map[string]*witness)
 			summaries[n] = s
 		}
 		grew := false
-		if fi := infoByNode[n]; fi != nil {
-			for k, pos := range fi.acquires {
-				if _, ok := s[k]; !ok {
-					s[k] = lockAcq{pos: pos}
-					grew = true
-				}
+		for k, pos := range direct[n] {
+			if s[k] == nil {
+				s[k] = &witness{pos: pos}
+				grew = true
 			}
 		}
 		for _, e := range n.out {
-			if e.kind == edgeRef || e.spawn {
+			if !e.runs() {
 				continue
 			}
 			for k, a := range summaries[e.callee] {
-				if _, ok := s[k]; !ok {
-					chain := make([]string, 0, len(a.chain)+1)
-					chain = append(chain, e.callee.name)
-					chain = append(chain, a.chain...)
-					s[k] = lockAcq{pos: a.pos, chain: chain}
+				if s[k] == nil {
+					s[k] = a.via(e.callee)
 					grew = true
 				}
 			}
@@ -126,9 +99,10 @@ func runLockOrder(m *ModulePass) {
 		return grew
 	})
 
-	// Phase 3: generate the lock-ordering graph. First witness per edge
-	// wins; node iteration order is deterministic (loader topo × file ×
-	// position), so so is the witness choice.
+	// Phase 3: walk the scoped functions again, now with the summaries, and
+	// generate the lock-ordering graph. First witness per edge wins; node
+	// order is deterministic (loader topo × file × position) and so is the
+	// walk, so so is the witness choice.
 	edges := make(map[string]map[string]*lockWitness)
 	addEdge := func(from string, w *lockWitness) {
 		byTo := edges[from]
@@ -141,295 +115,33 @@ func runLockOrder(m *ModulePass) {
 		}
 	}
 	for _, n := range scoped {
-		fi := infoByNode[n]
-		for _, pr := range fi.pairs {
-			addEdge(pr.from, &lockWitness{
-				to: pr.to, fn: n.name,
-				heldPos: pr.fromPos, atPos: pr.toPos, acqPos: pr.toPos,
-			})
-		}
-		for _, cs := range fi.calls {
-			sum := summaries[cs.callee]
-			if len(sum) == 0 {
-				continue
-			}
-			heldKeys := make([]string, 0, len(cs.held))
-			for h := range cs.held {
-				heldKeys = append(heldKeys, h)
-			}
-			sort.Strings(heldKeys)
-			sumKeys := make([]string, 0, len(sum))
-			for k := range sum {
-				sumKeys = append(sumKeys, k)
-			}
-			sort.Strings(sumKeys)
-			for _, h := range heldKeys {
-				for _, k := range sumKeys {
-					a := sum[k]
-					chain := make([]string, 0, len(a.chain)+1)
-					chain = append(chain, cs.callee.name)
-					chain = append(chain, a.chain...)
-					addEdge(h, &lockWitness{
-						to: k, fn: n.name,
-						heldPos: cs.held[h], atPos: cs.pos, acqPos: a.pos,
-						chain: chain,
-					})
+		walkHeld(g, n, heldEvents{
+			// Everything currently held orders before key — including key
+			// itself: re-acquiring a held sync.Mutex is a self-deadlock.
+			acquire: func(key string, pos token.Pos, held heldSet) {
+				for _, h := range held {
+					addEdge(h.key, &lockWitness{to: key, fn: n.name, heldPos: h.pos, atPos: pos, acqPos: pos})
 				}
-			}
-		}
-	}
-
-	reportLockCycles(m, edges)
-}
-
-// scanLockFn walks one function body tracking the held-lock set with the
-// same branch-clone semantics blockinglock uses: branch bodies get copies of
-// the entry state, defer Unlock holds to function end, nested literals and
-// spawned goroutines run with nothing of ours held.
-func scanLockFn(m *ModulePass, fi *lockFnInfo) {
-	n := fi.node
-
-	var scanStmts func(stmts []ast.Stmt, held map[string]token.Pos)
-	var scanStmt func(s ast.Stmt, held map[string]token.Pos)
-
-	clone := func(h map[string]token.Pos) map[string]token.Pos {
-		c := make(map[string]token.Pos, len(h))
-		for k, v := range h {
-			c[k] = v
-		}
-		return c
-	}
-
-	scanExpr := func(e ast.Expr, held map[string]token.Pos) {
-		if e == nil {
-			return
-		}
-		ast.Inspect(e, func(nd ast.Node) bool {
-			switch t := nd.(type) {
-			case *ast.FuncLit:
-				return false // its own node; runs with its caller's held set
-			case *ast.CallExpr:
-				if key, acq, rel, ok := lockOpKey(m, n, t); ok {
-					if acq {
-						// Record ordering edges from everything currently
-						// held — including the key itself: re-acquiring a
-						// held sync.Mutex is a self-deadlock.
-						for h, hp := range held {
-							fi.pairs = append(fi.pairs, lockPair{from: h, to: key, fromPos: hp, toPos: t.Pos()})
+			},
+			call: func(call *ast.CallExpr, callees []*funcNode, held heldSet) {
+				// One call contributes each (held, acquired) pair at most once
+				// per callee, and callees come sorted, so map order is moot.
+				for _, c := range callees {
+					for k, a := range summaries[c] {
+						for _, h := range held {
+							addEdge(h.key, &lockWitness{
+								to: k, fn: n.name,
+								heldPos: h.pos, atPos: call.Pos(), acqPos: a.pos,
+								chain: a.via(c).chain,
+							})
 						}
-						if _, dup := fi.acquires[key]; !dup {
-							fi.acquires[key] = t.Pos()
-						}
-						held[key] = t.Pos()
-					} else if rel {
-						delete(held, key)
-					}
-					return true
-				}
-				if targets, kind := m.Graph.resolveCall(n.pkg, t, n.binds); kind != edgeRef {
-					for _, c := range targets {
-						fi.calls = append(fi.calls, lockCallSite{held: clone(held), callee: c, pos: t.Pos()})
 					}
 				}
-			}
-			return true
+			},
 		})
 	}
 
-	scanStmts = func(stmts []ast.Stmt, held map[string]token.Pos) {
-		for _, s := range stmts {
-			scanStmt(s, held)
-		}
-	}
-	scanStmt = func(s ast.Stmt, held map[string]token.Pos) {
-		switch t := s.(type) {
-		case *ast.ExprStmt:
-			scanExpr(t.X, held)
-		case *ast.SendStmt:
-			scanExpr(t.Chan, held)
-			scanExpr(t.Value, held)
-		case *ast.AssignStmt:
-			for _, e := range t.Rhs {
-				scanExpr(e, held)
-			}
-			for _, e := range t.Lhs {
-				scanExpr(e, held)
-			}
-		case *ast.DeclStmt:
-			if gd, ok := t.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, e := range vs.Values {
-							scanExpr(e, held)
-						}
-					}
-				}
-			}
-		case *ast.DeferStmt:
-			// defer x.Unlock() keeps the lock to function end: no state
-			// change. Other deferred calls run at exit with an unknowable
-			// held set — record the call with nothing held (their transitive
-			// acquisitions still enter this function's summary via the call
-			// graph's deferred edges).
-			if _, _, rel, ok := lockOpKey(m, n, t.Call); ok && rel {
-				return
-			}
-			if targets, kind := m.Graph.resolveCall(n.pkg, t.Call, n.binds); kind != edgeRef {
-				for _, c := range targets {
-					fi.calls = append(fi.calls, lockCallSite{held: make(map[string]token.Pos), callee: c, pos: t.Call.Pos()})
-				}
-			}
-			for _, a := range t.Call.Args {
-				scanExpr(a, held)
-			}
-		case *ast.GoStmt:
-			// The spawned goroutine holds none of our locks; only argument
-			// evaluation happens here.
-			for _, a := range t.Call.Args {
-				scanExpr(a, held)
-			}
-		case *ast.IfStmt:
-			if t.Init != nil {
-				scanStmt(t.Init, held)
-			}
-			scanExpr(t.Cond, held)
-			scanStmts(t.Body.List, clone(held))
-			if t.Else != nil {
-				scanStmt(t.Else, clone(held))
-			}
-		case *ast.ForStmt:
-			if t.Init != nil {
-				scanStmt(t.Init, held)
-			}
-			scanExpr(t.Cond, held)
-			body := clone(held)
-			scanStmts(t.Body.List, body)
-			if t.Post != nil {
-				scanStmt(t.Post, body)
-			}
-		case *ast.RangeStmt:
-			scanExpr(t.X, held)
-			scanStmts(t.Body.List, clone(held))
-		case *ast.SwitchStmt:
-			if t.Init != nil {
-				scanStmt(t.Init, held)
-			}
-			scanExpr(t.Tag, held)
-			for _, c := range t.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanStmts(cc.Body, clone(held))
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			if t.Init != nil {
-				scanStmt(t.Init, held)
-			}
-			for _, c := range t.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanStmts(cc.Body, clone(held))
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range t.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					scanStmts(cc.Body, clone(held))
-				}
-			}
-		case *ast.BlockStmt:
-			scanStmts(t.List, held)
-		case *ast.LabeledStmt:
-			scanStmt(t.Stmt, held)
-		case *ast.ReturnStmt:
-			for _, e := range t.Results {
-				scanExpr(e, held)
-			}
-		case *ast.IncDecStmt:
-			scanExpr(t.X, held)
-		}
-	}
-	scanStmts(n.body.List, make(map[string]token.Pos))
-}
-
-// lockOpKey classifies a call as Lock/RLock or Unlock/RUnlock on a
-// sync.Mutex/RWMutex and derives the lock's declaration-anchored identity:
-// "pkg.Type.field" for struct fields, "pkg.var" for package-level mutexes,
-// "fn.var" for locals. RLock orders like Lock: a reader and a writer on the
-// same two locks in opposite orders still deadlock.
-func lockOpKey(m *ModulePass, n *funcNode, call *ast.CallExpr) (key string, acquire, release, ok bool) {
-	sel, isSel := unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		acquire = true
-	case "Unlock", "RUnlock":
-		release = true
-	default:
-		return "", false, false, false
-	}
-	recv := unparen(sel.X)
-	t := typeOfIn(n.pkg, recv)
-	if !isMutexType(t) {
-		return "", false, false, false
-	}
-	return lockKeyFor(n, recv), acquire, release, true
-}
-
-func typeOfIn(p *Package, e ast.Expr) types.Type {
-	if tv, ok := p.Info.Types[e]; ok {
-		return tv.Type
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := p.Info.Uses[id]; obj != nil {
-			return obj.Type()
-		}
-		if obj := p.Info.Defs[id]; obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
-}
-
-// lockKeyFor anchors a mutex expression on its declaration so the same lock
-// spells the same key in every function that touches it.
-func lockKeyFor(n *funcNode, e ast.Expr) string {
-	p := n.pkg
-	switch t := e.(type) {
-	case *ast.SelectorExpr:
-		if s, ok := p.Info.Selections[t]; ok && s.Kind() == types.FieldVal {
-			field := s.Obj()
-			recv := s.Recv()
-			if ptr, isPtr := recv.Underlying().(*types.Pointer); isPtr {
-				recv = ptr.Elem()
-			}
-			if named, isNamed := recv.(*types.Named); isNamed {
-				obj := named.Obj()
-				pkgName := ""
-				if obj.Pkg() != nil {
-					pkgName = shortPkg(obj.Pkg().Path()) + "."
-				}
-				return pkgName + obj.Name() + "." + field.Name()
-			}
-		}
-		// pkg.mu: a package-level mutex through a qualifier.
-		if v, ok := p.Info.Uses[t.Sel].(*types.Var); ok && v.Pkg() != nil &&
-			v.Parent() == v.Pkg().Scope() {
-			return shortPkg(v.Pkg().Path()) + "." + v.Name()
-		}
-	case *ast.Ident:
-		v, ok := p.Info.Uses[t].(*types.Var)
-		if !ok {
-			v, _ = p.Info.Defs[t].(*types.Var)
-		}
-		if v != nil {
-			if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				return shortPkg(v.Pkg().Path()) + "." + v.Name()
-			}
-			return n.name + "." + v.Name()
-		}
-	}
-	return n.name + "." + exprText(e)
+	reportLockCycles(m, edges)
 }
 
 // reportLockCycles finds strongly connected components of the lock graph

@@ -1,22 +1,21 @@
 // Command reprolint enforces this repository's load-bearing invariants with
-// static analysis. Four per-package checks: RFC 1982 serial ordering
-// (serialcmp), arena slab pointer discipline (arenaptr), snapshot
-// copy-on-write (snapshotwrite), and no blocking under RTR locks
-// (blockinglock). Three module-level checks composed over an inter-procedural
-// call graph: consistent lock acquisition order (lockorder), provable stop
-// paths for every goroutine (goroleak), and allocation-free //repro:noalloc
-// hot paths (hotalloc). It is built on go/parser and go/types alone, keeping
-// the module dependency-free.
+// static analysis. Three per-package checks: RFC 1982 serial ordering
+// (serialcmp), arena slab pointer discipline (arenaptr), and snapshot
+// copy-on-write (snapshotwrite). Four module-level checks composed over an
+// inter-procedural call graph: no blocking under RTR/ROV locks (blockinglock),
+// consistent lock acquisition order (lockorder), provable stop paths for every
+// goroutine (goroleak), and allocation-free //repro:noalloc hot paths
+// (hotalloc). It is built on go/parser and go/types alone, keeping the module
+// dependency-free.
 //
 // Usage:
 //
-//	reprolint [-tests] [-json] [-v] [packages]
+//	reprolint [-tests] [-json] [packages]
 //
 // Packages default to ./... relative to the working directory. Findings are
 // printed one per line as file:line:col: [check] message, or as one JSON
 // object per line with -json. Exit status is 0 when clean, 1 when findings
-// remain, 2 on load or usage errors. -v reports load and check wall-clock
-// to stderr.
+// remain, 2 on load or usage errors.
 //
 // A finding is suppressed by a directive on its line or the line above:
 //
@@ -31,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 )
 
 var analyzers = []*Analyzer{
@@ -58,9 +56,8 @@ func main() {
 	tests := flag.Bool("tests", false, "also analyze _test.go files")
 	list := flag.Bool("checks", false, "list the registered checks and exit")
 	asJSON := flag.Bool("json", false, "emit findings as one JSON object per line")
-	verbose := flag.Bool("v", false, "report load and check wall-clock to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: reprolint [-tests] [-json] [-v] [packages]\n\nChecks:\n")
+		fmt.Fprintf(os.Stderr, "usage: reprolint [-tests] [-json] [packages]\n\nChecks:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -92,20 +89,12 @@ func main() {
 	}
 	loader.Tests = *tests
 
-	loadStart := time.Now()
 	pkgs, err := loader.Load(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "reprolint: %v\n", err)
 		os.Exit(2)
 	}
-	loadTime := time.Since(loadStart)
-
-	var stats runStats
-	findings := runAnalyzersTimed(loader.Fset, pkgs, analyzers, &stats)
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "reprolint: %d packages; load+typecheck %v; package checks %v (%d workers); module checks %v\n",
-			stats.Packages, loadTime.Round(time.Millisecond), stats.PkgPhase.Round(time.Millisecond), stats.Workers, stats.ModPhase.Round(time.Millisecond))
-	}
+	findings := runAnalyzers(loader.Fset, pkgs, analyzers)
 
 	enc := json.NewEncoder(os.Stdout)
 	for _, f := range findings {

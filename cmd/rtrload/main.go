@@ -14,15 +14,11 @@
 // Usage:
 //
 //	rtrload [-clients 2000] [-duration 30s] [-vrps 50000] [-churn 64]
-//	        [-interval 100ms] [-stall 0] [-write-timeout 5s] [-bench-out FILE]
-//	        [-cpuprofile FILE]
+//	        [-interval 100ms] [-stall 0] [-write-timeout 5s] [-cpuprofile FILE]
 //
 // It exits non-zero when a poller dies mid-soak, when pollers were shed, or
-// when fewer than -stall wedged routers were.
-//
-// With -bench-out the percentiles are also written as go-bench result lines
-// (BenchmarkRTRLoad/...) so cmd/benchjson folds them into the per-PR
-// benchmark archive; make soak-smoke runs a small configuration in CI.
+// when fewer than -stall wedged routers were. make soak-smoke runs a small
+// configuration in CI.
 package main
 
 import (
@@ -55,7 +51,6 @@ func main() {
 		stall      = flag.Int("stall", 0, "wedged routers: connect, query, never read")
 		ramp       = flag.Int("ramp", 64, "concurrent dials while connecting the population")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the churn phase")
-		benchOut   = flag.String("bench-out", "", "append results as go-bench lines for benchjson")
 	)
 	flag.Parse()
 	if *clients < 1 || *vrps < 1 || *churn < 1 || *interval <= 0 || *duration <= 0 {
@@ -244,11 +239,6 @@ func main() {
 	fmt.Printf("sessions: %d registered at end of churn (%d pollers); stalled routers shed: %d of %d\n",
 		alive, *clients, shed, *stall)
 
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, pubP, syncP); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if syncErrs.Load() > 0 {
 		log.Fatalf("%d pollers died mid-soak", syncErrs.Load())
 	}
@@ -295,21 +285,6 @@ func vrpAt(offset, i int) rpki.VRP {
 		panic(err)
 	}
 	return rpki.VRP{Prefix: p, MaxLength: 24, AS: rpki.ASN(64496 + i%1000)}
-}
-
-// writeBench appends the headline percentiles as go-bench result lines so
-// cmd/benchjson archives them next to the in-package benchmarks.
-func writeBench(path string, pubP, syncP [4]time.Duration) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(f, "pkg: repro/cmd/rtrload\n")
-	fmt.Fprintf(f, "BenchmarkRTRLoad/publish_p50 1 %d ns/op\n", pubP[0].Nanoseconds())
-	fmt.Fprintf(f, "BenchmarkRTRLoad/publish_p99 1 %d ns/op\n", pubP[2].Nanoseconds())
-	fmt.Fprintf(f, "BenchmarkRTRLoad/notify_sync_p50 1 %d ns/op\n", syncP[0].Nanoseconds())
-	fmt.Fprintf(f, "BenchmarkRTRLoad/notify_sync_p99 1 %d ns/op\n", syncP[2].Nanoseconds())
-	return f.Close()
 }
 
 // percentiles returns {p50, p90, p99, max} of d (zeros when empty).

@@ -1,0 +1,33 @@
+//go:build !race
+
+package core
+
+import (
+	"testing"
+
+	"repro/internal/rpki"
+)
+
+// TestAllocCeilings pins the allocation counts of the relying-party kernels
+// on the bench_test fixtures: the arena engine allocates per slab growth and
+// per result, never per prefix bit or per VRP, so these are small constants
+// independent of the 2000-VRP input. Not built under -race, whose
+// instrumentation allocates.
+func TestAllocCeilings(t *testing.T) {
+	s := rpki.NewSet(benchVRPs(2000))
+	out, _ := Compress(s, Options{})
+
+	for _, tc := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"SemanticEqual", 6, func() { SemanticEqual(s, out) }},
+		{"Compress/Strict", 14, func() { Compress(s, Options{}) }},
+		{"Compress/Subsumption", 14, func() { Compress(s, Options{Subsumption: true}) }},
+	} {
+		if got := testing.AllocsPerRun(10, tc.fn); got > tc.max {
+			t.Errorf("%s: %v allocs/op, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}

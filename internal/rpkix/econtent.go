@@ -122,7 +122,10 @@ func EncodeROAContent(r rpki.ROA) ([]byte, error) {
 	return asn1.Marshal(roaASN1{ASID: int64(uint32(r.AS)), IPAddrBlocks: blocks})
 }
 
-// DecodeROAContent parses RFC 6482 eContent DER into a ROA.
+// DecodeROAContent parses RFC 6482 eContent DER into a ROA. Address-family
+// blocks are accepted in any order and number; the returned prefixes are in
+// EncodeROAContent's order — IPv4 then IPv6, each in encounter order — so a
+// decoded ROA survives a re-encode unchanged.
 func DecodeROAContent(der []byte) (rpki.ROA, error) {
 	var raw roaASN1
 	rest, err := asn1.Unmarshal(der, &raw)
@@ -139,6 +142,7 @@ func DecodeROAContent(der []byte) (rpki.ROA, error) {
 		return rpki.ROA{}, fmt.Errorf("rpkix: ASID %d out of range", raw.ASID)
 	}
 	out := rpki.ROA{AS: rpki.ASN(raw.ASID)}
+	var v6 []rpki.ROAPrefix
 	for _, blk := range raw.IPAddrBlocks {
 		var fam prefix.Family
 		switch {
@@ -161,9 +165,14 @@ func DecodeROAContent(der []byte) (rpki.ROA, error) {
 				}
 				ml = uint8(a.MaxLength)
 			}
-			out.Prefixes = append(out.Prefixes, rpki.ROAPrefix{Prefix: p, MaxLength: ml})
+			if fam == prefix.IPv4 {
+				out.Prefixes = append(out.Prefixes, rpki.ROAPrefix{Prefix: p, MaxLength: ml})
+			} else {
+				v6 = append(v6, rpki.ROAPrefix{Prefix: p, MaxLength: ml})
+			}
 		}
 	}
+	out.Prefixes = append(out.Prefixes, v6...)
 	if err := out.Validate(); err != nil {
 		return rpki.ROA{}, err
 	}

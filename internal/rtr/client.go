@@ -297,6 +297,7 @@ func (c *Client) Len() int { return c.table.Len() }
 func (c *Client) Reset() error {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
+	//lint:ignore blockinglock reqMu serialises whole exchanges by design: only Sync/Reset/FlushSubscribers callers queue on it, and waiting out the exchange is what they ask for
 	return c.exchange(true, &ResetQuery{})
 }
 
@@ -311,14 +312,17 @@ func (c *Client) Sync() (Serial, error) {
 	q := &SerialQuery{SessionID: c.sessionID, Serial: c.serial}
 	c.mu.Unlock()
 	if !have {
+		//lint:ignore blockinglock reqMu serialises whole exchanges by design: only Sync/Reset/FlushSubscribers callers queue on it, and waiting out the exchange is what they ask for
 		if err := c.exchange(true, &ResetQuery{}); err != nil {
 			return 0, err
 		}
 		return c.Serial(), nil
 	}
+	//lint:ignore blockinglock reqMu serialises whole exchanges by design: only Sync/Reset/FlushSubscribers callers queue on it, and waiting out the exchange is what they ask for
 	if err := c.exchange(false, q); err != nil {
 		var cr cacheResetError
 		if errors.As(err, &cr) {
+			//lint:ignore blockinglock reqMu serialises whole exchanges by design: only Sync/Reset/FlushSubscribers callers queue on it, and waiting out the exchange is what they ask for
 			if err := c.exchange(true, &ResetQuery{}); err != nil {
 				return 0, err
 			}
