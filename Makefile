@@ -68,7 +68,7 @@ bench-smoke:
 # takes one target and one package at a time); fuzz-smoke is the short
 # configuration CI runs on every push.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = core/FuzzTrieVsReference core/FuzzCompressVsTrie rov/FuzzIndex rov/FuzzCompactIndex rov/FuzzDiff \
+FUZZ_TARGETS = core/FuzzTrieVsReference core/FuzzCompressVsTrie rov/FuzzIndex rov/FuzzCompactIndex rov/FuzzDiff rov/FuzzLiveOverlay \
 	rtr/FuzzReadPDU bgp/FuzzReadMessage bgp/FuzzReadMRT prefix/FuzzParse rpkix/FuzzParseSignedObject
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -164,15 +164,13 @@ func main() {
 			if a := m.Active(); a >= 0 && a < len(st.Upstreams) {
 				active = st.Upstreams[a].Name
 			}
-			// Which structure a validation query would hit right now: the
-			// path-compressed index when the table has been quiet long enough
-			// for a compaction to republish it, the bit trie in between.
-			engine := "bit-trie"
-			if live.CompactSnapshot() != nil {
-				engine = "compact"
-			}
-			fmt.Fprintf(os.Stderr, "# update: synced to %d via %s, %d VRPs (+%d -%d applied since start; %d switches, %d rebuilds; serving from %s index)\n",
-				serial, active, live.Len(), announced.Load(), withdrawn.Load(), st.Switches, st.Rebuilds, engine)
+			// What validation queries have hit so far: the path-compressed
+			// index, or the bit trie — for want of a compact half, or because
+			// a prefix touched since its build covers the route.
+			ls := live.Stats()
+			fmt.Fprintf(os.Stderr, "# update: synced to %d via %s, %d VRPs (+%d -%d applied since start; %d switches, %d rebuilds; %d routes validated by the compact index, %d by the bit trie; compact half held: %t, under %d overlay marks, rebuilt %d times)\n",
+				serial, active, live.Len(), announced.Load(), withdrawn.Load(), st.Switches, st.Rebuilds,
+				ls.CompactRoutes, ls.FallbackRoutes, ls.CompactHeld, ls.Marks, ls.RebuildsInstalled)
 		case <-sigc:
 			m.Stop()
 			<-runErr

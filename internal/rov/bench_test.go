@@ -242,3 +242,114 @@ func BenchmarkLiveApplyBulk(b *testing.B) {
 		})
 	}
 }
+
+// todaySize is today's table (Table 1's status-quo row after compression).
+const todaySize = 33615
+
+// liveWithOverlay returns a LiveIndex over today's table that readers have
+// paid for, with one path-copied delta applied that sends share of routes to
+// the bit trie: a /24 VRP at a route's base address marks the route's bits
+// in the overlay whether or not it covers the route. Routes are touched in
+// order until enough of them fall back.
+func liveWithOverlay(tb testing.TB, routes []Route, share float64) *LiveIndex {
+	l := NewLiveIndex(rpki.NewSet(benchSet().VRPs()[:todaySize]))
+	pay(l, routes)
+	var delta []rpki.VRP
+	var o overlay
+	for _, r := range routes {
+		fall := 0
+		for _, q := range routes {
+			if o.covers(q.Prefix) {
+				fall++
+			}
+		}
+		if float64(fall) >= share*float64(len(routes)) {
+			break
+		}
+		hi, _ := r.Prefix.Bits()
+		p, err := prefix.Make(prefix.IPv4, hi&^(1<<40-1), 0, 24)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		delta = append(delta, rpki.VRP{Prefix: p, MaxLength: 24, AS: 64511})
+		o.mark(delta[len(delta)-1:])
+	}
+	l.Apply(delta, nil)
+	if st := l.Stats(); len(delta) > 0 && (!st.CompactHeld || st.Marks != 2*len(delta) || st.RebuildsStarted != 0) {
+		tb.Fatalf("overlay state not reached: %+v", st)
+	}
+	return l
+}
+
+// BenchmarkLiveValidateBatch is what validate_churn's throughput is made of:
+// one 8,192-route batch through a LiveIndex over today's table with nothing
+// touched (CompactIndex.ValidateBatch plus one atomic add), with an overlay
+// sending 1 % and 5 % of the routes to the bit trie, and with no compact half.
+func BenchmarkLiveValidateBatch(b *testing.B) {
+	routes := benchRoutes(8192)
+	dst := make([]State, len(routes))
+	for _, c := range []struct {
+		name  string
+		share float64
+	}{{"quiet", 0}, {"overlay-1pct", 0.01}, {"overlay-5pct", 0.05}} {
+		l := liveWithOverlay(b, routes, c.share)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			before := l.Stats()
+			for i := 0; i < b.N; i++ {
+				dst = l.ValidateBatch(routes, dst)
+			}
+			after := l.Stats()
+			b.ReportMetric(float64(after.FallbackRoutes-before.FallbackRoutes)/float64(b.N*len(routes)), "fallback-share")
+		})
+	}
+	idle := NewLiveIndex(rpki.NewSet(benchSet().VRPs()[:todaySize]))
+	idle.Apply([]rpki.VRP{markerVRP(0)}, nil) // nobody has read: the compact half goes
+	b.Run("bit-trie", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = idle.ValidateBatch(routes, dst)
+		}
+	})
+}
+
+// BenchmarkLiveApplyOverlay is validate_churn's delta — 32 table VRPs out, 32
+// /24s in, and back — into a LiveIndex that keeps its compact half, so that
+// each Apply also marks the overlay, beside one nobody validates through,
+// which drops the compact half at the first delta and marks nothing: the
+// difference is what the overlay costs the write path. The VRPs going out
+// are /16s and longer, as nearly all of a real table's are; benchSet's /8s
+// would each mark a block of 1,024 words.
+func BenchmarkLiveApplyOverlay(b *testing.B) {
+	var out []rpki.VRP
+	for _, v := range benchSet().VRPs()[:todaySize] {
+		if v.Prefix.Len() >= 16 && len(out) < 32 {
+			out = append(out, v)
+		}
+	}
+	in := make([]rpki.VRP, 32)
+	for k := range in {
+		in[k] = markerVRP(k)
+	}
+	for _, c := range []struct {
+		name string
+		l    *LiveIndex
+	}{
+		{"marked", liveWithOverlay(b, benchRoutes(8192), 0)},
+		{"idle", NewLiveIndex(rpki.NewSet(benchSet().VRPs()[:todaySize]))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%2 == 0 {
+					c.l.Apply(in, out)
+				} else {
+					c.l.Apply(out, in)
+				}
+			}
+			if st := c.l.Stats(); st.CompactHeld != (c.name == "marked") {
+				b.Fatalf("%+v", st)
+			}
+		})
+	}
+}

@@ -35,7 +35,7 @@ import (
 // A CompactIndex is built in one linear pass over a canonically sorted VRP
 // stream (Index.AppendVRPs emits one; rpki.Set stores one) and is immutable
 // afterwards. LiveIndex keeps the bit-at-a-time trie for O(delta) updates
-// and republishes a CompactIndex at every compaction point.
+// and rebuilds a CompactIndex once enough prefixes have been touched.
 
 // centry is one VRP payload in the aggregated entry slab. plen is the
 // originating prefix's length: aggregated spans mix entries from the whole
@@ -82,8 +82,8 @@ const strideCutoff = 4096
 // CompactIndex answers RFC 6811 queries in O(branch points below the stride
 // table). Build one with NewCompactIndex or CompactFromIndex; a CompactIndex
 // is immutable and safe for concurrent readers. It has no update path at
-// all — LiveIndex pairs it with the bit-trie Index, republishing a fresh
-// compact snapshot at each compaction.
+// all — LiveIndex pairs it with the bit-trie Index, which answers the routes
+// a delta has touched until the next rebuild.
 //
 //repro:immutable
 type CompactIndex struct {

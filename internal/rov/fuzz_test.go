@@ -8,17 +8,33 @@ import (
 	"repro/internal/rpki"
 )
 
+// fuzzOp decodes one 8-byte fuzz op, [tag, a0, a1, a2, a3, len, mlDelta, as]:
+// tag bit 3 selects the family, the address bytes seed the prefix (IPv4 in the
+// top 32 bits; IPv6 reuses them byte-swapped in the second quad so v6 paths
+// diverge), len and mlDelta are clamped to the family's range (IPv6 to the
+// top quad), and as is folded into a small origin space so matches, covers
+// and misses all occur. The VRP's prefix and origin double as a query route.
+func fuzzOp(t *testing.T, op []byte) rpki.VRP {
+	fam, famMax := prefix.IPv4, uint8(32)
+	if op[0]&8 != 0 {
+		fam, famMax = prefix.IPv6, 64
+	}
+	l := op[5] % (famMax + 1)
+	hi := uint64(binary.BigEndian.Uint32(op[1:5])) << 32
+	if fam == prefix.IPv6 {
+		hi |= uint64(op[4])<<24 | uint64(op[3])<<16 | uint64(op[2])<<8 | uint64(op[1])
+	}
+	p, err := prefix.Make(fam, hi, 0, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rpki.VRP{Prefix: p, MaxLength: l + op[6]%(famMax-l+1), AS: rpki.ASN(op[7]) % 8}
+}
+
 // FuzzIndex drives the arena Index and the LiveIndex with a fuzzer-chosen
 // op stream — announce, withdraw, query — and checks both against the
-// linear Reference over the resulting table. Each op is 8 bytes:
-//
-//	[tag, a0, a1, a2, a3, len, mlDelta, as]
-//
-// tag%3 selects the op, tag bit 3 the family. The address bytes seed the
-// prefix (IPv4 in the top 32 bits; IPv6 reuses them byte-swapped in the
-// second quad so v6 paths diverge), len and mlDelta are clamped to the
-// family's range, and as is folded into a small origin space so matches,
-// covers and misses all occur.
+// linear Reference over the resulting table. Each op is 8 bytes (fuzzOp);
+// tag%3 selects the op.
 //
 // Tag bit 4 batches: an announce or withdraw carrying it joins an open delta
 // instead of being applied alone, and the next op without it — or the end of
@@ -87,34 +103,14 @@ func FuzzIndex(f *testing.F) {
 		for len(data) >= 8 {
 			op := data[:8]
 			data = data[8:]
-			tag := op[0]
-			fam, famMax := prefix.IPv4, uint8(32)
-			if tag&8 != 0 {
-				fam, famMax = prefix.IPv6, 64 // keep v6 paths in the top quad range
-			}
-			l := op[5] % (famMax + 1)
-			hi := uint64(binary.BigEndian.Uint32(op[1:5])) << 32
-			if fam == prefix.IPv6 {
-				// Spread fuzz entropy into the second 32 bits too.
-				hi |= uint64(op[4])<<24 | uint64(op[3])<<16 | uint64(op[2])<<8 | uint64(op[1])
-			}
-			p, err := prefix.Make(fam, hi, 0, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			origin := rpki.ASN(op[7]) % 8
+			tag, v := op[0], fuzzOp(t, op)
 			if tag%3 == 2 || tag&16 == 0 {
 				flush()
 			}
 			if tag%3 == 2 {
-				queries = append(queries, Route{Prefix: p, Origin: origin})
+				queries = append(queries, Route{Prefix: v.Prefix, Origin: v.AS})
 				continue
 			}
-			ml := l + op[6]%(famMax-l+1)
-			if ml > p.MaxLen() {
-				ml = p.MaxLen()
-			}
-			v := rpki.VRP{Prefix: p, MaxLength: ml, AS: origin}
 			if tag%3 == 0 {
 				ann = append(ann, v)
 			} else {
@@ -188,30 +184,12 @@ func FuzzCompactIndex(f *testing.F) {
 		for len(data) >= 8 {
 			op := data[:8]
 			data = data[8:]
-			tag := op[0]
-			fam, famMax := prefix.IPv4, uint8(32)
-			if tag&8 != 0 {
-				fam, famMax = prefix.IPv6, 64
-			}
-			l := op[5] % (famMax + 1)
-			hi := uint64(binary.BigEndian.Uint32(op[1:5])) << 32
-			if fam == prefix.IPv6 {
-				hi |= uint64(op[4])<<24 | uint64(op[3])<<16 | uint64(op[2])<<8 | uint64(op[1])
-			}
-			p, err := prefix.Make(fam, hi, 0, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			origin := rpki.ASN(op[7]) % 8
+			tag, v := op[0], fuzzOp(t, op)
+			p, origin := v.Prefix, v.AS
 			if tag%3 == 2 {
 				queries = append(queries, Route{Prefix: p, Origin: origin})
 				continue
 			}
-			ml := l + op[6]%(famMax-l+1)
-			if ml > p.MaxLen() {
-				ml = p.MaxLen()
-			}
-			v := rpki.VRP{Prefix: p, MaxLength: ml, AS: origin}
 			if tag%3 == 0 {
 				state[v] = struct{}{}
 			} else {
@@ -279,25 +257,7 @@ func FuzzDiff(f *testing.F) {
 				old = live.Snapshot()
 			}
 			op := data[i*8 : i*8+8]
-			tag := op[0]
-			fam, famMax := prefix.IPv4, uint8(32)
-			if tag&8 != 0 {
-				fam, famMax = prefix.IPv6, 64
-			}
-			l := op[5] % (famMax + 1)
-			hi := uint64(binary.BigEndian.Uint32(op[1:5])) << 32
-			if fam == prefix.IPv6 {
-				hi |= uint64(op[4])<<24 | uint64(op[3])<<16 | uint64(op[2])<<8 | uint64(op[1])
-			}
-			p, err := prefix.Make(fam, hi, 0, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ml := l + op[6]%(famMax-l+1)
-			if ml > p.MaxLen() {
-				ml = p.MaxLen()
-			}
-			v := rpki.VRP{Prefix: p, MaxLength: ml, AS: rpki.ASN(op[7]) % 8}
+			tag, v := op[0], fuzzOp(t, op)
 			if tag%2 == 0 {
 				live.Apply([]rpki.VRP{v}, nil)
 			} else {
@@ -312,5 +272,83 @@ func FuzzDiff(f *testing.F) {
 		// Independent rebuild of the same old table: linear path, same answer.
 		rebuilt := newIndexFromVRPs(old.AppendVRPs(nil))
 		checkDiffAgainstNaive(t, rebuilt, nw)
+	})
+}
+
+// FuzzLiveOverlay aims the fuzzer at a LiveIndex that keeps its compact half
+// across deltas: the FuzzIndex op stream (batching included) lands on a table
+// padded so that its deltas are path-copied, readers pay before every delta,
+// and after every one — with the overlay non-empty, a rebuild in flight or
+// just installed, as the delta's marks decide — Validate and ValidateBatch
+// must equal the Reference and a fresh Index on the neighbourhood of every
+// prefix the delta touched plus every query so far. tag%4 == 3 replaces the
+// table with itself through ResetTo, which discards whatever rebuild is in
+// flight.
+func FuzzLiveOverlay(f *testing.F) {
+	f.Add([]byte{
+		0, 10, 1, 3, 0, 24, 1, 1, // announce 10.1.3.0/24-25: one mark
+		2, 10, 1, 2, 0, 23, 0, 1, // query the /23 containing it
+		0, 10, 16, 0, 0, 13, 3, 2, // a /13: a block in both bitmaps
+		2, 10, 17, 0, 0, 16, 0, 2, // query inside it
+		1, 10, 1, 3, 0, 24, 1, 1, // withdraw the /24
+		3, 0, 0, 0, 0, 0, 0, 0, // ResetTo
+		0, 10, 0, 0, 0, 6, 0, 3, // a /6 fills the first bitmap: a rebuild is due
+		2, 10, 200, 0, 0, 16, 0, 3,
+	})
+	f.Add([]byte{
+		8, 32, 1, 13, 184, 48, 0, 3, // IPv6 /48: its /32's key
+		8, 42, 0, 0, 0, 21, 3, 4, // IPv6 /21: blocks
+		10, 42, 0, 1, 0, 24, 0, 4, // query inside it
+		24, 32, 1, 13, 184, 32, 0, 6, 25, 32, 1, 13, 184, 32, 0, 6, // announced and withdrawn by one delta
+		10, 32, 1, 13, 184, 40, 0, 6,
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		state := map[rpki.VRP]struct{}{}
+		var pad []rpki.VRP
+		for k := 0; k < 64; k++ {
+			pad = append(pad, markerVRP(k))
+			state[markerVRP(k)] = struct{}{}
+		}
+		live := NewLiveIndex(setOf(state))
+		queries := probesAround(pad[:2])
+		var ann, wd []rpki.VRP // the open batch
+		flush := func() {
+			if len(ann)+len(wd) == 0 {
+				return
+			}
+			pay(live, queries)
+			live.Apply(ann, wd)
+			for _, v := range ann {
+				state[v] = struct{}{}
+			}
+			for _, v := range wd {
+				delete(state, v)
+			}
+			checkLive(t, live, state, append(probesAround(append(ann, wd...)), queries...), "after a delta")
+			ann, wd = ann[:0], wd[:0]
+		}
+		for ; len(data) >= 8; data = data[8:] {
+			tag, v := data[0], fuzzOp(t, data[:8])
+			if tag%4 >= 2 || tag&16 == 0 {
+				flush()
+			}
+			switch tag % 4 {
+			case 0:
+				ann = append(ann, v)
+			case 1:
+				wd = append(wd, v)
+			case 2:
+				queries = append(queries, Route{Prefix: v.Prefix, Origin: v.AS})
+			case 3:
+				live.ResetTo(setOf(state).VRPs())
+				checkLive(t, live, state, queries, "after ResetTo")
+			}
+			if tag&16 == 0 {
+				flush()
+			}
+		}
+		flush()
+		quiesce(t, live)
+		checkLive(t, live, state, queries, "at rest")
 	})
 }

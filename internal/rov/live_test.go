@@ -3,7 +3,9 @@ package rov
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,10 +75,13 @@ func randomProbe(rng *rand.Rand) Route {
 // history, and the linear Reference must agree state-for-state on randomized
 // IPv4+IPv6 workloads — after every applied delta, not just at the end. When
 // the LiveIndex's current version carries a published compact snapshot, that
-// snapshot is held to the same answers.
+// snapshot is held to the same answers. Readers pay before every delta, so a
+// path-copied one keeps the compact half under an overlay (or finds a rebuild
+// due): the probes then include the neighbourhood of every prefix the delta
+// touched, where a wrong cover test would show.
 func TestDifferentialLiveIndexVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	bulks, copies := 0, 0
+	bulks, copies, overlaid := 0, 0, 0
 	for trial := 0; trial < 20; trial++ {
 		state := map[rpki.VRP]struct{}{}
 		var init []rpki.VRP
@@ -113,6 +118,8 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				v := randomVRP(rng)       // announced and withdrawn by one delta: withdraw wins
 				ann, wd = append(ann, v), append(wd, v)
 			}
+			pay(live, []Route{randomProbe(rng), randomProbe(rng)})
+			quiesce(t, live) // or a rebuild's install may land between two looks at the view
 			before, compactBefore := live.Snapshot(), live.CompactSnapshot()
 			bulk := len(ann)+len(wd) > 0 && (len(ann)+len(wd))*bulkDivisor >= before.Len()
 			live.Apply(ann, wd)
@@ -155,7 +162,10 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				t.Fatalf("trial %d step %d: live %d / index %d / compact %d / set %d VRPs",
 					trial, step, live.Len(), ix.Len(), cx.Len(), set.Len())
 			}
-			var routes []Route
+			if st := live.Stats(); st.CompactHeld && st.Marks > 0 {
+				overlaid++
+			}
+			routes := probesAround(append(append([]rpki.VRP(nil), ann...), wd...))
 			for q := 0; q < 120; q++ {
 				routes = append(routes, randomProbe(rng))
 			}
@@ -178,9 +188,9 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 					t.Fatalf("trial %d step %d: CompactIndex.Validate(%s, %v) = %v, reference %v",
 						trial, step, q.Prefix, q.Origin, cxStates[i], want)
 				}
-				if liveStates[i] != want {
-					t.Fatalf("trial %d step %d: LiveIndex.Validate(%s, %v) = %v, reference %v",
-						trial, step, q.Prefix, q.Origin, liveStates[i], want)
+				if got := live.Validate(q.Prefix, q.Origin); liveStates[i] != want || got != want {
+					t.Fatalf("trial %d step %d: LiveIndex.ValidateBatch(%s, %v) = %v, Validate %v, reference %v (%+v)",
+						trial, step, q.Prefix, q.Origin, liveStates[i], got, want, live.Stats())
 				}
 				if pub != nil {
 					if got := pub.Validate(q.Prefix, q.Origin); got != want {
@@ -191,8 +201,8 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 			}
 		}
 	}
-	if bulks < 20 || copies < 20 {
-		t.Fatalf("differential covered %d bulk and %d path-copied deltas, want at least 20 of each", bulks, copies)
+	if bulks < 20 || copies < 20 || overlaid < 20 {
+		t.Fatalf("differential covered %d bulk and %d path-copied deltas, %d of them answered under an overlay; want at least 20 of each", bulks, copies, overlaid)
 	}
 }
 
@@ -515,56 +525,125 @@ func TestLiveIndexCompaction(t *testing.T) {
 	}
 }
 
-// TestLiveIndexConcurrentReaders runs lock-free readers against a stream of
-// writer deltas; under -race this pins the snapshot-swap memory contract
-// (readers never observe a partially applied delta or torn slab).
+// TestLiveIndexConcurrentReaders runs lock-free readers against a writer whose
+// deltas, rebuild installs and resets interleave (under -race this pins the
+// view-swap memory contract). Readers validate whole batches through the
+// LiveIndex, and every batch must have been answered at one table version:
+// each delta toggles two VRPs whose prefixes sit at the two ends of the
+// batch, so states taken from two versions match the Index of neither. Once
+// the writer goes quiet every rebuild has been installed or discarded, and
+// every goroutine it started has exited.
 func TestLiveIndexConcurrentReaders(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(5))
-	var base []rpki.VRP
-	for i := 0; i < 40; i++ {
-		base = append(base, randomVRP(rng))
+	state := map[rpki.VRP]struct{}{}
+	for _, v := range randomTable(rng, 400) {
+		state[v] = struct{}{}
 	}
-	l := NewLiveIndex(rpki.NewSet(base))
+	l := NewLiveIndex(setOf(state))
+
+	const pairs = 16
+	routes := make([]Route, 0, 256)
+	for k := 0; k < pairs; k++ {
+		routes = append(routes, Route{Prefix: markerVRP(2 * k).Prefix, Origin: markerVRP(2 * k).AS})
+	}
+	for len(routes) < cap(routes)-pairs {
+		routes = append(routes, randomProbe(rng))
+	}
+	for k := pairs - 1; k >= 0; k-- {
+		routes = append(routes, Route{Prefix: markerVRP(2*k + 1).Prefix, Origin: markerVRP(2*k + 1).AS})
+	}
+
+	// versions[j] is the table after the writer's j-th operation; nver trails
+	// the publication by at most one.
+	versions := []*Index{l.Snapshot()}
+	var nver atomic.Int64
+	nver.Store(1)
+	type sample struct {
+		lo, hi int64
+		states []State
+	}
+	samples := make([][]sample, 4)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
+	for r := range samples {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				snap := l.Snapshot()
-				ref := NewReference(rpki.NewSet(snap.AppendVRPs(nil)))
-				for q := 0; q < 50; q++ {
-					p := randomProbe(rng)
-					if got, want := snap.Validate(p.Prefix, p.Origin), ref.Validate(p.Prefix, p.Origin); got != want {
-						t.Errorf("snapshot inconsistent: Validate(%s, %v) = %v, want %v", p.Prefix, p.Origin, got, want)
-						return
-					}
+				lo := nver.Load()
+				states := l.ValidateBatch(routes, nil)
+				if len(samples[r]) < 400 {
+					samples[r] = append(samples[r], sample{lo, nver.Load(), states})
 				}
 			}
-		}(int64(100 + r))
+		}()
 	}
 	for i := 0; i < 1500; i++ {
-		v := randomVRP(rng)
-		l.Apply([]rpki.VRP{v}, nil)
-		l.Apply(nil, []rpki.VRP{v})
+		k := i % pairs
+		pair := []rpki.VRP{markerVRP(2 * k), markerVRP(2*k + 1)}
+		short := randomVRP(rng) // now and then short enough to make a rebuild due at once
+		switch _, on := state[pair[0]]; {
+		case i%100 == 99:
+			l.ResetTo(setOf(state).VRPs())
+		case on:
+			l.Apply([]rpki.VRP{short}, pair)
+			state[short] = struct{}{}
+			delete(state, pair[0])
+			delete(state, pair[1])
+		default:
+			l.Apply(pair, []rpki.VRP{short})
+			state[pair[0]], state[pair[1]] = struct{}{}, struct{}{}
+			delete(state, short)
+		}
+		versions = append(versions, l.Snapshot())
+		nver.Store(int64(len(versions)))
 	}
 	close(stop)
 	wg.Wait()
+	settle(t, l)
+	st := quiesce(t, l)
+	if st.RebuildsInstalled < 2 || st.CompactRoutes == 0 || st.FallbackRoutes == 0 {
+		t.Fatalf("the readers saw no compact half come and go: %+v", st)
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines with the writer quiet, %d before the index was built", runtime.NumGoroutine(), baseline)
+		}
+	}
+	checkLive(t, l, state, routes, "at rest")
+
+	want := make([][]State, len(versions))
+	for r := range samples {
+		for n, sm := range samples[r] {
+			matched := false
+			for u := sm.lo - 1; u <= sm.hi && u < int64(len(versions)) && !matched; u++ {
+				if want[u] == nil {
+					want[u] = versions[u].ValidateBatch(routes, nil)
+				}
+				matched = slices.Equal(sm.states, want[u])
+			}
+			if !matched {
+				t.Fatalf("reader %d batch %d matches no single table version among %d..%d", r, n, sm.lo-1, sm.hi)
+			}
+		}
+	}
 }
 
-// TestLiveIndexCompactSwitchover runs lock-free readers across the
-// bit-trie→compact switchover while a writer churns deltas through repeated
-// compactions. Readers hold whichever structure they loaded — a compact
-// snapshot must stay internally consistent (its answers match a reference
-// built from its own exported table) no matter how many versions have been
-// published since. Under -race this pins the view-swap memory contract.
+// TestLiveIndexCompactSwitchover runs readers that hold each structure of a
+// view by itself — a compact snapshot whenever one describes the current
+// version, the bit trie always — across a writer's churn. Whatever they hold
+// must stay internally consistent (its answers match a reference built from
+// its own exported table) no matter how many versions have been published
+// since. The same readers validate through the LiveIndex and so pay for the
+// compact half: it must have been rebuilt, repeatedly, by the end of the
+// churn, and at rest the view — compact half, overlay and all — answers as
+// its bit trie does.
 func TestLiveIndexCompactSwitchover(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	var base []rpki.VRP
@@ -588,8 +667,6 @@ func TestLiveIndexCompactSwitchover(t *testing.T) {
 					return
 				default:
 				}
-				// Alternate the two snapshot kinds so both sides of the
-				// switchover are held across version swaps.
 				if c := l.CompactSnapshot(); c != nil {
 					ref := NewReference(rpki.NewSet(c.AppendVRPs(nil)))
 					for q := 0; q < 40; q++ {
@@ -608,11 +685,15 @@ func TestLiveIndexCompactSwitchover(t *testing.T) {
 						t.Errorf("bit snapshot inconsistent: Validate(%s, %v) = %v, want %v", p.Prefix, p.Origin, got, want)
 						return
 					}
+					l.Validate(p.Prefix, p.Origin)
 				}
 			}
 		}(int64(300 + r))
 	}
-	for i := 0; i < 1500; i++ {
+	for i := 0; i < 1500 || l.Stats().RebuildsInstalled < 2; i++ {
+		if i == 200000 {
+			t.Fatalf("the compact half never cycled: %+v", l.Stats())
+		}
 		v := randomVRP(rng)
 		l.Apply([]rpki.VRP{v}, nil)
 		l.Apply(nil, []rpki.VRP{v})
@@ -620,38 +701,16 @@ func TestLiveIndexCompactSwitchover(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	settle(t, l)
+	quiesce(t, l)
 
-	// The churn crossed the garbage thresholds: compactions must have cycled
-	// the compact half. Keep nudging until the republished compact snapshot
-	// is visible — the publish runs on the compactor goroutine after the
-	// compacting flag clears, and a trailing delta hides it until the next
-	// cycle — then pin it against the bit trie exactly.
-	deadline := time.Now().Add(30 * time.Second)
-	for l.CompactSnapshot() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("compact snapshot never republished after churn")
-		}
-		v := randomVRP(rng)
-		l.Apply([]rpki.VRP{v}, nil)
-		l.Apply(nil, []rpki.VRP{v})
-		settle(t, l)
-		time.Sleep(time.Millisecond)
-	}
-	l.tab.mu.Lock()
-	builds := l.compactBuilds
-	l.tab.mu.Unlock()
-	if builds < 2 {
-		t.Fatalf("compact snapshot never republished: %d builds", builds)
-	}
-	c := l.CompactSnapshot()
 	snap := l.Snapshot()
-	if c.Len() != snap.Len() {
+	if c := l.CompactSnapshot(); c != nil && c.Len() != snap.Len() {
 		t.Fatalf("compact Len %d, bit Len %d", c.Len(), snap.Len())
 	}
 	for q := 0; q < 1000; q++ {
 		p := randomProbe(rng)
-		if got, want := c.Validate(p.Prefix, p.Origin), snap.Validate(p.Prefix, p.Origin); got != want {
-			t.Fatalf("settled compact disagrees with bit trie: Validate(%s, %v) = %v, want %v", p.Prefix, p.Origin, got, want)
+		if got, want := l.Validate(p.Prefix, p.Origin), snap.Validate(p.Prefix, p.Origin); got != want {
+			t.Fatalf("settled view disagrees with its bit trie: Validate(%s, %v) = %v, want %v (%+v)", p.Prefix, p.Origin, got, want, l.Stats())
 		}
 	}
 }

@@ -19,7 +19,8 @@
 // validator: an arena trie on the core engine with a parallel value slab,
 // answering single queries and batches. Table (table.go) wraps it with
 // in-place RTR delta updates under an atomic snapshot swap, and LiveIndex
-// (live.go) adds the compact read-side structure (compact.go) to a Table.
+// (live.go) adds a compact index (compact.go) of an earlier version, which
+// answers every route no prefix touched since covers, while routes pay for it.
 // Reference (below) is a linear scan used to cross-check them in property
 // and fuzz tests.
 package rov

@@ -66,12 +66,10 @@ type Table struct {
 	// replaced (or stale) data.
 	gen uint64
 
-	// rebuilt, when set, runs each time the table has published freshly built
-	// slabs no delta has touched yet — after ResetTo, a bulk Apply, and a
-	// compaction no delta raced with — on the goroutine that built them, with
-	// mu released. LiveIndex sets it at construction to derive its compact
-	// half; a bare Table has nothing to derive.
-	rebuilt func()
+	// published, when set (LiveIndex: it keeps its view), runs under mu just
+	// before nw becomes current: nw replaces the table (ResetTo, a bulk Apply)
+	// or is it with these operations path-copied in — none for a compaction.
+	published func(nw *Index, replaced bool, announce, withdraw []rpki.VRP)
 
 	// compactHook, when set (tests), runs on the compactor goroutine before
 	// the rebuild — a seam to stall compaction and observe Apply continuing.
@@ -136,19 +134,26 @@ func (t *Table) Len() int { return t.Snapshot().Len() }
 // — unless it equals the table, and then nothing is published — and
 // snapshots on either side of it share no arena lineage (Diff across it is
 // exact, by the full walk).
-func (t *Table) Apply(announce, withdraw []rpki.VRP) {
+func (t *Table) Apply(announce, withdraw []rpki.VRP) { t.apply(announce, withdraw) }
+
+// apply is Apply, reporting whether the delta replaced the table.
+func (t *Table) apply(announce, withdraw []rpki.VRP) bool {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	old := t.cur.Load()
-	fresh := false
 	if ops := len(announce) + len(withdraw); ops > 0 && ops*bulkDivisor >= old.size {
-		fresh = t.applyBulk(old, announce, withdraw)
-	} else {
-		t.applyDelta(old, announce, withdraw)
+		return t.applyBulk(old, announce, withdraw)
 	}
-	t.mu.Unlock()
-	if fresh && t.rebuilt != nil {
-		t.rebuilt()
+	t.applyDelta(old, announce, withdraw)
+	return false
+}
+
+// publish makes nw current, the published hook first. Callers hold mu.
+func (t *Table) publish(nw *Index, replaced bool, announce, withdraw []rpki.VRP) {
+	if t.published != nil {
+		t.published(nw, replaced, announce, withdraw)
 	}
+	t.cur.Store(nw)
 }
 
 // applyBulk is Apply's build path: the table old ∪ announce ∖ withdraw goes
@@ -195,7 +200,7 @@ func (t *Table) applyDelta(old *Index, announce, withdraw []rpki.VRP) {
 		}
 	}
 	if changed {
-		t.cur.Store(nw)
+		t.publish(nw, false, announce, withdraw)
 	}
 	switch {
 	case t.compacting:
@@ -241,9 +246,6 @@ func (t *Table) ResetTo(vrps []rpki.VRP) {
 	t.mu.Lock()
 	t.replace(nw)
 	t.mu.Unlock()
-	if t.rebuilt != nil {
-		t.rebuilt()
-	}
 }
 
 // replace publishes nw — freshly built slabs — in place of the whole table:
@@ -255,7 +257,7 @@ func (t *Table) replace(nw *Index) {
 	t.gen++
 	t.resetPending()
 	t.garbageNodes, t.garbageEntries = 0, 0
-	t.cur.Store(nw)
+	t.publish(nw, true, nil, nil)
 }
 
 // resetPending empties the replay log, keeping moderate capacity for reuse
@@ -298,31 +300,20 @@ func (t *Table) compact(src *Index, gen uint64, hook func()) {
 	// idempotent state-setters), and ops on distinct VRPs commute, so a
 	// churn burst that announced and withdrew the same VRP many times
 	// collapses to a single op instead of double-applying the whole window.
-	quiet := len(t.pending) == 0
-	if !quiet {
-		last := make(map[rpki.VRP]bool, len(t.pending))
-		for _, op := range t.pending {
-			last[op.v] = op.announce
-		}
-		for v, ann := range last {
-			if ann {
-				t.announce(rebuilt, v)
-			} else {
-				t.withdraw(rebuilt, v)
-			}
+	last := make(map[rpki.VRP]bool, len(t.pending))
+	for _, op := range t.pending {
+		last[op.v] = op.announce
+	}
+	for v, ann := range last {
+		if ann {
+			t.announce(rebuilt, v)
+		} else {
+			t.withdraw(rebuilt, v)
 		}
 	}
 	t.resetPending()
-	t.cur.Store(rebuilt)
+	t.publish(rebuilt, false, nil, nil)
 	t.mu.Unlock()
-	// Still on the compactor goroutine, off every Apply path: whatever is
-	// derived from a quiescent table (LiveIndex's compact half) is derived
-	// here — but only after a rebuild no delta raced with. A delta during the
-	// rebuild means the writer is churning, and anything built for this
-	// version would be invalidated before it lands.
-	if quiet && t.rebuilt != nil {
-		t.rebuilt()
-	}
 }
 
 // has reports whether v is in the table.
