@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-smoke soak soak-smoke fuzz fuzz-smoke
+.PHONY: check fmt vet lint build test race allocs bench bench-smoke soak soak-smoke fuzz fuzz-smoke
 
-# check is the CI gate: formatting, vet, the repo-invariant lint, build, and
-# the race-enabled tests.
-check: fmt vet lint build race
+# check is the CI gate: formatting, vet, the repo-invariant lint, build, the
+# race-enabled tests, and the allocation gates the race build leaves out.
+check: fmt vet lint build race allocs
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -37,6 +37,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# allocs runs the exact allocation gates: they count with
+# testing.AllocsPerRun, which race instrumentation inflates, so their files
+# are //go:build !race and the race target never compiles them.
+allocs:
+	$(GO) test -count=1 -run 'TestValidateAllocs|TestAllocCeilings|TestSerialAnswerAllocs' ./internal/rov ./internal/core ./internal/rtr
 
 # bench prints the in-package core, rov, and rtr micro benchmarks plus the
 # paper-evaluation benches; -count=1 defeats test caching so numbers are

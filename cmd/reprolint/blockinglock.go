@@ -38,7 +38,7 @@ func runBlockingLock(m *ModulePass) {
 			}
 		}})
 	}
-	mayBlock := g.firstWitness(own, nil)
+	mayBlock := g.firstWitness(own)
 
 	for _, n := range g.nodes {
 		if n.body == nil || !lockScoped(n.pkg.Path) {

@@ -1,7 +1,7 @@
 package main
 
 // callgraph.go: the module-internal call graph underpinning the
-// inter-procedural checks (lockorder, goroleak, hotalloc). Every function
+// inter-procedural checks (blockinglock, lockorder, goroleak). Every function
 // declaration and function literal in the loaded packages becomes a node;
 // edges come from direct calls, interface method calls (conservatively
 // widened to every module type implementing the interface), and
@@ -573,8 +573,7 @@ func (w *witness) detail(fset *token.FileSet) string {
 
 // firstWitness composes a may-property bottom-up: a function has a witness if
 // its own body does (own) or the first callee that runs as part of it does.
-// Barrier callees are trusted and contribute nothing.
-func (g *CallGraph) firstWitness(own map[*funcNode]*witness, barrier map[*funcNode]bool) map[*funcNode]*witness {
+func (g *CallGraph) firstWitness(own map[*funcNode]*witness) map[*funcNode]*witness {
 	out := make(map[*funcNode]*witness)
 	g.composeBottomUp(func(n *funcNode) bool {
 		if out[n] != nil {
@@ -585,7 +584,7 @@ func (g *CallGraph) firstWitness(own map[*funcNode]*witness, barrier map[*funcNo
 			return true
 		}
 		for _, e := range n.out {
-			if !e.runs() || barrier[e.callee] {
+			if !e.runs() {
 				continue
 			}
 			if w := out[e.callee]; w != nil {

@@ -55,7 +55,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type ModulePass struct {
 	Fset  *token.FileSet
 	Pkgs  []*Package
-	Facts *Facts
 	Graph *CallGraph
 
 	check    string
@@ -112,16 +111,9 @@ type Facts struct {
 	// annotated //repro:immutable: their return values are published
 	// snapshots.
 	ImmutableFuncs map[string]bool
-	// NoallocFuncs holds (*types.Func).FullName() strings for functions
-	// annotated //repro:noalloc: hot paths that must stay allocation-free,
-	// transitively through module-internal calls (checked by hotalloc).
-	NoallocFuncs map[string]bool
 }
 
-const (
-	immutableDirective = "//repro:immutable"
-	noallocDirective   = "//repro:noalloc"
-)
+const immutableDirective = "//repro:immutable"
 
 // collectFacts scans the loaded packages' declaration comments for
 // //repro:* directives.
@@ -129,7 +121,6 @@ func collectFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		ImmutableTypes: make(map[string]bool),
 		ImmutableFuncs: make(map[string]bool),
-		NoallocFuncs:   make(map[string]bool),
 	}
 	for _, p := range pkgs {
 		for _, file := range p.Files {
@@ -156,9 +147,6 @@ func collectFacts(pkgs []*Package) *Facts {
 					}
 					if hasDirective(d.Doc, immutableDirective) {
 						f.ImmutableFuncs[obj.FullName()] = true
-					}
-					if hasDirective(d.Doc, noallocDirective) {
-						f.NoallocFuncs[obj.FullName()] = true
 					}
 				}
 			}
@@ -255,7 +243,7 @@ func runAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 			if graph == nil {
 				graph = buildCallGraph(fset, pkgs)
 			}
-			a.RunModule(&ModulePass{Fset: fset, Pkgs: pkgs, Facts: facts, Graph: graph, check: a.Name, findings: &raw})
+			a.RunModule(&ModulePass{Fset: fset, Pkgs: pkgs, Graph: graph, check: a.Name, findings: &raw})
 			continue
 		}
 		for _, p := range pkgs {

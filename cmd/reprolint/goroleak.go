@@ -76,7 +76,7 @@ func runGoroLeak(m *ModulePass) {
 			ownLoop[n] = &witness{pos: n.Pos(), desc: n.name}
 		}
 	}
-	hasLoop := g.firstWitness(ownLoop, nil)
+	hasLoop := g.firstWitness(ownLoop)
 	g.composeBottomUp(func(n *funcNode) bool {
 		if canStop[n] {
 			return false

@@ -15,10 +15,6 @@ func TestGoroLeakGolden(t *testing.T) {
 	checkGolden(t, loadTestdata(t, "goroleak"), wantsIn(t, "goroleak"))
 }
 
-func TestHotAllocGolden(t *testing.T) {
-	checkGolden(t, loadTestdata(t, "hotalloc"), wantsIn(t, "hotalloc"))
-}
-
 // buildTestGraph loads one testdata package and builds its call graph.
 func buildTestGraph(t *testing.T, name string) *CallGraph {
 	t.Helper()
@@ -209,8 +205,12 @@ func TestSuppressionInventory(t *testing.T) {
 			t.Errorf("allow-listed blockinglock suppression %q (%d) is gone; shrink the list", site, n)
 		}
 	}
-	if len(seen) == 0 {
-		t.Fatal("no //lint:ignore directives found; inventory test is scanning nothing")
+	allowed := 0
+	for _, n := range wantBlocking {
+		allowed += n
+	}
+	if len(seen) != allowed {
+		t.Errorf("%d //lint:ignore directives in the repository, want the %d allow-listed blockinglock ones and nothing else", len(seen), allowed)
 	}
 }
 
@@ -223,7 +223,7 @@ func TestBlockingLockSeesExchange(t *testing.T) {
 	_, loader, pkgs := loadRepo(t)
 	var raw []Finding
 	blockingLockAnalyzer.RunModule(&ModulePass{
-		Fset: loader.Fset, Pkgs: pkgs, Facts: collectFacts(pkgs),
+		Fset: loader.Fset, Pkgs: pkgs,
 		Graph: buildCallGraph(loader.Fset, pkgs), check: "blockinglock", findings: &raw,
 	})
 	const want = "call to (*rtr.Client).exchange may block while rtr.Client.reqMu is held"
@@ -234,100 +234,5 @@ func TestBlockingLockSeesExchange(t *testing.T) {
 	}
 	if len(raw) != 4 {
 		t.Errorf("got %d raw blockinglock findings, want the 4 exchange calls under reqMu: %v", len(raw), raw)
-	}
-}
-
-// TestHotAllocProbe verifies the check actually fails the build when an
-// allocation is injected into an annotated hot path: the module's internal
-// packages are copied to a temp dir, a fmt.Sprintf is inserted into
-// keyMatch, and hotalloc must flag that exact line.
-func TestHotAllocProbe(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := filepath.Dir(filepath.Dir(wd)) // cmd/reprolint -> repo root
-	tmp := t.TempDir()
-
-	copyFile := func(src, dst string) {
-		t.Helper()
-		data, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(dst, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	copyFile(filepath.Join(root, "go.mod"), filepath.Join(tmp, "go.mod"))
-	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		copyFile(path, filepath.Join(tmp, rel))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Inject the allocation.
-	target := filepath.Join(tmp, "internal", "rov", "compact.go")
-	data, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := string(data)
-	anchor := "func keyMatch(nhi, nlo, qhi, qlo uint64, plen uint8) bool {\n"
-	if strings.Count(src, anchor) != 1 {
-		t.Fatalf("keyMatch anchor not found exactly once in %s", target)
-	}
-	src = strings.Replace(src, anchor, anchor+"\t_ = fmt.Sprintf(\"%d\", plen)\n", 1)
-	src = strings.Replace(src, "package rov\n", "package rov\n\nimport \"fmt\"\n", 1)
-	if err := os.WriteFile(target, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	injected := 0
-	for i, line := range strings.Split(src, "\n") {
-		if strings.Contains(line, "fmt.Sprintf(\"%d\", plen)") {
-			injected = i + 1
-			break
-		}
-	}
-
-	loader, err := NewLoader(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := runAnalyzers(loader.Fset, pkgs, analyzers)
-	if len(findings) == 0 {
-		t.Fatal("injected fmt.Sprintf into keyMatch produced no findings")
-	}
-	sawSprintf := false
-	for _, f := range findings {
-		if f.Check != "hotalloc" || f.Pos.Filename != target || f.Pos.Line != injected {
-			t.Errorf("unexpected finding: %s", f)
-			continue
-		}
-		if strings.Contains(f.Msg, "fmt.Sprintf") {
-			sawSprintf = true
-		}
-	}
-	if !sawSprintf {
-		t.Errorf("no hotalloc finding names fmt.Sprintf: %v", findings)
 	}
 }

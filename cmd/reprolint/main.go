@@ -1,12 +1,11 @@
 // Command reprolint enforces this repository's load-bearing invariants with
 // static analysis. Three per-package checks: RFC 1982 serial ordering
 // (serialcmp), arena slab pointer discipline (arenaptr), and snapshot
-// copy-on-write (snapshotwrite). Four module-level checks composed over an
+// copy-on-write (snapshotwrite). Three module-level checks composed over an
 // inter-procedural call graph: no blocking under RTR/ROV locks (blockinglock),
-// consistent lock acquisition order (lockorder), provable stop paths for every
-// goroutine (goroleak), and allocation-free //repro:noalloc hot paths
-// (hotalloc). It is built on go/parser and go/types alone, keeping the module
-// dependency-free.
+// consistent lock acquisition order (lockorder), and provable stop paths for
+// every goroutine (goroleak). It is built on go/parser and go/types alone,
+// keeping the module dependency-free.
 //
 // Usage:
 //
@@ -39,7 +38,6 @@ var analyzers = []*Analyzer{
 	blockingLockAnalyzer,
 	lockOrderAnalyzer,
 	goroLeakAnalyzer,
-	hotAllocAnalyzer,
 }
 
 // jsonFinding is the -json record shape; the field names are part of the CI

@@ -230,16 +230,4 @@ func TestFactsCollected(t *testing.T) {
 			t.Errorf("%s not in ImmutableFuncs: %v", fn, facts.ImmutableFuncs)
 		}
 	}
-	for _, fn := range []string{
-		"(*repro/internal/rov.Index).Validate",
-		"repro/internal/rov.validateOn",
-		"(*repro/internal/rov.CompactIndex).Validate",
-		"(*repro/internal/rov.CompactIndex).ValidateBatchSorted",
-		"(*repro/internal/rov.famCompact).validateCompact",
-		"repro/internal/rov.keyMatch",
-	} {
-		if !facts.NoallocFuncs[fn] {
-			t.Errorf("%s not in NoallocFuncs: %v", fn, facts.NoallocFuncs)
-		}
-	}
 }

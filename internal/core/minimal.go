@@ -75,52 +75,16 @@ func AdditionalPrefixes(s *rpki.Set, table *bgp.Table) int {
 // authorized — is deployment coverage, not minimality). It returns a
 // witness route that is authorized but unannounced when not minimal.
 func IsMinimal(s *rpki.Set, table *bgp.Table) (bool, *rpki.VRP) {
-	tries := BuildTries(s)
-	defer ReleaseTries(tries)
-	for _, t := range tries {
-		var witness *rpki.VRP
-		as := t.AS()
-		t.Walk(func(p prefix.Prefix, maxLength uint8) {
-			if witness != nil {
-				return
-			}
-			// Fast path: compare announced count under (p, maxLength) with
-			// the full expansion size; equality means every authorized
-			// subprefix is announced.
-			want := p.NumSubprefixesUpTo(maxLength)
-			got := uint64(table.WalkAnnouncedUnder(as, p, maxLength, nil))
-			if got >= want {
-				return
-			}
-			// Locate a concrete unannounced authorized prefix by descending
-			// toward a deficit: at each level at least one child subtree
-			// misses announcements, so the search is O(maxLength) probes.
-			q := p
-			for {
-				if !table.Contains(q, as) {
-					w := rpki.VRP{Prefix: q, MaxLength: q.Len(), AS: as}
-					witness = &w
-					return
-				}
-				if q.Len() >= maxLength {
-					return // fully announced on this path (cannot happen given the deficit)
-				}
-				descended := false
-				for bit := uint8(0); bit < 2; bit++ {
-					c := q.Child(bit)
-					if uint64(table.WalkAnnouncedUnder(as, c, maxLength, nil)) < c.NumSubprefixesUpTo(maxLength) {
-						q = c
-						descended = true
-						break
-					}
-				}
-				if !descended {
-					return // deficit vanished; treat as minimal on this path
-				}
-			}
-		})
-		if witness != nil {
-			return false, witness
+	for _, v := range s.VRPs() {
+		// Compare the announced count under the tuple with the full
+		// expansion size; equality means every authorized subprefix is
+		// announced.
+		want := v.Prefix.NumSubprefixesUpTo(v.MaxLength)
+		if uint64(table.WalkAnnouncedUnder(v.AS, v.Prefix, v.MaxLength, nil)) >= want {
+			continue
+		}
+		if w, ok := findUnannounced(v, table); ok {
+			return false, &w
 		}
 	}
 	return true, nil

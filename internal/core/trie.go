@@ -3,8 +3,9 @@
 // rewrites a set of VRP tuples into a smaller, semantically identical set
 // that uses the maxLength attribute — without ever authorizing a route the
 // input did not authorize. (Compress itself walks each group's sorted tuples,
-// which are the trie's pre-order, without building the trie; the analyses
-// below build it.) The package also implements the analyses the
+// which are the trie's pre-order, and so do the analyses; nothing outside
+// tests builds the trie. It is the reference Algorithm 1 is tested against:
+// FuzzCompressVsTrie.) The package also implements the analyses the
 // paper builds on that algorithm: minimal-ROA conversion (§6, §7.2),
 // forged-origin subprefix hijack vulnerability detection (§4, §6), and an
 // exact semantic-equivalence verifier used to prove compression safe.
@@ -48,11 +49,11 @@ type Trie struct {
 }
 
 // trieSlabs recycles Trie slabs. A caller that releases its tries once it has
-// read them (IsMinimal over BuildTries) reuses a steady-state set of slabs
-// across full RPKI snapshots instead of reallocating O(tries) of them per
-// run. The pool is bounded (see SlabPool): at most poolMaxSlabs
-// slabs stay resident, and a slab larger than poolMaxNodeCap nodes is dropped
-// on Release rather than pinned until the next GC.
+// read them reuses a steady-state set of slabs across full RPKI snapshots
+// instead of reallocating O(tries) of them per run. The pool is bounded (see
+// SlabPool): at most poolMaxSlabs slabs stay resident, and a slab larger than
+// poolMaxNodeCap nodes is dropped on Release rather than pinned until the
+// next GC.
 var trieSlabs = NewSlabPool[tval](poolMaxSlabs, poolMaxNodeCap)
 
 const (
@@ -119,23 +120,7 @@ func (t *Trie) Insert(p prefix.Prefix, maxLength uint8) {
 	if maxLength < p.Len() || maxLength > p.MaxLen() {
 		panic(fmt.Sprintf("core: maxLength %d invalid for %s", maxLength, p))
 	}
-	// The descend loop is hand-inlined over the slab rather than routed
-	// through Engine.PathInsert: the per-bit method calls showed up in the
-	// profile of building a full snapshot's tries.
-	nodes := t.eng.Nodes
-	idx := int32(0)
-	for depth := uint8(0); depth < p.Len(); depth++ {
-		bit := p.Bit(depth)
-		c := nodes[idx].Children[bit]
-		if c == NoChild {
-			c = int32(len(nodes))
-			nodes = append(nodes, Node[tval]{})
-			nodes[idx].Children[bit] = c
-		}
-		idx = c
-	}
-	t.eng.Nodes = nodes
-	n := &nodes[idx]
+	n := &t.eng.Nodes[t.eng.PathInsert(0, p, tval{})]
 	if !n.Val.present {
 		n.Val.present = true
 		n.Val.value = maxLength
@@ -167,28 +152,13 @@ func (t *Trie) Tuples(dst []rpki.VRP) []rpki.VRP {
 	return dst
 }
 
-// Walk visits every present tuple in canonical order. Like Insert it walks
-// the slab directly (pre-order of the key space, matching Engine.Walk): the
-// engine's generic visit-every-node callback costs a second closure
-// indirection per node.
+// Walk visits every present tuple in canonical order.
 func (t *Trie) Walk(fn func(p prefix.Prefix, maxLength uint8)) {
-	nodes := t.eng.Nodes
-	stack := make([]engineFrame, 1, maxDepth+1)
-	stack[0] = engineFrame{idx: 0, pfx: t.rootPrefix()}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := &nodes[f.idx]
-		if n.Val.present {
-			fn(f.pfx, n.Val.value)
+	t.eng.Walk(0, t.rootPrefix(), func(idx int32, p prefix.Prefix) {
+		if v := t.eng.Nodes[idx].Val; v.present {
+			fn(p, v.value)
 		}
-		if c := n.Children[1]; c != NoChild {
-			stack = append(stack, engineFrame{idx: c, pfx: f.pfx.Child(1)})
-		}
-		if c := n.Children[0]; c != NoChild {
-			stack = append(stack, engineFrame{idx: c, pfx: f.pfx.Child(0)})
-		}
-	}
+	})
 }
 
 // Lookup returns the maxLength stored at exactly p, if present.

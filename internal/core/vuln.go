@@ -88,8 +88,10 @@ func AnalyzeVulnerabilities(s *rpki.Set, table *bgp.Table, collect bool) Report 
 	return rep
 }
 
-// findUnannounced locates an authorized-but-unannounced route under v using
-// the same deficit-descent as IsMinimal.
+// findUnannounced locates an authorized-but-unannounced route under v by
+// descending toward a deficit: at each level at least one child subtree has
+// fewer announcements than authorized prefixes, so the search is
+// O(maxLength) probes. It reports false when v's expansion is fully announced.
 func findUnannounced(v rpki.VRP, table *bgp.Table) (rpki.VRP, bool) {
 	q := v.Prefix
 	for {

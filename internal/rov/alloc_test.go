@@ -2,43 +2,112 @@
 
 package rov
 
-import "testing"
+import (
+	"slices"
+	"testing"
 
-// TestValidateAllocs is the dynamic counterpart of reprolint's hotalloc: every
-// //repro:noalloc entry point reachable from outside the package, and the
-// batch forms with a pre-sized dst, must run at exactly 0 allocs over a
-// 50k-VRP table — the LiveIndex ones also over today's table under an
-// overlay of a thousand touched prefixes, where each route is tested against
-// it and a quarter of them go to the bit trie. Not built under -race, whose
+	"repro/internal/prefix"
+	"repro/internal/rpki"
+)
+
+// TestValidateAllocs is the noalloc gate: every validation entry point runs
+// at exactly 0 allocs — single routes, and batches into a dst the caller has
+// sized — over a 50k-VRP table with both families in it, and the LiveIndex
+// ones also over today's table under an overlay of a thousand touched
+// prefixes, where each route is tested against it and a quarter of them go
+// to the bit trie. The rows between them execute every statement of
+// validateOn, validateCompact, keyMatch, overlay.covers and the Validate and
+// ValidateBatch methods of Index, CompactIndex and LiveIndex (go test -run
+// TestValidateAllocs -coverprofile says so), so an allocation added on any
+// branch shows here. The edge routes are the branches a random IPv4 batch does not take:
+// an IPv6 route longer than /64, routes shorter than either family's stride,
+// an invalid prefix. ValidateBatchSorted's documented allocation, the
+// permutation, is pinned at exactly one. Not built under -race, whose
 // instrumentation allocates.
 func TestValidateAllocs(t *testing.T) {
-	set := benchSet()
+	vrps := slices.Clone(benchSet().VRPs())
+	for _, v := range []struct {
+		p  string
+		ml uint8
+	}{{"2000::/6", 8}, {"2001:db8::/32", 48}, {"2001:db8:0:1::/64", 64}, {"2001:db8:0:1:8000::/80", 128}} {
+		vrps = append(vrps, rpki.VRP{Prefix: prefix.MustParse(v.p), MaxLength: v.ml, AS: 64500})
+	}
+	set := rpki.NewSet(vrps)
 	ix := NewIndex(set)
 	cx := NewCompactIndex(set)
 	live := NewLiveIndex(set)
+	bare := NewLiveIndex(set) // nobody read through it: the delta drops the compact half
+	bare.Apply(vrps[:1], vrps[1:2])
+	if bare.Stats().CompactHeld {
+		t.Fatal("an unread LiveIndex kept its compact half across a delta")
+	}
+
 	routes := benchRoutes(8192)
-	dst := make([]State, len(routes))
-	r := routes[0]
 	overlaid := liveWithOverlay(t, routes, 0.25)
 	if st := overlaid.Stats(); st.Marks < 1000 {
 		t.Fatalf("overlay of %d marks, want at least 1000", st.Marks)
 	}
+	edge := []Route{
+		{Prefix: prefix.MustParse("2001:db8:0:1:8000:1::/96"), Origin: 64500}, // below the /80 VRP
+		{Prefix: prefix.MustParse("2001:db8:0:1:4000::/96"), Origin: 64500},   // beside it
+		{Prefix: prefix.MustParse("2001:db8:7::/48"), Origin: 64500},
+		{Prefix: prefix.MustParse("3000::/16"), Origin: 64500}, // under no VRP
+		{Prefix: prefix.MustParse("2000::/7"), Origin: 64500},  // shorter than the IPv6 stride
+		{Prefix: prefix.MustParse("2000::/4"), Origin: 64500},  // and than its shortest VRP
+		{Prefix: prefix.MustParse("10.0.0.0/7"), Origin: 1},    // shorter than the IPv4 stride
+		{}, // not a prefix
+		routes[0],
+	}
+	mixed := append(slices.Clone(routes), edge...)
+	// The first batch of each kind grows its dst: the one allocation a caller
+	// can ask for, and all three tables must agree on what went into it.
+	dst := ix.ValidateBatch(mixed, nil)
+	want := slices.Clone(dst)
+	if !slices.Equal(want[8192:8200], []State{Valid, Invalid, Valid, NotFound, Valid, NotFound, NotFound, NotFound}) {
+		t.Fatalf("edge routes classified %v", want[8192:])
+	}
+	for name, got := range map[string][]State{
+		"CompactIndex.ValidateBatch":       cx.ValidateBatch(mixed, nil),
+		"CompactIndex.ValidateBatchSorted": cx.ValidateBatchSorted(mixed, nil),
+		"LiveIndex.ValidateBatch":          live.ValidateBatch(mixed, nil),
+	} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s disagrees with Index.ValidateBatch", name)
+		}
+	}
 
 	for _, tc := range []struct {
 		name string
+		want float64
 		fn   func()
 	}{
-		{"Index.Validate", func() { ix.Validate(r.Prefix, r.Origin) }},
-		{"CompactIndex.Validate", func() { cx.Validate(r.Prefix, r.Origin) }},
-		{"CompactIndex.ValidateBatch", func() { cx.ValidateBatch(routes, dst) }},
-		{"LiveIndex.Validate", func() { live.Validate(r.Prefix, r.Origin) }},
-		{"LiveIndex.ValidateBatch", func() { live.ValidateBatch(routes, dst) }},
-		{"LiveIndex.Validate under an overlay, a touched route", func() { overlaid.Validate(r.Prefix, r.Origin) }},
-		{"LiveIndex.Validate under an overlay, the last route", func() { overlaid.Validate(routes[8191].Prefix, routes[8191].Origin) }},
-		{"LiveIndex.ValidateBatch under an overlay", func() { overlaid.ValidateBatch(routes, dst) }},
+		{"Index.Validate", 0, func() {
+			for _, r := range edge {
+				ix.Validate(r.Prefix, r.Origin)
+			}
+		}},
+		{"Index.ValidateBatch", 0, func() { ix.ValidateBatch(mixed, dst) }},
+		{"CompactIndex.Validate", 0, func() {
+			for _, r := range edge {
+				cx.Validate(r.Prefix, r.Origin)
+			}
+		}},
+		{"CompactIndex.ValidateBatch", 0, func() { cx.ValidateBatch(mixed, dst) }},
+		{"CompactIndex.ValidateBatchSorted, a small batch", 0, func() { cx.ValidateBatchSorted(edge, dst) }},
+		{"CompactIndex.ValidateBatchSorted", 1, func() { cx.ValidateBatchSorted(mixed, dst) }},
+		{"LiveIndex.Validate", 0, func() {
+			for _, r := range edge {
+				live.Validate(r.Prefix, r.Origin)
+			}
+		}},
+		{"LiveIndex.ValidateBatch", 0, func() { live.ValidateBatch(mixed, dst) }},
+		{"LiveIndex.ValidateBatch without a compact half", 0, func() { bare.ValidateBatch(mixed, dst) }},
+		{"LiveIndex.Validate under an overlay, a touched route", 0, func() { overlaid.Validate(routes[0].Prefix, routes[0].Origin) }},
+		{"LiveIndex.Validate under an overlay, the last route", 0, func() { overlaid.Validate(routes[8191].Prefix, routes[8191].Origin) }},
+		{"LiveIndex.ValidateBatch under an overlay", 0, func() { overlaid.ValidateBatch(mixed, dst) }},
 	} {
-		if got := testing.AllocsPerRun(10, tc.fn); got != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", tc.name, got)
+		if got := testing.AllocsPerRun(10, tc.fn); got != tc.want {
+			t.Errorf("%s: %v allocs/op, want %v", tc.name, got, tc.want)
 		}
 	}
 }

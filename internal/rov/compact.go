@@ -308,8 +308,7 @@ func (cx *CompactIndex) Len() int { return cx.size }
 // validateCompact classifies (p, origin) against one family's compact
 // structure: one stride-table load, a compressed-edge descent of the slot's
 // subtree, and one contiguous scan of the stop node's aggregated span.
-//
-//repro:noalloc
+// Allocation-free: TestValidateAllocs runs every statement.
 func (f *famCompact) validateCompact(entries []centry, p prefix.Prefix, origin rpki.ASN) State {
 	if f.slots == nil {
 		return NotFound
@@ -362,8 +361,6 @@ func (f *famCompact) validateCompact(entries []centry, p prefix.Prefix, origin r
 // plen-bit node key (nhi, nlo) — the skip-edge predicate: one xor-shift
 // verifies every compressed bit at once. Shift counts >= the width yield 0
 // in Go, so plen 0 and the 64/128 boundaries need no special cases.
-//
-//repro:noalloc
 func keyMatch(nhi, nlo, qhi, qlo uint64, plen uint8) bool {
 	if plen <= 64 {
 		return (nhi^qhi)>>(64-plen) == 0
@@ -371,9 +368,8 @@ func keyMatch(nhi, nlo, qhi, qlo uint64, plen uint8) bool {
 	return nhi == qhi && (nlo^qlo)>>(128-plen) == 0
 }
 
-// Validate classifies route (p, origin) per RFC 6811. Zero allocations.
-//
-//repro:noalloc
+// Validate classifies route (p, origin) per RFC 6811. Zero allocations
+// (TestValidateAllocs).
 func (cx *CompactIndex) Validate(p prefix.Prefix, origin rpki.ASN) State {
 	if !p.IsValid() {
 		return NotFound
@@ -419,16 +415,13 @@ const sortedBatchMin = 256
 // validation runs in permuted order while results land at their original
 // positions. Batches over a table larger than the cache hierarchy touch each
 // slab region once instead of per route. The output is identical to
-// ValidateBatch; the permutation is the one extra allocation.
-//
-//repro:noalloc
+// ValidateBatch; the permutation is the one extra allocation
+// (TestValidateAllocs pins it at exactly one).
 func (cx *CompactIndex) ValidateBatchSorted(routes []Route, dst []State) []State {
 	if len(routes) < sortedBatchMin {
-		//lint:ignore hotalloc small batches delegate to ValidateBatch, whose only allocation is the documented caller-amortized dst growth
 		return cx.ValidateBatch(routes, dst)
 	}
 	if cap(dst) < len(routes) {
-		//lint:ignore hotalloc dst grows only when the caller under-provisions; steady-state batches reuse it at zero allocations
 		dst = make([]State, len(routes))
 	} else {
 		dst = dst[:len(routes)]
@@ -451,7 +444,6 @@ func (cx *CompactIndex) ValidateBatchSorted(routes []Route, dst []State) []State
 		starts[i] = sum
 		sum += c
 	}
-	//lint:ignore hotalloc the permutation is the one extra allocation, per the doc comment; it is the price of the locality win
 	perm := make([]int32, len(routes))
 	for i, q := range routes {
 		k := key(q)

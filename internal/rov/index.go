@@ -148,9 +148,7 @@ func (ix *Index) Len() int { return ix.size }
 // validateOn classifies (p, origin) against one family's slabs. Every entry
 // on the ancestor path covers p by construction, so the state tightens from
 // NotFound to Invalid at the first non-empty span and to Valid at the first
-// matching entry.
-//
-//repro:noalloc
+// matching entry. Allocation-free: TestValidateAllocs runs every statement.
 func validateOn(nodes []core.Node[span], root int32, entries []entry, p prefix.Prefix, origin rpki.ASN) State {
 	state := NotFound
 	idx := root
@@ -174,9 +172,8 @@ func validateOn(nodes []core.Node[span], root int32, entries []entry, p prefix.P
 	}
 }
 
-// Validate classifies route (p, origin) per RFC 6811.
-//
-//repro:noalloc
+// Validate classifies route (p, origin) per RFC 6811. Zero allocations
+// (TestValidateAllocs).
 func (ix *Index) Validate(p prefix.Prefix, origin rpki.ASN) State {
 	if !p.IsValid() {
 		return NotFound

@@ -95,9 +95,8 @@ func (o *overlay) mark(vrps []rpki.VRP) {
 	}
 }
 
-// covers reports whether a marked prefix may contain p.
-//
-//repro:noalloc
+// covers reports whether a marked prefix may contain p. Allocation-free
+// (TestValidateAllocs).
 func (o *overlay) covers(p prefix.Prefix) bool {
 	hi, _ := p.Bits()
 	slot := famSlot(p.Family())

@@ -13,28 +13,82 @@ import (
 	"repro/internal/rpki"
 )
 
+// waitCompactor waits until no background compaction is in flight.
+func waitCompactor(t *testing.T, tab *Table) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		tab.mu.Lock()
+		busy := tab.compacting
+		tab.mu.Unlock()
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("compaction did not finish")
+		}
+	}
+}
+
 // settle waits out any in-flight background compaction and keeps forcing
 // empty Applies until the garbage thresholds are satisfied, so tests can
 // assert slab bounds deterministically against the asynchronous compactor.
 func settle(t *testing.T, l *LiveIndex) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
 	for {
+		waitCompactor(t, &l.tab)
 		l.tab.mu.Lock()
-		busy := l.tab.compacting
-		need := !busy && l.tab.needCompact(l.tab.cur.Load())
+		need := l.tab.needCompact(l.tab.cur.Load())
 		l.tab.mu.Unlock()
-		if busy {
-			if time.Now().After(deadline) {
-				t.Fatal("compaction did not finish")
-			}
-			time.Sleep(time.Millisecond)
-			continue
-		}
 		if !need {
 			return
 		}
 		l.Apply(nil, nil)
+	}
+}
+
+// wedgeCompactions makes every compactor goroutine tab starts from now on
+// park in its hook until release is closed; started counts them.
+func wedgeCompactions(tab *Table) (started *atomic.Int32, release chan struct{}) {
+	started, release = new(atomic.Int32), make(chan struct{})
+	tab.mu.Lock()
+	tab.compactHook = func() {
+		started.Add(1)
+		<-release
+	}
+	tab.mu.Unlock()
+	return started, release
+}
+
+// countCompactions counts, from now on, the snapshots tab publishes that are
+// neither a replacement nor a delta: compactions.
+func countCompactions(tab *Table) *atomic.Int32 {
+	n := new(atomic.Int32)
+	tab.mu.Lock()
+	inner := tab.published
+	tab.published = func(nw *Index, replaced bool, announce, withdraw []rpki.VRP) {
+		if !replaced && len(announce)+len(withdraw) == 0 {
+			n.Add(1)
+		}
+		if inner != nil {
+			inner(nw, replaced, announce, withdraw)
+		}
+	}
+	tab.mu.Unlock()
+	return n
+}
+
+// churnUntil applies announce-then-withdraw pairs of the marker VRPs from
+// first on — they must not be in the table, which they leave as it was —
+// until done reports true: garbage until the compactor has done something.
+func churnUntil(t *testing.T, l *LiveIndex, first int, done func() bool) {
+	t.Helper()
+	for i := 0; !done(); i++ {
+		if i == 200000 {
+			t.Fatal("churn never triggered a compaction")
+		}
+		v := markerVRP(first + i%200)
+		l.Apply([]rpki.VRP{v}, nil)
+		l.Apply(nil, []rpki.VRP{v})
 	}
 }
 
@@ -78,10 +132,13 @@ func randomProbe(rng *rand.Rand) Route {
 // snapshot is held to the same answers. Readers pay before every delta, so a
 // path-copied one keeps the compact half under an overlay (or finds a rebuild
 // due): the probes then include the neighbourhood of every prefix the delta
-// touched, where a wrong cover test would show.
+// touched, where a wrong cover test would show. A compaction is wedged ahead
+// of a path-copied delta and released after the delta that follows, so a
+// catch-up (or, past a bulk delta, a discard) lands under the live view and
+// is held to the same answers.
 func TestDifferentialLiveIndexVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	bulks, copies, overlaid := 0, 0, 0
+	bulks, copies, overlaid, caughtUp, discarded := 0, 0, 0, 0, 0
 	for trial := 0; trial < 20; trial++ {
 		state := map[rpki.VRP]struct{}{}
 		var init []rpki.VRP
@@ -91,6 +148,9 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 			state[v] = struct{}{}
 		}
 		live := NewLiveIndex(rpki.NewSet(init))
+		var release chan struct{} // of the wedged compaction
+		var replaced bool         // since it started
+		var during []rpki.VRP     // every VRP a delta named since it started
 		for step := 0; step < 12; step++ {
 			// Deltas on both sides of Apply's bulk threshold: a handful of
 			// operations most steps, as many as the table holds every third.
@@ -122,6 +182,16 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 			quiesce(t, live) // or a rebuild's install may land between two looks at the view
 			before, compactBefore := live.Snapshot(), live.CompactSnapshot()
 			bulk := len(ann)+len(wd) > 0 && (len(ann)+len(wd))*bulkDivisor >= before.Len()
+			wedgeNow := release == nil && !bulk && step < 11 // the next step releases it
+			if wedgeNow {
+				// These tables are too small to compact of their own accord.
+				release, replaced, during = make(chan struct{}), false, nil
+				live.tab.mu.Lock()
+				live.tab.compacting = true
+				go live.tab.compact(before, func() { <-release })
+				live.tab.mu.Unlock()
+			}
+			during = append(append(during, ann...), wd...)
 			live.Apply(ann, wd)
 			for _, v := range ann {
 				state[v] = struct{}{}
@@ -142,6 +212,7 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				}
 			case bulk:
 				bulks++
+				replaced = true
 				if before.fams[0].eng.SharedArena(&after.fams[0].eng) {
 					t.Fatalf("trial %d step %d: %d ops into %d VRPs were path-copied", trial, step, len(ann)+len(wd), before.Len())
 				}
@@ -155,54 +226,80 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				}
 			}
 
-			set := setOf(state)
-			cur := set.VRPs()
-			ix, cx, ref := NewIndex(set), NewCompactIndex(set), NewReference(set)
-			if live.Len() != set.Len() || ix.Len() != set.Len() || cx.Len() != set.Len() {
-				t.Fatalf("trial %d step %d: live %d / index %d / compact %d / set %d VRPs",
-					trial, step, live.Len(), ix.Len(), cx.Len(), set.Len())
-			}
-			if st := live.Stats(); st.CompactHeld && st.Marks > 0 {
-				overlaid++
-			}
-			routes := probesAround(append(append([]rpki.VRP(nil), ann...), wd...))
-			for q := 0; q < 120; q++ {
-				routes = append(routes, randomProbe(rng))
-			}
-			for _, v := range cur { // exact-prefix probes with right and wrong origin
-				routes = append(routes,
-					Route{Prefix: v.Prefix, Origin: v.AS},
-					Route{Prefix: v.Prefix, Origin: v.AS + 1})
-			}
-			liveStates := live.ValidateBatch(routes, nil)
-			ixStates := ix.ValidateBatch(routes, nil)
-			cxStates := cx.ValidateBatch(routes, nil)
-			pub := live.CompactSnapshot() // nil unless a compaction landed for this exact version
-			for i, q := range routes {
-				want := ref.Validate(q.Prefix, q.Origin)
-				if ixStates[i] != want {
-					t.Fatalf("trial %d step %d: Index.Validate(%s, %v) = %v, reference %v",
-						trial, step, q.Prefix, q.Origin, ixStates[i], want)
+			verify := func(touched []rpki.VRP) {
+				set := setOf(state)
+				cur := set.VRPs()
+				ix, cx, ref := NewIndex(set), NewCompactIndex(set), NewReference(set)
+				if a, w := Diff(live.Snapshot(), ix); len(a)+len(w) != 0 {
+					t.Fatalf("trial %d step %d: the live snapshot is +%d -%d VRPs off the applied history", trial, step, len(w), len(a))
 				}
-				if cxStates[i] != want {
-					t.Fatalf("trial %d step %d: CompactIndex.Validate(%s, %v) = %v, reference %v",
-						trial, step, q.Prefix, q.Origin, cxStates[i], want)
+				if live.Len() != set.Len() || ix.Len() != set.Len() || cx.Len() != set.Len() {
+					t.Fatalf("trial %d step %d: live %d / index %d / compact %d / set %d VRPs",
+						trial, step, live.Len(), ix.Len(), cx.Len(), set.Len())
 				}
-				if got := live.Validate(q.Prefix, q.Origin); liveStates[i] != want || got != want {
-					t.Fatalf("trial %d step %d: LiveIndex.ValidateBatch(%s, %v) = %v, Validate %v, reference %v (%+v)",
-						trial, step, q.Prefix, q.Origin, liveStates[i], got, want, live.Stats())
+				if st := live.Stats(); st.CompactHeld && st.Marks > 0 {
+					overlaid++
 				}
-				if pub != nil {
-					if got := pub.Validate(q.Prefix, q.Origin); got != want {
-						t.Fatalf("trial %d step %d: published compact Validate(%s, %v) = %v, reference %v",
-							trial, step, q.Prefix, q.Origin, got, want)
+				routes := probesAround(touched)
+				for q := 0; q < 120; q++ {
+					routes = append(routes, randomProbe(rng))
+				}
+				for _, v := range cur { // exact-prefix probes with right and wrong origin
+					routes = append(routes,
+						Route{Prefix: v.Prefix, Origin: v.AS},
+						Route{Prefix: v.Prefix, Origin: v.AS + 1})
+				}
+				liveStates := live.ValidateBatch(routes, nil)
+				ixStates := ix.ValidateBatch(routes, nil)
+				cxStates := cx.ValidateBatch(routes, nil)
+				pub := live.CompactSnapshot() // nil unless a compaction landed for this exact version
+				for i, q := range routes {
+					want := ref.Validate(q.Prefix, q.Origin)
+					if ixStates[i] != want {
+						t.Fatalf("trial %d step %d: Index.Validate(%s, %v) = %v, reference %v",
+							trial, step, q.Prefix, q.Origin, ixStates[i], want)
+					}
+					if cxStates[i] != want {
+						t.Fatalf("trial %d step %d: CompactIndex.Validate(%s, %v) = %v, reference %v",
+							trial, step, q.Prefix, q.Origin, cxStates[i], want)
+					}
+					if got := live.Validate(q.Prefix, q.Origin); liveStates[i] != want || got != want {
+						t.Fatalf("trial %d step %d: LiveIndex.ValidateBatch(%s, %v) = %v, Validate %v, reference %v (%+v)",
+							trial, step, q.Prefix, q.Origin, liveStates[i], got, want, live.Stats())
+					}
+					if pub != nil {
+						if got := pub.Validate(q.Prefix, q.Origin); got != want {
+							t.Fatalf("trial %d step %d: published compact Validate(%s, %v) = %v, reference %v",
+								trial, step, q.Prefix, q.Origin, got, want)
+						}
 					}
 				}
 			}
+			verify(append(append([]rpki.VRP(nil), ann...), wd...))
+			if release != nil && !wedgeNow {
+				cur := live.Snapshot()
+				st := quiesce(t, live) // the view the compaction lands under
+				close(release)
+				waitCompactor(t, &live.tab)
+				switch after := live.Snapshot(); {
+				case replaced:
+					discarded++
+					if after != cur {
+						t.Fatalf("trial %d: a compaction of the replaced table published", trial)
+					}
+				case after == cur || after.fams[0].eng.SharedArena(&cur.fams[0].eng):
+					t.Fatalf("trial %d: the released compaction published nothing", trial)
+				case st.CompactHeld:
+					caughtUp++
+				}
+				verify(during)
+				release = nil
+			}
 		}
 	}
-	if bulks < 20 || copies < 20 || overlaid < 20 {
-		t.Fatalf("differential covered %d bulk and %d path-copied deltas, %d of them answered under an overlay; want at least 20 of each", bulks, copies, overlaid)
+	if bulks < 20 || copies < 20 || overlaid < 20 || caughtUp < 10 || discarded < 10 {
+		t.Fatalf("differential covered %d bulk and %d path-copied deltas, %d of them answered under an overlay, %d compactions catching up under the live view and %d discarded; want at least 20, 20, 20, 10 and 10",
+			bulks, copies, overlaid, caughtUp, discarded)
 	}
 }
 
@@ -327,102 +424,87 @@ func TestApplyBulk(t *testing.T) {
 
 // TestBulkApplyAgainstReadersAndCompaction runs the build path against what
 // shares the table with it (under -race): readers holding a pre-bulk
-// snapshot keep their answers, and a bulk Apply that
-// lands while a compaction is rebuilding the table it replaces makes the
-// compactor discard its rebuild, so nothing it read is resurrected and the
-// replay log is empty afterwards.
+// snapshot keep their answers, and a replacement that lands while a
+// compaction is rebuilding the table it replaces makes the compactor discard
+// its rebuild, so nothing it read is resurrected. The discard is by arena
+// lineage, not by content: a ResetTo to the very set being rebuilt discards
+// too. Garbage on the replacement's slabs then starts a fresh compaction.
 func TestBulkApplyAgainstReadersAndCompaction(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	base := randomTable(rng, 400)
-	l := NewLiveIndex(rpki.NewSet(base))
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
-	l.tab.mu.Lock()
-	l.tab.compactHook = func() {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-release
-	}
-	l.tab.mu.Unlock()
-
-	// Churn one-VRP deltas (path-copied) until a compaction starts and stalls.
-	stalled := false
-	for i := 0; i < 200000 && !stalled; i++ {
-		v := markerVRP(i % 200)
-		l.Apply([]rpki.VRP{v}, nil)
-		l.Apply(nil, []rpki.VRP{v})
-		select {
-		case <-started:
-			stalled = true
-		default:
-		}
-	}
-	if !stalled {
-		t.Fatal("churn never triggered a compaction")
-	}
-	l.Apply([]rpki.VRP{markerVRP(0)}, nil) // logged for replay: the bulk must drop it
-
-	// Readers pin the pre-bulk table while the bulk delta lands.
-	before := l.Snapshot()
-	beforeRef := NewReference(rpki.NewSet(before.AppendVRPs(nil)))
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				p := randomProbe(rng)
-				if got, want := before.Validate(p.Prefix, p.Origin), beforeRef.Validate(p.Prefix, p.Origin); got != want {
-					t.Errorf("pre-bulk snapshot changed its answer: Validate(%s, %v) = %v, want %v", p.Prefix, p.Origin, got, want)
-					return
-				}
-			}
-		}(int64(500 + r))
-	}
-
-	// The bulk delta: withdraw everything the compactor is rebuilding,
-	// announce a disjoint table.
 	next := make([]rpki.VRP, 300)
 	for k := range next {
 		next[k] = markerVRP(1000 + k)
 	}
-	l.Apply(next, before.AppendVRPs(nil))
-	close(release)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		l.tab.mu.Lock()
-		busy, logged := l.tab.compacting, len(l.tab.pending)
-		l.tab.mu.Unlock()
-		if !busy {
-			if logged != 0 {
-				t.Fatalf("replay log holds %d ops after the discarded compaction", logged)
+	for _, tc := range []struct {
+		name    string
+		replace func(l *LiveIndex, before []rpki.VRP) (want []rpki.VRP)
+	}{
+		{"bulk Apply of a disjoint table", func(l *LiveIndex, before []rpki.VRP) []rpki.VRP {
+			l.Apply(next, before) // withdraw everything the compactor is rebuilding
+			return next
+		}},
+		{"ResetTo the identical set", func(l *LiveIndex, before []rpki.VRP) []rpki.VRP {
+			l.ResetTo(before)
+			return before
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(89))
+			l := NewLiveIndex(rpki.NewSet(randomTable(rng, 400)))
+			compactions := countCompactions(&l.tab)
+			started, release := wedgeCompactions(&l.tab)
+			churnUntil(t, l, 0, func() bool { return started.Load() > 0 })
+			l.Apply([]rpki.VRP{markerVRP(0)}, nil) // lands during the rebuild: the replacement must drop it
+
+			// Readers pin the pre-bulk table while the replacement lands.
+			before := l.Snapshot()
+			beforeVRPs := before.AppendVRPs(nil)
+			beforeRef := NewReference(rpki.NewSet(beforeVRPs))
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						p := randomProbe(rng)
+						if got, want := before.Validate(p.Prefix, p.Origin), beforeRef.Validate(p.Prefix, p.Origin); got != want {
+							t.Errorf("pre-bulk snapshot changed its answer: Validate(%s, %v) = %v, want %v", p.Prefix, p.Origin, got, want)
+							return
+						}
+					}
+				}(int64(500 + r))
 			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("compaction did not finish")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if got, want := rpki.NewSet(l.Snapshot().AppendVRPs(nil)), rpki.NewSet(next); !got.Equal(want) {
-		extra, missing := naiveSetDiff(want.VRPs(), got.VRPs())
-		t.Fatalf("after bulk-during-compaction: %d resurrected, %d missing", len(extra), len(missing))
-	}
-	// The table keeps working on the rebuilt slabs.
-	l.Apply(nil, next[:1])
-	if l.Len() != len(next)-1 {
-		t.Fatalf("delta after bulk: %d VRPs, want %d", l.Len(), len(next)-1)
+
+			want := tc.replace(l, beforeVRPs)
+			replacement := l.Snapshot()
+			close(release)
+			waitCompactor(t, &l.tab)
+			close(stop)
+			wg.Wait()
+			if l.Snapshot() != replacement || compactions.Load() != 0 {
+				t.Fatalf("the compaction of the replaced table published (%d compactions)", compactions.Load())
+			}
+			if got := rpki.NewSet(l.Snapshot().AppendVRPs(nil)); !got.Equal(rpki.NewSet(want)) {
+				extra, missing := naiveSetDiff(want, got.VRPs())
+				t.Fatalf("after replacement-during-compaction: %d resurrected, %d missing", len(extra), len(missing))
+			}
+			// The table keeps working on the rebuilt slabs, and their garbage is
+			// compacted in turn.
+			l.Apply(nil, want[:1])
+			if l.Len() != len(want)-1 {
+				t.Fatalf("delta after replacement: %d VRPs, want %d", l.Len(), len(want)-1)
+			}
+			churnUntil(t, l, 400, func() bool { return compactions.Load() > 0 }) // markers in neither table
+			if got := rpki.NewSet(l.Snapshot().AppendVRPs(nil)); !got.Equal(rpki.NewSet(want[1:])) {
+				t.Fatalf("after the fresh compaction: %d VRPs, want %d", got.Len(), len(want)-1)
+			}
+		})
 	}
 }
 
@@ -761,7 +843,7 @@ func markerVRP(k int) rpki.VRP {
 // compaction exists for: while a compaction is stalled mid-rebuild, Apply
 // keeps landing deltas — each immediately visible in a fresh snapshot —
 // instead of paying the O(live set) rebuild in its own latency, and the
-// rebuild's eventual publish replays every one of them. Concurrent readers
+// rebuild's eventual publish includes every one of them. Concurrent readers
 // pin snapshot consistency during the compaction under -race.
 func TestLiveIndexBackgroundCompactionApplyLatency(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -852,7 +934,7 @@ func TestLiveIndexBackgroundCompactionApplyLatency(t *testing.T) {
 		t.Fatal("compaction finished while its hook was held — Apply must not have published the markers through it")
 	}
 
-	// Release the rebuild; its publish must replay the pending markers.
+	// Release the rebuild; its publish must catch up with the markers.
 	close(release)
 	settle(t, l)
 	close(stop)
@@ -943,20 +1025,7 @@ func TestLiveIndexResetTo(t *testing.T) {
 	reset := []rpki.VRP{v1, v2}
 	l.ResetTo(reset)
 	close(release)
-	// Wait for the doomed compaction to observe the reset and discard.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		l.tab.mu.Lock()
-		busy := l.tab.compacting
-		l.tab.mu.Unlock()
-		if !busy {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("compaction did not finish")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCompactor(t, &l.tab) // the doomed compaction observes the reset and discards
 	if l.Len() != 2 {
 		t.Fatalf("Len after reset-during-compaction = %d, want 2 (stale rebuild published?)", l.Len())
 	}
@@ -974,95 +1043,112 @@ func TestLiveIndexResetTo(t *testing.T) {
 	}
 }
 
-// TestLiveIndexPendingLogBounded is the regression test for the compaction
-// replay log: churn that outpaces a (here: wedged) rebuild must never grow
-// the pending log past the configured bound. Apply aborts the compaction at
-// the limit and the garbage counters retrigger a fresh one when the stalled
-// goroutine drains, so the table still converges to exactly the applied
-// history.
-func TestLiveIndexPendingLogBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	var base []rpki.VRP
-	for i := 0; i < 400; i++ {
-		base = append(base, randomVRP(rng))
-	}
-	l := NewLiveIndex(rpki.NewSet(base))
-	const limit = 64
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
-	l.tab.mu.Lock()
-	l.tab.pendingLimit = limit
-	l.tab.compactHook = func() {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-release
-	}
-	l.tab.mu.Unlock()
-
-	state := map[rpki.VRP]struct{}{}
-	for _, v := range rpki.NewSet(base).VRPs() {
-		state[v] = struct{}{}
-	}
-
-	// Churn until a compaction launches and stalls inside the hook.
-	stalled := false
-	for i := 0; i < 200000 && !stalled; i++ {
-		v := randomVRP(rng)
-		l.Apply([]rpki.VRP{v}, nil)
-		l.Apply(nil, []rpki.VRP{v})
-		delete(state, v)
-		select {
-		case <-started:
-			stalled = true
-		default:
+// TestCompactionCatchesUpUnderChurn pins the catch-up contract: a compaction
+// whose rebuild falls thousands of deltas behind — here: wedged — stores
+// nothing meanwhile, starts no second compactor, and on release publishes
+// once, a table equal to the applied history: Diff(rebuilt-from snapshot,
+// current snapshot) is the net effect of announce-then-withdraw,
+// withdraw-then-re-announce, repeats and no-ops alike. Snapshots taken
+// before, during and after keep their tables.
+func TestCompactionCatchesUpUnderChurn(t *testing.T) {
+	v4only := func(rng *rand.Rand) rpki.VRP {
+		for {
+			if v := randomVRP(rng); v.Prefix.Family() == prefix.IPv4 {
+				return v
+			}
 		}
 	}
-	if !stalled {
-		t.Fatal("churn never triggered a compaction")
-	}
+	for _, tc := range []struct {
+		name string
+		draw func(*rand.Rand) rpki.VRP
+	}{{"both families", randomVRP}, {"IPv6 empty", v4only}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(61))
+			state := map[rpki.VRP]struct{}{}
+			for len(state) < 400 {
+				state[tc.draw(rng)] = struct{}{}
+			}
+			l := NewLiveIndex(setOf(state))
+			// The churned VRPs: half in the table to begin with, half not.
+			pool := setOf(state).VRPs()[:100]
+			for len(pool) < 200 {
+				pool = append(pool, tc.draw(rng))
+			}
+			type pinned struct {
+				when string
+				ix   *Index
+				want []rpki.VRP
+			}
+			pin := func(when string) pinned { return pinned{when, l.Snapshot(), setOf(state).VRPs()} }
+			pins := []pinned{pin("before the compaction")}
 
-	// Keep churning far past the limit while the compactor is wedged. The
-	// log must stay bounded at every step, not just at the end.
-	for i := 0; i < 50*limit; i++ {
-		v := randomVRP(rng)
-		if _, ok := state[v]; ok {
-			l.Apply(nil, []rpki.VRP{v})
-			delete(state, v)
-		} else {
-			l.Apply([]rpki.VRP{v}, nil)
-			state[v] = struct{}{}
-		}
-		l.tab.mu.Lock()
-		n := len(l.tab.pending)
-		l.tab.mu.Unlock()
-		if n > limit {
-			t.Fatalf("pending log grew to %d ops, limit %d", n, limit)
-		}
-	}
-	l.tab.mu.Lock()
-	aborts := l.tab.compactAborts
-	l.tab.mu.Unlock()
-	if aborts == 0 {
-		t.Fatal("no compaction abort despite churn past the limit")
-	}
+			compactions := countCompactions(&l.tab)
+			started, release := wedgeCompactions(&l.tab)
+			churnUntil(t, l, 0, func() bool { return started.Load() > 0 })
 
-	// Unwedge: the stale rebuild is discarded (generation mismatch), the
-	// retried compaction completes, and the table equals the applied history
-	// exactly.
-	close(release)
-	settle(t, l)
-	want := make([]rpki.VRP, 0, len(state))
-	for v := range state {
-		want = append(want, v)
-	}
-	got := l.Snapshot().AppendVRPs(nil)
-	extra, missing := naiveSetDiff(want, got)
-	if len(extra) != 0 || len(missing) != 0 {
-		t.Fatalf("table diverged after aborted compactions: %d extra, %d missing", len(extra), len(missing))
-	}
-	if l.Len() != len(state) {
-		t.Fatalf("live len %d, want %d", l.Len(), len(state))
+			const deltas = 3000
+			for i := 0; i < deltas; i++ {
+				v := pool[rng.Intn(len(pool))]
+				one := []rpki.VRP{v}
+				switch rng.Intn(6) {
+				case 0: // announce, a no-op when present
+					l.Apply(one, nil)
+					state[v] = struct{}{}
+				case 1: // withdraw, a no-op when absent
+					l.Apply(nil, one)
+					delete(state, v)
+				case 2: // announce then withdraw
+					l.Apply(one, nil)
+					l.Apply(nil, one)
+					delete(state, v)
+				case 3: // withdraw then re-announce
+					l.Apply(nil, one)
+					l.Apply(one, nil)
+					state[v] = struct{}{}
+				case 4: // both in one delta: withdraw wins
+					l.Apply(one, one)
+					delete(state, v)
+				case 5: // a repeat within one delta, and an empty one
+					l.Apply([]rpki.VRP{v, v}, nil)
+					l.Apply(nil, nil)
+					state[v] = struct{}{}
+				}
+				if i == deltas/2 {
+					pins = append(pins, pin("during the compaction"))
+				}
+			}
+			if n, c := started.Load(), compactions.Load(); n != 1 || c != 0 {
+				t.Fatalf("%d compactors started and %d compactions published while the first was wedged", n, c)
+			}
+
+			close(release)
+			waitCompactor(t, &l.tab)
+			if n, c := started.Load(), compactions.Load(); n != 1 || c != 1 {
+				t.Fatalf("%d compactors ran and %d compactions published, want one of each", n, c)
+			}
+			pins = append(pins, pin("after the compaction"))
+			if pins[0].ix.fams[0].eng.SharedArena(&l.Snapshot().fams[0].eng) {
+				t.Fatal("the published table still lives in the slabs the compaction was to retire")
+			}
+			if l.Len() != len(state) {
+				t.Fatalf("Len() = %d, want %d", l.Len(), len(state))
+			}
+			l.Apply(pool[:1], nil) // the caught-up slabs take deltas
+			l.Apply(nil, pool[:1])
+			delete(state, pool[0])
+			pins = append(pins, pin("after a later delta"))
+			for _, p := range pins {
+				extra, missing := naiveSetDiff(p.want, p.ix.AppendVRPs(nil))
+				if len(extra) != 0 || len(missing) != 0 || p.ix.Len() != len(p.want) {
+					t.Fatalf("snapshot taken %s: %d extra, %d missing, Len() %d of %d", p.when, len(extra), len(missing), p.ix.Len(), len(p.want))
+				}
+				ref := NewReference(rpki.NewSet(p.want))
+				for _, q := range probesAround(pool) {
+					if got, want := p.ix.Validate(q.Prefix, q.Origin), ref.Validate(q.Prefix, q.Origin); got != want {
+						t.Fatalf("snapshot taken %s: Validate(%s, %v) = %v, want %v", p.when, q.Prefix, q.Origin, got, want)
+					}
+				}
+			}
+		})
 	}
 }

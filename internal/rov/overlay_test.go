@@ -256,25 +256,26 @@ func TestLiveOverlayAgainstReplaceAndCompaction(t *testing.T) {
 		checkLive(t, l, state, probesAround(append(next[:50:50], base[:50]...)), "after a discarded rebuild")
 	}
 
-	// A garbage compaction under a live overlay: churn one-VRP deltas until
-	// the compactor has swapped the slabs at least once.
+	// A garbage compaction under a live overlay: one-VRP deltas until the
+	// compactor starts, more of them while it is wedged, and its catch-up
+	// swaps the slabs with the compact half and the overlay left as they were.
 	base = l.Snapshot().AppendVRPs(nil)
 	pay(l, probesAround(base[:50]))
 	first := l.Snapshot()
-	swapped := false
-	for i := 0; i < 200000 && !swapped; i++ {
-		v := markerVRP(i % 100)
-		l.Apply([]rpki.VRP{v}, nil)
-		l.Apply(nil, []rpki.VRP{v})
-		swapped = !first.fams[0].eng.SharedArena(&l.Snapshot().fams[0].eng)
+	started, release := wedgeCompactions(&l.tab)
+	churnUntil(t, l, 0, func() bool { return started.Load() > 0 })
+	for k := 0; k < 10; k++ {
+		delta(k)
 	}
+	close(release)
 	settle(t, l)
 	quiesce(t, l)
+	swapped := !first.fams[0].eng.SharedArena(&l.Snapshot().fams[0].eng)
 	if st := l.Stats(); !swapped || !st.CompactHeld || st.Marks == 0 || st.RebuildsStarted != st.RebuildsInstalled+st.RebuildsDiscarded {
 		t.Fatalf("swapped=%v, %+v: want a compaction with the compact half still held under its overlay", swapped, st)
 	}
 	var markers []rpki.VRP
-	for k := 0; k < 100; k++ {
+	for k := 0; k < 200; k++ {
 		markers = append(markers, markerVRP(k))
 	}
 	checkLive(t, l, state, probesAround(append(markers, base[:50]...)), "after a compaction under the overlay")

@@ -32,9 +32,11 @@ import (
 // When garbage outweighs live data, a background goroutine compacts:
 // it rebuilds the live set into fresh slabs from an immutable snapshot —
 // off the Apply path, so no delta ever pays the O(live set) rebuild in its
-// latency — then replays the deltas that arrived during the rebuild and
-// publishes through the same snapshot swap. Old snapshots stay intact. A
-// table whose garbage never crosses the threshold never starts a goroutine.
+// latency — then catches up under the writer lock by applying
+// Diff(rebuilt-from snapshot, current snapshot), which visits only the paths
+// cloned meanwhile, and publishes through the same snapshot swap. Old
+// snapshots stay intact. A table whose garbage never crosses the threshold
+// never starts a goroutine.
 type Table struct {
 	mu  sync.Mutex // serializes writers (Apply, ResetTo, compaction publish)
 	cur atomic.Pointer[Index]
@@ -44,27 +46,9 @@ type Table struct {
 	garbageNodes   int
 	garbageEntries int
 
-	// compacting marks an in-flight background compaction; while it is set,
-	// Apply records each delta operation in the pending log so the
-	// compactor can replay the updates its rebuild snapshot predates. The
-	// log is one flat buffer with capacity reused across compactions, so
-	// steady-state logging allocates nothing. Guarded by mu.
+	// compacting marks an in-flight background compaction: at most one runs.
+	// Guarded by mu.
 	compacting bool
-	pending    []pendingOp
-	// pendingLimit bounds the replay log (0 means maxPendingOps). When churn
-	// outpaces the rebuild and the log hits the limit, Apply aborts the
-	// compaction — gen++ makes the compactor discard its stale rebuild —
-	// and the garbage counters, left intact, retrigger a fresh compaction
-	// from a newer snapshot once the aborted one drains. Without the bound,
-	// sustained churn (replayed MRT update streams) grows the log without
-	// limit while the rebuild keeps falling further behind.
-	pendingLimit  int
-	compactAborts int
-	// gen is bumped by every wholesale replacement (ResetTo, a bulk Apply)
-	// and by a replay-log-overflow abort; a compaction that started against
-	// an older generation discards its rebuild instead of resurrecting
-	// replaced (or stale) data.
-	gen uint64
 
 	// published, when set (LiveIndex: it keeps its view), runs under mu just
 	// before nw becomes current: nw replaces the table (ResetTo, a bulk Apply)
@@ -75,18 +59,6 @@ type Table struct {
 	// the rebuild — a seam to stall compaction and observe Apply continuing.
 	compactHook func()
 }
-
-// pendingOp is one delta operation recorded for replay onto a compacted
-// rebuild, in application order (an Apply's announces precede its
-// withdraws, so announce+withdraw of one VRP nets to the withdraw).
-type pendingOp struct {
-	v        rpki.VRP
-	announce bool
-}
-
-// maxPendingOps is the default replay-log bound: past it, a compaction is
-// abandoned rather than chased (see Table.pendingLimit).
-const maxPendingOps = 1 << 16
 
 // bulkDivisor sets where a delta stops being path-copied and the table is
 // rebuilt instead: an Apply of at least size/bulkDivisor operations (announces
@@ -202,34 +174,9 @@ func (t *Table) applyDelta(old *Index, announce, withdraw []rpki.VRP) {
 	if changed {
 		t.publish(nw, false, announce, withdraw)
 	}
-	switch {
-	case t.compacting:
-		// A compaction is rebuilding from a snapshot that predates this
-		// delta: record it (copied — the caller owns the slices) so the
-		// compactor can replay it onto the rebuild before publishing.
-		for _, v := range announce {
-			t.pending = append(t.pending, pendingOp{v: v, announce: true})
-		}
-		for _, v := range withdraw {
-			t.pending = append(t.pending, pendingOp{v: v})
-		}
-		limit := t.pendingLimit
-		if limit <= 0 {
-			limit = maxPendingOps
-		}
-		if len(t.pending) > limit {
-			// Churn has outpaced the rebuild: abort and retry rather than
-			// let the log grow without bound. The gen bump makes the
-			// in-flight compactor discard its rebuild; the garbage counters
-			// stay up, so once it drains, the next Apply starts a fresh
-			// compaction from a snapshot that already includes this churn.
-			t.gen++
-			t.compactAborts++
-			t.resetPending()
-		}
-	case t.needCompact(nw):
+	if !t.compacting && t.needCompact(nw) {
 		t.compacting = true
-		go t.compact(nw, t.gen, t.compactHook)
+		go t.compact(nw, t.compactHook)
 	}
 }
 
@@ -249,71 +196,46 @@ func (t *Table) ResetTo(vrps []rpki.VRP) {
 }
 
 // replace publishes nw — freshly built slabs — in place of the whole table:
-// the one routine behind ResetTo and applyBulk. The generation bump makes
-// an in-flight compaction of the replaced table discard its rebuild, and the
-// replay log and garbage counters, which described the old slabs, start
-// over. Callers hold mu.
+// the one routine behind ResetTo and applyBulk. nw's arenas start a new
+// lineage, which is how an in-flight compaction of the replaced table knows
+// to discard its rebuild; the garbage counters, which described the old
+// slabs, start over. Callers hold mu.
 func (t *Table) replace(nw *Index) {
-	t.gen++
-	t.resetPending()
 	t.garbageNodes, t.garbageEntries = 0, 0
 	t.publish(nw, true, nil, nil)
 }
 
-// resetPending empties the replay log, keeping moderate capacity for reuse
-// (the point of the flat buffer: steady-state logging allocates nothing)
-// but releasing outsized buffers left by a churn burst. Callers hold mu.
-func (t *Table) resetPending() {
-	const keep = 1 << 16
-	if cap(t.pending) > keep {
-		t.pending = nil
-	} else {
-		t.pending = t.pending[:0]
-	}
-}
-
-// compact rebuilds the live set of src into fresh slabs, replays the deltas
-// applied while the rebuild ran, and publishes the result. It runs on its
-// own goroutine and takes t.mu only for the final replay-and-swap, so Apply
+// compact rebuilds the live set of src into fresh slabs, catches the rebuild
+// up with the deltas applied while it ran, and publishes the result. It runs
+// on its own goroutine and takes t.mu only for the catch-up and swap, so Apply
 // latency stays bounded by the delta size throughout. src is an immutable
 // published snapshot: later Applies only append past its slab bounds.
-func (t *Table) compact(src *Index, gen uint64, hook func()) {
+func (t *Table) compact(src *Index, hook func()) {
 	if hook != nil {
 		hook()
 	}
 	rebuilt := newIndexFromVRPs(src.AppendVRPs(make([]rpki.VRP, 0, src.size)))
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.compacting = false
-	if t.gen != gen {
-		// The table was replaced wholesale while we rebuilt the old one, or
-		// the replay log overflowed and Apply aborted us: either way the
-		// rebuild is stale. Drop it; the garbage accounting (zeroed by a
-		// replacement, left intact by an abort) decides whether a fresh
-		// compaction follows.
-		t.resetPending()
-		t.mu.Unlock()
+	cur := t.cur.Load()
+	if !src.fams[0].eng.SharedArena(&cur.fams[0].eng) {
+		// The table was replaced wholesale (ResetTo, a bulk Apply) while we
+		// rebuilt the old one: drop the rebuild. The replacement zeroed the
+		// garbage accounting, which decides when a fresh compaction follows.
 		return
 	}
+	// cur was path-copied from src, so the diff walks only the paths cloned
+	// since and is the net effect of every delta the rebuild predates.
+	announce, withdraw := Diff(src, cur)
 	t.garbageNodes, t.garbageEntries = 0, 0
-	// Replay the net effect, not the op stream: for one VRP the last
-	// recorded op decides presence (announce and withdraw are both
-	// idempotent state-setters), and ops on distinct VRPs commute, so a
-	// churn burst that announced and withdrew the same VRP many times
-	// collapses to a single op instead of double-applying the whole window.
-	last := make(map[rpki.VRP]bool, len(t.pending))
-	for _, op := range t.pending {
-		last[op.v] = op.announce
+	for _, v := range announce {
+		t.announce(rebuilt, v)
 	}
-	for v, ann := range last {
-		if ann {
-			t.announce(rebuilt, v)
-		} else {
-			t.withdraw(rebuilt, v)
-		}
+	for _, v := range withdraw {
+		t.withdraw(rebuilt, v)
 	}
-	t.resetPending()
 	t.publish(rebuilt, false, nil, nil)
-	t.mu.Unlock()
 }
 
 // has reports whether v is in the table.

@@ -760,6 +760,11 @@ func TestUpdateSetApplyDeltaInterleaved(t *testing.T) {
 	}()
 
 	for step := 0; step < 120; step++ {
+		// The ring keeps 16 serials: a follower the scheduler starved for that
+		// many steps would be sent a Cache Reset, a different test's subject.
+		for deadline := time.Now().Add(5 * time.Second); SerialNewer(srv.Serial(), SerialAdvance(follower.Serial(), 8)) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		switch op := rng.Intn(8); {
 		case op < 3: // ApplyDelta; withdrawals win, as in the table
 			a, w := pick(rng.Intn(6)), pick(rng.Intn(6))

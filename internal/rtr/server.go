@@ -478,6 +478,21 @@ func (s *Server) setWriteDeadline(c *conn) {
 	_ = c.c.SetWriteDeadline(time.Now().Add(d))
 }
 
+// writePrefix encodes one Prefix PDU into the bufio writer's spare capacity
+// (AvailableBuffer) instead of through WritePDU: an escaping stack buffer per
+// PDU would cost an allocation per VRP on a path that runs len(table) times
+// per Reset Query. The flush keeps the spare capacity large enough to encode
+// in place.
+func (c *conn) writePrefix(version byte, pp *Prefix) error {
+	if c.bw.Available() < 32 {
+		if err := c.bw.Flush(); err != nil {
+			return err
+		}
+	}
+	_, err := c.bw.Write(appendPrefix(c.bw.AvailableBuffer(), version, pp))
+	return err
+}
+
 // streamFull answers a Reset Query: Cache Response, every VRP, End of Data,
 // streamed through the connection's reused encode buffer with one Prefix
 // value reused for every VRP — the response is allocation-bounded
@@ -488,21 +503,11 @@ func (s *Server) streamFull(c *conn, version byte) error {
 	if err := WritePDU(c.bw, version, &CacheResponse{SessionID: p.session}); err != nil {
 		return err
 	}
-	// Encode each prefix into the bufio writer's spare capacity
-	// (AvailableBuffer) instead of through WritePDU: an escaping stack
-	// buffer per PDU would cost an allocation per VRP on a path that runs
-	// len(table) times per Reset Query.
-	var pp Prefix
-	pp.Flags = FlagAnnounce
+	pp := Prefix{Flags: FlagAnnounce}
 	var werr error
 	p.current().VisitVRPs(func(v rpki.VRP) bool {
 		pp.VRP = v
-		if c.bw.Available() < 32 { // keep AvailableBuffer large enough to encode in place
-			if werr = c.bw.Flush(); werr != nil {
-				return false
-			}
-		}
-		_, werr = c.bw.Write(appendPrefix(c.bw.AvailableBuffer(), version, &pp))
+		werr = c.writePrefix(version, &pp)
 		return werr == nil
 	})
 	if werr != nil {
@@ -535,18 +540,17 @@ func (s *Server) streamSerial(c *conn, version byte, q SerialQuery) error {
 	if err := WritePDU(c.bw, version, &CacheResponse{SessionID: p.session}); err != nil {
 		return err
 	}
-	var pp Prefix
-	pp.Flags = FlagAnnounce
+	pp := Prefix{Flags: FlagAnnounce}
 	for i := range ann {
 		pp.VRP = ann[i]
-		if _, err := c.bw.Write(appendPrefix(c.bw.AvailableBuffer(), version, &pp)); err != nil {
+		if err := c.writePrefix(version, &pp); err != nil {
 			return err
 		}
 	}
 	pp.Flags = FlagWithdraw
 	for i := range wd {
 		pp.VRP = wd[i]
-		if _, err := c.bw.Write(appendPrefix(c.bw.AvailableBuffer(), version, &pp)); err != nil {
+		if err := c.writePrefix(version, &pp); err != nil {
 			return err
 		}
 	}
