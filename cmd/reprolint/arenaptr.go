@@ -1,15 +1,23 @@
 package main
 
-// arenaptr: the core arena engine (core.Engine[V]) stores every trie node in
-// one contiguous slab addressed by int32 indices. Taking the address of a
-// slab element (`&e.Nodes[i]`, `&nodes[i].Val`) yields a pointer that goes
-// stale the moment the slab grows — Alloc/Clone/Ensure/PathInsert append,
-// and append relocates the backing array, after which the old pointer reads
-// and writes a dead copy. The discipline: slab pointers may exist only as
-// short-lived locals with no slab growth between creation and last use, and
-// must never escape the function. Everything else is flagged.
+// arenaptr: the core arena engines store every trie node in one contiguous
+// slab ([]core.Node[V], []core.CNode[V]) addressed by int32 indices. Taking
+// the address of a slab element (`&e.Nodes[i]`, `&nodes[i].Val`) yields a
+// pointer that goes stale the moment the slab grows — append relocates the
+// backing array, after which the old pointer reads and writes a dead copy.
+// The discipline: slab pointers may exist only as short-lived locals with no
+// slab growth between creation and last use, and must never escape the
+// function. The source is `&slab[i]…`; reftrack.go follows it through every
+// alias; the sinks are an escape, and any growth while an alias is still used.
+//
+// What grows a slab is derived, not listed: a function may grow one iff its
+// body assigns append(…) to a slab-typed expression or it calls, on its own
+// goroutine, a function that may — the same bottom-up composition blockinglock
+// uses, over the packages that were loaded (run on ./... so core's own source
+// is among them).
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -17,36 +25,14 @@ import (
 
 const enginePkg = "repro/internal/core"
 
-// engineTypeNames are the slab-owning types whose methods can grow a slab:
-// the bit-at-a-time Engine, the path-compressed CompactEngine, and the
-// CompactBuilder (whose Add/Reset grow the engine it wraps).
-var engineTypeNames = map[string]bool{
-	"Engine": true, "CompactEngine": true, "CompactBuilder": true,
-}
-
-// nodeTypeNames are the slab element types; a pointer into either kind of
-// slab shares the relocation hazard.
-var nodeTypeNames = map[string]bool{
-	"Node": true, "CNode": true,
-}
-
 var arenaPtrAnalyzer = &Analyzer{
 	Name: "arenaptr",
-	Doc:  "flags slab-element pointers (&e.Nodes[i]) that escape or are held across a slab-growing call",
+	Doc:  "flags slab-element pointers (&e.Nodes[i]) and their aliases that escape or stay in use across anything that appends to a node slab, directly or through calls",
 	Run:  runArenaPtr,
 }
 
-// growthMethods are the engine methods that can append to a slab and
-// relocate it (Add and Reset are CompactBuilder's growth paths; the receiver
-// type check keeps unrelated methods of the same name out).
-var growthMethods = map[string]bool{
-	"Alloc": true, "Clone": true, "Ensure": true,
-	"PathInsert": true, "Init": true,
-	"Add": true, "Reset": true,
-}
-
-// isNodeSlabSlice reports whether t is []core.Node[V] — the engine slab (or
-// a slice aliasing it, which shares the staleness hazard).
+// isNodeSlabSlice reports whether t is []core.Node[V] or []core.CNode[V] — an
+// engine slab (or a slice aliasing one, which shares the staleness hazard).
 func isNodeSlabSlice(t types.Type) bool {
 	if t == nil {
 		return false
@@ -60,282 +46,164 @@ func isNodeSlabSlice(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return nodeTypeNames[obj.Name()] && obj.Pkg() != nil && obj.Pkg().Path() == enginePkg
-}
-
-// isEngineType reports whether t is a slab-owning core type (Engine,
-// CompactEngine, CompactBuilder) or a pointer to one.
-func isEngineType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return engineTypeNames[obj.Name()] && obj.Pkg() != nil && obj.Pkg().Path() == enginePkg
+	return (obj.Name() == "Node" || obj.Name() == "CNode") && obj.Pkg() != nil && obj.Pkg().Path() == enginePkg
 }
 
 // isSlabElemAddr reports whether e is `&expr` where expr indexes into an
 // engine slab somewhere along its selector/index chain.
-func (v *arenaVisitor) isSlabElemAddr(e ast.Expr) bool {
+func isSlabElemAddr(p *Package, e ast.Expr) bool {
 	ue, ok := e.(*ast.UnaryExpr)
 	if !ok || ue.Op != token.AND {
 		return false
 	}
-	for x := ue.X; ; {
-		switch t := x.(type) {
-		case *ast.IndexExpr:
-			if isNodeSlabSlice(v.pass.TypeOf(t.X)) {
-				return true
-			}
-			x = t.X
-		case *ast.SelectorExpr:
-			x = t.X
-		case *ast.ParenExpr:
-			x = t.X
-		default:
-			return false
-		}
-	}
-}
-
-// isGrowthCall reports whether n is a call that can grow a slab: an Engine
-// growth method, or an append whose result lands in a slab-typed expression
-// (e.Nodes = append(e.Nodes, ...) sits inside the engine itself, but the
-// pattern is checked everywhere).
-func (v *arenaVisitor) isGrowthCall(n ast.Node) bool {
-	switch t := n.(type) {
-	case *ast.CallExpr:
-		sel, ok := t.Fun.(*ast.SelectorExpr)
-		if !ok || !growthMethods[sel.Sel.Name] {
-			return false
-		}
-		return isEngineType(v.pass.TypeOf(sel.X))
-	case *ast.AssignStmt:
-		for i, rhs := range t.Rhs {
-			call, ok := rhs.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			id, ok := call.Fun.(*ast.Ident)
-			if !ok || id.Name != "append" {
-				continue
-			}
-			if i < len(t.Lhs) && isNodeSlabSlice(v.pass.TypeOf(t.Lhs[i])) {
-				return true
-			}
+	for x := ue.X; x != nil; x = inner(x) {
+		if ix, ok := x.(*ast.IndexExpr); ok && isNodeSlabSlice(typeOfIn(p, ix.X)) {
+			return true
 		}
 	}
 	return false
 }
 
-type arenaVisitor struct {
-	pass *Pass
+// isSlabAppend reports whether as assigns append(…) to a slab-typed
+// expression: the one primitive that relocates a slab.
+func isSlabAppend(p *Package, as *ast.AssignStmt) bool {
+	if len(as.Lhs) != len(as.Rhs) {
+		return false
+	}
+	for i, rhs := range as.Rhs {
+		call, ok := rhs.(*ast.CallExpr)
+		if !ok || !isNodeSlabSlice(typeOfIn(p, as.Lhs[i])) {
+			continue
+		}
+		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" {
+			return true
+		}
+	}
+	return false
 }
 
-func runArenaPtr(pass *Pass) {
-	v := &arenaVisitor{pass: pass}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			if d, ok := n.(*ast.FuncDecl); ok {
-				if d.Body != nil {
-					v.checkFunc(d.Body)
+// mayGrowSlab composes the may-grow summary over the call graph.
+func mayGrowSlab(g *CallGraph) map[*funcNode]*witness {
+	own := make(map[*funcNode]*witness)
+	for _, n := range g.nodes {
+		if n.body == nil {
+			continue
+		}
+		n.inspect(func(nd ast.Node) bool {
+			if as, ok := nd.(*ast.AssignStmt); ok && own[n] == nil && isSlabAppend(n.pkg, as) {
+				own[n] = &witness{pos: as.Pos(), desc: "append to a node slab"}
+			}
+			return own[n] == nil
+		})
+	}
+	return g.firstWitness(own)
+}
+
+func runArenaPtr(m *ModulePass) {
+	mayGrow := mayGrowSlab(m.Graph)
+	t := &refTracker{source: isSlabElemAddr, held: make(map[types.Object]*refBinding)}
+	reported := make(map[*refBinding]bool)
+	for _, n := range m.Graph.nodes {
+		if n.body == nil {
+			continue
+		}
+		bound := t.track(n)
+
+		// Growth points: the call-graph edges into may-grow functions (a
+		// spawned one counts — it can grow at any time), and below, the body's
+		// own appends. The one sink scan reports escapes as they are met and
+		// collects appends and loops for the window test.
+		type growth struct {
+			pos  token.Pos
+			what string
+		}
+		var growths []growth
+		for _, e := range n.out {
+			if w := mayGrow[e.callee]; w != nil && e.kind != edgeRef {
+				growths = append(growths, growth{e.pos, fmt.Sprintf("call to %s at %s: %s", e.callee.name, m.Fset.Position(e.pos), w.via(e.callee).detail(m.Fset))})
+			}
+		}
+		var loops []ast.Node
+		escape := func(e ast.Expr, how string) {
+			if t.ref(n.pkg, e) {
+				m.Reportf(e.Pos(), "slab-element pointer %s: it goes stale when the slab grows; keep the int32 index instead", how)
+			}
+		}
+		n.inspect(func(nd ast.Node) bool {
+			switch s := nd.(type) {
+			case *ast.ForStmt, *ast.RangeStmt:
+				loops = append(loops, s)
+			case *ast.AssignStmt:
+				if isSlabAppend(n.pkg, s) {
+					growths = append(growths, growth{s.Pos(), "append to a node slab at " + m.Fset.Position(s.Pos()).String()})
 				}
-				return false
+				for i, lhs := range s.Lhs {
+					// A plain local is a binding, the tracker's business;
+					// anything else outlives this statement list.
+					id, isIdent := lhs.(*ast.Ident)
+					if isIdent && (id.Name == "_" || isLocalVar(objOf(n.pkg, id))) || len(s.Lhs) != len(s.Rhs) {
+						continue
+					}
+					escape(s.Rhs[i], "escapes into "+describeLHS(lhs))
+				}
+			case *ast.ReturnStmt:
+				for _, r := range s.Results {
+					escape(r, "escapes via return")
+				}
+			case *ast.CallExpr:
+				for _, arg := range s.Args {
+					escape(arg, "passed to a call (the callee may retain it or grow the slab)")
+				}
+			case *ast.CompositeLit:
+				for _, el := range s.Elts {
+					if kv, isKV := el.(*ast.KeyValueExpr); isKV {
+						el = kv.Value
+					}
+					escape(el, "stored in a composite literal")
+				}
+			case *ast.SendStmt:
+				escape(s.Value, "sent on a channel")
+			case *ast.Ident:
+				// A use in a function other than the one that bound it: the
+				// closure can run after any growth.
+				b := t.held[objOf(n.pkg, s)]
+				if b != nil && !reported[b] && !within(b.stmt.Pos(), n.body) {
+					reported[b] = true
+					m.Reportf(s.Pos(), "slab-element pointer %s captured by a closure: it goes stale when the slab grows; capture the int32 index instead", s.Name)
+				}
 			}
 			return true
 		})
-	}
-}
 
-// checkFunc flags every slab-element pointer in body that escapes or spans a
-// growth call. Nested closures are checked recursively as functions of their
-// own; a slab pointer captured from the enclosing function escapes by
-// definition and is caught in the enclosing function's capture scan.
-func (v *arenaVisitor) checkFunc(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			v.checkFunc(fl.Body)
-			return false
-		}
-		return true
-	})
-	// Pass 1: classify each slab-pointer creation site.
-	type local struct {
-		obj      types.Object
-		bindPos  token.Pos // start of the binding statement, for reporting
-		liveFrom token.Pos // end of the binding statement: growth inside the
-		// binding RHS (&e.Nodes[e.PathInsert(...)]) runs before the pointer
-		// exists and is the sanctioned grow-then-address idiom
-		lastUse  token.Pos
-		reported bool
-	}
-	var locals []*local
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // handled as its own function
-		}
-		as, ok := n.(*ast.AssignStmt)
-		if ok {
-			for i, rhs := range as.Rhs {
-				if !v.isSlabElemAddr(rhs) || i >= len(as.Lhs) {
-					continue
-				}
-				if id, isIdent := as.Lhs[i].(*ast.Ident); isIdent && id.Name != "_" {
-					var obj types.Object
-					if o := v.pass.Info.Defs[id]; o != nil {
-						obj = o
-					} else if o := v.pass.Info.Uses[id]; o != nil {
-						obj = o
-					}
-					if obj != nil && isLocalVar(obj) {
-						locals = append(locals, &local{obj: obj, bindPos: as.Pos(), liveFrom: as.End()})
-						continue
-					}
-				}
-				// Assignment anywhere but a plain local: the pointer outlives
-				// this statement list.
-				v.pass.Reportf(rhs.Pos(), "slab-element pointer escapes into %s: it goes stale when the slab grows; keep the int32 index instead", describeLHS(as.Lhs[i]))
+		// Growth inside a binding's live window. The window is the textual
+		// span from the end of the binding statement — growth inside the
+		// binding RHS, &e.Nodes[e.PathInsert(…)], runs before the pointer
+		// exists and is the sanctioned grow-then-address idiom — to the last
+		// use of any alias, widened to a whole loop when the binding sits
+		// outside a loop that uses the pointer: iteration N may grow after its
+		// last use and before iteration N+1's first.
+		for _, b := range bound {
+			if reported[b] {
+				continue
 			}
-			return true
-		}
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			for _, r := range ret.Results {
-				if v.isSlabElemAddr(r) {
-					v.pass.Reportf(r.Pos(), "slab-element pointer escapes via return: it goes stale when the slab grows; return the int32 index instead")
+			liveFrom := b.stmt.End()
+			for _, g := range growths {
+				spans := liveFrom <= g.pos && g.pos <= b.lastUse
+				for _, loop := range loops {
+					spans = spans || !within(liveFrom, loop) && within(b.lastUse, loop) && within(g.pos, loop)
 				}
-			}
-			return true
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			for _, arg := range call.Args {
-				if v.isSlabElemAddr(arg) {
-					v.pass.Reportf(arg.Pos(), "slab-element pointer passed to a call: the callee may retain it or grow the slab; pass the int32 index instead")
-				}
-			}
-			return true
-		}
-		if cl, ok := n.(*ast.CompositeLit); ok {
-			for _, el := range cl.Elts {
-				e := el
-				if kv, isKV := el.(*ast.KeyValueExpr); isKV {
-					e = kv.Value
-				}
-				if v.isSlabElemAddr(e) {
-					v.pass.Reportf(e.Pos(), "slab-element pointer stored in a composite literal: it goes stale when the slab grows; store the int32 index instead")
-				}
-			}
-			return true
-		}
-		if send, ok := n.(*ast.SendStmt); ok {
-			if v.isSlabElemAddr(send.Value) {
-				v.pass.Reportf(send.Value.Pos(), "slab-element pointer sent on a channel: it goes stale when the slab grows; send the int32 index instead")
-			}
-			return true
-		}
-		return true
-	})
-
-	if len(locals) == 0 {
-		return
-	}
-
-	// Pass 2: last textual use of each tracked local, and whether a closure
-	// captures it (capture = escape: the closure can run after any growth).
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			ast.Inspect(fl.Body, func(m ast.Node) bool {
-				id, ok := m.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				for _, lc := range locals {
-					if v.pass.Info.Uses[id] == lc.obj && !lc.reported {
-						lc.reported = true
-						v.pass.Reportf(id.Pos(), "slab-element pointer %s captured by a closure: it goes stale when the slab grows; capture the int32 index instead", lc.obj.Name())
-					}
-				}
-				return true
-			})
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		for _, lc := range locals {
-			if v.pass.Info.Uses[id] == lc.obj && id.Pos() > lc.lastUse {
-				lc.lastUse = id.Pos()
-			}
-		}
-		return true
-	})
-
-	// Pass 3: growth calls inside each local's live window. A window is the
-	// textual span bind..lastUse, widened to a whole loop body when the
-	// binding sits outside a loop that uses the pointer — iteration N may
-	// grow after iteration N's last use and before iteration N+1's first.
-	var growths []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if v.isGrowthCall(n) {
-			growths = append(growths, n)
-		}
-		return true
-	})
-	if len(growths) == 0 {
-		return
-	}
-	var loops []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			loops = append(loops, n)
-		case *ast.FuncLit:
-			return false
-		}
-		return true
-	})
-	within := func(pos token.Pos, n ast.Node) bool { return n.Pos() <= pos && pos <= n.End() }
-	for _, lc := range locals {
-		if lc.reported || lc.lastUse == token.NoPos {
-			continue
-		}
-		for _, g := range growths {
-			direct := lc.liveFrom <= g.Pos() && g.Pos() <= lc.lastUse
-			wrapped := false
-			for _, loop := range loops {
-				if !within(lc.liveFrom, loop) && within(lc.lastUse, loop) && within(g.Pos(), loop) {
-					wrapped = true
+				if spans {
+					reported[b] = true
+					m.Reportf(b.stmt.Pos(), "slab-element pointer %s is held across a slab-growing call (%s): the growth relocates the slab and the pointer goes stale; re-index after growth or keep the int32 index",
+						b.obj.Name(), g.what)
 					break
 				}
 			}
-			if direct || wrapped {
-				lc.reported = true
-				v.pass.Reportf(lc.bindPos, "slab-element pointer %s is held across a slab-growing call (%s): the growth relocates the slab and the pointer goes stale; re-index after growth or keep the int32 index",
-					lc.obj.Name(), v.pass.Fset.Position(g.Pos()))
-				break
-			}
 		}
 	}
 }
 
-func isLocalVar(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	if !ok || v.IsField() {
-		return false
-	}
-	// Package-scope variables hold the pointer beyond any growth call.
-	return v.Parent() != v.Pkg().Scope()
-}
+func within(pos token.Pos, n ast.Node) bool { return n.Pos() <= pos && pos <= n.End() }
 
 func describeLHS(e ast.Expr) string {
 	switch t := e.(type) {

@@ -17,9 +17,9 @@ import (
 )
 
 var blockingLockAnalyzer = &Analyzer{
-	Name:      "blockinglock",
-	Doc:       "flags blocking operations, and calls that may reach one, made while a sync.Mutex/RWMutex is held in internal/rtr + internal/rov",
-	RunModule: runBlockingLock,
+	Name: "blockinglock",
+	Doc:  "flags blocking operations, and calls that may reach one, made while a sync.Mutex/RWMutex is held in internal/rtr + internal/rov",
+	Run:  runBlockingLock,
 }
 
 func runBlockingLock(m *ModulePass) {

@@ -1,7 +1,8 @@
 package main
 
 // callgraph.go: the module-internal call graph underpinning the
-// inter-procedural checks (blockinglock, lockorder, goroleak). Every function
+// inter-procedural checks (blockinglock, lockorder, goroleak, and arenaptr's
+// growth summary) and the node list every check iterates. Every function
 // declaration and function literal in the loaded packages becomes a node;
 // edges come from direct calls, interface method calls (conservatively
 // widened to every module type implementing the interface), and
@@ -72,6 +73,24 @@ func (n *funcNode) Pos() token.Pos {
 		return n.decl.Pos()
 	}
 	return n.lit.Pos()
+}
+
+func (n *funcNode) funcType() *ast.FuncType {
+	if n.decl != nil {
+		return n.decl.Type
+	}
+	return n.lit.Type
+}
+
+// inspect walks n's own body in source order; nested literals are excluded,
+// each being a node of its own.
+func (n *funcNode) inspect(f func(ast.Node) bool) {
+	ast.Inspect(n.body, func(nd ast.Node) bool {
+		if _, ok := nd.(*ast.FuncLit); ok {
+			return false
+		}
+		return f(nd)
+	})
 }
 
 // funcBindings records local variables bound exactly once to a function
@@ -201,10 +220,8 @@ func (g *CallGraph) scan(n *funcNode) {
 	callFun := make(map[ast.Expr]bool)
 	goCalls := make(map[*ast.CallExpr]bool)
 	deferCalls := make(map[*ast.CallExpr]bool)
-	ast.Inspect(n.body, func(nd ast.Node) bool {
+	n.inspect(func(nd ast.Node) bool {
 		switch t := nd.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.GoStmt:
 			goCalls[t.Call] = true
 		case *ast.DeferStmt:

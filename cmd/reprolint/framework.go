@@ -14,48 +14,24 @@ import (
 	"strings"
 )
 
-// Analyzer is one invariant check. Exactly one of Run and RunModule is set:
-// Run analyzers see one package at a time; RunModule analyzers see every
-// loaded package at once plus the call graph.
+// Analyzer is one invariant check: one function over the whole loaded package
+// set.
 type Analyzer struct {
 	// Name is the check name used in findings and //lint:ignore directives.
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// AppliesTo, when non-nil, restricts the analyzer to packages whose
-	// import path it accepts.
-	AppliesTo func(pkgPath string) bool
-	// Run inspects one package and reports findings through the pass.
-	Run func(pass *Pass)
-	// RunModule inspects the whole loaded module through the call graph.
-	RunModule func(m *ModulePass)
+	// Run inspects the loaded module and reports findings through the pass.
+	Run func(m *ModulePass)
 }
 
-// Pass is one analyzer's view of one package.
-type Pass struct {
-	*Package
-	Fset  *token.FileSet
-	Facts *Facts
-
-	check    string
-	findings *[]Finding
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Check: p.check,
-		Pos:   p.Fset.Position(pos),
-		Msg:   fmt.Sprintf(format, args...),
-	})
-}
-
-// ModulePass is one module-level analyzer's view of the whole loaded
-// package set.
+// ModulePass is one analyzer's view of the loaded package set: the packages,
+// the call graph over them, and the //repro:* annotation table.
 type ModulePass struct {
 	Fset  *token.FileSet
 	Pkgs  []*Package
 	Graph *CallGraph
+	Facts *Facts
 
 	check    string
 	findings *[]Finding
@@ -69,9 +45,6 @@ func (m *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 		Msg:   fmt.Sprintf(format, args...),
 	})
 }
-
-// TypeOf returns the static type of e, or nil.
-func (p *Pass) TypeOf(e ast.Expr) types.Type { return typeOfIn(p.Package, e) }
 
 // typeOfIn returns the static type of e in package p, or nil.
 func typeOfIn(p *Package, e ast.Expr) types.Type {
@@ -222,35 +195,23 @@ func (d *ignoreDirective) matches(check string) bool {
 	return false
 }
 
-// runAnalyzers runs every analyzer over every package, applies suppression,
-// and returns the surviving findings sorted by position. Type checking
-// already happened in dependency order inside the loader; the analyzers run
-// in registry order on the calling goroutine, module-level ones sharing one
-// call graph (all checks together are ~60 ms of a run that spends 1.7 s
-// loading, so there is nothing for a worker pool to win). Malformed
-// //lint:ignore directives are themselves findings (check "lint"): a
-// suppression without a stated reason suppresses nothing and documents
-// nothing, and a suppression naming a check that is not registered guards
-// nothing.
+// runAnalyzers runs every analyzer over the loaded packages, applies
+// suppression, and returns the surviving findings sorted by position. Type
+// checking already happened in dependency order inside the loader; the
+// analyzers run in registry order on the calling goroutine, sharing one call
+// graph (all checks together are ~60 ms of a run that spends 1.7 s loading, so
+// there is nothing for a worker pool to win). Malformed //lint:ignore
+// directives are themselves findings (check "lint"): a suppression without a
+// stated reason suppresses nothing and documents nothing, and a suppression
+// naming a check that is not registered guards nothing.
 func runAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Finding {
-	facts := collectFacts(pkgs)
 	ignores := collectIgnores(fset, pkgs)
 
 	var raw []Finding
-	var graph *CallGraph
+	pass := ModulePass{Fset: fset, Pkgs: pkgs, Graph: buildCallGraph(fset, pkgs), Facts: collectFacts(pkgs), findings: &raw}
 	for _, a := range analyzers {
-		if a.RunModule != nil {
-			if graph == nil {
-				graph = buildCallGraph(fset, pkgs)
-			}
-			a.RunModule(&ModulePass{Fset: fset, Pkgs: pkgs, Graph: graph, check: a.Name, findings: &raw})
-			continue
-		}
-		for _, p := range pkgs {
-			if a.AppliesTo == nil || a.AppliesTo(p.Path) {
-				a.Run(&Pass{Package: p, Fset: fset, Facts: facts, check: a.Name, findings: &raw})
-			}
-		}
+		pass.check = a.Name
+		a.Run(&pass)
 	}
 
 	known := map[string]bool{"lint": true}

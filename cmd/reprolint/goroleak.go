@@ -28,9 +28,9 @@ import (
 )
 
 var goroLeakAnalyzer = &Analyzer{
-	Name:      "goroleak",
-	Doc:       "every go statement needs a provable stop path (blocking receive/select, termination, or //repro:owns-goroutine <stopper>)",
-	RunModule: runGoroLeak,
+	Name: "goroleak",
+	Doc:  "every go statement needs a provable stop path (blocking receive/select, termination, or //repro:owns-goroutine <stopper>)",
+	Run:  runGoroLeak,
 }
 
 const ownsDirective = "//repro:owns-goroutine"
@@ -131,12 +131,9 @@ func runGoroLeak(m *ModulePass) {
 		if strings.HasSuffix(pos.Filename, "_test.go") {
 			continue
 		}
-		ast.Inspect(n.body, func(nd ast.Node) bool {
-			switch t := nd.(type) {
-			case *ast.FuncLit:
-				return false // its own node
-			case *ast.GoStmt:
-				checkGoStmt(m, g, n, t, annots, canStop, hasLoop)
+		n.inspect(func(nd ast.Node) bool {
+			if gs, ok := nd.(*ast.GoStmt); ok {
+				checkGoStmt(m, g, n, gs, annots, canStop, hasLoop)
 			}
 			return true
 		})
@@ -215,20 +212,11 @@ func checkGoStmt(m *ModulePass, g *CallGraph, n *funcNode, gs *ast.GoStmt,
 // (range over a channel is a receive, classified by blockingPrimitive).
 func bodyHasUnboundedLoop(n *funcNode) bool {
 	found := false
-	ast.Inspect(n.body, func(nd ast.Node) bool {
-		if found {
-			return false
+	n.inspect(func(nd ast.Node) bool {
+		if loop, ok := nd.(*ast.ForStmt); ok && loop.Cond == nil {
+			found = true
 		}
-		switch t := nd.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ForStmt:
-			if t.Cond == nil {
-				found = true
-				return false
-			}
-		}
-		return true
+		return !found
 	})
 	return found
 }

@@ -24,9 +24,9 @@ import (
 )
 
 var lockOrderAnalyzer = &Analyzer{
-	Name:      "lockorder",
-	Doc:       "builds the inter-procedural lock-ordering graph over internal/rtr + internal/rov and reports every cycle with its witness path",
-	RunModule: runLockOrder,
+	Name: "lockorder",
+	Doc:  "builds the inter-procedural lock-ordering graph over internal/rtr + internal/rov and reports every cycle with its witness path",
+	Run:  runLockOrder,
 }
 
 // lockScoped is where lockorder and blockinglock enforce their invariants:

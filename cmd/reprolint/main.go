@@ -1,11 +1,11 @@
 // Command reprolint enforces this repository's load-bearing invariants with
-// static analysis. Three per-package checks: RFC 1982 serial ordering
-// (serialcmp), arena slab pointer discipline (arenaptr), and snapshot
-// copy-on-write (snapshotwrite). Three module-level checks composed over an
-// inter-procedural call graph: no blocking under RTR/ROV locks (blockinglock),
-// consistent lock acquisition order (lockorder), and provable stop paths for
-// every goroutine (goroleak). It is built on go/parser and go/types alone,
-// keeping the module dependency-free.
+// static analysis. Six checks, each one function over the loaded packages and
+// the call graph built from them: RFC 1982 serial ordering (serialcmp), arena
+// slab pointer discipline (arenaptr), snapshot copy-on-write (snapshotwrite),
+// no blocking under RTR/ROV locks (blockinglock), consistent lock acquisition
+// order (lockorder), and provable stop paths for every goroutine (goroleak).
+// It is built on go/parser and go/types alone, keeping the module
+// dependency-free.
 //
 // Usage:
 //

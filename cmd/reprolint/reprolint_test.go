@@ -1,10 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -97,8 +99,10 @@ func TestSerialCmpGolden(t *testing.T) {
 	checkGolden(t, loadTestdata(t, "serialcmp"), wantsIn(t, "serialcmp"))
 }
 
+// TestArenaPtrGolden loads internal/core next to the testdata: what grows a
+// slab is read off core's own source, not off a list of names.
 func TestArenaPtrGolden(t *testing.T) {
-	checkGolden(t, loadTestdata(t, "arenaptr"), wantsIn(t, "arenaptr"))
+	checkGolden(t, loadTestdata(t, "arenaptr", "../../../../internal/core"), wantsIn(t, "arenaptr"))
 }
 
 func TestSnapshotWriteGolden(t *testing.T) {
@@ -108,6 +112,56 @@ func TestSnapshotWriteGolden(t *testing.T) {
 
 func TestBlockingLockGolden(t *testing.T) {
 	checkGolden(t, loadTestdata(t, "blockinglock"), wantsIn(t, "blockinglock"))
+}
+
+// TestProblemMatcher ties CI's annotation regexp to Finding.String(): every
+// finding of the golden runs must match .github/reprolint-problem-matcher.json
+// with the groups the matcher names equal to the finding's own fields, or a
+// drifted format silently loses every PR annotation.
+func TestProblemMatcher(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(wd, "..", "..", ".github", "reprolint-problem-matcher.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var matcher struct {
+		ProblemMatcher []struct {
+			Pattern []struct {
+				Regexp                            string
+				File, Line, Column, Code, Message int
+			}
+		}
+	}
+	if err := json.Unmarshal(data, &matcher); err != nil {
+		t.Fatal(err)
+	}
+	pat := matcher.ProblemMatcher[0].Pattern[0]
+	re := regexp.MustCompile(pat.Regexp)
+
+	findings := loadTestdata(t, "serialcmp", "arenaptr", "../../../../internal/core",
+		"snapshotwrite/types", "snapshotwrite/writer", "blockinglock", "lockorder", "goroleak", "suppress")
+	checks := make(map[string]bool)
+	for _, f := range findings {
+		checks[f.Check] = true
+		m := re.FindStringSubmatch(f.String())
+		if m == nil {
+			t.Errorf("matcher regexp %q does not match %q", pat.Regexp, f)
+			continue
+		}
+		got := [5]string{m[pat.File], m[pat.Line], m[pat.Column], m[pat.Code], m[pat.Message]}
+		want := [5]string{f.Pos.Filename, strconv.Itoa(f.Pos.Line), strconv.Itoa(f.Pos.Column), f.Check, f.Msg}
+		if got != want {
+			t.Errorf("matcher groups for %q:\n got %q\nwant %q", f, got, want)
+		}
+	}
+	for _, a := range analyzers {
+		if !checks[a.Name] {
+			t.Errorf("no golden finding of check %s went through the matcher", a.Name)
+		}
+	}
 }
 
 // lineOf returns the 1-based line of the first line of file whose trimmed

@@ -35,28 +35,30 @@ func isSerialType(t types.Type) bool {
 	return obj.Name() == serialTypeName && obj.Pkg() != nil && obj.Pkg().Path() == serialTypePkg
 }
 
-func runSerialCmp(pass *Pass) {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok {
+func runSerialCmp(m *ModulePass) {
+	for _, p := range m.Pkgs {
+		for _, file := range p.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				be, ok := n.(*ast.BinaryExpr)
+				if !ok {
+					return true
+				}
+				var verb string
+				switch be.Op {
+				case token.LSS, token.GTR, token.LEQ, token.GEQ:
+					verb = "ordering comparison"
+				case token.SUB:
+					verb = "subtraction"
+				default:
+					return true
+				}
+				if isSerialType(typeOfIn(p, be.X)) || isSerialType(typeOfIn(p, be.Y)) {
+					m.Reportf(be.OpPos,
+						"raw %s (%s) on rtr.Serial: serials wrap at 2^32, use SerialLess/SerialNewer (RFC 1982) or convert through uint32 explicitly",
+						verb, be.Op)
+				}
 				return true
-			}
-			var verb string
-			switch be.Op {
-			case token.LSS, token.GTR, token.LEQ, token.GEQ:
-				verb = "ordering comparison"
-			case token.SUB:
-				verb = "subtraction"
-			default:
-				return true
-			}
-			if isSerialType(pass.TypeOf(be.X)) || isSerialType(pass.TypeOf(be.Y)) {
-				pass.Reportf(be.OpPos,
-					"raw %s (%s) on rtr.Serial: serials wrap at 2^32, use SerialLess/SerialNewer (RFC 1982) or convert through uint32 explicitly",
-					verb, be.Op)
-			}
-			return true
-		})
+			})
+		}
 	}
 }

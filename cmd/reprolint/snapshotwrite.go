@@ -3,246 +3,124 @@ package main
 // snapshotwrite: lock-free readers (rov.LiveIndex and anything built on the
 // same idiom) depend on published snapshots being immutable — a writer never
 // mutates a value a Load() may have handed to a concurrent reader; it path-
-// copies into fresh cells and publishes a new root. The analyzer enforces
-// the copy-on-write discipline:
+// copies into fresh cells and publishes a new root. The sources of a
+// published snapshot:
 //
-//   - a type annotated //repro:immutable marks its values as
-//     published-immutable once they cross a package boundary;
-//   - a function annotated //repro:immutable returns published snapshots;
-//   - Load() on a sync/atomic.Pointer[T] of an annotated T yields a
-//     published snapshot.
+//   - Load() on a sync/atomic.Pointer[T] of a T annotated //repro:immutable;
+//   - a call to a function annotated //repro:immutable;
+//   - a parameter of an annotated type, outside the type's own package (the
+//     defining package holds the sanctioned construction and compaction
+//     paths; Load() results are frozen everywhere, including there).
 //
-// Any assignment that writes *through* such a value (x.f = v, x.s[i] = v,
-// *p = v, x.f++) is flagged. Rebinding the variable itself is fine. Inside
-// the annotated type's own package, values reached via parameters are
-// exempt — that is where the sanctioned construction and compaction paths
-// live — but Load() results are immutable everywhere, including there.
+// reftrack.go follows them through every alias; the sink is any assignment
+// that writes *through* one (x.f = v, x.s[i] = v, *p = v, x.f++). Rebinding
+// the variable itself is fine, and so is writing to a struct copied out of a
+// snapshot — the copy is the writer's own.
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 var snapshotWriteAnalyzer = &Analyzer{
 	Name: "snapshotwrite",
-	Doc:  "flags writes through values obtained from a snapshot Load() or annotated //repro:immutable",
+	Doc:  "flags writes through values, and aliases of values, obtained from a snapshot Load() or annotated //repro:immutable",
 	Run:  runSnapshotWrite,
 }
 
-// isAtomicPointer reports whether t is sync/atomic.Pointer[T] (or *that) and
-// returns T.
-func atomicPointerElem(t types.Type) (types.Type, bool) {
+// namedElem strips one pointer level from t and returns the named type under
+// it, or nil.
+func namedElem(t types.Type) *types.Named {
 	if t == nil {
-		return nil, false
+		return nil
 	}
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil, false
-	}
-	obj := named.Obj()
-	if obj.Name() != "Pointer" || obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
-		return nil, false
-	}
-	args := named.TypeArgs()
-	if args == nil || args.Len() != 1 {
-		return nil, false
-	}
-	return args.At(0), true
+	named, _ := t.(*types.Named)
+	return named
 }
 
-// immutableTypeName returns the Facts key ("pkgpath.TypeName") for t when t
-// is a named type or pointer to one, stripping one pointer level.
-func immutableTypeName(t types.Type) (string, bool) {
-	if t == nil {
+// atomicPointerElem returns T when t is sync/atomic.Pointer[T] (or *that).
+func atomicPointerElem(t types.Type) types.Type {
+	named := namedElem(t)
+	if named == nil || named.Obj().Name() != "Pointer" || named.Obj().Pkg() == nil ||
+		named.Obj().Pkg().Path() != "sync/atomic" || named.TypeArgs().Len() != 1 {
+		return nil
+	}
+	return named.TypeArgs().At(0)
+}
+
+// immutablePkg returns the defining package's path when t is (a pointer to) a
+// type annotated //repro:immutable.
+func (f *Facts) immutablePkg(t types.Type) (string, bool) {
+	named := namedElem(t)
+	if named == nil || named.Obj().Pkg() == nil {
 		return "", false
 	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return "", false
-	}
-	return obj.Pkg().Path() + "." + obj.Name(), true
+	path := named.Obj().Pkg().Path()
+	return path, f.ImmutableTypes[path+"."+named.Obj().Name()]
 }
 
-type snapVisitor struct {
-	pass *Pass
-}
-
-func runSnapshotWrite(pass *Pass) {
-	v := &snapVisitor{pass: pass}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch d := n.(type) {
-			case *ast.FuncDecl:
-				if d.Body != nil {
-					v.checkFunc(d.Type, d.Body)
-				}
-				return false
-			case *ast.FuncLit:
-				v.checkFunc(d.Type, d.Body)
-				return false
-			}
-			return true
-		})
-	}
-}
-
-// isImmutableSource reports whether evaluating e yields a published
-// snapshot: a Load() on an atomic pointer to an annotated type, or a call to
-// an annotated function.
-func (v *snapVisitor) isImmutableSource(e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
+// isSnapshotSource reports whether evaluating e yields a published snapshot:
+// a Load() on an atomic pointer to an annotated type, or a call to an
+// annotated function.
+func (f *Facts) isSnapshotSource(p *Package, e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if ok && sel.Sel.Name == "Load" {
-		if elem, isAtomic := atomicPointerElem(v.pass.TypeOf(sel.X)); isAtomic {
-			if name, named := immutableTypeName(elem); named && v.pass.Facts.ImmutableTypes[name] {
-				return true
-			}
-		}
-	}
-	// Annotated function or method.
-	var callee types.Object
+	var callee *ast.Ident
 	switch fn := call.Fun.(type) {
 	case *ast.Ident:
-		callee = v.pass.Info.Uses[fn]
+		callee = fn
 	case *ast.SelectorExpr:
-		callee = v.pass.Info.Uses[fn.Sel]
+		callee = fn.Sel
+		if _, frozen := f.immutablePkg(atomicPointerElem(typeOfIn(p, fn.X))); frozen && callee.Name == "Load" {
+			return true
+		}
 	}
-	if f, ok := callee.(*types.Func); ok && v.pass.Facts.ImmutableFuncs[f.FullName()] {
-		return true
-	}
-	return false
+	fn, ok := objOf(p, callee).(*types.Func)
+	return ok && f.ImmutableFuncs[fn.FullName()]
 }
 
-// immutableParam reports whether obj is a parameter of an annotated type
-// declared outside the type's own package (the defining package holds the
-// sanctioned construction paths).
-func (v *snapVisitor) immutableParam(obj types.Object, paramObjs map[types.Object]bool) bool {
-	if !paramObjs[obj] {
-		return false
-	}
-	name, ok := immutableTypeName(obj.Type())
-	if !ok || !v.pass.Facts.ImmutableTypes[name] {
-		return false
-	}
-	typePkg := name[:strings.LastIndex(name, ".")]
-	return typePkg != v.pass.Path
-}
-
-func (v *snapVisitor) checkFunc(ftype *ast.FuncType, body *ast.BlockStmt) {
-	// Parameters of annotated types (cross-package rule).
-	paramObjs := make(map[types.Object]bool)
-	if ftype.Params != nil {
-		for _, field := range ftype.Params.List {
+func runSnapshotWrite(m *ModulePass) {
+	t := &refTracker{source: m.Facts.isSnapshotSource, held: make(map[types.Object]*refBinding)}
+	for _, n := range m.Graph.nodes {
+		if n.body == nil {
+			continue
+		}
+		// A parameter of an annotated foreign type arrives holding a snapshot.
+		for _, field := range n.funcType().Params.List {
 			for _, name := range field.Names {
-				if obj := v.pass.Info.Defs[name]; obj != nil {
-					paramObjs[obj] = true
+				obj := objOf(n.pkg, name)
+				if obj == nil || !canAlias(obj.Type()) {
+					continue
+				}
+				if pkg, frozen := m.Facts.immutablePkg(obj.Type()); frozen && pkg != n.pkg.Path {
+					t.held[obj] = &refBinding{obj: obj, stmt: field}
 				}
 			}
 		}
-	}
+		t.track(n)
 
-	// Locals bound (directly or transitively) to an immutable source. One
-	// in-order pass per iteration, to a fixpoint: Go forbids use before
-	// declaration for locals, but `x := imm; y := x` across nested blocks is
-	// easier to close transitively than to order.
-	immLocals := make(map[types.Object]bool)
-	isImmutableExpr := func(e ast.Expr) bool { return false } // forward decl
-	isImmutableExpr = func(e ast.Expr) bool {
-		e = ast.Unparen(e)
-		switch t := e.(type) {
-		case *ast.Ident:
-			obj := v.pass.Info.Uses[t]
-			if obj == nil {
-				obj = v.pass.Info.Defs[t]
+		// The one sink scan: at least one selector/index/deref step between
+		// the assigned location and a snapshot.
+		through := func(lhs ast.Expr) {
+			if _, ok := t.derived(n.pkg, inner(ast.Unparen(lhs))); ok {
+				m.Reportf(lhs.Pos(), "write through a published snapshot: the value is //repro:immutable once published; path-copy into fresh cells and republish instead")
 			}
-			if obj == nil {
-				return false
-			}
-			return immLocals[obj] || v.immutableParam(obj, paramObjs)
-		case *ast.SelectorExpr:
-			return isImmutableExpr(t.X)
-		case *ast.IndexExpr:
-			return isImmutableExpr(t.X)
-		case *ast.StarExpr:
-			return isImmutableExpr(t.X)
-		case *ast.CallExpr:
-			return v.isImmutableSource(t)
 		}
-		return false
-	}
-
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				id, ok := as.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
+		n.inspect(func(nd ast.Node) bool {
+			switch s := nd.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range s.Lhs {
+					through(lhs)
 				}
-				obj := v.pass.Info.Defs[id]
-				if obj == nil {
-					obj = v.pass.Info.Uses[id]
-				}
-				if obj == nil || immLocals[obj] {
-					continue
-				}
-				if isImmutableExpr(rhs) {
-					immLocals[obj] = true
-					changed = true
-				}
+			case *ast.IncDecStmt:
+				through(s.X)
 			}
 			return true
 		})
 	}
-
-	// Flag writes through immutable values: at least one selector/index/
-	// deref step between the assigned location and an immutable root.
-	writesThrough := func(lhs ast.Expr) bool {
-		lhs = ast.Unparen(lhs)
-		switch t := lhs.(type) {
-		case *ast.SelectorExpr:
-			return isImmutableExpr(t.X)
-		case *ast.IndexExpr:
-			return isImmutableExpr(t.X)
-		case *ast.StarExpr:
-			return isImmutableExpr(t.X)
-		}
-		return false
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		// FuncLits are traversed in place: a closure writing through a
-		// captured snapshot is the same violation, and captured locals
-		// resolve to the same objects tracked in immLocals.
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				if writesThrough(lhs) {
-					v.pass.Reportf(lhs.Pos(), "write through a published snapshot: the value is //repro:immutable once published; path-copy into fresh cells and republish instead")
-				}
-			}
-		case *ast.IncDecStmt:
-			if writesThrough(s.X) {
-				v.pass.Reportf(s.X.Pos(), "write through a published snapshot: the value is //repro:immutable once published; path-copy into fresh cells and republish instead")
-			}
-		}
-		return true
-	})
 }

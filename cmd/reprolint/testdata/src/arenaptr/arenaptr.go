@@ -137,3 +137,90 @@ func compactIndexSurvivesGrowth(b *core.CompactBuilder[int], e *core.CompactEngi
 	b.Add(q, 2)
 	return e.Nodes[i].Val
 }
+
+// Aliases carry the pointer: the window spans every alias, and an alias
+// escapes like the pointer it was bound from.
+
+func aliasHeldAcrossGrowth(e *core.Engine[int]) int {
+	p := &e.Nodes[0] // want "held across a slab-growing call"
+	q := p
+	e.Alloc(7)
+	return q.Val
+}
+
+func fieldAddrHeldAcrossGrowth(e *core.Engine[int]) int {
+	v := &e.Nodes[0].Val // want "held across a slab-growing call"
+	e.Alloc(7)
+	return *v
+}
+
+func aliasEscapesViaReturn(e *core.Engine[int]) *core.Node[int] {
+	p := &e.Nodes[0]
+	q := p
+	return q // want "escapes via return"
+}
+
+// Growth is whatever reaches an append to a node slab: a helper in this
+// file, a method reached through an interface, and a method of a local
+// wrapper the linter has never heard of.
+
+func grow(e *core.Engine[int]) { e.Alloc(1) }
+
+type grower interface {
+	growBy(e *core.Engine[int], n int)
+}
+
+type allocGrower struct{}
+
+func (allocGrower) growBy(e *core.Engine[int], n int) { e.Alloc(n) }
+
+type wrapper struct{ nodes []core.Node[int] }
+
+func (w *wrapper) push(v int) { w.nodes = append(w.nodes, core.Node[int]{Val: v}) }
+
+func heldAcrossHelperGrowth(e *core.Engine[int]) int {
+	n := &e.Nodes[0] // want "call to arenaptr.grow at"
+	grow(e)
+	return n.Val
+}
+
+func heldAcrossInterfaceGrowth(e *core.Engine[int], g grower) int {
+	n := &e.Nodes[0] // want "via (arenaptr.allocGrower).growBy → (*core.Engine[V]).Alloc"
+	g.growBy(e, 1)
+	return n.Val
+}
+
+func heldAcrossWrapperGrowth(w *wrapper) int {
+	n := &w.nodes[0] // want "call to (*arenaptr.wrapper).push"
+	w.push(1)
+	return n.Val
+}
+
+// True negatives: a value copied out of the node is a copy; a helper that only
+// reads grows nothing; growth inside a helper that then binds its own pointer
+// is the grow-then-address idiom one call down.
+
+func valueCopySurvivesGrowth(e *core.Engine[int]) int {
+	n := &e.Nodes[0]
+	v := n.Val
+	e.Alloc(1)
+	return v
+}
+
+func peek(e *core.Engine[int]) int { return e.Nodes[0].Val }
+
+func heldAcrossReadOnlyHelper(e *core.Engine[int]) int {
+	n := &e.Nodes[0]
+	peek(e)
+	return n.Val
+}
+
+func growThenBind(e *core.Engine[int]) int {
+	grow(e)
+	n := &e.Nodes[0]
+	return n.Val
+}
+
+func helperGrowsBeforeBinding(e *core.Engine[int]) int {
+	return growThenBind(e) + growThenBind(e)
+}

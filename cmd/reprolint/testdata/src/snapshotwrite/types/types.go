@@ -11,7 +11,17 @@ import "sync/atomic"
 type Table struct {
 	Vals []int
 	N    int
+	S    Sub
 }
+
+// Sub is a struct held by value inside a Table: its address and its slices
+// alias the snapshot, a copy of it does not.
+type Sub struct {
+	N  int
+	Es []Elem
+}
+
+type Elem struct{ A int }
 
 // Holder publishes tables to lock-free readers.
 type Holder struct {

@@ -38,7 +38,27 @@ func writeInClosure(h *types.Holder) func() {
 	}
 }
 
-// True negatives: reads, rebinding, and locally built tables.
+func addrOfFieldWrite(h *types.Holder) {
+	x := h.Cur.Load()
+	y := &x.S
+	y.N = 3 // want "write through a published snapshot"
+}
+
+func resliceWrite(h *types.Holder) {
+	x := h.Cur.Load()
+	es := x.S.Es[1:]
+	es[0].A = 1 // want "write through a published snapshot"
+}
+
+// True negatives: reads, rebinding, struct copies, and locally built tables.
+
+// structCopyWrite writes to its own copy of an element.
+func structCopyWrite(h *types.Holder) int {
+	x := h.Cur.Load()
+	e := x.S.Es[0]
+	e.A = 7
+	return e.A
+}
 
 func readOnly(h *types.Holder) int {
 	t := h.Cur.Load()

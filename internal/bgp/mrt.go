@@ -73,18 +73,15 @@ func (m *MRTWriter) writePeerIndex() error {
 	name := []byte("repro-collector")
 	body := make([]byte, 0, 32+len(name))
 	body = append(body, 0x0a, 0x00, 0x00, 0x01) // collector BGP ID 10.0.0.1
-	body = be16(body, uint16(len(name)))
+	body = binary.BigEndian.AppendUint16(body, uint16(len(name)))
 	body = append(body, name...)
-	body = be16(body, 1)                        // peer count
-	body = append(body, 0x02)                   // peer type: IPv4 addr, 4-byte AS
-	body = append(body, 0x0a, 0x00, 0x00, 0x02) // peer BGP ID
-	body = append(body, 0x0a, 0x00, 0x00, 0x02) // peer IPv4 address
-	body = append(body, 0x00, 0x00, 0x00, 0x00) // peer AS 0
+	body = binary.BigEndian.AppendUint16(body, 1) // peer count
+	body = append(body, 0x02)                     // peer type: IPv4 addr, 4-byte AS
+	body = append(body, 0x0a, 0x00, 0x00, 0x02)   // peer BGP ID
+	body = append(body, 0x0a, 0x00, 0x00, 0x02)   // peer IPv4 address
+	body = append(body, 0x00, 0x00, 0x00, 0x00)   // peer AS 0
 	return m.record(mrtTypeTableDumpV2, mrtPeerIndexTable, body)
 }
-
-func be16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
-func be32(b []byte, v uint32) []byte { return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v)) }
 
 // WriteAnnouncement appends one RIB entry record.
 func (m *MRTWriter) WriteAnnouncement(a Announcement) error {
@@ -112,18 +109,18 @@ func (m *MRTWriter) WriteAnnouncement(a Announcement) error {
 	pathLen := byte(len(a.Path))
 	attrs = append(attrs, 0x40, attrASPath, byte(2+4*len(a.Path)), asPathSequence, pathLen)
 	for _, as := range a.Path {
-		attrs = be32(attrs, uint32(as))
+		attrs = binary.BigEndian.AppendUint32(attrs, uint32(as))
 	}
 
 	body := make([]byte, 0, 32+len(attrs))
-	body = be32(body, m.seq)
+	body = binary.BigEndian.AppendUint32(body, m.seq)
 	m.seq++
 	body = append(body, a.Prefix.Len())
 	body = append(body, prefixBytes(a.Prefix)...)
-	body = be16(body, 1) // entry count
-	body = be16(body, 0) // peer index
-	body = be32(body, m.timestamp)
-	body = be16(body, uint16(len(attrs)))
+	body = binary.BigEndian.AppendUint16(body, 1) // entry count
+	body = binary.BigEndian.AppendUint16(body, 0) // peer index
+	body = binary.BigEndian.AppendUint32(body, m.timestamp)
+	body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
 	body = append(body, attrs...)
 	return m.record(mrtTypeTableDumpV2, subtype, body)
 }

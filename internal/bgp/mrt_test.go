@@ -157,13 +157,13 @@ func TestMRTASSetDropped(t *testing.T) {
 	// the entry without error (RFC 6811 treats AS_SET origins as unusable).
 	attrs := []byte{0x40, attrASPath, 6, asPathSet, 1, 0, 0, 0, 99}
 	body := []byte{}
-	body = be32(body, 0)    // seq
-	body = append(body, 8)  // prefix len
-	body = append(body, 10) // 10.0.0.0/8
-	body = be16(body, 1)    // entry count
-	body = be16(body, 0)    // peer index
-	body = be32(body, 0)    // originated
-	body = be16(body, uint16(len(attrs)))
+	body = binary.BigEndian.AppendUint32(body, 0) // seq
+	body = append(body, 8)                        // prefix len
+	body = append(body, 10)                       // 10.0.0.0/8
+	body = binary.BigEndian.AppendUint16(body, 1) // entry count
+	body = binary.BigEndian.AppendUint16(body, 0) // peer index
+	body = binary.BigEndian.AppendUint32(body, 0) // originated
+	body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
 	body = append(body, attrs...)
 	var buf bytes.Buffer
 	hdr := make([]byte, 12)
@@ -186,20 +186,20 @@ func TestMRTExtendedLengthAttribute(t *testing.T) {
 	path := []rpki.ASN{3356, 111}
 	attrVal := []byte{asPathSequence, byte(len(path))}
 	for _, as := range path {
-		attrVal = be32(attrVal, uint32(as))
+		attrVal = binary.BigEndian.AppendUint32(attrVal, uint32(as))
 	}
 	attrs := []byte{0x50, attrASPath}
-	attrs = be16(attrs, uint16(len(attrVal)))
+	attrs = binary.BigEndian.AppendUint16(attrs, uint16(len(attrVal)))
 	attrs = append(attrs, attrVal...)
 
 	body := []byte{}
-	body = be32(body, 0)
+	body = binary.BigEndian.AppendUint32(body, 0)
 	body = append(body, 16)
 	body = append(body, 168, 122) // 168.122.0.0/16
-	body = be16(body, 1)
-	body = be16(body, 0)
-	body = be32(body, 0)
-	body = be16(body, uint16(len(attrs)))
+	body = binary.BigEndian.AppendUint16(body, 1)
+	body = binary.BigEndian.AppendUint16(body, 0)
+	body = binary.BigEndian.AppendUint32(body, 0)
+	body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
 	body = append(body, attrs...)
 	var buf bytes.Buffer
 	hdr := make([]byte, 12)

@@ -134,9 +134,9 @@ func marshalOpen(o *Open) []byte {
 	opt := append([]byte{2, byte(len(caps))}, caps...) // param type 2 = capabilities
 	body := make([]byte, 0, 10+len(opt))
 	body = append(body, 4) // BGP version
-	body = be16(body, two)
-	body = be16(body, o.HoldTime)
-	body = be32(body, o.BGPID)
+	body = binary.BigEndian.AppendUint16(body, two)
+	body = binary.BigEndian.AppendUint16(body, o.HoldTime)
+	body = binary.BigEndian.AppendUint32(body, o.BGPID)
 	body = append(body, byte(len(opt)))
 	return append(body, opt...)
 }
@@ -167,12 +167,12 @@ func marshalUpdate(u *Update) ([]byte, error) {
 		attrs = append(attrs, 0x40, attrOrigin, 1, 0)
 		attrs = append(attrs, 0x40, attrASPath, byte(2+4*len(u.Path)), asPathSequence, byte(len(u.Path)))
 		for _, as := range u.Path {
-			attrs = be32(attrs, uint32(as))
+			attrs = binary.BigEndian.AppendUint32(attrs, uint32(as))
 		}
 	}
 	if len(nlri4) > 0 {
 		attrs = append(attrs, 0x40, attrNextHop, 4)
-		attrs = be32(attrs, u.NextHop)
+		attrs = binary.BigEndian.AppendUint32(attrs, u.NextHop)
 	}
 	if len(nlri6) > 0 {
 		// MP_REACH_NLRI: AFI(2) SAFI(1) nhlen(1) nexthop(16) reserved(1) NLRI.
@@ -182,15 +182,15 @@ func marshalUpdate(u *Update) ([]byte, error) {
 		val = append(val, nlri6...)
 		if len(val) > 255 {
 			attrs = append(attrs, 0x90, attrMPReachNLRI) // optional + extended length
-			attrs = be16(attrs, uint16(len(val)))
+			attrs = binary.BigEndian.AppendUint16(attrs, uint16(len(val)))
 		} else {
 			attrs = append(attrs, 0x80, attrMPReachNLRI, byte(len(val)))
 		}
 		attrs = append(attrs, val...)
 	}
-	body := be16(nil, uint16(len(withdrawn)))
+	body := binary.BigEndian.AppendUint16(nil, uint16(len(withdrawn)))
 	body = append(body, withdrawn...)
-	body = be16(body, uint16(len(attrs)))
+	body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
 	body = append(body, attrs...)
 	return append(body, nlri4...), nil
 }

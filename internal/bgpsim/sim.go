@@ -87,7 +87,7 @@ func Simulate(t *Topology, anns []Announcement, cfg Config) *Outcome {
 			routes[i] = rov.Route{Prefix: a.Prefix, Origin: a.ClaimedOrigin()}
 		}
 		invalid = make([]bool, len(anns))
-		for i, s := range ix.ValidateBatchSorted(routes, nil) {
+		for i, s := range ix.ValidateBatch(routes, nil) {
 			invalid[i] = s == rov.Invalid
 		}
 	}

@@ -14,12 +14,13 @@
 package prefix
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"net/netip"
 	"slices"
-	"strconv"
-	"strings"
 )
 
 // Family identifies the address family of a Prefix.
@@ -59,7 +60,8 @@ type Prefix struct {
 	fam    Family
 }
 
-// Errors returned by Parse and Make.
+// Errors returned by Parse and Make. Parse reports every rejected string,
+// an out-of-range length included, as ErrBadPrefix.
 var (
 	ErrBadPrefix = errors.New("prefix: malformed prefix")
 	ErrBadLength = errors.New("prefix: length out of range")
@@ -98,28 +100,20 @@ func maskBits(hi, lo uint64, length uint8) (uint64, uint64) {
 }
 
 // Parse parses a prefix in CIDR notation, e.g. "10.0.0.0/8" or "2001:db8::/32".
+// The accepted syntax is net/netip's: no leading zeros in an octet or in the
+// length, at most four hex digits per group, no zone, and an IPv6 address may
+// end in a dotted quad ("::ffff:1.2.3.4/128"). Host bits are cleared.
 func Parse(s string) (Prefix, error) {
-	slash := strings.LastIndexByte(s, '/')
-	if slash < 0 {
-		return Prefix{}, fmt.Errorf("%w: %q missing '/'", ErrBadPrefix, s)
-	}
-	l, err := strconv.ParseUint(s[slash+1:], 10, 8)
+	np, err := netip.ParsePrefix(s)
 	if err != nil {
-		return Prefix{}, fmt.Errorf("%w: %q bad length: %v", ErrBadPrefix, s, err)
+		return Prefix{}, fmt.Errorf("%w: %v", ErrBadPrefix, err)
 	}
-	addr := s[:slash]
-	if strings.ContainsRune(addr, ':') {
-		hi, lo, err := parseIPv6(addr)
-		if err != nil {
-			return Prefix{}, fmt.Errorf("%w: %q: %v", ErrBadPrefix, s, err)
-		}
-		return Make(IPv6, hi, lo, uint8(l))
+	if a := np.Addr(); a.Is4() {
+		b := a.As4()
+		return Make(IPv4, uint64(binary.BigEndian.Uint32(b[:]))<<32, 0, uint8(np.Bits()))
 	}
-	v4, err := parseIPv4(addr)
-	if err != nil {
-		return Prefix{}, fmt.Errorf("%w: %q: %v", ErrBadPrefix, s, err)
-	}
-	return Make(IPv4, uint64(v4)<<32, 0, uint8(l))
+	b := np.Addr().As16()
+	return Make(IPv6, binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:]), uint8(np.Bits()))
 }
 
 // MustParse is like Parse but panics on error. Intended for tests and
@@ -130,79 +124,6 @@ func MustParse(s string) Prefix {
 		panic(err)
 	}
 	return p
-}
-
-func parseIPv4(s string) (uint32, error) {
-	var v uint32
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, errors.New("want 4 octets")
-	}
-	for _, part := range parts {
-		n, err := strconv.ParseUint(part, 10, 8)
-		if err != nil {
-			return 0, fmt.Errorf("bad octet %q", part)
-		}
-		if len(part) > 1 && part[0] == '0' {
-			return 0, fmt.Errorf("leading zero in octet %q", part)
-		}
-		v = v<<8 | uint32(n)
-	}
-	return v, nil
-}
-
-func parseIPv6(s string) (hi, lo uint64, err error) {
-	// Split on "::" for zero compression.
-	var head, tail []uint16
-	dc := strings.Index(s, "::")
-	parse16 := func(fields string) ([]uint16, error) {
-		if fields == "" {
-			return nil, nil
-		}
-		var out []uint16
-		for _, f := range strings.Split(fields, ":") {
-			if f == "" {
-				return nil, errors.New("empty group")
-			}
-			n, err := strconv.ParseUint(f, 16, 16)
-			if err != nil {
-				return nil, fmt.Errorf("bad group %q", f)
-			}
-			out = append(out, uint16(n))
-		}
-		return out, nil
-	}
-	if dc >= 0 {
-		if strings.Contains(s[dc+2:], "::") {
-			return 0, 0, errors.New("multiple ::")
-		}
-		if head, err = parse16(s[:dc]); err != nil {
-			return 0, 0, err
-		}
-		if tail, err = parse16(s[dc+2:]); err != nil {
-			return 0, 0, err
-		}
-		if len(head)+len(tail) > 7 {
-			return 0, 0, errors.New("too many groups around ::")
-		}
-	} else {
-		if head, err = parse16(s); err != nil {
-			return 0, 0, err
-		}
-		if len(head) != 8 {
-			return 0, 0, errors.New("want 8 groups")
-		}
-	}
-	var groups [8]uint16
-	copy(groups[:], head)
-	copy(groups[8-len(tail):], tail)
-	for i := 0; i < 4; i++ {
-		hi = hi<<16 | uint64(groups[i])
-	}
-	for i := 4; i < 8; i++ {
-		lo = lo<<16 | uint64(groups[i])
-	}
-	return hi, lo, nil
 }
 
 // Family returns the address family.
@@ -221,57 +142,20 @@ func (p Prefix) IsValid() bool { return p.fam == IPv4 || p.fam == IPv6 }
 // MaxLen returns the maximum prefix length for p's family.
 func (p Prefix) MaxLen() uint8 { return p.fam.MaxLen() }
 
-// String formats the prefix in CIDR notation.
+// String formats the prefix in CIDR notation, the address in net/netip's
+// canonical text form (RFC 5952; an IPv4-mapped address keeps its dotted quad).
 func (p Prefix) String() string {
 	if !p.IsValid() {
 		return "invalid/0"
 	}
-	var b strings.Builder
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], p.hi)
+	binary.BigEndian.PutUint64(b[8:], p.lo)
+	a := netip.AddrFrom16(b)
 	if p.fam == IPv4 {
-		v := uint32(p.hi >> 32)
-		fmt.Fprintf(&b, "%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	} else {
-		writeIPv6(&b, p.hi, p.lo)
+		a = netip.AddrFrom4([4]byte(b[:4]))
 	}
-	b.WriteByte('/')
-	b.WriteString(strconv.Itoa(int(p.len)))
-	return b.String()
-}
-
-// writeIPv6 writes the canonical RFC 5952 text form of the address.
-func writeIPv6(b *strings.Builder, hi, lo uint64) {
-	var g [8]uint16
-	for i := 0; i < 4; i++ {
-		g[i] = uint16(hi >> (48 - 16*i))
-		g[i+4] = uint16(lo >> (48 - 16*i))
-	}
-	// Find the longest run of zero groups (length >= 2) for "::".
-	bestStart, bestLen := -1, 1
-	for i := 0; i < 8; {
-		if g[i] != 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < 8 && g[j] == 0 {
-			j++
-		}
-		if j-i > bestLen {
-			bestStart, bestLen = i, j-i
-		}
-		i = j
-	}
-	for i := 0; i < 8; i++ {
-		if i == bestStart {
-			b.WriteString("::")
-			i += bestLen - 1
-			continue
-		}
-		if i > 0 && (bestStart < 0 || i != bestStart+bestLen) {
-			b.WriteByte(':')
-		}
-		fmt.Fprintf(b, "%x", g[i])
-	}
+	return netip.PrefixFrom(a, int(p.len)).String()
 }
 
 // Bit returns bit i of the network address (0 = most significant). It panics
@@ -499,40 +383,12 @@ func CommonAncestor(p, q Prefix) Prefix {
 // commonBits returns the number of leading bits shared by the two 128-bit values.
 func commonBits(ahi, alo, bhi, blo uint64) uint8 {
 	if x := ahi ^ bhi; x != 0 {
-		return uint8(leadingZeros64(x))
+		return uint8(bits.LeadingZeros64(x))
 	}
 	if x := alo ^ blo; x != 0 {
-		return 64 + uint8(leadingZeros64(x))
+		return 64 + uint8(bits.LeadingZeros64(x))
 	}
 	return 128
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x>>32 == 0 {
-		n += 32
-		x <<= 32
-	}
-	if x>>48 == 0 {
-		n += 16
-		x <<= 16
-	}
-	if x>>56 == 0 {
-		n += 8
-		x <<= 8
-	}
-	if x>>60 == 0 {
-		n += 4
-		x <<= 4
-	}
-	if x>>62 == 0 {
-		n += 2
-		x <<= 2
-	}
-	if x>>63 == 0 {
-		n++
-	}
-	return n
 }
 
 // Sort sorts prefixes in place in canonical order (see Compare).

@@ -28,7 +28,11 @@ func TestParseValid(t *testing.T) {
 		{"2001:db8:0:0:0:0:0:0/32", IPv6, 32, "2001:db8::/32"},
 		{"2001:db8::1/128", IPv6, 128, "2001:db8::1/128"},
 		{"fe80::1:2:3/64", IPv6, 64, "fe80::/64"},
-		{"::ffff:0:0/96", IPv6, 96, "::ffff:0:0/96"},
+		// net/netip's text form: an IPv4-mapped address keeps its dotted quad,
+		// and RFC 4291 §2.2 form 3 is accepted on the way in.
+		{"::ffff:0:0/96", IPv6, 96, "::ffff:0.0.0.0/96"},
+		{"::ffff:1.2.3.4/128", IPv6, 128, "::ffff:1.2.3.4/128"},
+		{"1:2:3:4:5:6:1.2.3.4/112", IPv6, 112, "1:2:3:4:5:6:102:0/112"},
 	}
 	for _, c := range cases {
 		p, err := Parse(c.in)
@@ -51,6 +55,11 @@ func TestParseInvalid(t *testing.T) {
 		"256.0.0.0/8", "10.0.0.0/-1", "10.0.0.0/x", "01.2.3.4/8",
 		"2001:db8::/129", "2001:db8::g/32", "1:2:3:4:5:6:7:8:9/32",
 		"::1::2/32", "2001:db8/32", "1:2:3/32",
+		// Refused by net/netip where the hand-rolled parser took them: a
+		// zero-padded length, a hex group over four digits.
+		"10.0.0.0/08", "10.0.0.0/00", "2001:00db8::/32",
+		// Refused before and after: zones, leading-zero octets.
+		"fe80::1%eth0/64", "10.01.0.0/16",
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", in)

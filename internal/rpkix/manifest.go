@@ -10,6 +10,7 @@ import (
 	"encoding/asn1"
 	"fmt"
 	"math/big"
+	"slices"
 	"time"
 )
 
@@ -59,7 +60,7 @@ func EncodeManifestContent(m Manifest) ([]byte, error) {
 	for name := range m.Files {
 		names = append(names, name)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	for _, name := range names {
 		h := m.Files[name]
 		raw.FileList = append(raw.FileList, fileAndHash{
@@ -98,16 +99,6 @@ func DecodeManifestContent(der []byte) (Manifest, error) {
 		m.Files[fh.File] = h
 	}
 	return m, nil
-}
-
-// sortStrings is a tiny insertion sort to keep the file free of the sort
-// import churn (file lists are small).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // IssueManifest signs a manifest under the authority with a fresh EE

@@ -203,7 +203,7 @@ func ScanROAs(dir string) (*ScanResult, error) {
 			issuer = certs[0]
 		}
 		revoked = func(serial int64) bool {
-			r, err := CheckCRL(crlDER, issuer, bigInt(serial))
+			r, err := CheckCRL(crlDER, issuer, big.NewInt(serial))
 			return err == nil && r
 		}
 	}
@@ -250,8 +250,6 @@ func ScanROAs(dir string) (*ScanResult, error) {
 	res.VRPs = rpki.SetFromROAs(res.ROAs)
 	return res, nil
 }
-
-func bigInt(v int64) *big.Int { return big.NewInt(v) }
 
 func parsePrefixes(ss []string) ([]prefix.Prefix, error) {
 	out := make([]prefix.Prefix, 0, len(ss))

@@ -308,29 +308,24 @@ func (c *Client) Sync() (Serial, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
 	c.mu.Lock()
-	have := c.haveState
-	q := &SerialQuery{SessionID: c.sessionID, Serial: c.serial}
+	full := !c.haveState
+	var q PDU = &SerialQuery{SessionID: c.sessionID, Serial: c.serial}
 	c.mu.Unlock()
-	if !have {
-		//lint:ignore blockinglock reqMu serialises whole exchanges by design: only Sync/Reset/FlushSubscribers callers queue on it, and waiting out the exchange is what they ask for
-		if err := c.exchange(true, &ResetQuery{}); err != nil {
-			return 0, err
+	for {
+		if full {
+			q = &ResetQuery{}
 		}
-		return c.Serial(), nil
-	}
-	//lint:ignore blockinglock reqMu serialises whole exchanges by design: only Sync/Reset/FlushSubscribers callers queue on it, and waiting out the exchange is what they ask for
-	if err := c.exchange(false, q); err != nil {
-		var cr cacheResetError
-		if errors.As(err, &cr) {
-			//lint:ignore blockinglock reqMu serialises whole exchanges by design: only Sync/Reset/FlushSubscribers callers queue on it, and waiting out the exchange is what they ask for
-			if err := c.exchange(true, &ResetQuery{}); err != nil {
-				return 0, err
-			}
+		//lint:ignore blockinglock reqMu serialises whole exchanges by design: only Sync/Reset/FlushSubscribers callers queue on it, and waiting out the exchange is what they ask for
+		err := c.exchange(full, q)
+		if err == nil {
 			return c.Serial(), nil
 		}
-		return 0, err
+		// Cache Reset answers only a Serial Query: go round once more, in full.
+		if full || !errors.As(err, new(cacheResetError)) {
+			return 0, err
+		}
+		full = true
 	}
-	return c.Serial(), nil
 }
 
 // WaitNotify blocks until a Serial Notify arrives and returns its serial, or

@@ -526,7 +526,7 @@ func TestUpstreamConnFailureWhileIdle(t *testing.T) {
 // cue to redial.
 func TestUpstreamSyncTimeoutUnwedgesSilentCache(t *testing.T) {
 	h := newHarness(t)
-	h.m.SyncTimeout = 50 * time.Millisecond
+	h.m.syncTimeout = 50 * time.Millisecond
 	srv := h.pipe()
 	defer srv.Close()
 

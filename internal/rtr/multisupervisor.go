@@ -65,25 +65,12 @@ type MultiSupervisor struct {
 	// OnUpdate, when set, is invoked after every successful sync of the
 	// serving upstream with the new serial, on that upstream's goroutine.
 	OnUpdate func(serial Serial)
-	// Refresh/Retry/Expire are each upstream's timers until its cache
-	// advertises its own in a version-1 End of Data; adopted values stay in
-	// force across reconnects. Set before Run.
-	Refresh, Retry, Expire time.Duration
 	// BackoffMin seeds the redial backoff; each failed connection doubles it
 	// up to BackoffMax. A zero BackoffMax caps at the upstream's current
 	// Retry interval — the cadence RFC 8210 prescribes for an unreachable
 	// cache — and never beyond its Expire window. The backoff resets to
 	// BackoffMin after a connection that synced. Set before Run.
 	BackoffMin, BackoffMax time.Duration
-	// SyncTimeout bounds one Sync exchange in wall-clock time; zero derives
-	// the bound from the upstream's current Retry interval. A cache that
-	// accepts the connection but never answers would otherwise wedge the
-	// upstream forever — the client has no read deadline by design
-	// (deadlines mid-PDU are the desync bug the dispatch loop removed), so
-	// the watchdog tears the whole session down instead and the loop
-	// redials. Always real time, never the test clock: it guards against
-	// wall-clock wedges, not protocol state. Set before Run.
-	SyncTimeout time.Duration
 	// Logf, when set, receives lifecycle diagnostics (redials, expiries,
 	// failovers, failbacks).
 	Logf func(format string, args ...interface{})
@@ -117,7 +104,24 @@ type MultiSupervisor struct {
 	nowFn    func() time.Time
 	afterFn  func(time.Duration) <-chan time.Time
 	jitterFn func() float64
+	// syncTimeout bounds one Sync exchange in wall-clock time: the upstream's
+	// current Retry interval, unless a test sets it. A cache that accepts the
+	// connection but never answers would otherwise wedge the upstream forever
+	// — the client has no read deadline by design (deadlines mid-PDU are the
+	// desync bug the dispatch loop removed), so the watchdog tears the whole
+	// session down instead and the loop redials. Always real time, never the
+	// test clock: it guards against wall-clock wedges, not protocol state.
+	syncTimeout time.Duration
 }
+
+// Each upstream's timers until its cache advertises its own in a version-1
+// End of Data (the RFC 8210 §6 suggested values); adopted values stay in
+// force across reconnects.
+const (
+	defaultRefresh = 3600 * time.Second
+	defaultRetry   = 600 * time.Second
+	defaultExpire  = 7200 * time.Second
+)
 
 // upstream is one cache's slot: its configuration, its session table, and —
 // guarded by the MultiSupervisor's mu — its timers, Expire clock, health and
@@ -192,9 +196,6 @@ type MultiSupervisorStats struct {
 func NewMultiSupervisor(upstreams ...Upstream) *MultiSupervisor {
 	m := &MultiSupervisor{
 		Version:    Version1,
-		Refresh:    3600 * time.Second,
-		Retry:      600 * time.Second,
-		Expire:     7200 * time.Second,
 		BackoffMin: time.Second,
 		active:     -1,
 		served:     -1,
@@ -203,7 +204,8 @@ func NewMultiSupervisor(upstreams ...Upstream) *MultiSupervisor {
 		doneCh:     make(chan struct{}),
 	}
 	for i, cfg := range upstreams {
-		m.ups = append(m.ups, &upstream{Upstream: cfg, m: m, rank: i, table: rov.NewTable(nil)})
+		m.ups = append(m.ups, &upstream{Upstream: cfg, m: m, rank: i, table: rov.NewTable(nil),
+			refresh: defaultRefresh, retry: defaultRetry, expire: defaultExpire})
 	}
 	return m
 }
@@ -325,7 +327,7 @@ func (m *MultiSupervisor) Run() error {
 	return nil
 }
 
-// begin validates the configuration and seeds every upstream's timers. False
+// begin validates the configuration. False
 // without an error means Stop came before Run.
 func (m *MultiSupervisor) begin() (bool, error) {
 	m.mu.Lock()
@@ -340,7 +342,6 @@ func (m *MultiSupervisor) begin() (bool, error) {
 		if u.Dial == nil {
 			return false, fmt.Errorf("rtr: upstream %d (%s) has a nil Dial", i, u.Name)
 		}
-		u.refresh, u.retry, u.expire = m.Refresh, m.Retry, m.Expire
 	}
 	m.running = !m.stopped
 	return m.running, nil
@@ -492,9 +493,9 @@ func (u *upstream) connect() (synced bool, err error) {
 	}
 	resumed := u.session != nil
 	for {
-		timeout := m.SyncTimeout
-		if timeout <= 0 {
-			timeout = u.retry
+		timeout := u.retry
+		if m.syncTimeout != 0 {
+			timeout = m.syncTimeout
 		}
 		watchdog := time.AfterFunc(timeout, func() { c.Close() })
 		serial, err := c.Sync()

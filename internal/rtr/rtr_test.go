@@ -162,7 +162,7 @@ func TestSyncAfterManyUpdates(t *testing.T) {
 func TestCacheResetFallback(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
-	srv.KeepDeltas = 1
+	srv.keepDeltas = 1
 	addr, stop := startServer(t, srv)
 	defer stop()
 
@@ -308,7 +308,7 @@ func serialQueryResponse(t *testing.T, addr string, session uint16, serial Seria
 func TestKeepDeltasEvictionBoundary(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
-	srv.KeepDeltas = 3
+	srv.keepDeltas = 3
 	cur := set
 	for i := 0; i < 5; i++ { // serial 1 -> 6; deltas for 3..6 retained
 		cur = rpki.NewSet(append(cur.VRPs(),
@@ -552,7 +552,7 @@ func mirrorSet(mirror map[rpki.VRP]struct{}) *rpki.Set {
 // does not, no VRP appearing as both.
 func TestSerialDeltaMatchesChainedDeltas(t *testing.T) {
 	srv := NewServer(testVRPs())
-	srv.KeepDeltas = 4
+	srv.keepDeltas = 4
 
 	applyPrefixPDUs := func(t *testing.T, table map[rpki.VRP]bool, delta []Prefix) {
 		t.Helper()

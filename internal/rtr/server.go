@@ -44,15 +44,16 @@ type Server struct {
 	Refresh, Retry, Expire uint32
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...interface{})
-	// KeepDeltas bounds how many past serials remain answerable by
-	// incremental updates (older Serial Queries get Cache Reset). Default 16.
-	KeepDeltas int
 	// WriteTimeout bounds each queued write (one PDU, or one streamed
 	// response). A router whose TCP receive window stays closed past it is
 	// disconnected instead of holding its writer and its queue forever.
 	// Default 30s. Set before Serve.
 	WriteTimeout time.Duration
 
+	// keepDeltas bounds how many past serials remain answerable by
+	// incremental updates (older Serial Queries get Cache Reset): 16; only
+	// this package's tests set another value.
+	keepDeltas int
 	// pub is the published state: session, serial, and the snapshot ring,
 	// one immutable value shared by every session and swapped atomically by
 	// publishers. Readers Load it once and answer from that coherent view.
@@ -192,7 +193,7 @@ func NewServer(initial *rpki.Set) *Server {
 		Refresh:      3600,
 		Retry:        600,
 		Expire:       7200,
-		KeepDeltas:   16,
+		keepDeltas:   16,
 		WriteTimeout: 30 * time.Second,
 		live:         rov.NewTable(initial.VRPs()),
 		served:       initial,
@@ -273,7 +274,7 @@ func (s *Server) ApplyDelta(announced, withdrawn []rpki.VRP) Serial {
 
 // publishLocked applies a delta to the live table and swaps in the next
 // published value: serial bumped, new snapshot appended, ring trimmed to
-// KeepDeltas+2 (the current serial plus the KeepDeltas+1 serials behind it
+// keepDeltas+2 (the current serial plus the keepDeltas+1 serials behind it
 // that stay answerable). The snaps slice is freshly allocated per publish —
 // the ring is small — so the previous published value stays immutable under
 // concurrent readers. Caller holds writeMu.
@@ -281,12 +282,8 @@ func (s *Server) publishLocked(announced, withdrawn []rpki.VRP) Serial {
 	old := s.pub.Load()
 	s.live.Apply(announced, withdrawn)
 	serial := SerialAdvance(old.serial, 1)
-	keep := s.KeepDeltas + 2
-	if keep < 1 {
-		keep = 1
-	}
 	start := 0
-	if drop := len(old.snaps) + 1 - keep; drop > 0 {
+	if drop := len(old.snaps) + 1 - (s.keepDeltas + 2); drop > 0 {
 		start = drop
 	}
 	snaps := make([]serialSnapshot, 0, len(old.snaps)-start+1)

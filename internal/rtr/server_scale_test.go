@@ -245,7 +245,7 @@ func TestConcurrentConnectDisconnectDuringPublish(t *testing.T) {
 // the current serial resolvable to the current table, a constant session.
 func TestPublishedRingConsistency(t *testing.T) {
 	srv := NewServer(testVRPs())
-	srv.KeepDeltas = 5
+	srv.keepDeltas = 5
 	session := srv.SessionID()
 
 	stopRead := make(chan struct{})
@@ -260,8 +260,8 @@ func TestPublishedRingConsistency(t *testing.T) {
 			default:
 			}
 			p := srv.pub.Load()
-			if n := len(p.snaps); n < 1 || n > srv.KeepDeltas+2 {
-				t.Errorf("ring size %d outside [1, %d]", n, srv.KeepDeltas+2)
+			if n := len(p.snaps); n < 1 || n > srv.keepDeltas+2 {
+				t.Errorf("ring size %d outside [1, %d]", n, srv.keepDeltas+2)
 				return
 			}
 			if p.session != session {
