@@ -36,11 +36,6 @@ type Package struct {
 
 // Loader loads and type-checks module packages.
 type Loader struct {
-	// Tests includes in-package _test.go files. External test packages
-	// (package foo_test) are out of scope: they cannot hold the invariants
-	// the analyzers check without also holding the in-package API.
-	Tests bool
-
 	Fset *token.FileSet
 
 	moduleRoot string
@@ -213,18 +208,13 @@ func (l *Loader) parseDir(dir string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") && !l.Tests {
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			strings.HasSuffix(name, "_test.go") { // tests are out of scope
 			continue
 		}
 		file, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
-		}
-		if strings.HasSuffix(file.Name.Name, "_test") {
-			continue // external test package: out of scope (see Loader.Tests)
 		}
 		p.Files = append(p.Files, file)
 	}

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	reprolint [-tests] [-json] [packages]
+//	reprolint [-json] [packages]
 //
 // Packages default to ./... relative to the working directory. Findings are
 // printed one per line as file:line:col: [check] message, or as one JSON
@@ -51,11 +51,10 @@ type jsonFinding struct {
 }
 
 func main() {
-	tests := flag.Bool("tests", false, "also analyze _test.go files")
 	list := flag.Bool("checks", false, "list the registered checks and exit")
 	asJSON := flag.Bool("json", false, "emit findings as one JSON object per line")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: reprolint [-tests] [-json] [packages]\n\nChecks:\n")
+		fmt.Fprintf(os.Stderr, "usage: reprolint [-json] [packages]\n\nChecks:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -85,7 +84,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "reprolint: %v\n", err)
 		os.Exit(2)
 	}
-	loader.Tests = *tests
 
 	pkgs, err := loader.Load(patterns)
 	if err != nil {

@@ -7,8 +7,6 @@ import (
 	"repro/internal/prefix"
 )
 
-var pool = core.NewSlabPool[int](4, 1<<20)
-
 type holder struct {
 	ptr *core.Node[int]
 }
@@ -94,8 +92,8 @@ func growthBeforeBinding(e *core.Engine[int]) int {
 func consume(n *core.Node[int]) { _ = n }
 
 // The compact engine shares the slab discipline: CNode pointers go stale on
-// CompactEngine/CompactBuilder growth (Alloc, Init, Add, Reset) exactly like
-// Node pointers on Engine growth.
+// CompactEngine growth (Alloc, Init) exactly like Node pointers on Engine
+// growth — and Init is growth on both: it appends node 0 to a new slab.
 
 var csink *core.CNode[int]
 
@@ -113,15 +111,15 @@ func compactHeldAcrossGrowth(e *core.CompactEngine[int], p prefix.Prefix) int {
 	return n.Val
 }
 
-func compactHeldAcrossBuilderAdd(b *core.CompactBuilder[int], e *core.CompactEngine[int], p prefix.Prefix) int {
+func compactHeldAcrossInit(e *core.CompactEngine[int]) int {
 	n := &e.Nodes[0] // want "held across a slab-growing call"
-	b.Add(p, 0)
+	e.Init(8, 0)
 	return n.Val
 }
 
-func compactHeldAcrossBuilderReset(b *core.CompactBuilder[int], e *core.CompactEngine[int]) int {
+func heldAcrossInit(e *core.Engine[int]) int {
 	n := &e.Nodes[0] // want "held across a slab-growing call"
-	b.Reset(e, 8, prefix.IPv4, 0)
+	e.Init(8, 0)
 	return n.Val
 }
 
@@ -131,10 +129,10 @@ func compactGrowThenAddress(e *core.CompactEngine[int], p prefix.Prefix) {
 	n.Val = 9
 }
 
-// Sanctioned: the int32 index survives builder growth; re-index afterwards.
-func compactIndexSurvivesGrowth(b *core.CompactBuilder[int], e *core.CompactEngine[int], p, q prefix.Prefix) int {
-	i := b.Add(p, 1)
-	b.Add(q, 2)
+// Sanctioned: the int32 index survives growth; re-index afterwards.
+func compactIndexSurvivesGrowth(e *core.CompactEngine[int], p, q prefix.Prefix) int {
+	i := e.Alloc(p, 1)
+	e.Alloc(q, 2)
 	return e.Nodes[i].Val
 }
 

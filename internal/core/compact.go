@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/prefix"
-)
+import "repro/internal/prefix"
 
 // This file is the path-compressed sibling of the bit-at-a-time Engine: the
 // same contiguous-slab, int32-index discipline, but a node exists only where
@@ -14,11 +10,12 @@ import (
 // walk — a lookup visits O(branch points on the path) nodes, typically a
 // handful, instead of O(prefix bits).
 //
-// Construction is different from Engine on purpose: a compact trie is built
-// once from a canonically sorted key stream (CompactBuilder) and then frozen.
-// There is no path-copied update — rov.LiveIndex keeps the bit-at-a-time
-// engine for O(delta) updates and rebuilds a compact structure at compaction
-// points, where the whole table is walked anyway.
+// Construction is different from Engine on purpose: a compact trie is the
+// bit-at-a-time trie with its one-child, payload-free nodes left out, so it is
+// read off one in a single pre-order walk (rov.CompactFromIndex: Alloc, then
+// link under the nearest kept ancestor) and then frozen. There is no
+// path-copied update — rov.LiveIndex keeps the bit-at-a-time engine for
+// O(delta) updates and derives a compact structure from it again.
 
 // CNode is one vertex of a CompactEngine: the node's full key (left-aligned
 // 128-bit address plus bit length, exactly a prefix.Prefix worth of bits),
@@ -69,10 +66,9 @@ func (e *CompactEngine[V]) Alloc(p prefix.Prefix, v V) int32 {
 	return idx
 }
 
-// Walk visits every node reachable from root in pre-order of the key space,
-// which for keys inserted in canonical prefix order is canonical prefix
-// order, calling fn with each node's slab index. The traversal is iterative
-// and its stack never exceeds the tree height.
+// Walk visits every node reachable from root in pre-order of the key space —
+// canonical prefix order — calling fn with each node's slab index. The
+// traversal is iterative and its stack never exceeds the tree height.
 func (e *CompactEngine[V]) Walk(root int32, fn func(idx int32)) {
 	stack := make([]int32, 1, maxDepth+1)
 	stack[0] = root
@@ -98,79 +94,4 @@ func AddrBit(hi, lo uint64, i uint8) uint8 {
 		return uint8(hi >> (63 - i) & 1)
 	}
 	return uint8(lo >> (127 - i) & 1)
-}
-
-// CompactBuilder grows a CompactEngine from keys arriving in canonical
-// prefix order (prefix.Prefix.Compare), the order Engine.Walk and
-// rov.Index.AppendVRPs emit. The classic online patricia construction:
-// because every later key sorts after every earlier one, new nodes attach
-// only along the right spine, which the builder keeps as an explicit stack —
-// each Add pops to the divergence point, splices at most one branch node,
-// and appends the new key. Total cost is O(keys) amortized.
-type CompactBuilder[V any] struct {
-	Eng *CompactEngine[V]
-
-	// stack is the right spine: the path from the root to the most recently
-	// added node, as slab indices. Node keys are read back from the slab.
-	stack []int32
-	prev  prefix.Prefix
-}
-
-// Reset points the builder at eng, (re)initializes eng for the family with
-// room for hint nodes, and installs the /0 root carrying rootVal.
-func (b *CompactBuilder[V]) Reset(eng *CompactEngine[V], hint int, fam prefix.Family, rootVal V) {
-	root, err := prefix.Make(fam, 0, 0, 0)
-	if err != nil {
-		panic(err) // unreachable: /0 is valid for both families
-	}
-	eng.Init(hint, rootVal)
-	b.Eng = eng
-	b.stack = append(b.stack[:0], 0)
-	b.prev = root
-}
-
-// Add inserts key p — which must not sort before the previous Add's key in
-// canonical order — creating its node with payload def if absent, and
-// returns the node's slab index. Repeating the previous key returns the same
-// node. Out-of-order keys panic: silent acceptance would corrupt the trie.
-func (b *CompactBuilder[V]) Add(p prefix.Prefix, def V) int32 {
-	if p == b.prev {
-		return b.stack[len(b.stack)-1]
-	}
-	if p.Compare(b.prev) < 0 {
-		panic(fmt.Sprintf("core: CompactBuilder.Add out of order: %s after %s", p, b.prev))
-	}
-	e := b.Eng
-	d := prefix.CommonPrefixLen(p, b.prev)
-	// Pop spine nodes deeper than the divergence point. popped remembers the
-	// shallowest one: if the divergence falls mid-edge, it becomes the spliced
-	// branch node's child.
-	popped := NoChild
-	for e.Nodes[b.stack[len(b.stack)-1]].PLen > d {
-		popped = b.stack[len(b.stack)-1]
-		b.stack = b.stack[:len(b.stack)-1]
-	}
-	top := b.stack[len(b.stack)-1]
-	if topLen := e.Nodes[top].PLen; topLen < d {
-		// The divergence point sits inside the compressed edge top→popped:
-		// splice a branch node there. Its key is p's (== prev's) first d bits.
-		hi, lo := p.Bits()
-		bp, err := prefix.Make(p.Family(), hi, lo, d)
-		if err != nil {
-			panic(err) // unreachable: d <= p.Len() <= MaxLen
-		}
-		br := e.Alloc(bp, def)
-		ph, pl := e.Nodes[popped].Hi, e.Nodes[popped].Lo
-		e.Nodes[br].Children[AddrBit(ph, pl, d)] = popped
-		e.Nodes[top].Children[bp.Bit(topLen)] = br
-		b.stack = append(b.stack, br)
-		top = br
-	}
-	// Attach p below top (top's key length is now exactly d < p.Len()).
-	topLen := e.Nodes[top].PLen
-	n := e.Alloc(p, def)
-	e.Nodes[top].Children[p.Bit(topLen)] = n
-	b.stack = append(b.stack, n)
-	b.prev = p
-	return n
 }

@@ -25,8 +25,8 @@ func TestSharedArena(t *testing.T) {
 	if a.SharedArena(&b) {
 		t.Fatal("zero engines must not share an arena")
 	}
-	a.Init(4, 0, nil)
-	b.Init(4, 0, nil)
+	a.Init(4, 0)
+	b.Init(4, 0)
 	if !a.SharedArena(&a) {
 		t.Fatal("engine must share an arena with itself")
 	}
@@ -39,17 +39,10 @@ func TestSharedArena(t *testing.T) {
 	if !snap.SharedArena(&a) {
 		t.Fatal("value-copied snapshot must share its origin's arena")
 	}
-	// Re-Init starts a new history even if the pool recycles the slab.
-	pool := NewSlabPool[int](2, 1<<16)
-	var c Engine[int]
-	c.Init(4, 0, pool)
-	c.Release(pool)
-	var d Engine[int]
-	d.Init(4, 0, pool)
-	var e Engine[int]
-	e.Init(4, 0, pool)
-	if d.SharedArena(&e) {
-		t.Fatal("recycled slab must not inherit the old lineage")
+	// Re-Init starts a new history.
+	a.Init(4, 0)
+	if snap.SharedArena(&a) {
+		t.Fatal("re-Init must not inherit the old lineage")
 	}
 }
 
@@ -88,7 +81,7 @@ func collectDiffWalk(ea, eb *Engine[int], ra, rb int32, at prefix.Prefix) []dual
 
 func TestDiffWalkSharedArenaVisitsOnlyCopiedPaths(t *testing.T) {
 	var e Engine[int]
-	e.Init(0, 0, nil)
+	e.Init(0, 0)
 	base := []string{"10.0.0.0/8", "10.32.0.0/11", "192.168.0.0/16", "203.0.113.0/24"}
 	for _, s := range base {
 		e.PathInsert(0, dwp(t, s), 0)
@@ -124,8 +117,8 @@ func TestDiffWalkSharedArenaVisitsOnlyCopiedPaths(t *testing.T) {
 
 func TestDiffWalkIndependentArenasFullUnion(t *testing.T) {
 	var a, b Engine[int]
-	a.Init(0, 0, nil)
-	b.Init(0, 0, nil)
+	a.Init(0, 0)
+	b.Init(0, 0)
 	onlyA := dwp(t, "10.0.0.0/8")
 	onlyB := dwp(t, "11.0.0.0/8")
 	both := dwp(t, "192.0.2.0/24")

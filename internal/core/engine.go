@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/prefix"
@@ -12,8 +11,8 @@ import (
 // slab of Node[V]: children are int32 slab indices rather than pointers, so
 // building a tree costs O(log nodes) slab growths instead of one heap
 // allocation per prefix bit, traversals walk cache-adjacent memory, and the
-// whole structure is freed (or recycled through a SlabPool) as a single
-// object. The payload type V is chosen by the instantiating structure:
+// whole structure is freed as a single object. The payload type V is chosen
+// by the instantiating structure:
 //
 //   - Trie (this package) stores {maxLength, present} per node,
 //   - the SemanticEqual merged trie stores per-side maxLength bounds,
@@ -63,31 +62,11 @@ func (e *Engine[V]) SharedArena(o *Engine[V]) bool {
 	return e.lineage != 0 && e.lineage == o.lineage
 }
 
-// Init readies the engine with a slab holding at least hint nodes without
-// growing, recycling one from pool when available (pool may be nil), and
-// installs the reserved node 0 carrying payload root.
-func (e *Engine[V]) Init(hint int, root V, pool *SlabPool[V]) {
-	var nodes []Node[V]
-	if pool != nil {
-		nodes = pool.Get(hint)
-	}
-	if nodes == nil {
-		nodes = make([]Node[V], 0, hint+1)
-	}
-	e.Nodes = append(nodes, Node[V]{Val: root})
+// Init readies the engine with a fresh slab holding at least hint nodes
+// without growing and installs the reserved node 0 carrying payload root.
+func (e *Engine[V]) Init(hint int, root V) {
+	e.Nodes = append(make([]Node[V], 0, hint+1), Node[V]{Val: root})
 	e.lineage = lineageCounter.Add(1)
-}
-
-// Release returns the slab to pool (dropped when pool is nil or full). The
-// engine must not be used afterwards. Structures that hand out snapshots
-// aliasing the slab (rov.LiveIndex) must never release it.
-func (e *Engine[V]) Release(pool *SlabPool[V]) {
-	nodes := e.Nodes
-	e.Nodes = nil
-	if nodes == nil || pool == nil {
-		return
-	}
-	pool.Put(nodes)
 }
 
 // Len returns the number of slab nodes, including reserved node 0.
@@ -225,87 +204,3 @@ func DiffWalk[V any](ea, eb *Engine[V], rootA, rootB int32, at prefix.Prefix, fn
 		}
 	}
 }
-
-// BufPool recycles flat scratch buffers of one element type, bounded two
-// ways: at most maxBufs buffers are retained, and buffers whose capacity
-// exceeds maxCap elements are dropped rather than pooled. The bounds keep
-// the pool's resident memory O(maxBufs · maxCap · sizeof(T)) even after a
-// full-deployment run releases an outsized buffer — a sync.Pool would keep
-// every released buffer alive until the next GC cycle. SlabPool is this
-// pool instantiated for engine slabs; builders use it directly for their
-// scratch arrays (rov's per-build terminal-index scratch).
-type BufPool[T any] struct {
-	mu      sync.Mutex
-	bufs    [][]T
-	maxBufs int
-	maxCap  int
-}
-
-// NewBufPool returns a pool retaining at most maxBufs buffers of at most
-// maxCap elements each.
-func NewBufPool[T any](maxBufs, maxCap int) *BufPool[T] {
-	return &BufPool[T]{maxBufs: maxBufs, maxCap: maxCap}
-}
-
-// Get pops a pooled buffer with length 0. It returns nil when the pool is
-// empty or the popped buffer's capacity is below hint — the undersized
-// buffer is dropped (one buffer's worth of GC churn) so the caller allocates
-// at full size once instead of growing repeatedly.
-func (p *BufPool[T]) Get(hint int) []T {
-	p.mu.Lock()
-	n := len(p.bufs)
-	if n == 0 {
-		p.mu.Unlock()
-		return nil
-	}
-	s := p.bufs[n-1]
-	p.bufs[n-1] = nil
-	p.bufs = p.bufs[:n-1]
-	p.mu.Unlock()
-	if cap(s) < hint {
-		return nil
-	}
-	return s[:0]
-}
-
-// Put offers a buffer back to the pool. Oversized buffers and buffers beyond
-// the retention bound are dropped.
-func (p *BufPool[T]) Put(s []T) {
-	if cap(s) == 0 || cap(s) > p.maxCap {
-		return
-	}
-	p.mu.Lock()
-	if len(p.bufs) < p.maxBufs {
-		p.bufs = append(p.bufs, s[:0])
-	}
-	p.mu.Unlock()
-}
-
-// Size returns the number of buffers currently retained.
-func (p *BufPool[T]) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.bufs)
-}
-
-// SlabPool recycles Engine slabs of one payload type: a BufPool over
-// Node[V], kept as its own named type because the slab is the engine's
-// load-bearing allocation and call sites read better for it.
-type SlabPool[V any] struct {
-	p BufPool[Node[V]]
-}
-
-// NewSlabPool returns a pool retaining at most maxSlabs slabs of at most
-// maxCap nodes each.
-func NewSlabPool[V any](maxSlabs, maxCap int) *SlabPool[V] {
-	return &SlabPool[V]{p: BufPool[Node[V]]{maxBufs: maxSlabs, maxCap: maxCap}}
-}
-
-// Get pops a pooled slab with length 0; see BufPool.Get for the bounds.
-func (p *SlabPool[V]) Get(hint int) []Node[V] { return p.p.Get(hint) }
-
-// Put offers a slab back to the pool; see BufPool.Put for the bounds.
-func (p *SlabPool[V]) Put(s []Node[V]) { p.p.Put(s) }
-
-// Size returns the number of slabs currently retained.
-func (p *SlabPool[V]) Size() int { return p.p.Size() }

@@ -176,99 +176,29 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestTrieRelease covers the slab free-reuse path: a released slab is
-// recycled by a later trie and the recycled trie behaves like a fresh one.
+// TestTrieRelease: a released trie gives up its slab, and a trie built after
+// it starts from nothing.
 func TestTrieRelease(t *testing.T) {
 	tr := NewTrie(1, prefix.IPv4)
 	tr.Insert(mp("10.0.0.0/8"), 16)
 	tr.Insert(mp("192.168.0.0/16"), 24)
 	tr.Release()
+	if err := tr.checkInvariants(); err == nil {
+		t.Fatal("released trie still has its slab")
+	}
 	tr2 := newTrieCap(2, prefix.IPv4, 4)
 	tr2.Insert(mp("10.0.0.0/8"), 8)
 	if err := tr2.checkInvariants(); err != nil {
-		t.Fatalf("recycled trie: %v", err)
+		t.Fatalf("later trie: %v", err)
 	}
 	if tr2.Size() != 1 {
-		t.Fatalf("recycled trie size = %d", tr2.Size())
+		t.Fatalf("later trie size = %d", tr2.Size())
 	}
 	if ml, ok := tr2.Lookup(mp("10.0.0.0/8")); !ok || ml != 8 {
-		t.Fatalf("recycled trie Lookup = %d, %v", ml, ok)
+		t.Fatalf("later trie Lookup = %d, %v", ml, ok)
 	}
 	if _, ok := tr2.Lookup(mp("192.168.0.0/16")); ok {
-		t.Fatal("recycled trie leaked a tuple from its previous life")
-	}
-}
-
-// TestReleaseRecyclesAllSlabs pins the pool mechanics: releasing N tries
-// back-to-back must make all N slabs recoverable, not just the last (a
-// regression where Release overwrote the previously pooled slab). The
-// bounded SlabPool is deterministic (unlike the sync.Pool it replaced), so
-// every released slab below the retention bound must come back.
-func TestReleaseRecyclesAllSlabs(t *testing.T) {
-	for trieSlabs.Get(0) != nil {
-	} // drain slabs pooled by earlier tests
-	tries := make([]*Trie, 16)
-	for i := range tries {
-		tr := NewTrie(1, prefix.IPv4)
-		tr.Insert(mp("10.0.0.0/8"), 8)
-		tries[i] = tr
-	}
-	ReleaseTries(tries)
-	if got := trieSlabs.Size(); got != len(tries) {
-		t.Fatalf("pool retained %d of %d released slabs", got, len(tries))
-	}
-	got := 0
-	for trieSlabs.Get(0) != nil {
-		got++
-	}
-	if got != len(tries) {
-		t.Fatalf("recovered %d of %d released slabs from the pool", got, len(tries))
-	}
-}
-
-// TestSlabPoolBounds covers the pool's two eviction boundaries: the
-// retention count (maxSlabs) and the per-slab capacity cap (maxCap).
-func TestSlabPoolBounds(t *testing.T) {
-	pool := NewSlabPool[tval](2, 100)
-	mk := func(c int) []Node[tval] { return make([]Node[tval], 0, c) }
-
-	// Count bound: the third Put is dropped, not retained.
-	pool.Put(mk(10))
-	pool.Put(mk(20))
-	pool.Put(mk(30))
-	if got := pool.Size(); got != 2 {
-		t.Fatalf("pool size after 3 puts with maxSlabs=2: %d", got)
-	}
-
-	// Capacity bound: exactly maxCap is retained, one node over is dropped.
-	pool = NewSlabPool[tval](2, 100)
-	pool.Put(mk(100))
-	if got := pool.Size(); got != 1 {
-		t.Fatalf("slab at exactly maxCap dropped (size %d)", got)
-	}
-	pool.Put(mk(101))
-	if got := pool.Size(); got != 1 {
-		t.Fatalf("oversized slab retained (size %d)", got)
-	}
-
-	// Get honors the hint: an undersized pooled slab is dropped so the
-	// caller allocates at full size once.
-	if s := pool.Get(200); s != nil {
-		t.Fatalf("Get(200) returned a cap-%d slab", cap(s))
-	}
-	if got := pool.Size(); got != 0 {
-		t.Fatalf("undersized slab still pooled after failed Get (size %d)", got)
-	}
-	// A large-enough slab is returned empty.
-	pool.Put(mk(64))
-	s := pool.Get(50)
-	if s == nil || len(s) != 0 || cap(s) < 50 {
-		t.Fatalf("Get(50) = len %d cap %d", len(s), cap(s))
-	}
-	// Zero-capacity slabs are never pooled.
-	pool.Put(mk(0))
-	if got := pool.Size(); got != 0 {
-		t.Fatalf("zero-cap slab retained (size %d)", got)
+		t.Fatal("later trie leaked a tuple from its previous life")
 	}
 }
 

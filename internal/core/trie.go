@@ -38,9 +38,9 @@ type tval struct {
 //
 // All nodes live in a single contiguous Engine slab (node 0 is the root),
 // so building a trie costs O(log nodes) slab growths rather than one heap
-// allocation per prefix bit, and the whole structure is freed (or recycled,
-// see Release) as one object. Child slab indices are always greater than
-// their parent's, which makes the structure trivially acyclic.
+// allocation per prefix bit, and the whole structure is freed as one object.
+// Child slab indices are always greater than their parent's, which makes the
+// structure trivially acyclic.
 type Trie struct {
 	eng  Engine[tval]
 	fam  prefix.Family
@@ -48,46 +48,27 @@ type Trie struct {
 	size int // number of present nodes
 }
 
-// trieSlabs recycles Trie slabs. A caller that releases its tries once it has
-// read them reuses a steady-state set of slabs across full RPKI snapshots
-// instead of reallocating O(tries) of them per run. The pool is bounded (see
-// SlabPool): at most poolMaxSlabs slabs stay resident, and a slab larger than
-// poolMaxNodeCap nodes is dropped on Release rather than pinned until the
-// next GC.
-var trieSlabs = NewSlabPool[tval](poolMaxSlabs, poolMaxNodeCap)
-
-const (
-	// poolMaxSlabs covers a caller building and releasing tries a few at a
-	// time; a ReleaseTries burst past it is dropped to the GC.
-	poolMaxSlabs = 32
-	// poolMaxNodeCap drops outlier slabs (≈12 MiB of nodes) that a single
-	// giant origin group would otherwise pin in the pool forever.
-	poolMaxNodeCap = 1 << 20
-)
-
 // NewTrie returns an empty trie for one origin AS and family.
 func NewTrie(as rpki.ASN, fam prefix.Family) *Trie {
 	return newTrieCap(as, fam, 0)
 }
 
 // newTrieCap returns an empty trie whose slab holds at least hint nodes
-// without growing, recycling a pooled slab when one is available.
+// without growing.
 func newTrieCap(as rpki.ASN, fam prefix.Family, hint int) *Trie {
 	if fam != prefix.IPv4 && fam != prefix.IPv6 {
 		panic(fmt.Sprintf("core: invalid family %d", fam))
 	}
 	t := &Trie{fam: fam, as: as}
-	t.eng.Init(hint, tval{}, trieSlabs)
+	t.eng.Init(hint, tval{})
 	return t
 }
 
-// Release returns the trie's node slab to an internal pool for reuse by
-// future tries. The trie must not be used afterwards. Calling Release is
-// optional — an unreleased trie is simply garbage collected — but a pass over
-// a full snapshot's tries releases them as it finishes with them to keep slab
-// allocation O(working set) instead of O(total tries).
+// Release drops the trie's node slab, so a pass over a full snapshot's tries
+// can let each go as it finishes with it. The trie must not be used
+// afterwards.
 func (t *Trie) Release() {
-	t.eng.Release(trieSlabs)
+	t.eng.Nodes = nil
 	t.size = 0
 }
 
@@ -329,10 +310,8 @@ func BuildTries(s *rpki.Set) []*Trie {
 // which for the underlying bit strings is lexicographic order, so each
 // prefix's longest common prefix with *any* earlier prefix is its LCP with
 // its immediate predecessor; the prefix then contributes exactly its bits
-// beyond that LCP as new nodes. The previous hint, Σ prefix bits, ignored
-// path sharing entirely and overestimated sibling-heavy groups by >2x
-// (measured in TestGroupNodeHintExact), making pooled-slab reuse miss and
-// oversize fresh slabs.
+// beyond that LCP as new nodes. (Σ prefix bits ignores path sharing and
+// overestimates sibling-heavy groups by >2x: TestGroupNodeHintExact.)
 func groupNodeHint(g rpki.OriginGroup) int {
 	hint := 1 // the root
 	var prev prefix.Prefix

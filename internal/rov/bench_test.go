@@ -67,9 +67,24 @@ func BenchmarkValidateBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkCompactBuild measures the compact build from a sorted set: the
-// one-pass builder plus aggregation and stride-table fill — the price
-// LiveIndex compaction pays to republish the fast read path.
+// BenchmarkCompactFromIndex measures the derivation alone — the walk that
+// keeps the compact trie's nodes, aggregation and stride-table fill — over a
+// built Index: the price LiveIndex pays per rebuild, and per ResetTo on top of
+// BenchmarkIndexBuild.
+func BenchmarkCompactFromIndex(b *testing.B) {
+	ix := NewIndex(benchSet())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cx := CompactFromIndex(ix)
+		if cx.Len() != ix.Len() {
+			b.Fatal("short compact index")
+		}
+	}
+}
+
+// BenchmarkCompactBuild measures the compact build from a set: an Index
+// build plus the derivation.
 func BenchmarkCompactBuild(b *testing.B) {
 	s := benchSet()
 	b.ReportAllocs()

@@ -32,10 +32,12 @@ import (
 //     query — exactly the non-covering ancestors-of-the-slot case that
 //     arises for queries shorter than the stride.
 //
-// A CompactIndex is built in one linear pass over a canonically sorted VRP
-// stream (Index.AppendVRPs emits one; rpki.Set stores one) and is immutable
-// afterwards. LiveIndex keeps the bit-at-a-time trie for O(delta) updates
-// and rebuilds a CompactIndex once enough prefixes have been touched.
+// A CompactIndex is derived from an Index, whose bit trie already has a node
+// at every prefix that carries VRPs and at every point where two of them part
+// ways: one pre-order walk keeps those and the root (CompactFromIndex), and
+// the result is immutable. LiveIndex keeps the bit-at-a-time trie for
+// O(delta) updates and derives a CompactIndex from it again once enough
+// prefixes have been touched.
 
 // centry is one VRP payload in the aggregated entry slab. plen is the
 // originating prefix's length: aggregated spans mix entries from the whole
@@ -97,136 +99,72 @@ type CompactIndex struct {
 //
 //repro:immutable
 func NewCompactIndex(s *rpki.Set) *CompactIndex {
-	return newCompactFromVRPs(s.VRPs())
+	return CompactFromIndex(NewIndex(s))
 }
 
-// CompactFromIndex builds the compact equivalent of ix in a single linear
-// pass over its canonical walk — the compaction-time path: the bit-trie is
-// walked once anyway, and its AppendVRPs order is exactly the sorted stream
-// the builder wants, so no re-sort happens.
+// CompactFromIndex derives the compact equivalent of ix from its bit trie.
+// ix may be any snapshot, a path-copied one with emptied spans and dead
+// chains included: those keep no node unless they branch, and a branch with
+// nothing under one side answers like its ancestor.
 //
 //repro:immutable
 func CompactFromIndex(ix *Index) *CompactIndex {
-	return newCompactFromVRPs(ix.AppendVRPs(make([]rpki.VRP, 0, ix.Len())))
-}
-
-// newCompactFromVRPs builds the compact index. The input is not retained.
-// Canonically sorted input (the Set / AppendVRPs case) is detected and used
-// in place; anything else is partitioned and stable-sorted per family, so
-// per-prefix entry order still follows input order, matching Index's spans.
-func newCompactFromVRPs(vrps []rpki.VRP) *CompactIndex {
-	cx := &CompactIndex{size: len(vrps)}
-	var byFam [2][]rpki.VRP
-	if split, ok := familySortedSplit(vrps); ok {
-		byFam[0], byFam[1] = vrps[:split], vrps[split:]
-	} else {
-		var counts [2]int
-		for _, v := range vrps {
-			counts[famSlot(v.Prefix.Family())]++
-		}
-		for slot := range byFam {
-			byFam[slot] = make([]rpki.VRP, 0, counts[slot])
-		}
-		for _, v := range vrps {
-			slot := famSlot(v.Prefix.Family())
-			byFam[slot] = append(byFam[slot], v)
-		}
-		for slot := range byFam {
-			// Stable so per-prefix entry order follows input order; the
-			// generic sort moves typed elements directly, where
-			// sort.SliceStable's reflected swaps dominated the whole build.
-			slices.SortStableFunc(byFam[slot], func(a, b rpki.VRP) int {
-				return a.Prefix.Compare(b.Prefix)
-			})
-		}
-	}
+	cx := &CompactIndex{size: ix.Len()}
 	for slot := range cx.fams {
-		buildFamCompact(&cx.fams[slot], slotFamily(slot), byFam[slot], &cx.entries)
+		buildFamCompact(&cx.fams[slot], &ix.fams[slot], slotFamily(slot), ix.entries, &cx.entries)
 	}
 	return cx
 }
 
-// familySortedSplit reports whether vrps is globally in canonical prefix
-// order (all IPv4 before all IPv6, each family sorted) and, if so, the index
-// of the first IPv6 VRP.
-func familySortedSplit(vrps []rpki.VRP) (int, bool) {
-	split := len(vrps)
-	for i, v := range vrps {
-		if famSlot(v.Prefix.Family()) == 1 {
-			split = i
-			break
-		}
-	}
-	for i := 1; i < len(vrps); i++ {
-		a, b := vrps[i-1].Prefix, vrps[i].Prefix
-		if famSlot(a.Family()) == famSlot(b.Family()) && a.Compare(b) > 0 {
-			return 0, false
-		}
-		if i >= split && famSlot(b.Family()) == 0 {
-			return 0, false // IPv4 after the IPv6 block
-		}
-	}
-	return split, true
-}
-
-// buildFamCompact builds one family's trie, aggregated spans, and stride
-// table from its canonically sorted VRPs, appending entries to the shared
-// slab. Three passes: builder insert (collecting per-node own-entry spans
-// into a scratch slab), a pre-order aggregation walk that materializes each
-// node's span as parent-aggregate + own entries, and a pre-order slot fill.
-func buildFamCompact(f *famCompact, fam prefix.Family, vrps []rpki.VRP, entries *[]centry) {
-	if len(vrps) == 0 {
+// buildFamCompact derives one family's compact trie, aggregated spans and
+// stride table from the family's bit trie, appending entries to the shared
+// slab. Three pre-order passes: over the bit trie, keeping the nodes a compact
+// trie has; over the kept nodes, materializing each one's span as parent
+// aggregate + own entries; over the kept nodes again, filling the slots.
+func buildFamCompact(f *famCompact, src *famIndex, fam prefix.Family, srcEntries []entry, entries *[]centry) {
+	if src.size == 0 {
 		return
 	}
 
-	// Pass 1: compact trie plus own-entry spans, exactly the two-pass span
-	// construction of newIndexFromVRPs, but over branch-point nodes only.
-	var b core.CompactBuilder[cspan]
-	b.Reset(&f.eng, 2*len(vrps), fam, cspan{})
-	terms := termsScratch.Get(len(vrps))
-	if terms == nil {
-		terms = make([]int32, 0, len(vrps))
+	// Pass 1: a bit-trie node is kept iff it carries entries, has two
+	// children, or is the root. Its key is the path walked to it, its span
+	// (until pass 2) its own span in srcEntries, and it hangs under the last
+	// kept node on its path: the nodes skipped between the two have one child
+	// each, so nothing else claims that link. Nodes are allocated as they are
+	// met, so the slab is in pre-order. total sums the kept nodes' aggregates,
+	// each as long as the entries on its root path: reserving it makes pass 2
+	// append into place instead of relocating a slab that ends up many times
+	// the VRP count.
+	type keptFrame struct {
+		idx   int32         // in src.eng.Nodes
+		pfx   prefix.Prefix // the path walked to idx
+		above int32         // the last kept node on that path, in f.eng.Nodes
+		agg   int32         // the length of above's aggregate
 	}
-	defer func() { termsScratch.Put(terms) }()
-	for _, v := range vrps {
-		idx := b.Add(v.Prefix, cspan{})
-		f.eng.Nodes[idx].Val.n++
-		terms = append(terms, idx)
-	}
-	own := make([]centry, len(vrps))
-	off := int32(0)
-	for j := range f.eng.Nodes {
-		sp := &f.eng.Nodes[j].Val
-		sp.off = off
-		off += sp.n
-		sp.n = 0 // reused as the fill cursor below
-	}
-	for i, v := range vrps {
-		sp := &f.eng.Nodes[terms[i]].Val
-		own[sp.off+sp.n] = centry{plen: v.Prefix.Len(), maxLength: v.MaxLength, as: v.AS}
-		sp.n++
-	}
-
-	// Size the shared slab before aggregating: each node's final span is as
-	// long as the entries on its root path, so the total is a cheap pre-order
-	// accumulation. Reserving it up front makes pass 2 append into place
-	// instead of repeatedly relocating a slab that ends up many times the
-	// VRP count.
-	type cntFrame struct {
-		idx    int32
-		parent int32
-	}
+	f.eng.Init(2*src.size, cspan{})
 	total := 0
-	cnt := make([]cntFrame, 1, 130)
-	cnt[0] = cntFrame{idx: 0}
-	for len(cnt) > 0 {
-		fr := cnt[len(cnt)-1]
-		cnt = cnt[:len(cnt)-1]
-		agg := fr.parent + f.eng.Nodes[fr.idx].Val.n
-		total += int(agg)
+	kept := make([]keptFrame, 1, 130)
+	kept[0] = keptFrame{idx: src.root, pfx: f.eng.Nodes[0].Key(fam)}
+	for len(kept) > 0 {
+		fr := kept[len(kept)-1]
+		kept = kept[:len(kept)-1]
+		nd := src.eng.Nodes[fr.idx] // by value: Alloc grows a slab
+		root := fr.pfx.Len() == 0
+		if root || nd.Val.n > 0 || (nd.Children[0] != core.NoChild && nd.Children[1] != core.NoChild) {
+			if root {
+				f.eng.Nodes[0].Val = cspan(nd.Val)
+			} else {
+				k := f.eng.Alloc(fr.pfx, cspan(nd.Val))
+				up := &f.eng.Nodes[fr.above]
+				up.Children[fr.pfx.Bit(up.PLen)] = k
+				fr.above = k
+			}
+			fr.agg += nd.Val.n
+			total += int(fr.agg)
+		}
 		for bit := 1; bit >= 0; bit-- {
-			if c := f.eng.Nodes[fr.idx].Children[bit]; c != core.NoChild {
-				cnt = append(cnt, cntFrame{idx: c, parent: agg})
+			if c := nd.Children[bit]; c != core.NoChild {
+				kept = append(kept, keptFrame{idx: c, pfx: fr.pfx.Child(uint8(bit)), above: fr.above, agg: fr.agg})
 			}
 		}
 	}
@@ -246,14 +184,15 @@ func buildFamCompact(f *famCompact, fam prefix.Family, vrps []rpki.VRP, entries 
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		ownSp := f.eng.Nodes[fr.idx].Val
-		aggOff := int32(len(*entries))
+		nd := &f.eng.Nodes[fr.idx]
+		agg := cspan{off: int32(len(*entries)), n: fr.parent.n + nd.Val.n}
 		*entries = append(*entries, (*entries)[fr.parent.off:fr.parent.off+fr.parent.n]...)
-		*entries = append(*entries, own[ownSp.off:ownSp.off+ownSp.n]...)
-		agg := cspan{off: aggOff, n: fr.parent.n + ownSp.n}
-		f.eng.Nodes[fr.idx].Val = agg
+		for _, e := range srcEntries[nd.Val.off : nd.Val.off+nd.Val.n] {
+			*entries = append(*entries, centry{plen: nd.PLen, maxLength: e.maxLength, as: e.as})
+		}
+		nd.Val = agg
 		for bit := 1; bit >= 0; bit-- {
-			if c := f.eng.Nodes[fr.idx].Children[bit]; c != core.NoChild {
+			if c := nd.Children[bit]; c != core.NoChild {
 				stack = append(stack, aggFrame{idx: c, parent: agg})
 			}
 		}
@@ -266,7 +205,7 @@ func buildFamCompact(f *famCompact, fam prefix.Family, vrps []rpki.VRP, entries 
 	// entry point, and its subtree — which by the patricia LCA argument
 	// cannot reach any other slot — is pruned.
 	f.stride = 8
-	if len(vrps) >= strideCutoff {
+	if src.size >= strideCutoff {
 		f.stride = 16
 	}
 	f.shift = 64 - f.stride
@@ -531,10 +470,7 @@ func (cx *CompactIndex) AppendVRPs(dst []rpki.VRP) []rpki.VRP {
 			if start == len(es) {
 				return
 			}
-			p, err := prefix.Make(fam, nd.Hi, nd.Lo, nd.PLen)
-			if err != nil {
-				panic(err) // unreachable: node keys are valid prefixes
-			}
+			p := nd.Key(fam)
 			for _, e := range es[start:] {
 				dst = append(dst, rpki.VRP{Prefix: p, MaxLength: e.maxLength, AS: e.as})
 			}

@@ -1,10 +1,13 @@
 package rov
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
@@ -68,32 +71,193 @@ func TestCompactIndexMatchesIndex(t *testing.T) {
 	}
 }
 
-// TestCompactIndexUnsortedInput feeds newCompactFromVRPs a shuffled,
-// duplicate-free VRP list (the ResetTo shape) and checks answers and the
-// exported stream both match an Index built from the same list.
-func TestCompactIndexUnsortedInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	seen := map[rpki.VRP]struct{}{}
-	var vrps []rpki.VRP
-	for len(vrps) < 300 {
-		v := randomVRP(rng)
-		if _, dup := seen[v]; dup {
-			continue
+// keptNodes renders one family's compact trie as "key=own entries" in Walk
+// order, and checks that Walk order is slab order: CompactFromIndex allocates
+// the nodes it keeps as its pre-order walk meets them.
+func keptNodes(t *testing.T, cx *CompactIndex, slot int) []string {
+	t.Helper()
+	f := &cx.fams[slot]
+	var out []string
+	if len(f.eng.Nodes) == 0 {
+		return out
+	}
+	f.eng.Walk(0, func(idx int32) {
+		if int(idx) != len(out) {
+			t.Fatalf("Walk visit %d is slab node %d: the slab is not in pre-order", len(out), idx)
 		}
-		seen[v] = struct{}{}
-		vrps = append(vrps, v)
+		nd := &f.eng.Nodes[idx]
+		own := 0
+		for _, e := range cx.entries[nd.Val.off : nd.Val.off+nd.Val.n] {
+			if e.plen == nd.PLen {
+				own++
+			}
+		}
+		out = append(out, fmt.Sprintf("%s=%d", nd.Key(slotFamily(slot)), own))
+	})
+	if len(out) != len(f.eng.Nodes) {
+		t.Fatalf("Walk visited %d of %d slab nodes", len(out), len(f.eng.Nodes))
 	}
-	rng.Shuffle(len(vrps), func(i, j int) { vrps[i], vrps[j] = vrps[j], vrps[i] })
-	ix := newIndexFromVRPs(vrps)
-	cx := newCompactFromVRPs(vrps)
-	if cx.Len() != ix.Len() {
-		t.Fatalf("compact Len %d, index Len %d", cx.Len(), ix.Len())
+	return out
+}
+
+// TestCompactFromIndexKeptNodes pins which bit-trie nodes the derivation
+// keeps, key set by key set: a node per key, a payload-free node wherever two
+// keys part ways below the root, the root always, and nothing else.
+func TestCompactFromIndexKeptNodes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		keys []string // one VRP each; a repeated key is a second VRP at its node
+		want []string // keptNodes of the keys' family
+	}{
+		{"one key under the root", []string{"10.0.0.0/8"},
+			[]string{"0.0.0.0/0=0", "10.0.0.0/8=1"}},
+		{"an edge spliced where two keys part", []string{"10.0.0.0/16", "10.64.0.0/16"},
+			[]string{"0.0.0.0/0=0", "10.0.0.0/9=0", "10.0.0.0/16=1", "10.64.0.0/16=1"}},
+		{"a key extending a key", []string{"10.0.0.0/8", "10.0.0.0/16", "10.0.128.0/17"},
+			[]string{"0.0.0.0/0=0", "10.0.0.0/8=1", "10.0.0.0/16=1", "10.0.128.0/17=1"}},
+		{"a branch above two leaves, under a key", []string{"10.0.0.0/8", "10.0.0.0/16", "10.0.128.0/17", "10.64.0.0/16", "11.0.0.0/8", "11.0.0.0/8", "192.168.0.0/16"},
+			[]string{"0.0.0.0/0=0", "10.0.0.0/7=0", "10.0.0.0/8=1", "10.0.0.0/9=0", "10.0.0.0/16=1", "10.0.128.0/17=1", "10.64.0.0/16=1", "11.0.0.0/8=2", "192.168.0.0/16=1"}},
+		{"the /0 key", []string{"0.0.0.0/0", "0.0.0.0/0", "128.0.0.0/1"},
+			[]string{"0.0.0.0/0=2", "128.0.0.0/1=1"}},
+		{"128-bit keys", []string{"2001:db8::/32", "2001:db8::1/128", "2001:db8::2/128"},
+			[]string{"::/0=0", "2001:db8::/32=1", "2001:db8::/126=0", "2001:db8::1/128=1", "2001:db8::2/128=1"}},
+	} {
+		var vrps []rpki.VRP
+		for i, k := range tc.keys {
+			p := prefix.MustParse(k)
+			vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: p.Len(), AS: rpki.ASN(64500 + i)})
+		}
+		cx := CompactFromIndex(newIndexFromVRPs(vrps))
+		slot := famSlot(vrps[0].Prefix.Family())
+		if got := keptNodes(t, cx, slot); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\n got %v\nwant %v", tc.name, got, tc.want)
+		}
+		if other := &cx.fams[1-slot]; other.slots != nil || len(other.eng.Nodes) != 0 {
+			t.Errorf("%s: the family without VRPs was built", tc.name)
+		}
 	}
-	checkCompactAgainst(t, "unsorted", cx, ix, NewReference(rpki.NewSet(vrps)), probesFor(rng, vrps))
-	got := cx.AppendVRPs(nil)
-	want := ix.AppendVRPs(nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("AppendVRPs mismatch:\ncompact: %v\nindex:   %v", got, want)
+}
+
+// TestCompactFromIndexRandom derives compact tries from random key sets of
+// both families and checks the structural invariants: every key resolves to
+// a node carrying its entry, every non-root node strictly extends its parent,
+// payload-free nodes below the root branch, and (keptNodes) the slab is the
+// canonical pre-order.
+func TestCompactFromIndexRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		fam, slot := prefix.IPv4, trial%2
+		if slot == 1 {
+			fam = prefix.IPv6
+		}
+		var vrps []rpki.VRP
+		for i, n := 0, 1+rng.Intn(200); i < n; i++ {
+			l, hi := uint8(rng.Intn(33)), uint64(rng.Uint32())<<32
+			if fam == prefix.IPv6 {
+				l, hi = uint8(rng.Intn(65)), rng.Uint64() // cap at /64 like the fuzz harness
+			}
+			p, err := prefix.Make(fam, hi, 0, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: l, AS: 1})
+		}
+		cx := CompactFromIndex(newIndexFromVRPs(vrps))
+		f := &cx.fams[slot]
+		own := make(map[string]bool)
+		for _, k := range keptNodes(t, cx, slot) {
+			own[k] = true
+		}
+		for _, v := range vrps {
+			if !own[v.Prefix.String()+"=1"] {
+				t.Fatalf("trial %d: key %s has no node carrying its entry", trial, v.Prefix)
+			}
+		}
+		for idx := range f.eng.Nodes {
+			nd := &f.eng.Nodes[idx]
+			k := nd.Key(fam)
+			kids := 0
+			for bit, c := range nd.Children {
+				if c == core.NoChild {
+					continue
+				}
+				kids++
+				ck := f.eng.Nodes[c].Key(fam)
+				if ck.Len() <= k.Len() || !k.Contains(ck) || ck.Bit(k.Len()) != uint8(bit) {
+					t.Fatalf("trial %d: %s is child %d of %s", trial, ck, bit, k)
+				}
+			}
+			if idx != 0 && kids < 2 && !own[k.String()+"=1"] {
+				t.Fatalf("trial %d: payload-free node %s has %d children", trial, k, kids)
+			}
+		}
+	}
+}
+
+// TestCompactFromIndexGarbageSnapshot derives from a snapshot with garbage in
+// it — a Table after a few hundred path-copied deltas and no compaction
+// (pathCopy) — and from an Index freshly built over the same set: the same VRPs
+// out, the same answer to every probe around every prefix ever in the table.
+// What only the first has: spans emptied in place, chains of nodes leading to
+// nothing, and branch nodes with nothing left down one side, or either.
+func TestCompactFromIndexGarbageSnapshot(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	mk := func(s string, as rpki.ASN) rpki.VRP {
+		p := prefix.MustParse(s)
+		return rpki.VRP{Prefix: p, MaxLength: p.Len(), AS: as}
+	}
+	var base []rpki.VRP
+	for len(base) < 400 {
+		base = append(base, randomVRP(rng))
+	}
+	tab := NewTable(base)
+
+	// The case by hand: 10.0.0.0/9 branches to two /16s and loses one of
+	// them, then the other; 2001:db8::/33 keeps one side of three.
+	hand := []rpki.VRP{mk("10.0.0.0/16", 1), mk("10.64.0.0/16", 2), mk("10.64.0.0/24", 2),
+		mk("2001:db8::/34", 3), mk("2001:db8:4000::/34", 3), mk("2001:db8:8000::/33", 4)}
+	ever := append(slices.Clone(base), hand...)
+	pathCopy(tab, hand, nil)
+	pathCopy(tab, nil, []rpki.VRP{hand[1], hand[2], hand[4], hand[5]})
+	in := rpki.NewSet(tab.Snapshot().AppendVRPs(nil)).VRPs()
+	for delta := 0; delta < 300; delta++ {
+		var ann, wd []rpki.VRP
+		for i := rng.Intn(3); i >= 0; i-- {
+			ann = append(ann, randomVRP(rng))
+		}
+		for i := rng.Intn(3); i >= 0 && len(in) > 0; i-- {
+			wd = append(wd, in[rng.Intn(len(in))])
+		}
+		pathCopy(tab, ann, wd)
+		ever = append(ever, ann...)
+		in = rpki.NewSet(tab.Snapshot().AppendVRPs(nil)).VRPs()
+	}
+
+	snap := tab.Snapshot()
+	if live, all := len(snap.AppendVRPs(nil)), len(snap.entries); all < 2*live {
+		t.Fatalf("the snapshot holds %d entry cells for %d VRPs: not much garbage", all, live)
+	}
+	set := rpki.NewSet(snap.AppendVRPs(nil))
+	fresh := NewIndex(set)
+	got, want := CompactFromIndex(snap), CompactFromIndex(fresh)
+	if got.Len() != want.Len() {
+		t.Fatalf("Len: %d from the snapshot, %d from the fresh index", got.Len(), want.Len())
+	}
+	// Entries at one prefix keep the order they were announced in, which a
+	// fresh build over the sorted set does not share: exact against the
+	// snapshot's own stream, as a set against the fresh derivation's.
+	if g, w := got.AppendVRPs(nil), snap.AppendVRPs(nil); !reflect.DeepEqual(g, w) {
+		t.Fatalf("AppendVRPs: %d VRPs derived, the snapshot streams %d, or in another order", len(g), len(w))
+	}
+	if g, w := rpki.NewSet(got.AppendVRPs(nil)), rpki.NewSet(want.AppendVRPs(nil)); !reflect.DeepEqual(g.VRPs(), w.VRPs()) {
+		t.Fatalf("AppendVRPs: %d VRPs from the snapshot, %d from the fresh index, or other ones", g.Len(), w.Len())
+	}
+	probes := append(probesFor(rng, ever), probesAround(ever)...)
+	checkCompactAgainst(t, "garbage snapshot", got, fresh, NewReference(set), probes)
+	for _, q := range probes {
+		if g, w := got.Validate(q.Prefix, q.Origin), want.Validate(q.Prefix, q.Origin); g != w {
+			t.Fatalf("Validate(%s, AS%d): %v from the snapshot, %v from the fresh index", q.Prefix, q.Origin, g, w)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package rov
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/prefix"
@@ -149,12 +150,22 @@ func FuzzIndex(f *testing.F) {
 	})
 }
 
+// pathCopy applies one delta to tab by path copying whatever the table's
+// size, and lets no compaction collect what that leaves behind.
+func pathCopy(tab *Table, announce, withdraw []rpki.VRP) {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	tab.compacting = true // as if one were in flight: none starts
+	tab.applyDelta(tab.cur.Load(), announce, withdraw)
+}
+
 // FuzzCompactIndex aims the fuzzer at the compact build itself: the same op
 // encoding as FuzzIndex, but after every announce/withdraw the compact index
 // is rebuilt from the current table and cross-examined against the arena
 // Index — the per-delta differential — and the final table additionally goes
-// through the CompactFromIndex path (build from the Index's canonical walk),
-// the Reference, and an exact AppendVRPs comparison. Query ops probe both
+// through CompactFromIndex twice — from the fresh Index and from the snapshot
+// of a Table every delta was path-copied into, garbage and all — the
+// Reference, and an exact AppendVRPs comparison. Query ops probe both
 // families at fuzzer-chosen lengths, including sub-stride ones.
 func FuzzCompactIndex(f *testing.F) {
 	f.Add([]byte{
@@ -170,8 +181,20 @@ func FuzzCompactIndex(f *testing.F) {
 		10, 32, 1, 13, 184, 48, 0, 200, // IPv6 query under it
 		10, 32, 1, 13, 184, 0, 0, 200, // IPv6 /0 query
 	})
+	// A path-copied snapshot with garbage in it: 10.0.0.0/9 branches to two
+	// /16s, the second with a /24 under it; withdrawing the second and its /24
+	// leaves the branch node with a dead chain down one side, withdrawing the
+	// first with nothing down either.
+	f.Add([]byte{
+		0, 10, 0, 0, 0, 16, 0, 1, 0, 10, 64, 0, 0, 16, 0, 2, 0, 10, 64, 7, 0, 24, 0, 2,
+		1, 10, 64, 0, 0, 16, 0, 2, 1, 10, 64, 7, 0, 24, 0, 2,
+		2, 10, 64, 7, 0, 24, 0, 2, 2, 10, 0, 0, 0, 16, 0, 1, // under the dead side, under the live one
+		1, 10, 0, 0, 0, 16, 0, 1,
+		2, 10, 0, 0, 0, 16, 0, 1,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		state := map[rpki.VRP]struct{}{}
+		tab := NewTable(nil)
 		var queries []Route
 		rebuild := func() (*rpki.Set, *Index, *CompactIndex) {
 			vrps := make([]rpki.VRP, 0, len(state))
@@ -192,8 +215,10 @@ func FuzzCompactIndex(f *testing.F) {
 			}
 			if tag%3 == 0 {
 				state[v] = struct{}{}
+				pathCopy(tab, []rpki.VRP{v}, nil)
 			} else {
 				delete(state, v)
+				pathCopy(tab, nil, []rpki.VRP{v})
 			}
 			// Per-delta differential: the fresh compact build must answer the
 			// delta's own prefix (and queries so far) exactly like the Index.
@@ -207,7 +232,7 @@ func FuzzCompactIndex(f *testing.F) {
 		}
 		set, ix, cx := rebuild()
 		ref := NewReference(set)
-		cfi := CompactFromIndex(ix)
+		cfi, cfs := CompactFromIndex(ix), CompactFromIndex(tab.Snapshot())
 		for _, v := range set.VRPs() {
 			queries = append(queries,
 				Route{Prefix: v.Prefix, Origin: v.AS},
@@ -221,6 +246,15 @@ func FuzzCompactIndex(f *testing.F) {
 			if got := cfi.Validate(q.Prefix, q.Origin); got != want {
 				t.Fatalf("CompactFromIndex.Validate(%s, %v) = %v, reference %v", q.Prefix, q.Origin, got, want)
 			}
+			if got := cfs.Validate(q.Prefix, q.Origin); got != want {
+				t.Fatalf("CompactFromIndex(path-copied).Validate(%s, %v) = %v, reference %v", q.Prefix, q.Origin, got, want)
+			}
+		}
+		if got, want := cfs.AppendVRPs(nil), tab.Snapshot().AppendVRPs(nil); !slices.Equal(got, want) {
+			t.Fatalf("AppendVRPs: %d VRPs derived from the path-copied snapshot, which streams %d, or in another order", len(got), len(want))
+		}
+		if cfs.Len() != set.Len() {
+			t.Fatalf("CompactFromIndex(path-copied) holds %d VRPs, the set %d", cfs.Len(), set.Len())
 		}
 		got, want := cx.AppendVRPs(nil), ix.AppendVRPs(nil)
 		if len(got) != len(want) {
@@ -301,6 +335,18 @@ func FuzzLiveOverlay(f *testing.F) {
 		10, 42, 0, 1, 0, 24, 0, 4, // query inside it
 		24, 32, 1, 13, 184, 32, 0, 6, 25, 32, 1, 13, 184, 32, 0, 6, // announced and withdrawn by one delta
 		10, 32, 1, 13, 184, 40, 0, 6,
+	})
+	// A rebuild from a path-copied snapshot with garbage in it: a branch at
+	// 10.0.0.0/9 loses one side, then a /6 makes the rebuild due, then the
+	// other side goes and a second /6 rebuilds again.
+	f.Add([]byte{
+		0, 10, 0, 0, 0, 16, 0, 1, 0, 10, 64, 0, 0, 16, 0, 2, 0, 10, 64, 7, 0, 24, 0, 2,
+		1, 10, 64, 0, 0, 16, 0, 2, 1, 10, 64, 7, 0, 24, 0, 2,
+		0, 8, 0, 0, 0, 6, 0, 3,
+		2, 10, 64, 7, 0, 24, 0, 2, 2, 10, 0, 9, 0, 24, 0, 1,
+		1, 10, 0, 0, 0, 16, 0, 1,
+		0, 12, 0, 0, 0, 6, 0, 3,
+		2, 10, 0, 9, 0, 24, 0, 1,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		state := map[rpki.VRP]struct{}{}

@@ -30,12 +30,14 @@ type span struct {
 	n   int32
 }
 
-// famIndex is one address family's trie: an engine slab and the root's slab
-// index. Freshly built indexes root at node 0; Table snapshots root at
-// whatever node the last path-copied update produced.
+// famIndex is one address family's trie: an engine slab, the root's slab
+// index and the number of VRPs under it. Freshly built indexes root at node
+// 0; Table snapshots root at whatever node the last path-copied update
+// produced.
 type famIndex struct {
 	eng  core.Engine[span]
 	root int32
+	size int
 }
 
 // Index answers RFC 6811 queries in O(route prefix length). Build one with
@@ -51,7 +53,6 @@ type famIndex struct {
 type Index struct {
 	fams    [2]famIndex // famSlot order: IPv4, IPv6
 	entries []entry     // shared value slab, addressed by node spans
-	size    int
 }
 
 // famSlot maps an address family to its fams index.
@@ -78,14 +79,6 @@ func NewIndex(s *rpki.Set) *Index {
 	return newIndexFromVRPs(s.VRPs())
 }
 
-// termsScratch pools the per-build terminal-node index scratch shared by
-// newIndexFromVRPs and the compact build: one int32 per VRP, dead the moment
-// the build returns. Table compaction rebuilds on every garbage
-// threshold crossing, so without the pool each compaction allocates (and
-// immediately discards) a table-sized slice. Bounds mirror the engine slab
-// pools: a few buffers, capped at paper-scale tables.
-var termsScratch = core.NewBufPool[int32](4, 1<<20)
-
 // newIndexFromVRPs builds the two-slab index in two passes: the first
 // inserts every VRP's path and counts entries per terminal node, then a
 // prefix-sum turns counts into slab offsets; the second drops each entry
@@ -94,23 +87,17 @@ var termsScratch = core.NewBufPool[int32](4, 1<<20)
 // indexed once — an RTR Cache Response may repeat an announcement, and a
 // table is a set.
 func newIndexFromVRPs(vrps []rpki.VRP) *Index {
-	ix := &Index{size: len(vrps)}
-	var perFam [2]int
+	ix := &Index{}
 	for _, v := range vrps {
-		perFam[famSlot(v.Prefix.Family())]++
+		ix.fams[famSlot(v.Prefix.Family())].size++
 	}
 	for slot := range ix.fams {
 		// Pre-size modestly: at least one node per VRP of the family; path
 		// sharing and growth appends cover the rest in O(log nodes)
 		// allocations, and an absent family costs only its root node.
-		ix.fams[slot].eng.Init(perFam[slot], span{}, nil)
-		ix.fams[slot].root = 0
+		ix.fams[slot].eng.Init(ix.fams[slot].size, span{})
 	}
-	terms := termsScratch.Get(len(vrps))
-	if terms == nil {
-		terms = make([]int32, 0, len(vrps))
-	}
-	defer func() { termsScratch.Put(terms) }()
+	terms := make([]int32, 0, len(vrps))
 	for _, v := range vrps {
 		f := &ix.fams[famSlot(v.Prefix.Family())]
 		idx := f.eng.PathInsert(f.root, v.Prefix, span{})
@@ -133,7 +120,7 @@ func newIndexFromVRPs(vrps []rpki.VRP) *Index {
 		sp := &f.eng.Nodes[terms[i]].Val
 		e := entry{maxLength: v.MaxLength, as: v.AS}
 		if slices.Contains(ix.entries[sp.off:sp.off+sp.n], e) {
-			ix.size-- // the reserved cell stays unused past the span's end
+			f.size-- // the reserved cell stays unused past the span's end
 			continue
 		}
 		ix.entries[sp.off+sp.n] = e
@@ -143,7 +130,7 @@ func newIndexFromVRPs(vrps []rpki.VRP) *Index {
 }
 
 // Len returns the number of indexed VRPs.
-func (ix *Index) Len() int { return ix.size }
+func (ix *Index) Len() int { return ix.fams[0].size + ix.fams[1].size }
 
 // validateOn classifies (p, origin) against one family's slabs. Every entry
 // on the ancestor path covers p by construction, so the state tightens from
@@ -213,30 +200,18 @@ func (ix *Index) ValidateBatch(routes []Route, dst []State) []State {
 // rebuilds from it; callers can use it to export or diff a snapshot's
 // table without retaining the index.
 func (ix *Index) AppendVRPs(dst []rpki.VRP) []rpki.VRP {
-	for slot := range ix.fams {
-		f := &ix.fams[slot]
-		if len(f.eng.Nodes) == 0 {
-			continue
-		}
-		rootPfx, err := prefix.Make(slotFamily(slot), 0, 0, 0)
-		if err != nil {
-			panic(err) // unreachable: slotFamily yields valid families
-		}
-		f.eng.Walk(f.root, rootPfx, func(idx int32, p prefix.Prefix) {
-			sp := f.eng.Nodes[idx].Val
-			for _, e := range ix.entries[sp.off : sp.off+sp.n] {
-				dst = append(dst, rpki.VRP{Prefix: p, MaxLength: e.maxLength, AS: e.as})
-			}
-		})
-	}
+	ix.VisitVRPs(func(v rpki.VRP) bool {
+		dst = append(dst, v)
+		return true
+	})
 	return dst
 }
 
-// VisitVRPs streams the indexed VRP set to fn in the same per-family
-// canonical prefix order as AppendVRPs, without materializing a slice — the
-// RTR server's full-table responses encode each VRP as it is visited. fn
-// returning false stops delivery (the underlying walk still finishes, so an
-// early stop saves fn calls, not traversal).
+// VisitVRPs streams the indexed VRP set to fn in per-family canonical prefix
+// order without materializing a slice — the RTR server's full-table responses
+// encode each VRP as it is visited. fn returning false stops delivery (the
+// underlying walk still finishes, so an early stop saves fn calls, not
+// traversal).
 func (ix *Index) VisitVRPs(fn func(rpki.VRP) bool) {
 	stopped := false
 	for slot := range ix.fams {

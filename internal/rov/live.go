@@ -218,7 +218,7 @@ func (l *LiveIndex) published(nw *Index, replaced bool, announce, withdraw []rpk
 	case replaced: // rebuildNow follows; a rebuild in flight is of the table that went
 		nv.c, nv.touched, l.building = nil, nil, nil
 	case len(announce)+len(withdraw) > 0: // otherwise a compaction: the same set in new slabs
-		paid := l.viaCompact.Load()+l.viaFallback.Load()-l.paidFrom > rebuildPaysAfter*int64(nw.size)
+		paid := l.viaCompact.Load()+l.viaFallback.Load()-l.paidFrom > rebuildPaysAfter*int64(nw.Len())
 		if l.unasked && !paid {
 			nv.c = nil // nobody validates through it
 		}

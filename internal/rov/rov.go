@@ -19,8 +19,10 @@
 // validator: an arena trie on the core engine with a parallel value slab,
 // answering single queries and batches. Table (table.go) wraps it with
 // in-place RTR delta updates under an atomic snapshot swap, and LiveIndex
-// (live.go) adds a compact index (compact.go) of an earlier version, which
-// answers every route no prefix touched since covers, while routes pay for it.
+// (live.go) adds a compact index (compact.go) of an earlier version — that
+// version's Index with its one-child, entry-free nodes left out, read off it
+// in one walk — which answers every route no prefix touched since covers,
+// while routes pay for it.
 // Reference (below) is a linear scan used to cross-check them in property
 // and fuzz tests.
 package rov

@@ -113,7 +113,7 @@ func (t *Table) apply(announce, withdraw []rpki.VRP) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := t.cur.Load()
-	if ops := len(announce) + len(withdraw); ops > 0 && ops*bulkDivisor >= old.size {
+	if ops := len(announce) + len(withdraw); ops > 0 && ops*bulkDivisor >= old.Len() {
 		return t.applyBulk(old, announce, withdraw)
 	}
 	t.applyDelta(old, announce, withdraw)
@@ -136,11 +136,11 @@ func (t *Table) applyBulk(old *Index, announce, withdraw []rpki.VRP) bool {
 	for _, v := range withdraw {
 		gone[v] = struct{}{}
 	}
-	next := old.AppendVRPs(make([]rpki.VRP, 0, old.size+len(announce)))
+	next := old.AppendVRPs(make([]rpki.VRP, 0, old.Len()+len(announce)))
 	if len(gone) > 0 {
 		next = slices.DeleteFunc(next, func(v rpki.VRP) bool { _, ok := gone[v]; return ok })
 	}
-	changed := len(next) != old.size
+	changed := len(next) != old.Len()
 	for _, v := range announce {
 		if _, ok := gone[v]; ok || old.has(v) {
 			continue // withdraw wins; already present
@@ -159,7 +159,7 @@ func (t *Table) applyBulk(old *Index, announce, withdraw []rpki.VRP) bool {
 // published if anything changed, and the garbage left behind may start a
 // background compaction. Callers hold mu.
 func (t *Table) applyDelta(old *Index, announce, withdraw []rpki.VRP) {
-	nw := &Index{fams: old.fams, entries: old.entries, size: old.size}
+	nw := &Index{fams: old.fams, entries: old.entries}
 	changed := false
 	for _, v := range announce {
 		if t.announce(nw, v) {
@@ -214,7 +214,7 @@ func (t *Table) compact(src *Index, hook func()) {
 	if hook != nil {
 		hook()
 	}
-	rebuilt := newIndexFromVRPs(src.AppendVRPs(make([]rpki.VRP, 0, src.size)))
+	rebuilt := newIndexFromVRPs(src.AppendVRPs(make([]rpki.VRP, 0, src.Len())))
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.compacting = false
@@ -265,7 +265,7 @@ func (t *Table) announce(nw *Index, v rpki.VRP) bool {
 	nw.entries = append(nw.entries, entry{maxLength: v.MaxLength, as: v.AS})
 	f.eng.Nodes[idx].Val = span{off: off, n: sp.n + 1}
 	t.garbageEntries += int(sp.n)
-	nw.size++
+	f.size++
 	return true
 }
 
@@ -301,7 +301,7 @@ func (t *Table) withdraw(nw *Index, v rpki.VRP) bool {
 		f.eng.Nodes[nidx].Val = span{off: off, n: sp.n - 1}
 	}
 	t.garbageEntries += int(sp.n)
-	nw.size--
+	f.size--
 	return true
 }
 

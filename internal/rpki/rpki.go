@@ -265,15 +265,22 @@ func (s *Set) Clone() *Set {
 
 // ByOrigin partitions the set per (AS, family); the paper's algorithm builds
 // one trie per AS per family. Order of groups follows canonical VRP order.
+// The groups are counted first, so the list is one allocation.
 func (s *Set) ByOrigin() []OriginGroup {
-	var out []OriginGroup
+	sameGroup := func(a, b VRP) bool { return a.AS == b.AS && a.Prefix.Family() == b.Prefix.Family() }
+	n := 0
+	for i := range s.vrps {
+		if i == 0 || !sameGroup(s.vrps[i-1], s.vrps[i]) {
+			n++
+		}
+	}
+	out := make([]OriginGroup, 0, n)
 	for i := 0; i < len(s.vrps); {
-		as, fam := s.vrps[i].AS, s.vrps[i].Prefix.Family()
-		j := i
-		for j < len(s.vrps) && s.vrps[j].AS == as && s.vrps[j].Prefix.Family() == fam {
+		j := i + 1
+		for j < len(s.vrps) && sameGroup(s.vrps[i], s.vrps[j]) {
 			j++
 		}
-		out = append(out, OriginGroup{AS: as, Family: fam, VRPs: s.vrps[i:j]})
+		out = append(out, OriginGroup{AS: s.vrps[i].AS, Family: s.vrps[i].Prefix.Family(), VRPs: s.vrps[i:j]})
 		i = j
 	}
 	return out

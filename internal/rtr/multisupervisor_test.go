@@ -352,6 +352,9 @@ func TestMultiSupervisorExpiryRebuild(t *testing.T) {
 	defer srv2.Close()
 
 	waitFor(t, func() bool { return liveTable(f.live).Equal(table2) })
+	// reconcile counts a rebuild once the OnReset callbacks have returned: the
+	// table is visible before the counter moves.
+	waitFor(t, func() bool { return m.Stats().Rebuilds >= 1 })
 	st := m.Stats()
 	if st.Rebuilds < 1 || st.Upstreams[0].Rebuilds < 1 || f.resets.Load() < 1 {
 		t.Fatalf("recovery from an expired outage must be a rebuild: %+v, %d resets", st, f.resets.Load())
