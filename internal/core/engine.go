@@ -131,20 +131,27 @@ type engineFrame struct {
 // Walk visits every node reachable from root in pre-order of the key space
 // (canonical prefix order), calling fn with the node's slab index and its
 // prefix. at is the prefix of root itself. The traversal is iterative and
-// its stack never exceeds the tree height.
+// follows chains in place: it steps into a first child without touching the
+// stack and pushes only a second one, so the one-child runs that make up most
+// of a bit trie cost no frame, and the stack never exceeds the tree height.
 func (e *Engine[V]) Walk(root int32, at prefix.Prefix, fn func(idx int32, p prefix.Prefix)) {
-	stack := make([]engineFrame, 1, maxDepth+1)
-	stack[0] = engineFrame{idx: root, pfx: at}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		fn(f.idx, f.pfx)
-		n := &e.Nodes[f.idx]
-		if c := n.Children[1]; c != NoChild {
-			stack = append(stack, engineFrame{idx: c, pfx: f.pfx.Child(1)})
-		}
-		if c := n.Children[0]; c != NoChild {
-			stack = append(stack, engineFrame{idx: c, pfx: f.pfx.Child(0)})
+	stack := make([]engineFrame, 0, maxDepth+1)
+	for idx, pfx := root, at; idx >= 0; {
+		fn(idx, pfx)
+		c0, c1 := e.Nodes[idx].Children[0], e.Nodes[idx].Children[1]
+		switch {
+		case c0 != NoChild:
+			if c1 != NoChild {
+				stack = append(stack, engineFrame{idx: c1, pfx: pfx.Child(1)})
+			}
+			idx, pfx = c0, pfx.Child(0)
+		case c1 != NoChild:
+			idx, pfx = c1, pfx.Child(1)
+		case len(stack) > 0:
+			idx, pfx = stack[len(stack)-1].idx, stack[len(stack)-1].pfx
+			stack = stack[:len(stack)-1]
+		default:
+			idx = -1 // nothing pending: done
 		}
 	}
 }

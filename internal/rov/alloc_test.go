@@ -3,8 +3,10 @@
 package rov
 
 import (
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/prefix"
 	"repro/internal/rpki"
@@ -109,5 +111,32 @@ func TestValidateAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(10, tc.fn); got != tc.want {
 			t.Errorf("%s: %v allocs/op, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestIndexBuildAllocs is the gate on what a cold start's build allocates:
+// today's table in wire order is sized by the counting pass, so the build is
+// the index, its three slabs and the terminal list — no regrowth — and all it
+// allocates beyond what the finished index retains is that list.
+func TestIndexBuildAllocs(t *testing.T) {
+	vrps := newIndexFromVRPs(todayTable(t)).AppendVRPs(nil)
+	var ix *Index
+	allocs := testing.AllocsPerRun(5, func() { ix = newIndexFromVRPs(vrps) })
+	if allocs > 6 {
+		t.Errorf("an ordered build of %d VRPs: %v allocs, want at most 6", len(vrps), allocs)
+	}
+	retained := uint64(unsafe.Sizeof(*ix)) + uint64(cap(ix.entries))*uint64(unsafe.Sizeof(entry{}))
+	for slot := range ix.fams {
+		nodes := ix.fams[slot].eng.Nodes
+		retained += uint64(cap(nodes)) * uint64(unsafe.Sizeof(nodes[0]))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ix = newIndexFromVRPs(vrps)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("ordered build of %d VRPs: %v allocs, %d bytes for an index of %d", ix.Len(), allocs, got, retained)
+	if float64(got) > 1.15*float64(retained) {
+		t.Errorf("an ordered build allocated %d bytes for an index of %d", got, retained)
 	}
 }

@@ -131,10 +131,12 @@ func buildFamCompact(f *famCompact, src *famIndex, fam prefix.Family, srcEntries
 	// (until pass 2) its own span in srcEntries, and it hangs under the last
 	// kept node on its path: the nodes skipped between the two have one child
 	// each, so nothing else claims that link. Nodes are allocated as they are
-	// met, so the slab is in pre-order. total sums the kept nodes' aggregates,
-	// each as long as the entries on its root path: reserving it makes pass 2
-	// append into place instead of relocating a slab that ends up many times
-	// the VRP count.
+	// met, so the slab is in pre-order. The walk follows chains in place: a
+	// one-child node — five in six — is stepped through in the current frame,
+	// and only a second child is pushed. total sums the kept nodes'
+	// aggregates, each as long as the entries on its root path: reserving it
+	// makes pass 2 append into place instead of relocating a slab that ends up
+	// many times the VRP count.
 	type keptFrame struct {
 		idx   int32         // in src.eng.Nodes
 		pfx   prefix.Prefix // the path walked to idx
@@ -143,14 +145,12 @@ func buildFamCompact(f *famCompact, src *famIndex, fam prefix.Family, srcEntries
 	}
 	f.eng.Init(2*src.size, cspan{})
 	total := 0
-	kept := make([]keptFrame, 1, 130)
-	kept[0] = keptFrame{idx: src.root, pfx: f.eng.Nodes[0].Key(fam)}
-	for len(kept) > 0 {
-		fr := kept[len(kept)-1]
-		kept = kept[:len(kept)-1]
+	pending := make([]keptFrame, 0, 130)
+	for fr := (keptFrame{idx: src.root, pfx: f.eng.Nodes[0].Key(fam)}); fr.idx >= 0; {
 		nd := src.eng.Nodes[fr.idx] // by value: Alloc grows a slab
+		c0, c1 := nd.Children[0], nd.Children[1]
 		root := fr.pfx.Len() == 0
-		if root || nd.Val.n > 0 || (nd.Children[0] != core.NoChild && nd.Children[1] != core.NoChild) {
+		if root || nd.Val.n > 0 || (c0 != core.NoChild && c1 != core.NoChild) {
 			if root {
 				f.eng.Nodes[0].Val = cspan(nd.Val)
 			} else {
@@ -162,10 +162,19 @@ func buildFamCompact(f *famCompact, src *famIndex, fam prefix.Family, srcEntries
 			fr.agg += nd.Val.n
 			total += int(fr.agg)
 		}
-		for bit := 1; bit >= 0; bit-- {
-			if c := nd.Children[bit]; c != core.NoChild {
-				kept = append(kept, keptFrame{idx: c, pfx: fr.pfx.Child(uint8(bit)), above: fr.above, agg: fr.agg})
+		switch {
+		case c0 != core.NoChild:
+			if c1 != core.NoChild {
+				pending = append(pending, keptFrame{idx: c1, pfx: fr.pfx.Child(1), above: fr.above, agg: fr.agg})
 			}
+			fr.idx, fr.pfx = c0, fr.pfx.Child(0)
+		case c1 != core.NoChild:
+			fr.idx, fr.pfx = c1, fr.pfx.Child(1)
+		case len(pending) > 0:
+			fr = pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+		default:
+			fr.idx = -1 // nothing pending: done
 		}
 	}
 	*entries = slices.Grow(*entries, total)

@@ -38,11 +38,7 @@ func Diff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	for slot := range old.fams {
 		fo, fn := &old.fams[slot], &nw.fams[slot]
 		shared := fo.eng.SharedArena(&fn.eng)
-		rootPfx, err := prefix.Make(slotFamily(slot), 0, 0, 0)
-		if err != nil {
-			panic(err) // unreachable: slotFamily yields valid families
-		}
-		core.DiffWalk(&fo.eng, &fn.eng, fo.root, fn.root, rootPfx, func(ai, bi int32, p prefix.Prefix) {
+		core.DiffWalk(&fo.eng, &fn.eng, fo.root, fn.root, rootPrefix(slot), func(ai, bi int32, p prefix.Prefix) {
 			var spo, spn span
 			if ai >= 0 {
 				spo = fo.eng.Nodes[ai].Val
@@ -50,10 +46,10 @@ func Diff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 			if bi >= 0 {
 				spn = fn.eng.Nodes[bi].Val
 			}
-			if shared && spo == spn {
-				// Same span cells in the shared entry slab: this node was
-				// cloned for a descendant's update, its own payload is
-				// untouched.
+			if spo.n == 0 && spn.n == 0 || shared && spo == spn {
+				// Nothing here on either side (most nodes of a full walk), or
+				// the same span cells in the shared entry slab: this node was
+				// cloned for a descendant's update, its payload is untouched.
 				return
 			}
 			eo := old.entries[spo.off : spo.off+spo.n]

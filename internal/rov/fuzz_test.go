@@ -42,6 +42,12 @@ func fuzzOp(t *testing.T, op []byte) rpki.VRP {
 // the input — applies the delta as one Apply. A batch against the table it
 // lands on falls on either side of Apply's bulk threshold, and may announce
 // and withdraw one VRP (withdraw wins), repeat a VRP, or net to nothing.
+//
+// A byte left over after the last whole op orders a second build of the final
+// table: every announce that made it there, repeats kept, as given (0 or no
+// byte), in the trie's pre-order (1), in that order reversed (2), or in it with
+// the two families interleaved (3). Whatever the order, the build must be the
+// root-descent insert loop's cell for cell and hold the table NewIndex does.
 func FuzzIndex(f *testing.F) {
 	// The RFC 6811 / §2 running example: ROA (168.122.0.0/16, AS 111), the
 	// legitimate announcement, the subprefix hijack by AS 666, the owner's
@@ -82,11 +88,23 @@ func FuzzIndex(f *testing.F) {
 		16, 10, 0, 0, 0, 8, 0, 1, 16, 10, 1, 0, 0, 16, 0, 1, 16, 10, 2, 0, 0, 16, 0, 2,
 		16, 10, 3, 0, 0, 16, 0, 3, 16, 10, 9, 0, 0, 16, 0, 5, // left open: flushed at the end
 	})
+	// Both families (9 = announce, IPv6), nested and repeated prefixes, a /0
+	// in each, given out of order: one seed per ordering byte.
+	for order := byte(0); order < 4; order++ {
+		f.Add([]byte{
+			0, 10, 1, 0, 0, 16, 0, 1, 9, 32, 1, 13, 184, 48, 0, 2, 0, 10, 0, 0, 0, 8, 0, 1,
+			9, 32, 1, 13, 184, 32, 16, 2, 0, 10, 1, 0, 0, 16, 8, 3, 0, 0, 0, 0, 0, 0, 0, 4,
+			0, 10, 1, 0, 0, 16, 0, 1, 9, 0, 0, 0, 0, 0, 0, 4, 0, 9, 255, 255, 0, 24, 0, 5,
+			2, 10, 1, 2, 0, 24, 0, 1,
+			order,
+		})
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		state := map[rpki.VRP]struct{}{}
 		live := NewLiveIndex(rpki.NewSet(nil))
 		var queries []Route
+		var given []rpki.VRP   // every announce, in stream order
 		var ann, wd []rpki.VRP // the open batch
 		flush := func() {
 			if len(ann)+len(wd) == 0 {
@@ -113,7 +131,7 @@ func FuzzIndex(f *testing.F) {
 				continue
 			}
 			if tag%3 == 0 {
-				ann = append(ann, v)
+				ann, given = append(ann, v), append(given, v)
 			} else {
 				wd = append(wd, v)
 			}
@@ -122,6 +140,10 @@ func FuzzIndex(f *testing.F) {
 			}
 		}
 		flush()
+		given = slices.DeleteFunc(given, func(v rpki.VRP) bool { _, ok := state[v]; return !ok })
+		if len(data) > 0 {
+			given = buildOrders(given, 0)[[]string{"given", "preorder", "reversed", "interleaved"}[data[0]%4]]
+		}
 		vrps := make([]rpki.VRP, 0, len(state))
 		for v := range state {
 			vrps = append(vrps, v)
@@ -135,6 +157,9 @@ func FuzzIndex(f *testing.F) {
 		if ix.Len() != set.Len() || cx.Len() != set.Len() || live.Len() != set.Len() {
 			t.Fatalf("index %d / compact %d / live %d / set %d VRPs", ix.Len(), cx.Len(), live.Len(), set.Len())
 		}
+		ordered := newIndexFromVRPs(given)
+		checkSameSlabs(t, "the ordered build", ordered, insertLoopIndex(given))
+		checkSameTable(t, "the ordered build", ordered, ix)
 		for _, q := range queries {
 			want := ref.Validate(q.Prefix, q.Origin)
 			if got := ix.Validate(q.Prefix, q.Origin); got != want {

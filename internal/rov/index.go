@@ -11,10 +11,11 @@ import (
 // This file is the serving-path validator: an instance of the core arena
 // engine whose per-node payload is a {off, n} span into a parallel value
 // slab of VRP entries. Building an Index is O(nodes) slab appends — two
-// passes over the VRP list with no per-node slice or per-bit pointer
-// allocation — and Validate walks two contiguous arrays (the node slab down
-// the ancestor path, the entry slab across each span), so a router serving
-// millions of origin-validation queries reads cache-adjacent memory.
+// passes over the VRP list, each insert starting on the previous one's path,
+// into slabs sized once when the list is in order — and Validate walks two
+// contiguous arrays (the node slab down the ancestor path, the entry slab
+// across each span), so a router serving millions of origin-validation
+// queries reads cache-adjacent memory.
 
 // entry is one VRP payload at a trie node: the node's prefix is implied by
 // its position, so only maxLength and origin AS remain.
@@ -79,28 +80,68 @@ func NewIndex(s *rpki.Set) *Index {
 	return newIndexFromVRPs(s.VRPs())
 }
 
+// rootPrefix is the /0 of the slot's family: the prefix of a family's root.
+func rootPrefix(slot int) prefix.Prefix {
+	p, err := prefix.Make(slotFamily(slot), 0, 0, 0)
+	if err != nil {
+		panic(err) // unreachable: slotFamily yields valid families
+	}
+	return p
+}
+
 // newIndexFromVRPs builds the two-slab index in two passes: the first
 // inserts every VRP's path and counts entries per terminal node, then a
 // prefix-sum turns counts into slab offsets; the second drops each entry
-// into its node's span. The input need not be sorted (Table compaction
-// feeds walk order) and is not retained. A VRP listed more than once is
-// indexed once — an RTR Cache Response may repeat an announcement, and a
-// table is a set.
+// into its node's span. The input need not be sorted and is not retained. A
+// VRP listed more than once is indexed once — an RTR Cache Response may
+// repeat an announcement, and a table is a set.
+//
+// An insert starts where its prefix parts ways with the family's previous one
+// (CommonPrefixLen), not at the root: in any order the nodes above that depth
+// exist and the finger has them, so the slab is node for node what a descent
+// from the root per VRP leaves. A family in the trie's pre-order — the wire
+// stream (VisitVRPs), Diff's output, compaction's AppendVRPs; not a Set, which
+// is AS-major — then costs one Ensure per node, and Σ(len − cpl) is its node
+// count: the slab is sized once, with headroom, as an exactly full one regrows
+// by a quarter at the first path-copied delta. The same cpl shows disorder (p
+// sorts before prev), where the sum is several times too much: that family is
+// hinted at a node per VRP and grows by append.
 func newIndexFromVRPs(vrps []rpki.VRP) *Index {
 	ix := &Index{}
+	roots := [2]prefix.Prefix{rootPrefix(0), rootPrefix(1)}
+	prev := roots    // per family, the prefix before this one in the pass
+	var nodes [2]int // Σ(len − cpl) while the family is in pre-order, then -1
 	for _, v := range vrps {
-		ix.fams[famSlot(v.Prefix.Family())].size++
+		slot, p := famSlot(v.Prefix.Family()), v.Prefix
+		ix.fams[slot].size++
+		if nodes[slot] >= 0 {
+			c := prefix.CommonPrefixLen(prev[slot], p)
+			if nodes[slot] += int(p.Len() - c); c < prev[slot].Len() && (c == p.Len() || p.Bit(c) == 0) {
+				nodes[slot] = -1
+			}
+			prev[slot] = p
+		}
 	}
 	for slot := range ix.fams {
-		// Pre-size modestly: at least one node per VRP of the family; path
-		// sharing and growth appends cover the rest in O(log nodes)
-		// allocations, and an absent family costs only its root node.
-		ix.fams[slot].eng.Init(ix.fams[slot].size, span{})
+		hint := ix.fams[slot].size // an absent family costs only its root node
+		if n := nodes[slot]; n > 0 {
+			hint = n + n/64 + 64
+		}
+		ix.fams[slot].eng.Init(hint, span{})
 	}
+	prev = roots
+	var finger [2][129]int32 // at [slot][d], the node of prev's ancestor of length d
 	terms := make([]int32, 0, len(vrps))
 	for _, v := range vrps {
-		f := &ix.fams[famSlot(v.Prefix.Family())]
-		idx := f.eng.PathInsert(f.root, v.Prefix, span{})
+		slot, p := famSlot(v.Prefix.Family()), v.Prefix
+		f, path := &ix.fams[slot], &finger[slot]
+		depth := prefix.CommonPrefixLen(prev[slot], p)
+		idx := path[depth] // path[0] is the root: node 0
+		for ; depth < p.Len(); depth++ {
+			idx = f.eng.Ensure(idx, p.Bit(depth), span{})
+			path[depth+1] = idx
+		}
+		prev[slot] = p
 		f.eng.Nodes[idx].Val.n++
 		terms = append(terms, idx)
 	}
@@ -219,11 +260,7 @@ func (ix *Index) VisitVRPs(fn func(rpki.VRP) bool) {
 		if stopped || len(f.eng.Nodes) == 0 {
 			continue
 		}
-		rootPfx, err := prefix.Make(slotFamily(slot), 0, 0, 0)
-		if err != nil {
-			panic(err) // unreachable: slotFamily yields valid families
-		}
-		f.eng.Walk(f.root, rootPfx, func(idx int32, p prefix.Prefix) {
+		f.eng.Walk(f.root, rootPrefix(slot), func(idx int32, p prefix.Prefix) {
 			if stopped {
 				return
 			}

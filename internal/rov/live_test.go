@@ -668,7 +668,15 @@ func TestLiveIndexConcurrentReaders(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < 1500; i++ {
+	// The writer cycles until the readers have been answered through both
+	// halves: on a busy host its first 1,500 operations can be over before any
+	// batch lands on a view that holds a compact half. The ceiling bounds the
+	// versions kept, not the expected run.
+	seenBoth := func() bool {
+		st := l.Stats()
+		return st.CompactRoutes > 0 && st.FallbackRoutes > 0
+	}
+	for i := 0; i < 1500 || (i < 30000 && !seenBoth()); i++ {
 		k := i % pairs
 		pair := []rpki.VRP{markerVRP(2 * k), markerVRP(2*k + 1)}
 		short := randomVRP(rng) // now and then short enough to make a rebuild due at once

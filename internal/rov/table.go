@@ -66,11 +66,14 @@ type Table struct {
 // operation its prefix length in cloned nodes — 0.9 µs and 14 nodes of
 // garbage an operation at today's 33,615 VRPs — and a delta of half the
 // table leaves more garbage than the table has live nodes, so the compaction
-// it starts rebuilds everything anyway; a build costs 0.3 µs a VRP of table
-// plus delta, once. BenchmarkLiveApplyBulk (one P, delta ÷ table swept from
-// 1/64 to 4, compaction waited out): path copy 7.4 ms against a build's
-// 14.7 ms at 1/3, 31.7 ms against 18.6 ms at 1/2, 51.9 ms against 22.6 ms
-// at 1.
+// it starts rebuilds everything anyway; a build costs 0.23 µs a VRP of table
+// plus delta (0.09 µs when all of it is in pre-order, as a first full sync
+// is), once. BenchmarkLiveApplyBulk (one P, delta ÷ table swept from 1/64 to
+// 4, compaction waited out): path copy 5.0 ms against a build's 9.1 ms at 1/3,
+// 16.2 ms against 11.0 ms at 1/2, 31.6 ms against 15.2 ms at 1. The finger
+// builder took a quarter off both sides (11.9 → 9.1 ms at 1/3; 21.0 → 16.2 ms
+// at 1/2, which ends in a compaction's rebuild), so the crossover stays
+// between the same two swept points and the constant where it was.
 const bulkDivisor = 2
 
 // NewTable builds a table over vrps (a repeated VRP counts once).
