@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """summary.py DIR SEED... — per (workload, metric): quartiles of each side over
-the archived pairs, medians' change, pairs won, and the driver's spread check
-(each side's inter-quartile distance / (bound x parent's median))."""
-import json, sys, glob, statistics, os
+the pairs archived in DIR/pairs.jsonl, medians' change, pairs won, and the
+driver's spread check (each side's inter-quartile distance / (bound x parent's
+median))."""
+import json, sys, statistics, os
 d = sys.argv[1]
 spec = json.load(open(os.path.join(os.path.dirname(os.path.abspath(__file__)), 'BENCHMARK.json')) if os.path.exists(os.path.join(os.path.dirname(os.path.abspath(__file__)), 'BENCHMARK.json')) else open('/root/repo/BENCHMARK.json'))
 metrics = [(m['name'], m['better'], m['bound']) for m in spec['end_to_end']]
@@ -12,12 +13,11 @@ def quart(xs):
     q = statistics.quantiles(xs, n=4, method='inclusive')
     return q[0], q[1], q[2]
 def g(x): return '%.5g' % x
+rows = [json.loads(line) for line in open(f'{d}/pairs.jsonl')]  # pair order, parent before change
 for seed in sys.argv[2:]:
-    pa = sorted(glob.glob(f'{d}/seed{seed}-pair*-parent.json'))
-    print(f'== seed {seed}: {len(pa)} pairs ==')
+    P, C = ([r['result'] for r in rows if r['side'] == side and r['pair'].startswith(f'seed{seed}-pair')] for side in ('parent', 'change'))
+    print(f'== seed {seed}: {len(P)} pairs ==')
     print(f'{"workload":15s} {"metric":20s} {"parent q1/median/q3":>36s} {"change q1/median/q3":>36s} {"medians":>9s} {"won":>6s} {"bound":>6s}  iqr/allowed')
-    P = [json.load(open(f)) for f in pa]
-    C = [json.load(open(f.replace('-parent', '-change'))) for f in pa]
     for wi, w in enumerate(P[0]['workloads']):
         for name, better, bound in metrics:
             p = [r['workloads'][wi]['metrics'][name]['value'] for r in P]

@@ -70,12 +70,12 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem -count=1 ./internal/core/ ./internal/rov/
 	$(GO) test -run='^$$' -bench='^(BenchmarkFigure2|BenchmarkCompressToday)$$' -benchtime=3x -benchmem -count=1 .
 
-# fuzz runs every fuzz target in the tree for FUZZTIME each (go test -fuzz
+# fuzz runs all ten fuzz targets in the tree for FUZZTIME each (go test -fuzz
 # takes one target and one package at a time); fuzz-smoke is the short
 # configuration CI runs on every push.
 FUZZTIME ?= 30s
 FUZZ_TARGETS = core/FuzzTrieVsReference core/FuzzCompressVsTrie rov/FuzzIndex rov/FuzzCompactIndex rov/FuzzDiff rov/FuzzLiveOverlay \
-	rtr/FuzzReadPDU bgp/FuzzReadMessage bgp/FuzzReadMRT prefix/FuzzParse rpkix/FuzzParseSignedObject
+	rtr/FuzzReadPDU bgp/FuzzReadMRT prefix/FuzzParse rpkix/FuzzParseSignedObject
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZTIME))"; \

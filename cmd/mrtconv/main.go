@@ -23,6 +23,10 @@ func main() {
 		timestamp = flag.Uint("timestamp", 1496275200, "MRT record timestamp (UNIX; default 6/1/2017)")
 	)
 	flag.Parse()
+	if *timestamp > 0xffffffff {
+		fmt.Fprintln(os.Stderr, "mrtconv: -timestamp must fit in 32 bits")
+		os.Exit(2)
+	}
 	switch {
 	case *toText != "" && *toMRT == "":
 		if err := mrtToText(*toText); err != nil {

@@ -2,7 +2,7 @@ package repro
 
 import (
 	"bytes"
-
+	"errors"
 	"net"
 	"os"
 	"os/exec"
@@ -40,10 +40,30 @@ func TestCLIPipeline(t *testing.T) {
 		}
 	}
 
-	// 2. vulnscan: the calibrated share of vulnerable maxLength users.
+	// 1b. mrtconv, the on-ramp for RouteViews' RIB dumps: the BGP table goes
+	// to MRT and back (step 2 scans both copies), and a timestamp the
+	// 32-bit record header cannot hold is a usage error.
+	mrtPath, backPath := filepath.Join(data, "rib.mrt"), filepath.Join(data, "bgp-roundtrip.txt")
+	for _, conv := range [][3]string{{"-tomrt", bgpPath, mrtPath}, {"-totext", mrtPath, backPath}} {
+		// mrtconv writes to standard output, and to standard error only when it fails.
+		if err := os.WriteFile(conv[2], []byte(run(t, bin, "mrtconv", conv[0], conv[1])), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var exit *exec.ExitError
+	if err := exec.Command(filepath.Join(bin, "mrtconv"), "-tomrt", bgpPath, "-timestamp", "4294967296").Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("mrtconv -timestamp 4294967296: %v, want exit status 2", err)
+	}
+
+	// 2. vulnscan: the calibrated share of vulnerable maxLength users, the
+	// same from the table that went through MRT. The scans are compared,
+	// not the dumps: a text dump may spell a route with or without its path.
 	out = run(t, bin, "vulnscan", "-vrps", vrpPath, "-bgp", bgpPath, "-top", "3")
 	if !strings.Contains(out, "vulnerable (non-minimal)") {
 		t.Fatalf("vulnscan output:\n%s", out)
+	}
+	if back := run(t, bin, "vulnscan", "-vrps", vrpPath, "-bgp", backPath, "-top", "3"); back != out {
+		t.Fatalf("vulnscan on the MRT round-tripped table:\n%s\nwant what it printed for the original:\n%s", back, out)
 	}
 
 	// 3. compressroas with -verify (default) and -stats.

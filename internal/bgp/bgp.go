@@ -1,15 +1,15 @@
 // Package bgp models the BGP routing data the paper measures against: the
 // set of (IP prefix, origin AS) pairs observed at RouteViews collectors
-// (§6), plus AS-path announcements and longest-prefix-match lookup.
+// (§6), plus AS-path announcements and the text and MRT formats they arrive
+// in.
 //
 // The paper's quantities — which ROAs are minimal, how many PDUs a minimal
 // RPKI needs, how much maxLength can compress — are all functions of this
 // table, so the package exposes exactly the queries those computations need:
-// membership, per-origin subtree scans, de-aggregation statistics, and LPM.
+// membership, per-origin subtree scans and de-aggregation statistics.
 package bgp
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/prefix"
@@ -22,9 +22,6 @@ type Route struct {
 	Prefix prefix.Prefix
 	Origin rpki.ASN
 }
-
-// String renders "168.122.0.0/16: AS111", the paper's announcement notation.
-func (r Route) String() string { return r.Prefix.String() + ": " + r.Origin.String() }
 
 // Announcement is a BGP update with a full AS path; the origin is the last
 // element of the path (the AS closest to the destination).
@@ -167,47 +164,6 @@ func (t *Table) WalkAnnouncedUnder(origin rpki.ASN, p prefix.Prefix, maxLen uint
 	return n
 }
 
-// CoveredBy reports whether route (q, origin) has some announced... (see rov
-// for RPKI semantics). Here it answers the §6 measurement question: is q
-// covered by a *different, shorter* announced prefix (any origin)? Used to
-// find the "13K additional prefixes" that minimal ROAs must list.
-func (t *Table) CoveredBy(q prefix.Prefix) (Route, bool) {
-	r, ok := t.longestMatch(q, q.Len()-1)
-	return r, ok
-}
-
-// LongestMatch returns the longest announced prefix containing q (possibly q
-// itself), mimicking a router's longest-prefix-match forwarding decision.
-// When several origins announce the winning prefix the lowest origin is
-// returned.
-func (t *Table) LongestMatch(q prefix.Prefix) (Route, bool) {
-	return t.longestMatch(q, q.Len())
-}
-
-func (t *Table) longestMatch(q prefix.Prefix, maxLen uint8) (Route, bool) {
-	if maxLen > q.Len() || !q.IsValid() {
-		return Route{}, false
-	}
-	for l := int(maxLen); l >= 0; l-- {
-		cand, err := truncate(q, uint8(l))
-		if err != nil {
-			return Route{}, false
-		}
-		i := sort.Search(len(t.byPrefix), func(i int) bool {
-			return t.byPrefix[i].Prefix.Compare(cand) >= 0
-		})
-		if i < len(t.byPrefix) && t.byPrefix[i].Prefix == cand {
-			return t.byPrefix[i], true
-		}
-	}
-	return Route{}, false
-}
-
-func truncate(p prefix.Prefix, l uint8) (prefix.Prefix, error) {
-	hi, lo := p.Bits()
-	return prefix.Make(p.Family(), hi, lo, l)
-}
-
 // AnyAnnouncedUnder reports whether some route's prefix is contained in q
 // (any origin). Canonical order places all descendants of q contiguously at
 // the lower bound for q, so a single probe decides.
@@ -277,18 +233,4 @@ func (t *Table) Origins() []rpki.ASN {
 		}
 	}
 	return out
-}
-
-// Validate sanity-checks the table invariants; used by tests.
-func (t *Table) Validate() error {
-	if len(t.byPrefix) != len(t.byOrigin) {
-		return fmt.Errorf("bgp: index size mismatch %d vs %d", len(t.byPrefix), len(t.byOrigin))
-	}
-	for i := 1; i < len(t.byPrefix); i++ {
-		a, b := t.byPrefix[i-1], t.byPrefix[i]
-		if c := a.Prefix.Compare(b.Prefix); c > 0 || (c == 0 && a.Origin >= b.Origin) {
-			return fmt.Errorf("bgp: byPrefix out of order at %d", i)
-		}
-	}
-	return nil
 }

@@ -27,9 +27,6 @@ func sampleTable() *Table {
 
 func TestTableBasics(t *testing.T) {
 	tbl := sampleTable()
-	if err := tbl.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if tbl.Len() != 8 {
 		t.Fatalf("Len = %d", tbl.Len())
 	}
@@ -133,53 +130,6 @@ func TestWalkAnnouncedUnderBruteForce(t *testing.T) {
 	}
 }
 
-func TestLongestMatch(t *testing.T) {
-	tbl := sampleTable()
-	cases := []struct {
-		q    string
-		want string
-		ok   bool
-	}{
-		{"168.122.225.0/24", "168.122.225.0/24", true}, // exact
-		{"168.122.225.128/25", "168.122.225.0/24", true},
-		{"168.122.0.0/24", "168.122.0.0/16", true}, // the forged-origin target: only the /16 exists
-		{"168.122.0.0/16", "168.122.0.0/16", true},
-		{"87.254.40.0/21", "87.254.32.0/20", true}, // sibling hole: covered by the /20, not announced itself
-		{"87.254.48.0/21", "87.254.48.0/20", true},
-		{"87.254.63.255/32", "87.254.48.0/20", true},
-		{"9.9.9.9/32", "", false},
-		{"2001:db8::1/128", "2001:db8::/32", true},
-	}
-	for _, c := range cases {
-		r, ok := tbl.LongestMatch(mp(c.q))
-		if ok != c.ok {
-			t.Errorf("LongestMatch(%s) ok = %v, want %v", c.q, ok, c.ok)
-			continue
-		}
-		if ok && r.Prefix.String() != c.want {
-			t.Errorf("LongestMatch(%s) = %s, want %s", c.q, r.Prefix, c.want)
-		}
-	}
-}
-
-func TestCoveredBy(t *testing.T) {
-	tbl := sampleTable()
-	// 168.122.0.0/24 is covered by the announced /16 (this is what makes the
-	// forged-origin subprefix hijack possible).
-	r, ok := tbl.CoveredBy(mp("168.122.0.0/24"))
-	if !ok || r.Prefix != mp("168.122.0.0/16") {
-		t.Errorf("CoveredBy = %v, %v", r, ok)
-	}
-	// The /16 itself has no shorter covering announcement.
-	if _, ok := tbl.CoveredBy(mp("168.122.0.0/16")); ok {
-		t.Error("/16 should not be covered")
-	}
-	// /0 cannot be covered by anything shorter.
-	if _, ok := tbl.CoveredBy(mp("0.0.0.0/0")); ok {
-		t.Error("/0 covered?")
-	}
-}
-
 func TestDeaggStats(t *testing.T) {
 	tbl := sampleTable()
 	st := tbl.ComputeDeaggStats()
@@ -257,31 +207,5 @@ func TestDumpErrors(t *testing.T) {
 	tbl := TableFromAnnouncements([]Announcement{{Prefix: mp("10.0.0.0/8")}})
 	if tbl.Len() != 0 {
 		t.Error("empty-path announcement should be dropped")
-	}
-}
-
-func TestLongestMatchBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	var routes []Route
-	for i := 0; i < 300; i++ {
-		l := uint8(4 + rng.Intn(25))
-		p, _ := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
-		routes = append(routes, Route{Prefix: p, Origin: rpki.ASN(rng.Intn(8))})
-	}
-	tbl := NewTable(routes)
-	for trial := 0; trial < 300; trial++ {
-		l := uint8(rng.Intn(33))
-		q, _ := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
-		var want prefix.Prefix
-		found := false
-		for _, r := range tbl.Routes() {
-			if r.Prefix.Contains(q) && (!found || r.Prefix.Len() > want.Len()) {
-				want, found = r.Prefix, true
-			}
-		}
-		got, ok := tbl.LongestMatch(q)
-		if ok != found || (ok && got.Prefix != want) {
-			t.Fatalf("LongestMatch(%s) = %v,%v want %v,%v", q, got.Prefix, ok, want, found)
-		}
 	}
 }

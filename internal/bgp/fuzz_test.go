@@ -4,39 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
-
-// FuzzReadMessage checks the BGP message parser on arbitrary input and that
-// accepted messages survive a re-encode/re-parse cycle.
-func FuzzReadMessage(f *testing.F) {
-	for _, m := range []Message{
-		&Open{AS: 4200000001, HoldTime: 90, BGPID: 7},
-		&Update{Path: []rpki.ASN{666, 111}, NLRI: []prefix.Prefix{mp("168.122.0.0/24")}},
-		&Update{},
-		&Notification{Code: 6, Subcode: 2},
-		&Keepalive{},
-	} {
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err == nil {
-			f.Add(buf.Bytes())
-		}
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadMessage(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
-			return // some parsed values (e.g. >63 hop paths) are not re-encodable
-		}
-		if _, err := ReadMessage(&buf); err != nil {
-			t.Fatalf("re-parse of accepted %T failed: %v", m, err)
-		}
-	})
-}
 
 // FuzzReadMRT checks the MRT parser never panics.
 func FuzzReadMRT(f *testing.F) {

@@ -151,19 +151,6 @@ func prefixBytes(p prefix.Prefix) []byte {
 	return out
 }
 
-// WriteMRT writes a whole table as a TABLE_DUMP_V2 dump, synthesizing
-// origin-only AS paths.
-func WriteMRT(w io.Writer, t *Table, timestamp uint32) error {
-	mw := NewMRTWriter(w, timestamp)
-	for _, r := range t.Routes() {
-		a := Announcement{Prefix: r.Prefix, Path: []rpki.ASN{r.Origin}}
-		if err := mw.WriteAnnouncement(a); err != nil {
-			return err
-		}
-	}
-	return mw.Flush()
-}
-
 // ReadMRT parses a TABLE_DUMP_V2 dump into announcements. Records other
 // than RIB_IPV4_UNICAST / RIB_IPV6_UNICAST (including the peer index) are
 // skipped; AS_SET-terminated paths are dropped, matching ReadDump's policy.
@@ -341,14 +328,4 @@ func prefixFromBytes(fam prefix.Family, b []byte, plen uint8) (prefix.Prefix, er
 		}
 	}
 	return prefix.Make(fam, hi, lo, plen)
-}
-
-// ReadMRTTable is a convenience wrapper: parse an MRT dump and build the
-// (prefix, origin) Table.
-func ReadMRTTable(r io.Reader) (*Table, error) {
-	anns, err := ReadMRT(r)
-	if err != nil {
-		return nil, err
-	}
-	return TableFromAnnouncements(anns), nil
 }

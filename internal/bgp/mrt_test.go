@@ -48,26 +48,6 @@ func TestMRTRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMRTTableRoundTrip(t *testing.T) {
-	tbl := sampleTable()
-	var buf bytes.Buffer
-	if err := WriteMRT(&buf, tbl, 0); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMRTTable(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tbl.Len() {
-		t.Fatalf("round trip: %d vs %d routes", got.Len(), tbl.Len())
-	}
-	for i, r := range got.Routes() {
-		if r != tbl.Routes()[i] {
-			t.Fatalf("route %d: %v vs %v", i, r, tbl.Routes()[i])
-		}
-	}
-}
-
 func TestMRTEmptyDump(t *testing.T) {
 	var buf bytes.Buffer
 	mw := NewMRTWriter(&buf, 0)

@@ -1,8 +1,6 @@
 package bgpsim
 
 import (
-	"fmt"
-
 	"repro/internal/prefix"
 	"repro/internal/rov"
 	"repro/internal/rpki"
@@ -246,9 +244,4 @@ func (o *Outcome) Chosen(node int, p prefix.Prefix) int {
 		}
 	}
 	return -1
-}
-
-// String summarizes the outcome.
-func (o *Outcome) String() string {
-	return fmt.Sprintf("bgpsim.Outcome{%d prefixes over %d ASes}", len(o.prefixes), o.topo.N())
 }

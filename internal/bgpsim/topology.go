@@ -15,7 +15,6 @@
 package bgpsim
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/rpki"
@@ -30,20 +29,6 @@ const (
 	Peer                // the neighbor is my peer
 	Provider            // the neighbor is my provider
 )
-
-// String names the relationship.
-func (r Rel) String() string {
-	switch r {
-	case Customer:
-		return "customer"
-	case Peer:
-		return "peer"
-	case Provider:
-		return "provider"
-	default:
-		return fmt.Sprintf("Rel(%d)", int8(r))
-	}
-}
 
 type edge struct {
 	to  int
@@ -62,16 +47,6 @@ func (t *Topology) N() int { return len(t.neighbors) }
 
 // ASN returns the AS number assigned to node i.
 func (t *Topology) ASN(i int) rpki.ASN { return t.asn[i] }
-
-// NodeByASN returns the node with the given AS number, or -1.
-func (t *Topology) NodeByASN(as rpki.ASN) int {
-	for i, a := range t.asn {
-		if a == as {
-			return i
-		}
-	}
-	return -1
-}
 
 // AddLink records a provider→customer or peer↔peer relationship between
 // nodes a and b. rel is b's role from a's perspective.

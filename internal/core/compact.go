@@ -55,9 +55,6 @@ func (e *CompactEngine[V]) Init(hint int, root V) {
 	e.Nodes = append(nodes, CNode[V]{Val: root})
 }
 
-// Len returns the number of slab nodes, including the root.
-func (e *CompactEngine[V]) Len() int { return len(e.Nodes) }
-
 // Alloc appends a fresh node keyed by p with payload v and no children.
 func (e *CompactEngine[V]) Alloc(p prefix.Prefix, v V) int32 {
 	hi, lo := p.Bits()

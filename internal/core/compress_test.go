@@ -517,7 +517,7 @@ func groupFromBytes(data []byte) []rpki.VRP {
 		if err != nil {
 			panic(err)
 		}
-		if l > 0 && d[2]&1 != 0 && p.LastBit() == 0 {
+		if l > 0 && d[2]&1 != 0 && p.Bit(l-1) == 0 {
 			p = p.Sibling()
 		}
 		ml := min(int(l)+int(d[2]>>2)%6, int(fam.MaxLen()))

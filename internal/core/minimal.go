@@ -50,26 +50,6 @@ func FullDeploymentLowerBound(table *bgp.Table) *rpki.Set {
 	return FullDeploymentMinimal(table).MaxPermissive()
 }
 
-// AdditionalPrefixes counts the (prefix, origin) pairs a minimal conversion
-// must add relative to the tuples already present: pairs that are announced
-// in BGP and covered (authorized) by the set, but whose exact (prefix,
-// maxLength=len, AS) tuple is not already listed. This is the paper's "13K
-// additional prefixes would need to be added" measurement (§6).
-func AdditionalPrefixes(s *rpki.Set, table *bgp.Table) int {
-	existing := make(map[rpki.VRP]struct{}, s.Len())
-	for _, v := range s.VRPs() {
-		existing[rpki.VRP{Prefix: v.Prefix, MaxLength: v.Prefix.Len(), AS: v.AS}] = struct{}{}
-	}
-	minimal := Minimalize(s, table)
-	n := 0
-	for _, v := range minimal.VRPs() {
-		if _, ok := existing[v]; !ok {
-			n++
-		}
-	}
-	return n
-}
-
 // IsMinimal reports whether the set is minimal w.r.t. the table: every
 // authorized route is announced (the converse — every announced route
 // authorized — is deployment coverage, not minimality). It returns a

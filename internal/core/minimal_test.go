@@ -122,31 +122,6 @@ func TestFullDeploymentLowerBound(t *testing.T) {
 	}
 }
 
-func TestAdditionalPrefixes(t *testing.T) {
-	tbl := paperTable()
-	// Status quo: one maxLength ROA for AS 111 covering both announcements,
-	// and an exact-match tuple for AS 31283's /19 only.
-	s := rpki.NewSet([]rpki.VRP{
-		v("168.122.0.0/16", 24, 111),
-		v("87.254.32.0/19", 19, 31283),
-	})
-	// Minimal conversion needs: 168.122.225.0/24 (new), 168.122.0.0/16
-	// (already an exact tuple), 87.254.32.0/19 (already exact). The /20s and
-	// /21 are announced but NOT covered by the AS-31283 tuple (maxLength 19),
-	// so they are not added.
-	if n := AdditionalPrefixes(s, tbl); n != 1 {
-		t.Fatalf("AdditionalPrefixes = %d, want 1", n)
-	}
-	// Widen 31283's tuple: now its three de-aggregates get added too.
-	s2 := rpki.NewSet([]rpki.VRP{
-		v("168.122.0.0/16", 24, 111),
-		v("87.254.32.0/19", 21, 31283),
-	})
-	if n := AdditionalPrefixes(s2, tbl); n != 4 {
-		t.Fatalf("AdditionalPrefixes = %d, want 4", n)
-	}
-}
-
 func TestMinimalizePlusCompressEquivalence(t *testing.T) {
 	// End-to-end §7.2 pipeline on the running example: minimalize, compress,
 	// verify minimality and semantic equality with the uncompressed minimal.

@@ -20,7 +20,6 @@ import (
 	"math"
 	"math/bits"
 	"net/netip"
-	"slices"
 )
 
 // Family identifies the address family of a Prefix.
@@ -180,11 +179,6 @@ func (p Prefix) Contains(q Prefix) bool {
 	return hi == p.hi && lo == p.lo
 }
 
-// Overlaps reports whether p and q share any addresses (one contains the other).
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.Contains(q) || q.Contains(p)
-}
-
 // Parent returns the prefix one bit shorter than p. It panics for length 0.
 func (p Prefix) Parent() Prefix {
 	if p.len == 0 {
@@ -224,15 +218,6 @@ func (p Prefix) Sibling() Prefix {
 		lo ^= 1 << (128 - p.len)
 	}
 	return Prefix{hi: hi, lo: lo, len: p.len, fam: p.fam}
-}
-
-// LastBit returns the final bit of the prefix (the bit at position Len()-1).
-// It panics for length 0.
-func (p Prefix) LastBit() uint8 {
-	if p.len == 0 {
-		panic("prefix: LastBit of /0")
-	}
-	return p.Bit(p.len - 1)
 }
 
 // Compare orders prefixes canonically: by family (IPv4 first), then by
@@ -317,35 +302,9 @@ func (p Prefix) Subprefixes(dst []Prefix, l uint8) []Prefix {
 	return dst
 }
 
-// WalkSubprefixes calls fn for every subprefix of p with length in
-// (p.Len(), maxLen], in depth-first pre-order. If fn returns false the walk
-// skips that subtree. The walk panics if maxLen implies more than 1<<24
-// visits on a single level.
-func (p Prefix) WalkSubprefixes(maxLen uint8, fn func(Prefix) bool) {
-	if maxLen > p.MaxLen() {
-		maxLen = p.MaxLen()
-	}
-	if p.NumSubprefixes(maxLen) > 1<<24 {
-		panic(fmt.Sprintf("prefix: refusing to walk %s down to /%d", p, maxLen))
-	}
-	var rec func(q Prefix)
-	rec = func(q Prefix) {
-		if q.len >= maxLen {
-			return
-		}
-		for bit := uint8(0); bit < 2; bit++ {
-			c := q.Child(bit)
-			if fn(c) {
-				rec(c)
-			}
-		}
-	}
-	rec(p)
-}
-
 // CommonPrefixLen returns the length of the longest prefix containing both
-// p and q — CommonAncestor's length without materializing the ancestor,
-// for hot paths (trie pre-sizing) that only need the shared bit count.
+// p and q, without materializing that ancestor: the hot paths (trie
+// pre-sizing, finger inserts) only need the shared bit count.
 // Both must share a family or CommonPrefixLen panics.
 func CommonPrefixLen(p, q Prefix) uint8 {
 	if p.fam != q.fam {
@@ -361,25 +320,6 @@ func CommonPrefixLen(p, q Prefix) uint8 {
 	return l
 }
 
-// CommonAncestor returns the longest prefix containing both p and q. Both
-// must share a family or CommonAncestor panics.
-func CommonAncestor(p, q Prefix) Prefix {
-	if p.fam != q.fam {
-		panic("prefix: CommonAncestor across families")
-	}
-	l := p.len
-	if q.len < l {
-		l = q.len
-	}
-	// Find the first differing bit within the first l bits.
-	d := commonBits(p.hi, p.lo, q.hi, q.lo)
-	if d < l {
-		l = d
-	}
-	hi, lo := maskBits(p.hi, p.lo, l)
-	return Prefix{hi: hi, lo: lo, len: l, fam: p.fam}
-}
-
 // commonBits returns the number of leading bits shared by the two 128-bit values.
 func commonBits(ahi, alo, bhi, blo uint64) uint8 {
 	if x := ahi ^ bhi; x != 0 {
@@ -390,6 +330,3 @@ func commonBits(ahi, alo, bhi, blo uint64) uint8 {
 	}
 	return 128
 }
-
-// Sort sorts prefixes in place in canonical order (see Compare).
-func Sort(ps []Prefix) { slices.SortFunc(ps, Prefix.Compare) }

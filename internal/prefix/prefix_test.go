@@ -3,6 +3,7 @@ package prefix
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -112,9 +113,6 @@ func TestContains(t *testing.T) {
 	if p16.Contains(v6) || v6.Contains(p16) {
 		t.Error("cross-family containment must be false")
 	}
-	if !p16.Overlaps(p24) || !p24.Overlaps(p16) || p24.Overlaps(p24b) {
-		t.Error("Overlaps wrong")
-	}
 }
 
 func TestParentChildSibling(t *testing.T) {
@@ -129,8 +127,8 @@ func TestParentChildSibling(t *testing.T) {
 	if l.Sibling() != r || r.Sibling() != l {
 		t.Error("Sibling wrong")
 	}
-	if l.LastBit() != 0 || r.LastBit() != 1 {
-		t.Error("LastBit wrong")
+	if l.Bit(l.Len()-1) != 0 || r.Bit(r.Len()-1) != 1 {
+		t.Error("Child's last bit wrong")
 	}
 }
 
@@ -153,7 +151,7 @@ func TestChildSiblingProperty(t *testing.T) {
 		return c0 != c1 && c0.Parent() == p && c1.Parent() == p &&
 			c0.Sibling() == c1 && p.Contains(c0) && p.Contains(c1) &&
 			!c0.Contains(c1) && !c1.Contains(c0) &&
-			c0.LastBit() == 0 && c1.LastBit() == 1
+			c0.Bit(l) == 0 && c1.Bit(l) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -183,7 +181,7 @@ func TestCompareOrdering(t *testing.T) {
 		MustParse("9.0.0.0/8"),
 		MustParse("10.128.0.0/9"),
 	}
-	Sort(ps)
+	slices.SortFunc(ps, Prefix.Compare)
 	want := []string{"9.0.0.0/8", "10.0.0.0/8", "10.0.0.0/16", "10.128.0.0/9", "2001:db8::/32"}
 	for i, w := range want {
 		if ps[i].String() != w {
@@ -258,66 +256,6 @@ func TestSubprefixesEnumeration(t *testing.T) {
 	}
 }
 
-func TestWalkSubprefixes(t *testing.T) {
-	p := MustParse("10.0.0.0/8")
-	var visited []string
-	p.WalkSubprefixes(10, func(q Prefix) bool {
-		visited = append(visited, q.String())
-		return true
-	})
-	// 2 prefixes at /9 + 4 at /10.
-	if len(visited) != 6 {
-		t.Fatalf("visited %d prefixes: %v", len(visited), visited)
-	}
-	// Pruned walk: refuse to descend into the 0-child.
-	var count int
-	p.WalkSubprefixes(10, func(q Prefix) bool {
-		count++
-		return q.LastBit() == 1
-	})
-	if count != 4 { // /9 pair, then only right /9's two children
-		t.Fatalf("pruned walk visited %d, want 4", count)
-	}
-}
-
-func TestCommonAncestor(t *testing.T) {
-	a := MustParse("168.122.0.0/24")
-	b := MustParse("168.122.225.0/24")
-	got := CommonAncestor(a, b)
-	if got.String() != "168.122.0.0/16" {
-		t.Errorf("CommonAncestor = %s, want 168.122.0.0/16", got)
-	}
-	if CommonAncestor(a, a) != a {
-		t.Error("CommonAncestor(a,a) != a")
-	}
-	p16 := MustParse("168.122.0.0/16")
-	if CommonAncestor(a, p16) != p16 {
-		t.Error("CommonAncestor with ancestor must be the ancestor")
-	}
-}
-
-func TestCommonAncestorProperty(t *testing.T) {
-	f := func(a, b uint64, la, lb uint8) bool {
-		p, _ := Make(IPv4, a&0xffffffff00000000, 0, la%33)
-		q, _ := Make(IPv4, b&0xffffffff00000000, 0, lb%33)
-		c := CommonAncestor(p, q)
-		if !c.Contains(p) || !c.Contains(q) {
-			return false
-		}
-		// Maximality: extending c by the next bit of p must lose q (when possible).
-		if c.Len() < p.Len() && c.Len() < q.Len() {
-			ext := c.Child(p.Bit(c.Len()))
-			if ext.Contains(p) && ext.Contains(q) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMakeErrors(t *testing.T) {
 	if _, err := Make(IPv4, 0, 0, 33); err == nil {
 		t.Error("IPv4 /33 must fail")
@@ -340,31 +278,6 @@ func TestZeroPrefixInvalid(t *testing.T) {
 	}
 	if !strings.Contains(p.String(), "invalid") {
 		t.Errorf("zero Prefix String = %q", p.String())
-	}
-}
-
-func TestSearchContaining(t *testing.T) {
-	ps := []Prefix{
-		MustParse("0.0.0.0/0"),
-		MustParse("168.0.0.0/8"),
-		MustParse("168.122.0.0/16"),
-		MustParse("168.122.0.0/24"),
-		MustParse("10.0.0.0/8"),
-	}
-	Sort(ps)
-	q := MustParse("168.122.0.0/24")
-	idx := SearchContaining(ps, q)
-	if len(idx) != 4 {
-		t.Fatalf("found %d ancestors, want 4: %v", len(idx), idx)
-	}
-	for i := 1; i < len(idx); i++ {
-		if ps[idx[i-1]].Len() >= ps[idx[i]].Len() {
-			t.Error("ancestors must come shortest-first")
-		}
-	}
-	q2 := MustParse("192.168.0.0/16")
-	if got := SearchContaining(ps, q2); len(got) != 1 || ps[got[0]].Len() != 0 {
-		t.Errorf("only /0 should contain %s, got %v", q2, got)
 	}
 }
 
@@ -437,10 +350,6 @@ func TestCommonPrefixLen(t *testing.T) {
 		}
 		if got := CommonPrefixLen(q, p); got != c.want {
 			t.Errorf("CommonPrefixLen(%s, %s) = %d, want %d", c.q, c.p, got, c.want)
-		}
-		// Must agree with CommonAncestor's length.
-		if got, want := CommonPrefixLen(p, q), CommonAncestor(p, q).Len(); got != want {
-			t.Errorf("CommonPrefixLen(%s, %s) = %d, CommonAncestor length %d", c.p, c.q, got, want)
 		}
 	}
 }

@@ -85,14 +85,3 @@ func appendEntryDiff(dst []rpki.VRP, p prefix.Prefix, have, other []entry) []rpk
 	}
 	return dst
 }
-
-// DiffSince returns the delta from old — any snapshot this LiveIndex
-// previously returned — to the current table. Snapshots retained across
-// Apply calls share the arena, so the cost tracks the number of VRPs that
-// changed in between; a snapshot predating a compaction, a bulk Apply or
-// ResetTo falls back to the linear walk.
-//
-//repro:immutable
-func (l *LiveIndex) DiffSince(old *Index) (announced, withdrawn []rpki.VRP) {
-	return Diff(old, l.Snapshot())
-}

@@ -195,11 +195,4 @@ func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 	if gotA, gotW := Diff(before, l.Snapshot()); !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotW, wantW) {
 		t.Fatalf("Diff across a bulk Apply: +%d -%d, want the applied net delta +%d -%d", len(gotA), len(gotW), len(wantA), len(wantW))
 	}
-
-	// DiffSince is Diff against the current snapshot.
-	a1, w1 := l.DiffSince(old)
-	a2, w2 := Diff(old, l.Snapshot())
-	if !reflect.DeepEqual(a1, a2) || !reflect.DeepEqual(w1, w2) {
-		t.Fatal("DiffSince disagrees with Diff over the same snapshots")
-	}
 }

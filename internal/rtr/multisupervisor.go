@@ -13,10 +13,6 @@ import (
 	"repro/internal/rpki"
 )
 
-// ErrExpired is reported by validation-side callers when Healthy() is false
-// and the data must not be used.
-var ErrExpired = errors.New("rtr: cache data expired")
-
 // Upstream is one cache in a MultiSupervisor's preference-ordered set.
 type Upstream struct {
 	// Name labels the upstream in stats and logs (typically its address).
@@ -36,7 +32,20 @@ type Upstream struct {
 // connection down and redials with exponential backoff plus jitter. With one
 // upstream that loop is the whole supervisor; with several, subscribers are
 // served from the most preferred upstream that is up — failing over when it
-// dies, failing back when a more-preferred one recovers.
+// dies, failing back when a more-preferred one recovers. One upstream's loop:
+//
+//	          ┌──────────────────────── redial ───────────────────────┐
+//	          │   (onDown → failover; backoff × 2, jittered, capped   │
+//	          │        at Retry, reset by a connection that synced)   │
+//	          ▼                                                       │
+//	Dial ──► NewClientResume(conn, table, carried {session, serial})  │
+//	          ▼                                                       │
+//	   ┌─► Sync ──ok──► onSync (failback? reconcile; then advance     │
+//	   │    │            the Expire clock, adopt End of Data timers)  │
+//	   │    │             └─► wait: Notify │ Refresh │ Done │ Stop ─┐ │
+//	   │    └─error─► dead client or past Expire? ──yes─────────────┼─┘
+//	   │                   └─no─► wait out Retry ─┐                 │
+//	   └──────────────────────────────────────────┴─────────────────┘
 //
 // What crosses a reconnect is {session, serial, timers, table}: the table is
 // the upstream's rov.Table, handed to every client of that upstream by

@@ -26,7 +26,10 @@ import (
 // queries and the writer owns every write, fed by the connection's bounded
 // outbound queue. Publishing is queue handoff, never socket I/O, so a
 // stalled router cannot slow an update down, and because no writer is
-// shared, it cannot slow another router's answer down either. A router that
+// shared, it cannot slow another router's answer down either (a pool of four
+// writers made a healthy router wait 3.9 s behind eight wedged ones;
+// TestSlowRouterIsolation holds a round under half a WriteTimeout). The
+// price is one goroutine woken per router per publish. A router that
 // stops draining its TCP side either overflows its queue or exceeds the
 // write deadline, and is disconnected; a healthy RFC 8210 router simply
 // redials and resumes with a Serial Query.
@@ -69,7 +72,8 @@ type Server struct {
 	// served is the set the table was last replaced with — NewServer's or
 	// UpdateSet's argument, shared with the caller — against which the next
 	// UpdateSet takes its delta; nil once ApplyDelta has moved the table away
-	// from it. Guarded by writeMu.
+	// from it: 32 B a VRP, nothing extra when the caller keeps the set anyway.
+	// Guarded by writeMu.
 	served *rpki.Set
 
 	// regMu guards the session registry, the listener, and closed. It is held

@@ -33,23 +33,29 @@ func bigVRPSet(n int) *rpki.Set {
 // or a shared writer blocked on a wedged socket would eat — then disconnect
 // the wedged routers by write deadline.
 func TestSlowRouterIsolation(t *testing.T) {
+	// writeTimeout is what one write to a wedged socket costs whoever waits
+	// for it. It must also be several times what a healthy router's
+	// 50,000-VRP response takes: that is 0.2 s under -race alone, and at
+	// 300 ms a loaded machine shed a healthy router during set-up.
+	const writeTimeout = 2 * time.Second
+	// round bounds publish → every healthy router synced. The claim is a
+	// ratio, not a wall-clock constant: a round coupled to even one wedged
+	// socket costs a whole writeTimeout, so half of one separates the two
+	// however slow the machine is at both.
+	const round = writeTimeout / 2
 	cases := []struct {
 		name             string
 		stalled, healthy int
-		writeTimeout     time.Duration
-		// round bounds publish → every healthy router synced. Loose enough
-		// for a loaded CI machine under -race.
-		round time.Duration
 	}{
-		{"one stalled router", 1, 4, 300 * time.Millisecond, 2 * time.Second},
+		{"one stalled router", 1, 4},
 		// Twice the routers the pool had writers: it served the healthy
 		// router only after two rounds of WriteTimeout (3.8 s).
-		{"more stalled routers than a pool has writers", 8, 1, 2 * time.Second, 500 * time.Millisecond},
+		{"more stalled routers than a pool has writers", 8, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := NewServer(bigVRPSet(50_000))
-			srv.WriteTimeout = tc.writeTimeout
+			srv.WriteTimeout = writeTimeout
 			addr, stop := startServer(t, srv)
 			defer stop()
 
@@ -101,8 +107,8 @@ func TestSlowRouterIsolation(t *testing.T) {
 						t.Fatalf("healthy client %d sync #%d: %v", j, i, err)
 					}
 				}
-				if d := time.Since(start); d > tc.round {
-					t.Fatalf("publish #%d reached the healthy routers in %v, want under %v — they are coupled to the stalled routers' sockets", i, d, tc.round)
+				if d := time.Since(start); d > round {
+					t.Fatalf("publish #%d reached the healthy routers in %v, want under %v — they are coupled to the stalled routers' sockets", i, d, round)
 				}
 			}
 
@@ -111,7 +117,7 @@ func TestSlowRouterIsolation(t *testing.T) {
 			// may sit on the closed socket's undelivered bytes indefinitely
 			// while the peer's window is closed, so the client side is no
 			// witness.
-			deadline := time.Now().Add(tc.writeTimeout + 5*time.Second)
+			deadline := time.Now().Add(writeTimeout + 5*time.Second)
 			for srv.ConnCount() != tc.healthy {
 				if time.Now().After(deadline) {
 					t.Fatalf("stalled routers still registered: connCount = %d, want %d", srv.ConnCount(), tc.healthy)
