@@ -65,10 +65,11 @@ soak-smoke:
 		-interval 100ms -stall 2 -write-timeout 2s
 
 # bench-smoke is the quick pipeline-regression gate CI runs: the core and rov
-# micro benches and the headline compression bench at a handful of iterations.
+# micro benches and, at a handful of iterations on today's table, the headline
+# compression bench and the verifier that proves its output.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem -count=1 ./internal/core/ ./internal/rov/
-	$(GO) test -run='^$$' -bench='^(BenchmarkFigure2|BenchmarkCompressToday)$$' -benchtime=3x -benchmem -count=1 .
+	$(GO) test -run='^$$' -bench='^(BenchmarkFigure2|BenchmarkCompressToday|BenchmarkSemanticEqualVerifier)$$' -benchtime=3x -benchmem -count=1 .
 
 # fuzz runs all ten fuzz targets in the tree for FUZZTIME each (go test -fuzz
 # takes one target and one package at a time); fuzz-smoke is the short

@@ -3,7 +3,9 @@
 // maxLength, ASN) tuples — from a VRP CSV or by cryptographically scanning a
 // .roa repository directory — compresses it with Algorithm 1, and
 // writes the compressed CSV. With -verify it proves the output authorizes
-// exactly the same routes as the input.
+// exactly the same routes as the input. An -out file is replaced whole (written
+// beside the destination, then renamed over it), so a cache that re-reads it
+// on SIGHUP finds the previous table or the new one, never part of one.
 //
 // Usage:
 //
@@ -12,10 +14,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/core"
@@ -99,15 +102,24 @@ func load(in, repoDir string) (*rpki.Set, error) {
 	}
 }
 
+// save writes set as CSV to out. A cache re-reads out on SIGHUP, and a CSV cut
+// short at a line boundary still parses, so the table is written beside its
+// destination and renamed over it only once it is whole and closed.
 func save(out string, set *rpki.Set) error {
-	var w io.Writer = os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if out == "-" {
+		return rpki.WriteCSV(os.Stdout, set)
 	}
-	return rpki.WriteCSV(w, set)
+	f, err := os.CreateTemp(filepath.Dir(out), filepath.Base(out)+".tmp*")
+	if err != nil {
+		return err
+	}
+	// CreateTemp's 0600 would hide the table from a cache run by another user.
+	err = errors.Join(f.Chmod(0o644), rpki.WriteCSV(f, set), f.Sync(), f.Close())
+	if err == nil {
+		err = os.Rename(f.Name(), out)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -140,7 +141,6 @@ func writeCSV(dir, name string, f experiments.Figure3) error {
 	if err != nil {
 		return err
 	}
-	defer out.Close()
 	log.Printf("experiments: writing %s", path)
-	return f.WriteCSV(out)
+	return errors.Join(f.WriteCSV(out), out.Close())
 }

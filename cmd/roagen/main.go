@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -68,8 +69,7 @@ func writeBGP(path string, ds *synth.Dataset) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return bgp.WriteTable(f, ds.Table)
+	return errors.Join(bgp.WriteTable(f, ds.Table), f.Close())
 }
 
 func writeVRPs(path string, ds *synth.Dataset) error {
@@ -77,8 +77,7 @@ func writeVRPs(path string, ds *synth.Dataset) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return rpki.WriteCSV(f, ds.VRPs)
+	return errors.Join(rpki.WriteCSV(f, ds.VRPs), f.Close())
 }
 
 // signROAs builds a one-CA repository holding all resources and signs the

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -89,11 +90,17 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("roawizard output:\n%s", out)
 	}
 
-	// 5. rtrcache + rtrclient over loopback.
+	// 5. rtrcache + rtrclient over loopback. The cache logs to a file, not a
+	// buffer, so that step 5b can watch the log while the cache runs.
 	addr := freeAddr(t)
 	cache := exec.Command(filepath.Join(bin, "rtrcache"), "-vrps", compressed, "-listen", addr, "-compress")
-	var cacheLog bytes.Buffer
-	cache.Stderr = &cacheLog
+	cacheLogPath := filepath.Join(data, "rtrcache.log")
+	cacheLog, err := os.Create(cacheLogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cacheLog.Close()
+	cache.Stderr = cacheLog
 	if err := cache.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +109,76 @@ func TestCLIPipeline(t *testing.T) {
 		cache.Wait()
 	}()
 	waitForListen(t, addr)
-	client := exec.Command(filepath.Join(bin, "rtrclient"), "-cache", addr)
-	var clientOut, clientErr bytes.Buffer
-	client.Stdout, client.Stderr = &clientOut, &clientErr
-	if err := client.Run(); err != nil {
-		t.Fatalf("rtrclient: %v\nstderr: %s\ncache log: %s", err, clientErr.String(), cacheLog.String())
+	// syncOnce is one router's cold start: a fresh rtrclient, the table it printed.
+	syncOnce := func() string {
+		t.Helper()
+		client := exec.Command(filepath.Join(bin, "rtrclient"), "-cache", addr)
+		var clientOut, clientErr bytes.Buffer
+		client.Stdout, client.Stderr = &clientOut, &clientErr
+		if err := client.Run(); err != nil {
+			t.Fatalf("rtrclient: %v\nstderr: %s\ncache log: %s", err, clientErr.String(), readFile(t, cacheLogPath))
+		}
+		return clientOut.String()
 	}
-	synced := strings.Count(clientOut.String(), "\n") - 1 // minus header
-	if synced <= 0 {
-		t.Fatalf("router synced %d VRPs:\n%s", synced, clientOut.String())
+	table := syncOnce()
+	if synced := strings.Count(table, "\n") - 1; synced <= 0 { // minus header
+		t.Fatalf("router synced %d VRPs:\n%s", synced, table)
+	}
+
+	// 5b. The refresh path: the operator's pipeline replaces the CSV through
+	// compressroas -out and signals the cache, which re-reads, compresses,
+	// verifies and publishes; a file it cannot parse is refused and the table
+	// in service kept. The new VRPs have an origin of their own (AS64500), so
+	// compression leaves them as they are whatever the snapshot holds.
+	first, second := "198.18.0.0/20,20,64500\n", "198.18.16.0/20,24,64500\n"
+	publish := func(extra string) {
+		t.Helper()
+		next := filepath.Join(data, "next.csv")
+		if err := os.WriteFile(next, []byte(readFile(t, vrpPath)+extra), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		run(t, bin, "compressroas", "-in", next, "-out", compressed)
+		if err := cache.Process.Signal(syscall.SIGHUP); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// await polls until cond holds of what get returns, for at most 10 s.
+	await := func(what string, get func() string, cond func(string) bool) string {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			if got := get(); cond(got) {
+				return got
+			} else if time.Now().After(deadline) {
+				t.Fatalf("%s: not within 10 s; last read:\n%s\ncache log:\n%s", what, got, readFile(t, cacheLogPath))
+			}
+		}
+	}
+	holds := func(line string) func(string) bool {
+		return func(table string) bool { return strings.Contains(table, "\n"+line) }
+	}
+	publish(first)
+	table = await("first reload reaches a router", syncOnce, holds(first))
+
+	if err := os.WriteFile(compressed, []byte("prefix,maxlength,asn\nnot a VRP\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Process.Signal(syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	await("refused reload is logged", func() string { return readFile(t, cacheLogPath) },
+		func(log string) bool { return strings.Contains(log, "reload failed") })
+	if got := syncOnce(); got != table {
+		t.Fatalf("table after a refused reload:\n%s\nwant the one in service before it:\n%s", got, table)
+	}
+
+	publish(first + second)
+	if table = await("reload after a refused one reaches a router", syncOnce, holds(second)); !holds(first)(table) {
+		t.Fatalf("second reload lost the first one's VRP:\n%s", table)
+	}
+	cache.Process.Kill()
+	cache.Wait()
+	if log := readFile(t, cacheLogPath); strings.Count(log, "reload failed") != 1 {
+		t.Fatalf("cache log, want one refused reload between the two it served:\n%s", log)
 	}
 
 	// 6. experiments at toy scale renders Table 1.
@@ -135,13 +203,18 @@ func run(t *testing.T, bin, name string, args ...string) string {
 	return string(out)
 }
 
-func countLines(t *testing.T, path string) int {
+func readFile(t *testing.T, path string) string {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bytes.Count(raw, []byte("\n"))
+	return string(raw)
+}
+
+func countLines(t *testing.T, path string) int {
+	t.Helper()
+	return strings.Count(readFile(t, path), "\n")
 }
 
 // freeAddr reserves an ephemeral loopback port and returns host:port. The

@@ -16,6 +16,7 @@ import (
 func TestAllocCeilings(t *testing.T) {
 	s := rpki.NewSet(benchVRPs(2000))
 	out, _ := Compress(s, Options{})
+	same := s.Clone()
 
 	for _, tc := range []struct {
 		name string
@@ -23,6 +24,7 @@ func TestAllocCeilings(t *testing.T) {
 		fn   func()
 	}{
 		{"SemanticEqual", 6, func() { SemanticEqual(s, out) }},
+		{"SemanticEqual/identical", 6, func() { SemanticEqual(s, same) }}, // every group passed over
 		{"Compress/Strict", 14, func() { Compress(s, Options{}) }},
 		{"Compress/Subsumption", 14, func() { Compress(s, Options{Subsumption: true}) }},
 	} {

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/prefix"
 	"repro/internal/rpki"
@@ -16,9 +17,12 @@ import (
 // maxLength over present ancestors (g). A prefix q is authorized iff
 // len(q) <= g(q), and g only changes at tuple nodes, so equality can be
 // decided by comparing g at tuple nodes and at the roots of tuple-free
-// subtrees, where it bounds every depth below. The procedure is O(total
-// tuple bits) and returns a concrete counterexample route on inequality,
-// which the tests and the compressroas -verify flag surface directly.
+// subtrees, where it bounds every depth below. Sets are compared one (AS,
+// family) group at a time, and a group both sides hold tuple for tuple needs
+// no trie: the procedure costs one tuple comparison per shared tuple plus the
+// prefix bits of the groups that differ. On inequality it returns a concrete
+// counterexample route, which the tests and the compressroas -verify flag
+// surface directly.
 
 // mval is the merged trie's per-node payload: one maxLength bound per side,
 // -1 when the side holds no tuple at the node.
@@ -75,12 +79,15 @@ func (c Counterexample) String() string {
 // On inequality it returns a counterexample: the first, in canonical order,
 // of the first (AS, family) group in which the sets disagree.
 //
-// The sets' groups are walked in lockstep: for each group either side holds,
-// the merged trie is built and walked, into one slab reused from group to
-// group, so one group's trie is alive at a time. The slab is sized once, for
-// each side's group of most tuples merged — found without looking at a tuple,
-// which a bound over every group would have to (+5 % on a verification) — and
-// a group of fewer but longer prefixes that needs more grows it.
+// The sets' groups are walked in lockstep. A group both sides hold with
+// identical tuple lists authorizes identical routes and is passed over; for
+// every other group either side holds, the merged trie is built and walked,
+// into one slab reused from group to group, so one group's trie is alive at a
+// time. The cost is one tuple comparison per shared tuple plus the prefix
+// bits of the groups that differ. The slab is sized once, for each side's
+// group of most tuples merged — found without looking at a tuple, which a
+// bound over every group would have to (+5 % on a verification) — and a group
+// of fewer but longer prefixes that needs more grows it.
 func SemanticEqual(a, b *rpki.Set) (bool, *Counterexample) {
 	ga, gb := a.ByOrigin(), b.ByOrigin()
 	hint := 0
@@ -109,6 +116,9 @@ func SemanticEqual(a, b *rpki.Set) (bool, *Counterexample) {
 		if c > 0 {
 			g = sideB
 		}
+		if slices.Equal(sideA.VRPs, sideB.VRPs) {
+			continue // the same tuples authorize the same routes
+		}
 		m.reset(g.Family)
 		for _, v := range sideA.VRPs {
 			m.insert(v.Prefix, v.MaxLength, false)
@@ -121,6 +131,27 @@ func SemanticEqual(a, b *rpki.Set) (bool, *Counterexample) {
 		}
 	}
 	return true, nil
+}
+
+// groupNodeHint returns the exact number of trie nodes (root included) the
+// group's VRPs expand to. The group's prefixes arrive in canonical Set order,
+// which for the underlying bit strings is lexicographic order, so each
+// prefix's longest common prefix with *any* earlier prefix is its LCP with
+// its immediate predecessor; the prefix then contributes exactly its bits
+// beyond that LCP as new nodes. (Σ prefix bits ignores path sharing and
+// overestimates sibling-heavy groups by >2x: TestGroupNodeHintExact.)
+func groupNodeHint(g rpki.OriginGroup) int {
+	hint := 1 // the root
+	var prev prefix.Prefix
+	for i, v := range g.VRPs {
+		if i == 0 {
+			hint += int(v.Prefix.Len())
+		} else {
+			hint += int(v.Prefix.Len()) - int(prefix.CommonPrefixLen(prev, v.Prefix))
+		}
+		prev = v.Prefix
+	}
+	return hint
 }
 
 // groupOrder compares the groups heading two ByOrigin lists in canonical

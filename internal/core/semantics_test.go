@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/prefix"
 	"repro/internal/rpki"
+	"repro/internal/synth"
 )
 
 func TestSemanticEqualIdentical(t *testing.T) {
@@ -31,9 +33,6 @@ func TestSemanticEqualSyntacticallyDifferent(t *testing.T) {
 		t.Fatalf("equivalent sets reported different: %v", ce)
 	}
 	// Overlapping redundant tuples change nothing.
-	c := b.Clone()
-	c.Add(v("168.122.0.0/17", 16, 111)) // invalid? maxLength < len is invalid; use len
-	_ = c
 	d := b.Clone()
 	d.Add(v("168.122.0.0/17", 17, 111)) // duplicate
 	if ok, _ := SemanticEqual(a, d); !ok {
@@ -111,7 +110,10 @@ func TestCounterexampleString(t *testing.T) {
 }
 
 // TestSemanticEqualAgainstBruteForce cross-checks the trie walker against
-// explicit enumeration over a small universe.
+// explicit enumeration over a small universe: the verdict, and on inequality
+// the counterexample, which must be the first route in canonical order that
+// exactly one side authorizes. Every other trial copies one AS's tuples from a
+// into b verbatim, so the oracle also judges walks that pass over a group.
 func TestSemanticEqualAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	enumerate := func(s *rpki.Set) map[rpki.VRP]bool {
@@ -131,51 +133,66 @@ func TestSemanticEqualAgainstBruteForce(t *testing.T) {
 		rec(mp("0.0.0.0/0"))
 		return out
 	}
-	equalMaps := func(a, b map[rpki.VRP]bool) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
-	}
-	for trial := 0; trial < 150; trial++ {
-		mk := func() *rpki.Set {
-			var vrps []rpki.VRP
-			for i := 0; i < 1+rng.Intn(5); i++ {
-				l := uint8(rng.Intn(8))
-				p, _ := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
-				ml := l + uint8(rng.Intn(int(10-l)+1))
-				vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: ml, AS: rpki.ASN(rng.Intn(2))})
-			}
-			return rpki.NewSet(vrps)
-		}
-		a, b := mk(), mk()
-		wantEq := equalMaps(enumerate(a), enumerate(b))
-		gotEq, ce := SemanticEqual(a, b)
-		if gotEq != wantEq {
-			t.Fatalf("trial %d: SemanticEqual = %v, brute force = %v\na: %v\nb: %v\nce: %v",
-				trial, gotEq, wantEq, a.VRPs(), b.VRPs(), ce)
-		}
-		if !gotEq {
-			// The counterexample must be real: authorized by exactly one side.
-			authBy := func(s *rpki.Set) bool {
-				for _, x := range s.VRPs() {
-					if x.Matches(ce.Route.Prefix, ce.Route.AS) {
-						return true
-					}
+	// firstDiff returns the first route in canonical order that exactly one of
+	// the two enumerations holds, or nil.
+	firstDiff := func(a, b map[rpki.VRP]bool) (first *rpki.VRP) {
+		for _, side := range []map[rpki.VRP]bool{a, b} {
+			for r := range side {
+				if a[r] != b[r] && (first == nil || r.Compare(*first) < 0) {
+					first = &r
 				}
-				return false
-			}
-			inA, inB := authBy(a), authBy(b)
-			if inA == inB || inA != ce.AuthorizedA {
-				t.Fatalf("trial %d: bogus counterexample %v (inA=%v inB=%v)", trial, ce, inA, inB)
 			}
 		}
+		return first
 	}
+	draw := func() []rpki.VRP {
+		var vrps []rpki.VRP
+		for i := 0; i < 1+rng.Intn(5); i++ {
+			l := uint8(rng.Intn(8))
+			p, _ := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
+			ml := l + uint8(rng.Intn(int(10-l)+1))
+			vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: ml, AS: rpki.ASN(rng.Intn(2))})
+		}
+		return vrps
+	}
+	ofAS := func(vrps []rpki.VRP, as rpki.ASN) (out []rpki.VRP) {
+		for _, x := range vrps {
+			if x.AS == as {
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+	skipped := 0
+	for trial := 0; trial < 150; trial++ {
+		a, bv := rpki.NewSet(draw()), draw()
+		if trial%2 == 1 {
+			as := rpki.ASN(rng.Intn(2))
+			bv = append(ofAS(bv, 1-as), ofAS(a.VRPs(), as)...)
+		}
+		b := rpki.NewSet(bv)
+		for as := rpki.ASN(0); as < 2; as++ {
+			if g := ofAS(a.VRPs(), as); len(g) > 0 && slices.Equal(g, ofAS(b.VRPs(), as)) {
+				skipped++
+				break
+			}
+		}
+		inA := enumerate(a)
+		want := firstDiff(inA, enumerate(b))
+		gotEq, ce := SemanticEqual(a, b)
+		if gotEq != (want == nil) {
+			t.Fatalf("trial %d: SemanticEqual = %v, brute force first difference %v\na: %v\nb: %v\nce: %v",
+				trial, gotEq, want, a.VRPs(), b.VRPs(), ce)
+		}
+		if !gotEq && (ce.Route != *want || ce.AuthorizedA != inA[*want]) {
+			t.Fatalf("trial %d: counterexample %v, brute force %v (in A: %v)\na: %v\nb: %v",
+				trial, ce, *want, inA[*want], a.VRPs(), b.VRPs())
+		}
+	}
+	if skipped < 30 {
+		t.Errorf("only %d trials held a group both sides share tuple for tuple, want >= 30", skipped)
+	}
+	t.Logf("%d of 150 trials held a group both sides share tuple for tuple", skipped)
 }
 
 // TestSemanticEqualGroupWalk covers the lockstep walk over (AS, family)
@@ -224,5 +241,95 @@ func TestSemanticEqualGroupWalk(t *testing.T) {
 	}
 	if ok, ce := SemanticEqual(a, rpki.NewSet(b.VRPs()[:5])); ok || ce == nil || ce.Route.AS != 300 || !ce.AuthorizedA {
 		t.Fatalf("last group missing from B: equal %v, counterexample %v", ok, ce)
+	}
+}
+
+// TestSemanticEqualOneGroupAmongThousands shows that passing over the groups
+// both sides hold tuple for tuple hides nothing: on a full-deployment table
+// and its compression, one mutation of one group of the compressed side — a
+// group Compress left untouched, which the unmutated walk passes over, or one
+// it rewrote — is found, in that group, in the right direction, on a route the
+// two sides' tuples really disagree on.
+func TestSemanticEqualOneGroupAmongThousands(t *testing.T) {
+	orig := FullDeploymentMinimal(synth.Generate(synth.Params6_1().Scale(0.02)).Table)
+	comp, _ := Compress(orig, Options{})
+	if err := VerifyCompression(orig, comp); err != nil {
+		t.Fatal(err)
+	}
+	origGroups, compGroups := orig.ByOrigin(), comp.ByOrigin()
+	if len(origGroups) != len(compGroups) {
+		t.Fatalf("Compress turned %d groups into %d", len(origGroups), len(compGroups))
+	}
+	authorizes := func(vrps []rpki.VRP, route rpki.VRP) bool {
+		return slices.ContainsFunc(vrps, func(x rpki.VRP) bool { return x.Matches(route.Prefix, route.AS) })
+	}
+	mutations := []struct {
+		name        string
+		authorizedA bool // the original side authorizes the route the mutation moves
+		apply       func(g []rpki.VRP) []rpki.VRP
+	}{
+		// No tuple of the group reaches one bit past its longest maxLength.
+		{"raise one maxLength", false, func(g []rpki.VRP) []rpki.VRP {
+			longest := 0
+			for i := range g {
+				if g[i].MaxLength > g[longest].MaxLength {
+					longest = i
+				}
+			}
+			g[longest].MaxLength++
+			return g
+		}},
+		// Nothing precedes a group's first tuple, so nothing else covers it.
+		{"drop one tuple", true, func(g []rpki.VRP) []rpki.VRP { return g[1:] }},
+		{"add a sibling", false, func(g []rpki.VRP) []rpki.VRP {
+			for _, x := range g {
+				sib := rpki.VRP{Prefix: x.Prefix.Sibling(), MaxLength: x.Prefix.Len(), AS: x.AS}
+				if !authorizes(g, sib) {
+					return append(g, sib)
+				}
+			}
+			t.Fatalf("every sibling in AS%d's group is authorized", g[0].AS)
+			return nil
+		}},
+	}
+
+	offsets, rewritten := make([]int, len(compGroups)), make([]bool, len(compGroups))
+	for k, g := range compGroups {
+		rewritten[k] = !slices.Equal(g.VRPs, origGroups[k].VRPs)
+		if k > 0 {
+			offsets[k] = offsets[k-1] + len(compGroups[k-1].VRPs)
+		}
+	}
+	sampled := map[bool]int{}
+	var all []rpki.VRP // the mutated table; NewSet copies it
+	for at := 0; at < len(compGroups); at += 50 {
+		for _, kind := range []bool{false, true} {
+			// The first group of the kind from every 50th group on.
+			k := at
+			for k < len(compGroups) && rewritten[k] != kind {
+				k++
+			}
+			if k == len(compGroups) {
+				continue
+			}
+			sampled[kind]++
+			g := compGroups[k]
+			for _, m := range mutations {
+				mutated := m.apply(slices.Clone(g.VRPs))
+				all = append(append(append(all[:0], comp.VRPs()[:offsets[k]]...), mutated...), comp.VRPs()[offsets[k]+len(g.VRPs):]...)
+				ok, ce := SemanticEqual(orig, rpki.NewSet(all))
+				if ok || ce == nil {
+					t.Fatalf("group %d (AS%d %v, rewritten: %v): %s went unnoticed", k, g.AS, g.Family, kind, m.name)
+				}
+				if ce.Route.AS != g.AS || ce.Route.Prefix.Family() != g.Family || ce.AuthorizedA != m.authorizedA ||
+					authorizes(origGroups[k].VRPs, ce.Route) != m.authorizedA || authorizes(mutated, ce.Route) == m.authorizedA {
+					t.Fatalf("group %d (AS%d %v, rewritten: %v): %s: counterexample %v", k, g.AS, g.Family, kind, m.name, ce)
+				}
+			}
+		}
+	}
+	t.Logf("%d groups: %d untouched and %d rewritten ones mutated three ways", len(compGroups), sampled[false], sampled[true])
+	if sampled[false] < 20 || sampled[true] < 20 {
+		t.Errorf("too few groups of one kind sampled")
 	}
 }
