@@ -107,7 +107,7 @@ func compactEscapePackageVar(e *core.CompactEngine[int]) {
 
 func compactHeldAcrossGrowth(e *core.CompactEngine[int], p prefix.Prefix) int {
 	n := &e.Nodes[0] // want "held across a slab-growing call"
-	e.Alloc(p, 7)
+	e.Alloc(0, 0, 0, 7)
 	return n.Val
 }
 
@@ -125,14 +125,14 @@ func heldAcrossInit(e *core.Engine[int]) int {
 
 // Sanctioned: grow first, address the result, use before the next growth.
 func compactGrowThenAddress(e *core.CompactEngine[int], p prefix.Prefix) {
-	n := &e.Nodes[e.Alloc(p, 3)]
+	n := &e.Nodes[e.Alloc(0, 0, 0, 3)]
 	n.Val = 9
 }
 
 // Sanctioned: the int32 index survives growth; re-index afterwards.
 func compactIndexSurvivesGrowth(e *core.CompactEngine[int], p, q prefix.Prefix) int {
-	i := e.Alloc(p, 1)
-	e.Alloc(q, 2)
+	i := e.Alloc(0, 0, 0, 1)
+	e.Alloc(0, 0, 0, 2)
 	return e.Nodes[i].Val
 }
 

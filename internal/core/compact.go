@@ -55,11 +55,12 @@ func (e *CompactEngine[V]) Init(hint int, root V) {
 	e.Nodes = append(nodes, CNode[V]{Val: root})
 }
 
-// Alloc appends a fresh node keyed by p with payload v and no children.
-func (e *CompactEngine[V]) Alloc(p prefix.Prefix, v V) int32 {
-	hi, lo := p.Bits()
+// Alloc appends a fresh node with payload v and no children, keyed by the
+// plen-bit prefix whose left-aligned address is (hi, lo) — Prefix.Bits' form,
+// zero past plen.
+func (e *CompactEngine[V]) Alloc(hi, lo uint64, plen uint8, v V) int32 {
 	idx := int32(len(e.Nodes))
-	e.Nodes = append(e.Nodes, CNode[V]{Hi: hi, Lo: lo, PLen: p.Len(), Val: v})
+	e.Nodes = append(e.Nodes, CNode[V]{Hi: hi, Lo: lo, PLen: plen, Val: v})
 	return idx
 }
 

@@ -174,7 +174,9 @@ type dualFrame struct {
 // published node), so the walk touches only paths cloned between the two
 // snapshots — O(changed · prefix bits), independent of table size. Engines
 // from unrelated arenas share nothing provable and get the correct-but-linear
-// full dual walk.
+// full dual walk — of what both hold: a subtree only one side has (a table
+// against an empty one, a block one cache lacks, a newly path-copied chain)
+// has nothing to be paired with and costs that side's Walk, no frame a node.
 func DiffWalk[V any](ea, eb *Engine[V], rootA, rootB int32, at prefix.Prefix, fn func(aIdx, bIdx int32, p prefix.Prefix)) {
 	if rootA < 0 && rootB < 0 {
 		return
@@ -183,23 +185,29 @@ func DiffWalk[V any](ea, eb *Engine[V], rootA, rootB int32, at prefix.Prefix, fn
 	if shared && rootA == rootB {
 		return
 	}
+	onlyA := func(idx int32, p prefix.Prefix) { fn(idx, -1, p) }
+	onlyB := func(idx int32, p prefix.Prefix) { fn(-1, idx, p) }
 	stack := make([]dualFrame, 1, maxDepth+1)
 	stack[0] = dualFrame{a: rootA, b: rootB, pfx: at}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		if f.b < 0 {
+			ea.Walk(f.a, f.pfx, onlyA)
+			continue
+		}
+		if f.a < 0 {
+			eb.Walk(f.b, f.pfx, onlyB)
+			continue
+		}
 		fn(f.a, f.b, f.pfx)
 		for bit := 1; bit >= 0; bit-- {
 			ca, cb := int32(-1), int32(-1)
-			if f.a >= 0 {
-				if c := ea.Nodes[f.a].Children[bit]; c != NoChild {
-					ca = c
-				}
+			if c := ea.Nodes[f.a].Children[bit]; c != NoChild {
+				ca = c
 			}
-			if f.b >= 0 {
-				if c := eb.Nodes[f.b].Children[bit]; c != NoChild {
-					cb = c
-				}
+			if c := eb.Nodes[f.b].Children[bit]; c != NoChild {
+				cb = c
 			}
 			if ca < 0 && cb < 0 {
 				continue

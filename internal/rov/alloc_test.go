@@ -119,8 +119,11 @@ func TestValidateAllocs(t *testing.T) {
 // the index, its three slabs and the terminal list — no regrowth — and all it
 // allocates beyond what the finished index retains is that list.
 func TestIndexBuildAllocs(t *testing.T) {
-	vrps := newIndexFromVRPs(todayTable(t)).AppendVRPs(nil)
-	var ix *Index
+	ix := newIndexFromVRPs(todayTable(t))
+	vrps := ix.AppendVRPs(nil)
+	if got := testing.AllocsPerRun(5, func() { _ = ix.AppendVRPs(nil) }); got != 1 {
+		t.Errorf("AppendVRPs(nil) of %d VRPs: %v allocs, want the one it grows its result by", len(vrps), got)
+	}
 	allocs := testing.AllocsPerRun(5, func() { ix = newIndexFromVRPs(vrps) })
 	if allocs > 6 {
 		t.Errorf("an ordered build of %d VRPs: %v allocs, want at most 6", len(vrps), allocs)

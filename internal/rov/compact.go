@@ -138,43 +138,51 @@ func buildFamCompact(f *famCompact, src *famIndex, fam prefix.Family, srcEntries
 	// makes pass 2 append into place instead of relocating a slab that ends up
 	// many times the VRP count.
 	type keptFrame struct {
-		idx   int32         // in src.eng.Nodes
-		pfx   prefix.Prefix // the path walked to idx
-		above int32         // the last kept node on that path, in f.eng.Nodes
-		agg   int32         // the length of above's aggregate
+		idx    int32  // in src.eng.Nodes
+		plen   uint8  // the path walked to idx: its length and,
+		hi, lo uint64 // left-aligned, its bits
+		above  int32  // the last kept node on that path, in f.eng.Nodes
+		agg    int32  // the length of above's aggregate
 	}
 	f.eng.Init(2*src.size, cspan{})
 	total := 0
-	pending := make([]keptFrame, 0, 130)
-	for fr := (keptFrame{idx: src.root, pfx: f.eng.Nodes[0].Key(fam)}); fr.idx >= 0; {
-		nd := src.eng.Nodes[fr.idx] // by value: Alloc grows a slab
+	var pending [129]keptFrame // a second child per level of the deepest path
+	top := 0
+	// The frame in hand, one variable a field: the loop runs out of registers.
+	idx, plen, hi, lo, above, agg := src.root, uint8(0), uint64(0), uint64(0), int32(0), int32(0)
+	for idx >= 0 {
+		nd := src.eng.Nodes[idx] // by value: Alloc grows a slab
 		c0, c1 := nd.Children[0], nd.Children[1]
-		root := fr.pfx.Len() == 0
-		if root || nd.Val.n > 0 || (c0 != core.NoChild && c1 != core.NoChild) {
-			if root {
+		if plen == 0 || nd.Val.n > 0 || (c0 != core.NoChild && c1 != core.NoChild) {
+			if plen == 0 {
 				f.eng.Nodes[0].Val = cspan(nd.Val)
 			} else {
-				k := f.eng.Alloc(fr.pfx, cspan(nd.Val))
-				up := &f.eng.Nodes[fr.above]
-				up.Children[fr.pfx.Bit(up.PLen)] = k
-				fr.above = k
+				k := f.eng.Alloc(hi, lo, plen, cspan(nd.Val))
+				up := &f.eng.Nodes[above]
+				up.Children[core.AddrBit(hi, lo, up.PLen)] = k
+				above = k
 			}
-			fr.agg += nd.Val.n
-			total += int(fr.agg)
+			agg += nd.Val.n
+			total += int(agg)
+		}
+		if c1 != core.NoChild {
+			hi1, lo1 := oneChildKey(hi, lo, plen)
+			if c0 == core.NoChild {
+				idx, plen, hi, lo = c1, plen+1, hi1, lo1
+				continue
+			}
+			pending[top] = keptFrame{idx: c1, plen: plen + 1, hi: hi1, lo: lo1, above: above, agg: agg}
+			top++
 		}
 		switch {
 		case c0 != core.NoChild:
-			if c1 != core.NoChild {
-				pending = append(pending, keptFrame{idx: c1, pfx: fr.pfx.Child(1), above: fr.above, agg: fr.agg})
-			}
-			fr.idx, fr.pfx = c0, fr.pfx.Child(0)
-		case c1 != core.NoChild:
-			fr.idx, fr.pfx = c1, fr.pfx.Child(1)
-		case len(pending) > 0:
-			fr = pending[len(pending)-1]
-			pending = pending[:len(pending)-1]
+			idx, plen = c0, plen+1
+		case top > 0:
+			top--
+			fr := &pending[top]
+			idx, plen, hi, lo, above, agg = fr.idx, fr.plen, fr.hi, fr.lo, fr.above, fr.agg
 		default:
-			fr.idx = -1 // nothing pending: done
+			idx = -1 // nothing pending: done
 		}
 	}
 	*entries = slices.Grow(*entries, total)
@@ -227,10 +235,14 @@ func buildFamCompact(f *famCompact, src *famIndex, fam prefix.Family, srcEntries
 		nd := &f.eng.Nodes[idx]
 		switch {
 		case nd.PLen < f.stride:
-			base := nd.Hi >> f.shift
-			count := uint64(1) << (f.stride - nd.PLen)
-			for s := base; s < base+count; s++ {
-				f.slots[s].span = nd.Val
+			// Only an ancestor has painted this node's slots, all alike, and on
+			// one root path an aggregate as long as the node's is the same
+			// entries: most levels above the stride say "nothing here" again.
+			if base := nd.Hi >> f.shift; f.slots[base].span.n != nd.Val.n {
+				count := uint64(1) << (f.stride - nd.PLen)
+				for s := base; s < base+count; s++ {
+					f.slots[s].span = nd.Val
+				}
 			}
 			for bit := 1; bit >= 0; bit-- {
 				if c := nd.Children[bit]; c != core.NoChild {

@@ -296,6 +296,62 @@ func TestCompactIndexStride16(t *testing.T) {
 	}
 }
 
+// checkSlotSpans repaints cx's stride tables with the painter buildFamCompact's
+// pass 3 replaced — every node at or above the stride writes its aggregate
+// over its whole slot range, in pre-order, so a slot ends up with its deepest
+// covering one — and compares every slot's span by content: the build skips
+// the writes that would not change what a slot holds, so offsets may differ
+// where entries cannot.
+func checkSlotSpans(t *testing.T, name string, cx *CompactIndex) {
+	t.Helper()
+	for slot := range cx.fams {
+		f := &cx.fams[slot]
+		if f.slots == nil {
+			continue
+		}
+		want := make([]cspan, len(f.slots))
+		f.eng.Walk(0, func(idx int32) {
+			nd := &f.eng.Nodes[idx]
+			if nd.PLen > f.stride {
+				return
+			}
+			base := nd.Hi >> f.shift
+			for s := base; s < base+1<<(f.stride-nd.PLen); s++ {
+				want[s] = nd.Val
+			}
+		})
+		for s, w := range want {
+			g := f.slots[s].span
+			if !slices.Equal(cx.entries[g.off:g.off+g.n], cx.entries[w.off:w.off+w.n]) {
+				t.Fatalf("%s: %v slot %#x holds %v, painted always it holds %v", name, slotFamily(slot), s,
+					cx.entries[g.off:g.off+g.n], cx.entries[w.off:w.off+w.n])
+			}
+		}
+	}
+}
+
+// TestCompactSlotSpans runs checkSlotSpans on today's table (a 16-bit IPv4
+// table, an 8-bit IPv6 one) and on a table with entries at every level above
+// the stride, where a paint skipped wrongly would lose one.
+func TestCompactSlotSpans(t *testing.T) {
+	checkSlotSpans(t, "today", CompactFromIndex(newIndexFromVRPs(todayTable(t))))
+	rng := rand.New(rand.NewSource(61))
+	var vrps []rpki.VRP
+	for i := 0; i < strideCutoff+500; i++ {
+		l := uint8(rng.Intn(25)) // a third of them above /8, two thirds above /16
+		p, err := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: l, AS: rpki.ASN(rng.Intn(50))})
+	}
+	cx := CompactFromIndex(newIndexFromVRPs(vrps))
+	if cx.fams[0].stride != 16 {
+		t.Fatalf("IPv4 stride = %d, want 16", cx.fams[0].stride)
+	}
+	checkSlotSpans(t, "short prefixes", cx)
+}
+
 // TestCompactIndexEdgeCases covers the table shapes the stride/aggregate
 // machinery treats specially: empty tables, one-family tables, /0 and
 // maximum-length VRPs, and invalid query prefixes.

@@ -14,7 +14,9 @@ import (
 // share their arena lineage (path copying clones only the touched paths), so
 // the walk visits O(changed · prefix bits) nodes no matter how large the
 // table is; snapshots from unrelated builds — two different caches — share
-// nothing provable and pay one correct-but-linear dual walk instead. Either
+// nothing provable and pay one correct-but-linear dual walk instead, of what
+// both hold: a subtree only one of them has — the whole table, when the other
+// is a follower's empty one — costs a single walk of that side. Either
 // way the result is exact, which is what lets an RTR cache synthesize the
 // update between any two retained serials on demand, and a multi-cache
 // failover reconcile a carried table against a new cache by delta instead of
@@ -23,7 +25,8 @@ import (
 // Diff returns the delta that transforms old's table into nw's: announced
 // holds the VRPs present only in nw, withdrawn the VRPs present only in old.
 // Both snapshots stay untouched; the returned slices are freshly allocated
-// and never alias either index.
+// and never alias either index. A subtree one side lacks is walked, not
+// paired, and its entries go through the same per-prefix sort as any other.
 //
 // The output order is deterministic for a given pair of tables regardless of
 // how either index was built: canonical prefix order (IPv4 before IPv6,
@@ -34,6 +37,13 @@ import (
 func Diff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	if old == nw {
 		return nil, nil
+	}
+	// The sizes bound one side's result from below: a capacity hint, exact
+	// against an empty table; equal sizes allocate nothing until they differ.
+	if grew := nw.Len() - old.Len(); grew > 0 {
+		announced = make([]rpki.VRP, 0, grew)
+	} else if grew < 0 {
+		withdrawn = make([]rpki.VRP, 0, -grew)
 	}
 	for slot := range old.fams {
 		fo, fn := &old.fams[slot], &nw.fams[slot]

@@ -3,9 +3,11 @@ package rov
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
 
@@ -195,4 +197,64 @@ func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 	if gotA, gotW := Diff(before, l.Snapshot()); !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotW, wantW) {
 		t.Fatalf("Diff across a bulk Apply: +%d -%d, want the applied net delta +%d -%d", len(gotA), len(gotW), len(wantA), len(wantW))
 	}
+}
+
+// TestDiffOneSidedSubtrees pins what DiffWalk hands over to a single-trie walk
+// — a subtree only one side holds: everything under an empty table, a /12
+// block one table lacks — to the sorted-set difference, in order. Every span
+// of the table was filled in descending (AS, MaxLength) order, so an output
+// that kept span order instead of sorting within a prefix would show; the
+// pairs are taken over independent arenas and within one lineage, both ways
+// round.
+func TestDiffOneSidedSubtrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	block := mp("10.16.0.0/12")
+	table := randomTable(rng, 300)
+	for i := 0; i < 40; i++ { // the block: nested prefixes, three entries each
+		l := uint8(12 + rng.Intn(13))
+		p, err := prefix.Make(prefix.IPv4, (10<<24|16<<16|uint64(rng.Intn(1<<20)))<<32, 0, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 3; k++ {
+			table = append(table, rpki.VRP{Prefix: p, MaxLength: l + uint8(k), AS: rpki.ASN(100 + i%7 + 10*k)})
+		}
+	}
+	table = rpki.NewSet(table).VRPs() // distinct
+	sortVRPsCanonical(table)
+	slices.Reverse(table) // within a prefix: (AS, MaxLength) descending
+	var inBlock, rest []rpki.VRP
+	for _, v := range table {
+		if block.Contains(v.Prefix) {
+			inBlock = append(inBlock, v)
+		} else {
+			rest = append(rest, v)
+		}
+	}
+	if len(inBlock) < 100 || len(rest) < 250 {
+		t.Fatalf("the table has %d VRPs in the block and %d outside it", len(inBlock), len(rest))
+	}
+
+	check := func(name string, a, b *Index) {
+		t.Run(name, func(t *testing.T) {
+			checkDiffAgainstNaive(t, a, b)
+			checkDiffAgainstNaive(t, b, a)
+		})
+	}
+	empty, whole, lacking := newIndexFromVRPs(nil), newIndexFromVRPs(table), newIndexFromVRPs(rest)
+	check("independent/empty", empty, whole)
+	check("independent/block", lacking, whole)
+
+	// One lineage: the table, then the block, path-copied onto an empty table.
+	tab := NewTable(nil)
+	none := tab.Snapshot()
+	pathCopy(tab, rest, nil)
+	without := tab.Snapshot()
+	pathCopy(tab, inBlock, nil)
+	with := tab.Snapshot()
+	if !none.fams[0].eng.SharedArena(&with.fams[0].eng) {
+		t.Fatal("the path-copied snapshots do not share a lineage")
+	}
+	check("lineage/empty", none, with)
+	check("lineage/block", without, with)
 }

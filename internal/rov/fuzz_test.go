@@ -275,6 +275,8 @@ func FuzzCompactIndex(f *testing.F) {
 				t.Fatalf("CompactFromIndex(path-copied).Validate(%s, %v) = %v, reference %v", q.Prefix, q.Origin, got, want)
 			}
 		}
+		checkSlotSpans(t, "CompactFromIndex", cfi)
+		checkSlotSpans(t, "CompactFromIndex(path-copied)", cfs)
 		if got, want := cfs.AppendVRPs(nil), tab.Snapshot().AppendVRPs(nil); !slices.Equal(got, want) {
 			t.Fatalf("AppendVRPs: %d VRPs derived from the path-copied snapshot, which streams %d, or in another order", len(got), len(want))
 		}
@@ -307,6 +309,18 @@ func FuzzDiff(f *testing.F) {
 		1, 168, 122, 0, 0, 16, 0, 111, // withdraw the first
 		8, 32, 1, 13, 184, 32, 16, 200, // IPv6 announce
 	})
+	// An empty side: the snapshot is taken of a table emptied again (its dead
+	// chain still there), and everything after it is new.
+	f.Add([]byte{
+		0, 10, 1, 0, 0, 16, 0, 1, 1, 10, 1, 0, 0, 16, 0, 1,
+		0, 10, 1, 0, 0, 16, 2, 3, 0, 10, 1, 0, 0, 16, 1, 2, // one prefix, (AS, MaxLength) descending
+	})
+	// A one-sided subtree: 10/8 and below before the snapshot, a 192.168/16
+	// block only after it, two entries at one prefix in descending order.
+	f.Add([]byte{
+		0, 10, 0, 0, 0, 8, 0, 1, 0, 10, 1, 0, 0, 16, 0, 1, 0, 10, 1, 2, 0, 24, 0, 2,
+		0, 192, 168, 0, 0, 16, 0, 5, 0, 192, 168, 1, 0, 24, 1, 4, 0, 192, 168, 1, 0, 24, 0, 3,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		live := NewLiveIndex(rpki.NewSet(nil))
 		nops := len(data) / 8
@@ -328,9 +342,11 @@ func FuzzDiff(f *testing.F) {
 		}
 		nw := live.Snapshot()
 		checkDiffAgainstNaive(t, old, nw)
+		checkDiffAgainstNaive(t, nw, old)
 		// Independent rebuild of the same old table: linear path, same answer.
 		rebuilt := newIndexFromVRPs(old.AppendVRPs(nil))
 		checkDiffAgainstNaive(t, rebuilt, nw)
+		checkDiffAgainstNaive(t, nw, rebuilt)
 	})
 }
 

@@ -237,10 +237,11 @@ func (ix *Index) ValidateBatch(routes []Route, dst []State) []State {
 }
 
 // AppendVRPs appends the indexed VRP set to dst in per-family canonical
-// prefix order and returns the extended slice. Table compaction
-// rebuilds from it; callers can use it to export or diff a snapshot's
-// table without retaining the index.
+// prefix order and returns the extended slice, grown once to hold it. Table
+// compaction rebuilds from it; callers can use it to export or diff a
+// snapshot's table without retaining the index.
 func (ix *Index) AppendVRPs(dst []rpki.VRP) []rpki.VRP {
+	dst = slices.Grow(dst, ix.Len())
 	ix.VisitVRPs(func(v rpki.VRP) bool {
 		dst = append(dst, v)
 		return true
@@ -250,27 +251,70 @@ func (ix *Index) AppendVRPs(dst []rpki.VRP) []rpki.VRP {
 
 // VisitVRPs streams the indexed VRP set to fn in per-family canonical prefix
 // order without materializing a slice — the RTR server's full-table responses
-// encode each VRP as it is visited. fn returning false stops delivery (the
-// underlying walk still finishes, so an early stop saves fn calls, not
-// traversal).
+// encode each VRP as it is visited. fn returning false ends the visit: the
+// rest of the trie is not walked and fn is not called again.
 func (ix *Index) VisitVRPs(fn func(rpki.VRP) bool) {
-	stopped := false
 	for slot := range ix.fams {
-		f := &ix.fams[slot]
-		if stopped || len(f.eng.Nodes) == 0 {
-			continue
+		if len(ix.fams[slot].eng.Nodes) > 0 && !ix.visitFam(slot, fn) {
+			return
 		}
-		f.eng.Walk(f.root, rootPrefix(slot), func(idx int32, p prefix.Prefix) {
-			if stopped {
-				return
+	}
+}
+
+// oneChildKey returns the key of the 1-child of the node keyed by the plen-bit
+// prefix (hi, lo): the same bits with bit plen set.
+func oneChildKey(hi, lo uint64, plen uint8) (uint64, uint64) {
+	if plen < 64 {
+		return hi | 1<<(63-plen), lo
+	}
+	return hi, lo | 1<<(127-plen)
+}
+
+// visitFam is VisitVRPs over one family, reporting whether fn let it finish:
+// core.Engine.Walk's pre-order — step into a first child in place, push only a
+// second one — written out over the slab. The key travels as (hi, lo, len) and
+// becomes a prefix.Prefix only where a span holds entries, one node in six.
+func (ix *Index) visitFam(slot int, fn func(rpki.VRP) bool) bool {
+	type frame struct {
+		idx    int32
+		plen   uint8
+		hi, lo uint64
+	}
+	var pending [129]frame // a second child per level of the deepest path
+	fam, nodes, top := slotFamily(slot), ix.fams[slot].eng.Nodes, 0
+	for at := (frame{idx: ix.fams[slot].root}); at.idx >= 0; {
+		nd := &nodes[at.idx]
+		if sp := nd.Val; sp.n > 0 {
+			p, err := prefix.Make(fam, at.hi, at.lo, at.plen)
+			if err != nil {
+				panic(err) // unreachable: the path walked is a prefix of fam
 			}
-			sp := f.eng.Nodes[idx].Val
 			for _, e := range ix.entries[sp.off : sp.off+sp.n] {
 				if !fn(rpki.VRP{Prefix: p, MaxLength: e.maxLength, AS: e.as}) {
-					stopped = true
-					return
+					return false
 				}
 			}
-		})
+		}
+		c0, c1 := nd.Children[0], nd.Children[1]
+		if c1 != core.NoChild {
+			one := frame{idx: c1, plen: at.plen + 1}
+			one.hi, one.lo = oneChildKey(at.hi, at.lo, at.plen)
+			if c0 == core.NoChild {
+				at = one
+				continue
+			}
+			pending[top] = one
+			top++
+		}
+		switch {
+		case c0 != core.NoChild:
+			at.idx, at.plen = c0, at.plen+1
+		case top > 0:
+			top--
+			at = pending[top]
+		default:
+			at.idx = -1 // nothing pending: done
+		}
 	}
+	return true
 }

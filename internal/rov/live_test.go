@@ -424,6 +424,62 @@ func TestApplyBulk(t *testing.T) {
 	}
 }
 
+// TestApplyBulkIntoEmpty pins the first full sync — a bulk delta into an empty
+// table with nothing withdrawn, which is built straight from the announce list
+// — to the general path's semantics: repeats count once; a delta that also
+// withdraws takes the general path and withdraw still wins; and a delta that
+// leaves the table empty publishes nothing.
+func TestApplyBulkIntoEmpty(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	table := randomTable(rng, 200)
+	repeated := append(append(append([]rpki.VRP(nil), table...), table[:50]...), table[199])
+
+	tab := NewTable(nil)
+	tab.Apply(repeated, nil)
+	if got := tab.Snapshot().AppendVRPs(nil); tab.Len() != len(table) || !rpki.NewSet(got).Equal(rpki.NewSet(table)) || len(got) != len(table) {
+		t.Fatalf("announce with repeats into an empty table: Len %d, %d VRPs streamed; want %d distinct", tab.Len(), len(got), len(table))
+	}
+	checkSameSlabs(t, "the bulk build", tab.Snapshot(), newIndexFromVRPs(repeated))
+
+	tab = NewTable(nil)
+	tab.Apply(repeated, []rpki.VRP{table[7], table[199], markerVRP(3)})
+	want := rpki.NewSet(slices.DeleteFunc(slices.Clone(table), func(v rpki.VRP) bool { return v == table[7] || v == table[199] }))
+	if got := rpki.NewSet(tab.Snapshot().AppendVRPs(nil)); !got.Equal(want) {
+		t.Fatalf("announce into an empty table with two of its VRPs withdrawn: %d VRPs, want %d", got.Len(), want.Len())
+	}
+
+	tab = NewTable(nil)
+	before := tab.Snapshot()
+	tab.Apply([]rpki.VRP{table[0], table[0]}, []rpki.VRP{table[0]})
+	tab.mu.Lock()
+	published := tab.applyBulk(before, nil, nil)
+	tab.mu.Unlock()
+	if published || tab.Snapshot() != before {
+		t.Fatal("a bulk delta that leaves an empty table empty replaced the published snapshot")
+	}
+}
+
+// TestVisitVRPsStops pins the early stop: once fn has returned false it is
+// not called again and the visit returns — whichever family the stop falls in.
+func TestVisitVRPsStops(t *testing.T) {
+	ix := newIndexFromVRPs(randomTable(rand.New(rand.NewSource(97)), 60)) // a third of it IPv6
+	all := ix.AppendVRPs(nil)
+	v4 := ix.fams[0].size
+	if v4 < 10 || len(all)-v4 < 10 {
+		t.Fatalf("the table holds %d IPv4 and %d IPv6 VRPs", v4, len(all)-v4)
+	}
+	for _, stopAt := range []int{0, 5, v4 - 1, v4, v4 + 5, len(all) - 1} {
+		var seen []rpki.VRP
+		ix.VisitVRPs(func(v rpki.VRP) bool {
+			seen = append(seen, v)
+			return len(seen) <= stopAt
+		})
+		if !slices.Equal(seen, all[:stopAt+1]) {
+			t.Fatalf("stopped at VRP %d: fn saw %d VRPs, want the first %d", stopAt, len(seen), stopAt+1)
+		}
+	}
+}
+
 // TestBulkApplyAgainstReadersAndCompaction runs the build path against what
 // shares the table with it (under -race): readers holding a pre-bulk
 // snapshot keep their answers, and a replacement that lands while a

@@ -73,7 +73,12 @@ type Table struct {
 // 16.2 ms against 11.0 ms at 1/2, 31.6 ms against 15.2 ms at 1. The finger
 // builder took a quarter off both sides (11.9 → 9.1 ms at 1/3; 21.0 → 16.2 ms
 // at 1/2, which ends in a compaction's rebuild), so the crossover stays
-// between the same two swept points and the constant where it was.
+// between the same two swept points and the constant where it was. Swept
+// again when a bulk delta into an *empty* table stopped copying anything (PR
+// 24; a busier host, medians of three alternated runs): 6.0 against 10.1 ms
+// at 1/3, 17.3 against 11.9 at 1/2, 34.4 against 15.2 at 1 — the three points
+// read as at the parent (5.6/10.2, 16.3/11.7, 33.7/16.0), since a table that
+// holds anything takes the path it took.
 const bulkDivisor = 2
 
 // NewTable builds a table over vrps (a repeated VRP counts once).
@@ -135,6 +140,14 @@ func (t *Table) publish(nw *Index, replaced bool, announce, withdraw []rpki.VRP)
 // into fresh slabs and replaces old's, unless the delta nets to nothing. It
 // reports whether it published. Callers hold mu.
 func (t *Table) applyBulk(old *Index, announce, withdraw []rpki.VRP) bool {
+	if old.Len() == 0 && len(withdraw) == 0 {
+		// A first full sync: nothing to keep or look up; the build dedups.
+		nw := newIndexFromVRPs(announce)
+		if nw.Len() > 0 {
+			t.replace(nw)
+		}
+		return nw.Len() > 0
+	}
 	gone := make(map[rpki.VRP]struct{}, len(withdraw))
 	for _, v := range withdraw {
 		gone[v] = struct{}{}
@@ -217,7 +230,7 @@ func (t *Table) compact(src *Index, hook func()) {
 	if hook != nil {
 		hook()
 	}
-	rebuilt := newIndexFromVRPs(src.AppendVRPs(make([]rpki.VRP, 0, src.Len())))
+	rebuilt := newIndexFromVRPs(src.AppendVRPs(nil))
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.compacting = false

@@ -4,6 +4,8 @@ package rtr
 
 import (
 	"bufio"
+	"io"
+	"net"
 	"runtime/debug"
 	"testing"
 
@@ -42,4 +44,38 @@ func TestSerialAnswerAllocs(t *testing.T) {
 	if got > diff+fixed {
 		t.Errorf("a 5,000-prefix Serial Query answer: %v allocs, of which rov.Diff %v; want at most %d more", got, diff, fixed)
 	}
+}
+
+// TestClientResetAllocs pins a full sync at a constant number of allocations
+// on the router's side, whatever the table's size: 4,096 Prefix PDUs arrive
+// over a net.Pipe from a goroutine that writes one pre-encoded response, and
+// the client — dispatch loop, staging slice, the session table's build — must
+// make fewer than 256 allocations of it. Decoding each PDU into a scratch
+// array and a Prefix of its own made 8,200. Not built under -race.
+func TestClientResetAllocs(t *testing.T) {
+	const n = 4096
+	resp := fullResponse(t, 0x5eed, 9, bigVRPSet(n).VRPs())
+	query := make([]byte, 8)
+	got := testing.AllocsPerRun(5, func() {
+		router, cache := net.Pipe()
+		defer cache.Close()
+		go func() {
+			if _, err := io.ReadFull(cache, query); err == nil {
+				_, _ = cache.Write(resp) // a short write fails the sync below
+			}
+		}()
+		c := NewClient(router)
+		if err := c.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if c.Len() != n {
+			t.Fatalf("synced %d VRPs, want %d", c.Len(), n)
+		}
+		c.Close()
+		<-c.Done()
+	})
+	if got >= 256 {
+		t.Errorf("a full sync of %d Prefix PDUs: %v allocs on the client's side, want fewer than 256", n, got)
+	}
+	t.Logf("a full sync of %d Prefix PDUs: %v allocs", n, got)
 }

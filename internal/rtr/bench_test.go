@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/rov"
 	"repro/internal/rpki"
+	"repro/internal/synth"
 )
 
 // discardConn is a net.Conn that swallows writes: the full-response
@@ -113,4 +116,42 @@ func BenchmarkClientReset(b *testing.B) {
 		reads += cc.reads.Load()
 	}
 	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
+}
+
+// BenchmarkColdStart measures a follower's cold start, wired as cmd/rtrclient
+// -follow wires one: a cache serving today's compressed table (Table 1's
+// status-quo row, 33,615 PDUs) on loopback, a MultiSupervisor with one
+// upstream, a LiveIndex subscribed with Apply. An iteration runs from Run to
+// the first delivery applied — stream, decode, the session table's build, the
+// delivery's diff, the consumer's build and its compact half.
+func BenchmarkColdStart(b *testing.B) {
+	table, _ := core.Compress(synth.Generate(synth.Params6_1()).VRPs, core.Options{})
+	srv := NewServer(table)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go func() { _ = srv.Serve(l) }() // returns when Close closes the listener
+	defer srv.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		live := rov.NewLiveIndex(rpki.NewSet(nil))
+		applied := make(chan struct{}, 1)
+		ms := NewMultiSupervisor(Upstream{Name: "cache", Dial: func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }})
+		ms.Subscribe(func(announced, withdrawn []rpki.VRP) {
+			live.Apply(announced, withdrawn)
+			applied <- struct{}{}
+		})
+		done := make(chan error, 1)
+		go func() { done <- ms.Run() }()
+		<-applied
+		b.StopTimer()
+		if live.Len() != table.Len() {
+			b.Fatalf("follower holds %d VRPs, want %d", live.Len(), table.Len())
+		}
+		ms.Stop()
+		<-done
+		b.StartTimer()
+	}
 }

@@ -2,6 +2,7 @@ package rtr
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -24,7 +25,8 @@ import (
 // A single dispatch goroutine, started by NewClient, owns ReadPDU for the
 // connection's lifetime, and with it the read buffer the socket is drained
 // through: one read(2) brings in whatever the cache has sent, up to
-// readBufSize, and PDUs are decoded out of the buffer. It reads whole PDUs
+// readBufSize, and PDUs are decoded out of the buffer — a well-formed Prefix
+// PDU where it lies (readBuffered), the rest by ReadPDU. It reads whole PDUs
 // and routes each one: Serial Notify PDUs go to the coalescing channel
 // returned by Notify, everything else belongs to the at-most-one in-flight
 // Sync/Reset exchange. No other goroutine ever reads from the connection or
@@ -398,15 +400,19 @@ const readBufSize = 4 << 10
 // socket and the buffer in front of it — for the connection's lifetime,
 // routing Serial Notifies to the notify channel and everything else to the
 // in-flight exchange. The buffer changes how many bytes a read(2) returns,
-// not who reads or when a PDU is complete: ReadPDU still consumes exactly one
+// not who reads or when a PDU is complete: a call still consumes exactly one
 // PDU, blocking mid-PDU only for bytes the cache has yet to send, and
-// Close/fail still unblock it by closing the socket. It exits — closing Done
-// — on the first read error or protocol violation.
+// Close/fail still unblock it by closing the socket. Prefix PDUs — the bulk of
+// a table-sized response — are decoded in the buffer into one reused Prefix;
+// the two or three other PDUs of an exchange, and anything malformed, take
+// ReadPDU, whose errors are the protocol's (readBuffered). It exits — closing
+// Done — on the first read error or protocol violation.
 func (c *Client) dispatch() {
 	defer close(c.done)
 	br := bufio.NewReaderSize(c.conn, readBufSize)
+	var pp Prefix // every Prefix PDU decoded in place: advance copies the VRP out
 	for {
-		pdu, version, err := ReadPDU(br)
+		pdu, version, err := readBuffered(br, &pp)
 		if err != nil {
 			c.fail(err)
 			return
@@ -439,6 +445,30 @@ func (c *Client) dispatch() {
 			req.finish(exchErr)
 		}
 	}
+}
+
+// readBuffered is dispatch's ReadPDU. A full response is Prefix PDUs but for
+// two, and ReadPDU pays each a scratch array and a Prefix: 67,000 allocations
+// a sync of today's table. One that is well framed — version 0 or 1, length
+// exactly 20 or 32, its body a valid VRP — is decoded where it lies in br's
+// buffer, into pp (valid until the next call), and discarded. Any other PDU,
+// and a Prefix PDU with anything wrong with it, is ReadPDU's with nothing
+// consumed — Peek waits for the bytes ReadPDU would wait for, and on its error
+// the stream fails in ReadPDU as it always has — so every error, every
+// ProtocolError.Code and the framing, exactly one PDU a call, are ReadPDU's.
+func readBuffered(br *bufio.Reader, pp *Prefix) (PDU, byte, error) {
+	if hdr, err := br.Peek(headerLen); err == nil && (hdr[0] == Version0 || hdr[0] == Version1) &&
+		(hdr[1] == TypeIPv4Prefix || hdr[1] == TypeIPv6Prefix) {
+		fam, n := prefixBody(hdr[1])
+		if n += headerLen; binary.BigEndian.Uint32(hdr[4:]) == uint32(n) {
+			if b, err := br.Peek(n); err == nil && pp.parseBody(b[headerLen:], fam) == nil {
+				version := b[0]
+				_, _ = br.Discard(n) // cannot fail: Peek has shown the bytes buffered
+				return pp, version, nil
+			}
+		}
+	}
+	return ReadPDU(br)
 }
 
 // idleError classifies a non-notify PDU received outside any exchange.
@@ -487,6 +517,8 @@ func (c *Client) advance(req *request, pdu PDU, version byte) (finished bool, ex
 	}
 	switch p := pdu.(type) {
 	case *Prefix:
+		// p is dispatch's one Prefix, overwritten by the next PDU: the VRP is
+		// copied out here and nothing may keep the pointer.
 		if p.Flags&FlagAnnounce != 0 {
 			req.announced = append(req.announced, p.VRP)
 		} else {

@@ -2,14 +2,25 @@ package rtr
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/rpki"
 )
 
 // FuzzReadPDU checks the PDU parser never panics on arbitrary bytes and
-// that everything it accepts re-serializes and re-parses identically.
+// that everything it accepts re-serializes and re-parses identically — and
+// that the client's reader, which decodes a well-formed Prefix PDU in its
+// buffer, makes of the same bytes what ReadPDU does: as one stream of PDUs,
+// alone and 12 bytes short of the buffer's edge, however it is delivered.
 func FuzzReadPDU(f *testing.F) {
+	var lead []byte // 4,084 bytes of whole PDUs
+	for i := 0; i < 203; i++ {
+		lead = append(lead, encode(f, Version1, &Prefix{Flags: FlagAnnounce, VRP: rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 1}})...)
+	}
+	for i := 0; i < 3; i++ {
+		lead = append(lead, encode(f, Version1, &ResetQuery{})...)
+	}
 	// Seed with every valid PDU kind.
 	seedPDUs := []PDU{
 		&SerialNotify{SessionID: 1, Serial: 2},
@@ -32,6 +43,11 @@ func FuzzReadPDU(f *testing.F) {
 	}
 	f.Add([]byte{1, 99, 0, 0, 0, 0, 0, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		atEdge := append(slices.Clone(lead), data...)
+		for _, d := range deliveries {
+			checkSameDecode(t, d.name, data, 0, d.mk)
+			checkSameDecode(t, d.name+", at the buffer's edge", atEdge, len(lead), d.mk)
+		}
 		pdu, version, err := ReadPDU(bytes.NewReader(data))
 		if err != nil {
 			return

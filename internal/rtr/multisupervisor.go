@@ -97,7 +97,8 @@ type MultiSupervisor struct {
 	// delivered is the table subscribers currently hold and served the rank
 	// of the upstream it came from (-1 before the first delivery); reconcile
 	// diffs the serving upstream's table against delivered. It starts empty:
-	// the first delivery is the whole table as one announce delta.
+	// the first delivery is the whole table as one announce delta. Nil after
+	// Stop.
 	delivered *rov.Index
 	served    int
 	switches  int
@@ -142,7 +143,7 @@ type upstream struct {
 	m    *MultiSupervisor
 	rank int
 	// table is the cache's synchronized table: every client of this upstream
-	// commits into it, and reconcile diffs its snapshots.
+	// commits into it, and reconcile diffs its snapshots. Nil after Stop.
 	table *rov.Table
 	// session is what the next connection resumes from; nil starts over
 	// with a Reset Query. Touched only by the upstream's goroutine.
@@ -357,7 +358,11 @@ func (m *MultiSupervisor) begin() (bool, error) {
 }
 
 // Stop terminates every upstream's loop — closing the live connections to
-// unblock any in-flight exchange — and waits for Run to return.
+// unblock any in-flight exchange — and waits for Run to return. A stopped
+// supervisor cannot run again and nothing reads its tables any more, so it
+// lets go of them: whoever still holds it — for its Stats, or while the
+// follower that replaces it starts from nothing — pins a table per upstream
+// no longer (3.65 MB each at today's 33,615 VRPs).
 func (m *MultiSupervisor) Stop() {
 	m.mu.Lock()
 	if !m.stopped {
@@ -378,6 +383,14 @@ func (m *MultiSupervisor) Stop() {
 	if running {
 		<-m.doneCh
 	}
+	// Every upstream goroutine has exited, or — stopped before Run — none
+	// will start: connect and reconcile were the tables' only readers.
+	m.mu.Lock()
+	for _, u := range m.ups {
+		u.table = nil
+	}
+	m.delivered = nil
+	m.mu.Unlock()
 }
 
 func (m *MultiSupervisor) isStopped() bool {

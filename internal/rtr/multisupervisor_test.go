@@ -437,6 +437,56 @@ func TestHealthyAfterFailoverKeepsStandbyClock(t *testing.T) {
 	}
 }
 
+// TestStopReleasesTables: a stopped supervisor somebody still holds — for its
+// Stats, or while the follower replacing it starts from nothing — pins no
+// table: each upstream's and the delivered one are let go once Run has
+// returned, the accessors keep answering, and a Stop before Run does the same.
+func TestStopReleasesTables(t *testing.T) {
+	table := testVRPs()
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv := NewServer(table)
+		defer srv.Close()
+		addrs = append(addrs, serve(t, srv, ""))
+	}
+	f := startFollower(addrs...)
+	waitFor(t, func() bool {
+		st := f.m.Stats().Upstreams
+		return liveTable(f.live).Equal(table) && st[0].Up && st[1].Up
+	})
+	if f.m.delivered.Len() != table.Len() || f.m.ups[1].table.Len() != table.Len() {
+		t.Fatalf("running: delivered %d, standby %d VRPs, want %d", f.m.delivered.Len(), f.m.ups[1].table.Len(), table.Len())
+	}
+	f.stop(t)
+	f.m.Stop() // a second Stop finds nothing left to release
+	if f.m.delivered != nil {
+		t.Error("a stopped supervisor still holds the delivered table")
+	}
+	for _, u := range f.m.ups {
+		if u.table != nil {
+			t.Errorf("a stopped supervisor still holds upstream %s's table", u.Name)
+		}
+	}
+	if st := f.m.Stats(); len(st.Upstreams) != 2 || st.Upstreams[0].Generations != 1 {
+		t.Errorf("Stats after Stop: %+v", st)
+	}
+	if f.m.Active() != 0 || !f.m.Healthy() {
+		t.Errorf("after Stop: active %d healthy %v, want what the last delivery left", f.m.Active(), f.m.Healthy())
+	}
+	if !liveTable(f.live).Equal(table) {
+		t.Error("the subscriber's table changed with Stop")
+	}
+
+	early := NewMultiSupervisor(Upstream{Name: "never dialled", Dial: func() (net.Conn, error) { return nil, errors.New("dialled") }})
+	early.Stop()
+	if early.delivered != nil || early.ups[0].table != nil {
+		t.Error("a supervisor stopped before Run still holds its tables")
+	}
+	if err := early.Run(); err != nil || early.Stats().Upstreams[0].Dials != 0 {
+		t.Errorf("Run after Stop: %v, %d dials; want nil and none", err, early.Stats().Upstreams[0].Dials)
+	}
+}
+
 // TestStopLeavesNoGoroutine is the runtime counterpart of reprolint's
 // goroleak: after followers with one and two upstreams have gone through a
 // cache kill/restart cycle, Stop — plus closing the caches — must return

@@ -382,16 +382,16 @@ func ReadPDU(r io.Reader) (PDU, byte, error) {
 			return nil, version, err
 		}
 		return &CacheResponse{SessionID: sess}, version, nil
-	case TypeIPv4Prefix:
-		if err := need(12); err != nil {
+	case TypeIPv4Prefix, TypeIPv6Prefix:
+		fam, n := prefixBody(pduType)
+		if err := need(n); err != nil {
 			return nil, version, err
 		}
-		return parsePrefixPDU(body, prefix.IPv4, version)
-	case TypeIPv6Prefix:
-		if err := need(24); err != nil {
+		p := new(Prefix)
+		if err := p.parseBody(body, fam); err != nil {
 			return nil, version, err
 		}
-		return parsePrefixPDU(body, prefix.IPv6, version)
+		return p, version, nil
 	case TypeEndOfData:
 		if version == Version0 {
 			if err := need(4); err != nil {
@@ -432,7 +432,18 @@ func ReadPDU(r io.Reader) (PDU, byte, error) {
 	}
 }
 
-func parsePrefixPDU(body []byte, fam prefix.Family, version byte) (PDU, byte, error) {
+// prefixBody returns the address family and the body length of the Prefix
+// PDU type t (TypeIPv4Prefix or TypeIPv6Prefix).
+func prefixBody(t byte) (prefix.Family, int) {
+	if t == TypeIPv4Prefix {
+		return prefix.IPv4, 12
+	}
+	return prefix.IPv6, 24
+}
+
+// parseBody sets p from a Prefix PDU's body (prefixBody's length): the one
+// parser of it, ReadPDU's and the client's in-buffer decode's (readBuffered).
+func (p *Prefix) parseBody(body []byte, fam prefix.Family) error {
 	flags, plen, maxLen := body[0], body[1], body[2]
 	var hi, lo uint64
 	var as rpki.ASN
@@ -444,15 +455,16 @@ func parsePrefixPDU(body []byte, fam prefix.Family, version byte) (PDU, byte, er
 		lo = binary.BigEndian.Uint64(body[12:])
 		as = rpki.ASN(binary.BigEndian.Uint32(body[20:]))
 	}
-	p, err := prefix.Make(fam, hi, lo, plen)
+	pfx, err := prefix.Make(fam, hi, lo, plen)
 	if err != nil {
-		return nil, version, protoErr(ErrCorruptData, "bad prefix in PDU: %v", err)
+		return protoErr(ErrCorruptData, "bad prefix in PDU: %v", err)
 	}
-	v := rpki.VRP{Prefix: p, MaxLength: maxLen, AS: as}
+	v := rpki.VRP{Prefix: pfx, MaxLength: maxLen, AS: as}
 	if err := v.Validate(); err != nil {
-		return nil, version, protoErr(ErrCorruptData, "bad VRP in PDU: %v", err)
+		return protoErr(ErrCorruptData, "bad VRP in PDU: %v", err)
 	}
-	return &Prefix{Flags: flags & FlagAnnounce, VRP: v}, version, nil
+	p.Flags, p.VRP = flags&FlagAnnounce, v
+	return nil
 }
 
 func parseErrorReport(body []byte, code uint16, version byte) (PDU, byte, error) {

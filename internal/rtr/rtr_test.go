@@ -1,9 +1,12 @@
 package rtr
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -816,5 +819,58 @@ func TestUpdateSetApplyDeltaInterleaved(t *testing.T) {
 	if !follower.Set().Equal(want) || follower.FullSyncs() != 1 {
 		t.Fatalf("follower ended at serial %d (cache %d) after %d full syncs, %d VRPs against the cache's %d",
 			follower.Serial(), srv.Serial(), follower.FullSyncs(), follower.Len(), want.Len())
+	}
+}
+
+// captureConn is a net.Conn that keeps what is written to it.
+type captureConn struct {
+	discardConn
+	buf bytes.Buffer
+}
+
+func (c *captureConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+// TestNewServerLeavesItsArgumentAlone pins the two halves of NewServer's
+// ordering: the set it was given — shared with the caller, AS-major — is
+// element for element what it was, and the table built from it streams its
+// first full response in canonical prefix order, one prefix's VRPs by (AS,
+// MaxLength).
+func TestNewServerLeavesItsArgumentAlone(t *testing.T) {
+	var vrps []rpki.VRP
+	for i := 0; i < 400; i++ { // many origins a prefix, many prefixes an origin
+		p := mp(fmt.Sprintf("10.%d.%d.0/24", i%7, i%31))
+		vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: 24 + uint8(i%3), AS: rpki.ASN(64500 + i%11)})
+	}
+	vrps = append(vrps, rpki.VRP{Prefix: mp("2001:db8::/32"), MaxLength: 48, AS: 64500}, rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 64510})
+	set := rpki.NewSet(vrps)
+	before := slices.Clone(set.VRPs())
+	srv := NewServer(set)
+	defer srv.Close()
+	if !slices.Equal(set.VRPs(), before) {
+		t.Fatal("NewServer reordered the set it was given")
+	}
+
+	wire := &captureConn{}
+	if err := srv.streamFull(&conn{c: wire, bw: bufio.NewWriterSize(wire, 4096), version: Version1, state: connActive}, Version1); err != nil {
+		t.Fatal(err)
+	}
+	var streamed []rpki.VRP
+	for wire.buf.Len() > 0 {
+		pdu, _, err := ReadPDU(&wire.buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, ok := pdu.(*Prefix); ok {
+			streamed = append(streamed, p.VRP)
+		}
+	}
+	if len(streamed) != set.Len() {
+		t.Fatalf("the first full response carries %d VRPs, want %d", len(streamed), set.Len())
+	}
+	for i := 1; i < len(streamed); i++ {
+		a, b := streamed[i-1], streamed[i]
+		if c := a.Prefix.Compare(b.Prefix); c > 0 || c == 0 && a.Compare(b) >= 0 {
+			t.Fatalf("the first full response is out of order at %d: %v before %v", i, a, b)
+		}
 	}
 }
