@@ -54,10 +54,11 @@ var lineageCounter atomic.Uint64
 
 // SharedArena reports whether e and o grew from the same Init call — one
 // append-only slab history. Combined with the path-copying discipline
-// (published nodes are never written again; updates clone onto the slab
-// tail), it yields the subtree-identity predicate a structural diff needs:
-// for two snapshots of a shared arena, equal node indices refer to
-// byte-identical subtrees, so a walker can skip them without descending.
+// (updates clone onto the slab tail; a node is written only before its
+// first publication, never after), it yields the subtree-identity predicate
+// a structural diff needs: for two published snapshots of a shared arena,
+// equal node indices refer to byte-identical subtrees, so a walker can skip
+// them without descending.
 func (e *Engine[V]) SharedArena(o *Engine[V]) bool {
 	return e.lineage != 0 && e.lineage == o.lineage
 }
@@ -80,8 +81,10 @@ func (e *Engine[V]) Alloc(v V) int32 {
 }
 
 // Clone appends a copy of node idx — children included — and returns the
-// copy's index. rov.LiveIndex builds persistent-update paths with it: the
-// original node stays valid for snapshots that still reference it.
+// copy's index. rov.Table builds persistent-update paths with it, cloning a
+// published node once per delta and writing the copy in place for the rest
+// of that delta: the original stays valid for snapshots that still reference
+// it.
 func (e *Engine[V]) Clone(idx int32) int32 {
 	c := int32(len(e.Nodes))
 	e.Nodes = append(e.Nodes, e.Nodes[idx])
@@ -169,10 +172,11 @@ type dualFrame struct {
 // slab indices at that prefix; -1 marks the side where the node is absent.
 // at is the prefix of both roots; visits arrive in canonical prefix order.
 //
-// The skip rule is SharedArena: when both engines carry the same lineage,
-// equal indices mean byte-identical subtrees (path copying never rewrites a
-// published node), so the walk touches only paths cloned between the two
-// snapshots — O(changed · prefix bits), independent of table size. Engines
+// The skip rule is SharedArena: when both engines carry the same lineage and
+// both snapshots are published, equal indices mean byte-identical subtrees
+// (path copying writes a node only before its first publication), so the
+// walk touches only paths cloned between the two snapshots — O(changed ·
+// prefix bits), independent of table size. Engines
 // from unrelated arenas share nothing provable and get the correct-but-linear
 // full dual walk — of what both hold: a subtree only one side has (a table
 // against an empty one, a block one cache lacks, a newly path-copied chain)

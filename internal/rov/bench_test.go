@@ -140,16 +140,38 @@ func BenchmarkCompactValidateBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkLiveApply measures one announce+withdraw delta pair against a
-// 50k-VRP live table: cost must track the delta, not the table.
+// BenchmarkLiveApply measures one announce+withdraw delta pair against a live
+// table: cost must track the delta, not the table. one is a single /24 into
+// the 50k-VRP table; clustered8 is roa_change's delta — eight /24s of one /21
+// — into today's table, where a pair path-copies the union of the eight paths
+// twice. garbage-nodes/op is what one pair leaves for compaction, counted
+// before the timed loop on paths an earlier pair has created, as they are in a
+// table that has seen the edit before.
 func BenchmarkLiveApply(b *testing.B) {
-	l := NewLiveIndex(benchSet())
-	v := rpki.VRP{Prefix: prefix.MustParse("198.51.100.0/24"), MaxLength: 24, AS: 64511}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Apply([]rpki.VRP{v}, nil)
-		l.Apply(nil, []rpki.VRP{v})
+	for _, c := range []struct {
+		name  string
+		table *rpki.Set
+		delta []rpki.VRP
+	}{
+		{"one", benchSet(), []rpki.VRP{{Prefix: prefix.MustParse("198.51.100.0/24"), MaxLength: 24, AS: 64511}}},
+		{"clustered8", rpki.NewSet(benchSet().VRPs()[:todaySize]), clustered8(the21, 64511)},
+	} {
+		l := NewLiveIndex(c.table)
+		pair := func() {
+			l.Apply(c.delta, nil)
+			l.Apply(nil, c.delta)
+		}
+		pair()
+		before, _ := garbage(&l.tab)
+		pair()
+		after, _ := garbage(&l.tab)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pair()
+			}
+			b.ReportMetric(float64(after-before), "garbage-nodes/op")
+		})
 	}
 }
 

@@ -10,17 +10,19 @@ import (
 
 // This file is the structural snapshot diff: the delta between two published
 // Index snapshots, computed by walking both tries in lockstep and skipping
-// every subtree the two provably share. Snapshots from one Table history
-// share their arena lineage (path copying clones only the touched paths), so
-// the walk visits O(changed · prefix bits) nodes no matter how large the
-// table is; snapshots from unrelated builds — two different caches — share
-// nothing provable and pay one correct-but-linear dual walk instead, of what
-// both hold: a subtree only one of them has — the whole table, when the other
-// is a follower's empty one — costs a single walk of that side. Either
-// way the result is exact, which is what lets an RTR cache synthesize the
-// update between any two retained serials on demand, and a multi-cache
-// failover reconcile a carried table against a new cache by delta instead of
-// a rebuild.
+// every subtree the two provably share. Snapshots a Table published between
+// two of its rebuilds share their arena lineage (path copying clones only
+// the touched paths), so the walk visits O(changed · prefix bits) nodes no
+// matter how large the table is. A rebuild — a compaction, ResetTo, a bulk
+// Apply — starts a new lineage: a snapshot from before it and one from after
+// share nothing provable, exactly as two unrelated builds (two different
+// caches) do, and pay one correct-but-linear dual walk instead, of what both
+// hold (≈ 4 ms at 33,615 VRPs): a subtree only one of them has — the whole
+// table, when the other is a follower's empty one — costs a single walk of
+// that side. Either way the result is exact, which is what lets an RTR cache
+// synthesize the update between any two retained serials on demand, and a
+// multi-cache failover reconcile a carried table against a new cache by
+// delta instead of a rebuild.
 
 // Diff returns the delta that transforms old's table into nw's: announced
 // holds the VRPs present only in nw, withdrawn the VRPs present only in old.

@@ -296,12 +296,17 @@ func FuzzCompactIndex(f *testing.F) {
 }
 
 // FuzzDiff drives a LiveIndex with a fuzzer-chosen announce/withdraw stream
-// (the FuzzIndex op encoding, minus queries), snapshots the table halfway
-// through, and pins Diff between the snapshot and the final table — and
-// between an independent rebuild of the snapshot's table and the final
-// table — bit-identical to the naive sorted-set difference. The first pair
-// shares an arena lineage (the structural fast path); the rebuilt pair does
-// not (the linear fallback); both must agree with the reference exactly.
+// (the FuzzIndex op encoding, minus queries; tag%2 selects the op) and keeps
+// the snapshot after every delta beside the table it should hold. An op
+// carrying tag bit 4 continues the open delta — one Apply of many VRPs, which
+// path-copies each node once however many of its prefixes share it — and one
+// without starts the next. At the end every kept snapshot must still hold its
+// table, and Diff between the first, middle and last snapshots, between each
+// consecutive pair, and between an independent rebuild of the middle one's
+// table and the last must be bit-identical to the naive sorted-set
+// difference: pairs on one arena lineage take the structural fast path, the
+// rebuilt pair (and any pair across a compaction or a bulk delta) the linear
+// fallback.
 func FuzzDiff(f *testing.F) {
 	f.Add([]byte{
 		0, 168, 122, 0, 0, 16, 0, 111, // announce 168.122.0.0/16-16 => AS111
@@ -321,32 +326,94 @@ func FuzzDiff(f *testing.F) {
 		0, 10, 0, 0, 0, 8, 0, 1, 0, 10, 1, 0, 0, 16, 0, 1, 0, 10, 1, 2, 0, 24, 0, 2,
 		0, 192, 168, 0, 0, 16, 0, 5, 0, 192, 168, 1, 0, 24, 1, 4, 0, 192, 168, 1, 0, 24, 0, 3,
 	})
+	// ops encodes IPv4 ops for the seeds below: (tag, a.b.c.0/len-len, AS).
+	type op struct {
+		tag     byte
+		a, b, c byte
+		len, as byte
+	}
+	ops := func(list ...op) []byte {
+		var out []byte
+		for _, o := range list {
+			out = append(out, o.tag, o.a, o.b, o.c, 0, o.len, 0, o.as)
+		}
+		return out
+	}
+	const annTag, wdTag, contTag = 0, 1, 16 // contTag: the op continues the open delta
+	// sync is a first sync of n /16s, one bulk delta.
+	sync := func(n int) []op {
+		var out []op
+		for k := 0; k < n; k++ {
+			out = append(out, op{tag: annTag | contTag*byte(min(k, 1)), a: 10, b: byte(k), len: 16, as: 1})
+		}
+		return out
+	}
+	// A clustered delta onto a table big enough to path-copy it: eight /24s
+	// of one /21 and a second entry at the first of them, whose path the delta
+	// has already copied; then a delta that grows one of those spans twice and
+	// takes an entry out of it again.
+	clustered := sync(24)
+	for k := byte(0); k < 8; k++ {
+		clustered = append(clustered, op{tag: annTag | contTag*min(k, 1), a: 198, b: 51, c: 96 + k, len: 24, as: 2})
+	}
+	clustered = append(clustered, op{tag: annTag | contTag, a: 198, b: 51, c: 96, len: 24, as: 3},
+		op{tag: annTag, a: 198, b: 51, c: 97, len: 24, as: 4}, op{tag: annTag | contTag, a: 198, b: 51, c: 97, len: 24, as: 5},
+		op{tag: wdTag | contTag, a: 198, b: 51, c: 97, len: 24, as: 2})
+	f.Add(ops(clustered...))
+	// One VRP announced and withdrawn by one delta, at a prefix that holds
+	// another; then a delta that replaces that prefix's entry with a new one.
+	f.Add(ops(append(sync(4),
+		op{tag: annTag, a: 10, b: 1, len: 16, as: 2}, op{tag: wdTag | contTag, a: 10, b: 1, len: 16, as: 2},
+		op{tag: annTag, a: 10, b: 1, len: 16, as: 3}, op{tag: wdTag | contTag, a: 10, b: 1, len: 16, as: 1})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		live := NewLiveIndex(rpki.NewSet(nil))
-		nops := len(data) / 8
-		var old *Index
-		for i := 0; i < nops; i++ {
-			if i == nops/2 {
-				old = live.Snapshot()
+		state := map[rpki.VRP]struct{}{}
+		snaps, tables := []*Index{live.Snapshot()}, [][]rpki.VRP{nil}
+		var ann, wd []rpki.VRP // the open delta
+		flush := func() {
+			if len(ann)+len(wd) == 0 {
+				return
 			}
-			op := data[i*8 : i*8+8]
-			tag, v := op[0], fuzzOp(t, op)
+			live.Apply(ann, wd)
+			for _, v := range ann {
+				state[v] = struct{}{}
+			}
+			for _, v := range wd {
+				delete(state, v)
+			}
+			snaps, tables = append(snaps, live.Snapshot()), append(tables, setOf(state).VRPs())
+			ann, wd = nil, nil
+		}
+		for ; len(data) >= 8; data = data[8:] {
+			tag, v := data[0], fuzzOp(t, data[:8])
+			if tag&16 == 0 {
+				flush()
+			}
 			if tag%2 == 0 {
-				live.Apply([]rpki.VRP{v}, nil)
+				ann = append(ann, v)
 			} else {
-				live.Apply(nil, []rpki.VRP{v})
+				wd = append(wd, v)
 			}
 		}
-		if old == nil {
-			old = live.Snapshot()
+		flush()
+		for i, ix := range snaps {
+			if extra, missing := naiveSetDiff(tables[i], ix.AppendVRPs(nil)); len(extra)+len(missing) != 0 || ix.Len() != len(tables[i]) {
+				t.Fatalf("snapshot after delta %d of %d: %d VRPs extra, %d missing, Len() %d of %d",
+					i, len(snaps)-1, len(extra), len(missing), ix.Len(), len(tables[i]))
+			}
 		}
-		nw := live.Snapshot()
-		checkDiffAgainstNaive(t, old, nw)
-		checkDiffAgainstNaive(t, nw, old)
-		// Independent rebuild of the same old table: linear path, same answer.
-		rebuilt := newIndexFromVRPs(old.AppendVRPs(nil))
-		checkDiffAgainstNaive(t, rebuilt, nw)
-		checkDiffAgainstNaive(t, nw, rebuilt)
+		first, mid, last := snaps[0], snaps[len(snaps)/2], snaps[len(snaps)-1]
+		for _, pair := range [][2]*Index{{first, last}, {mid, last}} {
+			checkDiffAgainstNaive(t, pair[0], pair[1])
+			checkDiffAgainstNaive(t, pair[1], pair[0])
+		}
+		for i := 1; i < len(snaps); i++ {
+			checkDiffAgainstNaive(t, snaps[i-1], snaps[i])
+		}
+		// Independent rebuild of the middle table: linear path, same answer.
+		rebuilt := newIndexFromVRPs(mid.AppendVRPs(nil))
+		checkDiffAgainstNaive(t, rebuilt, last)
+		checkDiffAgainstNaive(t, last, rebuilt)
 	})
 }
 

@@ -21,8 +21,10 @@ import (
 //
 // The trick is that the arena is append-only and snapshots are persistent
 // in the functional-data-structure sense. A published *Index is never
-// mutated: Apply clones the nodes along each touched path to the slab tail
-// (path copying), hangs the modified terminal span off the copies, and
+// mutated: Apply clones the nodes on the union of the delta's paths to the
+// slab tail (path copying) — each once, however many of the delta's prefixes
+// share it, since what the delta cloned no reader can reach yet and it writes
+// that in place — hangs the modified terminal spans off the copies, and
 // installs a new root, all in a new Index value that shares the slab
 // backing arrays with its predecessor. Readers that loaded the old snapshot
 // keep walking the old root over the old nodes; the atomic pointer swap
@@ -62,23 +64,19 @@ type Table struct {
 
 // bulkDivisor sets where a delta stops being path-copied and the table is
 // rebuilt instead: an Apply of at least size/bulkDivisor operations (announces
-// plus withdraws, against the current table size). Path copying costs each
-// operation its prefix length in cloned nodes — 0.9 µs and 14 nodes of
-// garbage an operation at today's 33,615 VRPs — and a delta of half the
-// table leaves more garbage than the table has live nodes, so the compaction
-// it starts rebuilds everything anyway; a build costs 0.23 µs a VRP of table
-// plus delta (0.09 µs when all of it is in pre-order, as a first full sync
-// is), once. BenchmarkLiveApplyBulk (one P, delta ÷ table swept from 1/64 to
-// 4, compaction waited out): path copy 5.0 ms against a build's 9.1 ms at 1/3,
-// 16.2 ms against 11.0 ms at 1/2, 31.6 ms against 15.2 ms at 1. The finger
-// builder took a quarter off both sides (11.9 → 9.1 ms at 1/3; 21.0 → 16.2 ms
-// at 1/2, which ends in a compaction's rebuild), so the crossover stays
-// between the same two swept points and the constant where it was. Swept
-// again when a bulk delta into an *empty* table stopped copying anything (PR
-// 24; a busier host, medians of three alternated runs): 6.0 against 10.1 ms
-// at 1/3, 17.3 against 11.9 at 1/2, 34.4 against 15.2 at 1 — the three points
-// read as at the parent (5.6/10.2, 16.3/11.7, 33.7/16.0), since a table that
-// holds anything takes the path it took.
+// plus withdraws, against the current table size). Path copying costs a delta
+// the union of its paths in cloned nodes — 0.3 µs and 5.3 nodes of garbage an
+// operation in a 525-operation delta into today's 33,615 VRPs — and a build
+// costs 0.23 µs a VRP of table plus delta (0.09 µs when all of it is in
+// pre-order, as a first full sync is), once. BenchmarkLiveApplyBulk (one P,
+// delta ÷ table swept from 1/64 to 4, compaction waited out; medians of three
+// alternated runs): path copy 3.8 against a build's 8.8 ms at 1/3, 4.1
+// against 10.2 at 1/2, 9.6 against 14.6 at 1, 70.3 against 55.3 at 4, where
+// the delta's relocated entry cells outweigh the live ones and start a
+// compaction. Path copying is the cheaper side up to the table's size, and the
+// constant still stays at 2: a build also lays the slab out in pre-order,
+// which every later walk reads, and no workload measures the mid-size resync
+// into a carried table that a larger divisor would move.
 const bulkDivisor = 2
 
 // NewTable builds a table over vrps (a repeated VRP counts once).
@@ -104,10 +102,11 @@ func (t *Table) Len() int { return t.Snapshot().Len() }
 // a VRP already in the table and withdrawing one that is absent are no-ops,
 // and a delta made of nothing else leaves the published snapshot in place.
 //
-// A delta small against the table is path-copied: the cost is
-// O((len(announce)+len(withdraw)) · prefix bits) amortized and the set size
-// never enters — compaction runs on a background goroutine, so even the
-// delta that crosses the garbage threshold pays only its own path-copy work.
+// A delta small against the table is path-copied: it costs the nodes on the
+// union of its prefixes' root paths — at most (len(announce)+len(withdraw)) ·
+// prefix bits, and 36 for eight /24s of one /21 — amortized. The set size
+// never enters: compaction runs on a background goroutine, so even the delta
+// that crosses the garbage threshold pays only its own path-copy work.
 // A delta of at least half the table's size (bulkDivisor) — the first full
 // sync into an empty table above all — is a build instead: the
 // resulting set goes into fresh slabs exactly as ResetTo would put it there
@@ -170,20 +169,22 @@ func (t *Table) applyBulk(old *Index, announce, withdraw []rpki.VRP) bool {
 	return changed
 }
 
-// applyDelta is Apply's path-copy path: each operation clones its path onto
-// the slab tail of a new snapshot sharing old's slabs; the snapshot is
-// published if anything changed, and the garbage left behind may start a
-// background compaction. Callers hold mu.
+// applyDelta is Apply's path-copy path: each operation clones what is still
+// published of its path onto the slab tail of a new snapshot sharing old's
+// slabs; the snapshot is published if anything changed, and the garbage left
+// behind may start a background compaction. Callers hold mu.
 func (t *Table) applyDelta(old *Index, announce, withdraw []rpki.VRP) {
 	nw := &Index{fams: old.fams, entries: old.entries}
+	// The delta owns every node past the ends of old's node slabs.
+	own := [2]int32{int32(len(old.fams[0].eng.Nodes)), int32(len(old.fams[1].eng.Nodes))}
 	changed := false
 	for _, v := range announce {
-		if t.announce(nw, v) {
+		if t.announce(nw, v, own) {
 			changed = true
 		}
 	}
 	for _, v := range withdraw {
-		if t.withdraw(nw, v) {
+		if t.withdraw(nw, v, own) {
 			changed = true
 		}
 	}
@@ -242,14 +243,17 @@ func (t *Table) compact(src *Index, hook func()) {
 		return
 	}
 	// cur was path-copied from src, so the diff walks only the paths cloned
-	// since and is the net effect of every delta the rebuild predates.
+	// since and is the net effect of every delta the rebuild predates. Nothing
+	// has published rebuilt: the catch-up owns all of it and writes its nodes
+	// in place.
 	announce, withdraw := Diff(src, cur)
 	t.garbageNodes, t.garbageEntries = 0, 0
+	var own [2]int32
 	for _, v := range announce {
-		t.announce(rebuilt, v)
+		t.announce(rebuilt, v, own)
 	}
 	for _, v := range withdraw {
-		t.withdraw(rebuilt, v)
+		t.withdraw(rebuilt, v, own)
 	}
 	t.publish(rebuilt, false, nil, nil)
 }
@@ -266,13 +270,15 @@ func (ix *Index) has(v rpki.VRP) bool {
 }
 
 // announce adds one VRP to the in-construction snapshot, reporting whether
-// the table changed (false: the VRP was already present).
-func (t *Table) announce(nw *Index, v rpki.VRP) bool {
+// the table changed (false: the VRP was already present). own holds the
+// delta's per-family node marks (pathCopy).
+func (t *Table) announce(nw *Index, v rpki.VRP, own [2]int32) bool {
 	if nw.has(v) {
 		return false
 	}
-	f := &nw.fams[famSlot(v.Prefix.Family())]
-	idx := t.pathCopy(f, v.Prefix)
+	s := famSlot(v.Prefix.Family())
+	f := &nw.fams[s]
+	idx := t.pathCopy(f, v.Prefix, own[s])
 	sp := f.eng.Nodes[idx].Val
 	// Relocate the span to the slab tail with the new entry appended; the
 	// old span cells become garbage (still read by older snapshots).
@@ -286,9 +292,11 @@ func (t *Table) announce(nw *Index, v rpki.VRP) bool {
 }
 
 // withdraw removes one VRP from the in-construction snapshot, reporting
-// whether the table changed (false: the VRP was absent).
-func (t *Table) withdraw(nw *Index, v rpki.VRP) bool {
-	f := &nw.fams[famSlot(v.Prefix.Family())]
+// whether the table changed (false: the VRP was absent). own is as for
+// announce.
+func (t *Table) withdraw(nw *Index, v rpki.VRP, own [2]int32) bool {
+	s := famSlot(v.Prefix.Family())
+	f := &nw.fams[s]
 	idx := f.eng.PathFind(f.root, v.Prefix)
 	if idx < 0 {
 		return false
@@ -305,7 +313,7 @@ func (t *Table) withdraw(nw *Index, v rpki.VRP) bool {
 	if pos < 0 {
 		return false // not in the table
 	}
-	nidx := t.pathCopy(f, v.Prefix)
+	nidx := t.pathCopy(f, v.Prefix, own[s])
 	if sp.n == 1 {
 		// Span emptied. The node chain stays as structural garbage until
 		// compaction prunes it.
@@ -321,23 +329,28 @@ func (t *Table) withdraw(nw *Index, v rpki.VRP) bool {
 	return true
 }
 
-// pathCopy clones the nodes along p's path — creating the ones that do not
-// exist — onto the slab tail, reroots the family at the cloned root, and
-// returns the new terminal's index. Nothing reachable from any published
-// snapshot is written.
-func (t *Table) pathCopy(f *famIndex, p prefix.Prefix) int32 {
+// pathCopy makes p's path the delta's own — cloning onto the slab tail each
+// node below mark, the end of the family's node slab when the delta began
+// (everything under it is published), reusing each at or past it, creating
+// the ones that do not exist — reroots the family at the path's root, and
+// returns its terminal's index. A node is cloned at most once a delta, and
+// nothing reachable from any published snapshot is written.
+func (t *Table) pathCopy(f *famIndex, p prefix.Prefix, mark int32) int32 {
 	e := &f.eng
-	cur := e.Clone(f.root)
-	t.garbageNodes++
-	f.root = cur
+	if f.root < mark {
+		f.root = e.Clone(f.root)
+		t.garbageNodes++
+	}
+	cur := f.root
 	for depth := uint8(0); depth < p.Len(); depth++ {
 		bit := p.Bit(depth)
-		var next int32
-		if c := e.Nodes[cur].Children[bit]; c != core.NoChild {
-			next = e.Clone(c)
-			t.garbageNodes++
-		} else {
+		next := e.Nodes[cur].Children[bit]
+		switch {
+		case next == core.NoChild:
 			next = e.Alloc(span{})
+		case next < mark:
+			next = e.Clone(next)
+			t.garbageNodes++
 		}
 		e.Nodes[cur].Children[bit] = next
 		cur = next

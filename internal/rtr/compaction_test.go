@@ -1,0 +1,189 @@
+package rtr
+
+import (
+	"math/rand"
+	"net"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/prefix"
+	"repro/internal/rov"
+	"repro/internal/rpki"
+)
+
+// lineage returns the arena lineage of ix's IPv4 trie. rov keeps it
+// unexported; these tests read it by reflection because what they pin is a
+// diff between snapshots that do not share one.
+func lineage(ix *rov.Index) uint64 {
+	return reflect.ValueOf(ix).Elem().FieldByName("fams").Index(0).FieldByName("eng").FieldByName("lineage").Uint()
+}
+
+// compactionTable returns a 300-VRP table in 10.0.0.0/8, big enough for its
+// garbage to cross the compaction floors, and a generator of deltas outside it:
+// eight scattered /24s in 100.64.0.0/10, each the length of a full path.
+func compactionTable(rng *rand.Rand) (*rpki.Set, func() []rpki.VRP) {
+	var vrps []rpki.VRP
+	for len(vrps) < 300 {
+		l := uint8(16 + rng.Intn(9))
+		p, err := prefix.Make(prefix.IPv4, uint64(10<<24|rng.Intn(1<<24))<<32, 0, l)
+		if err != nil {
+			panic(err)
+		}
+		vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: l, AS: rpki.ASN(1 + rng.Intn(50))})
+	}
+	scattered := func() []rpki.VRP {
+		var out []rpki.VRP
+		for len(out) < 8 {
+			p, err := prefix.Make(prefix.IPv4, uint64(100<<24|64<<16|rng.Intn(1<<14)<<8)<<32, 0, 24)
+			if err != nil {
+				panic(err)
+			}
+			if v := (rpki.VRP{Prefix: p, MaxLength: 24, AS: 64500}); !slices.Contains(out, v) {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	return rpki.NewSet(vrps), scattered
+}
+
+// TestSerialQueryAcrossCompaction pins a Serial Query whose two snapshots lie
+// on either side of a compaction of the cache's table: the rebuild started a
+// new arena lineage, so the answer is the full dual walk, not the structural
+// one — and must still be exactly the set difference, which the router's
+// table then equals.
+func TestSerialQueryAcrossCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	set, scattered := compactionTable(rng)
+	srv := NewServer(set)
+	srv.keepDeltas = 1 << 16 // the router's serial stays answerable
+	addr, stop := startServer(t, srv)
+	defer stop()
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	held := c.Serial()
+	from := srv.pub.Load().lookup(held)
+
+	// A net change for the answer to carry, then churn until the table has
+	// compacted and taken a delta since: the ring's current snapshot is then on
+	// another lineage than the router's.
+	mirror := map[rpki.VRP]struct{}{}
+	for _, v := range set.VRPs() {
+		mirror[v] = struct{}{}
+	}
+	gone, added := set.VRPs()[:20], scattered()
+	srv.ApplyDelta(added, gone)
+	replayDelta(t, mirror, added, gone)
+	for i := 0; lineage(srv.pub.Load().current()) == lineage(from); i++ {
+		if i == 10000 {
+			t.Fatal("churn never compacted the cache's table")
+		}
+		// A churn VRP the table already holds (one of added) would be
+		// withdrawn with the rest: leave those out.
+		churn := slices.DeleteFunc(scattered(), func(v rpki.VRP) bool { _, ok := mirror[v]; return ok })
+		srv.ApplyDelta(churn, nil)
+		srv.ApplyDelta(nil, churn)
+	}
+
+	want := mirrorSet(mirror)
+	pdus := serialQueryResponse(t, addr, srv.SessionID(), held)
+	if _, ok := pdus[0].(*CacheResponse); !ok {
+		t.Fatalf("first PDU is %T, want Cache Response", pdus[0])
+	}
+	if eod, ok := pdus[len(pdus)-1].(*EndOfData); !ok || eod.Serial != srv.Serial() {
+		t.Fatalf("terminator %T %+v, want End of Data at serial %d", pdus[len(pdus)-1], pdus[len(pdus)-1], srv.Serial())
+	}
+	got := map[Prefix]bool{}
+	for _, p := range pdus[1 : len(pdus)-1] {
+		got[*p.(*Prefix)] = true
+	}
+	wantDelta := diffSets(set, want)
+	if len(got) != len(wantDelta) || len(pdus) != len(wantDelta)+2 {
+		t.Fatalf("the answer holds %d Prefix PDUs (%d distinct), the set difference %d", len(pdus)-2, len(got), len(wantDelta))
+	}
+	for _, p := range wantDelta {
+		if !got[p] {
+			t.Fatalf("the answer lacks %+v", p)
+		}
+	}
+	if _, err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Set().Equal(want) {
+		t.Fatalf("after the Serial Query the router holds %d VRPs, the cache %d", c.Len(), want.Len())
+	}
+}
+
+// TestMultiSupervisorAcrossSessionCompaction is the subscriber's side of the
+// same edge: the upstream's session table compacts under a stream of deltas,
+// and the delivery that diffs the last snapshot delivered before the
+// compaction against the first one after it — a full dual walk — must be as
+// exact as every structural one: each delivery announces only what the
+// subscriber lacks and withdraws only what it holds, and no reset is taken.
+func TestMultiSupervisorAcrossSessionCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	set, scattered := compactionTable(rng)
+	srv := NewServer(set)
+	addr, stop := startServer(t, srv)
+	defer stop()
+
+	m := NewMultiSupervisor(Upstream{Name: addr, Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }})
+	m.BackoffMin, m.BackoffMax = 2*time.Millisecond, 20*time.Millisecond
+	var mu sync.Mutex
+	mirror := map[rpki.VRP]struct{}{}
+	m.Subscribe(func(announced, withdrawn []rpki.VRP) {
+		mu.Lock()
+		defer mu.Unlock()
+		replayDelta(t, mirror, announced, withdrawn)
+	})
+	m.OnReset(func([]rpki.VRP) { t.Error("a delivery went through OnReset") })
+	runErr := make(chan error, 1)
+	go func() { runErr <- m.Run() }()
+	defer func() {
+		m.Stop()
+		if err := <-runErr; err != nil {
+			t.Errorf("Run returned %v after Stop", err)
+		}
+	}()
+	holds := func(want *rpki.Set) func() bool {
+		return func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return mirrorSet(mirror).Equal(want)
+		}
+	}
+	delivered := func() *rov.Index {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.delivered
+	}
+	waitFor(t, holds(set))
+
+	// Each delta is waited out, so the session table takes every one of them
+	// (the follower would otherwise coalesce an announce and its withdraw into
+	// nothing), until a delivery has crossed the compaction.
+	first := lineage(delivered())
+	for i := 0; lineage(delivered()) == first; i++ {
+		if i == 2000 {
+			t.Fatal("the session table never compacted")
+		}
+		churn := scattered()
+		srv.ApplyDelta(churn, nil)
+		waitFor(t, holds(addVRPs(set, churn...)))
+		srv.ApplyDelta(nil, churn)
+		waitFor(t, holds(set))
+	}
+	if st := m.Stats(); st.Rebuilds != 0 {
+		t.Fatalf("a delivery was a rebuild: %+v", st)
+	}
+}

@@ -57,7 +57,9 @@ type Upstream struct {
 // subscribers as the structural diff between them (rov.Diff): a delta, never
 // a rebuild, no matter which caches the two sides came from. Steady-state
 // deliveries use the same reconcile path — the delivered snapshot and the
-// table share an arena lineage, so each costs O(changed). Only when the
+// table share an arena lineage, so each costs O(changed), except the first
+// after the session table compacts: its rebuild starts a new lineage, and
+// that delivery's diff is a full dual walk, as exact. Only when the
 // delivered table's Expire window has passed (every upstream was out that
 // long) is the next table delivered through OnReset instead: §6 forbids
 // diffing against expired data.
@@ -672,10 +674,16 @@ func (m *MultiSupervisor) reconcile(u *upstream, now time.Time) {
 		for _, fn := range rsubs {
 			fn(table)
 		}
-	} else if announced, withdrawn := rov.Diff(delivered, cur); len(announced) > 0 || len(withdrawn) > 0 {
-		for _, fn := range subs {
+	} else if announced, withdrawn := rov.Diff(delivered, cur); len(subs) > 0 && (len(announced) > 0 || len(withdrawn) > 0) {
+		// The last subscriber is called after the loop, so nothing here holds
+		// the delta while it runs: one that builds from it and lets go — a
+		// LiveIndex taking a first sync, 1.08 MB at today's 33,615 VRPs —
+		// frees it before its compact build, the peak of a cold start.
+		last := len(subs) - 1
+		for _, fn := range subs[:last] {
 			fn(announced, withdrawn)
 		}
+		subs[last](announced, withdrawn)
 	}
 
 	m.mu.Lock()

@@ -487,6 +487,53 @@ func TestStopReleasesTables(t *testing.T) {
 	}
 }
 
+// TestDeliveryLetsGoOfDelta: the supervisor holds a delta no longer than its
+// subscribers do. The last subscriber of two drops the slice it was handed
+// and, before returning, sees it collected: the delivery loop does not keep
+// it reachable until every subscriber has returned.
+func TestDeliveryLetsGoOfDelta(t *testing.T) {
+	srv := NewServer(testVRPs())
+	addr, stop := startServer(t, srv)
+	defer stop()
+	m := NewMultiSupervisor(Upstream{Name: addr, Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }})
+	var firstCalls atomic.Int32
+	m.Subscribe(func(announced, withdrawn []rpki.VRP) { firstCalls.Add(1) })
+	collected := make(chan bool, 1)
+	m.Subscribe(func(announced, withdrawn []rpki.VRP) {
+		if len(announced) == 0 {
+			return
+		}
+		freed := make(chan struct{})
+		runtime.SetFinalizer(&announced[0], func(*rpki.VRP) { close(freed) })
+		announced = nil
+		ok := false
+		for i := 0; i < 50 && !ok; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				ok = true
+			case <-time.After(time.Millisecond):
+			}
+		}
+		select {
+		case collected <- ok:
+		default: // a later delivery; the first one is the test
+		}
+	})
+	done := make(chan error, 1)
+	go func() { done <- m.Run() }()
+	defer func() {
+		m.Stop()
+		<-done
+	}()
+	if !<-collected {
+		t.Error("the first sync's delta stayed reachable while its last subscriber ran")
+	}
+	if firstCalls.Load() != 1 {
+		t.Errorf("first subscriber called %d times, want 1", firstCalls.Load())
+	}
+}
+
 // TestStopLeavesNoGoroutine is the runtime counterpart of reprolint's
 // goroleak: after followers with one and two upstreams have gone through a
 // cache kill/restart cycle, Stop — plus closing the caches — must return
