@@ -42,7 +42,7 @@ race:
 # testing.AllocsPerRun, which race instrumentation inflates, so their files
 # are //go:build !race and the race target never compiles them.
 allocs:
-	$(GO) test -count=1 -run 'TestValidateAllocs|TestIndexBuildAllocs|TestAllocCeilings|TestSerialAnswerAllocs|TestClientResetAllocs' ./internal/rov ./internal/core ./internal/rtr
+	$(GO) test -count=1 -run 'TestValidateAllocs|TestIndexBuildAllocs|TestDiffAllocs|TestAllocCeilings|TestSerialAnswerAllocs|TestClientResetAllocs' ./internal/rov ./internal/core ./internal/rtr
 
 # bench prints the in-package core, rov, and rtr micro benchmarks plus the
 # paper-evaluation benches; -count=1 defeats test caching so numbers are
@@ -66,12 +66,13 @@ soak-smoke:
 
 # bench-smoke is the quick pipeline-regression gate CI runs: the core and rov
 # micro benches and, at a handful of iterations on today's table, the headline
-# compression bench, the verifier that proves its output, and the cold path at
-# real size — a full response, a router's reset, a follower's cold start.
+# compression bench, the verifier that proves its output, the cold path at
+# real size — a full response, a router's reset, a follower's cold start — and
+# one publish answered to 2,000 routers one serial behind.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem -count=1 ./internal/core/ ./internal/rov/
 	$(GO) test -run='^$$' -bench='^(BenchmarkFigure2|BenchmarkCompressToday|BenchmarkSemanticEqualVerifier)$$' -benchtime=3x -benchmem -count=1 .
-	$(GO) test -run='^$$' -bench='^(BenchmarkSendFull|BenchmarkClientReset|BenchmarkColdStart)$$' -benchtime=3x -benchmem -count=1 ./internal/rtr/
+	$(GO) test -run='^$$' -bench='^(BenchmarkSendFull|BenchmarkClientReset|BenchmarkColdStart|BenchmarkSerialFanout)$$' -benchtime=3x -benchmem -count=1 ./internal/rtr/
 
 # fuzz runs all ten fuzz targets in the tree for FUZZTIME each (go test -fuzz
 # takes one target and one package at a time); fuzz-smoke is the short

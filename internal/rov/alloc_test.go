@@ -114,6 +114,36 @@ func TestValidateAllocs(t *testing.T) {
 	}
 }
 
+// TestDiffAllocs is the gate on what a Diff of a snapshot against its parent
+// costs: its two result slices and nothing else, on one arena lineage and
+// across a compaction, where it used to be the full dual walk; and a Diff of
+// two snapshots of one version — a compaction's and the one it replaced —
+// allocates nothing.
+func TestDiffAllocs(t *testing.T) {
+	tab := NewTable(todayTable(t))
+	old := tab.Snapshot()
+	tab.Apply(clustered8(the21, 64501), old.AppendVRPs(nil)[:8])
+	nw := tab.Snapshot()
+	last, compacted, first := acrossCompaction(t, tab)
+	for _, c := range []struct {
+		name    string
+		old, nw *Index
+		changed int // VRPs announced or withdrawn
+		want    float64
+	}{
+		{"a snapshot against its parent", old, nw, 16, 2},
+		{"a snapshot against its parent, across a compaction", last, first, 16, 2},
+		{"a compaction's snapshot against the one it replaced", last, compacted, 0, 0},
+	} {
+		if a, w := Diff(c.old, c.nw); len(a)+len(w) != c.changed {
+			t.Fatalf("%s: +%d -%d, want %d VRPs", c.name, len(a), len(w), c.changed)
+		}
+		if got := testing.AllocsPerRun(10, func() { _, _ = Diff(c.old, c.nw) }); got != c.want {
+			t.Errorf("%s: %v allocs, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 // TestIndexBuildAllocs is the gate on what a cold start's build allocates:
 // today's table in wire order is sized by the counting pass, so the build is
 // the index, its three slabs and the terminal list — no regrowth — and all it

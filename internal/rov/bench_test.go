@@ -175,13 +175,92 @@ func BenchmarkLiveApply(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotDiff measures the structural diff between two snapshots
-// of the paper-scale table. The shared/N cases diff two snapshots of one
-// LiveIndex history N applied VRPs apart: the walk skips shared subtrees, so
-// cost must scale with N (the divergence), not the 50k-VRP table. The
-// independent/1 case diffs two unrelated builds of the same tables — no
-// provable sharing, so it pays the full-table dual walk and stands as the
-// baseline the shared cases are measured against.
+// acrossCompaction churns tab until it starts a compaction, applies one
+// clustered delta while the compaction is held, lets it publish, and applies
+// a second delta, which withdraws the first and announces eight more. It
+// returns the snapshot the compaction replaced (the first delta's), the
+// compaction's own, and the second delta's: the last two on a new lineage.
+func acrossCompaction(tb testing.TB, tab *Table) (last, compacted, first *Index) {
+	started, release := wedgeCompactions(tab)
+	for i := 0; started.Load() == 0; i++ {
+		if i == 1<<20 {
+			tb.Fatal("churn never started a compaction")
+		}
+		v := markerVRP(i % 200)
+		tab.Apply([]rpki.VRP{v}, nil)
+		tab.Apply(nil, []rpki.VRP{v})
+	}
+	held := clustered8(the21, 64600)
+	tab.Apply(held, nil)
+	last = tab.Snapshot()
+	close(release)
+	waitCompactor(tb, tab)
+	compacted = tab.Snapshot()
+	tab.Apply(clustered8(the21, 64601), held)
+	first = tab.Snapshot()
+	if last.fams[0].eng.SharedArena(&compacted.fams[0].eng) {
+		tb.Fatal("the compaction did not publish")
+	}
+	return last, compacted, first
+}
+
+// churnedTable returns a table of today's size churned by roa_change's delta
+// stream — 64 groups of eight /24s of a /21, announced in turn, then withdrawn
+// in turn, so withdrawn chains hang in it — path copied with no compaction,
+// until one is due; and the stream's next delta, applied the same way.
+func churnedTable(tb testing.TB) (*Table, func()) {
+	tab := NewTable(todayTable(tb))
+	k := 0
+	next := func() {
+		g := clustered8(uint64(100<<24|64<<16|(k%64)<<11)<<32, 64500)
+		if (k/64)%2 == 0 {
+			pathCopy(tab, g, nil)
+		} else {
+			pathCopy(tab, nil, g)
+		}
+		k++
+	}
+	for !compactDue(tab) {
+		next()
+	}
+	return tab, next
+}
+
+// compactDue reports whether tab's garbage calls for a compaction.
+func compactDue(tab *Table) bool {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	return tab.needCompact(tab.cur.Load())
+}
+
+// BenchmarkTableCompact measures one compaction of a churned table of today's
+// size (churnedTable), from the snapshot that made it due, with nothing to
+// catch up: the copy of the live set into fresh slabs and the publish.
+func BenchmarkTableCompact(b *testing.B) {
+	tab, _ := churnedTable(b)
+	src := tab.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab.cur.Store(src)
+		tab.compact(src, nil)
+	}
+	if tab.Len() != src.Len() {
+		b.Fatalf("the compacted table holds %d VRPs, want %d", tab.Len(), src.Len())
+	}
+}
+
+// BenchmarkSnapshotDiff measures the diff between two snapshots. The shared/N
+// cases walk two snapshots of one LiveIndex history of the 50k-VRP table, N
+// applied VRPs apart: the walk skips shared subtrees, so cost must scale with
+// N (the divergence), not the table. The independent/1 case diffs two
+// unrelated builds of the same tables — no provable sharing, so it pays the
+// full-table dual walk and stands as the baseline the shared cases are
+// measured against. The parent cases diff a snapshot of today's table against
+// its parent, the previous one, as an RTR cache does for a router one serial
+// behind: roa_change's clustered delta on one lineage (shared), and a delta
+// published right after a compaction (acrossCompaction), which Diff used to
+// answer by the full dual walk.
 func BenchmarkSnapshotDiff(b *testing.B) {
 	for _, n := range []int{1, 16, 256} {
 		l := NewLiveIndex(benchSet())
@@ -200,9 +279,29 @@ func BenchmarkSnapshotDiff(b *testing.B) {
 		b.Run(fmt.Sprintf("shared/%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ann, wd := Diff(old, nw)
+				ann, wd := walkDiff(old, nw)
 				if len(ann) != n || len(wd) != 0 {
 					b.Fatalf("diff %d/%d, want %d/0", len(ann), len(wd), n)
+				}
+			}
+		})
+	}
+	tab := NewTable(todayTable(b))
+	old := tab.Snapshot()
+	tab.Apply(clustered8(the21, 64511), nil)
+	nw := tab.Snapshot()
+	last, _, first := acrossCompaction(b, tab)
+	for _, c := range []struct {
+		name    string
+		old, nw *Index
+		ann, wd int
+	}{{"parent/shared", old, nw, 8, 0}, {"parent/acrossCompaction", last, first, 8, 8}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ann, wd := Diff(c.old, c.nw)
+				if len(ann) != c.ann || len(wd) != c.wd {
+					b.Fatalf("diff %d/%d, want %d/%d", len(ann), len(wd), c.ann, c.wd)
 				}
 			}
 		})

@@ -32,7 +32,7 @@ func todayTable(tb testing.TB) []rpki.VRP {
 // reference: every VRP inserted by a descent from the root (PathInsert) into
 // a slab hinted at one node per VRP, then the same two-pass span fill.
 func insertLoopIndex(vrps []rpki.VRP) *Index {
-	ix := &Index{}
+	ix := &Index{version: versions.Add(1)}
 	for _, v := range vrps {
 		ix.fams[famSlot(v.Prefix.Family())].size++
 	}
@@ -78,14 +78,14 @@ func checkSameSlabs(t *testing.T, name string, got, want *Index) {
 	for slot := range want.fams {
 		g, w := &got.fams[slot], &want.fams[slot]
 		if g.root != w.root || g.size != w.size {
-			t.Fatalf("%s, family %d: root %d size %d, the insert loop's %d and %d", name, slot, g.root, g.size, w.root, w.size)
+			t.Fatalf("%s, family %d: root %d size %d, want %d and %d", name, slot, g.root, g.size, w.root, w.size)
 		}
 		if !slices.Equal(g.eng.Nodes, w.eng.Nodes) {
-			t.Fatalf("%s, family %d: %d nodes, not the insert loop's %d cell for cell", name, slot, len(g.eng.Nodes), len(w.eng.Nodes))
+			t.Fatalf("%s, family %d: %d nodes, not the %d wanted cell for cell", name, slot, len(g.eng.Nodes), len(w.eng.Nodes))
 		}
 	}
 	if !slices.Equal(got.entries, want.entries) {
-		t.Fatalf("%s: %d entry cells, not the insert loop's %d cell for cell", name, len(got.entries), len(want.entries))
+		t.Fatalf("%s: %d entry cells, not the %d wanted cell for cell", name, len(got.entries), len(want.entries))
 	}
 }
 

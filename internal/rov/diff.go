@@ -8,38 +8,57 @@ import (
 	"repro/internal/rpki"
 )
 
-// This file is the structural snapshot diff: the delta between two published
-// Index snapshots, computed by walking both tries in lockstep and skipping
-// every subtree the two provably share. Snapshots a Table published between
-// two of its rebuilds share their arena lineage (path copying clones only
-// the touched paths), so the walk visits O(changed · prefix bits) nodes no
-// matter how large the table is. A rebuild — a compaction, ResetTo, a bulk
-// Apply — starts a new lineage: a snapshot from before it and one from after
-// share nothing provable, exactly as two unrelated builds (two different
-// caches) do, and pay one correct-but-linear dual walk instead, of what both
-// hold (≈ 4 ms at 33,615 VRPs): a subtree only one of them has — the whole
-// table, when the other is a follower's empty one — costs a single walk of
-// that side. Either way the result is exact, which is what lets an RTR cache
-// synthesize the update between any two retained serials on demand, and a
-// multi-cache failover reconcile a carried table against a new cache by
-// delta instead of a rebuild.
+// This file is the snapshot diff: the delta between two published Index
+// snapshots. A snapshot's version names the VRP set it holds — a compaction's
+// rebuild, the same set in new slabs, keeps the version it replaces — and a
+// path-copied snapshot carries its parent's version and the net delta from
+// it: the pair an RTR cache answers for a router one serial behind, and a
+// follower delivers after a sync, costs a copy of that delta, compaction or
+// not. Any other pair is walked in lockstep, skipping every subtree the two
+// provably share: snapshots between two rebuilds of a Table share their arena
+// lineage, so that walk is O(changed · prefix bits). Across a rebuild — a
+// compaction, ResetTo, a bulk Apply — they share nothing provable, as two
+// different caches' tables do, and pay a linear dual walk of what both hold
+// (≈ 4 ms at 33,615 VRPs); a subtree one side lacks costs a walk of the other.
+// Either way the result is exact, which lets an RTR cache synthesize the update
+// between any two retained serials, and a failover reconcile a carried table
+// against a new cache by delta instead of a rebuild.
 
 // Diff returns the delta that transforms old's table into nw's: announced
 // holds the VRPs present only in nw, withdrawn the VRPs present only in old.
 // Both snapshots stay untouched; the returned slices are freshly allocated
-// and never alias either index. A subtree one side lacks is walked, not
-// paired, and its entries go through the same per-prefix sort as any other.
+// and never alias either index. Snapshots of one version return nil, nil, a
+// snapshot against its parent copies of the delta it carries, and any other
+// pair is walked.
 //
 // The output order is deterministic for a given pair of tables regardless of
-// how either index was built: canonical prefix order (IPv4 before IPv6,
-// shorter prefixes first), and within one prefix by (AS, MaxLength) — the
-// same total order a sorted-set difference over the two tables produces.
+// how either index was built or answered: canonical prefix order (IPv4 before
+// IPv6, shorter prefixes first), and within one prefix by (AS, MaxLength) —
+// the same total order a sorted-set difference over the two tables produces.
 //
 //repro:immutable
 func Diff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
-	if old == nw {
+	switch {
+	case old.version == nw.version:
 		return nil, nil
+	case nw.parent == old.version:
+		// Copies, nil when empty, as the walk returns them.
+		return append([]rpki.VRP(nil), nw.announced...), append([]rpki.VRP(nil), nw.withdrawn...)
 	}
+	return walkDiff(old, nw)
+}
+
+// diffOrder is Diff's output order: prefix.Compare, then, within one prefix,
+// rpki.VRP.Compare, which is by (AS, MaxLength) there.
+func diffOrder(a, b rpki.VRP) int {
+	if c := a.Prefix.Compare(b.Prefix); c != 0 {
+		return c
+	}
+	return a.Compare(b)
+}
+
+// walkDiff is Diff by the lockstep walk, whatever the two versions.
+func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	// The sizes bound one side's result from below: a capacity hint, exact
 	// against an empty table; equal sizes allocate nothing until they differ.
 	if grew := nw.Len() - old.Len(); grew > 0 {

@@ -199,6 +199,93 @@ func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 	}
 }
 
+// checkDiffAgainstWalk fails unless Diff(old, nw) is what the walk finds, in
+// the walk's order, and returns it.
+func checkDiffAgainstWalk(t *testing.T, name string, old, nw *Index) (announced, withdrawn []rpki.VRP) {
+	t.Helper()
+	announced, withdrawn = Diff(old, nw)
+	wantA, wantW := walkDiff(old, nw)
+	if !slices.Equal(announced, wantA) || !slices.Equal(withdrawn, wantW) {
+		t.Fatalf("%s: Diff is +%v -%v, the walk +%v -%v", name, announced, withdrawn, wantA, wantW)
+	}
+	return announced, withdrawn
+}
+
+// checkParentDiff fails unless nw is old's child and Diff(old, nw) — the delta
+// nw carries — is what the walk finds. It returns the delta.
+func checkParentDiff(t *testing.T, name string, old, nw *Index) (announced, withdrawn []rpki.VRP) {
+	t.Helper()
+	if nw.parent != old.version {
+		t.Fatalf("%s: version %d is not the parent of version %d (parent %d)", name, old.version, nw.version, nw.parent)
+	}
+	return checkDiffAgainstWalk(t, name, old, nw)
+}
+
+// TestDiffOfParentEqualsWalk pins Diff of a snapshot against its parent — the
+// net delta the snapshot carries — to the walk it skips, order included: for a
+// clustered delta given out of order, for operations that change nothing or
+// cancel out, for a delta whose caller then reuses its slice, and for a pair
+// straddling a compaction, whose rebuild keeps the version of the snapshot it
+// replaced. ResetTo of an equal set is no child: it is walked, and the walk
+// finds nothing.
+func TestDiffOfParentEqualsWalk(t *testing.T) {
+	tab := NewTable(todayTable(t))
+	present := tab.Snapshot().AppendVRPs(nil)
+	beside := present[100] // a VRP at a prefix that holds one
+	beside.AS += 1000
+	reversed := clustered8(the21, 64501)
+	slices.Reverse(reversed)
+	for _, c := range []struct {
+		name               string
+		announce, withdraw []rpki.VRP
+		ann, wd            int
+	}{
+		{"a clustered delta, out of order", reversed, nil, 8, 0},
+		{"an announce the same delta withdraws", []rpki.VRP{beside, markerVRP(1)}, []rpki.VRP{beside}, 1, 0},
+		{"a repeated announce", []rpki.VRP{markerVRP(2), markerVRP(2), present[5]}, nil, 1, 0},
+		{"a present VRP announced and withdrawn", []rpki.VRP{present[7], markerVRP(3)}, []rpki.VRP{present[7]}, 1, 1},
+	} {
+		old := tab.Snapshot()
+		tab.Apply(c.announce, c.withdraw)
+		if a, w := checkParentDiff(t, c.name, old, tab.Snapshot()); len(a) != c.ann || len(w) != c.wd {
+			t.Fatalf("%s: +%d -%d, want +%d -%d", c.name, len(a), len(w), c.ann, c.wd)
+		}
+	}
+
+	// The carried delta is the table's own: the caller may reuse its slice.
+	reuse := clustered8(the21, 64502)
+	old := tab.Snapshot()
+	tab.Apply(reuse, nil)
+	nw := tab.Snapshot()
+	for i := range reuse {
+		reuse[i] = markerVRP(10 + i)
+	}
+	checkParentDiff(t, "a delta whose caller reused its slice", old, nw)
+
+	last, compacted, first := acrossCompaction(t, tab)
+	if compacted.version != last.version {
+		t.Fatalf("the compaction published version %d in place of %d", compacted.version, last.version)
+	}
+	if a, w := Diff(last, compacted); a != nil || w != nil {
+		t.Fatalf("Diff of one version across a compaction: +%d -%d", len(a), len(w))
+	}
+	if a, w := walkDiff(last, compacted); len(a)+len(w) != 0 {
+		t.Fatalf("the compaction changed the table: +%d -%d", len(a), len(w))
+	}
+	if a, w := checkParentDiff(t, "across a compaction", last, first); len(a) != 8 || len(w) != 8 {
+		t.Fatalf("across a compaction: +%d -%d, want +8 -8", len(a), len(w))
+	}
+
+	old = tab.Snapshot()
+	tab.ResetTo(old.AppendVRPs(nil))
+	if nw := tab.Snapshot(); nw.parent == old.version || nw.version == old.version {
+		t.Fatalf("ResetTo published version %d with parent %d after version %d", nw.version, nw.parent, old.version)
+	}
+	if a, w := Diff(old, tab.Snapshot()); len(a)+len(w) != 0 {
+		t.Fatalf("Diff across ResetTo of an equal set: +%d -%d", len(a), len(w))
+	}
+}
+
 // TestDiffOneSidedSubtrees pins what DiffWalk hands over to a single-trie walk
 // — a subtree only one side holds: everything under an empty table, a /12
 // block one table lacks — to the sorted-set difference, in order. Every span

@@ -2,6 +2,7 @@ package rov
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -300,13 +301,16 @@ func FuzzCompactIndex(f *testing.F) {
 // the snapshot after every delta beside the table it should hold. An op
 // carrying tag bit 4 continues the open delta — one Apply of many VRPs, which
 // path-copies each node once however many of its prefixes share it — and one
-// without starts the next. At the end every kept snapshot must still hold its
-// table, and Diff between the first, middle and last snapshots, between each
-// consecutive pair, and between an independent rebuild of the middle one's
-// table and the last must be bit-identical to the naive sorted-set
-// difference: pairs on one arena lineage take the structural fast path, the
-// rebuilt pair (and any pair across a compaction or a bulk delta) the linear
-// fallback.
+// without starts the next; an op carrying tag bit 5 has any compaction its
+// delta starts waited out before the next delta. At the end every kept
+// snapshot must still hold its table, and Diff between the first, middle and
+// last snapshots, between each consecutive pair, and between an independent
+// rebuild of the middle one's table and the last must be bit-identical to the
+// naive sorted-set difference. Consecutive pairs must also equal the walk:
+// after a path-copied delta they are parent and child, whose Diff is the delta
+// the child carries, across a compaction too. Other pairs on one arena lineage
+// take the structural walk, the rebuilt pair (and any other pair across a
+// compaction or a bulk delta) the linear one.
 func FuzzDiff(f *testing.F) {
 	f.Add([]byte{
 		0, 168, 122, 0, 0, 16, 0, 111, // announce 168.122.0.0/16-16 => AS111
@@ -339,7 +343,8 @@ func FuzzDiff(f *testing.F) {
 		}
 		return out
 	}
-	const annTag, wdTag, contTag = 0, 1, 16 // contTag: the op continues the open delta
+	// contTag: the op continues the open delta; waitTag: its compaction is waited out.
+	const annTag, wdTag, contTag, waitTag = 0, 1, 16, 32
 	// sync is a first sync of n /16s, one bulk delta.
 	sync := func(n int) []op {
 		var out []op
@@ -365,11 +370,20 @@ func FuzzDiff(f *testing.F) {
 	f.Add(ops(append(sync(4),
 		op{tag: annTag, a: 10, b: 1, len: 16, as: 2}, op{tag: wdTag | contTag, a: 10, b: 1, len: 16, as: 2},
 		op{tag: annTag, a: 10, b: 1, len: 16, as: 3}, op{tag: wdTag | contTag, a: 10, b: 1, len: 16, as: 1})...))
+	// Across a compaction: /24s announced and withdrawn one a delta under the
+	// /16s of a first sync, each delta's compaction waited out, until the
+	// garbage of their path copies has started one, three times over.
+	churn := sync(24)
+	for k := byte(0); k < 60; k++ {
+		churn = append(churn, op{tag: annTag | waitTag, a: 10, b: k % 24, c: k, len: 24, as: 2}, op{tag: wdTag | waitTag, a: 10, b: k % 24, c: k, len: 24, as: 2})
+	}
+	f.Add(ops(churn...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		live := NewLiveIndex(rpki.NewSet(nil))
 		state := map[rpki.VRP]struct{}{}
 		snaps, tables := []*Index{live.Snapshot()}, [][]rpki.VRP{nil}
 		var ann, wd []rpki.VRP // the open delta
+		wait := false          // whether to wait out the compaction it starts
 		flush := func() {
 			if len(ann)+len(wd) == 0 {
 				return
@@ -382,7 +396,10 @@ func FuzzDiff(f *testing.F) {
 				delete(state, v)
 			}
 			snaps, tables = append(snaps, live.Snapshot()), append(tables, setOf(state).VRPs())
-			ann, wd = nil, nil
+			if wait {
+				waitCompactor(t, &live.tab)
+			}
+			ann, wd, wait = nil, nil, false
 		}
 		for ; len(data) >= 8; data = data[8:] {
 			tag, v := data[0], fuzzOp(t, data[:8])
@@ -394,6 +411,7 @@ func FuzzDiff(f *testing.F) {
 			} else {
 				wd = append(wd, v)
 			}
+			wait = wait || tag&waitTag != 0
 		}
 		flush()
 		for i, ix := range snaps {
@@ -409,6 +427,7 @@ func FuzzDiff(f *testing.F) {
 		}
 		for i := 1; i < len(snaps); i++ {
 			checkDiffAgainstNaive(t, snaps[i-1], snaps[i])
+			checkDiffAgainstWalk(t, fmt.Sprintf("delta %d", i), snaps[i-1], snaps[i])
 		}
 		// Independent rebuild of the middle table: linear path, same answer.
 		rebuilt := newIndexFromVRPs(mid.AppendVRPs(nil))

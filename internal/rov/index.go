@@ -2,6 +2,7 @@ package rov
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/prefix"
@@ -54,7 +55,16 @@ type famIndex struct {
 type Index struct {
 	fams    [2]famIndex // famSlot order: IPv4, IPv6
 	entries []entry     // shared value slab, addressed by node spans
+
+	// version names the VRP set held, uniquely in the process (see Diff).
+	// parent is the version a path-copied delta started from, 0 after a build,
+	// and announced and withdrawn are the delta's net effect in diffOrder.
+	version, parent      uint64
+	announced, withdrawn []rpki.VRP
 }
+
+// versions hands out Index versions; 0 names no set.
+var versions atomic.Uint64
 
 // famSlot maps an address family to its fams index.
 func famSlot(f prefix.Family) int {
@@ -100,14 +110,14 @@ func rootPrefix(slot int) prefix.Prefix {
 // (CommonPrefixLen), not at the root: in any order the nodes above that depth
 // exist and the finger has them, so the slab is node for node what a descent
 // from the root per VRP leaves. A family in the trie's pre-order — the wire
-// stream (VisitVRPs), Diff's output, compaction's AppendVRPs; not a Set, which
+// stream (VisitVRPs), Diff's output, NewServer's sorted set; not a Set, which
 // is AS-major — then costs one Ensure per node, and Σ(len − cpl) is its node
 // count: the slab is sized once, with headroom, as an exactly full one regrows
 // by a quarter at the first path-copied delta. The same cpl shows disorder (p
 // sorts before prev), where the sum is several times too much: that family is
 // hinted at a node per VRP and grows by append.
 func newIndexFromVRPs(vrps []rpki.VRP) *Index {
-	ix := &Index{}
+	ix := &Index{version: versions.Add(1)}
 	roots := [2]prefix.Prefix{rootPrefix(0), rootPrefix(1)}
 	prev := roots    // per family, the prefix before this one in the pass
 	var nodes [2]int // Σ(len − cpl) while the family is in pre-order, then -1
@@ -237,9 +247,9 @@ func (ix *Index) ValidateBatch(routes []Route, dst []State) []State {
 }
 
 // AppendVRPs appends the indexed VRP set to dst in per-family canonical
-// prefix order and returns the extended slice, grown once to hold it. Table
-// compaction rebuilds from it; callers can use it to export or diff a
-// snapshot's table without retaining the index.
+// prefix order and returns the extended slice, grown once to hold it: a bulk
+// Apply rebuilds from it; callers can use it to export or diff a snapshot's
+// table without retaining the index.
 func (ix *Index) AppendVRPs(dst []rpki.VRP) []rpki.VRP {
 	dst = slices.Grow(dst, ix.Len())
 	ix.VisitVRPs(func(v rpki.VRP) bool {

@@ -14,7 +14,7 @@ import (
 )
 
 // waitCompactor waits until no background compaction is in flight.
-func waitCompactor(t *testing.T, tab *Table) {
+func waitCompactor(t testing.TB, tab *Table) {
 	t.Helper()
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
 		tab.mu.Lock()
@@ -36,10 +36,7 @@ func settle(t *testing.T, l *LiveIndex) {
 	t.Helper()
 	for {
 		waitCompactor(t, &l.tab)
-		l.tab.mu.Lock()
-		need := l.tab.needCompact(l.tab.cur.Load())
-		l.tab.mu.Unlock()
-		if !need {
+		if !compactDue(&l.tab) {
 			return
 		}
 		l.Apply(nil, nil)

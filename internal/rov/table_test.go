@@ -57,6 +57,51 @@ func checkEntryGarbage(t *testing.T, tab *Table) {
 	}
 }
 
+// TestCompactCopiesLiveSlab pins compaction's copy to the build it replaced,
+// newIndexFromVRPs of the table's VRP stream, node for node and entry for
+// entry, on a table of today's size churned by roa_change's deltas until a
+// compaction is due, withdrawn chains and all; and pins its slabs at the size
+// of the ones it replaced, which the cycle it starts fills without growing a
+// node slab, up to the next compaction.
+func TestCompactCopiesLiveSlab(t *testing.T) {
+	tab, churn := churnedTable(t)
+	src := tab.Snapshot()
+	got := liveCopy(src)
+	want := newIndexFromVRPs(src.AppendVRPs(nil))
+	checkSameSlabs(t, "the compaction's copy", got, want)
+	reachable := 0
+	for slot := range src.fams {
+		src.fams[slot].eng.Walk(src.fams[slot].root, rootPrefix(slot), func(int32, prefix.Prefix) { reachable++ })
+	}
+	_, live := nodeCaps(want)
+	if reachable <= live {
+		t.Fatalf("the churned table reaches %d nodes, its build holds %d: no withdrawn chain to drop", reachable, live)
+	}
+	for slot := range src.fams {
+		if c, n := cap(got.fams[slot].eng.Nodes), len(src.fams[slot].eng.Nodes); c != n+n/32+1 { // + node 0
+			t.Fatalf("family %d: the copy's node slab holds %d cells, the slab it replaces %d", slot, c, n)
+		}
+	}
+	if c, n := cap(got.entries), len(src.entries); c != n+n/32 {
+		t.Fatalf("the copy's entry slab holds %d cells, the slab it replaces %d", c, n)
+	}
+
+	tab.compact(src, nil)
+	capacity, _ := nodeCaps(tab.Snapshot())
+	deltas := 0
+	for ; !compactDue(tab); deltas++ {
+		churn()
+		if c, n := nodeCaps(tab.Snapshot()); c != capacity {
+			t.Fatalf("delta %d after the compaction: node slabs of %d cells for %d nodes, were %d", deltas+1, c, n, capacity)
+		}
+	}
+	if deltas < 100 {
+		t.Fatalf("the next compaction was due after %d deltas", deltas)
+	}
+	_, n := nodeCaps(tab.Snapshot())
+	t.Logf("%d of %d reachable nodes copied into slabs of %d; the next compaction due after %d deltas, at %d nodes", live, reachable, capacity, deltas, n)
+}
+
 // TestDeltaCopiesEachPathOnce pins the one rule that makes a multi-VRP delta
 // cost the union of its paths: inside one delta a published node is cloned at
 // most once — whatever the delta cloned or allocated is unpublished and

@@ -2,6 +2,7 @@ package rtr
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -63,6 +64,69 @@ func BenchmarkSendFull(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSerialFanout measures what one publish costs the cache at a router
+// population: one 8-VRP publish (eight /24s of a /21) into today's table, then
+// N routers one serial behind, each answered by streamSerial into a
+// discardConn, at N = 1, 200 and 2,000. ns/router is the cost per router.
+// fresh publishes into a newly built table; compacted publishes right after
+// the cache's table compacted, so that the router's snapshot and the current
+// one lie on two arena lineages.
+func BenchmarkSerialFanout(b *testing.B) {
+	table, _ := core.Compress(synth.Generate(synth.Params6_1()).VRPs, core.Options{})
+	group := make([]rpki.VRP, 8)
+	for k := range group {
+		group[k] = rpki.VRP{Prefix: mp(fmt.Sprintf("198.51.%d.0/24", 96+k)), MaxLength: 24, AS: 64500}
+	}
+	// publish makes publish k, announcing the group or withdrawing it, and
+	// returns the query of a router that held the serial before it.
+	publish := func(srv *Server, k int) SerialQuery {
+		q := SerialQuery{SessionID: srv.SessionID(), Serial: srv.Serial()}
+		if k%2 == 0 {
+			srv.ApplyDelta(group, nil)
+		} else {
+			srv.ApplyDelta(nil, group)
+		}
+		return q
+	}
+	fresh, compacted := NewServer(table), NewServer(table)
+	defer fresh.Close()
+	defer compacted.Close()
+	freshQ := publish(fresh, 0)
+	var compactedQ SerialQuery
+	for k := 0; ; k++ {
+		if k == 1<<20 {
+			b.Fatal("the cache's table never compacted")
+		}
+		before := compacted.pub.Load().current()
+		if compactedQ = publish(compacted, k); lineage(compacted.pub.Load().current()) != lineage(before) {
+			break
+		}
+	}
+	for _, c := range []struct {
+		name string
+		srv  *Server
+		q    SerialQuery
+	}{{"fresh", fresh, freshQ}, {"compacted", compacted, compactedQ}} {
+		for _, n := range []int{1, 200, 2000} {
+			conns := make([]*conn, n)
+			for i := range conns {
+				conns[i] = &conn{c: discardConn{}, bw: bufio.NewWriterSize(discardConn{}, 4096), version: Version1, state: connActive}
+			}
+			b.Run(fmt.Sprintf("%s/%d", c.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, rc := range conns {
+						if err := c.srv.streamSerial(rc, Version1, c.q); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/router")
+			})
+		}
+	}
 }
 
 // BenchmarkPublishDelta measures the publish path a delta-fed cache runs

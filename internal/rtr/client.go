@@ -569,10 +569,10 @@ func stage(s []rpki.VRP, v rpki.VRP) []rpki.VRP {
 // Within one update withdrawals win over announcements of the same VRP and
 // repeats count once — the table has set semantics. An incremental update
 // path-copies into the table in O(delta); a full one builds the new index
-// in one pass and swaps it in. Either way the subscribers' delta is the
-// structural diff of the table's snapshots before and after, which is exact
-// by construction and, for an incremental update, visits only the changed
-// paths. With no subscriber no diff is taken.
+// in one pass and swaps it in. Either way the subscribers' delta is rov.Diff
+// of the table's snapshots before and after, which is exact by construction
+// and, for an incremental update, a copy of the net delta the new snapshot
+// carries. With no subscriber no diff is taken.
 func (c *Client) commit(req *request, eod *EndOfData, version byte) {
 	var before *rov.Index
 	if len(req.subs) > 0 {

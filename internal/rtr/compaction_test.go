@@ -51,10 +51,10 @@ func compactionTable(rng *rand.Rand) (*rpki.Set, func() []rpki.VRP) {
 }
 
 // TestSerialQueryAcrossCompaction pins a Serial Query whose two snapshots lie
-// on either side of a compaction of the cache's table: the rebuild started a
-// new arena lineage, so the answer is the full dual walk, not the structural
-// one — and must still be exactly the set difference, which the router's
-// table then equals.
+// on either side of a compaction of the cache's table, many serials apart: the
+// rebuild started a new arena lineage, so the answer is the full dual walk, not
+// the structural one — and must still be exactly the set difference, which the
+// router's table then equals.
 func TestSerialQueryAcrossCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	set, scattered := compactionTable(rng)
@@ -127,9 +127,10 @@ func TestSerialQueryAcrossCompaction(t *testing.T) {
 // TestMultiSupervisorAcrossSessionCompaction is the subscriber's side of the
 // same edge: the upstream's session table compacts under a stream of deltas,
 // and the delivery that diffs the last snapshot delivered before the
-// compaction against the first one after it — a full dual walk — must be as
-// exact as every structural one: each delivery announces only what the
-// subscriber lacks and withdraws only what it holds, and no reset is taken.
+// compaction against the first one after it — on two arena lineages, and
+// answered from the delta the later one carries — must be as exact as every
+// other: each delivery announces only what the subscriber lacks and withdraws
+// only what it holds, and no reset is taken.
 func TestMultiSupervisorAcrossSessionCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	set, scattered := compactionTable(rng)

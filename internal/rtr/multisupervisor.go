@@ -54,12 +54,14 @@ type Upstream struct {
 // against it). Every upstream — serving or not — keeps its table synced, so
 // at the moment of a switch both the table subscribers hold and the new
 // cache's table exist as immutable snapshots, and the switch reaches
-// subscribers as the structural diff between them (rov.Diff): a delta, never
-// a rebuild, no matter which caches the two sides came from. Steady-state
-// deliveries use the same reconcile path — the delivered snapshot and the
-// table share an arena lineage, so each costs O(changed), except the first
-// after the session table compacts: its rebuild starts a new lineage, and
-// that delivery's diff is a full dual walk, as exact. Only when the
+// subscribers as the diff between them (rov.Diff): a delta, never a rebuild,
+// no matter which caches the two sides came from — across caches, a full
+// dual walk. Steady-state deliveries use the same reconcile path: after one
+// sync the delivered snapshot is the table's parent, so the delivery is a
+// copy of the delta the table's snapshot carries, across a compaction of the
+// session table too; a delivered snapshot further back shares the table's
+// arena lineage, and the diff is O(changed), unless the table compacted
+// between them, and then it is a full dual walk, as exact. Only when the
 // delivered table's Expire window has passed (every upstream was out that
 // long) is the next table delivered through OnReset instead: §6 forbids
 // diffing against expired data.

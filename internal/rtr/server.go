@@ -37,13 +37,15 @@ import (
 //
 // The cache stores no delta chains: each update's table goes into a short
 // ring of immutable rov snapshots, and the answer to a Serial Query is
-// synthesized at write time as the structural diff between the router's
-// retained snapshot and the current one — exact between any two retained
-// serials and free of serial arithmetic (the ring is searched by serial
-// equality). It is O(changed) in the snapshots' divergence while both share
-// an arena lineage; once the table has compacted between them, the rebuild
+// synthesized at write time as rov.Diff between the router's retained
+// snapshot and the current one — exact between any two retained serials and
+// free of serial arithmetic (the ring is searched by serial equality). For a
+// router one serial behind, every healthy one, that is a copy of the delta
+// the current snapshot carries from its parent, compaction or not. Further
+// back it is O(changed) in the snapshots' divergence while both share an
+// arena lineage; once the table has compacted between them, the rebuild
 // having started a new lineage, it is a full dual walk (≈ 4 ms at 33,615
-// VRPs), paid by each router's first Serial Query from a serial before the
+// VRPs), paid by each router more than one serial behind across the
 // compaction.
 type Server struct {
 	// Timers advertised in version-1 End of Data PDUs (seconds). Zero values
@@ -68,11 +70,11 @@ type Server struct {
 	// writeMu serializes publishers (UpdateSet, ApplyDelta, SetSession);
 	// readers never take it.
 	writeMu sync.Mutex
-	// live applies each delta as a persistent-snapshot update; retained
-	// snapshots between two of its compactions share an arena lineage, which
-	// is what makes the on-demand serial-to-serial diff structural instead of
-	// a full table walk. Write side only: the cache serves snapshots and diffs
-	// and validates nothing.
+	// live applies each delta as a persistent-snapshot update that carries
+	// the delta from its parent, and its snapshots between two compactions
+	// share an arena lineage: the serial-to-serial diff is a copy or a
+	// structural walk, not a full table walk. Write side only: the cache
+	// serves snapshots and diffs and validates nothing.
 	live *rov.Table
 	// served is the set the table was last replaced with — NewServer's or
 	// UpdateSet's argument, shared with the caller — against which the next
@@ -541,10 +543,11 @@ func (s *Server) streamFull(c *conn, version byte) error {
 // streamSerial answers a Serial Query from the published state at write
 // time: an incremental update when the session matches and the router's
 // serial is still in the snapshot ring, otherwise Cache Reset. The update
-// is synthesized as the structural diff between the retained snapshot and
-// the current table — no stored chain, exact between any two retained
-// serials, O(changed) unless the table compacted between them (a query at
-// the current serial diffs a snapshot against itself: the empty update).
+// is synthesized as rov.Diff between the retained snapshot and the current
+// table — no stored chain, exact between any two retained serials: from the
+// previous serial the delta the current snapshot carries, from further back
+// O(changed), or the ≈ 4 ms full walk across a compaction (a query at the
+// current serial diffs a snapshot against itself: the empty update).
 func (s *Server) streamSerial(c *conn, version byte, q SerialQuery) error {
 	p := s.pub.Load()
 	if q.SessionID != p.session {
