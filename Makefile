@@ -22,10 +22,10 @@ vet:
 	$(GO) vet -printf.funcs=$(VET_PRINTF_FUNCS) \
 		-unusedresult.funcs=$(VET_UNUSEDRESULT_STD),$(VET_UNUSEDRESULT_REPRO) ./...
 
-# lint runs reprolint, the in-tree static-analysis suite for the invariants
-# the hot paths depend on (see cmd/reprolint and the README). Zero
-# unsuppressed findings is the bar; suppress with
-# //lint:ignore <check> <reason>.
+# lint runs reprolint, the in-tree static analysis of the RTR and ROV lock
+# discipline — nothing blocks under a mutex, one order for every pair — which
+# no test sees (see cmd/reprolint and the README). Zero unsuppressed findings
+# is the bar; suppress with //lint:ignore <check> <reason>.
 lint:
 	$(GO) run ./cmd/reprolint ./...
 

@@ -18,8 +18,9 @@ import (
 
 var blockingLockAnalyzer = &Analyzer{
 	Name: "blockinglock",
-	Doc:  "flags blocking operations, and calls that may reach one, made while a sync.Mutex/RWMutex is held in internal/rtr + internal/rov",
-	Run:  runBlockingLock,
+	Doc: "flags blocking operations, and calls that may reach one, made while a sync.Mutex/RWMutex is held in internal/rtr + internal/rov; " +
+		"only it sees upstream.connect waiting for a closed client's Done under MultiSupervisor.mu, or Server.Close waiting for its writers under regMu, which go test -race ./internal/rtr passes",
+	Run: runBlockingLock,
 }
 
 func runBlockingLock(m *ModulePass) {

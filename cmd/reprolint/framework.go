@@ -1,7 +1,6 @@
 package main
 
-// The analyzer framework: findings with positions, a cross-package
-// annotation table built from //repro:* directives, and //lint:ignore
+// The analyzer framework: findings with positions and //lint:ignore
 // suppression. Analyzers are deliberately small — each one encodes exactly
 // one invariant the hot paths of this repository depend on.
 
@@ -19,19 +18,17 @@ import (
 type Analyzer struct {
 	// Name is the check name used in findings and //lint:ignore directives.
 	Name string
-	// Doc is a one-line description.
+	// Doc says what the check flags, and the mutation only it catches.
 	Doc string
 	// Run inspects the loaded module and reports findings through the pass.
 	Run func(m *ModulePass)
 }
 
-// ModulePass is one analyzer's view of the loaded package set: the packages,
-// the call graph over them, and the //repro:* annotation table.
+// ModulePass is one analyzer's view of the loaded package set: the call graph
+// over it.
 type ModulePass struct {
 	Fset  *token.FileSet
-	Pkgs  []*Package
 	Graph *CallGraph
-	Facts *Facts
 
 	check    string
 	findings *[]Finding
@@ -73,85 +70,15 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Check, f.Msg)
 }
 
-// Facts is the cross-package annotation table, built from every loaded
-// package's directive comments before any analyzer runs.
-type Facts struct {
-	// ImmutableTypes holds "pkgpath.TypeName" for type declarations
-	// annotated //repro:immutable: values of the type reachable from a
-	// published snapshot must never be written through.
-	ImmutableTypes map[string]bool
-	// ImmutableFuncs holds (*types.Func).FullName() strings for functions
-	// annotated //repro:immutable: their return values are published
-	// snapshots.
-	ImmutableFuncs map[string]bool
-}
-
-const immutableDirective = "//repro:immutable"
-
-// collectFacts scans the loaded packages' declaration comments for
-// //repro:* directives.
-func collectFacts(pkgs []*Package) *Facts {
-	f := &Facts{
-		ImmutableTypes: make(map[string]bool),
-		ImmutableFuncs: make(map[string]bool),
-	}
-	for _, p := range pkgs {
-		for _, file := range p.Files {
-			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.GenDecl:
-					if d.Tok != token.TYPE {
-						continue
-					}
-					declHas := hasDirective(d.Doc, immutableDirective)
-					for _, spec := range d.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						if declHas || hasDirective(ts.Doc, immutableDirective) || hasDirective(ts.Comment, immutableDirective) {
-							f.ImmutableTypes[p.Path+"."+ts.Name.Name] = true
-						}
-					}
-				case *ast.FuncDecl:
-					obj, ok := p.Info.Defs[d.Name].(*types.Func)
-					if !ok {
-						continue
-					}
-					if hasDirective(d.Doc, immutableDirective) {
-						f.ImmutableFuncs[obj.FullName()] = true
-					}
-				}
-			}
-		}
-	}
-	return f
-}
-
-func hasDirective(cg *ast.CommentGroup, directive string) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		if c.Text == directive || strings.HasPrefix(c.Text, directive+" ") {
-			return true
-		}
-	}
-	return false
-}
-
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
 	pos    token.Position
 	checks []string // check names the directive suppresses
 	valid  bool     // false: missing check name or reason
-	used   bool
 }
 
-// collectIgnores parses every //lint:ignore directive in the loaded files.
-// The returned map is keyed by filename; each file's directives are keyed by
-// the line they apply to (their own line — a trailing comment suppresses its
-// statement — and, for a directive alone on its line, the line below).
+// collectIgnores parses every //lint:ignore directive in the loaded files,
+// keyed by filename and then by the directive's own line.
 func collectIgnores(fset *token.FileSet, pkgs []*Package) map[string]map[int][]*ignoreDirective {
 	out := make(map[string]map[int][]*ignoreDirective)
 	for _, p := range pkgs {
@@ -199,16 +126,15 @@ func (d *ignoreDirective) matches(check string) bool {
 // suppression, and returns the surviving findings sorted by position. Type
 // checking already happened in dependency order inside the loader; the
 // analyzers run in registry order on the calling goroutine, sharing one call
-// graph (all checks together are ~60 ms of a run that spends 1.7 s loading, so
-// there is nothing for a worker pool to win). Malformed //lint:ignore
-// directives are themselves findings (check "lint"): a suppression without a
-// stated reason suppresses nothing and documents nothing, and a suppression
-// naming a check that is not registered guards nothing.
+// graph. Malformed //lint:ignore directives are themselves findings (check
+// "lint"): a suppression without a stated reason suppresses nothing and
+// documents nothing, and a suppression naming a check that is not registered
+// guards nothing.
 func runAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Finding {
 	ignores := collectIgnores(fset, pkgs)
 
 	var raw []Finding
-	pass := ModulePass{Fset: fset, Pkgs: pkgs, Graph: buildCallGraph(fset, pkgs), Facts: collectFacts(pkgs), findings: &raw}
+	pass := ModulePass{Fset: fset, Graph: buildCallGraph(pkgs), findings: &raw}
 	for _, a := range analyzers {
 		pass.check = a.Name
 		a.Run(&pass)
@@ -221,11 +147,9 @@ func runAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 
 	var out []Finding
 	for _, f := range raw {
-		if d := suppressing(ignores, f); d != nil {
-			d.used = true
-			continue
+		if !suppressed(ignores, f) {
+			out = append(out, f)
 		}
-		out = append(out, f)
 	}
 	for _, byLine := range ignores {
 		for _, ds := range byLine {
@@ -243,7 +167,7 @@ func runAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 						out = append(out, Finding{
 							Check: "lint",
 							Pos:   d.pos,
-							Msg:   fmt.Sprintf("//lint:ignore names unknown check %q — it suppresses nothing (run reprolint -checks for the registry)", c),
+							Msg:   fmt.Sprintf("//lint:ignore names unknown check %q — it suppresses nothing (reprolint -h lists the checks)", c),
 						})
 					}
 				}
@@ -263,20 +187,17 @@ func runAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 	return out
 }
 
-// suppressing returns the directive that suppresses f, or nil. A directive
-// applies to findings on its own line and on the line directly below it (the
+// suppressed reports whether a directive suppresses f. A directive applies to
+// findings on its own line and on the line directly below it (the
 // standalone-comment-above-the-statement form).
-func suppressing(ignores map[string]map[int][]*ignoreDirective, f Finding) *ignoreDirective {
+func suppressed(ignores map[string]map[int][]*ignoreDirective, f Finding) bool {
 	byLine := ignores[f.Pos.Filename]
-	if byLine == nil {
-		return nil
-	}
 	for _, line := range [2]int{f.Pos.Line, f.Pos.Line - 1} {
 		for _, d := range byLine[line] {
 			if d.matches(f.Check) {
-				return d
+				return true
 			}
 		}
 	}
-	return nil
+	return false
 }

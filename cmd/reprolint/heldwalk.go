@@ -1,9 +1,9 @@
 package main
 
 // heldwalk.go: the one walker that threads a held-lock set through a function
-// body, and the one classifier of blocking primitives. lockorder, goroleak
-// and blockinglock all consume the walker's events, so the three checks agree
-// on what a lock-held region is, how a lock is named, and what blocks.
+// body, and the classifier of blocking primitives. lockorder and blockinglock
+// both consume the walker's events, so the two checks agree on what a
+// lock-held region is and how a lock is named.
 //
 // Flow rules: statements run in source order; a branch body gets a copy of the
 // entry state and the state after the branch is the entry state (an unbalanced
@@ -208,7 +208,7 @@ func (w *heldWalker) call(call *ast.CallExpr, held *heldSet) {
 	if w.primitive(call, held) {
 		return
 	}
-	if callees, _ := w.g.resolveCall(w.n.pkg, call, w.n.binds); len(callees) > 0 && w.ev.call != nil {
+	if callees := w.g.resolveCall(w.n.pkg, call); len(callees) > 0 && w.ev.call != nil {
 		w.ev.call(call, callees, *held)
 	}
 }
@@ -304,19 +304,8 @@ func lockKeyFor(n *funcNode, e ast.Expr) string {
 	return n.name + "." + types.ExprString(e)
 }
 
-type blockKind int
-
-const (
-	blockSend blockKind = iota
-	blockReceive
-	blockSelect
-	blockRange
-	blockCall
-)
-
 // blockingOp is one classified blocking primitive.
 type blockingOp struct {
-	kind blockKind
 	pos  token.Pos
 	what string // "channel send", "blocking call time.Sleep"
 }
@@ -340,10 +329,10 @@ var blockingExternals = map[string]bool{
 func blockingPrimitive(p *Package, nd ast.Node) (blockingOp, bool) {
 	switch t := nd.(type) {
 	case *ast.SendStmt:
-		return blockingOp{blockSend, t.Arrow, "channel send"}, true
+		return blockingOp{t.Arrow, "channel send"}, true
 	case *ast.UnaryExpr:
 		if t.Op == token.ARROW {
-			return blockingOp{blockReceive, t.Pos(), "channel receive"}, true
+			return blockingOp{t.Pos(), "channel receive"}, true
 		}
 	case *ast.SelectStmt:
 		for _, c := range t.Body.List {
@@ -351,11 +340,11 @@ func blockingPrimitive(p *Package, nd ast.Node) (blockingOp, bool) {
 				return blockingOp{}, false
 			}
 		}
-		return blockingOp{blockSelect, t.Select, "select with no default"}, true
+		return blockingOp{t.Select, "select with no default"}, true
 	case *ast.RangeStmt:
 		if typ := typeOfIn(p, t.X); typ != nil {
 			if _, isChan := typ.Underlying().(*types.Chan); isChan {
-				return blockingOp{blockRange, t.For, "range over a channel"}, true
+				return blockingOp{t.For, "range over a channel"}, true
 			}
 		}
 	case *ast.CallExpr:
@@ -367,7 +356,7 @@ func blockingPrimitive(p *Package, nd ast.Node) (blockingOp, bool) {
 			id = f.Sel
 		}
 		if fn, ok := p.Info.Uses[id].(*types.Func); ok && blockingExternals[fn.FullName()] {
-			return blockingOp{blockCall, t.Pos(), "blocking call " + shortFuncName(fn)}, true
+			return blockingOp{t.Pos(), "blocking call " + shortFuncName(fn)}, true
 		}
 	}
 	return blockingOp{}, false

@@ -11,10 +11,6 @@ func TestLockOrderGolden(t *testing.T) {
 	checkGolden(t, loadTestdata(t, "lockorder"), wantsIn(t, "lockorder"))
 }
 
-func TestGoroLeakGolden(t *testing.T) {
-	checkGolden(t, loadTestdata(t, "goroleak"), wantsIn(t, "goroleak"))
-}
-
 // buildTestGraph loads one testdata package and builds its call graph.
 func buildTestGraph(t *testing.T, name string) *CallGraph {
 	t.Helper()
@@ -30,13 +26,12 @@ func buildTestGraph(t *testing.T, name string) *CallGraph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buildCallGraph(loader.Fset, pkgs)
+	return buildCallGraph(pkgs)
 }
 
 // TestCallGraph pins the call-graph builder's own behavior: recursion,
-// mutual recursion, interface dispatch widening, method values, and
-// single-assignment func-literal bindings, plus the callees-first SCC order
-// every summary composition depends on.
+// mutual recursion and interface dispatch widening, plus the callees-first
+// SCC order every summary composition depends on.
 func TestCallGraph(t *testing.T) {
 	g := buildTestGraph(t, "callgraph")
 
@@ -64,9 +59,9 @@ func TestCallGraph(t *testing.T) {
 		return out
 	}
 
-	// Self-recursion: fact calls itself statically.
+	// Self-recursion: fact calls itself.
 	fact := node("callgraph.fact")
-	if es := edgesTo(fact, "callgraph.fact"); len(es) != 1 || es[0].kind != edgeStatic {
+	if es := edgesTo(fact, "callgraph.fact"); len(es) != 1 {
 		t.Errorf("fact self-edge: got %+v", es)
 	}
 
@@ -88,26 +83,9 @@ func TestCallGraph(t *testing.T) {
 	// Interface dispatch widens to every concrete implementation.
 	dispatch := node("callgraph.dispatch")
 	for _, impl := range []string{"(callgraph.A).Do", "(*callgraph.B).Do"} {
-		if es := edgesTo(dispatch, impl); len(es) != 1 || es[0].kind != edgeIface {
+		if es := edgesTo(dispatch, impl); len(es) != 1 {
 			t.Errorf("dispatch -> %s: got %+v", impl, es)
 		}
-	}
-
-	// A method value is a reference, not a call.
-	takeValue := node("callgraph.takeValue")
-	if es := edgesTo(takeValue, "(callgraph.A).Do"); len(es) != 1 || es[0].kind != edgeRef {
-		t.Errorf("takeValue -> (callgraph.A).Do: got %+v", es)
-	}
-
-	// A single-assignment local binding resolves the literal statically,
-	// and the literal's own edges compose onward.
-	useBound := node("callgraph.useBound")
-	if es := edgesTo(useBound, "callgraph.useBound$1"); len(es) == 0 || es[0].kind != edgeStatic {
-		t.Errorf("useBound -> useBound$1: got %+v", es)
-	}
-	lit := node("callgraph.useBound$1")
-	if es := edgesTo(lit, "callgraph.fact"); len(es) != 1 || es[0].kind != edgeStatic {
-		t.Errorf("useBound$1 -> fact: got %+v", es)
 	}
 
 	// Callees-first: every cross-SCC edge points at an earlier SCC, the
@@ -118,33 +96,6 @@ func TestCallGraph(t *testing.T) {
 				t.Errorf("edge %s -> %s breaks callees-first SCC order (%d -> %d)",
 					n.name, e.callee.name, n.sccID, e.callee.sccID)
 			}
-		}
-	}
-}
-
-// TestMayGrowSlab pins arenaptr's derived growth summary on the real tree:
-// the engine methods that append, a reset that appends into a truncated
-// slab, a rov helper that only wraps Clone and a build that reaches Alloc two
-// calls down are all in it; pure readers are not. Nothing here is named in
-// the linter.
-func TestMayGrowSlab(t *testing.T) {
-	_, loader, pkgs := loadRepo(t)
-	g := buildCallGraph(loader.Fset, pkgs)
-	summary := mayGrowSlab(g)
-	mayGrow := make(map[string]bool)
-	for _, n := range g.nodes {
-		mayGrow[n.name] = summary[n] != nil
-	}
-	for name, want := range map[string]bool{
-		"(*core.Engine[V]).PathInsert": true,
-		"rov.CompactFromIndex":         true,
-		"(*core.mtrie).reset":          true,
-		"(*rov.Table).pathCopy":        true,
-		"(*core.Engine[V]).PathFind":   false,
-		"(*rov.Index).Validate":        false,
-	} {
-		if got, ok := mayGrow[name]; !ok || got != want {
-			t.Errorf("mayGrowSlab[%s] = %v (a node: %v), want %v", name, got, ok, want)
 		}
 	}
 }
@@ -192,14 +143,11 @@ func TestSuppressionInventory(t *testing.T) {
 	}
 	gotBlocking := make(map[string]int)
 
-	seen := make(map[*ignoreDirective]bool)
+	directives := 0
 	for _, byLine := range collectIgnores(loader.Fset, pkgs) {
 		for _, ds := range byLine {
 			for _, d := range ds {
-				if seen[d] {
-					continue // indexed under both its line and the line below
-				}
-				seen[d] = true
+				directives++
 				if !d.valid {
 					t.Errorf("%s: malformed //lint:ignore", d.pos)
 					continue
@@ -235,8 +183,8 @@ func TestSuppressionInventory(t *testing.T) {
 	for _, n := range wantBlocking {
 		allowed += n
 	}
-	if len(seen) != allowed {
-		t.Errorf("%d //lint:ignore directives in the repository, want the %d allow-listed blockinglock ones and nothing else", len(seen), allowed)
+	if directives != allowed {
+		t.Errorf("%d //lint:ignore directives in the repository, want the %d allow-listed blockinglock ones and nothing else", directives, allowed)
 	}
 }
 
@@ -248,10 +196,7 @@ func TestSuppressionInventory(t *testing.T) {
 func TestBlockingLockSeesExchange(t *testing.T) {
 	_, loader, pkgs := loadRepo(t)
 	var raw []Finding
-	blockingLockAnalyzer.Run(&ModulePass{
-		Fset: loader.Fset, Pkgs: pkgs,
-		Graph: buildCallGraph(loader.Fset, pkgs), check: "blockinglock", findings: &raw,
-	})
+	blockingLockAnalyzer.Run(&ModulePass{Fset: loader.Fset, Graph: buildCallGraph(pkgs), check: "blockinglock", findings: &raw})
 	const want = "call to (*rtr.Client).exchange may block while rtr.Client.reqMu is held"
 	for _, f := range raw {
 		if !strings.Contains(f.Msg, want) || !strings.Contains(f.Msg, "blocking call rtr.WritePDU") {

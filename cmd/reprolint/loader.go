@@ -24,9 +24,7 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	// Path is the import path ("repro/internal/rtr").
-	Path string
-	// Dir is the absolute directory the files came from.
-	Dir   string
+	Path  string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -204,7 +202,7 @@ func (l *Loader) parseDir(dir string) (*Package, error) {
 		importPath += "/" + filepath.ToSlash(rel)
 	}
 
-	p := &Package{Path: importPath, Dir: dir}
+	p := &Package{Path: importPath}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||

@@ -1,20 +1,20 @@
-// Command reprolint enforces this repository's load-bearing invariants with
-// static analysis. Six checks, each one function over the loaded packages and
-// the call graph built from them: RFC 1982 serial ordering (serialcmp), arena
-// slab pointer discipline (arenaptr), snapshot copy-on-write (snapshotwrite),
-// no blocking under RTR/ROV locks (blockinglock), consistent lock acquisition
-// order (lockorder), and provable stop paths for every goroutine (goroleak).
-// It is built on go/parser and go/types alone, keeping the module
-// dependency-free.
+// Command reprolint checks the lock discipline of this repository's RTR and
+// ROV layers with static analysis: two checks over the loaded packages and the
+// call graph built from them, no blocking operation while a mutex is held
+// (blockinglock) and one acquisition order for every pair of mutexes
+// (lockorder). Each is kept because it catches a mutation of the real code
+// that the test suite passes (its Doc names the mutation); the invariants the
+// suite itself holds — RFC 1982 serial order, slab indices across growth,
+// frozen snapshots, goroutine stop paths — it does not check. It is built on
+// go/parser and go/types alone, keeping the module dependency-free.
 //
 // Usage:
 //
-//	reprolint [-json] [packages]
+//	reprolint [packages]
 //
 // Packages default to ./... relative to the working directory. Findings are
-// printed one per line as file:line:col: [check] message, or as one JSON
-// object per line with -json. Exit status is 0 when clean, 1 when findings
-// remain, 2 on load or usage errors.
+// printed one per line as file:line:col: [check] message. Exit status is 0
+// when clean, 1 when findings remain, 2 on load or usage errors.
 //
 // A finding is suppressed by a directive on its line or the line above:
 //
@@ -25,49 +25,24 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 )
 
 var analyzers = []*Analyzer{
-	serialCmpAnalyzer,
-	arenaPtrAnalyzer,
-	snapshotWriteAnalyzer,
 	blockingLockAnalyzer,
 	lockOrderAnalyzer,
-	goroLeakAnalyzer,
-}
-
-// jsonFinding is the -json record shape; the field names are part of the CI
-// problem-matcher contract in .github/reprolint-problem-matcher.json.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
 }
 
 func main() {
-	list := flag.Bool("checks", false, "list the registered checks and exit")
-	asJSON := flag.Bool("json", false, "emit findings as one JSON object per line")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: reprolint [-json] [packages]\n\nChecks:\n")
+		fmt.Fprintf(os.Stderr, "usage: reprolint [packages]\n\nChecks:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
-		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -91,14 +66,8 @@ func main() {
 		os.Exit(2)
 	}
 	findings := runAnalyzers(loader.Fset, pkgs, analyzers)
-
-	enc := json.NewEncoder(os.Stdout)
 	for _, f := range findings {
-		if *asJSON {
-			enc.Encode(jsonFinding{File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column, Check: f.Check, Message: f.Msg})
-		} else {
-			fmt.Println(f)
-		}
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		os.Exit(1)

@@ -95,21 +95,6 @@ func checkGolden(t *testing.T, findings []Finding, wants map[string]string) {
 	}
 }
 
-func TestSerialCmpGolden(t *testing.T) {
-	checkGolden(t, loadTestdata(t, "serialcmp"), wantsIn(t, "serialcmp"))
-}
-
-// TestArenaPtrGolden loads internal/core next to the testdata: what grows a
-// slab is read off core's own source, not off a list of names.
-func TestArenaPtrGolden(t *testing.T) {
-	checkGolden(t, loadTestdata(t, "arenaptr", "../../../../internal/core"), wantsIn(t, "arenaptr"))
-}
-
-func TestSnapshotWriteGolden(t *testing.T) {
-	names := []string{"snapshotwrite/types", "snapshotwrite/writer"}
-	checkGolden(t, loadTestdata(t, names...), wantsIn(t, names...))
-}
-
 func TestBlockingLockGolden(t *testing.T) {
 	checkGolden(t, loadTestdata(t, "blockinglock"), wantsIn(t, "blockinglock"))
 }
@@ -141,8 +126,7 @@ func TestProblemMatcher(t *testing.T) {
 	pat := matcher.ProblemMatcher[0].Pattern[0]
 	re := regexp.MustCompile(pat.Regexp)
 
-	findings := loadTestdata(t, "serialcmp", "arenaptr", "../../../../internal/core",
-		"snapshotwrite/types", "snapshotwrite/writer", "blockinglock", "lockorder", "goroleak", "suppress")
+	findings := loadTestdata(t, "blockinglock", "lockorder", "suppress")
 	checks := make(map[string]bool)
 	for _, f := range findings {
 		checks[f.Check] = true
@@ -216,11 +200,11 @@ func TestSuppression(t *testing.T) {
 		}
 	}
 
-	expectNone("return aOK < bOK")
-	expectNone("return cOK < dOK //lint:ignore serialcmp testdata: trailing form")
-	expectOne("return aWrong < bWrong", "serialcmp")
-	expectOne("return aBare < bBare", "serialcmp")
-	expectOne("//lint:ignore serialcmp", "lint")
+	expectNone("b.ch <- 1")
+	expectNone("b.ch <- 2 //lint:ignore blockinglock testdata: trailing form")
+	expectOne("b.ch <- 3", "blockinglock")
+	expectOne("b.ch <- 4", "blockinglock")
+	expectOne("//lint:ignore blockinglock", "lint")
 
 	if want := 3; len(findings) != want {
 		t.Errorf("got %d findings, want %d: %v", len(findings), want, findings)
@@ -244,44 +228,5 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, f := range runAnalyzers(loader.Fset, pkgs, analyzers) {
 		t.Errorf("unsuppressed finding: %s", f)
-	}
-}
-
-// TestFactsCollected guards the annotation plumbing: the rov snapshot types
-// and constructors must be visible in the facts table when the module is
-// loaded, otherwise snapshotwrite silently checks nothing.
-func TestFactsCollected(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(wd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	facts := collectFacts(pkgs)
-	for _, ty := range []string{
-		"repro/internal/rov.Index",
-		"repro/internal/rov.CompactIndex",
-	} {
-		if !facts.ImmutableTypes[ty] {
-			t.Errorf("%s not in ImmutableTypes: %v", ty, facts.ImmutableTypes)
-		}
-	}
-	for _, fn := range []string{
-		"repro/internal/rov.NewIndex",
-		"repro/internal/rov.NewCompactIndex",
-		"repro/internal/rov.CompactFromIndex",
-		"(*repro/internal/rov.Table).Snapshot",
-		"(*repro/internal/rov.LiveIndex).Snapshot",
-		"(*repro/internal/rov.LiveIndex).CompactSnapshot",
-	} {
-		if !facts.ImmutableFuncs[fn] {
-			t.Errorf("%s not in ImmutableFuncs: %v", fn, facts.ImmutableFuncs)
-		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package callgraph is the unit-test fixture for the call-graph builder:
-// self-recursion, mutual recursion, interface dispatch, a method value, and
-// a single-assignment func-literal binding, each pinned by TestCallGraph.
+// self-recursion, mutual recursion and interface dispatch, each pinned by
+// TestCallGraph.
 package callgraph
 
 func fact(n int) int {
@@ -36,13 +36,6 @@ func (b *B) Do() int { return b.v }
 
 func dispatch(d Doer) int { return d.Do() }
 
-func takeValue(a A) func() int { return a.Do }
-
-func useBound() int {
-	f := func(n int) int { return fact(n) }
-	return f(3)
-}
-
 // use keeps every fixture reachable so the loader does not report unused
 // declarations under vet-style review.
-var use = []any{fact, ping, dispatch, takeValue, useBound, A{}, &B{}}
+var use = []any{fact, ping, dispatch, A{}, &B{}}

@@ -4,29 +4,42 @@
 // the directive's reason and change what is being tested).
 package suppress
 
-import "repro/internal/rtr"
+import "sync"
+
+type box struct {
+	mu sync.Mutex
+	ch chan int
+}
 
 // suppressedAbove: a correct directive on the line above the finding.
-func suppressedAbove(aOK, bOK rtr.Serial) bool {
-	//lint:ignore serialcmp testdata: exercising the suppression mechanism
-	return aOK < bOK
+func (b *box) suppressedAbove() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	//lint:ignore blockinglock testdata: exercising the suppression mechanism
+	b.ch <- 1
 }
 
 // suppressedSameLine: a correct trailing directive on the finding's line.
-func suppressedSameLine(cOK, dOK rtr.Serial) bool {
-	return cOK < dOK //lint:ignore serialcmp testdata: trailing form
+func (b *box) suppressedSameLine() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.ch <- 2 //lint:ignore blockinglock testdata: trailing form
 }
 
-// wrongCheck: the directive names a different check, so the serialcmp
+// wrongCheck: the directive names a different check, so the blockinglock
 // finding must survive.
-func wrongCheck(aWrong, bWrong rtr.Serial) bool {
-	//lint:ignore arenaptr testdata: names the wrong check on purpose
-	return aWrong < bWrong
+func (b *box) wrongCheck() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	//lint:ignore lockorder testdata: names the wrong check on purpose
+	b.ch <- 3
 }
 
 // missingReason: a directive with no reason is malformed — it suppresses
 // nothing (the finding survives) and is itself reported.
-func missingReason(aBare, bBare rtr.Serial) bool {
-	//lint:ignore serialcmp
-	return aBare < bBare
+func (b *box) missingReason() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	//lint:ignore blockinglock
+	b.ch <- 4
 }

@@ -63,7 +63,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	//repro:owns-goroutine (*rtr.Server).Close
 	go srv.Serve(l)
 	defer srv.Close()
 	addr := l.Addr().String()

@@ -65,7 +65,6 @@ func main() {
 		log.Fatal(err)
 	}
 	primaryAddr := lp.Addr().String()
-	//repro:owns-goroutine (*Server).Close
 	go primary.Serve(lp)
 
 	backup := rtr.NewServer(pdus)
@@ -75,7 +74,6 @@ func main() {
 		log.Fatal(err)
 	}
 	backupAddr := lb.Addr().String()
-	//repro:owns-goroutine (*Server).Close
 	go backup.Serve(lb)
 	defer backup.Close()
 
@@ -153,7 +151,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	//repro:owns-goroutine (*Server).Close
 	go primary2.Serve(lp2)
 	defer primary2.Close()
 

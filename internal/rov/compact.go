@@ -86,8 +86,6 @@ const strideCutoff = 4096
 // is immutable and safe for concurrent readers. It has no update path at
 // all — LiveIndex pairs it with the bit-trie Index, which answers the routes
 // a delta has touched until the next rebuild.
-//
-//repro:immutable
 type CompactIndex struct {
 	fams    [2]famCompact // famSlot order: IPv4, IPv6
 	entries []centry      // shared aggregated value slab
@@ -96,8 +94,6 @@ type CompactIndex struct {
 
 // NewCompactIndex builds a compact validation index over the set's VRPs.
 // The returned index is published: treat it as frozen from this point on.
-//
-//repro:immutable
 func NewCompactIndex(s *rpki.Set) *CompactIndex {
 	return CompactFromIndex(NewIndex(s))
 }
@@ -106,8 +102,6 @@ func NewCompactIndex(s *rpki.Set) *CompactIndex {
 // ix may be any snapshot, a path-copied one with emptied spans and dead
 // chains included: those keep no node unless they branch, and a branch with
 // nothing under one side answers like its ancestor.
-//
-//repro:immutable
 func CompactFromIndex(ix *Index) *CompactIndex {
 	cx := &CompactIndex{size: ix.Len()}
 	for slot := range cx.fams {

@@ -35,8 +35,6 @@ import (
 // how either index was built or answered: canonical prefix order (IPv4 before
 // IPv6, shorter prefixes first), and within one prefix by (AS, MaxLength) —
 // the same total order a sorted-set difference over the two tables produces.
-//
-//repro:immutable
 func Diff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	switch {
 	case old.version == nw.version:

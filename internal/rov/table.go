@@ -89,8 +89,6 @@ func NewTable(vrps []rpki.VRP) *Table {
 // Snapshot returns the current immutable index. The snapshot stays valid —
 // and keeps answering with its table version — for as long as the caller
 // holds it, regardless of later Apply calls.
-//
-//repro:immutable
 func (t *Table) Snapshot() *Index { return t.cur.Load() }
 
 // Len returns the number of VRPs in the current table.

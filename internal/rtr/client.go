@@ -160,7 +160,6 @@ func NewClientResume(nc net.Conn, table *rov.Table, st *SessionState) *Client {
 	if st != nil {
 		c.sessionID, c.serial, c.haveState = st.SessionID, st.Serial, true
 	}
-	//repro:owns-goroutine (*Client).Close
 	go c.dispatch()
 	return c
 }

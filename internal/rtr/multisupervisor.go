@@ -330,7 +330,6 @@ func (m *MultiSupervisor) Run() error {
 	var wg sync.WaitGroup
 	for _, u := range m.ups {
 		wg.Add(1)
-		//repro:owns-goroutine (*MultiSupervisor).Stop
 		go func() {
 			defer wg.Done()
 			u.run()

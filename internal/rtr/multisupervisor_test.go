@@ -534,8 +534,9 @@ func TestDeliveryLetsGoOfDelta(t *testing.T) {
 	}
 }
 
-// TestStopLeavesNoGoroutine is the runtime counterpart of reprolint's
-// goroleak: after followers with one and two upstreams have gone through a
+// TestStopLeavesNoGoroutine holds the supervisor's stop path, as
+// TestServerCloseLeavesNoGoroutine holds the server's and a Client's:
+// after followers with one and two upstreams have gone through a
 // cache kill/restart cycle, Stop — plus closing the caches — must return
 // the process to its pre-Run goroutine count: no dispatch loop, upstream
 // loop, watchdog or compactor outlives it. Run under -race by make race.

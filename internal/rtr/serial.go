@@ -10,10 +10,11 @@ package rtr
 // integer. Ordering is only defined modulo the ring, so raw `<`/`>`
 // comparisons and raw subtraction on Serial values are wrong the moment a
 // long-lived cache wraps past 2^32 — all ordering must go through
-// SerialLess/SerialNewer. The reprolint serialcmp analyzer enforces this
-// mechanically; code that genuinely needs wrapping integer arithmetic
-// converts through uint32 explicitly (as the wire codec does) or carries a
-// `//lint:ignore serialcmp <reason>` justification.
+// SerialLess/SerialNewer. TestSerialLess pins the ring order, and
+// TestNotifyOrderAcrossSerialWrap its two users, the server's notify mailbox
+// and the client's stale-notify drop, across the wrap; code that genuinely
+// needs wrapping integer arithmetic converts through uint32 explicitly (as
+// the wire codec does).
 type Serial uint32
 
 // SerialLess reports whether serial a precedes b on the RFC 1982 ring.

@@ -1,9 +1,12 @@
 package rtr
 
 import (
+	"net"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/rpki"
 )
 
 func TestSerialLess(t *testing.T) {
@@ -54,6 +57,94 @@ func TestSerialProperties(t *testing.T) {
 	if err := quick.Check(g, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestNotifyOrderAcrossSerialWrap pins RFC 1982 order at the two places a
+// serial is ordered against another: the server's coalescing notify mailbox
+// and the client's stale-notify drop. Both see serials cross 2^32, where a
+// raw > inverts.
+func TestNotifyOrderAcrossSerialWrap(t *testing.T) {
+	t.Run("server", func(t *testing.T) {
+		srv := NewServer(testVRPs())
+		srv.SetSession(0x1982, 0xfffffffe)
+		router, cache := net.Pipe()
+		handled := make(chan struct{})
+		go func() {
+			defer close(handled)
+			srv.handle(cache)
+		}()
+		defer func() {
+			srv.Close()
+			router.Close()
+			<-handled
+		}()
+
+		// Hold the writer: it streams the Reset Query's answer into a pipe,
+		// and a write there returns only once the router has read all of it.
+		if err := WritePDU(router, Version1, &ResetQuery{}); err != nil {
+			t.Fatal(err)
+		}
+		if pdu, _, err := ReadPDU(router); err != nil {
+			t.Fatal(err)
+		} else if _, ok := pdu.(*CacheResponse); !ok {
+			t.Fatalf("got %T, want Cache Response", pdu)
+		}
+		// Three publishes cross the wrap into the mailbox: 0xffffffff, 0, 1.
+		for i := 0; i < 3; i++ {
+			srv.ApplyDelta([]rpki.VRP{{Prefix: mp("192.0.2.0/24"), MaxLength: uint8(24 + i), AS: 65000}}, nil)
+		}
+		for {
+			pdu, _, err := ReadPDU(router)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := pdu.(*EndOfData); ok {
+				break
+			}
+		}
+		pdu, _, err := ReadPDU(router)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, ok := pdu.(*SerialNotify); !ok || n.Serial != 1 {
+			t.Fatalf("got %T %+v, want the Serial Notify for serial 1, the newest", pdu, pdu)
+		}
+		router.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		if pdu, _, err := ReadPDU(router); err == nil {
+			t.Errorf("a second PDU %T %+v after the coalesced notify", pdu, pdu)
+		}
+	})
+
+	t.Run("client", func(t *testing.T) {
+		router, cache := net.Pipe()
+		defer cache.Close()
+		c := NewClient(router)
+		defer c.Close()
+		script := make(chan error, 1)
+		go func() {
+			script <- func() error {
+				if err := WritePDU(cache, Version1, &SerialNotify{SessionID: 7, Serial: 0xffffffff}); err != nil {
+					return err
+				}
+				if err := expectQuery(cache, -1, 0); err != nil {
+					return err
+				}
+				return answer(cache, 7, 1, 7200)
+			}()
+		}()
+		waitFor(t, func() bool { return len(c.Notify()) == 1 })
+		if _, err := c.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-script; err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case s := <-c.Notify():
+			t.Errorf("the notify for %#x is still pending after a sync to serial %d, which is newer", s, c.Serial())
+		default:
+		}
+	})
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -597,7 +597,6 @@ func (s *Server) Serve(l net.Listener) error {
 		if err != nil {
 			return err
 		}
-		//repro:owns-goroutine (*Server).Close
 		go s.handle(nc)
 	}
 }

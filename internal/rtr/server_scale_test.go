@@ -1,8 +1,10 @@
 package rtr
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -25,8 +27,9 @@ func bigVRPSet(n int) *rpki.Set {
 	return rpki.NewSet(vrps)
 }
 
-// TestSlowRouterIsolation is the regression test for the retired
-// blockinglock suppression and for the retired writer pool: routers wedge
+// TestSlowRouterIsolation is the regression test for a notify written to the
+// socket under conn.mu (blockinglock's one real finding, which the notify
+// mailbox replaced) and for the retired writer pool: routers wedge
 // their TCP read side with multi-megabyte responses pending, and the cache
 // must keep publishing at full speed — every healthy router notified and
 // synced within the round bound, far below the write deadline a publisher
@@ -125,6 +128,92 @@ func TestSlowRouterIsolation(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestServerCloseLeavesNoGoroutine: Server.Close ends every handler and
+// writer it started — an idle router's, a never-reading router's wedged
+// mid-write, a router's stopped halfway through a Reset Query — and with them
+// the dispatch loop of the synced Client on the far side; Client.Close ends a
+// bare Client's. The process returns to its goroutine count from before the
+// server started.
+func TestServerCloseLeavesNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	srv := NewServer(bigVRPSet(50_000))
+	srv.WriteTimeout = time.Minute // Close, not the deadline, must end the wedge
+	addr, stop := startServer(t, srv)
+
+	idle, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if err := idle.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	wedged, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wedged.Close()
+	if tcp, ok := wedged.(*net.TCPConn); ok {
+		tcp.SetReadBuffer(4096)
+	}
+	for q := 0; q < 8; q++ {
+		if err := WritePDU(wedged, Version1, &ResetQuery{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	halfway, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer halfway.Close()
+	var query bytes.Buffer
+	if err := WritePDU(&query, Version1, &ResetQuery{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := halfway.Write(query.Bytes()[:4]); err != nil {
+		t.Fatal(err)
+	}
+	bareSide, _ := net.Pipe()
+	bare := NewClient(bareSide)
+	waitFor(t, func() bool { return srv.ConnCount() == 3 })
+	// The wedged router's eight answers, 1 MB each, outgrow any socket
+	// buffers: its writer blocks mid-write with some of them still queued.
+	waitFor(t, func() bool {
+		srv.regMu.Lock()
+		defer srv.regMu.Unlock()
+		for c := range srv.conns {
+			c.mu.Lock()
+			n := len(c.queue)
+			c.mu.Unlock()
+			if n > 0 && n < 8 {
+				return true
+			}
+		}
+		return false
+	})
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		stop()
+		bare.Close()
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Server.Close or Client.Close did not return")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before the server started\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
