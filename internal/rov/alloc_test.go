@@ -144,6 +144,44 @@ func TestDiffAllocs(t *testing.T) {
 	}
 }
 
+// TestApplyAllocs is the gate on what a path-copied delta allocates:
+// roa_change's eight clustered /24s into today's table, compaction held
+// (pathCopy), announced and then withdrawn. Each allocates its snapshot and
+// the slice of operations it carries, which is also the sorted copy of the
+// caller's: nothing more, and the slabs have room for every delta of the run.
+func TestApplyAllocs(t *testing.T) {
+	tab := NewTable(todayTable(t))
+	const runs = 10
+	deltas := make([][]rpki.VRP, runs+1) // AllocsPerRun calls its function once before it counts
+	for i := range deltas {
+		deltas[i] = clustered8(the21, rpki.ASN(64500+i))
+	}
+	for _, c := range []struct {
+		name     string
+		add      bool
+		want, at int // allocations, and the table's size after the run
+	}{
+		{"announce", true, 2, todaySize + 8*len(deltas)},
+		{"withdraw", false, 2, todaySize},
+	} {
+		i := 0
+		got := testing.AllocsPerRun(runs, func() {
+			if c.add {
+				pathCopy(tab, deltas[i], nil)
+			} else {
+				pathCopy(tab, nil, deltas[i])
+			}
+			i++
+		})
+		if tab.Len() != c.at {
+			t.Fatalf("%s: the table holds %d VRPs after the run, want %d", c.name, tab.Len(), c.at)
+		}
+		if got != float64(c.want) {
+			t.Errorf("%s of a clustered delta: %v allocs, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestIndexBuildAllocs is the gate on what a cold start's build allocates:
 // today's table in wire order is sized by the counting pass, so the build is
 // the index, its three slabs and the terminal list — no regrowth — and all it

@@ -378,6 +378,23 @@ func FuzzDiff(f *testing.F) {
 		churn = append(churn, op{tag: annTag | waitTag, a: 10, b: k % 24, c: k, len: 24, as: 2}, op{tag: wdTag | waitTag, a: 10, b: k % 24, c: k, len: 24, as: 2})
 	}
 	f.Add(ops(churn...))
+	// TestDeltaShapes' delta onto a first sync big enough to path-copy it: a
+	// chain and a sibling listed deepest first, a /0, a repeat, an announce the
+	// delta withdraws, a present VRP withdrawn, and two absent withdraws, the
+	// second under the first; then, IPv6 (8 = announce), ::/0 and a /64, the
+	// deepest prefix the op encoding reaches. Then the clustered delta's eight
+	// /24s listed in reverse.
+	shapes := append(sync(32),
+		op{tag: annTag, a: 11, b: 1, c: 2, len: 24, as: 1}, op{tag: annTag | contTag, a: 11, b: 1, c: 3, len: 24, as: 1},
+		op{tag: annTag | contTag, a: 11, b: 1, len: 16, as: 1}, op{tag: annTag | contTag, a: 11, len: 8, as: 1},
+		op{tag: annTag | contTag, as: 3}, op{tag: annTag | contTag, a: 11, b: 1, c: 2, len: 24, as: 1},
+		op{tag: wdTag | contTag, a: 11, b: 9, c: 2, len: 24, as: 1}, op{tag: wdTag | contTag, a: 11, b: 9, len: 16, as: 1},
+		op{tag: wdTag | contTag, a: 11, b: 1, c: 3, len: 24, as: 1}, op{tag: wdTag | contTag, a: 10, b: 1, len: 16, as: 1})
+	seed := append(ops(shapes...), 8|contTag, 0, 0, 0, 0, 0, 0, 3, 8|contTag, 32, 1, 13, 184, 64, 0, 2)
+	for k := byte(8); k > 0; k-- {
+		seed = append(seed, ops(op{tag: annTag | contTag*min(8-k, 1), a: 198, b: 51, c: 95 + k, len: 24, as: 2})...)
+	}
+	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		live := NewLiveIndex(rpki.NewSet(nil))
 		state := map[rpki.VRP]struct{}{}

@@ -96,6 +96,24 @@ func rootPrefix(slot int) prefix.Prefix {
 	return p
 }
 
+// finger is how this package walks a list of prefixes down one family's trie:
+// an operation descends not from the root but from where its prefix parts ways
+// with the previous one, prev (CommonPrefixLen), whose path the finger keeps —
+// path[d] is the node at depth d, for d <= valid. In any order that is what a
+// descent from the root finds; in the trie's pre-order (diffOrder within a
+// family) the operations read each node on the union of their paths once. A
+// build (newIndexFromVRPs) creates every node it passes, so it keeps only prev
+// and path. A delta (Table.edit) may stop short of its terminal, which bounds
+// the next descent at valid, and clones before it writes: the delta owns
+// path[:owned], the nodes at or past mark — the end of the family's node slab
+// when the delta began; everything under it is published.
+type finger struct {
+	prev         prefix.Prefix
+	path         [129]int32
+	valid, owned uint8
+	mark         int32
+}
+
 // newIndexFromVRPs builds the two-slab index in two passes: the first
 // inserts every VRP's path and counts entries per terminal node, then a
 // prefix-sum turns counts into slab offsets; the second drops each entry
@@ -103,16 +121,14 @@ func rootPrefix(slot int) prefix.Prefix {
 // VRP listed more than once is indexed once — an RTR Cache Response may
 // repeat an announcement, and a table is a set.
 //
-// An insert starts where its prefix parts ways with the family's previous one
-// (CommonPrefixLen), not at the root: in any order the nodes above that depth
-// exist and the finger has them, so the slab is node for node what a descent
-// from the root per VRP leaves. A family in the trie's pre-order — the wire
-// stream (VisitVRPs), Diff's output, NewServer's sorted set; not a Set, which
-// is AS-major — then costs one Ensure per node, and Σ(len − cpl) is its node
-// count: the slab is sized once, with headroom, as an exactly full one regrows
-// by a quarter at the first path-copied delta. The same cpl shows disorder (p
-// sorts before prev), where the sum is several times too much: that family is
-// hinted at a node per VRP and grows by append.
+// Inserts go through a finger a family, so the slab is node for node what a
+// descent from the root per VRP leaves. A family in the trie's pre-order — the
+// wire stream (VisitVRPs), Diff's output, NewServer's sorted set; not a Set,
+// which is AS-major — then costs one Ensure per node, and Σ(len − cpl) is its
+// node count: the slab is sized once, with headroom, as an exactly full one
+// regrows by a quarter at the first path-copied delta. The same cpl shows
+// disorder (p sorts before prev), where the sum is several times too much:
+// that family is hinted at a node per VRP and grows by append.
 func newIndexFromVRPs(vrps []rpki.VRP) *Index {
 	ix := &Index{version: versions.Add(1)}
 	roots := [2]prefix.Prefix{rootPrefix(0), rootPrefix(1)}
@@ -137,11 +153,11 @@ func newIndexFromVRPs(vrps []rpki.VRP) *Index {
 		ix.fams[slot].eng.Init(hint, span{})
 	}
 	prev = roots
-	var finger [2][129]int32 // at [slot][d], the node of prev's ancestor of length d
+	var paths [2][129]int32 // at [slot][d], the node of prev's ancestor of length d
 	terms := make([]int32, 0, len(vrps))
 	for _, v := range vrps {
 		slot, p := famSlot(v.Prefix.Family()), v.Prefix
-		f, path := &ix.fams[slot], &finger[slot]
+		f, path := &ix.fams[slot], &paths[slot]
 		depth := prefix.CommonPrefixLen(prev[slot], p)
 		idx := path[depth] // path[0] is the root: node 0
 		for ; depth < p.Len(); depth++ {

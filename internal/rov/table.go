@@ -24,7 +24,8 @@ import (
 // mutated: Apply clones the nodes on the union of the delta's paths to the
 // slab tail (path copying) — each once, however many of the delta's prefixes
 // share it, since what the delta cloned no reader can reach yet and it writes
-// that in place — hangs the modified terminal spans off the copies, and
+// that in place, and it reads each once a pass, the delta sorted into prefix
+// order (see finger) — hangs the modified terminal spans off the copies, and
 // installs a new root, all in a new Index value that shares the slab
 // backing arrays with its predecessor. Readers that loaded the old snapshot
 // keep walking the old root over the old nodes; the atomic pointer swap
@@ -65,13 +66,13 @@ type Table struct {
 // bulkDivisor sets where a delta stops being path-copied and the table is
 // rebuilt instead: an Apply of at least size/bulkDivisor operations (announces
 // plus withdraws, against the current table size). Path copying costs a delta
-// the union of its paths in cloned nodes — 0.3 µs and 5.3 nodes of garbage an
+// the union of its paths in cloned nodes — 0.36 µs and 5.3 nodes of garbage an
 // operation in a 525-operation delta into today's 33,615 VRPs — and a build
-// costs 0.23 µs a VRP of table plus delta (0.09 µs when all of it is in
+// costs 0.17–0.22 µs a VRP of table plus delta (0.09 µs when all of it is in
 // pre-order, as a first full sync is), once. BenchmarkLiveApplyBulk (one P,
 // delta ÷ table swept from 1/64 to 4, compaction waited out; medians of three
-// alternated runs): path copy 3.8 against a build's 8.8 ms at 1/3, 4.1
-// against 10.2 at 1/2, 9.6 against 14.6 at 1, 70.3 against 55.3 at 4, where
+// alternated runs): path copy 4.1 against a build's 9.8 ms at 1/3, 5.4
+// against 11.7 at 1/2, 12.5 against 15.0 at 1, 63.1 against 47.9 at 4, where
 // the delta's relocated entry cells outweigh the live ones and start a
 // compaction. Path copying is the cheaper side up to the table's size, and the
 // constant still stays at 2: a build also lays the slab out in pre-order,
@@ -102,7 +103,9 @@ func (t *Table) Len() int { return t.Snapshot().Len() }
 //
 // A delta small against the table is path-copied: it costs the nodes on the
 // union of its prefixes' root paths — at most (len(announce)+len(withdraw)) ·
-// prefix bits, and 36 for eight /24s of one /21 — amortized. The set size
+// prefix bits, and 36 for eight /24s of one /21 — each cloned once and read
+// once by the announces and once by the withdraws (see finger), amortized,
+// plus a sort of the delta. The set size
 // never enters: compaction runs on a background goroutine, so even the delta
 // that crosses the garbage threshold pays only its own path-copy work.
 // A delta of at least half the table's size (bulkDivisor) — the first full
@@ -167,30 +170,20 @@ func (t *Table) applyBulk(old *Index, announce, withdraw []rpki.VRP) bool {
 	return changed
 }
 
-// applyDelta is Apply's path-copy path: each operation clones what is still
-// published of its path onto the slab tail of a new snapshot sharing old's
-// slabs; the snapshot is published, with the net delta from old, if anything
-// changed, and the garbage left behind may start a background compaction.
-// Callers hold mu.
+// applyDelta is Apply's path-copy path: the delta, sorted into diffOrder in
+// copies of the table's own (never in the caller's slices: subscribers share
+// them), is written onto the slab tail of a new snapshot sharing old's slabs;
+// the snapshot is published, with the net delta from old, if anything changed,
+// and the garbage left behind may start a background compaction. Callers hold
+// mu.
 func (t *Table) applyDelta(old *Index, announce, withdraw []rpki.VRP) {
 	nw := &Index{fams: old.fams, entries: old.entries, version: versions.Add(1), parent: old.version}
+	ann, wd := slices.Clone(announce), slices.Clone(withdraw)
+	slices.SortFunc(ann, diffOrder)
+	slices.SortFunc(wd, diffOrder)
 	// The delta owns every node past the ends of old's node slabs.
-	own := [2]int32{int32(len(old.fams[0].eng.Nodes)), int32(len(old.fams[1].eng.Nodes))}
-	// The operations that changed the table, in slices of the table's own.
-	ann, wd := make([]rpki.VRP, 0, len(announce)), make([]rpki.VRP, 0, len(withdraw))
-	for _, v := range announce {
-		if t.announce(nw, v, own) {
-			ann = append(ann, v)
-		}
-	}
-	for _, v := range withdraw {
-		if t.withdraw(nw, v, own) {
-			wd = append(wd, v)
-		}
-	}
+	ann, wd = t.write(nw, ann, wd, [2]int32{int32(len(old.fams[0].eng.Nodes)), int32(len(old.fams[1].eng.Nodes))})
 	if len(ann)+len(wd) > 0 {
-		slices.SortFunc(ann, diffOrder)
-		slices.SortFunc(wd, diffOrder)
 		nw.announced, nw.withdrawn = cancelCommon(ann, wd)
 		t.publish(nw, false, announce, withdraw)
 	}
@@ -265,17 +258,12 @@ func (t *Table) compact(src *Index, hook func()) {
 	}
 	// cur was path-copied from src, so the diff is cur's carried delta or walks
 	// only the paths cloned since: the net effect of every delta the copy
-	// predates. Nothing has published rebuilt: the catch-up owns all of it and
+	// predates, already in diffOrder. It is written as a delta's is, with mark
+	// 0: nothing has published rebuilt, so the catch-up owns all of it and
 	// writes its nodes in place.
 	announce, withdraw := Diff(src, cur)
 	t.garbageNodes, t.garbageEntries = 0, 0
-	var own [2]int32
-	for _, v := range announce {
-		t.announce(rebuilt, v, own)
-	}
-	for _, v := range withdraw {
-		t.withdraw(rebuilt, v, own)
-	}
+	t.write(rebuilt, announce, withdraw, [2]int32{})
 	// The rebuild holds cur's set: it takes cur's place in the version history.
 	rebuilt.version, rebuilt.parent, rebuilt.announced, rebuilt.withdrawn = cur.version, cur.parent, cur.announced, cur.withdrawn
 	t.publish(rebuilt, false, nil, nil)
@@ -351,93 +339,103 @@ func (ix *Index) has(v rpki.VRP) bool {
 	return slices.Contains(ix.entries[sp.off:sp.off+sp.n], entry{maxLength: v.MaxLength, as: v.AS})
 }
 
-// announce adds one VRP to the in-construction snapshot, reporting whether
-// the table changed (false: the VRP was already present). own holds the
-// delta's per-family node marks (pathCopy).
-func (t *Table) announce(nw *Index, v rpki.VRP, own [2]int32) bool {
-	if nw.has(v) {
-		return false
+// write is the one way a snapshot under construction changes: it applies ann,
+// then wd — withdraw wins — through one finger a family, and returns the
+// operations that changed the table, compacted in place. In diffOrder, as both
+// callers give them, each pass reads the union of its paths once. mark is each
+// family's end of the published node slab: what lies under it is cloned, once,
+// before it is written; mark 0 writes a private copy in place.
+func (t *Table) write(nw *Index, ann, wd []rpki.VRP, mark [2]int32) ([]rpki.VRP, []rpki.VRP) {
+	var fg [2]finger
+	for s := range fg {
+		fg[s].prev, fg[s].path[0], fg[s].mark = rootPrefix(s), nw.fams[s].root, mark[s]
 	}
-	s := famSlot(v.Prefix.Family())
-	f := &nw.fams[s]
-	idx := t.pathCopy(f, v.Prefix, own[s])
-	sp := f.eng.Nodes[idx].Val
-	// Relocate the span to the slab tail with the new entry appended; the
-	// old span cells become garbage (still read by older snapshots).
-	off := int32(len(nw.entries))
-	nw.entries = append(nw.entries, nw.entries[sp.off:sp.off+sp.n]...)
-	nw.entries = append(nw.entries, entry{maxLength: v.MaxLength, as: v.AS})
-	f.eng.Nodes[idx].Val = span{off: off, n: sp.n + 1}
-	t.garbageEntries += int(sp.n)
-	f.size++
-	return true
+	ops := [2][]rpki.VRP{ann, wd}
+	for pass, vs := range ops {
+		k := 0
+		for _, v := range vs {
+			if t.edit(nw, &fg[famSlot(v.Prefix.Family())], v, pass == 0) {
+				vs[k], k = v, k+1
+			}
+		}
+		ops[pass] = vs[:k]
+	}
+	return ops[0], ops[1]
 }
 
-// withdraw removes one VRP from the in-construction snapshot, reporting
-// whether the table changed (false: the VRP was absent). own is as for
-// announce.
-func (t *Table) withdraw(nw *Index, v rpki.VRP, own [2]int32) bool {
-	s := famSlot(v.Prefix.Family())
-	f := &nw.fams[s]
-	idx := f.eng.PathFind(f.root, v.Prefix)
-	if idx < 0 {
-		return false
-	}
-	sp := f.eng.Nodes[idx].Val
-	e := entry{maxLength: v.MaxLength, as: v.AS}
-	pos := int32(-1)
-	for i, have := range nw.entries[sp.off : sp.off+sp.n] {
-		if have == e {
-			pos = int32(i)
+// edit adds v to nw (add) or takes it out, through v's family's finger, and
+// reports whether the table changed. It reads down from the finger to v's
+// terminal; only if v's presence is not already what add asks does it make the
+// path the delta's own from the deepest node it owns — cloning what lies under
+// mark, allocating what is absent, rerooting the family if the root was
+// published — and relocate the terminal's span to the entry slab's tail,
+// counting the cells it leaves as garbage.
+func (t *Table) edit(nw *Index, fg *finger, v rpki.VRP, add bool) bool {
+	f, p := &nw.fams[famSlot(v.Prefix.Family())], v.Prefix
+	e, n := &f.eng, p.Len()
+	hi, lo := p.Bits()
+	d := min(prefix.CommonPrefixLen(fg.prev, p), fg.valid)
+	fg.prev, fg.owned = p, min(fg.owned, d+1)
+	for ; d < n; d++ {
+		c := e.Nodes[fg.path[d]].Children[core.AddrBit(hi, lo, d)]
+		if c == core.NoChild {
 			break
 		}
+		fg.path[d+1] = c
 	}
-	if pos < 0 {
-		return false // not in the table
+	fg.valid = d
+	var sp span
+	if d == n {
+		sp = e.Nodes[fg.path[n]].Val
 	}
-	nidx := t.pathCopy(f, v.Prefix, own[s])
-	if sp.n == 1 {
-		// Span emptied. The node chain stays as structural garbage until
-		// compaction prunes it.
-		f.eng.Nodes[nidx].Val = span{}
-	} else {
-		off := int32(len(nw.entries))
+	ent := entry{maxLength: v.MaxLength, as: v.AS}
+	pos := int32(slices.Index(nw.entries[sp.off:sp.off+sp.n], ent))
+	if (pos >= 0) == add {
+		return false // already present, or absent
+	}
+	for fg.owned <= d && fg.path[fg.owned] >= fg.mark {
+		fg.owned++
+	}
+	// A node the delta made hangs only under nodes it owns, so every node read
+	// past the owned ones is published: each is cloned, once.
+	for ; fg.owned <= n; fg.owned++ {
+		k := fg.owned
+		var c int32
+		if k <= d {
+			c = e.Clone(fg.path[k])
+			t.garbageNodes++
+		} else {
+			c = e.Alloc(span{})
+		}
+		if k == 0 {
+			f.root = c
+		} else {
+			e.Nodes[fg.path[k-1]].Children[core.AddrBit(hi, lo, k-1)] = c
+		}
+		fg.path[k] = c
+	}
+	fg.valid = n
+	// Relocate the span to the slab tail, with v appended or taken out; the old
+	// span's cells become garbage (older snapshots still read them). A span
+	// emptied leaves its chain as structural garbage until compaction prunes it.
+	idx, off := fg.path[n], int32(len(nw.entries))
+	switch {
+	case add:
+		nw.entries = append(nw.entries, nw.entries[sp.off:sp.off+sp.n]...)
+		nw.entries = append(nw.entries, ent)
+		e.Nodes[idx].Val = span{off: off, n: sp.n + 1}
+		f.size++
+	case sp.n == 1:
+		e.Nodes[idx].Val = span{}
+		f.size--
+	default:
 		nw.entries = append(nw.entries, nw.entries[sp.off:sp.off+pos]...)
 		nw.entries = append(nw.entries, nw.entries[sp.off+pos+1:sp.off+sp.n]...)
-		f.eng.Nodes[nidx].Val = span{off: off, n: sp.n - 1}
+		e.Nodes[idx].Val = span{off: off, n: sp.n - 1}
+		f.size--
 	}
 	t.garbageEntries += int(sp.n)
-	f.size--
 	return true
-}
-
-// pathCopy makes p's path the delta's own — cloning onto the slab tail each
-// node below mark, the end of the family's node slab when the delta began
-// (everything under it is published), reusing each at or past it, creating
-// the ones that do not exist — reroots the family at the path's root, and
-// returns its terminal's index. A node is cloned at most once a delta, and
-// nothing reachable from any published snapshot is written.
-func (t *Table) pathCopy(f *famIndex, p prefix.Prefix, mark int32) int32 {
-	e := &f.eng
-	if f.root < mark {
-		f.root = e.Clone(f.root)
-		t.garbageNodes++
-	}
-	cur := f.root
-	for depth := uint8(0); depth < p.Len(); depth++ {
-		bit := p.Bit(depth)
-		next := e.Nodes[cur].Children[bit]
-		switch {
-		case next == core.NoChild:
-			next = e.Alloc(span{})
-		case next < mark:
-			next = e.Clone(next)
-			t.garbageNodes++
-		}
-		e.Nodes[cur].Children[bit] = next
-		cur = next
-	}
-	return cur
 }
 
 // needCompact reports whether superseded slab cells outweigh live ones.

@@ -102,6 +102,61 @@ func TestCompactCopiesLiveSlab(t *testing.T) {
 	t.Logf("%d of %d reachable nodes copied into slabs of %d; the next compaction due after %d deltas, at %d nodes", live, reachable, capacity, deltas, n)
 }
 
+// TestDeltaShapes applies one path-copied delta of the shapes a finger must
+// read right whatever order they come in: a nested chain and a sibling listed
+// deepest first, both families' /0, an IPv6 /96 (bits of the address's low
+// word), a repeated announce, a VRP announced and withdrawn, a present VRP
+// withdrawn, and two absent withdraws, the second under the first, whose
+// descent stops above where an earlier operation's path went on. After it the
+// table is the reference set, Diff is the walk, every dead entry cell counts,
+// the snapshot before it still holds its table, and the caller's slices are as
+// given.
+func TestDeltaShapes(t *testing.T) {
+	var base []rpki.VRP
+	for k := 0; k < 64; k++ {
+		base = append(base, markerVRP(k))
+	}
+	base = append(base, v("10.1.0.0/16", 16, 9), v("10.1.2.0/24", 24, 5))
+	announce := []rpki.VRP{
+		v("10.1.2.0/24", 24, 1), v("10.1.3.0/24", 24, 1), v("10.1.0.0/16", 24, 1), v("10.0.0.0/8", 16, 1),
+		v("0.0.0.0/0", 8, 3), v("::/0", 8, 3), v("2001:db8::5:6:0:0/96", 96, 2),
+		v("10.1.2.0/24", 24, 1),
+	}
+	withdraw := []rpki.VRP{
+		v("10.9.2.0/24", 24, 1), // the finger's path to 10.1.2.0/24 has its bits from /16 on
+		v("10.9.0.0/16", 16, 1), // absent below 10.0.0.0/12
+		v("10.1.3.0/24", 24, 1),
+		v("10.1.0.0/16", 16, 9),
+	}
+	want := map[rpki.VRP]struct{}{}
+	for _, v := range append(slices.Clone(base), announce...) {
+		want[v] = struct{}{}
+	}
+	for _, v := range withdraw {
+		delete(want, v)
+	}
+	givenA, givenW := slices.Clone(announce), slices.Clone(withdraw)
+
+	tab := NewTable(base)
+	before := tab.Snapshot()
+	tab.Apply(announce, withdraw)
+	after := tab.Snapshot()
+	if !before.fams[0].eng.SharedArena(&after.fams[0].eng) {
+		t.Fatal("the delta was not path-copied")
+	}
+	if extra, missing := naiveSetDiff(setOf(want).VRPs(), after.AppendVRPs(nil)); len(extra)+len(missing) != 0 || after.Len() != len(want) {
+		t.Fatalf("after the delta: %v extra, %v missing, Len() %d of %d", extra, missing, after.Len(), len(want))
+	}
+	if extra, missing := naiveSetDiff(base, before.AppendVRPs(nil)); len(extra)+len(missing) != 0 || before.Len() != len(base) {
+		t.Fatalf("the snapshot before the delta: %v extra, %v missing, Len() %d of %d", extra, missing, before.Len(), len(base))
+	}
+	checkParentDiff(t, "the delta", before, after)
+	checkEntryGarbage(t, tab)
+	if !slices.Equal(announce, givenA) || !slices.Equal(withdraw, givenW) {
+		t.Fatalf("Apply reordered the caller's slices: +%v -%v", announce, withdraw)
+	}
+}
+
 // TestDeltaCopiesEachPathOnce pins the one rule that makes a multi-VRP delta
 // cost the union of its paths: inside one delta a published node is cloned at
 // most once — whatever the delta cloned or allocated is unpublished and
@@ -111,24 +166,38 @@ func TestDeltaCopiesEachPathOnce(t *testing.T) {
 	t.Run("a clustered delta clones the union of its paths", func(t *testing.T) {
 		// The eight /24s are in the table (at another origin), so their paths
 		// exist: root, 21 nodes down to the /21, then 2 + 4 + 8 — 36 nodes,
-		// where eight separate root-to-/24 paths are 8 × 25 = 200.
-		tab := NewTable(append(slices.Clone(benchSet().VRPs()), clustered8(the21, 64500)...))
-		before := tab.Snapshot()
-		delta := clustered8(the21, 64501)
-		moved := 0 // entries the eight spans held before the delta
-		for _, v := range delta {
-			moved += int(spanAt(before, v.Prefix).n)
+		// where eight separate root-to-/24 paths are 8 × 25 = 200. The order
+		// the caller lists them in changes neither, nor the delta carried.
+		given := clustered8(the21, 64501) // in prefix order
+		reversed, shuffled := slices.Clone(given), slices.Clone(given)
+		slices.Reverse(reversed)
+		rand.New(rand.NewSource(83)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, c := range []struct {
+			name  string
+			delta []rpki.VRP
+		}{{"given", given}, {"reversed", reversed}, {"shuffled", shuffled}} {
+			t.Run(c.name, func(t *testing.T) {
+				tab := NewTable(append(slices.Clone(benchSet().VRPs()), clustered8(the21, 64500)...))
+				before := tab.Snapshot()
+				moved := 0 // entries the eight spans held before the delta
+				for _, v := range c.delta {
+					moved += int(spanAt(before, v.Prefix).n)
+				}
+				tab.Apply(c.delta, nil)
+				after := tab.Snapshot()
+				gn, ge := garbage(tab)
+				if grew := len(after.fams[0].eng.Nodes) - len(before.fams[0].eng.Nodes); grew != 36 || gn != 36 {
+					t.Fatalf("the node slab grew by %d and the garbage by %d nodes, want 36 and 36 (the union of the paths)", grew, gn)
+				}
+				if grew := len(after.entries) - len(before.entries); grew != moved+8 || ge != moved {
+					t.Fatalf("the entry slab grew by %d and the garbage by %d, want %d and %d (each span moved once)", grew, ge, moved+8, moved)
+				}
+				if !slices.Equal(after.announced, given) || len(after.withdrawn) != 0 {
+					t.Fatalf("the snapshot carries +%v -%v, want +%v", after.announced, after.withdrawn, given)
+				}
+				checkEntryGarbage(t, tab)
+			})
 		}
-		tab.Apply(delta, nil)
-		after := tab.Snapshot()
-		gn, ge := garbage(tab)
-		if grew := len(after.fams[0].eng.Nodes) - len(before.fams[0].eng.Nodes); grew != 36 || gn != 36 {
-			t.Fatalf("the node slab grew by %d and the garbage by %d nodes, want 36 and 36 (the union of the paths)", grew, gn)
-		}
-		if grew := len(after.entries) - len(before.entries); grew != moved+8 || ge != moved {
-			t.Fatalf("the entry slab grew by %d and the garbage by %d, want %d and %d (each span moved once)", grew, ge, moved+8, moved)
-		}
-		checkEntryGarbage(t, tab)
 	})
 
 	t.Run("every cell a delta leaves dead is garbage", func(t *testing.T) {
