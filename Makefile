@@ -42,7 +42,7 @@ race:
 # testing.AllocsPerRun, which race instrumentation inflates, so their files
 # are //go:build !race and the race target never compiles them.
 allocs:
-	$(GO) test -count=1 -run 'TestValidateAllocs|TestIndexBuildAllocs|TestDiffAllocs|TestApplyAllocs|TestAllocCeilings|TestSerialAnswerAllocs|TestClientResetAllocs' ./internal/rov ./internal/core ./internal/rtr
+	$(GO) test -count=1 -run 'TestValidateAllocs|TestIndexBuildAllocs|TestDiffAllocs|TestApplyAllocs|TestCompactAllocs|TestAllocCeilings|TestSerialAnswerAllocs|TestClientResetAllocs' ./internal/rov ./internal/core ./internal/rtr
 
 # bench prints the in-package core, rov, and rtr micro benchmarks plus the
 # paper-evaluation benches; -count=1 defeats test caching so numbers are

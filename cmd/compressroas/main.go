@@ -79,6 +79,8 @@ func run(in, repoDir, out, mode string, subsume, verify, stats bool) error {
 
 func load(in, repoDir string) (*rpki.Set, error) {
 	switch {
+	case in != "" && repoDir != "":
+		return nil, fmt.Errorf("-in and -repo are mutually exclusive")
 	case repoDir != "":
 		res, err := rpkix.ScanROAs(repoDir)
 		if err != nil {

@@ -19,6 +19,23 @@ func testSet(t *testing.T) *rpki.Set {
 	return set
 }
 
+// TestLoadRefusesBothInputs pins the usage line's either-or: given both -in
+// and -repo, load names the conflict instead of reading one and ignoring the
+// other.
+func TestLoadRefusesBothInputs(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "vrps.csv")
+	if err := os.WriteFile(in, []byte("prefix,maxlength,asn\n168.122.0.0/16,24,111\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := load(in, dir); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Fatalf("load with -in and -repo both set: err %v, want a mutually exclusive error", err)
+	}
+	if set, err := load(in, ""); err != nil || set.Len() != 1 {
+		t.Fatalf("load with -in alone: %v VRPs, err %v", set, err)
+	}
+}
+
 func TestSaveIntoMissingDirectory(t *testing.T) {
 	dir := t.TempDir()
 	if err := save(filepath.Join(dir, "absent", "out.csv"), testSet(t)); err == nil {

@@ -4,6 +4,7 @@ package rov
 
 import (
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"unsafe"
@@ -182,17 +183,62 @@ func TestApplyAllocs(t *testing.T) {
 	}
 }
 
+// TestCompactAllocs is the gate on a compaction: of churnedTable, from the
+// snapshot that made it due, with nothing to catch up. It allocates six
+// times — the VRP stream it rebuilds from, then the build's index, three slabs
+// and terminal list — and no slab regrows. The node slabs it publishes are
+// src's lengths and a 32nd more, plus node 0, and the entry slab src's and a
+// 32nd more; and the cycle it starts fills the node slabs without growing one
+// up to the next compaction: at src's length exactly, half of roa_change's
+// cycles regrew a slab by a quarter.
+func TestCompactAllocs(t *testing.T) {
+	tab, churn := churnedTable(t)
+	src := tab.Snapshot()
+	// A collection, which each compaction's few MB would start, allocates
+	// too: the count is taken with none.
+	gc := debug.SetGCPercent(-1)
+	allocs := testing.AllocsPerRun(5, func() {
+		tab.cur.Store(src)
+		tab.compact(src, nil)
+	})
+	debug.SetGCPercent(gc)
+	if allocs != 6 {
+		t.Errorf("a compaction of %d VRPs: %v allocs, want 6", src.Len(), allocs)
+	}
+	got := tab.Snapshot()
+	for slot := range src.fams {
+		if c, n := cap(got.fams[slot].eng.Nodes), len(src.fams[slot].eng.Nodes); c != n+n/32+1 { // + node 0
+			t.Fatalf("family %d: the rebuild's node slab holds %d cells, the slab it replaces %d", slot, c, n)
+		}
+	}
+	if c, n := cap(got.entries), len(src.entries); c != n+n/32 {
+		t.Fatalf("the rebuild's entry slab holds %d cells, the slab it replaces %d", c, n)
+	}
+	capacity, _ := nodeCaps(got)
+	deltas := 0
+	for ; !compactDue(tab); deltas++ {
+		churn()
+		if c, n := nodeCaps(tab.Snapshot()); c != capacity {
+			t.Fatalf("delta %d after the compaction: node slabs of %d cells for %d nodes, were %d", deltas+1, c, n, capacity)
+		}
+	}
+	if deltas < 100 {
+		t.Fatalf("the next compaction was due after %d deltas", deltas)
+	}
+	t.Logf("%v allocs; node slabs of %d cells; the next compaction due after %d deltas", allocs, capacity, deltas)
+}
+
 // TestIndexBuildAllocs is the gate on what a cold start's build allocates:
 // today's table in wire order is sized by the counting pass, so the build is
 // the index, its three slabs and the terminal list — no regrowth — and all it
 // allocates beyond what the finished index retains is that list.
 func TestIndexBuildAllocs(t *testing.T) {
-	ix := newIndexFromVRPs(todayTable(t))
+	ix := newIndexFromVRPs(todayTable(t), nil)
 	vrps := ix.AppendVRPs(nil)
 	if got := testing.AllocsPerRun(5, func() { _ = ix.AppendVRPs(nil) }); got != 1 {
 		t.Errorf("AppendVRPs(nil) of %d VRPs: %v allocs, want the one it grows its result by", len(vrps), got)
 	}
-	allocs := testing.AllocsPerRun(5, func() { ix = newIndexFromVRPs(vrps) })
+	allocs := testing.AllocsPerRun(5, func() { ix = newIndexFromVRPs(vrps, nil) })
 	if allocs > 6 {
 		t.Errorf("an ordered build of %d VRPs: %v allocs, want at most 6", len(vrps), allocs)
 	}
@@ -203,7 +249,7 @@ func TestIndexBuildAllocs(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ix = newIndexFromVRPs(vrps)
+	ix = newIndexFromVRPs(vrps, nil)
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("ordered build of %d VRPs: %v allocs, %d bytes for an index of %d", ix.Len(), allocs, got, retained)

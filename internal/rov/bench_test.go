@@ -60,7 +60,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if ix := newIndexFromVRPs(c.vrps); ix.Len() != s.Len() {
+				if ix := newIndexFromVRPs(c.vrps, nil); ix.Len() != s.Len() {
 					b.Fatal("short index")
 				}
 			}
@@ -235,7 +235,7 @@ func compactDue(tab *Table) bool {
 
 // BenchmarkTableCompact measures one compaction of a churned table of today's
 // size (churnedTable), from the snapshot that made it due, with nothing to
-// catch up: the copy of the live set into fresh slabs and the publish.
+// catch up: the rebuild of its VRP stream into fresh slabs and the publish.
 func BenchmarkTableCompact(b *testing.B) {
 	tab, _ := churnedTable(b)
 	src := tab.Snapshot()
@@ -310,7 +310,7 @@ func BenchmarkSnapshotDiff(b *testing.B) {
 	oldIx := NewIndex(s)
 	nwVRPs := append([]rpki.VRP(nil), s.VRPs()...)
 	nwVRPs = append(nwVRPs, rpki.VRP{Prefix: prefix.MustParse("198.51.100.0/24"), MaxLength: 24, AS: 64511})
-	nwIx := newIndexFromVRPs(nwVRPs)
+	nwIx := newIndexFromVRPs(nwVRPs, nil)
 	b.Run("independent/1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -322,14 +322,14 @@ func BenchmarkSnapshotDiff(b *testing.B) {
 	})
 }
 
-// BenchmarkLiveApplyBulk is the measurement behind bulkDivisor: one Apply of
-// delta ÷ table = 1/64 … 4 new VRPs into a table of today's size (33,615
-// VRPs), forced down each of Apply's two paths. The path-copy rows include
-// what the path leaves behind — they wait out the compaction the delta's
-// garbage starts, because a router pays for that rebuild too, only later —
-// and report the garbage as a metric. The bulk rows are one index build of
-// table + delta. Every iteration starts from a freshly built table.
-func BenchmarkLiveApplyBulk(b *testing.B) {
+// BenchmarkLiveApplyLarge is what a large delta costs, path-copied as every
+// delta into a non-empty table is: one Apply of delta ÷ table = 1/64 … 4 new
+// VRPs into a table of today's size (33,615 VRPs). Each row includes what the
+// delta leaves behind — it waits out the compaction the delta's garbage
+// starts, because a router pays for that rebuild too, only later — and
+// reports the garbage as a metric. Every iteration starts from a freshly built
+// table.
+func BenchmarkLiveApplyLarge(b *testing.B) {
 	const size = 33615
 	all := benchSet().VRPs()
 	base := all[:size]
@@ -355,7 +355,7 @@ func BenchmarkLiveApplyBulk(b *testing.B) {
 		{"1_3", size / 3}, {"1_2", size / 2}, {"1", size}, {"4", 4 * size},
 	} {
 		delta := fresh[:r.ops]
-		b.Run("pathcopy/"+r.name, func(b *testing.B) {
+		b.Run(r.name, func(b *testing.B) {
 			b.ReportAllocs()
 			garbage := 0
 			for i := 0; i < b.N; i++ {
@@ -376,20 +376,6 @@ func BenchmarkLiveApplyBulk(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(garbage), "garbage-nodes")
-		})
-		b.Run("bulk/"+r.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				t := NewTable(base)
-				b.StartTimer()
-				t.mu.Lock()
-				t.applyBulk(t.cur.Load(), delta, nil)
-				t.mu.Unlock()
-				if t.Len() != size+r.ops {
-					b.Fatalf("table holds %d VRPs, want %d", t.Len(), size+r.ops)
-				}
-			}
 		})
 	}
 }

@@ -186,7 +186,7 @@ func TestIndexBuildMatchesInsertLoop(t *testing.T) {
 		t.Fatal("the pre-ordered input, repeats dropped, is not the index's VisitVRPs stream")
 	}
 	for name, vrps := range orders {
-		got := newIndexFromVRPs(vrps)
+		got := newIndexFromVRPs(vrps, nil)
 		checkSameSlabs(t, name, got, insertLoopIndex(vrps))
 		checkSameTable(t, name, got, want)
 	}
@@ -225,7 +225,7 @@ func TestIndexBuildCapacity(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"as-major", "reversed", "shuffled"} {
-		if c, n := nodeCaps(newIndexFromVRPs(orders[name])); float64(c) > 1.3*float64(n) {
+		if c, n := nodeCaps(newIndexFromVRPs(orders[name], nil)); float64(c) > 1.3*float64(n) {
 			t.Errorf("%s: slabs of %d nodes for %d", name, c, n)
 		}
 	}

@@ -127,7 +127,7 @@ func TestCompactFromIndexKeptNodes(t *testing.T) {
 			p := prefix.MustParse(k)
 			vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: p.Len(), AS: rpki.ASN(64500 + i)})
 		}
-		cx := CompactFromIndex(newIndexFromVRPs(vrps))
+		cx := CompactFromIndex(newIndexFromVRPs(vrps, nil))
 		slot := famSlot(vrps[0].Prefix.Family())
 		if got := keptNodes(t, cx, slot); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s:\n got %v\nwant %v", tc.name, got, tc.want)
@@ -162,7 +162,7 @@ func TestCompactFromIndexRandom(t *testing.T) {
 			}
 			vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: l, AS: 1})
 		}
-		cx := CompactFromIndex(newIndexFromVRPs(vrps))
+		cx := CompactFromIndex(newIndexFromVRPs(vrps, nil))
 		f := &cx.fams[slot]
 		own := make(map[string]bool)
 		for _, k := range keptNodes(t, cx, slot) {
@@ -334,7 +334,7 @@ func checkSlotSpans(t *testing.T, name string, cx *CompactIndex) {
 // table, an 8-bit IPv6 one) and on a table with entries at every level above
 // the stride, where a paint skipped wrongly would lose one.
 func TestCompactSlotSpans(t *testing.T) {
-	checkSlotSpans(t, "today", CompactFromIndex(newIndexFromVRPs(todayTable(t))))
+	checkSlotSpans(t, "today", CompactFromIndex(newIndexFromVRPs(todayTable(t), nil)))
 	rng := rand.New(rand.NewSource(61))
 	var vrps []rpki.VRP
 	for i := 0; i < strideCutoff+500; i++ {
@@ -345,7 +345,7 @@ func TestCompactSlotSpans(t *testing.T) {
 		}
 		vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: l, AS: rpki.ASN(rng.Intn(50))})
 	}
-	cx := CompactFromIndex(newIndexFromVRPs(vrps))
+	cx := CompactFromIndex(newIndexFromVRPs(vrps, nil))
 	if cx.fams[0].stride != 16 {
 		t.Fatalf("IPv4 stride = %d, want 16", cx.fams[0].stride)
 	}

@@ -16,8 +16,8 @@ import (
 // follower delivers after a sync, costs a copy of that delta, compaction or
 // not. Any other pair is walked in lockstep, skipping every subtree the two
 // provably share: snapshots between two rebuilds of a Table share their arena
-// lineage, so that walk is O(changed · prefix bits). Across a rebuild — a
-// compaction, ResetTo, a bulk Apply — they share nothing provable, as two
+// lineage, so that walk is O(changed · prefix bits). Across a build — a
+// compaction, ResetTo, a first full sync — they share nothing provable, as two
 // different caches' tables do, and pay a linear dual walk of what both hold
 // (≈ 4 ms at 33,615 VRPs); a subtree one side lacks costs a walk of the other.
 // Either way the result is exact, which lets an RTR cache synthesize the update

@@ -156,6 +156,12 @@ func TestDiffEdgeCases(t *testing.T) {
 	checkDiffAgainstNaive(t, ix, empty) // everything withdrawn
 }
 
+// TestDiffSurvivesCompactionAndReset pins Diff across each way a table is
+// built and the one way it is changed: ResetTo and a first full sync start a
+// new arena lineage, walked linearly; a delta as large as the table is
+// path-copied, and Diff against its parent is exactly the net delta applied;
+// and a compaction keeps its version, so Diff from before everything is still
+// the naive difference.
 func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	base := randomTable(rng, 100)
@@ -168,16 +174,26 @@ func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 	l.ResetTo(next)
 	checkDiffAgainstNaive(t, old, l.Snapshot())
 
-	// So does a bulk Apply: the delta it applied — no-ops, a repeat and an
-	// announce the same delta withdraws included — is exactly what Diff finds
-	// between the snapshots on either side of it.
+	// So does a first full sync, into the table emptied by a delta.
+	emptied := l.Snapshot()
+	l.Apply(nil, next)
+	l.Apply(next, nil)
+	if l.Snapshot().fams[0].eng.SharedArena(&emptied.fams[0].eng) {
+		t.Fatal("a first full sync was path-copied, not built")
+	}
+	checkDiffAgainstNaive(t, emptied, l.Snapshot())
+	checkDiffAgainstNaive(t, old, l.Snapshot())
+
+	// A delta the size of the table is path-copied: the delta it applied —
+	// no-ops, a repeat and an announce the same delta withdraws included — is
+	// exactly what Diff finds between the snapshots on either side of it.
 	before := l.Snapshot()
 	ann := append(randomTable(rng, 80), next[0], next[1])
 	ann = append(ann, ann[0])
 	wd := append([]rpki.VRP{ann[1], markerVRP(3)}, next[10:50]...)
 	l.Apply(ann, wd)
-	if before.fams[0].eng.SharedArena(&l.Snapshot().fams[0].eng) {
-		t.Fatalf("%d operations into %d VRPs were path-copied, not rebuilt", len(ann)+len(wd), before.Len())
+	if !before.fams[0].eng.SharedArena(&l.Snapshot().fams[0].eng) {
+		t.Fatalf("%d operations into %d VRPs were rebuilt, not path-copied", len(ann)+len(wd), before.Len())
 	}
 	applied := map[rpki.VRP]bool{}
 	for _, v := range next {
@@ -194,9 +210,19 @@ func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 		after = append(after, v)
 	}
 	wantA, wantW := naiveSetDiff(next, after)
-	if gotA, gotW := Diff(before, l.Snapshot()); !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotW, wantW) {
-		t.Fatalf("Diff across a bulk Apply: +%d -%d, want the applied net delta +%d -%d", len(gotA), len(gotW), len(wantA), len(wantW))
+	if gotA, gotW := checkParentDiff(t, "a table-sized delta", before, l.Snapshot()); !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotW, wantW) {
+		t.Fatalf("Diff across a table-sized delta: +%d -%d, want the applied net delta +%d -%d", len(gotA), len(gotW), len(wantA), len(wantW))
 	}
+
+	// A compaction: the same version in fresh slabs.
+	waitCompactor(t, &l.tab)
+	cur := l.Snapshot()
+	l.tab.compact(cur, nil)
+	if compacted := l.Snapshot(); compacted.version != cur.version || compacted.fams[0].eng.SharedArena(&cur.fams[0].eng) {
+		t.Fatal("the compaction did not publish its rebuild in the snapshot's place")
+	}
+	checkDiffAgainstNaive(t, before, l.Snapshot())
+	checkDiffAgainstNaive(t, old, l.Snapshot())
 }
 
 // checkDiffAgainstWalk fails unless Diff(old, nw) is what the walk finds, in
@@ -328,7 +354,7 @@ func TestDiffOneSidedSubtrees(t *testing.T) {
 			checkDiffAgainstNaive(t, b, a)
 		})
 	}
-	empty, whole, lacking := newIndexFromVRPs(nil), newIndexFromVRPs(table), newIndexFromVRPs(rest)
+	empty, whole, lacking := newIndexFromVRPs(nil, nil), newIndexFromVRPs(table, nil), newIndexFromVRPs(rest, nil)
 	check("independent/empty", empty, whole)
 	check("independent/block", lacking, whole)
 

@@ -40,9 +40,10 @@ func fuzzOp(t *testing.T, op []byte) rpki.VRP {
 //
 // Tag bit 4 batches: an announce or withdraw carrying it joins an open delta
 // instead of being applied alone, and the next op without it — or the end of
-// the input — applies the delta as one Apply. A batch against the table it
-// lands on falls on either side of Apply's bulk threshold, and may announce
-// and withdraw one VRP (withdraw wins), repeat a VRP, or net to nothing.
+// the input — applies the delta as one Apply. A batch into an empty table that
+// withdraws nothing is a first full sync, built; any other is path-copied,
+// whatever its size. A batch may announce and withdraw one VRP (withdraw
+// wins), repeat a VRP, or net to nothing.
 //
 // A byte left over after the last whole op orders a second build of the final
 // table: every announce that made it there, repeats kept, as given (0 or no
@@ -74,10 +75,10 @@ func FuzzIndex(f *testing.F) {
 		10, 32, 1, 13, 184, 48, 0, 200, // query a /48 under it
 		9, 32, 1, 13, 184, 32, 16, 200, // withdraw it
 	})
-	// Batched ops (tag bit 4 set): a four-VRP first sync as one bulk delta
-	// that also announces and withdraws one VRP and repeats another, then a
-	// one-VRP delta small enough to path-copy, then a batch that nets to
-	// nothing, then one that empties the table.
+	// Batched ops (tag bit 4 set): four VRPs into the empty table as one delta
+	// that also announces and withdraws one VRP, so it is path-copied, not
+	// built, and repeats another; then a one-VRP delta, then a batch that
+	// nets to nothing, then one that empties the table.
 	// (18 = announce, 16 = withdraw, both batched and IPv4.)
 	f.Add([]byte{
 		18, 10, 0, 0, 0, 8, 0, 1, 18, 10, 1, 0, 0, 16, 0, 1, 18, 10, 2, 0, 0, 16, 0, 2,
@@ -158,7 +159,7 @@ func FuzzIndex(f *testing.F) {
 		if ix.Len() != set.Len() || cx.Len() != set.Len() || live.Len() != set.Len() {
 			t.Fatalf("index %d / compact %d / live %d / set %d VRPs", ix.Len(), cx.Len(), live.Len(), set.Len())
 		}
-		ordered := newIndexFromVRPs(given)
+		ordered := newIndexFromVRPs(given, nil)
 		checkSameSlabs(t, "the ordered build", ordered, insertLoopIndex(given))
 		checkSameTable(t, "the ordered build", ordered, ix)
 		for _, q := range queries {
@@ -310,7 +311,7 @@ func FuzzCompactIndex(f *testing.F) {
 // after a path-copied delta they are parent and child, whose Diff is the delta
 // the child carries, across a compaction too. Other pairs on one arena lineage
 // take the structural walk, the rebuilt pair (and any other pair across a
-// compaction or a bulk delta) the linear one.
+// compaction or a first sync) the linear one.
 func FuzzDiff(f *testing.F) {
 	f.Add([]byte{
 		0, 168, 122, 0, 0, 16, 0, 111, // announce 168.122.0.0/16-16 => AS111
@@ -345,7 +346,7 @@ func FuzzDiff(f *testing.F) {
 	}
 	// contTag: the op continues the open delta; waitTag: its compaction is waited out.
 	const annTag, wdTag, contTag, waitTag = 0, 1, 16, 32
-	// sync is a first sync of n /16s, one bulk delta.
+	// sync is a first full sync of n /16s: one delta into the empty table, built.
 	sync := func(n int) []op {
 		var out []op
 		for k := 0; k < n; k++ {
@@ -353,7 +354,7 @@ func FuzzDiff(f *testing.F) {
 		}
 		return out
 	}
-	// A clustered delta onto a table big enough to path-copy it: eight /24s
+	// A clustered delta onto a first sync: eight /24s
 	// of one /21 and a second entry at the first of them, whose path the delta
 	// has already copied; then a delta that grows one of those spans twice and
 	// takes an entry out of it again.
@@ -378,7 +379,7 @@ func FuzzDiff(f *testing.F) {
 		churn = append(churn, op{tag: annTag | waitTag, a: 10, b: k % 24, c: k, len: 24, as: 2}, op{tag: wdTag | waitTag, a: 10, b: k % 24, c: k, len: 24, as: 2})
 	}
 	f.Add(ops(churn...))
-	// TestDeltaShapes' delta onto a first sync big enough to path-copy it: a
+	// TestDeltaShapes' delta onto a first sync: a
 	// chain and a sibling listed deepest first, a /0, a repeat, an announce the
 	// delta withdraws, a present VRP withdrawn, and two absent withdraws, the
 	// second under the first; then, IPv6 (8 = announce), ::/0 and a /64, the
@@ -395,6 +396,17 @@ func FuzzDiff(f *testing.F) {
 		seed = append(seed, ops(op{tag: annTag | contTag*min(8-k, 1), a: 198, b: 51, c: 95 + k, len: 24, as: 2})...)
 	}
 	f.Add(seed)
+	// A delta larger than the table it lands on, path-copied as every delta
+	// into a non-empty table is: each /16 of a first sync withdrawn and a /24
+	// under it announced, and a /8 announced and withdrawn at once; its
+	// compaction, if it starts one, waited out.
+	large := sync(8)
+	for k := byte(0); k < 8; k++ {
+		large = append(large, op{tag: wdTag | contTag*min(k, 1), a: 10, b: k, len: 16, as: 1},
+			op{tag: annTag | contTag, a: 10, b: k, c: k, len: 24, as: 2})
+	}
+	large = append(large, op{tag: annTag | contTag, a: 12, len: 8, as: 3}, op{tag: wdTag | contTag | waitTag, a: 12, len: 8, as: 3})
+	f.Add(ops(large...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		live := NewLiveIndex(rpki.NewSet(nil))
 		state := map[rpki.VRP]struct{}{}
@@ -447,7 +459,7 @@ func FuzzDiff(f *testing.F) {
 			checkDiffAgainstWalk(t, fmt.Sprintf("delta %d", i), snaps[i-1], snaps[i])
 		}
 		// Independent rebuild of the middle table: linear path, same answer.
-		rebuilt := newIndexFromVRPs(mid.AppendVRPs(nil))
+		rebuilt := newIndexFromVRPs(mid.AppendVRPs(nil), nil)
 		checkDiffAgainstNaive(t, rebuilt, last)
 		checkDiffAgainstNaive(t, last, rebuilt)
 	})
@@ -455,13 +467,13 @@ func FuzzDiff(f *testing.F) {
 
 // FuzzLiveOverlay aims the fuzzer at a LiveIndex that keeps its compact half
 // across deltas: the FuzzIndex op stream (batching included) lands on a table
-// padded so that its deltas are path-copied, readers pay before every delta,
-// and after every one — with the overlay non-empty, a rebuild in flight or
-// just installed, as the delta's marks decide — Validate and ValidateBatch
-// must equal the Reference and a fresh Index on the neighbourhood of every
-// prefix the delta touched plus every query so far. tag%4 == 3 replaces the
-// table with itself through ResetTo, which discards whatever rebuild is in
-// flight.
+// padded so that it is never empty and every delta is path-copied, readers
+// pay before every delta, and after every one — with the overlay non-empty, a
+// rebuild in flight or just installed, as the delta's marks decide —
+// Validate and ValidateBatch must equal the Reference and a fresh Index on the
+// neighbourhood of every prefix the delta touched plus every query so far.
+// tag%4 == 3 replaces the table with itself through ResetTo, which discards
+// whatever rebuild is in flight.
 func FuzzLiveOverlay(f *testing.F) {
 	f.Add([]byte{
 		0, 10, 1, 3, 0, 24, 1, 1, // announce 10.1.3.0/24-25: one mark
@@ -492,6 +504,13 @@ func FuzzLiveOverlay(f *testing.F) {
 		0, 12, 0, 0, 0, 6, 0, 3,
 		2, 10, 0, 9, 0, 24, 0, 1,
 	})
+	// A delta larger than the padded table: 72 /24s announced at once, two of
+	// them withdrawn by the same delta; then a query at one of those.
+	var large []byte
+	for k := byte(0); k < 72; k++ {
+		large = append(large, 16, 10, k, 0, 0, 24, 0, 1+k%7)
+	}
+	f.Add(append(large, 17, 10, 3, 0, 0, 24, 0, 4, 17, 10, 5, 0, 0, 24, 0, 6, 2, 10, 3, 0, 0, 24, 0, 4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		state := map[rpki.VRP]struct{}{}
 		var pad []rpki.VRP

@@ -84,7 +84,7 @@ func slotFamily(slot int) prefix.Family {
 // NewIndex builds a validation index over the set's VRPs. The returned
 // index is published: treat it as frozen from this point on.
 func NewIndex(s *rpki.Set) *Index {
-	return newIndexFromVRPs(s.VRPs())
+	return newIndexFromVRPs(s.VRPs(), nil)
 }
 
 // rootPrefix is the /0 of the slot's family: the prefix of a family's root.
@@ -129,7 +129,13 @@ type finger struct {
 // regrows by a quarter at the first path-copied delta. The same cpl shows
 // disorder (p sorts before prev), where the sum is several times too much:
 // that family is hinted at a node per VRP and grows by append.
-func newIndexFromVRPs(vrps []rpki.VRP) *Index {
+//
+// floor, when not nil, is the table a compaction rebuilds: every slab is made
+// at least as long as floor's, garbage included, and a 32nd more, so the
+// deltas of the cycle the rebuild starts append in place up to the next
+// compaction. At floor's length exactly, half of roa_change's cycles regrew a
+// slab by a quarter, and peak RSS rose a fifth.
+func newIndexFromVRPs(vrps []rpki.VRP, floor *Index) *Index {
 	ix := &Index{version: versions.Add(1)}
 	roots := [2]prefix.Prefix{rootPrefix(0), rootPrefix(1)}
 	prev := roots    // per family, the prefix before this one in the pass
@@ -149,6 +155,10 @@ func newIndexFromVRPs(vrps []rpki.VRP) *Index {
 		hint := ix.fams[slot].size // an absent family costs only its root node
 		if n := nodes[slot]; n > 0 {
 			hint = n + n/64 + 64
+		}
+		if floor != nil {
+			n := len(floor.fams[slot].eng.Nodes)
+			hint = max(hint, n+n/32)
 		}
 		ix.fams[slot].eng.Init(hint, span{})
 	}
@@ -178,7 +188,11 @@ func newIndexFromVRPs(vrps []rpki.VRP) *Index {
 			sp.n = 0 // reused as the fill cursor below
 		}
 	}
-	ix.entries = make([]entry, off)
+	room := off
+	if floor != nil {
+		room = max(room, int32(len(floor.entries)+len(floor.entries)/32))
+	}
+	ix.entries = make([]entry, off, room)
 	for i, v := range vrps {
 		f := &ix.fams[famSlot(v.Prefix.Family())]
 		sp := &f.eng.Nodes[terms[i]].Val
@@ -260,9 +274,9 @@ func (ix *Index) ValidateBatch(routes []Route, dst []State) []State {
 }
 
 // AppendVRPs appends the indexed VRP set to dst in per-family canonical
-// prefix order and returns the extended slice, grown once to hold it: a bulk
-// Apply rebuilds from it; callers can use it to export or diff a snapshot's
-// table without retaining the index.
+// prefix order and returns the extended slice, grown once to hold it: a
+// compaction rebuilds from it; callers can use it to export or diff a
+// snapshot's table without retaining the index.
 func (ix *Index) AppendVRPs(dst []rpki.VRP) []rpki.VRP {
 	dst = slices.Grow(dst, ix.Len())
 	ix.VisitVRPs(func(v rpki.VRP) bool {

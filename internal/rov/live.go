@@ -20,10 +20,11 @@ import (
 // contains p, so every other route still has the answer the compact index
 // holds, and the covered few go to the view's bit trie, which is exact.
 //
-// Reads drive the compact half. NewLiveIndex, ResetTo and a bulk Apply build
-// it unasked; the next path-copied delta drops it unless more routes were
-// answered meanwhile than a build costs (rebuildPaysAfter), so a follower
-// nobody validates through keeps one index and starts no goroutine. A delta
+// Reads drive the compact half. NewLiveIndex, ResetTo and a first full sync
+// (an Apply into an empty table) build it unasked; the next delta drops it
+// unless more routes were answered meanwhile than a build costs
+// (rebuildPaysAfter), so a follower nobody validates through keeps one index
+// and starts no goroutine. A delta
 // that keeps it marks the overlay, and at rebuildMarks starts a background
 // rebuild if the routes since the last build began have paid for one — else
 // the compact half goes until they have.
@@ -197,7 +198,8 @@ func (l *LiveIndex) Stats() LiveStats {
 }
 
 // Apply installs one RTR delta with Table.Apply's semantics and costs; a
-// bulk delta returns with the compact half rebuilt.
+// first full sync, which builds the table, returns with the compact half
+// built too.
 func (l *LiveIndex) Apply(announce, withdraw []rpki.VRP) {
 	if l.tab.apply(announce, withdraw) {
 		l.rebuildNow()

@@ -129,13 +129,15 @@ func randomProbe(rng *rand.Rand) Route {
 // snapshot is held to the same answers. Readers pay before every delta, so a
 // path-copied one keeps the compact half under an overlay (or finds a rebuild
 // due): the probes then include the neighbourhood of every prefix the delta
-// touched, where a wrong cover test would show. A compaction is wedged ahead
-// of a path-copied delta and released after the delta that follows, so a
-// catch-up (or, past a bulk delta, a discard) lands under the live view and
-// is held to the same answers.
+// touched, where a wrong cover test would show. Every third delta is as large
+// as the table, and is path-copied like the rest; every sixth step withdraws
+// the whole table and then announces into it, the first full sync, which is
+// built. A compaction is wedged ahead of a path-copied delta and released after
+// the step that follows, so a catch-up (or, past a first sync, a discard)
+// lands under the live view and is held to the same answers.
 func TestDifferentialLiveIndexVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	bulks, copies, overlaid, caughtUp, discarded := 0, 0, 0, 0, 0
+	syncs, copies, large, overlaid, caughtUp, discarded := 0, 0, 0, 0, 0, 0
 	for trial := 0; trial < 20; trial++ {
 		state := map[rpki.VRP]struct{}{}
 		var init []rpki.VRP
@@ -149,10 +151,14 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 		var replaced bool         // since it started
 		var during []rpki.VRP     // every VRP a delta named since it started
 		for step := 0; step < 12; step++ {
-			// Deltas on both sides of Apply's bulk threshold: a handful of
-			// operations most steps, as many as the table holds every third.
+			// A handful of operations most steps, as many as the table holds
+			// every third, and every sixth a first sync: announces only.
+			firstSync := step%6 == 5
 			nAnn, maxWd := rng.Intn(6), 4
-			if step%3 == 2 {
+			switch {
+			case firstSync:
+				nAnn, maxWd = 1+rng.Intn(2*len(state)+2), 0
+			case step%3 == 2:
 				nAnn, maxWd = rng.Intn(2*len(state)+2), len(state)
 			}
 			var ann, wd []rpki.VRP
@@ -160,26 +166,28 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				ann = append(ann, randomVRP(rng)) // may duplicate existing state
 			}
 			for v := range state {
-				if rng.Intn(5) == 0 {
-					wd = append(wd, v)
-				}
 				if len(wd) >= maxWd {
 					break
 				}
+				if rng.Intn(5) == 0 {
+					wd = append(wd, v)
+				}
 			}
-			if rng.Intn(2) == 0 {
+			if !firstSync && rng.Intn(2) == 0 {
 				wd = append(wd, randomVRP(rng)) // likely-absent withdraw
 			}
 			if len(ann) > 0 && rng.Intn(2) == 0 {
 				ann = append(ann, ann[0]) // repeated within one delta: counts once
-				v := randomVRP(rng)       // announced and withdrawn by one delta: withdraw wins
-				ann, wd = append(ann, v), append(wd, v)
+				// Announced and withdrawn by one delta, withdraw wins; a first
+				// sync withdraws nothing.
+				if v := randomVRP(rng); !firstSync {
+					ann, wd = append(ann, v), append(wd, v)
+				}
 			}
 			pay(live, []Route{randomProbe(rng), randomProbe(rng)})
 			quiesce(t, live) // or a rebuild's install may land between two looks at the view
 			before, compactBefore := live.Snapshot(), live.CompactSnapshot()
-			bulk := len(ann)+len(wd) > 0 && (len(ann)+len(wd))*bulkDivisor >= before.Len()
-			wedgeNow := release == nil && !bulk && step < 11 // the next step releases it
+			wedgeNow := release == nil && !firstSync && step < 11 // the next step releases it
 			if wedgeNow {
 				// These tables are too small to compact of their own accord.
 				release, replaced, during = make(chan struct{}), false, nil
@@ -187,6 +195,12 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				live.tab.compacting = true
 				go live.tab.compact(before, func() { <-release })
 				live.tab.mu.Unlock()
+			}
+			if firstSync { // the table withdrawn whole, path-copied, leaves it empty
+				emptied := setOf(state).VRPs()
+				live.Apply(nil, emptied)
+				during = append(during, emptied...)
+				clear(state)
 			}
 			during = append(append(during, ann...), wd...)
 			live.Apply(ann, wd)
@@ -205,6 +219,15 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 			// snapshot's slabs, a build does not; a delta that nets to nothing
 			// publishes nothing and keeps the compact half it found.
 			switch after := live.Snapshot(); {
+			case firstSync:
+				syncs++
+				replaced = true
+				if before.fams[0].eng.SharedArena(&after.fams[0].eng) {
+					t.Fatalf("trial %d step %d: a first sync of %d VRPs was path-copied", trial, step, len(ann))
+				}
+				if live.CompactSnapshot() == nil {
+					t.Fatalf("trial %d step %d: a first sync returned without a compact snapshot", trial, step)
+				}
 			case after == before:
 				if a, w := Diff(before, NewIndex(setOf(state))); len(a)+len(w) != 0 {
 					t.Fatalf("trial %d step %d: Apply kept the old snapshot over a real change (+%d -%d)", trial, step, len(a), len(w))
@@ -212,17 +235,11 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				if live.CompactSnapshot() != compactBefore {
 					t.Fatalf("trial %d step %d: a no-op delta replaced the compact snapshot", trial, step)
 				}
-			case bulk:
-				bulks++
-				replaced = true
-				if before.fams[0].eng.SharedArena(&after.fams[0].eng) {
-					t.Fatalf("trial %d step %d: %d ops into %d VRPs were path-copied", trial, step, len(ann)+len(wd), before.Len())
-				}
-				if live.CompactSnapshot() == nil {
-					t.Fatalf("trial %d step %d: bulk Apply returned without a compact snapshot", trial, step)
-				}
 			default:
 				copies++
+				if len(ann)+len(wd) >= before.Len() {
+					large++
+				}
 				if !before.fams[0].eng.SharedArena(&after.fams[0].eng) {
 					t.Fatalf("trial %d step %d: %d ops into %d VRPs rebuilt the table", trial, step, len(ann)+len(wd), before.Len())
 				}
@@ -296,9 +313,9 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 			}
 		}
 	}
-	if bulks < 20 || copies < 20 || overlaid < 20 || caughtUp < 10 || discarded < 10 {
-		t.Fatalf("differential covered %d bulk and %d path-copied deltas, %d of them leaving the view under an overlay, %d compactions catching up under the live view and %d discarded; want at least 20, 20, 20, 10 and 10",
-			bulks, copies, overlaid, caughtUp, discarded)
+	if syncs < 20 || copies < 20 || large < 20 || overlaid < 20 || caughtUp < 10 || discarded < 10 {
+		t.Fatalf("differential covered %d first syncs and %d path-copied deltas, %d of them at least the table's size and %d leaving the view under an overlay, %d compactions catching up under the live view and %d discarded; want at least 20, 20, 20, 20, 10 and 10",
+			syncs, copies, large, overlaid, caughtUp, discarded)
 	}
 }
 
@@ -312,10 +329,10 @@ func setOf(state map[rpki.VRP]struct{}) *rpki.Set {
 }
 
 // TestLiveIndexDeltaEdgeCases pins the no-op and boundary behaviors of
-// Apply against a from-scratch NewIndex after every delta, on both of Apply's
-// paths: into a table of a few VRPs, where these one- and two-VRP deltas are
-// bulk, and into one padded with a hundred unrelated VRPs, where they are
-// path-copied.
+// Apply against a from-scratch NewIndex after every delta: into a table of a
+// few VRPs, which the first announce builds and every later delta path-copies,
+// down to an empty table again, and into one padded with a hundred unrelated
+// VRPs, where every delta is path-copied.
 func TestLiveIndexDeltaEdgeCases(t *testing.T) {
 	v1 := rpki.VRP{Prefix: mp("168.122.0.0/16"), MaxLength: 24, AS: 111}
 	v1tight := rpki.VRP{Prefix: mp("168.122.0.0/16"), MaxLength: 16, AS: 111}
@@ -371,11 +388,12 @@ func TestLiveIndexDeltaEdgeCases(t *testing.T) {
 	}
 }
 
-// TestApplyBulk pins what is particular to Apply's build path: a delta as
-// large as the table goes into fresh slabs with the compact half rebuilt
-// before Apply returns, a delta of that size that nets to nothing publishes
-// nothing at all, and the table can be filled from empty and emptied again
-// that way.
+// TestApplyBulk pins Apply on deltas as large as the table, into a LiveIndex.
+// The first full sync is built: fresh slabs, no garbage, the compact half
+// built before Apply returns. Every later one is path-copied like any delta:
+// one that nets to nothing publishes nothing and keeps the compact half; inside
+// one, withdraw wins and repeats count once; and one that withdraws everything
+// leaves an empty table.
 func TestApplyBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	table := randomTable(rng, 300)
@@ -384,48 +402,50 @@ func TestApplyBulk(t *testing.T) {
 	l := NewLiveIndex(rpki.NewSet(nil))
 	l.Apply(table, nil) // the first full sync as one announce delta
 	if l.Len() != len(table) || l.CompactSnapshot() == nil || l.CompactSnapshot().Len() != len(table) {
-		t.Fatalf("bulk into empty: %d VRPs, compact %v; want %d with a compact snapshot", l.Len(), l.CompactSnapshot(), len(table))
+		t.Fatalf("first sync: %d VRPs, compact %v; want %d with a compact snapshot", l.Len(), l.CompactSnapshot(), len(table))
 	}
-	l.tab.mu.Lock()
-	garbage := l.tab.garbageNodes + l.tab.garbageEntries
-	l.tab.mu.Unlock()
-	if garbage != 0 {
-		t.Fatalf("bulk into empty left %d garbage cells: the delta was path-copied", garbage)
+	if nodes, entries := garbage(&l.tab); nodes+entries != 0 {
+		t.Fatalf("the first sync left %d garbage cells: it was path-copied", nodes+entries)
 	}
 
-	// Every VRP re-announced, an absent one withdrawn, another announced and
-	// withdrawn at once: 302 operations, no change — the published snapshot
-	// and its compact half must be the very same values.
+	// Every VRP re-announced and two absent ones withdrawn: 302 operations, no
+	// change — the published snapshot and its compact half must be the very
+	// same values.
 	ix, cx := l.Snapshot(), l.CompactSnapshot()
-	noop := append(append([]rpki.VRP(nil), table...), absent)
-	l.Apply(noop, []rpki.VRP{absent, markerVRP(2)})
+	l.Apply(table, []rpki.VRP{absent, markerVRP(2)})
 	if l.Snapshot() != ix || l.CompactSnapshot() != cx {
-		t.Fatal("a bulk delta that nets to nothing replaced the published snapshot")
+		t.Fatal("a table-sized delta that nets to nothing replaced the published snapshot")
 	}
 
-	// Withdraw wins inside a bulk delta, and repeats count once.
+	// Withdraw wins inside a table-sized delta, and repeats count once.
+	pay(l, probesAround(table[:20]))
+	before := l.Snapshot()
 	half := table[:150]
 	l.Apply(append([]rpki.VRP{absent, absent, half[0]}, half...), half)
-	want := rpki.NewSet(append([]rpki.VRP{absent}, table[150:]...))
-	if got := rpki.NewSet(l.Snapshot().AppendVRPs(nil)); !got.Equal(want) {
-		t.Fatalf("bulk announce+withdraw: %d VRPs, want %d", got.Len(), want.Len())
+	if !before.fams[0].eng.SharedArena(&l.Snapshot().fams[0].eng) {
+		t.Fatal("a table-sized delta into a non-empty table was rebuilt, not path-copied")
 	}
-	if got := rpki.NewSet(l.CompactSnapshot().AppendVRPs(nil)); !got.Equal(want) {
-		t.Fatalf("bulk announce+withdraw: compact snapshot holds %d VRPs, want %d", got.Len(), want.Len())
+	state := map[rpki.VRP]struct{}{absent: {}}
+	for _, v := range table[150:] {
+		state[v] = struct{}{}
 	}
+	checkLive(t, l, state, probesAround(table), "after a table-sized announce+withdraw")
+	checkEntryGarbage(t, &l.tab)
 
-	// A bulk delta that empties the table.
+	// A delta that empties the table.
 	l.Apply(nil, l.Snapshot().AppendVRPs(nil))
-	if l.Len() != 0 || l.CompactSnapshot() == nil || l.Validate(table[200].Prefix, table[200].AS) != NotFound {
-		t.Fatalf("bulk withdraw of everything: %d VRPs left, compact %v", l.Len(), l.CompactSnapshot())
+	if l.Len() != 0 || l.Validate(table[200].Prefix, table[200].AS) != NotFound {
+		t.Fatalf("withdraw of everything: %d VRPs left", l.Len())
 	}
 }
 
-// TestApplyBulkIntoEmpty pins the first full sync — a bulk delta into an empty
+// TestApplyBulkIntoEmpty pins the first full sync — a delta into an empty
 // table with nothing withdrawn, which is built straight from the announce list
-// — to the general path's semantics: repeats count once; a delta that also
-// withdraws takes the general path and withdraw still wins; and a delta that
-// leaves the table empty publishes nothing.
+// — to the general path's semantics: repeats count once, and the slabs are the
+// build's cell for cell; a delta into an empty table that also withdraws is
+// path-copied, and withdraw still wins; one that announces and withdraws the
+// same VRP publishes a snapshot of the empty table that carries an empty
+// delta; and an empty delta publishes nothing.
 func TestApplyBulkIntoEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	table := randomTable(rng, 200)
@@ -436,30 +456,112 @@ func TestApplyBulkIntoEmpty(t *testing.T) {
 	if got := tab.Snapshot().AppendVRPs(nil); tab.Len() != len(table) || !rpki.NewSet(got).Equal(rpki.NewSet(table)) || len(got) != len(table) {
 		t.Fatalf("announce with repeats into an empty table: Len %d, %d VRPs streamed; want %d distinct", tab.Len(), len(got), len(table))
 	}
-	checkSameSlabs(t, "the bulk build", tab.Snapshot(), newIndexFromVRPs(repeated))
+	checkSameSlabs(t, "the first sync", tab.Snapshot(), newIndexFromVRPs(repeated, nil))
 
 	tab = NewTable(nil)
+	before := tab.Snapshot()
 	tab.Apply(repeated, []rpki.VRP{table[7], table[199], markerVRP(3)})
 	want := rpki.NewSet(slices.DeleteFunc(slices.Clone(table), func(v rpki.VRP) bool { return v == table[7] || v == table[199] }))
 	if got := rpki.NewSet(tab.Snapshot().AppendVRPs(nil)); !got.Equal(want) {
 		t.Fatalf("announce into an empty table with two of its VRPs withdrawn: %d VRPs, want %d", got.Len(), want.Len())
 	}
+	if !before.fams[0].eng.SharedArena(&tab.Snapshot().fams[0].eng) {
+		t.Fatal("a delta into an empty table that withdraws was built, not path-copied")
+	}
+	checkParentDiff(t, "a delta into an empty table that withdraws", before, tab.Snapshot())
 
 	tab = NewTable(nil)
-	before := tab.Snapshot()
+	before = tab.Snapshot()
 	tab.Apply([]rpki.VRP{table[0], table[0]}, []rpki.VRP{table[0]})
-	tab.mu.Lock()
-	published := tab.applyBulk(before, nil, nil)
-	tab.mu.Unlock()
-	if published || tab.Snapshot() != before {
-		t.Fatal("a bulk delta that leaves an empty table empty replaced the published snapshot")
+	after := tab.Snapshot()
+	if after == before || after.parent != before.version || after.Len() != 0 || len(after.announced)+len(after.withdrawn) != 0 {
+		t.Fatalf("an announce the same delta withdraws, into an empty table: %d VRPs, +%v -%v from version %d; want an empty snapshot carrying no delta from %d",
+			after.Len(), after.announced, after.withdrawn, after.parent, before.version)
 	}
+	tab.Apply(nil, nil)
+	if tab.Snapshot() != after {
+		t.Fatal("an empty delta into an empty table published a snapshot")
+	}
+}
+
+// TestLargeDeltaPathCopied pins the one write path at its far end: a delta
+// four times the table — the table withdrawn whole, each of its prefixes
+// announced at four other origins — into a LiveIndex that readers keep
+// validating is path-copied like any other. The table is then the
+// reference's, Diff from the snapshot before is the walk, every dead entry
+// cell counts as garbage, and the garbage starts a compaction that publishes;
+// readers of the live index
+// see the table before the delta or after it, and a reader holding the
+// snapshot before it keeps its answers.
+func TestLargeDeltaPathCopied(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	table := randomTable(rng, 300)
+	var next []rpki.VRP
+	for k := rpki.ASN(0); k < 4; k++ {
+		for _, v := range table {
+			v.AS += 100 + 10*k // outside randomVRP's origins: disjoint from table
+			next = append(next, v)
+		}
+	}
+	l := NewLiveIndex(rpki.NewSet(table))
+	compactions := countCompactions(&l.tab)
+	probes := append(probesAround(table[:100]), probesAround(next[:100])...)
+	pay(l, probes)
+	before := l.Snapshot()
+	refBefore, refAfter := NewReference(rpki.NewSet(table)), NewReference(rpki.NewSet(next))
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := probes[rng.Intn(len(probes))]
+				if got, want := before.Validate(q.Prefix, q.Origin), refBefore.Validate(q.Prefix, q.Origin); got != want {
+					t.Errorf("the snapshot before the delta: Validate(%s, %v) = %v, want %v", q.Prefix, q.Origin, got, want)
+					return
+				}
+				if got := l.Validate(q.Prefix, q.Origin); got != refBefore.Validate(q.Prefix, q.Origin) && got != refAfter.Validate(q.Prefix, q.Origin) {
+					t.Errorf("LiveIndex.Validate(%s, %v) = %v, the answer of neither table", q.Prefix, q.Origin, got)
+					return
+				}
+			}
+		}(int64(600 + r))
+	}
+
+	l.Apply(next, table)
+	after := l.Snapshot()
+	if !before.fams[0].eng.SharedArena(&after.fams[0].eng) {
+		t.Fatal("a delta four times the table was rebuilt, not path-copied")
+	}
+	checkEntryGarbage(t, &l.tab)
+	checkParentDiff(t, "a delta four times the table", before, after)
+	checkDiffAgainstNaive(t, before, after)
+	waitCompactor(t, &l.tab)
+	close(stop)
+	wg.Wait()
+	if compactions.Load() == 0 || l.Snapshot().fams[0].eng.SharedArena(&after.fams[0].eng) {
+		t.Fatalf("%d compactions published after the delta", compactions.Load())
+	}
+	state := map[rpki.VRP]struct{}{}
+	for _, v := range next {
+		state[v] = struct{}{}
+	}
+	checkLive(t, l, state, probes, "after the delta and its compaction")
+	checkEntryGarbage(t, &l.tab)
 }
 
 // TestVisitVRPsStops pins the early stop: once fn has returned false it is
 // not called again and the visit returns — whichever family the stop falls in.
 func TestVisitVRPsStops(t *testing.T) {
-	ix := newIndexFromVRPs(randomTable(rand.New(rand.NewSource(97)), 60)) // a third of it IPv6
+	ix := newIndexFromVRPs(randomTable(rand.New(rand.NewSource(97)), 60), nil) // a third of it IPv6
 	all := ix.AppendVRPs(nil)
 	v4 := ix.fams[0].size
 	if v4 < 10 || len(all)-v4 < 10 {
@@ -477,13 +579,16 @@ func TestVisitVRPsStops(t *testing.T) {
 	}
 }
 
-// TestBulkApplyAgainstReadersAndCompaction runs the build path against what
-// shares the table with it (under -race): readers holding a pre-bulk
-// snapshot keep their answers, and a replacement that lands while a
-// compaction is rebuilding the table it replaces makes the compactor discard
-// its rebuild, so nothing it read is resurrected. The discard is by arena
-// lineage, not by content: a ResetTo to the very set being rebuilt discards
-// too. Garbage on the replacement's slabs then starts a fresh compaction.
+// TestBulkApplyAgainstReadersAndCompaction runs the table's replacements
+// against what shares the table with it (under -race): readers holding a
+// pre-replacement snapshot keep their answers, and a replacement that lands
+// while a compaction is rebuilding the table it replaces makes the compactor
+// discard its rebuild, so nothing it read is resurrected. A first full sync
+// replaces the table it lands in: here the table is withdrawn whole, a delta
+// the compaction would catch up with, and a disjoint table announced into the
+// empty one. The discard is by arena lineage, not by content: a ResetTo to the
+// very set being rebuilt discards too. Garbage on the replacement's slabs then
+// starts a fresh compaction.
 func TestBulkApplyAgainstReadersAndCompaction(t *testing.T) {
 	next := make([]rpki.VRP, 300)
 	for k := range next {
@@ -494,7 +599,8 @@ func TestBulkApplyAgainstReadersAndCompaction(t *testing.T) {
 		replace func(l *LiveIndex, before []rpki.VRP) (want []rpki.VRP)
 	}{
 		{"bulk Apply of a disjoint table", func(l *LiveIndex, before []rpki.VRP) []rpki.VRP {
-			l.Apply(next, before) // withdraw everything the compactor is rebuilding
+			l.Apply(nil, before) // withdraw everything the compactor is rebuilding
+			l.Apply(next, nil)   // and sync into the empty table
 			return next
 		}},
 		{"ResetTo the identical set", func(l *LiveIndex, before []rpki.VRP) []rpki.VRP {
@@ -510,7 +616,7 @@ func TestBulkApplyAgainstReadersAndCompaction(t *testing.T) {
 			churnUntil(t, l, 0, func() bool { return started.Load() > 0 })
 			l.Apply([]rpki.VRP{markerVRP(0)}, nil) // lands during the rebuild: the replacement must drop it
 
-			// Readers pin the pre-bulk table while the replacement lands.
+			// Readers pin the table before the replacement while it lands.
 			before := l.Snapshot()
 			beforeVRPs := before.AppendVRPs(nil)
 			beforeRef := NewReference(rpki.NewSet(beforeVRPs))
@@ -529,7 +635,7 @@ func TestBulkApplyAgainstReadersAndCompaction(t *testing.T) {
 						}
 						p := randomProbe(rng)
 						if got, want := before.Validate(p.Prefix, p.Origin), beforeRef.Validate(p.Prefix, p.Origin); got != want {
-							t.Errorf("pre-bulk snapshot changed its answer: Validate(%s, %v) = %v, want %v", p.Prefix, p.Origin, got, want)
+							t.Errorf("the replaced snapshot changed its answer: Validate(%s, %v) = %v, want %v", p.Prefix, p.Origin, got, want)
 							return
 						}
 					}
@@ -564,8 +670,8 @@ func TestBulkApplyAgainstReadersAndCompaction(t *testing.T) {
 }
 
 // TestTableStartsNoGoroutine pins that a write-side table is plain data until
-// its garbage crosses the compaction threshold: building one, resetting it,
-// bulk-applying into it and path-copying small deltas start nothing.
+// its garbage crosses the compaction threshold: building one, a first full
+// sync into it, resetting it and path-copying small deltas start nothing.
 func TestTableStartsNoGoroutine(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	base := randomTable(rng, 2000)

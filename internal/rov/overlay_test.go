@@ -184,7 +184,7 @@ func TestLiveOverlayCoverage(t *testing.T) {
 
 // TestLiveOverlayAgainstReplaceAndCompaction runs what else publishes
 // snapshots against a kept compact half. A rebuild whose table is replaced
-// while it builds — by ResetTo or by a bulk Apply — is discarded, never
+// while it builds — by ResetTo or by a first full sync — is discarded, never
 // installed, and the replacement's own build stands; a rebuild that deltas
 // race is installed with exactly those deltas in its overlay; and a garbage
 // compaction swaps the slabs under the overlay without disturbing either.
@@ -227,12 +227,12 @@ func TestLiveOverlayAgainstReplaceAndCompaction(t *testing.T) {
 		t.Fatalf("a VRP announced during the rebuild is answered via %s", by)
 	}
 
-	// ResetTo, then a bulk Apply, during a rebuild: discarded both times.
+	// ResetTo, then a first full sync, during a rebuild: discarded both times.
 	for i, replace := range []func(next []rpki.VRP){
 		l.ResetTo,
-		func(next []rpki.VRP) { // the same as one bulk delta
-			_, gone := naiveSetDiff(l.Snapshot().AppendVRPs(nil), next)
-			l.Apply(next, gone)
+		func(next []rpki.VRP) { // the table withdrawn whole, then synced into
+			l.Apply(nil, l.Snapshot().AppendVRPs(nil))
+			l.Apply(next, nil)
 		},
 	} {
 		ix, during = begin()
@@ -375,7 +375,7 @@ func TestLiveIndexServesCompactUnderChurn(t *testing.T) {
 // sibling, and what keeps a follower's heap at one index: a LiveIndex nobody
 // validates through drops the compact half at its first path-copied delta,
 // never rebuilds it and never starts a goroutine — whether it was built over
-// its table or synced into by a bulk delta — through the same churn that
+// its table or by a first full sync — through the same churn that
 // makes a validated one rebuild.
 func TestLiveIndexIdleKeepsNoCompactHalf(t *testing.T) {
 	table, _ := workloadTable()
@@ -391,7 +391,7 @@ func TestLiveIndexIdleKeepsNoCompactHalf(t *testing.T) {
 			l.Apply(churnDelta(table, k))
 			l.Validate(table[k].Prefix, table[k].AS) // a follower's one probe per delta
 			if st := l.Stats(); st.CompactHeld || st.RebuildsStarted != i || st.Marks != 0 {
-				t.Fatalf("index %d after delta %d: %+v; want no compact half and no rebuild but the bulk delta's", i, k, st)
+				t.Fatalf("index %d after delta %d: %+v; want no compact half and no rebuild but the first sync's", i, k, st)
 			}
 		}
 	}

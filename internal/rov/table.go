@@ -19,6 +19,11 @@ import (
 // validation hot path is a LiveIndex, which is a Table plus the compact
 // read-side structure derived from it.
 //
+// A table is built one way and changed one way. newIndexFromVRPs builds it —
+// NewTable, ResetTo, the first full sync (an Apply into an empty table that
+// withdraws nothing) and compaction — and write changes it: every other delta,
+// whatever its size, and a compaction's catch-up.
+//
 // The trick is that the arena is append-only and snapshots are persistent
 // in the functional-data-structure sense. A published *Index is never
 // mutated: Apply clones the nodes on the union of the delta's paths to the
@@ -33,13 +38,13 @@ import (
 // Superseded nodes and relocated spans become garbage in the shared slabs.
 //
 // When garbage outweighs live data, a background goroutine compacts, off the
-// Apply path: it copies an immutable snapshot's live nodes and spans in
-// pre-order into fresh slabs the size of the ones they replace, room the cycle
-// it starts path-copies into; then, under the writer lock, it catches up by
-// applying Diff(copied snapshot, current snapshot) and publishes the copy in
-// the current snapshot's place, with its version and carried delta: the same
-// set. Old snapshots stay intact. A table whose garbage never crosses the
-// threshold never starts a goroutine.
+// Apply path: it rebuilds an immutable snapshot's VRP stream, in pre-order,
+// into fresh slabs at least the length of the ones they replace, room the
+// cycle it starts path-copies into; then, under the writer lock, it catches up
+// by writing Diff(rebuilt snapshot, current snapshot) and publishes the
+// rebuild in the current snapshot's place, with its version and carried delta:
+// the same set. Old snapshots stay intact. A table whose garbage never crosses
+// the threshold never starts a goroutine.
 type Table struct {
 	mu  sync.Mutex // serializes writers (Apply, ResetTo, compaction publish)
 	cur atomic.Pointer[Index]
@@ -54,8 +59,9 @@ type Table struct {
 	compacting bool
 
 	// published, when set (LiveIndex: it keeps its view), runs under mu just
-	// before nw becomes current: nw replaces the table (ResetTo, a bulk Apply)
-	// or is it with these operations path-copied in — none for a compaction.
+	// before nw becomes current: nw replaces the table (a build: ResetTo, the
+	// first full sync) or is it with these operations written in — none for a
+	// compaction.
 	published func(nw *Index, replaced bool, announce, withdraw []rpki.VRP)
 
 	// compactHook, when set (tests), runs on the compactor goroutine before
@@ -63,27 +69,10 @@ type Table struct {
 	compactHook func()
 }
 
-// bulkDivisor sets where a delta stops being path-copied and the table is
-// rebuilt instead: an Apply of at least size/bulkDivisor operations (announces
-// plus withdraws, against the current table size). Path copying costs a delta
-// the union of its paths in cloned nodes — 0.36 µs and 5.3 nodes of garbage an
-// operation in a 525-operation delta into today's 33,615 VRPs — and a build
-// costs 0.17–0.22 µs a VRP of table plus delta (0.09 µs when all of it is in
-// pre-order, as a first full sync is), once. BenchmarkLiveApplyBulk (one P,
-// delta ÷ table swept from 1/64 to 4, compaction waited out; medians of three
-// alternated runs): path copy 4.1 against a build's 9.8 ms at 1/3, 5.4
-// against 11.7 at 1/2, 12.5 against 15.0 at 1, 63.1 against 47.9 at 4, where
-// the delta's relocated entry cells outweigh the live ones and start a
-// compaction. Path copying is the cheaper side up to the table's size, and the
-// constant still stays at 2: a build also lays the slab out in pre-order,
-// which every later walk reads, and no workload measures the mid-size resync
-// into a carried table that a larger divisor would move.
-const bulkDivisor = 2
-
 // NewTable builds a table over vrps (a repeated VRP counts once).
 func NewTable(vrps []rpki.VRP) *Table {
 	t := &Table{}
-	t.cur.Store(newIndexFromVRPs(vrps))
+	t.cur.Store(newIndexFromVRPs(vrps, nil))
 	return t
 }
 
@@ -101,28 +90,33 @@ func (t *Table) Len() int { return t.Snapshot().Len() }
 // a VRP already in the table and withdrawing one that is absent are no-ops,
 // and a delta made of nothing else leaves the published snapshot in place.
 //
-// A delta small against the table is path-copied: it costs the nodes on the
-// union of its prefixes' root paths — at most (len(announce)+len(withdraw)) ·
-// prefix bits, and 36 for eight /24s of one /21 — each cloned once and read
-// once by the announces and once by the withdraws (see finger), amortized,
-// plus a sort of the delta. The set size
-// never enters: compaction runs on a background goroutine, so even the delta
-// that crosses the garbage threshold pays only its own path-copy work.
-// A delta of at least half the table's size (bulkDivisor) — the first full
-// sync into an empty table above all — is a build instead: the
-// resulting set goes into fresh slabs exactly as ResetTo would put it there
-// — unless it equals the table, and then nothing is published — and
-// snapshots on either side of it share no arena lineage (Diff across it is
-// exact, by the full walk).
+// A delta is path-copied, whatever its size: it costs the nodes on the union
+// of its prefixes' root paths — at most (len(announce)+len(withdraw)) · prefix
+// bits, and 36 for eight /24s of one /21 — each cloned once and read once by
+// the announces and once by the withdraws (see finger), amortized, plus a sort
+// of the delta. The set size never enters: compaction runs on a background
+// goroutine, so even the delta that crosses the garbage threshold pays only
+// its own path-copy work. Up to the table's size that is as cheap as a
+// rebuild or cheaper; a delta several times the table can cost more than a
+// build would (BenchmarkLiveApplyLarge/4), and no feed sends one to a
+// non-empty table: a full sync replaces it through ResetTo.
+//
+// The one delta that is built is the first full sync: an Apply into an empty
+// table that withdraws nothing goes into fresh slabs exactly as ResetTo would
+// put it there, and snapshots on either side of it share no arena lineage
+// (Diff across it is exact, by the full walk).
 func (t *Table) Apply(announce, withdraw []rpki.VRP) { t.apply(announce, withdraw) }
 
-// apply is Apply, reporting whether the delta replaced the table.
+// apply is Apply, reporting whether the delta replaced the table: whether it
+// was a first full sync, built. Nothing is looked up or withdrawn there, and
+// the build counts a repeated VRP once.
 func (t *Table) apply(announce, withdraw []rpki.VRP) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := t.cur.Load()
-	if ops := len(announce) + len(withdraw); ops > 0 && ops*bulkDivisor >= old.Len() {
-		return t.applyBulk(old, announce, withdraw)
+	if old.Len() == 0 && len(withdraw) == 0 && len(announce) > 0 {
+		t.replace(newIndexFromVRPs(announce, nil))
+		return true
 	}
 	t.applyDelta(old, announce, withdraw)
 	return false
@@ -136,41 +130,7 @@ func (t *Table) publish(nw *Index, replaced bool, announce, withdraw []rpki.VRP)
 	t.cur.Store(nw)
 }
 
-// applyBulk is Apply's build path: the table old ∪ announce ∖ withdraw goes
-// into fresh slabs and replaces old's, unless the delta nets to nothing. It
-// reports whether it published. Callers hold mu.
-func (t *Table) applyBulk(old *Index, announce, withdraw []rpki.VRP) bool {
-	if old.Len() == 0 && len(withdraw) == 0 {
-		// A first full sync: nothing to keep or look up; the build dedups.
-		nw := newIndexFromVRPs(announce)
-		if nw.Len() > 0 {
-			t.replace(nw)
-		}
-		return nw.Len() > 0
-	}
-	gone := make(map[rpki.VRP]struct{}, len(withdraw))
-	for _, v := range withdraw {
-		gone[v] = struct{}{}
-	}
-	next := old.AppendVRPs(make([]rpki.VRP, 0, old.Len()+len(announce)))
-	if len(gone) > 0 {
-		next = slices.DeleteFunc(next, func(v rpki.VRP) bool { _, ok := gone[v]; return ok })
-	}
-	changed := len(next) != old.Len()
-	for _, v := range announce {
-		if _, ok := gone[v]; ok || old.has(v) {
-			continue // withdraw wins; already present
-		}
-		next = append(next, v) // a repeat within announce is dropped by the build
-		changed = true
-	}
-	if changed {
-		t.replace(newIndexFromVRPs(next))
-	}
-	return changed
-}
-
-// applyDelta is Apply's path-copy path: the delta, sorted into diffOrder in
+// applyDelta is how Apply changes a table: the delta, sorted into diffOrder in
 // copies of the table's own (never in the caller's slices: subscribers share
 // them), is written onto the slab tail of a new snapshot sharing old's slabs;
 // the snapshot is published, with the net delta from old, if anything changed,
@@ -219,124 +179,57 @@ func cancelCommon(ann, wd []rpki.VRP) ([]rpki.VRP, []rpki.VRP) {
 // delta of the replacement; an in-flight background compaction of the
 // replaced table discards its rebuild.
 func (t *Table) ResetTo(vrps []rpki.VRP) {
-	nw := newIndexFromVRPs(vrps)
+	nw := newIndexFromVRPs(vrps, nil)
 	t.mu.Lock()
 	t.replace(nw)
 	t.mu.Unlock()
 }
 
 // replace publishes nw — freshly built slabs — in place of the whole table:
-// the one routine behind ResetTo and applyBulk. nw's arenas start a new
-// lineage, which is how an in-flight compaction of the replaced table knows
-// to discard its rebuild; the garbage counters, which described the old
+// the one routine behind ResetTo and the first full sync. nw's arenas start a
+// new lineage, which is how an in-flight compaction of the replaced table
+// knows to discard its rebuild; the garbage counters, which described the old
 // slabs, start over. Callers hold mu.
 func (t *Table) replace(nw *Index) {
 	t.garbageNodes, t.garbageEntries = 0, 0
 	t.publish(nw, true, nil, nil)
 }
 
-// compact copies the live set of src into fresh slabs, catches the copy up
-// with the deltas applied while it ran, and publishes the result in the
-// current snapshot's place. It runs on its own goroutine and takes t.mu only
-// for the catch-up and swap, so Apply latency stays bounded by the delta size
-// throughout. src is an immutable published snapshot: later Applies only
-// append past its slab bounds.
+// compact rebuilds src's table into fresh slabs, catches the rebuild up with
+// the deltas applied while it ran, and publishes the result in the current
+// snapshot's place. The build is the one NewTable makes of src's VRP stream —
+// in pre-order, so a withdrawn chain is not rebuilt — but its slabs are sized
+// no shorter than src's, garbage included, and a 32nd more: the room the cycle
+// this starts path-copies into (see newIndexFromVRPs). It runs on its own
+// goroutine and takes t.mu only for the catch-up and swap, so Apply latency
+// stays bounded by the delta size throughout. src is an immutable published
+// snapshot: later Applies only append past its slab bounds.
 func (t *Table) compact(src *Index, hook func()) {
 	if hook != nil {
 		hook()
 	}
-	rebuilt := liveCopy(src)
+	rebuilt := newIndexFromVRPs(src.AppendVRPs(nil), src)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.compacting = false
 	cur := t.cur.Load()
 	if !src.fams[0].eng.SharedArena(&cur.fams[0].eng) {
-		// The table was replaced wholesale (ResetTo, a bulk Apply) while we
-		// rebuilt the old one: drop the rebuild. The replacement zeroed the
+		// The table was replaced wholesale (ResetTo, a first full sync) while
+		// we rebuilt the old one: drop the rebuild. The replacement zeroed the
 		// garbage accounting, which decides when a fresh compaction follows.
 		return
 	}
 	// cur was path-copied from src, so the diff is cur's carried delta or walks
-	// only the paths cloned since: the net effect of every delta the copy
-	// predates, already in diffOrder. It is written as a delta's is, with mark
-	// 0: nothing has published rebuilt, so the catch-up owns all of it and
-	// writes its nodes in place.
+	// only the paths cloned since: the net effect of every delta the rebuild
+	// predates, already in diffOrder. It goes through write as a delta does,
+	// with mark 0: nothing has published the rebuild, so the catch-up owns all
+	// of it and writes its nodes in place, into the room the build left.
 	announce, withdraw := Diff(src, cur)
 	t.garbageNodes, t.garbageEntries = 0, 0
 	t.write(rebuilt, announce, withdraw, [2]int32{})
 	// The rebuild holds cur's set: it takes cur's place in the version history.
 	rebuilt.version, rebuilt.parent, rebuilt.announced, rebuilt.withdrawn = cur.version, cur.parent, cur.announced, cur.withdrawn
 	t.publish(rebuilt, false, nil, nil)
-}
-
-// liveCopy returns src's table in fresh slabs, node for node and entry for
-// entry what newIndexFromVRPs(src.AppendVRPs(nil)) builds: one pre-order pass
-// copies a node, its pending ancestors first, once a span at or below it holds
-// entries, so a subtree holding none (a withdrawn chain) is dropped. The slabs
-// are src's length, garbage included (≈ twice the live set when needCompact
-// fires), and a 1/32 more, so the cycle this starts appends in place: at that
-// length exactly, half of roa_change's cycles regrew by a quarter, and peak RSS
-// rose a fifth. The copy has no version yet.
-func liveCopy(src *Index) *Index {
-	ix := &Index{entries: make([]entry, 0, len(src.entries)+len(src.entries)/32)}
-	type frame struct {
-		idx        int32
-		depth, bit uint8
-	}
-	var (
-		pending [129]frame // a second child per level of the deepest path
-		copied  [129]int32 // at [d], the copy of the path's node at depth d, for d < made
-		bits    [129]uint8 // at [d], the branch the path takes into depth d
-	)
-	for slot := range src.fams {
-		from, to := &src.fams[slot], &ix.fams[slot]
-		to.size = from.size
-		to.eng.Init(len(from.eng.Nodes)+len(from.eng.Nodes)/32, span{})
-		nodes, made, top := from.eng.Nodes, uint8(0), 0
-		for at := (frame{idx: from.root}); at.idx >= 0; {
-			nd := nodes[at.idx]
-			made, bits[at.depth] = min(made, at.depth), at.bit
-			if sp := nd.Val; sp.n > 0 || at.depth == 0 {
-				for made = max(made, 1); made <= at.depth; made++ { // node 0 is the root's copy
-					copied[made] = to.eng.Alloc(span{off: int32(len(ix.entries))})
-					to.eng.Nodes[copied[made-1]].Children[bits[made]] = copied[made]
-				}
-				to.eng.Nodes[copied[at.depth]].Val = span{off: int32(len(ix.entries)), n: sp.n}
-				ix.entries = append(ix.entries, src.entries[sp.off:sp.off+sp.n]...)
-			}
-			c0, c1 := nd.Children[0], nd.Children[1]
-			if c1 != core.NoChild {
-				one := frame{idx: c1, depth: at.depth + 1, bit: 1}
-				if c0 == core.NoChild {
-					at = one
-					continue
-				}
-				pending[top] = one
-				top++
-			}
-			switch {
-			case c0 != core.NoChild:
-				at = frame{idx: c0, depth: at.depth + 1}
-			case top > 0:
-				top--
-				at = pending[top]
-			default:
-				at.idx = -1 // nothing pending: done
-			}
-		}
-	}
-	return ix
-}
-
-// has reports whether v is in the table.
-func (ix *Index) has(v rpki.VRP) bool {
-	f := &ix.fams[famSlot(v.Prefix.Family())]
-	idx := f.eng.PathFind(f.root, v.Prefix)
-	if idx < 0 {
-		return false
-	}
-	sp := f.eng.Nodes[idx].Val
-	return slices.Contains(ix.entries[sp.off:sp.off+sp.n], entry{maxLength: v.MaxLength, as: v.AS})
 }
 
 // write is the one way a snapshot under construction changes: it applies ann,
