@@ -42,14 +42,14 @@ race:
 # testing.AllocsPerRun, which race instrumentation inflates, so their files
 # are //go:build !race and the race target never compiles them.
 allocs:
-	$(GO) test -count=1 -run 'TestValidateAllocs|TestIndexBuildAllocs|TestDiffAllocs|TestApplyAllocs|TestCompactAllocs|TestAllocCeilings|TestSerialAnswerAllocs|TestClientResetAllocs' ./internal/rov ./internal/core ./internal/rtr
+	$(GO) test -count=1 -run 'TestValidateAllocs|TestIndexBuildAllocs|TestDiffAllocs|TestApplyAllocs|TestCompactAllocs|TestAllocCeilings|TestSerialAnswerAllocs|TestClientResetAllocs|TestNewTableAllocs' ./internal/rov ./internal/core ./internal/rtr ./internal/bgp
 
-# bench prints the in-package core, rov, and rtr micro benchmarks plus the
+# bench prints the in-package bgp, core, rov, and rtr micro benchmarks plus the
 # paper-evaluation benches; -count=1 defeats test caching so numbers are
 # always fresh. Performance claims are made with the repo's benchmark
 # (go run ./bench, see BENCHMARK.json), not with this view.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=1 ./internal/core/ ./internal/rov/ ./internal/rtr/ .
+	$(GO) test -run='^$$' -bench=. -benchmem -count=1 ./internal/bgp/ ./internal/core/ ./internal/rov/ ./internal/rtr/ .
 
 # soak is the full router-population acceptance run: thousands of pollers,
 # sustained churn, a handful of wedged routers the cache must shed without
@@ -65,21 +65,22 @@ soak-smoke:
 		-interval 100ms -stall 2 -write-timeout 2s
 
 # bench-smoke is the quick pipeline-regression gate CI runs: the core and rov
-# micro benches and, at a handful of iterations on today's table, the headline
-# compression bench, the verifier that proves its output, the cold path at
-# real size — a full response, a router's reset, a follower's cold start — and
-# one publish answered to 2,000 routers one serial behind.
+# micro benches, the paper-scale BGP table build and, at a handful of
+# iterations on today's table, the headline compression bench, the verifier
+# that proves its output, the cold path at real size — a full response, a
+# router's reset, a follower's cold start — and one publish answered to 2,000
+# routers one serial behind.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem -count=1 ./internal/core/ ./internal/rov/
+	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem -count=1 ./internal/bgp/ ./internal/core/ ./internal/rov/
 	$(GO) test -run='^$$' -bench='^(BenchmarkFigure2|BenchmarkCompressToday|BenchmarkSemanticEqualVerifier)$$' -benchtime=3x -benchmem -count=1 .
 	$(GO) test -run='^$$' -bench='^(BenchmarkSendFull|BenchmarkClientReset|BenchmarkColdStart|BenchmarkSerialFanout)$$' -benchtime=3x -benchmem -count=1 ./internal/rtr/
 
-# fuzz runs all ten fuzz targets in the tree for FUZZTIME each (go test -fuzz
+# fuzz runs all eleven fuzz targets in the tree for FUZZTIME each (go test -fuzz
 # takes one target and one package at a time); fuzz-smoke is the short
 # configuration CI runs on every push.
 FUZZTIME ?= 30s
 FUZZ_TARGETS = core/FuzzTrieVsReference core/FuzzCompressVsTrie rov/FuzzIndex rov/FuzzCompactIndex rov/FuzzDiff rov/FuzzLiveOverlay \
-	rtr/FuzzReadPDU bgp/FuzzReadMRT prefix/FuzzParse rpkix/FuzzParseSignedObject
+	rtr/FuzzReadPDU bgp/FuzzReadMRT bgp/FuzzNewTable prefix/FuzzParse rpkix/FuzzParseSignedObject
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZTIME))"; \

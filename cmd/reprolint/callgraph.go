@@ -14,11 +14,12 @@ package main
 // through a func value (a field, a parameter, a local) contributes no edges.
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -254,7 +255,7 @@ func (g *CallGraph) widen(recv types.Type, method string) []*funcNode {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	slices.SortFunc(out, func(a, b *funcNode) int { return cmp.Compare(a.name, b.name) })
 	return out
 }
 

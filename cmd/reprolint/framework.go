@@ -5,11 +5,12 @@ package main
 // one invariant the hot paths of this repository depend on.
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -174,15 +175,10 @@ func runAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
+	slices.SortStableFunc(out, func(a, b Finding) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column))
 	})
 	return out
 }

@@ -28,7 +28,7 @@ import (
 	"net"
 	"os"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -292,7 +292,7 @@ func percentiles(d []time.Duration) [4]time.Duration {
 		return [4]time.Duration{}
 	}
 	s := append([]time.Duration(nil), d...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	at := func(p float64) time.Duration {
 		i := int(p * float64(len(s)-1))
 		return s[i]

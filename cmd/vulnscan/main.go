@@ -9,11 +9,12 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/bgp"
 	"repro/internal/core"
@@ -59,11 +60,8 @@ func main() {
 		for as, e := range exposure {
 			rows = append(rows, row{as, e})
 		}
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].exp != rows[j].exp {
-				return rows[i].exp > rows[j].exp
-			}
-			return rows[i].as < rows[j].as
+		slices.SortFunc(rows, func(a, b row) int {
+			return cmp.Or(cmp.Compare(b.exp, a.exp), cmp.Compare(a.as, b.as))
 		})
 		if len(rows) > *top {
 			rows = rows[:*top]

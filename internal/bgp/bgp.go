@@ -10,6 +10,8 @@
 package bgp
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/prefix"
@@ -51,30 +53,127 @@ type Table struct {
 }
 
 // NewTable builds a Table from routes. The input slice is not retained.
+//
+// Both orders are sorted by key, not by comparison (McIlroy, Bostic &
+// McIlroy, "Engineering Radix Sort", 1993). byPrefix is a stable LSD radix
+// sort on the 16-bit digits of (family, address, length, origin): one pass
+// counts every digit, a digit all routes share costs no pass, and the others
+// move the routes between the Table's two slabs. Once the origin digits are
+// sorted, each origin is replaced by its rank among the distinct origins, so
+// byOrigin is one stable counting sort of the deduplicated byPrefix on rank,
+// which keeps each origin's routes in prefix order and puts the origins back.
+// The Table holds two route slabs: byPrefix's, the input's length, and
+// byOrigin's, the deduplicated length (a fresh one when duplicates were
+// dropped). The build's scratch is the digit counts (3 MiB) and two uint32s
+// per distinct origin.
 func NewTable(routes []Route) *Table {
-	bp := append([]Route(nil), routes...)
-	sort.Slice(bp, func(i, j int) bool {
-		if c := bp[i].Prefix.Compare(bp[j].Prefix); c != 0 {
-			return c < 0
-		}
-		return bp[i].Origin < bp[j].Origin
-	})
-	// Dedup.
-	out := bp[:0]
-	for i, r := range bp {
-		if i == 0 || r != bp[i-1] {
-			out = append(out, r)
+	if len(routes) == 0 {
+		return &Table{}
+	}
+	bp, bo := append([]Route(nil), routes...), make([]Route, len(routes))
+	counts := new([keyDigits][1 << 16]uint32)
+	for i := range bp {
+		for d := range keyDigits {
+			counts[d][digit(&bp[i], d)]++
 		}
 	}
-	bp = out
-	bo := append([]Route(nil), bp...)
-	sort.Slice(bo, func(i, j int) bool {
-		if bo[i].Origin != bo[j].Origin {
-			return bo[i].Origin < bo[j].Origin
-		}
-		return bo[i].Prefix.Compare(bo[j].Prefix) < 0
-	})
+	bp, bo = radixPasses(bp, bo, counts, 0, 2)
+	origins := rankOrigins(bp)
+	bp, bo = radixPasses(bp, bo, counts, 2, keyDigits)
+	if bp = slices.Compact(bp); len(bp) < len(routes) {
+		bo = make([]Route, len(bp)) // keep no spare slab the length of the input
+	}
+	sortByRank(bo, bp, origins)
 	return &Table{byPrefix: bp, byOrigin: bo}
+}
+
+// keyDigits is the number of 16-bit digits in a route's radix key.
+const keyDigits = 12
+
+// digit returns the d-th 16-bit digit of r's radix key, least significant
+// first: origin, length, the address's low then high half, family. Keys
+// compared from the last digit down order routes as prefix.Compare, then
+// origin.
+func digit(r *Route, d int) uint16 {
+	hi, lo := r.Prefix.Bits()
+	switch {
+	case d < 2:
+		return uint16(r.Origin >> (16 * d))
+	case d == 2:
+		return uint16(r.Prefix.Len())
+	case d < 7:
+		return uint16(lo >> (16 * (d - 3)))
+	case d < 11:
+		return uint16(hi >> (16 * (d - 7)))
+	}
+	return uint16(r.Prefix.Family())
+}
+
+// radixPasses stably sorts rs by digits [from, to), given every digit's
+// counts over rs, using buf, as long as rs, for the other side of each pass.
+// It returns the sorted slab and the spare one.
+func radixPasses(rs, buf []Route, counts *[keyDigits][1 << 16]uint32, from, to int) (sorted, spare []Route) {
+	for d := from; d < to; d++ {
+		c := &counts[d]
+		if int(c[digit(&rs[0], d)]) == len(rs) {
+			continue // every route has this digit
+		}
+		toOffsets(c[:])
+		for i := range rs {
+			v := digit(&rs[i], d)
+			buf[c[v]] = rs[i]
+			c[v]++
+		}
+		rs, buf = buf, rs
+	}
+	return rs, buf
+}
+
+// rankOrigins replaces the origin of each route of rs, which is in origin
+// order, by its rank among the distinct origins, and returns the origins by
+// rank.
+func rankOrigins(rs []Route) []rpki.ASN {
+	n := 1
+	for i := 1; i < len(rs); i++ {
+		if rs[i].Origin != rs[i-1].Origin {
+			n++
+		}
+	}
+	origins := make([]rpki.ASN, 0, n)
+	for i := range rs {
+		if o := rs[i].Origin; len(origins) == 0 || o != origins[len(origins)-1] {
+			origins = append(origins, o)
+		}
+		rs[i].Origin = rpki.ASN(len(origins) - 1)
+	}
+	return origins
+}
+
+// sortByRank fills dst, as long as src, with src's routes stably sorted by
+// origin rank, and puts each route's origin back in both.
+func sortByRank(dst, src []Route, origins []rpki.ASN) {
+	next := make([]uint32, len(origins))
+	for i := range src {
+		next[src[i].Origin]++
+	}
+	toOffsets(next)
+	for i := range src {
+		r := &src[i]
+		k := r.Origin
+		r.Origin = origins[k]
+		dst[next[k]] = *r
+		next[k]++
+	}
+}
+
+// toOffsets turns counts by key into the first slot of each key in the sorted
+// output.
+func toOffsets(counts []uint32) {
+	var sum uint32
+	for k, c := range counts {
+		counts[k] = sum
+		sum += c
+	}
 }
 
 // TableFromAnnouncements projects announcements to routes and builds a Table.
@@ -99,22 +198,23 @@ func (t *Table) Routes() []Route { return t.byPrefix }
 
 // Contains reports whether the exact (prefix, origin) pair is announced.
 func (t *Table) Contains(p prefix.Prefix, origin rpki.ASN) bool {
-	i := sort.Search(len(t.byPrefix), func(i int) bool {
-		if c := t.byPrefix[i].Prefix.Compare(p); c != 0 {
-			return c > 0
+	_, ok := slices.BinarySearchFunc(t.byPrefix, Route{Prefix: p, Origin: origin}, func(r, q Route) int {
+		if c := r.Prefix.Compare(q.Prefix); c != 0 {
+			return c
 		}
-		return t.byPrefix[i].Origin >= origin
+		return cmp.Compare(r.Origin, q.Origin)
 	})
-	return i < len(t.byPrefix) && t.byPrefix[i] == (Route{Prefix: p, Origin: origin})
+	return ok
 }
 
 // ContainsPrefix reports whether any origin announces p.
 func (t *Table) ContainsPrefix(p prefix.Prefix) bool {
-	i := sort.Search(len(t.byPrefix), func(i int) bool {
-		return t.byPrefix[i].Prefix.Compare(p) >= 0
-	})
-	return i < len(t.byPrefix) && t.byPrefix[i].Prefix == p
+	_, ok := slices.BinarySearchFunc(t.byPrefix, p, comparePrefix)
+	return ok
 }
+
+// comparePrefix orders a route against a prefix by the route's prefix alone.
+func comparePrefix(r Route, p prefix.Prefix) int { return r.Prefix.Compare(p) }
 
 // originRange returns the half-open index range of byOrigin holding routes
 // of the given origin.
@@ -148,7 +248,7 @@ func (t *Table) WalkAnnouncedUnder(origin rpki.ASN, p prefix.Prefix, maxLen uint
 	// Find the first route at or after (p, p.Len()). Canonical prefix order
 	// places every descendant of p contiguously from there (ancestors of p
 	// share its address but sort earlier by length).
-	start := sort.Search(len(rows), func(i int) bool { return rows[i].Prefix.Compare(p) >= 0 })
+	start, _ := slices.BinarySearchFunc(rows, p, comparePrefix)
 	n := 0
 	for _, r := range rows[start:] {
 		if !p.Contains(r.Prefix) {
@@ -168,9 +268,7 @@ func (t *Table) WalkAnnouncedUnder(origin rpki.ASN, p prefix.Prefix, maxLen uint
 // (any origin). Canonical order places all descendants of q contiguously at
 // the lower bound for q, so a single probe decides.
 func (t *Table) AnyAnnouncedUnder(q prefix.Prefix) bool {
-	i := sort.Search(len(t.byPrefix), func(i int) bool {
-		return t.byPrefix[i].Prefix.Compare(q) >= 0
-	})
+	i, _ := slices.BinarySearchFunc(t.byPrefix, q, comparePrefix)
 	return i < len(t.byPrefix) && q.Contains(t.byPrefix[i].Prefix)
 }
 
