@@ -311,14 +311,18 @@ type blockingOp struct {
 }
 
 // blockingExternals are the calls that block on I/O, time or another
-// goroutine, by (*types.Func).FullName(). The RTR PDU codec is listed because
-// it reads and writes sockets through interfaces the call graph cannot follow.
-// sync.Cond.Wait is deliberately absent: it must be called with the lock held.
+// goroutine, by (*types.Func).FullName(). The RTR PDU codec and bufio.Writer
+// are listed because they read and write sockets through interfaces the call
+// graph cannot follow: the cache's writer sends every byte through its
+// connection's bufio.Writer. sync.Cond.Wait is deliberately absent: it must be
+// called with the lock held.
 var blockingExternals = map[string]bool{
 	"time.Sleep":                  true,
 	"io.ReadFull":                 true,
 	"io.Copy":                     true,
 	"(*sync.WaitGroup).Wait":      true,
+	"(*bufio.Writer).Write":       true,
+	"(*bufio.Writer).Flush":       true,
 	"repro/internal/rtr.WritePDU": true,
 	"repro/internal/rtr.ReadPDU":  true,
 }

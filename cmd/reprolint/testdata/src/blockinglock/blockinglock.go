@@ -3,6 +3,7 @@
 package blockinglock
 
 import (
+	"bufio"
 	"sync"
 	"time"
 )
@@ -13,6 +14,7 @@ type server struct {
 	wg sync.WaitGroup
 	ch chan int
 	n  int
+	bw *bufio.Writer
 }
 
 // True positives: blocking while a lock is held.
@@ -54,6 +56,17 @@ func (s *server) selectUnderLock(done chan struct{}) {
 	case s.ch <- 1:
 	case <-done:
 	}
+}
+
+// A bufio.Writer over a socket blocks in Flush, and in Write when the buffer
+// fills.
+func (s *server) flushUnderLock(p []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := s.bw.Write(p); err != nil { // want "blocking call (*bufio.Writer).Write while blockinglock.server.mu is held"
+		return err
+	}
+	return s.bw.Flush() // want "blocking call (*bufio.Writer).Flush while blockinglock.server.mu is held"
 }
 
 // True negatives: blocking after release, non-blocking selects, and work

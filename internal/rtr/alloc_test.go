@@ -13,11 +13,13 @@ import (
 	"repro/internal/rpki"
 )
 
-// TestSerialAnswerAllocs pins the Serial Query answer at the allocations of
-// the diff it is made of plus a constant: 5,000 Prefix PDUs wrap the
-// connection's 4 KiB buffer two dozen times, and each PDU is encoded in the
-// buffer's spare capacity whether or not it is about to wrap. Not built
-// under -race, whose instrumentation allocates.
+// TestSerialAnswerAllocs pins the cache's writer at the allocations of the
+// diff an answer is made of and not one more: a 5,000-prefix Serial Query
+// answer wraps the connection's 4 KiB buffer two dozen times, and each PDU,
+// Cache Response and End of Data included, is encoded in the buffer's spare
+// capacity whether or not it is about to wrap. A Serial Notify, a Cache Reset
+// and a short Error Report cost nothing. Not built under -race, whose
+// instrumentation allocates.
 func TestSerialAnswerAllocs(t *testing.T) {
 	all := bigVRPSet(25_000).VRPs()
 	srv := NewServer(rpki.NewSet(all[:22_500]))
@@ -35,14 +37,27 @@ func TestSerialAnswerAllocs(t *testing.T) {
 	diff := testing.AllocsPerRun(10, func() { _, _ = rov.Diff(from, p.current()) })
 
 	c := &conn{c: discardConn{}, bw: bufio.NewWriterSize(discardConn{}, 4096), version: Version1, state: connActive}
-	got := testing.AllocsPerRun(10, func() {
-		if err := srv.streamSerial(c, Version1, q); err != nil {
-			t.Fatal(err)
+	write := func(item outItem) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if err := srv.writeItem(c, item); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got := write(outItem{kind: outSerial, version: Version1, query: q}); got > diff {
+		t.Errorf("a 5,000-prefix Serial Query answer: %v allocs, of which rov.Diff %v; want none more", got, diff)
+	}
+	for _, tc := range []struct {
+		name string
+		item outItem
+	}{
+		{"a Serial Notify", outItem{kind: outNotify, version: Version1, serial: srv.Serial()}},
+		{"a Cache Reset", outItem{kind: outSerial, version: Version1, query: SerialQuery{SessionID: q.SessionID + 1}}},
+		{"an Error Report", outItem{kind: outError, version: Version1, errCode: ErrInvalidRequest, errText: "unexpected PDU type 3 from router"}},
+	} {
+		if got := write(tc.item); got != 0 {
+			t.Errorf("%s: %v allocs, want 0", tc.name, got)
 		}
-	})
-	const fixed = 4 // Cache Response, End of Data and their encode buffers
-	if got > diff+fixed {
-		t.Errorf("a 5,000-prefix Serial Query answer: %v allocs, of which rov.Diff %v; want at most %d more", got, diff, fixed)
 	}
 }
 

@@ -59,7 +59,7 @@ func BenchmarkSendFull(b *testing.B) {
 	b.Run("stream", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := srv.streamFull(c, Version1); err != nil {
+			if err := srv.writeItem(c, outItem{kind: outFull, version: Version1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -68,7 +68,7 @@ func BenchmarkSendFull(b *testing.B) {
 
 // BenchmarkSerialFanout measures what one publish costs the cache at a router
 // population: one 8-VRP publish (eight /24s of a /21) into today's table, then
-// N routers one serial behind, each answered by streamSerial into a
+// N routers one serial behind, each answered by writeItem into a
 // discardConn, at N = 1, 200 and 2,000. ns/router is the cost per router.
 // fresh publishes into a newly built table; compacted publishes right after
 // the cache's table compacted, so that the router's snapshot and the current
@@ -118,7 +118,7 @@ func BenchmarkSerialFanout(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for _, rc := range conns {
-						if err := c.srv.streamSerial(rc, Version1, c.q); err != nil {
+						if err := c.srv.writeItem(rc, outItem{kind: outSerial, version: Version1, query: c.q}); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -74,8 +74,6 @@ const headerLen = 8
 type PDU interface {
 	// Type returns the PDU type code.
 	Type() byte
-	// write serializes the PDU (with header) for the given protocol version.
-	write(w io.Writer, version byte) error
 }
 
 // SerialNotify tells routers new data is available at Serial.
@@ -158,149 +156,108 @@ func (*CacheReset) Type() byte  { return TypeCacheReset }
 func (*RouterKey) Type() byte   { return TypeRouterKey }
 func (*ErrorReport) Type() byte { return TypeErrorReport }
 
-func writeHeader(buf []byte, version, pduType byte, sessionOrZero uint16, length uint32) {
-	buf[0] = version
-	buf[1] = pduType
-	binary.BigEndian.PutUint16(buf[2:], sessionOrZero)
-	binary.BigEndian.PutUint32(buf[4:], length)
+// errUnknownPDU is a fixed value: an error formatted from p would make every
+// PDU appendPDU encodes escape to the heap.
+var errUnknownPDU = errors.New("rtr: no encoding for this PDU type")
+
+// appendPDU appends p's wire encoding for the given protocol version to buf
+// and returns the extended slice: the package's one encoder. Into spare
+// capacity it allocates nothing, and it keeps p from escaping, so the cache
+// answers a query without an allocation of its own (TestSerialAnswerAllocs).
+func appendPDU(buf []byte, version byte, p PDU) ([]byte, error) {
+	switch p := p.(type) {
+	case *Prefix:
+		return appendPrefix(buf, version, p), nil
+	case *SerialNotify:
+		buf = appendHeader(buf, version, TypeSerialNotify, p.SessionID, 12)
+		return binary.BigEndian.AppendUint32(buf, uint32(p.Serial)), nil
+	case *SerialQuery:
+		buf = appendHeader(buf, version, TypeSerialQuery, p.SessionID, 12)
+		return binary.BigEndian.AppendUint32(buf, uint32(p.Serial)), nil
+	case *ResetQuery:
+		return appendHeader(buf, version, TypeResetQuery, 0, 8), nil
+	case *CacheResponse:
+		return appendHeader(buf, version, TypeCacheResponse, p.SessionID, 8), nil
+	case *EndOfData:
+		if version == Version0 {
+			buf = appendHeader(buf, version, TypeEndOfData, p.SessionID, 12)
+			return binary.BigEndian.AppendUint32(buf, uint32(p.Serial)), nil
+		}
+		buf = appendHeader(buf, version, TypeEndOfData, p.SessionID, 24)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(p.Serial))
+		buf = binary.BigEndian.AppendUint32(buf, p.Refresh)
+		buf = binary.BigEndian.AppendUint32(buf, p.Retry)
+		return binary.BigEndian.AppendUint32(buf, p.Expire), nil
+	case *CacheReset:
+		return appendHeader(buf, version, TypeCacheReset, 0, 8), nil
+	case *RouterKey:
+		if version == Version0 {
+			return buf, errors.New("rtr: Router Key PDU requires version 1")
+		}
+		buf = appendHeader(buf, version, TypeRouterKey, uint16(p.Flags)<<8, uint32(headerLen+20+4+len(p.SPKI)))
+		buf = append(buf, p.SKI[:]...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(p.AS))
+		return append(buf, p.SPKI...), nil
+	case *ErrorReport:
+		// Both variable fields are truncated so the whole PDU fits MaxPDUSize.
+		const fieldCap = (MaxPDUSize - headerLen - 8) / 2
+		causing, text := p.CausingPDU, p.Text
+		if len(causing) > fieldCap {
+			causing = causing[:fieldCap]
+		}
+		if len(text) > fieldCap {
+			text = text[:fieldCap]
+		}
+		buf = appendHeader(buf, version, TypeErrorReport, p.Code, uint32(headerLen+4+len(causing)+4+len(text)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(causing)))
+		buf = append(buf, causing...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(text)))
+		return append(buf, text...), nil
+	}
+	return buf, errUnknownPDU
 }
 
-func (p *SerialNotify) write(w io.Writer, version byte) error {
-	var buf [12]byte
-	writeHeader(buf[:], version, TypeSerialNotify, p.SessionID, 12)
-	binary.BigEndian.PutUint32(buf[8:], uint32(p.Serial))
-	_, err := w.Write(buf[:])
-	return err
+// appendHeader appends the common 8-byte header.
+func appendHeader(buf []byte, version, pduType byte, sessionOrZero uint16, length uint32) []byte {
+	buf = append(buf, version, pduType)
+	buf = binary.BigEndian.AppendUint16(buf, sessionOrZero)
+	return binary.BigEndian.AppendUint32(buf, length)
 }
 
-func (p *SerialQuery) write(w io.Writer, version byte) error {
-	var buf [12]byte
-	writeHeader(buf[:], version, TypeSerialQuery, p.SessionID, 12)
-	binary.BigEndian.PutUint32(buf[8:], uint32(p.Serial))
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func (p *ResetQuery) write(w io.Writer, version byte) error {
-	var buf [8]byte
-	writeHeader(buf[:], version, TypeResetQuery, 0, 8)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func (p *CacheResponse) write(w io.Writer, version byte) error {
-	var buf [8]byte
-	writeHeader(buf[:], version, TypeCacheResponse, p.SessionID, 8)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func (p *Prefix) write(w io.Writer, version byte) error {
-	var buf [32]byte
-	_, err := w.Write(appendPrefix(buf[:0], version, p))
-	return err
-}
-
-// appendPrefix appends the wire encoding of an IPv4/IPv6 Prefix PDU to buf
-// and returns the extended slice. It is the encoder behind (*Prefix).write,
-// exposed in append form so full-table streaming can encode tens of
-// thousands of prefixes through one reused buffer: handing a stack array to
-// an io.Writer forces it to escape, which costs an allocation per PDU.
+// appendPrefix appends an IPv4 or IPv6 Prefix PDU. It is appendPDU's case for
+// *Prefix, and the cache's per-VRP loops call it directly, past the type
+// switch: a full response encodes tens of thousands of them.
 func appendPrefix(buf []byte, version byte, p *Prefix) []byte {
 	v := p.VRP
 	hi, lo := v.Prefix.Bits()
 	if v.Prefix.Family() == prefix.IPv4 {
-		var b [20]byte
-		writeHeader(b[:], version, TypeIPv4Prefix, 0, 20)
-		b[8] = p.Flags
-		b[9] = v.Prefix.Len()
-		b[10] = v.MaxLength
-		binary.BigEndian.PutUint32(b[12:], uint32(hi>>32))
-		binary.BigEndian.PutUint32(b[16:], uint32(v.AS))
-		return append(buf, b[:]...)
+		buf = appendHeader(buf, version, TypeIPv4Prefix, 0, 20)
+		buf = append(buf, p.Flags, v.Prefix.Len(), v.MaxLength, 0)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(hi>>32))
+	} else {
+		buf = appendHeader(buf, version, TypeIPv6Prefix, 0, 32)
+		buf = append(buf, p.Flags, v.Prefix.Len(), v.MaxLength, 0)
+		buf = binary.BigEndian.AppendUint64(buf, hi)
+		buf = binary.BigEndian.AppendUint64(buf, lo)
 	}
-	var b [32]byte
-	writeHeader(b[:], version, TypeIPv6Prefix, 0, 32)
-	b[8] = p.Flags
-	b[9] = v.Prefix.Len()
-	b[10] = v.MaxLength
-	binary.BigEndian.PutUint64(b[12:], hi)
-	binary.BigEndian.PutUint64(b[20:], lo)
-	binary.BigEndian.PutUint32(b[28:], uint32(v.AS))
-	return append(buf, b[:]...)
+	return binary.BigEndian.AppendUint32(buf, uint32(v.AS))
 }
 
-func (p *EndOfData) write(w io.Writer, version byte) error {
-	if version == Version0 {
-		var buf [12]byte
-		writeHeader(buf[:], version, TypeEndOfData, p.SessionID, 12)
-		binary.BigEndian.PutUint32(buf[8:], uint32(p.Serial))
-		_, err := w.Write(buf[:])
-		return err
-	}
-	var buf [24]byte
-	writeHeader(buf[:], version, TypeEndOfData, p.SessionID, 24)
-	binary.BigEndian.PutUint32(buf[8:], uint32(p.Serial))
-	binary.BigEndian.PutUint32(buf[12:], p.Refresh)
-	binary.BigEndian.PutUint32(buf[16:], p.Retry)
-	binary.BigEndian.PutUint32(buf[20:], p.Expire)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func (p *CacheReset) write(w io.Writer, version byte) error {
-	var buf [8]byte
-	writeHeader(buf[:], version, TypeCacheReset, 0, 8)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func (p *RouterKey) write(w io.Writer, version byte) error {
-	if version == Version0 {
-		return errors.New("rtr: Router Key PDU requires version 1")
-	}
-	length := uint32(headerLen + 20 + 4 + len(p.SPKI))
-	buf := make([]byte, length)
-	writeHeader(buf, version, TypeRouterKey, uint16(p.Flags)<<8, length)
-	copy(buf[8:], p.SKI[:])
-	binary.BigEndian.PutUint32(buf[28:], uint32(p.AS))
-	copy(buf[32:], p.SPKI)
-	_, err := w.Write(buf)
-	return err
-}
-
-func (p *ErrorReport) write(w io.Writer, version byte) error {
-	// Both variable fields are truncated so the whole PDU fits MaxPDUSize.
-	const fieldCap = (MaxPDUSize - headerLen - 8) / 2
-	text := []byte(p.Text)
-	if len(text) > fieldCap {
-		text = text[:fieldCap]
-	}
-	causing := p.CausingPDU
-	if len(causing) > fieldCap {
-		causing = causing[:fieldCap]
-	}
-	length := uint32(headerLen + 4 + len(causing) + 4 + len(text))
-	buf := make([]byte, length)
-	writeHeader(buf, version, TypeErrorReport, p.Code, length)
-	off := headerLen
-	binary.BigEndian.PutUint32(buf[off:], uint32(len(causing)))
-	off += 4
-	copy(buf[off:], causing)
-	off += len(causing)
-	binary.BigEndian.PutUint32(buf[off:], uint32(len(text)))
-	off += 4
-	copy(buf[off:], text)
-	_, err := w.Write(buf)
-	return err
-}
-
-// WritePDU serializes one PDU for the given protocol version.
+// WritePDU serializes one PDU for the given protocol version in one Write.
+// Every fixed-size PDU fits the 32-byte array it encodes into, which escapes
+// through w: an allocation a call. The cache's writer, which sends tens of
+// thousands of PDUs a response, appends into its connection's buffer instead.
 func WritePDU(w io.Writer, version byte, p PDU) error {
 	if version != Version0 && version != Version1 {
 		return fmt.Errorf("rtr: unknown protocol version %d", version)
 	}
-	return p.write(w, version)
+	var b [headerLen + maxFixedBody]byte
+	buf, err := appendPDU(b[:0], version, p)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
 }
 
 // ProtocolError describes a malformed or unexpected PDU and maps onto an

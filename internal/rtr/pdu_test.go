@@ -3,6 +3,7 @@ package rtr
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"strings"
 	"testing"
@@ -72,6 +73,71 @@ func TestPDURoundTrips(t *testing.T) {
 				b := q.(*ErrorReport)
 				if b.Code != a.Code || b.Text != a.Text || !bytes.Equal(b.CausingPDU, a.CausingPDU) {
 					t.Errorf("v%d ErrorReport mismatch", version)
+				}
+			}
+		}
+	}
+}
+
+// TestPDUWireBytes pins every PDU kind's encoding, in both versions, to fixed
+// bytes, each field checked against the layouts of RFC 6810 §5 and RFC 8210
+// §5. A round trip cannot
+// see a fault the encoder and the parser share (two fields swapped on both
+// sides, a length counted the same wrong way); this test can.
+func TestPDUWireBytes(t *testing.T) {
+	var ski [20]byte
+	for i := range ski {
+		ski[i] = byte(i + 1)
+	}
+	cases := []struct {
+		name   string
+		p      PDU
+		v0, v1 string // hex; "" where the version cannot carry the PDU
+	}{
+		{"SerialNotify", &SerialNotify{SessionID: 0x5eed, Serial: 0xfffffffe},
+			"00005eed0000000cfffffffe", "01005eed0000000cfffffffe"},
+		{"SerialQuery", &SerialQuery{SessionID: 0x5eed, Serial: 42},
+			"00015eed0000000c0000002a", "01015eed0000000c0000002a"},
+		{"ResetQuery", &ResetQuery{}, "0002000000000008", "0102000000000008"},
+		{"CacheResponse", &CacheResponse{SessionID: 0xbeef}, "0003beef00000008", "0103beef00000008"},
+		{"IPv4Prefix", &Prefix{Flags: FlagAnnounce, VRP: rpki.VRP{Prefix: mp("168.122.0.0/16"), MaxLength: 24, AS: 111}},
+			"000400000000001401101800a87a00000000006f", "010400000000001401101800a87a00000000006f"},
+		{"IPv6Prefix", &Prefix{Flags: FlagWithdraw, VRP: rpki.VRP{Prefix: mp("2001:db8:0:0:1:2::/96"), MaxLength: 128, AS: 4200000000}},
+			"00060000000000200060800020010db8000000000001000200000000fa56ea00",
+			"01060000000000200060800020010db8000000000001000200000000fa56ea00"},
+		{"EndOfData", &EndOfData{SessionID: 0x5eed, Serial: 9, Refresh: 3600, Retry: 600, Expire: 7200},
+			"00075eed0000000c00000009", "01075eed000000180000000900000e100000025800001c20"},
+		{"CacheReset", &CacheReset{}, "0008000000000008", "0108000000000008"},
+		{"RouterKey", &RouterKey{Flags: 1, SKI: ski, AS: 64496, SPKI: []byte{0xaa, 0xbb, 0xcc}},
+			"", "01090100000000230102030405060708090a0b0c0d0e0f10111213140000fbf0aabbcc"},
+		{"ErrorReport", &ErrorReport{Code: ErrInvalidRequest, CausingPDU: []byte{1, 1, 0x5e, 0xed, 0, 0, 0, 12, 0, 0, 0, 42}, Text: "no"},
+			"000a00030000001e0000000c01015eed0000000c0000002a000000026e6f",
+			"010a00030000001e0000000c01015eed0000000c0000002a000000026e6f"},
+		// Both variable fields are cut at fieldCap = (MaxPDUSize-16)/2 =
+		// 32,760 bytes, so the PDU is exactly MaxPDUSize long.
+		{"ErrorReport/truncated", &ErrorReport{Code: ErrInternalError, CausingPDU: bytes.Repeat([]byte{0xc1}, 40_000), Text: strings.Repeat("ab", 20_000)},
+			"000a000100010000" + "00007ff8" + strings.Repeat("c1", 32_760) + "00007ff8" + strings.Repeat("6162", 16_380),
+			"010a000100010000" + "00007ff8" + strings.Repeat("c1", 32_760) + "00007ff8" + strings.Repeat("6162", 16_380)},
+	}
+	for _, c := range cases {
+		for version, want := range []string{c.v0, c.v1} {
+			var buf bytes.Buffer
+			err := WritePDU(&buf, byte(version), c.p)
+			if want == "" {
+				if err == nil {
+					t.Errorf("%s v%d: encoded %x, want an error", c.name, version, buf.Bytes())
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s v%d: %v", c.name, version, err)
+				continue
+			}
+			if got := hex.EncodeToString(buf.Bytes()); got != want {
+				if len(got) > 96 {
+					t.Errorf("%s v%d: %d bytes, want %d, or the bytes differ", c.name, version, len(got)/2, len(want)/2)
+				} else {
+					t.Errorf("%s v%d:\n got %s\nwant %s", c.name, version, got, want)
 				}
 			}
 		}
@@ -178,9 +244,7 @@ func TestErrorReportMalformedLengths(t *testing.T) {
 	// causing-PDU length exceeding the body must be rejected.
 	body := make([]byte, 8)
 	binary.BigEndian.PutUint32(body, 100) // longer than body
-	raw := make([]byte, 8+len(body))
-	writeHeader(raw, Version1, TypeErrorReport, 0, uint32(len(raw)))
-	copy(raw[8:], body)
+	raw := append(appendHeader(nil, Version1, TypeErrorReport, 0, uint32(8+len(body))), body...)
 	if _, _, err := ReadPDU(bytes.NewReader(raw)); err == nil {
 		t.Error("overflowing causing-PDU length accepted")
 	}
@@ -188,9 +252,7 @@ func TestErrorReportMalformedLengths(t *testing.T) {
 	body2 := make([]byte, 8)
 	binary.BigEndian.PutUint32(body2, 0)
 	binary.BigEndian.PutUint32(body2[4:], 50)
-	raw2 := make([]byte, 8+len(body2))
-	writeHeader(raw2, Version1, TypeErrorReport, 0, uint32(len(raw2)))
-	copy(raw2[8:], body2)
+	raw2 := append(appendHeader(nil, Version1, TypeErrorReport, 0, uint32(8+len(body2))), body2...)
 	if _, _, err := ReadPDU(bytes.NewReader(raw2)); err == nil {
 		t.Error("overflowing text length accepted")
 	}

@@ -247,8 +247,8 @@ func TestServerReportsCorruptPDU(t *testing.T) {
 
 // TestServerReportsUnsupportedVersion: a PDU with a bogus version byte must
 // still be answered with an Error Report — sent with the connection's
-// negotiated (default) version, since serializing with the peer's bogus byte
-// is impossible.
+// negotiated (default) version, since a PDU carrying the peer's bogus byte
+// is one no router can parse.
 func TestServerReportsUnsupportedVersion(t *testing.T) {
 	srv := NewServer(testVRPs())
 	addr, stop := startServer(t, srv)
@@ -851,7 +851,7 @@ func TestNewServerLeavesItsArgumentAlone(t *testing.T) {
 	}
 
 	wire := &captureConn{}
-	if err := srv.streamFull(&conn{c: wire, bw: bufio.NewWriterSize(wire, 4096), version: Version1, state: connActive}, Version1); err != nil {
+	if err := srv.writeItem(&conn{c: wire, bw: bufio.NewWriterSize(wire, 4096), version: Version1, state: connActive}, outItem{kind: outFull, version: Version1}); err != nil {
 		t.Fatal(err)
 	}
 	var streamed []rpki.VRP

@@ -25,15 +25,17 @@ import (
 // serial-query answers, notifies — never take a server-wide lock. Each
 // connection has two goroutines, one per direction: the handler reads
 // queries and the writer owns every write, fed by the connection's bounded
-// outbound queue. Publishing is queue handoff, never socket I/O, so a
-// stalled router cannot slow an update down, and because no writer is
-// shared, it cannot slow another router's answer down either (a pool of four
-// writers made a healthy router wait 3.9 s behind eight wedged ones;
-// TestSlowRouterIsolation holds a round under half a WriteTimeout). The
-// price is one goroutine woken per router per publish. A router that
-// stops draining its TCP side either overflows its queue or exceeds the
-// write deadline, and is disconnected; a healthy RFC 8210 router simply
-// redials and resumes with a Serial Query.
+// outbound queue and its notify mailbox. The writer encodes every PDU —
+// responses, Serial Notify, Cache Reset, the terminal Error Report — into
+// the connection's buffer and sends each item with one flush. Publishing is
+// queue handoff, never socket I/O, so a stalled router cannot slow an update
+// down, and because no writer is shared, it cannot slow another router's
+// answer down either (a pool of four writers made a healthy router wait
+// 3.9 s behind eight wedged ones; TestSlowRouterIsolation holds a round under
+// half a WriteTimeout). The price is one goroutine woken per router per
+// publish. A router that stops draining its TCP side either overflows its
+// queue or exceeds the write deadline, and is disconnected; a healthy RFC
+// 8210 router simply redials and resumes with a Serial Query.
 //
 // The cache stores no delta chains: each update's table goes into a short
 // ring of immutable rov snapshots, and the answer to a Serial Query is
@@ -156,25 +158,29 @@ const (
 	outFull   outKind = iota // Reset Query answer: full-table response
 	outSerial                // Serial Query answer: delta, empty update, or Cache Reset
 	outError                 // terminal Error Report (conn moves to connClosing)
+	outNotify                // Serial Notify from the mailbox, never queued
 )
 
-// outItem is one queued response. Queues hold descriptors, not materialized
-// PDUs: the writer renders the response from the published state at write
-// time, so a deep queue costs bytes per entry, not a table copy, and a
-// delayed answer reflects the freshest data.
+// outItem is one response for the writer, queued or, for a notify, taken from
+// the mailbox. Queues hold descriptors, not materialized PDUs: the writer
+// renders the response from the published state at write time, so a deep
+// queue costs bytes per entry, not a table copy, and a delayed answer
+// reflects the freshest data.
 type outItem struct {
 	kind    outKind
 	version byte
 	query   SerialQuery // outSerial
 	errCode uint16      // outError
 	errText string
+	serial  Serial // outNotify
 }
 
 type conn struct {
 	c net.Conn
-	// bw is the connection's reused encode buffer: streamed responses write
-	// through it PDU by PDU, so a full-table answer is allocation-bounded
-	// instead of materializing len(vrps)+2 PDU values.
+	// bw is the connection's one write path and reused encode buffer: every
+	// PDU is appended into its spare capacity (put, writePrefix) and each
+	// item ends in one flush, so no PDU costs an allocation and a full-table
+	// answer never materializes len(vrps)+2 PDU values.
 	bw *bufio.Writer
 	// wake carries one token from offerNotify/enqueue/disconnect to the
 	// parked writer. The token is sent after the mailbox, queue or state
@@ -401,18 +407,13 @@ func (s *Server) drain(c *conn) {
 			c.mu.Unlock()
 			return
 		}
-		var (
-			doNotify bool
-			serial   Serial
-			item     outItem
-			haveItem bool
-		)
+		var item outItem
 		switch {
 		case c.hasNotify:
-			doNotify, serial = true, c.notifySerial
+			item = outItem{kind: outNotify, version: c.version, serial: c.notifySerial}
 			c.hasNotify = false
 		case len(c.queue) > 0:
-			item, haveItem = c.queue[0], true
+			item = c.queue[0]
 			copy(c.queue, c.queue[1:])
 			c.queue[len(c.queue)-1] = outItem{}
 			c.queue = c.queue[:len(c.queue)-1]
@@ -426,17 +427,9 @@ func (s *Server) drain(c *conn) {
 			<-c.wake
 			continue
 		}
-		version := c.version
 		c.mu.Unlock()
 
-		var err error
-		switch {
-		case doNotify:
-			err = s.writeNotify(c, version, serial)
-		case haveItem:
-			err = s.writeItem(c, item)
-		}
-		if err != nil {
+		if err := s.writeItem(c, item); err != nil {
 			if !errors.Is(err, net.ErrClosed) {
 				s.logf("rtr server: write to %v: %v", c.c.RemoteAddr(), err)
 			}
@@ -468,26 +461,27 @@ func (s *Server) disconnect(c *conn) {
 	s.regMu.Unlock()
 }
 
-// writeNotify renders and writes one Serial Notify. The session comes from
-// the published state at write time; the serial is the coalesced mailbox
-// value (a router syncing to it learns of anything newer from End of Data).
-func (s *Server) writeNotify(c *conn, version byte, serial Serial) error {
-	p := s.pub.Load()
-	s.setWriteDeadline(c)
-	return WritePDU(c.c, version, &SerialNotify{SessionID: p.session, Serial: serial})
-}
-
-// writeItem renders and writes one queued response descriptor.
+// writeItem renders one response into the connection's buffer and flushes
+// it. A notify's session comes from the published state at write time; its
+// serial is the coalesced mailbox value (a router syncing to it learns of
+// anything newer from End of Data).
 func (s *Server) writeItem(c *conn, item outItem) error {
 	s.setWriteDeadline(c)
+	var err error
 	switch item.kind {
 	case outFull:
-		return s.streamFull(c, item.version)
+		err = s.streamFull(c, item.version)
 	case outSerial:
-		return s.streamSerial(c, item.version, item.query)
+		err = s.streamSerial(c, item.version, item.query)
+	case outNotify:
+		err = c.put(item.version, &SerialNotify{SessionID: s.pub.Load().session, Serial: item.serial})
 	default: // outError
-		return WritePDU(c.c, item.version, &ErrorReport{Code: item.errCode, Text: item.errText})
+		err = c.put(item.version, &ErrorReport{Code: item.errCode, Text: item.errText})
 	}
+	if err != nil {
+		return err
+	}
+	return c.bw.Flush()
 }
 
 func (s *Server) setWriteDeadline(c *conn) {
@@ -499,13 +493,26 @@ func (s *Server) setWriteDeadline(c *conn) {
 	_ = c.c.SetWriteDeadline(time.Now().Add(d))
 }
 
-// writePrefix encodes one Prefix PDU into the bufio writer's spare capacity
-// (AvailableBuffer) instead of through WritePDU: an escaping stack buffer per
-// PDU would cost an allocation per VRP on a path that runs len(table) times
-// per Reset Query. The flush keeps the spare capacity large enough to encode
-// in place.
+// put encodes one PDU into the buffer's spare capacity (AvailableBuffer),
+// flushing first when that could not hold a fixed-size PDU: handed to an
+// io.Writer instead, an encoding buffer escapes and costs an allocation.
+func (c *conn) put(version byte, p PDU) error {
+	if c.bw.Available() < headerLen+maxFixedBody {
+		if err := c.bw.Flush(); err != nil {
+			return err
+		}
+	}
+	buf, err := appendPDU(c.bw.AvailableBuffer(), version, p)
+	if err == nil {
+		_, err = c.bw.Write(buf)
+	}
+	return err
+}
+
+// writePrefix is put for the per-VRP loops, which call appendPrefix without
+// going through appendPDU's type switch.
 func (c *conn) writePrefix(version byte, pp *Prefix) error {
-	if c.bw.Available() < 32 {
+	if c.bw.Available() < headerLen+maxFixedBody {
 		if err := c.bw.Flush(); err != nil {
 			return err
 		}
@@ -520,8 +527,7 @@ func (c *conn) writePrefix(version byte, pp *Prefix) error {
 // regardless of table size.
 func (s *Server) streamFull(c *conn, version byte) error {
 	p := s.pub.Load()
-	c.bw.Reset(c.c)
-	if err := WritePDU(c.bw, version, &CacheResponse{SessionID: p.session}); err != nil {
+	if err := c.put(version, &CacheResponse{SessionID: p.session}); err != nil {
 		return err
 	}
 	pp := Prefix{Flags: FlagAnnounce}
@@ -534,10 +540,7 @@ func (s *Server) streamFull(c *conn, version byte) error {
 	if werr != nil {
 		return werr
 	}
-	if err := WritePDU(c.bw, version, s.endOfData(p.session, p.serial)); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	return c.put(version, s.endOfData(p.session, p.serial))
 }
 
 // streamSerial answers a Serial Query from the published state at write
@@ -550,36 +553,25 @@ func (s *Server) streamFull(c *conn, version byte) error {
 // current serial diffs a snapshot against itself: the empty update).
 func (s *Server) streamSerial(c *conn, version byte, q SerialQuery) error {
 	p := s.pub.Load()
-	if q.SessionID != p.session {
-		return WritePDU(c.c, version, &CacheReset{})
-	}
 	from := p.lookup(q.Serial)
-	if from == nil {
-		return WritePDU(c.c, version, &CacheReset{})
+	if q.SessionID != p.session || from == nil {
+		return c.put(version, &CacheReset{})
 	}
 	ann, wd := rov.Diff(from, p.current())
-	c.bw.Reset(c.c)
-	if err := WritePDU(c.bw, version, &CacheResponse{SessionID: p.session}); err != nil {
+	if err := c.put(version, &CacheResponse{SessionID: p.session}); err != nil {
 		return err
 	}
 	pp := Prefix{Flags: FlagAnnounce}
-	for i := range ann {
-		pp.VRP = ann[i]
-		if err := c.writePrefix(version, &pp); err != nil {
-			return err
+	for _, vrps := range [2][]rpki.VRP{ann, wd} { // announcements, then withdrawals
+		for i := range vrps {
+			pp.VRP = vrps[i]
+			if err := c.writePrefix(version, &pp); err != nil {
+				return err
+			}
 		}
+		pp.Flags = FlagWithdraw
 	}
-	pp.Flags = FlagWithdraw
-	for i := range wd {
-		pp.VRP = wd[i]
-		if err := c.writePrefix(version, &pp); err != nil {
-			return err
-		}
-	}
-	if err := WritePDU(c.bw, version, s.endOfData(p.session, p.serial)); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	return c.put(version, s.endOfData(p.session, p.serial))
 }
 
 // Serve accepts router connections on l until Close is called. It always
@@ -686,11 +678,11 @@ func (s *Server) handle(nc net.Conn) {
 		if err != nil {
 			var pe *ProtocolError
 			if errors.As(err, &pe) {
-				// Reply with a version WritePDU accepts: the version byte
+				// Reply in a version the protocol defines: the version byte
 				// ReadPDU returned is the peer's own, which for an
-				// unsupported-version PDU is the bogus byte itself and would
-				// make WritePDU reject our Error Report. Fall back to the
-				// connection's negotiated (or default) version.
+				// unsupported-version PDU is the bogus byte itself, and the
+				// encoder writes whatever version it is given. Fall back to
+				// the connection's negotiated (or default) version.
 				v := version
 				if v != Version0 && v != Version1 {
 					c.mu.Lock()
