@@ -17,7 +17,7 @@ fmt:
 # so the stdlib defaults are restated before the repo's pure functions.
 VET_PRINTF_FUNCS = logf,protoErr,Reportf
 VET_UNUSEDRESULT_STD = context.WithCancel,context.WithDeadline,context.WithTimeout,context.WithValue,errors.New,fmt.Errorf,fmt.Sprint,fmt.Sprintf,slices.Clip,slices.Compact,slices.CompactFunc,slices.Delete,slices.DeleteFunc,slices.Grow,slices.Insert,slices.Replace,sort.Reverse
-VET_UNUSEDRESULT_REPRO = repro/internal/rtr.SerialLess,repro/internal/rtr.SerialNewer,repro/internal/rtr.SerialAdvance,repro/internal/rtr.appendPDU,repro/internal/rtr.appendHeader,repro/internal/rtr.appendPrefix,repro/internal/rov.NewIndex,repro/internal/rov.NewCompactIndex,repro/internal/rov.CompactFromIndex,repro/internal/rov.Diff
+VET_UNUSEDRESULT_REPRO = repro/internal/rtr.SerialLess,repro/internal/rtr.SerialNewer,repro/internal/rtr.SerialAdvance,repro/internal/rtr.appendPDU,repro/internal/rtr.appendHeader,repro/internal/rtr.appendPrefix,repro/internal/rov.NewIndex,repro/internal/rov.NewCompactIndex,repro/internal/rov.CompactFromIndex,repro/internal/rov.Diff,repro/internal/rpki.NextGroup,repro/internal/rpki.SortedSet
 vet:
 	$(GO) vet -printf.funcs=$(VET_PRINTF_FUNCS) \
 		-unusedresult.funcs=$(VET_UNUSEDRESULT_STD),$(VET_UNUSEDRESULT_REPRO) ./...
@@ -75,11 +75,11 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^(BenchmarkFigure2|BenchmarkCompressToday|BenchmarkSemanticEqualVerifier)$$' -benchtime=3x -benchmem -count=1 .
 	$(GO) test -run='^$$' -bench='^(BenchmarkSendFull|BenchmarkClientReset|BenchmarkColdStart|BenchmarkSerialFanout)$$' -benchtime=3x -benchmem -count=1 ./internal/rtr/
 
-# fuzz runs all eleven fuzz targets in the tree for FUZZTIME each (go test -fuzz
+# fuzz runs all twelve fuzz targets in the tree for FUZZTIME each (go test -fuzz
 # takes one target and one package at a time); fuzz-smoke is the short
 # configuration CI runs on every push.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = core/FuzzTrieVsReference core/FuzzCompressVsTrie rov/FuzzIndex rov/FuzzCompactIndex rov/FuzzDiff rov/FuzzLiveOverlay \
+FUZZ_TARGETS = core/FuzzTrieVsReference core/FuzzCompressVsTrie core/FuzzSemanticEqual rov/FuzzIndex rov/FuzzCompactIndex rov/FuzzDiff rov/FuzzLiveOverlay \
 	rtr/FuzzReadPDU bgp/FuzzReadMRT bgp/FuzzNewTable prefix/FuzzParse rpkix/FuzzParseSignedObject
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

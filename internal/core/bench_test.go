@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/rpki"
+	"repro/internal/synth"
 )
 
 // Trie-engine micro-benchmarks. All report allocations so the arena engine's
@@ -110,6 +112,35 @@ func BenchmarkSemanticEqual(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if ok, ce := SemanticEqual(s, out); !ok {
 			b.Fatal(ce)
+		}
+	}
+}
+
+// fullDeployment is cache_refresh's input: the full-deployment minimal set
+// of a quarter-scale 6/1/2017 table (194,237 tuples in 1,820 groups), and its
+// compression. Built once, on first use.
+var fullDeployment = sync.OnceValues(func() (minimal, compressed *rpki.Set) {
+	minimal = FullDeploymentMinimal(synth.Generate(synth.Params6_1().Scale(0.25)).Table)
+	compressed, _ = Compress(minimal, Options{})
+	return minimal, compressed
+})
+
+func BenchmarkCompressFullDeployment(b *testing.B) {
+	minimal, _ := fullDeployment()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Compress(minimal, Options{})
+	}
+}
+
+func BenchmarkVerifyFullDeployment(b *testing.B) {
+	minimal, compressed := fullDeployment()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := VerifyCompression(minimal, compressed); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

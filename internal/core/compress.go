@@ -46,7 +46,7 @@ type Result struct {
 	Merged    int // child tuples deleted by parent maxLength absorption
 	Subsumed  int // tuples deleted by the optional subsumption pass
 	Raised    int // parents whose maxLength was raised
-	TrieCount int // number of per-(AS, family) tries processed
+	TrieCount int // number of (AS, family) groups processed; no trie is built
 }
 
 // SavedFraction returns the compression rate (1 - Out/In), the paper's
@@ -66,21 +66,33 @@ func (r Result) SavedFraction() float64 {
 // same routes as the input: in particular, compressing a minimal ROA set
 // yields a minimal ROA set ("This 'compressed' ROA is still minimal", §7).
 //
-// No trie is built: a Set's canonical order is the pre-order of each (AS,
-// family) group's trie, so Algorithm 1 runs on the group's slice directly
-// (see compressGroup), and the groups' outputs, appended in group order, are
-// the output Set's canonical order.
+// No trie is built and the input is read once: a Set's canonical order is
+// the pre-order of each (AS, family) group's trie, so Algorithm 1 runs on
+// each group's slice directly as rpki.NextGroup reads it off the list (see
+// compressGroup), and the groups' outputs, appended in group order, are the
+// output Set's canonical order — which the Set takes without a copy.
 func Compress(s *rpki.Set, opts Options) (*rpki.Set, Result) {
-	groups := s.ByOrigin()
-	res := Result{In: s.Len(), TrieCount: len(groups)}
-	out := make([]rpki.VRP, 0, s.Len())
-	var stack []int32
-	for _, g := range groups {
-		out, stack = compressGroup(out, stack, g.VRPs, opts, &res)
-	}
-	cs := rpki.NewSet(out)
+	out, res := compressList(s.VRPs(), opts)
+	cs := rpki.SortedSet(out)
 	res.Out = cs.Len()
 	return cs, res
+}
+
+// compressList runs Algorithm 1 over a list in canonical order, one (AS,
+// family) group at a time, and returns what remains of it in a new slice.
+// That slice is strictly ascending — each group keeps one tuple a prefix, in
+// its prefixes' order, and the groups keep theirs — so Compress's Set takes
+// it as it is (rpki.SortedSet) instead of sorting a copy.
+func compressList(vrps []rpki.VRP, opts Options) ([]rpki.VRP, Result) {
+	res := Result{In: len(vrps)}
+	out := make([]rpki.VRP, 0, len(vrps))
+	var stack []int32
+	for rest := vrps; len(rest) > 0; res.TrieCount++ {
+		var g rpki.OriginGroup
+		g, rest = rpki.NextGroup(rest)
+		out, stack = compressGroup(out, stack, g.VRPs, opts, &res)
+	}
+	return out, res
 }
 
 // absorbed marks, in place of a maxLength (none is above 128), a tuple its

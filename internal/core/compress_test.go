@@ -530,13 +530,21 @@ func groupFromBytes(data []byte) []rpki.VRP {
 }
 
 // checkAgainstTrieReference fails t unless Compress and the trie reference
-// agree on set — tuples and every Result counter — under all four options.
+// agree on set — tuples and every Result counter — under all four options,
+// and unless what Compress writes is strictly ascending already, the
+// property that lets its Set take the list without sorting a copy.
 func checkAgainstTrieReference(t *testing.T, set *rpki.Set) {
 	t.Helper()
 	for _, opts := range []Options{
 		{Mode: Strict}, {Mode: Strict, Subsumption: true},
 		{Mode: Literal}, {Mode: Literal, Subsumption: true},
 	} {
+		written, _ := compressList(set.VRPs(), opts)
+		for i := 1; i < len(written); i++ {
+			if written[i-1].Compare(written[i]) >= 0 {
+				t.Fatalf("opts %+v on %d tuples: Compress wrote %v before %v", opts, set.Len(), written[i-1], written[i])
+			}
+		}
 		got, gotRes := Compress(set, opts)
 		want, wantRes := compressViaTries(set, opts)
 		if gotRes != wantRes {

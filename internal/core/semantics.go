@@ -18,9 +18,11 @@ import (
 // len(q) <= g(q), and g only changes at tuple nodes, so equality can be
 // decided by comparing g at tuple nodes and at the roots of tuple-free
 // subtrees, where it bounds every depth below. Sets are compared one (AS,
-// family) group at a time, and a group both sides hold tuple for tuple needs
-// no trie: the procedure costs one tuple comparison per shared tuple plus the
-// prefix bits of the groups that differ. On inequality it returns a concrete
+// family) group at a time, read off each canonical list in one pass, and a
+// group both sides hold tuple for tuple needs no trie. A group that differs
+// is inserted from both sides in merged canonical order through a finger, so
+// the procedure costs one tuple comparison per shared tuple plus the trie
+// nodes of the groups that differ. On inequality it returns a concrete
 // counterexample route, which the tests and the compressroas -verify flag
 // surface directly.
 
@@ -33,29 +35,48 @@ type mval struct {
 
 // mtrie is the engine arena holding one merged (AS, family) trie.
 type mtrie struct {
-	eng Engine[mval]
-	fam prefix.Family
+	eng  Engine[mval]
+	root prefix.Prefix // the /0 of the group's family
 }
 
 // mAbsent is the payload of a node neither side holds a tuple at.
 var mAbsent = mval{valA: -1, valB: -1}
 
-// reset empties the trie for a group of family fam, keeping its slab.
-func (m *mtrie) reset(fam prefix.Family) {
-	m.fam = fam
+// build empties the trie, keeping its slab, and inserts one group's tuples of
+// both sides, a and b, each in canonical order. The two lists are merged, so
+// the tuples arrive in pre-order of the merged trie and each is inserted
+// through a finger: path holds the nodes of the previous tuple's prefix, and
+// the next prefix descends from its longest common prefix with that one, not
+// from the root — Σ(len − cpl) node steps in all instead of Σ len.
+func (m *mtrie) build(fam prefix.Family, a, b []rpki.VRP) {
+	root, err := prefix.Make(fam, 0, 0, 0)
+	if err != nil {
+		panic(err) // fam is a tuple's family; unreachable
+	}
+	m.root = root
 	m.eng.Nodes = append(m.eng.Nodes[:0], Node[mval]{Val: mAbsent})
-}
-
-func (m *mtrie) insert(p prefix.Prefix, maxLength uint8, sideB bool) {
-	n := &m.eng.Nodes[m.eng.PathInsert(0, p, mAbsent)]
-	v := int16(maxLength)
-	if sideB {
-		if v > n.Val.valB {
-			n.Val.valB = v
+	var path [maxDepth]int32 // path[d]: the node of prev's ancestor of length d; path[0] is the root
+	prev := root
+	for len(a) > 0 || len(b) > 0 {
+		var v rpki.VRP
+		sideB := len(a) == 0 || len(b) > 0 && b[0].Prefix.Compare(a[0].Prefix) < 0
+		if sideB {
+			v, b = b[0], b[1:]
+		} else {
+			v, a = a[0], a[1:]
 		}
-	} else {
-		if v > n.Val.valA {
-			n.Val.valA = v
+		depth := prefix.CommonPrefixLen(prev, v.Prefix)
+		idx := path[depth]
+		for ; depth < v.Prefix.Len(); depth++ {
+			idx = m.eng.Ensure(idx, v.Prefix.Bit(depth), mAbsent)
+			path[depth+1] = idx
+		}
+		prev = v.Prefix
+		n, ml := &m.eng.Nodes[idx].Val, int16(v.MaxLength)
+		if sideB {
+			n.valB = max(n.valB, ml)
+		} else {
+			n.valA = max(n.valA, ml)
 		}
 	}
 }
@@ -79,53 +100,37 @@ func (c Counterexample) String() string {
 // On inequality it returns a counterexample: the first, in canonical order,
 // of the first (AS, family) group in which the sets disagree.
 //
-// The sets' groups are walked in lockstep. A group both sides hold with
-// identical tuple lists authorizes identical routes and is passed over; for
-// every other group either side holds, the merged trie is built and walked,
-// into one slab reused from group to group, so one group's trie is alive at a
-// time. The cost is one tuple comparison per shared tuple plus the prefix
-// bits of the groups that differ. The slab is sized once, for each side's
-// group of most tuples merged — found without looking at a tuple, which a
-// bound over every group would have to (+5 % on a verification) — and a group
-// of fewer but longer prefixes that needs more grows it.
+// The two tuple lists are read once, their groups in lockstep (NextGroup). A
+// group both sides hold with identical tuple lists authorizes identical
+// routes and is passed over; for every other group either side holds, the
+// merged trie is built and walked, into one slab reused from group to group,
+// so one group's trie is alive at a time. The slab is sized at the first
+// group that differs, to the sum of its two sides' exact node counts, and a
+// later group that needs more grows it: equal sets allocate nothing.
 func SemanticEqual(a, b *rpki.Set) (bool, *Counterexample) {
-	ga, gb := a.ByOrigin(), b.ByOrigin()
-	hint := 0
-	for _, groups := range [2][]rpki.OriginGroup{ga, gb} {
-		var most rpki.OriginGroup
-		for _, g := range groups {
-			if len(g.VRPs) > len(most.VRPs) {
-				most = g
-			}
-		}
-		hint += groupNodeHint(most)
-	}
 	var m mtrie
-	m.eng.Init(hint, mAbsent)
-	for len(ga) > 0 || len(gb) > 0 {
+	restA, restB := a.VRPs(), b.VRPs()
+	for len(restA) > 0 || len(restB) > 0 {
 		// The next group in canonical order: on one side only, or on both.
 		var sideA, sideB rpki.OriginGroup
-		c := groupOrder(ga, gb)
+		c := groupOrder(restA, restB)
 		if c <= 0 {
-			sideA, ga = ga[0], ga[1:]
+			sideA, restA = rpki.NextGroup(restA)
 		}
 		if c >= 0 {
-			sideB, gb = gb[0], gb[1:]
+			sideB, restB = rpki.NextGroup(restB)
+		}
+		if slices.Equal(sideA.VRPs, sideB.VRPs) {
+			continue // the same tuples authorize the same routes
 		}
 		g := sideA
 		if c > 0 {
 			g = sideB
 		}
-		if slices.Equal(sideA.VRPs, sideB.VRPs) {
-			continue // the same tuples authorize the same routes
+		if m.eng.Nodes == nil {
+			m.eng.Init(groupNodeHint(sideA)+groupNodeHint(sideB), mAbsent)
 		}
-		m.reset(g.Family)
-		for _, v := range sideA.VRPs {
-			m.insert(v.Prefix, v.MaxLength, false)
-		}
-		for _, v := range sideB.VRPs {
-			m.insert(v.Prefix, v.MaxLength, true)
-		}
+		m.build(g.Family, sideA.VRPs, sideB.VRPs)
 		if ce := diffTrie(&m, g.AS); ce != nil {
 			return false, ce
 		}
@@ -154,16 +159,16 @@ func groupNodeHint(g rpki.OriginGroup) int {
 	return hint
 }
 
-// groupOrder compares the groups heading two ByOrigin lists in canonical
-// Set order; an exhausted list sorts after everything.
-func groupOrder(ga, gb []rpki.OriginGroup) int {
+// groupOrder compares the groups heading two lists in canonical Set order;
+// an exhausted list sorts after everything.
+func groupOrder(a, b []rpki.VRP) int {
 	switch {
-	case len(gb) == 0:
+	case len(b) == 0:
 		return -1
-	case len(ga) == 0:
+	case len(a) == 0:
 		return 1
 	}
-	return cmp.Or(cmp.Compare(ga[0].AS, gb[0].AS), cmp.Compare(ga[0].Family, gb[0].Family))
+	return cmp.Or(cmp.Compare(a[0].AS, b[0].AS), cmp.Compare(a[0].Prefix.Family(), b[0].Prefix.Family()))
 }
 
 // diffFrame is one pending work item of the diff traversal. With absentBit
@@ -182,12 +187,8 @@ type diffFrame struct {
 // diffTrie returns the first counterexample of a pre-order scan of the
 // merged trie, or nil if the sides agree everywhere.
 func diffTrie(m *mtrie, as rpki.ASN) *Counterexample {
-	rootPfx, err := prefix.Make(m.fam, 0, 0, 0)
-	if err != nil {
-		panic(err)
-	}
 	stack := make([]diffFrame, 1, 2*maxDepth)
-	stack[0] = diffFrame{idx: 0, gA: -1, gB: -1, absentBit: -1, pfx: rootPfx}
+	stack[0] = diffFrame{idx: 0, gA: -1, gB: -1, absentBit: -1, pfx: m.root}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -109,6 +110,67 @@ func TestCounterexampleString(t *testing.T) {
 	}
 }
 
+// The brute-force oracle's universe: every IPv4 prefix down to
+// /bruteDepth, and every IPv6 prefix under bruteV6Root down to bruteDepth
+// bits below it. Sets it judges keep their tuples, maxLengths included,
+// inside it.
+const bruteDepth = 10
+
+var bruteV6Root = mp("2001:db8::/32")
+
+// authorizedRoutes enumerates the routes s authorizes in the oracle's
+// universe, as single-route tuples.
+func authorizedRoutes(s *rpki.Set) map[rpki.VRP]bool {
+	out := make(map[rpki.VRP]bool)
+	var rec func(q prefix.Prefix, floor uint8)
+	rec = func(q prefix.Prefix, floor uint8) {
+		for _, x := range s.VRPs() {
+			if x.Matches(q, x.AS) {
+				out[rpki.VRP{Prefix: q, MaxLength: q.Len(), AS: x.AS}] = true
+			}
+		}
+		if q.Len() < floor {
+			rec(q.Child(0), floor)
+			rec(q.Child(1), floor)
+		}
+	}
+	rec(mp("0.0.0.0/0"), bruteDepth)
+	rec(bruteV6Root, bruteV6Root.Len()+bruteDepth)
+	return out
+}
+
+// firstDiff returns the first route in canonical order that exactly one of
+// the two enumerations holds, or nil.
+func firstDiff(a, b map[rpki.VRP]bool) (first *rpki.VRP) {
+	for _, side := range []map[rpki.VRP]bool{a, b} {
+		for r := range side {
+			if a[r] != b[r] && (first == nil || r.Compare(*first) < 0) {
+				first = &r
+			}
+		}
+	}
+	return first
+}
+
+// checkAgainstBruteForce fails t unless SemanticEqual(a, b) agrees with
+// explicit enumeration: the verdict, and on inequality the counterexample,
+// which must be the first route in canonical order that exactly one side
+// authorizes.
+func checkAgainstBruteForce(t *testing.T, label string, a, b *rpki.Set) {
+	t.Helper()
+	inA := authorizedRoutes(a)
+	want := firstDiff(inA, authorizedRoutes(b))
+	gotEq, ce := SemanticEqual(a, b)
+	if gotEq != (want == nil) {
+		t.Fatalf("%s: SemanticEqual = %v, brute force first difference %v\na: %v\nb: %v\nce: %v",
+			label, gotEq, want, a.VRPs(), b.VRPs(), ce)
+	}
+	if !gotEq && (ce.Route != *want || ce.AuthorizedA != inA[*want]) {
+		t.Fatalf("%s: counterexample %v, brute force %v (in A: %v)\na: %v\nb: %v",
+			label, ce, *want, inA[*want], a.VRPs(), b.VRPs())
+	}
+}
+
 // TestSemanticEqualAgainstBruteForce cross-checks the trie walker against
 // explicit enumeration over a small universe: the verdict, and on inequality
 // the counterexample, which must be the first route in canonical order that
@@ -116,35 +178,6 @@ func TestCounterexampleString(t *testing.T) {
 // into b verbatim, so the oracle also judges walks that pass over a group.
 func TestSemanticEqualAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	enumerate := func(s *rpki.Set) map[rpki.VRP]bool {
-		out := make(map[rpki.VRP]bool)
-		var rec func(q prefix.Prefix)
-		rec = func(q prefix.Prefix) {
-			for _, x := range s.VRPs() {
-				if x.Matches(q, x.AS) {
-					out[rpki.VRP{Prefix: q, MaxLength: q.Len(), AS: x.AS}] = true
-				}
-			}
-			if q.Len() < 10 {
-				rec(q.Child(0))
-				rec(q.Child(1))
-			}
-		}
-		rec(mp("0.0.0.0/0"))
-		return out
-	}
-	// firstDiff returns the first route in canonical order that exactly one of
-	// the two enumerations holds, or nil.
-	firstDiff := func(a, b map[rpki.VRP]bool) (first *rpki.VRP) {
-		for _, side := range []map[rpki.VRP]bool{a, b} {
-			for r := range side {
-				if a[r] != b[r] && (first == nil || r.Compare(*first) < 0) {
-					first = &r
-				}
-			}
-		}
-		return first
-	}
 	draw := func() []rpki.VRP {
 		var vrps []rpki.VRP
 		for i := 0; i < 1+rng.Intn(5); i++ {
@@ -177,22 +210,100 @@ func TestSemanticEqualAgainstBruteForce(t *testing.T) {
 				break
 			}
 		}
-		inA := enumerate(a)
-		want := firstDiff(inA, enumerate(b))
-		gotEq, ce := SemanticEqual(a, b)
-		if gotEq != (want == nil) {
-			t.Fatalf("trial %d: SemanticEqual = %v, brute force first difference %v\na: %v\nb: %v\nce: %v",
-				trial, gotEq, want, a.VRPs(), b.VRPs(), ce)
-		}
-		if !gotEq && (ce.Route != *want || ce.AuthorizedA != inA[*want]) {
-			t.Fatalf("trial %d: counterexample %v, brute force %v (in A: %v)\na: %v\nb: %v",
-				trial, ce, *want, inA[*want], a.VRPs(), b.VRPs())
-		}
+		checkAgainstBruteForce(t, fmt.Sprintf("trial %d", trial), a, b)
 	}
 	if skipped < 30 {
 		t.Errorf("only %d trials held a group both sides share tuple for tuple, want >= 30", skipped)
 	}
 	t.Logf("%d of 150 trials held a group both sides share tuple for tuple", skipped)
+}
+
+// fuzzTuples caps a FuzzSemanticEqual input's tuples, which keeps the sets
+// small and the oracle's enumeration fast.
+const fuzzTuples = 16
+
+// fuzzTuple is one tuple of a FuzzSemanticEqual input: three bytes. The
+// first holds the side (bit 0: B), whether the other side holds the tuple
+// too (bit 1), the AS (bits 2–3, mod 3), the family (bit 4: IPv6, under
+// bruteV6Root) and the address's last two bits (bits 5–6); the second the
+// address's first eight bits below the family's root; the third the length
+// below the root (low nibble, mod bruteDepth+1) and how far maxLength reaches
+// past it (high nibble).
+type fuzzTuple struct {
+	b, both  bool
+	as       byte
+	v6       bool
+	addr     uint16 // bruteDepth bits
+	l, extra byte
+}
+
+func (ft fuzzTuple) bytes() []byte {
+	b0 := ft.as<<2 | byte(ft.addr&3)<<5
+	for bit, set := range [...]bool{ft.b, ft.both, false, false, ft.v6} {
+		if set {
+			b0 |= 1 << bit
+		}
+	}
+	return []byte{b0, byte(ft.addr >> 2), ft.extra<<4 | ft.l}
+}
+
+// setsFromBytes decodes a FuzzSemanticEqual input, up to fuzzTuples
+// tuples of it, into its two sets. Both families, three ASes and one prefix
+// under several maxLengths come out often; every tuple stays inside the
+// brute-force oracle's universe.
+func setsFromBytes(data []byte) (a, b *rpki.Set) {
+	var sides [2][]rpki.VRP
+	for d := data[:min(len(data), 3*fuzzTuples)]; len(d) >= 3; d = d[3:] {
+		root := mp("0.0.0.0/0")
+		if d[0]&0x10 != 0 {
+			root = bruteV6Root
+		}
+		l := d[2] & 0xf % (bruteDepth + 1)
+		addr := uint64(d[1])<<2 | uint64(d[0]>>5&3)
+		hi, _ := root.Bits()
+		p, err := prefix.Make(root.Family(), hi|addr<<(64-root.Len()-bruteDepth), 0, root.Len()+l)
+		if err != nil {
+			panic(err)
+		}
+		x := rpki.VRP{Prefix: p, MaxLength: p.Len() + d[2]>>4%(bruteDepth-l+1), AS: rpki.ASN(d[0] >> 2 & 3 % 3)}
+		side := d[0] & 1
+		sides[side] = append(sides[side], x)
+		if d[0]&2 != 0 {
+			sides[1-side] = append(sides[1-side], x)
+		}
+	}
+	return rpki.NewSet(sides[0]), rpki.NewSet(sides[1])
+}
+
+// FuzzSemanticEqual holds SemanticEqual to the brute-force oracle on
+// fuzzer-chosen pairs of small sets, both ways round.
+func FuzzSemanticEqual(f *testing.F) {
+	seed := func(tuples ...fuzzTuple) []byte {
+		var data []byte
+		for _, ft := range tuples {
+			data = append(data, ft.bytes()...)
+		}
+		return data
+	}
+	shared := []fuzzTuple{ // AS 1's and AS 2's IPv4 groups, on both sides tuple for tuple
+		{both: true, as: 1, addr: 0x100, l: 2, extra: 3},
+		{both: true, as: 1, addr: 0x100, l: 3, extra: 1},
+		{both: true, as: 2, addr: 0x200, l: 1, extra: 4},
+	}
+	with := func(more ...fuzzTuple) []byte { return seed(append(slices.Clone(shared), more...)...) }
+	f.Add(seed(shared...))
+	f.Add(with(fuzzTuple{b: true, as: 1, addr: 0x180, l: 3, extra: 1}))        // a shared group that differs
+	f.Add(with(fuzzTuple{as: 0, addr: 0x40, l: 4, extra: 2}))                  // a group on A only, at the front
+	f.Add(with(fuzzTuple{b: true, as: 1, v6: true, addr: 0x3, l: bruteDepth})) // on B only, in the middle
+	f.Add(with(fuzzTuple{as: 2, v6: true, addr: 0x300, extra: 9},              // on A only, at the end,
+		fuzzTuple{as: 2, v6: true, addr: 0x300, extra: 2})) // one prefix under two maxLengths
+	f.Add(seed(fuzzTuple{as: 1, addr: 0x200, l: 1, extra: 1}, // {p/1-2} against {p/1, p0/2, p1/2}: equal
+		fuzzTuple{b: true, as: 1, addr: 0x200, l: 1}, fuzzTuple{b: true, as: 1, addr: 0x200, l: 2}, fuzzTuple{b: true, as: 1, addr: 0x300, l: 2}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := setsFromBytes(data)
+		checkAgainstBruteForce(t, "A, B", a, b)
+		checkAgainstBruteForce(t, "B, A", b, a)
+	})
 }
 
 // TestSemanticEqualGroupWalk covers the lockstep walk over (AS, family)
@@ -244,6 +355,16 @@ func TestSemanticEqualGroupWalk(t *testing.T) {
 	}
 }
 
+// groupsOf returns s's (AS, family) groups in canonical order.
+func groupsOf(s *rpki.Set) (groups []rpki.OriginGroup) {
+	for rest := s.VRPs(); len(rest) > 0; {
+		var g rpki.OriginGroup
+		g, rest = rpki.NextGroup(rest)
+		groups = append(groups, g)
+	}
+	return groups
+}
+
 // TestSemanticEqualOneGroupAmongThousands shows that passing over the groups
 // both sides hold tuple for tuple hides nothing: on a full-deployment table
 // and its compression, one mutation of one group of the compressed side — a
@@ -256,7 +377,7 @@ func TestSemanticEqualOneGroupAmongThousands(t *testing.T) {
 	if err := VerifyCompression(orig, comp); err != nil {
 		t.Fatal(err)
 	}
-	origGroups, compGroups := orig.ByOrigin(), comp.ByOrigin()
+	origGroups, compGroups := groupsOf(orig), groupsOf(comp)
 	if len(origGroups) != len(compGroups) {
 		t.Fatalf("Compress turned %d groups into %d", len(origGroups), len(compGroups))
 	}

@@ -297,9 +297,10 @@ func (n *Node[V]) pfxLenMismatch(p prefix.Prefix) bool {
 // exact node count (see groupNodeHint), so a build performs O(tries) slab
 // allocations rather than one per prefix bit.
 func BuildTries(s *rpki.Set) []*Trie {
-	groups := s.ByOrigin()
-	out := make([]*Trie, 0, len(groups))
-	for _, g := range groups {
+	var out []*Trie
+	for rest := s.VRPs(); len(rest) > 0; {
+		var g rpki.OriginGroup
+		g, rest = rpki.NextGroup(rest)
 		out = append(out, buildGroupTrie(g))
 	}
 	return out

@@ -198,7 +198,7 @@ func TestGroupNodeHintExact(t *testing.T) {
 	groups := 0
 	for trial := 0; trial < 40; trial++ {
 		set := randomSet(rng, 50+rng.Intn(400))
-		for _, g := range set.ByOrigin() {
+		for _, g := range groupsOf(set) {
 			oldHint := 1
 			for _, v := range g.VRPs {
 				oldHint += int(v.Prefix.Len())
@@ -239,7 +239,7 @@ func TestGroupNodeHintDuplicatesAndSingles(t *testing.T) {
 	}
 	for _, c := range cases {
 		set := rpki.NewSet(c.vrps)
-		for _, g := range set.ByOrigin() {
+		for _, g := range groupsOf(set) {
 			if got := groupNodeHint(g); got != c.want {
 				t.Errorf("groupNodeHint(%v) = %d, want %d", c.vrps, got, c.want)
 			}

@@ -172,17 +172,37 @@ func SetFromROAs(roas []ROA) *Set {
 	return NewSet(all)
 }
 
+// SortedSet returns a Set of vrps, taking ownership of the slice when it is
+// strictly ascending in canonical order already — what Compress writes — so
+// that one comparison a tuple replaces NewSet's copy; the caller must not
+// modify the slice afterwards. The slice is clipped to its length, so that an
+// append to VRPs() copies instead of writing past the tuples into memory the
+// Set owns. Any other input is normalized exactly as NewSet normalizes it,
+// into a new slice, so the Set invariant always holds.
+func SortedSet(vrps []VRP) *Set {
+	if ascending(vrps) < len(vrps) {
+		return NewSet(vrps)
+	}
+	return &Set{vrps: slices.Clip(vrps)}
+}
+
 // normalized returns vrps sorted and deduplicated, in a new slice. Input
 // mostly arrives in canonical order already — a validator's list with the
 // new tuples at its tail, Compress's output, a Set's own tuples — so only
 // what follows the longest strictly ascending prefix is sorted, and merged
 // in; input in no order at all is the case where that is everything.
 func normalized(vrps []VRP) []VRP {
+	k := ascending(vrps)
+	return mergeTail(vrps[:k], vrps[k:])
+}
+
+// ascending returns the length of vrps' longest strictly ascending prefix.
+func ascending(vrps []VRP) int {
 	k := min(1, len(vrps))
 	for k < len(vrps) && vrps[k-1].Compare(vrps[k]) < 0 {
 		k++
 	}
-	return mergeTail(vrps[:k], vrps[k:])
+	return k
 }
 
 // mergeTail returns, in a new slice, the union of head, which is strictly
@@ -263,27 +283,22 @@ func (s *Set) Clone() *Set {
 	return &Set{vrps: append([]VRP(nil), s.vrps...)}
 }
 
-// ByOrigin partitions the set per (AS, family); the paper's algorithm builds
-// one trie per AS per family. Order of groups follows canonical VRP order.
-// The groups are counted first, so the list is one allocation.
-func (s *Set) ByOrigin() []OriginGroup {
-	sameGroup := func(a, b VRP) bool { return a.AS == b.AS && a.Prefix.Family() == b.Prefix.Family() }
-	n := 0
-	for i := range s.vrps {
-		if i == 0 || !sameGroup(s.vrps[i-1], s.vrps[i]) {
-			n++
-		}
+// NextGroup splits the (AS, family) group at the head of vrps, a list in
+// canonical order such as a Set's VRPs, from the rest of the list; the
+// paper's algorithm builds one trie per AS per family. Called until rest is
+// empty it yields the list's groups in canonical order, each a subslice of
+// vrps: reading a list's groups costs one pass and no allocation. An empty
+// list yields an empty group.
+func NextGroup(vrps []VRP) (g OriginGroup, rest []VRP) {
+	if len(vrps) == 0 {
+		return OriginGroup{}, nil
 	}
-	out := make([]OriginGroup, 0, n)
-	for i := 0; i < len(s.vrps); {
-		j := i + 1
-		for j < len(s.vrps) && sameGroup(s.vrps[i], s.vrps[j]) {
-			j++
-		}
-		out = append(out, OriginGroup{AS: s.vrps[i].AS, Family: s.vrps[i].Prefix.Family(), VRPs: s.vrps[i:j]})
-		i = j
+	as, fam := vrps[0].AS, vrps[0].Prefix.Family()
+	j := 1
+	for j < len(vrps) && vrps[j].AS == as && vrps[j].Prefix.Family() == fam {
+		j++
 	}
-	return out
+	return OriginGroup{AS: as, Family: fam, VRPs: vrps[:j]}, vrps[j:]
 }
 
 // OriginGroup is the slice of tuples for one (origin AS, address family).

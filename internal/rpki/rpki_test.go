@@ -149,14 +149,19 @@ func TestSetNormalization(t *testing.T) {
 	}
 }
 
-func TestByOrigin(t *testing.T) {
+func TestNextGroup(t *testing.T) {
 	s := NewSet([]VRP{
 		{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 1},
 		{Prefix: mp("2001:db8::/32"), MaxLength: 32, AS: 1},
 		{Prefix: mp("11.0.0.0/8"), MaxLength: 8, AS: 1},
 		{Prefix: mp("12.0.0.0/8"), MaxLength: 8, AS: 2},
 	})
-	groups := s.ByOrigin()
+	var groups []OriginGroup
+	for rest := s.VRPs(); len(rest) > 0; {
+		var g OriginGroup
+		g, rest = NextGroup(rest)
+		groups = append(groups, g)
+	}
 	if len(groups) != 3 {
 		t.Fatalf("groups = %d, want 3 (AS1/v4, AS1/v6, AS2/v4)", len(groups))
 	}
@@ -168,6 +173,12 @@ func TestByOrigin(t *testing.T) {
 	}
 	if groups[2].AS != 2 || len(groups[2].VRPs) != 1 {
 		t.Errorf("group 2 wrong: %+v", groups[2])
+	}
+	if &groups[1].VRPs[0] != &s.VRPs()[2] {
+		t.Error("group 1 is not a subslice of the list")
+	}
+	if g, rest := NextGroup(nil); len(g.VRPs) != 0 || len(rest) != 0 {
+		t.Errorf("NextGroup(nil) = %+v, %v", g, rest)
 	}
 }
 

@@ -36,12 +36,11 @@ func fullSort(vrps []VRP) []VRP {
 	return slices.Compact(out)
 }
 
-// TestNewSetMatchesFullSort holds NewSet, on every shape of input it treats
-// differently, to the plain sort — and to leaving its input alone.
-func TestNewSetMatchesFullSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
+// inputShapes returns, by name, generators of every shape of input that
+// normalization treats differently.
+func inputShapes(rng *rand.Rand) map[string]func(n int) []VRP {
 	one := randomVRPs(rng, 1)[0]
-	shapes := map[string]func(n int) []VRP{
+	return map[string]func(n int) []VRP{
 		"random": func(n int) []VRP { return randomVRPs(rng, n) },
 		"sorted": func(n int) []VRP { return fullSort(randomVRPs(rng, n)) },
 		"sorted, unsorted tail": func(n int) []VRP {
@@ -59,6 +58,12 @@ func TestNewSetMatchesFullSort(t *testing.T) {
 		},
 		"all equal": func(n int) []VRP { return slices.Repeat([]VRP{one}, n) },
 	}
+}
+
+// TestNewSetMatchesFullSort holds NewSet, on every shape of input it treats
+// differently, to the plain sort — and to leaving its input alone.
+func TestNewSetMatchesFullSort(t *testing.T) {
+	shapes := inputShapes(rand.New(rand.NewSource(15)))
 	for name, shape := range shapes {
 		for n := 0; n < 60; n++ {
 			in := shape(n)
@@ -74,6 +79,44 @@ func TestNewSetMatchesFullSort(t *testing.T) {
 				t.Fatalf("%s, %d tuples: NewSet retained its input", name, n)
 			}
 		}
+	}
+}
+
+// TestSortedSet holds SortedSet to NewSet on every shape of input: a
+// strictly ascending list is taken as it is, and anything else — unsorted,
+// or sorted with duplicates — is normalized into a new slice, the input left
+// alone.
+func TestSortedSet(t *testing.T) {
+	for name, shape := range inputShapes(rand.New(rand.NewSource(18))) {
+		for n := 0; n < 60; n++ {
+			in := shape(n)
+			before := slices.Clone(in)
+			got := SortedSet(in)
+			want := fullSort(in)
+			if !slices.Equal(got.VRPs(), want) {
+				t.Fatalf("%s, %d tuples: SortedSet(%v) = %v, want %v", name, n, in, got.VRPs(), want)
+			}
+			if !slices.Equal(in, before) {
+				t.Fatalf("%s, %d tuples: SortedSet reordered its input", name, n)
+			}
+			if n == 0 {
+				continue
+			}
+			if owned, asc := &got.VRPs()[0] == &in[0], slices.Equal(in, want); owned != asc {
+				t.Fatalf("%s, %d tuples: SortedSet took its input: %v, input strictly ascending: %v", name, n, owned, asc)
+			}
+		}
+	}
+	sorted := fullSort(randomVRPs(rand.New(rand.NewSource(19)), 20))
+	dup := slices.Insert(slices.Clone(sorted), 5, sorted[5])
+	if got := SortedSet(dup); got.Len() != len(sorted) || &got.VRPs()[0] == &dup[0] {
+		t.Fatalf("sorted input with one duplicate: %d tuples, want %d in a new slice", got.Len(), len(sorted))
+	}
+	// Compress hands over a list shorter than its capacity; an append to the
+	// Set's tuples must not write into the rest.
+	roomy := append(make([]VRP, 0, 2*len(sorted)), sorted...)
+	if vrps := SortedSet(roomy).VRPs(); cap(vrps) != len(vrps) {
+		t.Fatalf("SortedSet kept capacity %d past its %d tuples", cap(vrps), len(vrps))
 	}
 }
 
