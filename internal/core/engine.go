@@ -6,22 +6,22 @@ import (
 	"repro/internal/prefix"
 )
 
-// This file is the value-parameterized arena at the heart of every trie in
-// the repository. An Engine[V] stores a binary prefix tree as one contiguous
+// This file is the value-parameterized arena behind every bit trie in the
+// repository. An Engine[V] stores a binary prefix tree as one contiguous
 // slab of Node[V]: children are int32 slab indices rather than pointers, so
 // building a tree costs O(log nodes) slab growths instead of one heap
 // allocation per prefix bit, traversals walk cache-adjacent memory, and the
 // whole structure is freed as a single object. The payload type V is chosen
 // by the instantiating structure:
 //
-//   - Trie (this package) stores {maxLength, present} per node,
+//   - Trie (this package, the tests' reference) stores {maxLength, present},
 //   - the SemanticEqual merged trie stores per-side maxLength bounds,
 //   - rov.Index stores a {off, n} span into a parallel value slab of VRP
 //     entries (per-node variable-length payloads without per-node slices).
 //
 // Slab index 0 is reserved: structures rooted at the slab base use it as
-// their root, and structures with movable roots (rov.LiveIndex path-copies
-// new roots per update) leave it as a dead placeholder. Either way node 0 is
+// their root, and structures with movable roots (rov.Table path-copies new
+// roots per update) leave it as a dead placeholder. Either way node 0 is
 // never anyone's child, so 0 doubles as the NoChild sentinel and freshly
 // zeroed nodes are born with both children absent.
 
@@ -123,6 +123,16 @@ func (e *Engine[V]) PathFind(root int32, p prefix.Prefix) int32 {
 		}
 	}
 	return idx
+}
+
+// AddrBit returns bit i (0 = most significant) of a left-aligned 128-bit
+// address. Unlike Prefix.Bit it does no family bounds check: callers on hot
+// paths guarantee i < MaxLen themselves.
+func AddrBit(hi, lo uint64, i uint8) uint8 {
+	if i < 64 {
+		return uint8(hi >> (63 - i) & 1)
+	}
+	return uint8(lo >> (127 - i) & 1)
 }
 
 // engineFrame is one pending subtree of an iterative pre-order traversal.

@@ -10,9 +10,9 @@
 // forged-origin subprefix hijack vulnerability detection (§4, §6), and an
 // exact semantic-equivalence verifier used to prove compression safe.
 //
-// All of those structures are instances of one arena engine (see engine.go):
-// a contiguous Node[V] slab with int32 child indices, parameterized by the
-// per-node payload V.
+// Its two tries, Figure 2's Trie and the verifier's merged trie, are
+// instances of one arena engine (see engine.go): a contiguous Node[V] slab
+// with int32 child indices, parameterized by the per-node payload V.
 package core
 
 import (

@@ -257,3 +257,39 @@ func TestIndexBuildAllocs(t *testing.T) {
 		t.Errorf("an ordered build allocated %d bytes for an index of %d", got, retained)
 	}
 }
+
+// TestCompactFromIndexAllocs is the gate on the compact derivation: the index
+// value, then per family with VRPs one node slab and one stride table, and
+// the shared entry slab, reserved to its exact length before it is filled.
+// On today's table, which is IPv4-only, that is 4. With four IPv6 VRPs added
+// it is 6: their few entries fit in the rounding of the IPv4 reservation. A
+// slab that regrows — an entry slab grown by append instead of reserved —
+// shows here. Counted with the collector off, as TestCompactAllocs does.
+func TestCompactFromIndexAllocs(t *testing.T) {
+	v4 := todayTable(t)
+	both := slices.Clone(v4)
+	for _, s := range []string{"2001:db8::/32", "2001:db8:1::/48", "2001:db8:8000::/33", "2a00::/12"} {
+		p := prefix.MustParse(s)
+		both = append(both, rpki.VRP{Prefix: p, MaxLength: p.Len() + 8, AS: 64500})
+	}
+	for _, c := range []struct {
+		name string
+		vrps []rpki.VRP
+		want float64
+	}{
+		{"today", v4, 4},
+		{"two families", both, 6},
+	} {
+		ix := newIndexFromVRPs(c.vrps, nil)
+		var cx *CompactIndex
+		gc := debug.SetGCPercent(-1)
+		allocs := testing.AllocsPerRun(5, func() { cx = CompactFromIndex(ix) })
+		debug.SetGCPercent(gc)
+		if cx.Len() != len(c.vrps) {
+			t.Fatalf("%s: a compact index of %d VRPs, want %d", c.name, cx.Len(), len(c.vrps))
+		}
+		if allocs != c.want {
+			t.Errorf("%s: CompactFromIndex of %d VRPs: %v allocs, want %v", c.name, len(c.vrps), allocs, c.want)
+		}
+	}
+}

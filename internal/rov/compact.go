@@ -12,10 +12,12 @@ import (
 // This file is the path-compressed serving index: the same RFC 6811 answers
 // as Index, at a fraction of the memory traffic. Two ideas compose:
 //
-//  1. Path compression (core.CompactEngine): a node exists only at branch
-//     points and VRP-carrying prefixes, and stores its full key, so one
-//     xor-shift compare verifies an entire compressed edge. A lookup hops
-//     O(branch points), not O(prefix bits).
+//  1. Path compression: a cnode exists only at branch points and
+//     VRP-carrying prefixes, and stores its full key, so one xor-shift
+//     compare verifies an entire compressed edge. A lookup hops O(branch
+//     points), not O(prefix bits). Nodes live in one slab per family, with
+//     int32 child indices as in core.Engine, node 0 the root and the NoChild
+//     sentinel.
 //
 //  2. A per-family stride table + aggregated spans: the top of a real VRP
 //     table is maximally branchy (at 50k random prefixes essentially every
@@ -34,10 +36,11 @@ import (
 //
 // A CompactIndex is derived from an Index, whose bit trie already has a node
 // at every prefix that carries VRPs and at every point where two of them part
-// ways: one pre-order walk keeps those and the root (CompactFromIndex), and
-// the result is immutable. LiveIndex keeps the bit-at-a-time trie for
-// O(delta) updates and derives a CompactIndex from it again once enough
-// prefixes have been touched.
+// ways: one pre-order walk keeps those and the root, and a second, over the
+// kept nodes, aggregates their spans and fills the stride table
+// (CompactFromIndex). The result is immutable, its slab in pre-order.
+// LiveIndex keeps the bit-at-a-time trie for O(delta) updates and derives a
+// CompactIndex from it again once enough prefixes have been touched.
 
 // centry is one VRP payload in the aggregated entry slab. plen is the
 // originating prefix's length: aggregated spans mix entries from the whole
@@ -49,11 +52,32 @@ type centry struct {
 	as        rpki.ASN
 }
 
-// cspan is the compact engine payload: the node's aggregated entries live at
-// CompactIndex.entries[off : off+n]. The zero cspan is empty.
+// cspan locates a node's aggregated entries: CompactIndex.entries[off :
+// off+n]. The zero cspan is empty.
 type cspan struct {
 	off int32
 	n   int32
+}
+
+// cnode is one vertex of a compact trie: the node's full key (left-aligned
+// 128-bit address plus bit length, a prefix.Prefix worth of bits), two child
+// slab indices, and its aggregated span. Children are strictly deeper than
+// their parent; the bits between the two lengths are the compressed edge,
+// recovered from the child's key.
+type cnode struct {
+	hi, lo   uint64
+	children [2]int32
+	span     cspan
+	plen     uint8
+}
+
+// key returns the node's key as a Prefix.
+func (n *cnode) key(fam prefix.Family) prefix.Prefix {
+	p, err := prefix.Make(fam, n.hi, n.lo, n.plen)
+	if err != nil {
+		panic(err) // unreachable: node keys are built from valid prefixes
+	}
+	return p
 }
 
 // cslot is one stride-table slot: the aggregated span of the deepest trie
@@ -66,11 +90,12 @@ type cslot struct {
 	root int32
 }
 
-// famCompact is one address family's compact structure. shift is
-// 64 - stride, precomputed for the hot path. A family with no VRPs stays
-// zero (slots == nil) and answers NotFound.
+// famCompact is one address family's compact structure: its node slab, in
+// pre-order, and its stride table. shift is 64 - stride, precomputed for the
+// hot path. A family with no VRPs stays zero (slots == nil) and answers
+// NotFound.
 type famCompact struct {
-	eng    core.CompactEngine[cspan]
+	nodes  []cnode
 	slots  []cslot
 	shift  uint8
 	stride uint8
@@ -105,17 +130,17 @@ func NewCompactIndex(s *rpki.Set) *CompactIndex {
 func CompactFromIndex(ix *Index) *CompactIndex {
 	cx := &CompactIndex{size: ix.Len()}
 	for slot := range cx.fams {
-		buildFamCompact(&cx.fams[slot], &ix.fams[slot], slotFamily(slot), ix.entries, &cx.entries)
+		buildFamCompact(&cx.fams[slot], &ix.fams[slot], ix.entries, &cx.entries)
 	}
 	return cx
 }
 
 // buildFamCompact derives one family's compact trie, aggregated spans and
 // stride table from the family's bit trie, appending entries to the shared
-// slab. Three pre-order passes: over the bit trie, keeping the nodes a compact
+// slab. Two pre-order passes: over the bit trie, keeping the nodes a compact
 // trie has; over the kept nodes, materializing each one's span as parent
-// aggregate + own entries; over the kept nodes again, filling the slots.
-func buildFamCompact(f *famCompact, src *famIndex, fam prefix.Family, srcEntries []entry, entries *[]centry) {
+// aggregate + own entries and entering it in the stride table.
+func buildFamCompact(f *famCompact, src *famIndex, srcEntries []entry, entries *[]centry) {
 	if src.size == 0 {
 		return
 	}
@@ -135,25 +160,26 @@ func buildFamCompact(f *famCompact, src *famIndex, fam prefix.Family, srcEntries
 		idx    int32  // in src.eng.Nodes
 		plen   uint8  // the path walked to idx: its length and,
 		hi, lo uint64 // left-aligned, its bits
-		above  int32  // the last kept node on that path, in f.eng.Nodes
+		above  int32  // the last kept node on that path, in f.nodes
 		agg    int32  // the length of above's aggregate
 	}
-	f.eng.Init(2*src.size, cspan{})
+	f.nodes = append(make([]cnode, 0, 2*src.size+1), cnode{})
 	total := 0
 	var pending [129]keptFrame // a second child per level of the deepest path
 	top := 0
 	// The frame in hand, one variable a field: the loop runs out of registers.
 	idx, plen, hi, lo, above, agg := src.root, uint8(0), uint64(0), uint64(0), int32(0), int32(0)
 	for idx >= 0 {
-		nd := src.eng.Nodes[idx] // by value: Alloc grows a slab
+		nd := src.eng.Nodes[idx]
 		c0, c1 := nd.Children[0], nd.Children[1]
 		if plen == 0 || nd.Val.n > 0 || (c0 != core.NoChild && c1 != core.NoChild) {
 			if plen == 0 {
-				f.eng.Nodes[0].Val = cspan(nd.Val)
+				f.nodes[0].span = cspan(nd.Val)
 			} else {
-				k := f.eng.Alloc(hi, lo, plen, cspan(nd.Val))
-				up := &f.eng.Nodes[above]
-				up.Children[core.AddrBit(hi, lo, up.PLen)] = k
+				k := int32(len(f.nodes))
+				f.nodes = append(f.nodes, cnode{hi: hi, lo: lo, plen: plen, span: cspan(nd.Val)})
+				up := &f.nodes[above]
+				up.children[core.AddrBit(hi, lo, up.plen)] = k
 				above = k
 			}
 			agg += nd.Val.n
@@ -181,11 +207,23 @@ func buildFamCompact(f *famCompact, src *famIndex, fam prefix.Family, srcEntries
 	}
 	*entries = slices.Grow(*entries, total)
 
-	// Pass 2: aggregation. Pre-order DFS; each node's final span is its
-	// parent's aggregate followed by its own entries, so ancestors come
-	// first and the node's own entries are the tail with plen == PLen.
+	// Pass 2: pre-order DFS over the kept nodes. Each node's final span is
+	// its parent's aggregate followed by its own entries, so ancestors come
+	// first and the node's own entries are the tail with plen == node.plen.
 	// Parent aggregates are already materialized in the shared slab when the
 	// children are visited (self-append reads the pre-relocation backing).
+	// The stride table fills as the spans do: a node above the stride paints
+	// its slot range with its aggregate (descendants, met later, overwrite
+	// their subranges, leaving each slot with its deepest covering
+	// aggregate); the first node at or below the stride in a slot — the
+	// shallowest, since by the patricia LCA argument it is the ancestor of
+	// every other one there — becomes the slot's subtree entry point.
+	f.stride = 8
+	if src.size >= strideCutoff {
+		f.stride = 16
+	}
+	f.shift = 64 - f.stride
+	f.slots = make([]cslot, 1<<f.stride)
 	type aggFrame struct {
 		idx    int32
 		parent cspan
@@ -195,62 +233,32 @@ func buildFamCompact(f *famCompact, src *famIndex, fam prefix.Family, srcEntries
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nd := &f.eng.Nodes[fr.idx]
-		agg := cspan{off: int32(len(*entries)), n: fr.parent.n + nd.Val.n}
+		nd := &f.nodes[fr.idx]
+		agg := cspan{off: int32(len(*entries)), n: fr.parent.n + nd.span.n}
 		*entries = append(*entries, (*entries)[fr.parent.off:fr.parent.off+fr.parent.n]...)
-		for _, e := range srcEntries[nd.Val.off : nd.Val.off+nd.Val.n] {
-			*entries = append(*entries, centry{plen: nd.PLen, maxLength: e.maxLength, as: e.as})
+		for _, e := range srcEntries[nd.span.off : nd.span.off+nd.span.n] {
+			*entries = append(*entries, centry{plen: nd.plen, maxLength: e.maxLength, as: e.as})
 		}
-		nd.Val = agg
-		for bit := 1; bit >= 0; bit-- {
-			if c := nd.Children[bit]; c != core.NoChild {
-				stack = append(stack, aggFrame{idx: c, parent: agg})
-			}
-		}
-	}
-
-	// Pass 3: the stride table. Pre-order DFS again: nodes above the stride
-	// paint their slot range with their aggregate (children overwrite their
-	// subranges, leaving each slot with its deepest covering aggregate);
-	// the first node at or below the stride becomes the slot's subtree
-	// entry point, and its subtree — which by the patricia LCA argument
-	// cannot reach any other slot — is pruned.
-	f.stride = 8
-	if src.size >= strideCutoff {
-		f.stride = 16
-	}
-	f.shift = 64 - f.stride
-	f.slots = make([]cslot, 1<<f.stride)
-	walk := make([]int32, 1, 130)
-	walk[0] = 0
-	for len(walk) > 0 {
-		idx := walk[len(walk)-1]
-		walk = walk[:len(walk)-1]
-		nd := &f.eng.Nodes[idx]
+		nd.span = agg
+		s := nd.hi >> f.shift
 		switch {
-		case nd.PLen < f.stride:
+		case nd.plen < f.stride:
 			// Only an ancestor has painted this node's slots, all alike, and on
 			// one root path an aggregate as long as the node's is the same
 			// entries: most levels above the stride say "nothing here" again.
-			if base := nd.Hi >> f.shift; f.slots[base].span.n != nd.Val.n {
-				count := uint64(1) << (f.stride - nd.PLen)
-				for s := base; s < base+count; s++ {
-					f.slots[s].span = nd.Val
+			if f.slots[s].span.n != agg.n {
+				for end := s + 1<<(f.stride-nd.plen); s < end; s++ {
+					f.slots[s].span = agg
 				}
 			}
-			for bit := 1; bit >= 0; bit-- {
-				if c := nd.Children[bit]; c != core.NoChild {
-					walk = append(walk, c)
-				}
-			}
-		case nd.PLen == f.stride:
-			s := nd.Hi >> f.shift
-			f.slots[s].span = nd.Val
-			f.slots[s].root = idx
-		default: // PLen > stride: first crossing node wins the slot
-			s := nd.Hi >> f.shift
-			if f.slots[s].root == core.NoChild {
-				f.slots[s].root = idx
+		case nd.plen == f.stride:
+			f.slots[s] = cslot{span: agg, root: fr.idx}
+		case f.slots[s].root == core.NoChild:
+			f.slots[s].root = fr.idx
+		}
+		for bit := 1; bit >= 0; bit-- {
+			if c := nd.children[bit]; c != core.NoChild {
+				stack = append(stack, aggFrame{idx: c, parent: agg})
 			}
 		}
 	}
@@ -272,11 +280,11 @@ func (f *famCompact) validateCompact(entries []centry, p prefix.Prefix, origin r
 	sl := &f.slots[qhi>>f.shift]
 	sp := sl.span
 	if idx := sl.root; idx != core.NoChild {
-		nodes := f.eng.Nodes
+		nodes := f.nodes
 		n := &nodes[idx]
-		for n.PLen <= qlen && keyMatch(n.Hi, n.Lo, qhi, qlo, n.PLen) {
-			sp = n.Val
-			c := n.Children[core.AddrBit(qhi, qlo, n.PLen)]
+		for n.plen <= qlen && keyMatch(n.hi, n.lo, qhi, qlo, n.plen) {
+			sp = n.span
+			c := n.children[core.AddrBit(qhi, qlo, n.plen)]
 			if c == core.NoChild {
 				break
 			}
@@ -287,7 +295,7 @@ func (f *famCompact) validateCompact(entries []centry, p prefix.Prefix, origin r
 	if qlen >= f.stride {
 		// Every aggregated entry covers the query: slot spans hold only
 		// entries with plen <= stride, and descent spans only entries with
-		// plen <= node.PLen <= qlen. The scan needs no per-entry filter.
+		// plen <= node.plen <= qlen. The scan needs no per-entry filter.
 		for _, e := range es {
 			if e.as == origin && qlen <= e.maxLength {
 				return Valid
@@ -464,32 +472,28 @@ func (cx *CompactIndex) ValidateBatchParallel(routes []Route, dst []State, worke
 
 // AppendVRPs appends the indexed VRP set to dst in per-family canonical
 // prefix order and returns the extended slice — the same stream, in the same
-// order, as Index.AppendVRPs over the same table. Own entries are the
-// aggregate tail whose plen equals the node's key length (inherited entries
-// are strictly shorter).
+// order, as Index.AppendVRPs over the same table. Each family's slab is in
+// pre-order, so it is read in index order. Own entries are the aggregate tail
+// whose plen equals the node's key length (inherited entries are strictly
+// shorter).
 func (cx *CompactIndex) AppendVRPs(dst []rpki.VRP) []rpki.VRP {
 	for slot := range cx.fams {
-		f := &cx.fams[slot]
-		if len(f.eng.Nodes) == 0 {
-			continue
-		}
 		fam := slotFamily(slot)
-		f.eng.Walk(0, func(idx int32) {
-			nd := &f.eng.Nodes[idx]
-			sp := nd.Val
-			es := cx.entries[sp.off : sp.off+sp.n]
+		for i := range cx.fams[slot].nodes {
+			nd := &cx.fams[slot].nodes[i]
+			es := cx.entries[nd.span.off : nd.span.off+nd.span.n]
 			start := len(es)
-			for start > 0 && es[start-1].plen == nd.PLen {
+			for start > 0 && es[start-1].plen == nd.plen {
 				start--
 			}
 			if start == len(es) {
-				return
+				continue
 			}
-			p := nd.Key(fam)
+			p := nd.key(fam)
 			for _, e := range es[start:] {
 				dst = append(dst, rpki.VRP{Prefix: p, MaxLength: e.maxLength, AS: e.as})
 			}
-		})
+		}
 	}
 	return dst
 }

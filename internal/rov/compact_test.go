@@ -71,31 +71,51 @@ func TestCompactIndexMatchesIndex(t *testing.T) {
 	}
 }
 
-// keptNodes renders one family's compact trie as "key=own entries" in Walk
-// order, and checks that Walk order is slab order: CompactFromIndex allocates
-// the nodes it keeps as its pre-order walk meets them.
+// preorder returns the slab indices of the nodes reachable from f's root, in
+// pre-order of the key space: a DFS over the child links, which does not
+// assume the slab order it is used to check.
+func preorder(f *famCompact) []int32 {
+	var out []int32
+	if len(f.nodes) == 0 {
+		return out
+	}
+	stack := []int32{0}
+	for len(stack) > 0 {
+		idx := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		out = append(out, idx)
+		for bit := 1; bit >= 0; bit-- {
+			if c := f.nodes[idx].children[bit]; c != core.NoChild {
+				stack = append(stack, c)
+			}
+		}
+	}
+	return out
+}
+
+// keptNodes renders one family's compact trie as "key=own entries" in
+// pre-order, and checks that pre-order is slab order: CompactFromIndex
+// allocates the nodes it keeps as its pre-order walk meets them, and
+// AppendVRPs reads the slab in index order on that account.
 func keptNodes(t *testing.T, cx *CompactIndex, slot int) []string {
 	t.Helper()
 	f := &cx.fams[slot]
 	var out []string
-	if len(f.eng.Nodes) == 0 {
-		return out
-	}
-	f.eng.Walk(0, func(idx int32) {
+	for _, idx := range preorder(f) {
 		if int(idx) != len(out) {
-			t.Fatalf("Walk visit %d is slab node %d: the slab is not in pre-order", len(out), idx)
+			t.Fatalf("pre-order visit %d is slab node %d: the slab is not in pre-order", len(out), idx)
 		}
-		nd := &f.eng.Nodes[idx]
+		nd := &f.nodes[idx]
 		own := 0
-		for _, e := range cx.entries[nd.Val.off : nd.Val.off+nd.Val.n] {
-			if e.plen == nd.PLen {
+		for _, e := range cx.entries[nd.span.off : nd.span.off+nd.span.n] {
+			if e.plen == nd.plen {
 				own++
 			}
 		}
-		out = append(out, fmt.Sprintf("%s=%d", nd.Key(slotFamily(slot)), own))
-	})
-	if len(out) != len(f.eng.Nodes) {
-		t.Fatalf("Walk visited %d of %d slab nodes", len(out), len(f.eng.Nodes))
+		out = append(out, fmt.Sprintf("%s=%d", nd.key(slotFamily(slot)), own))
+	}
+	if len(out) != len(f.nodes) {
+		t.Fatalf("pre-order reached %d of %d slab nodes", len(out), len(f.nodes))
 	}
 	return out
 }
@@ -132,7 +152,7 @@ func TestCompactFromIndexKeptNodes(t *testing.T) {
 		if got := keptNodes(t, cx, slot); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s:\n got %v\nwant %v", tc.name, got, tc.want)
 		}
-		if other := &cx.fams[1-slot]; other.slots != nil || len(other.eng.Nodes) != 0 {
+		if other := &cx.fams[1-slot]; other.slots != nil || len(other.nodes) != 0 {
 			t.Errorf("%s: the family without VRPs was built", tc.name)
 		}
 	}
@@ -173,16 +193,16 @@ func TestCompactFromIndexRandom(t *testing.T) {
 				t.Fatalf("trial %d: key %s has no node carrying its entry", trial, v.Prefix)
 			}
 		}
-		for idx := range f.eng.Nodes {
-			nd := &f.eng.Nodes[idx]
-			k := nd.Key(fam)
+		for _, idx := range preorder(f) {
+			nd := &f.nodes[idx]
+			k := nd.key(fam)
 			kids := 0
-			for bit, c := range nd.Children {
+			for bit, c := range nd.children {
 				if c == core.NoChild {
 					continue
 				}
 				kids++
-				ck := f.eng.Nodes[c].Key(fam)
+				ck := f.nodes[c].key(fam)
 				if ck.Len() <= k.Len() || !k.Contains(ck) || ck.Bit(k.Len()) != uint8(bit) {
 					t.Fatalf("trial %d: %s is child %d of %s", trial, ck, bit, k)
 				}
@@ -296,12 +316,12 @@ func TestCompactIndexStride16(t *testing.T) {
 	}
 }
 
-// checkSlotSpans repaints cx's stride tables with the painter buildFamCompact's
-// pass 3 replaced — every node at or above the stride writes its aggregate
-// over its whole slot range, in pre-order, so a slot ends up with its deepest
-// covering one — and compares every slot's span by content: the build skips
-// the writes that would not change what a slot holds, so offsets may differ
-// where entries cannot.
+// checkSlotSpans repaints cx's stride tables with the painter the build once
+// ran as a pass of its own — every node at or above the stride writes its
+// aggregate over its whole slot range, in pre-order, so a slot ends up with
+// its deepest covering one — and compares every slot's span by content: the
+// build skips the writes that would not change what a slot holds, so offsets
+// may differ where entries cannot.
 func checkSlotSpans(t *testing.T, name string, cx *CompactIndex) {
 	t.Helper()
 	for slot := range cx.fams {
@@ -310,16 +330,16 @@ func checkSlotSpans(t *testing.T, name string, cx *CompactIndex) {
 			continue
 		}
 		want := make([]cspan, len(f.slots))
-		f.eng.Walk(0, func(idx int32) {
-			nd := &f.eng.Nodes[idx]
-			if nd.PLen > f.stride {
-				return
+		for _, idx := range preorder(f) {
+			nd := &f.nodes[idx]
+			if nd.plen > f.stride {
+				continue
 			}
-			base := nd.Hi >> f.shift
-			for s := base; s < base+1<<(f.stride-nd.PLen); s++ {
-				want[s] = nd.Val
+			base := nd.hi >> f.shift
+			for s := base; s < base+1<<(f.stride-nd.plen); s++ {
+				want[s] = nd.span
 			}
-		})
+		}
 		for s, w := range want {
 			g := f.slots[s].span
 			if !slices.Equal(cx.entries[g.off:g.off+g.n], cx.entries[w.off:w.off+w.n]) {

@@ -55,8 +55,8 @@ type liveView struct {
 const (
 	// rebuildPaysAfter × Len() routes answered is what a compact build is
 	// charged: it costs 0.14 µs a VRP (BenchmarkCompactFromIndex, 7.2 ms at
-	// 50k; 0.155 before pass 1 ran on registers and pass 3 painted a slot
-	// range once, 0.21 before pass 1 followed chains) against the 0.08 µs a
+	// 50k; 0.155 before pass 1 ran on registers and the stride fill painted a
+	// slot range once, 0.21 before pass 1 followed chains) against the 0.08 µs a
 	// route saves over the bit trie. The price fell to 1.8 × Len(); erring high
 	// keeps a barely read table on one index a little longer, so the constant
 	// stays.

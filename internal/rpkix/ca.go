@@ -139,8 +139,9 @@ func (a *Authority) IssueROA(r rpki.ROA) ([]byte, error) {
 
 // ValidateROA performs relying-party validation of a DER signed object
 // against the chain ta → intermediates → EE: CMS parse, signature check,
-// X.509 chain verification, resource containment at every step, and
-// eContent type/consistency checks. On success it returns the ROA.
+// X.509 chain verification with resource containment at every step
+// (verifyChain), eContent type/consistency checks, and the EE's coverage of
+// the ROA's prefixes. On success it returns the ROA.
 func ValidateROA(der []byte, ta *x509.Certificate, intermediates []*x509.Certificate) (rpki.ROA, error) {
 	obj, err := ParseSignedObject(der)
 	if err != nil {
@@ -152,44 +153,20 @@ func ValidateROA(der []byte, ta *x509.Certificate, intermediates []*x509.Certifi
 	if err := obj.VerifySignature(); err != nil {
 		return rpki.ROA{}, err
 	}
-	roots := x509.NewCertPool()
-	acknowledgeResources(ta)
-	roots.AddCert(ta)
-	pool := x509.NewCertPool()
-	for _, c := range intermediates {
-		acknowledgeResources(c)
-		pool.AddCert(c)
-	}
-	acknowledgeResources(obj.EECert)
-	chains, err := obj.EECert.Verify(x509.VerifyOptions{
-		Roots:         roots,
-		Intermediates: pool,
-		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-	})
+	held, err := verifyChain(obj.EECert, ta, intermediates)
 	if err != nil {
-		return rpki.ROA{}, fmt.Errorf("rpkix: chain validation: %w", err)
+		return rpki.ROA{}, err
 	}
 	r, err := DecodeROAContent(obj.EContent)
 	if err != nil {
 		return rpki.ROA{}, err
 	}
-	// Resource containment along the (first) chain: EE covers the ROA, each
-	// issuer covers its subject.
-	chain := chains[0]
-	roaPrefixes := make([]prefix.Prefix, 0, len(r.Prefixes))
+	need := make([]prefix.Prefix, 0, len(r.Prefixes))
 	for _, rp := range r.Prefixes {
-		roaPrefixes = append(roaPrefixes, rp.Prefix)
+		need = append(need, rp.Prefix)
 	}
-	need := roaPrefixes
-	for _, cert := range chain {
-		res, err := certResources(cert)
-		if err != nil {
-			return rpki.ROA{}, err
-		}
-		if !ResourcesContain(res, need) {
-			return rpki.ROA{}, fmt.Errorf("rpkix: %q does not hold the resources it certifies", cert.Subject.CommonName)
-		}
-		need = res
+	if !ResourcesContain(held, need) {
+		return rpki.ROA{}, fmt.Errorf("rpkix: %q does not hold the resources it certifies", obj.EECert.Subject.CommonName)
 	}
 	return r, nil
 }

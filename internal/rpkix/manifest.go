@@ -12,6 +12,8 @@ import (
 	"math/big"
 	"slices"
 	"time"
+
+	"repro/internal/prefix"
 )
 
 // Manifests (RFC 6486-shaped) and CRLs complete the publication-point
@@ -149,7 +151,7 @@ func ValidateManifest(der []byte, ta *x509.Certificate, intermediates []*x509.Ce
 	if err := obj.VerifySignature(); err != nil {
 		return Manifest{}, err
 	}
-	if err := verifyChain(obj.EECert, ta, intermediates); err != nil {
+	if _, err := verifyChain(obj.EECert, ta, intermediates); err != nil {
 		return Manifest{}, err
 	}
 	m, err := DecodeManifestContent(obj.EContent)
@@ -159,9 +161,11 @@ func ValidateManifest(der []byte, ta *x509.Certificate, intermediates []*x509.Ce
 	return m, nil
 }
 
-// verifyChain runs x509 verification with the resource extension
-// acknowledged, shared by ROA and manifest validation.
-func verifyChain(ee *x509.Certificate, ta *x509.Certificate, intermediates []*x509.Certificate) error {
+// verifyChain is the chain check of every signed object: x509 verification
+// of ee up to ta with the resource extension acknowledged, then RFC 3779
+// containment along the verified chain — each certificate's resources lie
+// within its issuer's. It returns the EE's resources.
+func verifyChain(ee *x509.Certificate, ta *x509.Certificate, intermediates []*x509.Certificate) ([]prefix.Prefix, error) {
 	roots := x509.NewCertPool()
 	acknowledgeResources(ta)
 	roots.AddCert(ta)
@@ -171,15 +175,30 @@ func verifyChain(ee *x509.Certificate, ta *x509.Certificate, intermediates []*x5
 		pool.AddCert(c)
 	}
 	acknowledgeResources(ee)
-	_, err := ee.Verify(x509.VerifyOptions{
+	chains, err := ee.Verify(x509.VerifyOptions{
 		Roots:         roots,
 		Intermediates: pool,
 		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
 	})
 	if err != nil {
-		return fmt.Errorf("rpkix: chain validation: %w", err)
+		return nil, fmt.Errorf("rpkix: chain validation: %w", err)
 	}
-	return nil
+	eeRes, err := certResources(ee)
+	if err != nil {
+		return nil, err
+	}
+	need := eeRes
+	for _, issuer := range chains[0][1:] {
+		held, err := certResources(issuer)
+		if err != nil {
+			return nil, err
+		}
+		if !ResourcesContain(held, need) {
+			return nil, fmt.Errorf("rpkix: %q does not hold the resources it certifies", issuer.Subject.CommonName)
+		}
+		need = held
+	}
+	return eeRes, nil
 }
 
 // IssueCRL signs a certificate revocation list over the given revoked
@@ -197,22 +216,26 @@ func (a *Authority) IssueCRL(revokedSerials []int64, number int64) ([]byte, erro
 	return x509.CreateRevocationList(rand.Reader, tmpl, a.Cert, a.Key)
 }
 
-// CheckCRL verifies the CRL's signature against the issuer and reports
-// whether serial is revoked.
-func CheckCRL(crlDER []byte, issuer *x509.Certificate, serial *big.Int) (bool, error) {
+// verifyCRL parses a CRL and verifies its signature against the issuer.
+func verifyCRL(crlDER []byte, issuer *x509.Certificate) (*x509.RevocationList, error) {
 	rl, err := x509.ParseRevocationList(crlDER)
 	if err != nil {
-		return false, fmt.Errorf("rpkix: parsing CRL: %w", err)
+		return nil, fmt.Errorf("rpkix: parsing CRL: %w", err)
 	}
 	if err := rl.CheckSignatureFrom(issuer); err != nil {
-		return false, fmt.Errorf("rpkix: CRL signature: %w", err)
+		return nil, fmt.Errorf("rpkix: CRL signature: %w", err)
 	}
+	return rl, nil
+}
+
+// revoked reports whether a verified CRL lists serial.
+func revoked(rl *x509.RevocationList, serial *big.Int) bool {
 	for _, e := range rl.RevokedCertificateEntries {
 		if e.SerialNumber.Cmp(serial) == 0 {
-			return true, nil
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 // signObject generalizes SignROA to any eContent type.

@@ -1,6 +1,7 @@
 package rpkix
 
 import (
+	"crypto/rand"
 	"crypto/x509"
 	"math/big"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
 
@@ -92,16 +94,16 @@ func TestCRLIssueAndCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rl, err := verifyCRL(crl, org.Cert)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		serial int64
 		want   bool
 	}{{5, true}, {9, true}, {6, false}} {
-		got, err := CheckCRL(crl, org.Cert, big.NewInt(c.serial))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("CheckCRL(%d) = %v, want %v", c.serial, got, c.want)
+		if got := revoked(rl, big.NewInt(c.serial)); got != c.want {
+			t.Errorf("revoked(%d) = %v, want %v", c.serial, got, c.want)
 		}
 	}
 	// Wrong issuer fails signature check.
@@ -109,10 +111,10 @@ func TestCRLIssueAndCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CheckCRL(crl, other.Cert, big.NewInt(5)); err == nil {
+	if _, err := verifyCRL(crl, other.Cert); err == nil {
 		t.Error("CRL verified against the wrong issuer")
 	}
-	if _, err := CheckCRL([]byte("junk"), org.Cert, big.NewInt(5)); err == nil {
+	if _, err := verifyCRL([]byte("junk"), org.Cert); err == nil {
 		t.Error("junk CRL parsed")
 	}
 }
@@ -255,5 +257,83 @@ func TestScanRejectsRevokedROA(t *testing.T) {
 	}
 	if len(res.Rejected) != 1 {
 		t.Fatalf("Rejected = %v", res.Rejected)
+	}
+}
+
+// TestScanRejectsCorruptCRL flips one byte of a published CRL's signature: a
+// CRL that does not verify must fail the scan, as a bad manifest does, not
+// quietly revoke nothing.
+func TestScanRejectsCorruptCRL(t *testing.T) {
+	dir, _ := writeTestRepo(t)
+	path := filepath.Join(dir, "ca.crl")
+	crl, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crl[len(crl)-1] ^= 0x01
+	if err := os.WriteFile(path, crl, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := ScanROAs(dir); err == nil {
+		t.Fatalf("scan with a corrupt CRL accepted %d ROAs", len(res.ROAs))
+	}
+}
+
+// TestValidateManifestChecksResources widens a CA's holdings after its
+// certificate was issued, so the manifest EE it signs next claims space the
+// CA certificate lacks: the chain's signatures verify, its resources do not.
+func TestValidateManifestChecksResources(t *testing.T) {
+	ta, rir, org := buildChain(t)
+	org.Resources = append(org.Resources, mp("168.123.0.0/16"))
+	der, err := org.IssueManifest(Manifest{
+		Number:     1,
+		ThisUpdate: time.Now().Add(-time.Hour),
+		NextUpdate: time.Now().Add(time.Hour),
+		Files:      map[string][32]byte{"a.roa": {9}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateManifest(der, ta.Cert, []*x509.Certificate{rir.Cert, org.Cert}); err == nil {
+		t.Error("manifest whose EE overclaims its CA's resources validated")
+	}
+}
+
+// TestScanRejectsRevokedBigSerial revokes a ROA whose EE serial does not fit
+// an int64: revocation compares serials as the integers they are.
+func TestScanRejectsRevokedBigSerial(t *testing.T) {
+	dir := t.TempDir()
+	repo, err := NewRepository("CRL TA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := repo.AddCA("CRL CA", []string{"168.122.0.0/16"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := new(big.Int).Lsh(big.NewInt(1), 70)
+	roa := rpki.ROA{AS: 111, Prefixes: []rpki.ROAPrefix{{Prefix: mp("168.122.0.0/16"), MaxLength: 16}}}
+	repo.ROAs = append(repo.ROAs, signWithEE(t, ca, roa, []prefix.Prefix{mp("168.122.0.0/16")}, serial))
+	if err := repo.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+	crl, err := x509.CreateRevocationList(rand.Reader, &x509.RevocationList{
+		Number:                    big.NewInt(2),
+		ThisUpdate:                time.Now().Add(-time.Hour),
+		NextUpdate:                time.Now().Add(time.Hour),
+		RevokedCertificateEntries: []x509.RevocationListEntry{{SerialNumber: serial, RevocationTime: time.Now()}},
+	}, ca.Cert, ca.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ca.crl"), crl, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ScanROAs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.ROAs) != 0 || len(res.Rejected) != 1 {
+		t.Fatalf("ROA revoked at serial 2^70: accepted %v, rejected %v", res.ROAs, res.Rejected)
 	}
 }

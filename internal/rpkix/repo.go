@@ -6,7 +6,6 @@ import (
 	"crypto/x509"
 	"encoding/pem"
 	"fmt"
-	"math/big"
 	"os"
 	"path/filepath"
 	"sort"
@@ -151,8 +150,9 @@ type ScanResult struct {
 // VRP expansion. Invalid objects are recorded in Rejected, not fatal — a
 // relying party must tolerate garbage in a publication point. When a
 // manifest is present it is validated and cross-checked against the on-disk
-// objects; when a CRL is present, ROAs whose EE certificate is revoked are
-// rejected.
+// objects; when a CRL is present, it is verified, and ROAs whose EE
+// certificate it revokes are rejected. A manifest or CRL that fails to
+// verify fails the scan.
 func ScanROAs(dir string) (*ScanResult, error) {
 	ta, err := readPEMCert(filepath.Join(dir, "ta.cer"))
 	if err != nil {
@@ -196,15 +196,14 @@ func ScanROAs(dir string) (*ScanResult, error) {
 		}
 		res.Manifest = &m
 	}
-	revoked := func(serial int64) bool { return false }
+	var crl *x509.RevocationList
 	if crlDER != nil {
 		issuer := ta
 		if len(certs) > 0 {
 			issuer = certs[0]
 		}
-		revoked = func(serial int64) bool {
-			r, err := CheckCRL(crlDER, issuer, big.NewInt(serial))
-			return err == nil && r
+		if crl, err = verifyCRL(crlDER, issuer); err != nil {
+			return nil, err
 		}
 	}
 	seen := make(map[string]bool, len(roaFiles))
@@ -228,7 +227,7 @@ func ScanROAs(dir string) (*ScanResult, error) {
 			}
 		}
 		obj, err := ParseSignedObject(der)
-		if err == nil && obj.EECert.SerialNumber.IsInt64() && revoked(obj.EECert.SerialNumber.Int64()) {
+		if err == nil && crl != nil && revoked(crl, obj.EECert.SerialNumber) {
 			res.Rejected[name] = fmt.Errorf("rpkix: %s EE certificate is revoked", name)
 			continue
 		}

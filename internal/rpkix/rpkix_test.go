@@ -1,11 +1,17 @@
 package rpkix
 
 import (
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
 	"crypto/x509"
+	"crypto/x509/pkix"
+	"math/big"
 	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/prefix"
 	"repro/internal/rpki"
@@ -196,6 +202,65 @@ func TestValidateRejectsTampering(t *testing.T) {
 	tampered[len(tampered)/2] ^= 0xff
 	if _, err := ValidateROA(tampered, ta.Cert, ints); err == nil {
 		t.Error("tampered object validated")
+	}
+}
+
+// signWithEE signs roa under ca through a hand-made EE certificate holding
+// resources and serial: what IssueROA never makes, an EE narrower than its
+// ROA or a serial past int64.
+func signWithEE(t *testing.T, ca *Authority, roa rpki.ROA, resources []prefix.Prefix, serial *big.Int) []byte {
+	t.Helper()
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := EncodeIPResources(resources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := &x509.Certificate{
+		SerialNumber:    serial,
+		Subject:         pkix.Name{CommonName: "hand-made EE"},
+		NotBefore:       time.Now().Add(-time.Hour),
+		NotAfter:        time.Now().Add(time.Hour),
+		KeyUsage:        x509.KeyUsageDigitalSignature,
+		ExtraExtensions: []pkix.Extension{ext},
+		SubjectKeyId:    keyID(&key.PublicKey),
+	}
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.Cert, &key.PublicKey, ca.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ee, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content, err := EncodeROAContent(roa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := SignROA(content, ee, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obj
+}
+
+// TestValidateROAChecksEECoverage signs a /16 ROA through an EE certificate
+// holding only a /24 of it: the chain holds, the EE does not cover its ROA.
+func TestValidateROAChecksEECoverage(t *testing.T) {
+	ta, rir, org := buildChain(t)
+	ints := []*x509.Certificate{rir.Cert, org.Cert}
+	ee := []prefix.Prefix{mp("168.122.0.0/24")}
+	for _, c := range []struct {
+		roa  string
+		want bool
+	}{{"168.122.0.0/24", true}, {"168.122.0.0/16", false}} {
+		roa := rpki.ROA{AS: 111, Prefixes: []rpki.ROAPrefix{{Prefix: mp(c.roa), MaxLength: 24}}}
+		_, err := ValidateROA(signWithEE(t, org, roa, ee, big.NewInt(99)), ta.Cert, ints)
+		if got := err == nil; got != c.want {
+			t.Errorf("ROA for %s under an EE holding %v: valid %v (%v), want %v", c.roa, ee, got, err, c.want)
+		}
 	}
 }
 
