@@ -35,8 +35,13 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs with GOEXPERIMENT=synctest, so internal/rtr's testing/synctest
+# bubbles run in-process under -race (without it, rtr.TestVirtualTime runs
+# them in a child go test). The experiment, the build tags and
+# TestVirtualTime go once the toolchain is Go 1.25 or later, where
+# synctest.Test is GA.
 race:
-	$(GO) test -race ./...
+	GOEXPERIMENT=synctest $(GO) test -race ./...
 
 # allocs runs the exact allocation gates: they count with
 # testing.AllocsPerRun, which race instrumentation inflates, so their files

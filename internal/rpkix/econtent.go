@@ -6,13 +6,12 @@
 // — the drop-in role of the scan_roas utility in §7.1: cryptographically
 // validate ROA objects and emit (prefix, maxLength, origin AS) tuples.
 //
-// Profile simplifications relative to a production RPKI (documented in
-// DESIGN.md): ECDSA P-256 instead of RSA-2048 (fast enough to sign
-// thousands of objects in tests), no manifests or CRLs, and CMS signatures
-// computed directly over the eContent (no signedAttrs). None of these affect
-// the quantities the paper measures; the validation *pipeline* — parse,
-// verify signature, verify chain, verify resource containment, extract VRPs
-// — is the real one.
+// WriteRepository also publishes an RFC 6486-shaped manifest and a CRL,
+// which ScanROAs verifies when present. The profile departs from a
+// production RPKI only in ECDSA P-256 for RSA-2048 and in CMS signatures
+// over the eContent (no signedAttrs); neither affects what the paper
+// measures — the validation pipeline (parse, verify signature, chain and
+// resource containment, extract VRPs) is the real one.
 package rpkix
 
 import (

@@ -33,9 +33,6 @@ type Repository struct {
 	Revoked []int64  // revoked EE certificate serials, published in the CRL
 }
 
-// timeNow is swappable in tests.
-var timeNow = time.Now
-
 // NewRepository creates a publication point with a fresh trust anchor.
 func NewRepository(taName string) (*Repository, error) {
 	ta, err := NewTrustAnchor(taName)
@@ -86,8 +83,8 @@ func (r *Repository) Write(dir string) error {
 	}
 	mft := Manifest{
 		Number:     1,
-		ThisUpdate: timeNow().Add(-time.Hour),
-		NextUpdate: timeNow().Add(30 * 24 * time.Hour),
+		ThisUpdate: time.Now().Add(-time.Hour),
+		NextUpdate: time.Now().Add(30 * 24 * time.Hour),
 		Files:      make(map[string][32]byte, len(r.ROAs)),
 	}
 	for i, der := range r.ROAs {

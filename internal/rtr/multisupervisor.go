@@ -112,20 +112,9 @@ type MultiSupervisor struct {
 	stopCh    chan struct{} // closed by Stop
 	doneCh    chan struct{} // closed when Run's upstream goroutines have exited
 
-	// nowFn/afterFn/jitterFn are the clock and jitter source of every
-	// upstream, overridable by tests (fake clock); nil means time.Now /
-	// time.After / math/rand.
-	nowFn    func() time.Time
-	afterFn  func(time.Duration) <-chan time.Time
+	// jitterFn is every upstream's redial jitter source, overridable by
+	// tests; nil means math/rand.
 	jitterFn func() float64
-	// syncTimeout bounds one Sync exchange in wall-clock time: the upstream's
-	// current Retry interval, unless a test sets it. A cache that accepts the
-	// connection but never answers would otherwise wedge the upstream forever
-	// — the client has no read deadline by design (deadlines mid-PDU are the
-	// desync bug the dispatch loop removed), so the watchdog tears the whole
-	// session down instead and the loop redials. Always real time, never the
-	// test clock: it guards against wall-clock wedges, not protocol state.
-	syncTimeout time.Duration
 }
 
 // Each upstream's timers until its cache advertises its own in a version-1
@@ -224,20 +213,6 @@ func NewMultiSupervisor(upstreams ...Upstream) *MultiSupervisor {
 	return m
 }
 
-func (m *MultiSupervisor) timeNow() time.Time {
-	if m.nowFn != nil {
-		return m.nowFn()
-	}
-	return time.Now()
-}
-
-func (m *MultiSupervisor) timerAfter(d time.Duration) <-chan time.Time {
-	if m.afterFn != nil {
-		return m.afterFn(d)
-	}
-	return time.After(d)
-}
-
 func (m *MultiSupervisor) jitter() float64 {
 	if m.jitterFn != nil {
 		return m.jitterFn()
@@ -290,7 +265,7 @@ func (m *MultiSupervisor) Active() int {
 // does not restart it. A failed sync alone does not flip Healthy. When
 // false, §6 says the router must stop using the data.
 func (m *MultiSupervisor) Healthy() bool {
-	now := m.timeNow()
+	now := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.served >= 0 && !m.ups[m.served].expired(now)
@@ -405,12 +380,12 @@ func (m *MultiSupervisor) isStopped() bool {
 	}
 }
 
-// sleep waits out d on the supervisor's clock; false means Stop came first.
+// sleep waits out d; false means Stop came first.
 func (m *MultiSupervisor) sleep(d time.Duration) bool {
 	select {
 	case <-m.stopCh:
 		return false
-	case <-m.timerAfter(d):
+	case <-time.After(d):
 		return true
 	}
 }
@@ -478,12 +453,12 @@ func (u *upstream) run() {
 // does can interrupt a read mid-PDU.
 func (u *upstream) connect() (synced bool, err error) {
 	m := u.m
-	if u.session != nil && u.expired(m.timeNow()) {
+	if u.session != nil && u.expired(time.Now()) {
 		// §6 forbids using the data, and the cache's table may have drifted
 		// arbitrarily: forget the session, so the next sync refetches the
 		// table instead of resuming a delta stream onto an expired one.
 		m.logf("rtr upstream %s: carried session expired (last sync %v ago); next sync refetches the table",
-			u.Name, m.timeNow().Sub(u.lastSync))
+			u.Name, time.Since(u.lastSync))
 		u.session = nil
 	}
 	conn, err := u.Dial()
@@ -518,11 +493,12 @@ func (u *upstream) connect() (synced bool, err error) {
 	}
 	resumed := u.session != nil
 	for {
-		timeout := u.retry
-		if m.syncTimeout != 0 {
-			timeout = m.syncTimeout
-		}
-		watchdog := time.AfterFunc(timeout, func() { c.Close() })
+		// A cache that accepts the connection but never answers would wedge
+		// the exchange forever — the client has no read deadline by design
+		// (deadlines mid-PDU are the desync bug the dispatch loop removed) —
+		// so a watchdog at the Retry interval tears the session down instead
+		// and the loop redials.
+		watchdog := time.AfterFunc(u.retry, func() { c.Close() })
 		serial, err := c.Sync()
 		watchdog.Stop()
 		if err != nil {
@@ -531,7 +507,7 @@ func (u *upstream) connect() (synced bool, err error) {
 			// window left. The sticky error is checked rather than Done: a
 			// failed write records it synchronously, while Done closes only
 			// once the dispatch goroutine has observed the dead socket.
-			if c.Err() != nil || u.expired(m.timeNow()) {
+			if c.Err() != nil || u.expired(time.Now()) {
 				return synced, err
 			}
 			if !m.sleep(u.retry) {
@@ -562,7 +538,7 @@ func (u *upstream) connect() (synced bool, err error) {
 			// The connection died while idle (read error, or the cache
 			// killed the session with an idle Error Report): the sync
 			// attempt fails fast with the client's sticky error.
-		case <-m.timerAfter(u.refresh):
+		case <-time.After(u.refresh):
 			// Refresh expired with no notify: plain periodic sync.
 		}
 	}
@@ -575,7 +551,7 @@ func (u *upstream) connect() (synced bool, err error) {
 // old the delivered table was before this sync.
 func (m *MultiSupervisor) onSync(u *upstream, c *Client, serial Serial) {
 	m.deliverMu.Lock()
-	now := m.timeNow()
+	now := time.Now()
 	m.mu.Lock()
 	u.up = true
 	if prev := m.active; prev == -1 || u.rank < prev {
@@ -648,7 +624,7 @@ func (m *MultiSupervisor) onDown(u *upstream, err error) {
 		return
 	}
 	m.logf("rtr multisupervisor: upstream %s down (%v); failing over to %s", u.Name, err, next.Name)
-	m.reconcile(next, m.timeNow())
+	m.reconcile(next, time.Now())
 }
 
 // reconcile is the single delivery primitive: diff the table subscribers

@@ -1,0 +1,104 @@
+package rtr
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"os/exec"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// bubbledTests are bubble_test.go's tests. They need testing/synctest,
+// which Go 1.24 builds only with GOEXPERIMENT=synctest (make race sets it);
+// a build without it runs them in a child go test that sets it. The build
+// tags, this file and nobubble_test.go go once the toolchain is Go 1.25 or
+// later, where synctest.Test is GA.
+var bubbledTests = []string{
+	"TestUpstreamRefreshAndRetryFakeClock",
+	"TestUpstreamRetryStopsAtExpire",
+	"TestSplitNotifyAcrossRefreshBoundary",
+	"TestUpstreamNotifyVsRefreshRace",
+	"TestUpstreamConnFailureWhileIdle",
+	"TestUpstreamSyncTimeoutUnwedgesSilentCache",
+	"TestUpstreamBackoffSequence",
+	"TestUpstreamSerialResumeAndResetFallback",
+	"TestUpstreamExpireAcrossFlappingConnections",
+	"TestHealthyAfterFailoverKeepsStandbyClock",
+	"TestFollowLifecycle",
+	"TestFollowExpiry",
+	"TestMultiSupervisorExpiryRebuild",
+	"TestRealServerRestart",
+	"TestMultiSupervisorFailoverFailback",
+}
+
+// child is the one run of the bubbled tests with the experiment: the go
+// command's exit error, its output as go test prints it, and each test's
+// verdict ("pass", "fail" or "skip"), own output and subtests.
+var child struct {
+	once            sync.Once
+	err             error
+	log             strings.Builder
+	verdict, output map[string]string
+	subs            map[string][]string
+}
+
+func runBubbles() {
+	child.once.Do(func() {
+		args := []string{"test", "-count=1", "-timeout=2m", "-json", "-run=^(" + strings.Join(bubbledTests, "|") + ")$", "."}
+		cmd := exec.Command("go", args...)
+		cmd.Env = append(os.Environ(), "GOEXPERIMENT="+strings.TrimPrefix(os.Getenv("GOEXPERIMENT")+",synctest", ","))
+		var out []byte
+		out, child.err = cmd.CombinedOutput()
+		child.verdict, child.output, child.subs = map[string]string{}, map[string]string{}, map[string][]string{}
+		for _, line := range bytes.Split(out, []byte("\n")) {
+			var e struct{ Action, Test, Output string }
+			if json.Unmarshal(line, &e) != nil {
+				e.Output = string(line) + "\n"
+			}
+			child.log.WriteString(e.Output)
+			switch e.Action {
+			case "run":
+				if i := strings.LastIndex(e.Test, "/"); i >= 0 {
+					child.subs[e.Test[:i]] = append(child.subs[e.Test[:i]], e.Test)
+				}
+			case "output":
+				child.output[e.Test] += e.Output
+			case "pass", "fail", "skip":
+				child.verdict[e.Test] = e.Action
+			}
+		}
+	})
+}
+
+// relay reports the child run's verdict on t's test, and on its subtests as
+// subtests of t.
+func relay(t *testing.T) {
+	runBubbles()
+	for _, sub := range child.subs[t.Name()] {
+		t.Run(sub[len(t.Name())+1:], relay)
+	}
+	switch child.verdict[t.Name()] {
+	case "pass":
+	case "skip":
+		t.Skip(child.output[t.Name()])
+	case "fail":
+		t.Error(child.output[t.Name()])
+	default:
+		t.Fatalf("not run with GOEXPERIMENT=synctest (%v):\n%s", child.err, child.log.String())
+	}
+}
+
+// TestVirtualTime runs the bubbled tests where this binary cannot, in a
+// child go test built with GOEXPERIMENT=synctest, and fails if that run
+// fails; nobubble_test.go reports each test's own verdict.
+func TestVirtualTime(t *testing.T) {
+	if bubbled {
+		t.Skip("built with GOEXPERIMENT=synctest: the bubbled tests run in this binary")
+	}
+	runBubbles()
+	if child.err != nil {
+		t.Fatalf("GOEXPERIMENT=synctest go test: %v\n%s", child.err, child.log.String())
+	}
+}
