@@ -47,7 +47,7 @@ race:
 # testing.AllocsPerRun, which race instrumentation inflates, so their files
 # are //go:build !race and the race target never compiles them.
 allocs:
-	$(GO) test -count=1 -run 'TestValidateAllocs|TestIndexBuildAllocs|TestDiffAllocs|TestApplyAllocs|TestCompactAllocs|TestCompactFromIndexAllocs|TestAllocCeilings|TestSerialAnswerAllocs|TestClientResetAllocs|TestNewTableAllocs' ./internal/rov ./internal/core ./internal/rtr ./internal/bgp
+	$(GO) test -count=1 -run 'TestValidateAllocs|TestIndexBuildAllocs|TestDiffAllocs|TestApplyAllocs|TestCompactAllocs|TestCompactFromIndexAllocs|TestAllocCeilings|TestSerialAnswerAllocs|TestClientResetAllocs|TestNewServerAllocs|TestNewTableAllocs' ./internal/rov ./internal/core ./internal/rtr ./internal/bgp
 
 # bench prints the in-package bgp, core, rov, and rtr micro benchmarks plus the
 # paper-evaluation benches; -count=1 defeats test caching so numbers are

@@ -196,6 +196,11 @@ func (t *Table) Len() int { return len(t.byPrefix) }
 // modify the returned slice.
 func (t *Table) Routes() []Route { return t.byPrefix }
 
+// ByOrigin returns all pairs in (origin, prefix) order — a VRP set's
+// canonical order, which a full deployment's minimal ROAs are read off
+// without a sort. Callers must not modify the returned slice.
+func (t *Table) ByOrigin() []Route { return t.byOrigin }
+
 // Contains reports whether the exact (prefix, origin) pair is announced.
 func (t *Table) Contains(p prefix.Prefix, origin rpki.ASN) bool {
 	_, ok := slices.BinarySearchFunc(t.byPrefix, Route{Prefix: p, Origin: origin}, func(r, q Route) int {

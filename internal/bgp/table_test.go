@@ -48,7 +48,7 @@ func checkOrders(t *testing.T, name string, tbl *bgp.Table, routes []bgp.Route) 
 	if got := tbl.Routes(); !slices.Equal(got, wantP) {
 		t.Fatalf("%s: byPrefix holds %d routes, the reference %d, or in another order", name, len(got), len(wantP))
 	}
-	got := bgp.ByOrigin(tbl)
+	got := tbl.ByOrigin()
 	if !slices.Equal(got, wantO) {
 		t.Fatalf("%s: byOrigin holds %d routes, the reference %d, or in another order", name, len(got), len(wantO))
 	}

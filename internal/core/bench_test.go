@@ -116,6 +116,18 @@ func BenchmarkSemanticEqual(b *testing.B) {
 	}
 }
 
+// BenchmarkFullDeploymentMinimal measures cache_refresh's first set-up step:
+// the minimal set of a quarter-scale 6/1/2017 table (194,237 routes), read
+// off the table's (origin, prefix) order.
+func BenchmarkFullDeploymentMinimal(b *testing.B) {
+	table := synth.Generate(synth.Params6_1().Scale(0.25)).Table
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FullDeploymentMinimal(table)
+	}
+}
+
 // fullDeployment is cache_refresh's input: the full-deployment minimal set
 // of a quarter-scale 6/1/2017 table (194,237 tuples in 1,820 groups), and its
 // compression. Built once, on first use.

@@ -18,6 +18,10 @@ import (
 // to its prefix length. Tuples authorizing nothing that is announced vanish
 // (their ROA would become empty). This is the conversion behind Table 1's
 // "minimal ROAs, no maxLength" rows.
+//
+// The routes come out tuple by tuple in s's order, which is canonical only
+// when no two tuples of one AS overlap; rpki.SortedSet's check decides
+// whether they need sorting.
 func Minimalize(s *rpki.Set, table *bgp.Table) *rpki.Set {
 	var out []rpki.VRP
 	for _, v := range s.VRPs() {
@@ -26,28 +30,26 @@ func Minimalize(s *rpki.Set, table *bgp.Table) *rpki.Set {
 			out = append(out, rpki.VRP{Prefix: q, MaxLength: q.Len(), AS: as})
 		})
 	}
-	return rpki.NewSet(out)
+	return rpki.SortedSet(out)
 }
 
 // FullDeploymentMinimal returns the minimal, maxLength-free VRP set of a
 // fully deployed RPKI: one tuple per announced (prefix, origin) pair ("we
 // assume every IP prefix announced in our BGP dataset is validated by a
-// minimal ROA that does not use maxLength", §7.2).
+// minimal ROA that does not use maxLength", §7.2). The length of its
+// MaxPermissive variant is §6's lower bound on PDUs under full deployment;
+// only that count is meaningful, the variant being non-minimal and vulnerable.
+//
+// The table's (origin, prefix) order is the set's canonical order, and each
+// pair is distinct, so the tuples are written in that order and become the
+// Set without a sort: rpki.SortedSet's check costs one comparison a tuple.
 func FullDeploymentMinimal(table *bgp.Table) *rpki.Set {
-	routes := table.Routes()
-	out := make([]rpki.VRP, 0, len(routes))
-	for _, r := range routes {
-		out = append(out, rpki.VRP{Prefix: r.Prefix, MaxLength: r.Prefix.Len(), AS: r.Origin})
+	routes := table.ByOrigin()
+	out := make([]rpki.VRP, len(routes))
+	for i, r := range routes {
+		out[i] = rpki.VRP{Prefix: r.Prefix, MaxLength: r.Prefix.Len(), AS: r.Origin}
 	}
-	return rpki.NewSet(out)
-}
-
-// FullDeploymentLowerBound returns the §6 lower bound on PDUs under full
-// deployment: one maximally-permissive tuple per announced pair, with pairs
-// subsumed by a same-origin covering announcement dropped. Only the
-// *count* is meaningful — the set is wildly non-minimal and vulnerable.
-func FullDeploymentLowerBound(table *bgp.Table) *rpki.Set {
-	return FullDeploymentMinimal(table).MaxPermissive()
+	return rpki.SortedSet(out)
 }
 
 // IsMinimal reports whether the set is minimal w.r.t. the table: every

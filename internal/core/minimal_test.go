@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/rpki"
+	"repro/internal/synth"
 )
 
 // paperTable is the running example of §2–§5: AS 111 announces its /16 and
@@ -107,15 +108,46 @@ func TestFullDeploymentMinimal(t *testing.T) {
 	}
 }
 
+// TestFullDeploymentMinimalCanonical pins FullDeploymentMinimal, which reads
+// the table's (origin, prefix) order and sorts nothing, to the path it
+// replaced: every route's tuple, in prefix order, normalized by rpki.NewSet.
+// The hand-built table has one prefix announced by three origins and both
+// families, its routes given in no order; synth's is the 6/1/2017 table at a
+// fiftieth of its scale.
+func TestFullDeploymentMinimalCanonical(t *testing.T) {
+	hand := bgp.NewTable([]bgp.Route{
+		{Prefix: mp("2001:db8::/32"), Origin: 64500},
+		{Prefix: mp("192.0.2.0/24"), Origin: 64502},
+		{Prefix: mp("10.0.0.0/8"), Origin: 64501},
+		{Prefix: mp("192.0.2.0/24"), Origin: 64500},
+		{Prefix: mp("2001:db8:1::/48"), Origin: 64500},
+		{Prefix: mp("10.1.0.0/16"), Origin: 64501},
+		{Prefix: mp("192.0.2.0/24"), Origin: 64501},
+		{Prefix: mp("2001:db8::/32"), Origin: 64499},
+		{Prefix: mp("10.0.0.0/8"), Origin: 64500},
+	})
+	for _, tc := range []struct {
+		name  string
+		table *bgp.Table
+	}{{"hand-built", hand}, {"synth/0.02", synth.Generate(synth.Params6_1().Scale(0.02)).Table}} {
+		var vrps []rpki.VRP
+		for _, r := range tc.table.Routes() {
+			vrps = append(vrps, rpki.VRP{Prefix: r.Prefix, MaxLength: r.Prefix.Len(), AS: r.Origin})
+		}
+		if got, want := FullDeploymentMinimal(tc.table), rpki.NewSet(vrps); !got.Equal(want) {
+			t.Errorf("%s: FullDeploymentMinimal holds %d tuples, the NewSet path %d, or in another order", tc.name, got.Len(), want.Len())
+		}
+	}
+}
+
 func TestFullDeploymentLowerBound(t *testing.T) {
-	tbl := paperTable()
-	lb := FullDeploymentLowerBound(tbl)
+	full := FullDeploymentMinimal(paperTable())
+	lb := full.MaxPermissive()
 	// AS 111: /24 under announced /16 drops. AS 31283: /20,/20,/21 under /19
 	// drop. 6 routes -> 2 tuples.
 	if lb.Len() != 2 {
 		t.Fatalf("lower bound = %v", lb.VRPs())
 	}
-	full := FullDeploymentMinimal(tbl)
 	comp, _ := Compress(full, Options{})
 	if comp.Len() < lb.Len() {
 		t.Fatalf("compression (%d) beat the lower bound (%d)", comp.Len(), lb.Len())

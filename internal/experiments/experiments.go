@@ -89,7 +89,7 @@ func ComputeTable1(d *synth.Dataset) Table1 {
 	fullComp, _ := core.Compress(full, core.Options{})
 	t.PDUs[FullMinimalCompressed] = fullComp.Len()
 
-	t.PDUs[FullLowerBound] = core.FullDeploymentLowerBound(d.Table).Len()
+	t.PDUs[FullLowerBound] = full.MaxPermissive().Len()
 	return t
 }
 

@@ -57,6 +57,22 @@ func TestComputeTable1Identities(t *testing.T) {
 	}
 }
 
+// TestTable1PaperScale pins Table 1's seven rows at the paper's scale, on
+// the 6/1/2017 snapshot: the totals synth.go's closed forms give, which
+// match PaperTable1 within one PDU a row.
+func TestTable1PaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping the paper-scale Table 1")
+	}
+	want := [numScenarios]int{39949, 33615, 52745, 49307, 776945, 730007, 729370}
+	got := ComputeTable1(synth.Generate(synth.Params6_1())).PDUs
+	for s := Today; s < numScenarios; s++ {
+		if got[s] != want[s] {
+			t.Errorf("%s: %d PDUs, want %d", s, got[s], want[s])
+		}
+	}
+}
+
 func TestScenarioMetadata(t *testing.T) {
 	secure := 0
 	for s := Today; s < numScenarios; s++ {

@@ -123,12 +123,12 @@ type finger struct {
 //
 // Inserts go through a finger a family, so the slab is node for node what a
 // descent from the root per VRP leaves. A family in the trie's pre-order — the
-// wire stream (VisitVRPs), Diff's output, NewServer's sorted set; not a Set,
-// which is AS-major — then costs one Ensure per node, and Σ(len − cpl) is its
-// node count: the slab is sized once, with headroom, as an exactly full one
-// regrows by a quarter at the first path-copied delta. The same cpl shows
-// disorder (p sorts before prev), where the sum is several times too much:
-// that family is hinted at a node per VRP and grows by append.
+// wire stream (VisitVRPs), Diff's output, NewServer's prefix-ordered copy of
+// its set; not a Set, which is AS-major — then costs one Ensure per node, and
+// Σ(len − cpl) is its node count: the slab is sized once, with headroom, as an
+// exactly full one regrows by a quarter at the first path-copied delta. The
+// same cpl shows disorder (p sorts before prev), where the sum is several
+// times too much: that family is hinted at a node per VRP and grows by append.
 //
 // floor, when not nil, is the table a compaction rebuilds: every slab is made
 // at least as long as floor's, garbage included, and a 32nd more, so the

@@ -6,8 +6,10 @@ import (
 	"bufio"
 	"io"
 	"net"
+	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rov"
 	"repro/internal/rpki"
@@ -93,4 +95,28 @@ func TestClientResetAllocs(t *testing.T) {
 		t.Errorf("a full sync of %d Prefix PDUs: %v allocs on the client's side, want fewer than 256", n, got)
 	}
 	t.Logf("a full sync of %d Prefix PDUs: %v allocs", n, got)
+}
+
+// TestNewServerAllocs is the gate on what building a cache allocates, on
+// cache_refresh's 182,501-VRP set: byPrefix's copy of the set, its second
+// slab and its digit counts (3); rov.NewTable's table, index, two node slabs,
+// entry slab and terminal list (6); the Server, its connection map, its first
+// published value and that value's snapshot ring (4). A third VRP slab fails
+// it, and byPrefix may allocate no more bytes than its two slabs and the
+// counts. The collector is off while it counts: a cycle a build starts adds
+// to the count.
+func TestNewServerAllocs(t *testing.T) {
+	full := quarterFull()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if got := testing.AllocsPerRun(3, func() { NewServer(full).Close() }); got != 13 {
+		t.Errorf("NewServer of %d VRPs: %v allocs, want 13", full.Len(), got)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ordered := byPrefix(full.VRPs())
+	runtime.ReadMemStats(&after)
+	slabs := 2 * uint64(cap(ordered)) * uint64(unsafe.Sizeof(ordered[0]))
+	if got, want := after.TotalAlloc-before.TotalAlloc, slabs+prefixDigits<<16*4; got > want {
+		t.Errorf("byPrefix of %d VRPs allocated %d bytes, want at most %d: two slabs and the digit counts", len(ordered), got, want)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -144,6 +145,25 @@ func BenchmarkPublishDelta(b *testing.B) {
 		} else {
 			srv.ApplyDelta(nil, []rpki.VRP{v})
 		}
+	}
+}
+
+// quarterFull is cache_refresh's served set: the compressed full deployment of
+// a quarter-scale 6/1/2017 table, 182,501 VRPs. Built once, on first use.
+var quarterFull = sync.OnceValue(func() *rpki.Set {
+	full, _ := core.Compress(core.FullDeploymentMinimal(synth.Generate(synth.Params6_1().Scale(0.25)).Table), core.Options{})
+	return full
+})
+
+// BenchmarkNewServer measures cache_refresh's last set-up step: a cache built
+// on quarterFull, which is the set's VRPs put in prefix order and the table
+// built from them.
+func BenchmarkNewServer(b *testing.B) {
+	full := quarterFull()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewServer(full).Close()
 	}
 }
 

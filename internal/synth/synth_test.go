@@ -157,7 +157,7 @@ func TestGeneratedCompressionShape(t *testing.T) {
 	if res3.In-res3.Out != wantSaved3 {
 		t.Errorf("full-deployment compression saved %d, want %d", res3.In-res3.Out, wantSaved3)
 	}
-	lb := core.FullDeploymentLowerBound(d.Table)
+	lb := full.MaxPermissive()
 	wantLB := d.Table.Len() - (2*(p.SibC+p.ROASibC+p.ROAMinML) + 6*p.SibD + p.Partial)
 	if lb.Len() != wantLB {
 		t.Errorf("lower bound = %d, want %d", lb.Len(), wantLB)
