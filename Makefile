@@ -80,11 +80,11 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^(BenchmarkFigure2|BenchmarkCompressToday|BenchmarkSemanticEqualVerifier)$$' -benchtime=3x -benchmem -count=1 .
 	$(GO) test -run='^$$' -bench='^(BenchmarkSendFull|BenchmarkClientReset|BenchmarkColdStart|BenchmarkSerialFanout)$$' -benchtime=3x -benchmem -count=1 ./internal/rtr/
 
-# fuzz runs all twelve fuzz targets in the tree for FUZZTIME each (go test -fuzz
+# fuzz runs all thirteen fuzz targets in the tree for FUZZTIME each (go test -fuzz
 # takes one target and one package at a time); fuzz-smoke is the short
 # configuration CI runs on every push.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = core/FuzzTrieVsReference core/FuzzCompressVsTrie core/FuzzSemanticEqual rov/FuzzIndex rov/FuzzCompactIndex rov/FuzzDiff rov/FuzzLiveOverlay \
+FUZZ_TARGETS = core/FuzzTrieVsReference core/FuzzCompressVsTrie core/FuzzSemanticEqual core/FuzzSemanticEqualDeep rov/FuzzIndex rov/FuzzCompactIndex rov/FuzzDiff rov/FuzzLiveOverlay \
 	rtr/FuzzReadPDU bgp/FuzzReadMRT bgp/FuzzNewTable prefix/FuzzParse rpkix/FuzzParseSignedObject
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

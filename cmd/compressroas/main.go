@@ -59,8 +59,9 @@ func run(in, repoDir, out, mode string, subsume, verify, stats bool) error {
 	}
 	start := time.Now()
 	compressed, res := core.Compress(set, opts)
-	elapsed := time.Since(start)
+	took := fmt.Sprintf("in %v", time.Since(start).Round(time.Millisecond))
 	if verify {
+		start = time.Now()
 		if err := core.VerifyCompression(set, compressed); err != nil {
 			if opts.Mode == core.Literal {
 				fmt.Fprintf(os.Stderr, "compressroas: WARNING (literal mode): %v\n", err)
@@ -68,10 +69,11 @@ func run(in, repoDir, out, mode string, subsume, verify, stats bool) error {
 				return err
 			}
 		}
+		took += fmt.Sprintf(", verified in %v", time.Since(start).Round(time.Millisecond))
 	}
 	if stats {
-		fmt.Fprintf(os.Stderr, "compressroas: %d -> %d tuples (%.2f%% saved) in %v; merged=%d subsumed=%d raised=%d tries=%d\n",
-			res.In, res.Out, 100*res.SavedFraction(), elapsed.Round(time.Millisecond),
+		fmt.Fprintf(os.Stderr, "compressroas: %d -> %d tuples (%.2f%% saved) %s; merged=%d subsumed=%d raised=%d groups=%d\n",
+			res.In, res.Out, 100*res.SavedFraction(), took,
 			res.Merged, res.Subsumed, res.Raised, res.TrieCount)
 	}
 	return save(out, compressed)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -129,8 +130,9 @@ func BenchmarkFullDeploymentMinimal(b *testing.B) {
 }
 
 // fullDeployment is cache_refresh's input: the full-deployment minimal set
-// of a quarter-scale 6/1/2017 table (194,237 tuples in 1,820 groups), and its
-// compression. Built once, on first use.
+// of a quarter-scale 6/1/2017 table (194,237 tuples in 16,045 groups), and
+// its compression, which rewrites 759 of the groups (23,804 tuples of the
+// two sides). Built once, on first use.
 var fullDeployment = sync.OnceValues(func() (minimal, compressed *rpki.Set) {
 	minimal = FullDeploymentMinimal(synth.Generate(synth.Params6_1().Scale(0.25)).Table)
 	compressed, _ = Compress(minimal, Options{})
@@ -153,6 +155,35 @@ func BenchmarkVerifyFullDeployment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := VerifyCompression(minimal, compressed); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifyFullDeploymentDiffers prices the failure path: the pair
+// BenchmarkVerifyFullDeployment verifies with one maxLength lowered in the
+// last group Compress rewrote, so the walk runs to that group and returns a
+// counterexample.
+func BenchmarkVerifyFullDeploymentDiffers(b *testing.B) {
+	minimal, compressed := fullDeployment()
+	origGroups, compGroups := groupsOf(minimal), groupsOf(compressed)
+	vrps, off, at := slices.Clone(compressed.VRPs()), 0, -1
+	for k, g := range compGroups {
+		if !slices.Equal(g.VRPs, origGroups[k].VRPs) {
+			for i, x := range g.VRPs {
+				if x.MaxLength > x.Prefix.Len() {
+					at = off + i
+				}
+			}
+		}
+		off += len(g.VRPs)
+	}
+	vrps[at].MaxLength--
+	differs := rpki.NewSet(vrps)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ok, _ := SemanticEqual(minimal, differs); ok {
+			b.Fatal("a lowered maxLength went unnoticed")
 		}
 	}
 }

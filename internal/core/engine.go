@@ -15,7 +15,6 @@ import (
 // by the instantiating structure:
 //
 //   - Trie (this package, the tests' reference) stores {maxLength, present},
-//   - the SemanticEqual merged trie stores per-side maxLength bounds,
 //   - rov.Index stores a {off, n} span into a parallel value slab of VRP
 //     entries (per-node variable-length payloads without per-node slices).
 //

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/prefix"
 	"repro/internal/rpki"
@@ -12,74 +11,12 @@ import (
 // This file implements an exact decision procedure for semantic equality of
 // two VRP sets: do they authorize exactly the same (prefix, origin AS)
 // routes? The authorized set can be astronomically large (a single /8-32
-// tuple authorizes 2^25-ish routes), so enumeration is hopeless; instead we
-// walk the merged tuple trie carrying, for each side, the running maximum
-// maxLength over present ancestors (g). A prefix q is authorized iff
-// len(q) <= g(q), and g only changes at tuple nodes, so equality can be
-// decided by comparing g at tuple nodes and at the roots of tuple-free
-// subtrees, where it bounds every depth below. Sets are compared one (AS,
-// family) group at a time, read off each canonical list in one pass, and a
-// group both sides hold tuple for tuple needs no trie. A group that differs
-// is inserted from both sides in merged canonical order through a finger, so
-// the procedure costs one tuple comparison per shared tuple plus the trie
-// nodes of the groups that differ. On inequality it returns a concrete
-// counterexample route, which the tests and the compressroas -verify flag
-// surface directly.
-
-// mval is the merged trie's per-node payload: one maxLength bound per side,
-// -1 when the side holds no tuple at the node.
-type mval struct {
-	valA int16
-	valB int16
-}
-
-// mtrie is the engine arena holding one merged (AS, family) trie.
-type mtrie struct {
-	eng  Engine[mval]
-	root prefix.Prefix // the /0 of the group's family
-}
-
-// mAbsent is the payload of a node neither side holds a tuple at.
-var mAbsent = mval{valA: -1, valB: -1}
-
-// build empties the trie, keeping its slab, and inserts one group's tuples of
-// both sides, a and b, each in canonical order. The two lists are merged, so
-// the tuples arrive in pre-order of the merged trie and each is inserted
-// through a finger: path holds the nodes of the previous tuple's prefix, and
-// the next prefix descends from its longest common prefix with that one, not
-// from the root — Σ(len − cpl) node steps in all instead of Σ len.
-func (m *mtrie) build(fam prefix.Family, a, b []rpki.VRP) {
-	root, err := prefix.Make(fam, 0, 0, 0)
-	if err != nil {
-		panic(err) // fam is a tuple's family; unreachable
-	}
-	m.root = root
-	m.eng.Nodes = append(m.eng.Nodes[:0], Node[mval]{Val: mAbsent})
-	var path [maxDepth]int32 // path[d]: the node of prev's ancestor of length d; path[0] is the root
-	prev := root
-	for len(a) > 0 || len(b) > 0 {
-		var v rpki.VRP
-		sideB := len(a) == 0 || len(b) > 0 && b[0].Prefix.Compare(a[0].Prefix) < 0
-		if sideB {
-			v, b = b[0], b[1:]
-		} else {
-			v, a = a[0], a[1:]
-		}
-		depth := prefix.CommonPrefixLen(prev, v.Prefix)
-		idx := path[depth]
-		for ; depth < v.Prefix.Len(); depth++ {
-			idx = m.eng.Ensure(idx, v.Prefix.Bit(depth), mAbsent)
-			path[depth+1] = idx
-		}
-		prev = v.Prefix
-		n, ml := &m.eng.Nodes[idx].Val, int16(v.MaxLength)
-		if sideB {
-			n.valB = max(n.valB, ml)
-		} else {
-			n.valA = max(n.valA, ml)
-		}
-	}
-}
+// tuple authorizes 2^25-ish routes), so enumeration is hopeless. Within one
+// (AS, family) group a side authorizes q iff len(q) <= g(q), the largest
+// maxLength of its tuples at q and above, and g changes only at tuple
+// prefixes, which a set lists in its trie's pre-order. So equality is decided
+// on the tuples, in one pass and without a trie, and on inequality with a
+// concrete counterexample route, which compressroas -verify surfaces.
 
 // Counterexample describes one route authorized by exactly one of two sets.
 type Counterexample struct {
@@ -97,66 +34,58 @@ func (c Counterexample) String() string {
 }
 
 // SemanticEqual reports whether a and b authorize exactly the same routes.
-// On inequality it returns a counterexample: the first, in canonical order,
-// of the first (AS, family) group in which the sets disagree.
+// On inequality it returns a counterexample: the first route, in canonical
+// order, that exactly one of them authorizes.
 //
-// The two tuple lists are read once, their groups in lockstep (NextGroup). A
-// group both sides hold with identical tuple lists authorizes identical
-// routes and is passed over; for every other group either side holds, the
-// merged trie is built and walked, into one slab reused from group to group,
-// so one group's trie is alive at a time. The slab is sized at the first
-// group that differs, to the sum of its two sides' exact node counts, and a
-// later group that needs more grows it: equal sets allocate nothing.
+// The lists are compared in lockstep, so tuples both sides hold in the same
+// place are read once. At a mismatch the walk backs up to the start of that
+// (AS, family) group on each side and decides the pair, or the group one side
+// lacks, with diffGroup. It allocates nothing but the counterexample.
 func SemanticEqual(a, b *rpki.Set) (bool, *Counterexample) {
-	var m mtrie
-	restA, restB := a.VRPs(), b.VRPs()
-	for len(restA) > 0 || len(restB) > 0 {
+	va, vb := a.VRPs(), b.VRPs()
+	i, j := 0, 0
+	for {
+		run := 0 // tuples matched since a group boundary both sides share
+		for x, y := va[i:], vb[j:]; run < len(x) && run < len(y) && sameTuple(x[run], y[run]); {
+			run++
+		}
+		i, j = i+run, j+run
+		if i == len(va) && j == len(vb) {
+			return true, nil
+		}
+		// Back up, within the run, to the start of the group that differs.
+		for ; run > 0 && (i < len(va) && sameGroup(va[i-1], va[i]) || j < len(vb) && sameGroup(vb[j-1], vb[j])); run-- {
+			i--
+			j--
+		}
 		// The next group in canonical order: on one side only, or on both.
 		var sideA, sideB rpki.OriginGroup
-		c := groupOrder(restA, restB)
+		c := groupOrder(va[i:], vb[j:])
 		if c <= 0 {
-			sideA, restA = rpki.NextGroup(restA)
+			sideA, _ = rpki.NextGroup(va[i:])
 		}
 		if c >= 0 {
-			sideB, restB = rpki.NextGroup(restB)
-		}
-		if slices.Equal(sideA.VRPs, sideB.VRPs) {
-			continue // the same tuples authorize the same routes
+			sideB, _ = rpki.NextGroup(vb[j:])
 		}
 		g := sideA
 		if c > 0 {
 			g = sideB
 		}
-		if m.eng.Nodes == nil {
-			m.eng.Init(groupNodeHint(sideA)+groupNodeHint(sideB), mAbsent)
-		}
-		m.build(g.Family, sideA.VRPs, sideB.VRPs)
-		if ce := diffTrie(&m, g.AS); ce != nil {
+		if ce := diffGroup(g.AS, ancestor(g.VRPs[0].Prefix, 0), sideA.VRPs, sideB.VRPs); ce != nil {
 			return false, ce
 		}
+		i, j = i+len(sideA.VRPs), j+len(sideB.VRPs)
 	}
-	return true, nil
 }
 
-// groupNodeHint returns the exact number of trie nodes (root included) the
-// group's VRPs expand to. The group's prefixes arrive in canonical Set order,
-// which for the underlying bit strings is lexicographic order, so each
-// prefix's longest common prefix with *any* earlier prefix is its LCP with
-// its immediate predecessor; the prefix then contributes exactly its bits
-// beyond that LCP as new nodes. (Σ prefix bits ignores path sharing and
-// overestimates sibling-heavy groups by >2x: TestGroupNodeHintExact.)
-func groupNodeHint(g rpki.OriginGroup) int {
-	hint := 1 // the root
-	var prev prefix.Prefix
-	for i, v := range g.VRPs {
-		if i == 0 {
-			hint += int(v.Prefix.Len())
-		} else {
-			hint += int(v.Prefix.Len()) - int(prefix.CommonPrefixLen(prev, v.Prefix))
-		}
-		prev = v.Prefix
-	}
-	return hint
+// sameTuple is x == y field by field, which inlines; == on a VRP is a call.
+func sameTuple(x, y rpki.VRP) bool {
+	return x.Prefix == y.Prefix && x.MaxLength == y.MaxLength && x.AS == y.AS
+}
+
+// sameGroup reports whether two tuples belong to one (AS, family) group.
+func sameGroup(x, y rpki.VRP) bool {
+	return x.AS == y.AS && x.Prefix.Family() == y.Prefix.Family()
 }
 
 // groupOrder compares the groups heading two lists in canonical Set order;
@@ -171,84 +100,134 @@ func groupOrder(a, b []rpki.VRP) int {
 	return cmp.Or(cmp.Compare(a[0].AS, b[0].AS), cmp.Compare(a[0].Prefix.Family(), b[0].Prefix.Family()))
 }
 
-// diffFrame is one pending work item of the diff traversal. With absentBit
-// < 0 it is a real node: idx, its prefix, and the per-side ancestor maxima
-// excluding the node itself. With absentBit 0 or 1 it is a deferred
-// divergence report for the tuple-free subtree under that absent child of
-// pfx (only pushed when the bounds already prove a divergence), kept on the
-// stack so it surfaces at its correct pre-order position.
-type diffFrame struct {
-	idx       int32
-	gA, gB    int16
-	absentBit int8
-	pfx       prefix.Prefix
+// bound is a node depth on the walk's path and each side's running maximum
+// maxLength there, over its tuples at or above that node (-1: none).
+type bound struct {
+	depth  uint8
+	gA, gB int16
 }
 
-// diffTrie returns the first counterexample of a pre-order scan of the
-// merged trie, or nil if the sides agree everywhere.
-func diffTrie(m *mtrie, as rpki.ASN) *Counterexample {
-	stack := make([]diffFrame, 1, 2*maxDepth)
-	stack[0] = diffFrame{idx: 0, gA: -1, gB: -1, absentBit: -1, pfx: m.root}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if f.absentBit >= 0 {
-			return tupleFreeCounterexample(f.pfx, uint8(f.absentBit), f.gA, f.gB, as)
+// diffGroup returns the first route, in canonical order, that exactly one of
+// a and b authorizes, or nil. a and b are the tuples of each side in one (AS,
+// family) group, under root, in canonical order; either may be empty.
+//
+// It is the pre-order scan of the two sides' merged trie, without the trie.
+// The distinct prefixes of both sides arrive in pre-order. Between one, prev,
+// and the next, pfx, the scan leaves prev's subtree up to their longest
+// common prefix, of depth c, and descends a chain of tuple-free nodes to pfx.
+// Along it the bounds are those of pfx's deepest tuple-bearing ancestor, so
+// where they agree nothing on it can differ, and where they differ each node
+// is judged by its depth d alone, in the scan's order:
+//   - its own prefix differs iff min(gA, gB) < d <= max(gA, gB);
+//   - an absent child roots a tuple-free subtree, which differs iff gA != gB
+//     and max(gA, gB) > d. An absent 0-child is reported before the walk
+//     descends into the 1-child. An absent 1-child is pending until the walk
+//     leaves the 0-subtree, and is reported then, deepest first, unless the
+//     next prefix branches there.
+func diffGroup(as rpki.ASN, root prefix.Prefix, a, b []rpki.VRP) *Counterexample {
+	var anc [maxDepth + 1]bound // the root's, then those of the walk's tuple-bearing ancestors
+	var pend [maxDepth]bound    // the path's pending absent 1-children, deepest on top
+	anc[0] = bound{gA: -1, gB: -1}
+	na, np, prev := 1, 0, root
+	for len(a) > 0 || len(b) > 0 {
+		// The next prefix in merged order, and each side's largest maxLength
+		// at it: the last of its tuples there.
+		next := a
+		if len(a) == 0 || len(b) > 0 && b[0].Prefix.Compare(a[0].Prefix) < 0 {
+			next = b
 		}
-		n := &m.eng.Nodes[f.idx]
-		gA, gB := f.gA, f.gB
-		if n.Val.valA > gA {
-			gA = n.Val.valA
+		pfx, mA, mB := next[0].Prefix, int16(-1), int16(-1)
+		for ; len(a) > 0 && a[0].Prefix == pfx; a = a[1:] {
+			mA = int16(a[0].MaxLength)
 		}
-		if n.Val.valB > gB {
-			gB = n.Val.valB
+		for ; len(b) > 0 && b[0].Prefix == pfx; b = b[1:] {
+			mB = int16(b[0].MaxLength)
 		}
-		l := int16(f.pfx.Len())
-		// Authorization of the node's own prefix.
-		if (l <= gA) != (l <= gB) {
-			return &Counterexample{
-				Route:       rpki.VRP{Prefix: f.pfx, MaxLength: f.pfx.Len(), AS: as},
-				AuthorizedA: l <= gA,
+
+		c := prefix.CommonPrefixLen(prev, pfx)
+		leaf := c < prev.Len() // pfx is not below prev, so nothing is
+		if leaf {
+			if ce := leave(prev, anc[na-1], pend[:np], int(c), as); ce != nil {
+				return ce
+			}
+			for anc[na-1].depth > c {
+				na--
+			}
+			if np > 0 && pend[np-1].depth == c {
+				np-- // pfx takes the 1-child there
 			}
 		}
-		// Push children 1-before-0 so the stack pops them in bit order. An
-		// absent child roots a tuple-free subtree whose authorized depths are
-		// (l, gX]: the sides agree iff the effective bounds match or both
-		// bound-authorized ranges are empty; otherwise a deferred divergence
-		// frame keeps the report at its pre-order position.
-		for bit := int8(1); bit >= 0; bit-- {
-			if c := n.Children[bit]; c != NoChild {
-				stack = append(stack, diffFrame{idx: c, gA: gA, gB: gB, absentBit: -1, pfx: f.pfx.Child(uint8(bit))})
-			} else if gA != gB && (gA > l || gB > l) {
-				stack = append(stack, diffFrame{gA: gA, gB: gB, absentBit: bit, pfx: f.pfx})
+		g := anc[na-1]
+		if g.gA != g.gB {
+			lo, hi := min(g.gA, g.gB), max(g.gA, g.gB)
+			d := int16(c)
+			if leaf {
+				d++ // at c, prev's subtree is the 0-child and pfx's the 1-child
+			}
+			for ; d < int16(pfx.Len()) && d <= hi; d++ {
+				if d > int16(c) && d > lo {
+					return route(ancestor(pfx, uint8(d)), d <= g.gA, as)
+				}
+				if d == hi {
+					break
+				}
+				if pfx.Bit(uint8(d)) == 1 {
+					return absentChild(ancestor(pfx, uint8(d)), 0, g, as)
+				}
+				pend[np] = bound{depth: uint8(d), gA: g.gA, gB: g.gB}
+				np++
 			}
 		}
+		g = bound{depth: pfx.Len(), gA: max(g.gA, mA), gB: max(g.gB, mB)}
+		anc[na] = g
+		na++
+		if l := int16(pfx.Len()); (l <= g.gA) != (l <= g.gB) {
+			return route(pfx, l <= g.gA, as)
+		}
+		prev = pfx
+	}
+	return leave(prev, anc[na-1], pend[:np], -1, as)
+}
+
+// leave reports what the scan meets on leaving prev, a leaf with bounds g,
+// up to depth c: prev's absent children, then the pending absent 1-children
+// deeper than c, deepest first. It returns the first that differs, or nil.
+func leave(prev prefix.Prefix, g bound, pend []bound, c int, as rpki.ASN) *Counterexample {
+	if ce := absentChild(prev, 0, g, as); ce != nil {
+		return ce
+	}
+	if n := len(pend); n > 0 && int(pend[n-1].depth) > c {
+		return absentChild(ancestor(prev, pend[n-1].depth), 1, pend[n-1], as)
 	}
 	return nil
 }
 
-// tupleFreeCounterexample builds a route at the first depth where exactly
-// one side authorizes within the absent-child subtree.
-func tupleFreeCounterexample(parent prefix.Prefix, bit uint8, gA, gB int16, as rpki.ASN) *Counterexample {
-	authA := gA > gB
-	hi := gA // the smaller of the two bounds
-	if authA {
-		hi = gB
-	}
-	// Depths in (max(hi, parent.Len()), max(gA, gB)] are authorized by one
-	// side only; pick the shallowest.
-	depth := hi + 1
-	if depth < int16(parent.Len())+1 {
-		depth = int16(parent.Len()) + 1
+// absentChild returns the first route, in canonical order, of the tuple-free
+// subtree under parent's absent child bit that exactly one side authorizes,
+// under bounds g, or nil. Depths in (max(min(gA, gB), len), max(gA, gB)] are
+// authorized by one side only; the shallowest, all zeros below the child,
+// comes first.
+func absentChild(parent prefix.Prefix, bit uint8, g bound, as rpki.ASN) *Counterexample {
+	if g.gA == g.gB || max(g.gA, g.gB) <= int16(parent.Len()) {
+		return nil
 	}
 	q := parent.Child(bit)
-	for int16(q.Len()) < depth {
+	for int16(q.Len()) <= min(g.gA, g.gB) {
 		q = q.Child(0)
 	}
-	return &Counterexample{
-		Route:       rpki.VRP{Prefix: q, MaxLength: q.Len(), AS: as},
-		AuthorizedA: authA,
-	}
+	return route(q, g.gA > g.gB, as)
+}
+
+// route returns the counterexample of the single route (q, as).
+func route(q prefix.Prefix, authorizedA bool, as rpki.ASN) *Counterexample {
+	return &Counterexample{Route: rpki.VRP{Prefix: q, MaxLength: q.Len(), AS: as}, AuthorizedA: authorizedA}
+}
+
+// ancestor returns p's ancestor of length l <= p.Len().
+func ancestor(p prefix.Prefix, l uint8) prefix.Prefix {
+	hi, lo := p.Bits()
+	q, _ := prefix.Make(p.Family(), hi, lo, l) // p's own family and bits: no error
+	return q
 }
 
 // VerifyCompression asserts that compressed preserves original's semantics;
