@@ -74,7 +74,7 @@ func run(in, repoDir, out, mode string, subsume, verify, stats bool) error {
 	if stats {
 		fmt.Fprintf(os.Stderr, "compressroas: %d -> %d tuples (%.2f%% saved) %s; merged=%d subsumed=%d raised=%d groups=%d\n",
 			res.In, res.Out, 100*res.SavedFraction(), took,
-			res.Merged, res.Subsumed, res.Raised, res.TrieCount)
+			res.Merged, res.Subsumed, res.Raised, res.Groups)
 	}
 	return save(out, compressed)
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestAllocCeilings pins the allocation counts of the relying-party kernels
-// on the bench_test fixtures: the arena engine allocates per slab growth and
-// per result, never per prefix bit or per VRP, so these are small constants
-// independent of the 2000-VRP input. They are exact, so a group list, a copy
+// on the bench_test fixtures: Compress and the verifier build no trie and
+// allocate per result, never per group or per VRP, so these are small
+// constants independent of the 2000-VRP input. They are exact, so a group list, a copy
 // of Compress's output, or a heap-allocated stack in SemanticEqual's walk,
 // put back, fails them. Not built under -race, whose instrumentation
 // allocates.

@@ -10,10 +10,10 @@ import (
 	"repro/internal/synth"
 )
 
-// Trie-engine micro-benchmarks. All report allocations so the arena engine's
-// build cost stays visible: building a trie must cost O(slab growths), not
-// one heap node per prefix bit, and a Compress loop in steady state recycles
-// released slabs instead of reallocating them.
+// Relying-party micro-benchmarks: Figure 2's Trie and the kernels that run
+// without it. All report allocations, so a Trie build stays visible as
+// O(slab growths), not one heap node per prefix bit, and Compress and the
+// verifier as a few allocations a run, not one a group or a tuple.
 
 // benchVRPs returns roughly n VRPs (across the three origin ASes randomSet
 // draws from) with mergeable sibling structure, deterministic across runs.

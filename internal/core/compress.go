@@ -42,11 +42,11 @@ type Options struct {
 
 // Result reports what a compression run did.
 type Result struct {
-	In, Out   int // tuple counts before and after
-	Merged    int // child tuples deleted by parent maxLength absorption
-	Subsumed  int // tuples deleted by the optional subsumption pass
-	Raised    int // parents whose maxLength was raised
-	TrieCount int // number of (AS, family) groups processed; no trie is built
+	In, Out  int // tuple counts before and after
+	Merged   int // child tuples deleted by parent maxLength absorption
+	Subsumed int // tuples deleted by the optional subsumption pass
+	Raised   int // parents whose maxLength was raised
+	Groups   int // number of (AS, family) groups processed
 }
 
 // SavedFraction returns the compression rate (1 - Out/In), the paper's
@@ -87,7 +87,7 @@ func compressList(vrps []rpki.VRP, opts Options) ([]rpki.VRP, Result) {
 	res := Result{In: len(vrps)}
 	out := make([]rpki.VRP, 0, len(vrps))
 	var stack []int32
-	for rest := vrps; len(rest) > 0; res.TrieCount++ {
+	for rest := vrps; len(rest) > 0; res.Groups++ {
 		var g rpki.OriginGroup
 		g, rest = rpki.NextGroup(rest)
 		out, stack = compressGroup(out, stack, g.VRPs, opts, &res)

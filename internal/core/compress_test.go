@@ -323,7 +323,7 @@ func TestCompressQuick(t *testing.T) {
 // compress it in place, read its tuples back.
 func compressViaTries(s *rpki.Set, opts Options) (*rpki.Set, Result) {
 	tries := BuildTries(s)
-	res := Result{In: s.Len(), TrieCount: len(tries)}
+	res := Result{In: s.Len(), Groups: len(tries)}
 	var out []rpki.VRP
 	for _, t := range tries {
 		r := compressTrie(t, opts)
@@ -366,49 +366,49 @@ func compressTrie(t *Trie, opts Options) Result {
 		f := stack[top]
 		if f.stage == 0 {
 			stack[top].stage = 1
-			n := &t.eng.Nodes[f.idx]
-			if c := n.Children[1]; c != NoChild {
+			n := &t.nodes[f.idx]
+			if c := n.children[1]; c != 0 {
 				stack = append(stack, frame{idx: c})
 			}
-			if c := n.Children[0]; c != NoChild {
+			if c := n.children[0]; c != 0 {
 				stack = append(stack, frame{idx: c})
 			}
 			continue
 		}
 		stack = stack[:top]
-		n := &t.eng.Nodes[f.idx]
-		if !n.Val.present {
+		n := &t.nodes[f.idx]
+		if !n.present {
 			continue
 		}
 		var l, r int32
 		switch opts.Mode {
 		case Strict:
-			l = presentAtDepthPlusOne(t, n.Children[0])
-			r = presentAtDepthPlusOne(t, n.Children[1])
+			l = presentAtDepthPlusOne(t, n.children[0])
+			r = presentAtDepthPlusOne(t, n.children[1])
 		case Literal:
-			l = nearestPresent(t, n.Children[0], &scratch)
-			r = nearestPresent(t, n.Children[1], &scratch)
+			l = nearestPresent(t, n.children[0], &scratch)
+			r = nearestPresent(t, n.children[1], &scratch)
 		}
 		if l < 0 || r < 0 {
 			continue // "if node has both direct children" fails
 		}
-		ln, rn := &t.eng.Nodes[l], &t.eng.Nodes[r]
-		minChildVal := ln.Val.value
-		if rn.Val.value < minChildVal {
-			minChildVal = rn.Val.value
+		ln, rn := &t.nodes[l], &t.nodes[r]
+		minChildVal := ln.value
+		if rn.value < minChildVal {
+			minChildVal = rn.value
 		}
-		if minChildVal > n.Val.value {
+		if minChildVal > n.value {
 			// "Adjust parent's maxLength to cover children."
-			n.Val.value = minChildVal
+			n.value = minChildVal
 			res.Raised++
 		}
-		if ln.Val.value <= n.Val.value {
-			ln.Val.present = false // "left child now covered by father"
+		if ln.value <= n.value {
+			ln.present = false // "left child now covered by father"
 			t.size--
 			res.Merged++
 		}
-		if rn.Val.value <= n.Val.value {
-			rn.Val.present = false
+		if rn.value <= n.value {
+			rn.present = false
 			t.size--
 			res.Merged++
 		}
@@ -419,7 +419,7 @@ func compressTrie(t *Trie, opts Options) Result {
 // presentAtDepthPlusOne returns c if it is a present node (c is already the
 // depth+1 child index), else -1.
 func presentAtDepthPlusOne(t *Trie, c int32) int32 {
-	if c != NoChild && t.eng.Nodes[c].Val.present {
+	if c != 0 && t.nodes[c].present {
 		return c
 	}
 	return -1
@@ -435,7 +435,7 @@ func presentAtDepthPlusOne(t *Trie, c int32) int32 {
 // one per trie); the possibly-grown slice is stored back through the pointer
 // so capacity accumulates instead of being reallocated per present node.
 func nearestPresent(t *Trie, c int32, scratch *[]int32) int32 {
-	if c == NoChild {
+	if c == 0 {
 		return -1
 	}
 	// BFS by depth to find the minimal-depth present node; head indexes into
@@ -444,16 +444,16 @@ func nearestPresent(t *Trie, c int32, scratch *[]int32) int32 {
 	found := int32(-1)
 	for head := 0; head < len(queue); head++ {
 		i := queue[head]
-		n := &t.eng.Nodes[i]
-		if n.Val.present {
+		n := &t.nodes[i]
+		if n.present {
 			found = i
 			break
 		}
-		if n.Children[0] != NoChild {
-			queue = append(queue, n.Children[0])
+		if n.children[0] != 0 {
+			queue = append(queue, n.children[0])
 		}
-		if n.Children[1] != NoChild {
-			queue = append(queue, n.Children[1])
+		if n.children[1] != 0 {
+			queue = append(queue, n.children[1])
 		}
 	}
 	*scratch = queue
@@ -474,19 +474,19 @@ func subsume(t *Trie) int {
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n := &t.eng.Nodes[f.idx]
+		n := &t.nodes[f.idx]
 		g := f.g
-		if n.Val.present {
-			if int16(n.Val.value) <= g {
-				n.Val.present = false
+		if n.present {
+			if int16(n.value) <= g {
+				n.present = false
 				t.size--
 				removed++
 			} else {
-				g = int16(n.Val.value)
+				g = int16(n.value)
 			}
 		}
 		for bit := 0; bit < 2; bit++ {
-			if c := n.Children[bit]; c != NoChild {
+			if c := n.children[bit]; c != 0 {
 				stack = append(stack, frame{idx: c, g: g})
 			}
 		}

@@ -9,11 +9,11 @@ import (
 	"repro/internal/rpki"
 )
 
-// This file differentially tests the arena trie engine against refImpl, a
-// deliberately naive reference: a flat tuple list answering every query by
-// linear scan (and authorized-space counting by exhaustive enumeration). The
-// two implementations share nothing but the VRP semantics, so agreement over
-// seeded random workloads pins the engine's Lookup, Authorizes and
+// This file differentially tests the Trie against refImpl, a deliberately
+// naive reference: a flat tuple list answering every query by linear scan
+// (and authorized-space counting by exhaustive enumeration). The two
+// implementations share nothing but the VRP semantics, so agreement over
+// seeded random workloads pins the Trie's Lookup, Authorizes and
 // CountAuthorized behavior independently of its slab/index representation.
 
 // refImpl is the reference model of one (AS, family) tuple set.
@@ -53,7 +53,7 @@ func (r *refImpl) authorizes(q prefix.Prefix) bool {
 
 // countAuthorized enumerates every prefix of the family up to depth limit
 // and counts the authorized ones. Exponential in limit; callers keep all
-// maxLengths <= limit so the count equals the engine's unbounded one.
+// maxLengths <= limit so the count equals the Trie's unbounded one.
 func (r *refImpl) countAuthorized(fam prefix.Family, limit uint8) uint64 {
 	root, err := prefix.Make(fam, 0, 0, 0)
 	if err != nil {

@@ -733,21 +733,22 @@ func deepPair(rng *rand.Rand) (a, b *rpki.Set) {
 // The merged-trie oracle: the walker SemanticEqual replaced, kept as the
 // reference that judges it beyond the brute-force universe.
 
-// mval is the merged trie's per-node payload: one maxLength bound per side,
+// mnode is one vertex of the merged trie: its children's slab indices, 0
+// where there is none (node 0 is the root), and one maxLength bound per side,
 // -1 when the side holds no tuple at the node.
-type mval struct {
-	valA int16
-	valB int16
+type mnode struct {
+	children   [2]int32
+	valA, valB int16
 }
 
-// mtrie is the engine arena holding one merged (AS, family) trie.
+// mtrie is the slab holding one merged (AS, family) trie.
 type mtrie struct {
-	eng  Engine[mval]
-	root prefix.Prefix // the /0 of the group's family
+	nodes []mnode
+	root  prefix.Prefix // the /0 of the group's family
 }
 
-// mAbsent is the payload of a node neither side holds a tuple at.
-var mAbsent = mval{valA: -1, valB: -1}
+// mAbsent is a node neither side holds a tuple at.
+var mAbsent = mnode{valA: -1, valB: -1}
 
 // build empties the trie, keeping its slab, and inserts one group's tuples of
 // both sides, a and b, each in canonical order. The two lists are merged, so
@@ -761,7 +762,7 @@ func (m *mtrie) build(fam prefix.Family, a, b []rpki.VRP) {
 		panic(err) // fam is a tuple's family; unreachable
 	}
 	m.root = root
-	m.eng.Nodes = append(m.eng.Nodes[:0], Node[mval]{Val: mAbsent})
+	m.nodes = append(m.nodes[:0], mAbsent)
 	var path [maxDepth]int32 // path[d]: the node of prev's ancestor of length d; path[0] is the root
 	prev := root
 	for len(a) > 0 || len(b) > 0 {
@@ -775,11 +776,18 @@ func (m *mtrie) build(fam prefix.Family, a, b []rpki.VRP) {
 		depth := prefix.CommonPrefixLen(prev, v.Prefix)
 		idx := path[depth]
 		for ; depth < v.Prefix.Len(); depth++ {
-			idx = m.eng.Ensure(idx, v.Prefix.Bit(depth), mAbsent)
+			bit := v.Prefix.Bit(depth)
+			c := m.nodes[idx].children[bit]
+			if c == 0 {
+				c = int32(len(m.nodes))
+				m.nodes = append(m.nodes, mAbsent)
+				m.nodes[idx].children[bit] = c
+			}
+			idx = c
 			path[depth+1] = idx
 		}
 		prev = v.Prefix
-		n, ml := &m.eng.Nodes[idx].Val, int16(v.MaxLength)
+		n, ml := &m.nodes[idx], int16(v.MaxLength)
 		if sideB {
 			n.valB = max(n.valB, ml)
 		} else {
@@ -822,8 +830,8 @@ func semanticEqualViaTrie(a, b *rpki.Set) (bool, *Counterexample) {
 		if c > 0 {
 			g = sideB
 		}
-		if m.eng.Nodes == nil {
-			m.eng.Init(groupNodeHint(sideA)+groupNodeHint(sideB), mAbsent)
+		if m.nodes == nil {
+			m.nodes = make([]mnode, 0, groupNodeHint(sideA)+groupNodeHint(sideB))
 		}
 		m.build(g.Family, sideA.VRPs, sideB.VRPs)
 		if ce := diffTrie(&m, g.AS); ce != nil {
@@ -857,13 +865,13 @@ func diffTrie(m *mtrie, as rpki.ASN) *Counterexample {
 		if f.absentBit >= 0 {
 			return tupleFreeCounterexample(f.pfx, uint8(f.absentBit), f.gA, f.gB, as)
 		}
-		n := &m.eng.Nodes[f.idx]
+		n := &m.nodes[f.idx]
 		gA, gB := f.gA, f.gB
-		if n.Val.valA > gA {
-			gA = n.Val.valA
+		if n.valA > gA {
+			gA = n.valA
 		}
-		if n.Val.valB > gB {
-			gB = n.Val.valB
+		if n.valB > gB {
+			gB = n.valB
 		}
 		l := int16(f.pfx.Len())
 		// Authorization of the node's own prefix.
@@ -879,7 +887,7 @@ func diffTrie(m *mtrie, as rpki.ASN) *Counterexample {
 		// bound-authorized ranges are empty; otherwise a deferred divergence
 		// frame keeps the report at its pre-order position.
 		for bit := int8(1); bit >= 0; bit-- {
-			if c := n.Children[bit]; c != NoChild {
+			if c := n.children[bit]; c != 0 {
 				stack = append(stack, diffFrame{idx: c, gA: gA, gB: gB, absentBit: -1, pfx: f.pfx.Child(uint8(bit))})
 			} else if gA != gB && (gA > l || gB > l) {
 				stack = append(stack, diffFrame{gA: gA, gB: gB, absentBit: bit, pfx: f.pfx})

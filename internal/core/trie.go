@@ -10,9 +10,9 @@
 // forged-origin subprefix hijack vulnerability detection (§4, §6), and an
 // exact semantic-equivalence verifier used to prove compression safe.
 //
-// Its two tries, Figure 2's Trie and the verifier's merged trie, are
-// instances of one arena engine (see engine.go): a contiguous Node[V] slab
-// with int32 child indices, parameterized by the per-node payload V.
+// Figure 2's Trie is the package's one trie: a contiguous slab of nodes with
+// int32 child indices. The verifier builds none (see semantics.go); the
+// merged trie it replaced lives on in its tests as their oracle.
 package core
 
 import (
@@ -22,30 +22,32 @@ import (
 	"repro/internal/rpki"
 )
 
-// tval is the Trie's per-node payload. Structural nodes exist only to
-// connect present nodes; a present node corresponds to a (prefix,
-// maxLength) tuple ("Each trie node corresponds to some (AS, prefix,
+// tnode is one vertex of a Trie: its children's slab indices, 0 where there
+// is none (node 0 is the root, nobody's child), and its payload. Structural
+// nodes exist only to connect present nodes; a present node corresponds to a
+// (prefix, maxLength) tuple ("Each trie node corresponds to some (AS, prefix,
 // maxLength)-tuple", §7.1). A node does not store its prefix — the prefix is
 // the path from the root, and traversals that need it rebuild it
 // incrementally with Prefix.Child.
-type tval struct {
-	value   uint8 // maxLength; meaningful only when present
-	present bool
+type tnode struct {
+	children [2]int32
+	value    uint8 // maxLength; meaningful only when present
+	present  bool
 }
 
 // Trie is the per-(origin AS, address family) prefix tree of §7.1. The trie
 // key of a node is the bit string of its prefix; node values are maxLengths.
 //
-// All nodes live in a single contiguous Engine slab (node 0 is the root),
-// so building a trie costs O(log nodes) slab growths rather than one heap
+// All nodes live in a single contiguous slab (node 0 is the root), so
+// building a trie costs O(log nodes) slab growths rather than one heap
 // allocation per prefix bit, and the whole structure is freed as one object.
 // Child slab indices are always greater than their parent's, which makes the
 // structure trivially acyclic.
 type Trie struct {
-	eng  Engine[tval]
-	fam  prefix.Family
-	as   rpki.ASN
-	size int // number of present nodes
+	nodes []tnode
+	fam   prefix.Family
+	as    rpki.ASN
+	size  int // number of present nodes
 }
 
 // NewTrie returns an empty trie for one origin AS and family.
@@ -59,16 +61,14 @@ func newTrieCap(as rpki.ASN, fam prefix.Family, hint int) *Trie {
 	if fam != prefix.IPv4 && fam != prefix.IPv6 {
 		panic(fmt.Sprintf("core: invalid family %d", fam))
 	}
-	t := &Trie{fam: fam, as: as}
-	t.eng.Init(hint, tval{})
-	return t
+	return &Trie{nodes: make([]tnode, 1, hint+1), fam: fam, as: as}
 }
 
 // Release drops the trie's node slab, so a pass over a full snapshot's tries
 // can let each go as it finishes with it. The trie must not be used
 // afterwards.
 func (t *Trie) Release() {
-	t.eng.Nodes = nil
+	t.nodes = nil
 	t.size = 0
 }
 
@@ -101,15 +101,25 @@ func (t *Trie) Insert(p prefix.Prefix, maxLength uint8) {
 	if maxLength < p.Len() || maxLength > p.MaxLen() {
 		panic(fmt.Sprintf("core: maxLength %d invalid for %s", maxLength, p))
 	}
-	n := &t.eng.Nodes[t.eng.PathInsert(0, p, tval{})]
-	if !n.Val.present {
-		n.Val.present = true
-		n.Val.value = maxLength
+	idx := int32(0)
+	for depth := uint8(0); depth < p.Len(); depth++ {
+		c := t.nodes[idx].children[p.Bit(depth)]
+		if c == 0 {
+			c = int32(len(t.nodes))
+			t.nodes = append(t.nodes, tnode{})
+			t.nodes[idx].children[p.Bit(depth)] = c
+		}
+		idx = c
+	}
+	n := &t.nodes[idx]
+	if !n.present {
+		n.present = true
+		n.value = maxLength
 		t.size++
 		return
 	}
-	if maxLength > n.Val.value {
-		n.Val.value = maxLength
+	if maxLength > n.value {
+		n.value = maxLength
 	}
 }
 
@@ -133,13 +143,27 @@ func (t *Trie) Tuples(dst []rpki.VRP) []rpki.VRP {
 	return dst
 }
 
-// Walk visits every present tuple in canonical order.
+// Walk visits every present tuple in canonical order: a pre-order walk that
+// pushes the 1-child under the 0-child, so the 0-child's subtree comes first.
 func (t *Trie) Walk(fn func(p prefix.Prefix, maxLength uint8)) {
-	t.eng.Walk(0, t.rootPrefix(), func(idx int32, p prefix.Prefix) {
-		if v := t.eng.Nodes[idx].Val; v.present {
-			fn(p, v.value)
+	type frame struct {
+		idx int32
+		pfx prefix.Prefix
+	}
+	stack := append(make([]frame, 0, maxDepth+1), frame{idx: 0, pfx: t.rootPrefix()})
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := &t.nodes[f.idx]
+		if n.present {
+			fn(f.pfx, n.value)
 		}
-	})
+		for bit := 1; bit >= 0; bit-- {
+			if c := n.children[bit]; c != 0 {
+				stack = append(stack, frame{idx: c, pfx: f.pfx.Child(uint8(bit))})
+			}
+		}
+	}
 }
 
 // Lookup returns the maxLength stored at exactly p, if present.
@@ -147,12 +171,14 @@ func (t *Trie) Lookup(p prefix.Prefix) (uint8, bool) {
 	if p.Family() != t.fam {
 		return 0, false
 	}
-	idx := t.eng.PathFind(0, p)
-	if idx < 0 {
-		return 0, false
+	idx := int32(0)
+	for depth := uint8(0); depth < p.Len(); depth++ {
+		if idx = t.nodes[idx].children[p.Bit(depth)]; idx == 0 {
+			return 0, false
+		}
 	}
-	if v := t.eng.Nodes[idx].Val; v.present {
-		return v.value, true
+	if n := &t.nodes[idx]; n.present {
+		return n.value, true
 	}
 	return 0, false
 }
@@ -165,15 +191,14 @@ func (t *Trie) Authorizes(q prefix.Prefix) bool {
 	}
 	idx := int32(0)
 	for depth := uint8(0); ; depth++ {
-		n := &t.eng.Nodes[idx]
-		if n.Val.present && n.Val.value >= q.Len() {
+		n := &t.nodes[idx]
+		if n.present && n.value >= q.Len() {
 			return true
 		}
 		if depth >= q.Len() {
 			return false
 		}
-		idx = n.Children[q.Bit(depth)]
-		if idx == NoChild {
+		if idx = n.children[q.Bit(depth)]; idx == 0 {
 			return false
 		}
 	}
@@ -205,17 +230,17 @@ func (t *Trie) CountAuthorized() uint64 {
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n := &t.eng.Nodes[f.idx]
+		n := &t.nodes[f.idx]
 		g := f.g
-		if n.Val.present && int16(n.Val.value) > g {
-			g = int16(n.Val.value)
+		if n.present && int16(n.value) > g {
+			g = int16(n.value)
 		}
 		l := int16(f.depth)
 		if l <= g {
 			total = satAdd(total, 1)
 		}
 		for bit := 0; bit < 2; bit++ {
-			if c := n.Children[bit]; c != NoChild {
+			if c := n.children[bit]; c != 0 {
 				stack = append(stack, countFrame{idx: c, g: g, depth: f.depth + 1})
 			} else if g > l {
 				// Tuple-free subtree fully authorized down to depth g:
@@ -241,7 +266,7 @@ func satAdd(a, b uint64) uint64 {
 
 // checkInvariants verifies structural soundness; used by tests.
 func (t *Trie) checkInvariants() error {
-	if t.eng.Len() == 0 {
+	if len(t.nodes) == 0 {
 		return fmt.Errorf("core: trie has no root (released?)")
 	}
 	count := 0
@@ -254,22 +279,22 @@ func (t *Trie) checkInvariants() error {
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n := &t.eng.Nodes[f.idx]
-		if n.pfxLenMismatch(f.pfx) {
+		n := &t.nodes[f.idx]
+		if (n.children[0] != 0 || n.children[1] != 0) && f.pfx.Len() >= f.pfx.MaxLen() {
 			return fmt.Errorf("core: node %d at %s exceeds family depth", f.idx, f.pfx)
 		}
-		if n.Val.present {
+		if n.present {
 			count++
-			if n.Val.value < f.pfx.Len() || n.Val.value > f.pfx.MaxLen() {
-				return fmt.Errorf("core: node %s has bad value %d", f.pfx, n.Val.value)
+			if n.value < f.pfx.Len() || n.value > f.pfx.MaxLen() {
+				return fmt.Errorf("core: node %s has bad value %d", f.pfx, n.value)
 			}
 		}
 		for bit := uint8(0); bit < 2; bit++ {
-			c := n.Children[bit]
-			if c == NoChild {
+			c := n.children[bit]
+			if c == 0 {
 				continue
 			}
-			if c <= f.idx || int(c) >= t.eng.Len() {
+			if c <= f.idx || int(c) >= len(t.nodes) {
 				return fmt.Errorf("core: child index %d of node %d out of order", c, f.idx)
 			}
 			visited++
@@ -279,16 +304,10 @@ func (t *Trie) checkInvariants() error {
 	if count != t.size {
 		return fmt.Errorf("core: size %d but %d present nodes", t.size, count)
 	}
-	if visited != t.eng.Len() {
-		return fmt.Errorf("core: %d nodes in slab but %d reachable", t.eng.Len(), visited)
+	if visited != len(t.nodes) {
+		return fmt.Errorf("core: %d nodes in slab but %d reachable", len(t.nodes), visited)
 	}
 	return nil
-}
-
-// pfxLenMismatch reports whether a node with children sits at the family's
-// maximum depth (its prefix could not have children).
-func (n *Node[V]) pfxLenMismatch(p prefix.Prefix) bool {
-	return (n.Children[0] != NoChild || n.Children[1] != NoChild) && p.Len() >= p.MaxLen()
 }
 
 // BuildTries partitions a VRP set into per-(AS, family) tries, the structure

@@ -205,7 +205,7 @@ func TestGroupNodeHintExact(t *testing.T) {
 			}
 			hint := groupNodeHint(g)
 			tr := buildGroupTrie(g)
-			actual := tr.eng.Len()
+			actual := len(tr.nodes)
 			if hint != actual {
 				t.Fatalf("group %s/%s (%d VRPs): hint %d != actual %d nodes",
 					g.AS, g.Family, len(g.VRPs), hint, actual)
@@ -244,8 +244,8 @@ func TestGroupNodeHintDuplicatesAndSingles(t *testing.T) {
 				t.Errorf("groupNodeHint(%v) = %d, want %d", c.vrps, got, c.want)
 			}
 			tr := buildGroupTrie(g)
-			if tr.eng.Len() != c.want {
-				t.Errorf("built trie for %v has %d nodes, want %d", c.vrps, tr.eng.Len(), c.want)
+			if len(tr.nodes) != c.want {
+				t.Errorf("built trie for %v has %d nodes, want %d", c.vrps, len(tr.nodes), c.want)
 			}
 			tr.Release()
 		}

@@ -207,7 +207,7 @@ func TestCompactAllocs(t *testing.T) {
 	}
 	got := tab.Snapshot()
 	for slot := range src.fams {
-		if c, n := cap(got.fams[slot].eng.Nodes), len(src.fams[slot].eng.Nodes); c != n+n/32+1 { // + node 0
+		if c, n := cap(got.fams[slot].nodes), len(src.fams[slot].nodes); c != n+n/32+1 { // + node 0
 			t.Fatalf("family %d: the rebuild's node slab holds %d cells, the slab it replaces %d", slot, c, n)
 		}
 	}
@@ -244,7 +244,7 @@ func TestIndexBuildAllocs(t *testing.T) {
 	}
 	retained := uint64(unsafe.Sizeof(*ix)) + uint64(cap(ix.entries))*uint64(unsafe.Sizeof(entry{}))
 	for slot := range ix.fams {
-		nodes := ix.fams[slot].eng.Nodes
+		nodes := ix.fams[slot].nodes
 		retained += uint64(cap(nodes)) * uint64(unsafe.Sizeof(nodes[0]))
 	}
 	var before, after runtime.MemStats

@@ -198,7 +198,7 @@ func acrossCompaction(tb testing.TB, tab *Table) (last, compacted, first *Index)
 	compacted = tab.Snapshot()
 	tab.Apply(clustered8(the21, 64601), held)
 	first = tab.Snapshot()
-	if last.fams[0].eng.SharedArena(&compacted.fams[0].eng) {
+	if last.fams[0].sameLineage(&compacted.fams[0]) {
 		tb.Fatal("the compaction did not publish")
 	}
 	return last, compacted, first
@@ -260,7 +260,9 @@ func BenchmarkTableCompact(b *testing.B) {
 // its parent, the previous one, as an RTR cache does for a router one serial
 // behind: roa_change's clustered delta on one lineage (shared), and a delta
 // published right after a compaction (acrossCompaction), which Diff used to
-// answer by the full dual walk.
+// answer by the full dual walk. The cold case diffs an empty table against
+// today's, the first delivery of every cold start: one pre-order walk of the
+// whole table, as the subtree only one side holds.
 func BenchmarkSnapshotDiff(b *testing.B) {
 	for _, n := range []int{1, 16, 256} {
 		l := NewLiveIndex(benchSet())
@@ -288,6 +290,18 @@ func BenchmarkSnapshotDiff(b *testing.B) {
 	}
 	tab := NewTable(todayTable(b))
 	old := tab.Snapshot()
+	// A cold start's first delivery: the supervisor's empty table against the
+	// session's first, all of it a subtree only one side holds.
+	empty := NewIndex(rpki.NewSet(nil))
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ann, wd := Diff(empty, old)
+			if len(ann) != todaySize || len(wd) != 0 {
+				b.Fatalf("diff %d/%d, want %d/0", len(ann), len(wd), todaySize)
+			}
+		}
+	})
 	tab.Apply(clustered8(the21, 64511), nil)
 	nw := tab.Snapshot()
 	last, _, first := acrossCompaction(b, tab)

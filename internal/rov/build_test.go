@@ -29,28 +29,31 @@ func todayTable(tb testing.TB) []rpki.VRP {
 }
 
 // insertLoopIndex is the build newIndexFromVRPs replaced, kept as its
-// reference: every VRP inserted by a descent from the root (PathInsert) into
-// a slab hinted at one node per VRP, then the same two-pass span fill.
+// reference: every VRP inserted by a descent from the root into a slab hinted
+// at one node per VRP, then the same two-pass span fill.
 func insertLoopIndex(vrps []rpki.VRP) *Index {
 	ix := &Index{version: versions.Add(1)}
 	for _, v := range vrps {
 		ix.fams[famSlot(v.Prefix.Family())].size++
 	}
 	for slot := range ix.fams {
-		ix.fams[slot].eng.Init(ix.fams[slot].size, span{})
+		ix.fams[slot].nodes = make([]node, 1, ix.fams[slot].size+1)
 	}
 	terms := make([]int32, 0, len(vrps))
 	for _, v := range vrps {
 		f := &ix.fams[famSlot(v.Prefix.Family())]
-		idx := f.eng.PathInsert(f.root, v.Prefix, span{})
-		f.eng.Nodes[idx].Val.n++
+		idx := f.root
+		for depth := uint8(0); depth < v.Prefix.Len(); depth++ {
+			idx = f.ensure(idx, v.Prefix.Bit(depth))
+		}
+		f.nodes[idx].val.n++
 		terms = append(terms, idx)
 	}
 	off := int32(0)
 	for slot := range ix.fams {
-		nodes := ix.fams[slot].eng.Nodes
+		nodes := ix.fams[slot].nodes
 		for j := range nodes {
-			sp := &nodes[j].Val
+			sp := &nodes[j].val
 			sp.off = off
 			off += sp.n
 			sp.n = 0
@@ -59,7 +62,7 @@ func insertLoopIndex(vrps []rpki.VRP) *Index {
 	ix.entries = make([]entry, off)
 	for i, v := range vrps {
 		f := &ix.fams[famSlot(v.Prefix.Family())]
-		sp := &f.eng.Nodes[terms[i]].Val
+		sp := &f.nodes[terms[i]].val
 		e := entry{maxLength: v.MaxLength, as: v.AS}
 		if slices.Contains(ix.entries[sp.off:sp.off+sp.n], e) {
 			f.size--
@@ -80,8 +83,8 @@ func checkSameSlabs(t *testing.T, name string, got, want *Index) {
 		if g.root != w.root || g.size != w.size {
 			t.Fatalf("%s, family %d: root %d size %d, want %d and %d", name, slot, g.root, g.size, w.root, w.size)
 		}
-		if !slices.Equal(g.eng.Nodes, w.eng.Nodes) {
-			t.Fatalf("%s, family %d: %d nodes, not the %d wanted cell for cell", name, slot, len(g.eng.Nodes), len(w.eng.Nodes))
+		if !slices.Equal(g.nodes, w.nodes) {
+			t.Fatalf("%s, family %d: %d nodes, not the %d wanted cell for cell", name, slot, len(g.nodes), len(w.nodes))
 		}
 	}
 	if !slices.Equal(got.entries, want.entries) {
@@ -196,8 +199,8 @@ func TestIndexBuildMatchesInsertLoop(t *testing.T) {
 // summed.
 func nodeCaps(ix *Index) (capacity, length int) {
 	for slot := range ix.fams {
-		capacity += cap(ix.fams[slot].eng.Nodes)
-		length += len(ix.fams[slot].eng.Nodes)
+		capacity += cap(ix.fams[slot].nodes)
+		length += len(ix.fams[slot].nodes)
 	}
 	return capacity, length
 }
@@ -214,7 +217,7 @@ func TestIndexBuildCapacity(t *testing.T) {
 		tab := NewTable(orders[name])
 		ix := tab.Snapshot()
 		for slot := range ix.fams {
-			if n, c := len(ix.fams[slot].eng.Nodes), cap(ix.fams[slot].eng.Nodes); c > n+n/64+64 {
+			if n, c := len(ix.fams[slot].nodes), cap(ix.fams[slot].nodes); c > n+n/64+64 {
 				t.Errorf("%s, family %d: slab of %d nodes for %d", name, slot, c, n)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
@@ -16,8 +15,8 @@ import (
 //     VRP-carrying prefixes, and stores its full key, so one xor-shift
 //     compare verifies an entire compressed edge. A lookup hops O(branch
 //     points), not O(prefix bits). Nodes live in one slab per family, with
-//     int32 child indices as in core.Engine, node 0 the root and the NoChild
-//     sentinel.
+//     int32 child indices as in the bit trie (index.go): node 0 is the root,
+//     and a 0 child means none.
 //
 //  2. A per-family stride table + aggregated spans: the top of a real VRP
 //     table is maximally branchy (at 50k random prefixes essentially every
@@ -72,13 +71,7 @@ type cnode struct {
 }
 
 // key returns the node's key as a Prefix.
-func (n *cnode) key(fam prefix.Family) prefix.Prefix {
-	p, err := prefix.Make(fam, n.hi, n.lo, n.plen)
-	if err != nil {
-		panic(err) // unreachable: node keys are built from valid prefixes
-	}
-	return p
-}
+func (n *cnode) key(fam prefix.Family) prefix.Prefix { return keyPrefix(fam, n.hi, n.lo, n.plen) }
 
 // cslot is one stride-table slot: the aggregated span of the deepest trie
 // prefix of length <= stride covering the slot (serves queries shorter than
@@ -157,7 +150,7 @@ func buildFamCompact(f *famCompact, src *famIndex, srcEntries []entry, entries *
 	// makes pass 2 append into place instead of relocating a slab that ends up
 	// many times the VRP count.
 	type keptFrame struct {
-		idx    int32  // in src.eng.Nodes
+		idx    int32  // in src.nodes
 		plen   uint8  // the path walked to idx: its length and,
 		hi, lo uint64 // left-aligned, its bits
 		above  int32  // the last kept node on that path, in f.nodes
@@ -170,24 +163,24 @@ func buildFamCompact(f *famCompact, src *famIndex, srcEntries []entry, entries *
 	// The frame in hand, one variable a field: the loop runs out of registers.
 	idx, plen, hi, lo, above, agg := src.root, uint8(0), uint64(0), uint64(0), int32(0), int32(0)
 	for idx >= 0 {
-		nd := src.eng.Nodes[idx]
-		c0, c1 := nd.Children[0], nd.Children[1]
-		if plen == 0 || nd.Val.n > 0 || (c0 != core.NoChild && c1 != core.NoChild) {
+		nd := src.nodes[idx]
+		c0, c1 := nd.children[0], nd.children[1]
+		if plen == 0 || nd.val.n > 0 || (c0 != 0 && c1 != 0) {
 			if plen == 0 {
-				f.nodes[0].span = cspan(nd.Val)
+				f.nodes[0].span = cspan(nd.val)
 			} else {
 				k := int32(len(f.nodes))
-				f.nodes = append(f.nodes, cnode{hi: hi, lo: lo, plen: plen, span: cspan(nd.Val)})
+				f.nodes = append(f.nodes, cnode{hi: hi, lo: lo, plen: plen, span: cspan(nd.val)})
 				up := &f.nodes[above]
-				up.children[core.AddrBit(hi, lo, up.plen)] = k
+				up.children[addrBit(hi, lo, up.plen)] = k
 				above = k
 			}
-			agg += nd.Val.n
+			agg += nd.val.n
 			total += int(agg)
 		}
-		if c1 != core.NoChild {
+		if c1 != 0 {
 			hi1, lo1 := oneChildKey(hi, lo, plen)
-			if c0 == core.NoChild {
+			if c0 == 0 {
 				idx, plen, hi, lo = c1, plen+1, hi1, lo1
 				continue
 			}
@@ -195,7 +188,7 @@ func buildFamCompact(f *famCompact, src *famIndex, srcEntries []entry, entries *
 			top++
 		}
 		switch {
-		case c0 != core.NoChild:
+		case c0 != 0:
 			idx, plen = c0, plen+1
 		case top > 0:
 			top--
@@ -253,11 +246,11 @@ func buildFamCompact(f *famCompact, src *famIndex, srcEntries []entry, entries *
 			}
 		case nd.plen == f.stride:
 			f.slots[s] = cslot{span: agg, root: fr.idx}
-		case f.slots[s].root == core.NoChild:
+		case f.slots[s].root == 0:
 			f.slots[s].root = fr.idx
 		}
 		for bit := 1; bit >= 0; bit-- {
-			if c := nd.children[bit]; c != core.NoChild {
+			if c := nd.children[bit]; c != 0 {
 				stack = append(stack, aggFrame{idx: c, parent: agg})
 			}
 		}
@@ -279,13 +272,13 @@ func (f *famCompact) validateCompact(entries []centry, p prefix.Prefix, origin r
 	qlen := p.Len()
 	sl := &f.slots[qhi>>f.shift]
 	sp := sl.span
-	if idx := sl.root; idx != core.NoChild {
+	if idx := sl.root; idx != 0 {
 		nodes := f.nodes
 		n := &nodes[idx]
 		for n.plen <= qlen && keyMatch(n.hi, n.lo, qhi, qlo, n.plen) {
 			sp = n.span
-			c := n.children[core.AddrBit(qhi, qlo, n.plen)]
-			if c == core.NoChild {
+			c := n.children[addrBit(qhi, qlo, n.plen)]
+			if c == 0 {
 				break
 			}
 			n = &nodes[c]

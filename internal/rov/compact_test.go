@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
@@ -85,7 +84,7 @@ func preorder(f *famCompact) []int32 {
 		stack = stack[:len(stack)-1]
 		out = append(out, idx)
 		for bit := 1; bit >= 0; bit-- {
-			if c := f.nodes[idx].children[bit]; c != core.NoChild {
+			if c := f.nodes[idx].children[bit]; c != 0 {
 				stack = append(stack, c)
 			}
 		}
@@ -198,7 +197,7 @@ func TestCompactFromIndexRandom(t *testing.T) {
 			k := nd.key(fam)
 			kids := 0
 			for bit, c := range nd.children {
-				if c == core.NoChild {
+				if c == 0 {
 					continue
 				}
 				kids++

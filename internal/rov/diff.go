@@ -3,7 +3,6 @@ package rov
 import (
 	"slices"
 
-	"repro/internal/core"
 	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
@@ -15,14 +14,15 @@ import (
 // it: the pair an RTR cache answers for a router one serial behind, and a
 // follower delivers after a sync, costs a copy of that delta, compaction or
 // not. Any other pair is walked in lockstep, skipping every subtree the two
-// provably share: snapshots between two rebuilds of a Table share their arena
+// provably share: snapshots between two rebuilds of a Table share their slab
 // lineage, so that walk is O(changed · prefix bits). Across a build — a
 // compaction, ResetTo, a first full sync — they share nothing provable, as two
 // different caches' tables do, and pay a linear dual walk of what both hold
-// (≈ 4 ms at 33,615 VRPs); a subtree one side lacks costs a walk of the other.
-// Either way the result is exact, which lets an RTR cache synthesize the update
-// between any two retained serials, and a failover reconcile a carried table
-// against a new cache by delta instead of a rebuild.
+// (≈ 4 ms at 33,615 VRPs); a subtree one side lacks costs the other side's
+// pre-order walk, the one VisitVRPs takes. Either way the result is exact,
+// which lets an RTR cache synthesize the update between any two retained
+// serials, and a failover reconcile a carried table against a new cache by
+// delta instead of a rebuild.
 
 // Diff returns the delta that transforms old's table into nw's: announced
 // holds the VRPs present only in nw, withdrawn the VRPs present only in old.
@@ -55,7 +55,13 @@ func diffOrder(a, b rpki.VRP) int {
 	return a.Compare(b)
 }
 
-// walkDiff is Diff by the lockstep walk, whatever the two versions.
+// walkDiff is Diff by the lockstep walk, whatever the two versions. It
+// carries a node pair and their key down both tries at once, in pre-order;
+// -1 marks the side a subtree is absent from, and that subtree, the other
+// side's alone, goes to that side's walk whole. In one lineage a child pair of
+// equal indices is one subtree, and it is skipped without descending; so is a
+// node pair whose spans are the same cells of the shared entry slab — a node
+// cloned for a descendant's update, its own entries untouched.
 func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	// The sizes bound one side's result from below: a capacity hint, exact
 	// against an empty table; equal sizes allocate nothing until they differ.
@@ -64,28 +70,64 @@ func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	} else if grew < 0 {
 		withdrawn = make([]rpki.VRP, 0, -grew)
 	}
+	onlyOld := func(p prefix.Prefix, sp span) bool {
+		withdrawn = appendEntryDiff(withdrawn, p, old.entries[sp.off:sp.off+sp.n], nil)
+		return true
+	}
+	onlyNew := func(p prefix.Prefix, sp span) bool {
+		announced = appendEntryDiff(announced, p, nw.entries[sp.off:sp.off+sp.n], nil)
+		return true
+	}
+	type pair struct {
+		a, b   int32 // in old's and nw's node slab; -1 where absent
+		plen   uint8
+		hi, lo uint64
+	}
 	for slot := range old.fams {
 		fo, fn := &old.fams[slot], &nw.fams[slot]
-		shared := fo.eng.SharedArena(&fn.eng)
-		core.DiffWalk(&fo.eng, &fn.eng, fo.root, fn.root, rootPrefix(slot), func(ai, bi int32, p prefix.Prefix) {
-			var spo, spn span
-			if ai >= 0 {
-				spo = fo.eng.Nodes[ai].Val
+		fam, shared := slotFamily(slot), fo.sameLineage(fn)
+		if shared && fo.root == fn.root {
+			continue
+		}
+		var pending [129]pair // the 1-children waiting above the deepest node, and its two
+		pending[0] = pair{a: fo.root, b: fn.root}
+		for top := 1; top > 0; {
+			top--
+			at := pending[top]
+			switch {
+			case at.b < 0:
+				fo.walk(fam, at.a, at.hi, at.lo, at.plen, onlyOld)
+				continue
+			case at.a < 0:
+				fn.walk(fam, at.b, at.hi, at.lo, at.plen, onlyNew)
+				continue
 			}
-			if bi >= 0 {
-				spn = fn.eng.Nodes[bi].Val
+			na, nb := &fo.nodes[at.a], &fn.nodes[at.b]
+			if spo, spn := na.val, nb.val; (spo.n > 0 || spn.n > 0) && !(shared && spo == spn) {
+				p := keyPrefix(fam, at.hi, at.lo, at.plen)
+				eo, en := old.entries[spo.off:spo.off+spo.n], nw.entries[spn.off:spn.off+spn.n]
+				announced = appendEntryDiff(announced, p, en, eo)
+				withdrawn = appendEntryDiff(withdrawn, p, eo, en)
 			}
-			if spo.n == 0 && spn.n == 0 || shared && spo == spn {
-				// Nothing here on either side (most nodes of a full walk), or
-				// the same span cells in the shared entry slab: this node was
-				// cloned for a descendant's update, its payload is untouched.
-				return
+			for bit := 1; bit >= 0; bit-- { // the 0-child on top: it is next
+				ca, cb := na.children[bit], nb.children[bit]
+				if ca == cb && (ca == 0 || shared) {
+					continue // absent on both sides, or one subtree
+				}
+				next := pair{a: ca, b: cb, plen: at.plen + 1, hi: at.hi, lo: at.lo}
+				if ca == 0 {
+					next.a = -1
+				}
+				if cb == 0 {
+					next.b = -1
+				}
+				if bit == 1 {
+					next.hi, next.lo = oneChildKey(at.hi, at.lo, at.plen)
+				}
+				pending[top] = next
+				top++
 			}
-			eo := old.entries[spo.off : spo.off+spo.n]
-			en := nw.entries[spn.off : spn.off+spn.n]
-			announced = appendEntryDiff(announced, p, en, eo)
-			withdrawn = appendEntryDiff(withdrawn, p, eo, en)
-		})
+		}
 	}
 	return announced, withdrawn
 }

@@ -178,7 +178,7 @@ func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 	emptied := l.Snapshot()
 	l.Apply(nil, next)
 	l.Apply(next, nil)
-	if l.Snapshot().fams[0].eng.SharedArena(&emptied.fams[0].eng) {
+	if l.Snapshot().fams[0].sameLineage(&emptied.fams[0]) {
 		t.Fatal("a first full sync was path-copied, not built")
 	}
 	checkDiffAgainstNaive(t, emptied, l.Snapshot())
@@ -192,7 +192,7 @@ func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 	ann = append(ann, ann[0])
 	wd := append([]rpki.VRP{ann[1], markerVRP(3)}, next[10:50]...)
 	l.Apply(ann, wd)
-	if !before.fams[0].eng.SharedArena(&l.Snapshot().fams[0].eng) {
+	if !before.fams[0].sameLineage(&l.Snapshot().fams[0]) {
 		t.Fatalf("%d operations into %d VRPs were rebuilt, not path-copied", len(ann)+len(wd), before.Len())
 	}
 	applied := map[rpki.VRP]bool{}
@@ -218,7 +218,7 @@ func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 	waitCompactor(t, &l.tab)
 	cur := l.Snapshot()
 	l.tab.compact(cur, nil)
-	if compacted := l.Snapshot(); compacted.version != cur.version || compacted.fams[0].eng.SharedArena(&cur.fams[0].eng) {
+	if compacted := l.Snapshot(); compacted.version != cur.version || compacted.fams[0].sameLineage(&cur.fams[0]) {
 		t.Fatal("the compaction did not publish its rebuild in the snapshot's place")
 	}
 	checkDiffAgainstNaive(t, before, l.Snapshot())
@@ -312,13 +312,13 @@ func TestDiffOfParentEqualsWalk(t *testing.T) {
 	}
 }
 
-// TestDiffOneSidedSubtrees pins what DiffWalk hands over to a single-trie walk
-// — a subtree only one side holds: everything under an empty table, a /12
-// block one table lacks — to the sorted-set difference, in order. Every span
-// of the table was filled in descending (AS, MaxLength) order, so an output
-// that kept span order instead of sorting within a prefix would show; the
-// pairs are taken over independent arenas and within one lineage, both ways
-// round.
+// TestDiffOneSidedSubtrees pins what the lockstep walk hands over to the
+// pre-order walk — a subtree only one side holds: everything under an empty
+// table, a /12 block one table lacks — to the sorted-set difference, in
+// order. Every span of the table was filled in descending (AS, MaxLength)
+// order, so an output that kept span order instead of sorting within a prefix
+// would show; the pairs are taken over independent builds and within one
+// lineage, both ways round.
 func TestDiffOneSidedSubtrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	block := mp("10.16.0.0/12")
@@ -365,9 +365,104 @@ func TestDiffOneSidedSubtrees(t *testing.T) {
 	without := tab.Snapshot()
 	pathCopy(tab, inBlock, nil)
 	with := tab.Snapshot()
-	if !none.fams[0].eng.SharedArena(&with.fams[0].eng) {
+	if !none.fams[0].sameLineage(&with.fams[0]) {
 		t.Fatal("the path-copied snapshots do not share a lineage")
 	}
 	check("lineage/empty", none, with)
 	check("lineage/block", without, with)
+}
+
+// TestSharedArena pins the lineage Diff's skip rule rests on: a build starts
+// one, a path-copied delta carries its parent's, and nothing else shares it —
+// not a zero index, not an independent build of the same set, not a
+// compaction's rebuild, which keeps the version it replaces but not its slabs.
+func TestSharedArena(t *testing.T) {
+	var zero famIndex
+	if zero.sameLineage(&zero) {
+		t.Fatal("a zero trie shares a lineage")
+	}
+	rng := rand.New(rand.NewSource(61))
+	table := randomTable(rng, 200)
+	tab := NewTable(table)
+	built := tab.Snapshot()
+	for slot := range built.fams {
+		if f := &built.fams[slot]; !f.sameLineage(f) {
+			t.Fatalf("family %d of a build does not share its own lineage", slot)
+		}
+	}
+	if other := newIndexFromVRPs(table, nil); built.fams[0].sameLineage(&other.fams[0]) {
+		t.Fatal("two builds of one set share a lineage")
+	}
+	pathCopy(tab, randomTable(rng, 5), nil)
+	copied := tab.Snapshot()
+	if !built.fams[0].sameLineage(&copied.fams[0]) || !built.fams[1].sameLineage(&copied.fams[1]) {
+		t.Fatal("a path-copied snapshot left its parent's lineage")
+	}
+	tab.compact(copied, nil)
+	if compacted := tab.Snapshot(); compacted.version != copied.version || compacted.fams[0].sameLineage(&copied.fams[0]) {
+		t.Fatal("the compaction's rebuild did not start a lineage of its own under the version it replaced")
+	}
+	tab.ResetTo(table)
+	if tab.Snapshot().fams[0].sameLineage(&copied.fams[0]) {
+		t.Fatal("ResetTo kept the replaced table's lineage")
+	}
+}
+
+// TestDiffWalkSharedArenaVisitsOnlyCopiedPaths pins the skip rule: within one
+// lineage, the walk descends only where the two snapshots' node indices part,
+// the paths a delta copied. Two independent builds with the same prefixes, in
+// the same order, lay out the same nodes at the same indices over different
+// entries; with one build's lineage forged onto the other, equal indices hide
+// those differences, and a walk that skipped nothing would report them. All
+// Diff may report is what the delta's copied path leads to.
+func TestDiffWalkSharedArenaVisitsOnlyCopiedPaths(t *testing.T) {
+	var a, b []rpki.VRP
+	for i, s := range []string{"10.0.0.0/8", "10.32.0.0/11", "192.168.0.0/16", "2001:db8::/32"} {
+		p := mp(s)
+		a = append(a, rpki.VRP{Prefix: p, MaxLength: p.Len(), AS: 1})
+		b = append(b, rpki.VRP{Prefix: p, MaxLength: p.Len(), AS: 2}, rpki.VRP{Prefix: p, MaxLength: p.Len() + uint8(i), AS: 3})
+	}
+	old, tab := newIndexFromVRPs(a, nil), NewTable(b)
+	for slot, f := range tab.Snapshot().fams {
+		if !slices.EqualFunc(old.fams[slot].nodes, f.nodes, func(x, y node) bool { return x.children == y.children }) {
+			t.Fatalf("family %d: the two builds lay out different nodes", slot)
+		}
+	}
+	added := rpki.VRP{Prefix: mp("203.0.113.0/24"), MaxLength: 24, AS: 4}
+	pathCopy(tab, []rpki.VRP{added}, nil)
+	nw := tab.Snapshot()
+	checkDiffAgainstNaive(t, old, nw) // the builds differ at every prefix
+
+	old.fams[0].lineage, old.fams[1].lineage = nw.fams[0].lineage, nw.fams[1].lineage
+	if announced, withdrawn := Diff(old, nw); !slices.Equal(announced, []rpki.VRP{added}) || len(withdrawn) != 0 {
+		t.Fatalf("over one forged lineage, Diff is +%v -%v; want only +%v, the copied path's", announced, withdrawn, added)
+	}
+	// Equal roots in one lineage: nothing to walk at all.
+	nw.fams[0].root = old.fams[0].root
+	if announced, withdrawn := Diff(old, nw); len(announced)+len(withdrawn) != 0 {
+		t.Fatalf("equal roots in one lineage: Diff is +%v -%v, want nothing", announced, withdrawn)
+	}
+}
+
+// TestDiffWalkIndependentArenasFullUnion pins the walk across lineages: two
+// independent builds share nothing provable, so every node of either is
+// visited — a prefix only one holds is announced or withdrawn whole, one both
+// hold by the entries that differ — in Diff's order.
+func TestDiffWalkIndependentArenasFullUnion(t *testing.T) {
+	onlyA := rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 1}
+	onlyB := rpki.VRP{Prefix: mp("11.0.0.0/8"), MaxLength: 8, AS: 1}
+	bothA := rpki.VRP{Prefix: mp("192.0.2.0/24"), MaxLength: 24, AS: 1}
+	bothB := rpki.VRP{Prefix: mp("192.0.2.0/24"), MaxLength: 24, AS: 2}
+	same := rpki.VRP{Prefix: mp("2001:db8::/32"), MaxLength: 48, AS: 3}
+	a := NewIndex(rpki.NewSet([]rpki.VRP{onlyA, bothA, same}))
+	b := NewIndex(rpki.NewSet([]rpki.VRP{onlyB, bothB, same}))
+	if a.fams[0].sameLineage(&b.fams[0]) {
+		t.Fatal("independent builds share a lineage")
+	}
+	announced, withdrawn := Diff(a, b)
+	if !slices.Equal(announced, []rpki.VRP{onlyB, bothB}) || !slices.Equal(withdrawn, []rpki.VRP{onlyA, bothA}) {
+		t.Fatalf("Diff is +%v -%v; want +%v -%v", announced, withdrawn, []rpki.VRP{onlyB, bothB}, []rpki.VRP{onlyA, bothA})
+	}
+	checkDiffAgainstNaive(t, a, b)
+	checkDiffAgainstNaive(t, b, a)
 }

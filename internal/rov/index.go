@@ -4,19 +4,20 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
 
-// This file is the serving-path validator: an instance of the core arena
-// engine whose per-node payload is a {off, n} span into a parallel value
-// slab of VRP entries. Building an Index is O(nodes) slab appends — two
-// passes over the VRP list, each insert starting on the previous one's path,
-// into slabs sized once when the list is in order — and Validate walks two
-// contiguous arrays (the node slab down the ancestor path, the entry slab
-// across each span), so a router serving millions of origin-validation
-// queries reads cache-adjacent memory.
+// This file is the serving-path validator: a bit trie kept as one slab of
+// nodes a family, with int32 child indices, whose per-node payload is a
+// {off, n} span into a parallel value slab of VRP entries. Building an Index
+// is O(nodes) slab appends — two passes over the VRP list, each insert
+// starting on the previous one's path, into slabs sized once when the list is
+// in order — and Validate walks two contiguous arrays (the node slab down the
+// ancestor path, the entry slab across each span), so a router serving
+// millions of origin-validation queries reads cache-adjacent memory. An
+// append may move a slab, so code that grows one holds node indices across
+// the append, never a node's address (README, invariant 2).
 
 // entry is one VRP payload at a trie node: the node's prefix is implied by
 // its position, so only maxLength and origin AS remain.
@@ -25,21 +26,65 @@ type entry struct {
 	as        rpki.ASN
 }
 
-// span is the engine payload: the node's entries live at
+// span is a node's payload: the node's entries live at
 // Index.entries[off : off+n]. The zero span is empty.
 type span struct {
 	off int32
 	n   int32
 }
 
-// famIndex is one address family's trie: an engine slab, the root's slab
-// index and the number of VRPs under it. Freshly built indexes root at node
-// 0; Table snapshots root at whatever node the last path-copied update
-// produced.
+// node is one vertex of a family's bit trie: its children's slab indices and
+// its span. Node 0 is reserved — a build's root, a dead placeholder once a
+// delta reroots the family — and is never anyone's child, so a 0 child means
+// none, and a node appended zero is born with no children and no entries.
+type node struct {
+	children [2]int32
+	val      span
+}
+
+// famIndex is one address family's trie: its node slab, the root's slab
+// index, the number of VRPs under it, and the slab's lineage. Freshly built
+// indexes root at node 0; Table snapshots root at whatever node the last
+// path-copied update produced.
+//
+// lineage names the build the slab grew from — its version, unique in the
+// process; 0 shares with nothing. A delta copies it into its snapshot with the
+// slab, and a rebuild starts a new one. (The slab's base pointer cannot serve:
+// an append may move it without changing a node index.) Since a delta writes
+// only nodes it appended, before it publishes them, two snapshots of one
+// lineage hold the same subtree at an equal node index: walkDiff skips it.
 type famIndex struct {
-	eng  core.Engine[span]
-	root int32
-	size int
+	nodes   []node
+	root    int32
+	size    int
+	lineage uint64
+}
+
+// sameLineage reports whether f and o are snapshots of one slab's history.
+func (f *famIndex) sameLineage(o *famIndex) bool {
+	return f.lineage != 0 && f.lineage == o.lineage
+}
+
+// ensure returns the bit-child of node idx, appending an empty one if there
+// is none.
+func (f *famIndex) ensure(idx int32, bit uint8) int32 {
+	c := f.nodes[idx].children[bit]
+	if c == 0 {
+		c = int32(len(f.nodes))
+		f.nodes = append(f.nodes, node{})
+		f.nodes[idx].children[bit] = c
+	}
+	return c
+}
+
+// addrBit returns bit i (0 = most significant) of a left-aligned 128-bit
+// address. Unlike Prefix.Bit it does no family bounds check: callers on hot
+// paths guarantee i < MaxLen themselves.
+func addrBit(hi, lo uint64, i uint8) uint8 {
+	if i < 64 {
+		return uint8(hi >> (63 - i) & 1)
+	}
+	return uint8(lo >> (127 - i) & 1)
 }
 
 // Index answers RFC 6811 queries in O(route prefix length). Build one with
@@ -55,7 +100,8 @@ type Index struct {
 	fams    [2]famIndex // famSlot order: IPv4, IPv6
 	entries []entry     // shared value slab, addressed by node spans
 
-	// version names the VRP set held, uniquely in the process (see Diff).
+	// version names the VRP set held, uniquely in the process (see Diff); a
+	// build's version is also its slabs' lineage.
 	// parent is the version a path-copied delta started from, 0 after a build,
 	// and announced and withdrawn are the delta's net effect in diffOrder.
 	version, parent      uint64
@@ -88,13 +134,7 @@ func NewIndex(s *rpki.Set) *Index {
 }
 
 // rootPrefix is the /0 of the slot's family: the prefix of a family's root.
-func rootPrefix(slot int) prefix.Prefix {
-	p, err := prefix.Make(slotFamily(slot), 0, 0, 0)
-	if err != nil {
-		panic(err) // unreachable: slotFamily yields valid families
-	}
-	return p
-}
+func rootPrefix(slot int) prefix.Prefix { return keyPrefix(slotFamily(slot), 0, 0, 0) }
 
 // finger is how this package walks a list of prefixes down one family's trie:
 // an operation descends not from the root but from where its prefix parts ways
@@ -157,10 +197,11 @@ func newIndexFromVRPs(vrps []rpki.VRP, floor *Index) *Index {
 			hint = n + n/64 + 64
 		}
 		if floor != nil {
-			n := len(floor.fams[slot].eng.Nodes)
+			n := len(floor.fams[slot].nodes)
 			hint = max(hint, n+n/32)
 		}
-		ix.fams[slot].eng.Init(hint, span{})
+		ix.fams[slot].nodes = make([]node, 1, hint+1)
+		ix.fams[slot].lineage = ix.version
 	}
 	prev = roots
 	var paths [2][129]int32 // at [slot][d], the node of prev's ancestor of length d
@@ -171,18 +212,18 @@ func newIndexFromVRPs(vrps []rpki.VRP, floor *Index) *Index {
 		depth := prefix.CommonPrefixLen(prev[slot], p)
 		idx := path[depth] // path[0] is the root: node 0
 		for ; depth < p.Len(); depth++ {
-			idx = f.eng.Ensure(idx, p.Bit(depth), span{})
+			idx = f.ensure(idx, p.Bit(depth))
 			path[depth+1] = idx
 		}
 		prev[slot] = p
-		f.eng.Nodes[idx].Val.n++
+		f.nodes[idx].val.n++
 		terms = append(terms, idx)
 	}
 	off := int32(0)
 	for slot := range ix.fams {
-		nodes := ix.fams[slot].eng.Nodes
+		nodes := ix.fams[slot].nodes
 		for j := range nodes {
-			sp := &nodes[j].Val
+			sp := &nodes[j].val
 			sp.off = off
 			off += sp.n
 			sp.n = 0 // reused as the fill cursor below
@@ -195,7 +236,7 @@ func newIndexFromVRPs(vrps []rpki.VRP, floor *Index) *Index {
 	ix.entries = make([]entry, off, room)
 	for i, v := range vrps {
 		f := &ix.fams[famSlot(v.Prefix.Family())]
-		sp := &f.eng.Nodes[terms[i]].Val
+		sp := &f.nodes[terms[i]].val
 		e := entry{maxLength: v.MaxLength, as: v.AS}
 		if slices.Contains(ix.entries[sp.off:sp.off+sp.n], e) {
 			f.size-- // the reserved cell stays unused past the span's end
@@ -214,11 +255,11 @@ func (ix *Index) Len() int { return ix.fams[0].size + ix.fams[1].size }
 // on the ancestor path covers p by construction, so the state tightens from
 // NotFound to Invalid at the first non-empty span and to Valid at the first
 // matching entry. Allocation-free: TestValidateAllocs runs every statement.
-func validateOn(nodes []core.Node[span], root int32, entries []entry, p prefix.Prefix, origin rpki.ASN) State {
+func validateOn(nodes []node, root int32, entries []entry, p prefix.Prefix, origin rpki.ASN) State {
 	state := NotFound
 	idx := root
 	for depth := uint8(0); ; depth++ {
-		sp := nodes[idx].Val
+		sp := nodes[idx].val
 		if sp.n > 0 {
 			state = Invalid
 			for _, e := range entries[sp.off : sp.off+sp.n] {
@@ -230,8 +271,7 @@ func validateOn(nodes []core.Node[span], root int32, entries []entry, p prefix.P
 		if depth >= p.Len() {
 			return state
 		}
-		idx = nodes[idx].Children[p.Bit(depth)]
-		if idx == core.NoChild {
+		if idx = nodes[idx].children[p.Bit(depth)]; idx == 0 {
 			return state
 		}
 	}
@@ -244,7 +284,7 @@ func (ix *Index) Validate(p prefix.Prefix, origin rpki.ASN) State {
 		return NotFound
 	}
 	f := &ix.fams[famSlot(p.Family())]
-	return validateOn(f.eng.Nodes, f.root, ix.entries, p, origin)
+	return validateOn(f.nodes, f.root, ix.entries, p, origin)
 }
 
 // ValidateBatch classifies every route in one pass, writing states into dst
@@ -257,8 +297,8 @@ func (ix *Index) ValidateBatch(routes []Route, dst []State) []State {
 	} else {
 		dst = dst[:len(routes)]
 	}
-	n4, r4 := ix.fams[0].eng.Nodes, ix.fams[0].root
-	n6, r6 := ix.fams[1].eng.Nodes, ix.fams[1].root
+	n4, r4 := ix.fams[0].nodes, ix.fams[0].root
+	n6, r6 := ix.fams[1].nodes, ix.fams[1].root
 	entries := ix.entries
 	for i, q := range routes {
 		switch q.Prefix.Family() {
@@ -292,10 +332,31 @@ func (ix *Index) AppendVRPs(dst []rpki.VRP) []rpki.VRP {
 // rest of the trie is not walked and fn is not called again.
 func (ix *Index) VisitVRPs(fn func(rpki.VRP) bool) {
 	for slot := range ix.fams {
-		if len(ix.fams[slot].eng.Nodes) > 0 && !ix.visitFam(slot, fn) {
+		f := &ix.fams[slot]
+		if len(f.nodes) == 0 {
+			continue
+		}
+		if !f.walk(slotFamily(slot), f.root, 0, 0, 0, func(p prefix.Prefix, sp span) bool {
+			for _, e := range ix.entries[sp.off : sp.off+sp.n] {
+				if !fn(rpki.VRP{Prefix: p, MaxLength: e.maxLength, AS: e.as}) {
+					return false
+				}
+			}
+			return true
+		}) {
 			return
 		}
 	}
+}
+
+// keyPrefix returns the plen-bit prefix (hi, lo) of family fam: the prefix of
+// the node a walk reached by that path.
+func keyPrefix(fam prefix.Family, hi, lo uint64, plen uint8) prefix.Prefix {
+	p, err := prefix.Make(fam, hi, lo, plen)
+	if err != nil {
+		panic(err) // unreachable: the path walked is a prefix of fam
+	}
+	return p
 }
 
 // oneChildKey returns the key of the 1-child of the node keyed by the plen-bit
@@ -307,36 +368,33 @@ func oneChildKey(hi, lo uint64, plen uint8) (uint64, uint64) {
 	return hi, lo | 1<<(127-plen)
 }
 
-// visitFam is VisitVRPs over one family, reporting whether fn let it finish:
-// core.Engine.Walk's pre-order — step into a first child in place, push only a
-// second one — written out over the slab. The key travels as (hi, lo, len) and
-// becomes a prefix.Prefix only where a span holds entries, one node in six.
-func (ix *Index) visitFam(slot int, fn func(rpki.VRP) bool) bool {
+// walk is the package's pre-order walk of one family's trie: from node idx,
+// keyed by the plen-bit prefix (hi, lo) of family fam, it hands fn, in
+// canonical prefix order, the prefix and span of every node of the subtree
+// whose span holds entries, and reports whether fn let it finish — fn
+// returning false ends the walk. It steps into a first child in place and
+// pushes only a second one, so the one-child runs that make up most of a bit
+// trie cost no frame. The key travels as (hi, lo, plen) and becomes a
+// prefix.Prefix only where a span holds entries, one node in six. VisitVRPs
+// walks a whole family with it, and Diff every subtree only one side holds.
+func (f *famIndex) walk(fam prefix.Family, idx int32, hi, lo uint64, plen uint8, fn func(prefix.Prefix, span) bool) bool {
 	type frame struct {
 		idx    int32
 		plen   uint8
 		hi, lo uint64
 	}
 	var pending [129]frame // a second child per level of the deepest path
-	fam, nodes, top := slotFamily(slot), ix.fams[slot].eng.Nodes, 0
-	for at := (frame{idx: ix.fams[slot].root}); at.idx >= 0; {
-		nd := &nodes[at.idx]
-		if sp := nd.Val; sp.n > 0 {
-			p, err := prefix.Make(fam, at.hi, at.lo, at.plen)
-			if err != nil {
-				panic(err) // unreachable: the path walked is a prefix of fam
-			}
-			for _, e := range ix.entries[sp.off : sp.off+sp.n] {
-				if !fn(rpki.VRP{Prefix: p, MaxLength: e.maxLength, AS: e.as}) {
-					return false
-				}
-			}
+	top := 0
+	for at := (frame{idx: idx, plen: plen, hi: hi, lo: lo}); at.idx >= 0; {
+		nd := &f.nodes[at.idx]
+		if sp := nd.val; sp.n > 0 && !fn(keyPrefix(fam, at.hi, at.lo, at.plen), sp) {
+			return false
 		}
-		c0, c1 := nd.Children[0], nd.Children[1]
-		if c1 != core.NoChild {
+		c0, c1 := nd.children[0], nd.children[1]
+		if c1 != 0 {
 			one := frame{idx: c1, plen: at.plen + 1}
 			one.hi, one.lo = oneChildKey(at.hi, at.lo, at.plen)
-			if c0 == core.NoChild {
+			if c0 == 0 {
 				at = one
 				continue
 			}
@@ -344,7 +402,7 @@ func (ix *Index) visitFam(slot int, fn func(rpki.VRP) bool) bool {
 			top++
 		}
 		switch {
-		case c0 != core.NoChild:
+		case c0 != 0:
 			at.idx, at.plen = c0, at.plen+1
 		case top > 0:
 			top--

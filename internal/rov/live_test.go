@@ -222,7 +222,7 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 			case firstSync:
 				syncs++
 				replaced = true
-				if before.fams[0].eng.SharedArena(&after.fams[0].eng) {
+				if before.fams[0].sameLineage(&after.fams[0]) {
 					t.Fatalf("trial %d step %d: a first sync of %d VRPs was path-copied", trial, step, len(ann))
 				}
 				if live.CompactSnapshot() == nil {
@@ -240,7 +240,7 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				if len(ann)+len(wd) >= before.Len() {
 					large++
 				}
-				if !before.fams[0].eng.SharedArena(&after.fams[0].eng) {
+				if !before.fams[0].sameLineage(&after.fams[0]) {
 					t.Fatalf("trial %d step %d: %d ops into %d VRPs rebuilt the table", trial, step, len(ann)+len(wd), before.Len())
 				}
 			}
@@ -303,7 +303,7 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 					if after != cur {
 						t.Fatalf("trial %d: a compaction of the replaced table published", trial)
 					}
-				case after == cur || after.fams[0].eng.SharedArena(&cur.fams[0].eng):
+				case after == cur || after.fams[0].sameLineage(&cur.fams[0]):
 					t.Fatalf("trial %d: the released compaction published nothing", trial)
 				case st.CompactHeld:
 					caughtUp++
@@ -422,7 +422,7 @@ func TestApplyBulk(t *testing.T) {
 	before := l.Snapshot()
 	half := table[:150]
 	l.Apply(append([]rpki.VRP{absent, absent, half[0]}, half...), half)
-	if !before.fams[0].eng.SharedArena(&l.Snapshot().fams[0].eng) {
+	if !before.fams[0].sameLineage(&l.Snapshot().fams[0]) {
 		t.Fatal("a table-sized delta into a non-empty table was rebuilt, not path-copied")
 	}
 	state := map[rpki.VRP]struct{}{absent: {}}
@@ -465,7 +465,7 @@ func TestApplyBulkIntoEmpty(t *testing.T) {
 	if got := rpki.NewSet(tab.Snapshot().AppendVRPs(nil)); !got.Equal(want) {
 		t.Fatalf("announce into an empty table with two of its VRPs withdrawn: %d VRPs, want %d", got.Len(), want.Len())
 	}
-	if !before.fams[0].eng.SharedArena(&tab.Snapshot().fams[0].eng) {
+	if !before.fams[0].sameLineage(&tab.Snapshot().fams[0]) {
 		t.Fatal("a delta into an empty table that withdraws was built, not path-copied")
 	}
 	checkParentDiff(t, "a delta into an empty table that withdraws", before, tab.Snapshot())
@@ -538,7 +538,7 @@ func TestLargeDeltaPathCopied(t *testing.T) {
 
 	l.Apply(next, table)
 	after := l.Snapshot()
-	if !before.fams[0].eng.SharedArena(&after.fams[0].eng) {
+	if !before.fams[0].sameLineage(&after.fams[0]) {
 		t.Fatal("a delta four times the table was rebuilt, not path-copied")
 	}
 	checkEntryGarbage(t, &l.tab)
@@ -547,7 +547,7 @@ func TestLargeDeltaPathCopied(t *testing.T) {
 	waitCompactor(t, &l.tab)
 	close(stop)
 	wg.Wait()
-	if compactions.Load() == 0 || l.Snapshot().fams[0].eng.SharedArena(&after.fams[0].eng) {
+	if compactions.Load() == 0 || l.Snapshot().fams[0].sameLineage(&after.fams[0]) {
 		t.Fatalf("%d compactions published after the delta", compactions.Load())
 	}
 	state := map[rpki.VRP]struct{}{}
@@ -744,7 +744,7 @@ func TestLiveIndexCompaction(t *testing.T) {
 	}
 	settle(t, l)
 	snap := l.Snapshot()
-	total := len(snap.fams[0].eng.Nodes) + len(snap.fams[1].eng.Nodes)
+	total := len(snap.fams[0].nodes) + len(snap.fams[1].nodes)
 	// 10000 applied deltas × ~30-bit paths would be ~300k nodes without
 	// compaction; the live set needs a few thousand at most.
 	if total > 40000 {
@@ -1296,7 +1296,7 @@ func TestCompactionCatchesUpUnderChurn(t *testing.T) {
 				t.Fatalf("%d compactors ran and %d compactions published, want one of each", n, c)
 			}
 			pins = append(pins, pin("after the compaction"))
-			if pins[0].ix.fams[0].eng.SharedArena(&l.Snapshot().fams[0].eng) {
+			if pins[0].ix.fams[0].sameLineage(&l.Snapshot().fams[0]) {
 				t.Fatal("the published table still lives in the slabs the compaction was to retire")
 			}
 			if l.Len() != len(state) {

@@ -270,7 +270,7 @@ func TestLiveOverlayAgainstReplaceAndCompaction(t *testing.T) {
 	close(release)
 	settle(t, l)
 	quiesce(t, l)
-	swapped := !first.fams[0].eng.SharedArena(&l.Snapshot().fams[0].eng)
+	swapped := !first.fams[0].sameLineage(&l.Snapshot().fams[0])
 	if st := l.Stats(); !swapped || !st.CompactHeld || st.Marks == 0 || st.RebuildsStarted != st.RebuildsInstalled+st.RebuildsDiscarded {
 		t.Fatalf("swapped=%v, %+v: want a compaction with the compact half still held under its overlay", swapped, st)
 	}

@@ -16,8 +16,8 @@
 // authorizes the hijacked subprefix (§4).
 //
 // Three implementations are provided. Index (index.go) is the serving-path
-// validator: an arena trie on the core engine with a parallel value slab,
-// answering single queries and batches. Table (table.go) wraps it with
+// validator: a bit trie in one node slab a family, with a parallel value
+// slab, answering single queries and batches. Table (table.go) wraps it with
 // in-place RTR delta updates under an atomic snapshot swap, and LiveIndex
 // (live.go) adds a compact index (compact.go) of an earlier version — that
 // version's Index with its one-child, entry-free nodes left out, read off it

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
@@ -24,7 +23,7 @@ import (
 // withdraws nothing) and compaction — and write changes it: every other delta,
 // whatever its size, and a compaction's catch-up.
 //
-// The trick is that the arena is append-only and snapshots are persistent
+// The trick is that the slabs are append-only and snapshots are persistent
 // in the functional-data-structure sense. A published *Index is never
 // mutated: Apply clones the nodes on the union of the delta's paths to the
 // slab tail (path copying) — each once, however many of the delta's prefixes
@@ -142,7 +141,7 @@ func (t *Table) applyDelta(old *Index, announce, withdraw []rpki.VRP) {
 	slices.SortFunc(ann, diffOrder)
 	slices.SortFunc(wd, diffOrder)
 	// The delta owns every node past the ends of old's node slabs.
-	ann, wd = t.write(nw, ann, wd, [2]int32{int32(len(old.fams[0].eng.Nodes)), int32(len(old.fams[1].eng.Nodes))})
+	ann, wd = t.write(nw, ann, wd, [2]int32{int32(len(old.fams[0].nodes)), int32(len(old.fams[1].nodes))})
 	if len(ann)+len(wd) > 0 {
 		nw.announced, nw.withdrawn = cancelCommon(ann, wd)
 		t.publish(nw, false, announce, withdraw)
@@ -186,7 +185,7 @@ func (t *Table) ResetTo(vrps []rpki.VRP) {
 }
 
 // replace publishes nw — freshly built slabs — in place of the whole table:
-// the one routine behind ResetTo and the first full sync. nw's arenas start a
+// the one routine behind ResetTo and the first full sync. nw's slabs start a
 // new lineage, which is how an in-flight compaction of the replaced table
 // knows to discard its rebuild; the garbage counters, which described the old
 // slabs, start over. Callers hold mu.
@@ -213,7 +212,7 @@ func (t *Table) compact(src *Index, hook func()) {
 	defer t.mu.Unlock()
 	t.compacting = false
 	cur := t.cur.Load()
-	if !src.fams[0].eng.SharedArena(&cur.fams[0].eng) {
+	if !src.fams[0].sameLineage(&cur.fams[0]) {
 		// The table was replaced wholesale (ResetTo, a first full sync) while
 		// we rebuilt the old one: drop the rebuild. The replacement zeroed the
 		// garbage accounting, which decides when a fresh compaction follows.
@@ -265,13 +264,13 @@ func (t *Table) write(nw *Index, ann, wd []rpki.VRP, mark [2]int32) ([]rpki.VRP,
 // counting the cells it leaves as garbage.
 func (t *Table) edit(nw *Index, fg *finger, v rpki.VRP, add bool) bool {
 	f, p := &nw.fams[famSlot(v.Prefix.Family())], v.Prefix
-	e, n := &f.eng, p.Len()
+	n := p.Len()
 	hi, lo := p.Bits()
 	d := min(prefix.CommonPrefixLen(fg.prev, p), fg.valid)
 	fg.prev, fg.owned = p, min(fg.owned, d+1)
 	for ; d < n; d++ {
-		c := e.Nodes[fg.path[d]].Children[core.AddrBit(hi, lo, d)]
-		if c == core.NoChild {
+		c := f.nodes[fg.path[d]].children[addrBit(hi, lo, d)]
+		if c == 0 {
 			break
 		}
 		fg.path[d+1] = c
@@ -279,7 +278,7 @@ func (t *Table) edit(nw *Index, fg *finger, v rpki.VRP, add bool) bool {
 	fg.valid = d
 	var sp span
 	if d == n {
-		sp = e.Nodes[fg.path[n]].Val
+		sp = f.nodes[fg.path[n]].val
 	}
 	ent := entry{maxLength: v.MaxLength, as: v.AS}
 	pos := int32(slices.Index(nw.entries[sp.off:sp.off+sp.n], ent))
@@ -290,20 +289,21 @@ func (t *Table) edit(nw *Index, fg *finger, v rpki.VRP, add bool) bool {
 		fg.owned++
 	}
 	// A node the delta made hangs only under nodes it owns, so every node read
-	// past the owned ones is published: each is cloned, once.
+	// past the owned ones is published: each is cloned, once, onto the slab's
+	// tail — children included: the original stays as older snapshots read it.
 	for ; fg.owned <= n; fg.owned++ {
 		k := fg.owned
-		var c int32
+		var nd node // absent past d: a new, empty node
 		if k <= d {
-			c = e.Clone(fg.path[k])
+			nd = f.nodes[fg.path[k]]
 			t.garbageNodes++
-		} else {
-			c = e.Alloc(span{})
 		}
+		c := int32(len(f.nodes))
+		f.nodes = append(f.nodes, nd)
 		if k == 0 {
 			f.root = c
 		} else {
-			e.Nodes[fg.path[k-1]].Children[core.AddrBit(hi, lo, k-1)] = c
+			f.nodes[fg.path[k-1]].children[addrBit(hi, lo, k-1)] = c
 		}
 		fg.path[k] = c
 	}
@@ -316,15 +316,15 @@ func (t *Table) edit(nw *Index, fg *finger, v rpki.VRP, add bool) bool {
 	case add:
 		nw.entries = append(nw.entries, nw.entries[sp.off:sp.off+sp.n]...)
 		nw.entries = append(nw.entries, ent)
-		e.Nodes[idx].Val = span{off: off, n: sp.n + 1}
+		f.nodes[idx].val = span{off: off, n: sp.n + 1}
 		f.size++
 	case sp.n == 1:
-		e.Nodes[idx].Val = span{}
+		f.nodes[idx].val = span{}
 		f.size--
 	default:
 		nw.entries = append(nw.entries, nw.entries[sp.off:sp.off+pos]...)
 		nw.entries = append(nw.entries, nw.entries[sp.off+pos+1:sp.off+sp.n]...)
-		e.Nodes[idx].Val = span{off: off, n: sp.n - 1}
+		f.nodes[idx].val = span{off: off, n: sp.n - 1}
 		f.size--
 	}
 	t.garbageEntries += int(sp.n)
@@ -334,7 +334,7 @@ func (t *Table) edit(nw *Index, fg *finger, v rpki.VRP, add bool) bool {
 // needCompact reports whether superseded slab cells outweigh live ones.
 // The floors keep small tables from compacting on every delta.
 func (t *Table) needCompact(nw *Index) bool {
-	totalNodes := len(nw.fams[0].eng.Nodes) + len(nw.fams[1].eng.Nodes)
+	totalNodes := len(nw.fams[0].nodes) + len(nw.fams[1].nodes)
 	if 2*t.garbageNodes > totalNodes && totalNodes > 1024 {
 		return true
 	}

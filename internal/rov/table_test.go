@@ -30,10 +30,28 @@ const the21 = uint64(198<<24|51<<16|96<<8) << 32
 // spanAt returns the span of p's node in ix (the zero span if there is none).
 func spanAt(ix *Index, p prefix.Prefix) span {
 	f := &ix.fams[famSlot(p.Family())]
-	if idx := f.eng.PathFind(f.root, p); idx >= 0 {
-		return f.eng.Nodes[idx].Val
+	idx := f.root
+	for depth := uint8(0); depth < p.Len(); depth++ {
+		if idx = f.nodes[idx].children[p.Bit(depth)]; idx == 0 {
+			return span{}
+		}
 	}
-	return span{}
+	return f.nodes[idx].val
+}
+
+// reachable returns the number of nodes of f's trie, under its root.
+func reachable(f *famIndex) int {
+	n, stack := 0, []int32{f.root}
+	for len(stack) > 0 {
+		nd := &f.nodes[stack[len(stack)-1]]
+		stack, n = stack[:len(stack)-1], n+1
+		for _, c := range nd.children {
+			if c != 0 {
+				stack = append(stack, c)
+			}
+		}
+	}
+	return n
 }
 
 // garbage reads tab's garbage counters.
@@ -67,16 +85,13 @@ func TestCompactCopiesLiveSlab(t *testing.T) {
 	src := tab.Snapshot()
 	tab.compact(src, nil)
 	got, want := tab.Snapshot(), newIndexFromVRPs(src.AppendVRPs(nil), nil)
-	if got.fams[0].eng.SharedArena(&src.fams[0].eng) || got.version != src.version {
-		t.Fatalf("the compaction published version %d on src's slabs: %v; want version %d in fresh slabs", got.version, got.fams[0].eng.SharedArena(&src.fams[0].eng), src.version)
+	if got.fams[0].sameLineage(&src.fams[0]) || got.version != src.version {
+		t.Fatalf("the compaction published version %d on src's slabs: %v; want version %d in fresh slabs", got.version, got.fams[0].sameLineage(&src.fams[0]), src.version)
 	}
 	checkSameSlabs(t, "the compaction's rebuild", got, want)
-	reachable := 0
-	for slot := range src.fams {
-		src.fams[slot].eng.Walk(src.fams[slot].root, rootPrefix(slot), func(int32, prefix.Prefix) { reachable++ })
-	}
-	if _, live := nodeCaps(want); reachable <= live {
-		t.Fatalf("the churned table reaches %d nodes, its build holds %d: no withdrawn chain to drop", reachable, live)
+	reached := reachable(&src.fams[0]) + reachable(&src.fams[1])
+	if _, live := nodeCaps(want); reached <= live {
+		t.Fatalf("the churned table reaches %d nodes, its build holds %d: no withdrawn chain to drop", reached, live)
 	}
 }
 
@@ -119,7 +134,7 @@ func TestDeltaShapes(t *testing.T) {
 	before := tab.Snapshot()
 	tab.Apply(announce, withdraw)
 	after := tab.Snapshot()
-	if !before.fams[0].eng.SharedArena(&after.fams[0].eng) {
+	if !before.fams[0].sameLineage(&after.fams[0]) {
 		t.Fatal("the delta was not path-copied")
 	}
 	if extra, missing := naiveSetDiff(setOf(want).VRPs(), after.AppendVRPs(nil)); len(extra)+len(missing) != 0 || after.Len() != len(want) {
@@ -164,7 +179,7 @@ func TestDeltaCopiesEachPathOnce(t *testing.T) {
 				tab.Apply(c.delta, nil)
 				after := tab.Snapshot()
 				gn, ge := garbage(tab)
-				if grew := len(after.fams[0].eng.Nodes) - len(before.fams[0].eng.Nodes); grew != 36 || gn != 36 {
+				if grew := len(after.fams[0].nodes) - len(before.fams[0].nodes); grew != 36 || gn != 36 {
 					t.Fatalf("the node slab grew by %d and the garbage by %d nodes, want 36 and 36 (the union of the paths)", grew, gn)
 				}
 				if grew := len(after.entries) - len(before.entries); grew != moved+8 || ge != moved {

@@ -14,11 +14,11 @@ import (
 	"repro/internal/rpki"
 )
 
-// lineage returns the arena lineage of ix's IPv4 trie. rov keeps it
+// lineage returns the slab lineage of ix's IPv4 trie. rov keeps it
 // unexported; these tests read it by reflection because what they pin is a
 // diff between snapshots that do not share one.
 func lineage(ix *rov.Index) uint64 {
-	return reflect.ValueOf(ix).Elem().FieldByName("fams").Index(0).FieldByName("eng").FieldByName("lineage").Uint()
+	return reflect.ValueOf(ix).Elem().FieldByName("fams").Index(0).FieldByName("lineage").Uint()
 }
 
 // compactionTable returns a 300-VRP table in 10.0.0.0/8, big enough for its
