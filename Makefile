@@ -45,9 +45,11 @@ race:
 
 # allocs runs the exact allocation gates: they count with
 # testing.AllocsPerRun, which race instrumentation inflates, so their files
-# are //go:build !race and the race target never compiles them.
+# are //go:build !race and the race target never compiles them. A gate is
+# selected by its name — Test…Allocs, or core's TestAllocCeilings — in any
+# package, so a new one needs no edit here.
 allocs:
-	$(GO) test -count=1 -run 'TestValidateAllocs|TestIndexBuildAllocs|TestDiffAllocs|TestApplyAllocs|TestCompactAllocs|TestCompactFromIndexAllocs|TestAllocCeilings|TestSerialAnswerAllocs|TestClientResetAllocs|TestNewServerAllocs|TestNewTableAllocs' ./internal/rov ./internal/core ./internal/rtr ./internal/bgp
+	$(GO) test -count=1 -run 'Allocs$$|^TestAllocCeilings$$' ./...
 
 # bench prints the in-package bgp, core, rov, and rtr micro benchmarks plus the
 # paper-evaluation benches; -count=1 defeats test caching so numbers are

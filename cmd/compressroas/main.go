@@ -59,7 +59,7 @@ func run(in, repoDir, out, mode string, subsume, verify, stats bool) error {
 	}
 	start := time.Now()
 	compressed, res := core.Compress(set, opts)
-	took := fmt.Sprintf("in %v", time.Since(start).Round(time.Millisecond))
+	compressTook, verifyTook := time.Since(start), time.Duration(0)
 	if verify {
 		start = time.Now()
 		if err := core.VerifyCompression(set, compressed); err != nil {
@@ -69,14 +69,34 @@ func run(in, repoDir, out, mode string, subsume, verify, stats bool) error {
 				return err
 			}
 		}
-		took += fmt.Sprintf(", verified in %v", time.Since(start).Round(time.Millisecond))
+		verifyTook = time.Since(start)
 	}
 	if stats {
 		fmt.Fprintf(os.Stderr, "compressroas: %d -> %d tuples (%.2f%% saved) %s; merged=%d subsumed=%d raised=%d groups=%d\n",
-			res.In, res.Out, 100*res.SavedFraction(), took,
+			res.In, res.Out, 100*res.SavedFraction(), timings(compressTook, verifyTook, verify),
 			res.Merged, res.Subsumed, res.Raised, res.Groups)
 	}
 	return save(out, compressed)
+}
+
+// timings renders -stats's durations: the compression's and, when verify ran,
+// the verification's, each to four significant digits, so a run under a
+// millisecond shows its microseconds instead of 0s.
+func timings(compress, verification time.Duration, verified bool) string {
+	s := fmt.Sprintf("in %v", fourDigits(compress))
+	if verified {
+		s += fmt.Sprintf(", verified in %v", fourDigits(verification))
+	}
+	return s
+}
+
+// fourDigits rounds d to its four most significant decimal digits.
+func fourDigits(d time.Duration) time.Duration {
+	unit := time.Duration(1)
+	for unit*10000 <= d {
+		unit *= 10
+	}
+	return d.Round(unit)
 }
 
 func load(in, repoDir string) (*rpki.Set, error) {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/rpki"
 )
@@ -84,5 +85,25 @@ func TestSaveReplacesWhole(t *testing.T) {
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 || entries[0].Name() != "out.csv" {
 		t.Fatalf("directory holds %v, want out.csv alone", entries)
+	}
+}
+
+// TestTimings pins -stats's durations to four significant digits: a run under
+// a millisecond, as on a table of a few thousand VRPs, reads in microseconds
+// instead of 0s, and a long run is not printed to the nanosecond.
+func TestTimings(t *testing.T) {
+	for _, c := range []struct {
+		compress, verification time.Duration
+		verified               bool
+		want                   string
+	}{
+		{412345 * time.Nanosecond, 87654 * time.Nanosecond, true, "in 412.3µs, verified in 87.65µs"},
+		{999 * time.Nanosecond, 0, false, "in 999ns"},
+		{12345678 * time.Nanosecond, 1234567890 * time.Nanosecond, true, "in 12.35ms, verified in 1.235s"},
+		{0, 0, true, "in 0s, verified in 0s"},
+	} {
+		if got := timings(c.compress, c.verification, c.verified); got != c.want {
+			t.Errorf("timings(%v, %v, %v) = %q, want %q", c.compress, c.verification, c.verified, got, c.want)
+		}
 	}
 }

@@ -35,11 +35,12 @@ import (
 //
 // A CompactIndex is derived from an Index, whose bit trie already has a node
 // at every prefix that carries VRPs and at every point where two of them part
-// ways: one pre-order walk keeps those and the root, and a second, over the
-// kept nodes, aggregates their spans and fills the stride table
-// (CompactFromIndex). The result is immutable, its slab in pre-order.
-// LiveIndex keeps the bit-at-a-time trie for O(delta) updates and derives a
-// CompactIndex from it again once enough prefixes have been touched.
+// ways: the package's pre-order walk (famIndex.walk) hands over exactly those,
+// the derivation keeps them and the root, and a second pass, over the kept
+// nodes, aggregates their spans and fills the stride table (CompactFromIndex).
+// The result is immutable, its slab in pre-order. LiveIndex keeps the
+// bit-at-a-time trie for O(delta) updates and derives a CompactIndex from it
+// again once enough prefixes have been touched.
 
 // centry is one VRP payload in the aggregated entry slab. plen is the
 // originating prefix's length: aggregated spans mix entries from the whole
@@ -130,74 +131,46 @@ func CompactFromIndex(ix *Index) *CompactIndex {
 
 // buildFamCompact derives one family's compact trie, aggregated spans and
 // stride table from the family's bit trie, appending entries to the shared
-// slab. Two pre-order passes: over the bit trie, keeping the nodes a compact
-// trie has; over the kept nodes, materializing each one's span as parent
-// aggregate + own entries and entering it in the stride table.
+// slab. Two pre-order passes: over the bit trie by famIndex.walk, keeping the
+// nodes it hands over; over the kept nodes, materializing each one's span as
+// parent aggregate + own entries and entering it in the stride table.
 func buildFamCompact(f *famCompact, src *famIndex, srcEntries []entry, entries *[]centry) {
 	if src.size == 0 {
 		return
 	}
 
-	// Pass 1: a bit-trie node is kept iff it carries entries, has two
-	// children, or is the root. Its key is the path walked to it, its span
-	// (until pass 2) its own span in srcEntries, and it hangs under the last
-	// kept node on its path: the nodes skipped between the two have one child
-	// each, so nothing else claims that link. Nodes are allocated as they are
-	// met, so the slab is in pre-order. The walk follows chains in place: a
-	// one-child node — five in six — is stepped through in the current frame,
-	// and only a second child is pushed. total sums the kept nodes'
-	// aggregates, each as long as the entries on its root path: reserving it
-	// makes pass 2 append into place instead of relocating a slab that ends up
-	// many times the VRP count.
-	type keptFrame struct {
-		idx    int32  // in src.nodes
-		plen   uint8  // the path walked to idx: its length and,
-		hi, lo uint64 // left-aligned, its bits
-		above  int32  // the last kept node on that path, in f.nodes
-		agg    int32  // the length of above's aggregate
-	}
+	// Pass 1: walk hands over the nodes a compact trie keeps, in pre-order, and
+	// each is allocated as it is met, so the slab is in pre-order; its span,
+	// until pass 2, is its own span in srcEntries. The root is kept always, as
+	// node 0, which is filled in if walk hands the root over. A kept node hangs
+	// under the deepest kept node on its root path: path holds those of the
+	// node met last, with their aggregates' lengths, and pops to the first
+	// whose key the new node's extends. total sums the kept nodes' aggregates,
+	// each as long as the entries on its root path: reserving it makes pass 2
+	// append into place instead of relocating a slab that ends up many times
+	// the VRP count.
+	type kept struct{ idx, agg int32 }
+	var path [129]kept // path[0] is the root
+	top, total := 0, 0
 	f.nodes = append(make([]cnode, 0, 2*src.size+1), cnode{})
-	total := 0
-	var pending [129]keptFrame // a second child per level of the deepest path
-	top := 0
-	// The frame in hand, one variable a field: the loop runs out of registers.
-	idx, plen, hi, lo, above, agg := src.root, uint8(0), uint64(0), uint64(0), int32(0), int32(0)
-	for idx >= 0 {
-		nd := src.nodes[idx]
-		c0, c1 := nd.children[0], nd.children[1]
-		if plen == 0 || nd.val.n > 0 || (c0 != 0 && c1 != 0) {
-			if plen == 0 {
-				f.nodes[0].span = cspan(nd.val)
-			} else {
-				k := int32(len(f.nodes))
-				f.nodes = append(f.nodes, cnode{hi: hi, lo: lo, plen: plen, span: cspan(nd.val)})
-				up := &f.nodes[above]
-				up.children[addrBit(hi, lo, up.plen)] = k
-				above = k
-			}
-			agg += nd.val.n
-			total += int(agg)
+	src.walk(src.root, 0, 0, 0, func(hi, lo uint64, plen uint8, sp span) bool {
+		if plen == 0 {
+			f.nodes[0].span, path[0].agg, total = cspan(sp), sp.n, int(sp.n)
+			return true
 		}
-		if c1 != 0 {
-			hi1, lo1 := oneChildKey(hi, lo, plen)
-			if c0 == 0 {
-				idx, plen, hi, lo = c1, plen+1, hi1, lo1
-				continue
-			}
-			pending[top] = keptFrame{idx: c1, plen: plen + 1, hi: hi1, lo: lo1, above: above, agg: agg}
-			top++
-		}
-		switch {
-		case c0 != 0:
-			idx, plen = c0, plen+1
-		case top > 0:
+		up := &f.nodes[path[top].idx]
+		for !keyMatch(up.hi, up.lo, hi, lo, up.plen) {
 			top--
-			fr := &pending[top]
-			idx, plen, hi, lo, above, agg = fr.idx, fr.plen, fr.hi, fr.lo, fr.above, fr.agg
-		default:
-			idx = -1 // nothing pending: done
+			up = &f.nodes[path[top].idx]
 		}
-	}
+		k := int32(len(f.nodes))
+		up.children[addrBit(hi, lo, up.plen)] = k
+		f.nodes = append(f.nodes, cnode{hi: hi, lo: lo, plen: plen, span: cspan(sp)})
+		top++
+		path[top] = kept{idx: k, agg: path[top-1].agg + sp.n}
+		total += int(path[top].agg)
+		return true
+	})
 	*entries = slices.Grow(*entries, total)
 
 	// Pass 2: pre-order DFS over the kept nodes. Each node's final span is

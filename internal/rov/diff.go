@@ -70,12 +70,17 @@ func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	} else if grew < 0 {
 		withdrawn = make([]rpki.VRP, 0, -grew)
 	}
-	onlyOld := func(p prefix.Prefix, sp span) bool {
-		withdrawn = appendEntryDiff(withdrawn, p, old.entries[sp.off:sp.off+sp.n], nil)
+	var fam prefix.Family // the family being walked
+	onlyOld := func(hi, lo uint64, plen uint8, sp span) bool {
+		if sp.n > 0 {
+			withdrawn = appendEntryDiff(withdrawn, keyPrefix(fam, hi, lo, plen), old.entries[sp.off:sp.off+sp.n], nil)
+		}
 		return true
 	}
-	onlyNew := func(p prefix.Prefix, sp span) bool {
-		announced = appendEntryDiff(announced, p, nw.entries[sp.off:sp.off+sp.n], nil)
+	onlyNew := func(hi, lo uint64, plen uint8, sp span) bool {
+		if sp.n > 0 {
+			announced = appendEntryDiff(announced, keyPrefix(fam, hi, lo, plen), nw.entries[sp.off:sp.off+sp.n], nil)
+		}
 		return true
 	}
 	type pair struct {
@@ -85,7 +90,8 @@ func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	}
 	for slot := range old.fams {
 		fo, fn := &old.fams[slot], &nw.fams[slot]
-		fam, shared := slotFamily(slot), fo.sameLineage(fn)
+		fam = slotFamily(slot)
+		shared := fo.sameLineage(fn)
 		if shared && fo.root == fn.root {
 			continue
 		}
@@ -96,10 +102,10 @@ func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 			at := pending[top]
 			switch {
 			case at.b < 0:
-				fo.walk(fam, at.a, at.hi, at.lo, at.plen, onlyOld)
+				fo.walk(at.a, at.hi, at.lo, at.plen, onlyOld)
 				continue
 			case at.a < 0:
-				fn.walk(fam, at.b, at.hi, at.lo, at.plen, onlyNew)
+				fn.walk(at.b, at.hi, at.lo, at.plen, onlyNew)
 				continue
 			}
 			na, nb := &fo.nodes[at.a], &fn.nodes[at.b]

@@ -336,7 +336,12 @@ func (ix *Index) VisitVRPs(fn func(rpki.VRP) bool) {
 		if len(f.nodes) == 0 {
 			continue
 		}
-		if !f.walk(slotFamily(slot), f.root, 0, 0, 0, func(p prefix.Prefix, sp span) bool {
+		fam := slotFamily(slot)
+		if !f.walk(f.root, 0, 0, 0, func(hi, lo uint64, plen uint8, sp span) bool {
+			if sp.n == 0 {
+				return true // a branch point: nothing to stream
+			}
+			p := keyPrefix(fam, hi, lo, plen)
 			for _, e := range ix.entries[sp.off : sp.off+sp.n] {
 				if !fn(rpki.VRP{Prefix: p, MaxLength: e.maxLength, AS: e.as}) {
 					return false
@@ -369,15 +374,14 @@ func oneChildKey(hi, lo uint64, plen uint8) (uint64, uint64) {
 }
 
 // walk is the package's pre-order walk of one family's trie: from node idx,
-// keyed by the plen-bit prefix (hi, lo) of family fam, it hands fn, in
-// canonical prefix order, the prefix and span of every node of the subtree
-// whose span holds entries, and reports whether fn let it finish — fn
-// returning false ends the walk. It steps into a first child in place and
-// pushes only a second one, so the one-child runs that make up most of a bit
-// trie cost no frame. The key travels as (hi, lo, plen) and becomes a
-// prefix.Prefix only where a span holds entries, one node in six. VisitVRPs
-// walks a whole family with it, and Diff every subtree only one side holds.
-func (f *famIndex) walk(fam prefix.Family, idx int32, hi, lo uint64, plen uint8, fn func(prefix.Prefix, span) bool) bool {
+// keyed by the plen-bit prefix (hi, lo), it hands fn, in canonical prefix
+// order, the key and span of every node of the subtree that a compact trie
+// keeps — one whose span holds entries or that has two children — and reports
+// whether fn let it finish: fn returning false ends the walk. It steps into a
+// first child in place and pushes only a second one, so the one-child runs
+// that make up most of a bit trie cost no frame and no call. VisitVRPs and
+// Diff's one-sided subtrees skip the empty spans; CompactFromIndex keeps all.
+func (f *famIndex) walk(idx int32, hi, lo uint64, plen uint8, fn func(hi, lo uint64, plen uint8, sp span) bool) bool {
 	type frame struct {
 		idx    int32
 		plen   uint8
@@ -387,10 +391,10 @@ func (f *famIndex) walk(fam prefix.Family, idx int32, hi, lo uint64, plen uint8,
 	top := 0
 	for at := (frame{idx: idx, plen: plen, hi: hi, lo: lo}); at.idx >= 0; {
 		nd := &f.nodes[at.idx]
-		if sp := nd.val; sp.n > 0 && !fn(keyPrefix(fam, at.hi, at.lo, at.plen), sp) {
+		c0, c1 := nd.children[0], nd.children[1]
+		if (nd.val.n > 0 || c0 != 0 && c1 != 0) && !fn(at.hi, at.lo, at.plen, nd.val) {
 			return false
 		}
-		c0, c1 := nd.children[0], nd.children[1]
 		if c1 != 0 {
 			one := frame{idx: c1, plen: at.plen + 1}
 			one.hi, one.lo = oneChildKey(at.hi, at.lo, at.plen)

@@ -54,12 +54,12 @@ type liveView struct {
 
 const (
 	// rebuildPaysAfter × Len() routes answered is what a compact build is
-	// charged: it costs 0.14 µs a VRP (BenchmarkCompactFromIndex, 7.2 ms at
-	// 50k; 0.155 before pass 1 ran on registers and the stride fill painted a
-	// slot range once, 0.21 before pass 1 followed chains) against the 0.08 µs a
-	// route saves over the bit trie. The price fell to 1.8 × Len(); erring high
-	// keeps a barely read table on one index a little longer, so the constant
-	// stays.
+	// charged: it costs 0.21 µs a VRP (BenchmarkCompactFromIndex, 10.3 ms at
+	// 50k) against the 0.12 µs a route saves over the bit trie (the serial
+	// BenchmarkValidateBatch against BenchmarkCompactValidateBatch, 0.23 and
+	// 0.11 µs), both medians of six runs on one 2-vCPU host. The price is
+	// 1.7 × Len(); erring high keeps a barely read table on one index a little
+	// longer, so the constant stays.
 	rebuildPaysAfter = 4
 	// rebuildMarks is the overlay fill at which a rebuild is due: 15 of
 	// validate_churn's 64-VRP deltas, under 0.1 % of routes falling back.

@@ -21,8 +21,8 @@
 // in-place RTR delta updates under an atomic snapshot swap, and LiveIndex
 // (live.go) adds a compact index (compact.go) of an earlier version — that
 // version's Index with its one-child, entry-free nodes left out, read off it
-// in one walk — which answers every route no prefix touched since covers,
-// while routes pay for it.
+// by the pre-order walk VisitVRPs and Diff take too — which answers every
+// route no prefix touched since covers, while routes pay for it.
 // Reference (below) is a linear scan used to cross-check them in property
 // and fuzz tests.
 package rov

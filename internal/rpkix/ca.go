@@ -147,6 +147,13 @@ func ValidateROA(der []byte, ta *x509.Certificate, intermediates []*x509.Certifi
 	if err != nil {
 		return rpki.ROA{}, err
 	}
+	return validateROA(obj, ta, intermediates)
+}
+
+// validateROA is ValidateROA past the CMS parse, for a caller that has
+// already parsed the object: ScanROAs checks its EE certificate against the
+// CRL first.
+func validateROA(obj *SignedObject, ta *x509.Certificate, intermediates []*x509.Certificate) (rpki.ROA, error) {
 	if !obj.EContentType.Equal(oidRouteOriginAttestation) {
 		return rpki.ROA{}, fmt.Errorf("rpkix: eContentType %v is not a ROA", obj.EContentType)
 	}

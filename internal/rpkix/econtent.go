@@ -6,7 +6,7 @@
 // — the drop-in role of the scan_roas utility in §7.1: cryptographically
 // validate ROA objects and emit (prefix, maxLength, origin AS) tuples.
 //
-// WriteRepository also publishes an RFC 6486-shaped manifest and a CRL,
+// (*Repository).Write also publishes an RFC 6486-shaped manifest and a CRL,
 // which ScanROAs verifies when present. The profile departs from a
 // production RPKI only in ECDSA P-256 for RSA-2048 and in CMS signatures
 // over the eContent (no signedAttrs); neither affects what the paper

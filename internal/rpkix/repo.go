@@ -22,7 +22,7 @@ import (
 //	<dir>/<name>.cer       CA certificates (PEM)
 //	<dir>/<name>.roa       signed ROA objects (DER)
 //
-// WriteRepository publishes, ScanROAs plays the relying party: validate
+// (*Repository).Write publishes, ScanROAs plays the relying party: validate
 // everything, collect VRPs — the scan_roas role of §7.1.
 
 // Repository is an in-memory publication point.
@@ -224,11 +224,15 @@ func ScanROAs(dir string) (*ScanResult, error) {
 			}
 		}
 		obj, err := ParseSignedObject(der)
-		if err == nil && crl != nil && revoked(crl, obj.EECert.SerialNumber) {
+		if err != nil {
+			res.Rejected[name] = err
+			continue
+		}
+		if crl != nil && revoked(crl, obj.EECert.SerialNumber) {
 			res.Rejected[name] = fmt.Errorf("rpkix: %s EE certificate is revoked", name)
 			continue
 		}
-		roa, err := ValidateROA(der, ta, certs)
+		roa, err := validateROA(obj, ta, certs)
 		if err != nil {
 			res.Rejected[name] = err
 			continue

@@ -343,6 +343,62 @@ func TestRepositoryScan(t *testing.T) {
 	}
 }
 
+// TestScanRejectsAsValidateROA pins ScanROAs's reasons for objects it parses
+// once itself: with no manifest to sift them first, a file that is not a
+// signed object and one signed under another trust anchor are each rejected
+// with the error ValidateROA returns for its bytes.
+func TestScanRejectsAsValidateROA(t *testing.T) {
+	dir := t.TempDir()
+	repo, err := NewRepository("Scan TA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := repo.AddCA("Org", []string{"168.122.0.0/16"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewRepository("Other TA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oca, err := other.AddCA("Other", []string{"168.122.0.0/16"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roa := rpki.ROA{AS: 111, Prefixes: []rpki.ROAPrefix{{Prefix: mp("168.122.0.0/16"), MaxLength: 24}}}
+	if err := repo.PublishROA(ca, roa); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.PublishROA(oca, roa); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "manifest.mft")); err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string][]byte{"garbage.roa": []byte("not DER"), "foreign.roa": other.ROAs[0]}
+	for name, der := range bad {
+		if err := os.WriteFile(filepath.Join(dir, name), der, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := ScanROAs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.ROAs) != 1 || len(res.Rejected) != len(bad) {
+		t.Fatalf("accepted %d ROAs, rejected %v: want 1 and the %d bad files", len(res.ROAs), res.Rejected, len(bad))
+	}
+	for name, der := range bad {
+		_, want := ValidateROA(der, repo.TA.Cert, []*x509.Certificate{ca.Cert})
+		if got := res.Rejected[name]; got == nil || want == nil || got.Error() != want.Error() {
+			t.Errorf("%s rejected with %v, want ValidateROA's %v", name, got, want)
+		}
+	}
+}
+
 func TestScanMissingTA(t *testing.T) {
 	if _, err := ScanROAs(t.TempDir()); err == nil {
 		t.Error("scan without ta.cer succeeded")
