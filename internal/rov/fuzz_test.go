@@ -473,7 +473,9 @@ func FuzzDiff(f *testing.F) {
 // Validate and ValidateBatch must equal the Reference and a fresh Index on the
 // neighbourhood of every prefix the delta touched plus every query so far.
 // tag%4 == 3 replaces the table with itself through ResetTo, which discards
-// whatever rebuild is in flight.
+// whatever rebuild is in flight and returns with the bit trie serving and its
+// own compact build held in flight: checked there, and through every op up to
+// and including the next delta, before that build may land.
 func FuzzLiveOverlay(f *testing.F) {
 	f.Add([]byte{
 		0, 10, 1, 3, 0, 24, 1, 1, // announce 10.1.3.0/24-25: one mark
@@ -511,6 +513,17 @@ func FuzzLiveOverlay(f *testing.F) {
 		large = append(large, 16, 10, k, 0, 0, 24, 0, 1+k%7)
 	}
 	f.Add(append(large, 17, 10, 3, 0, 0, 24, 0, 4, 17, 10, 5, 0, 0, 24, 0, 6, 2, 10, 3, 0, 0, 24, 0, 4))
+	// Two ResetTos back to back, the first's build still in flight when the
+	// second discards it, then deltas before the second's lands.
+	f.Add([]byte{
+		0, 10, 1, 3, 0, 24, 1, 1, // announce 10.1.3.0/24-25
+		3, 0, 0, 0, 0, 0, 0, 0, // ResetTo
+		3, 0, 0, 0, 0, 0, 0, 0, // ResetTo again
+		16, 10, 2, 0, 0, 16, 0, 2, 1, 10, 1, 3, 0, 24, 1, 1, // one delta: a /16 in, the /24 out
+		2, 10, 1, 3, 0, 24, 0, 1, // query the /24
+		0, 10, 0, 0, 0, 6, 0, 3, // a /6: a rebuild is due
+		2, 10, 2, 7, 0, 24, 0, 2,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		state := map[rpki.VRP]struct{}{}
 		var pad []rpki.VRP
@@ -521,6 +534,7 @@ func FuzzLiveOverlay(f *testing.F) {
 		live := NewLiveIndex(setOf(state))
 		queries := probesAround(pad[:2])
 		var ann, wd []rpki.VRP // the open batch
+		var unhold func()      // lets the compact builds ResetTo began land
 		flush := func() {
 			if len(ann)+len(wd) == 0 {
 				return
@@ -535,6 +549,10 @@ func FuzzLiveOverlay(f *testing.F) {
 			}
 			checkLive(t, live, state, append(probesAround(append(ann, wd...)), queries...), "after a delta")
 			ann, wd = ann[:0], wd[:0]
+			if unhold != nil {
+				unhold()
+				unhold = nil
+			}
 		}
 		for ; len(data) >= 8; data = data[8:] {
 			tag, v := data[0], fuzzOp(t, data[:8])
@@ -549,14 +567,23 @@ func FuzzLiveOverlay(f *testing.F) {
 			case 2:
 				queries = append(queries, Route{Prefix: v.Prefix, Origin: v.AS})
 			case 3:
+				if unhold == nil {
+					unhold = holdRebuilds(live)
+				}
 				live.ResetTo(setOf(state).VRPs())
-				checkLive(t, live, state, queries, "after ResetTo")
+				if live.CompactSnapshot() != nil {
+					t.Fatal("ResetTo returned with a compact snapshot; its build is held")
+				}
+				checkLive(t, live, state, queries, "after ResetTo, its compact build in flight")
 			}
 			if tag&16 == 0 {
 				flush()
 			}
 		}
 		flush()
+		if unhold != nil {
+			unhold()
+		}
 		quiesce(t, live)
 		checkLive(t, live, state, queries, "at rest")
 	})

@@ -20,14 +20,17 @@ import (
 // contains p, so every other route still has the answer the compact index
 // holds, and the covered few go to the view's bit trie, which is exact.
 //
-// Reads drive the compact half. NewLiveIndex, ResetTo and a first full sync
-// (an Apply into an empty table) build it unasked; the next delta drops it
-// unless more routes were answered meanwhile than a build costs
-// (rebuildPaysAfter), so a follower nobody validates through keeps one index
-// and starts no goroutine. A delta
-// that keeps it marks the overlay, and at rebuildMarks starts a background
-// rebuild if the routes since the last build began have paid for one — else
-// the compact half goes until they have.
+// Reads drive the compact half. NewLiveIndex builds it unasked before it
+// returns. ResetTo and a first full sync (an Apply into an empty table) build
+// it unasked too, but on a background goroutine, as every later rebuild is:
+// they return as soon as the new table's bit trie, exact for every route,
+// serves. The next delta drops it, landed or in flight, unless more routes
+// were answered since its build began than a build costs (rebuildPaysAfter),
+// so a follower nobody validates through keeps one index and starts one
+// short-lived goroutine per replaced table, none per delta. A delta that keeps
+// it marks the overlay, and at rebuildMarks starts a background rebuild if the
+// routes since the last build began have paid for one — else the compact half
+// goes until they have.
 type LiveIndex struct {
 	tab  Table
 	view atomic.Pointer[liveView]
@@ -42,6 +45,11 @@ type LiveIndex struct {
 	unasked                       bool
 	building                      *overlay
 	started, installed, discarded int
+
+	// rebuildHook, when set (tests), runs on each rebuild goroutine begun from
+	// then on, before its build — a seam to hold a build in flight. Guarded by
+	// tab.mu.
+	rebuildHook func()
 }
 
 // liveView is what readers load: the table ix; c, if not nil, an earlier
@@ -175,8 +183,9 @@ func (l *LiveIndex) ValidateBatch(routes []Route, dst []State) []State {
 
 // LiveStats is what a LiveIndex has served and derived: routes answered by the
 // compact index and by the bit trie (no compact half, or a touched prefix
-// covering the route); rebuilds begun, published, and thrown away for a
-// replaced table; whether a compact half is held, under how many overlay marks.
+// covering the route); rebuilds begun, published, and thrown away (for a
+// replaced table, or unasked and dropped by a delta no reads paid for);
+// whether a compact half is held, under how many overlay marks.
 type LiveStats struct {
 	CompactRoutes, FallbackRoutes                         int64
 	RebuildsStarted, RebuildsInstalled, RebuildsDiscarded int
@@ -197,20 +206,14 @@ func (l *LiveIndex) Stats() LiveStats {
 	return st
 }
 
-// Apply installs one RTR delta with Table.Apply's semantics and costs; a
-// first full sync, which builds the table, returns with the compact half
-// built too.
-func (l *LiveIndex) Apply(announce, withdraw []rpki.VRP) {
-	if l.tab.apply(announce, withdraw) {
-		l.rebuildNow()
-	}
-}
+// Apply installs one RTR delta with Table.Apply's semantics and costs. A first
+// full sync, which builds the table, returns as soon as its bit trie serves,
+// with the compact half building behind it.
+func (l *LiveIndex) Apply(announce, withdraw []rpki.VRP) { l.tab.Apply(announce, withdraw) }
 
-// ResetTo is Table.ResetTo, returning with the compact half rebuilt.
-func (l *LiveIndex) ResetTo(vrps []rpki.VRP) {
-	l.tab.ResetTo(vrps)
-	l.rebuildNow()
-}
+// ResetTo is Table.ResetTo: it returns as soon as the new table's bit trie
+// serves, with the compact half building behind it.
+func (l *LiveIndex) ResetTo(vrps []rpki.VRP) { l.tab.ResetTo(vrps) }
 
 // published is the Table's hook: under tab.mu, it turns the snapshot about
 // to be published into the next view, marking a delta's prefixes first.
@@ -218,12 +221,13 @@ func (l *LiveIndex) published(nw *Index, replaced bool, announce, withdraw []rpk
 	v := l.view.Load()
 	nv := &liveView{ix: nw, c: v.c, touched: v.touched}
 	switch {
-	case replaced: // rebuildNow follows; a rebuild in flight is of the table that went
-		nv.c, nv.touched, l.building = nil, nil, nil
+	case replaced: // a rebuild in flight is of the table that went: this one's supersedes it
+		nv.c, nv.touched, l.unasked = nil, nil, true
+		go l.rebuild(nw, l.begin(), l.rebuildHook)
 	case len(announce)+len(withdraw) > 0: // otherwise a compaction: the same set in new slabs
 		paid := l.viaCompact.Load()+l.viaFallback.Load()-l.paidFrom > rebuildPaysAfter*int64(nw.Len())
 		if l.unasked && !paid {
-			nv.c = nil // nobody validates through it
+			nv.c, l.building = nil, nil // nobody validates through it: built or building, it goes
 		}
 		l.unasked = false
 		if nv.c != nil && nv.touched == nil {
@@ -237,7 +241,7 @@ func (l *LiveIndex) published(nw *Index, replaced bool, announce, withdraw []rpk
 		}
 		if l.building == nil && (nv.c == nil || nv.touched.marks >= rebuildMarks) {
 			if paid {
-				go l.rebuild(nw, l.begin())
+				go l.rebuild(nw, l.begin(), l.rebuildHook)
 			} else {
 				nv.c, nv.touched = nil, nil // nobody validates through it any more
 			}
@@ -253,18 +257,14 @@ func (l *LiveIndex) begin() *overlay {
 	return l.building
 }
 
-// rebuildNow builds the current table's compact half, unasked, and waits.
-func (l *LiveIndex) rebuildNow() {
-	l.tab.mu.Lock()
-	ix, during := l.view.Load().ix, l.begin()
-	l.unasked = true
-	l.tab.mu.Unlock()
-	l.rebuild(ix, during)
-}
-
 // rebuild derives ix's compact index outside tab.mu and installs it with the
-// deltas since — unless the table was replaced, or another rebuild begun.
-func (l *LiveIndex) rebuild(ix *Index, during *overlay) {
+// deltas since — unless it was superseded (the table replaced, another rebuild
+// begun) or, built unasked, dropped by a delta no reads paid for. hook, if not
+// nil, runs first (tests: a seam to hold the build in flight).
+func (l *LiveIndex) rebuild(ix *Index, during *overlay, hook func()) {
+	if hook != nil {
+		hook()
+	}
 	c := CompactFromIndex(ix)
 	l.tab.mu.Lock()
 	defer l.tab.mu.Unlock()

@@ -1,6 +1,7 @@
 package rov
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -132,7 +133,9 @@ func randomProbe(rng *rand.Rand) Route {
 // touched, where a wrong cover test would show. Every third delta is as large
 // as the table, and is path-copied like the rest; every sixth step withdraws
 // the whole table and then announces into it, the first full sync, which is
-// built. A compaction is wedged ahead of a path-copied delta and released after
+// built: it returns with the bit trie answering and its compact build, held,
+// in flight, and once released that build lands with no further call. A
+// compaction is wedged ahead of a path-copied delta and released after
 // the step that follows, so a catch-up (or, past a first sync, a discard)
 // lands under the live view and is held to the same answers.
 func TestDifferentialLiveIndexVsReference(t *testing.T) {
@@ -196,11 +199,15 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				go live.tab.compact(before, func() { <-release })
 				live.tab.mu.Unlock()
 			}
+			// A first sync's compact build is held in flight: unheld lets it go.
+			var unheld func()
+			var synced LiveStats
 			if firstSync { // the table withdrawn whole, path-copied, leaves it empty
 				emptied := setOf(state).VRPs()
 				live.Apply(nil, emptied)
 				during = append(during, emptied...)
 				clear(state)
+				synced, unheld = quiesce(t, live), holdRebuilds(live)
 			}
 			during = append(append(during, ann...), wd...)
 			live.Apply(ann, wd)
@@ -225,8 +232,8 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				if before.fams[0].sameLineage(&after.fams[0]) {
 					t.Fatalf("trial %d step %d: a first sync of %d VRPs was path-copied", trial, step, len(ann))
 				}
-				if live.CompactSnapshot() == nil {
-					t.Fatalf("trial %d step %d: a first sync returned without a compact snapshot", trial, step)
+				if st := live.Stats(); live.CompactSnapshot() != nil || st.RebuildsStarted != synced.RebuildsStarted+1 {
+					t.Fatalf("trial %d step %d: a first sync returned with compact %v, %+v; want the bit trie serving, the compact half begun", trial, step, live.CompactSnapshot(), st)
 				}
 			case after == before:
 				if a, w := Diff(before, NewIndex(setOf(state))); len(a)+len(w) != 0 {
@@ -292,6 +299,10 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				}
 			}
 			verify(append(append([]rpki.VRP(nil), ann...), wd...))
+			if firstSync { // the bit trie answered; now the compact half lands
+				unheld()
+				checkLanded(t, live, synced, probesAround(ann), fmt.Sprintf("trial %d step %d: first sync", trial, step))
+			}
 			if release != nil && !wedgeNow {
 				cur := live.Snapshot()
 				st := quiesce(t, live) // the view the compaction lands under
@@ -389,24 +400,33 @@ func TestLiveIndexDeltaEdgeCases(t *testing.T) {
 }
 
 // TestApplyBulk pins Apply on deltas as large as the table, into a LiveIndex.
-// The first full sync is built: fresh slabs, no garbage, the compact half
-// built before Apply returns. Every later one is path-copied like any delta:
-// one that nets to nothing publishes nothing and keeps the compact half; inside
-// one, withdraw wins and repeats count once; and one that withdraws everything
-// leaves an empty table.
+// The first full sync is built: fresh slabs, no garbage, and Apply returns
+// with the bit trie serving the new table while its compact half — begun, and
+// held here — builds behind it, to land with no further call. Every later one
+// is path-copied like any delta: one that nets to nothing publishes nothing
+// and keeps the compact half; inside one, withdraw wins and repeats count
+// once; and one that withdraws everything leaves an empty table.
 func TestApplyBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	table := randomTable(rng, 300)
 	absent := markerVRP(1)
 
 	l := NewLiveIndex(rpki.NewSet(nil))
+	release, empty := holdRebuilds(l), l.Stats()
 	l.Apply(table, nil) // the first full sync as one announce delta
-	if l.Len() != len(table) || l.CompactSnapshot() == nil || l.CompactSnapshot().Len() != len(table) {
-		t.Fatalf("first sync: %d VRPs, compact %v; want %d with a compact snapshot", l.Len(), l.CompactSnapshot(), len(table))
+	if st := l.Stats(); l.Len() != len(table) || l.CompactSnapshot() != nil || st.RebuildsStarted != empty.RebuildsStarted+1 {
+		t.Fatalf("first sync: %d VRPs, compact %v, %+v; want %d served by the bit trie, the compact half begun", l.Len(), l.CompactSnapshot(), st, len(table))
 	}
 	if nodes, entries := garbage(&l.tab); nodes+entries != 0 {
 		t.Fatalf("the first sync left %d garbage cells: it was path-copied", nodes+entries)
 	}
+	synced := map[rpki.VRP]struct{}{}
+	for _, v := range table {
+		synced[v] = struct{}{}
+	}
+	checkLive(t, l, synced, probesAround(table), "first sync, compact half in flight")
+	release()
+	checkLanded(t, l, empty, probesAround(table), "first sync")
 
 	// Every VRP re-announced and two absent ones withdrawn: 302 operations, no
 	// change — the published snapshot and its compact half must be the very
@@ -830,7 +850,10 @@ func TestLiveIndexConcurrentReaders(t *testing.T) {
 	// The writer cycles until the readers have been answered through both
 	// halves: on a busy host its first 1,500 operations can be over before any
 	// batch lands on a view that holds a compact half. The ceiling bounds the
-	// versions kept, not the expected run.
+	// versions kept, not the expected run. It waits out every other reset's
+	// compact build: with four readers on the host's cores, the goroutine of
+	// each would otherwise be scheduled only after the next reset — or the
+	// next delta nobody has yet paid for — had discarded it.
 	seenBoth := func() bool {
 		st := l.Stats()
 		return st.CompactRoutes > 0 && st.FallbackRoutes > 0
@@ -842,6 +865,9 @@ func TestLiveIndexConcurrentReaders(t *testing.T) {
 		switch _, on := state[pair[0]]; {
 		case i%100 == 99:
 			l.ResetTo(setOf(state).VRPs())
+			if i%200 == 199 {
+				quiesce(t, l)
+			}
 		case on:
 			l.Apply([]rpki.VRP{short}, pair)
 			state[short] = struct{}{}
@@ -862,11 +888,7 @@ func TestLiveIndexConcurrentReaders(t *testing.T) {
 	if st.RebuildsInstalled < 2 || st.CompactRoutes == 0 || st.FallbackRoutes == 0 {
 		t.Fatalf("the readers saw no compact half come and go: %+v", st)
 	}
-	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines with the writer quiet, %d before the index was built", runtime.NumGoroutine(), baseline)
-		}
-	}
+	waitGoroutines(t, baseline, "with the writer quiet")
 	checkLive(t, l, state, routes, "at rest")
 
 	want := make([][]State, len(versions))

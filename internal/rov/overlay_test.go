@@ -1,8 +1,10 @@
 package rov
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,6 +82,48 @@ func quiesce(t *testing.T, l *LiveIndex) LiveStats {
 			return st
 		} else if time.Now().After(deadline) {
 			t.Fatalf("a rebuild is still in flight: %+v", st)
+		}
+	}
+}
+
+// holdRebuilds makes every rebuild l begins from now on wait in its hook until
+// release is called, which also ends the hold for rebuilds begun after it.
+func holdRebuilds(l *LiveIndex) (release func()) {
+	gate := make(chan struct{})
+	l.tab.mu.Lock()
+	l.rebuildHook = func() { <-gate }
+	l.tab.mu.Unlock()
+	return func() {
+		l.tab.mu.Lock()
+		l.rebuildHook = nil
+		l.tab.mu.Unlock()
+		close(gate)
+	}
+}
+
+// checkLanded waits until no rebuild is in flight and holds that exactly one
+// was installed since before, with nothing touched since: the compact half of
+// the current table, answering probes as CompactFromIndex of its snapshot.
+func checkLanded(t *testing.T, l *LiveIndex, before LiveStats, probes []Route, where string) {
+	t.Helper()
+	st := quiesce(t, l)
+	c := l.CompactSnapshot()
+	if st.RebuildsInstalled != before.RebuildsInstalled+1 || c == nil {
+		t.Fatalf("%s: the compact half did not land: %+v, then %+v", where, before, st)
+	}
+	want := CompactFromIndex(l.Snapshot())
+	if c.Len() != want.Len() || !slices.Equal(c.ValidateBatch(probes, nil), want.ValidateBatch(probes, nil)) {
+		t.Fatalf("%s: the landed compact half (%d VRPs) answers unlike CompactFromIndex of the snapshot (%d)", where, c.Len(), want.Len())
+	}
+}
+
+// waitGoroutines waits until the process is back to at most n goroutines: a
+// rebuild's goroutine exits just after it installs.
+func waitGoroutines(t *testing.T, n int, where string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want at most %d", where, runtime.NumGoroutine(), n)
 		}
 	}
 }
@@ -185,10 +229,11 @@ func TestLiveOverlayCoverage(t *testing.T) {
 // TestLiveOverlayAgainstReplaceAndCompaction runs what else publishes
 // snapshots against a kept compact half. A rebuild whose table is replaced
 // while it builds — by ResetTo or by a first full sync — is discarded, never
-// installed, and the replacement's own build stands; a rebuild that deltas
-// race is installed with exactly those deltas in its overlay; and a garbage
-// compaction swaps the slabs under the overlay without disturbing either.
-// The rebuilds are driven by hand (begin, then rebuild), which is what a
+// installed, and the replacement's own build, begun before the replacement
+// returns and held here, lands over it; a rebuild that deltas race is
+// installed with exactly those deltas in its overlay; and a garbage compaction
+// swaps the slabs under the overlay without disturbing either. The replaced
+// rebuilds are driven by hand (begin, then rebuild), which is what a paid
 // delta's goroutine does, so every interleaving here is deterministic.
 func TestLiveOverlayAgainstReplaceAndCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
@@ -201,6 +246,7 @@ func TestLiveOverlayAgainstReplaceAndCompaction(t *testing.T) {
 	begin := func() (*Index, *overlay) {
 		l.tab.mu.Lock()
 		defer l.tab.mu.Unlock()
+		l.unasked = false // as the delta that would start it has set
 		return l.Snapshot(), l.begin()
 	}
 	delta := func(k int) {
@@ -217,7 +263,7 @@ func TestLiveOverlayAgainstReplaceAndCompaction(t *testing.T) {
 	ix, during := begin()
 	delta(0)
 	delta(1)
-	l.rebuild(ix, during)
+	l.rebuild(ix, during, nil)
 	st := l.Stats()
 	if st.RebuildsInstalled != 1 || !st.CompactHeld || st.Marks != 4 || l.Snapshot() == ix {
 		t.Fatalf("raced rebuild: %+v", st)
@@ -238,22 +284,27 @@ func TestLiveOverlayAgainstReplaceAndCompaction(t *testing.T) {
 		ix, during = begin()
 		delta(2 + i)
 		next := randomTable(rng, 500)
+		release, begun := holdRebuilds(l), l.Stats()
 		replace(next)
 		clear(state)
 		for _, v := range next {
 			state[v] = struct{}{}
 		}
-		held := l.CompactSnapshot()
-		if held == nil || held.Len() != len(next) {
-			t.Fatalf("replacement %d returned without its compact half", i)
+		probes := probesAround(append(next[:50:50], base[:50]...))
+		if st := l.Stats(); l.CompactSnapshot() != nil || st.RebuildsStarted != begun.RebuildsStarted+1 {
+			t.Fatalf("replacement %d returned with compact %v, %+v: want the bit trie serving, its compact half begun", i, l.CompactSnapshot(), st)
 		}
+		checkLive(t, l, state, probes, "with the replacement's compact half in flight")
 		before := l.Stats()
-		l.rebuild(ix, during)
+		l.rebuild(ix, during, nil)
 		after := l.Stats()
-		if after.RebuildsDiscarded != before.RebuildsDiscarded+1 || after.RebuildsInstalled != before.RebuildsInstalled || l.CompactSnapshot() != held {
+		if after.RebuildsDiscarded != before.RebuildsDiscarded+1 || after.RebuildsInstalled != before.RebuildsInstalled || l.CompactSnapshot() != nil {
 			t.Fatalf("replacement %d: the replaced table's rebuild was not discarded: %+v then %+v", i, before, after)
 		}
-		checkLive(t, l, state, probesAround(append(next[:50:50], base[:50]...)), "after a discarded rebuild")
+		checkLive(t, l, state, probes, "after a discarded rebuild")
+		release()
+		checkLanded(t, l, after, probes, fmt.Sprintf("replacement %d", i))
+		checkLive(t, l, state, probes, "after the replacement's compact half landed")
 	}
 
 	// A garbage compaction under a live overlay: one-VRP deltas until the
@@ -279,6 +330,72 @@ func TestLiveOverlayAgainstReplaceAndCompaction(t *testing.T) {
 		markers = append(markers, markerVRP(k))
 	}
 	checkLive(t, l, state, probesAround(append(markers, base[:50]...)), "after a compaction under the overlay")
+}
+
+// TestLiveIndexUnaskedBuildDiscarded pins what becomes of the compact build a
+// replacement — ResetTo or a first full sync — starts unasked, when the table
+// moves on before it lands. A delta that reads have not paid for drops it: it
+// is discarded when it lands, never installed, and the table serves from the
+// bit trie, starting no build, until reads pay and a later delta rebuilds. A
+// second ResetTo replaces it with a build of its own, which lands. The builds
+// are held in flight, so each interleaving is the one named.
+func TestLiveIndexUnaskedBuildDiscarded(t *testing.T) {
+	rng := rand.New(rand.NewSource(173))
+	table := randomTable(rng, 400)
+	probes := probesAround(table[:50])
+	for _, replace := range []string{"ResetTo", "a first sync"} {
+		l := NewLiveIndex(rpki.NewSet(nil))
+		release, before := holdRebuilds(l), l.Stats()
+		if replace == "ResetTo" {
+			l.ResetTo(table)
+		} else {
+			l.Apply(table, nil)
+		}
+		state := map[rpki.VRP]struct{}{}
+		for _, v := range table {
+			state[v] = struct{}{}
+		}
+		l.Apply([]rpki.VRP{markerVRP(0)}, nil) // nothing validated yet
+		state[markerVRP(0)] = struct{}{}
+		release()
+		st := quiesce(t, l)
+		if st.RebuildsStarted != before.RebuildsStarted+1 || st.RebuildsDiscarded != before.RebuildsDiscarded+1 ||
+			st.RebuildsInstalled != before.RebuildsInstalled || st.CompactHeld || l.CompactSnapshot() != nil {
+			t.Fatalf("%s, then an unpaid delta: %+v then %+v; want its compact build discarded, none held", replace, before, st)
+		}
+		l.Apply([]rpki.VRP{markerVRP(1)}, nil)
+		state[markerVRP(1)] = struct{}{}
+		if again := l.Stats(); again.RebuildsStarted != st.RebuildsStarted || again.CompactHeld {
+			t.Fatalf("%s, then a second unpaid delta: %+v; want no build started, none held", replace, again)
+		}
+		checkLive(t, l, state, probes, replace+", its compact build discarded")
+		pay(l, probes)
+		paid := l.Stats()
+		l.Apply(nil, []rpki.VRP{markerVRP(0)})
+		delete(state, markerVRP(0))
+		checkLanded(t, l, paid, probes, replace+", then a paid delta")
+		checkLive(t, l, state, probes, replace+", then a paid delta")
+	}
+
+	l := NewLiveIndex(rpki.NewSet(nil))
+	release, before := holdRebuilds(l), l.Stats()
+	l.ResetTo(table)
+	next := append(slices.Clone(table[:300]), markerVRP(2))
+	l.ResetTo(next)
+	state := map[rpki.VRP]struct{}{}
+	for _, v := range next {
+		state[v] = struct{}{}
+	}
+	if st := l.Stats(); st.RebuildsStarted != before.RebuildsStarted+2 || l.CompactSnapshot() != nil {
+		t.Fatalf("two ResetTos: %+v, compact %v; want two builds begun, the bit trie serving", st, l.CompactSnapshot())
+	}
+	checkLive(t, l, state, probes, "two ResetTos, both builds in flight")
+	release()
+	checkLanded(t, l, before, probes, "two ResetTos")
+	if st := l.Stats(); st.RebuildsDiscarded != before.RebuildsDiscarded+1 || l.CompactSnapshot().Len() != len(next) {
+		t.Fatalf("two ResetTos: %+v, compact of %d VRPs; want the first build discarded, the second's of %d landed", st, l.CompactSnapshot().Len(), len(next))
+	}
+	checkLive(t, l, state, probes, "two ResetTos, the second's compact half landed")
 }
 
 // workloadTable returns a table of today's size with a real table's prefix
@@ -372,13 +489,16 @@ func TestLiveIndexServesCompactUnderChurn(t *testing.T) {
 // validates through drops the compact half at its first path-copied delta,
 // never rebuilds it and never starts a goroutine — whether it was built over
 // its table or by a first full sync — through the same churn that
-// makes a validated one rebuild.
+// makes a validated one rebuild. The first sync's compact build, on its own
+// goroutine, is waited out before the churn.
 func TestLiveIndexIdleKeepsNoCompactHalf(t *testing.T) {
 	table, _ := workloadTable()
 	before := runtime.NumGoroutine()
 	built := NewLiveIndex(rpki.NewSet(table))
 	synced := NewLiveIndex(rpki.NewSet(nil))
 	synced.Apply(table, nil)
+	quiesce(t, synced)
+	waitGoroutines(t, before, "after the first sync's compact build")
 	for i, l := range []*LiveIndex{built, synced} {
 		if l.CompactSnapshot() == nil {
 			t.Fatalf("index %d starts without its compact half", i)

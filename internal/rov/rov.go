@@ -22,7 +22,10 @@
 // (live.go) adds a compact index (compact.go) of an earlier version — that
 // version's Index with its one-child, entry-free nodes left out, read off it
 // by the pre-order walk VisitVRPs and Diff take too — which answers every
-// route no prefix touched since covers, while routes pay for it.
+// route no prefix touched since covers, while routes pay for it. It is built
+// off the path to enforcement: a delivered table — a full sync, a reset —
+// serves from its bit trie the moment it is published, and the compact index
+// follows from a background build.
 // Reference (below) is a linear scan used to cross-check them in property
 // and fuzz tests.
 package rov

@@ -103,22 +103,17 @@ func (t *Table) Len() int { return t.Snapshot().Len() }
 // The one delta that is built is the first full sync: an Apply into an empty
 // table that withdraws nothing goes into fresh slabs exactly as ResetTo would
 // put it there, and snapshots on either side of it share no arena lineage
-// (Diff across it is exact, by the full walk).
-func (t *Table) Apply(announce, withdraw []rpki.VRP) { t.apply(announce, withdraw) }
-
-// apply is Apply, reporting whether the delta replaced the table: whether it
-// was a first full sync, built. Nothing is looked up or withdrawn there, and
-// the build counts a repeated VRP once.
-func (t *Table) apply(announce, withdraw []rpki.VRP) bool {
+// (Diff across it is exact, by the full walk). Nothing is looked up or
+// withdrawn there, and the build counts a repeated VRP once.
+func (t *Table) Apply(announce, withdraw []rpki.VRP) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := t.cur.Load()
 	if old.Len() == 0 && len(withdraw) == 0 && len(announce) > 0 {
 		t.replace(newIndexFromVRPs(announce, nil))
-		return true
+		return
 	}
 	t.applyDelta(old, announce, withdraw)
-	return false
 }
 
 // publish makes nw current, the published hook first. Callers hold mu.

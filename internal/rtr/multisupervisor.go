@@ -655,7 +655,8 @@ func (m *MultiSupervisor) reconcile(u *upstream, now time.Time) {
 		// The last subscriber is called after the loop, so nothing here holds
 		// the delta while it runs: one that builds from it and lets go — a
 		// LiveIndex taking a first sync, 1.08 MB at today's 33,615 VRPs —
-		// frees it before its compact build, the peak of a cold start.
+		// frees it once its bit trie is built, before the compact build that
+		// then runs behind it.
 		last := len(subs) - 1
 		for _, fn := range subs[:last] {
 			fn(announced, withdrawn)
