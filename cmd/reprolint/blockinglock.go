@@ -19,7 +19,7 @@ import (
 var blockingLockAnalyzer = &Analyzer{
 	Name: "blockinglock",
 	Doc: "flags blocking operations, and calls that may reach one, made while a sync.Mutex/RWMutex is held in internal/rtr + internal/rov; " +
-		"only it sees upstream.connect waiting for a closed client's Done under MultiSupervisor.mu, or Server.Close waiting for its writers under regMu, which go test -race ./internal/rtr passes",
+		"only it sees Server.Close waiting for its writers under regMu, which go test -race -count=3 ./internal/rtr passes",
 	Run: runBlockingLock,
 }
 

@@ -101,8 +101,8 @@ func main() {
 	// (O(delta) per update); a cache switch arrives as the structural diff
 	// between the carried table and the new cache's table, so the index is
 	// reset to a full table only when every cache was out past the Expire
-	// window. The counters are atomic: the subscriber runs on supervisor
-	// goroutines while the follow loop reads them from this one.
+	// window. The counters are atomic: the subscriber runs on the
+	// supervisor's goroutine while the follow loop reads them from this one.
 	live := rov.NewLiveIndex(rpki.NewSet(nil))
 	var announced, withdrawn atomic.Int64
 
@@ -159,10 +159,13 @@ func main() {
 	for {
 		select {
 		case serial := <-updates:
+			// One snapshot names the active cache and the counters alike.
 			st := m.Stats()
 			active := "none"
-			if a := m.Active(); a >= 0 && a < len(st.Upstreams) {
-				active = st.Upstreams[a].Name
+			for _, u := range st.Upstreams {
+				if u.Active {
+					active = u.Name
+				}
 			}
 			// What validation queries have hit so far: the path-compressed
 			// index, or the bit trie — for want of a compact half, or because

@@ -17,10 +17,13 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -32,27 +35,36 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the pipeline through and writes what the router sees to w. It
+// waits for each state it reports, so the text is the same on every run.
+func run(w io.Writer) error {
 	// 1. Publish a signed repository: a TA, one CA, two ROAs — one of them
 	//    a non-minimal maxLength ROA.
 	dir, err := buildRepository()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer os.RemoveAll(dir)
 
 	// 2. The local cache scans and cryptographically validates the objects.
 	scan, err := rpkix.ScanROAs(dir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("scan: %d ROAs validated, %d rejected -> %d VRPs\n",
+	fmt.Fprintf(w, "scan: %d ROAs validated, %d rejected -> %d VRPs\n",
 		len(scan.ROAs), len(scan.Rejected), scan.VRPs.Len())
 
 	// 3. Compress the PDU list before serving it (the §7 toolchain).
 	pdus, res := core.Compress(scan.VRPs, core.Options{})
 	if err := core.VerifyCompression(scan.VRPs, pdus); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("compress: %d -> %d PDUs (%.1f%% saved)\n", res.In, res.Out, 100*res.SavedFraction())
+	fmt.Fprintf(w, "compress: %d -> %d PDUs (%.1f%% saved)\n", res.In, res.Out, 100*res.SavedFraction())
 
 	// 4. Serve the table from two caches and sync a router through the
 	//    multi-cache supervisor. The router's validation table is a live
@@ -62,16 +74,17 @@ func main() {
 	primary := rtr.NewServer(pdus)
 	lp, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	primaryAddr := lp.Addr().String()
 	go primary.Serve(lp)
+	defer primary.Close()
 
 	backup := rtr.NewServer(pdus)
 	backup.SetSession(0xbac1, 1)
 	lb, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	backupAddr := lb.Addr().String()
 	go backup.Serve(lb)
@@ -88,22 +101,27 @@ func main() {
 		live.Apply(announced, withdrawn)
 	})
 	m.OnReset(live.ResetTo)
-	updates := make(chan rtr.Serial, 16)
-	m.OnUpdate = func(serial rtr.Serial) {
-		select {
-		case updates <- serial:
-		default:
-		}
-	}
+	// The serial of the serving cache's latest sync, once its delivery has
+	// returned.
+	var serial atomic.Uint32
+	m.OnUpdate = func(s rtr.Serial) { serial.Store(uint32(s)) }
 	go m.Run()
 	defer m.Stop()
 
-	serial := <-updates
-	fmt.Printf("router: synchronized %d VRPs at serial %d from the primary cache\n", live.Len(), serial)
+	// Either cache may sync first; the router is settled once both are up,
+	// the preferred one serves, and the router has taken its serial.
+	bothUp := func() bool {
+		st := m.Stats().Upstreams
+		return st[0].Up && st[1].Up && st[0].Active
+	}
+	if err := waitUntil(func() bool { return bothUp() && rtr.Serial(serial.Load()) == primary.Serial() }); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "router: synchronized %d VRPs at serial %d from the primary cache\n", live.Len(), serial.Load())
 
 	// 5. The router validates announcements with its synchronized table.
 	hijack := prefix.MustParse("168.122.0.0/24")
-	fmt.Printf("router: forged-origin hijack %v AS111 -> %v (maxLength ROA leaves it Valid!)\n",
+	fmt.Fprintf(w, "router: forged-origin hijack %v AS111 -> %v (maxLength ROA leaves it Valid!)\n",
 		hijack, live.Validate(hijack, 111))
 
 	// 6. The operator hardens the ROA to a minimal one; both caches pick up
@@ -115,10 +133,16 @@ func main() {
 	})
 	primary.UpdateSet(minimal)
 	backup.UpdateSet(minimal)
-	serial = <-updates
-	fmt.Printf("router: incremental update to serial %d (%d VRPs, index updated in place)\n",
-		serial, live.Len())
-	fmt.Printf("router: forged-origin hijack %v AS111 -> %v (hardened: now Invalid)\n",
+	// The wait reads the index's snapshot, which the live index does not
+	// count as a validated route.
+	if err := waitUntil(func() bool {
+		return live.Snapshot().Validate(hijack, 111) == rov.Invalid && rtr.Serial(serial.Load()) == primary.Serial()
+	}); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "router: incremental update to serial %d (%d VRPs, index updated in place)\n",
+		serial.Load(), live.Len())
+	fmt.Fprintf(w, "router: forged-origin hijack %v AS111 -> %v (hardened: now Invalid)\n",
 		hijack, live.Validate(hijack, 111))
 
 	// 7. The backup revalidates on its own schedule and notices the AS 31283
@@ -132,65 +156,69 @@ func main() {
 	})
 	backup.UpdateSet(revalidated)
 	primary.Close()
-	waitUntil(func() bool { return m.Active() == 1 && live.Len() == revalidated.Len() })
-	st := m.Stats()
-	fmt.Printf("router: primary died; failed over to backup by delta (%d VRPs; %d switches, %d rebuilds)\n",
-		live.Len(), st.Switches, st.Rebuilds)
+	if err := waitUntil(func() bool { return m.Active() == 1 && live.Len() == revalidated.Len() }); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "router: primary died; failed over to backup by delta (%d VRPs; %d rebuilds)\n",
+		live.Len(), m.Stats().Rebuilds)
 	expired := prefix.MustParse("87.254.32.0/19")
-	fmt.Printf("router: %v AS31283 -> %v (ROA gone on the backup), hijack still %v\n",
+	fmt.Fprintf(w, "router: %v AS31283 -> %v (ROA gone on the backup), hijack still %v\n",
 		expired, live.Validate(expired, 31283), live.Validate(hijack, 111))
 
 	// 8. The primary returns as a fresh process — new session ID, no
 	//    retained deltas, table revalidated to match. The supervisor fails
 	//    back to the preferred cache, delivering the (here empty) diff
 	//    between the backup's table and the restarted primary's — the
-	//    router never rebuilds.
+	//    router never rebuilds. How often each cache was dialled, and
+	//    whether the backup served first, depend on timing, so only the
+	//    counts every run shares are printed.
 	primary2 := rtr.NewServer(revalidated)
 	primary2.SetSession(0xf4e5, 1)
 	lp2, err := relisten(primaryAddr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	go primary2.Serve(lp2)
 	defer primary2.Close()
 
-	waitUntil(func() bool { return m.Active() == 0 })
-	st = m.Stats()
-	fmt.Printf("router: primary restarted with a new session; failed back (%d VRPs; healthy=%v)\n",
+	if err := waitUntil(bothUp); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "router: primary restarted with a new session; failed back (%d VRPs; healthy=%v)\n",
 		live.Len(), m.Healthy())
-	for _, u := range st.Upstreams {
-		fmt.Printf("router: cache %s: up=%t active=%t failovers=%d failbacks=%d dials=%d reset-fallbacks=%d rebuilds=%d\n",
-			u.Name, u.Up, u.Active, u.Failovers, u.Failbacks,
-			u.Dials, u.ResetFallbacks, u.Rebuilds)
+	for _, u := range m.Stats().Upstreams {
+		fmt.Fprintf(w, "router: cache %s: up=%t active=%t failovers=%d reset-fallbacks=%d rebuilds=%d\n",
+			u.Name, u.Up, u.Active, u.Failovers, u.ResetFallbacks, u.Rebuilds)
 	}
 
 	// 9. The serving read path. The live index answers a route from its
 	//    path-compressed compact index unless a prefix touched since that
 	//    was built covers the route, and keeps the compact half across
 	//    deltas only while enough routes are validated through it to pay
-	//    for its rebuilds — this example asks a handful, so the first delta
-	//    after each sync dropped it and the bit trie answered since. A
-	//    router pinning its hot path derives the compact index explicitly —
-	//    the same build a rebuild runs — and validates identical answers at
-	//    a fraction of the per-query latency.
+	//    for its rebuilds. Which of the two answered this example's handful
+	//    depends on when each rebuild landed. A router pinning its hot path
+	//    derives the compact index explicitly — the same build a rebuild
+	//    runs — and validates identical answers at a fraction of the
+	//    per-query latency.
 	ls := live.Stats()
-	fmt.Printf("router: live index (%d VRPs) answered %d routes from the compact index and %d from the bit trie; compact half held: %t\n",
-		live.Len(), ls.CompactRoutes, ls.FallbackRoutes, ls.CompactHeld)
+	fmt.Fprintf(w, "router: live index (%d VRPs) answered %d routes\n", live.Len(), ls.CompactRoutes+ls.FallbackRoutes)
 	cx := rov.CompactFromIndex(live.Snapshot())
-	fmt.Printf("router: compact validator: hijack %v AS111 -> %v, expired %v AS31283 -> %v\n",
+	fmt.Fprintf(w, "router: compact validator: hijack %v AS111 -> %v, expired %v AS31283 -> %v\n",
 		hijack, cx.Validate(hijack, 111), expired, cx.Validate(expired, 31283))
+	return nil
 }
 
-// waitUntil polls cond until it holds (or a deadline long past any backoff
-// in this example expires).
-func waitUntil(cond func() bool) {
+// waitUntil polls cond until it holds, or fails once a deadline long past
+// any backoff in this example has passed.
+func waitUntil(cond func() bool) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for !cond() {
 		if time.Now().After(deadline) {
-			log.Fatal("rtrpipeline: state not reached in time")
+			return errors.New("rtrpipeline: state not reached in time")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	return nil
 }
 
 // relisten rebinds the address the killed cache listened on.

@@ -142,10 +142,14 @@ func TestMultiSupervisorAcrossSessionCompaction(t *testing.T) {
 	m.BackoffMin, m.BackoffMax = 2*time.Millisecond, 20*time.Millisecond
 	var mu sync.Mutex
 	mirror := map[rpki.VRP]struct{}{}
+	// base is the lineage of the snapshot the latest delivery diffs from,
+	// read on Run's goroutine, which owns it: the table delivered before it.
+	var base uint64
 	m.Subscribe(func(announced, withdrawn []rpki.VRP) {
 		mu.Lock()
 		defer mu.Unlock()
 		replayDelta(t, mirror, announced, withdrawn)
+		base = lineage(m.delivered)
 	})
 	m.OnReset(func([]rpki.VRP) { t.Error("a delivery went through OnReset") })
 	runErr := make(chan error, 1)
@@ -163,24 +167,30 @@ func TestMultiSupervisorAcrossSessionCompaction(t *testing.T) {
 			return mirrorSet(mirror).Equal(want)
 		}
 	}
-	delivered := func() *rov.Index {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.delivered
+	baseLineage := func() uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return base
 	}
 	waitFor(t, holds(set))
 
 	// Each delta is waited out, so the session table takes every one of them
 	// (the follower would otherwise coalesce an announce and its withdraw into
-	// nothing), until a delivery has crossed the compaction.
-	first := lineage(delivered())
-	for i := 0; lineage(delivered()) == first; i++ {
+	// nothing), until a delivery has crossed the compaction. first is the
+	// lineage of the full sync's snapshot, the base of the first delta; a
+	// base on another lineage is the table a crossing delivered, so that
+	// delivery has returned and been checked.
+	var first uint64
+	for i := 0; i == 0 || baseLineage() == first; i++ {
 		if i == 2000 {
 			t.Fatal("the session table never compacted")
 		}
 		churn := scattered()
 		srv.ApplyDelta(churn, nil)
 		waitFor(t, holds(addVRPs(set, churn...)))
+		if i == 0 {
+			first = baseLineage()
+		}
 		srv.ApplyDelta(nil, churn)
 		waitFor(t, holds(set))
 	}

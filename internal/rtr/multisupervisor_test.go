@@ -120,6 +120,9 @@ func TestStopReleasesTables(t *testing.T) {
 		st := f.m.Stats().Upstreams
 		return liveTable(f.live).Equal(table) && st[0].Up && st[1].Up
 	})
+	// The tables are the owner's. The view just loaded was published after
+	// its last write to either, and no sync is due for an hour, so reading
+	// them here races with nothing.
 	if f.m.delivered.Len() != table.Len() || f.m.ups[1].table.Len() != table.Len() {
 		t.Fatalf("running: delivered %d, standby %d VRPs, want %d", f.m.delivered.Len(), f.m.ups[1].table.Len(), table.Len())
 	}
@@ -150,6 +153,36 @@ func TestStopReleasesTables(t *testing.T) {
 	}
 	if err := early.Run(); err != nil || early.Stats().Upstreams[0].Dials != 0 {
 		t.Errorf("Run after Stop: %v, %d dials; want nil and none", err, early.Stats().Upstreams[0].Dials)
+	}
+}
+
+// TestRegisterAfterRunPanics: once Run has begun the subscribers are the
+// owner's, so registering another is a panic, not a data race; and a second
+// Run is an error.
+func TestRegisterAfterRunPanics(t *testing.T) {
+	m := NewMultiSupervisor(Upstream{Name: "refused", Dial: func() (net.Conn, error) { return nil, errors.New("refused") }})
+	done := make(chan error, 1)
+	go func() { done <- m.Run() }()
+	defer func() {
+		m.Stop()
+		<-done
+	}()
+	waitFor(t, func() bool { return m.Stats().Upstreams[0].Dials > 0 })
+	for name, register := range map[string]func(){
+		"Subscribe": func() { m.Subscribe(func(_, _ []rpki.VRP) {}) },
+		"OnReset":   func() { m.OnReset(func([]rpki.VRP) {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Run did not panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+	if err := m.Run(); err == nil {
+		t.Error("a second Run returned nil")
 	}
 }
 

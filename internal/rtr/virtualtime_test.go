@@ -3,8 +3,12 @@ package rtr
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -100,5 +104,30 @@ func TestVirtualTime(t *testing.T) {
 	runBubbles()
 	if child.err != nil {
 		t.Fatalf("GOEXPERIMENT=synctest go test: %v\n%s", child.err, child.log.String())
+	}
+}
+
+// TestBubbledTestsListed holds bubble_test.go's tests, bubbledTests and
+// nobubble_test.go's relays to one set. A bubbled test missing from either
+// list would run only in a binary built with the experiment (make race),
+// and a plain go test would never report it.
+func TestBubbledTestsListed(t *testing.T) {
+	tests := func(file string) []string {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		slices.Sort(names)
+		return names
+	}
+	listed := slices.Sorted(slices.Values(bubbledTests))
+	if bubbles, relays := tests("bubble_test.go"), tests("nobubble_test.go"); !slices.Equal(bubbles, listed) || !slices.Equal(relays, listed) {
+		t.Fatalf("bubble_test.go's tests %v\nbubbledTests %v\nnobubble_test.go's relays %v\nmust be one set", bubbles, listed, relays)
 	}
 }
