@@ -1,8 +1,7 @@
 package main
 
-// lockorder: the RTR and ROV layers stack several mutexes — per-client
-// request and state locks, the server's publish, registry and per-conn
-// locks, the table's writer lock.
+// lockorder: the RTR and ROV layers stack several mutexes — the server's
+// publish, registry and per-conn locks, the table's writer lock.
 // Two functions that acquire the same two locks in opposite orders are a
 // deadlock waiting for the interleaving that -race never draws. The
 // check identifies each lock by its declaration — pkg.Type.field for struct
@@ -26,7 +25,7 @@ import (
 var lockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc: "reports every cycle in the inter-procedural lock-ordering graph over internal/rtr + internal/rov, with its witness path; " +
-		"only it sees Client.Subscribe taking reqMu under mu, against Sync's reqMu then mu, which go test -race -count=3 ./internal/rtr passes",
+		"only it sees UpdateSet notifying under writeMu while Close takes writeMu under regMu, which go test -race -count=3 ./internal/rtr passes",
 	Run: runLockOrder,
 }
 

@@ -214,18 +214,7 @@ func TestSuppression(t *testing.T) {
 // TestRepoClean is the lint gate's own regression test: the repository must
 // stay free of unsuppressed findings.
 func TestRepoClean(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(wd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader, pkgs := loadRepo(t)
 	for _, f := range runAnalyzers(loader.Fset, pkgs, analyzers) {
 		t.Errorf("unsuppressed finding: %s", f)
 	}

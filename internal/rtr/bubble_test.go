@@ -917,3 +917,219 @@ func TestMultiSupervisorFailoverFailback(t *testing.T) {
 		t.Fatalf("replay differs:\n%+v %+v\n%+v %+v", st, log, st2, log2)
 	}
 }
+
+// dialClient connects a Client to the Server bound to addr.
+func dialClient(t *testing.T, addr *cacheAddr) *Client {
+	t.Helper()
+	conn, err := addr.Dial()
+	must(t, err)
+	return NewClient(conn)
+}
+
+// TestConcurrentSyncResetDispatch hammers the dispatch loop with concurrent
+// Sync and Reset callers while the cache keeps updating: the exchange slot
+// must keep every exchange intact and the table convergent. A caller stuck
+// for good on the slot or on its request is a deadlock the bubble reports.
+func TestConcurrentSyncResetDispatch(t *testing.T) {
+	synctest.Run(func() {
+		set := testVRPs()
+		srv := NewServer(set)
+		var addr cacheAddr
+		addr.serve(srv)
+		defer srv.Close()
+		c := dialClient(t, &addr)
+		defer c.Close()
+
+		const goroutines, rounds = 4, 8
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			go func() {
+				for i := 0; i < rounds; i++ {
+					var err error
+					if g%2 == 0 {
+						_, err = c.Sync()
+					} else {
+						err = c.Reset()
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		// Updates (and their Serial Notifies) race the exchanges.
+		cur := set
+		for i := 0; i < rounds; i++ {
+			cur = addVRPs(cur, rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(8 + i), AS: rpki.ASN(300 + i)})
+			srv.UpdateSet(cur)
+		}
+		for g := 0; g < goroutines; g++ {
+			if err := recv(t, errs); err != nil {
+				t.Fatalf("concurrent exchange failed: %v", err)
+			}
+		}
+		_, err := c.Sync()
+		must(t, err)
+		if !c.Set().Equal(cur) {
+			t.Fatalf("after concurrent exchanges: %d VRPs, want %d", c.Len(), cur.Len())
+		}
+	})
+}
+
+// TestSubscribeBlockingConsumer pins where delivery runs: on the goroutine
+// that called Sync, never on the dispatch loop. A consumer that blocks
+// inside its callback holds up that Sync (and FlushSubscribers) until it
+// returns, while the dispatch loop keeps reading — a newer Serial Notify
+// still reaches Notify(). Then concurrent Sync callers race a publisher:
+// deliveries must not overlap and must arrive in commit order.
+func TestSubscribeBlockingConsumer(t *testing.T) {
+	synctest.Run(func() {
+		set := testVRPs()
+		srv := NewServer(set)
+		var addr cacheAddr
+		addr.serve(srv)
+		defer srv.Close()
+		c := dialClient(t, &addr)
+		defer c.Close()
+
+		// Consumer state is plain: deliveries are serialized by the client,
+		// and the test reads it after a Sync or FlushSubscribers of its own.
+		mirror := map[rpki.VRP]struct{}{}
+		var serials []Serial
+		entered, gate := make(chan struct{}), make(chan struct{})
+		c.Subscribe(func(ann, wd []rpki.VRP) {
+			if len(serials) == 1 { // the second delivery blocks
+				close(entered)
+				<-gate
+			}
+			serials = append(serials, c.Serial())
+			replayDelta(t, mirror, ann, wd)
+		})
+		_, err := c.Sync()
+		must(t, err)
+		if len(serials) != 1 {
+			t.Fatalf("Sync returned with %d deliveries made, want 1", len(serials))
+		}
+
+		cur := set
+		publish := func(i int) {
+			cur = addVRPs(cur, rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(8 + i%24), AS: rpki.ASN(400 + i)})
+			srv.UpdateSet(cur)
+		}
+		publish(0)
+		_, err = c.WaitNotify()
+		must(t, err)
+		syncDone := make(chan error, 1)
+		go func() {
+			_, err := c.Sync()
+			syncDone <- err
+		}()
+		recv(t, entered)
+		// The consumer is parked inside its callback. The dispatch loop is
+		// not: the next publish's notify comes through.
+		publish(1)
+		if s := recv(t, c.Notify()); s != srv.Serial() {
+			t.Fatalf("notified of serial %d, want %d", s, srv.Serial())
+		}
+		flushed := make(chan struct{})
+		go func() {
+			c.FlushSubscribers()
+			close(flushed)
+		}()
+		synctest.Wait()
+		select {
+		case err := <-syncDone:
+			t.Fatalf("Sync returned (%v) while its delivery was still running", err)
+		case <-flushed:
+			t.Fatal("FlushSubscribers returned while a delivery was still running")
+		default:
+		}
+		close(gate)
+		must(t, recv(t, syncDone))
+		recv(t, flushed)
+
+		// Concurrent callers: whichever goroutine's Sync commits an update
+		// delivers it before the next exchange starts.
+		const callers, rounds = 4, 16
+		errs := make(chan error, callers)
+		for g := 0; g < callers; g++ {
+			go func() {
+				for i := 0; i < rounds; i++ {
+					if _, err := c.Sync(); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for i := 2; i < 2+rounds; i++ {
+			publish(i)
+		}
+		for g := 0; g < callers; g++ {
+			if err := recv(t, errs); err != nil {
+				t.Fatalf("concurrent Sync: %v", err)
+			}
+		}
+		_, err = c.Sync()
+		must(t, err)
+		for i := 1; i < len(serials); i++ {
+			if !SerialNewer(serials[i], serials[i-1]) {
+				t.Fatalf("delivery %d carried serial %d after %d: out of commit order", i, serials[i], serials[i-1])
+			}
+		}
+		if last := serials[len(serials)-1]; last != srv.Serial() {
+			t.Fatalf("last delivery at serial %d, cache is at %d", last, srv.Serial())
+		}
+		if got := mirrorSet(mirror); !got.Equal(cur) {
+			t.Fatalf("consumer mirror has %d VRPs, want %d", got.Len(), cur.Len())
+		}
+	})
+}
+
+// TestSyncFailureSetsErr pins the order MultiSupervisor's retry-or-redial
+// branch relies on: a Sync that fails the session returns with Err already
+// set, whether its own write or the dispatch loop saw the connection die
+// first. The cache's end closes while the Reset Query waits to be read, so
+// the dispatch loop never takes the request. Every later call then fails
+// fast with the same error: none keeps the exchange slot.
+func TestSyncFailureSetsErr(t *testing.T) {
+	synctest.Run(func() {
+		cli, cache := net.Pipe()
+		c := NewClient(cli)
+		defer c.Close()
+
+		type outcome struct{ err, sticky error }
+		synced := make(chan outcome, 1)
+		go func() {
+			_, err := c.Sync()
+			synced <- outcome{err, c.Err()}
+		}()
+		synctest.Wait() // the query is unread: nobody reads the cache's end
+		cache.Close()
+		o := recv(t, synced)
+		if o.err == nil {
+			t.Fatal("Sync succeeded over a closed connection")
+		}
+		if o.sticky == nil {
+			t.Fatalf("Sync returned %v with Err still nil", o.err)
+		}
+
+		later := make(chan error, 3)
+		go func() {
+			_, err := c.Sync()
+			later <- err
+			later <- c.Reset()
+			c.FlushSubscribers()
+			later <- c.Err()
+		}()
+		for _, call := range []string{"Sync", "Reset", "FlushSubscribers"} {
+			if err := recv(t, later); !errors.Is(err, o.sticky) {
+				t.Fatalf("%s after the failure: %v, want the sticky %v", call, err, o.sticky)
+			}
+		}
+		recv(t, c.Done())
+	})
+}

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/rov"
@@ -37,6 +37,18 @@ import (
 // the connection, fails any in-flight exchange, and closes Done; every later
 // call fails fast with that error and the caller must reconnect with a fresh
 // Client.
+//
+// No lock guards a Client. Each piece of state has one owner:
+//   - the session — ID, serial, timers, full-sync count — is the dispatch
+//     goroutine's: it alone writes it, and publishes it whole after each End
+//     of Data, before it resolves the exchange, so Serial and the rest read
+//     the synced value as soon as Sync returns;
+//   - the exchange slot is held by one Sync, Reset, FlushSubscribers or
+//     Subscribe call at a time, and the subscriber list belongs to its
+//     holder; a Sync or Reset hands its request to the dispatch goroutine
+//     and keeps the slot until its subscribers have returned;
+//   - the sticky error is set once, by whichever goroutine sees the
+//     connection fail first, and before the failure is reported to anyone.
 type Client struct {
 	// Version is the protocol version to speak (Version1 by default). Set it
 	// before the first exchange.
@@ -47,16 +59,26 @@ type Client struct {
 	// (commit); everyone else reads snapshots.
 	table *rov.Table
 
-	// reqMu serializes Sync/Reset callers: the protocol allows at most one
-	// outstanding query per connection, so concurrent callers simply queue.
-	// It is held through the delivery to subscribers, which is what keeps
-	// deliveries sequential and in commit order.
-	reqMu sync.Mutex
+	// slot is the exchange slot: a send takes it, a receive gives it back.
+	// The protocol allows at most one outstanding query per connection, so
+	// concurrent callers simply queue.
+	slot chan struct{}
+	subs []func(announced, withdrawn []rpki.VRP) // the slot's, in registration order
+	reqs chan *request                           // the slot holder's request, to dispatch
 
-	mu        sync.Mutex
-	sessionID uint16
-	serial    Serial
-	haveState bool
+	// state is the last completed sync, or the session NewClientResume
+	// carried in; nil before either.
+	state atomic.Pointer[session]
+	err   atomic.Pointer[error]
+
+	notifyCh chan Serial
+	done     chan struct{}
+}
+
+// session is a Client's state after a completed sync, published whole and
+// never changed after.
+type session struct {
+	SessionState
 	// refresh/retry/expire hold the timers from the most recent version-1
 	// End of Data PDU (seconds); haveTimers reports whether one was seen.
 	refresh, retry, expire uint32
@@ -64,29 +86,16 @@ type Client struct {
 	// fullSyncs counts committed full (Reset Query) exchanges; a resumed
 	// client that syncs with it still zero resumed purely by Serial Query.
 	fullSyncs int
-	// subs are the Subscribe consumers, in registration order.
-	subs []func(announced, withdrawn []rpki.VRP)
-	// req is the at-most-one in-flight exchange; nil while idle.
-	req *request
-	// err is the sticky failure recorded when the dispatch loop dies.
-	err error
-
-	notifyCh chan Serial
-	done     chan struct{}
 }
 
 // request is one Sync/Reset exchange routed through the dispatch loop. The
-// requesting goroutine creates it, registers it, writes the query, and blocks
-// on result; the dispatch loop owns the parsing state and finishes the
-// request exactly once.
+// requesting goroutine creates it, hands it over on reqs, writes the query,
+// and waits for result or Done; the dispatch loop owns the parsing state and
+// sends on result at most once.
 type request struct {
-	full bool
-	// subs are the consumers registered when the exchange began; with none,
-	// commit takes no diff.
-	subs []func(announced, withdrawn []rpki.VRP)
-
-	once   sync.Once
-	result chan error // buffered: finish never blocks the dispatch loop
+	full   bool
+	diff   bool       // the requester has subscribers: commit takes their delta
+	result chan error // buffered: resolving never blocks the dispatch loop
 
 	// Exchange state below is owned by the dispatch goroutine.
 	started bool // Cache Response received
@@ -103,13 +112,6 @@ type request struct {
 	// added/removed are what commit changed in the table — the subscribers'
 	// delta, delivered by the requesting goroutine once result has resolved.
 	added, removed []rpki.VRP
-}
-
-// finish resolves the exchange. Both the dispatch loop (normal completion)
-// and fail (connection death racing a completion) may call it; the first
-// outcome wins.
-func (r *request) finish(err error) {
-	r.once.Do(func() { r.result <- err })
 }
 
 // SessionState identifies the last completed sync of a session: what a
@@ -154,11 +156,13 @@ func NewClientResume(nc net.Conn, table *rov.Table, st *SessionState) *Client {
 		Version:  Version1,
 		conn:     nc,
 		table:    table,
+		slot:     make(chan struct{}, 1),
+		reqs:     make(chan *request, 1),
 		notifyCh: make(chan Serial, 1),
 		done:     make(chan struct{}),
 	}
 	if st != nil {
-		c.sessionID, c.serial, c.haveState = st.SessionID, st.Serial, true
+		c.state.Store(&session{SessionState: *st})
 	}
 	go c.dispatch()
 	return c
@@ -169,12 +173,12 @@ func NewClientResume(nc net.Conn, table *rov.Table, st *SessionState) *Client {
 // completed — nothing to resume. It remains available after the dispatch
 // loop dies, as does the table.
 func (c *Client) SessionState() *SessionState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.haveState {
+	st := c.state.Load()
+	if st == nil {
 		return nil
 	}
-	return &SessionState{SessionID: c.sessionID, Serial: c.serial}
+	ss := st.SessionState
+	return &ss
 }
 
 // Close closes the connection; the dispatch loop observes the closed socket,
@@ -193,12 +197,15 @@ func (c *Client) Notify() <-chan Serial { return c.notifyCh }
 // reports why.
 func (c *Client) Done() <-chan struct{} { return c.done }
 
-// Err returns the sticky error that terminated the dispatch loop, or nil
-// while the loop is still running.
+// Err returns the sticky error that failed the session, or nil while it is
+// alive. It is set before any call reports that error: a Sync or Reset that
+// fails the session — its write failed, or the connection died under it —
+// returns with Err already non-nil, though Done may not yet be closed.
 func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
+	if p := c.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Subscribe registers fn as a delta consumer: after every completed update
@@ -212,39 +219,33 @@ func (c *Client) Err() error {
 //
 // Delivery runs on the goroutine that called Sync or Reset, after the
 // update has committed and before the call returns, consumers in
-// registration order. Exchanges are serialized, so deliveries never overlap
-// and arrive in commit order, and nothing is queued: a slow consumer slows
-// the caller that is syncing, never the dispatch loop — PDUs keep being
-// read and Serial Notifies keep reaching Notify while it runs. Consumers
-// may read Client state but must not call Sync, Reset or FlushSubscribers,
-// which wait for the exchange they are running inside. Consumers must not
-// mutate the slices: every consumer is handed the same ones.
+// registration order. That caller holds the exchange slot throughout, so
+// deliveries never overlap and arrive in commit order, and nothing is
+// queued: a slow consumer slows the caller that is syncing, never the
+// dispatch loop — PDUs keep being read and Serial Notifies keep reaching
+// Notify while it runs. Consumers may read Client state (Serial, Timers and
+// the table already show the update they are handed) but must not call
+// Subscribe, Sync, Reset or FlushSubscribers: each waits for the slot, which
+// the exchange they are running inside holds. Consumers must not mutate the
+// slices: every consumer is handed the same ones.
 //
-// A consumer registered while an exchange is in flight, or after updates
-// have been applied, sees only subsequent deltas; register before the first
-// sync to observe the full table history.
+// Subscribe itself takes the slot, so it waits out an exchange in flight;
+// a consumer registered after updates have been applied sees only
+// subsequent deltas. Register before the first sync to observe the full
+// table history.
 func (c *Client) Subscribe(fn func(announced, withdrawn []rpki.VRP)) {
-	c.mu.Lock()
+	c.slot <- struct{}{}
 	c.subs = append(c.subs, fn)
-	c.mu.Unlock()
+	<-c.slot
 }
 
 // FlushSubscribers blocks until any Sync or Reset in flight on another
 // goroutine has delivered to every subscriber and returned. A caller that
 // syncs on its own goroutine needs no flush: Sync returns after delivery.
 func (c *Client) FlushSubscribers() {
-	// The lock is the wait: an exchange delivers while holding it.
-	c.reqMu.Lock()
-	c.reqMu.Unlock()
-}
-
-// vrpSet returns vs as a membership set.
-func vrpSet(vs []rpki.VRP) map[rpki.VRP]struct{} {
-	m := make(map[rpki.VRP]struct{}, len(vs))
-	for _, v := range vs {
-		m[v] = struct{}{}
-	}
-	return m
+	// Taking the slot is the wait: an exchange delivers while holding it.
+	c.slot <- struct{}{}
+	<-c.slot
 }
 
 // Timers returns the Refresh/Retry/Expire intervals advertised by the cache
@@ -252,38 +253,33 @@ func vrpSet(vs []rpki.VRP) map[rpki.VRP]struct{} {
 // been seen (no completed sync yet, or the cache speaks version 0, whose End
 // of Data carries no timers).
 func (c *Client) Timers() (refresh, retry, expire time.Duration, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.haveTimers {
+	st := c.session()
+	if !st.haveTimers {
 		return 0, 0, 0, false
 	}
-	return time.Duration(c.refresh) * time.Second,
-		time.Duration(c.retry) * time.Second,
-		time.Duration(c.expire) * time.Second, true
+	return time.Duration(st.refresh) * time.Second,
+		time.Duration(st.retry) * time.Second,
+		time.Duration(st.expire) * time.Second, true
+}
+
+// session returns the published session, the zero one before any.
+func (c *Client) session() *session {
+	if st := c.state.Load(); st != nil {
+		return st
+	}
+	return &session{}
 }
 
 // Serial returns the serial of the last completed sync.
-func (c *Client) Serial() Serial {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.serial
-}
+func (c *Client) Serial() Serial { return c.session().Serial }
 
 // SessionID returns the cache session from the last completed sync.
-func (c *Client) SessionID() uint16 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sessionID
-}
+func (c *Client) SessionID() uint16 { return c.session().SessionID }
 
 // FullSyncs returns how many full (Reset Query) exchanges have committed.
 // Zero on a resumed client means every sync so far was incremental — the
 // cache accepted the carried session outright.
-func (c *Client) FullSyncs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fullSyncs
-}
+func (c *Client) FullSyncs() int { return c.session().fullSyncs }
 
 // Set returns the synchronized VRPs as a normalized set.
 func (c *Client) Set() *rpki.Set {
@@ -296,9 +292,8 @@ func (c *Client) Len() int { return c.table.Len() }
 // Reset performs a full synchronization (Reset Query → Cache Response →
 // prefix PDUs → End of Data). Concurrent Reset/Sync callers are serialized.
 func (c *Client) Reset() error {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	//lint:ignore blockinglock reqMu serialises whole exchanges by design: only Sync/Reset/FlushSubscribers callers queue on it, and waiting out the exchange is what they ask for
+	c.slot <- struct{}{}
+	defer func() { <-c.slot }()
 	return c.exchange(true, &ResetQuery{})
 }
 
@@ -306,17 +301,15 @@ func (c *Client) Reset() error {
 // exists, falling back to a full Reset on Cache Reset. It returns the serial
 // synchronized to. Concurrent Sync/Reset callers are serialized.
 func (c *Client) Sync() (Serial, error) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	c.mu.Lock()
-	full := !c.haveState
-	var q PDU = &SerialQuery{SessionID: c.sessionID, Serial: c.serial}
-	c.mu.Unlock()
+	c.slot <- struct{}{}
+	defer func() { <-c.slot }()
+	st := c.state.Load()
+	full := st == nil
 	for {
-		if full {
-			q = &ResetQuery{}
+		var q PDU = &ResetQuery{}
+		if !full {
+			q = &SerialQuery{SessionID: st.SessionID, Serial: st.Serial}
 		}
-		//lint:ignore blockinglock reqMu serialises whole exchanges by design: only Sync/Reset/FlushSubscribers callers queue on it, and waiting out the exchange is what they ask for
 		err := c.exchange(full, q)
 		if err == nil {
 			return c.Serial(), nil
@@ -354,32 +347,40 @@ type cacheResetError struct{}
 func (cacheResetError) Error() string { return "rtr: cache reset" }
 
 // exchange runs one query/response exchange against the dispatch loop:
-// register the request, write the query, wait for the loop to resolve it,
-// and hand the committed delta to the subscribers. The caller must hold
-// reqMu.
+// hand over the request, write the query, wait for the loop to resolve it,
+// and hand the committed delta to the subscribers. The caller must hold the
+// slot.
 func (c *Client) exchange(full bool, q PDU) error {
-	req := &request{full: full, result: make(chan error, 1)}
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+	if err := c.Err(); err != nil {
 		return err
 	}
-	req.subs = slices.Clone(c.subs)
-	c.req = req
-	c.mu.Unlock()
-	// Register before writing: the response must never beat the registration
-	// and be mistaken for idle traffic.
+	req := &request{full: full, diff: len(c.subs) > 0, result: make(chan error, 1)}
+	// Hand over before writing: the response must never beat the request
+	// and be mistaken for idle traffic. reqs is empty: the last request was
+	// resolved, or the loop died and Err returned above.
+	c.reqs <- req
 	if err := WritePDU(c.conn, c.Version, q); err != nil {
 		// The write side is broken; kill the session so the read side does
 		// not block forever waiting for a response that was never requested.
-		c.fail(err)
+		c.fail(nil, err)
 	}
-	if err := <-req.result; err != nil {
+	var err error
+	select {
+	case err = <-req.result:
+	case <-c.done:
+		// The loop died, having resolved req or never having taken it; the
+		// sticky error was recorded before Done closed.
+		select {
+		case err = <-req.result:
+		default:
+			err = c.Err()
+		}
+	}
+	if err != nil {
 		return err
 	}
 	if len(req.added) > 0 || len(req.removed) > 0 {
-		for _, fn := range req.subs {
+		for _, fn := range c.subs {
 			fn(req.added, req.removed)
 		}
 	}
@@ -398,50 +399,51 @@ const readBufSize = 4 << 10
 // dispatch is the single reader: it owns the connection's read side — the
 // socket and the buffer in front of it — for the connection's lifetime,
 // routing Serial Notifies to the notify channel and everything else to the
-// in-flight exchange. The buffer changes how many bytes a read(2) returns,
-// not who reads or when a PDU is complete: a call still consumes exactly one
-// PDU, blocking mid-PDU only for bytes the cache has yet to send, and
-// Close/fail still unblock it by closing the socket. Prefix PDUs — the bulk of
-// a table-sized response — are decoded in the buffer into one reused Prefix;
-// the two or three other PDUs of an exchange, and anything malformed, take
-// ReadPDU, whose errors are the protocol's (readBuffered). It exits — closing
-// Done — on the first read error or protocol violation.
+// in-flight exchange, which it takes off reqs at the exchange's first PDU
+// and holds until it resolves it. The buffer changes how many bytes a
+// read(2) returns, not who reads or when a PDU is complete: a call still
+// consumes exactly one PDU, blocking mid-PDU only for bytes the cache has yet
+// to send, and Close/fail still unblock it by closing the socket. Prefix
+// PDUs — the bulk of a table-sized response — are decoded in the buffer into
+// one reused Prefix; the two or three other PDUs of an exchange, and anything
+// malformed, take ReadPDU, whose errors are the protocol's (readBuffered). It
+// exits — closing Done — on the first read error or protocol violation.
 func (c *Client) dispatch() {
 	defer close(c.done)
 	br := bufio.NewReaderSize(c.conn, readBufSize)
-	var pp Prefix // every Prefix PDU decoded in place: advance copies the VRP out
+	var pp Prefix    // every Prefix PDU decoded in place: advance copies the VRP out
+	var req *request // the exchange in flight, nil while idle
 	for {
 		pdu, version, err := readBuffered(br, &pp)
 		if err != nil {
-			c.fail(err)
+			c.fail(req, err)
 			return
 		}
 		if n, ok := pdu.(*SerialNotify); ok {
 			c.pushNotify(n.Serial)
 			continue
 		}
-		c.mu.Lock()
-		req := c.req
-		c.mu.Unlock()
 		if req == nil {
-			// Traffic while idle. An Error Report here is the cache killing
-			// the session (RFC 8210 §8): surface it as the sticky error and
-			// close. Anything else is a protocol violation with the same
-			// consequence — there is no way to rejoin the cache's state
-			// machine from an unsolicited PDU.
-			c.fail(c.idleError(pdu))
-			return
+			select {
+			case req = <-c.reqs:
+			default:
+				// Traffic while idle. An Error Report here is the cache
+				// killing the session (RFC 8210 §8): surface it as the sticky
+				// error and close. Anything else is a protocol violation with
+				// the same consequence — there is no way to rejoin the cache's
+				// state machine from an unsolicited PDU.
+				c.fail(nil, c.idleError(pdu))
+				return
+			}
 		}
 		finished, exchErr, fatal := c.advance(req, pdu, version)
 		if fatal != nil {
-			c.fail(fatal)
+			c.fail(req, fatal)
 			return
 		}
 		if finished {
-			c.mu.Lock()
-			c.req = nil
-			c.mu.Unlock()
-			req.finish(exchErr)
+			req.result <- exchErr
+			req = nil
 		}
 	}
 }
@@ -498,12 +500,10 @@ func (c *Client) advance(req *request, pdu PDU, version byte) (finished bool, ex
 				// session and a delta must not have that delta applied onto
 				// the carried table — consume the update to stay framed and
 				// resolve as a cache reset so Sync falls back to a full
-				// Reset Query.
-				c.mu.Lock()
-				if c.haveState && p.SessionID != c.sessionID {
-					req.discard = true
-				}
-				c.mu.Unlock()
+				// Reset Query. The requester built its Serial Query from the
+				// published session, so there is one, and only this goroutine
+				// publishes.
+				req.discard = p.SessionID != c.state.Load().SessionID
 			}
 			return false, nil, nil
 		case *CacheReset:
@@ -559,11 +559,12 @@ func stage(s []rpki.VRP, v rpki.VRP) []rpki.VRP {
 }
 
 // commit applies a completed update on the dispatch goroutine: it commits
-// the staged prefixes into the table, records the new session state (table
-// first, so no reader ever sees a serial ahead of its table), adopts
-// version-1 timers, drops a now-stale pending notify, and leaves the applied
-// delta on the request for the requesting goroutine to deliver — the
-// dispatch goroutine never runs a consumer.
+// the staged prefixes into the table, publishes the new session — serial,
+// adopted version-1 timers (table first, so no reader ever sees a serial
+// ahead of its table; before the exchange resolves, so none sees one behind
+// it once Sync has returned) — drops a now-stale pending notify, and leaves
+// the applied delta on the request for the requesting goroutine to deliver —
+// the dispatch goroutine never runs a consumer.
 //
 // Within one update withdrawals win over announcements of the same VRP and
 // repeats count once — the table has set semantics. An incremental update
@@ -574,31 +575,32 @@ func stage(s []rpki.VRP, v rpki.VRP) []rpki.VRP {
 // carries. With no subscriber no diff is taken.
 func (c *Client) commit(req *request, eod *EndOfData, version byte) {
 	var before *rov.Index
-	if len(req.subs) > 0 {
+	if req.diff {
 		before = c.table.Snapshot()
 	}
 	if req.full {
 		next := req.announced
 		if len(req.withdrawn) > 0 {
-			gone := vrpSet(req.withdrawn)
+			gone := make(map[rpki.VRP]struct{}, len(req.withdrawn))
+			for _, v := range req.withdrawn {
+				gone[v] = struct{}{}
+			}
 			next = slices.DeleteFunc(next, func(v rpki.VRP) bool { _, ok := gone[v]; return ok })
 		}
 		c.table.ResetTo(next)
 	} else {
 		c.table.Apply(req.announced, req.withdrawn)
 	}
-	c.mu.Lock()
-	c.sessionID = req.session
-	c.serial = eod.Serial
-	c.haveState = true
+	next := *c.session()
+	next.SessionState = SessionState{SessionID: req.session, Serial: eod.Serial}
 	if req.full {
-		c.fullSyncs++
+		next.fullSyncs++
 	}
 	if version == Version1 {
-		c.refresh, c.retry, c.expire = eod.Refresh, eod.Retry, eod.Expire
-		c.haveTimers = true
+		next.refresh, next.retry, next.expire = eod.Refresh, eod.Retry, eod.Expire
+		next.haveTimers = true
 	}
-	c.mu.Unlock()
+	c.state.Store(&next)
 	c.dropStaleNotify(eod.Serial)
 	if before != nil {
 		req.added, req.removed = rov.Diff(before, c.table.Snapshot())
@@ -636,19 +638,14 @@ func (c *Client) dropStaleNotify(serial Serial) {
 	}
 }
 
-// fail records the sticky error (first one wins), closes the connection, and
-// resolves any in-flight exchange with it. Safe from any goroutine.
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	err = c.err
-	req := c.req
-	c.req = nil
-	c.mu.Unlock()
+// fail records the sticky error (first one wins) and closes the connection.
+// The dispatch goroutine passes the exchange it holds, if any, and fail
+// resolves it with the sticky error; a requester, whose write failed, passes
+// nil and learns the outcome from its request or Done.
+func (c *Client) fail(req *request, err error) {
+	c.err.CompareAndSwap(nil, &err)
 	c.conn.Close()
 	if req != nil {
-		req.finish(err)
+		req.result <- c.Err()
 	}
 }

@@ -3,7 +3,6 @@ package rtr
 import (
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -46,64 +45,6 @@ func TestIdleErrorReportFailsClient(t *testing.T) {
 	srvConn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, _, err := ReadPDU(srvConn); err == nil {
 		t.Fatal("client did not close the connection after the idle Error Report")
-	}
-}
-
-// TestConcurrentSyncResetDispatch hammers the dispatch loop with concurrent
-// Sync and Reset callers while the cache keeps updating (run under -race by
-// make race): the at-most-one-in-flight serialization must keep every
-// exchange intact and the table convergent.
-func TestConcurrentSyncResetDispatch(t *testing.T) {
-	set := testVRPs()
-	srv := NewServer(set)
-	addr, stop := startServer(t, srv)
-	defer stop()
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const goroutines, rounds = 4, 8
-	errs := make(chan error, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				if g%2 == 0 {
-					if _, err := c.Sync(); err != nil {
-						errs <- err
-						return
-					}
-				} else {
-					if err := c.Reset(); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	// Updates (and their Serial Notifies) race the exchanges.
-	cur := set
-	for i := 0; i < rounds; i++ {
-		cur = rpki.NewSet(append(cur.VRPs(),
-			rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(8 + i), AS: rpki.ASN(300 + i)}))
-		srv.UpdateSet(cur)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("concurrent exchange failed: %v", err)
-	}
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Set().Equal(cur) {
-		t.Fatalf("after concurrent exchanges: %d VRPs, want %d", c.Len(), cur.Len())
 	}
 }
 
@@ -180,135 +121,4 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(2)
-}
-
-// TestSubscribeBlockingConsumer pins where delivery runs: on the goroutine
-// that called Sync, never on the dispatch loop. A consumer that blocks
-// inside its callback holds up that Sync (and FlushSubscribers) until it
-// returns, while the dispatch loop keeps reading — a newer Serial Notify
-// still reaches Notify(). Then concurrent Sync callers race a publisher:
-// deliveries must not overlap and must arrive in commit order.
-func TestSubscribeBlockingConsumer(t *testing.T) {
-	set := testVRPs()
-	srv := NewServer(set)
-	addr, stop := startServer(t, srv)
-	defer stop()
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Consumer state is plain: deliveries are serialized by the client, and
-	// the test reads it after a Sync or FlushSubscribers of its own.
-	mirror := map[rpki.VRP]struct{}{}
-	var serials []Serial
-	entered, gate := make(chan struct{}), make(chan struct{})
-	c.Subscribe(func(ann, wd []rpki.VRP) {
-		if len(serials) == 1 { // the second delivery blocks
-			close(entered)
-			<-gate
-		}
-		serials = append(serials, c.Serial())
-		replayDelta(t, mirror, ann, wd)
-	})
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if len(serials) != 1 {
-		t.Fatalf("Sync returned with %d deliveries made, want 1", len(serials))
-	}
-
-	cur := set
-	publish := func(i int) {
-		cur = rpki.NewSet(append(cur.VRPs(),
-			rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(8 + i%24), AS: rpki.ASN(400 + i)}))
-		srv.UpdateSet(cur)
-	}
-	publish(0)
-	if _, err := c.WaitNotify(); err != nil {
-		t.Fatal(err)
-	}
-	syncDone := make(chan error, 1)
-	go func() {
-		_, err := c.Sync()
-		syncDone <- err
-	}()
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("consumer was not called")
-	}
-	// The consumer is parked inside its callback. The dispatch loop is not:
-	// the next publish's notify comes through.
-	publish(1)
-	select {
-	case s := <-c.Notify():
-		if s != srv.Serial() {
-			t.Fatalf("notified of serial %d, want %d", s, srv.Serial())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no Serial Notify while a consumer blocks: the dispatch loop is stalled")
-	}
-	select {
-	case err := <-syncDone:
-		t.Fatalf("Sync returned (%v) while its delivery was still running", err)
-	default:
-	}
-	flushed := make(chan struct{})
-	go func() {
-		c.FlushSubscribers()
-		close(flushed)
-	}()
-	select {
-	case <-flushed:
-		t.Fatal("FlushSubscribers returned while a delivery was still running")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(gate)
-	if err := <-syncDone; err != nil {
-		t.Fatal(err)
-	}
-	<-flushed
-
-	// Concurrent callers: whichever goroutine's Sync commits an update
-	// delivers it before the next exchange starts.
-	const callers, rounds = 4, 16
-	var wg sync.WaitGroup
-	errs := make(chan error, callers)
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				if _, err := c.Sync(); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	for i := 2; i < 2+rounds; i++ {
-		publish(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("concurrent Sync: %v", err)
-	}
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(serials); i++ {
-		if !SerialNewer(serials[i], serials[i-1]) {
-			t.Fatalf("delivery %d carried serial %d after %d: out of commit order", i, serials[i], serials[i-1])
-		}
-	}
-	if last := serials[len(serials)-1]; last != srv.Serial() {
-		t.Fatalf("last delivery at serial %d, cache is at %d", last, srv.Serial())
-	}
-	if got := mirrorSet(mirror); !got.Equal(cur) {
-		t.Fatalf("consumer mirror has %d VRPs, want %d", got.Len(), cur.Len())
-	}
 }

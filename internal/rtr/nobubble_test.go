@@ -23,3 +23,6 @@ func TestFollowExpiry(t *testing.T)                            { relay(t) }
 func TestMultiSupervisorExpiryRebuild(t *testing.T)            { relay(t) }
 func TestRealServerRestart(t *testing.T)                       { relay(t) }
 func TestMultiSupervisorFailoverFailback(t *testing.T)         { relay(t) }
+func TestConcurrentSyncResetDispatch(t *testing.T)             { relay(t) }
+func TestSubscribeBlockingConsumer(t *testing.T)               { relay(t) }
+func TestSyncFailureSetsErr(t *testing.T)                      { relay(t) }

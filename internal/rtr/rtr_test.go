@@ -538,6 +538,15 @@ func replayDelta(t *testing.T, mirror map[rpki.VRP]struct{}, announced, withdraw
 	}
 }
 
+// vrpSet returns vs as a membership set.
+func vrpSet(vs []rpki.VRP) map[rpki.VRP]struct{} {
+	m := make(map[rpki.VRP]struct{}, len(vs))
+	for _, v := range vs {
+		m[v] = struct{}{}
+	}
+	return m
+}
+
 func mirrorSet(mirror map[rpki.VRP]struct{}) *rpki.Set {
 	vrps := make([]rpki.VRP, 0, len(mirror))
 	for v := range mirror {

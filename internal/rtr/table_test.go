@@ -243,8 +243,14 @@ func TestRandomCacheHistoryAcrossReconnects(t *testing.T) {
 			reconnects++
 			connect()
 		}
-		if _, err := c.Sync(); err != nil {
+		serial, err := c.Sync()
+		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
+		}
+		// The session is published before Sync returns, and the next Serial
+		// Query is built from it.
+		if serial != srv.Serial() || c.Serial() != serial {
+			t.Fatalf("step %d: Sync returned serial %d, Serial() reads %d, the cache is at %d", step, serial, c.Serial(), srv.Serial())
 		}
 		if got := c.Set(); !got.Equal(mirrorSet(want)) {
 			t.Fatalf("step %d: client table %v != cache table %v", step, got.VRPs(), mirrorSet(want).VRPs())

@@ -35,6 +35,9 @@ var bubbledTests = []string{
 	"TestMultiSupervisorExpiryRebuild",
 	"TestRealServerRestart",
 	"TestMultiSupervisorFailoverFailback",
+	"TestConcurrentSyncResetDispatch",
+	"TestSubscribeBlockingConsumer",
+	"TestSyncFailureSetsErr",
 }
 
 // child is the one run of the bubbled tests with the experiment: the go
