@@ -25,7 +25,7 @@ import (
 var lockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc: "reports every cycle in the inter-procedural lock-ordering graph over internal/rtr + internal/rov, with its witness path; " +
-		"only it sees UpdateSet notifying under writeMu while Close takes writeMu under regMu, which go test -race -count=3 ./internal/rtr passes",
+		"whether or not a test draws the interleaving that deadlocks on it, as rtr.TestServerCloseDuringPublish does for UpdateSet notifying under writeMu while Close takes writeMu under regMu",
 	Run: runLockOrder,
 }
 

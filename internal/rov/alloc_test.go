@@ -119,27 +119,39 @@ func TestValidateAllocs(t *testing.T) {
 // costs: its two result slices and nothing else, on one arena lineage and
 // across a compaction, where it used to be the full dual walk; and a Diff of
 // two snapshots of one version — a compaction's and the one it replaced —
-// allocates nothing.
+// allocates nothing, nor does an empty table's against a full sync's build,
+// which hands out the list ResetTo kept (re-armed before each run).
 func TestDiffAllocs(t *testing.T) {
 	tab := NewTable(todayTable(t))
 	old := tab.Snapshot()
 	tab.Apply(clustered8(the21, 64501), old.AppendVRPs(nil)[:8])
 	nw := tab.Snapshot()
 	last, compacted, first := acrossCompaction(t, tab)
+	synced := NewTable(nil)
+	synced.ResetTo(old.AppendVRPs(nil))
+	built := synced.Snapshot()
+	list := built.handoff.Load()
 	for _, c := range []struct {
 		name    string
 		old, nw *Index
 		changed int // VRPs announced or withdrawn
 		want    float64
+		kept    *[]rpki.VRP // stored back into nw's hand-off before each Diff
 	}{
-		{"a snapshot against its parent", old, nw, 16, 2},
-		{"a snapshot against its parent, across a compaction", last, first, 16, 2},
-		{"a compaction's snapshot against the one it replaced", last, compacted, 0, 0},
+		{"a snapshot against its parent", old, nw, 16, 2, nil},
+		{"a snapshot against its parent, across a compaction", last, first, 16, 2, nil},
+		{"a compaction's snapshot against the one it replaced", last, compacted, 0, 0, nil},
+		{"an empty table against a full sync's build", NewTable(nil).Snapshot(), built, todaySize, 0, list},
 	} {
 		if a, w := Diff(c.old, c.nw); len(a)+len(w) != c.changed {
 			t.Fatalf("%s: +%d -%d, want %d VRPs", c.name, len(a), len(w), c.changed)
 		}
-		if got := testing.AllocsPerRun(10, func() { _, _ = Diff(c.old, c.nw) }); got != c.want {
+		if got := testing.AllocsPerRun(10, func() {
+			if c.kept != nil {
+				c.nw.handoff.Store(c.kept)
+			}
+			_, _ = Diff(c.old, c.nw)
+		}); got != c.want {
 			t.Errorf("%s: %v allocs, want %v", c.name, got, c.want)
 		}
 	}

@@ -261,8 +261,12 @@ func BenchmarkTableCompact(b *testing.B) {
 // behind: roa_change's clustered delta on one lineage (shared), and a delta
 // published right after a compaction (acrossCompaction), which Diff used to
 // answer by the full dual walk. The cold case diffs an empty table against
-// today's, the first delivery of every cold start: one pre-order walk of the
-// whole table, as the subtree only one side holds.
+// today's built by NewTable, which keeps no list: one pre-order walk of the
+// whole table, as the subtree only one side holds — the first delivery of a
+// cold start before ResetTo kept the full sync's list. cold/handoff is that
+// delivery now: the same pair, but today's table built by ResetTo from its
+// list in diffOrder, which each Diff hands out (re-armed by one atomic store
+// an iteration).
 func BenchmarkSnapshotDiff(b *testing.B) {
 	for _, n := range []int{1, 16, 256} {
 		l := NewLiveIndex(benchSet())
@@ -290,13 +294,28 @@ func BenchmarkSnapshotDiff(b *testing.B) {
 	}
 	tab := NewTable(todayTable(b))
 	old := tab.Snapshot()
-	// A cold start's first delivery: the supervisor's empty table against the
-	// session's first, all of it a subtree only one side holds.
+	// An empty table against today's, all of it a subtree only one side holds.
 	empty := NewIndex(rpki.NewSet(nil))
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ann, wd := Diff(empty, old)
+			if len(ann) != todaySize || len(wd) != 0 {
+				b.Fatalf("diff %d/%d, want %d/0", len(ann), len(wd), todaySize)
+			}
+		}
+	})
+	// A cold start's first delivery: the supervisor's empty table against the
+	// session's first, which ResetTo built from the list it hands out.
+	synced := NewTable(nil)
+	synced.ResetTo(old.AppendVRPs(nil))
+	built := synced.Snapshot()
+	list := built.handoff.Load()
+	b.Run("cold/handoff", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			built.handoff.Store(list)
+			ann, wd := Diff(empty, built)
 			if len(ann) != todaySize || len(wd) != 0 {
 				b.Fatalf("diff %d/%d, want %d/0", len(ann), len(wd), todaySize)
 			}

@@ -18,18 +18,20 @@ import (
 // lineage, so that walk is O(changed · prefix bits). Across a build — a
 // compaction, ResetTo, a first full sync — they share nothing provable, as two
 // different caches' tables do, and pay a linear dual walk of what both hold
-// (≈ 4 ms at 33,615 VRPs); a subtree one side lacks costs the other side's
-// pre-order walk, the one VisitVRPs takes. Either way the result is exact,
-// which lets an RTR cache synthesize the update between any two retained
-// serials, and a failover reconcile a carried table against a new cache by
-// delta instead of a rebuild.
+// (≈ 4 ms at 33,615 VRPs), but for one build whose parent is known, empty
+// (Table.ResetTo); a subtree one side lacks costs the other side's pre-order
+// walk, the one VisitVRPs takes. Either way the result is exact, which lets
+// an RTR cache synthesize the update between any two retained serials, and a
+// failover reconcile a carried table against a new cache by delta instead of
+// a rebuild.
 
 // Diff returns the delta that transforms old's table into nw's: announced
 // holds the VRPs present only in nw, withdrawn the VRPs present only in old.
-// Both snapshots stay untouched; the returned slices are freshly allocated
+// Both snapshots' tables stay untouched; the returned slices are the caller's
 // and never alias either index. Snapshots of one version return nil, nil, a
 // snapshot against its parent copies of the delta it carries, and any other
-// pair is walked.
+// pair is walked into fresh slices, but for one hand-off: the first Diff from
+// an empty table of a ResetTo build returns the list it kept (Table.ResetTo).
 //
 // The output order is deterministic for a given pair of tables regardless of
 // how either index was built or answered: canonical prefix order (IPv4 before
@@ -42,6 +44,10 @@ func Diff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	case nw.parent == old.version:
 		// Copies, nil when empty, as the walk returns them.
 		return append([]rpki.VRP(nil), nw.announced...), append([]rpki.VRP(nil), nw.withdrawn...)
+	case old.Len() == 0:
+		if vrps := nw.handoff.Swap(nil); vrps != nil {
+			return *vrps, nil // a full sync's list, handed out once (Table.ResetTo)
+		}
 	}
 	return walkDiff(old, nw)
 }

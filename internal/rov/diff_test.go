@@ -225,6 +225,79 @@ func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 	checkDiffAgainstNaive(t, old, l.Snapshot())
 }
 
+// TestDiffFromEmptyHandsOffOnce pins the one build whose parent is known: a
+// Table.ResetTo of a list strictly in diffOrder answers the first Diff from an
+// empty table with that very list, and a second Diff from empty walks into a
+// fresh one. Both equal the walk bit for bit, whatever the list: in order, or
+// with a VRP repeated, two entries of one prefix in descending (AS, MaxLength)
+// order, IPv6 first or shuffled, which the table keeps nothing of. Neither a
+// LiveIndex build nor a first full sync by Apply keeps its caller's list.
+func TestDiffFromEmptyHandsOffOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	inOrder := randomTable(rng, 400) // a third of it IPv6
+	slices.SortFunc(inOrder, diffOrder)
+	repeated := slices.Insert(slices.Clone(inOrder), 200, inOrder[200])
+	a, b := v("203.0.113.0/24", 24, 64500), v("203.0.113.0/24", 24, 64501)
+	descending := append(slices.Clone(inOrder), a, b)
+	slices.SortFunc(descending, diffOrder)
+	at := slices.Index(descending, a)
+	descending[at], descending[at+1] = b, a
+	v6 := slices.IndexFunc(inOrder, func(v rpki.VRP) bool { return v.Prefix.Family() == prefix.IPv6 })
+	v6First := append(slices.Clone(inOrder[v6:]), inOrder[:v6]...)
+	shuffled := slices.Clone(inOrder)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+	empty := NewIndex(rpki.NewSet(nil))
+	diffEqualsWalk := func(name string, nw *Index) []rpki.VRP {
+		t.Helper()
+		gotA, gotW := Diff(empty, nw)
+		if wantA, wantW := walkDiff(empty, nw); !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotW, wantW) {
+			t.Fatalf("%s: Diff from empty is +%d -%d VRPs, the walk +%d -%d, or they differ", name, len(gotA), len(gotW), len(wantA), len(wantW))
+		}
+		return gotA
+	}
+	for _, c := range []struct {
+		name string
+		list []rpki.VRP
+		kept bool
+	}{
+		{"in diffOrder", inOrder, true},
+		{"a VRP repeated", repeated, false},
+		{"one prefix in descending (AS, MaxLength) order", descending, false},
+		{"IPv6 before IPv4", v6First, false},
+		{"shuffled", shuffled, false},
+	} {
+		list := slices.Clone(c.list)
+		tab := NewTable(nil)
+		tab.ResetTo(list)
+		nw := tab.Snapshot()
+		if kept := nw.handoff.Load() != nil; kept != c.kept {
+			t.Fatalf("%s: ResetTo kept the list: %v, want %v", c.name, kept, c.kept)
+		}
+		first := diffEqualsWalk(c.name+", first Diff", nw)
+		if c.kept && &first[0] != &list[0] {
+			t.Errorf("%s: the first Diff from empty walked, not handed the list out", c.name)
+		}
+		if nw.handoff.Load() != nil {
+			t.Errorf("%s: the snapshot still holds the list after a Diff from empty", c.name)
+		}
+		if second := diffEqualsWalk(c.name+", second Diff", nw); &second[0] == &first[0] {
+			t.Errorf("%s: two Diffs from empty returned one backing array", c.name)
+		}
+
+		l := NewLiveIndex(rpki.NewSet(nil))
+		l.ResetTo(list)
+		built := l.Snapshot()
+		l.Apply(nil, list)
+		l.Apply(list, nil) // a first full sync: a build too
+		for _, ix := range []*Index{built, l.Snapshot()} {
+			if ix.handoff.Load() != nil {
+				t.Fatalf("%s: a LiveIndex build kept its caller's list", c.name)
+			}
+		}
+	}
+}
+
 // checkDiffAgainstWalk fails unless Diff(old, nw) is what the walk finds, in
 // the walk's order, and returns it.
 func checkDiffAgainstWalk(t *testing.T, name string, old, nw *Index) (announced, withdrawn []rpki.VRP) {

@@ -311,7 +311,10 @@ func FuzzCompactIndex(f *testing.F) {
 // after a path-copied delta they are parent and child, whose Diff is the delta
 // the child carries, across a compaction too. Other pairs on one arena lineage
 // take the structural walk, the rebuilt pair (and any other pair across a
-// compaction or a first sync) the linear one.
+// compaction or a first sync) the linear one. Last, the empty first snapshot
+// against a table ResetTo builds from the stream's announces as given, and
+// from the last table in diffOrder, twice each, must equal the walk: the
+// first Diff takes the list ResetTo kept, if it was strictly in diffOrder.
 func FuzzDiff(f *testing.F) {
 	f.Add([]byte{
 		0, 168, 122, 0, 0, 16, 0, 111, // announce 168.122.0.0/16-16 => AS111
@@ -407,11 +410,18 @@ func FuzzDiff(f *testing.F) {
 	}
 	large = append(large, op{tag: annTag | contTag, a: 12, len: 8, as: 3}, op{tag: wdTag | contTag | waitTag, a: 12, len: 8, as: 3})
 	f.Add(ops(large...))
+	// The from-empty pair's hand-off: announces already strictly in diffOrder
+	// — a /8, a /16 under it with two entries rising by (AS, MaxLength), a
+	// sibling /16 — so the list as given is what ResetTo keeps; then IPv6.
+	f.Add(append(ops(op{tag: annTag, a: 10, len: 8, as: 1}, op{tag: annTag | contTag, a: 10, b: 1, len: 16, as: 1},
+		op{tag: annTag | contTag, a: 10, b: 1, len: 16, as: 2}, op{tag: annTag, a: 10, b: 128, len: 16, as: 1}),
+		8, 32, 1, 13, 184, 32, 0, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		live := NewLiveIndex(rpki.NewSet(nil))
 		state := map[rpki.VRP]struct{}{}
 		snaps, tables := []*Index{live.Snapshot()}, [][]rpki.VRP{nil}
 		var ann, wd []rpki.VRP // the open delta
+		var given []rpki.VRP   // every announce, as given
 		wait := false          // whether to wait out the compaction it starts
 		flush := func() {
 			if len(ann)+len(wd) == 0 {
@@ -436,7 +446,7 @@ func FuzzDiff(f *testing.F) {
 				flush()
 			}
 			if tag%2 == 0 {
-				ann = append(ann, v)
+				ann, given = append(ann, v), append(given, v)
 			} else {
 				wd = append(wd, v)
 			}
@@ -462,6 +472,15 @@ func FuzzDiff(f *testing.F) {
 		rebuilt := newIndexFromVRPs(mid.AppendVRPs(nil), nil)
 		checkDiffAgainstNaive(t, rebuilt, last)
 		checkDiffAgainstNaive(t, last, rebuilt)
+		// From empty over a ResetTo'd table, of the announces as given and of
+		// the last table in diffOrder: the first Diff may take the list the
+		// table kept, the second walks, and each is the walk's answer.
+		for _, list := range [][]rpki.VRP{given, last.AppendVRPs(nil)} {
+			tab := NewTable(nil)
+			tab.ResetTo(slices.Clone(list))
+			checkDiffAgainstWalk(t, "from empty, first", first, tab.Snapshot())
+			checkDiffAgainstWalk(t, "from empty, second", first, tab.Snapshot())
+		}
 	})
 }
 

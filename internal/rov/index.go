@@ -106,6 +106,10 @@ type Index struct {
 	// and announced and withdrawn are the delta's net effect in diffOrder.
 	version, parent      uint64
 	announced, withdrawn []rpki.VRP
+
+	// handoff is the list Table.ResetTo kept for the first Diff from empty,
+	// which swaps it out; nil after that, and on every other snapshot.
+	handoff atomic.Pointer[[]rpki.VRP]
 }
 
 // versions hands out Index versions; 0 names no set.
@@ -176,17 +180,29 @@ type finger struct {
 // compaction. At floor's length exactly, half of roa_change's cycles regrew a
 // slab by a quarter, and peak RSS rose a fifth.
 func newIndexFromVRPs(vrps []rpki.VRP, floor *Index) *Index {
-	ix := &Index{version: versions.Add(1)}
+	ix, _ := buildIndex(vrps, floor)
+	return ix
+}
+
+// buildIndex is newIndexFromVRPs, and reports what its first pass sees: that
+// vrps is strictly in diffOrder, Diff's answer against an empty table.
+func buildIndex(vrps []rpki.VRP, floor *Index) (ix *Index, ordered bool) {
+	ix = &Index{version: versions.Add(1)}
 	roots := [2]prefix.Prefix{rootPrefix(0), rootPrefix(1)}
 	prev := roots    // per family, the prefix before this one in the pass
 	var nodes [2]int // Σ(len − cpl) while the family is in pre-order, then -1
-	for _, v := range vrps {
+	ordered = true
+	for i, v := range vrps {
 		slot, p := famSlot(v.Prefix.Family()), v.Prefix
 		ix.fams[slot].size++
 		if nodes[slot] >= 0 {
 			c := prefix.CommonPrefixLen(prev[slot], p)
 			if nodes[slot] += int(p.Len() - c); c < prev[slot].Len() && (c == p.Len() || p.Bit(c) == 0) {
-				nodes[slot] = -1
+				nodes[slot], ordered = -1, false
+			} else if ordered && i > 0 {
+				// p is prev or after; prev is the last VRP's if its family is p's.
+				last := famSlot(vrps[i-1].Prefix.Family())
+				ordered = last < slot || last == slot && (c < p.Len() || v.Compare(vrps[i-1]) > 0)
 			}
 			prev[slot] = p
 		}
@@ -245,7 +261,7 @@ func newIndexFromVRPs(vrps []rpki.VRP, floor *Index) *Index {
 		ix.entries[sp.off+sp.n] = e
 		sp.n++
 	}
-	return ix
+	return ix, ordered
 }
 
 // Len returns the number of indexed VRPs.

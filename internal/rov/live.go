@@ -212,8 +212,8 @@ func (l *LiveIndex) Stats() LiveStats {
 func (l *LiveIndex) Apply(announce, withdraw []rpki.VRP) { l.tab.Apply(announce, withdraw) }
 
 // ResetTo is Table.ResetTo: it returns as soon as the new table's bit trie
-// serves, with the compact half building behind it.
-func (l *LiveIndex) ResetTo(vrps []rpki.VRP) { l.tab.ResetTo(vrps) }
+// serves, with the compact half building behind it, and keeps none of vrps.
+func (l *LiveIndex) ResetTo(vrps []rpki.VRP) { l.tab.reset(vrps, false) }
 
 // published is the Table's hook: under tab.mu, it turns the snapshot about
 // to be published into the next view, marking a delta's prefixes first.

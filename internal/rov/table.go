@@ -103,8 +103,9 @@ func (t *Table) Len() int { return t.Snapshot().Len() }
 // The one delta that is built is the first full sync: an Apply into an empty
 // table that withdraws nothing goes into fresh slabs exactly as ResetTo would
 // put it there, and snapshots on either side of it share no arena lineage
-// (Diff across it is exact, by the full walk). Nothing is looked up or
-// withdrawn there, and the build counts a repeated VRP once.
+// (Diff across it is exact, by the full walk: announce, which subscribers
+// share, is not kept). Nothing is looked up or withdrawn there, and the build
+// counts a repeated VRP once.
 func (t *Table) Apply(announce, withdraw []rpki.VRP) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -172,8 +173,22 @@ func cancelCommon(ann, wd []rpki.VRP) ([]rpki.VRP, []rpki.VRP) {
 // holding older snapshots are unaffected — rov.Diff against one is the exact
 // delta of the replacement; an in-flight background compaction of the
 // replaced table discards its rebuild.
-func (t *Table) ResetTo(vrps []rpki.VRP) {
-	nw := newIndexFromVRPs(vrps, nil)
+//
+// ResetTo takes over vrps until it hands them out. A list strictly in
+// diffOrder, as a cache streams a full response (RFC 8210 §5), stays on the
+// new snapshot, and the first Diff from an empty table returns it instead of
+// walking the trie built from it. Until then the snapshot keeps it: for an
+// rtr.Client nobody diffs, its staging slice (up to 2.3 times the response)
+// until the next delta.
+func (t *Table) ResetTo(vrps []rpki.VRP) { t.reset(vrps, true) }
+
+// reset is ResetTo, keeping vrps for Diff only if keep: a LiveIndex's lists
+// are delivered ones, which its caller and other subscribers share.
+func (t *Table) reset(vrps []rpki.VRP, keep bool) {
+	nw, ordered := buildIndex(vrps, nil)
+	if keep && ordered && len(vrps) > 0 {
+		nw.handoff.Store(&vrps)
+	}
 	t.mu.Lock()
 	t.replace(nw)
 	t.mu.Unlock()

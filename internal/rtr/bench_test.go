@@ -207,10 +207,12 @@ func BenchmarkClientReset(b *testing.B) {
 // -follow wires one: a cache serving today's compressed table (Table 1's
 // status-quo row, 33,615 PDUs) on loopback, a MultiSupervisor with one
 // upstream, a LiveIndex subscribed with Apply. An iteration runs from Run to
-// the first delivery applied — stream, decode, the session table's build, the
-// delivery's diff and the consumer's bit trie, which enforces from then on.
-// Apply returns with the compact half still building: ns/op leaves it out, and
-// compact-ms/op is the time from the delivery applied until it lands.
+// the first delivery applied — stream, decode, the session table's build, and
+// the consumer's bit trie, which enforces from then on. The delivery itself
+// walks nothing: rov.Diff from the supervisor's empty table hands over the
+// list the session decoded, which ResetTo kept. Apply returns with the compact
+// half still building: ns/op leaves it out, and compact-ms/op is the time from
+// the delivery applied until it lands. B/op counts both ends of the loopback.
 func BenchmarkColdStart(b *testing.B) {
 	table, _ := core.Compress(synth.Generate(synth.Params6_1()).VRPs, core.Options{})
 	srv := NewServer(table)

@@ -572,7 +572,10 @@ func stage(s []rpki.VRP, v rpki.VRP) []rpki.VRP {
 // in one pass and swaps it in. Either way the subscribers' delta is rov.Diff
 // of the table's snapshots before and after, which is exact by construction
 // and, for an incremental update, a copy of the net delta the new snapshot
-// carries. With no subscriber no diff is taken.
+// carries. With no subscriber no diff is taken. A full update hands its
+// staging slice to ResetTo, which keeps it, in the cache's stream order, for
+// the first diff of the new snapshot from an empty table: this one, or a
+// MultiSupervisor's first delivery, gets the slice instead of a walk.
 func (c *Client) commit(req *request, eod *EndOfData, version byte) {
 	var before *rov.Index
 	if req.diff {

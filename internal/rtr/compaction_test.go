@@ -1,6 +1,7 @@
 package rtr
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"reflect"
@@ -54,23 +55,20 @@ func compactionTable(rng *rand.Rand) (*rpki.Set, func() []rpki.VRP) {
 // on either side of a compaction of the cache's table, many serials apart: the
 // rebuild started a new arena lineage, so the answer is the full dual walk, not
 // the structural one — and must still be exactly the set difference, which the
-// router's table then equals.
+// router's table then equals. Each wait is bounded (waitBounded): a deadlock
+// in the cache or the client fails the test, naming the wait.
 func TestSerialQueryAcrossCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	set, scattered := compactionTable(rng)
 	srv := NewServer(set)
 	srv.keepDeltas = 1 << 16 // the router's serial stays answerable
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var c *Client
+	waitBounded(t, "dialing the cache", func() (err error) { c, err = Dial(addr); return err })
 	defer c.Close()
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	waitBounded(t, "the router's first sync", func() error { _, err := c.Sync(); return err })
 	held := c.Serial()
 	from := srv.pub.Load().lookup(held)
 
@@ -82,18 +80,21 @@ func TestSerialQueryAcrossCompaction(t *testing.T) {
 		mirror[v] = struct{}{}
 	}
 	gone, added := set.VRPs()[:20], scattered()
-	srv.ApplyDelta(added, gone)
+	waitBounded(t, "publishing the net change", func() error { srv.ApplyDelta(added, gone); return nil })
 	replayDelta(t, mirror, added, gone)
-	for i := 0; lineage(srv.pub.Load().current()) == lineage(from); i++ {
-		if i == 10000 {
-			t.Fatal("churn never compacted the cache's table")
+	waitBounded(t, "churning the cache until its table compacts", func() error {
+		for i := 0; lineage(srv.pub.Load().current()) == lineage(from); i++ {
+			if i == 10000 {
+				return errors.New("churn never compacted the cache's table")
+			}
+			// A churn VRP the table already holds (one of added) would be
+			// withdrawn with the rest: leave those out.
+			churn := slices.DeleteFunc(scattered(), func(v rpki.VRP) bool { _, ok := mirror[v]; return ok })
+			srv.ApplyDelta(churn, nil)
+			srv.ApplyDelta(nil, churn)
 		}
-		// A churn VRP the table already holds (one of added) would be
-		// withdrawn with the rest: leave those out.
-		churn := slices.DeleteFunc(scattered(), func(v rpki.VRP) bool { _, ok := mirror[v]; return ok })
-		srv.ApplyDelta(churn, nil)
-		srv.ApplyDelta(nil, churn)
-	}
+		return nil
+	})
 
 	want := mirrorSet(mirror)
 	pdus := serialQueryResponse(t, addr, srv.SessionID(), held)
@@ -116,9 +117,7 @@ func TestSerialQueryAcrossCompaction(t *testing.T) {
 			t.Fatalf("the answer lacks %+v", p)
 		}
 	}
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	waitBounded(t, "the router's Serial Query", func() error { _, err := c.Sync(); return err })
 	if !c.Set().Equal(want) {
 		t.Fatalf("after the Serial Query the router holds %d VRPs, the cache %d", c.Len(), want.Len())
 	}

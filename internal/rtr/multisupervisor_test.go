@@ -3,6 +3,7 @@ package rtr
 import (
 	"errors"
 	"net"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -230,6 +231,127 @@ func TestDeliveryLetsGoOfDelta(t *testing.T) {
 	}
 	if firstCalls.Load() != 1 {
 		t.Errorf("first subscriber called %d times, want 1", firstCalls.Load())
+	}
+
+	// A LiveIndex follower, wired as startFollower wires one, keeps neither
+	// slice it is handed: not the first sync's delta (the session's staging
+	// slice, which rov.Diff handed over) once Apply has built from it, nor the
+	// table an expired delivery resets it to through OnReset. Each is watched
+	// from inside its delivery and must be collected once that delivery has
+	// returned. The cache's 1 s Expire window runs out while it is down; it
+	// comes back, and the next delivery goes through OnReset.
+	live := rov.NewLiveIndex(rpki.NewSet(nil))
+	srv2 := NewServer(testVRPs())
+	srv2.Expire = 1
+	addr2 := serve(t, srv2, "")
+	m2 := NewMultiSupervisor(Upstream{Name: addr2, Dial: func() (net.Conn, error) { return net.Dial("tcp", addr2) }})
+	m2.BackoffMin, m2.BackoffMax = 2*time.Millisecond, 20*time.Millisecond
+	type watched struct {
+		what  string
+		freed chan struct{} // closed by the slice's finalizer
+	}
+	delivered := make(chan watched, 1) // each delivery returns before the next sync
+	watch := func(what string, vrps []rpki.VRP) {
+		w := watched{what, make(chan struct{})}
+		runtime.SetFinalizer(&vrps[0], func(*rpki.VRP) { close(w.freed) })
+		delivered <- w
+	}
+	m2.Subscribe(func(announced, withdrawn []rpki.VRP) {
+		live.Apply(announced, withdrawn)
+		if live.Len() == len(announced) { // the first sync
+			watch("the first sync's delta", announced)
+		}
+	})
+	m2.OnReset(func(table []rpki.VRP) {
+		live.ResetTo(table)
+		watch("the expired delivery's table", table)
+	})
+	updated := make(chan struct{}, 16) // far more than the two syncs made: the owner never blocks
+	m2.OnUpdate = func(Serial) { updated <- struct{}{} }
+	runErr := make(chan error, 1)
+	go func() { runErr <- m2.Run() }()
+	defer func() {
+		m2.Stop()
+		<-runErr
+	}()
+	collectedAfterDelivery := func() {
+		t.Helper()
+		w := <-delivered
+		<-updated // OnUpdate runs once the delivery has returned
+		if !finalized(w.freed) {
+			t.Errorf("%s stayed reachable after its delivery returned: the LiveIndex keeps it", w.what)
+		}
+	}
+	collectedAfterDelivery()
+	srv2.Close()
+	waitFor(t, func() bool { return !m2.Healthy() })
+	srv3 := NewServer(testVRPs())
+	defer srv3.Close()
+	serve(t, srv3, addr2)
+	collectedAfterDelivery()
+	if !liveTable(live).Equal(testVRPs()) {
+		t.Errorf("the follower holds %d VRPs after the reset, want %d", live.Len(), testVRPs().Len())
+	}
+}
+
+// finalized collects garbage until freed, which a finalizer closes, is
+// closed, and reports whether it was within 50 rounds.
+func finalized(freed <-chan struct{}) bool {
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return true
+		case <-time.After(time.Millisecond):
+		}
+	}
+	return false
+}
+
+// handoff returns the list a table snapshot keeps for a Diff from empty, or
+// nil. rov keeps it unexported; TestPlainClientReleasesKeptList reads it by
+// reflection, as lineage does, because what it pins is that list's lifetime.
+func handoff(ix *rov.Index) *[]rpki.VRP {
+	return (*[]rpki.VRP)(reflect.ValueOf(ix).Elem().FieldByName("handoff").FieldByName("v").UnsafePointer())
+}
+
+// TestPlainClientReleasesKeptList: a Client nobody diffs — no subscriber, no
+// supervisor — keeps its full sync's staging slice on its table's snapshot,
+// for a Diff from an empty table that never comes (rov.Table.ResetTo). The
+// next delta replaces that snapshot, and the slice goes with it.
+func TestPlainClientReleasesKeptList(t *testing.T) {
+	srv := NewServer(testVRPs())
+	addr, stop := startServer(t, srv)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	func() {
+		kept := handoff(c.table.Snapshot())
+		if kept == nil || len(*kept) != testVRPs().Len() {
+			t.Fatal("the full sync's snapshot keeps no list of the table's size")
+		}
+		runtime.SetFinalizer(&(*kept)[0], func(*rpki.VRP) { close(freed) })
+	}()
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-freed:
+		t.Fatal("the kept list was collected while the snapshot holding it is current")
+	case <-time.After(10 * time.Millisecond):
+	}
+	srv.ApplyDelta([]rpki.VRP{{Prefix: mp("198.51.100.0/24"), MaxLength: 24, AS: 64511}}, nil)
+	if _, err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if !finalized(freed) {
+		t.Error("the kept list stayed reachable after the next delta replaced its snapshot")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -39,6 +40,35 @@ func startServer(t *testing.T, s *Server) (string, func()) {
 	return l.Addr().String(), func() {
 		s.Close()
 		<-done
+	}
+}
+
+// boundedWait is how long waitBounded lets one wait of a test run: far past a
+// healthy run's, under -race on two cores too, and well inside the package's
+// timeout, with room for a failed test's deferred waits after it.
+const boundedWait = 20 * time.Second
+
+// waitBounded runs fn, a wait of the test's that a deadlock would hang, on a
+// goroutine of its own. It fails the test with fn's error, or, when fn has not
+// returned within boundedWait, with the wait's name and every goroutine's
+// stack: the test fails by name instead of hanging the package until its
+// timeout, and the stuck fn is left behind. fn must not call t's Fatal
+// methods, which belong to the test's goroutine. A bubbled test needs none of
+// this for a channel deadlock, which synctest reports by itself; a goroutine
+// waiting on a sync.Mutex, though, is not durably blocked, and synctest sees
+// no deadlock there.
+func waitBounded(t *testing.T, what string, fn func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(boundedWait):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s: still blocked after %v, a deadlock; every goroutine:\n%s", what, boundedWait, buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -131,6 +131,54 @@ func TestSlowRouterIsolation(t *testing.T) {
 	}
 }
 
+// TestServerCloseDuringPublish races Close against UpdateSet and ApplyDelta,
+// round after round, on a cache with a router connected. Close takes regMu,
+// and a publish takes writeMu and then, to notify, regMu: a Close that took
+// writeMu under regMu, or a publish that notified before releasing writeMu,
+// would close the cycle that lockorder reports, and the round would hang. It
+// is bounded (waitBounded), so the test fails naming the round instead.
+func TestServerCloseDuringPublish(t *testing.T) {
+	a := testVRPs()
+	b := addVRPs(a, rpki.VRP{Prefix: mp("198.51.100.0/24"), MaxLength: 24, AS: 64511})
+	churn := []rpki.VRP{{Prefix: mp("203.0.113.0/24"), MaxLength: 24, AS: 64512}}
+	for round := 0; round < 100; round++ {
+		srv := NewServer(a)
+		addr, stop := startServer(t, srv)
+		var c *Client
+		waitBounded(t, fmt.Sprintf("round %d: a router's dial and reset", round), func() (err error) {
+			if c, err = Dial(addr); err != nil {
+				return err
+			}
+			return c.Reset()
+		})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				srv.UpdateSet([]*rpki.Set{b, a}[i%2])
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if i%2 == 0 {
+					srv.ApplyDelta(churn, nil)
+				} else {
+					srv.ApplyDelta(nil, churn)
+				}
+			}
+		}()
+		waitBounded(t, fmt.Sprintf("round %d: Close while UpdateSet and ApplyDelta publish", round), func() error {
+			stop()
+			wg.Wait()
+			return nil
+		})
+		c.Close()
+		<-c.Done()
+	}
+}
+
 // TestServerCloseLeavesNoGoroutine: Server.Close ends every handler and
 // writer it started — an idle router's, a never-reading router's wedged
 // mid-write, a router's stopped halfway through a Reset Query — and with them
@@ -254,11 +302,12 @@ func TestQueueOverflowDisconnect(t *testing.T) {
 // TestConcurrentConnectDisconnectDuringPublish churns sessions while the
 // publisher runs flat out (meaningful under -race): registration,
 // disconnection, notify fan-out, and the atomic publish swap must compose
-// without a torn read or a leaked registration.
+// without a torn read or a leaked registration. Each wait is bounded
+// (waitBounded): a deadlock fails the test, naming the wait.
 func TestConcurrentConnectDisconnectDuringPublish(t *testing.T) {
 	srv := NewServer(testVRPs())
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	done := make(chan struct{})
 	var pubWG sync.WaitGroup
@@ -302,32 +351,35 @@ func TestConcurrentConnectDisconnectDuringPublish(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	waitBounded(t, "the connectors' dial-and-reset rounds", func() error { wg.Wait(); return nil })
 	close(done)
-	pubWG.Wait()
+	waitBounded(t, "the publisher stopping", func() error { pubWG.Wait(); return nil })
 	close(errs)
 	for err := range errs {
 		t.Fatalf("connect/sync during publish churn: %v", err)
 	}
 
 	// Every churned session deregisters once its handler observes the close.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.ConnCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("registry leak: connCount = %d after all clients closed", srv.ConnCount())
+	waitBounded(t, "the registry emptying", func() error {
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.ConnCount() != 0 {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("registry leak: connCount = %d after all clients closed", srv.ConnCount())
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return nil
+	})
 
 	// A fresh client converges on the final table.
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var c *Client
+	waitBounded(t, "a fresh client's dial and reset", func() (err error) {
+		if c, err = Dial(addr); err != nil {
+			return err
+		}
+		return c.Reset()
+	})
 	defer c.Close()
-	if err := c.Reset(); err != nil {
-		t.Fatal(err)
-	}
 	want := rpki.NewSet(srv.pub.Load().current().AppendVRPs(nil))
 	if !c.Set().Equal(want) {
 		t.Fatalf("fresh client table %d VRPs != published %d", c.Len(), want.Len())
