@@ -196,9 +196,10 @@ func TestApplyAllocs(t *testing.T) {
 }
 
 // TestCompactAllocs is the gate on a compaction: of churnedTable, from the
-// snapshot that made it due, with nothing to catch up. It allocates six
-// times — the VRP stream it rebuilds from, then the build's index, three slabs
-// and terminal list — and no slab regrows. The node slabs it publishes are
+// snapshot that made it due, with nothing to catch up. It allocates five
+// times — the VRP stream it rebuilds from, then the build's index and three
+// slabs: the stream is in pre-order, so its spans are written in place, with
+// no terminal list — and no slab regrows. The node slabs it publishes are
 // src's lengths and a 32nd more, plus node 0, and the entry slab src's and a
 // 32nd more; and the cycle it starts fills the node slabs without growing one
 // up to the next compaction: at src's length exactly, half of roa_change's
@@ -214,8 +215,8 @@ func TestCompactAllocs(t *testing.T) {
 		tab.compact(src, nil)
 	})
 	debug.SetGCPercent(gc)
-	if allocs != 6 {
-		t.Errorf("a compaction of %d VRPs: %v allocs, want 6", src.Len(), allocs)
+	if allocs != 5 {
+		t.Errorf("a compaction of %d VRPs: %v allocs, want 5", src.Len(), allocs)
 	}
 	got := tab.Snapshot()
 	for slot := range src.fams {
@@ -241,9 +242,10 @@ func TestCompactAllocs(t *testing.T) {
 }
 
 // TestIndexBuildAllocs is the gate on what a cold start's build allocates:
-// today's table in wire order is sized by the counting pass, so the build is
-// the index, its three slabs and the terminal list — no regrowth — and all it
-// allocates beyond what the finished index retains is that list.
+// today's table in wire order is sized by the counting pass and its spans are
+// written in place, so the build is the index and its three slabs — no
+// regrowth, no terminal list — and it allocates little beyond what the
+// finished index retains.
 func TestIndexBuildAllocs(t *testing.T) {
 	ix := newIndexFromVRPs(todayTable(t), nil)
 	vrps := ix.AppendVRPs(nil)
@@ -251,8 +253,8 @@ func TestIndexBuildAllocs(t *testing.T) {
 		t.Errorf("AppendVRPs(nil) of %d VRPs: %v allocs, want the one it grows its result by", len(vrps), got)
 	}
 	allocs := testing.AllocsPerRun(5, func() { ix = newIndexFromVRPs(vrps, nil) })
-	if allocs > 6 {
-		t.Errorf("an ordered build of %d VRPs: %v allocs, want at most 6", len(vrps), allocs)
+	if allocs > 4 {
+		t.Errorf("an ordered build of %d VRPs: %v allocs, want at most 4", len(vrps), allocs)
 	}
 	retained := uint64(unsafe.Sizeof(*ix)) + uint64(cap(ix.entries))*uint64(unsafe.Sizeof(entry{}))
 	for slot := range ix.fams {

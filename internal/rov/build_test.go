@@ -1,7 +1,6 @@
 package rov
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -30,71 +29,79 @@ func todayTable(tb testing.TB) []rpki.VRP {
 
 // insertLoopIndex is the build newIndexFromVRPs replaced, kept as its
 // reference: every VRP inserted by a descent from the root into a slab hinted
-// at one node per VRP, then the same two-pass span fill.
+// at one node per VRP, each node's entries gathered, a repeat dropped, and the
+// spans laid out sorted, in node order, IPv4's first, after the reserved cell.
 func insertLoopIndex(vrps []rpki.VRP) *Index {
-	ix := &Index{version: versions.Add(1)}
+	ix := &Index{version: versions.Add(1), entries: make([]entry, 1)}
 	for _, v := range vrps {
 		ix.fams[famSlot(v.Prefix.Family())].size++
 	}
 	for slot := range ix.fams {
 		ix.fams[slot].nodes = make([]node, 1, ix.fams[slot].size+1)
 	}
-	terms := make([]int32, 0, len(vrps))
+	spans := [2]map[int32][]entry{{}, {}}
 	for _, v := range vrps {
-		f := &ix.fams[famSlot(v.Prefix.Family())]
+		slot := famSlot(v.Prefix.Family())
+		f := &ix.fams[slot]
 		idx := f.root
 		for depth := uint8(0); depth < v.Prefix.Len(); depth++ {
 			idx = f.ensure(idx, v.Prefix.Bit(depth))
 		}
-		f.nodes[idx].val.n++
-		terms = append(terms, idx)
-	}
-	off := int32(0)
-	for slot := range ix.fams {
-		nodes := ix.fams[slot].nodes
-		for j := range nodes {
-			sp := &nodes[j].val
-			sp.off = off
-			off += sp.n
-			sp.n = 0
-		}
-	}
-	ix.entries = make([]entry, off)
-	for i, v := range vrps {
-		f := &ix.fams[famSlot(v.Prefix.Family())]
-		sp := &f.nodes[terms[i]].val
 		e := entry{maxLength: v.MaxLength, as: v.AS}
-		if slices.Contains(ix.entries[sp.off:sp.off+sp.n], e) {
+		if slices.Contains(spans[slot][idx], e) {
 			f.size--
 			continue
 		}
-		ix.entries[sp.off+sp.n] = e
-		sp.n++
+		spans[slot][idx] = append(spans[slot][idx], e)
+	}
+	for slot := range ix.fams {
+		nodes := ix.fams[slot].nodes
+		for j := range nodes {
+			if es := spans[slot][int32(j)]; len(es) > 0 {
+				slices.SortFunc(es, cmpEntry)
+				es[len(es)-1].last = true
+				nodes[j].off = int32(len(ix.entries))
+				ix.entries = append(ix.entries, es...)
+			}
+		}
 	}
 	return ix
 }
 
-// checkSameSlabs fails unless got and want are the same index cell for cell:
-// node slabs, roots, sizes, entry slab.
-func checkSameSlabs(t *testing.T, name string, got, want *Index) {
+// checkSameSlabs fails unless got and want are the same trie: node slabs
+// child for child, roots, sizes, and at every node the same span. With cells,
+// they are the same index cell for cell, span offsets and entry slab
+// included: what two builds in the trie's pre-order make. A build from other
+// input places its spans by counting, which leaves a repeated VRP's cell
+// unused.
+func checkSameSlabs(t *testing.T, name string, got, want *Index, cells bool) {
 	t.Helper()
 	for slot := range want.fams {
 		g, w := &got.fams[slot], &want.fams[slot]
 		if g.root != w.root || g.size != w.size {
 			t.Fatalf("%s, family %d: root %d size %d, want %d and %d", name, slot, g.root, g.size, w.root, w.size)
 		}
-		if !slices.Equal(g.nodes, w.nodes) {
-			t.Fatalf("%s, family %d: %d nodes, not the %d wanted cell for cell", name, slot, len(g.nodes), len(w.nodes))
+		if len(g.nodes) != len(w.nodes) {
+			t.Fatalf("%s, family %d: %d nodes, want %d", name, slot, len(g.nodes), len(w.nodes))
+		}
+		for j := range w.nodes {
+			gn, wn := g.nodes[j], w.nodes[j]
+			if gn.children != wn.children || cells && gn.off != wn.off {
+				t.Fatalf("%s, family %d: node %d is %+v, want %+v", name, slot, j, gn, wn)
+			}
+			if ge, we := span(got.entries, gn.off), span(want.entries, wn.off); !slices.Equal(ge, we) {
+				t.Fatalf("%s, family %d: node %d holds %v, want %v", name, slot, j, ge, we)
+			}
 		}
 	}
-	if !slices.Equal(got.entries, want.entries) {
+	if cells && !slices.Equal(got.entries, want.entries) {
 		t.Fatalf("%s: %d entry cells, not the %d wanted cell for cell", name, len(got.entries), len(want.entries))
 	}
 }
 
 // checkSameTable fails unless got and want hold the same VRP set: the same
-// size, nothing to announce or withdraw between them, and one VRP stream but
-// for the order inside a prefix, which is the order of insertion.
+// size, nothing to announce or withdraw between them, and one VRP stream, in
+// diffOrder whatever order either was built from.
 func checkSameTable(t *testing.T, name string, got, want *Index) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -108,10 +115,11 @@ func checkSameTable(t *testing.T, name string, got, want *Index) {
 	}
 	stream := func(ix *Index) []rpki.VRP {
 		vrps := ix.AppendVRPs(nil)
-		if !slices.IsSortedFunc(vrps, func(a, b rpki.VRP) int { return a.Prefix.Compare(b.Prefix) }) {
-			t.Fatalf("%s: the VRP stream is not in prefix order", name)
+		for i := 1; i < len(vrps); i++ {
+			if diffOrder(vrps[i-1], vrps[i]) >= 0 {
+				t.Fatalf("%s: the VRP stream is not strictly in diffOrder at %d: %v, %v", name, i, vrps[i-1], vrps[i])
+			}
 		}
-		slices.SortFunc(vrps, func(a, b rpki.VRP) int { return cmp.Or(a.Prefix.Compare(b.Prefix), a.Compare(b)) })
 		return vrps
 	}
 	if !slices.Equal(stream(got), stream(want)) {
@@ -169,10 +177,12 @@ func buildTable(tb testing.TB) []rpki.VRP {
 }
 
 // TestIndexBuildMatchesInsertLoop pins the finger builder against the loop it
-// replaced. In every input order the index is the insert loop's cell for cell
+// replaced. In every input order the index is the insert loop's node for node
 // — the finger is a cache of the path, so the same nodes are created in the
-// same sequence — and every order's index holds the table the pre-ordered one
-// does. The pre-ordered input is checked to be what VisitVRPs streams.
+// same sequence — with the same entries at each, and in the trie's pre-order,
+// a family at a time or interleaved, cell for cell: spans written in place
+// leave no cell unused. Every order's index holds the table the pre-ordered
+// one does. The pre-ordered input is checked to be what VisitVRPs streams.
 func TestIndexBuildMatchesInsertLoop(t *testing.T) {
 	orders := buildOrders(buildTable(t), 7)
 	want := insertLoopIndex(orders["preorder"])
@@ -185,13 +195,18 @@ func TestIndexBuildMatchesInsertLoop(t *testing.T) {
 		seen[v] = true
 		return again
 	})
+	slices.SortFunc(once, diffOrder)
 	if !slices.Equal(want.AppendVRPs(nil), once) {
 		t.Fatal("the pre-ordered input, repeats dropped, is not the index's VisitVRPs stream")
 	}
 	for name, vrps := range orders {
 		got := newIndexFromVRPs(vrps, nil)
-		checkSameSlabs(t, name, got, insertLoopIndex(vrps))
+		inPlace := name == "preorder" || name == "interleaved"
+		checkSameSlabs(t, name, got, insertLoopIndex(vrps), inPlace)
 		checkSameTable(t, name, got, want)
+		if cells := len(got.entries); inPlace && cells != 1+got.Len() || !inPlace && cells != 1+len(vrps) {
+			t.Errorf("%s: %d entry cells for %d VRPs listed, %d of them distinct", name, cells, len(vrps), got.Len())
+		}
 	}
 }
 

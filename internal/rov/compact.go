@@ -141,7 +141,8 @@ func buildFamCompact(f *famCompact, src *famIndex, srcEntries []entry, entries *
 
 	// Pass 1: walk hands over the nodes a compact trie keeps, in pre-order, and
 	// each is allocated as it is met, so the slab is in pre-order; its span,
-	// until pass 2, is its own span in srcEntries. The root is kept always, as
+	// until pass 2, is its own span in srcEntries, measured to its last cell
+	// once here, so pass 2 reads cells, not marks. The root is kept always, as
 	// node 0, which is filled in if walk hands the root over. A kept node hangs
 	// under the deepest kept node on its root path: path holds those of the
 	// node met last, with their aggregates' lengths, and pops to the first
@@ -153,9 +154,10 @@ func buildFamCompact(f *famCompact, src *famIndex, srcEntries []entry, entries *
 	var path [129]kept // path[0] is the root
 	top, total := 0, 0
 	f.nodes = append(make([]cnode, 0, 2*src.size+1), cnode{})
-	src.walk(src.root, 0, 0, 0, func(hi, lo uint64, plen uint8, sp span) bool {
+	src.walk(src.root, 0, 0, 0, func(hi, lo uint64, plen uint8, off int32) bool {
+		sp := cspan{off: off, n: int32(len(span(srcEntries, off)))}
 		if plen == 0 {
-			f.nodes[0].span, path[0].agg, total = cspan(sp), sp.n, int(sp.n)
+			f.nodes[0].span, path[0].agg, total = sp, sp.n, int(sp.n)
 			return true
 		}
 		up := &f.nodes[path[top].idx]
@@ -165,7 +167,7 @@ func buildFamCompact(f *famCompact, src *famIndex, srcEntries []entry, entries *
 		}
 		k := int32(len(f.nodes))
 		up.children[addrBit(hi, lo, up.plen)] = k
-		f.nodes = append(f.nodes, cnode{hi: hi, lo: lo, plen: plen, span: cspan(sp)})
+		f.nodes = append(f.nodes, cnode{hi: hi, lo: lo, plen: plen, span: sp})
 		top++
 		path[top] = kept{idx: k, agg: path[top-1].agg + sp.n}
 		total += int(path[top].agg)

@@ -1,8 +1,6 @@
 package rov
 
 import (
-	"slices"
-
 	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
@@ -66,8 +64,9 @@ func diffOrder(a, b rpki.VRP) int {
 // -1 marks the side a subtree is absent from, and that subtree, the other
 // side's alone, goes to that side's walk whole. In one lineage a child pair of
 // equal indices is one subtree, and it is skipped without descending; so is a
-// node pair whose spans are the same cells of the shared entry slab — a node
-// cloned for a descendant's update, its own entries untouched.
+// node pair whose spans start at one offset of the shared entry slab — the
+// same cells, since a published cell is never written: a node cloned for a
+// descendant's update, its own entries untouched.
 func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	// The sizes bound one side's result from below: a capacity hint, exact
 	// against an empty table; equal sizes allocate nothing until they differ.
@@ -77,15 +76,15 @@ func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 		withdrawn = make([]rpki.VRP, 0, -grew)
 	}
 	var fam prefix.Family // the family being walked
-	onlyOld := func(hi, lo uint64, plen uint8, sp span) bool {
-		if sp.n > 0 {
-			withdrawn = appendEntryDiff(withdrawn, keyPrefix(fam, hi, lo, plen), old.entries[sp.off:sp.off+sp.n], nil)
+	onlyOld := func(hi, lo uint64, plen uint8, off int32) bool {
+		if off != 0 {
+			withdrawn = appendEntryDiff(withdrawn, keyPrefix(fam, hi, lo, plen), span(old.entries, off), nil)
 		}
 		return true
 	}
-	onlyNew := func(hi, lo uint64, plen uint8, sp span) bool {
-		if sp.n > 0 {
-			announced = appendEntryDiff(announced, keyPrefix(fam, hi, lo, plen), nw.entries[sp.off:sp.off+sp.n], nil)
+	onlyNew := func(hi, lo uint64, plen uint8, off int32) bool {
+		if off != 0 {
+			announced = appendEntryDiff(announced, keyPrefix(fam, hi, lo, plen), span(nw.entries, off), nil)
 		}
 		return true
 	}
@@ -115,9 +114,9 @@ func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 				continue
 			}
 			na, nb := &fo.nodes[at.a], &fn.nodes[at.b]
-			if spo, spn := na.val, nb.val; (spo.n > 0 || spn.n > 0) && !(shared && spo == spn) {
+			if oo, on := na.off, nb.off; (oo != 0 || on != 0) && !(shared && oo == on) {
 				p := keyPrefix(fam, at.hi, at.lo, at.plen)
-				eo, en := old.entries[spo.off:spo.off+spo.n], nw.entries[spn.off:spn.off+spn.n]
+				eo, en := span(old.entries, oo), span(nw.entries, on)
 				announced = appendEntryDiff(announced, p, en, eo)
 				withdrawn = appendEntryDiff(withdrawn, p, eo, en)
 			}
@@ -145,26 +144,19 @@ func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 }
 
 // appendEntryDiff appends, as VRPs at p, every entry of have that is absent
-// from other, keeping the appended group sorted by (AS, MaxLength) so Diff's
-// output depends only on the two tables, not on either index's insertion
-// history. Spans are tiny (entries of one exact prefix), so the membership
-// scan is linear and the sort is a handful of swaps.
+// from other. Both are spans, sorted by (AS, MaxLength) and without repeats
+// (cmpEntry), so one merge finds them, and the appended group is in that
+// order: Diff's output depends only on the two tables, not on either index's
+// insertion history.
 func appendEntryDiff(dst []rpki.VRP, p prefix.Prefix, have, other []entry) []rpki.VRP {
-	start := len(dst)
+	i := 0
 	for _, e := range have {
-		found := false
-		for _, o := range other {
-			if o == e {
-				found = true
-				break
-			}
+		for i < len(other) && cmpEntry(other[i], e) < 0 {
+			i++
 		}
-		if !found {
+		if i == len(other) || cmpEntry(other[i], e) != 0 {
 			dst = append(dst, rpki.VRP{Prefix: p, MaxLength: e.maxLength, AS: e.as})
 		}
-	}
-	if seg := dst[start:]; len(seg) > 1 {
-		slices.SortFunc(seg, rpki.VRP.Compare) // one prefix: by (AS, MaxLength)
 	}
 	return dst
 }

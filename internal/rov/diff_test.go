@@ -388,10 +388,10 @@ func TestDiffOfParentEqualsWalk(t *testing.T) {
 // TestDiffOneSidedSubtrees pins what the lockstep walk hands over to the
 // pre-order walk — a subtree only one side holds: everything under an empty
 // table, a /12 block one table lacks — to the sorted-set difference, in
-// order. Every span of the table was filled in descending (AS, MaxLength)
-// order, so an output that kept span order instead of sorting within a prefix
-// would show; the pairs are taken over independent builds and within one
-// lineage, both ways round.
+// order. The table is listed in descending (AS, MaxLength) order within each
+// prefix, so a build or a delta that kept a span in the order it met its
+// VRPs, instead of sorting it, would show in the merge's output; the pairs
+// are taken over independent builds and within one lineage, both ways round.
 func TestDiffOneSidedSubtrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	block := mp("10.16.0.0/12")

@@ -143,8 +143,10 @@ func FuzzIndex(f *testing.F) {
 		}
 		flush()
 		given = slices.DeleteFunc(given, func(v rpki.VRP) bool { _, ok := state[v]; return !ok })
+		order := "given"
 		if len(data) > 0 {
-			given = buildOrders(given, 0)[[]string{"given", "preorder", "reversed", "interleaved"}[data[0]%4]]
+			order = []string{"given", "preorder", "reversed", "interleaved"}[data[0]%4]
+			given = buildOrders(given, 0)[order]
 		}
 		vrps := make([]rpki.VRP, 0, len(state))
 		for v := range state {
@@ -160,7 +162,7 @@ func FuzzIndex(f *testing.F) {
 			t.Fatalf("index %d / compact %d / live %d / set %d VRPs", ix.Len(), cx.Len(), live.Len(), set.Len())
 		}
 		ordered := newIndexFromVRPs(given, nil)
-		checkSameSlabs(t, "the ordered build", ordered, insertLoopIndex(given))
+		checkSameSlabs(t, "the ordered build", ordered, insertLoopIndex(given), order == "preorder" || order == "interleaved")
 		checkSameTable(t, "the ordered build", ordered, ix)
 		for _, q := range queries {
 			want := ref.Validate(q.Prefix, q.Origin)

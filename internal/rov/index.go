@@ -1,6 +1,7 @@
 package rov
 
 import (
+	"cmp"
 	"slices"
 	"sync/atomic"
 
@@ -9,37 +10,61 @@ import (
 )
 
 // This file is the serving-path validator: a bit trie kept as one slab of
-// nodes a family, with int32 child indices, whose per-node payload is a
-// {off, n} span into a parallel value slab of VRP entries. Building an Index
-// is O(nodes) slab appends — two passes over the VRP list, each insert
-// starting on the previous one's path, into slabs sized once when the list is
-// in order — and Validate walks two contiguous arrays (the node slab down the
-// ancestor path, the entry slab across each span), so a router serving
+// 12-byte nodes a family, with int32 child indices, whose per-node payload is
+// the offset of a span in a parallel value slab of VRP entries. A span's
+// length is not stored: its last cell is marked, so a node costs two children
+// and an offset, and the five nodes in six that carry no entries pay 4 bytes
+// for it, not 8. Building an Index is O(nodes) slab appends — a sizing pass
+// over the VRP list, then a pass a family (two for one out of order), each
+// insert starting on the previous one's path, into slabs sized once when the
+// list is in order — and
+// Validate walks two contiguous arrays (the node slab down the ancestor path,
+// the entry slab across each span, to its last cell), so a router serving
 // millions of origin-validation queries reads cache-adjacent memory. An
 // append may move a slab, so code that grows one holds node indices across
 // the append, never a node's address (README, invariant 2).
 
 // entry is one VRP payload at a trie node: the node's prefix is implied by
-// its position, so only maxLength and origin AS remain.
+// its position, so only maxLength and origin AS remain. last marks the final
+// cell of its span; it fits in the padding before as, so an entry stays 8
+// bytes.
 type entry struct {
 	maxLength uint8
+	last      bool
 	as        rpki.ASN
 }
 
-// span is a node's payload: the node's entries live at
-// Index.entries[off : off+n]. The zero span is empty.
-type span struct {
-	off int32
-	n   int32
+// cmpEntry is the order of a span's cells, marks aside: by AS, then
+// maxLength — diffOrder within one prefix. A span holds each VRP once, in
+// this order, so VisitVRPs streams a table in diffOrder whatever built it, and
+// Diff and a delta merge spans instead of searching them.
+func cmpEntry(a, b entry) int {
+	return cmp.Or(cmp.Compare(a.as, b.as), cmp.Compare(a.maxLength, b.maxLength))
+}
+
+// span returns the entries of the span at off: entries[off] up to and
+// including the first cell marked last — one to three cells for one exact
+// prefix on today's table, and as many as a cache sends, since no count
+// limits it. Offset 0 is the empty span: every build reserves entries[0].
+func span(entries []entry, off int32) []entry {
+	if off == 0 {
+		return nil
+	}
+	end := off
+	for !entries[end].last {
+		end++
+	}
+	return entries[off : end+1]
 }
 
 // node is one vertex of a family's bit trie: its children's slab indices and
-// its span. Node 0 is reserved — a build's root, a dead placeholder once a
-// delta reroots the family — and is never anyone's child, so a 0 child means
-// none, and a node appended zero is born with no children and no entries.
+// the offset of its span, 0 for none. Node 0 is reserved — a build's root, a
+// dead placeholder once a delta reroots the family — and is never anyone's
+// child, so a 0 child means none; with entries[0] reserved too, a node
+// appended zero is born with no children and no entries.
 type node struct {
 	children [2]int32
-	val      span
+	off      int32
 }
 
 // famIndex is one address family's trie: its node slab, the root's slab
@@ -158,21 +183,23 @@ type finger struct {
 	mark         int32
 }
 
-// newIndexFromVRPs builds the two-slab index in two passes: the first
-// inserts every VRP's path and counts entries per terminal node, then a
-// prefix-sum turns counts into slab offsets; the second drops each entry
-// into its node's span. The input need not be sorted and is not retained. A
-// VRP listed more than once is indexed once — an RTR Cache Response may
-// repeat an announcement, and a table is a set.
+// newIndexFromVRPs builds the two-slab index: a first pass over the list
+// sizes the slabs and sees which families are in the trie's pre-order, then
+// each family is inserted on its own. The input need not be sorted and is not
+// retained. A VRP listed more than once is indexed once — an RTR Cache
+// Response may repeat an announcement, and a table is a set.
 //
 // Inserts go through a finger a family, so the slab is node for node what a
 // descent from the root per VRP leaves. A family in the trie's pre-order — the
 // wire stream (VisitVRPs), Diff's output, NewServer's prefix-ordered copy of
 // its set; not a Set, which is AS-major — then costs one Ensure per node, and
 // Σ(len − cpl) is its node count: the slab is sized once, with headroom, as an
-// exactly full one regrows by a quarter at the first path-copied delta. The
-// same cpl shows disorder (p sorts before prev), where the sum is several
-// times too much: that family is hinted at a node per VRP and grows by append.
+// exactly full one regrows by a quarter at the first path-copied delta. There
+// a prefix's VRPs come together, so its span is the entry slab's tail while
+// they do, and each is appended in place (fillPreorder). The same cpl shows
+// disorder (p sorts before prev), where the sum is several times too much:
+// that family is hinted at a node per VRP, grows by append, and places its
+// spans by counting (fillCounted).
 //
 // floor, when not nil, is the table a compaction rebuilds: every slab is made
 // at least as long as floor's, garbage included, and a 32nd more, so the
@@ -207,8 +234,14 @@ func buildIndex(vrps []rpki.VRP, floor *Index) (ix *Index, ordered bool) {
 			prev[slot] = p
 		}
 	}
+	room := len(vrps) + 1
+	if floor != nil {
+		room = max(room, len(floor.entries)+len(floor.entries)/32)
+	}
+	ix.entries = make([]entry, 1, room) // entries[0] is reserved: offset 0 is no span
 	for slot := range ix.fams {
-		hint := ix.fams[slot].size // an absent family costs only its root node
+		f := &ix.fams[slot]
+		hint := f.size // an absent family costs only its root node
 		if n := nodes[slot]; n > 0 {
 			hint = n + n/64 + 64
 		}
@@ -216,52 +249,116 @@ func buildIndex(vrps []rpki.VRP, floor *Index) (ix *Index, ordered bool) {
 			n := len(floor.fams[slot].nodes)
 			hint = max(hint, n+n/32)
 		}
-		ix.fams[slot].nodes = make([]node, 1, hint+1)
-		ix.fams[slot].lineage = ix.version
-	}
-	prev = roots
-	var paths [2][129]int32 // at [slot][d], the node of prev's ancestor of length d
-	terms := make([]int32, 0, len(vrps))
-	for _, v := range vrps {
-		slot, p := famSlot(v.Prefix.Family()), v.Prefix
-		f, path := &ix.fams[slot], &paths[slot]
-		depth := prefix.CommonPrefixLen(prev[slot], p)
-		idx := path[depth] // path[0] is the root: node 0
-		for ; depth < p.Len(); depth++ {
-			idx = f.ensure(idx, p.Bit(depth))
-			path[depth+1] = idx
+		f.nodes = make([]node, 1, hint+1)
+		f.lineage = ix.version
+		switch {
+		case f.size == 0:
+		case nodes[slot] >= 0:
+			ix.fillPreorder(slot, vrps, ordered)
+		default:
+			ix.fillCounted(slot, vrps)
 		}
-		prev[slot] = p
-		f.nodes[idx].val.n++
-		terms = append(terms, idx)
-	}
-	off := int32(0)
-	for slot := range ix.fams {
-		nodes := ix.fams[slot].nodes
-		for j := range nodes {
-			sp := &nodes[j].val
-			sp.off = off
-			off += sp.n
-			sp.n = 0 // reused as the fill cursor below
-		}
-	}
-	room := off
-	if floor != nil {
-		room = max(room, int32(len(floor.entries)+len(floor.entries)/32))
-	}
-	ix.entries = make([]entry, off, room)
-	for i, v := range vrps {
-		f := &ix.fams[famSlot(v.Prefix.Family())]
-		sp := &f.nodes[terms[i]].val
-		e := entry{maxLength: v.MaxLength, as: v.AS}
-		if slices.Contains(ix.entries[sp.off:sp.off+sp.n], e) {
-			f.size-- // the reserved cell stays unused past the span's end
-			continue
-		}
-		ix.entries[sp.off+sp.n] = e
-		sp.n++
 	}
 	return ix, ordered
+}
+
+// insert descends from a build's finger (prev, path) to p's node, creating
+// what is absent, and returns it, the finger moved to p.
+func (f *famIndex) insert(prev *prefix.Prefix, path *[129]int32, p prefix.Prefix) int32 {
+	depth := prefix.CommonPrefixLen(*prev, p)
+	idx := path[depth] // path[0] is the root: node 0
+	for ; depth < p.Len(); depth++ {
+		idx = f.ensure(idx, p.Bit(depth))
+		path[depth+1] = idx
+	}
+	*prev = p
+	return idx
+}
+
+// fillPreorder inserts the family's VRPs, in the trie's pre-order, appending
+// each entry to the slab: a prefix's VRPs are consecutive in that order, so
+// its span is the slab's tail until the next prefix closes it. sorted says the
+// list is strictly in diffOrder: its spans are in order already.
+func (ix *Index) fillPreorder(slot int, vrps []rpki.VRP, sorted bool) {
+	f, prev := &ix.fams[slot], rootPrefix(slot)
+	var path [129]int32
+	from := int32(0) // where the open span, the slab's tail, starts
+	for _, v := range vrps {
+		if famSlot(v.Prefix.Family()) != slot {
+			continue
+		}
+		idx := f.insert(&prev, &path, v.Prefix) // before f.nodes is read: it may grow
+		if nd := &f.nodes[idx]; nd.off == 0 {
+			ix.entries = ix.entries[:ix.closeSpan(f, from, int32(len(ix.entries)), sorted)]
+			from = int32(len(ix.entries))
+			nd.off = from
+		}
+		ix.entries = append(ix.entries, entry{maxLength: v.MaxLength, as: v.AS})
+	}
+	ix.entries = ix.entries[:ix.closeSpan(f, from, int32(len(ix.entries)), sorted)]
+}
+
+// closeSpan finishes the span filled into entries[from:to] (none if from is
+// 0): unless sorted, it puts the cells in order and drops repeats, which f
+// then no longer counts; it marks the last cell and returns the span's end.
+func (ix *Index) closeSpan(f *famIndex, from, to int32, sorted bool) int32 {
+	if from == 0 {
+		return to
+	}
+	es := ix.entries[from:to]
+	if !sorted && len(es) > 1 {
+		slices.SortFunc(es, cmpEntry)
+		n := len(es)
+		es = slices.Compact(es)
+		f.size -= n - len(es)
+	}
+	es[len(es)-1].last = true
+	return from + int32(len(es))
+}
+
+// fillCounted inserts the family's VRPs, in any order: one pass descends and
+// counts each terminal's entries in its off, a prefix sum reserves each span's
+// cells and leaves off at the span's end, a second pass over the list drops
+// each entry in from the end, and then, in node order — the spans' order —
+// each span is sorted and marked. A repeated VRP leaves a cell unused after
+// its span's last.
+func (ix *Index) fillCounted(slot int, vrps []rpki.VRP) {
+	f, prev := &ix.fams[slot], rootPrefix(slot)
+	var path [129]int32
+	terms := make([]int32, 0, f.size) // each VRP's node, in list order
+	for _, v := range vrps {
+		if famSlot(v.Prefix.Family()) == slot {
+			idx := f.insert(&prev, &path, v.Prefix)
+			f.nodes[idx].off++
+			terms = append(terms, idx)
+		}
+	}
+	end := int32(len(ix.entries))
+	for j := range f.nodes {
+		if n := f.nodes[j].off; n > 0 {
+			end += n
+			f.nodes[j].off = end
+		}
+	}
+	ix.entries = ix.entries[:end]
+	k := 0
+	for _, v := range vrps {
+		if famSlot(v.Prefix.Family()) == slot {
+			nd := &f.nodes[terms[k]]
+			nd.off--
+			ix.entries[nd.off] = entry{maxLength: v.MaxLength, as: v.AS}
+			k++
+		}
+	}
+	// Each span now starts at its off and ends where the next one starts.
+	from := int32(0)
+	for j := range f.nodes {
+		if off := f.nodes[j].off; off != 0 {
+			ix.closeSpan(f, from, off, false)
+			from = off
+		}
+	}
+	ix.closeSpan(f, from, end, false)
 }
 
 // Len returns the number of indexed VRPs.
@@ -275,12 +372,15 @@ func validateOn(nodes []node, root int32, entries []entry, p prefix.Prefix, orig
 	state := NotFound
 	idx := root
 	for depth := uint8(0); ; depth++ {
-		sp := nodes[idx].val
-		if sp.n > 0 {
+		if off := nodes[idx].off; off != 0 {
 			state = Invalid
-			for _, e := range entries[sp.off : sp.off+sp.n] {
+			for ; ; off++ {
+				e := entries[off]
 				if e.as == origin && p.Len() <= e.maxLength {
 					return Valid
+				}
+				if e.last {
+					break
 				}
 			}
 		}
@@ -353,12 +453,12 @@ func (ix *Index) VisitVRPs(fn func(rpki.VRP) bool) {
 			continue
 		}
 		fam := slotFamily(slot)
-		if !f.walk(f.root, 0, 0, 0, func(hi, lo uint64, plen uint8, sp span) bool {
-			if sp.n == 0 {
+		if !f.walk(f.root, 0, 0, 0, func(hi, lo uint64, plen uint8, off int32) bool {
+			if off == 0 {
 				return true // a branch point: nothing to stream
 			}
 			p := keyPrefix(fam, hi, lo, plen)
-			for _, e := range ix.entries[sp.off : sp.off+sp.n] {
+			for _, e := range span(ix.entries, off) {
 				if !fn(rpki.VRP{Prefix: p, MaxLength: e.maxLength, AS: e.as}) {
 					return false
 				}
@@ -391,13 +491,13 @@ func oneChildKey(hi, lo uint64, plen uint8) (uint64, uint64) {
 
 // walk is the package's pre-order walk of one family's trie: from node idx,
 // keyed by the plen-bit prefix (hi, lo), it hands fn, in canonical prefix
-// order, the key and span of every node of the subtree that a compact trie
-// keeps — one whose span holds entries or that has two children — and reports
+// order, the key and span offset of every node of the subtree that a compact
+// trie keeps — one with a span (off != 0) or with two children — and reports
 // whether fn let it finish: fn returning false ends the walk. It steps into a
 // first child in place and pushes only a second one, so the one-child runs
 // that make up most of a bit trie cost no frame and no call. VisitVRPs and
-// Diff's one-sided subtrees skip the empty spans; CompactFromIndex keeps all.
-func (f *famIndex) walk(idx int32, hi, lo uint64, plen uint8, fn func(hi, lo uint64, plen uint8, sp span) bool) bool {
+// Diff's one-sided subtrees skip the branch points; CompactFromIndex keeps all.
+func (f *famIndex) walk(idx int32, hi, lo uint64, plen uint8, fn func(hi, lo uint64, plen uint8, off int32) bool) bool {
 	type frame struct {
 		idx    int32
 		plen   uint8
@@ -408,7 +508,7 @@ func (f *famIndex) walk(idx int32, hi, lo uint64, plen uint8, fn func(hi, lo uin
 	for at := (frame{idx: idx, plen: plen, hi: hi, lo: lo}); at.idx >= 0; {
 		nd := &f.nodes[at.idx]
 		c0, c1 := nd.children[0], nd.children[1]
-		if (nd.val.n > 0 || c0 != 0 && c1 != 0) && !fn(at.hi, at.lo, at.plen, nd.val) {
+		if (nd.off != 0 || c0 != 0 && c1 != 0) && !fn(at.hi, at.lo, at.plen, nd.off) {
 			return false
 		}
 		if c1 != 0 {

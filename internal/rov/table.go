@@ -244,9 +244,10 @@ func (t *Table) compact(src *Index, hook func()) {
 // write is the one way a snapshot under construction changes: it applies ann,
 // then wd — withdraw wins — through one finger a family, and returns the
 // operations that changed the table, compacted in place. In diffOrder, as both
-// callers give them, each pass reads the union of its paths once. mark is each
-// family's end of the published node slab: what lies under it is cloned, once,
-// before it is written; mark 0 writes a private copy in place.
+// callers give them, each pass reads the union of its paths once, and a
+// prefix's operations are consecutive: edit takes them as one run. mark is
+// each family's end of the published node slab: what lies under it is cloned,
+// once, before it is written; mark 0 writes a private copy in place.
 func (t *Table) write(nw *Index, ann, wd []rpki.VRP, mark [2]int32) ([]rpki.VRP, []rpki.VRP) {
 	var fg [2]finger
 	for s := range fg {
@@ -255,26 +256,32 @@ func (t *Table) write(nw *Index, ann, wd []rpki.VRP, mark [2]int32) ([]rpki.VRP,
 	ops := [2][]rpki.VRP{ann, wd}
 	for pass, vs := range ops {
 		k := 0
-		for _, v := range vs {
-			if t.edit(nw, &fg[famSlot(v.Prefix.Family())], v, pass == 0) {
-				vs[k], k = v, k+1
+		for i := 0; i < len(vs); {
+			j := i + 1
+			for j < len(vs) && vs[j].Prefix == vs[i].Prefix {
+				j++
 			}
+			n := t.edit(nw, &fg[famSlot(vs[i].Prefix.Family())], vs[i:j], pass == 0)
+			k += copy(vs[k:], vs[i:i+n])
+			i = j
 		}
 		ops[pass] = vs[:k]
 	}
 	return ops[0], ops[1]
 }
 
-// edit adds v to nw (add) or takes it out, through v's family's finger, and
-// reports whether the table changed. It reads down from the finger to v's
-// terminal; only if v's presence is not already what add asks does it make the
-// path the delta's own from the deepest node it owns — cloning what lies under
+// edit adds run — VRPs of one prefix, in diffOrder — to nw (add) or takes them
+// out, through the prefix's family's finger. It moves the operations that
+// change the table to the front of run and returns their number. It reads down
+// from the finger to the prefix's terminal and merges run with its span; only
+// if some VRP's presence is not already what add asks does it make the path
+// the delta's own from the deepest node it owns — cloning what lies under
 // mark, allocating what is absent, rerooting the family if the root was
-// published — and relocate the terminal's span to the entry slab's tail,
-// counting the cells it leaves as garbage.
-func (t *Table) edit(nw *Index, fg *finger, v rpki.VRP, add bool) bool {
-	f, p := &nw.fams[famSlot(v.Prefix.Family())], v.Prefix
-	n := p.Len()
+// published — and write the merged span to the entry slab's tail, counting
+// the cells it leaves as garbage.
+func (t *Table) edit(nw *Index, fg *finger, run []rpki.VRP, add bool) int {
+	p := run[0].Prefix
+	f, n := &nw.fams[famSlot(p.Family())], p.Len()
 	hi, lo := p.Bits()
 	d := min(prefix.CommonPrefixLen(fg.prev, p), fg.valid)
 	fg.prev, fg.owned = p, min(fg.owned, d+1)
@@ -286,14 +293,28 @@ func (t *Table) edit(nw *Index, fg *finger, v rpki.VRP, add bool) bool {
 		fg.path[d+1] = c
 	}
 	fg.valid = d
-	var sp span
+	var old []entry
 	if d == n {
-		sp = f.nodes[fg.path[n]].val
+		old = span(nw.entries, f.nodes[fg.path[n]].off)
 	}
-	ent := entry{maxLength: v.MaxLength, as: v.AS}
-	pos := int32(slices.Index(nw.entries[sp.off:sp.off+sp.n], ent))
-	if (pos >= 0) == add {
-		return false // already present, or absent
+	// Keep the VRPs whose presence in old is not add's, each once.
+	kept, i := 0, 0
+	var prev entry // the run's last VRP: a repeat changes nothing
+	for r, v := range run {
+		e := entry{maxLength: v.MaxLength, as: v.AS}
+		if r > 0 && e == prev {
+			continue
+		}
+		prev = e
+		for i < len(old) && cmpEntry(old[i], e) < 0 {
+			i++
+		}
+		if present := i < len(old) && cmpEntry(old[i], e) == 0; present != add {
+			run[kept], kept = v, kept+1
+		}
+	}
+	if kept == 0 {
+		return 0 // all present already, or absent
 	}
 	for fg.owned <= d && fg.path[fg.owned] >= fg.mark {
 		fg.owned++
@@ -318,27 +339,37 @@ func (t *Table) edit(nw *Index, fg *finger, v rpki.VRP, add bool) bool {
 		fg.path[k] = c
 	}
 	fg.valid = n
-	// Relocate the span to the slab tail, with v appended or taken out; the old
-	// span's cells become garbage (older snapshots still read them). A span
-	// emptied leaves its chain as structural garbage until compaction prunes it.
-	idx, off := fg.path[n], int32(len(nw.entries))
-	switch {
-	case add:
-		nw.entries = append(nw.entries, nw.entries[sp.off:sp.off+sp.n]...)
-		nw.entries = append(nw.entries, ent)
-		f.nodes[idx].val = span{off: off, n: sp.n + 1}
-		f.size++
-	case sp.n == 1:
-		f.nodes[idx].val = span{}
-		f.size--
-	default:
-		nw.entries = append(nw.entries, nw.entries[sp.off:sp.off+pos]...)
-		nw.entries = append(nw.entries, nw.entries[sp.off+pos+1:sp.off+sp.n]...)
-		f.nodes[idx].val = span{off: off, n: sp.n - 1}
-		f.size--
+	// Write the merged span to the slab tail, unmarked but for its last cell;
+	// the old span's cells, marks included, become garbage (older snapshots
+	// still read them). A span emptied leaves its chain as structural garbage
+	// until compaction prunes it.
+	off := int32(len(nw.entries))
+	i = 0
+	for _, v := range run[:kept] {
+		e := entry{maxLength: v.MaxLength, as: v.AS}
+		for ; i < len(old) && cmpEntry(old[i], e) < 0; i++ {
+			nw.entries = append(nw.entries, entry{maxLength: old[i].maxLength, as: old[i].as})
+		}
+		if add {
+			nw.entries = append(nw.entries, e)
+		} else {
+			i++ // e's cell
+		}
 	}
-	t.garbageEntries += int(sp.n)
-	return true
+	nw.entries = append(nw.entries, old[i:]...)
+	if off == int32(len(nw.entries)) {
+		off = 0
+	} else {
+		nw.entries[len(nw.entries)-1].last = true
+	}
+	if add {
+		f.size += kept
+	} else {
+		f.size -= kept
+	}
+	f.nodes[fg.path[n]].off = off
+	t.garbageEntries += len(old)
+	return kept
 }
 
 // needCompact reports whether superseded slab cells outweigh live ones.

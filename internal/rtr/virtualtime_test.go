@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // bubbledTests are bubble_test.go's tests. They need testing/synctest,
@@ -51,9 +52,19 @@ var child struct {
 	subs            map[string][]string
 }
 
-func runBubbles() {
+// runBubbles runs the child, once, for the first test t that asks. The child
+// times out a quarter of t's time short of t's deadline: a bubble stuck on a
+// sync.Mutex is not durably blocked, so synctest reports nothing, and the
+// child's timeout is what ends it — early enough that this binary still
+// relays the child's goroutine dump, which names the stuck test, before its
+// own timeout ends it with a dump that names only the relay.
+func runBubbles(t *testing.T) {
 	child.once.Do(func() {
-		args := []string{"test", "-count=1", "-timeout=2m", "-json", "-run=^(" + strings.Join(bubbledTests, "|") + ")$", "."}
+		timeout := 10 * time.Minute // go test's own, where t has no deadline
+		if dl, ok := t.Deadline(); ok {
+			timeout = time.Until(dl) * 3 / 4
+		}
+		args := []string{"test", "-count=1", "-timeout=" + timeout.String(), "-json", "-run=^(" + strings.Join(bubbledTests, "|") + ")$", "."}
 		cmd := exec.Command("go", args...)
 		cmd.Env = append(os.Environ(), "GOEXPERIMENT="+strings.TrimPrefix(os.Getenv("GOEXPERIMENT")+",synctest", ","))
 		var out []byte
@@ -82,7 +93,7 @@ func runBubbles() {
 // relay reports the child run's verdict on t's test, and on its subtests as
 // subtests of t.
 func relay(t *testing.T) {
-	runBubbles()
+	runBubbles(t)
 	for _, sub := range child.subs[t.Name()] {
 		t.Run(sub[len(t.Name())+1:], relay)
 	}
@@ -92,8 +103,8 @@ func relay(t *testing.T) {
 		t.Skip(child.output[t.Name()])
 	case "fail":
 		t.Error(child.output[t.Name()])
-	default:
-		t.Fatalf("not run with GOEXPERIMENT=synctest (%v):\n%s", child.err, child.log.String())
+	default: // not run, or the child timed out in it: its log says which
+		t.Fatalf("no verdict from the GOEXPERIMENT=synctest run (%v):\n%s", child.err, child.log.String())
 	}
 }
 
@@ -104,7 +115,7 @@ func TestVirtualTime(t *testing.T) {
 	if bubbled {
 		t.Skip("built with GOEXPERIMENT=synctest: the bubbled tests run in this binary")
 	}
-	runBubbles()
+	runBubbles(t)
 	if child.err != nil {
 		t.Fatalf("GOEXPERIMENT=synctest go test: %v\n%s", child.err, child.log.String())
 	}
