@@ -18,7 +18,7 @@ import (
 // sized — over a 50k-VRP table with both families in it, and the LiveIndex
 // ones also over today's table under an overlay of a thousand touched
 // prefixes, where each route is tested against it and a quarter of them go
-// to the bit trie. The rows between them execute every statement of
+// to the Index. The rows between them execute every statement of
 // validateOn, validateCompact, keyMatch, overlay.covers and the Validate and
 // ValidateBatch methods of Index, CompactIndex and LiveIndex (go test -run
 // TestValidateAllocs -coverprofile says so), so an allocation added on any
@@ -244,31 +244,39 @@ func TestCompactAllocs(t *testing.T) {
 // TestIndexBuildAllocs is the gate on what a cold start's build allocates:
 // today's table in wire order is sized by the counting pass and its spans are
 // written in place, so the build is the index and its three slabs — no
-// regrowth, no terminal list — and it allocates little beyond what the
-// finished index retains.
+// regrowth, no terminal list, no wide slab: every key of an IPv4 table fits
+// in its node — and it allocates little beyond what the finished index
+// retains, which is at most 60 bytes a VRP. Counted with the collector off, as
+// TestCompactAllocs does: a cycle a build starts allocates too.
 func TestIndexBuildAllocs(t *testing.T) {
 	ix := newIndexFromVRPs(todayTable(t), nil)
 	vrps := ix.AppendVRPs(nil)
 	if got := testing.AllocsPerRun(5, func() { _ = ix.AppendVRPs(nil) }); got != 1 {
 		t.Errorf("AppendVRPs(nil) of %d VRPs: %v allocs, want the one it grows its result by", len(vrps), got)
 	}
+	gc := debug.SetGCPercent(-1)
 	allocs := testing.AllocsPerRun(5, func() { ix = newIndexFromVRPs(vrps, nil) })
+	debug.SetGCPercent(gc)
 	if allocs > 4 {
 		t.Errorf("an ordered build of %d VRPs: %v allocs, want at most 4", len(vrps), allocs)
 	}
 	retained := uint64(unsafe.Sizeof(*ix)) + uint64(cap(ix.entries))*uint64(unsafe.Sizeof(entry{}))
 	for slot := range ix.fams {
-		nodes := ix.fams[slot].nodes
-		retained += uint64(cap(nodes)) * uint64(unsafe.Sizeof(nodes[0]))
+		f := &ix.fams[slot]
+		retained += uint64(cap(f.nodes))*uint64(unsafe.Sizeof(node{})) + uint64(cap(f.wide))*uint64(unsafe.Sizeof([2]uint64{}))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	ix = newIndexFromVRPs(vrps, nil)
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("ordered build of %d VRPs: %v allocs, %d bytes for an index of %d", ix.Len(), allocs, got, retained)
+	perVRP := float64(retained) / float64(ix.Len())
+	t.Logf("ordered build of %d VRPs: %v allocs, %d bytes for an index of %d, %.1f B/VRP", ix.Len(), allocs, got, retained, perVRP)
 	if float64(got) > 1.15*float64(retained) {
 		t.Errorf("an ordered build allocated %d bytes for an index of %d", got, retained)
+	}
+	if perVRP > 60 {
+		t.Errorf("an index of %d VRPs retains %d bytes, %.1f a VRP: want at most 60", ix.Len(), retained, perVRP)
 	}
 }
 

@@ -418,7 +418,7 @@ const todaySize = 33615
 
 // liveWithOverlay returns a LiveIndex over today's table that readers have
 // paid for, with one path-copied delta applied that sends share of routes to
-// the bit trie: a /24 VRP at a route's base address marks the route's bits
+// the Index: a /24 VRP at a route's base address marks the route's bits
 // in the overlay whether or not it covers the route. Routes are touched in
 // order until enough of them fall back.
 func liveWithOverlay(tb testing.TB, routes []Route, share float64) *LiveIndex {
@@ -454,7 +454,7 @@ func liveWithOverlay(tb testing.TB, routes []Route, share float64) *LiveIndex {
 // BenchmarkLiveValidateBatch is what validate_churn's throughput is made of:
 // one 8,192-route batch through a LiveIndex over today's table with nothing
 // touched (CompactIndex.ValidateBatch plus one atomic add), with an overlay
-// sending 1 % and 5 % of the routes to the bit trie, and with no compact half.
+// sending 1 % and 5 % of the routes to the Index, and with no compact half.
 func BenchmarkLiveValidateBatch(b *testing.B) {
 	routes := benchRoutes(8192)
 	dst := make([]State, len(routes))

@@ -27,10 +27,13 @@ func todayTable(tb testing.TB) []rpki.VRP {
 	return todayTableCache
 }
 
-// insertLoopIndex is the build newIndexFromVRPs replaced, kept as its
-// reference: every VRP inserted by a descent from the root into a slab hinted
-// at one node per VRP, each node's entries gathered, a repeat dropped, and the
-// spans laid out sorted, in node order, IPv4's first, after the reserved cell.
+// insertLoopIndex is the reference the finger builder is held to: every VRP
+// inserted by a descent from the root into a slab hinted at one node per VRP
+// — through every child whose key its prefix extends, to its node or to the
+// child its key parts from, which moves under a new branch point (appended
+// first) or under the prefix's new node — each node's entries gathered, a
+// repeat dropped, and the spans laid out sorted, in node order, IPv4's first,
+// after the reserved cell.
 func insertLoopIndex(vrps []rpki.VRP) *Index {
 	ix := &Index{version: versions.Add(1), entries: make([]entry, 1)}
 	for _, v := range vrps {
@@ -41,11 +44,34 @@ func insertLoopIndex(vrps []rpki.VRP) *Index {
 	}
 	spans := [2]map[int32][]entry{{}, {}}
 	for _, v := range vrps {
-		slot := famSlot(v.Prefix.Family())
+		slot, p := famSlot(v.Prefix.Family()), v.Prefix
 		f := &ix.fams[slot]
+		add := func(k prefix.Prefix) int32 {
+			hi, lo := k.Bits()
+			return f.push(node{plen: k.Len()}, hi, lo)
+		}
 		idx := f.root
-		for depth := uint8(0); depth < v.Prefix.Len(); depth++ {
-			idx = f.ensure(idx, v.Prefix.Bit(depth))
+		for f.nodes[idx].plen < p.Len() {
+			bit := p.Bit(f.nodes[idx].plen)
+			c := f.nodes[idx].children[bit]
+			if c == 0 {
+				c = add(p)
+				f.nodes[idx].children[bit] = c
+			} else if ck := f.prefix(p.Family(), c); !ck.Contains(p) {
+				if d := prefix.CommonPrefixLen(ck, p); d < p.Len() {
+					hi, lo := p.Bits()
+					b := add(keyPrefix(p.Family(), hi, lo, d))
+					f.nodes[b].children[ck.Bit(d)] = c
+					f.nodes[idx].children[bit] = b
+					c = add(p)
+					f.nodes[b].children[p.Bit(d)] = c
+				} else {
+					k := add(p)
+					f.nodes[k].children[ck.Bit(p.Len())] = c
+					f.nodes[idx].children[bit], c = k, k
+				}
+			}
+			idx = c
 		}
 		e := entry{maxLength: v.MaxLength, as: v.AS}
 		if slices.Contains(spans[slot][idx], e) {
@@ -69,11 +95,11 @@ func insertLoopIndex(vrps []rpki.VRP) *Index {
 }
 
 // checkSameSlabs fails unless got and want are the same trie: node slabs
-// child for child, roots, sizes, and at every node the same span. With cells,
-// they are the same index cell for cell, span offsets and entry slab
-// included: what two builds in the trie's pre-order make. A build from other
-// input places its spans by counting, which leaves a repeated VRP's cell
-// unused.
+// child for child and key for key, wide slabs, roots, sizes, and at every
+// node the same span. With cells, they are the same index cell for cell, span
+// offsets and entry slab included: what two builds in the trie's pre-order
+// make. A build from other input places its spans by counting, which leaves a
+// repeated VRP's cell unused.
 func checkSameSlabs(t *testing.T, name string, got, want *Index, cells bool) {
 	t.Helper()
 	for slot := range want.fams {
@@ -81,12 +107,12 @@ func checkSameSlabs(t *testing.T, name string, got, want *Index, cells bool) {
 		if g.root != w.root || g.size != w.size {
 			t.Fatalf("%s, family %d: root %d size %d, want %d and %d", name, slot, g.root, g.size, w.root, w.size)
 		}
-		if len(g.nodes) != len(w.nodes) {
-			t.Fatalf("%s, family %d: %d nodes, want %d", name, slot, len(g.nodes), len(w.nodes))
+		if len(g.nodes) != len(w.nodes) || !slices.Equal(g.wide, w.wide) {
+			t.Fatalf("%s, family %d: %d nodes, %d wide keys, want %d and %d (or other keys)", name, slot, len(g.nodes), len(g.wide), len(w.nodes), len(w.wide))
 		}
 		for j := range w.nodes {
 			gn, wn := g.nodes[j], w.nodes[j]
-			if gn.children != wn.children || cells && gn.off != wn.off {
+			if gn.children != wn.children || gn.key != wn.key || gn.plen != wn.plen || cells && gn.off != wn.off {
 				t.Fatalf("%s, family %d: node %d is %+v, want %+v", name, slot, j, gn, wn)
 			}
 			if ge, we := span(got.entries, gn.off), span(want.entries, wn.off); !slices.Equal(ge, we) {
@@ -176,13 +202,14 @@ func buildTable(tb testing.TB) []rpki.VRP {
 	return append(vrps, vrps[100], vrps[len(vrps)-4], vrps[100], vrps[100])
 }
 
-// TestIndexBuildMatchesInsertLoop pins the finger builder against the loop it
-// replaced. In every input order the index is the insert loop's node for node
-// — the finger is a cache of the path, so the same nodes are created in the
-// same sequence — with the same entries at each, and in the trie's pre-order,
-// a family at a time or interleaved, cell for cell: spans written in place
-// leave no cell unused. Every order's index holds the table the pre-ordered
-// one does. The pre-ordered input is checked to be what VisitVRPs streams.
+// TestIndexBuildMatchesInsertLoop pins the finger builder against the
+// root-descent insert loop. In every input order the index is the loop's node
+// for node — the finger is a cache of the path, so the same nodes are created
+// in the same sequence — with the same entries at each, and in the trie's
+// pre-order, a family at a time or interleaved, cell for cell: spans written
+// in place leave no cell unused. Every order's index holds the table the
+// pre-ordered one does, in the trie's shape. The pre-ordered input is checked
+// to be what VisitVRPs streams.
 func TestIndexBuildMatchesInsertLoop(t *testing.T) {
 	orders := buildOrders(buildTable(t), 7)
 	want := insertLoopIndex(orders["preorder"])
@@ -204,6 +231,7 @@ func TestIndexBuildMatchesInsertLoop(t *testing.T) {
 		inPlace := name == "preorder" || name == "interleaved"
 		checkSameSlabs(t, name, got, insertLoopIndex(vrps), inPlace)
 		checkSameTable(t, name, got, want)
+		checkShape(t, name, got)
 		if cells := len(got.entries); inPlace && cells != 1+got.Len() || !inPlace && cells != 1+len(vrps) {
 			t.Errorf("%s: %d entry cells for %d VRPs listed, %d of them distinct", name, cells, len(vrps), got.Len())
 		}
@@ -224,8 +252,9 @@ func nodeCaps(ix *Index) (capacity, length int) {
 // sized once: no family's slab is over len + len/64 + 64 nodes, and the
 // headroom takes a path-copied delta without regrowing — an exactly full slab
 // would grow by a quarter at the first one, in every table of every follower.
-// Unordered input never trusts Σ(len − cpl), which over it is several times
-// the node count: its slabs are what growth by append leaves, under 1.3 × len.
+// Unordered input cannot be counted before it is built: it is sized at the
+// bound of two nodes a VRP, which real tables come near — every prefix a node,
+// and nearly every one a branch point above it — under 1.3 × len here.
 func TestIndexBuildCapacity(t *testing.T) {
 	orders := buildOrders(buildTable(t), 7)
 	for _, name := range []string{"preorder", "interleaved"} {

@@ -8,15 +8,11 @@ import (
 	"repro/internal/rpki"
 )
 
-// This file is the path-compressed serving index: the same RFC 6811 answers
-// as Index, at a fraction of the memory traffic. Two ideas compose:
+// This file is the compact serving index: the same RFC 6811 answers as
+// Index, at a fraction of the memory traffic. Two ideas compose:
 //
-//  1. Path compression: a cnode exists only at branch points and
-//     VRP-carrying prefixes, and stores its full key, so one xor-shift
-//     compare verifies an entire compressed edge. A lookup hops O(branch
-//     points), not O(prefix bits). Nodes live in one slab per family, with
-//     int32 child indices as in the bit trie (index.go): node 0 is the root,
-//     and a 0 child means none.
+//  1. Path compression, as in the Index (index.go), each cnode with its full
+//     key, so one xor-shift compare verifies an entire compressed edge.
 //
 //  2. A per-family stride table + aggregated spans: the top of a real VRP
 //     table is maximally branchy (at 50k random prefixes essentially every
@@ -33,14 +29,13 @@ import (
 //     query — exactly the non-covering ancestors-of-the-slot case that
 //     arises for queries shorter than the stride.
 //
-// A CompactIndex is derived from an Index, whose bit trie already has a node
-// at every prefix that carries VRPs and at every point where two of them part
-// ways: the package's pre-order walk (famIndex.walk) hands over exactly those,
-// the derivation keeps them and the root, and a second pass, over the kept
-// nodes, aggregates their spans and fills the stride table (CompactFromIndex).
-// The result is immutable, its slab in pre-order. LiveIndex keeps the
-// bit-at-a-time trie for O(delta) updates and derives a CompactIndex from it
-// again once enough prefixes have been touched.
+// A CompactIndex is derived from an Index, any snapshot of which has exactly
+// the nodes it needs: famIndex.walk hands them over in pre-order, the
+// derivation copies them node for node, and a second pass, over the copies,
+// aggregates their spans and fills the stride table (CompactFromIndex). The
+// result is immutable, its slab in pre-order. LiveIndex keeps the Index for
+// O(delta) updates and derives a CompactIndex from it again once enough
+// prefixes have been touched.
 
 // centry is one VRP payload in the aggregated entry slab. plen is the
 // originating prefix's length: aggregated spans mix entries from the whole
@@ -103,7 +98,7 @@ const strideCutoff = 4096
 // CompactIndex answers RFC 6811 queries in O(branch points below the stride
 // table). Build one with NewCompactIndex or CompactFromIndex; a CompactIndex
 // is immutable and safe for concurrent readers. It has no update path at
-// all — LiveIndex pairs it with the bit-trie Index, which answers the routes
+// all — LiveIndex pairs it with the Index, which answers the routes
 // a delta has touched until the next rebuild.
 type CompactIndex struct {
 	fams    [2]famCompact // famSlot order: IPv4, IPv6
@@ -117,10 +112,9 @@ func NewCompactIndex(s *rpki.Set) *CompactIndex {
 	return CompactFromIndex(NewIndex(s))
 }
 
-// CompactFromIndex derives the compact equivalent of ix from its bit trie.
-// ix may be any snapshot, a path-copied one with emptied spans and dead
-// chains included: those keep no node unless they branch, and a branch with
-// nothing under one side answers like its ancestor.
+// CompactFromIndex derives the compact equivalent of ix from its trie. ix may
+// be any snapshot, a path-copied one included: a delta leaves its trie in the
+// shape a build makes.
 func CompactFromIndex(ix *Index) *CompactIndex {
 	cx := &CompactIndex{size: ix.Len()}
 	for slot := range cx.fams {
@@ -130,47 +124,41 @@ func CompactFromIndex(ix *Index) *CompactIndex {
 }
 
 // buildFamCompact derives one family's compact trie, aggregated spans and
-// stride table from the family's bit trie, appending entries to the shared
-// slab. Two pre-order passes: over the bit trie by famIndex.walk, keeping the
-// nodes it hands over; over the kept nodes, materializing each one's span as
-// parent aggregate + own entries and entering it in the stride table.
+// stride table from the family's trie, appending entries to the shared slab.
+// Two pre-order passes: over the trie by famIndex.walk, copying each node;
+// over the copies, materializing each one's span as parent aggregate + own
+// entries and entering it in the stride table.
 func buildFamCompact(f *famCompact, src *famIndex, srcEntries []entry, entries *[]centry) {
 	if src.size == 0 {
 		return
 	}
 
-	// Pass 1: walk hands over the nodes a compact trie keeps, in pre-order, and
-	// each is allocated as it is met, so the slab is in pre-order; its span,
-	// until pass 2, is its own span in srcEntries, measured to its last cell
-	// once here, so pass 2 reads cells, not marks. The root is kept always, as
-	// node 0, which is filled in if walk hands the root over. A kept node hangs
-	// under the deepest kept node on its root path: path holds those of the
-	// node met last, with their aggregates' lengths, and pops to the first
-	// whose key the new node's extends. total sums the kept nodes' aggregates,
-	// each as long as the entries on its root path: reserving it makes pass 2
-	// append into place instead of relocating a slab that ends up many times
-	// the VRP count.
+	// Pass 1: a node-for-node copy in walk's pre-order, each node's own span
+	// measured once; path holds the last node's root path and aggregate
+	// lengths, whose sum, total, pass 2 reserves so that it appends in place.
 	type kept struct{ idx, agg int32 }
 	var path [129]kept // path[0] is the root
 	top, total := 0, 0
-	f.nodes = append(make([]cnode, 0, 2*src.size+1), cnode{})
-	src.walk(src.root, 0, 0, 0, func(hi, lo uint64, plen uint8, off int32) bool {
-		sp := cspan{off: off, n: int32(len(span(srcEntries, off)))}
-		if plen == 0 {
-			f.nodes[0].span, path[0].agg, total = sp, sp.n, int(sp.n)
-			return true
-		}
-		up := &f.nodes[path[top].idx]
-		for !keyMatch(up.hi, up.lo, hi, lo, up.plen) {
-			top--
-			up = &f.nodes[path[top].idx]
-		}
+	f.nodes = make([]cnode, 0, 2*src.size+1)
+	src.walk(src.root, func(i int32) bool {
+		nd := &src.nodes[i]
+		hi, lo := src.key(i)
+		sp := cspan{off: nd.off, n: int32(len(span(srcEntries, nd.off)))}
 		k := int32(len(f.nodes))
-		up.children[addrBit(hi, lo, up.plen)] = k
-		f.nodes = append(f.nodes, cnode{hi: hi, lo: lo, plen: plen, span: sp})
-		top++
-		path[top] = kept{idx: k, agg: path[top-1].agg + sp.n}
-		total += int(path[top].agg)
+		f.nodes = append(f.nodes, cnode{hi: hi, lo: lo, plen: nd.plen, span: sp})
+		agg := sp.n
+		if k > 0 {
+			up := &f.nodes[path[top].idx]
+			for !keyMatch(up.hi, up.lo, hi, lo, up.plen) {
+				top--
+				up = &f.nodes[path[top].idx]
+			}
+			up.children[addrBit(hi, lo, up.plen)] = k
+			agg += path[top].agg
+			top++
+		}
+		path[top] = kept{idx: k, agg: agg}
+		total += int(agg)
 		return true
 	})
 	*entries = slices.Grow(*entries, total)

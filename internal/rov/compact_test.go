@@ -119,7 +119,7 @@ func keptNodes(t *testing.T, cx *CompactIndex, slot int) []string {
 	return out
 }
 
-// TestCompactFromIndexKeptNodes pins which bit-trie nodes the derivation
+// TestCompactFromIndexKeptNodes pins which Index nodes the derivation
 // keeps, key set by key set: a node per key, a payload-free node wherever two
 // keys part ways below the root, the root always, and nothing else.
 func TestCompactFromIndexKeptNodes(t *testing.T) {
@@ -217,8 +217,8 @@ func TestCompactFromIndexRandom(t *testing.T) {
 // it — a Table after a few hundred path-copied deltas and no compaction
 // (pathCopy) — and from an Index freshly built over the same set: the same VRPs
 // out, the same answer to every probe around every prefix ever in the table.
-// What only the first has: spans emptied in place, chains of nodes leading to
-// nothing, and branch nodes with nothing left down one side, or either.
+// What only the first has: cells its roots no longer reach, in both slabs —
+// the originals of clones, nodes withdrawals spliced out, relocated spans.
 func TestCompactFromIndexGarbageSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	mk := func(s string, as rpki.ASN) rpki.VRP {

@@ -13,12 +13,12 @@ import (
 // follower delivers after a sync, costs a copy of that delta, compaction or
 // not. Any other pair is walked in lockstep, skipping every subtree the two
 // provably share: snapshots between two rebuilds of a Table share their slab
-// lineage, so that walk is O(changed · prefix bits). Across a build — a
-// compaction, ResetTo, a first full sync — they share nothing provable, as two
-// different caches' tables do, and pay a linear dual walk of what both hold
-// (≈ 4 ms at 33,615 VRPs), but for one build whose parent is known, empty
-// (Table.ResetTo); a subtree one side lacks costs the other side's pre-order
-// walk, the one VisitVRPs takes. Either way the result is exact, which lets
+// lineage, so that walk is O(changed · kept nodes on a path). Across a build —
+// a compaction, ResetTo, a first full sync — they share nothing provable, as
+// two different caches' tables do, and pay a linear dual walk of what both
+// hold, but for one build whose parent is known, empty (Table.ResetTo); a
+// subtree one side lacks costs the other side's pre-order walk, the one
+// VisitVRPs takes. Either way the result is exact, which lets
 // an RTR cache synthesize the update between any two retained serials, and a
 // failover reconcile a carried table against a new cache by delta instead of
 // a rebuild.
@@ -59,14 +59,11 @@ func diffOrder(a, b rpki.VRP) int {
 	return a.Compare(b)
 }
 
-// walkDiff is Diff by the lockstep walk, whatever the two versions. It
-// carries a node pair and their key down both tries at once, in pre-order;
-// -1 marks the side a subtree is absent from, and that subtree, the other
-// side's alone, goes to that side's walk whole. In one lineage a child pair of
-// equal indices is one subtree, and it is skipped without descending; so is a
-// node pair whose spans start at one offset of the shared entry slab — the
-// same cells, since a published cell is never written: a node cloned for a
-// descendant's update, its own entries untouched.
+// walkDiff is Diff by the lockstep walk, whatever the two versions: it pairs
+// nodes by key down both tries in pre-order. A key only one side holds is that
+// side's alone, and so is a subtree whose key the other side lacks (-1), which
+// goes to that side's walk whole. In one lineage a pair of equal indices is
+// one subtree, skipped; so is a pair of spans at one offset: the same cells.
 func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	// The sizes bound one side's result from below: a capacity hint, exact
 	// against an empty table; equal sizes allocate nothing until they differ.
@@ -76,67 +73,77 @@ func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 		withdrawn = make([]rpki.VRP, 0, -grew)
 	}
 	var fam prefix.Family // the family being walked
-	onlyOld := func(hi, lo uint64, plen uint8, off int32) bool {
-		if off != 0 {
-			withdrawn = appendEntryDiff(withdrawn, keyPrefix(fam, hi, lo, plen), span(old.entries, off), nil)
+	var fo, fn *famIndex
+	onlyOld := func(i int32) bool {
+		if off := fo.nodes[i].off; off != 0 {
+			withdrawn = appendEntryDiff(withdrawn, fo.prefix(fam, i), span(old.entries, off), nil)
 		}
 		return true
 	}
-	onlyNew := func(hi, lo uint64, plen uint8, off int32) bool {
-		if off != 0 {
-			announced = appendEntryDiff(announced, keyPrefix(fam, hi, lo, plen), span(nw.entries, off), nil)
+	onlyNew := func(i int32) bool {
+		if off := fn.nodes[i].off; off != 0 {
+			announced = appendEntryDiff(announced, fn.prefix(fam, i), span(nw.entries, off), nil)
 		}
 		return true
 	}
-	type pair struct {
-		a, b   int32 // in old's and nw's node slab; -1 where absent
-		plen   uint8
-		hi, lo uint64
+	type pair struct{ a, b int32 } // in old's and nw's node slab; -1 where absent
+	side := func(c int32) int32 {
+		if c == 0 {
+			return -1
+		}
+		return c
 	}
 	for slot := range old.fams {
-		fo, fn := &old.fams[slot], &nw.fams[slot]
-		fam = slotFamily(slot)
+		fo, fn, fam = &old.fams[slot], &nw.fams[slot], slotFamily(slot)
 		shared := fo.sameLineage(fn)
-		if shared && fo.root == fn.root {
-			continue
-		}
-		var pending [129]pair // the 1-children waiting above the deepest node, and its two
-		pending[0] = pair{a: fo.root, b: fn.root}
+		var pending [130]pair // a later subtree per bit of the deepest pair's keys, and its two
+		pending[0] = pair{fo.root, fn.root}
 		for top := 1; top > 0; {
 			top--
 			at := pending[top]
 			switch {
 			case at.b < 0:
-				fo.walk(at.a, at.hi, at.lo, at.plen, onlyOld)
+				fo.walk(at.a, onlyOld)
 				continue
 			case at.a < 0:
-				fn.walk(at.b, at.hi, at.lo, at.plen, onlyNew)
+				fn.walk(at.b, onlyNew)
 				continue
+			case shared && at.a == at.b:
+				continue // one subtree
 			}
 			na, nb := &fo.nodes[at.a], &fn.nodes[at.b]
-			if oo, on := na.off, nb.off; (oo != 0 || on != 0) && !(shared && oo == on) {
-				p := keyPrefix(fam, at.hi, at.lo, at.plen)
-				eo, en := span(old.entries, oo), span(nw.entries, on)
-				announced = appendEntryDiff(announced, p, en, eo)
-				withdrawn = appendEntryDiff(withdrawn, p, eo, en)
+			ahi, alo := fo.key(at.a)
+			bhi, blo := fn.key(at.b)
+			d := min(commonBits(ahi, alo, bhi, blo), na.plen, nb.plen)
+			var next [2]pair // by the bit at d: the subtrees to visit next, 0 first
+			switch {
+			case d == na.plen && d == nb.plen:
+				if oo, on := na.off, nb.off; (oo != 0 || on != 0) && !(shared && oo == on) {
+					p := fo.prefix(fam, at.a)
+					eo, en := span(old.entries, oo), span(nw.entries, on)
+					announced = appendEntryDiff(announced, p, en, eo)
+					withdrawn = appendEntryDiff(withdrawn, p, eo, en)
+				}
+				for bit := range next {
+					next[bit] = pair{side(na.children[bit]), side(nb.children[bit])}
+				}
+			case d == na.plen: // old's key is a prefix of nw's
+				onlyOld(at.a)
+				bit := addrBit(bhi, blo, d)
+				next[bit], next[1-bit] = pair{side(na.children[bit]), at.b}, pair{side(na.children[1-bit]), -1}
+			case d == nb.plen: // nw's key is a prefix of old's
+				onlyNew(at.b)
+				bit := addrBit(ahi, alo, d)
+				next[bit], next[1-bit] = pair{at.a, side(nb.children[bit])}, pair{-1, side(nb.children[1-bit])}
+			default: // the keys part at bit d
+				bit := addrBit(ahi, alo, d)
+				next[bit], next[1-bit] = pair{at.a, -1}, pair{-1, at.b}
 			}
-			for bit := 1; bit >= 0; bit-- { // the 0-child on top: it is next
-				ca, cb := na.children[bit], nb.children[bit]
-				if ca == cb && (ca == 0 || shared) {
-					continue // absent on both sides, or one subtree
+			for bit := 1; bit >= 0; bit-- { // the 0 side on top: it is next
+				if next[bit].a >= 0 || next[bit].b >= 0 {
+					pending[top] = next[bit]
+					top++
 				}
-				next := pair{a: ca, b: cb, plen: at.plen + 1, hi: at.hi, lo: at.lo}
-				if ca == 0 {
-					next.a = -1
-				}
-				if cb == 0 {
-					next.b = -1
-				}
-				if bit == 1 {
-					next.hi, next.lo = oneChildKey(at.hi, at.lo, at.plen)
-				}
-				pending[top] = next
-				top++
 			}
 		}
 	}

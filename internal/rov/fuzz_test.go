@@ -50,6 +50,8 @@ func fuzzOp(t *testing.T, op []byte) rpki.VRP {
 // byte), in the trie's pre-order (1), in that order reversed (2), or in it with
 // the two families interleaved (3). Whatever the order, the build must be the
 // root-descent insert loop's cell for cell and hold the table NewIndex does.
+// Every snapshot the LiveIndex publishes — a delta's, a first sync's, a
+// compaction's — and both builds must be in the trie's shape (shapeError).
 func FuzzIndex(f *testing.F) {
 	// The RFC 6811 / §2 running example: ROA (168.122.0.0/16, AS 111), the
 	// legitimate announcement, the subprefix hijack by AS 666, the owner's
@@ -105,6 +107,7 @@ func FuzzIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		state := map[rpki.VRP]struct{}{}
 		live := NewLiveIndex(rpki.NewSet(nil))
+		shapes := checkShapes(t, &live.tab)
 		var queries []Route
 		var given []rpki.VRP   // every announce, in stream order
 		var ann, wd []rpki.VRP // the open batch
@@ -113,6 +116,7 @@ func FuzzIndex(f *testing.F) {
 				return
 			}
 			live.Apply(ann, wd)
+			shapes()
 			for _, v := range ann {
 				state[v] = struct{}{}
 			}
@@ -162,6 +166,8 @@ func FuzzIndex(f *testing.F) {
 			t.Fatalf("index %d / compact %d / live %d / set %d VRPs", ix.Len(), cx.Len(), live.Len(), set.Len())
 		}
 		ordered := newIndexFromVRPs(given, nil)
+		checkShape(t, "the build of the set", ix)
+		checkShape(t, "the ordered build", ordered)
 		checkSameSlabs(t, "the ordered build", ordered, insertLoopIndex(given), order == "preorder" || order == "interleaved")
 		checkSameTable(t, "the ordered build", ordered, ix)
 		for _, q := range queries {
@@ -176,6 +182,8 @@ func FuzzIndex(f *testing.F) {
 				t.Fatalf("LiveIndex.Validate(%s, %v) = %v, reference %v", q.Prefix, q.Origin, got, want)
 			}
 		}
+		waitCompactor(t, &live.tab)
+		shapes()
 	})
 }
 
@@ -212,8 +220,8 @@ func FuzzCompactIndex(f *testing.F) {
 	})
 	// A path-copied snapshot with garbage in it: 10.0.0.0/9 branches to two
 	// /16s, the second with a /24 under it; withdrawing the second and its /24
-	// leaves the branch node with a dead chain down one side, withdrawing the
-	// first with nothing down either.
+	// splices the branch point out, and withdrawing the first leaves the root
+	// alone.
 	f.Add([]byte{
 		0, 10, 0, 0, 0, 16, 0, 1, 0, 10, 64, 0, 0, 16, 0, 2, 0, 10, 64, 7, 0, 24, 0, 2,
 		1, 10, 64, 0, 0, 16, 0, 2, 1, 10, 64, 7, 0, 24, 0, 2,
@@ -317,6 +325,8 @@ func FuzzCompactIndex(f *testing.F) {
 // against a table ResetTo builds from the stream's announces as given, and
 // from the last table in diffOrder, twice each, must equal the walk: the
 // first Diff takes the list ResetTo kept, if it was strictly in diffOrder.
+// Every snapshot the LiveIndex publishes, every compaction's included, the
+// rebuild and the ResetTo builds must be in the trie's shape (shapeError).
 func FuzzDiff(f *testing.F) {
 	f.Add([]byte{
 		0, 168, 122, 0, 0, 16, 0, 111, // announce 168.122.0.0/16-16 => AS111
@@ -324,8 +334,8 @@ func FuzzDiff(f *testing.F) {
 		1, 168, 122, 0, 0, 16, 0, 111, // withdraw the first
 		8, 32, 1, 13, 184, 32, 16, 200, // IPv6 announce
 	})
-	// An empty side: the snapshot is taken of a table emptied again (its dead
-	// chain still there), and everything after it is new.
+	// An empty side: the snapshot is taken of a table emptied again (its node
+	// spliced out, garbage in the slab), and everything after it is new.
 	f.Add([]byte{
 		0, 10, 1, 0, 0, 16, 0, 1, 1, 10, 1, 0, 0, 16, 0, 1,
 		0, 10, 1, 0, 0, 16, 2, 3, 0, 10, 1, 0, 0, 16, 1, 2, // one prefix, (AS, MaxLength) descending
@@ -420,6 +430,7 @@ func FuzzDiff(f *testing.F) {
 		8, 32, 1, 13, 184, 32, 0, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		live := NewLiveIndex(rpki.NewSet(nil))
+		shapes := checkShapes(t, &live.tab)
 		state := map[rpki.VRP]struct{}{}
 		snaps, tables := []*Index{live.Snapshot()}, [][]rpki.VRP{nil}
 		var ann, wd []rpki.VRP // the open delta
@@ -440,6 +451,7 @@ func FuzzDiff(f *testing.F) {
 			if wait {
 				waitCompactor(t, &live.tab)
 			}
+			shapes()
 			ann, wd, wait = nil, nil, false
 		}
 		for ; len(data) >= 8; data = data[8:] {
@@ -472,6 +484,7 @@ func FuzzDiff(f *testing.F) {
 		}
 		// Independent rebuild of the middle table: linear path, same answer.
 		rebuilt := newIndexFromVRPs(mid.AppendVRPs(nil), nil)
+		checkShape(t, "the rebuild of the middle table", rebuilt)
 		checkDiffAgainstNaive(t, rebuilt, last)
 		checkDiffAgainstNaive(t, last, rebuilt)
 		// From empty over a ResetTo'd table, of the announces as given and of
@@ -480,9 +493,12 @@ func FuzzDiff(f *testing.F) {
 		for _, list := range [][]rpki.VRP{given, last.AppendVRPs(nil)} {
 			tab := NewTable(nil)
 			tab.ResetTo(slices.Clone(list))
+			checkShape(t, "a ResetTo build", tab.Snapshot())
 			checkDiffAgainstWalk(t, "from empty, first", first, tab.Snapshot())
 			checkDiffAgainstWalk(t, "from empty, second", first, tab.Snapshot())
 		}
+		waitCompactor(t, &live.tab)
+		shapes()
 	})
 }
 
@@ -494,9 +510,10 @@ func FuzzDiff(f *testing.F) {
 // Validate and ValidateBatch must equal the Reference and a fresh Index on the
 // neighbourhood of every prefix the delta touched plus every query so far.
 // tag%4 == 3 replaces the table with itself through ResetTo, which discards
-// whatever rebuild is in flight and returns with the bit trie serving and its
+// whatever rebuild is in flight and returns with the Index serving and its
 // own compact build held in flight: checked there, and through every op up to
-// and including the next delta, before that build may land.
+// and including the next delta, before that build may land. Every snapshot
+// the table publishes must be in the trie's shape (shapeError).
 func FuzzLiveOverlay(f *testing.F) {
 	f.Add([]byte{
 		0, 10, 1, 3, 0, 24, 1, 1, // announce 10.1.3.0/24-25: one mark
@@ -553,6 +570,7 @@ func FuzzLiveOverlay(f *testing.F) {
 			state[markerVRP(k)] = struct{}{}
 		}
 		live := NewLiveIndex(setOf(state))
+		shapes := checkShapes(t, &live.tab)
 		queries := probesAround(pad[:2])
 		var ann, wd []rpki.VRP // the open batch
 		var unhold func()      // lets the compact builds ResetTo began land
@@ -568,6 +586,7 @@ func FuzzLiveOverlay(f *testing.F) {
 			for _, v := range wd {
 				delete(state, v)
 			}
+			shapes()
 			checkLive(t, live, state, append(probesAround(append(ann, wd...)), queries...), "after a delta")
 			ann, wd = ann[:0], wd[:0]
 			if unhold != nil {
@@ -595,6 +614,7 @@ func FuzzLiveOverlay(f *testing.F) {
 				if live.CompactSnapshot() != nil {
 					t.Fatal("ResetTo returned with a compact snapshot; its build is held")
 				}
+				shapes()
 				checkLive(t, live, state, queries, "after ResetTo, its compact build in flight")
 			}
 			if tag&16 == 0 {
@@ -606,6 +626,8 @@ func FuzzLiveOverlay(f *testing.F) {
 			unhold()
 		}
 		quiesce(t, live)
+		waitCompactor(t, &live.tab)
+		shapes()
 		checkLive(t, live, state, queries, "at rest")
 	})
 }

@@ -2,6 +2,7 @@ package rov
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -9,20 +10,15 @@ import (
 	"repro/internal/rpki"
 )
 
-// This file is the serving-path validator: a bit trie kept as one slab of
-// 12-byte nodes a family, with int32 child indices, whose per-node payload is
-// the offset of a span in a parallel value slab of VRP entries. A span's
-// length is not stored: its last cell is marked, so a node costs two children
-// and an offset, and the five nodes in six that carry no entries pay 4 bytes
-// for it, not 8. Building an Index is O(nodes) slab appends — a sizing pass
-// over the VRP list, then a pass a family (two for one out of order), each
-// insert starting on the previous one's path, into slabs sized once when the
-// list is in order — and
-// Validate walks two contiguous arrays (the node slab down the ancestor path,
-// the entry slab across each span, to its last cell), so a router serving
-// millions of origin-validation queries reads cache-adjacent memory. An
-// append may move a slab, so code that grows one holds node indices across
-// the append, never a node's address (README, invariant 2).
+// This file is the serving-path validator: a PATRICIA trie (Morrison, JACM
+// 1968) kept as one slab of 20-byte nodes a family, with int32 child indices,
+// whose per-node payload is the offset of a span in a parallel value slab of
+// VRP entries, its last cell marked. A family keeps only its root, the nodes
+// with a span and the nodes with two children — a third of a bit trie's — and
+// each node its key. Building an Index is O(nodes) slab appends, each insert
+// starting on the previous one's path, and Validate walks two contiguous
+// arrays. An append may move a slab, so code that grows one holds node
+// indices across the append, never a node's address (README, invariant 2).
 
 // entry is one VRP payload at a trie node: the node's prefix is implied by
 // its position, so only maxLength and origin AS remain. last marks the final
@@ -57,29 +53,33 @@ func span(entries []entry, off int32) []entry {
 	return entries[off : end+1]
 }
 
-// node is one vertex of a family's bit trie: its children's slab indices and
-// the offset of its span, 0 for none. Node 0 is reserved — a build's root, a
-// dead placeholder once a delta reroots the family — and is never anyone's
-// child, so a 0 child means none; with entries[0] reserved too, a node
-// appended zero is born with no children and no entries.
+// node is one vertex of a family's trie: its children's slab indices, the
+// offset of its span (0 for none), and its key, plen bits: the first 32 in
+// key, and all of them in the family's wide slab once a key runs past 32. A
+// child's key strictly extends its parent's; the bit after the parent's length
+// picks the child. Every node but the root has a span or two children. Node 0
+// is reserved — a build's root, a dead placeholder once a delta reroots the
+// family — and is never anyone's child, so a 0 child means none.
 type node struct {
 	children [2]int32
 	off      int32
+	key      uint32
+	plen     uint8
 }
 
-// famIndex is one address family's trie: its node slab, the root's slab
-// index, the number of VRPs under it, and the slab's lineage. Freshly built
-// indexes root at node 0; Table snapshots root at whatever node the last
-// path-copied update produced.
+// famIndex is one address family's trie: its node slab, the wide slab of its
+// keys (nil while every key fits in 32 bits), the root's slab index, the
+// number of VRPs under it, and the slabs' lineage.
 //
-// lineage names the build the slab grew from — its version, unique in the
+// lineage names the build the slabs grew from — its version, unique in the
 // process; 0 shares with nothing. A delta copies it into its snapshot with the
-// slab, and a rebuild starts a new one. (The slab's base pointer cannot serve:
-// an append may move it without changing a node index.) Since a delta writes
-// only nodes it appended, before it publishes them, two snapshots of one
-// lineage hold the same subtree at an equal node index: walkDiff skips it.
+// slabs, and a rebuild starts a new one. (The slab's base pointer cannot
+// serve: an append may move it without changing a node index.) Since a delta
+// writes only nodes it appended, before it publishes them, two snapshots of
+// one lineage hold the same subtree at an equal node index: walkDiff skips it.
 type famIndex struct {
 	nodes   []node
+	wide    [][2]uint64
 	root    int32
 	size    int
 	lineage uint64
@@ -90,16 +90,45 @@ func (f *famIndex) sameLineage(o *famIndex) bool {
 	return f.lineage != 0 && f.lineage == o.lineage
 }
 
-// ensure returns the bit-child of node idx, appending an empty one if there
-// is none.
-func (f *famIndex) ensure(idx int32, bit uint8) int32 {
-	c := f.nodes[idx].children[bit]
-	if c == 0 {
-		c = int32(len(f.nodes))
-		f.nodes = append(f.nodes, node{})
-		f.nodes[idx].children[bit] = c
+// key returns node i's key, left-aligned.
+func (f *famIndex) key(i int32) (hi, lo uint64) {
+	if f.wide != nil {
+		return f.wide[i][0], f.wide[i][1]
 	}
-	return c
+	return uint64(f.nodes[i].key) << 32, 0
+}
+
+// prefix returns node i's key as a prefix of family fam.
+func (f *famIndex) prefix(fam prefix.Family, i int32) prefix.Prefix {
+	hi, lo := f.key(i)
+	return keyPrefix(fam, hi, lo, f.nodes[i].plen)
+}
+
+// push appends nd keyed (hi, lo), masked, and returns its index. The first key
+// past 32 bits starts the family's wide slab; then the two grow in step.
+func (f *famIndex) push(nd node, hi, lo uint64) int32 {
+	i := int32(len(f.nodes))
+	nd.key = uint32(hi >> 32)
+	f.nodes = append(f.nodes, nd)
+	if f.wide == nil && (uint32(hi) != 0 || lo != 0) {
+		f.wide = make([][2]uint64, i, cap(f.nodes))
+		for j := range f.wide {
+			f.wide[j][0] = uint64(f.nodes[j].key) << 32
+		}
+	}
+	if f.wide != nil {
+		f.wide = append(f.wide, [2]uint64{hi, lo})
+	}
+	return i
+}
+
+// commonBits returns the number of leading bits two left-aligned 128-bit
+// addresses share, 128 if they are equal.
+func commonBits(ahi, alo, bhi, blo uint64) uint8 {
+	if x := ahi ^ bhi; x != 0 {
+		return uint8(bits.LeadingZeros64(x))
+	}
+	return 64 + uint8(bits.LeadingZeros64(alo^blo))
 }
 
 // addrBit returns bit i (0 = most significant) of a left-aligned 128-bit
@@ -166,21 +195,69 @@ func NewIndex(s *rpki.Set) *Index {
 func rootPrefix(slot int) prefix.Prefix { return keyPrefix(slotFamily(slot), 0, 0, 0) }
 
 // finger is how this package walks a list of prefixes down one family's trie:
-// an operation descends not from the root but from where its prefix parts ways
-// with the previous one, prev (CommonPrefixLen), whose path the finger keeps —
-// path[d] is the node at depth d, for d <= valid. In any order that is what a
-// descent from the root finds; in the trie's pre-order (diffOrder within a
-// family) the operations read each node on the union of their paths once. A
-// build (newIndexFromVRPs) creates every node it passes, so it keeps only prev
-// and path. A delta (Table.edit) may stop short of its terminal, which bounds
-// the next descent at valid, and clones before it writes: the delta owns
-// path[:owned], the nodes at or past mark — the end of the family's node slab
-// when the delta began; everything under it is published.
+// from where a prefix parts ways with the previous one, prev, whose path —
+// path[:n], the root first — it keeps, so that in pre-order each node on the
+// union of the paths is read once. A delta (Table.edit) owns path[:owned], the
+// nodes at or past mark, the node slab's end when the delta began.
 type finger struct {
-	prev         prefix.Prefix
-	path         [129]int32
-	valid, owned uint8
-	mark         int32
+	prev     prefix.Prefix
+	path     [129]int32
+	n, owned int
+	mark     int32
+}
+
+// seek moves the finger to p: it keeps the path's nodes no longer than the
+// prefix p shares with prev, and descends from the deepest through every child
+// p extends. It reports whether the path ends at p's node.
+func (f *famIndex) seek(fg *finger, p prefix.Prefix) bool {
+	c := prefix.CommonPrefixLen(fg.prev, p)
+	for fg.n > 1 && f.nodes[fg.path[fg.n-1]].plen > c {
+		fg.n--
+	}
+	fg.owned, fg.prev = min(fg.owned, fg.n), p
+	hi, lo := p.Bits()
+	for {
+		nd := &f.nodes[fg.path[fg.n-1]]
+		if nd.plen == p.Len() {
+			return true
+		}
+		c := nd.children[addrBit(hi, lo, nd.plen)]
+		if c == 0 || f.nodes[c].plen > p.Len() {
+			return false
+		}
+		if khi, klo := f.key(c); !keyMatch(khi, klo, hi, lo, f.nodes[c].plen) {
+			return false
+		}
+		fg.path[fg.n] = c
+		fg.n++
+	}
+}
+
+// graft hangs a node for p under the finger's last node, where seek stopped:
+// its child on p's side, if any, moves under p's node or under a new branch
+// point whose other child p's node is. The new nodes, a branch point first,
+// join the path. The last node must be the writer's own.
+func (f *famIndex) graft(fg *finger, p prefix.Prefix) {
+	hi, lo := p.Bits()
+	up := fg.path[fg.n-1]
+	bit := addrBit(hi, lo, f.nodes[up].plen)
+	nd := node{plen: p.Len()}
+	if c := f.nodes[up].children[bit]; c != 0 {
+		chi, clo := f.key(c)
+		if d := min(commonBits(chi, clo, hi, lo), p.Len()); d < p.Len() {
+			bhi, blo := keyPrefix(p.Family(), hi, lo, d).Bits()
+			b := f.push(node{plen: d}, bhi, blo)
+			f.nodes[b].children[addrBit(chi, clo, d)] = c
+			f.nodes[up].children[bit] = b
+			fg.path[fg.n], fg.n = b, fg.n+1
+			up, bit = b, addrBit(hi, lo, d)
+		} else {
+			nd.children[addrBit(chi, clo, d)] = c
+		}
+	}
+	k := f.push(nd, hi, lo)
+	f.nodes[up].children[bit] = k
+	fg.path[fg.n], fg.n = k, fg.n+1
 }
 
 // newIndexFromVRPs builds the two-slab index: a first pass over the list
@@ -190,16 +267,14 @@ type finger struct {
 // Response may repeat an announcement, and a table is a set.
 //
 // Inserts go through a finger a family, so the slab is node for node what a
-// descent from the root per VRP leaves. A family in the trie's pre-order — the
-// wire stream (VisitVRPs), Diff's output, NewServer's prefix-ordered copy of
-// its set; not a Set, which is AS-major — then costs one Ensure per node, and
-// Σ(len − cpl) is its node count: the slab is sized once, with headroom, as an
-// exactly full one regrows by a quarter at the first path-copied delta. There
-// a prefix's VRPs come together, so its span is the entry slab's tail while
-// they do, and each is appended in place (fillPreorder). The same cpl shows
-// disorder (p sorts before prev), where the sum is several times too much:
-// that family is hinted at a node per VRP, grows by append, and places its
-// spans by counting (fillCounted).
+// descent from the root per VRP leaves. In a family in the trie's pre-order —
+// the wire stream (VisitVRPs), Diff's output, NewServer's prefix-ordered copy
+// of its set; not a Set, which is AS-major — the first pass counts the nodes
+// as fillPreorder makes them. The slab is sized once, with headroom, as an
+// exactly full one regrows by a quarter at the first path-copied delta; a
+// prefix's VRPs come together, so each is appended to its span in place. A
+// family out of order is sized at the bound of two nodes a VRP, and places
+// its spans by counting (fillCounted).
 //
 // floor, when not nil, is the table a compaction rebuilds: every slab is made
 // at least as long as floor's, garbage included, and a 32nd more, so the
@@ -215,24 +290,41 @@ func newIndexFromVRPs(vrps []rpki.VRP, floor *Index) *Index {
 // vrps is strictly in diffOrder, Diff's answer against an empty table.
 func buildIndex(vrps []rpki.VRP, floor *Index) (ix *Index, ordered bool) {
 	ix = &Index{version: versions.Add(1)}
-	roots := [2]prefix.Prefix{rootPrefix(0), rootPrefix(1)}
-	prev := roots    // per family, the prefix before this one in the pass
-	var nodes [2]int // Σ(len − cpl) while the family is in pre-order, then -1
+	// Per family: the prefix before this one; the nodes a pre-order build makes,
+	// or -1; the lengths of the nodes on prev's path, up to depths[tops].
+	prev := [2]prefix.Prefix{rootPrefix(0), rootPrefix(1)}
+	var nodes, tops [2]int
+	var depths [2][130]uint8
 	ordered = true
 	for i, v := range vrps {
 		slot, p := famSlot(v.Prefix.Family()), v.Prefix
 		ix.fams[slot].size++
-		if nodes[slot] >= 0 {
-			c := prefix.CommonPrefixLen(prev[slot], p)
-			if nodes[slot] += int(p.Len() - c); c < prev[slot].Len() && (c == p.Len() || p.Bit(c) == 0) {
-				nodes[slot], ordered = -1, false
-			} else if ordered && i > 0 {
-				// p is prev or after; prev is the last VRP's if its family is p's.
-				last := famSlot(vrps[i-1].Prefix.Family())
-				ordered = last < slot || last == slot && (c < p.Len() || v.Compare(vrps[i-1]) > 0)
-			}
-			prev[slot] = p
+		if nodes[slot] < 0 {
+			continue
 		}
+		c := prefix.CommonPrefixLen(prev[slot], p)
+		if c < prev[slot].Len() && (c == p.Len() || p.Bit(c) == 0) {
+			nodes[slot], ordered = -1, false
+			continue
+		}
+		if ordered && i > 0 {
+			// p is prev or after; prev is the last VRP's if its family is p's.
+			last := famSlot(vrps[i-1].Prefix.Family())
+			ordered = last < slot || last == slot && (c < p.Len() || v.Compare(vrps[i-1]) > 0)
+		}
+		if c < p.Len() { // a new prefix: its node, and a branch point above it if p parts from an edge
+			d, top := &depths[slot], tops[slot]
+			for d[top] > c {
+				top--
+			}
+			if d[top] < c {
+				top++
+				d[top], nodes[slot] = c, nodes[slot]+1
+			}
+			top++
+			d[top], nodes[slot], tops[slot] = p.Len(), nodes[slot]+1, top
+		}
+		prev[slot] = p
 	}
 	room := len(vrps) + 1
 	if floor != nil {
@@ -241,7 +333,7 @@ func buildIndex(vrps []rpki.VRP, floor *Index) (ix *Index, ordered bool) {
 	ix.entries = make([]entry, 1, room) // entries[0] is reserved: offset 0 is no span
 	for slot := range ix.fams {
 		f := &ix.fams[slot]
-		hint := f.size // an absent family costs only its root node
+		hint := 2 * f.size // an absent family costs only its root node
 		if n := nodes[slot]; n > 0 {
 			hint = n + n/64 + 64
 		}
@@ -262,33 +354,42 @@ func buildIndex(vrps []rpki.VRP, floor *Index) (ix *Index, ordered bool) {
 	return ix, ordered
 }
 
-// insert descends from a build's finger (prev, path) to p's node, creating
-// what is absent, and returns it, the finger moved to p.
-func (f *famIndex) insert(prev *prefix.Prefix, path *[129]int32, p prefix.Prefix) int32 {
-	depth := prefix.CommonPrefixLen(*prev, p)
-	idx := path[depth] // path[0] is the root: node 0
-	for ; depth < p.Len(); depth++ {
-		idx = f.ensure(idx, p.Bit(depth))
-		path[depth+1] = idx
-	}
-	*prev = p
-	return idx
-}
-
 // fillPreorder inserts the family's VRPs, in the trie's pre-order, appending
 // each entry to the slab: a prefix's VRPs are consecutive in that order, so
 // its span is the slab's tail until the next prefix closes it. sorted says the
 // list is strictly in diffOrder: its spans are in order already.
 func (ix *Index) fillPreorder(slot int, vrps []rpki.VRP, sorted bool) {
 	f, prev := &ix.fams[slot], rootPrefix(slot)
-	var path [129]int32
+	var path [129]int32 // the nodes on prev's path, the root (node 0) first,
+	var lens [129]uint8 // and their lengths
+	n := 1
 	from := int32(0) // where the open span, the slab's tail, starts
 	for _, v := range vrps {
 		if famSlot(v.Prefix.Family()) != slot {
 			continue
 		}
-		idx := f.insert(&prev, &path, v.Prefix) // before f.nodes is read: it may grow
-		if nd := &f.nodes[idx]; nd.off == 0 {
+		// A new p hangs on the 1 side of the deepest node on prev's path no
+		// longer than c, or of a branch point at c splitting the edge below it.
+		p := v.Prefix
+		if c := prefix.CommonPrefixLen(prev, p); c < p.Len() {
+			for lens[n-1] > c {
+				n--
+			}
+			up := path[n-1]
+			if lens[n-1] < c {
+				hi, lo := p.Bits()
+				bhi, blo := keyPrefix(p.Family(), hi, lo, c).Bits()
+				b := f.push(node{children: [2]int32{path[n], 0}, plen: c}, bhi, blo)
+				f.nodes[up].children[p.Bit(lens[n-1])] = b
+				path[n], lens[n], n, up = b, c, n+1, b
+			}
+			hi, lo := p.Bits()
+			k := f.push(node{plen: p.Len()}, hi, lo)
+			f.nodes[up].children[p.Bit(lens[n-1])] = k
+			path[n], lens[n], n = k, p.Len(), n+1
+		}
+		prev = p
+		if nd := &f.nodes[path[n-1]]; nd.off == 0 {
 			ix.entries = ix.entries[:ix.closeSpan(f, from, int32(len(ix.entries)), sorted)]
 			from = int32(len(ix.entries))
 			nd.off = from
@@ -323,12 +424,14 @@ func (ix *Index) closeSpan(f *famIndex, from, to int32, sorted bool) int32 {
 // each span is sorted and marked. A repeated VRP leaves a cell unused after
 // its span's last.
 func (ix *Index) fillCounted(slot int, vrps []rpki.VRP) {
-	f, prev := &ix.fams[slot], rootPrefix(slot)
-	var path [129]int32
+	f, fg := &ix.fams[slot], finger{prev: rootPrefix(slot), n: 1}
 	terms := make([]int32, 0, f.size) // each VRP's node, in list order
 	for _, v := range vrps {
 		if famSlot(v.Prefix.Family()) == slot {
-			idx := f.insert(&prev, &path, v.Prefix)
+			if !f.seek(&fg, v.Prefix) {
+				f.graft(&fg, v.Prefix)
+			}
+			idx := fg.path[fg.n-1]
 			f.nodes[idx].off++
 			terms = append(terms, idx)
 		}
@@ -364,15 +467,27 @@ func (ix *Index) fillCounted(slot int, vrps []rpki.VRP) {
 // Len returns the number of indexed VRPs.
 func (ix *Index) Len() int { return ix.fams[0].size + ix.fams[1].size }
 
-// validateOn classifies (p, origin) against one family's slabs. Every entry
-// on the ancestor path covers p by construction, so the state tightens from
+// validateOn classifies (p, origin) against one family's slabs: it descends
+// by p's bits and checks a node's key where it reads its span, stopping at one
+// p does not extend, so every entry met covers p; the state tightens from
 // NotFound to Invalid at the first non-empty span and to Valid at the first
 // matching entry. Allocation-free: TestValidateAllocs runs every statement.
-func validateOn(nodes []node, root int32, entries []entry, p prefix.Prefix, origin rpki.ASN) State {
+func validateOn(nodes []node, wide [][2]uint64, root int32, entries []entry, p prefix.Prefix, origin rpki.ASN) State {
 	state := NotFound
-	idx := root
-	for depth := uint8(0); ; depth++ {
-		if off := nodes[idx].off; off != 0 {
+	hi, lo := p.Bits()
+	for idx := root; ; {
+		nd := &nodes[idx]
+		if nd.plen > p.Len() {
+			return state
+		}
+		if off := nd.off; off != 0 {
+			khi, klo := uint64(nd.key)<<32, uint64(0)
+			if wide != nil {
+				khi, klo = wide[idx][0], wide[idx][1]
+			}
+			if !keyMatch(khi, klo, hi, lo, nd.plen) {
+				return state
+			}
 			state = Invalid
 			for ; ; off++ {
 				e := entries[off]
@@ -384,10 +499,10 @@ func validateOn(nodes []node, root int32, entries []entry, p prefix.Prefix, orig
 				}
 			}
 		}
-		if depth >= p.Len() {
+		if nd.plen == p.Len() {
 			return state
 		}
-		if idx = nodes[idx].children[p.Bit(depth)]; idx == 0 {
+		if idx = nd.children[addrBit(hi, lo, nd.plen)]; idx == 0 {
 			return state
 		}
 	}
@@ -400,28 +515,26 @@ func (ix *Index) Validate(p prefix.Prefix, origin rpki.ASN) State {
 		return NotFound
 	}
 	f := &ix.fams[famSlot(p.Family())]
-	return validateOn(f.nodes, f.root, ix.entries, p, origin)
+	return validateOn(f.nodes, f.wide, f.root, ix.entries, p, origin)
 }
 
 // ValidateBatch classifies every route in one pass, writing states into dst
-// (grown if needed) and returning it. The per-family slab headers are
-// hoisted out of the loop, so a batch amortizes the root and bounds lookups
-// that a Validate call pays per route. dst[i] corresponds to routes[i].
+// (grown if needed) and returning it. The family lookups are hoisted out of
+// the loop, so a batch amortizes what a Validate call pays per route. dst[i]
+// corresponds to routes[i].
 func (ix *Index) ValidateBatch(routes []Route, dst []State) []State {
 	if cap(dst) < len(routes) {
 		dst = make([]State, len(routes))
 	} else {
 		dst = dst[:len(routes)]
 	}
-	n4, r4 := ix.fams[0].nodes, ix.fams[0].root
-	n6, r6 := ix.fams[1].nodes, ix.fams[1].root
-	entries := ix.entries
+	f4, f6, entries := &ix.fams[0], &ix.fams[1], ix.entries
 	for i, q := range routes {
 		switch q.Prefix.Family() {
 		case prefix.IPv4:
-			dst[i] = validateOn(n4, r4, entries, q.Prefix, q.Origin)
+			dst[i] = validateOn(f4.nodes, f4.wide, f4.root, entries, q.Prefix, q.Origin)
 		case prefix.IPv6:
-			dst[i] = validateOn(n6, r6, entries, q.Prefix, q.Origin)
+			dst[i] = validateOn(f6.nodes, f6.wide, f6.root, entries, q.Prefix, q.Origin)
 		default:
 			dst[i] = NotFound
 		}
@@ -453,11 +566,12 @@ func (ix *Index) VisitVRPs(fn func(rpki.VRP) bool) {
 			continue
 		}
 		fam := slotFamily(slot)
-		if !f.walk(f.root, 0, 0, 0, func(hi, lo uint64, plen uint8, off int32) bool {
+		if !f.walk(f.root, func(i int32) bool {
+			off := f.nodes[i].off
 			if off == 0 {
 				return true // a branch point: nothing to stream
 			}
-			p := keyPrefix(fam, hi, lo, plen)
+			p := f.prefix(fam, i)
 			for _, e := range span(ix.entries, off) {
 				if !fn(rpki.VRP{Prefix: p, MaxLength: e.maxLength, AS: e.as}) {
 					return false
@@ -470,66 +584,42 @@ func (ix *Index) VisitVRPs(fn func(rpki.VRP) bool) {
 	}
 }
 
-// keyPrefix returns the plen-bit prefix (hi, lo) of family fam: the prefix of
-// the node a walk reached by that path.
+// keyPrefix returns the plen-bit prefix (hi, lo) of family fam: a node's key
+// as a prefix.
 func keyPrefix(fam prefix.Family, hi, lo uint64, plen uint8) prefix.Prefix {
 	p, err := prefix.Make(fam, hi, lo, plen)
 	if err != nil {
-		panic(err) // unreachable: the path walked is a prefix of fam
+		panic(err) // unreachable: a key is a prefix of fam
 	}
 	return p
 }
 
-// oneChildKey returns the key of the 1-child of the node keyed by the plen-bit
-// prefix (hi, lo): the same bits with bit plen set.
-func oneChildKey(hi, lo uint64, plen uint8) (uint64, uint64) {
-	if plen < 64 {
-		return hi | 1<<(63-plen), lo
-	}
-	return hi, lo | 1<<(127-plen)
-}
-
-// walk is the package's pre-order walk of one family's trie: from node idx,
-// keyed by the plen-bit prefix (hi, lo), it hands fn, in canonical prefix
-// order, the key and span offset of every node of the subtree that a compact
-// trie keeps — one with a span (off != 0) or with two children — and reports
+// walk is the package's pre-order walk of one family's trie: from node idx it
+// hands fn every node of the subtree, in canonical prefix order, and reports
 // whether fn let it finish: fn returning false ends the walk. It steps into a
-// first child in place and pushes only a second one, so the one-child runs
-// that make up most of a bit trie cost no frame and no call. VisitVRPs and
-// Diff's one-sided subtrees skip the branch points; CompactFromIndex keeps all.
-func (f *famIndex) walk(idx int32, hi, lo uint64, plen uint8, fn func(hi, lo uint64, plen uint8, off int32) bool) bool {
-	type frame struct {
-		idx    int32
-		plen   uint8
-		hi, lo uint64
-	}
-	var pending [129]frame // a second child per level of the deepest path
+// first child in place and pushes only a second one.
+func (f *famIndex) walk(idx int32, fn func(int32) bool) bool {
+	var pending [129]int32 // a second child per node of the deepest path
 	top := 0
-	for at := (frame{idx: idx, plen: plen, hi: hi, lo: lo}); at.idx >= 0; {
-		nd := &f.nodes[at.idx]
-		c0, c1 := nd.children[0], nd.children[1]
-		if (nd.off != 0 || c0 != 0 && c1 != 0) && !fn(at.hi, at.lo, at.plen, nd.off) {
+	for {
+		if !fn(idx) {
 			return false
 		}
-		if c1 != 0 {
-			one := frame{idx: c1, plen: at.plen + 1}
-			one.hi, one.lo = oneChildKey(at.hi, at.lo, at.plen)
-			if c0 == 0 {
-				at = one
-				continue
-			}
-			pending[top] = one
-			top++
-		}
+		c := f.nodes[idx].children
 		switch {
-		case c0 != 0:
-			at.idx, at.plen = c0, at.plen+1
+		case c[0] != 0:
+			if c[1] != 0 {
+				pending[top] = c[1]
+				top++
+			}
+			idx = c[0]
+		case c[1] != 0:
+			idx = c[1]
 		case top > 0:
 			top--
-			at = pending[top]
+			idx = pending[top]
 		default:
-			at.idx = -1 // nothing pending: done
+			return true
 		}
 	}
-	return true
 }

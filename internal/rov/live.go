@@ -10,20 +10,20 @@ import (
 // LiveIndex is a validation table that follows an RTR feed: a Table — the
 // write side, with its O(delta) path-copied updates, lock-free snapshots and
 // background compaction — plus the read side a router's data plane wants, a
-// CompactIndex serving Validate at a fraction of the bit trie's latency.
+// CompactIndex serving Validate at a fraction of the Index's latency.
 //
 // The compact structure is derived, never updated, so it describes some
-// earlier table version. Readers load one immutable view — the bit-trie
+// earlier table version. Readers load one immutable view — the Index
 // snapshot, the compact index, an overlay of the prefixes deltas touched
 // between the two — and answer a route from the compact index unless a
 // touched prefix covers it: a VRP at q changes the state of route p only if q
 // contains p, so every other route still has the answer the compact index
-// holds, and the covered few go to the view's bit trie, which is exact.
+// holds, and the covered few go to the view's Index, which is exact.
 //
 // Reads drive the compact half. NewLiveIndex builds it unasked before it
 // returns. ResetTo and a first full sync (an Apply into an empty table) build
 // it unasked too, but on a background goroutine, as every later rebuild is:
-// they return as soon as the new table's bit trie, exact for every route,
+// they return as soon as the new table's Index, exact for every route,
 // serves. The next delta drops it, landed or in flight, unless more routes
 // were answered since its build began than a build costs (rebuildPaysAfter),
 // so a follower nobody validates through keeps one index and starts one
@@ -63,7 +63,7 @@ type liveView struct {
 const (
 	// rebuildPaysAfter × Len() routes answered is what a compact build is
 	// charged: it costs 0.21 µs a VRP (BenchmarkCompactFromIndex, 10.3 ms at
-	// 50k) against the 0.12 µs a route saves over the bit trie (the serial
+	// 50k) against the 0.12 µs a route saves over the Index (the serial
 	// BenchmarkValidateBatch against BenchmarkCompactValidateBatch, 0.23 and
 	// 0.11 µs), both medians of six runs on one 2-vCPU host. The price is
 	// 1.7 × Len(); erring high keeps a barely read table on one index a little
@@ -182,7 +182,7 @@ func (l *LiveIndex) ValidateBatch(routes []Route, dst []State) []State {
 }
 
 // LiveStats is what a LiveIndex has served and derived: routes answered by the
-// compact index and by the bit trie (no compact half, or a touched prefix
+// compact index and by the Index (no compact half, or a touched prefix
 // covering the route); rebuilds begun, published, and thrown away (for a
 // replaced table, or unasked and dropped by a delta no reads paid for);
 // whether a compact half is held, under how many overlay marks.
@@ -207,11 +207,11 @@ func (l *LiveIndex) Stats() LiveStats {
 }
 
 // Apply installs one RTR delta with Table.Apply's semantics and costs. A first
-// full sync, which builds the table, returns as soon as its bit trie serves,
+// full sync, which builds the table, returns as soon as its Index serves,
 // with the compact half building behind it.
 func (l *LiveIndex) Apply(announce, withdraw []rpki.VRP) { l.tab.Apply(announce, withdraw) }
 
-// ResetTo is Table.ResetTo: it returns as soon as the new table's bit trie
+// ResetTo is Table.ResetTo: it returns as soon as the new table's Index
 // serves, with the compact half building behind it, and keeps none of vrps.
 func (l *LiveIndex) ResetTo(vrps []rpki.VRP) { l.tab.reset(vrps, false) }
 

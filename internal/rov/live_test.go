@@ -133,7 +133,7 @@ func randomProbe(rng *rand.Rand) Route {
 // touched, where a wrong cover test would show. Every third delta is as large
 // as the table, and is path-copied like the rest; every sixth step withdraws
 // the whole table and then announces into it, the first full sync, which is
-// built: it returns with the bit trie answering and its compact build, held,
+// built: it returns with the Index answering and its compact build, held,
 // in flight, and once released that build lands with no further call. A
 // compaction is wedged ahead of a path-copied delta and released after
 // the step that follows, so a catch-up (or, past a first sync, a discard)
@@ -233,7 +233,7 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 					t.Fatalf("trial %d step %d: a first sync of %d VRPs was path-copied", trial, step, len(ann))
 				}
 				if st := live.Stats(); live.CompactSnapshot() != nil || st.RebuildsStarted != synced.RebuildsStarted+1 {
-					t.Fatalf("trial %d step %d: a first sync returned with compact %v, %+v; want the bit trie serving, the compact half begun", trial, step, live.CompactSnapshot(), st)
+					t.Fatalf("trial %d step %d: a first sync returned with compact %v, %+v; want the Index serving, the compact half begun", trial, step, live.CompactSnapshot(), st)
 				}
 			case after == before:
 				if a, w := Diff(before, NewIndex(setOf(state))); len(a)+len(w) != 0 {
@@ -299,7 +299,7 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				}
 			}
 			verify(append(append([]rpki.VRP(nil), ann...), wd...))
-			if firstSync { // the bit trie answered; now the compact half lands
+			if firstSync { // the Index answered; now the compact half lands
 				unheld()
 				checkLanded(t, live, synced, probesAround(ann), fmt.Sprintf("trial %d step %d: first sync", trial, step))
 			}
@@ -401,7 +401,7 @@ func TestLiveIndexDeltaEdgeCases(t *testing.T) {
 
 // TestApplyBulk pins Apply on deltas as large as the table, into a LiveIndex.
 // The first full sync is built: fresh slabs, no garbage, and Apply returns
-// with the bit trie serving the new table while its compact half — begun, and
+// with the Index serving the new table while its compact half — begun, and
 // held here — builds behind it, to land with no further call. Every later one
 // is path-copied like any delta: one that nets to nothing publishes nothing
 // and keeps the compact half; inside one, withdraw wins and repeats count
@@ -415,7 +415,7 @@ func TestApplyBulk(t *testing.T) {
 	release, empty := holdRebuilds(l), l.Stats()
 	l.Apply(table, nil) // the first full sync as one announce delta
 	if st := l.Stats(); l.Len() != len(table) || l.CompactSnapshot() != nil || st.RebuildsStarted != empty.RebuildsStarted+1 {
-		t.Fatalf("first sync: %d VRPs, compact %v, %+v; want %d served by the bit trie, the compact half begun", l.Len(), l.CompactSnapshot(), st, len(table))
+		t.Fatalf("first sync: %d VRPs, compact %v, %+v; want %d served by the Index, the compact half begun", l.Len(), l.CompactSnapshot(), st, len(table))
 	}
 	if nodes, entries := garbage(&l.tab); nodes+entries != 0 {
 		t.Fatalf("the first sync left %d garbage cells: it was path-copied", nodes+entries)
@@ -910,13 +910,13 @@ func TestLiveIndexConcurrentReaders(t *testing.T) {
 
 // TestLiveIndexCompactSwitchover runs readers that hold each structure of a
 // view by itself — a compact snapshot whenever one describes the current
-// version, the bit trie always — across a writer's churn. Whatever they hold
+// version, the Index always — across a writer's churn. Whatever they hold
 // must stay internally consistent (its answers match a reference built from
 // its own exported table) no matter how many versions have been published
 // since. The same readers validate through the LiveIndex and so pay for the
 // compact half: it must have been rebuilt, repeatedly, by the end of the
 // churn, and at rest the view — compact half, overlay and all — answers as
-// its bit trie does.
+// its Index does.
 func TestLiveIndexCompactSwitchover(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	var base []rpki.VRP
@@ -983,7 +983,7 @@ func TestLiveIndexCompactSwitchover(t *testing.T) {
 	for q := 0; q < 1000; q++ {
 		p := randomProbe(rng)
 		if got, want := l.Validate(p.Prefix, p.Origin), snap.Validate(p.Prefix, p.Origin); got != want {
-			t.Fatalf("settled view disagrees with its bit trie: Validate(%s, %v) = %v, want %v (%+v)", p.Prefix, p.Origin, got, want, l.Stats())
+			t.Fatalf("settled view disagrees with its Index: Validate(%s, %v) = %v, want %v (%+v)", p.Prefix, p.Origin, got, want, l.Stats())
 		}
 	}
 }

@@ -145,7 +145,7 @@ func via(t *testing.T, l *LiveIndex, q Route) (State, string) {
 }
 
 // TestLiveOverlayCoverage pins the coverage rule on hand-picked prefixes: with
-// the compact half kept across a delta, a route goes to the bit trie exactly
+// the compact half kept across a delta, a route goes to the Index exactly
 // when a touched prefix may contain it — the touched prefix itself and what
 // lies inside it — while routes that merely contain a touched prefix, and
 // its siblings, keep the compact answer; and either way the answer is the
@@ -292,7 +292,7 @@ func TestLiveOverlayAgainstReplaceAndCompaction(t *testing.T) {
 		}
 		probes := probesAround(append(next[:50:50], base[:50]...))
 		if st := l.Stats(); l.CompactSnapshot() != nil || st.RebuildsStarted != begun.RebuildsStarted+1 {
-			t.Fatalf("replacement %d returned with compact %v, %+v: want the bit trie serving, its compact half begun", i, l.CompactSnapshot(), st)
+			t.Fatalf("replacement %d returned with compact %v, %+v: want the Index serving, its compact half begun", i, l.CompactSnapshot(), st)
 		}
 		checkLive(t, l, state, probes, "with the replacement's compact half in flight")
 		before := l.Stats()
@@ -336,7 +336,7 @@ func TestLiveOverlayAgainstReplaceAndCompaction(t *testing.T) {
 // replacement — ResetTo or a first full sync — starts unasked, when the table
 // moves on before it lands. A delta that reads have not paid for drops it: it
 // is discarded when it lands, never installed, and the table serves from the
-// bit trie, starting no build, until reads pay and a later delta rebuilds. A
+// Index, starting no build, until reads pay and a later delta rebuilds. A
 // second ResetTo replaces it with a build of its own, which lands. The builds
 // are held in flight, so each interleaving is the one named.
 func TestLiveIndexUnaskedBuildDiscarded(t *testing.T) {
@@ -387,7 +387,7 @@ func TestLiveIndexUnaskedBuildDiscarded(t *testing.T) {
 		state[v] = struct{}{}
 	}
 	if st := l.Stats(); st.RebuildsStarted != before.RebuildsStarted+2 || l.CompactSnapshot() != nil {
-		t.Fatalf("two ResetTos: %+v, compact %v; want two builds begun, the bit trie serving", st, l.CompactSnapshot())
+		t.Fatalf("two ResetTos: %+v, compact %v; want two builds begun, the Index serving", st, l.CompactSnapshot())
 	}
 	checkLive(t, l, state, probes, "two ResetTos, both builds in flight")
 	release()

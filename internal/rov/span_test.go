@@ -10,12 +10,15 @@ import (
 )
 
 // TestSlabCellSizes pins the cells every resident table is made of — the
-// cache's, each session's and each follower's: a node is two children and a
-// span offset, 12 bytes, and an entry 8, its last mark in the padding before
-// the AS. One field more would add a third to every node slab.
+// cache's, each session's and each follower's: a node is two children, a span
+// offset, the first 32 bits of its key and its length, 20 bytes; a wide key,
+// which only a family with keys past 32 bits keeps, 16; and an entry 8, its
+// last mark in the padding before the AS. A field more than the length's byte
+// would add a fifth to every node slab.
 func TestSlabCellSizes(t *testing.T) {
-	if n, e := unsafe.Sizeof(node{}), unsafe.Sizeof(entry{}); n != 12 || e != 8 {
-		t.Fatalf("a node is %d bytes and an entry %d, want 12 and 8", n, e)
+	var f famIndex
+	if n, w, e := unsafe.Sizeof(node{}), unsafe.Sizeof(f.wide[0]), unsafe.Sizeof(entry{}); n != 20 || w != 16 || e != 8 {
+		t.Fatalf("a node is %d bytes, a wide key %d and an entry %d, want 20, 16 and 8", n, w, e)
 	}
 }
 

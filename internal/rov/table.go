@@ -5,17 +5,16 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
 
 // Table is the write side of a live validation table: the VRP set an RTR feed
-// maintains, held as a bit-at-a-time Index that announce and withdraw deltas
-// update in O(delta · prefix bits) — never a rebuild of the full set — while
-// anyone may take immutable snapshots lock-free. It is what a session keeps
-// when nothing validates against it directly: an RTR client's synchronized
-// table, a cache server's snapshot ring. A table that also serves the
-// validation hot path is a LiveIndex, which is a Table plus the compact
+// maintains, held as a path-compressed Index that announce and withdraw deltas
+// update in O(delta · kept nodes on a root path) — never a rebuild of the full
+// set — while anyone may take immutable snapshots lock-free. It is what a
+// session keeps when nothing validates against it directly: an RTR client's
+// synchronized table, a cache server's snapshot ring. A table that also serves
+// the validation hot path is a LiveIndex, which is a Table plus the compact
 // read-side structure derived from it.
 //
 // A table is built one way and changed one way. newIndexFromVRPs builds it —
@@ -23,14 +22,12 @@ import (
 // withdraws nothing) and compaction — and write changes it: every other delta,
 // whatever its size, and a compaction's catch-up.
 //
-// The trick is that the slabs are append-only and snapshots are persistent
-// in the functional-data-structure sense. A published *Index is never
-// mutated: Apply clones the nodes on the union of the delta's paths to the
-// slab tail (path copying) — each once, however many of the delta's prefixes
-// share it, since what the delta cloned no reader can reach yet and it writes
-// that in place, and it reads each once a pass, the delta sorted into prefix
-// order (see finger) — hangs the modified terminal spans off the copies, and
-// installs a new root, all in a new Index value that shares the slab
+// The trick is that the slabs are append-only and snapshots persistent, by
+// path copying (Driscoll, Sarnak, Sleator & Tarjan, JCSS 1989). A published
+// *Index is never mutated: Apply clones the nodes on the union of the delta's
+// paths to the slab tail, each once and read once a pass (see finger), grafts
+// and prunes nodes under the copies (see edit), hangs the modified spans off
+// them and installs a new root, all in a new Index value that shares the slab
 // backing arrays with its predecessor. Readers that loaded the old snapshot
 // keep walking the old root over the old nodes; the atomic pointer swap
 // publishes the new root with a happens-before edge over the appends.
@@ -89,11 +86,12 @@ func (t *Table) Len() int { return t.Snapshot().Len() }
 // a VRP already in the table and withdrawing one that is absent are no-ops,
 // and a delta made of nothing else leaves the published snapshot in place.
 //
-// A delta is path-copied, whatever its size: it costs the nodes on the union
-// of its prefixes' root paths — at most (len(announce)+len(withdraw)) · prefix
-// bits, and 36 for eight /24s of one /21 — each cloned once and read once by
-// the announces and once by the withdraws (see finger), amortized, plus a sort
-// of the delta. The set size never enters: compaction runs on a background
+// A delta is path-copied, whatever its size: it costs the kept nodes on the
+// union of its prefixes' root paths — at most (len(announce)+len(withdraw)) ·
+// (prefix bits + 1), and 31 for eight /24s of one /21 on a 50,000-VRP table,
+// where a bit trie cloned 36 — each cloned once and read once by the
+// announces and once by the withdraws (see finger), amortized, plus a sort of
+// the delta. The set size never enters: compaction runs on a background
 // goroutine, so even the delta that crosses the garbage threshold pays only
 // its own path-copy work. Up to the table's size that is as cheap as a
 // rebuild or cheaper; a delta several times the table can cost more than a
@@ -207,7 +205,7 @@ func (t *Table) replace(nw *Index) {
 // compact rebuilds src's table into fresh slabs, catches the rebuild up with
 // the deltas applied while it ran, and publishes the result in the current
 // snapshot's place. The build is the one NewTable makes of src's VRP stream —
-// in pre-order, so a withdrawn chain is not rebuilt — but its slabs are sized
+// in pre-order, so its spans are written in place — but its slabs are sized
 // no shorter than src's, garbage included, and a 32nd more: the room the cycle
 // this starts path-copies into (see newIndexFromVRPs). It runs on its own
 // goroutine and takes t.mu only for the catch-up and swap, so Apply latency
@@ -251,7 +249,8 @@ func (t *Table) compact(src *Index, hook func()) {
 func (t *Table) write(nw *Index, ann, wd []rpki.VRP, mark [2]int32) ([]rpki.VRP, []rpki.VRP) {
 	var fg [2]finger
 	for s := range fg {
-		fg[s].prev, fg[s].path[0], fg[s].mark = rootPrefix(s), nw.fams[s].root, mark[s]
+		fg[s] = finger{prev: rootPrefix(s), n: 1, mark: mark[s]}
+		fg[s].path[0] = nw.fams[s].root
 	}
 	ops := [2][]rpki.VRP{ann, wd}
 	for pass, vs := range ops {
@@ -271,31 +270,16 @@ func (t *Table) write(nw *Index, ann, wd []rpki.VRP, mark [2]int32) ([]rpki.VRP,
 }
 
 // edit adds run — VRPs of one prefix, in diffOrder — to nw (add) or takes them
-// out, through the prefix's family's finger. It moves the operations that
-// change the table to the front of run and returns their number. It reads down
-// from the finger to the prefix's terminal and merges run with its span; only
-// if some VRP's presence is not already what add asks does it make the path
-// the delta's own from the deepest node it owns — cloning what lies under
-// mark, allocating what is absent, rerooting the family if the root was
-// published — and write the merged span to the entry slab's tail, counting
-// the cells it leaves as garbage.
+// out, through the finger, and moves the operations that change the table to
+// the front of run, returning their number. Only if there is one does it make
+// the path the delta's own, graft an absent node, and write the merged span to
+// the entry slab's tail, counting the cells it leaves as garbage.
 func (t *Table) edit(nw *Index, fg *finger, run []rpki.VRP, add bool) int {
 	p := run[0].Prefix
-	f, n := &nw.fams[famSlot(p.Family())], p.Len()
-	hi, lo := p.Bits()
-	d := min(prefix.CommonPrefixLen(fg.prev, p), fg.valid)
-	fg.prev, fg.owned = p, min(fg.owned, d+1)
-	for ; d < n; d++ {
-		c := f.nodes[fg.path[d]].children[addrBit(hi, lo, d)]
-		if c == 0 {
-			break
-		}
-		fg.path[d+1] = c
-	}
-	fg.valid = d
-	var old []entry
-	if d == n {
-		old = span(nw.entries, f.nodes[fg.path[n]].off)
+	f := &nw.fams[famSlot(p.Family())]
+	found, old := f.seek(fg, p), []entry(nil)
+	if found {
+		old = span(nw.entries, f.nodes[fg.path[fg.n-1]].off)
 	}
 	// Keep the VRPs whose presence in old is not add's, each once.
 	kept, i := 0, 0
@@ -316,33 +300,37 @@ func (t *Table) edit(nw *Index, fg *finger, run []rpki.VRP, add bool) int {
 	if kept == 0 {
 		return 0 // all present already, or absent
 	}
-	for fg.owned <= d && fg.path[fg.owned] >= fg.mark {
-		fg.owned++
+	// Own the path: clone, once, each published node (under mark). A node whose
+	// span a withdrawal empties goes if it has one child or none (prune).
+	c := f.nodes[fg.path[fg.n-1]].children
+	goes := !add && kept == len(old) && fg.n > 1 && (c[0] == 0 || c[1] == 0)
+	last := fg.n
+	if goes {
+		last--
 	}
-	// A node the delta made hangs only under nodes it owns, so every node read
-	// past the owned ones is published: each is cloned, once, onto the slab's
-	// tail — children included: the original stays as older snapshots read it.
-	for ; fg.owned <= n; fg.owned++ {
-		k := fg.owned
-		var nd node // absent past d: a new, empty node
-		if k <= d {
-			nd = f.nodes[fg.path[k]]
-			t.garbageNodes++
+	hi, lo := p.Bits()
+	for ; fg.owned < last; fg.owned++ {
+		k, at := fg.owned, fg.path[fg.owned]
+		if at >= fg.mark {
+			continue
 		}
-		c := int32(len(f.nodes))
-		f.nodes = append(f.nodes, nd)
+		khi, klo := f.key(at)
+		c := f.push(f.nodes[at], khi, klo)
+		t.garbageNodes++
 		if k == 0 {
 			f.root = c
 		} else {
-			f.nodes[fg.path[k-1]].children[addrBit(hi, lo, k-1)] = c
+			up := fg.path[k-1]
+			f.nodes[up].children[addrBit(hi, lo, f.nodes[up].plen)] = c
 		}
 		fg.path[k] = c
 	}
-	fg.valid = n
+	if !found {
+		f.graft(fg, p) // an announce: nothing absent is withdrawn
+	}
 	// Write the merged span to the slab tail, unmarked but for its last cell;
 	// the old span's cells, marks included, become garbage (older snapshots
-	// still read them). A span emptied leaves its chain as structural garbage
-	// until compaction prunes it.
+	// still read them).
 	off := int32(len(nw.entries))
 	i = 0
 	for _, v := range run[:kept] {
@@ -367,9 +355,31 @@ func (t *Table) edit(nw *Index, fg *finger, run []rpki.VRP, add bool) int {
 	} else {
 		f.size -= kept
 	}
-	f.nodes[fg.path[n]].off = off
 	t.garbageEntries += len(old)
+	if goes {
+		t.prune(f, fg, hi, lo)
+	} else {
+		f.nodes[fg.path[fg.n-1]].off = off
+	}
 	return kept
+}
+
+// prune takes out the finger's last node: its one child, if any, takes its
+// place under its parent, the delta's own, which goes the same way if that
+// leaves it with one child and no span, unless it is the root. Each node taken
+// out is garbage.
+func (t *Table) prune(f *famIndex, fg *finger, hi, lo uint64) {
+	for {
+		c := f.nodes[fg.path[fg.n-1]].children
+		fg.n--
+		up := &f.nodes[fg.path[fg.n-1]]
+		up.children[addrBit(hi, lo, up.plen)] = max(c[0], c[1])
+		t.garbageNodes++
+		if fg.n == 1 || up.off != 0 || up.children[0] != 0 && up.children[1] != 0 {
+			break
+		}
+	}
+	fg.owned = min(fg.owned, fg.n)
 }
 
 // needCompact reports whether superseded slab cells outweigh live ones.

@@ -1,6 +1,7 @@
 package rov
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -31,8 +32,8 @@ const the21 = uint64(198<<24|51<<16|96<<8) << 32
 func spanAt(ix *Index, p prefix.Prefix) []entry {
 	f := &ix.fams[famSlot(p.Family())]
 	idx := f.root
-	for depth := uint8(0); depth < p.Len(); depth++ {
-		if idx = f.nodes[idx].children[p.Bit(depth)]; idx == 0 {
+	for f.nodes[idx].plen < p.Len() {
+		if idx = f.nodes[idx].children[p.Bit(f.nodes[idx].plen)]; idx == 0 || !f.prefix(p.Family(), idx).Contains(p) {
 			return nil
 		}
 	}
@@ -41,17 +42,84 @@ func spanAt(ix *Index, p prefix.Prefix) []entry {
 
 // reachable returns the number of nodes of f's trie, under its root.
 func reachable(f *famIndex) int {
-	n, stack := 0, []int32{f.root}
-	for len(stack) > 0 {
-		nd := &f.nodes[stack[len(stack)-1]]
-		stack, n = stack[:len(stack)-1], n+1
-		for _, c := range nd.children {
-			if c != 0 {
-				stack = append(stack, c)
+	n := 0
+	f.walk(f.root, func(int32) bool { n++; return true })
+	return n
+}
+
+// shapeError walks ix's tries and describes the first node that breaks their
+// shape, or returns "": a root that is not /0, a node other than the root
+// with neither a span nor two children, or a child whose key does not
+// strictly extend its parent's on the side it hangs from.
+func shapeError(ix *Index) string {
+	for slot := range ix.fams {
+		f, fam := &ix.fams[slot], slotFamily(slot)
+		if len(f.nodes) == 0 {
+			continue
+		}
+		if f.nodes[f.root].plen != 0 {
+			return fmt.Sprintf("the %v root is %s", fam, f.prefix(fam, f.root))
+		}
+		bad := ""
+		f.walk(f.root, func(i int32) bool {
+			nd, up := &f.nodes[i], f.prefix(fam, i)
+			if i != f.root && nd.off == 0 && (nd.children[0] == 0 || nd.children[1] == 0) {
+				bad = fmt.Sprintf("%s has no span and children %v", up, nd.children)
+				return false
 			}
+			for bit, c := range nd.children {
+				if c == 0 {
+					continue
+				}
+				if k := f.prefix(fam, c); k.Len() <= up.Len() || !up.Contains(k) || k.Bit(up.Len()) != uint8(bit) {
+					bad = fmt.Sprintf("%s hangs as child %d of %s", k, bit, up)
+					return false
+				}
+			}
+			return true
+		})
+		if bad != "" {
+			return bad
 		}
 	}
-	return n
+	return ""
+}
+
+// checkShape fails unless ix's tries are in shape (shapeError).
+func checkShape(t *testing.T, name string, ix *Index) {
+	t.Helper()
+	if bad := shapeError(ix); bad != "" {
+		t.Fatalf("%s: %s", name, bad)
+	}
+}
+
+// checkShapes holds every snapshot tab publishes from now on — a delta's, a
+// build's, a compaction's, on whichever goroutine publishes it — to the
+// tries' shape (shapeError), and returns a check that fails t with the first
+// that broke it.
+func checkShapes(t *testing.T, tab *Table) func() {
+	var bad string // guarded by tab.mu
+	tab.mu.Lock()
+	inner := tab.published
+	tab.published = func(nw *Index, replaced bool, announce, withdraw []rpki.VRP) {
+		if bad == "" {
+			if e := shapeError(nw); e != "" {
+				bad = fmt.Sprintf("version %d: %s", nw.version, e)
+			}
+		}
+		if inner != nil {
+			inner(nw, replaced, announce, withdraw)
+		}
+	}
+	tab.mu.Unlock()
+	return func() {
+		t.Helper()
+		tab.mu.Lock()
+		defer tab.mu.Unlock()
+		if bad != "" {
+			t.Fatalf("a published snapshot is out of shape: %s", bad)
+		}
+	}
 }
 
 // garbage reads tab's garbage counters.
@@ -75,11 +143,26 @@ func checkEntryGarbage(t *testing.T, tab *Table) {
 	}
 }
 
+// checkNodeGarbage fails unless tab counts every node of its current slabs
+// that its roots no longer reach as garbage: a clone's original, a node a
+// withdrawal took out, a rerooted family's build root.
+func checkNodeGarbage(t *testing.T, tab *Table) {
+	t.Helper()
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	cur := tab.cur.Load()
+	_, total := nodeCaps(cur)
+	if dead := total - reachable(&cur.fams[0]) - reachable(&cur.fams[1]); tab.garbageNodes != dead {
+		t.Fatalf("garbageNodes = %d, but %d of the node slabs' %d cells are dead", tab.garbageNodes, dead, total)
+	}
+}
+
 // TestCompactCopiesLiveSlab pins what a compaction publishes to the build of
 // the table's VRP stream, node for node and entry for entry, on a table of
-// today's size churned by roa_change's deltas until a compaction is due: the
-// withdrawn chains it reaches are not rebuilt. TestCompactAllocs pins the
-// slabs' sizes.
+// today's size churned by roa_change's deltas until a compaction is due; and
+// the churned table reaches as many nodes as that build holds: its deltas
+// left no node a build would not make. TestCompactAllocs pins the slabs'
+// sizes.
 func TestCompactCopiesLiveSlab(t *testing.T) {
 	tab, _ := churnedTable(t)
 	src := tab.Snapshot()
@@ -90,8 +173,8 @@ func TestCompactCopiesLiveSlab(t *testing.T) {
 	}
 	checkSameSlabs(t, "the compaction's rebuild", got, want, true)
 	reached := reachable(&src.fams[0]) + reachable(&src.fams[1])
-	if _, live := nodeCaps(want); reached <= live {
-		t.Fatalf("the churned table reaches %d nodes, its build holds %d: no withdrawn chain to drop", reached, live)
+	if _, live := nodeCaps(want); reached != live {
+		t.Fatalf("the churned table reaches %d nodes, its build holds %d", reached, live)
 	}
 }
 
@@ -144,7 +227,9 @@ func TestDeltaShapes(t *testing.T) {
 		t.Fatalf("the snapshot before the delta: %v extra, %v missing, Len() %d of %d", extra, missing, before.Len(), len(base))
 	}
 	checkParentDiff(t, "the delta", before, after)
+	checkShape(t, "after the delta", after)
 	checkEntryGarbage(t, tab)
+	checkNodeGarbage(t, tab)
 	if !slices.Equal(announce, givenA) || !slices.Equal(withdraw, givenW) {
 		t.Fatalf("Apply reordered the caller's slices: +%v -%v", announce, withdraw)
 	}
@@ -154,13 +239,15 @@ func TestDeltaShapes(t *testing.T) {
 // cost the union of its paths: inside one delta a published node is cloned at
 // most once — whatever the delta cloned or allocated is unpublished and
 // written in place — while no published snapshot is ever written, and every
-// entry cell a delta leaves dead still counts toward compaction.
+// node and entry cell a delta leaves dead still counts toward compaction.
 func TestDeltaCopiesEachPathOnce(t *testing.T) {
 	t.Run("a clustered delta clones the union of its paths", func(t *testing.T) {
 		// The eight /24s are in the table (at another origin), so their paths
-		// exist: root, 21 nodes down to the /21, then 2 + 4 + 8 — 36 nodes,
-		// where eight separate root-to-/24 paths are 8 × 25 = 200. The order
-		// the caller lists them in changes neither, nor the delta carried.
+		// exist: the root and the 15 branch points benchSet's prefixes make
+		// above the /21, then the /21 and, under it, 2 + 4 + 8 — 31 nodes,
+		// where the bit trie's paths were 36 and eight separate root-to-/24
+		// paths are 8 × 20 = 160. The order the caller lists them in changes
+		// neither, nor the delta carried.
 		given := clustered8(the21, 64501) // in prefix order
 		reversed, shuffled := slices.Clone(given), slices.Clone(given)
 		slices.Reverse(reversed)
@@ -179,8 +266,8 @@ func TestDeltaCopiesEachPathOnce(t *testing.T) {
 				tab.Apply(c.delta, nil)
 				after := tab.Snapshot()
 				gn, ge := garbage(tab)
-				if grew := len(after.fams[0].nodes) - len(before.fams[0].nodes); grew != 36 || gn != 36 {
-					t.Fatalf("the node slab grew by %d and the garbage by %d nodes, want 36 and 36 (the union of the paths)", grew, gn)
+				if grew := len(after.fams[0].nodes) - len(before.fams[0].nodes); grew != 31 || gn != 31 {
+					t.Fatalf("the node slab grew by %d and the garbage by %d nodes, want 31 and 31 (the union of the paths)", grew, gn)
 				}
 				if grew := len(after.entries) - len(before.entries); grew != moved+8 || ge != moved {
 					t.Fatalf("the entry slab grew by %d and the garbage by %d, want %d and %d (each span moved once)", grew, ge, moved+8, moved)
@@ -256,11 +343,10 @@ func TestDeltaCopiesEachPathOnce(t *testing.T) {
 		if n := compactions.Load(); n != 1 {
 			t.Fatalf("%d compactions published, want 1", n)
 		}
-		// The catch-up clones no node of the private rebuild; the entry cells
-		// it relocates are dead, and counted.
-		if gn, _ := garbage(tab); gn != 0 {
-			t.Fatalf("after the catch-up: %d nodes of garbage, want none", gn)
-		}
+		// The catch-up clones no node of the private rebuild: its node garbage
+		// is the nodes its withdrawals took out. The entry cells it relocates
+		// are dead, and counted.
+		checkNodeGarbage(t, tab)
 		checkEntryGarbage(t, tab)
 		if extra, missing := naiveSetDiff(setOf(state).VRPs(), tab.Snapshot().AppendVRPs(nil)); len(extra)+len(missing) != 0 {
 			t.Fatalf("after the catch-up: %d VRPs extra, %d missing", len(extra), len(missing))
@@ -313,6 +399,7 @@ func TestDeltaCopiesEachPathOnce(t *testing.T) {
 			keep = append(keep, kept{tab.Snapshot(), setOf(state).VRPs(), probesAround(append(slices.Clone(ann), wd...))})
 			tab.Apply(ann, wd)
 			checkEntryGarbage(t, tab)
+			checkNodeGarbage(t, tab)
 			for _, v := range ann {
 				state[v] = struct{}{}
 			}

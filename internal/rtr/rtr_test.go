@@ -45,7 +45,10 @@ func startServer(t *testing.T, s *Server) (string, func()) {
 
 // boundedWait is how long waitBounded lets one wait of a test run: far past a
 // healthy run's, under -race on two cores too, and well inside the package's
-// timeout, with room for a failed test's deferred waits after it.
+// timeout, with room for a failed test's deferred waits after it. A wait gets
+// at most a quarter of the time the test has left, too, so that a deadlock in
+// every test after it still leaves each to fail by name before the package's
+// timeout.
 const boundedWait = 20 * time.Second
 
 // waitBounded runs fn, a wait of the test's that a deadlock would hang, on a
@@ -59,6 +62,10 @@ const boundedWait = 20 * time.Second
 // no deadlock there.
 func waitBounded(t *testing.T, what string, fn func() error) {
 	t.Helper()
+	bound := boundedWait
+	if dl, ok := t.Deadline(); ok {
+		bound = min(bound, time.Until(dl)/4)
+	}
 	done := make(chan error, 1)
 	go func() { done <- fn() }()
 	select {
@@ -66,26 +73,64 @@ func waitBounded(t *testing.T, what string, fn func() error) {
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-	case <-time.After(boundedWait):
+	case <-time.After(bound):
 		buf := make([]byte, 1<<20)
-		t.Fatalf("%s: still blocked after %v, a deadlock; every goroutine:\n%s", what, boundedWait, buf[:runtime.Stack(buf, true)])
+		t.Fatalf("%s: still blocked after %v, a deadlock; every goroutine:\n%s", what, bound, buf[:runtime.Stack(buf, true)])
 	}
+}
+
+// dialBounded, resetBounded, syncBounded and notifyBounded are Dial and the
+// Client's waits through waitBounded: a deadlock in the cache or the session
+// fails the test, naming the wait (what), instead of hanging the package.
+func dialBounded(t *testing.T, addr string) *Client {
+	t.Helper()
+	var c *Client
+	waitBounded(t, "dialing the cache", func() (err error) { c, err = Dial(addr); return err })
+	return c
+}
+
+func resetBounded(t *testing.T, c *Client, what string) {
+	t.Helper()
+	waitBounded(t, what, c.Reset)
+}
+
+func syncBounded(t *testing.T, c *Client, what string) Serial {
+	t.Helper()
+	var s Serial
+	waitBounded(t, what, func() (err error) { s, err = c.Sync(); return err })
+	return s
+}
+
+func notifyBounded(t *testing.T, c *Client, what string) Serial {
+	t.Helper()
+	var s Serial
+	waitBounded(t, what, func() (err error) { s, err = c.WaitNotify(); return err })
+	return s
+}
+
+// publishBounded runs one of the cache's publishes, an UpdateSet or an
+// ApplyDelta, through waitBounded: with a router connected, a publish waits on
+// its connection, and a deadlock there names the publish.
+func publishBounded(t *testing.T, what string, publish func()) {
+	t.Helper()
+	waitBounded(t, what, func() error { publish(); return nil })
+}
+
+// stopBounded is the deferred shutdown of startServer through waitBounded.
+func stopBounded(t *testing.T, stop func()) {
+	t.Helper()
+	waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 }
 
 func TestFullSync(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialBounded(t, addr)
 	defer c.Close()
-	if err := c.Reset(); err != nil {
-		t.Fatal(err)
-	}
+	resetBounded(t, c, "the full sync")
 	if !c.Set().Equal(set) {
 		t.Fatalf("client set %v != served %v", c.Set().VRPs(), set.VRPs())
 	}
@@ -99,17 +144,12 @@ func TestFullSyncVersion0(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialBounded(t, addr)
 	defer c.Close()
 	c.Version = Version0
-	if err := c.Reset(); err != nil {
-		t.Fatal(err)
-	}
+	resetBounded(t, c, "the full sync")
 	if c.Len() != set.Len() {
 		t.Fatalf("v0 sync got %d VRPs, want %d", c.Len(), set.Len())
 	}
@@ -119,37 +159,25 @@ func TestIncrementalSync(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialBounded(t, addr)
 	defer c.Close()
-	if _, err := c.Sync(); err != nil { // no state: full reset
-		t.Fatal(err)
-	}
+	syncBounded(t, c, "the first sync, with no state: a full reset")
 	before := c.Serial()
 
 	// Mutate the served set: drop one VRP, add another.
 	next := rpki.NewSet(append(set.VRPs()[1:],
 		rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}))
-	srv.UpdateSet(next)
+	publishBounded(t, "publishing the update", func() { srv.UpdateSet(next) })
 
 	// The client receives a Serial Notify...
-	serial, err := c.WaitNotify()
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := notifyBounded(t, c, "waiting for the update's Serial Notify")
 	if serial != before+1 {
 		t.Errorf("notify serial = %d, want %d", serial, before+1)
 	}
 	// ...and an incremental Sync converges.
-	got, err := c.Sync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != serial {
+	if got := syncBounded(t, c, "the incremental sync"); got != serial {
 		t.Errorf("synced to %d, want %d", got, serial)
 	}
 	if !c.Set().Equal(next) {
@@ -161,16 +189,11 @@ func TestSyncAfterManyUpdates(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialBounded(t, addr)
 	defer c.Close()
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	syncBounded(t, c, "the first sync")
 	// Several updates between syncs: the delta chain must compose. The five
 	// notifies coalesce — the dispatch loop keeps only the newest pending
 	// serial — so one WaitNotify wake-up is all the client needs before the
@@ -180,14 +203,10 @@ func TestSyncAfterManyUpdates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cur = rpki.NewSet(append(cur.VRPs(),
 			rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(8 + i), AS: rpki.ASN(100 + i)}))
-		srv.UpdateSet(cur)
+		publishBounded(t, fmt.Sprintf("publishing update %d", i), func() { srv.UpdateSet(cur) })
 	}
-	if _, err := c.WaitNotify(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	notifyBounded(t, c, "waiting for the updates' Serial Notify")
+	syncBounded(t, c, "the sync across five updates")
 	if !c.Set().Equal(cur) {
 		t.Fatalf("after chain: %d VRPs, want %d", c.Len(), cur.Len())
 	}
@@ -198,30 +217,21 @@ func TestCacheResetFallback(t *testing.T) {
 	srv := NewServer(set)
 	srv.keepDeltas = 1
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialBounded(t, addr)
 	defer c.Close()
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	syncBounded(t, c, "the first sync")
 	// Expire the delta the client would need: many updates with KeepDeltas=1.
 	cur := set
 	for i := 0; i < 4; i++ {
 		cur = rpki.NewSet(append(cur.VRPs(),
 			rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(8 + i), AS: rpki.ASN(200 + i)}))
-		srv.UpdateSet(cur)
+		publishBounded(t, fmt.Sprintf("publishing update %d", i), func() { srv.UpdateSet(cur) })
 	}
-	if _, err := c.WaitNotify(); err != nil {
-		t.Fatal(err)
-	}
+	notifyBounded(t, c, "waiting for the updates' Serial Notify")
 	// Sync must fall back to a full reset transparently and still converge.
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	syncBounded(t, c, "the sync that falls back to a reset")
 	if !c.Set().Equal(cur) {
 		t.Fatalf("after fallback: %d VRPs, want %d", c.Len(), cur.Len())
 	}
@@ -230,7 +240,7 @@ func TestCacheResetFallback(t *testing.T) {
 func TestServerRejectsUnexpectedPDU(t *testing.T) {
 	srv := NewServer(testVRPs())
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -256,7 +266,7 @@ func TestServerRejectsUnexpectedPDU(t *testing.T) {
 func TestServerReportsCorruptPDU(t *testing.T) {
 	srv := NewServer(testVRPs())
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -283,7 +293,7 @@ func TestServerReportsCorruptPDU(t *testing.T) {
 func TestServerReportsUnsupportedVersion(t *testing.T) {
 	srv := NewServer(testVRPs())
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -350,7 +360,7 @@ func TestKeepDeltasEvictionBoundary(t *testing.T) {
 		srv.UpdateSet(cur)
 	}
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 	session := srv.SessionID()
 
 	// Serial 2 needs the chain 3..6 — all retained: incremental update with
@@ -457,31 +467,22 @@ func TestMultipleClients(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 
 	const n = 8
 	clients := make([]*Client, n)
 	for i := range clients {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := dialBounded(t, addr)
 		defer c.Close()
-		if err := c.Reset(); err != nil {
-			t.Fatal(err)
-		}
+		resetBounded(t, c, fmt.Sprintf("client %d's full sync", i))
 		clients[i] = c
 	}
 	next := rpki.NewSet(append(set.VRPs(),
 		rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}))
-	srv.UpdateSet(next)
+	publishBounded(t, "publishing the update", func() { srv.UpdateSet(next) })
 	for i, c := range clients {
-		if _, err := c.WaitNotify(); err != nil {
-			t.Fatalf("client %d notify: %v", i, err)
-		}
-		if _, err := c.Sync(); err != nil {
-			t.Fatalf("client %d sync: %v", i, err)
-		}
+		notifyBounded(t, c, fmt.Sprintf("client %d waiting for the update's Serial Notify", i))
+		syncBounded(t, c, fmt.Sprintf("client %d's incremental sync", i))
 		if !c.Set().Equal(next) {
 			t.Fatalf("client %d diverged", i)
 		}
@@ -498,12 +499,9 @@ func TestSubscribeReportsAppliedDeltas(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialBounded(t, addr)
 	defer c.Close()
 
 	mirror := map[rpki.VRP]struct{}{}
@@ -522,9 +520,7 @@ func TestSubscribeReportsAppliedDeltas(t *testing.T) {
 		}
 	}
 
-	if _, err := c.Sync(); err != nil { // initial full sync: everything announced
-		t.Fatal(err)
-	}
+	syncBounded(t, c, "the initial full sync: everything announced")
 	check(1)
 	if len(mirror) != set.Len() {
 		t.Fatalf("after full sync: %d mirrored VRPs, want %d", len(mirror), set.Len())
@@ -533,19 +529,13 @@ func TestSubscribeReportsAppliedDeltas(t *testing.T) {
 	// Incremental update: one VRP dropped, one added.
 	next := rpki.NewSet(append(set.VRPs()[1:],
 		rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}))
-	srv.UpdateSet(next)
-	if _, err := c.WaitNotify(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	publishBounded(t, "publishing the update", func() { srv.UpdateSet(next) })
+	notifyBounded(t, c, "waiting for the update's Serial Notify")
+	syncBounded(t, c, "the incremental sync")
 	check(2)
 
 	// A sync with nothing new must not deliver.
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	syncBounded(t, c, "a sync with nothing new")
 	check(2)
 }
 
@@ -647,7 +637,7 @@ func TestSerialDeltaMatchesChainedDeltas(t *testing.T) {
 	}
 	final := srv.Serial() // 7
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 	session := srv.SessionID()
 
 	for q := Serial(2); q != final+1; q++ {
@@ -711,15 +701,10 @@ func TestUpdateSetUnchangedPublishesNothing(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stop()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer stopBounded(t, stop)
+	c := dialBounded(t, addr)
 	defer c.Close()
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	syncBounded(t, c, "the first sync")
 	quiet := func(what string, before Serial) {
 		t.Helper()
 		if got := srv.Serial(); got != before {
@@ -727,8 +712,8 @@ func TestUpdateSetUnchangedPublishesNothing(t *testing.T) {
 		}
 		// The server writes a pending notify ahead of any queued response, so
 		// one sent by the call above would be here before this Sync returns.
-		if got, err := c.Sync(); err != nil || got != before {
-			t.Fatalf("%s: Sync = %d, %v, want %d", what, got, err, before)
+		if got := syncBounded(t, c, what+": the sync after it"); got != before {
+			t.Fatalf("%s: Sync = %d, want %d", what, got, before)
 		}
 		select {
 		case s := <-c.Notify():
@@ -737,25 +722,26 @@ func TestUpdateSetUnchangedPublishesNothing(t *testing.T) {
 		}
 	}
 	before := srv.Serial()
-	srv.UpdateSet(rpki.NewSet(set.VRPs()))
+	publishBounded(t, "UpdateSet with an equal set", func() { srv.UpdateSet(rpki.NewSet(set.VRPs())) })
 	quiet("UpdateSet with an equal set", before)
 
 	extra := rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}
-	after := srv.ApplyDelta([]rpki.VRP{extra}, nil)
-	if s, err := c.WaitNotify(); err != nil || s != after {
-		t.Fatalf("WaitNotify = %d, %v, want %d", s, err, after)
+	var after Serial
+	publishBounded(t, "ApplyDelta", func() { after = srv.ApplyDelta([]rpki.VRP{extra}, nil) })
+	if s := notifyBounded(t, c, "waiting for ApplyDelta's Serial Notify"); s != after {
+		t.Fatalf("WaitNotify = %d, want %d", s, after)
 	}
 	grown := set.Clone()
 	grown.Add(extra)
-	srv.UpdateSet(grown)
+	publishBounded(t, "UpdateSet with the table ApplyDelta left", func() { srv.UpdateSet(grown) })
 	quiet("UpdateSet with the table ApplyDelta left", after)
 
-	srv.UpdateSet(set)
-	if s, err := c.WaitNotify(); err != nil || s != after+1 {
-		t.Fatalf("after a real change WaitNotify = %d, %v, want %d", s, err, after+1)
+	publishBounded(t, "UpdateSet with a real change", func() { srv.UpdateSet(set) })
+	if s := notifyBounded(t, c, "waiting for a real change's Serial Notify"); s != after+1 {
+		t.Fatalf("after a real change WaitNotify = %d, want %d", s, after+1)
 	}
-	if _, err := c.Sync(); err != nil || !c.Set().Equal(set) {
-		t.Fatalf("after a real change: %v, table %v, want %v", err, c.Set().VRPs(), set.VRPs())
+	if syncBounded(t, c, "the sync after a real change"); !c.Set().Equal(set) {
+		t.Fatalf("after a real change: table %v, want %v", c.Set().VRPs(), set.VRPs())
 	}
 }
 
@@ -781,12 +767,9 @@ func TestUpdateSetApplyDeltaInterleaved(t *testing.T) {
 	want := rpki.NewSet(pick(200))
 	srv := NewServer(want)
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer stopBounded(t, stop)
 
-	follower, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	follower := dialBounded(t, addr)
 	defer follower.Close()
 	following := make(chan error, 1)
 	go func() {
@@ -811,7 +794,7 @@ func TestUpdateSetApplyDeltaInterleaved(t *testing.T) {
 		switch op := rng.Intn(8); {
 		case op < 3: // ApplyDelta; withdrawals win, as in the table
 			a, w := pick(rng.Intn(6)), pick(rng.Intn(6))
-			srv.ApplyDelta(a, w)
+			publishBounded(t, fmt.Sprintf("step %d: ApplyDelta", step), func() { srv.ApplyDelta(a, w) })
 			gone := vrpSet(w)
 			next := make([]rpki.VRP, 0, want.Len()+len(a))
 			for _, v := range append(want.VRPs(), a...) {
@@ -823,24 +806,18 @@ func TestUpdateSetApplyDeltaInterleaved(t *testing.T) {
 		case op < 6: // a validator cycle: most of the table stays
 			kept := want.VRPs()[rng.Intn(want.Len()/8+1):]
 			want = rpki.NewSet(append(pick(rng.Intn(8)), kept...))
-			srv.UpdateSet(want)
+			publishBounded(t, fmt.Sprintf("step %d: UpdateSet", step), func() { srv.UpdateSet(want) })
 		case op < 7: // the same table again
 			want = rpki.NewSet(want.VRPs())
-			srv.UpdateSet(want)
+			publishBounded(t, fmt.Sprintf("step %d: UpdateSet", step), func() { srv.UpdateSet(want) })
 		default: // a different table altogether
 			want = rpki.NewSet(pick(150 + rng.Intn(100)))
-			srv.UpdateSet(want)
+			publishBounded(t, fmt.Sprintf("step %d: UpdateSet", step), func() { srv.UpdateSet(want) })
 		}
-		fresh, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = fresh.Reset()
+		fresh := dialBounded(t, addr)
+		resetBounded(t, fresh, fmt.Sprintf("step %d: a fresh router's full sync", step))
 		got := fresh.Set()
 		fresh.Close()
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
 		if added, removed := want.Diff(got); len(added)+len(removed) > 0 {
 			t.Fatalf("step %d: a fresh router holds %v too many and lacks %v", step, added, removed)
 		}
@@ -853,9 +830,7 @@ func TestUpdateSetApplyDeltaInterleaved(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	follower.Close()
-	if err := <-following; err != nil {
-		t.Fatalf("follower: %v", err)
-	}
+	waitBounded(t, "the follower's sync loop ending", func() error { return <-following })
 	if !follower.Set().Equal(want) || follower.FullSyncs() != 1 {
 		t.Fatalf("follower ended at serial %d (cache %d) after %d full syncs, %d VRPs against the cache's %d",
 			follower.Serial(), srv.Serial(), follower.FullSyncs(), follower.Len(), want.Len())

@@ -1,6 +1,7 @@
 package rtr
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"testing/quick"
@@ -73,11 +74,12 @@ func TestNotifyOrderAcrossSerialWrap(t *testing.T) {
 			defer close(handled)
 			srv.handle(cache)
 		}()
-		defer func() {
+		defer waitBounded(t, "closing the cache", func() error {
 			srv.Close()
 			router.Close()
 			<-handled
-		}()
+			return nil
+		})
 
 		// Hold the writer: it streams the Reset Query's answer into a pipe,
 		// and a write there returns only once the router has read all of it.
@@ -91,7 +93,9 @@ func TestNotifyOrderAcrossSerialWrap(t *testing.T) {
 		}
 		// Three publishes cross the wrap into the mailbox: 0xffffffff, 0, 1.
 		for i := 0; i < 3; i++ {
-			srv.ApplyDelta([]rpki.VRP{{Prefix: mp("192.0.2.0/24"), MaxLength: uint8(24 + i), AS: 65000}}, nil)
+			publishBounded(t, fmt.Sprintf("publish %d", i), func() {
+				srv.ApplyDelta([]rpki.VRP{{Prefix: mp("192.0.2.0/24"), MaxLength: uint8(24 + i), AS: 65000}}, nil)
+			})
 		}
 		for {
 			pdu, _, err := ReadPDU(router)
