@@ -144,10 +144,19 @@ func BenchmarkCompactValidateBatch(b *testing.B) {
 // table: cost must track the delta, not the table. one is a single /24 into
 // the 50k-VRP table; clustered8 is roa_change's delta — eight /24s of one /21
 // — into today's table, where a pair path-copies the union of the eight paths
-// twice. garbage-nodes/op is what one pair leaves for compaction, counted
-// before the timed loop on paths an earlier pair has created, as they are in a
-// table that has seen the edit before.
+// twice; clustered8-v6 is eight /48s of one of v6Table's /32s into today's
+// table and v6Table, through IPv6 keys kept whole. garbage-nodes/op is what
+// one pair leaves for compaction, counted before the timed loop on paths an
+// earlier pair has created, as they are in a table that has seen the edit
+// before.
 func BenchmarkLiveApply(b *testing.B) {
+	v6 := v6Table()
+	var eight []rpki.VRP
+	for j := range 8 {
+		hi, _ := v6[0].Prefix.Bits()
+		p, _ := prefix.Make(prefix.IPv6, hi|uint64(0xff00+j)<<16, 0, 48)
+		eight = append(eight, rpki.VRP{Prefix: p, MaxLength: 48, AS: 64511})
+	}
 	for _, c := range []struct {
 		name  string
 		table *rpki.Set
@@ -155,6 +164,7 @@ func BenchmarkLiveApply(b *testing.B) {
 	}{
 		{"one", benchSet(), []rpki.VRP{{Prefix: prefix.MustParse("198.51.100.0/24"), MaxLength: 24, AS: 64511}}},
 		{"clustered8", rpki.NewSet(benchSet().VRPs()[:todaySize]), clustered8(the21, 64511)},
+		{"clustered8-v6", rpki.NewSet(append(slices.Clone(todayTable(b)), v6...)), eight},
 	} {
 		l := NewLiveIndex(c.table)
 		pair := func() {

@@ -27,6 +27,24 @@ func todayTable(tb testing.TB) []rpki.VRP {
 	return todayTableCache
 }
 
+// v6Table is an IPv6 table shaped like real ROAs: 1,000 /32s under 2000::/3,
+// each announced, and eight /48s under each, at the /32's origin.
+func v6Table() []rpki.VRP {
+	rng := rand.New(rand.NewSource(7))
+	var out []rpki.VRP
+	for range 1000 {
+		base := uint64(0x2000)<<48 | rng.Uint64()>>3&0x1fffffff<<32
+		as := rpki.ASN(rng.Intn(30000))
+		p, _ := prefix.Make(prefix.IPv6, base, 0, 32)
+		out = append(out, rpki.VRP{Prefix: p, MaxLength: 32, AS: as})
+		for range 8 {
+			q, _ := prefix.Make(prefix.IPv6, base|uint64(rng.Intn(1<<16))<<16, 0, 48)
+			out = append(out, rpki.VRP{Prefix: q, MaxLength: 48, AS: as})
+		}
+	}
+	return out
+}
+
 // insertLoopIndex is the reference the finger builder is held to: every VRP
 // inserted by a descent from the root into a slab hinted at one node per VRP
 // — through every child whose key its prefix extends, to its node or to the
@@ -48,7 +66,7 @@ func insertLoopIndex(vrps []rpki.VRP) *Index {
 		f := &ix.fams[slot]
 		add := func(k prefix.Prefix) int32 {
 			hi, lo := k.Bits()
-			return f.push(node{plen: k.Len()}, hi, lo)
+			return f.push(k.Len(), hi, lo)
 		}
 		idx := f.root
 		for f.nodes[idx].plen < p.Len() {

@@ -11,9 +11,9 @@ import (
 
 // TestSlabCellSizes pins the cells every resident table is made of — the
 // cache's, each session's and each follower's: a node is two children, a span
-// offset, the first 32 bits of its key and its length, 20 bytes; a wide key,
-// which only a family with keys past 32 bits keeps, 16; and an entry 8, its
-// last mark in the padding before the AS. A field more than the length's byte
+// offset, the first 32 bits of its key — all of an IPv4 key — and its length,
+// 20 bytes; a wide key, which only a family with keys past 32 bits keeps, 16;
+// and an entry 8, its last mark in the padding before the AS. A field more than the length's byte
 // would add a fifth to every node slab.
 func TestSlabCellSizes(t *testing.T) {
 	var f famIndex

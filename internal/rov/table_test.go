@@ -181,7 +181,8 @@ func TestCompactCopiesLiveSlab(t *testing.T) {
 // TestDeltaShapes applies one path-copied delta of the shapes a finger must
 // read right whatever order they come in: a nested chain and a sibling listed
 // deepest first, both families' /0, an IPv6 /96 (bits of the address's low
-// word), a repeated announce, a VRP announced and withdrawn, a present VRP
+// word, the family's first key past 32 bits: the delta starts its wide slab,
+// and the snapshot before keeps none), a repeated announce, a VRP announced and withdrawn, a present VRP
 // withdrawn, and two absent withdraws, the second under the first, whose
 // descent stops above where an earlier operation's path went on. After it the
 // table is the reference set, Diff is the walk, every dead entry cell counts,
@@ -219,6 +220,9 @@ func TestDeltaShapes(t *testing.T) {
 	after := tab.Snapshot()
 	if !before.fams[0].sameLineage(&after.fams[0]) {
 		t.Fatal("the delta was not path-copied")
+	}
+	if before.fams[1].wide != nil || len(after.fams[1].wide) != len(after.fams[1].nodes) {
+		t.Fatalf("IPv6 wide slabs of %d keys before the delta and %d after, for %d nodes: want none, then one a node", len(before.fams[1].wide), len(after.fams[1].wide), len(after.fams[1].nodes))
 	}
 	if extra, missing := naiveSetDiff(setOf(want).VRPs(), after.AppendVRPs(nil)); len(extra)+len(missing) != 0 || after.Len() != len(want) {
 		t.Fatalf("after the delta: %v extra, %v missing, Len() %d of %d", extra, missing, after.Len(), len(want))

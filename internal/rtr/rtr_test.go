@@ -79,19 +79,15 @@ func waitBounded(t *testing.T, what string, fn func() error) {
 	}
 }
 
-// dialBounded, resetBounded, syncBounded and notifyBounded are Dial and the
-// Client's waits through waitBounded: a deadlock in the cache or the session
-// fails the test, naming the wait (what), instead of hanging the package.
+// dialBounded, syncBounded and notifyBounded are Dial and the Client's waits
+// that return a value, through waitBounded: a deadlock in the cache or the
+// session fails the test, naming the wait (what), instead of hanging the
+// package.
 func dialBounded(t *testing.T, addr string) *Client {
 	t.Helper()
 	var c *Client
 	waitBounded(t, "dialing the cache", func() (err error) { c, err = Dial(addr); return err })
 	return c
-}
-
-func resetBounded(t *testing.T, c *Client, what string) {
-	t.Helper()
-	waitBounded(t, what, c.Reset)
 }
 
 func syncBounded(t *testing.T, c *Client, what string) Serial {
@@ -108,29 +104,15 @@ func notifyBounded(t *testing.T, c *Client, what string) Serial {
 	return s
 }
 
-// publishBounded runs one of the cache's publishes, an UpdateSet or an
-// ApplyDelta, through waitBounded: with a router connected, a publish waits on
-// its connection, and a deadlock there names the publish.
-func publishBounded(t *testing.T, what string, publish func()) {
-	t.Helper()
-	waitBounded(t, what, func() error { publish(); return nil })
-}
-
-// stopBounded is the deferred shutdown of startServer through waitBounded.
-func stopBounded(t *testing.T, stop func()) {
-	t.Helper()
-	waitBounded(t, "stopping the cache", func() error { stop(); return nil })
-}
-
 func TestFullSync(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	c := dialBounded(t, addr)
 	defer c.Close()
-	resetBounded(t, c, "the full sync")
+	waitBounded(t, "the full sync", c.Reset)
 	if !c.Set().Equal(set) {
 		t.Fatalf("client set %v != served %v", c.Set().VRPs(), set.VRPs())
 	}
@@ -144,12 +126,12 @@ func TestFullSyncVersion0(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	c := dialBounded(t, addr)
 	defer c.Close()
 	c.Version = Version0
-	resetBounded(t, c, "the full sync")
+	waitBounded(t, "the full sync", c.Reset)
 	if c.Len() != set.Len() {
 		t.Fatalf("v0 sync got %d VRPs, want %d", c.Len(), set.Len())
 	}
@@ -159,7 +141,7 @@ func TestIncrementalSync(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	c := dialBounded(t, addr)
 	defer c.Close()
@@ -169,7 +151,7 @@ func TestIncrementalSync(t *testing.T) {
 	// Mutate the served set: drop one VRP, add another.
 	next := rpki.NewSet(append(set.VRPs()[1:],
 		rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}))
-	publishBounded(t, "publishing the update", func() { srv.UpdateSet(next) })
+	waitBounded(t, "publishing the update", func() error { srv.UpdateSet(next); return nil })
 
 	// The client receives a Serial Notify...
 	serial := notifyBounded(t, c, "waiting for the update's Serial Notify")
@@ -189,7 +171,7 @@ func TestSyncAfterManyUpdates(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	c := dialBounded(t, addr)
 	defer c.Close()
@@ -203,7 +185,7 @@ func TestSyncAfterManyUpdates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cur = rpki.NewSet(append(cur.VRPs(),
 			rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(8 + i), AS: rpki.ASN(100 + i)}))
-		publishBounded(t, fmt.Sprintf("publishing update %d", i), func() { srv.UpdateSet(cur) })
+		waitBounded(t, fmt.Sprintf("publishing update %d", i), func() error { srv.UpdateSet(cur); return nil })
 	}
 	notifyBounded(t, c, "waiting for the updates' Serial Notify")
 	syncBounded(t, c, "the sync across five updates")
@@ -217,7 +199,7 @@ func TestCacheResetFallback(t *testing.T) {
 	srv := NewServer(set)
 	srv.keepDeltas = 1
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	c := dialBounded(t, addr)
 	defer c.Close()
@@ -227,7 +209,7 @@ func TestCacheResetFallback(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cur = rpki.NewSet(append(cur.VRPs(),
 			rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(8 + i), AS: rpki.ASN(200 + i)}))
-		publishBounded(t, fmt.Sprintf("publishing update %d", i), func() { srv.UpdateSet(cur) })
+		waitBounded(t, fmt.Sprintf("publishing update %d", i), func() error { srv.UpdateSet(cur); return nil })
 	}
 	notifyBounded(t, c, "waiting for the updates' Serial Notify")
 	// Sync must fall back to a full reset transparently and still converge.
@@ -240,7 +222,7 @@ func TestCacheResetFallback(t *testing.T) {
 func TestServerRejectsUnexpectedPDU(t *testing.T) {
 	srv := NewServer(testVRPs())
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -266,7 +248,7 @@ func TestServerRejectsUnexpectedPDU(t *testing.T) {
 func TestServerReportsCorruptPDU(t *testing.T) {
 	srv := NewServer(testVRPs())
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -293,7 +275,7 @@ func TestServerReportsCorruptPDU(t *testing.T) {
 func TestServerReportsUnsupportedVersion(t *testing.T) {
 	srv := NewServer(testVRPs())
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -360,7 +342,7 @@ func TestKeepDeltasEvictionBoundary(t *testing.T) {
 		srv.UpdateSet(cur)
 	}
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 	session := srv.SessionID()
 
 	// Serial 2 needs the chain 3..6 — all retained: incremental update with
@@ -467,19 +449,19 @@ func TestMultipleClients(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	const n = 8
 	clients := make([]*Client, n)
 	for i := range clients {
 		c := dialBounded(t, addr)
 		defer c.Close()
-		resetBounded(t, c, fmt.Sprintf("client %d's full sync", i))
+		waitBounded(t, fmt.Sprintf("client %d's full sync", i), c.Reset)
 		clients[i] = c
 	}
 	next := rpki.NewSet(append(set.VRPs(),
 		rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}))
-	publishBounded(t, "publishing the update", func() { srv.UpdateSet(next) })
+	waitBounded(t, "publishing the update", func() error { srv.UpdateSet(next); return nil })
 	for i, c := range clients {
 		notifyBounded(t, c, fmt.Sprintf("client %d waiting for the update's Serial Notify", i))
 		syncBounded(t, c, fmt.Sprintf("client %d's incremental sync", i))
@@ -499,7 +481,7 @@ func TestSubscribeReportsAppliedDeltas(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	c := dialBounded(t, addr)
 	defer c.Close()
@@ -529,7 +511,7 @@ func TestSubscribeReportsAppliedDeltas(t *testing.T) {
 	// Incremental update: one VRP dropped, one added.
 	next := rpki.NewSet(append(set.VRPs()[1:],
 		rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}))
-	publishBounded(t, "publishing the update", func() { srv.UpdateSet(next) })
+	waitBounded(t, "publishing the update", func() error { srv.UpdateSet(next); return nil })
 	notifyBounded(t, c, "waiting for the update's Serial Notify")
 	syncBounded(t, c, "the incremental sync")
 	check(2)
@@ -637,7 +619,7 @@ func TestSerialDeltaMatchesChainedDeltas(t *testing.T) {
 	}
 	final := srv.Serial() // 7
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 	session := srv.SessionID()
 
 	for q := Serial(2); q != final+1; q++ {
@@ -701,7 +683,7 @@ func TestUpdateSetUnchangedPublishesNothing(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 	c := dialBounded(t, addr)
 	defer c.Close()
 	syncBounded(t, c, "the first sync")
@@ -722,21 +704,21 @@ func TestUpdateSetUnchangedPublishesNothing(t *testing.T) {
 		}
 	}
 	before := srv.Serial()
-	publishBounded(t, "UpdateSet with an equal set", func() { srv.UpdateSet(rpki.NewSet(set.VRPs())) })
+	waitBounded(t, "UpdateSet with an equal set", func() error { srv.UpdateSet(rpki.NewSet(set.VRPs())); return nil })
 	quiet("UpdateSet with an equal set", before)
 
 	extra := rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}
 	var after Serial
-	publishBounded(t, "ApplyDelta", func() { after = srv.ApplyDelta([]rpki.VRP{extra}, nil) })
+	waitBounded(t, "ApplyDelta", func() error { after = srv.ApplyDelta([]rpki.VRP{extra}, nil); return nil })
 	if s := notifyBounded(t, c, "waiting for ApplyDelta's Serial Notify"); s != after {
 		t.Fatalf("WaitNotify = %d, want %d", s, after)
 	}
 	grown := set.Clone()
 	grown.Add(extra)
-	publishBounded(t, "UpdateSet with the table ApplyDelta left", func() { srv.UpdateSet(grown) })
+	waitBounded(t, "UpdateSet with the table ApplyDelta left", func() error { srv.UpdateSet(grown); return nil })
 	quiet("UpdateSet with the table ApplyDelta left", after)
 
-	publishBounded(t, "UpdateSet with a real change", func() { srv.UpdateSet(set) })
+	waitBounded(t, "UpdateSet with a real change", func() error { srv.UpdateSet(set); return nil })
 	if s := notifyBounded(t, c, "waiting for a real change's Serial Notify"); s != after+1 {
 		t.Fatalf("after a real change WaitNotify = %d, want %d", s, after+1)
 	}
@@ -767,7 +749,7 @@ func TestUpdateSetApplyDeltaInterleaved(t *testing.T) {
 	want := rpki.NewSet(pick(200))
 	srv := NewServer(want)
 	addr, stop := startServer(t, srv)
-	defer stopBounded(t, stop)
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	follower := dialBounded(t, addr)
 	defer follower.Close()
@@ -794,7 +776,7 @@ func TestUpdateSetApplyDeltaInterleaved(t *testing.T) {
 		switch op := rng.Intn(8); {
 		case op < 3: // ApplyDelta; withdrawals win, as in the table
 			a, w := pick(rng.Intn(6)), pick(rng.Intn(6))
-			publishBounded(t, fmt.Sprintf("step %d: ApplyDelta", step), func() { srv.ApplyDelta(a, w) })
+			waitBounded(t, fmt.Sprintf("step %d: ApplyDelta", step), func() error { srv.ApplyDelta(a, w); return nil })
 			gone := vrpSet(w)
 			next := make([]rpki.VRP, 0, want.Len()+len(a))
 			for _, v := range append(want.VRPs(), a...) {
@@ -806,16 +788,16 @@ func TestUpdateSetApplyDeltaInterleaved(t *testing.T) {
 		case op < 6: // a validator cycle: most of the table stays
 			kept := want.VRPs()[rng.Intn(want.Len()/8+1):]
 			want = rpki.NewSet(append(pick(rng.Intn(8)), kept...))
-			publishBounded(t, fmt.Sprintf("step %d: UpdateSet", step), func() { srv.UpdateSet(want) })
+			waitBounded(t, fmt.Sprintf("step %d: UpdateSet", step), func() error { srv.UpdateSet(want); return nil })
 		case op < 7: // the same table again
 			want = rpki.NewSet(want.VRPs())
-			publishBounded(t, fmt.Sprintf("step %d: UpdateSet", step), func() { srv.UpdateSet(want) })
+			waitBounded(t, fmt.Sprintf("step %d: UpdateSet", step), func() error { srv.UpdateSet(want); return nil })
 		default: // a different table altogether
 			want = rpki.NewSet(pick(150 + rng.Intn(100)))
-			publishBounded(t, fmt.Sprintf("step %d: UpdateSet", step), func() { srv.UpdateSet(want) })
+			waitBounded(t, fmt.Sprintf("step %d: UpdateSet", step), func() error { srv.UpdateSet(want); return nil })
 		}
 		fresh := dialBounded(t, addr)
-		resetBounded(t, fresh, fmt.Sprintf("step %d: a fresh router's full sync", step))
+		waitBounded(t, fmt.Sprintf("step %d: a fresh router's full sync", step), fresh.Reset)
 		got := fresh.Set()
 		fresh.Close()
 		if added, removed := want.Diff(got); len(added)+len(removed) > 0 {

@@ -93,8 +93,9 @@ func TestNotifyOrderAcrossSerialWrap(t *testing.T) {
 		}
 		// Three publishes cross the wrap into the mailbox: 0xffffffff, 0, 1.
 		for i := 0; i < 3; i++ {
-			publishBounded(t, fmt.Sprintf("publish %d", i), func() {
+			waitBounded(t, fmt.Sprintf("publish %d", i), func() error {
 				srv.ApplyDelta([]rpki.VRP{{Prefix: mp("192.0.2.0/24"), MaxLength: uint8(24 + i), AS: 65000}}, nil)
+				return nil
 			})
 		}
 		for {
