@@ -167,13 +167,8 @@ func main() {
 					active = u.Name
 				}
 			}
-			// What validation queries have hit so far: the path-compressed
-			// index, or the bit trie — for want of a compact half, or because
-			// a prefix touched since its build covers the route.
-			ls := live.Stats()
-			fmt.Fprintf(os.Stderr, "# update: synced to %d via %s, %d VRPs (+%d -%d applied since start; %d switches, %d rebuilds; %d routes validated by the compact index, %d by the bit trie; compact half held: %t, under %d overlay marks, rebuilt %d times)\n",
-				serial, active, live.Len(), announced.Load(), withdrawn.Load(), st.Switches, st.Rebuilds,
-				ls.CompactRoutes, ls.FallbackRoutes, ls.CompactHeld, ls.Marks, ls.RebuildsInstalled)
+			fmt.Fprintf(os.Stderr, "# update: synced to %d via %s, %d VRPs (+%d -%d applied since start; %d switches, %d rebuilds)\n",
+				serial, active, live.Len(), announced.Load(), withdrawn.Load(), st.Switches, st.Rebuilds)
 		case <-sigc:
 			m.Stop()
 			<-runErr

@@ -79,7 +79,7 @@ func Simulate(t *Topology, anns []Announcement, cfg Config) *Outcome {
 	// announcement O(nodes × rounds) times).
 	var invalid []bool
 	if cfg.VRPs != nil {
-		ix := rov.NewCompactIndex(cfg.VRPs)
+		ix := rov.NewIndex(cfg.VRPs)
 		routes := make([]rov.Route, len(anns))
 		for i, a := range anns {
 			routes[i] = rov.Route{Prefix: a.Prefix, Origin: a.ClaimedOrigin()}

@@ -15,18 +15,16 @@ import (
 
 // TestValidateAllocs is the noalloc gate: every validation entry point runs
 // at exactly 0 allocs — single routes, and batches into a dst the caller has
-// sized — over a 50k-VRP table with both families in it, and the LiveIndex
-// ones also over today's table under an overlay of a thousand touched
-// prefixes, where each route is tested against it and a quarter of them go
-// to the Index. The rows between them execute every statement of
-// validateOn, validateCompact, keyMatch, overlay.covers and the Validate and
-// ValidateBatch methods of Index, CompactIndex and LiveIndex (go test -run
+// sized — over a 50k-VRP table with both families in it, and through a
+// LiveIndex after a delta. The rows between them execute every statement of
+// validateOn, validate, validate4, descend4, keyMatch and the Validate and
+// ValidateBatch methods of Index and LiveIndex (go test -run
 // TestValidateAllocs -coverprofile says so), so an allocation added on any
-// branch shows here. The edge routes are the branches a random IPv4 batch does not take:
-// an IPv6 route longer than /64, routes shorter than either family's stride,
-// an invalid prefix. ValidateBatchSorted's documented allocation, the
-// permutation, is pinned at exactly one. Not built under -race, whose
-// instrumentation allocates.
+// branch shows here. The edge routes are the branches a random IPv4 batch
+// does not take: an IPv6 route longer than /64, routes shorter than /16 in
+// either family, under a short VRP and not, an invalid prefix.
+// ValidateBatchSorted's documented allocation, the permutation, is pinned at
+// exactly one. Not built under -race, whose instrumentation allocates.
 func TestValidateAllocs(t *testing.T) {
 	vrps := slices.Clone(benchSet().VRPs())
 	for _, v := range []struct {
@@ -37,42 +35,33 @@ func TestValidateAllocs(t *testing.T) {
 	}
 	set := rpki.NewSet(vrps)
 	ix := NewIndex(set)
-	cx := NewCompactIndex(set)
 	live := NewLiveIndex(set)
-	bare := NewLiveIndex(set) // nobody read through it: the delta drops the compact half
-	bare.Apply(vrps[:1], vrps[1:2])
-	if bare.Stats().CompactHeld {
-		t.Fatal("an unread LiveIndex kept its compact half across a delta")
-	}
+	live.Apply(vrps[:1], vrps[1:2])
+	live.Apply(vrps[1:2], vrps[:1])
 
 	routes := benchRoutes(8192)
-	overlaid := liveWithOverlay(t, routes, 0.25)
-	if st := overlaid.Stats(); st.Marks < 1000 {
-		t.Fatalf("overlay of %d marks, want at least 1000", st.Marks)
-	}
 	edge := []Route{
 		{Prefix: prefix.MustParse("2001:db8:0:1:8000:1::/96"), Origin: 64500}, // below the /80 VRP
 		{Prefix: prefix.MustParse("2001:db8:0:1:4000::/96"), Origin: 64500},   // beside it
 		{Prefix: prefix.MustParse("2001:db8:7::/48"), Origin: 64500},
 		{Prefix: prefix.MustParse("3000::/16"), Origin: 64500}, // under no VRP
-		{Prefix: prefix.MustParse("2000::/7"), Origin: 64500},  // shorter than the IPv6 stride
+		{Prefix: prefix.MustParse("2000::/7"), Origin: 64500},  // shorter than /16, under the /6
 		{Prefix: prefix.MustParse("2000::/4"), Origin: 64500},  // and than its shortest VRP
-		{Prefix: prefix.MustParse("10.0.0.0/7"), Origin: 1},    // shorter than the IPv4 stride
+		{Prefix: prefix.MustParse("10.0.0.0/7"), Origin: 1},    // shorter than /16 and every VRP
 		{}, // not a prefix
 		routes[0],
 	}
 	mixed := append(slices.Clone(routes), edge...)
 	// The first batch of each kind grows its dst: the one allocation a caller
-	// can ask for, and all three tables must agree on what went into it.
+	// can ask for, and every entry point must agree on what went into it.
 	dst := ix.ValidateBatch(mixed, nil)
 	want := slices.Clone(dst)
 	if !slices.Equal(want[8192:8200], []State{Valid, Invalid, Valid, NotFound, Valid, NotFound, NotFound, NotFound}) {
 		t.Fatalf("edge routes classified %v", want[8192:])
 	}
 	for name, got := range map[string][]State{
-		"CompactIndex.ValidateBatch":       cx.ValidateBatch(mixed, nil),
-		"CompactIndex.ValidateBatchSorted": cx.ValidateBatchSorted(mixed, nil),
-		"LiveIndex.ValidateBatch":          live.ValidateBatch(mixed, nil),
+		"Index.ValidateBatchSorted": ix.ValidateBatchSorted(mixed, nil),
+		"LiveIndex.ValidateBatch":   live.ValidateBatch(mixed, nil),
 	} {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s disagrees with Index.ValidateBatch", name)
@@ -90,24 +79,14 @@ func TestValidateAllocs(t *testing.T) {
 			}
 		}},
 		{"Index.ValidateBatch", 0, func() { ix.ValidateBatch(mixed, dst) }},
-		{"CompactIndex.Validate", 0, func() {
-			for _, r := range edge {
-				cx.Validate(r.Prefix, r.Origin)
-			}
-		}},
-		{"CompactIndex.ValidateBatch", 0, func() { cx.ValidateBatch(mixed, dst) }},
-		{"CompactIndex.ValidateBatchSorted, a small batch", 0, func() { cx.ValidateBatchSorted(edge, dst) }},
-		{"CompactIndex.ValidateBatchSorted", 1, func() { cx.ValidateBatchSorted(mixed, dst) }},
+		{"Index.ValidateBatchSorted, a small batch", 0, func() { ix.ValidateBatchSorted(edge, dst) }},
+		{"Index.ValidateBatchSorted", 1, func() { ix.ValidateBatchSorted(mixed, dst) }},
 		{"LiveIndex.Validate", 0, func() {
 			for _, r := range edge {
 				live.Validate(r.Prefix, r.Origin)
 			}
 		}},
 		{"LiveIndex.ValidateBatch", 0, func() { live.ValidateBatch(mixed, dst) }},
-		{"LiveIndex.ValidateBatch without a compact half", 0, func() { bare.ValidateBatch(mixed, dst) }},
-		{"LiveIndex.Validate under an overlay, a touched route", 0, func() { overlaid.Validate(routes[0].Prefix, routes[0].Origin) }},
-		{"LiveIndex.Validate under an overlay, the last route", 0, func() { overlaid.Validate(routes[8191].Prefix, routes[8191].Origin) }},
-		{"LiveIndex.ValidateBatch under an overlay", 0, func() { overlaid.ValidateBatch(mixed, dst) }},
 	} {
 		if got := testing.AllocsPerRun(10, tc.fn); got != tc.want {
 			t.Errorf("%s: %v allocs/op, want %v", tc.name, got, tc.want)
@@ -196,14 +175,16 @@ func TestApplyAllocs(t *testing.T) {
 }
 
 // TestCompactAllocs is the gate on a compaction: of churnedTable, from the
-// snapshot that made it due, with nothing to catch up. It allocates five
-// times — the VRP stream it rebuilds from, then the build's index and three
-// slabs: the stream is in pre-order, so its spans are written in place, with
-// no terminal list — and no slab regrows. The node slabs it publishes are
-// src's lengths and a 32nd more, plus node 0, and the entry slab src's and a
-// 32nd more; and the cycle it starts fills the node slabs without growing one
-// up to the next compaction: at src's length exactly, half of roa_change's
-// cycles regrew a slab by a quarter.
+// snapshot that made it due, with nothing to catch up. It allocates six
+// times — the VRP stream it rebuilds from, then the build's index and four
+// slabs, the IPv4 family's page slab among them (the IPv6 family, with no
+// slot in use, shares the empty one): the stream is in pre-order, so its
+// spans are written in place, with no terminal list — and no slab regrows.
+// The node and page slabs it publishes are src's lengths and a 32nd more,
+// plus cell 0, and the entry slab src's and a 32nd more; and the cycle it
+// starts fills the node and page slabs without growing one up to the next
+// compaction: at src's length exactly, half of roa_change's cycles regrew a
+// slab by a quarter.
 func TestCompactAllocs(t *testing.T) {
 	tab, churn := churnedTable(t)
 	src := tab.Snapshot()
@@ -215,8 +196,8 @@ func TestCompactAllocs(t *testing.T) {
 		tab.compact(src, nil)
 	})
 	debug.SetGCPercent(gc)
-	if allocs != 5 {
-		t.Errorf("a compaction of %d VRPs: %v allocs, want 5", src.Len(), allocs)
+	if allocs != 6 {
+		t.Errorf("a compaction of %d VRPs: %v allocs, want 6", src.Len(), allocs)
 	}
 	got := tab.Snapshot()
 	for slot := range src.fams {
@@ -224,30 +205,38 @@ func TestCompactAllocs(t *testing.T) {
 			t.Fatalf("family %d: the rebuild's node slab holds %d cells, the slab it replaces %d", slot, c, n)
 		}
 	}
+	if c, n := cap(got.fams[0].pages), len(src.fams[0].pages); c != n+n/32+1 { // + page 0
+		t.Fatalf("the rebuild's IPv4 page slab holds %d pages, the slab it replaces %d", c, n)
+	}
 	if c, n := cap(got.entries), len(src.entries); c != n+n/32 {
 		t.Fatalf("the rebuild's entry slab holds %d cells, the slab it replaces %d", c, n)
 	}
 	capacity, _ := nodeCaps(got)
+	pages := cap(got.fams[0].pages)
 	deltas := 0
 	for ; !compactDue(tab); deltas++ {
 		churn()
 		if c, n := nodeCaps(tab.Snapshot()); c != capacity {
 			t.Fatalf("delta %d after the compaction: node slabs of %d cells for %d nodes, were %d", deltas+1, c, n, capacity)
 		}
+		if c := cap(tab.Snapshot().fams[0].pages); c != pages {
+			t.Fatalf("delta %d after the compaction: a page slab of %d pages, was %d", deltas+1, c, pages)
+		}
 	}
 	if deltas < 100 {
 		t.Fatalf("the next compaction was due after %d deltas", deltas)
 	}
-	t.Logf("%v allocs; node slabs of %d cells; the next compaction due after %d deltas", allocs, capacity, deltas)
+	t.Logf("%v allocs; node slabs of %d cells, a page slab of %d; the next compaction due after %d deltas", allocs, capacity, pages, deltas)
 }
 
 // TestIndexBuildAllocs is the gate on what a cold start's build allocates:
 // today's table in wire order is sized by the counting pass and its spans are
-// written in place, so the build is the index and its three slabs — no
-// regrowth, no terminal list, no wide slab: every key of an IPv4 table fits
-// in its node — and it allocates little beyond what the finished index
-// retains, which is at most 60 bytes a VRP. With v6Table's 9,000 IPv6 VRPs
-// added, /48s among them, the IPv6 family's wide slab is a fifth allocation,
+// written in place, so the build is the index and its four slabs — entries,
+// a node slab a family, the IPv4 family's pages; no regrowth, no terminal
+// list, no wide slab: every key of an IPv4 table fits in its node — and it
+// allocates little beyond what the finished index retains, which is at most
+// 60 bytes a VRP. With v6Table's 9,000 IPv6 VRPs added, /48s among them, the
+// IPv6 family's page slab and wide slab are a sixth and seventh allocation,
 // and the table still fits in 60 bytes a VRP. Counted with the collector off,
 // as TestCompactAllocs does: a cycle a build starts allocates too.
 func TestIndexBuildAllocs(t *testing.T) {
@@ -256,8 +245,8 @@ func TestIndexBuildAllocs(t *testing.T) {
 		vrps []rpki.VRP
 		want float64
 	}{
-		{"today", todayTable(t), 4},
-		{"today and IPv6", append(slices.Clone(todayTable(t)), v6Table()...), 5},
+		{"today", todayTable(t), 5},
+		{"today and IPv6", append(slices.Clone(todayTable(t)), v6Table()...), 7},
 	} {
 		ix := newIndexFromVRPs(c.vrps, nil)
 		vrps := ix.AppendVRPs(nil)
@@ -274,6 +263,9 @@ func TestIndexBuildAllocs(t *testing.T) {
 		for slot := range ix.fams {
 			f := &ix.fams[slot]
 			retained += uint64(cap(f.nodes))*uint64(unsafe.Sizeof(node{})) + uint64(cap(f.wide))*uint64(unsafe.Sizeof([2]uint64{}))
+			if len(f.pages) > 1 {
+				retained += uint64(cap(f.pages)) * uint64(unsafe.Sizeof(page{}))
+			}
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -291,13 +283,9 @@ func TestIndexBuildAllocs(t *testing.T) {
 	}
 }
 
-// TestCompactFromIndexAllocs is the gate on the compact derivation: the index
-// value, then per family with VRPs one node slab and one stride table, and
-// the shared entry slab, reserved to its exact length before it is filled.
-// On today's table, which is IPv4-only, that is 4. With four IPv6 VRPs added
-// it is 6: their few entries fit in the rounding of the IPv4 reservation. A
-// slab that regrows — an entry slab grown by append instead of reserved —
-// shows here. Counted with the collector off, as TestCompactAllocs does.
+// TestCompactFromIndexAllocs is the gate on the compact derivation, which is
+// no derivation: a compact index is its Index, on today's table and with four
+// IPv6 VRPs added, short ones among them, and taking one allocates nothing.
 func TestCompactFromIndexAllocs(t *testing.T) {
 	v4 := todayTable(t)
 	both := slices.Clone(v4)
@@ -310,15 +298,15 @@ func TestCompactFromIndexAllocs(t *testing.T) {
 		vrps []rpki.VRP
 		want float64
 	}{
-		{"today", v4, 4},
-		{"two families", both, 6},
+		{"today", v4, 0},
+		{"two families", both, 0},
 	} {
 		ix := newIndexFromVRPs(c.vrps, nil)
 		var cx *CompactIndex
 		gc := debug.SetGCPercent(-1)
 		allocs := testing.AllocsPerRun(5, func() { cx = CompactFromIndex(ix) })
 		debug.SetGCPercent(gc)
-		if cx.Len() != len(c.vrps) {
+		if cx != ix || cx.Len() != len(c.vrps) {
 			t.Fatalf("%s: a compact index of %d VRPs, want %d", c.name, cx.Len(), len(c.vrps))
 		}
 		if allocs != c.want {

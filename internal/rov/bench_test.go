@@ -82,40 +82,10 @@ func BenchmarkValidateBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkCompactFromIndex measures the derivation alone — the walk that
-// keeps the compact trie's nodes, aggregation and stride-table fill — over a
-// built Index: the price LiveIndex pays per rebuild, and per ResetTo on top of
-// BenchmarkIndexBuild.
-func BenchmarkCompactFromIndex(b *testing.B) {
-	ix := NewIndex(benchSet())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cx := CompactFromIndex(ix)
-		if cx.Len() != ix.Len() {
-			b.Fatal("short compact index")
-		}
-	}
-}
-
-// BenchmarkCompactBuild measures the compact build from a set: an Index
-// build plus the derivation.
-func BenchmarkCompactBuild(b *testing.B) {
-	s := benchSet()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cx := NewCompactIndex(s)
-		if cx.Len() != s.Len() {
-			b.Fatal("short compact index")
-		}
-	}
-}
-
-// BenchmarkCompactValidateBatch measures compact batch throughput over the
-// same 50k-VRP table and 8192-route batch as BenchmarkValidateBatch, plus
-// the sorted variant whose bucket pass trades a permutation allocation for
-// slab locality.
+// BenchmarkCompactValidateBatch measures the batch entry points over the same
+// 50k-VRP table and 8192-route batch as BenchmarkValidateBatch, through the
+// CompactIndex name: serial, the sorted variant whose bucket pass trades a
+// permutation allocation for slab locality, and four workers.
 func BenchmarkCompactValidateBatch(b *testing.B) {
 	cx := NewCompactIndex(benchSet())
 	routes := benchRoutes(8192)
@@ -145,10 +115,11 @@ func BenchmarkCompactValidateBatch(b *testing.B) {
 // the 50k-VRP table; clustered8 is roa_change's delta — eight /24s of one /21
 // — into today's table, where a pair path-copies the union of the eight paths
 // twice; clustered8-v6 is eight /48s of one of v6Table's /32s into today's
-// table and v6Table, through IPv6 keys kept whole. garbage-nodes/op is what
-// one pair leaves for compaction, counted before the timed loop on paths an
-// earlier pair has created, as they are in a table that has seen the edit
-// before.
+// table and v6Table, through IPv6 keys kept whole. garbage-nodes/op,
+// garbage-pages/op and garbage-B/op are what one pair leaves for compaction,
+// the bytes weighed as needCompact weighs them, counted before the timed loop
+// on paths an earlier pair has created, as they are in a table that has seen
+// the edit before.
 func BenchmarkLiveApply(b *testing.B) {
 	v6 := v6Table()
 	var eight []rpki.VRP
@@ -172,15 +143,17 @@ func BenchmarkLiveApply(b *testing.B) {
 			l.Apply(nil, c.delta)
 		}
 		pair()
-		before, _ := garbage(&l.tab)
+		n0, p0, _ := garbage(&l.Table)
 		pair()
-		after, _ := garbage(&l.tab)
+		n1, p1, _ := garbage(&l.Table)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pair()
 			}
-			b.ReportMetric(float64(after-before), "garbage-nodes/op")
+			b.ReportMetric(float64(n1-n0), "garbage-nodes/op")
+			b.ReportMetric(float64(p1-p0), "garbage-pages/op")
+			b.ReportMetric(float64(nodeBytes*(n1-n0)+pageBytes*(p1-p0)), "garbage-B/op")
 		})
 	}
 }
@@ -426,119 +399,24 @@ func BenchmarkLiveApplyLarge(b *testing.B) {
 // todaySize is today's table (Table 1's status-quo row after compression).
 const todaySize = 33615
 
-// liveWithOverlay returns a LiveIndex over today's table that readers have
-// paid for, with one path-copied delta applied that sends share of routes to
-// the Index: a /24 VRP at a route's base address marks the route's bits
-// in the overlay whether or not it covers the route. Routes are touched in
-// order until enough of them fall back.
-func liveWithOverlay(tb testing.TB, routes []Route, share float64) *LiveIndex {
-	l := NewLiveIndex(rpki.NewSet(benchSet().VRPs()[:todaySize]))
-	pay(l, routes)
-	var delta []rpki.VRP
-	var o overlay
-	for _, r := range routes {
-		fall := 0
-		for _, q := range routes {
-			if o.covers(q.Prefix) {
-				fall++
-			}
-		}
-		if float64(fall) >= share*float64(len(routes)) {
-			break
-		}
-		hi, _ := r.Prefix.Bits()
-		p, err := prefix.Make(prefix.IPv4, hi&^(1<<40-1), 0, 24)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		delta = append(delta, rpki.VRP{Prefix: p, MaxLength: 24, AS: 64511})
-		o.mark(delta[len(delta)-1:])
-	}
-	l.Apply(delta, nil)
-	if st := l.Stats(); len(delta) > 0 && (!st.CompactHeld || st.Marks != 2*len(delta) || st.RebuildsStarted != 0) {
-		tb.Fatalf("overlay state not reached: %+v", st)
-	}
-	return l
-}
-
 // BenchmarkLiveValidateBatch is what validate_churn's throughput is made of:
-// one 8,192-route batch through a LiveIndex over today's table with nothing
-// touched (CompactIndex.ValidateBatch plus one atomic add), with an overlay
-// sending 1 % and 5 % of the routes to the Index, and with no compact half.
+// one 8,192-route batch through a LiveIndex over today's table as built, and
+// after a path-copied delta, whose snapshot's pages and nodes on the delta's
+// paths sit apart from the build's.
 func BenchmarkLiveValidateBatch(b *testing.B) {
 	routes := benchRoutes(8192)
 	dst := make([]State, len(routes))
-	for _, c := range []struct {
-		name  string
-		share float64
-	}{{"quiet", 0}, {"overlay-1pct", 0.01}, {"overlay-5pct", 0.05}} {
-		l := liveWithOverlay(b, routes, c.share)
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			before := l.Stats()
-			for i := 0; i < b.N; i++ {
-				dst = l.ValidateBatch(routes, dst)
-			}
-			after := l.Stats()
-			b.ReportMetric(float64(after.FallbackRoutes-before.FallbackRoutes)/float64(b.N*len(routes)), "fallback-share")
-		})
-	}
-	idle := NewLiveIndex(rpki.NewSet(benchSet().VRPs()[:todaySize]))
-	idle.Apply([]rpki.VRP{markerVRP(0)}, nil) // nobody has read: the compact half goes
-	b.Run("bit-trie", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = idle.ValidateBatch(routes, dst)
-		}
-	})
-}
-
-// BenchmarkLiveApplyOverlay is validate_churn's delta — 32 table VRPs out, 32
-// /24s in, and back — into a LiveIndex that keeps its compact half, so that
-// each Apply also marks the overlay, beside one nobody validates through,
-// which drops the compact half at the first delta and marks nothing: the
-// difference is what the overlay costs the write path. The VRPs going out
-// are /16s and longer, as nearly all of a real table's are; benchSet's /8s
-// would each mark a block of 1,024 words.
-func BenchmarkLiveApplyOverlay(b *testing.B) {
-	var out []rpki.VRP
-	for _, v := range benchSet().VRPs()[:todaySize] {
-		if v.Prefix.Len() >= 16 && len(out) < 32 {
-			out = append(out, v)
-		}
-	}
-	in := make([]rpki.VRP, 32)
-	for k := range in {
-		in[k] = markerVRP(k)
-	}
-	// Readers keep paying for the compact half: a quarter of a rebuild's price
-	// between two applies, where the overlay fills (rebuildMarks, 2,024 marks
-	// an apply) in five at the least, so every rebuild due is paid for.
-	routes := benchRoutes(rebuildPaysAfter * todaySize / 4)
-	var dst []State
+	built := NewLiveIndex(rpki.NewSet(benchSet().VRPs()[:todaySize]))
+	churned := NewLiveIndex(rpki.NewSet(benchSet().VRPs()[:todaySize]))
+	churned.Apply(clustered8(the21, 64511), nil)
 	for _, c := range []struct {
 		name string
 		l    *LiveIndex
-	}{
-		{"marked", liveWithOverlay(b, routes, 0)},
-		{"idle", NewLiveIndex(rpki.NewSet(benchSet().VRPs()[:todaySize]))},
-	} {
+	}{{"quiet", built}, {"after-delta", churned}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					c.l.Apply(in, out)
-				} else {
-					c.l.Apply(out, in)
-				}
-				if c.name == "marked" {
-					b.StopTimer()
-					dst = c.l.ValidateBatch(routes, dst)
-					b.StartTimer()
-				}
-			}
-			if st := c.l.Stats(); st.CompactHeld != (c.name == "marked") {
-				b.Fatalf("%+v", st)
+				dst = c.l.ValidateBatch(routes, dst)
 			}
 		})
 	}

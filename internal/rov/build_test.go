@@ -46,12 +46,14 @@ func v6Table() []rpki.VRP {
 }
 
 // insertLoopIndex is the reference the finger builder is held to: every VRP
-// inserted by a descent from the root into a slab hinted at one node per VRP
-// — through every child whose key its prefix extends, to its node or to the
-// child its key parts from, which moves under a new branch point (appended
-// first) or under the prefix's new node — each node's entries gathered, a
-// repeat dropped, and the spans laid out sorted, in node order, IPv4's first,
-// after the reserved cell.
+// inserted by a descent into a slab hinted at one node per VRP — a prefix
+// shorter than /16 from the short-prefix trie's root, a longer one from its
+// slot, whose pages are appended as the first VRP in them needs them, the top
+// page first — through every child whose key its prefix extends, to its node
+// or to the child its key parts from, which moves under a new branch point
+// (appended first) or under the prefix's new node — each node's entries
+// gathered, a repeat dropped, and the spans laid out sorted, in node order,
+// IPv4's first, after the reserved cell.
 func insertLoopIndex(vrps []rpki.VRP) *Index {
 	ix := &Index{version: versions.Add(1), entries: make([]entry, 1)}
 	for _, v := range vrps {
@@ -59,6 +61,7 @@ func insertLoopIndex(vrps []rpki.VRP) *Index {
 	}
 	for slot := range ix.fams {
 		ix.fams[slot].nodes = make([]node, 1, ix.fams[slot].size+1)
+		ix.fams[slot].pages = make([]page, 1)
 	}
 	spans := [2]map[int32][]entry{{}, {}}
 	for _, v := range vrps {
@@ -68,25 +71,54 @@ func insertLoopIndex(vrps []rpki.VRP) *Index {
 			hi, lo := k.Bits()
 			return f.push(k.Len(), hi, lo)
 		}
+		newPage := func() int32 {
+			f.pages = append(f.pages, page{})
+			return int32(len(f.pages) - 1)
+		}
+		hi, _ := p.Bits()
+		s, head, leaf := uint32(hi>>48), p.Len() >= 16, int32(0)
+		if head {
+			if f.top == 0 {
+				f.top = newPage()
+			}
+			leaf = f.top
+			for shift := 12; shift > 0; shift -= 4 {
+				if f.pages[leaf][s>>shift&15] == 0 {
+					pg := newPage()
+					f.pages[leaf][s>>shift&15] = pg
+				}
+				leaf = f.pages[leaf][s>>shift&15]
+			}
+		}
 		idx := f.root
-		for f.nodes[idx].plen < p.Len() {
-			bit := p.Bit(f.nodes[idx].plen)
-			c := f.nodes[idx].children[bit]
+		for head || f.nodes[idx].plen < p.Len() {
+			var c int32
+			var put func(int32)
+			if head {
+				c = f.pages[leaf][s&15]
+				put = func(x int32) { f.pages[leaf][s&15] = x }
+			} else {
+				up, bit := idx, p.Bit(f.nodes[idx].plen)
+				c = f.nodes[up].children[bit]
+				put = func(x int32) { f.nodes[up].children[bit] = x }
+			}
+			head = false
 			if c == 0 {
 				c = add(p)
-				f.nodes[idx].children[bit] = c
+				put(c)
 			} else if ck := f.prefix(p.Family(), c); !ck.Contains(p) {
 				if d := prefix.CommonPrefixLen(ck, p); d < p.Len() {
 					hi, lo := p.Bits()
 					b := add(keyPrefix(p.Family(), hi, lo, d))
 					f.nodes[b].children[ck.Bit(d)] = c
-					f.nodes[idx].children[bit] = b
+					put(b)
 					c = add(p)
 					f.nodes[b].children[p.Bit(d)] = c
 				} else {
 					k := add(p)
 					f.nodes[k].children[ck.Bit(p.Len())] = c
-					f.nodes[idx].children[bit], c = k, k
+					put(k)
+					c = k
 				}
 			}
 			idx = c
@@ -112,9 +144,9 @@ func insertLoopIndex(vrps []rpki.VRP) *Index {
 	return ix
 }
 
-// checkSameSlabs fails unless got and want are the same trie: node slabs
-// child for child and key for key, wide slabs, roots, sizes, and at every
-// node the same span. With cells, they are the same index cell for cell, span
+// checkSameSlabs fails unless got and want are the same index: page slabs
+// page for page, node slabs child for child and key for key, wide slabs,
+// roots, sizes, and at every node the same span. With cells, they are the same index cell for cell, span
 // offsets and entry slab included: what two builds in the trie's pre-order
 // make. A build from other input places its spans by counting, which leaves a
 // repeated VRP's cell unused.
@@ -124,6 +156,9 @@ func checkSameSlabs(t *testing.T, name string, got, want *Index, cells bool) {
 		g, w := &got.fams[slot], &want.fams[slot]
 		if g.root != w.root || g.size != w.size {
 			t.Fatalf("%s, family %d: root %d size %d, want %d and %d", name, slot, g.root, g.size, w.root, w.size)
+		}
+		if g.top != w.top || !slices.Equal(g.pages, w.pages) {
+			t.Fatalf("%s, family %d: top page %d of %d, want %d of %d (or other pages)", name, slot, g.top, len(g.pages), w.top, len(w.pages))
 		}
 		if len(g.nodes) != len(w.nodes) || !slices.Equal(g.wide, w.wide) {
 			t.Fatalf("%s, family %d: %d nodes, %d wide keys, want %d and %d (or other keys)", name, slot, len(g.nodes), len(g.wide), len(w.nodes), len(w.wide))

@@ -70,58 +70,24 @@ func TestCompactIndexMatchesIndex(t *testing.T) {
 	}
 }
 
-// preorder returns the slab indices of the nodes reachable from f's root, in
-// pre-order of the key space: a DFS over the child links, which does not
-// assume the slab order it is used to check.
-func preorder(f *famCompact) []int32 {
-	var out []int32
-	if len(f.nodes) == 0 {
-		return out
-	}
-	stack := []int32{0}
-	for len(stack) > 0 {
-		idx := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, idx)
-		for bit := 1; bit >= 0; bit-- {
-			if c := f.nodes[idx].children[bit]; c != 0 {
-				stack = append(stack, c)
-			}
-		}
-	}
-	return out
-}
-
-// keptNodes renders one family's compact trie as "key=own entries" in
-// pre-order, and checks that pre-order is slab order: CompactFromIndex
-// allocates the nodes it keeps as its pre-order walk meets them, and
-// AppendVRPs reads the slab in index order on that account.
-func keptNodes(t *testing.T, cx *CompactIndex, slot int) []string {
-	t.Helper()
-	f := &cx.fams[slot]
+// keptNodes renders one family's tries as "key=entries", in the canonical
+// order walkAll hands them over: the nodes the Index keeps, the short-prefix
+// trie's root first.
+func keptNodes(ix *Index, slot int) []string {
+	f := &ix.fams[slot]
 	var out []string
-	for _, idx := range preorder(f) {
-		if int(idx) != len(out) {
-			t.Fatalf("pre-order visit %d is slab node %d: the slab is not in pre-order", len(out), idx)
-		}
-		nd := &f.nodes[idx]
-		own := 0
-		for _, e := range cx.entries[nd.span.off : nd.span.off+nd.span.n] {
-			if e.plen == nd.plen {
-				own++
-			}
-		}
-		out = append(out, fmt.Sprintf("%s=%d", nd.key(slotFamily(slot)), own))
-	}
-	if len(out) != len(f.nodes) {
-		t.Fatalf("pre-order reached %d of %d slab nodes", len(out), len(f.nodes))
-	}
+	f.walkAll(func(i int32) bool {
+		out = append(out, fmt.Sprintf("%s=%d", f.prefix(slotFamily(slot), i), len(span(ix.entries, f.nodes[i].off))))
+		return true
+	})
 	return out
 }
 
-// TestCompactFromIndexKeptNodes pins which Index nodes the derivation
-// keeps, key set by key set: a node per key, a payload-free node wherever two
-// keys part ways below the root, the root always, and nothing else.
+// TestCompactFromIndexKeptNodes pins which nodes the Index keeps, key set by
+// key set: the short-prefix trie's /0 root always, a node per key, a
+// payload-free node wherever two keys of the short-prefix trie or of one slot
+// part ways, at /16 at the least, and nothing else: no branch point above /16
+// between two slots.
 func TestCompactFromIndexKeptNodes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -130,12 +96,14 @@ func TestCompactFromIndexKeptNodes(t *testing.T) {
 	}{
 		{"one key under the root", []string{"10.0.0.0/8"},
 			[]string{"0.0.0.0/0=0", "10.0.0.0/8=1"}},
-		{"an edge spliced where two keys part", []string{"10.0.0.0/16", "10.64.0.0/16"},
-			[]string{"0.0.0.0/0=0", "10.0.0.0/9=0", "10.0.0.0/16=1", "10.64.0.0/16=1"}},
+		{"two slots, no branch point above them", []string{"10.0.0.0/16", "10.64.0.0/16"},
+			[]string{"0.0.0.0/0=0", "10.0.0.0/16=1", "10.64.0.0/16=1"}},
+		{"a branch point at a slot's /16", []string{"10.0.0.0/17", "10.0.128.0/17"},
+			[]string{"0.0.0.0/0=0", "10.0.0.0/16=0", "10.0.0.0/17=1", "10.0.128.0/17=1"}},
 		{"a key extending a key", []string{"10.0.0.0/8", "10.0.0.0/16", "10.0.128.0/17"},
 			[]string{"0.0.0.0/0=0", "10.0.0.0/8=1", "10.0.0.0/16=1", "10.0.128.0/17=1"}},
-		{"a branch above two leaves, under a key", []string{"10.0.0.0/8", "10.0.0.0/16", "10.0.128.0/17", "10.64.0.0/16", "11.0.0.0/8", "11.0.0.0/8", "192.168.0.0/16"},
-			[]string{"0.0.0.0/0=0", "10.0.0.0/7=0", "10.0.0.0/8=1", "10.0.0.0/9=0", "10.0.0.0/16=1", "10.0.128.0/17=1", "10.64.0.0/16=1", "11.0.0.0/8=2", "192.168.0.0/16=1"}},
+		{"short keys branching, slots between them", []string{"10.0.0.0/8", "10.0.0.0/16", "10.0.128.0/17", "10.64.0.0/16", "11.0.0.0/8", "11.0.0.0/8", "192.168.0.0/16"},
+			[]string{"0.0.0.0/0=0", "10.0.0.0/7=0", "10.0.0.0/8=1", "10.0.0.0/16=1", "10.0.128.0/17=1", "10.64.0.0/16=1", "11.0.0.0/8=2", "192.168.0.0/16=1"}},
 		{"the /0 key", []string{"0.0.0.0/0", "0.0.0.0/0", "128.0.0.0/1"},
 			[]string{"0.0.0.0/0=2", "128.0.0.0/1=1"}},
 		{"128-bit keys", []string{"2001:db8::/32", "2001:db8::1/128", "2001:db8::2/128"},
@@ -146,22 +114,23 @@ func TestCompactFromIndexKeptNodes(t *testing.T) {
 			p := prefix.MustParse(k)
 			vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: p.Len(), AS: rpki.ASN(64500 + i)})
 		}
-		cx := CompactFromIndex(newIndexFromVRPs(vrps, nil))
+		ix := CompactFromIndex(newIndexFromVRPs(vrps, nil))
 		slot := famSlot(vrps[0].Prefix.Family())
-		if got := keptNodes(t, cx, slot); !reflect.DeepEqual(got, tc.want) {
+		if got := keptNodes(ix, slot); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s:\n got %v\nwant %v", tc.name, got, tc.want)
 		}
-		if other := &cx.fams[1-slot]; other.slots != nil || len(other.nodes) != 0 {
-			t.Errorf("%s: the family without VRPs was built", tc.name)
+		if other := &ix.fams[1-slot]; other.top != 0 || len(other.nodes) != 1 {
+			t.Errorf("%s: the family without VRPs holds %d nodes and a top page %d", tc.name, len(other.nodes), other.top)
 		}
+		checkShape(t, tc.name, ix)
 	}
 }
 
-// TestCompactFromIndexRandom derives compact tries from random key sets of
-// both families and checks the structural invariants: every key resolves to
-// a node carrying its entry, every non-root node strictly extends its parent,
-// payload-free nodes below the root branch, and (keptNodes) the slab is the
-// canonical pre-order.
+// TestCompactFromIndexRandom builds from random key sets of both families,
+// lengths /0 up, and checks the structural invariants: every key resolves to
+// a node carrying its entry, the tries are in shape (shapeError: keys extend
+// their parents', payload-free nodes branch, each slot's trie holds its /16's
+// keys and nothing shorter), and nothing else is kept.
 func TestCompactFromIndexRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -181,33 +150,15 @@ func TestCompactFromIndexRandom(t *testing.T) {
 			}
 			vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: l, AS: 1})
 		}
-		cx := CompactFromIndex(newIndexFromVRPs(vrps, nil))
-		f := &cx.fams[slot]
+		ix := CompactFromIndex(newIndexFromVRPs(vrps, nil))
+		checkShape(t, fmt.Sprintf("trial %d", trial), ix)
 		own := make(map[string]bool)
-		for _, k := range keptNodes(t, cx, slot) {
+		for _, k := range keptNodes(ix, slot) {
 			own[k] = true
 		}
 		for _, v := range vrps {
 			if !own[v.Prefix.String()+"=1"] {
 				t.Fatalf("trial %d: key %s has no node carrying its entry", trial, v.Prefix)
-			}
-		}
-		for _, idx := range preorder(f) {
-			nd := &f.nodes[idx]
-			k := nd.key(fam)
-			kids := 0
-			for bit, c := range nd.children {
-				if c == 0 {
-					continue
-				}
-				kids++
-				ck := f.nodes[c].key(fam)
-				if ck.Len() <= k.Len() || !k.Contains(ck) || ck.Bit(k.Len()) != uint8(bit) {
-					t.Fatalf("trial %d: %s is child %d of %s", trial, ck, bit, k)
-				}
-			}
-			if idx != 0 && kids < 2 && !own[k.String()+"=1"] {
-				t.Fatalf("trial %d: payload-free node %s has %d children", trial, k, kids)
 			}
 		}
 	}
@@ -280,14 +231,14 @@ func TestCompactFromIndexGarbageSnapshot(t *testing.T) {
 	}
 }
 
-// TestCompactIndexStride16 crosses the stride cutoff (a 65536-slot table)
-// with a dense random IPv4 load and checks against the Index on queries that
-// include sub-stride lengths, so both the wide slot table and the
-// plen-filtered aggregate scan are exercised at scale.
+// TestCompactIndexStride16 loads the radix root's /16 stride densely — a
+// random IPv4 table from /6 down, a VRP in most slots and short prefixes over
+// many — and checks it against the Reference on queries of every length, so
+// both the short-prefix trie and the slots' tries answer at scale.
 func TestCompactIndexStride16(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	var vrps []rpki.VRP
-	for i := 0; i < strideCutoff+2000; i++ {
+	for i := 0; i < 6096; i++ {
 		l := uint8(6 + rng.Intn(27))
 		p, err := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
 		if err != nil {
@@ -298,10 +249,8 @@ func TestCompactIndexStride16(t *testing.T) {
 	}
 	set := rpki.NewSet(vrps)
 	ix := NewIndex(set)
-	cx := NewCompactIndex(set)
-	if got := cx.fams[0].stride; got != 16 {
-		t.Fatalf("IPv4 stride = %d, want 16", got)
-	}
+	ref := NewReference(set)
+	checkShape(t, "the dense table", ix)
 	for i := 0; i < 20000; i++ {
 		l := uint8(rng.Intn(33))
 		p, err := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
@@ -309,54 +258,52 @@ func TestCompactIndexStride16(t *testing.T) {
 			t.Fatal(err)
 		}
 		as := rpki.ASN(rng.Intn(500))
-		if got, want := cx.Validate(p, as), ix.Validate(p, as); got != want {
-			t.Fatalf("compact.Validate(%s, AS%d) = %v, index says %v", p, as, got, want)
+		if got, want := ix.Validate(p, as), ref.Validate(p, as); got != want {
+			t.Fatalf("Validate(%s, AS%d) = %v, reference says %v", p, as, got, want)
 		}
 	}
 }
 
-// checkSlotSpans repaints cx's stride tables with the painter the build once
-// ran as a pass of its own — every node at or above the stride writes its
-// aggregate over its whole slot range, in pre-order, so a slot ends up with
-// its deepest covering one — and compares every slot's span by content: the
-// build skips the writes that would not change what a slot holds, so offsets
-// may differ where entries cannot.
-func checkSlotSpans(t *testing.T, name string, cx *CompactIndex) {
+// checkSlotSpans fails unless every slot's trie holds the VRPs of its /16 and
+// the short-prefix trie those shorter than /16, each exactly once: a slot's
+// keys start with its 16 bits and are /16 or longer, and the two walks
+// together stream the table.
+func checkSlotSpans(t *testing.T, name string, ix *Index) {
 	t.Helper()
-	for slot := range cx.fams {
-		f := &cx.fams[slot]
-		if f.slots == nil {
-			continue
-		}
-		want := make([]cspan, len(f.slots))
-		for _, idx := range preorder(f) {
-			nd := &f.nodes[idx]
-			if nd.plen > f.stride {
-				continue
+	n := 0
+	for slot := range ix.fams {
+		f := &ix.fams[slot]
+		f.walk(f.root, func(i int32) bool {
+			if f.nodes[i].plen >= radixBits {
+				t.Fatalf("%s: %s in the short-prefix trie", name, f.prefix(slotFamily(slot), i))
 			}
-			base := nd.hi >> f.shift
-			for s := base; s < base+1<<(f.stride-nd.plen); s++ {
-				want[s] = nd.span
-			}
-		}
-		for s, w := range want {
-			g := f.slots[s].span
-			if !slices.Equal(cx.entries[g.off:g.off+g.n], cx.entries[w.off:w.off+w.n]) {
-				t.Fatalf("%s: %v slot %#x holds %v, painted always it holds %v", name, slotFamily(slot), s,
-					cx.entries[g.off:g.off+g.n], cx.entries[w.off:w.off+w.n])
-			}
-		}
+			n += len(span(ix.entries, f.nodes[i].off))
+			return true
+		})
+		f.slots(0, 1<<radixBits, func(s uint32, root int32) bool {
+			f.walk(root, func(i int32) bool {
+				if hi, _ := f.key(i); uint32(hi>>(64-radixBits)) != s || f.nodes[i].plen < radixBits {
+					t.Fatalf("%s: %s in slot %#x", name, f.prefix(slotFamily(slot), i), s)
+				}
+				n += len(span(ix.entries, f.nodes[i].off))
+				return true
+			})
+			return true
+		})
+	}
+	if n != ix.Len() {
+		t.Fatalf("%s: the short-prefix tries and the slots hold %d VRPs, the index %d", name, n, ix.Len())
 	}
 }
 
-// TestCompactSlotSpans runs checkSlotSpans on today's table (a 16-bit IPv4
-// table, an 8-bit IPv6 one) and on a table with entries at every level above
-// the stride, where a paint skipped wrongly would lose one.
+// TestCompactSlotSpans runs checkSlotSpans on today's table, which has no VRP
+// shorter than /16, and on one with entries at every length from /0, before
+// and after a delta.
 func TestCompactSlotSpans(t *testing.T) {
-	checkSlotSpans(t, "today", CompactFromIndex(newIndexFromVRPs(todayTable(t), nil)))
+	checkSlotSpans(t, "today", newIndexFromVRPs(todayTable(t), nil))
 	rng := rand.New(rand.NewSource(61))
 	var vrps []rpki.VRP
-	for i := 0; i < strideCutoff+500; i++ {
+	for i := 0; i < 4596; i++ {
 		l := uint8(rng.Intn(25)) // a third of them above /8, two thirds above /16
 		p, err := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
 		if err != nil {
@@ -364,11 +311,10 @@ func TestCompactSlotSpans(t *testing.T) {
 		}
 		vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: l, AS: rpki.ASN(rng.Intn(50))})
 	}
-	cx := CompactFromIndex(newIndexFromVRPs(vrps, nil))
-	if cx.fams[0].stride != 16 {
-		t.Fatalf("IPv4 stride = %d, want 16", cx.fams[0].stride)
-	}
-	checkSlotSpans(t, "short prefixes", cx)
+	tab := NewTable(vrps)
+	checkSlotSpans(t, "short prefixes", tab.Snapshot())
+	pathCopy(tab, vrps[:100:100], vrps[100:200])
+	checkSlotSpans(t, "short prefixes after a delta", tab.Snapshot())
 }
 
 // TestCompactIndexEdgeCases covers the table shapes the stride/aggregate

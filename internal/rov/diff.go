@@ -60,10 +60,14 @@ func diffOrder(a, b rpki.VRP) int {
 }
 
 // walkDiff is Diff by the lockstep walk, whatever the two versions: it pairs
-// nodes by key down both tries in pre-order. A key only one side holds is that
-// side's alone, and so is a subtree whose key the other side lacks (-1), which
-// goes to that side's walk whole. In one lineage a pair of equal indices is
-// one subtree, skipped; so is a pair of spans at one offset: the same cells.
+// the two sides' short-prefix tries, and their slots, and pairs nodes by key
+// down both tries in pre-order. A key only one side holds is that side's
+// alone, and so is a subtree whose key the other side lacks (-1), which goes
+// to that side's walk whole. In one lineage a pair of equal indices is one
+// subtree, skipped, and a pair of equal pages the same slots; so is a pair of
+// spans at one offset: the same cells. The slots are walked in the short
+// tries' pre-order, each just before the first short node past it, as
+// walkAll does, so the output is in canonical order.
 func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	// The sizes bound one side's result from below: a capacity hint, exact
 	// against an empty table; equal sizes allocate nothing until they differ.
@@ -74,30 +78,39 @@ func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 	}
 	var fam prefix.Family // the family being walked
 	var fo, fn *famIndex
+	var shared bool
+	var next uint32 // the first slot not walked yet
+	var pairs func(at pair)
+	// upTo walks the slots before slot to that either side holds, each pair
+	// of subtrees whole: a no-op for a node of a slot walked already.
+	upTo := func(to uint32) {
+		if from := next; to > from {
+			next = to
+			pairSlots(fo, fn, shared, fo.top, fn.top, 12, 0, from, to, func(_ uint32, a, b int32) {
+				pairs(pair{side(a), side(b)})
+			})
+		}
+	}
+	emit := func(i int32, f *famIndex) prefix.Prefix {
+		hi, _ := f.key(i)
+		upTo(uint32(hi >> (64 - radixBits)))
+		return f.prefix(fam, i)
+	}
 	onlyOld := func(i int32) bool {
 		if off := fo.nodes[i].off; off != 0 {
-			withdrawn = appendEntryDiff(withdrawn, fo.prefix(fam, i), span(old.entries, off), nil)
+			withdrawn = appendEntryDiff(withdrawn, emit(i, fo), span(old.entries, off), nil)
 		}
 		return true
 	}
 	onlyNew := func(i int32) bool {
 		if off := fn.nodes[i].off; off != 0 {
-			announced = appendEntryDiff(announced, fn.prefix(fam, i), span(nw.entries, off), nil)
+			announced = appendEntryDiff(announced, emit(i, fn), span(nw.entries, off), nil)
 		}
 		return true
 	}
-	type pair struct{ a, b int32 } // in old's and nw's node slab; -1 where absent
-	side := func(c int32) int32 {
-		if c == 0 {
-			return -1
-		}
-		return c
-	}
-	for slot := range old.fams {
-		fo, fn, fam = &old.fams[slot], &nw.fams[slot], slotFamily(slot)
-		shared := fo.sameLineage(fn)
+	pairs = func(at pair) {
 		var pending [130]pair // a later subtree per bit of the deepest pair's keys, and its two
-		pending[0] = pair{fo.root, fn.root}
+		pending[0] = at
 		for top := 1; top > 0; {
 			top--
 			at := pending[top]
@@ -115,39 +128,80 @@ func walkDiff(old, nw *Index) (announced, withdrawn []rpki.VRP) {
 			ahi, alo := fo.key(at.a)
 			bhi, blo := fn.key(at.b)
 			d := min(commonBits(ahi, alo, bhi, blo), na.plen, nb.plen)
-			var next [2]pair // by the bit at d: the subtrees to visit next, 0 first
+			var sub [2]pair // by the bit at d: the subtrees to visit next, 0 first
 			switch {
 			case d == na.plen && d == nb.plen:
 				if oo, on := na.off, nb.off; (oo != 0 || on != 0) && !(shared && oo == on) {
-					p := fo.prefix(fam, at.a)
+					p := emit(at.a, fo)
 					eo, en := span(old.entries, oo), span(nw.entries, on)
 					announced = appendEntryDiff(announced, p, en, eo)
 					withdrawn = appendEntryDiff(withdrawn, p, eo, en)
 				}
-				for bit := range next {
-					next[bit] = pair{side(na.children[bit]), side(nb.children[bit])}
+				for bit := range sub {
+					sub[bit] = pair{side(na.children[bit]), side(nb.children[bit])}
 				}
 			case d == na.plen: // old's key is a prefix of nw's
 				onlyOld(at.a)
 				bit := addrBit(bhi, blo, d)
-				next[bit], next[1-bit] = pair{side(na.children[bit]), at.b}, pair{side(na.children[1-bit]), -1}
+				sub[bit], sub[1-bit] = pair{side(na.children[bit]), at.b}, pair{side(na.children[1-bit]), -1}
 			case d == nb.plen: // nw's key is a prefix of old's
 				onlyNew(at.b)
 				bit := addrBit(ahi, alo, d)
-				next[bit], next[1-bit] = pair{at.a, side(nb.children[bit])}, pair{-1, side(nb.children[1-bit])}
+				sub[bit], sub[1-bit] = pair{at.a, side(nb.children[bit])}, pair{-1, side(nb.children[1-bit])}
 			default: // the keys part at bit d
 				bit := addrBit(ahi, alo, d)
-				next[bit], next[1-bit] = pair{at.a, -1}, pair{-1, at.b}
+				sub[bit], sub[1-bit] = pair{at.a, -1}, pair{-1, at.b}
 			}
 			for bit := 1; bit >= 0; bit-- { // the 0 side on top: it is next
-				if next[bit].a >= 0 || next[bit].b >= 0 {
-					pending[top] = next[bit]
+				if sub[bit].a >= 0 || sub[bit].b >= 0 {
+					pending[top] = sub[bit]
 					top++
 				}
 			}
 		}
 	}
+	for slot := range old.fams {
+		fo, fn, fam = &old.fams[slot], &nw.fams[slot], slotFamily(slot)
+		shared, next = fo.sameLineage(fn), 0
+		pairs(pair{fo.root, fn.root})
+		upTo(1 << radixBits)
+	}
 	return announced, withdrawn
+}
+
+// pair is a node of each side's trie, in old's and nw's node slab; -1 where
+// absent.
+type pair struct{ a, b int32 }
+
+// side is a child's or slot's index as a side of a pair: -1 for none.
+func side(c int32) int32 {
+	if c == 0 {
+		return -1
+	}
+	return c
+}
+
+// pairSlots hands fn, in order, each slot of [from, to) under the pages pa of
+// fa and pb of fb, at shift, whose subtree roots differ: a, b, either 0 for
+// none. In one lineage, equal pages hold the same slots and are skipped; page
+// 0 is empty on every side.
+func pairSlots(fa, fb *famIndex, shared bool, pa, pb int32, shift, base, from, to uint32, fn func(s uint32, a, b int32)) {
+	if pa == pb && (shared || pa == 0) {
+		return
+	}
+	for i := range uint32(16) {
+		lo := base | i<<shift
+		if lo+1<<shift <= from || lo >= to {
+			continue
+		}
+		ca, cb := fa.pages[pa][i], fb.pages[pb][i]
+		switch {
+		case shift > 0:
+			pairSlots(fa, fb, shared, ca, cb, shift-4, lo, from, to, fn)
+		case ca != cb || !shared && ca != 0:
+			fn(lo, ca, cb)
+		}
+	}
 }
 
 // appendEntryDiff appends, as VRPs at p, every entry of have that is absent

@@ -215,9 +215,9 @@ func TestDiffSurvivesCompactionAndReset(t *testing.T) {
 	}
 
 	// A compaction: the same version in fresh slabs.
-	waitCompactor(t, &l.tab)
+	waitCompactor(t, &l.Table)
 	cur := l.Snapshot()
-	l.tab.compact(cur, nil)
+	l.Table.compact(cur, nil)
 	if compacted := l.Snapshot(); compacted.version != cur.version || compacted.fams[0].sameLineage(&cur.fams[0]) {
 		t.Fatal("the compaction did not publish its rebuild in the snapshot's place")
 	}
@@ -510,8 +510,9 @@ func TestDiffWalkSharedArenaVisitsOnlyCopiedPaths(t *testing.T) {
 	if announced, withdrawn := Diff(old, nw); !slices.Equal(announced, []rpki.VRP{added}) || len(withdrawn) != 0 {
 		t.Fatalf("over one forged lineage, Diff is +%v -%v; want only +%v, the copied path's", announced, withdrawn, added)
 	}
-	// Equal roots in one lineage: nothing to walk at all.
-	nw.fams[0].root = old.fams[0].root
+	// Equal roots in one lineage, the short-prefix trie's and the radix
+	// root's: nothing to walk at all.
+	nw.fams[0].root, nw.fams[0].top = old.fams[0].root, old.fams[0].top
 	if announced, withdrawn := Diff(old, nw); len(announced)+len(withdrawn) != 0 {
 		t.Fatalf("equal roots in one lineage: Diff is +%v -%v, want nothing", announced, withdrawn)
 	}

@@ -107,7 +107,7 @@ func FuzzIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		state := map[rpki.VRP]struct{}{}
 		live := NewLiveIndex(rpki.NewSet(nil))
-		shapes := checkShapes(t, &live.tab)
+		shapes := checkShapes(t, &live.Table)
 		var queries []Route
 		var given []rpki.VRP   // every announce, in stream order
 		var ann, wd []rpki.VRP // the open batch
@@ -161,9 +161,9 @@ func FuzzIndex(f *testing.F) {
 				Route{Prefix: v.Prefix, Origin: v.AS + 1})
 		}
 		set := rpki.NewSet(vrps)
-		ix, cx, ref := NewIndex(set), NewCompactIndex(set), NewReference(set)
-		if ix.Len() != set.Len() || cx.Len() != set.Len() || live.Len() != set.Len() {
-			t.Fatalf("index %d / compact %d / live %d / set %d VRPs", ix.Len(), cx.Len(), live.Len(), set.Len())
+		ix, ref := NewIndex(set), NewReference(set)
+		if ix.Len() != set.Len() || live.Len() != set.Len() {
+			t.Fatalf("index %d / live %d / set %d VRPs", ix.Len(), live.Len(), set.Len())
 		}
 		ordered := newIndexFromVRPs(given, nil)
 		checkShape(t, "the build of the set", ix)
@@ -175,14 +175,11 @@ func FuzzIndex(f *testing.F) {
 			if got := ix.Validate(q.Prefix, q.Origin); got != want {
 				t.Fatalf("Index.Validate(%s, %v) = %v, reference %v", q.Prefix, q.Origin, got, want)
 			}
-			if got := cx.Validate(q.Prefix, q.Origin); got != want {
-				t.Fatalf("CompactIndex.Validate(%s, %v) = %v, reference %v", q.Prefix, q.Origin, got, want)
-			}
 			if got := live.Validate(q.Prefix, q.Origin); got != want {
 				t.Fatalf("LiveIndex.Validate(%s, %v) = %v, reference %v", q.Prefix, q.Origin, got, want)
 			}
 		}
-		waitCompactor(t, &live.tab)
+		waitCompactor(t, &live.Table)
 		shapes()
 	})
 }
@@ -196,58 +193,100 @@ func pathCopy(tab *Table, announce, withdraw []rpki.VRP) {
 	tab.applyDelta(tab.cur.Load(), announce, withdraw)
 }
 
-// FuzzCompactIndex aims the fuzzer at the compact build itself: the same op
-// encoding as FuzzIndex, but after every announce/withdraw the compact index
-// is rebuilt from the current table and cross-examined against the arena
-// Index — the per-delta differential — and the final table additionally goes
-// through CompactFromIndex twice — from the fresh Index and from the snapshot
-// of a Table every delta was path-copied into, garbage and all — the
-// Reference, and an exact AppendVRPs comparison. Query ops probe both
-// families at fuzzer-chosen lengths, including sub-stride ones.
+// radixOp decodes one 8-byte op as fuzzOp does, but aims its prefix at the
+// radix root: len's low two bits pick a length class — /0–/15, the short-prefix
+// trie's; /15–/17, a slot's edges; any length of the family; or, for IPv6,
+// past /32, with address bits in both words — and the address bytes, the
+// second quad byte-swapped from the first, fill the whole key.
+func radixOp(t *testing.T, op []byte) rpki.VRP {
+	fam, famMax := prefix.IPv4, uint8(32)
+	if op[0]&8 != 0 {
+		fam, famMax = prefix.IPv6, 128
+	}
+	var l uint8
+	switch k := op[5] >> 2; op[5] & 3 {
+	case 0:
+		l = k % 16
+	case 1:
+		l = 15 + k%3
+	case 2:
+		l = k % (famMax + 1)
+	default:
+		l = famMax/4 + 1 + k%(famMax-famMax/4)
+	}
+	a := uint64(binary.BigEndian.Uint32(op[1:5]))
+	hi, lo := a<<32, uint64(0)
+	if fam == prefix.IPv6 {
+		b := uint64(binary.LittleEndian.Uint32(op[1:5]))
+		hi, lo = a<<32|b, b<<32|a
+	}
+	p, err := prefix.Make(fam, hi, lo, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rpki.VRP{Prefix: p, MaxLength: l + op[6]%(famMax-l+1), AS: rpki.ASN(op[7]) % 8}
+}
+
+// FuzzCompactIndex is a differential of Index.Validate and ValidateBatch
+// against the Reference, aimed at the radix root (radixOp: short prefixes,
+// slot edges, IPv6 keys past 32 bits, both families): tag%3 announces,
+// withdraws or queries, each delta path-copied into a Table, whose every
+// snapshot must be in shape (checkShapes: no branch point above /16 outside
+// the short-prefix trie, each slot's trie the one a build makes, no older
+// snapshot's page or node written). After every delta the snapshot answers
+// the delta's neighbourhood and every query so far as the Reference does,
+// through both entry points; at the end so do builds of the table in the
+// three orders a builder meets, and Diff between the last snapshot and each
+// build is empty.
 func FuzzCompactIndex(f *testing.F) {
 	f.Add([]byte{
-		0, 168, 122, 0, 0, 16, 8, 111, // announce 168.122.0.0/16-24 => AS111
-		2, 168, 122, 0, 0, 24, 0, 111, // covered subprefix, right origin
-		0, 168, 122, 0, 0, 8, 0, 42, // short ancestor at another origin
-		2, 168, 122, 0, 0, 4, 0, 42, // query shorter than every table prefix
-		1, 168, 122, 0, 0, 16, 8, 111, // withdraw the first ROA
-		2, 168, 122, 0, 0, 16, 0, 111,
+		0, 168, 122, 0, 0, 66, 8, 111, // announce 168.122.0.0/16-24 => AS111
+		2, 168, 122, 0, 0, 98, 0, 111, // a /24 under it, right origin
+		0, 168, 122, 0, 0, 32, 0, 42, // a /8 at another origin: the short-prefix trie
+		2, 168, 122, 0, 0, 16, 0, 42, // query shorter than /16
+		1, 168, 122, 0, 0, 66, 8, 111, // withdraw the /16: its slot empties
+		2, 168, 122, 0, 0, 66, 0, 111,
 	})
 	f.Add([]byte{
-		8, 32, 1, 13, 184, 32, 16, 200, // IPv6 announce
-		10, 32, 1, 13, 184, 48, 0, 200, // IPv6 query under it
+		8, 32, 1, 13, 184, 131, 16, 200, // IPv6 past /32
+		10, 32, 1, 13, 184, 3, 0, 200, // IPv6 query past /32 too
+		8, 32, 1, 13, 184, 20, 0, 200, // IPv6 /5: the family's first short prefix
 		10, 32, 1, 13, 184, 0, 0, 200, // IPv6 /0 query
 	})
-	// A path-copied snapshot with garbage in it: 10.0.0.0/9 branches to two
-	// /16s, the second with a /24 under it; withdrawing the second and its /24
-	// splices the branch point out, and withdrawing the first leaves the root
-	// alone.
+	// Slot edges: a /15 over two slots, a /16 in each, a /17 in the second;
+	// the second's /16 and /17 withdrawn, then the slot refilled.
 	f.Add([]byte{
-		0, 10, 0, 0, 0, 16, 0, 1, 0, 10, 64, 0, 0, 16, 0, 2, 0, 10, 64, 7, 0, 24, 0, 2,
-		1, 10, 64, 0, 0, 16, 0, 2, 1, 10, 64, 7, 0, 24, 0, 2,
-		2, 10, 64, 7, 0, 24, 0, 2, 2, 10, 0, 0, 0, 16, 0, 1, // under the dead side, under the live one
-		1, 10, 0, 0, 0, 16, 0, 1,
-		2, 10, 0, 0, 0, 16, 0, 1,
+		0, 10, 0, 0, 0, 1, 0, 1, 0, 10, 0, 0, 0, 5, 0, 2, 0, 10, 1, 0, 0, 5, 0, 3, 0, 10, 1, 128, 0, 9, 0, 3,
+		1, 10, 1, 0, 0, 5, 0, 3, 1, 10, 1, 128, 0, 9, 0, 3,
+		2, 10, 1, 7, 0, 98, 0, 3, 2, 10, 0, 0, 0, 5, 0, 2,
+		0, 10, 1, 64, 0, 98, 0, 4,
+		2, 10, 1, 64, 0, 98, 0, 4,
+	})
+	f.Add([]byte{
+		0, 0, 0, 0, 0, 0, 0, 1, 8, 0, 0, 0, 0, 0, 0, 1, // both families' /0
+		0, 255, 255, 255, 255, 130, 0, 2, 8, 255, 255, 255, 255, 255, 0, 2, // their last addresses
+		2, 255, 255, 0, 0, 5, 0, 2, 10, 255, 255, 0, 0, 5, 0, 2,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		state := map[rpki.VRP]struct{}{}
 		tab := NewTable(nil)
+		shapes := checkShapes(t, tab)
 		var queries []Route
-		rebuild := func() (*rpki.Set, *Index, *CompactIndex) {
-			vrps := make([]rpki.VRP, 0, len(state))
-			for v := range state {
-				vrps = append(vrps, v)
+		check := func(where string, ix *Index, probes []Route) {
+			t.Helper()
+			ref := NewReference(setOf(state))
+			batch := ix.ValidateBatch(probes, nil)
+			for i, q := range probes {
+				want := ref.Validate(q.Prefix, q.Origin)
+				if got := ix.Validate(q.Prefix, q.Origin); got != want || batch[i] != want {
+					t.Fatalf("%s: Validate(%s, %v) = %v, ValidateBatch %v, reference %v", where, q.Prefix, q.Origin, got, batch[i], want)
+				}
 			}
-			set := rpki.NewSet(vrps)
-			return set, NewIndex(set), NewCompactIndex(set)
 		}
-		for len(data) >= 8 {
-			op := data[:8]
-			data = data[8:]
-			tag, v := op[0], fuzzOp(t, op)
-			p, origin := v.Prefix, v.AS
+		for ; len(data) >= 8; data = data[8:] {
+			tag, v := data[0], radixOp(t, data[:8])
 			if tag%3 == 2 {
-				queries = append(queries, Route{Prefix: p, Origin: origin})
+				queries = append(queries, Route{Prefix: v.Prefix, Origin: v.AS})
 				continue
 			}
 			if tag%3 == 0 {
@@ -257,52 +296,20 @@ func FuzzCompactIndex(f *testing.F) {
 				delete(state, v)
 				pathCopy(tab, nil, []rpki.VRP{v})
 			}
-			// Per-delta differential: the fresh compact build must answer the
-			// delta's own prefix (and queries so far) exactly like the Index.
-			_, ix, cx := rebuild()
-			probes := append([]Route{{Prefix: p, Origin: origin}, {Prefix: p, Origin: origin + 1}}, queries...)
-			for _, q := range probes {
-				if got, want := cx.Validate(q.Prefix, q.Origin), ix.Validate(q.Prefix, q.Origin); got != want {
-					t.Fatalf("after delta %v: CompactIndex.Validate(%s, %v) = %v, Index %v", v, q.Prefix, q.Origin, got, want)
-				}
-			}
+			shapes()
+			check(fmt.Sprintf("after delta %v", v), tab.Snapshot(), append(probesAround([]rpki.VRP{v}), queries...))
 		}
-		set, ix, cx := rebuild()
-		ref := NewReference(set)
-		cfi, cfs := CompactFromIndex(ix), CompactFromIndex(tab.Snapshot())
-		for _, v := range set.VRPs() {
-			queries = append(queries,
-				Route{Prefix: v.Prefix, Origin: v.AS},
-				Route{Prefix: v.Prefix, Origin: v.AS + 1})
+		vrps := setOf(state).VRPs()
+		for _, v := range vrps {
+			queries = append(queries, Route{Prefix: v.Prefix, Origin: v.AS}, Route{Prefix: v.Prefix, Origin: v.AS + 1})
 		}
-		for _, q := range queries {
-			want := ref.Validate(q.Prefix, q.Origin)
-			if got := cx.Validate(q.Prefix, q.Origin); got != want {
-				t.Fatalf("CompactIndex.Validate(%s, %v) = %v, reference %v", q.Prefix, q.Origin, got, want)
-			}
-			if got := cfi.Validate(q.Prefix, q.Origin); got != want {
-				t.Fatalf("CompactFromIndex.Validate(%s, %v) = %v, reference %v", q.Prefix, q.Origin, got, want)
-			}
-			if got := cfs.Validate(q.Prefix, q.Origin); got != want {
-				t.Fatalf("CompactFromIndex(path-copied).Validate(%s, %v) = %v, reference %v", q.Prefix, q.Origin, got, want)
-			}
-		}
-		checkSlotSpans(t, "CompactFromIndex", cfi)
-		checkSlotSpans(t, "CompactFromIndex(path-copied)", cfs)
-		if got, want := cfs.AppendVRPs(nil), tab.Snapshot().AppendVRPs(nil); !slices.Equal(got, want) {
-			t.Fatalf("AppendVRPs: %d VRPs derived from the path-copied snapshot, which streams %d, or in another order", len(got), len(want))
-		}
-		if cfs.Len() != set.Len() {
-			t.Fatalf("CompactFromIndex(path-copied) holds %d VRPs, the set %d", cfs.Len(), set.Len())
-		}
-		got, want := cx.AppendVRPs(nil), ix.AppendVRPs(nil)
-		if len(got) != len(want) {
-			t.Fatalf("AppendVRPs: compact %d VRPs, index %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("AppendVRPs[%d]: compact %v, index %v", i, got[i], want[i])
-			}
+		last := tab.Snapshot()
+		check("the last snapshot", last, queries)
+		for name, order := range buildOrders(vrps, 1) {
+			ix := newIndexFromVRPs(order, nil)
+			checkShape(t, name, ix)
+			check(name, ix, queries)
+			checkSameTable(t, name, ix, last)
 		}
 	})
 }
@@ -430,7 +437,7 @@ func FuzzDiff(f *testing.F) {
 		8, 32, 1, 13, 184, 32, 0, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		live := NewLiveIndex(rpki.NewSet(nil))
-		shapes := checkShapes(t, &live.tab)
+		shapes := checkShapes(t, &live.Table)
 		state := map[rpki.VRP]struct{}{}
 		snaps, tables := []*Index{live.Snapshot()}, [][]rpki.VRP{nil}
 		var ann, wd []rpki.VRP // the open delta
@@ -449,7 +456,7 @@ func FuzzDiff(f *testing.F) {
 			}
 			snaps, tables = append(snaps, live.Snapshot()), append(tables, setOf(state).VRPs())
 			if wait {
-				waitCompactor(t, &live.tab)
+				waitCompactor(t, &live.Table)
 			}
 			shapes()
 			ann, wd, wait = nil, nil, false
@@ -497,44 +504,42 @@ func FuzzDiff(f *testing.F) {
 			checkDiffAgainstWalk(t, "from empty, first", first, tab.Snapshot())
 			checkDiffAgainstWalk(t, "from empty, second", first, tab.Snapshot())
 		}
-		waitCompactor(t, &live.tab)
+		waitCompactor(t, &live.Table)
 		shapes()
 	})
 }
 
-// FuzzLiveOverlay aims the fuzzer at a LiveIndex that keeps its compact half
-// across deltas: the FuzzIndex op stream (batching included) lands on a table
-// padded so that it is never empty and every delta is path-copied, readers
-// pay before every delta, and after every one — with the overlay non-empty, a
-// rebuild in flight or just installed, as the delta's marks decide —
-// Validate and ValidateBatch must equal the Reference and a fresh Index on the
-// neighbourhood of every prefix the delta touched plus every query so far.
-// tag%4 == 3 replaces the table with itself through ResetTo, which discards
-// whatever rebuild is in flight and returns with the Index serving and its
-// own compact build held in flight: checked there, and through every op up to
-// and including the next delta, before that build may land. Every snapshot
-// the table publishes must be in the trie's shape (shapeError).
+// FuzzLiveOverlay drives a LiveIndex through Apply and ResetTo: the FuzzIndex
+// op stream (batching included; fuzzOp) lands on a table padded so that it is
+// never empty and every delta is path-copied, and tag%4 == 3 replaces the
+// table with itself through ResetTo, in fresh slabs. After every delta and
+// every ResetTo, the LiveIndex — Validate and ValidateBatch — answers the
+// neighbourhood of every prefix the delta touched, and every query so far, as
+// the Reference and a fresh Index of the model do, and Diff from the snapshot
+// before to the snapshot after, and back, is the model's sorted-set
+// difference. Every snapshot the table publishes, compactions' included,
+// must be in shape and leave older snapshots' slabs as published
+// (checkShapes).
 func FuzzLiveOverlay(f *testing.F) {
 	f.Add([]byte{
-		0, 10, 1, 3, 0, 24, 1, 1, // announce 10.1.3.0/24-25: one mark
+		0, 10, 1, 3, 0, 24, 1, 1, // announce 10.1.3.0/24-25
 		2, 10, 1, 2, 0, 23, 0, 1, // query the /23 containing it
-		0, 10, 16, 0, 0, 13, 3, 2, // a /13: a block in both bitmaps
+		0, 10, 16, 0, 0, 13, 3, 2, // a /13: the short-prefix trie
 		2, 10, 17, 0, 0, 16, 0, 2, // query inside it
 		1, 10, 1, 3, 0, 24, 1, 1, // withdraw the /24
 		3, 0, 0, 0, 0, 0, 0, 0, // ResetTo
-		0, 10, 0, 0, 0, 6, 0, 3, // a /6 fills the first bitmap: a rebuild is due
+		0, 10, 0, 0, 0, 6, 0, 3, // a /6
 		2, 10, 200, 0, 0, 16, 0, 3,
 	})
 	f.Add([]byte{
-		8, 32, 1, 13, 184, 48, 0, 3, // IPv6 /48: its /32's key
-		8, 42, 0, 0, 0, 21, 3, 4, // IPv6 /21: blocks
+		8, 32, 1, 13, 184, 48, 0, 3, // IPv6 /48
+		8, 42, 0, 0, 0, 21, 3, 4, // IPv6 /21
 		10, 42, 0, 1, 0, 24, 0, 4, // query inside it
 		24, 32, 1, 13, 184, 32, 0, 6, 25, 32, 1, 13, 184, 32, 0, 6, // announced and withdrawn by one delta
 		10, 32, 1, 13, 184, 40, 0, 6,
 	})
-	// A rebuild from a path-copied snapshot with garbage in it: a branch at
-	// 10.0.0.0/9 loses one side, then a /6 makes the rebuild due, then the
-	// other side goes and a second /6 rebuilds again.
+	// A branch at 10.0.0.0/9 loses one side, then a /6, then the other side
+	// goes and a second /6.
 	f.Add([]byte{
 		0, 10, 0, 0, 0, 16, 0, 1, 0, 10, 64, 0, 0, 16, 0, 2, 0, 10, 64, 7, 0, 24, 0, 2,
 		1, 10, 64, 0, 0, 16, 0, 2, 1, 10, 64, 7, 0, 24, 0, 2,
@@ -551,15 +556,14 @@ func FuzzLiveOverlay(f *testing.F) {
 		large = append(large, 16, 10, k, 0, 0, 24, 0, 1+k%7)
 	}
 	f.Add(append(large, 17, 10, 3, 0, 0, 24, 0, 4, 17, 10, 5, 0, 0, 24, 0, 6, 2, 10, 3, 0, 0, 24, 0, 4))
-	// Two ResetTos back to back, the first's build still in flight when the
-	// second discards it, then deltas before the second's lands.
+	// Two ResetTos back to back, then deltas.
 	f.Add([]byte{
 		0, 10, 1, 3, 0, 24, 1, 1, // announce 10.1.3.0/24-25
 		3, 0, 0, 0, 0, 0, 0, 0, // ResetTo
 		3, 0, 0, 0, 0, 0, 0, 0, // ResetTo again
 		16, 10, 2, 0, 0, 16, 0, 2, 1, 10, 1, 3, 0, 24, 1, 1, // one delta: a /16 in, the /24 out
 		2, 10, 1, 3, 0, 24, 0, 1, // query the /24
-		0, 10, 0, 0, 0, 6, 0, 3, // a /6: a rebuild is due
+		0, 10, 0, 0, 0, 6, 0, 3, // a /6
 		2, 10, 2, 7, 0, 24, 0, 2,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -570,15 +574,27 @@ func FuzzLiveOverlay(f *testing.F) {
 			state[markerVRP(k)] = struct{}{}
 		}
 		live := NewLiveIndex(setOf(state))
-		shapes := checkShapes(t, &live.tab)
+		shapes := checkShapes(t, &live.Table)
 		queries := probesAround(pad[:2])
 		var ann, wd []rpki.VRP // the open batch
-		var unhold func()      // lets the compact builds ResetTo began land
+		step := func(where string, touched []rpki.VRP, before *Index, was []rpki.VRP) {
+			t.Helper()
+			shapes()
+			checkLive(t, live, state, append(probesAround(touched), queries...), where)
+			now := setOf(state).VRPs()
+			a, w := naiveSetDiff(was, now)
+			if ga, gw := Diff(before, live.Snapshot()); !slices.Equal(ga, a) || !slices.Equal(gw, w) {
+				t.Fatalf("%s: Diff is +%d -%d, the model's +%d -%d", where, len(ga), len(gw), len(a), len(w))
+			}
+			if ga, gw := Diff(live.Snapshot(), before); !slices.Equal(ga, w) || !slices.Equal(gw, a) {
+				t.Fatalf("%s: Diff back is +%d -%d, the model's +%d -%d", where, len(ga), len(gw), len(w), len(a))
+			}
+		}
 		flush := func() {
 			if len(ann)+len(wd) == 0 {
 				return
 			}
-			pay(live, queries)
+			before, was := live.Snapshot(), setOf(state).VRPs()
 			live.Apply(ann, wd)
 			for _, v := range ann {
 				state[v] = struct{}{}
@@ -586,13 +602,8 @@ func FuzzLiveOverlay(f *testing.F) {
 			for _, v := range wd {
 				delete(state, v)
 			}
-			shapes()
-			checkLive(t, live, state, append(probesAround(append(ann, wd...)), queries...), "after a delta")
+			step("after a delta", append(ann, wd...), before, was)
 			ann, wd = ann[:0], wd[:0]
-			if unhold != nil {
-				unhold()
-				unhold = nil
-			}
 		}
 		for ; len(data) >= 8; data = data[8:] {
 			tag, v := data[0], fuzzOp(t, data[:8])
@@ -607,26 +618,19 @@ func FuzzLiveOverlay(f *testing.F) {
 			case 2:
 				queries = append(queries, Route{Prefix: v.Prefix, Origin: v.AS})
 			case 3:
-				if unhold == nil {
-					unhold = holdRebuilds(live)
-				}
+				before, was := live.Snapshot(), setOf(state).VRPs()
 				live.ResetTo(setOf(state).VRPs())
-				if live.CompactSnapshot() != nil {
-					t.Fatal("ResetTo returned with a compact snapshot; its build is held")
+				if live.Snapshot().fams[0].sameLineage(&before.fams[0]) {
+					t.Fatal("ResetTo kept the replaced table's slabs")
 				}
-				shapes()
-				checkLive(t, live, state, queries, "after ResetTo, its compact build in flight")
+				step("after ResetTo", nil, before, was)
 			}
 			if tag&16 == 0 {
 				flush()
 			}
 		}
 		flush()
-		if unhold != nil {
-			unhold()
-		}
-		quiesce(t, live)
-		waitCompactor(t, &live.tab)
+		waitCompactor(t, &live.Table)
 		shapes()
 		checkLive(t, live, state, queries, "at rest")
 	})

@@ -10,15 +10,21 @@ import (
 	"repro/internal/rpki"
 )
 
-// This file is the serving-path validator: a PATRICIA trie (Morrison, JACM
-// 1968) kept as one slab of 20-byte nodes a family, with int32 child indices,
-// whose per-node payload is the offset of a span in a parallel value slab of
-// VRP entries, its last cell marked. A family keeps only its root, the nodes
-// with a span and the nodes with two children — a third of a bit trie's — and
-// each node its key. Building an Index is O(nodes) slab appends, each insert
-// starting on the previous one's path, and Validate walks two contiguous
-// arrays. An append may move a slab, so code that grows one holds node
-// indices across the append, never a node's address (README, invariant 2).
+// This file is the validator every table serves from: per family, a radix
+// root over the top 16 address bits (DIR-24-8, Gupta, Lin & McKeown,
+// INFOCOM 1998; LC-tries, Nilsson & Karlsson, IEEE JSAC 1999) whose slots hold
+// the PATRICIA tries (Morrison, JACM 1968) of their /16s, and a short-prefix
+// trie for the VRPs shorter than /16. The tries are one slab of 20-byte nodes
+// a family, with int32 child indices, whose per-node payload is the offset of
+// a span in a parallel value slab of VRP entries, its last cell marked. A trie
+// keeps only its root, the nodes with a span and the nodes with two children,
+// and each node its key; no branch point above /16 is built, where a real
+// table branches at nearly every bit. The root is four levels of 16-slot
+// pages in a page slab a family, so a delta path-copies four 64-byte pages,
+// not the root. Building an Index is O(nodes) slab appends, each insert
+// starting on the previous one's path, and Validate reads four pages and a
+// slot's short descent. An append may move a slab, so code that grows one
+// holds indices across the append, never an address (README, invariant 2).
 
 // entry is one VRP payload at a trie node: the node's prefix is implied by
 // its position, so only maxLength and origin AS remain. last marks the final
@@ -53,13 +59,13 @@ func span(entries []entry, off int32) []entry {
 	return entries[off : end+1]
 }
 
-// node is one vertex of a family's trie: its children's slab indices, the
+// node is one vertex of a family's tries: its children's slab indices, the
 // offset of its span (0 for none), and its key, plen bits: the first 32 in
 // key, and all of them in the family's wide slab once a key runs past 32. A
 // child's key strictly extends its parent's; the bit after the parent's length
-// picks the child. Every node but the root has a span or two children. Node 0
-// is reserved — a build's root, a dead placeholder once a delta reroots the
-// family — and is never anyone's child, so a 0 child means none.
+// picks the child. Every node but the short-prefix trie's root has a span or
+// two children. Node 0 is reserved — a build's root, a dead placeholder once a
+// delta reroots the family — and is never a child or a slot's, so 0 means none.
 type node struct {
 	children [2]int32
 	off      int32
@@ -67,19 +73,36 @@ type node struct {
 	plen     uint8
 }
 
-// famIndex is one address family's trie: its node slab, the wide slab of its
-// keys (nil while every key fits in 32 bits), the root's slab index, the
-// number of VRPs under it, and the slabs' lineage.
+// radixBits is the radix root's stride: a slot per /16. A prefix at least
+// that long lives in its slot's trie, a shorter one in the short-prefix trie.
+const radixBits = 16
+
+// page is one level of a radix root: 16 page indices one level down, or, at
+// the fourth level, 16 slots' subtree roots; 0 is none. Page 0 of every page
+// slab is empty and never written, so a lookup runs four loads, no tests.
+type page [16]int32
+
+// noPages is the page slab of a family no slot has used: the empty page,
+// shared, and grown by copy the first time a slot is.
+var noPages = make([]page, 1)
+
+// famIndex is one address family's index: its node slab, the wide slab of its
+// keys (nil while every key fits in 32 bits), its page slab, the root's top
+// page (0: every slot empty), the short-prefix trie's root, the number of VRPs
+// under them, and the slabs' lineage.
 //
 // lineage names the build the slabs grew from — its version, unique in the
 // process; 0 shares with nothing. A delta copies it into its snapshot with the
 // slabs, and a rebuild starts a new one. (The slab's base pointer cannot
-// serve: an append may move it without changing a node index.) Since a delta
-// writes only nodes it appended, before it publishes them, two snapshots of
-// one lineage hold the same subtree at an equal node index: walkDiff skips it.
+// serve: an append may move it without changing an index.) Since a delta
+// writes only nodes and pages it appended, before it publishes them, two
+// snapshots of one lineage hold the same subtree at an equal node index, and
+// the same slots under an equal page index: walkDiff skips both.
 type famIndex struct {
 	nodes   []node
 	wide    [][2]uint64
+	pages   []page
+	top     int32
 	root    int32
 	size    int
 	lineage uint64
@@ -123,6 +146,80 @@ func (f *famIndex) push(plen uint8, hi, lo uint64) int32 {
 	return i
 }
 
+// leaf returns the index of the fourth-level page that holds slot s (0: none).
+func (f *famIndex) leaf(s uint32) int32 {
+	pg := f.pages
+	return pg[pg[pg[f.top][s>>12&15]][s>>8&15]][s>>4&15]
+}
+
+// ownSlot makes the pages on slot s's path the writer's own — the pages at or
+// past mark, page 0 never — copying each that is not, and returns the slot's
+// leaf page and the number of published pages it copied: garbage.
+func (f *famIndex) ownSlot(s uint32, mark int32) (leaf int32, copied int) {
+	at, up := f.top, int32(0)
+	for k := 0; ; k++ { // k: the page's level, the top page's 0
+		if at < mark || at == 0 {
+			if at != 0 {
+				copied++
+			}
+			f.pages = append(f.pages, f.pages[at])
+			c := int32(len(f.pages) - 1)
+			if k == 0 {
+				f.top = c
+			} else {
+				f.pages[up][s>>(16-4*k)&15] = c
+			}
+			at = c
+		}
+		if k == 3 {
+			return at, copied
+		}
+		up, at = at, f.pages[at][s>>(12-4*k)&15]
+	}
+}
+
+// dropSlot takes out the pages on slot s's path that hold nothing, the slot
+// emptied, as a build would not make them, and returns their number: garbage.
+// The pages must be the writer's own.
+func (f *famIndex) dropSlot(s uint32) int {
+	var at [4]int32
+	at[0] = f.top
+	for k := 1; k < 4; k++ {
+		at[k] = f.pages[at[k-1]][s>>(16-4*k)&15]
+	}
+	n := 0
+	for k := 3; k >= 0 && f.pages[at[k]] == (page{}); k-- {
+		if n++; k == 0 {
+			f.top = 0
+		} else {
+			f.pages[at[k-1]][s>>(16-4*k)&15] = 0
+		}
+	}
+	return n
+}
+
+// slots hands fn, in order, each slot of [from, to) that holds a subtree and
+// the subtree's root, and reports whether fn let it finish.
+func (f *famIndex) slots(from, to uint32, fn func(s uint32, root int32) bool) bool {
+	var under func(pg int32, shift, base uint32) bool
+	under = func(pg int32, shift, base uint32) bool {
+		for i, c := range &f.pages[pg] {
+			lo := base | uint32(i)<<shift
+			switch {
+			case c == 0 || lo+1<<shift <= from || lo >= to:
+			case shift == 0:
+				if !fn(lo, c) {
+					return false
+				}
+			case !under(c, shift-4, lo):
+				return false
+			}
+		}
+		return true
+	}
+	return under(f.top, 12, 0)
+}
+
 // commonBits returns the number of leading bits two left-aligned 128-bit
 // addresses share, 128 if they are equal.
 func commonBits(ahi, alo, bhi, blo uint64) uint8 {
@@ -140,6 +237,17 @@ func addrBit(hi, lo uint64, i uint8) uint8 {
 		return uint8(hi >> (63 - i) & 1)
 	}
 	return uint8(lo >> (127 - i) & 1)
+}
+
+// keyMatch reports whether the query address (qhi, qlo) starts with the
+// plen-bit node key (nhi, nlo): one xor-shift verifies every compressed bit
+// at once. Shift counts >= the width yield 0 in Go, so plen 0 and the 64/128
+// boundaries need no special cases.
+func keyMatch(nhi, nlo, qhi, qlo uint64, plen uint8) bool {
+	if plen <= 64 {
+		return (nhi^qhi)>>(64-plen) == 0
+	}
+	return nhi == qhi && (nlo^qlo)>>(128-plen) == 0
 }
 
 // Index answers RFC 6811 queries in O(route prefix length). Build one with
@@ -195,39 +303,99 @@ func NewIndex(s *rpki.Set) *Index {
 // rootPrefix is the /0 of the slot's family: the prefix of a family's root.
 func rootPrefix(slot int) prefix.Prefix { return keyPrefix(slotFamily(slot), 0, 0, 0) }
 
-// finger is how this package walks a list of prefixes down one family's trie:
-// from where a prefix parts ways with the previous one, prev, whose path —
-// path[:n], the root first, their lengths in lens — it keeps, so that in
-// pre-order each node on the union of the paths is read once. A delta
-// (Table.edit) owns path[:owned], the nodes at or past mark, the node slab's
-// end when the delta began.
+// finger is how this package walks a list of prefixes down one family's
+// tries: from where a prefix parts ways with the previous one, prev, whose
+// path — path[:n], the trie's head first, their lengths in lens — it keeps, so
+// that in pre-order each node on the union of the paths is read once. The
+// head is the short-prefix trie's root (slot -1) or, for a prefix of /16 or
+// longer, the leaf page of its slot, at length radixBits-1: just above every
+// node in the slot. A delta (Table.edit) owns path[:owned]: the nodes at or
+// past mark and the pages at or past pmark, the slabs' ends when it began.
 type finger struct {
 	prev     prefix.Prefix
+	slot     int32
 	path     [129]int32
 	lens     [129]uint8
 	n, owned int
 	mark     int32
+	pmark    int32
+}
+
+// newFinger returns a finger at f's short-prefix root, owning the nodes from
+// mark and the pages from pmark on (page 0 never).
+func newFinger(slot int, f *famIndex, mark, pmark int32) finger {
+	fg := finger{prev: rootPrefix(slot), slot: -1, n: 1, mark: mark, pmark: max(pmark, 1)}
+	fg.path[0] = f.root
+	return fg
+}
+
+// slotOf returns the radix slot of a prefix of plen bits at hi, or -1: a short
+// prefix.
+func slotOf(hi uint64, plen uint8) int32 {
+	if plen < radixBits {
+		return -1
+	}
+	return int32(hi >> (64 - radixBits))
+}
+
+// child returns the child of the finger's path[k] on the side of (hi, lo): the
+// slot's subtree root if path[k] is a slot's head.
+func (f *famIndex) child(fg *finger, k int, hi, lo uint64) int32 {
+	if k == 0 && fg.slot >= 0 {
+		return f.pages[fg.path[0]][fg.slot&15]
+	}
+	return f.nodes[fg.path[k]].children[addrBit(hi, lo, fg.lens[k])]
+}
+
+// setChild makes c that child. path[k] must be the writer's own.
+func (f *famIndex) setChild(fg *finger, k int, hi, lo uint64, c int32) {
+	if k == 0 && fg.slot >= 0 {
+		f.pages[fg.path[0]][fg.slot&15] = c
+		return
+	}
+	f.nodes[fg.path[k]].children[addrBit(hi, lo, fg.lens[k])] = c
+}
+
+// ownHead makes a slot's head the writer's own (ownSlot) and returns the
+// published pages it copied; a short-prefix root is owned as a node is.
+func (f *famIndex) ownHead(fg *finger) int {
+	if fg.slot < 0 {
+		return 0
+	}
+	leaf, copied := f.ownSlot(uint32(fg.slot), fg.pmark)
+	fg.path[0] = leaf
+	return copied
 }
 
 // seek moves the finger to p: it keeps the path's nodes no longer than the
-// prefix p shares with prev, and descends from the deepest through every child
-// p extends. It reports whether the path ends at p's node.
+// prefix p shares with prev, in p's trie, and descends from the deepest
+// through every child p extends. It reports whether the path ends at p's node.
 func (f *famIndex) seek(fg *finger, p prefix.Prefix) bool {
-	n, c := fg.n, prefix.CommonPrefixLen(fg.prev, p)
-	for n > 1 && fg.lens[n-1] > c {
-		n--
-	}
-	fg.owned, fg.prev = min(fg.owned, n), p
 	hi, lo := p.Bits()
-	for idx, nodes := fg.path[n-1], f.nodes; fg.lens[n-1] < p.Len(); n++ {
-		idx = nodes[idx].children[addrBit(hi, lo, fg.lens[n-1])]
-		if idx == 0 || nodes[idx].plen > p.Len() {
+	n := fg.n
+	if s := slotOf(hi, p.Len()); s != fg.slot {
+		fg.slot, fg.owned, n = s, 0, 1
+		fg.path[0], fg.lens[0] = f.root, 0
+		if s >= 0 {
+			fg.path[0], fg.lens[0] = f.leaf(uint32(s)), radixBits-1
+		}
+	} else {
+		c := prefix.CommonPrefixLen(fg.prev, p)
+		for n > 1 && fg.lens[n-1] > c {
+			n--
+		}
+		fg.owned = min(fg.owned, n)
+	}
+	fg.prev = p
+	for ; fg.lens[n-1] < p.Len(); n++ {
+		idx := f.child(fg, n-1, hi, lo)
+		if idx == 0 || f.nodes[idx].plen > p.Len() {
 			break
 		}
-		if khi, klo := f.key(idx); !keyMatch(khi, klo, hi, lo, nodes[idx].plen) {
+		if khi, klo := f.key(idx); !keyMatch(khi, klo, hi, lo, f.nodes[idx].plen) {
 			break
 		}
-		fg.path[n], fg.lens[n] = idx, nodes[idx].plen
+		fg.path[n], fg.lens[n] = idx, f.nodes[idx].plen
 	}
 	fg.n = n
 	return fg.lens[n-1] == p.Len()
@@ -236,12 +404,15 @@ func (f *famIndex) seek(fg *finger, p prefix.Prefix) bool {
 // graft hangs a node for p under the finger's last node, where seek stopped:
 // its child on p's side, if any, moves under p's node or under a new branch
 // point whose other child p's node is. The new nodes, a branch point first,
-// join the path. The last node must be the writer's own.
+// join the path. The last node must be the writer's own, or a slot's head,
+// which graft owns.
 func (f *famIndex) graft(fg *finger, p prefix.Prefix) {
 	hi, lo := p.Bits()
-	up := fg.path[fg.n-1]
-	bit := addrBit(hi, lo, fg.lens[fg.n-1])
-	c, cbit := f.nodes[up].children[bit], uint8(0) // p's node's child, if any, and its side
+	if fg.n == 1 {
+		f.ownHead(fg) // copies nothing published: a delta's edit owned it first
+	}
+	up := fg.n - 1
+	c, cbit := f.child(fg, up, hi, lo), uint8(0) // p's node's child, if any, and its side
 	if c != 0 {
 		chi, clo := f.key(c)
 		d := min(commonBits(chi, clo, hi, lo), p.Len())
@@ -250,32 +421,36 @@ func (f *famIndex) graft(fg *finger, p prefix.Prefix) {
 			bhi, blo := keyPrefix(p.Family(), hi, lo, d).Bits()
 			b := f.push(d, bhi, blo)
 			f.nodes[b].children[cbit] = c
-			f.nodes[up].children[bit] = b
+			f.setChild(fg, up, hi, lo, b)
 			fg.path[fg.n], fg.lens[fg.n], fg.n = b, d, fg.n+1
-			up, bit, c = b, addrBit(hi, lo, d), 0
+			up, c = fg.n-1, 0
 		}
 	}
 	k := f.push(p.Len(), hi, lo)
 	f.nodes[k].children[cbit] = c
-	f.nodes[up].children[bit] = k
+	f.setChild(fg, up, hi, lo, k)
 	fg.path[fg.n], fg.lens[fg.n], fg.n = k, p.Len(), fg.n+1
 }
 
-// newIndexFromVRPs builds the two-slab index: a first pass over the list
-// sizes the slabs and sees which families are in the trie's pre-order, then
-// each family is inserted on its own. The input need not be sorted and is not
-// retained. A VRP listed more than once is indexed once — an RTR Cache
-// Response may repeat an announcement, and a table is a set.
+// newIndexFromVRPs builds the index: a first pass over the list sizes the
+// slabs and sees which families are in the trie's pre-order, then each family
+// is inserted on its own. The input need not be sorted and is not retained. A
+// VRP listed more than once is indexed once — an RTR Cache Response may repeat
+// an announcement, and a table is a set.
 //
-// Inserts go through a finger a family, so the slab is node for node what a
-// descent from the root per VRP leaves. In a family in the trie's pre-order —
+// Inserts go through a preorder builder or a finger a family, so the slabs
+// are node for node and page for page what a descent from the root per VRP
+// leaves. The first pass
+// marks the slots in use, which sizes the page slab exactly and bounds the
+// node slab: a trie of k prefixes keeps at most 2k-1 nodes, so the family
+// keeps at most 2 · VRPs - slots + 1. In a family in the trie's pre-order —
 // the wire stream (VisitVRPs), Diff's output, NewServer's prefix-ordered copy
 // of its set; not a Set, which is AS-major — the first pass counts the nodes
-// as fillPreorder makes them. The slab is sized once, with headroom, as an
+// exactly (preorder), and the node slab is sized once, with headroom, as an
 // exactly full one regrows by a quarter at the first path-copied delta; a
 // prefix's VRPs come together, so each is appended to its span in place. A
-// family out of order is sized at the bound of two nodes a VRP, and places
-// its spans by counting (fillCounted).
+// family out of order is sized at the bound, and places its spans by counting
+// (fillCounted).
 //
 // floor, when not nil, is the table a compaction rebuilds: every slab is made
 // at least as long as floor's, garbage included, and a 32nd more, so the
@@ -287,25 +462,157 @@ func newIndexFromVRPs(vrps []rpki.VRP, floor *Index) *Index {
 	return ix
 }
 
+// pagesFor returns the number of pages a radix root holds with these slots in
+// use: a leaf page per 16 slots with one in use, and a page above per 256,
+// 4,096 and 65,536.
+func pagesFor(used *[1 << radixBits / 64]uint64) (pages int) {
+	for _, x := range used {
+		for k := 0; k < 64; k += 16 {
+			if x>>k&0xffff != 0 {
+				pages++
+			}
+		}
+	}
+	for words := 4; words <= len(used); words *= 16 {
+		for w := 0; w < len(used); w += words {
+			if slices.ContainsFunc(used[w:w+words], func(x uint64) bool { return x != 0 }) {
+				pages++
+			}
+		}
+	}
+	return pages
+}
+
+// preorder meets one family's prefixes in the trie's pre-order and makes the
+// nodes a build makes of them — p's node, and a branch point above it if p
+// parts from an edge — keeping, for the short-prefix trie and for the slot in
+// progress, the last prefix and the nodes on its path, their lengths in lens.
+// With f nil it only counts them (the first pass's sizing); with f it appends
+// them to f's slabs, through no descent: in pre-order a new prefix hangs on
+// the 1 side of the deepest node on the last one's path no longer than what
+// the two share, or of a branch point there whose 0 side is the rest of that
+// path. The head of a slot's path sits at radixBits-1, as a finger's does.
+// Slots come in order too, so the pages on the last slot's path, pages, are
+// the new slot's down to the first level where the two part: the pages below
+// are new, appended top first, as ownSlot would.
+type preorder struct {
+	f     *famIndex
+	prev  [2]prefix.Prefix
+	lens  [2][130]uint8
+	path  [2][130]int32
+	top   [2]int
+	pages [4]int32 // when building: the last slot's pages, the top page first
+	last  int32    // and that slot, -1 before the first
+	nodes int
+}
+
+func newPreorder(slot int, f *famIndex) preorder {
+	b := preorder{f: f, last: -1}
+	b.prev[0], b.prev[1] = rootPrefix(slot), rootPrefix(slot)
+	if f != nil {
+		b.path[0][0] = f.root
+	}
+	return b
+}
+
+// add meets p and returns its node (building).
+func (b *preorder) add(p prefix.Prefix) int32 {
+	m := 0
+	if p.Len() >= radixBits {
+		m = 1
+	}
+	d, path, top := &b.lens[m], &b.path[m], b.top[m]
+	hi, lo := p.Bits()
+	c := prefix.CommonPrefixLen(b.prev[m], p)
+	if m == 1 && c < radixBits { // the first of its slot: the path is the head
+		top, d[0], c = 0, radixBits-1, radixBits-1
+		if b.f != nil {
+			b.slotPages(int32(hi >> (64 - radixBits)))
+		}
+	}
+	if c < p.Len() {
+		for d[top] > c {
+			top--
+		}
+		if d[top] < c {
+			b.nodes++
+			if b.f != nil {
+				bhi, blo := keyPrefix(p.Family(), hi, lo, c).Bits()
+				x := b.f.push(c, bhi, blo)
+				b.f.nodes[x].children[0] = path[top+1]
+				b.link(m, top, p, x)
+				path[top+1] = x
+			}
+			top++
+			d[top] = c
+		}
+		b.nodes++
+		if b.f != nil {
+			k := b.f.push(p.Len(), hi, lo)
+			b.link(m, top, p, k)
+			path[top+1] = k
+		}
+		top++
+		d[top] = p.Len()
+	}
+	b.prev[m], b.top[m] = p, top
+	return path[top]
+}
+
+// slotPages appends the pages on slot s's path that the last slot's path
+// does not share.
+func (b *preorder) slotPages(s int32) {
+	f := b.f
+	for k := range b.pages {
+		if b.last >= 0 && b.last>>(16-4*k) == s>>(16-4*k) {
+			continue
+		}
+		f.pages = append(f.pages, page{})
+		c := int32(len(f.pages) - 1)
+		if k == 0 {
+			f.top = c
+		} else {
+			f.pages[b.pages[k-1]][s>>(16-4*k)&15] = c
+		}
+		b.pages[k] = c
+	}
+	b.last = s
+}
+
+// link hangs node x under path[top] on p's side: as the slot's subtree root,
+// under a slot's head.
+func (b *preorder) link(m, top int, p prefix.Prefix, x int32) {
+	if m == 1 && top == 0 {
+		b.f.pages[b.pages[3]][b.last&15] = x
+		return
+	}
+	b.f.nodes[b.path[m][top]].children[p.Bit(b.lens[m][top])] = x
+}
+
 // buildIndex is newIndexFromVRPs, and reports what its first pass sees: that
 // vrps is strictly in diffOrder, Diff's answer against an empty table.
 func buildIndex(vrps []rpki.VRP, floor *Index) (ix *Index, ordered bool) {
 	ix = &Index{version: versions.Add(1)}
-	// Per family: the prefix before this one; the nodes a pre-order build makes,
-	// or -1; the lengths of the nodes on prev's path, up to depths[tops].
+	// Per family: the prefix before this one; whether the family is in
+	// pre-order, and the nodes a build makes of it then; the slots in use.
 	prev := [2]prefix.Prefix{rootPrefix(0), rootPrefix(1)}
-	var nodes, tops [2]int
-	var depths [2][130]uint8
+	inorder := [2]bool{true, true}
+	counts := [2]preorder{newPreorder(0, nil), newPreorder(1, nil)}
+	var used [2][1 << radixBits / 64]uint64
 	ordered = true
 	for i, v := range vrps {
 		slot, p := famSlot(v.Prefix.Family()), v.Prefix
 		ix.fams[slot].size++
-		if nodes[slot] < 0 {
+		hi, _ := p.Bits()
+		if s := slotOf(hi, p.Len()); s >= 0 {
+			used[slot][s/64] |= 1 << (s % 64)
+		}
+		if !inorder[slot] {
 			continue
 		}
 		c := prefix.CommonPrefixLen(prev[slot], p)
 		if c < prev[slot].Len() && (c == p.Len() || p.Bit(c) == 0) {
-			nodes[slot], ordered = -1, false
+			inorder[slot], ordered = false, false
 			continue
 		}
 		if ordered && i > 0 {
@@ -313,18 +620,7 @@ func buildIndex(vrps []rpki.VRP, floor *Index) (ix *Index, ordered bool) {
 			last := famSlot(vrps[i-1].Prefix.Family())
 			ordered = last < slot || last == slot && (c < p.Len() || v.Compare(vrps[i-1]) > 0)
 		}
-		if c < p.Len() { // a new prefix: its node, and a branch point above it if p parts from an edge
-			d, top := &depths[slot], tops[slot]
-			for d[top] > c {
-				top--
-			}
-			if d[top] < c {
-				top++
-				d[top], nodes[slot] = c, nodes[slot]+1
-			}
-			top++
-			d[top], nodes[slot], tops[slot] = p.Len(), nodes[slot]+1, top
-		}
+		counts[slot].add(p)
 		prev[slot] = p
 	}
 	room := len(vrps) + 1
@@ -334,19 +630,34 @@ func buildIndex(vrps []rpki.VRP, floor *Index) (ix *Index, ordered bool) {
 	ix.entries = make([]entry, 1, room) // entries[0] is reserved: offset 0 is no span
 	for slot := range ix.fams {
 		f := &ix.fams[slot]
-		hint := 2 * f.size // an absent family costs only its root node
-		if n := nodes[slot]; n > 0 {
-			hint = n + n/64 + 64
+		slots, pages := 0, pagesFor(&used[slot])
+		for _, x := range used[slot] {
+			slots += bits.OnesCount64(x)
 		}
+		n := 2*f.size - slots // the bound
+		if inorder[slot] {
+			n = counts[slot].nodes
+		}
+		hint := n + n/64 + 64
+		if f.size == 0 {
+			hint = 0 // an absent family costs only its root node
+		}
+		phint := pages + pages/64 + 64
 		if floor != nil {
 			n := len(floor.fams[slot].nodes)
 			hint = max(hint, n+n/32)
+			n = len(floor.fams[slot].pages)
+			phint = max(phint, n+n/32)
 		}
 		f.nodes = make([]node, 1, hint+1)
+		f.pages = noPages
+		if pages > 0 || floor != nil && len(floor.fams[slot].pages) > 1 {
+			f.pages = make([]page, 1, phint+1)
+		}
 		f.lineage = ix.version
 		switch {
 		case f.size == 0:
-		case nodes[slot] >= 0:
+		case inorder[slot]:
 			ix.fillPreorder(slot, vrps, ordered)
 		default:
 			ix.fillCounted(slot, vrps)
@@ -359,39 +670,16 @@ func buildIndex(vrps []rpki.VRP, floor *Index) (ix *Index, ordered bool) {
 // each entry to the slab: a prefix's VRPs are consecutive in that order, so
 // its span is the slab's tail until the next prefix closes it. sorted says the
 // list is strictly in diffOrder: its spans are in order already.
-// Seek and graft make the same nodes, but cold_sync read 11 % slower on them.
 func (ix *Index) fillPreorder(slot int, vrps []rpki.VRP, sorted bool) {
-	f, prev := &ix.fams[slot], rootPrefix(slot)
-	var path [129]int32 // the nodes on prev's path, the root (node 0) first,
-	var lens [129]uint8 // and their lengths
-	n := 1
+	f := &ix.fams[slot]
+	b := newPreorder(slot, f)
 	from := int32(0) // where the open span, the slab's tail, starts
 	for _, v := range vrps {
 		if famSlot(v.Prefix.Family()) != slot {
 			continue
 		}
-		// A new p hangs on the 1 side of the deepest node on prev's path no
-		// longer than c, or of a branch point at c splitting the edge below it.
-		p := v.Prefix
-		if c := prefix.CommonPrefixLen(prev, p); c < p.Len() {
-			for lens[n-1] > c {
-				n--
-			}
-			up := path[n-1]
-			hi, lo := p.Bits()
-			if lens[n-1] < c {
-				bhi, blo := keyPrefix(p.Family(), hi, lo, c).Bits()
-				b := f.push(c, bhi, blo)
-				f.nodes[b].children[0] = path[n]
-				f.nodes[up].children[p.Bit(lens[n-1])] = b
-				path[n], lens[n], n, up = b, c, n+1, b
-			}
-			k := f.push(p.Len(), hi, lo)
-			f.nodes[up].children[p.Bit(lens[n-1])] = k
-			path[n], lens[n], n = k, p.Len(), n+1
-		}
-		prev = p
-		if nd := &f.nodes[path[n-1]]; nd.off == 0 {
+		k := b.add(v.Prefix)
+		if nd := &f.nodes[k]; nd.off == 0 {
 			ix.entries = ix.entries[:ix.closeSpan(f, from, int32(len(ix.entries)), sorted)]
 			from = int32(len(ix.entries))
 			nd.off = from
@@ -426,7 +714,8 @@ func (ix *Index) closeSpan(f *famIndex, from, to int32, sorted bool) int32 {
 // each span is sorted and marked. A repeated VRP leaves a cell unused after
 // its span's last.
 func (ix *Index) fillCounted(slot int, vrps []rpki.VRP) {
-	f, fg := &ix.fams[slot], finger{prev: rootPrefix(slot), n: 1}
+	f := &ix.fams[slot]
+	fg := newFinger(slot, f, 0, 1)
 	terms := make([]int32, 0, f.size) // each VRP's node, in list order
 	for _, v := range vrps {
 		if famSlot(v.Prefix.Family()) == slot {
@@ -469,17 +758,16 @@ func (ix *Index) fillCounted(slot int, vrps []rpki.VRP) {
 // Len returns the number of indexed VRPs.
 func (ix *Index) Len() int { return ix.fams[0].size + ix.fams[1].size }
 
-// validateOn classifies (p, origin) against one family's slabs: it descends
-// by p's bits and checks a node's key where it reads its span, stopping at one
-// p does not extend, so every entry met covers p; the state tightens from
-// NotFound to Invalid at the first non-empty span and to Valid at the first
-// matching entry. Allocation-free: TestValidateAllocs runs every statement.
-func validateOn(nodes []node, wide [][2]uint64, root int32, entries []entry, p prefix.Prefix, origin rpki.ASN) State {
-	state := NotFound
-	hi, lo := p.Bits()
-	for idx := root; ; {
+// validateOn classifies (p, origin), from state, against one trie of a
+// family's: it descends from idx by p's bits and checks a node's key where it
+// reads its span, stopping at one p does not extend, so every entry met
+// covers p; the state tightens to Invalid at the first non-empty span and to
+// Valid at the first matching entry. Allocation-free: TestValidateAllocs runs
+// every statement.
+func validateOn(nodes []node, wide [][2]uint64, idx int32, entries []entry, hi, lo uint64, plen uint8, origin rpki.ASN, state State) State {
+	for {
 		nd := &nodes[idx]
-		if nd.plen > p.Len() {
+		if nd.plen > plen {
 			return state
 		}
 		if off := nd.off; off != 0 {
@@ -493,7 +781,7 @@ func validateOn(nodes []node, wide [][2]uint64, root int32, entries []entry, p p
 			state = Invalid
 			for ; ; off++ {
 				e := entries[off]
-				if e.as == origin && p.Len() <= e.maxLength {
+				if e.as == origin && plen <= e.maxLength {
 					return Valid
 				}
 				if e.last {
@@ -501,7 +789,7 @@ func validateOn(nodes []node, wide [][2]uint64, root int32, entries []entry, p p
 				}
 			}
 		}
-		if nd.plen == p.Len() {
+		if nd.plen == plen {
 			return state
 		}
 		if idx = nd.children[addrBit(hi, lo, nd.plen)]; idx == 0 {
@@ -510,19 +798,103 @@ func validateOn(nodes []node, wide [][2]uint64, root int32, entries []entry, p p
 	}
 }
 
+// slotRoot returns the root of p's slot's trie: 0 if the slot is empty or p
+// is shorter than /16. The four page loads do not branch.
+func (f *famIndex) slotRoot(p prefix.Prefix) int32 {
+	if p.Len() < radixBits {
+		return 0
+	}
+	hi, _ := p.Bits()
+	s, pg := uint32(hi>>(64-radixBits)), f.pages
+	return pg[pg[pg[pg[f.top][s>>12&15]][s>>8&15]][s>>4&15]][s&15]
+}
+
+// validate classifies (p, origin) against the family: the short-prefix trie
+// (a root with nothing under it on today's table), then the trie of p's slot,
+// whose root (slotRoot) the caller looked up.
+func (f *famIndex) validate(entries []entry, p prefix.Prefix, origin rpki.ASN, slot int32) State {
+	hi, lo := p.Bits()
+	state := validateOn(f.nodes, f.wide, f.root, entries, hi, lo, p.Len(), origin, NotFound)
+	if state == Valid || slot == 0 {
+		return state
+	}
+	return validateOn(f.nodes, f.wide, slot, entries, hi, lo, p.Len(), origin, state)
+}
+
+// validate4 is validate for an IPv4 family, whose keys are the nodes' own 32
+// bits: the same two descents (descend4), on 32-bit words. It is the loop a
+// router's data plane runs for every IPv4 route.
+func validate4(f *famIndex, entries []entry, p prefix.Prefix, origin rpki.ASN, slot int32) State {
+	hi, _ := p.Bits()
+	q, plen := uint32(hi>>32), p.Len()
+	state := NotFound
+	if r := &f.nodes[f.root]; r.off != 0 || r.children != [2]int32{} {
+		if state = descend4(f.nodes, f.root, entries, q, plen, origin, NotFound); state == Valid {
+			return Valid
+		}
+	}
+	if slot == 0 {
+		return state
+	}
+	return descend4(f.nodes, slot, entries, q, plen, origin, state)
+}
+
+// descend4 is validateOn for IPv4: q is the route's address, and a node's key
+// is its 32 bits.
+func descend4(nodes []node, idx int32, entries []entry, q uint32, plen uint8, origin rpki.ASN, state State) State {
+	for {
+		nd := &nodes[idx]
+		if nd.plen > plen {
+			return state
+		}
+		if off := nd.off; off != 0 {
+			if (nd.key^q)>>(32-nd.plen) != 0 {
+				return state
+			}
+			state = Invalid
+			for ; ; off++ {
+				e := entries[off]
+				if e.as == origin && plen <= e.maxLength {
+					return Valid
+				}
+				if e.last {
+					break
+				}
+			}
+		}
+		if nd.plen == plen {
+			return state
+		}
+		if idx = nd.children[q>>(31-nd.plen)&1]; idx == 0 {
+			return state
+		}
+	}
+}
+
 // Validate classifies route (p, origin) per RFC 6811. Zero allocations
 // (TestValidateAllocs).
 func (ix *Index) Validate(p prefix.Prefix, origin rpki.ASN) State {
-	if !p.IsValid() {
-		return NotFound
+	switch p.Family() {
+	case prefix.IPv4:
+		f := &ix.fams[0]
+		return validate4(f, ix.entries, p, origin, f.slotRoot(p))
+	case prefix.IPv6:
+		f := &ix.fams[1]
+		return f.validate(ix.entries, p, origin, f.slotRoot(p))
 	}
-	f := &ix.fams[famSlot(p.Family())]
-	return validateOn(f.nodes, f.wide, f.root, ix.entries, p, origin)
+	return NotFound
 }
 
-// ValidateBatch classifies every route in one pass, writing states into dst
-// (grown if needed) and returning it. The family lookups are hoisted out of
-// the loop, so a batch amortizes what a Validate call pays per route. dst[i]
+// batchLanes is how many routes a batch looks up in the radix roots before
+// it descends for any of them: their page loads do not depend on each other,
+// so their cache misses overlap, where one route's branchy descent would end
+// the overlap at each mispredicted bit.
+const batchLanes = 16
+
+// ValidateBatch classifies every route, writing states into dst (grown if
+// needed) and returning it: batchLanes routes at a time, their slots' roots
+// first, then their descents. The family lookups are hoisted out of the loop,
+// so a batch amortizes what a Validate call pays per route. dst[i]
 // corresponds to routes[i].
 func (ix *Index) ValidateBatch(routes []Route, dst []State) []State {
 	if cap(dst) < len(routes) {
@@ -531,14 +903,26 @@ func (ix *Index) ValidateBatch(routes []Route, dst []State) []State {
 		dst = dst[:len(routes)]
 	}
 	f4, f6, entries := &ix.fams[0], &ix.fams[1], ix.entries
-	for i, q := range routes {
-		switch q.Prefix.Family() {
-		case prefix.IPv4:
-			dst[i] = validateOn(f4.nodes, f4.wide, f4.root, entries, q.Prefix, q.Origin)
-		case prefix.IPv6:
-			dst[i] = validateOn(f6.nodes, f6.wide, f6.root, entries, q.Prefix, q.Origin)
-		default:
-			dst[i] = NotFound
+	var slots [batchLanes]int32
+	for at := 0; at < len(routes); at += batchLanes {
+		lane := routes[at:min(at+batchLanes, len(routes))]
+		for i := range lane {
+			switch p := lane[i].Prefix; p.Family() {
+			case prefix.IPv4:
+				slots[i] = f4.slotRoot(p)
+			case prefix.IPv6:
+				slots[i] = f6.slotRoot(p)
+			}
+		}
+		for i, q := range lane {
+			switch q.Prefix.Family() {
+			case prefix.IPv4:
+				dst[at+i] = validate4(f4, entries, q.Prefix, q.Origin, slots[i])
+			case prefix.IPv6:
+				dst[at+i] = f6.validate(entries, q.Prefix, q.Origin, slots[i])
+			default:
+				dst[at+i] = NotFound
+			}
 		}
 	}
 	return dst
@@ -560,15 +944,12 @@ func (ix *Index) AppendVRPs(dst []rpki.VRP) []rpki.VRP {
 // VisitVRPs streams the indexed VRP set to fn in per-family canonical prefix
 // order without materializing a slice — the RTR server's full-table responses
 // encode each VRP as it is visited. fn returning false ends the visit: the
-// rest of the trie is not walked and fn is not called again.
+// rest of the tries is not walked and fn is not called again.
 func (ix *Index) VisitVRPs(fn func(rpki.VRP) bool) {
 	for slot := range ix.fams {
 		f := &ix.fams[slot]
-		if len(f.nodes) == 0 {
-			continue
-		}
 		fam := slotFamily(slot)
-		if !f.walk(f.root, func(i int32) bool {
+		if !f.walkAll(func(i int32) bool {
 			off := f.nodes[i].off
 			if off == 0 {
 				return true // a branch point: nothing to stream
@@ -596,10 +977,10 @@ func keyPrefix(fam prefix.Family, hi, lo uint64, plen uint8) prefix.Prefix {
 	return p
 }
 
-// walk is the package's pre-order walk of one family's trie: from node idx it
-// hands fn every node of the subtree, in canonical prefix order, and reports
-// whether fn let it finish: fn returning false ends the walk. It steps into a
-// first child in place and pushes only a second one.
+// walk is the package's pre-order walk of one trie: from node idx it hands fn
+// every node of the subtree, in canonical prefix order, and reports whether fn
+// let it finish: fn returning false ends the walk. It steps into a first
+// child in place and pushes only a second one.
 func (f *famIndex) walk(idx int32, fn func(int32) bool) bool {
 	var pending [129]int32 // a second child per node of the deepest path
 	top := 0
@@ -624,4 +1005,21 @@ func (f *famIndex) walk(idx int32, fn func(int32) bool) bool {
 			return true
 		}
 	}
+}
+
+// walkAll walks the whole family in canonical prefix order: the short-prefix
+// trie, each slot's trie walked whole just before the first short node at or
+// past the slot's address, and the slots after the last. A short prefix sits
+// on a slot boundary, so nothing of a slot before it sorts after it.
+func (f *famIndex) walkAll(fn func(int32) bool) bool {
+	next := uint32(0) // the first slot not walked yet
+	upTo := func(to uint32) bool {
+		from := next
+		next = to
+		return f.slots(from, to, func(_ uint32, root int32) bool { return f.walk(root, fn) })
+	}
+	return f.walk(f.root, func(i int32) bool {
+		hi, _ := f.key(i)
+		return upTo(uint32(hi>>(64-radixBits))) && fn(i)
+	}) && upTo(1<<radixBits)
 }

@@ -1,7 +1,6 @@
 package rov
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -9,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/prefix"
 	"repro/internal/rpki"
@@ -36,8 +36,8 @@ func waitCompactor(t testing.TB, tab *Table) {
 func settle(t *testing.T, l *LiveIndex) {
 	t.Helper()
 	for {
-		waitCompactor(t, &l.tab)
-		if !compactDue(&l.tab) {
+		waitCompactor(t, &l.Table)
+		if !compactDue(&l.Table) {
 			return
 		}
 		l.Apply(nil, nil)
@@ -57,18 +57,18 @@ func wedgeCompactions(tab *Table) (started *atomic.Int32, release chan struct{})
 	return started, release
 }
 
-// countCompactions counts, from now on, the snapshots tab publishes that are
-// neither a replacement nor a delta: compactions.
+// countCompactions counts, from now on, the snapshots tab publishes in the
+// current one's version: compactions.
 func countCompactions(tab *Table) *atomic.Int32 {
 	n := new(atomic.Int32)
 	tab.mu.Lock()
 	inner := tab.published
-	tab.published = func(nw *Index, replaced bool, announce, withdraw []rpki.VRP) {
-		if !replaced && len(announce)+len(withdraw) == 0 {
+	tab.published = func(nw *Index) {
+		if nw.version == tab.cur.Load().version {
 			n.Add(1)
 		}
 		if inner != nil {
-			inner(nw, replaced, announce, withdraw)
+			inner(nw)
 		}
 	}
 	tab.mu.Unlock()
@@ -123,24 +123,20 @@ func randomProbe(rng *rand.Rand) Route {
 }
 
 // TestDifferentialLiveIndexVsReference is the tentpole correctness test:
-// the arena Index, the compact index, the LiveIndex after an arbitrary delta
-// history, and the linear Reference must agree state-for-state on randomized
-// IPv4+IPv6 workloads — after every applied delta, not just at the end. When
-// the LiveIndex's current version carries a published compact snapshot, that
-// snapshot is held to the same answers. Readers pay before every delta, so a
-// path-copied one keeps the compact half under an overlay (or finds a rebuild
-// due): the probes then include the neighbourhood of every prefix the delta
-// touched, where a wrong cover test would show. Every third delta is as large
-// as the table, and is path-copied like the rest; every sixth step withdraws
-// the whole table and then announces into it, the first full sync, which is
-// built: it returns with the Index answering and its compact build, held,
-// in flight, and once released that build lands with no further call. A
-// compaction is wedged ahead of a path-copied delta and released after
-// the step that follows, so a catch-up (or, past a first sync, a discard)
-// lands under the live view and is held to the same answers.
+// a fresh Index, the LiveIndex after an arbitrary delta history, and the
+// linear Reference must agree state-for-state on randomized IPv4+IPv6
+// workloads — after every applied delta, not just at the end — and the
+// LiveIndex's compact snapshot is its snapshot. The probes include the
+// neighbourhood of every prefix the delta touched. Every third delta is as
+// large as the table, and is path-copied like the rest; every sixth step
+// withdraws the whole table and then announces into it, the first full sync,
+// which is built and answers the moment Apply returns. A compaction is wedged
+// ahead of a path-copied delta and released after the step that follows, so a
+// catch-up (or, past a first sync, a discard) lands under the live table and
+// is held to the same answers.
 func TestDifferentialLiveIndexVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	syncs, copies, large, overlaid, caughtUp, discarded := 0, 0, 0, 0, 0, 0
+	syncs, copies, large, caughtUp, discarded := 0, 0, 0, 0, 0
 	for trial := 0; trial < 20; trial++ {
 		state := map[rpki.VRP]struct{}{}
 		var init []rpki.VRP
@@ -187,35 +183,24 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 					ann, wd = append(ann, v), append(wd, v)
 				}
 			}
-			pay(live, []Route{randomProbe(rng), randomProbe(rng)})
-			quiesce(t, live) // or a rebuild's install may land between two looks at the view
-			before, compactBefore := live.Snapshot(), live.CompactSnapshot()
+			before := live.Snapshot()
 			wedgeNow := release == nil && !firstSync && step < 11 // the next step releases it
 			if wedgeNow {
 				// These tables are too small to compact of their own accord.
 				release, replaced, during = make(chan struct{}), false, nil
-				live.tab.mu.Lock()
-				live.tab.compacting = true
-				go live.tab.compact(before, func() { <-release })
-				live.tab.mu.Unlock()
+				live.Table.mu.Lock()
+				live.Table.compacting = true
+				go live.Table.compact(before, func() { <-release })
+				live.Table.mu.Unlock()
 			}
-			// A first sync's compact build is held in flight: unheld lets it go.
-			var unheld func()
-			var synced LiveStats
 			if firstSync { // the table withdrawn whole, path-copied, leaves it empty
 				emptied := setOf(state).VRPs()
 				live.Apply(nil, emptied)
 				during = append(during, emptied...)
 				clear(state)
-				synced, unheld = quiesce(t, live), holdRebuilds(live)
 			}
 			during = append(append(during, ann...), wd...)
 			live.Apply(ann, wd)
-			// Looked at before anything else: a delta that makes a rebuild due
-			// has started it, and its install takes the overlay away again.
-			if st := live.Stats(); st.CompactHeld && st.Marks > 0 {
-				overlaid++
-			}
 			for _, v := range ann {
 				state[v] = struct{}{}
 			}
@@ -224,7 +209,10 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 			}
 			// The path taken shows in the arenas: a path copy shares the old
 			// snapshot's slabs, a build does not; a delta that nets to nothing
-			// publishes nothing and keeps the compact half it found.
+			// publishes nothing.
+			if live.CompactSnapshot() != live.Snapshot() {
+				t.Fatalf("trial %d step %d: the compact snapshot is not the snapshot", trial, step)
+			}
 			switch after := live.Snapshot(); {
 			case firstSync:
 				syncs++
@@ -232,15 +220,9 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				if before.fams[0].sameLineage(&after.fams[0]) {
 					t.Fatalf("trial %d step %d: a first sync of %d VRPs was path-copied", trial, step, len(ann))
 				}
-				if st := live.Stats(); live.CompactSnapshot() != nil || st.RebuildsStarted != synced.RebuildsStarted+1 {
-					t.Fatalf("trial %d step %d: a first sync returned with compact %v, %+v; want the Index serving, the compact half begun", trial, step, live.CompactSnapshot(), st)
-				}
 			case after == before:
 				if a, w := Diff(before, NewIndex(setOf(state))); len(a)+len(w) != 0 {
 					t.Fatalf("trial %d step %d: Apply kept the old snapshot over a real change (+%d -%d)", trial, step, len(a), len(w))
-				}
-				if live.CompactSnapshot() != compactBefore {
-					t.Fatalf("trial %d step %d: a no-op delta replaced the compact snapshot", trial, step)
 				}
 			default:
 				copies++
@@ -255,13 +237,13 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 			verify := func(touched []rpki.VRP) {
 				set := setOf(state)
 				cur := set.VRPs()
-				ix, cx, ref := NewIndex(set), NewCompactIndex(set), NewReference(set)
+				ix, ref := NewIndex(set), NewReference(set)
 				if a, w := Diff(live.Snapshot(), ix); len(a)+len(w) != 0 {
 					t.Fatalf("trial %d step %d: the live snapshot is +%d -%d VRPs off the applied history", trial, step, len(w), len(a))
 				}
-				if live.Len() != set.Len() || ix.Len() != set.Len() || cx.Len() != set.Len() {
-					t.Fatalf("trial %d step %d: live %d / index %d / compact %d / set %d VRPs",
-						trial, step, live.Len(), ix.Len(), cx.Len(), set.Len())
+				if live.Len() != set.Len() || ix.Len() != set.Len() {
+					t.Fatalf("trial %d step %d: live %d / index %d / set %d VRPs",
+						trial, step, live.Len(), ix.Len(), set.Len())
 				}
 				routes := probesAround(touched)
 				for q := 0; q < 120; q++ {
@@ -274,40 +256,23 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 				}
 				liveStates := live.ValidateBatch(routes, nil)
 				ixStates := ix.ValidateBatch(routes, nil)
-				cxStates := cx.ValidateBatch(routes, nil)
-				pub := live.CompactSnapshot() // nil unless a compaction landed for this exact version
 				for i, q := range routes {
 					want := ref.Validate(q.Prefix, q.Origin)
 					if ixStates[i] != want {
 						t.Fatalf("trial %d step %d: Index.Validate(%s, %v) = %v, reference %v",
 							trial, step, q.Prefix, q.Origin, ixStates[i], want)
 					}
-					if cxStates[i] != want {
-						t.Fatalf("trial %d step %d: CompactIndex.Validate(%s, %v) = %v, reference %v",
-							trial, step, q.Prefix, q.Origin, cxStates[i], want)
-					}
 					if got := live.Validate(q.Prefix, q.Origin); liveStates[i] != want || got != want {
-						t.Fatalf("trial %d step %d: LiveIndex.ValidateBatch(%s, %v) = %v, Validate %v, reference %v (%+v)",
-							trial, step, q.Prefix, q.Origin, liveStates[i], got, want, live.Stats())
-					}
-					if pub != nil {
-						if got := pub.Validate(q.Prefix, q.Origin); got != want {
-							t.Fatalf("trial %d step %d: published compact Validate(%s, %v) = %v, reference %v",
-								trial, step, q.Prefix, q.Origin, got, want)
-						}
+						t.Fatalf("trial %d step %d: LiveIndex.ValidateBatch(%s, %v) = %v, Validate %v, reference %v",
+							trial, step, q.Prefix, q.Origin, liveStates[i], got, want)
 					}
 				}
 			}
 			verify(append(append([]rpki.VRP(nil), ann...), wd...))
-			if firstSync { // the Index answered; now the compact half lands
-				unheld()
-				checkLanded(t, live, synced, probesAround(ann), fmt.Sprintf("trial %d step %d: first sync", trial, step))
-			}
 			if release != nil && !wedgeNow {
 				cur := live.Snapshot()
-				st := quiesce(t, live) // the view the compaction lands under
 				close(release)
-				waitCompactor(t, &live.tab)
+				waitCompactor(t, &live.Table)
 				switch after := live.Snapshot(); {
 				case replaced:
 					discarded++
@@ -316,7 +281,7 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 					}
 				case after == cur || after.fams[0].sameLineage(&cur.fams[0]):
 					t.Fatalf("trial %d: the released compaction published nothing", trial)
-				case st.CompactHeld:
+				default:
 					caughtUp++
 				}
 				verify(during)
@@ -324,9 +289,9 @@ func TestDifferentialLiveIndexVsReference(t *testing.T) {
 			}
 		}
 	}
-	if syncs < 20 || copies < 20 || large < 20 || overlaid < 20 || caughtUp < 10 || discarded < 10 {
-		t.Fatalf("differential covered %d first syncs and %d path-copied deltas, %d of them at least the table's size and %d leaving the view under an overlay, %d compactions catching up under the live view and %d discarded; want at least 20, 20, 20, 20, 10 and 10",
-			syncs, copies, large, overlaid, caughtUp, discarded)
+	if syncs < 20 || copies < 20 || large < 20 || caughtUp < 10 || discarded < 10 {
+		t.Fatalf("differential covered %d first syncs and %d path-copied deltas, %d of them at least the table's size, %d compactions catching up under the live table and %d discarded; want at least 20, 20, 20, 10 and 10",
+			syncs, copies, large, caughtUp, discarded)
 	}
 }
 
@@ -401,44 +366,39 @@ func TestLiveIndexDeltaEdgeCases(t *testing.T) {
 
 // TestApplyBulk pins Apply on deltas as large as the table, into a LiveIndex.
 // The first full sync is built: fresh slabs, no garbage, and Apply returns
-// with the Index serving the new table while its compact half — begun, and
-// held here — builds behind it, to land with no further call. Every later one
-// is path-copied like any delta: one that nets to nothing publishes nothing
-// and keeps the compact half; inside one, withdraw wins and repeats count
-// once; and one that withdraws everything leaves an empty table.
+// with the Index serving the new table, radix root and all, and starts no
+// goroutine. Every later one is path-copied like any delta: one that nets to
+// nothing publishes nothing; inside one, withdraw wins and repeats count once;
+// and one that withdraws everything leaves an empty table.
 func TestApplyBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	table := randomTable(rng, 300)
 	absent := markerVRP(1)
 
 	l := NewLiveIndex(rpki.NewSet(nil))
-	release, empty := holdRebuilds(l), l.Stats()
+	goroutines := runtime.NumGoroutine()
 	l.Apply(table, nil) // the first full sync as one announce delta
-	if st := l.Stats(); l.Len() != len(table) || l.CompactSnapshot() != nil || st.RebuildsStarted != empty.RebuildsStarted+1 {
-		t.Fatalf("first sync: %d VRPs, compact %v, %+v; want %d served by the Index, the compact half begun", l.Len(), l.CompactSnapshot(), st, len(table))
+	if n := runtime.NumGoroutine(); l.Len() != len(table) || n > goroutines {
+		t.Fatalf("first sync: %d VRPs and %d goroutines, were %d; want %d served, no goroutine started", l.Len(), n, goroutines, len(table))
 	}
-	if nodes, entries := garbage(&l.tab); nodes+entries != 0 {
+	if nodes, pages, entries := garbage(&l.Table); nodes+pages+entries != 0 {
 		t.Fatalf("the first sync left %d garbage cells: it was path-copied", nodes+entries)
 	}
 	synced := map[rpki.VRP]struct{}{}
 	for _, v := range table {
 		synced[v] = struct{}{}
 	}
-	checkLive(t, l, synced, probesAround(table), "first sync, compact half in flight")
-	release()
-	checkLanded(t, l, empty, probesAround(table), "first sync")
+	checkLive(t, l, synced, probesAround(table), "first sync")
 
 	// Every VRP re-announced and two absent ones withdrawn: 302 operations, no
-	// change — the published snapshot and its compact half must be the very
-	// same values.
-	ix, cx := l.Snapshot(), l.CompactSnapshot()
+	// change — the published snapshot must be the very same value.
+	ix := l.Snapshot()
 	l.Apply(table, []rpki.VRP{absent, markerVRP(2)})
-	if l.Snapshot() != ix || l.CompactSnapshot() != cx {
+	if l.Snapshot() != ix {
 		t.Fatal("a table-sized delta that nets to nothing replaced the published snapshot")
 	}
 
 	// Withdraw wins inside a table-sized delta, and repeats count once.
-	pay(l, probesAround(table[:20]))
 	before := l.Snapshot()
 	half := table[:150]
 	l.Apply(append([]rpki.VRP{absent, absent, half[0]}, half...), half)
@@ -450,7 +410,7 @@ func TestApplyBulk(t *testing.T) {
 		state[v] = struct{}{}
 	}
 	checkLive(t, l, state, probesAround(table), "after a table-sized announce+withdraw")
-	checkEntryGarbage(t, &l.tab)
+	checkEntryGarbage(t, &l.Table)
 
 	// A delta that empties the table.
 	l.Apply(nil, l.Snapshot().AppendVRPs(nil))
@@ -524,9 +484,8 @@ func TestLargeDeltaPathCopied(t *testing.T) {
 		}
 	}
 	l := NewLiveIndex(rpki.NewSet(table))
-	compactions := countCompactions(&l.tab)
+	compactions := countCompactions(&l.Table)
 	probes := append(probesAround(table[:100]), probesAround(next[:100])...)
-	pay(l, probes)
 	before := l.Snapshot()
 	refBefore, refAfter := NewReference(rpki.NewSet(table)), NewReference(rpki.NewSet(next))
 
@@ -561,10 +520,10 @@ func TestLargeDeltaPathCopied(t *testing.T) {
 	if !before.fams[0].sameLineage(&after.fams[0]) {
 		t.Fatal("a delta four times the table was rebuilt, not path-copied")
 	}
-	checkEntryGarbage(t, &l.tab)
+	checkEntryGarbage(t, &l.Table)
 	checkParentDiff(t, "a delta four times the table", before, after)
 	checkDiffAgainstNaive(t, before, after)
-	waitCompactor(t, &l.tab)
+	waitCompactor(t, &l.Table)
 	close(stop)
 	wg.Wait()
 	if compactions.Load() == 0 || l.Snapshot().fams[0].sameLineage(&after.fams[0]) {
@@ -575,7 +534,7 @@ func TestLargeDeltaPathCopied(t *testing.T) {
 		state[v] = struct{}{}
 	}
 	checkLive(t, l, state, probes, "after the delta and its compaction")
-	checkEntryGarbage(t, &l.tab)
+	checkEntryGarbage(t, &l.Table)
 }
 
 // TestVisitVRPsStops pins the early stop: once fn has returned false it is
@@ -631,8 +590,8 @@ func TestBulkApplyAgainstReadersAndCompaction(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(89))
 			l := NewLiveIndex(rpki.NewSet(randomTable(rng, 400)))
-			compactions := countCompactions(&l.tab)
-			started, release := wedgeCompactions(&l.tab)
+			compactions := countCompactions(&l.Table)
+			started, release := wedgeCompactions(&l.Table)
 			churnUntil(t, l, 0, func() bool { return started.Load() > 0 })
 			l.Apply([]rpki.VRP{markerVRP(0)}, nil) // lands during the rebuild: the replacement must drop it
 
@@ -665,7 +624,7 @@ func TestBulkApplyAgainstReadersAndCompaction(t *testing.T) {
 			want := tc.replace(l, beforeVRPs)
 			replacement := l.Snapshot()
 			close(release)
-			waitCompactor(t, &l.tab)
+			waitCompactor(t, &l.Table)
 			close(stop)
 			wg.Wait()
 			if l.Snapshot() != replacement || compactions.Load() != 0 {
@@ -789,13 +748,12 @@ func TestLiveIndexCompaction(t *testing.T) {
 }
 
 // TestLiveIndexConcurrentReaders runs lock-free readers against a writer whose
-// deltas, rebuild installs and resets interleave (under -race this pins the
-// view-swap memory contract). Readers validate whole batches through the
+// deltas, compactions and resets interleave (under -race this pins the
+// snapshot-swap memory contract). Readers validate whole batches through the
 // LiveIndex, and every batch must have been answered at one table version:
 // each delta toggles two VRPs whose prefixes sit at the two ends of the
 // batch, so states taken from two versions match the Index of neither. Once
-// the writer goes quiet every rebuild has been installed or discarded, and
-// every goroutine it started has exited.
+// the writer goes quiet every goroutine it started has exited.
 func TestLiveIndexConcurrentReaders(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(5))
@@ -847,27 +805,13 @@ func TestLiveIndexConcurrentReaders(t *testing.T) {
 			}
 		}()
 	}
-	// The writer cycles until the readers have been answered through both
-	// halves: on a busy host its first 1,500 operations can be over before any
-	// batch lands on a view that holds a compact half. The ceiling bounds the
-	// versions kept, not the expected run. It waits out every other reset's
-	// compact build: with four readers on the host's cores, the goroutine of
-	// each would otherwise be scheduled only after the next reset — or the
-	// next delta nobody has yet paid for — had discarded it.
-	seenBoth := func() bool {
-		st := l.Stats()
-		return st.CompactRoutes > 0 && st.FallbackRoutes > 0
-	}
-	for i := 0; i < 1500 || (i < 30000 && !seenBoth()); i++ {
+	for i := 0; i < 1500; i++ {
 		k := i % pairs
 		pair := []rpki.VRP{markerVRP(2 * k), markerVRP(2*k + 1)}
-		short := randomVRP(rng) // now and then short enough to make a rebuild due at once
+		short := randomVRP(rng) // now and then a short prefix, which covers many routes
 		switch _, on := state[pair[0]]; {
 		case i%100 == 99:
 			l.ResetTo(setOf(state).VRPs())
-			if i%200 == 199 {
-				quiesce(t, l)
-			}
 		case on:
 			l.Apply([]rpki.VRP{short}, pair)
 			state[short] = struct{}{}
@@ -884,10 +828,6 @@ func TestLiveIndexConcurrentReaders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	settle(t, l)
-	st := quiesce(t, l)
-	if st.RebuildsInstalled < 2 || st.CompactRoutes == 0 || st.FallbackRoutes == 0 {
-		t.Fatalf("the readers saw no compact half come and go: %+v", st)
-	}
 	waitGoroutines(t, baseline, "with the writer quiet")
 	checkLive(t, l, state, routes, "at rest")
 
@@ -908,15 +848,13 @@ func TestLiveIndexConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestLiveIndexCompactSwitchover runs readers that hold each structure of a
-// view by itself — a compact snapshot whenever one describes the current
-// version, the Index always — across a writer's churn. Whatever they hold
-// must stay internally consistent (its answers match a reference built from
-// its own exported table) no matter how many versions have been published
-// since. The same readers validate through the LiveIndex and so pay for the
-// compact half: it must have been rebuilt, repeatedly, by the end of the
-// churn, and at rest the view — compact half, overlay and all — answers as
-// its Index does.
+// TestLiveIndexCompactSwitchover runs readers that hold the compact snapshot
+// and the snapshot by themselves across a writer's churn, through several
+// compactions. The compact snapshot switches over with every delta: it is
+// never nil and always a snapshot the table published. Whatever a reader
+// holds must stay internally consistent (its answers match a reference built
+// from its own exported table) no matter how many versions have been
+// published since, and at rest the LiveIndex answers as its snapshot does.
 func TestLiveIndexCompactSwitchover(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	var base []rpki.VRP
@@ -940,7 +878,10 @@ func TestLiveIndexCompactSwitchover(t *testing.T) {
 					return
 				default:
 				}
-				if c := l.CompactSnapshot(); c != nil {
+				if c := l.CompactSnapshot(); c == nil {
+					t.Error("CompactSnapshot returned nil")
+					return
+				} else {
 					ref := NewReference(rpki.NewSet(c.AppendVRPs(nil)))
 					for q := 0; q < 40; q++ {
 						p := randomProbe(rng)
@@ -963,27 +904,30 @@ func TestLiveIndexCompactSwitchover(t *testing.T) {
 			}
 		}(int64(300 + r))
 	}
-	for i := 0; i < 1500 || l.Stats().RebuildsInstalled < 2; i++ {
+	compactions := countCompactions(&l.Table)
+	for i := 0; i < 1500 || compactions.Load() < 2; i++ {
 		if i == 200000 {
-			t.Fatalf("the compact half never cycled: %+v", l.Stats())
+			t.Fatalf("%d compactions in %d deltas", compactions.Load(), i)
 		}
 		v := randomVRP(rng)
 		l.Apply([]rpki.VRP{v}, nil)
+		if c := l.CompactSnapshot(); c != l.Snapshot() {
+			t.Fatalf("delta %d: the compact snapshot is not the snapshot", i)
+		}
 		l.Apply(nil, []rpki.VRP{v})
 	}
 	close(stop)
 	wg.Wait()
 	settle(t, l)
-	quiesce(t, l)
 
 	snap := l.Snapshot()
-	if c := l.CompactSnapshot(); c != nil && c.Len() != snap.Len() {
-		t.Fatalf("compact Len %d, bit Len %d", c.Len(), snap.Len())
+	if c := l.CompactSnapshot(); c != snap {
+		t.Fatalf("at rest the compact snapshot (%d VRPs) is not the snapshot (%d)", c.Len(), snap.Len())
 	}
 	for q := 0; q < 1000; q++ {
 		p := randomProbe(rng)
 		if got, want := l.Validate(p.Prefix, p.Origin), snap.Validate(p.Prefix, p.Origin); got != want {
-			t.Fatalf("settled view disagrees with its Index: Validate(%s, %v) = %v, want %v (%+v)", p.Prefix, p.Origin, got, want, l.Stats())
+			t.Fatalf("settled table disagrees with its snapshot: Validate(%s, %v) = %v, want %v", p.Prefix, p.Origin, got, want)
 		}
 	}
 }
@@ -1045,15 +989,15 @@ func TestLiveIndexBackgroundCompactionApplyLatency(t *testing.T) {
 	l := NewLiveIndex(rpki.NewSet(base))
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	l.tab.mu.Lock()
-	l.tab.compactHook = func() {
+	l.Table.mu.Lock()
+	l.Table.compactHook = func() {
 		select {
 		case started <- struct{}{}:
 		default:
 		}
 		<-release
 	}
-	l.tab.mu.Unlock()
+	l.Table.mu.Unlock()
 
 	// Readers validate arbitrary snapshots against a reference built from
 	// the very same snapshot for the whole test, including the stalled
@@ -1118,9 +1062,9 @@ func TestLiveIndexBackgroundCompactionApplyLatency(t *testing.T) {
 			t.Fatalf("marker %d not visible immediately after Apply during stalled compaction: %v", k, got)
 		}
 	}
-	l.tab.mu.Lock()
-	busy := l.tab.compacting
-	l.tab.mu.Unlock()
+	l.Table.mu.Lock()
+	busy := l.Table.compacting
+	l.Table.mu.Unlock()
 	if !busy {
 		t.Fatal("compaction finished while its hook was held — Apply must not have published the markers through it")
 	}
@@ -1190,15 +1134,15 @@ func TestLiveIndexResetTo(t *testing.T) {
 	l = NewLiveIndex(rpki.NewSet(base))
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	l.tab.mu.Lock()
-	l.tab.compactHook = func() {
+	l.Table.mu.Lock()
+	l.Table.compactHook = func() {
 		select {
 		case started <- struct{}{}:
 		default:
 		}
 		<-release
 	}
-	l.tab.mu.Unlock()
+	l.Table.mu.Unlock()
 	stalled := false
 	for i := 0; i < 200000 && !stalled; i++ {
 		v := randomVRP(rng)
@@ -1216,7 +1160,7 @@ func TestLiveIndexResetTo(t *testing.T) {
 	reset := []rpki.VRP{v1, v2}
 	l.ResetTo(reset)
 	close(release)
-	waitCompactor(t, &l.tab) // the doomed compaction observes the reset and discards
+	waitCompactor(t, &l.Table) // the doomed compaction observes the reset and discards
 	if l.Len() != 2 {
 		t.Fatalf("Len after reset-during-compaction = %d, want 2 (stale rebuild published?)", l.Len())
 	}
@@ -1273,8 +1217,8 @@ func TestCompactionCatchesUpUnderChurn(t *testing.T) {
 			pin := func(when string) pinned { return pinned{when, l.Snapshot(), setOf(state).VRPs()} }
 			pins := []pinned{pin("before the compaction")}
 
-			compactions := countCompactions(&l.tab)
-			started, release := wedgeCompactions(&l.tab)
+			compactions := countCompactions(&l.Table)
+			started, release := wedgeCompactions(&l.Table)
 			churnUntil(t, l, 0, func() bool { return started.Load() > 0 })
 
 			const deltas = 3000
@@ -1313,7 +1257,7 @@ func TestCompactionCatchesUpUnderChurn(t *testing.T) {
 			}
 
 			close(release)
-			waitCompactor(t, &l.tab)
+			waitCompactor(t, &l.Table)
 			if n, c := started.Load(), compactions.Load(); n != 1 || c != 1 {
 				t.Fatalf("%d compactors ran and %d compactions published, want one of each", n, c)
 			}
@@ -1341,5 +1285,178 @@ func TestCompactionCatchesUpUnderChurn(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// probesAround returns the routes on which a change at each VRP's prefix
+// could be mishandled: the prefix itself, what strictly contains it (parent,
+// grandparent), what it strictly contains (children, one grandchild) and its
+// sibling, each with the VRP's origin and another.
+func probesAround(vrps []rpki.VRP) []Route {
+	var out []Route
+	for _, v := range vrps {
+		p := v.Prefix
+		near := []prefix.Prefix{p}
+		if p.Len() > 0 {
+			near = append(near, p.Parent(), p.Sibling())
+		}
+		if p.Len() > 1 {
+			near = append(near, p.Parent().Parent())
+		}
+		if p.Len() < p.MaxLen() {
+			near = append(near, p.Child(0), p.Child(1))
+		}
+		if p.Len()+1 < p.MaxLen() {
+			near = append(near, p.Child(1).Child(0))
+		}
+		for _, q := range near {
+			out = append(out, Route{Prefix: q, Origin: v.AS}, Route{Prefix: q, Origin: v.AS + 1})
+		}
+	}
+	return out
+}
+
+// checkLive holds l — Validate and ValidateBatch — on probes to a freshly
+// built Index and the Reference of state, the table l should have.
+func checkLive(t *testing.T, l *LiveIndex, state map[rpki.VRP]struct{}, probes []Route, where string) {
+	t.Helper()
+	set := setOf(state)
+	if l.Len() != set.Len() {
+		t.Fatalf("%s: live holds %d VRPs, want %d", where, l.Len(), set.Len())
+	}
+	fresh, ref := NewIndex(set), NewReference(set)
+	batch := l.ValidateBatch(probes, nil)
+	for i, q := range probes {
+		want := ref.Validate(q.Prefix, q.Origin)
+		if got := fresh.Validate(q.Prefix, q.Origin); got != want {
+			t.Fatalf("%s: fresh Index.Validate(%s, %v) = %v, reference %v", where, q.Prefix, q.Origin, got, want)
+		}
+		if got := l.Validate(q.Prefix, q.Origin); got != want {
+			t.Fatalf("%s: LiveIndex.Validate(%s, %v) = %v, reference %v", where, q.Prefix, q.Origin, got, want)
+		}
+		if batch[i] != want {
+			t.Fatalf("%s: LiveIndex.ValidateBatch[%d] (%s, %v) = %v, reference %v", where, i, q.Prefix, q.Origin, batch[i], want)
+		}
+	}
+}
+
+// waitGoroutines waits until the process is back to at most n goroutines: a
+// compaction's goroutine exits just after it publishes.
+func waitGoroutines(t *testing.T, n int, where string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want at most %d", where, runtime.NumGoroutine(), n)
+		}
+	}
+}
+
+// workloadTable returns a table of today's size with a real table's prefix
+// lengths where it matters here — nothing shorter than a /16 — and routes
+// under its VRPs.
+func workloadTable() (table []rpki.VRP, batches [][]Route) {
+	rng := rand.New(rand.NewSource(151))
+	seen := map[prefix.Prefix]bool{}
+	for len(table) < todaySize {
+		l := uint8(16 + rng.Intn(9))
+		p, _ := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
+		if !seen[p] {
+			seen[p] = true
+			table = append(table, rpki.VRP{Prefix: p, MaxLength: l + uint8(rng.Intn(2)), AS: rpki.ASN(rng.Intn(30000))})
+		}
+	}
+	for b := 0; b < 8; b++ {
+		batch := make([]Route, 8192)
+		for i := range batch {
+			v := table[rng.Intn(len(table))]
+			p := v.Prefix
+			for p.Len() < 24 && rng.Intn(2) == 0 {
+				p = p.Child(uint8(rng.Intn(2)))
+			}
+			batch[i] = Route{Prefix: p, Origin: v.AS}
+		}
+		batches = append(batches, batch)
+	}
+	return table, batches
+}
+
+// churnDelta is validate_churn's delta k: 32 table VRPs out and 32 new /24s
+// in on even passes over the 32 groups, the reverse on odd ones.
+func churnDelta(table []rpki.VRP, k int) (announce, withdraw []rpki.VRP) {
+	g := k % 32
+	out := table[g*32 : (g+1)*32]
+	in := make([]rpki.VRP, 32)
+	for i := range in {
+		p, _ := prefix.Make(prefix.IPv4, uint64(203<<24|g<<16|i<<8)<<32, 0, 24)
+		in[i] = rpki.VRP{Prefix: p, MaxLength: 24, AS: 64500}
+	}
+	if (k/32)%2 == 1 {
+		return out, in
+	}
+	return in, out
+}
+
+// TestLiveIndexServesCompactUnderChurn is validate_churn in small: today's
+// table size, then forty 64-VRP deltas with eight 8,192-route batches
+// validated after each. Every batch is answered by the snapshot current when
+// it began, which is the compact snapshot: after each delta, a batch through
+// the LiveIndex equals one through its CompactSnapshot and one through a
+// fresh build of the table, and the answers at the end are the Reference's.
+func TestLiveIndexServesCompactUnderChurn(t *testing.T) {
+	table, batches := workloadTable()
+	l := NewLiveIndex(rpki.NewSet(table))
+	state := map[rpki.VRP]struct{}{}
+	for _, v := range table {
+		state[v] = struct{}{}
+	}
+	const deltas, perDelta = 40, 8
+	var dst []State
+	for k := 0; k < deltas; k++ {
+		ann, wd := churnDelta(table, k)
+		l.Apply(ann, wd)
+		for _, v := range ann {
+			state[v] = struct{}{}
+		}
+		for _, v := range wd {
+			delete(state, v)
+		}
+		fresh := NewIndex(setOf(state))
+		for i := 0; i < perDelta; i++ {
+			batch := batches[(k*perDelta+i)%len(batches)]
+			dst = l.ValidateBatch(batch, dst)
+			if c := l.CompactSnapshot(); !slices.Equal(dst, c.ValidateBatch(batch, nil)) || !slices.Equal(dst, fresh.ValidateBatch(batch, nil)) {
+				t.Fatalf("delta %d batch %d: the LiveIndex, its compact snapshot and a fresh build disagree", k, i)
+			}
+		}
+	}
+	ann, wd := churnDelta(table, deltas-1)
+	checkLive(t, l, state, append(probesAround(append(ann, wd...)), batches[0][:512]...), "after the churn")
+}
+
+// TestLiveIndexIdleKeepsNoCompactHalf is TestTableStartsNoGoroutine's
+// sibling, and what keeps a follower's heap at one index: a LiveIndex, built
+// over its table or by a first full sync, holds one Index and starts no
+// goroutine through a delta churn that does not reach a compaction, and is
+// a Table and nothing more.
+func TestLiveIndexIdleKeepsNoCompactHalf(t *testing.T) {
+	table, _ := workloadTable()
+	before := runtime.NumGoroutine()
+	built := NewLiveIndex(rpki.NewSet(table))
+	synced := NewLiveIndex(rpki.NewSet(nil))
+	synced.Apply(table, nil)
+	for i, l := range []*LiveIndex{built, synced} {
+		for k := 0; k < 40; k++ {
+			l.Apply(churnDelta(table, k))
+			l.Validate(table[k].Prefix, table[k].AS) // a follower's one probe per delta
+			if c := l.CompactSnapshot(); c != l.Snapshot() {
+				t.Fatalf("index %d after delta %d: a compact snapshot apart from the snapshot", i, k)
+			}
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after churning idle indexes, %d before", after, before)
+	}
+	if l, tab := unsafe.Sizeof(LiveIndex{}), unsafe.Sizeof(Table{}); l != tab {
+		t.Fatalf("a LiveIndex is %d bytes, a Table %d: it holds more than its table", l, tab)
 	}
 }

@@ -15,18 +15,16 @@
 // forged-origin subprefix hijack is *Valid* here whenever a non-minimal ROA
 // authorizes the hijacked subprefix (§4).
 //
-// Three implementations are provided. Index (index.go) is the serving-path
-// validator: a path-compressed trie — the root, the prefixes with VRPs and
-// the points where two part ways — in one node slab a family, with a parallel
-// value slab, answering single queries and batches. Table (table.go) wraps it
-// with in-place RTR delta updates under an atomic snapshot swap, each
-// snapshot in the shape a build makes, and LiveIndex (live.go) adds a compact
-// index (compact.go) of an earlier version — that version's Index copied node
-// for node by the pre-order walk VisitVRPs and Diff take too — which answers
-// every route no prefix touched since covers, while routes pay for it. It is
-// built off the path to enforcement: a delivered table serves from its Index
-// the moment it is published, and the compact index follows from a
-// background build.
+// Index (index.go) is the serving-path validator: per family, a radix root
+// over the top 16 address bits whose slots hold the path-compressed tries of
+// their /16s, and a short-prefix trie for the VRPs shorter than /16 — the
+// prefixes with VRPs and the points where two part ways, in one node slab a
+// family, with a parallel value slab — answering single queries and batches.
+// Table (table.go) wraps it with in-place RTR delta updates under an atomic
+// snapshot swap, each snapshot in the shape a build makes, and LiveIndex
+// (live.go) is a Table that validates against its current snapshot, from the
+// moment a delivered table is published. CompactIndex (compact.go) is another
+// name for Index.
 // Reference (below) is a linear scan used to cross-check them in property
 // and fuzz tests.
 package rov

@@ -163,28 +163,3 @@ func BenchmarkIndexValidate(b *testing.B) {
 		ix.Validate(q, 31283)
 	}
 }
-
-// BenchmarkCompactIndexValidate is BenchmarkIndexValidate on the
-// path-compressed index: same 50k-VRP table, same query. This is the
-// headline hot-path number — one stride-table load plus a branch-point
-// descent instead of one node hop per prefix bit.
-func BenchmarkCompactIndexValidate(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var vrps []rpki.VRP
-	for i := 0; i < 50000; i++ {
-		l := uint8(8 + rng.Intn(17))
-		p, _ := prefix.Make(prefix.IPv4, rng.Uint64()&0xffffffff00000000, 0, l)
-		vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: l + uint8(rng.Intn(3)), AS: rpki.ASN(rng.Intn(30000))})
-	}
-	cx := NewCompactIndex(rpki.NewSet(vrps))
-	ix := NewIndex(rpki.NewSet(vrps))
-	q := mp("87.254.32.0/19")
-	if got, want := cx.Validate(q, 31283), ix.Validate(q, 31283); got != want {
-		b.Fatalf("compact answer %v, index answer %v", got, want)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cx.Validate(q, 31283)
-	}
-}

@@ -13,12 +13,16 @@ import (
 // cache's, each session's and each follower's: a node is two children, a span
 // offset, the first 32 bits of its key — all of an IPv4 key — and its length,
 // 20 bytes; a wide key, which only a family with keys past 32 bits keeps, 16;
-// and an entry 8, its last mark in the padding before the AS. A field more than the length's byte
-// would add a fifth to every node slab.
+// and an entry 8, its last mark in the padding before the AS; a radix page is 16 int32 slots, 64
+// bytes, the sizes needCompact weighs garbage by. A field more than the length's byte would add a
+// fifth to every node slab.
 func TestSlabCellSizes(t *testing.T) {
 	var f famIndex
 	if n, w, e := unsafe.Sizeof(node{}), unsafe.Sizeof(f.wide[0]), unsafe.Sizeof(entry{}); n != 20 || w != 16 || e != 8 {
 		t.Fatalf("a node is %d bytes, a wide key %d and an entry %d, want 20, 16 and 8", n, w, e)
+	}
+	if n, p := unsafe.Sizeof(node{}), unsafe.Sizeof(page{}); n != nodeBytes || p != pageBytes {
+		t.Fatalf("a node is %d bytes and a radix page %d, where needCompact weighs them at %d and %d", n, p, nodeBytes, pageBytes)
 	}
 }
 
@@ -123,6 +127,6 @@ func TestSpanWithoutLimit(t *testing.T) {
 	check("LiveIndex after the withdraw", l, kept)
 	l.ResetTo(preorder)
 	check("LiveIndex reset", l, all)
-	waitCompactor(t, &l.tab)
+	waitCompactor(t, &l.Table)
 	waitCompactor(t, tab)
 }

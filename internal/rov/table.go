@@ -8,14 +8,12 @@ import (
 	"repro/internal/rpki"
 )
 
-// Table is the write side of a live validation table: the VRP set an RTR feed
-// maintains, held as a path-compressed Index that announce and withdraw deltas
-// update in O(delta · kept nodes on a root path) — never a rebuild of the full
-// set — while anyone may take immutable snapshots lock-free. It is what a
-// session keeps when nothing validates against it directly: an RTR client's
-// synchronized table, a cache server's snapshot ring. A table that also serves
-// the validation hot path is a LiveIndex, which is a Table plus the compact
-// read-side structure derived from it.
+// Table is a live validation table: the VRP set an RTR feed maintains, held as
+// an Index — a radix root over PATRICIA tries — that announce and withdraw
+// deltas update in O(delta · kept nodes on a slot's path) — never a rebuild of
+// the full set — while anyone may take immutable snapshots lock-free. Every
+// resident table is one: an RTR client's synchronized table, a cache server's
+// snapshot ring, and a router's LiveIndex, which validates against it.
 //
 // A table is built one way and changed one way. newIndexFromVRPs builds it —
 // NewTable, ResetTo, the first full sync (an Apply into an empty table that
@@ -24,14 +22,15 @@ import (
 //
 // The trick is that the slabs are append-only and snapshots persistent, by
 // path copying (Driscoll, Sarnak, Sleator & Tarjan, JCSS 1989). A published
-// *Index is never mutated: Apply clones the nodes on the union of the delta's
-// paths to the slab tail, each once and read once a pass (see finger), grafts
-// and prunes nodes under the copies (see edit), hangs the modified spans off
-// them and installs a new root, all in a new Index value that shares the slab
-// backing arrays with its predecessor. Readers that loaded the old snapshot
-// keep walking the old root over the old nodes; the atomic pointer swap
-// publishes the new root with a happens-before edge over the appends.
-// Superseded nodes and relocated spans become garbage in the shared slabs.
+// *Index is never mutated: Apply clones the four radix pages and the nodes on
+// the union of the delta's paths to the slab tails, each once and read once a
+// pass (see finger), grafts and prunes nodes under the copies (see edit), hangs
+// the modified spans off them and installs a new top page, all in a new Index
+// value that shares the slab backing arrays with its predecessor. Readers that
+// loaded the old snapshot keep walking the old pages over the old nodes; the
+// atomic pointer swap publishes the new ones with a happens-before edge over
+// the appends. Superseded pages and nodes and relocated spans become garbage
+// in the shared slabs.
 //
 // When garbage crosses needCompact's ratios, a background goroutine compacts,
 // off the Apply path: it rebuilds an immutable snapshot's VRP stream, in
@@ -48,17 +47,17 @@ type Table struct {
 	// Writer-side garbage accounting, guarded by mu: slab cells no longer
 	// reachable from the *current* snapshot's roots.
 	garbageNodes   int
+	garbagePages   int
 	garbageEntries int
 
 	// compacting marks an in-flight background compaction: at most one runs.
 	// Guarded by mu.
 	compacting bool
 
-	// published, when set (LiveIndex: it keeps its view), runs under mu just
-	// before nw becomes current: nw replaces the table (a build: ResetTo, the
-	// first full sync) or is it with these operations written in — none for a
-	// compaction.
-	published func(nw *Index, replaced bool, announce, withdraw []rpki.VRP)
+	// published, when set (tests), runs under mu just before nw becomes
+	// current, on whichever goroutine publishes it — a seam to check every
+	// snapshot.
+	published func(nw *Index)
 
 	// compactHook, when set (tests), runs on the compactor goroutine before
 	// the rebuild — a seam to stall compaction and observe Apply continuing.
@@ -86,12 +85,13 @@ func (t *Table) Len() int { return t.Snapshot().Len() }
 // a VRP already in the table and withdrawing one that is absent are no-ops,
 // and a delta made of nothing else leaves the published snapshot in place.
 //
-// A delta is path-copied, whatever its size: it costs the kept nodes on the
-// union of its prefixes' root paths — at most (len(announce)+len(withdraw)) ·
-// (prefix bits + 1), and 31 for eight /24s of one /21 on a 50,000-VRP table,
-// where a bit trie cloned 36 — each cloned once and read once by the
-// announces and once by the withdraws (see finger), amortized, plus a sort of
-// the delta. The set size never enters: compaction runs on a background
+// A delta is path-copied, whatever its size: it costs four radix pages a slot
+// it touches and the kept nodes on the union of its prefixes' paths in their
+// tries — at most (len(announce)+len(withdraw)) · (prefix bits + 1), and 15
+// nodes for eight /24s of one /21 on a 50,000-VRP table, where the trie with
+// no radix root cloned 31 and a bit trie 36 — each cloned once and read once
+// by the announces and once by the withdraws (see finger), amortized, plus a
+// sort of the delta. The set size never enters: compaction runs on a background
 // goroutine, so even the delta that crosses the garbage threshold pays only
 // its own path-copy work. Up to the table's size that is as cheap as a
 // rebuild or cheaper; a delta several times the table can cost more than a
@@ -116,9 +116,9 @@ func (t *Table) Apply(announce, withdraw []rpki.VRP) {
 }
 
 // publish makes nw current, the published hook first. Callers hold mu.
-func (t *Table) publish(nw *Index, replaced bool, announce, withdraw []rpki.VRP) {
+func (t *Table) publish(nw *Index) {
 	if t.published != nil {
-		t.published(nw, replaced, announce, withdraw)
+		t.published(nw)
 	}
 	t.cur.Store(nw)
 }
@@ -134,11 +134,11 @@ func (t *Table) applyDelta(old *Index, announce, withdraw []rpki.VRP) {
 	ann, wd := slices.Clone(announce), slices.Clone(withdraw)
 	slices.SortFunc(ann, diffOrder)
 	slices.SortFunc(wd, diffOrder)
-	// The delta owns every node past the ends of old's node slabs.
-	ann, wd = t.write(nw, ann, wd, [2]int32{int32(len(old.fams[0].nodes)), int32(len(old.fams[1].nodes))})
+	// The delta owns every node and page past the ends of old's slabs.
+	ann, wd = t.write(nw, ann, wd, old)
 	if len(ann)+len(wd) > 0 {
 		nw.announced, nw.withdrawn = cancelCommon(ann, wd)
-		t.publish(nw, false, announce, withdraw)
+		t.publish(nw)
 	}
 	if !t.compacting && t.needCompact(nw) {
 		t.compacting = true
@@ -180,8 +180,7 @@ func cancelCommon(ann, wd []rpki.VRP) ([]rpki.VRP, []rpki.VRP) {
 // until the next delta.
 func (t *Table) ResetTo(vrps []rpki.VRP) { t.reset(vrps, true) }
 
-// reset is ResetTo, keeping vrps for Diff only if keep: a LiveIndex's lists
-// are delivered ones, which its caller and other subscribers share.
+// reset is ResetTo, keeping vrps for Diff only if keep.
 func (t *Table) reset(vrps []rpki.VRP, keep bool) {
 	nw, ordered := buildIndex(vrps, nil)
 	if keep && ordered && len(vrps) > 0 {
@@ -198,8 +197,8 @@ func (t *Table) reset(vrps []rpki.VRP, keep bool) {
 // knows to discard its rebuild; the garbage counters, which described the old
 // slabs, start over. Callers hold mu.
 func (t *Table) replace(nw *Index) {
-	t.garbageNodes, t.garbageEntries = 0, 0
-	t.publish(nw, true, nil, nil)
+	t.garbageNodes, t.garbagePages, t.garbageEntries = 0, 0, 0
+	t.publish(nw)
 }
 
 // compact rebuilds src's table into fresh slabs, catches the rebuild up with
@@ -232,25 +231,29 @@ func (t *Table) compact(src *Index, hook func()) {
 	// with mark 0: nothing has published the rebuild, so the catch-up owns all
 	// of it and writes its nodes in place, into the room the build left.
 	announce, withdraw := Diff(src, cur)
-	t.garbageNodes, t.garbageEntries = 0, 0
-	t.write(rebuilt, announce, withdraw, [2]int32{})
+	t.garbageNodes, t.garbagePages, t.garbageEntries = 0, 0, 0
+	t.write(rebuilt, announce, withdraw, nil)
 	// The rebuild holds cur's set: it takes cur's place in the version history.
 	rebuilt.version, rebuilt.parent, rebuilt.announced, rebuilt.withdrawn = cur.version, cur.parent, cur.announced, cur.withdrawn
-	t.publish(rebuilt, false, nil, nil)
+	t.publish(rebuilt)
 }
 
 // write is the one way a snapshot under construction changes: it applies ann,
 // then wd — withdraw wins — through one finger a family, and returns the
 // operations that changed the table, compacted in place. In diffOrder, as both
 // callers give them, each pass reads the union of its paths once, and a
-// prefix's operations are consecutive: edit takes them as one run. mark is
-// each family's end of the published node slab: what lies under it is cloned,
-// once, before it is written; mark 0 writes a private copy in place.
-func (t *Table) write(nw *Index, ann, wd []rpki.VRP, mark [2]int32) ([]rpki.VRP, []rpki.VRP) {
+// prefix's operations are consecutive: edit takes them as one run. Each
+// family's node and page slabs are published up to their lengths in from:
+// what lies under them is cloned, once, before it is written; a nil from
+// writes a private copy in place.
+func (t *Table) write(nw *Index, ann, wd []rpki.VRP, from *Index) ([]rpki.VRP, []rpki.VRP) {
 	var fg [2]finger
 	for s := range fg {
-		fg[s] = finger{prev: rootPrefix(s), n: 1, mark: mark[s]}
-		fg[s].path[0] = nw.fams[s].root
+		var mark, pmark int32
+		if from != nil {
+			mark, pmark = int32(len(from.fams[s].nodes)), int32(len(from.fams[s].pages))
+		}
+		fg[s] = newFinger(s, &nw.fams[s], mark, pmark)
 	}
 	ops := [2][]rpki.VRP{ann, wd}
 	for pass, vs := range ops {
@@ -300,10 +303,14 @@ func (t *Table) edit(nw *Index, fg *finger, run []rpki.VRP, add bool) int {
 	if kept == 0 {
 		return 0 // all present already, or absent
 	}
-	// Own the path: clone, once, each published node (under mark). A node whose
-	// span a withdrawal empties goes if it has one child or none (prune).
-	c := f.nodes[fg.path[fg.n-1]].children
-	goes := !add && kept == len(old) && fg.n > 1 && (c[0] == 0 || c[1] == 0)
+	// Own the path: copy, once, a slot's published pages (ownHead) and each
+	// published node (under mark). A node whose span a withdrawal empties goes
+	// if it has one child or none (prune).
+	goes := false
+	if found {
+		c := f.nodes[fg.path[fg.n-1]].children
+		goes = !add && kept == len(old) && fg.n > 1 && (c[0] == 0 || c[1] == 0)
+	}
 	last := fg.n
 	if goes {
 		last--
@@ -311,6 +318,10 @@ func (t *Table) edit(nw *Index, fg *finger, run []rpki.VRP, add bool) int {
 	hi, lo := p.Bits()
 	for ; fg.owned < last; fg.owned++ {
 		k, at := fg.owned, fg.path[fg.owned]
+		if k == 0 && fg.slot >= 0 {
+			t.garbagePages += f.ownHead(fg)
+			continue
+		}
 		if at >= fg.mark {
 			continue
 		}
@@ -321,7 +332,7 @@ func (t *Table) edit(nw *Index, fg *finger, run []rpki.VRP, add bool) int {
 		if k == 0 {
 			f.root = c
 		} else {
-			f.nodes[fg.path[k-1]].children[addrBit(hi, lo, fg.lens[k-1])] = c
+			f.setChild(fg, k-1, hi, lo, c)
 		}
 		fg.path[k] = c
 	}
@@ -366,29 +377,43 @@ func (t *Table) edit(nw *Index, fg *finger, run []rpki.VRP, add bool) int {
 
 // prune takes out the finger's last node: its one child, if any, takes its
 // place under its parent, the delta's own, which goes the same way if that
-// leaves it with one child and no span, unless it is the root. Each node taken
-// out is garbage.
+// leaves it with one child and no span, unless it is the head. Each node taken
+// out is garbage, and so are the pages of a slot it leaves empty (dropSlot).
 func (t *Table) prune(f *famIndex, fg *finger, hi, lo uint64) {
 	for {
 		c := f.nodes[fg.path[fg.n-1]].children
 		fg.n--
-		up := &f.nodes[fg.path[fg.n-1]]
-		up.children[addrBit(hi, lo, up.plen)] = max(c[0], c[1])
+		f.setChild(fg, fg.n-1, hi, lo, max(c[0], c[1]))
 		t.garbageNodes++
-		if fg.n == 1 || up.off != 0 || up.children[0] != 0 && up.children[1] != 0 {
+		if fg.n == 1 {
+			break
+		}
+		if up := &f.nodes[fg.path[fg.n-1]]; up.off != 0 || up.children[0] != 0 && up.children[1] != 0 {
 			break
 		}
 	}
 	fg.owned = min(fg.owned, fg.n)
+	if fg.n == 1 && fg.slot >= 0 && f.child(fg, 0, hi, lo) == 0 {
+		t.garbagePages += f.dropSlot(uint32(fg.slot))
+		fg.slot = -2 // the head may be gone: the next seek looks the slot up again
+	}
 }
 
-// needCompact reports whether superseded node cells are twice the live ones,
-// or entry cells outweigh them. Twice, roa_change's deltas compact today's
-// table every 4,851 (TestCompactAllocs), near the bit trie's 5,794 at once, in
-// a smaller slab. The floors keep small tables from compacting on every delta.
+// Cell sizes, for needCompact's weighing of node against page garbage.
+const nodeBytes, pageBytes = 20, 64
+
+// needCompact reports whether superseded node and page bytes are two and a
+// half times the live ones, or entry cells outweigh them. At that ratio,
+// roa_change's deltas compact today's table every 5,237 (TestCompactAllocs);
+// at twice, the ratio that gave 4,851 when the live nodes weighed a fifth
+// more, every 4,207. The floors keep small tables from compacting on every
+// delta.
 func (t *Table) needCompact(nw *Index) bool {
-	totalNodes := len(nw.fams[0].nodes) + len(nw.fams[1].nodes)
-	if 3*t.garbageNodes > 2*totalNodes && totalNodes > 1024 {
+	total := 0
+	for s := range nw.fams {
+		total += nodeBytes*len(nw.fams[s].nodes) + pageBytes*len(nw.fams[s].pages)
+	}
+	if garbage := nodeBytes*t.garbageNodes + pageBytes*t.garbagePages; 7*garbage > 5*total && total > 1024*nodeBytes {
 		return true
 	}
 	return 2*t.garbageEntries > len(nw.entries) && len(nw.entries) > 1024

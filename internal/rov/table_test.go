@@ -3,6 +3,7 @@ package rov
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -30,27 +31,59 @@ const the21 = uint64(198<<24|51<<16|96<<8) << 32
 
 // spanAt returns the entries of p's node in ix (none if there is no node).
 func spanAt(ix *Index, p prefix.Prefix) []entry {
-	f := &ix.fams[famSlot(p.Family())]
-	idx := f.root
-	for f.nodes[idx].plen < p.Len() {
-		if idx = f.nodes[idx].children[p.Bit(f.nodes[idx].plen)]; idx == 0 || !f.prefix(p.Family(), idx).Contains(p) {
-			return nil
+	slot := famSlot(p.Family())
+	f := &ix.fams[slot]
+	fg := newFinger(slot, f, 0, 0)
+	if !f.seek(&fg, p) {
+		return nil
+	}
+	return span(ix.entries, f.nodes[fg.path[fg.n-1]].off)
+}
+
+// reachable returns the number of nodes of f's tries, and of pages of its
+// radix root, the empty page aside.
+func reachable(f *famIndex) (nodes, pages int) {
+	f.walkAll(func(int32) bool { nodes++; return true })
+	var under func(pg int32, level int)
+	under = func(pg int32, level int) {
+		if pg == 0 {
+			return
+		}
+		pages++
+		for _, c := range f.pages[pg] {
+			if level < 3 {
+				under(c, level+1)
+			}
 		}
 	}
-	return span(ix.entries, f.nodes[idx].off)
+	under(f.top, 0)
+	return nodes, pages
 }
 
-// reachable returns the number of nodes of f's trie, under its root.
-func reachable(f *famIndex) int {
-	n := 0
-	f.walk(f.root, func(int32) bool { n++; return true })
-	return n
+// render lists ix's nodes as walkAll hands them over, each by its key, its
+// entries and which children it has: two indexes that render alike hold the
+// same tries.
+func render(ix *Index) []string {
+	var out []string
+	for slot := range ix.fams {
+		f := &ix.fams[slot]
+		f.walkAll(func(i int32) bool {
+			nd := &f.nodes[i]
+			out = append(out, fmt.Sprintf("%s %v %t %t", f.prefix(slotFamily(slot), i), span(ix.entries, nd.off), nd.children[0] != 0, nd.children[1] != 0))
+			return true
+		})
+	}
+	return out
 }
 
-// shapeError walks ix's tries and describes the first node that breaks their
-// shape, or returns "": a root that is not /0, a node other than the root
-// with neither a span nor two children, or a child whose key does not
-// strictly extend its parent's on the side it hangs from.
+// shapeError walks ix's tries and describes the first thing out of their
+// shape, or returns "": a short-prefix root that is not /0, a short-prefix
+// node of /16 or longer (a branch point above /16 outside the short-prefix
+// trie), a node of a slot's trie that is not under the slot's /16, a node
+// other than the short-prefix root with neither a span nor two children, a
+// child whose key does not strictly extend its parent's on the side it hangs
+// from, a radix page that holds nothing, or, last, tries other than the ones
+// a build of ix's VRPs makes.
 func shapeError(ix *Index) string {
 	for slot := range ix.fams {
 		f, fam := &ix.fams[slot], slotFamily(slot)
@@ -61,26 +94,48 @@ func shapeError(ix *Index) string {
 			return fmt.Sprintf("the %v root is %s", fam, f.prefix(fam, f.root))
 		}
 		bad := ""
-		f.walk(f.root, func(i int32) bool {
-			nd, up := &f.nodes[i], f.prefix(fam, i)
-			if i != f.root && nd.off == 0 && (nd.children[0] == 0 || nd.children[1] == 0) {
-				bad = fmt.Sprintf("%s has no span and children %v", up, nd.children)
-				return false
-			}
-			for bit, c := range nd.children {
-				if c == 0 {
-					continue
+		check := func(root int32, in func(prefix.Prefix) bool, where string) bool {
+			return f.walk(root, func(i int32) bool {
+				nd, up := &f.nodes[i], f.prefix(fam, i)
+				switch {
+				case !in(up):
+					bad = fmt.Sprintf("%s in %s", up, where)
+				case i != f.root && nd.off == 0 && (nd.children[0] == 0 || nd.children[1] == 0):
+					bad = fmt.Sprintf("%s has no span and children %v", up, nd.children)
 				}
-				if k := f.prefix(fam, c); k.Len() <= up.Len() || !up.Contains(k) || k.Bit(up.Len()) != uint8(bit) {
-					bad = fmt.Sprintf("%s hangs as child %d of %s", k, bit, up)
-					return false
+				for bit, c := range nd.children {
+					if k := f.prefix(fam, c); c != 0 && (k.Len() <= up.Len() || !up.Contains(k) || k.Bit(up.Len()) != uint8(bit)) {
+						bad = fmt.Sprintf("%s hangs as child %d of %s", k, bit, up)
+					}
 				}
-			}
-			return true
-		})
-		if bad != "" {
+				return bad == ""
+			})
+		}
+		if !check(f.root, func(p prefix.Prefix) bool { return p.Len() < radixBits }, "the short-prefix trie") {
 			return bad
 		}
+		if !f.slots(0, 1<<radixBits, func(s uint32, root int32) bool {
+			in := func(p prefix.Prefix) bool {
+				hi, _ := p.Bits()
+				return p.Len() >= radixBits && uint32(hi>>(64-radixBits)) == s
+			}
+			return check(root, in, fmt.Sprintf("slot %#x", s))
+		}) {
+			return bad
+		}
+		var empty func(pg int32, level int) bool
+		empty = func(pg int32, level int) bool {
+			if f.pages[pg] == (page{}) {
+				return true
+			}
+			return level < 3 && slices.ContainsFunc(f.pages[pg][:], func(c int32) bool { return c != 0 && empty(c, level+1) })
+		}
+		if f.top != 0 && empty(f.top, 0) {
+			return fmt.Sprintf("the %v radix root holds an empty page", fam)
+		}
+	}
+	if !slices.Equal(render(ix), render(newIndexFromVRPs(ix.AppendVRPs(nil), nil))) {
+		return "the tries are not the ones a build of their VRPs makes"
 	}
 	return ""
 }
@@ -93,22 +148,40 @@ func checkShape(t *testing.T, name string, ix *Index) {
 	}
 }
 
+// slabs is a copy of a snapshot's node and page slabs, as published.
+type slabs struct {
+	nodes [2][]node
+	pages [2][]page
+}
+
+func copySlabs(ix *Index) (c slabs) {
+	for s := range ix.fams {
+		c.nodes[s], c.pages[s] = slices.Clone(ix.fams[s].nodes), slices.Clone(ix.fams[s].pages)
+	}
+	return c
+}
+
 // checkShapes holds every snapshot tab publishes from now on — a delta's, a
 // build's, a compaction's, on whichever goroutine publishes it — to the
-// tries' shape (shapeError), and returns a check that fails t with the first
-// that broke it.
+// tries' shape (shapeError), and each one it replaces to the slabs it was
+// published with: no delta writes a node or a page an older snapshot reads.
+// It returns a check that fails t with the first that broke either.
 func checkShapes(t *testing.T, tab *Table) func() {
 	var bad string // guarded by tab.mu
 	tab.mu.Lock()
 	inner := tab.published
-	tab.published = func(nw *Index, replaced bool, announce, withdraw []rpki.VRP) {
+	cur, was := tab.cur.Load(), copySlabs(tab.cur.Load())
+	tab.published = func(nw *Index) {
 		if bad == "" {
 			if e := shapeError(nw); e != "" {
 				bad = fmt.Sprintf("version %d: %s", nw.version, e)
+			} else if now := copySlabs(cur); !reflect.DeepEqual(now, was) {
+				bad = fmt.Sprintf("version %d wrote a slab cell of version %d", nw.version, cur.version)
 			}
 		}
+		cur, was = nw, copySlabs(nw)
 		if inner != nil {
-			inner(nw, replaced, announce, withdraw)
+			inner(nw)
 		}
 	}
 	tab.mu.Unlock()
@@ -123,10 +196,10 @@ func checkShapes(t *testing.T, tab *Table) func() {
 }
 
 // garbage reads tab's garbage counters.
-func garbage(tab *Table) (nodes, entries int) {
+func garbage(tab *Table) (nodes, pages, entries int) {
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
-	return tab.garbageNodes, tab.garbageEntries
+	return tab.garbageNodes, tab.garbagePages, tab.garbageEntries
 }
 
 // checkEntryGarbage fails unless tab counts every dead cell of its current
@@ -143,17 +216,28 @@ func checkEntryGarbage(t *testing.T, tab *Table) {
 	}
 }
 
-// checkNodeGarbage fails unless tab counts every node of its current slabs
-// that its roots no longer reach as garbage: a clone's original, a node a
-// withdrawal took out, a rerooted family's build root.
+// checkNodeGarbage fails unless tab counts every node and page of its current
+// slabs that its roots no longer reach as garbage: a clone's original, a node
+// a withdrawal took out, a rerooted family's build root, the pages of an
+// emptied slot.
 func checkNodeGarbage(t *testing.T, tab *Table) {
 	t.Helper()
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
 	cur := tab.cur.Load()
 	_, total := nodeCaps(cur)
-	if dead := total - reachable(&cur.fams[0]) - reachable(&cur.fams[1]); tab.garbageNodes != dead {
-		t.Fatalf("garbageNodes = %d, but %d of the node slabs' %d cells are dead", tab.garbageNodes, dead, total)
+	deadNodes, deadPages, pages := total, 0, 0
+	for s := range cur.fams {
+		n, p := reachable(&cur.fams[s])
+		deadNodes -= n
+		deadPages += len(cur.fams[s].pages) - 1 - p
+		pages += len(cur.fams[s].pages) - 1
+	}
+	if tab.garbageNodes != deadNodes {
+		t.Fatalf("garbageNodes = %d, but %d of the node slabs' %d cells are dead", tab.garbageNodes, deadNodes, total)
+	}
+	if tab.garbagePages != deadPages {
+		t.Fatalf("garbagePages = %d, but %d of the page slabs' %d pages are dead", tab.garbagePages, deadPages, pages)
 	}
 }
 
@@ -172,9 +256,10 @@ func TestCompactCopiesLiveSlab(t *testing.T) {
 		t.Fatalf("the compaction published version %d on src's slabs: %v; want version %d in fresh slabs", got.version, got.fams[0].sameLineage(&src.fams[0]), src.version)
 	}
 	checkSameSlabs(t, "the compaction's rebuild", got, want, true)
-	reached := reachable(&src.fams[0]) + reachable(&src.fams[1])
-	if _, live := nodeCaps(want); reached != live {
-		t.Fatalf("the churned table reaches %d nodes, its build holds %d", reached, live)
+	n0, _ := reachable(&src.fams[0])
+	n1, _ := reachable(&src.fams[1])
+	if _, live := nodeCaps(want); n0+n1 != live {
+		t.Fatalf("the churned table reaches %d nodes, its build holds %d", n0+n1, live)
 	}
 }
 
@@ -247,11 +332,13 @@ func TestDeltaShapes(t *testing.T) {
 func TestDeltaCopiesEachPathOnce(t *testing.T) {
 	t.Run("a clustered delta clones the union of its paths", func(t *testing.T) {
 		// The eight /24s are in the table (at another origin), so their paths
-		// exist: the root and the 15 branch points benchSet's prefixes make
-		// above the /21, then the /21 and, under it, 2 + 4 + 8 — 31 nodes,
-		// where the bit trie's paths were 36 and eight separate root-to-/24
-		// paths are 8 × 20 = 160. The order the caller lists them in changes
-		// neither, nor the delta carried.
+		// exist: the four pages on the path to their slot, 198.51/16, whose
+		// trie the /21 roots, and the /21 and, under it, 2 + 4 + 8 — 15 nodes,
+		// where the trie with no radix root cloned the root and the 15 branch
+		// points benchSet's prefixes make above the /21 besides (31), the bit
+		// trie's paths were 36 and eight separate root-to-/24 paths are
+		// 8 × 20 = 160. The order the caller lists them in changes neither,
+		// nor the delta carried.
 		given := clustered8(the21, 64501) // in prefix order
 		reversed, shuffled := slices.Clone(given), slices.Clone(given)
 		slices.Reverse(reversed)
@@ -269,9 +356,12 @@ func TestDeltaCopiesEachPathOnce(t *testing.T) {
 				}
 				tab.Apply(c.delta, nil)
 				after := tab.Snapshot()
-				gn, ge := garbage(tab)
-				if grew := len(after.fams[0].nodes) - len(before.fams[0].nodes); grew != 31 || gn != 31 {
-					t.Fatalf("the node slab grew by %d and the garbage by %d nodes, want 31 and 31 (the union of the paths)", grew, gn)
+				gn, gp, ge := garbage(tab)
+				if grew := len(after.fams[0].nodes) - len(before.fams[0].nodes); grew != 15 || gn != 15 {
+					t.Fatalf("the node slab grew by %d and the garbage by %d nodes, want 15 and 15 (the union of the paths)", grew, gn)
+				}
+				if grew := len(after.fams[0].pages) - len(before.fams[0].pages); grew != 4 || gp != 4 {
+					t.Fatalf("the page slab grew by %d and the garbage by %d pages, want 4 and 4 (the slot's path)", grew, gp)
 				}
 				if grew := len(after.entries) - len(before.entries); grew != moved+8 || ge != moved {
 					t.Fatalf("the entry slab grew by %d and the garbage by %d, want %d and %d (each span moved once)", grew, ge, moved+8, moved)
@@ -298,7 +388,7 @@ func TestDeltaCopiesEachPathOnce(t *testing.T) {
 		}
 		tab.Apply(both, both)
 		checkEntryGarbage(t, tab)
-		_, dead := garbage(tab)
+		_, _, dead := garbage(tab)
 		waitCompactor(t, tab)
 		if n := compactions.Load(); n != 1 {
 			t.Fatalf("%d compactions published after a delta that left %d dead cells beside %d live ones, want 1", n, dead, tab.Len())

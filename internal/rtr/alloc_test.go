@@ -99,18 +99,19 @@ func TestClientResetAllocs(t *testing.T) {
 
 // TestNewServerAllocs is the gate on what building a cache allocates, on
 // cache_refresh's 182,501-VRP set: byPrefix's copy of the set, its second
-// slab and its digit counts (3); rov.NewTable's table, index, two node slabs
-// and entry slab (5: the copy is in pre-order, so its spans are written in
-// place, with no terminal list); the Server, its connection map, its first
-// published value and that value's snapshot ring (4). A third VRP slab fails
+// slab and its digit counts (3); rov.NewTable's table, index, two node slabs,
+// two radix page slabs and entry slab (7: the copy is in pre-order, so its
+// spans are written in place, with no terminal list); the Server, its
+// connection map, its first published value and that value's snapshot ring
+// (4). A third VRP slab fails
 // it, and byPrefix may allocate no more bytes than its two slabs and the
 // counts. The collector is off while it counts: a cycle a build starts adds
 // to the count.
 func TestNewServerAllocs(t *testing.T) {
 	full := quarterFull()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if got := testing.AllocsPerRun(3, func() { NewServer(full).Close() }); got != 12 {
-		t.Errorf("NewServer of %d VRPs: %v allocs, want 12", full.Len(), got)
+	if got := testing.AllocsPerRun(3, func() { NewServer(full).Close() }); got != 14 {
+		t.Errorf("NewServer of %d VRPs: %v allocs, want 14", full.Len(), got)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

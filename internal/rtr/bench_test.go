@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -208,11 +207,10 @@ func BenchmarkClientReset(b *testing.B) {
 // status-quo row, 33,615 PDUs) on loopback, a MultiSupervisor with one
 // upstream, a LiveIndex subscribed with Apply. An iteration runs from Run to
 // the first delivery applied — stream, decode, the session table's build, and
-// the consumer's bit trie, which enforces from then on. The delivery itself
-// walks nothing: rov.Diff from the supervisor's empty table hands over the
-// list the session decoded, which ResetTo kept. Apply returns with the compact
-// half still building: ns/op leaves it out, and compact-ms/op is the time from
-// the delivery applied until it lands. B/op counts both ends of the loopback.
+// the consumer's, which enforces from then on, radix root and all: nothing is
+// derived after it. The delivery itself walks nothing: rov.Diff from the
+// supervisor's empty table hands over the list the session decoded, which
+// ResetTo kept. B/op counts both ends of the loopback.
 func BenchmarkColdStart(b *testing.B) {
 	table, _ := core.Compress(synth.Generate(synth.Params6_1()).VRPs, core.Options{})
 	srv := NewServer(table)
@@ -224,7 +222,6 @@ func BenchmarkColdStart(b *testing.B) {
 	defer srv.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
-	var compact time.Duration
 	for i := 0; i < b.N; i++ {
 		live := rov.NewLiveIndex(rpki.NewSet(nil))
 		applied := make(chan struct{}, 1)
@@ -237,14 +234,6 @@ func BenchmarkColdStart(b *testing.B) {
 		go func() { done <- ms.Run() }()
 		<-applied
 		b.StopTimer()
-		at := time.Now()
-		for live.CompactSnapshot() == nil {
-			if time.Since(at) > time.Minute {
-				b.Fatal("the first delivery's compact half never landed")
-			}
-			runtime.Gosched()
-		}
-		compact += time.Since(at)
 		if live.Len() != table.Len() {
 			b.Fatalf("follower holds %d VRPs, want %d", live.Len(), table.Len())
 		}
@@ -252,5 +241,4 @@ func BenchmarkColdStart(b *testing.B) {
 		<-done
 		b.StartTimer()
 	}
-	b.ReportMetric(float64(compact)/1e6/float64(b.N), "compact-ms/op")
 }

@@ -360,10 +360,7 @@ func TestPlainClientReleasesKeptList(t *testing.T) {
 // after followers with one and two upstreams have gone through a
 // cache kill/restart cycle, Stop — plus closing the caches — must return
 // the process to its pre-Run goroutine count: no dispatch loop, upstream
-// loop, watchdog or compactor outlives it. The follower's LiveIndex may still
-// be building the last delivered table's compact half when Stop returns; that
-// build is waited out, and its goroutine must end with it. Run under -race by
-// make race.
+// loop, watchdog or compactor outlives it. Run under -race by make race.
 func TestStopLeavesNoGoroutine(t *testing.T) {
 	for _, upstreams := range []int{1, 2} {
 		baseline := runtime.NumGoroutine()
@@ -395,10 +392,6 @@ func TestStopLeavesNoGoroutine(t *testing.T) {
 		for _, srv := range srvs {
 			srv.Close()
 		}
-		waitFor(t, func() bool {
-			st := f.live.Stats()
-			return st.RebuildsStarted == st.RebuildsInstalled+st.RebuildsDiscarded
-		})
 		// Goroutines unwind asynchronously after their owners return.
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > baseline {

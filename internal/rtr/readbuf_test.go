@@ -154,15 +154,16 @@ func TestPDUSplitAtEveryOffset(t *testing.T) {
 	}
 }
 
-// The session tables are write-side tables: holding a *rov.Table is what
-// rules a compact half out (a rov.LiveIndex would not compile here).
+// The session tables are rov.Tables: the Index a delta path-copies, radix
+// root included, and nothing derived beside it.
 var _ = func(c *Client, u *upstream, s *Server) []*rov.Table {
 	return []*rov.Table{c.table, u.table, s.live}
 }
 
 // TestSessionTableHoldsNoCompactIndex pins what that costs in bytes: a synced
-// bare client's table at today's size is one bit-trie index — under 130 B a
-// VRP — where the index plus an unread CompactIndex was 220 B.
+// bare client's table at today's size is one index — under 130 B a VRP, the
+// staging list it keeps for the first Diff included — where an index plus an
+// unread compact index was 220 B.
 func TestSessionTableHoldsNoCompactIndex(t *testing.T) {
 	const n = 33615
 	resp := fullResponse(t, 0x5eed, 9, bigVRPSet(n).VRPs())

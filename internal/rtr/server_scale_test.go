@@ -34,7 +34,9 @@ func bigVRPSet(n int) *rpki.Set {
 // must keep publishing at full speed — every healthy router notified and
 // synced within the round bound, far below the write deadline a publisher
 // or a shared writer blocked on a wedged socket would eat — then disconnect
-// the wedged routers by write deadline.
+// the wedged routers by write deadline. Every wait — dial, reset, publish,
+// notify, sync, the deferred stop — is bounded (waitBounded): a deadlock
+// fails the test, naming the wait, instead of hanging the package.
 func TestSlowRouterIsolation(t *testing.T) {
 	// writeTimeout is what one write to a wedged socket costs whoever waits
 	// for it. It must also be several times what a healthy router's
@@ -60,18 +62,13 @@ func TestSlowRouterIsolation(t *testing.T) {
 			srv := NewServer(bigVRPSet(50_000))
 			srv.WriteTimeout = writeTimeout
 			addr, stop := startServer(t, srv)
-			defer stop()
+			defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 			clients := make([]*Client, tc.healthy)
 			for i := range clients {
-				c, err := Dial(addr)
-				if err != nil {
-					t.Fatal(err)
-				}
+				c := dialBounded(t, addr)
 				defer c.Close()
-				if err := c.Reset(); err != nil {
-					t.Fatal(err)
-				}
+				waitBounded(t, fmt.Sprintf("healthy client %d's reset", i), c.Reset)
 				clients[i] = c
 			}
 
@@ -101,14 +98,10 @@ func TestSlowRouterIsolation(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				v := rpki.VRP{Prefix: mp("192.0.2.0/24"), MaxLength: uint8(25 + i), AS: 65000}
 				start := time.Now()
-				srv.ApplyDelta([]rpki.VRP{v}, nil)
+				waitBounded(t, fmt.Sprintf("publish #%d", i), func() error { srv.ApplyDelta([]rpki.VRP{v}, nil); return nil })
 				for j, c := range clients {
-					if _, err := c.WaitNotify(); err != nil {
-						t.Fatalf("healthy client %d missed notify #%d: %v", j, i, err)
-					}
-					if _, err := c.Sync(); err != nil {
-						t.Fatalf("healthy client %d sync #%d: %v", j, i, err)
-					}
+					notifyBounded(t, c, fmt.Sprintf("healthy client %d's notify #%d", j, i))
+					syncBounded(t, c, fmt.Sprintf("healthy client %d's sync #%d", j, i))
 				}
 				if d := time.Since(start); d > round {
 					t.Fatalf("publish #%d reached the healthy routers in %v, want under %v — they are coupled to the stalled routers' sockets", i, d, round)
@@ -191,14 +184,9 @@ func TestServerCloseLeavesNoGoroutine(t *testing.T) {
 	srv.WriteTimeout = time.Minute // Close, not the deadline, must end the wedge
 	addr, stop := startServer(t, srv)
 
-	idle, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idle := dialBounded(t, addr)
 	defer idle.Close()
-	if err := idle.Reset(); err != nil {
-		t.Fatal(err)
-	}
+	waitBounded(t, "the idle router's reset", idle.Reset)
 	wedged, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +260,7 @@ func TestServerCloseLeavesNoGoroutine(t *testing.T) {
 func TestQueueOverflowDisconnect(t *testing.T) {
 	srv := NewServer(bigVRPSet(50_000))
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -433,18 +421,21 @@ func TestPublishedRingConsistency(t *testing.T) {
 	}()
 
 	v := rpki.VRP{Prefix: mp("203.0.113.0/24"), MaxLength: 24, AS: 64501}
-	for i := 0; i < 500; i++ {
-		if i%2 == 0 {
-			srv.ApplyDelta([]rpki.VRP{v}, nil)
-		} else {
-			srv.ApplyDelta(nil, []rpki.VRP{v})
+	waitBounded(t, "500 publishes", func() error {
+		for i := 0; i < 500; i++ {
+			if i%2 == 0 {
+				srv.ApplyDelta([]rpki.VRP{v}, nil)
+			} else {
+				srv.ApplyDelta(nil, []rpki.VRP{v})
+			}
 		}
-	}
+		return nil
+	})
 	close(stopRead)
-	wg.Wait()
+	waitBounded(t, "the reader stopping", func() error { wg.Wait(); return nil })
 
 	if got := srv.Serial(); got != SerialAdvance(1, 500) {
 		t.Fatalf("serial after 500 publishes = %d, want %d", got, SerialAdvance(1, 500))
 	}
-	srv.Close()
+	waitBounded(t, "closing the cache", func() error { srv.Close(); return nil })
 }
