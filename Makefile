@@ -23,9 +23,9 @@ vet:
 		-unusedresult.funcs=$(VET_UNUSEDRESULT_STD),$(VET_UNUSEDRESULT_REPRO) ./...
 
 # lint runs reprolint, the in-tree static analysis of the RTR and ROV lock
-# discipline — nothing blocks under a mutex, one order for every pair — which
-# no test sees (see cmd/reprolint and the README). Zero unsuppressed findings
-# is the bar; suppress with //lint:ignore <check> <reason>.
+# discipline — nothing blocks under a mutex — which no test sees (see
+# cmd/reprolint and the README). Zero unsuppressed findings is the bar;
+# suppress with //lint:ignore <check> <reason>.
 lint:
 	$(GO) run ./cmd/reprolint ./...
 

@@ -1,9 +1,8 @@
 package main
 
-// heldwalk.go: the one walker that threads a held-lock set through a function
-// body, and the classifier of blocking primitives. lockorder and blockinglock
-// both consume the walker's events, so the two checks agree on what a
-// lock-held region is and how a lock is named.
+// heldwalk.go: the walker that threads a held-lock set through a function
+// body, and the classifier of blocking primitives, which blockinglock
+// consumes.
 //
 // Flow rules: statements run in source order; a branch body gets a copy of the
 // entry state and the state after the branch is the entry state (an unbalanced
@@ -50,11 +49,9 @@ func (h *heldSet) acquire(key string, pos token.Pos) {
 	*h = append(*h, heldLock{key, pos})
 }
 
-// heldEvents are the walker's three outputs; a nil handler is skipped. The
+// heldEvents are the walker's two outputs; a nil handler is skipped. The
 // held set passed to a handler is only valid during the call.
 type heldEvents struct {
-	// acquire fires at Lock/RLock, with the set held just before it.
-	acquire func(key string, pos token.Pos, held heldSet)
 	// call fires at a call resolved to module functions that is neither a
 	// lock operation nor a blocking primitive.
 	call func(call *ast.CallExpr, callees []*funcNode, held heldSet)
@@ -198,9 +195,6 @@ func (w *heldWalker) call(call *ast.CallExpr, held *heldSet) {
 		if !acquire {
 			held.release(key)
 			return
-		}
-		if w.ev.acquire != nil {
-			w.ev.acquire(key, call.Pos(), *held)
 		}
 		held.acquire(key, call.Pos())
 		return

@@ -6,10 +6,6 @@ import (
 	"testing"
 )
 
-func TestLockOrderGolden(t *testing.T) {
-	checkGolden(t, loadTestdata(t, "lockorder"), wantsIn(t, "lockorder"))
-}
-
 // buildTestGraph loads one testdata package and builds its call graph.
 func buildTestGraph(t *testing.T, name string) *CallGraph {
 	t.Helper()

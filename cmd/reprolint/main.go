@@ -1,8 +1,7 @@
 // Command reprolint checks the lock discipline of this repository's RTR and
-// ROV layers with static analysis: two checks over the loaded packages and the
+// ROV layers with static analysis: one check over the loaded packages and the
 // call graph built from them, no blocking operation while a mutex is held
-// (blockinglock) and one acquisition order for every pair of mutexes
-// (lockorder). Each is kept because it catches a mutation of the real code
+// (blockinglock). It is kept because it catches a mutation of the real code
 // that the test suite passes (its Doc names the mutation); the invariants the
 // suite itself holds — RFC 1982 serial order, slab indices across growth,
 // frozen snapshots, goroutine stop paths — it does not check. It is built on
@@ -32,7 +31,6 @@ import (
 
 var analyzers = []*Analyzer{
 	blockingLockAnalyzer,
-	lockOrderAnalyzer,
 }
 
 func main() {

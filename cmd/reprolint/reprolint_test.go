@@ -126,7 +126,7 @@ func TestProblemMatcher(t *testing.T) {
 	pat := matcher.ProblemMatcher[0].Pattern[0]
 	re := regexp.MustCompile(pat.Regexp)
 
-	findings := loadTestdata(t, "blockinglock", "lockorder", "suppress")
+	findings := loadTestdata(t, "blockinglock", "suppress")
 	checks := make(map[string]bool)
 	for _, f := range findings {
 		checks[f.Check] = true

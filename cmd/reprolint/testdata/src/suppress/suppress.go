@@ -31,7 +31,7 @@ func (b *box) suppressedSameLine() {
 func (b *box) wrongCheck() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	//lint:ignore lockorder testdata: names the wrong check on purpose
+	//lint:ignore lint testdata: names the wrong check on purpose
 	b.ch <- 3
 }
 

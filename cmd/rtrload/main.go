@@ -235,7 +235,7 @@ func main() {
 		stalledLeft = 0
 	}
 	shed := *stall - stalledLeft
-	fmt.Printf("sessions: %d registered at end of churn (%d pollers); stalled routers shed: %d of %d\n",
+	fmt.Printf("sessions: %d connected at end of churn (%d pollers); stalled routers shed: %d of %d\n",
 		alive, *clients, shed, *stall)
 
 	if syncErrs.Load() > 0 {

@@ -25,9 +25,9 @@ import (
 func TestSerialAnswerAllocs(t *testing.T) {
 	all := bigVRPSet(25_000).VRPs()
 	srv := NewServer(rpki.NewSet(all[:22_500]))
-	defer srv.Close()
+	defer waitBounded(t, "closing the cache", func() error { srv.Close(); return nil })
 	q := SerialQuery{SessionID: srv.SessionID(), Serial: srv.Serial()}
-	srv.ApplyDelta(all[22_500:], all[:2_500])
+	waitBounded(t, "publishing the delta", func() error { srv.ApplyDelta(all[22_500:], all[:2_500]); return nil })
 	p := srv.pub.Load()
 	from := p.lookup(q.Serial)
 	if ann, wd := rov.Diff(from, p.current()); len(ann) != 2_500 || len(wd) != 2_500 {
@@ -38,7 +38,7 @@ func TestSerialAnswerAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	diff := testing.AllocsPerRun(10, func() { _, _ = rov.Diff(from, p.current()) })
 
-	c := &conn{c: discardConn{}, bw: bufio.NewWriterSize(discardConn{}, 4096), version: Version1, state: connActive}
+	c := &conn{c: discardConn{}, bw: bufio.NewWriterSize(discardConn{}, 4096)}
 	write := func(item outItem) float64 {
 		return testing.AllocsPerRun(10, func() {
 			if err := srv.writeItem(c, item); err != nil {
@@ -53,7 +53,7 @@ func TestSerialAnswerAllocs(t *testing.T) {
 		name string
 		item outItem
 	}{
-		{"a Serial Notify", outItem{kind: outNotify, version: Version1, serial: srv.Serial()}},
+		{"a Serial Notify", outItem{kind: outNotify, version: Version1, query: SerialQuery{SessionID: srv.SessionID(), Serial: srv.Serial()}}},
 		{"a Cache Reset", outItem{kind: outSerial, version: Version1, query: SerialQuery{SessionID: q.SessionID + 1}}},
 		{"an Error Report", outItem{kind: outError, version: Version1, errCode: ErrInvalidRequest, errText: "unexpected PDU type 3 from router"}},
 	} {
@@ -101,9 +101,8 @@ func TestClientResetAllocs(t *testing.T) {
 // cache_refresh's 182,501-VRP set: byPrefix's copy of the set, its second
 // slab and its digit counts (3); rov.NewTable's table, index, two node slabs,
 // two radix page slabs and entry slab (7: the copy is in pre-order, so its
-// spans are written in place, with no terminal list); the Server, its
-// connection map, its first published value and that value's snapshot ring
-// (4). A third VRP slab fails
+// spans are written in place, with no terminal list); the Server, its first
+// published value, that value's snapshot ring and its next channel (4). A third VRP slab fails
 // it, and byPrefix may allocate no more bytes than its two slabs and the
 // counts. The collector is off while it counts: a cycle a build starts adds
 // to the count.

@@ -36,7 +36,7 @@ func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 func BenchmarkSendFull(b *testing.B) {
 	srv := NewServer(bigVRPSet(50_000))
 	defer srv.Close()
-	c := &conn{c: discardConn{}, bw: bufio.NewWriterSize(discardConn{}, 4096), version: Version1, state: connActive}
+	c := &conn{c: discardConn{}, bw: bufio.NewWriterSize(discardConn{}, 4096)}
 
 	b.Run("materialize", func(b *testing.B) {
 		b.ReportAllocs()
@@ -113,7 +113,7 @@ func BenchmarkSerialFanout(b *testing.B) {
 		for _, n := range []int{1, 200, 2000} {
 			conns := make([]*conn, n)
 			for i := range conns {
-				conns[i] = &conn{c: discardConn{}, bw: bufio.NewWriterSize(discardConn{}, 4096), version: Version1, state: connActive}
+				conns[i] = &conn{c: discardConn{}, bw: bufio.NewWriterSize(discardConn{}, 4096)}
 			}
 			b.Run(fmt.Sprintf("%s/%d", c.name, n), func(b *testing.B) {
 				b.ReportAllocs()

@@ -2,6 +2,7 @@ package rtr
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -135,7 +136,7 @@ func TestMultiSupervisorAcrossSessionCompaction(t *testing.T) {
 	set, scattered := compactionTable(rng)
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	m := NewMultiSupervisor(Upstream{Name: addr, Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }})
 	m.BackoffMin, m.BackoffMax = 2*time.Millisecond, 20*time.Millisecond
@@ -153,12 +154,13 @@ func TestMultiSupervisorAcrossSessionCompaction(t *testing.T) {
 	m.OnReset(func([]rpki.VRP) { t.Error("a delivery went through OnReset") })
 	runErr := make(chan error, 1)
 	go func() { runErr <- m.Run() }()
-	defer func() {
+	defer waitBounded(t, "stopping the supervisor", func() error {
 		m.Stop()
 		if err := <-runErr; err != nil {
-			t.Errorf("Run returned %v after Stop", err)
+			return fmt.Errorf("Run returned %v after Stop", err)
 		}
-	}()
+		return nil
+	})
 	holds := func(want *rpki.Set) func() bool {
 		return func() bool {
 			mu.Lock()
@@ -185,12 +187,12 @@ func TestMultiSupervisorAcrossSessionCompaction(t *testing.T) {
 			t.Fatal("the session table never compacted")
 		}
 		churn := scattered()
-		srv.ApplyDelta(churn, nil)
+		waitBounded(t, fmt.Sprintf("announce %d", i), func() error { srv.ApplyDelta(churn, nil); return nil })
 		waitFor(t, holds(addVRPs(set, churn...)))
 		if i == 0 {
 			first = baseLineage()
 		}
-		srv.ApplyDelta(nil, churn)
+		waitBounded(t, fmt.Sprintf("withdrawal %d", i), func() error { srv.ApplyDelta(nil, churn); return nil })
 		waitFor(t, holds(set))
 	}
 	if st := m.Stats(); st.Rebuilds != 0 {

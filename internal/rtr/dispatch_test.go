@@ -2,6 +2,7 @@ package rtr
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -24,23 +25,22 @@ func TestIdleErrorReportFailsClient(t *testing.T) {
 	// writes rendezvous with the dispatch loop's read, hence the goroutine).
 	go WritePDU(srvConn, Version1, &ErrorReport{Code: ErrInternalError, Text: "cache going down"})
 
-	select {
-	case <-c.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("dispatch loop did not terminate on idle Error Report")
-	}
+	waitBounded(t, "the dispatch loop ending on the idle Error Report", func() error { <-c.Done(); return nil })
 	var er *ErrorReport
 	if !errors.As(c.Err(), &er) || er.Code != ErrInternalError {
 		t.Fatalf("sticky error = %v, want the internal-error Error Report", c.Err())
 	}
 	// Failed client: every call reports the same sticky error without
 	// touching the (closed) connection.
-	if _, err := c.Sync(); !errors.As(err, &er) {
-		t.Fatalf("Sync after failure = %v, want the Error Report", err)
-	}
-	if _, err := c.WaitNotify(); !errors.As(err, &er) {
-		t.Fatalf("WaitNotify after failure = %v, want the Error Report", err)
-	}
+	waitBounded(t, "Sync and WaitNotify after failure", func() error {
+		if _, err := c.Sync(); !errors.As(err, &er) {
+			return fmt.Errorf("Sync after failure = %v, want the Error Report", err)
+		}
+		if _, err := c.WaitNotify(); !errors.As(err, &er) {
+			return fmt.Errorf("WaitNotify after failure = %v, want the Error Report", err)
+		}
+		return nil
+	})
 	// The client closed its side as §8 requires: the cache sees EOF.
 	srvConn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, _, err := ReadPDU(srvConn); err == nil {
@@ -57,12 +57,9 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialBounded(t, addr)
 	defer c.Close()
 
 	mirror := map[rpki.VRP]struct{}{}
@@ -92,9 +89,7 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 		}
 	}
 
-	if _, err := c.Sync(); err != nil { // initial full sync
-		t.Fatal(err)
-	}
+	syncBounded(t, c, "the initial full sync")
 	check(1)
 	if announced != set.Len() || withdrawn != 0 {
 		t.Fatalf("counters after full sync: +%d -%d, want +%d -0", announced, withdrawn, set.Len())
@@ -104,21 +99,15 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 	// exactly one more delta.
 	next := rpki.NewSet(append(set.VRPs()[1:],
 		rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}))
-	srv.UpdateSet(next)
-	if _, err := c.WaitNotify(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	waitBounded(t, "UpdateSet", func() error { srv.UpdateSet(next); return nil })
+	notifyBounded(t, c, "the update's notify")
+	syncBounded(t, c, "the incremental sync")
 	check(2)
 	if announced != set.Len()+1 || withdrawn != 1 {
 		t.Fatalf("counters after incremental sync: +%d -%d, want +%d -1", announced, withdrawn, set.Len()+1)
 	}
 
 	// A no-op incremental sync delivers nothing.
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	syncBounded(t, c, "the no-op sync")
 	check(2)
 }

@@ -2,6 +2,7 @@ package rtr
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"runtime"
@@ -81,10 +82,13 @@ func follow(ups ...Upstream) *follower {
 
 func (f *follower) stop(t *testing.T) {
 	t.Helper()
-	f.m.Stop()
-	if err := <-f.runErr; err != nil {
-		t.Errorf("Run returned %v after Stop", err)
-	}
+	waitBounded(t, "stopping the follower", func() error {
+		f.m.Stop()
+		if err := <-f.runErr; err != nil {
+			return fmt.Errorf("Run returned %v after Stop", err)
+		}
+		return nil
+	})
 }
 
 // serve starts srv on a fresh loopback port (or, when addr is non-empty,
@@ -113,7 +117,7 @@ func TestStopReleasesTables(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
 		srv := NewServer(table)
-		defer srv.Close()
+		defer waitBounded(t, "closing a cache", func() error { srv.Close(); return nil })
 		addrs = append(addrs, serve(t, srv, ""))
 	}
 	f := startFollower(addrs...)
@@ -164,10 +168,7 @@ func TestRegisterAfterRunPanics(t *testing.T) {
 	m := NewMultiSupervisor(Upstream{Name: "refused", Dial: func() (net.Conn, error) { return nil, errors.New("refused") }})
 	done := make(chan error, 1)
 	go func() { done <- m.Run() }()
-	defer func() {
-		m.Stop()
-		<-done
-	}()
+	defer waitBounded(t, "stopping the supervisor", func() error { m.Stop(); <-done; return nil })
 	waitFor(t, func() bool { return m.Stats().Upstreams[0].Dials > 0 })
 	for name, register := range map[string]func(){
 		"Subscribe": func() { m.Subscribe(func(_, _ []rpki.VRP) {}) },
@@ -194,7 +195,7 @@ func TestRegisterAfterRunPanics(t *testing.T) {
 func TestDeliveryLetsGoOfDelta(t *testing.T) {
 	srv := NewServer(testVRPs())
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 	m := NewMultiSupervisor(Upstream{Name: addr, Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }})
 	var firstCalls atomic.Int32
 	m.Subscribe(func(announced, withdrawn []rpki.VRP) { firstCalls.Add(1) })
@@ -222,11 +223,10 @@ func TestDeliveryLetsGoOfDelta(t *testing.T) {
 	})
 	done := make(chan error, 1)
 	go func() { done <- m.Run() }()
-	defer func() {
-		m.Stop()
-		<-done
-	}()
-	if !<-collected {
+	defer waitBounded(t, "stopping the supervisor", func() error { m.Stop(); <-done; return nil })
+	var ok bool
+	waitBounded(t, "the first delivery", func() error { ok = <-collected; return nil })
+	if !ok {
 		t.Error("the first sync's delta stayed reachable while its last subscriber ran")
 	}
 	if firstCalls.Load() != 1 {
@@ -270,23 +270,24 @@ func TestDeliveryLetsGoOfDelta(t *testing.T) {
 	m2.OnUpdate = func(Serial) { updated <- struct{}{} }
 	runErr := make(chan error, 1)
 	go func() { runErr <- m2.Run() }()
-	defer func() {
-		m2.Stop()
-		<-runErr
-	}()
+	defer waitBounded(t, "stopping the follower", func() error { m2.Stop(); <-runErr; return nil })
 	collectedAfterDelivery := func() {
 		t.Helper()
-		w := <-delivered
-		<-updated // OnUpdate runs once the delivery has returned
+		var w watched
+		waitBounded(t, "a delivery and its OnUpdate", func() error {
+			w = <-delivered
+			<-updated // OnUpdate runs once the delivery has returned
+			return nil
+		})
 		if !finalized(w.freed) {
 			t.Errorf("%s stayed reachable after its delivery returned: the LiveIndex keeps it", w.what)
 		}
 	}
 	collectedAfterDelivery()
-	srv2.Close()
+	waitBounded(t, "closing the first cache", func() error { srv2.Close(); return nil })
 	waitFor(t, func() bool { return !m2.Healthy() })
 	srv3 := NewServer(testVRPs())
-	defer srv3.Close()
+	defer waitBounded(t, "closing the restarted cache", func() error { srv3.Close(); return nil })
 	serve(t, srv3, addr2)
 	collectedAfterDelivery()
 	if !liveTable(live).Equal(testVRPs()) {
@@ -322,15 +323,10 @@ func handoff(ix *rov.Index) *[]rpki.VRP {
 func TestPlainClientReleasesKeptList(t *testing.T) {
 	srv := NewServer(testVRPs())
 	addr, stop := startServer(t, srv)
-	defer stop()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
+	c := dialBounded(t, addr)
 	defer c.Close()
-	if err := c.Reset(); err != nil {
-		t.Fatal(err)
-	}
+	waitBounded(t, "the full sync", c.Reset)
 	freed := make(chan struct{})
 	func() {
 		kept := handoff(c.table.Snapshot())
@@ -346,10 +342,11 @@ func TestPlainClientReleasesKeptList(t *testing.T) {
 		t.Fatal("the kept list was collected while the snapshot holding it is current")
 	case <-time.After(10 * time.Millisecond):
 	}
-	srv.ApplyDelta([]rpki.VRP{{Prefix: mp("198.51.100.0/24"), MaxLength: 24, AS: 64511}}, nil)
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	waitBounded(t, "the next delta's publish", func() error {
+		srv.ApplyDelta([]rpki.VRP{{Prefix: mp("198.51.100.0/24"), MaxLength: 24, AS: 64511}}, nil)
+		return nil
+	})
+	syncBounded(t, c, "the next delta's sync")
 	if !finalized(freed) {
 		t.Error("the kept list stayed reachable after the next delta replaced its snapshot")
 	}
@@ -376,7 +373,7 @@ func TestStopLeavesNoGoroutine(t *testing.T) {
 
 		// Kill the preferred cache and restart it as a new process with a
 		// changed table; the follower must come back to it.
-		srvs[0].Close()
+		waitBounded(t, "killing the preferred cache", func() error { srvs[0].Close(); return nil })
 		if upstreams > 1 {
 			waitFor(t, func() bool { return f.m.Active() == 1 })
 		} else {
@@ -384,14 +381,17 @@ func TestStopLeavesNoGoroutine(t *testing.T) {
 		}
 		table2 := addVRPs(table, rpki.VRP{Prefix: mp("198.51.100.0/24"), MaxLength: 24, AS: 64504})
 		srvs[0] = NewServer(table2)
-		srvs[0].SetSession(0x7e57, 1)
+		waitBounded(t, "the restarted cache's SetSession", func() error { srvs[0].SetSession(0x7e57, 1); return nil })
 		serve(t, srvs[0], addrs[0])
 		waitFor(t, func() bool { return f.m.Active() == 0 && liveTable(f.live).Equal(table2) })
 
 		f.stop(t)
-		for _, srv := range srvs {
-			srv.Close()
-		}
+		waitBounded(t, "closing the caches", func() error {
+			for _, srv := range srvs {
+				srv.Close()
+			}
+			return nil
+		})
 		// Goroutines unwind asynchronously after their owners return.
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > baseline {

@@ -62,10 +62,7 @@ const boundedWait = 20 * time.Second
 // no deadlock there.
 func waitBounded(t *testing.T, what string, fn func() error) {
 	t.Helper()
-	bound := boundedWait
-	if dl, ok := t.Deadline(); ok {
-		bound = min(bound, time.Until(dl)/4)
-	}
+	bound := waitBound(t, boundedWait)
 	done := make(chan error, 1)
 	go func() { done <- fn() }()
 	select {
@@ -77,6 +74,15 @@ func waitBounded(t *testing.T, what string, fn func() error) {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("%s: still blocked after %v, a deadlock; every goroutine:\n%s", what, bound, buf[:runtime.Stack(buf, true)])
 	}
+}
+
+// waitBound is the longest one wait of t may take: limit, or a quarter of
+// the time t has left if that is less.
+func waitBound(t *testing.T, limit time.Duration) time.Duration {
+	if dl, ok := t.Deadline(); ok {
+		return min(limit, time.Until(dl)/4)
+	}
+	return limit
 }
 
 // dialBounded, syncBounded and notifyBounded are Dial and the Client's waits
@@ -339,7 +345,7 @@ func TestKeepDeltasEvictionBoundary(t *testing.T) {
 	for i := 0; i < 5; i++ { // serial 1 -> 6; deltas for 3..6 retained
 		cur = rpki.NewSet(append(cur.VRPs(),
 			rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(8 + i), AS: rpki.ASN(100 + i)}))
-		srv.UpdateSet(cur)
+		waitBounded(t, fmt.Sprintf("publish %d", i), func() error { srv.UpdateSet(cur); return nil })
 	}
 	addr, stop := startServer(t, srv)
 	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
@@ -613,7 +619,7 @@ func TestSerialDeltaMatchesChainedDeltas(t *testing.T) {
 		vrps = append(vrps, rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: uint8(9 + i), AS: rpki.ASN(200 + i)})
 		next := rpki.NewSet(vrps)
 		chains[Serial(2+i)] = diffSets(cur, next)
-		srv.UpdateSet(next)
+		waitBounded(t, fmt.Sprintf("publish %d", i), func() error { srv.UpdateSet(next); return nil })
 		cur = next
 		tables[Serial(2+i)] = cur.VRPs()
 	}
@@ -848,7 +854,7 @@ func TestNewServerLeavesItsArgumentAlone(t *testing.T) {
 	}
 
 	wire := &captureConn{}
-	if err := srv.writeItem(&conn{c: wire, bw: bufio.NewWriterSize(wire, 4096), version: Version1, state: connActive}, outItem{kind: outFull, version: Version1}); err != nil {
+	if err := srv.writeItem(&conn{c: wire, bw: bufio.NewWriterSize(wire, 4096)}, outItem{kind: outFull, version: Version1}); err != nil {
 		t.Fatal(err)
 	}
 	var streamed []rpki.VRP

@@ -11,8 +11,9 @@ package rtr
 // comparisons and raw subtraction on Serial values are wrong the moment a
 // long-lived cache wraps past 2^32 — all ordering must go through
 // SerialLess/SerialNewer. TestSerialLess pins the ring order, and
-// TestNotifyOrderAcrossSerialWrap its two users, the server's notify mailbox
-// and the client's stale-notify drop, across the wrap; code that genuinely
+// TestNotifyOrderAcrossSerialWrap its user, the client's stale-notify drop,
+// across the wrap. The server orders no serials: it finds a retained serial
+// by equality and notifies whatever it published last. Code that genuinely
 // needs wrapping integer arithmetic converts through uint32 explicitly (as
 // the wire codec does).
 type Serial uint32

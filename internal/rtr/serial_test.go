@@ -60,14 +60,16 @@ func TestSerialProperties(t *testing.T) {
 	}
 }
 
-// TestNotifyOrderAcrossSerialWrap pins RFC 1982 order at the two places a
-// serial is ordered against another: the server's coalescing notify mailbox
-// and the client's stale-notify drop. Both see serials cross 2^32, where a
-// raw > inverts.
+// TestNotifyOrderAcrossSerialWrap pins notify order where serials cross
+// 2^32, where a raw > inverts. The server orders no serials: a writer woken
+// by publishes notifies the one published last, so three publishes across
+// the wrap coalesce to one notify for the newest, and a SetSession with a
+// router connected is a publish like any other, notified under the new
+// session. The client's stale-notify drop orders by RFC 1982.
 func TestNotifyOrderAcrossSerialWrap(t *testing.T) {
 	t.Run("server", func(t *testing.T) {
 		srv := NewServer(testVRPs())
-		srv.SetSession(0x1982, 0xfffffffe)
+		waitBounded(t, "SetSession before the router connects", func() error { srv.SetSession(0x1982, 0xfffffffe); return nil })
 		router, cache := net.Pipe()
 		handled := make(chan struct{})
 		go func() {
@@ -91,7 +93,8 @@ func TestNotifyOrderAcrossSerialWrap(t *testing.T) {
 		} else if _, ok := pdu.(*CacheResponse); !ok {
 			t.Fatalf("got %T, want Cache Response", pdu)
 		}
-		// Three publishes cross the wrap into the mailbox: 0xffffffff, 0, 1.
+		// Three publishes cross the wrap while the writer is held: 0xffffffff,
+		// 0, 1.
 		for i := 0; i < 3; i++ {
 			waitBounded(t, fmt.Sprintf("publish %d", i), func() error {
 				srv.ApplyDelta([]rpki.VRP{{Prefix: mp("192.0.2.0/24"), MaxLength: uint8(24 + i), AS: 65000}}, nil)
@@ -117,6 +120,16 @@ func TestNotifyOrderAcrossSerialWrap(t *testing.T) {
 		router.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
 		if pdu, _, err := ReadPDU(router); err == nil {
 			t.Errorf("a second PDU %T %+v after the coalesced notify", pdu, pdu)
+		}
+		router.SetReadDeadline(time.Time{})
+
+		waitBounded(t, "SetSession", func() error { srv.SetSession(0x1983, 7); return nil })
+		pdu, _, err = ReadPDU(router)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, ok := pdu.(*SerialNotify); !ok || n.SessionID != 0x1983 || n.Serial != 7 {
+			t.Fatalf("after SetSession got %T %+v, want the Serial Notify for session 0x1983, serial 7", pdu, pdu)
 		}
 	})
 
@@ -152,9 +165,11 @@ func TestNotifyOrderAcrossSerialWrap(t *testing.T) {
 	})
 }
 
+// waitFor polls cond until it holds, failing the test after 5 s, or after
+// the share of its time left that waitBounded would give the wait.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(waitBound(t, 5*time.Second))
 	for time.Now().Before(deadline) {
 		if cond() {
 			return

@@ -2,6 +2,7 @@ package rtr
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -22,20 +23,23 @@ import (
 // The server is built for router-population scale (ROADMAP item 2): every
 // piece of state a response needs lives in one immutable published value
 // swapped atomically on each update, so the read paths — full responses,
-// serial-query answers, notifies — never take a server-wide lock. Each
-// connection has two goroutines, one per direction: the handler reads
-// queries and the writer owns every write, fed by the connection's bounded
-// outbound queue and its notify mailbox. The writer encodes every PDU —
-// responses, Serial Notify, Cache Reset, the terminal Error Report — into
-// the connection's buffer and sends each item with one flush. Publishing is
-// queue handoff, never socket I/O, so a stalled router cannot slow an update
-// down, and because no writer is shared, it cannot slow another router's
-// answer down either (a pool of four writers made a healthy router wait
-// 3.9 s behind eight wedged ones; TestSlowRouterIsolation holds a round under
-// half a WriteTimeout). The price is one goroutine woken per router per
-// publish. A router that stops draining its TCP side either overflows its
-// queue or exceeds the write deadline, and is disconnected; a healthy RFC
-// 8210 router simply redials and resumes with a Serial Query.
+// serial-query answers, notifies — never take a lock. Each connection has
+// two goroutines, and each owns its own state: the handler reads queries and
+// is the only sender on the connection's bounded answer queue; the writer is
+// its only receiver and the only goroutine that writes to the socket. It
+// encodes every PDU — responses, Serial Notify, Cache Reset, the terminal
+// Error Report — into the connection's buffer and sends each item with one
+// flush. A publish closes the channel every writer waits on, and each writer
+// woken writes one Serial Notify for the serial then published, so notifies
+// coalesce to the newest and publishing is never socket I/O: a stalled
+// router cannot slow an update down, and because no writer is shared, it
+// cannot slow another router's answer down either (a pool of four writers
+// made a healthy router wait 3.9 s behind eight wedged ones;
+// TestSlowRouterIsolation holds a round under half a WriteTimeout). The price
+// is one goroutine woken per router per publish. A router that stops
+// draining its TCP side either overflows its queue or exceeds the write
+// deadline, and is disconnected; a healthy RFC 8210 router simply redials and
+// resumes with a Serial Query.
 //
 // The cache stores no delta chains: each update's table goes into a short
 // ring of immutable rov snapshots, and the answer to a Serial Query is
@@ -67,11 +71,13 @@ type Server struct {
 	keepDeltas int
 	// pub is the published state: session, serial, and the snapshot ring,
 	// one immutable value shared by every session and swapped atomically by
-	// publishers. Readers Load it once and answer from that coherent view.
+	// publishers (store). Readers Load it once and answer from that coherent
+	// view.
 	pub atomic.Pointer[published]
-	// writeMu serializes publishers (UpdateSet, ApplyDelta, SetSession);
-	// readers never take it.
-	writeMu sync.Mutex
+	// mu serializes publishers (UpdateSet, ApplyDelta, SetSession), Serve's
+	// start, a connection's start and Close's flag. Readers never take it,
+	// and nothing under it blocks.
+	mu sync.Mutex
 	// live applies each delta as a persistent-snapshot update that carries
 	// the delta from its parent, and its snapshots between two compactions
 	// share an arena lineage: the serial-to-serial diff is a copy or a
@@ -82,40 +88,42 @@ type Server struct {
 	// UpdateSet's argument, shared with the caller — against which the next
 	// UpdateSet takes its delta; nil once ApplyDelta has moved the table away
 	// from it: 32 B a VRP, nothing extra when the caller keeps the set anyway.
-	// Guarded by writeMu.
-	served *rpki.Set
-
-	// regMu guards the session registry, the listener, and closed. It is held
-	// to add, remove, or copy out the membership, never across a mailbox offer
-	// or a socket call. closed flips under it during Close, so a connection
-	// racing the shutdown sweep can never register unnoticed.
-	regMu    sync.Mutex
-	conns    map[*conn]struct{}
+	served   *rpki.Set
 	listener net.Listener
 	closed   bool
-	// writerWG counts the per-connection writer goroutines; Close waits on it.
-	writerWG sync.WaitGroup
+	// cut is cancelled by Close, which cuts every router's socket through
+	// the context.AfterFunc each connection registers on it. The first
+	// connection creates it.
+	cut       context.Context
+	cancelCut context.CancelFunc
+	// writers counts the per-connection writer goroutines; Close waits on it.
+	// running is the same count, for ConnCount.
+	writers sync.WaitGroup
+	running atomic.Int32
 }
 
 // queryBufSize is each connection's read buffer: room for a Serial Query and
-// a Reset Query back to back, no more (see handle).
+// a Reset Query back to back, no more (see read).
 const queryBufSize = 32
 
-// queueDepth bounds each connection's outbound response queue. A router that
-// queues more unanswered queries than this — it is sending queries without
-// reading responses — is disconnected. Serial Notifies do not count against
-// the bound: the notify mailbox coalesces to the newest serial and can never
-// overflow.
+// queueDepth bounds each connection's answer queue. A router that queues
+// more unanswered queries than this — it is sending queries without reading
+// responses — is disconnected. Serial Notifies do not count against the
+// bound: they are never queued.
 const queueDepth = 32
 
 // published is the immutable publish state. Publishers build a fresh value
-// (including a fresh snaps slice) and swap the pointer; a stored value is
-// never mutated again, so lock-free readers see a coherent session, serial,
-// and ring.
+// (including a fresh snaps slice) and store it; a stored value is never
+// mutated again, so lock-free readers see a coherent session, serial, and
+// ring.
 type published struct {
 	session uint16
 	serial  Serial
 	snaps   []serialSnapshot // oldest first; last is the current serial's table
+	// next is closed once the value that succeeds this one is stored. A
+	// writer waits on the next of the value it last notified of, and reads
+	// the value published when it wakes: newest wins.
+	next chan struct{}
 }
 
 // current returns the table at the published serial.
@@ -140,39 +148,29 @@ type serialSnapshot struct {
 	table  *rov.Index
 }
 
-// connState is a connection's lifecycle: active (readable, writable),
-// closing (a terminal Error Report is queued; the writer closes the socket
-// once the queue drains), dead (torn down, deregistered).
-type connState uint8
-
-const (
-	connActive connState = iota
-	connClosing
-	connDead
-)
-
-// outKind tags a queued outbound response descriptor.
+// outKind tags an item for the writer.
 type outKind uint8
 
 const (
 	outFull   outKind = iota // Reset Query answer: full-table response
 	outSerial                // Serial Query answer: delta, empty update, or Cache Reset
-	outError                 // terminal Error Report (conn moves to connClosing)
-	outNotify                // Serial Notify from the mailbox, never queued
+	outError                 // terminal Error Report: the handler's last item
+	outNotify                // Serial Notify after a publish, never queued
 )
 
-// outItem is one response for the writer, queued or, for a notify, taken from
-// the mailbox. Queues hold descriptors, not materialized PDUs: the writer
-// renders the response from the published state at write time, so a deep
-// queue costs bytes per entry, not a table copy, and a delayed answer
-// reflects the freshest data.
+// outItem is one item for the writer, queued by the handler or, for a
+// notify, made by the writer when a publish wakes it. Queues hold
+// descriptors, not materialized PDUs: the writer renders the response from
+// the published state at write time, so a deep queue costs bytes per entry,
+// not a table copy, and a delayed answer reflects the freshest data.
 type outItem struct {
 	kind    outKind
 	version byte
-	query   SerialQuery // outSerial
-	errCode uint16      // outError
+	// query is the router's Serial Query for outSerial, and the session and
+	// serial a notify announces for outNotify.
+	query   SerialQuery
+	errCode uint16 // outError
 	errText string
-	serial  Serial // outNotify
 }
 
 type conn struct {
@@ -180,24 +178,16 @@ type conn struct {
 	// bw is the connection's one write path and reused encode buffer: every
 	// PDU is appended into its spare capacity (put, writePrefix) and each
 	// item ends in one flush, so no PDU costs an allocation and a full-table
-	// answer never materializes len(vrps)+2 PDU values.
+	// answer never materializes len(vrps)+2 PDU values. The writer owns it.
 	bw *bufio.Writer
-	// wake carries one token from offerNotify/enqueue/disconnect to the
-	// parked writer. The token is sent after the mailbox, queue or state
-	// update and dropped when one is already pending, which is safe: the
-	// writer re-checks all three under mu after consuming a token, so a
-	// pending token covers any update made before it is consumed.
-	wake chan struct{}
-
-	mu      sync.Mutex
-	version byte // fixed by the most recent PDU received from the router
-	state   connState
-	// The coalescing notify mailbox: newest serial wins (RFC 1982 compare),
-	// so pending notifies occupy one slot no matter how fast the cache
-	// publishes.
-	notifySerial Serial
-	hasNotify    bool
-	queue        []outItem
+	// queue carries the handler's answers to the writer, which is its only
+	// receiver: queueDepth items of 32 B allocated whole, 1,120 B a router
+	// with the channel itself. The handler is its only sender and closes it
+	// when it ends.
+	queue chan outItem
+	// version is that of the most recent PDU received from the router, set
+	// by the handler; a notify is written in it.
+	version atomic.Uint32
 }
 
 // NewServer creates a cache serving the given initial VRP set, which the
@@ -224,11 +214,8 @@ func NewServer(initial *rpki.Set) *Server {
 		WriteTimeout: 30 * time.Second,
 		live:         rov.NewTable(ordered),
 		served:       initial,
-		conns:        make(map[*conn]struct{}),
 	}
-	p := &published{session: 0x5eed, serial: 1}
-	p.snaps = []serialSnapshot{{serial: p.serial, table: s.live.Snapshot()}}
-	s.pub.Store(p)
+	s.store(&published{session: 0x5eed, serial: 1, snaps: []serialSnapshot{{serial: 1, table: s.live.Snapshot()}}})
 	return s
 }
 
@@ -297,17 +284,20 @@ func (s *Server) Serial() Serial { return s.pub.Load().serial }
 // SessionID returns the cache session identifier (lock-free).
 func (s *Server) SessionID() uint16 { return s.pub.Load().session }
 
-// SetSession overrides the session ID and serial the cache serves from,
-// before any router connects. A cache restarted from a state snapshot keeps
-// its previous session so routers resume their incremental stream with a
-// Serial Query; a cache restarted fresh picks a new session ID, which (per
-// RFC 8210 §5.5) forces routers through Cache Reset and a full resync.
+// SetSession overrides the session ID and serial the cache serves from. A
+// cache restarted from a state snapshot keeps its previous session so routers
+// resume their incremental stream with a Serial Query; a cache restarted
+// fresh picks a new session ID, which (per RFC 8210 §5.5) forces routers
+// through Cache Reset and a full resync. It is a publish like any other:
+// connected routers are sent a Serial Notify for the new session and serial,
+// and their next Serial Query, whose serial belongs to the old numbering, is
+// answered with Cache Reset.
 func (s *Server) SetSession(id uint16, serial Serial) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	// Prior serials belong to the old numbering; only the current table is
 	// answerable incrementally from here.
-	s.pub.Store(&published{
+	s.store(&published{
 		session: id,
 		serial:  serial,
 		snaps:   []serialSnapshot{{serial: serial, table: s.live.Snapshot()}},
@@ -324,23 +314,19 @@ func (s *Server) SetSession(id uint16, serial Serial) {
 // ApplyDelta would, so the whole ring stays on one arena lineage. After an
 // ApplyDelta the set served so far is first read back from the table.
 //
-// UpdateSet never performs socket I/O: notifying N routers is N coalescing
-// mailbox offers, so publish latency is independent of the slowest router.
+// UpdateSet never performs socket I/O: notifying N routers is closing one
+// channel, so publish latency is independent of the slowest router.
 func (s *Server) UpdateSet(next *rpki.Set) {
-	s.writeMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	prev := s.served
 	if prev == nil {
 		prev = rpki.NewSet(s.pub.Load().current().AppendVRPs(nil))
 	}
 	s.served = next
-	ann, wd := prev.Diff(next)
-	if len(ann)+len(wd) == 0 {
-		s.writeMu.Unlock()
-		return
+	if ann, wd := prev.Diff(next); len(ann)+len(wd) != 0 {
+		s.publishLocked(ann, wd)
 	}
-	serial := s.publishLocked(ann, wd)
-	s.writeMu.Unlock()
-	s.broadcastNotify(serial)
 }
 
 // ApplyDelta publishes an announce/withdraw delta directly — the O(delta)
@@ -350,177 +336,91 @@ func (s *Server) UpdateSet(next *rpki.Set) {
 // because every answer is synthesized by diffing retained snapshots. It
 // returns the serial the delta was published under.
 func (s *Server) ApplyDelta(announced, withdrawn []rpki.VRP) Serial {
-	s.writeMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.served = nil
-	serial := s.publishLocked(announced, withdrawn)
-	s.writeMu.Unlock()
-	s.broadcastNotify(serial)
-	return serial
+	return s.publishLocked(announced, withdrawn)
 }
 
-// publishLocked applies a delta to the live table and swaps in the next
+// publishLocked applies a delta to the live table and stores the next
 // published value: serial bumped, new snapshot appended, ring trimmed to
 // keepDeltas+2 (the current serial plus the keepDeltas+1 serials behind it
 // that stay answerable). The snaps slice is freshly allocated per publish —
 // the ring is small — so the previous published value stays immutable under
-// concurrent readers. Caller holds writeMu.
+// concurrent readers. Caller holds mu.
 func (s *Server) publishLocked(announced, withdrawn []rpki.VRP) Serial {
 	old := s.pub.Load()
 	s.live.Apply(announced, withdrawn)
 	serial := SerialAdvance(old.serial, 1)
-	start := 0
-	if drop := len(old.snaps) + 1 - (s.keepDeltas + 2); drop > 0 {
-		start = drop
-	}
+	start := max(0, len(old.snaps)+1-(s.keepDeltas+2))
 	snaps := make([]serialSnapshot, 0, len(old.snaps)-start+1)
 	snaps = append(snaps, old.snaps[start:]...)
 	snaps = append(snaps, serialSnapshot{serial: serial, table: s.live.Snapshot()})
-	s.pub.Store(&published{session: old.session, serial: serial, snaps: snaps})
+	s.store(&published{session: old.session, serial: serial, snaps: snaps})
 	return serial
 }
 
-// broadcastNotify offers the new serial to every connection's notify
-// mailbox. The registry lock is held only to copy the membership, mailbox
-// offers take only the target's own lock, and waking a writer is a
-// non-blocking send — no socket is touched on this path.
-func (s *Server) broadcastNotify(serial Serial) {
-	s.regMu.Lock()
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.regMu.Unlock()
-	for _, c := range conns {
-		s.offerNotify(c, serial)
-	}
-}
-
-// offerNotify coalesces serial into c's notify mailbox and wakes its writer.
-// Newest serial wins by RFC 1982 comparison; the mailbox is one slot, so
-// notify pressure can never overflow a router's queue.
-func (s *Server) offerNotify(c *conn, serial Serial) {
-	c.mu.Lock()
-	if c.state != connActive {
-		c.mu.Unlock()
-		return
-	}
-	if !c.hasNotify || SerialNewer(serial, c.notifySerial) {
-		c.notifySerial = serial
-	}
-	c.hasNotify = true
-	c.mu.Unlock()
-	c.wakeWriter()
-}
-
-// enqueue appends a response descriptor to c's bounded outbound queue and
-// wakes its writer, disconnecting the conn on overflow. closeAfter marks the
-// item terminal: no further enqueues are accepted and the writer closes the
-// socket once the queue drains. Returns false when the conn is no longer
-// accepting work.
-func (s *Server) enqueue(c *conn, item outItem, closeAfter bool) bool {
-	c.mu.Lock()
-	if c.state != connActive {
-		c.mu.Unlock()
-		return false
-	}
-	if len(c.queue) >= queueDepth {
-		c.mu.Unlock()
-		s.logf("rtr server: %v: outbound queue overflow (%d pending); disconnecting", c.c.RemoteAddr(), queueDepth)
-		s.disconnect(c)
-		return false
-	}
-	c.queue = append(c.queue, item)
-	if closeAfter {
-		c.state = connClosing
-	}
-	c.mu.Unlock()
-	c.wakeWriter()
-	return true
-}
-
-// wakeWriter leaves a token for the conn's writer. Non-blocking: see the
-// field comment on wake for why a dropped token can never strand output.
-func (c *conn) wakeWriter() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
+// store publishes p and then closes the next of the value it replaces, which
+// wakes every writer waiting to notify its router. Caller holds mu (or owns
+// the Server, as NewServer does).
+func (s *Server) store(p *published) {
+	p.next = make(chan struct{})
+	if old := s.pub.Swap(p); old != nil {
+		close(old.next)
 	}
 }
 
 // drain is the conn's writer goroutine, the only one that ever writes to the
-// socket, so PDU framing is never interleaved. It writes pending output —
-// the notify mailbox first (it supersedes nothing — a notify may legally
-// interleave anywhere in the stream — and clearing it first keeps "new
-// data" latency independent of queued responses), then queued response
-// descriptors in FIFO order — and parks on wake when there is none. It exits
-// when the conn dies: by disconnect from any goroutine, on its own write
-// error, or after the terminal Error Report of a closing conn has drained.
-func (s *Server) drain(c *conn) {
-	defer s.writerWG.Done()
+// socket, so PDU framing is never interleaved. It writes what next hands it
+// until the handler has ended and the queue is empty — after a terminal
+// Error Report, that is the report sent — or a write fails, and then closes
+// the socket. wake is the next of the published value it saw last: the one
+// published when the connection started, or the one it last notified of.
+func (s *Server) drain(c *conn, wake <-chan struct{}, unregister func() bool) {
+	defer func() {
+		unregister()
+		c.c.Close()
+		s.running.Add(-1)
+		s.writers.Done()
+	}()
 	for {
-		c.mu.Lock()
-		if c.state == connDead {
-			c.mu.Unlock()
+		item, ok := s.next(c, &wake)
+		if !ok {
 			return
 		}
-		var item outItem
-		switch {
-		case c.hasNotify:
-			item = outItem{kind: outNotify, version: c.version, serial: c.notifySerial}
-			c.hasNotify = false
-		case len(c.queue) > 0:
-			item = c.queue[0]
-			copy(c.queue, c.queue[1:])
-			c.queue[len(c.queue)-1] = outItem{}
-			c.queue = c.queue[:len(c.queue)-1]
-		default:
-			closing := c.state == connClosing
-			c.mu.Unlock()
-			if closing {
-				s.disconnect(c)
-				return
-			}
-			<-c.wake
-			continue
-		}
-		c.mu.Unlock()
-
 		if err := s.writeItem(c, item); err != nil {
 			if !errors.Is(err, net.ErrClosed) {
 				s.logf("rtr server: write to %v: %v", c.c.RemoteAddr(), err)
 			}
-			s.disconnect(c)
 			return
 		}
 	}
 }
 
-// disconnect tears a conn down from any goroutine: mark it dead, drop
-// pending output, end its writer, close the socket (which unblocks a writer
-// mid-write and the handler mid-read), deregister. Idempotent — the
-// handler's exit path, the writer's failed write, an overflow, and Close may
-// race here.
-func (s *Server) disconnect(c *conn) {
-	c.mu.Lock()
-	if c.state == connDead {
-		c.mu.Unlock()
-		return
+// next waits for the writer's next item: a Serial Notify for the serial
+// published now once a publish has closed wake, or the queue's next answer.
+// The notify goes first — it supersedes nothing, a notify may legally
+// interleave anywhere in the stream, and sending it first keeps "new data"
+// latency independent of queued answers. ok is false once the queue is
+// closed and empty.
+func (s *Server) next(c *conn, wake *<-chan struct{}) (item outItem, ok bool) {
+	select {
+	case <-*wake:
+	default:
+		select {
+		case <-*wake:
+		case item, ok = <-c.queue:
+			return item, ok
+		}
 	}
-	c.state = connDead
-	c.queue = nil
-	c.hasNotify = false
-	c.mu.Unlock()
-	c.wakeWriter()
-	c.c.Close()
-	s.regMu.Lock()
-	delete(s.conns, c)
-	s.regMu.Unlock()
+	p := s.pub.Load()
+	*wake = p.next
+	return outItem{kind: outNotify, version: byte(c.version.Load()), query: SerialQuery{SessionID: p.session, Serial: p.serial}}, true
 }
 
 // writeItem renders one response into the connection's buffer and flushes
-// it. A notify's session comes from the published state at write time; its
-// serial is the coalesced mailbox value (a router syncing to it learns of
-// anything newer from End of Data).
+// it. A notify announces the session and serial next read when it was made
+// (a router syncing to it learns of anything newer from End of Data).
 func (s *Server) writeItem(c *conn, item outItem) error {
 	s.setWriteDeadline(c)
 	var err error
@@ -530,7 +430,7 @@ func (s *Server) writeItem(c *conn, item outItem) error {
 	case outSerial:
 		err = s.streamSerial(c, item.version, item.query)
 	case outNotify:
-		err = c.put(item.version, &SerialNotify{SessionID: s.pub.Load().session, Serial: item.serial})
+		err = c.put(item.version, &SerialNotify{SessionID: item.query.SessionID, Serial: item.query.Serial})
 	default: // outError
 		err = c.put(item.version, &ErrorReport{Code: item.errCode, Text: item.errText})
 	}
@@ -633,13 +533,15 @@ func (s *Server) streamSerial(c *conn, version byte, q SerialQuery) error {
 // Serve accepts router connections on l until Close is called. It always
 // returns a non-nil error (net.ErrClosed after Close).
 func (s *Server) Serve(l net.Listener) error {
-	s.regMu.Lock()
-	if s.closed {
-		s.regMu.Unlock()
+	s.mu.Lock()
+	closed := s.closed
+	if !closed {
+		s.listener = l
+	}
+	s.mu.Unlock()
+	if closed {
 		return errors.New("rtr: server closed")
 	}
-	s.listener = l
-	s.regMu.Unlock()
 	for {
 		nc, err := l.Accept()
 		if err != nil {
@@ -658,28 +560,25 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(l)
 }
 
-// Close stops the listener, disconnects all routers, and waits for their
-// writers to exit.
+// Close stops the listener, cuts every router's socket, and waits for their
+// writers to exit. It holds no lock while it waits.
 func (s *Server) Close() error {
-	s.regMu.Lock()
-	if s.closed {
-		s.regMu.Unlock()
+	s.mu.Lock()
+	closed := s.closed
+	s.closed = true
+	l, cancelCut := s.listener, s.cancelCut
+	s.mu.Unlock()
+	if closed {
 		return nil
 	}
-	s.closed = true
 	var err error
-	if s.listener != nil {
-		err = s.listener.Close()
+	if l != nil {
+		err = l.Close()
 	}
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
+	if cancelCut != nil {
+		cancelCut()
 	}
-	s.regMu.Unlock()
-	for _, c := range conns {
-		s.disconnect(c)
-	}
-	s.writerWG.Wait()
+	s.writers.Wait()
 	return err
 }
 
@@ -689,105 +588,112 @@ func (s *Server) logf(format string, args ...interface{}) {
 	}
 }
 
-// ConnCount reports the number of currently registered router sessions. It
+// ConnCount reports the number of router sessions whose writer is running. It
 // is an observability hook: the soak harness and the slow-router tests use
 // it to watch routers being disconnected by write deadline or queue
 // overflow.
-func (s *Server) ConnCount() int {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	return len(s.conns)
-}
+func (s *Server) ConnCount() int { return int(s.running.Load()) }
 
-// handle runs one router session: it owns the read side, parses queries,
-// and enqueues response descriptors for the conn's writer, which it starts.
-// It never writes to the socket itself.
+// handle runs one router session: it starts the conn's writer, reads the
+// router's queries and queues their answers (read), and never writes to the
+// socket itself. When read ends on anything but a terminal Error Report, it
+// closes the socket, which ends a writer mid-write; it always closes the
+// queue, which ends the writer once the queue is drained.
 func (s *Server) handle(nc net.Conn) {
-	c := &conn{
-		c:       nc,
-		bw:      bufio.NewWriterSize(nc, 4096),
-		wake:    make(chan struct{}, 1),
-		version: Version1,
-		state:   connActive,
-	}
-	// Registering and counting the writer in one critical section with the
-	// closed check means Close either sees this conn in the registry, with
-	// its writer already counted, or this conn sees closed.
-	s.regMu.Lock()
-	if s.closed {
-		s.regMu.Unlock()
+	c := &conn{c: nc, bw: bufio.NewWriterSize(nc, 4096), queue: make(chan outItem, queueDepth)}
+	c.version.Store(uint32(Version1))
+	wake, unregister := s.start(c)
+	if unregister == nil {
 		nc.Close() // lost the race with Close
 		return
 	}
-	s.conns[c] = struct{}{}
-	s.writerWG.Add(1)
-	s.regMu.Unlock()
-	go s.drain(c)
-	defer s.release(c)
+	go s.drain(c, wake, unregister)
+	if !s.read(c) {
+		nc.Close()
+	}
+	close(c.queue)
+}
 
+// start counts c's writer in, unless the server is closed, and returns what
+// the writer starts from: the next of the value published now, and the stop
+// of the AfterFunc through which Close cuts c's socket. Counting the writer
+// in the critical section that checks closed means Close's wait either
+// includes it or start sees closed.
+func (s *Server) start(c *conn) (wake <-chan struct{}, unregister func() bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, nil
+	}
+	if s.cut == nil {
+		s.cut, s.cancelCut = context.WithCancel(context.Background())
+	}
+	s.writers.Add(1)
+	s.running.Add(1)
+	return s.pub.Load().next, context.AfterFunc(s.cut, func() { c.c.Close() })
+}
+
+// read parses the router's queries and queues their answers until the
+// router's side ends. It reports whether its last item queued is a terminal
+// Error Report, which the writer sends before it closes the socket.
+func (s *Server) read(c *conn) (terminal bool) {
 	// A router's queries are 8 and 12 bytes: through a reader that holds one,
 	// header and body arrive in a single read(2). The buffer is per
 	// connection, and a cache serves thousands, hence the size.
-	br := bufio.NewReaderSize(nc, queryBufSize)
+	br := bufio.NewReaderSize(c.c, queryBufSize)
 	for {
 		pdu, version, err := ReadPDU(br)
 		if err != nil {
-			var pe *ProtocolError
-			if errors.As(err, &pe) {
-				// Reply in a version the protocol defines: the version byte
-				// ReadPDU returned is the peer's own, which for an
-				// unsupported-version PDU is the bogus byte itself, and the
-				// encoder writes whatever version it is given. Fall back to
-				// the connection's negotiated (or default) version.
-				v := version
-				if v != Version0 && v != Version1 {
-					c.mu.Lock()
-					v = c.version
-					c.mu.Unlock()
-				}
-				s.enqueue(c, outItem{kind: outError, version: v, errCode: pe.Code, errText: pe.Msg}, true)
-			}
 			if !errors.Is(err, net.ErrClosed) {
 				s.logf("rtr server: read: %v", err)
 			}
-			return
+			var pe *ProtocolError
+			if !errors.As(err, &pe) {
+				return false
+			}
+			// Reply in a version the protocol defines: the version byte
+			// ReadPDU returned is the peer's own, which for an
+			// unsupported-version PDU is the bogus byte itself, and the
+			// encoder writes whatever version it is given. Fall back to the
+			// connection's negotiated (or default) version.
+			if version != Version0 && version != Version1 {
+				version = byte(c.version.Load())
+			}
+			return s.send(c, outItem{kind: outError, version: version, errCode: pe.Code, errText: pe.Msg})
 		}
-		c.mu.Lock()
-		c.version = version
-		c.mu.Unlock()
+		c.version.Store(uint32(version))
 		switch q := pdu.(type) {
 		case *ResetQuery:
-			if !s.enqueue(c, outItem{kind: outFull, version: version}, false) {
-				return
+			if !s.send(c, outItem{kind: outFull, version: version}) {
+				return false
 			}
 		case *SerialQuery:
-			if !s.enqueue(c, outItem{kind: outSerial, version: version, query: *q}, false) {
-				return
+			if !s.send(c, outItem{kind: outSerial, version: version, query: *q}) {
+				return false
 			}
 		case *ErrorReport:
 			s.logf("rtr server: router reported error %d: %s", q.Code, q.Text)
-			return
+			return false
 		default:
-			s.enqueue(c, outItem{
+			return s.send(c, outItem{
 				kind:    outError,
 				version: version,
 				errCode: ErrInvalidRequest,
 				errText: fmt.Sprintf("unexpected PDU type %d from router", pdu.Type()),
-			}, true)
-			return
+			})
 		}
 	}
 }
 
-// release ends a handler: an active conn is torn down; a closing conn is
-// left to its writer, which closes the socket once the terminal Error
-// Report drains.
-func (s *Server) release(c *conn) {
-	c.mu.Lock()
-	st := c.state
-	c.mu.Unlock()
-	if st == connActive {
-		s.disconnect(c)
+// send queues item for c's writer without blocking. A full queue is the
+// overflow disconnect: send reports false, and the handler closes the socket.
+func (s *Server) send(c *conn, item outItem) bool {
+	select {
+	case c.queue <- item:
+		return true
+	default:
+		s.logf("rtr server: %v: outbound queue overflow (%d pending); disconnecting", c.c.RemoteAddr(), queueDepth)
+		return false
 	}
 }
 

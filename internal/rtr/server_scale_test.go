@@ -2,10 +2,12 @@ package rtr
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,8 +30,9 @@ func bigVRPSet(n int) *rpki.Set {
 }
 
 // TestSlowRouterIsolation is the regression test for a notify written to the
-// socket under conn.mu (blockinglock's one real finding, which the notify
-// mailbox replaced) and for the retired writer pool: routers wedge
+// socket on the publisher's path (blockinglock's one real finding, since
+// replaced by writers that each notify their own router) and for the retired
+// writer pool: routers wedge
 // their TCP read side with multi-megabyte responses pending, and the cache
 // must keep publishing at full speed — every healthy router notified and
 // synced within the round bound, far below the write deadline a publisher
@@ -109,14 +112,14 @@ func TestSlowRouterIsolation(t *testing.T) {
 			}
 
 			// The wedged routers are disconnected by the write deadline, not
-			// tolerated forever. The registry is the observable: the kernel
-			// may sit on the closed socket's undelivered bytes indefinitely
-			// while the peer's window is closed, so the client side is no
-			// witness.
+			// tolerated forever. ConnCount, the writers still running, is the
+			// observable: the kernel may sit on the closed socket's
+			// undelivered bytes indefinitely while the peer's window is
+			// closed, so the client side is no witness.
 			deadline := time.Now().Add(writeTimeout + 5*time.Second)
 			for srv.ConnCount() != tc.healthy {
 				if time.Now().After(deadline) {
-					t.Fatalf("stalled routers still registered: connCount = %d, want %d", srv.ConnCount(), tc.healthy)
+					t.Fatalf("stalled routers' writers still running: connCount = %d, want %d", srv.ConnCount(), tc.healthy)
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
@@ -125,11 +128,12 @@ func TestSlowRouterIsolation(t *testing.T) {
 }
 
 // TestServerCloseDuringPublish races Close against UpdateSet and ApplyDelta,
-// round after round, on a cache with a router connected. Close takes regMu,
-// and a publish takes writeMu and then, to notify, regMu: a Close that took
-// writeMu under regMu, or a publish that notified before releasing writeMu,
-// would close the cycle that lockorder reports, and the round would hang. It
-// is bounded (waitBounded), so the test fails naming the round instead.
+// round after round, on a cache with a router connected. Publishers, a
+// connection's start and Close's flag share the one Server.mu, and nothing
+// else in the package is locked with it held but rov.Table.mu: a Close that
+// took it twice, or a publish that waited under it for a writer, would hang
+// the round. It is bounded (waitBounded), so the test fails naming the round
+// instead.
 func TestServerCloseDuringPublish(t *testing.T) {
 	a := testVRPs()
 	b := addVRPs(a, rpki.VRP{Prefix: mp("198.51.100.0/24"), MaxLength: 24, AS: 64511})
@@ -172,12 +176,99 @@ func TestServerCloseDuringPublish(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsUnlocked: Close waits for its writers with no lock held, so a
+// publish racing a Close whose writer is slow to exit does not wait for that
+// writer. Here the writer is stuck in a Write that closing its socket does
+// not end, until the test lets it go: a Close that waited under Server.mu
+// would hold the publish with it.
+func TestCloseWaitsUnlocked(t *testing.T) {
+	srv := NewServer(testVRPs())
+	router, cache := net.Pipe()
+	defer router.Close()
+	stuck := &stuckConn{Conn: cache, writing: make(chan struct{}), cut: make(chan struct{}), release: make(chan struct{})}
+	defer stuck.unstick()
+	go srv.handle(stuck)
+	if err := WritePDU(router, Version1, &ResetQuery{}); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	waitBounded(t, "the writer starting its answer", func() error { <-stuck.writing; return nil })
+	go func() {
+		defer close(closed)
+		srv.Close()
+	}()
+	waitBounded(t, "Close cutting the socket", func() error { <-stuck.cut; return nil })
+	waitBounded(t, "a publish while Close waits for a stuck writer", func() error {
+		srv.ApplyDelta([]rpki.VRP{{Prefix: mp("198.51.100.0/24"), MaxLength: 24, AS: 64511}}, nil)
+		return nil
+	})
+	stuck.unstick()
+	waitBounded(t, "Close returning once the writer exits", func() error { <-closed; return nil })
+	if n := srv.ConnCount(); n != 0 {
+		t.Errorf("ConnCount = %d after Close, want 0", n)
+	}
+}
+
+// TestServeAndConnectAfterClose: a Close that comes first wins. Serve after
+// it returns an error at once, a router that connects after it is hung up
+// on, and the cache still publishes: neither path leaves Server.mu held.
+func TestServeAndConnectAfterClose(t *testing.T) {
+	srv := NewServer(testVRPs())
+	waitBounded(t, "Close", func() error { srv.Close(); return nil })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	waitBounded(t, "Serve after Close", func() error {
+		if srv.Serve(l) == nil {
+			return errors.New("Serve returned nil")
+		}
+		return nil
+	})
+	router, cache := net.Pipe()
+	defer router.Close()
+	waitBounded(t, "a router connecting after Close", func() error { srv.handle(cache); return nil })
+	if _, err := router.Read(make([]byte, 1)); err == nil {
+		t.Error("a router that connected after Close was not hung up on")
+	}
+	waitBounded(t, "a publish after Close", func() error {
+		srv.ApplyDelta([]rpki.VRP{{Prefix: mp("198.51.100.0/24"), MaxLength: 24, AS: 64511}}, nil)
+		return nil
+	})
+	if n := srv.ConnCount(); n != 0 {
+		t.Errorf("ConnCount = %d after Close, want 0", n)
+	}
+}
+
+// stuckConn is the cache's side of a router's pipe whose writes block until
+// unstick, whether or not the conn is closed. It closes writing when the
+// first Write starts and cut when Close is first called.
+type stuckConn struct {
+	net.Conn
+	writing, cut, release chan struct{}
+	wrote, closed, freed  sync.Once
+}
+
+func (s *stuckConn) Write(b []byte) (int, error) {
+	s.wrote.Do(func() { close(s.writing) })
+	<-s.release
+	return s.Conn.Write(b)
+}
+
+func (s *stuckConn) Close() error {
+	s.closed.Do(func() { close(s.cut) })
+	return s.Conn.Close()
+}
+
+func (s *stuckConn) unstick() { s.freed.Do(func() { close(s.release) }) }
+
 // TestServerCloseLeavesNoGoroutine: Server.Close ends every handler and
 // writer it started — an idle router's, a never-reading router's wedged
-// mid-write, a router's stopped halfway through a Reset Query — and with them
-// the dispatch loop of the synced Client on the far side; Client.Close ends a
-// bare Client's. The process returns to its goroutine count from before the
-// server started.
+// mid-write with answers still queued, a router's stopped halfway through a
+// Reset Query — and with them the dispatch loop of the synced Client on the
+// far side; Client.Close ends a bare Client's. The process returns to its
+// goroutine count from before the server started.
 func TestServerCloseLeavesNoGoroutine(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	srv := NewServer(bigVRPSet(50_000))
@@ -187,16 +278,14 @@ func TestServerCloseLeavesNoGoroutine(t *testing.T) {
 	idle := dialBounded(t, addr)
 	defer idle.Close()
 	waitBounded(t, "the idle router's reset", idle.Reset)
-	wedged, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wedged.Close()
-	if tcp, ok := wedged.(*net.TCPConn); ok {
-		tcp.SetReadBuffer(4096)
-	}
+	// The wedged router is a pipe whose far side nobody reads: the writer's
+	// first flush blocks until Close cuts the pipe.
+	router, cache := net.Pipe()
+	defer router.Close()
+	wedged := &watchedConn{Conn: cache, writing: make(chan struct{}), queued: make(chan struct{})}
+	go srv.handle(wedged)
 	for q := 0; q < 8; q++ {
-		if err := WritePDU(wedged, Version1, &ResetQuery{}); err != nil {
+		if err := WritePDU(router, Version1, &ResetQuery{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,20 +304,12 @@ func TestServerCloseLeavesNoGoroutine(t *testing.T) {
 	bareSide, _ := net.Pipe()
 	bare := NewClient(bareSide)
 	waitFor(t, func() bool { return srv.ConnCount() == 3 })
-	// The wedged router's eight answers, 1 MB each, outgrow any socket
-	// buffers: its writer blocks mid-write with some of them still queued.
-	waitFor(t, func() bool {
-		srv.regMu.Lock()
-		defer srv.regMu.Unlock()
-		for c := range srv.conns {
-			c.mu.Lock()
-			n := len(c.queue)
-			c.mu.Unlock()
-			if n > 0 && n < 8 {
-				return true
-			}
-		}
-		return false
+	// The writer is blocked in its first answer's flush, and the handler,
+	// reading again after its eighth query, has queued the other seven.
+	waitBounded(t, "the wedged router's writer blocking with answers queued", func() error {
+		<-wedged.writing
+		<-wedged.queued
+		return nil
 	})
 
 	closed := make(chan struct{})
@@ -281,16 +362,16 @@ func TestQueueOverflowDisconnect(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.ConnCount() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("overflowing router still registered: connCount = %d", srv.ConnCount())
+			t.Fatalf("overflowing router's writer still running: connCount = %d", srv.ConnCount())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // TestConcurrentConnectDisconnectDuringPublish churns sessions while the
-// publisher runs flat out (meaningful under -race): registration,
-// disconnection, notify fan-out, and the atomic publish swap must compose
-// without a torn read or a leaked registration. Each wait is bounded
+// publisher runs flat out (meaningful under -race): a connection's start and
+// end, the notify broadcast, and the atomic publish swap must compose
+// without a torn read or a writer left running. Each wait is bounded
 // (waitBounded): a deadlock fails the test, naming the wait.
 func TestConcurrentConnectDisconnectDuringPublish(t *testing.T) {
 	srv := NewServer(testVRPs())
@@ -347,12 +428,12 @@ func TestConcurrentConnectDisconnectDuringPublish(t *testing.T) {
 		t.Fatalf("connect/sync during publish churn: %v", err)
 	}
 
-	// Every churned session deregisters once its handler observes the close.
-	waitBounded(t, "the registry emptying", func() error {
+	// Every churned session's writer ends once its handler observes the close.
+	waitBounded(t, "every churned writer ending", func() error {
 		deadline := time.Now().Add(5 * time.Second)
 		for srv.ConnCount() != 0 {
 			if time.Now().After(deadline) {
-				return fmt.Errorf("registry leak: connCount = %d after all clients closed", srv.ConnCount())
+				return fmt.Errorf("writer leak: connCount = %d after all clients closed", srv.ConnCount())
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -438,4 +519,29 @@ func TestPublishedRingConsistency(t *testing.T) {
 		t.Fatalf("serial after 500 publishes = %d, want %d", got, SerialAdvance(1, 500))
 	}
 	waitBounded(t, "closing the cache", func() error { srv.Close(); return nil })
+}
+
+// watchedConn is the cache's side of a router's pipe. It closes writing when
+// the writer's first Write starts, and queued when the handler starts its
+// ninth Read: each of a router's eight 8-byte queries, written one Write
+// each, takes one Read, so by then the handler has queued an answer to all
+// eight.
+type watchedConn struct {
+	net.Conn
+	writing, queued chan struct{}
+	writes, reads   atomic.Int32
+}
+
+func (w *watchedConn) Write(b []byte) (int, error) {
+	if w.writes.Add(1) == 1 {
+		close(w.writing)
+	}
+	return w.Conn.Write(b)
+}
+
+func (w *watchedConn) Read(b []byte) (int, error) {
+	if w.reads.Add(1) == 9 {
+		close(w.queued)
+	}
+	return w.Conn.Read(b)
 }

@@ -1,6 +1,7 @@
 package rtr
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"testing"
@@ -199,7 +200,7 @@ func TestRandomCacheHistoryAcrossReconnects(t *testing.T) {
 	want := map[rpki.VRP]struct{}{} // the cache's table, kept by hand
 	srv := NewServer(rpki.NewSet(nil))
 	addr, stop := startServer(t, srv)
-	defer stop()
+	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
 
 	table := rov.NewTable(nil)
 	replay := map[rpki.VRP]struct{}{}
@@ -221,7 +222,10 @@ func TestRandomCacheHistoryAcrossReconnects(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 6:
 			a, w := pick(rng.Intn(4)), pick(rng.Intn(4))
-			srv.ApplyDelta(a, w) // announces first, then withdrawals
+			waitBounded(t, fmt.Sprintf("step %d: ApplyDelta", step), func() error {
+				srv.ApplyDelta(a, w) // announces first, then withdrawals
+				return nil
+			})
 			for _, v := range a {
 				want[v] = struct{}{}
 			}
@@ -230,23 +234,21 @@ func TestRandomCacheHistoryAcrossReconnects(t *testing.T) {
 			}
 		case op < 9:
 			next := rpki.NewSet(pick(rng.Intn(24)))
-			srv.UpdateSet(next)
+			waitBounded(t, fmt.Sprintf("step %d: UpdateSet", step), func() error { srv.UpdateSet(next); return nil })
 			want = vrpSet(next.VRPs())
 		default:
-			srv.SetSession(uint16(0x4000+step), Serial(rng.Uint32()))
+			id, serial := uint16(0x4000+step), Serial(rng.Uint32())
+			waitBounded(t, fmt.Sprintf("step %d: SetSession", step), func() error { srv.SetSession(id, serial); return nil })
 		}
 		if rng.Intn(4) == 0 {
 			st = c.SessionState()
 			c.Close()
-			<-c.Done()
+			waitBounded(t, fmt.Sprintf("step %d: the client's dispatch loop ending", step), func() error { <-c.Done(); return nil })
 			fullSyncs += c.FullSyncs()
 			reconnects++
 			connect()
 		}
-		serial, err := c.Sync()
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
+		serial := syncBounded(t, c, fmt.Sprintf("step %d: Sync", step))
 		// The session is published before Sync returns, and the next Serial
 		// Query is built from it.
 		if serial != srv.Serial() || c.Serial() != serial {
