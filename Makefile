@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race allocs bench bench-smoke soak soak-smoke fuzz fuzz-smoke
+.PHONY: check fmt vet build test race allocs bench bench-smoke soak soak-smoke fuzz fuzz-smoke
 
-# check is the CI gate: formatting, vet, the repo-invariant lint, build, the
-# race-enabled tests, and the allocation gates the race build leaves out.
-check: fmt vet lint build race allocs
+# check is the CI gate: formatting, vet, build, the race-enabled tests (the
+# lock rule among them: TestNothingBlocksUnderALock), and the allocation
+# gates the race build leaves out.
+check: fmt vet build race allocs
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -15,19 +16,12 @@ fmt:
 # vet runs with the repo's format-wrapper and must-use-result knowledge.
 # -printf.funcs ADDS to vet's defaults; -unusedresult.funcs REPLACES them,
 # so the stdlib defaults are restated before the repo's pure functions.
-VET_PRINTF_FUNCS = logf,protoErr,Reportf
+VET_PRINTF_FUNCS = logf,protoErr
 VET_UNUSEDRESULT_STD = context.WithCancel,context.WithDeadline,context.WithTimeout,context.WithValue,errors.New,fmt.Errorf,fmt.Sprint,fmt.Sprintf,slices.Clip,slices.Compact,slices.CompactFunc,slices.Delete,slices.DeleteFunc,slices.Grow,slices.Insert,slices.Replace,sort.Reverse
 VET_UNUSEDRESULT_REPRO = repro/internal/rtr.SerialLess,repro/internal/rtr.SerialNewer,repro/internal/rtr.SerialAdvance,repro/internal/rtr.appendPDU,repro/internal/rtr.appendHeader,repro/internal/rtr.appendPrefix,repro/internal/rov.NewIndex,repro/internal/rov.NewCompactIndex,repro/internal/rov.CompactFromIndex,repro/internal/rov.Diff,repro/internal/rpki.NextGroup,repro/internal/rpki.SortedSet
 vet:
 	$(GO) vet -printf.funcs=$(VET_PRINTF_FUNCS) \
 		-unusedresult.funcs=$(VET_UNUSEDRESULT_STD),$(VET_UNUSEDRESULT_REPRO) ./...
-
-# lint runs reprolint, the in-tree static analysis of the RTR and ROV lock
-# discipline — nothing blocks under a mutex — which no test sees (see
-# cmd/reprolint and the README). Zero unsuppressed findings is the bar;
-# suppress with //lint:ignore <check> <reason>.
-lint:
-	$(GO) run ./cmd/reprolint ./...
 
 build:
 	$(GO) build ./...

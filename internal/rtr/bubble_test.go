@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -32,12 +34,34 @@ import (
 // advances virtual time until the binary times out. Every bubble defers Stop
 // (and Server.Close) as soon as it starts them, and every wait is bounded by
 // a virtual day: receives go through recv, and scripted pipes have deadlines.
+// A root stuck while a redial timer keeps the clock moving, which synctest
+// does not report as a deadlock, trips bubble's watchdog.
 
 // bubbled reports that this test binary runs the bubbles itself.
 const bubbled = true
 
 // day bounds every wait in a bubble.
 const day = 24 * time.Hour
+
+// bubble runs f in a testing/synctest bubble under a watchdog: a bubble still
+// running a virtual day after it started prints every goroutine's stack and
+// panics with t's name. The longest passing bubble runs 1h33m20s of virtual
+// time (TestMultiSupervisorFailoverFailback). A root stuck in a send nobody
+// receives, while a follower's 20 ms redial loop keeps the clock moving, gets
+// to a virtual day in about a minute under -race; a virtual week would take
+// seven, past any package timeout. f's defers run before the watchdog is
+// cancelled, so a teardown that hangs trips it too.
+func bubble(t *testing.T, f func()) {
+	synctest.Run(func() {
+		watchdog := time.AfterFunc(day, func() {
+			buf := make([]byte, 1<<20)
+			os.Stderr.Write(buf[:runtime.Stack(buf, true)])
+			panic(t.Name() + ": the bubble is still running a virtual day after it started; every goroutine's stack is above")
+		})
+		defer watchdog.Stop()
+		f()
+	})
+}
 
 // recv receives from ch, failing the test if nothing arrives within a
 // virtual day.
@@ -219,7 +243,7 @@ func (h *harness) wantDelta(t *testing.T, ann, wd []rpki.VRP) {
 // framed, so the loop waits out the adopted Retry on the same connection;
 // the retry then succeeds, and Refresh is armed again.
 func TestUpstreamRefreshAndRetryFakeClock(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		h := newHarness()
 		srv := h.pipe()
 		defer srv.Close()
@@ -261,7 +285,7 @@ func TestUpstreamRefreshAndRetryFakeClock(t *testing.T) {
 // a Reset Query, because §6 forbids resuming a delta stream onto expired
 // data.
 func TestUpstreamRetryStopsAtExpire(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		h := newHarness()
 		srv := h.pipe()
 		defer srv.Close()
@@ -301,7 +325,7 @@ func TestUpstreamRetryStopsAtExpire(t *testing.T) {
 // both the refresh-triggered sync and the one after it find a perfectly
 // framed stream.
 func TestSplitNotifyAcrossRefreshBoundary(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		h := newHarness()
 		srv := h.pipe()
 		defer srv.Close()
@@ -352,7 +376,7 @@ func TestSplitNotifyAcrossRefreshBoundary(t *testing.T) {
 // scheduler picks, the dispatch loop keeps the stream framed and the loop
 // converges on the first connection without ever entering an error path.
 func TestUpstreamNotifyVsRefreshRace(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		set := testVRPs()
 		srv := NewServer(set)
 		var addr cacheAddr
@@ -382,7 +406,7 @@ func TestUpstreamNotifyVsRefreshRace(t *testing.T) {
 // backoff. The data stays usable (Healthy) inside its Expire window, and the
 // redial resumes the session by Serial Query.
 func TestUpstreamConnFailureWhileIdle(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		h := newHarness()
 		srv := h.pipe()
 		defer run(t, h.m)()
@@ -418,7 +442,7 @@ func TestUpstreamConnFailureWhileIdle(t *testing.T) {
 // in force — the RFC 8210 default, since this cache never advertised one —
 // and the loop redials.
 func TestUpstreamSyncTimeoutUnwedgesSilentCache(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		h := newHarness()
 		srv := h.pipe()
 		defer srv.Close()
@@ -445,7 +469,7 @@ func TestUpstreamSyncTimeoutUnwedgesSilentCache(t *testing.T) {
 func TestUpstreamBackoffSequence(t *testing.T) {
 	for _, jitter := range []float64{0, 0.5, 0.999} {
 		t.Run(fmt.Sprint("jitter=", jitter), func(t *testing.T) {
-			synctest.Run(func() {
+			bubble(t, func() {
 				dials := make(chan time.Time, 16) // more than the test reads
 				m := NewMultiSupervisor(Upstream{Name: "dead", Dial: func() (net.Conn, error) {
 					dials <- time.Now()
@@ -492,7 +516,7 @@ func TestUpstreamSerialResumeAndResetFallback(t *testing.T) {
 	v3 := rpki.VRP{Prefix: mp("198.51.100.0/24"), MaxLength: 24, AS: 3}
 	v4 := rpki.VRP{Prefix: mp("2001:db8::/32"), MaxLength: 48, AS: 64496}
 	const sessA, sessB = 0x1111, 0x2222
-	synctest.Run(func() {
+	bubble(t, func() {
 		h := newHarness()
 		srv1 := h.pipe()
 		defer srv1.Close()
@@ -553,7 +577,7 @@ func TestUpstreamExpireAcrossFlappingConnections(t *testing.T) {
 	v1 := rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 1}
 	v5 := rpki.VRP{Prefix: mp("203.0.113.0/24"), MaxLength: 24, AS: 5}
 	const sessA, sessC = 0x1111, 0x3333
-	synctest.Run(func() {
+	bubble(t, func() {
 		h := newHarness()
 		// Constant 600s backoff (jitter 0 -> 300s delay) to step the clock.
 		h.m.BackoffMin = 600 * time.Second
@@ -619,7 +643,7 @@ func TestUpstreamExpireAcrossFlappingConnections(t *testing.T) {
 func TestHealthyAfterFailoverKeepsStandbyClock(t *testing.T) {
 	v1 := rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 1}
 	v2 := rpki.VRP{Prefix: mp("192.0.2.0/24"), MaxLength: 24, AS: 2}
-	synctest.Run(func() {
+	bubble(t, func() {
 		// One scripted connection per cache; every later dial is refused.
 		connsP, connsS := make(chan net.Conn, 1), make(chan net.Conn, 1)
 		srvP, srvS := scripted(connsP), scripted(connsS)
@@ -668,7 +692,7 @@ func TestHealthyAfterFailoverKeepsStandbyClock(t *testing.T) {
 // initial sync happens inside Run, a cache update travels notify → sync →
 // delta → OnUpdate on the same connection, and Stop is idempotent.
 func TestFollowLifecycle(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		set := testVRPs()
 		srv := NewServer(set)
 		var addr cacheAddr
@@ -695,7 +719,7 @@ func TestFollowLifecycle(t *testing.T) {
 // server's End of Data, and with no further sync (Refresh stays at an hour)
 // health must decay exactly when it passes, while the connection stays up.
 func TestFollowExpiry(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		srv := NewServer(testVRPs())
 		srv.Expire = 1
 		var addr cacheAddr
@@ -724,7 +748,7 @@ func TestFollowExpiry(t *testing.T) {
 // different table — the delivery must go through OnReset, and the
 // supervisor must count it as a rebuild.
 func TestMultiSupervisorExpiryRebuild(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		table1 := testVRPs()
 		srv1 := NewServer(table1)
 		srv1.Expire = 1 // seconds; the upstream adopts this advertised window
@@ -778,7 +802,7 @@ func TestMultiSupervisorExpiryRebuild(t *testing.T) {
 // outage is one backoff, far inside the Expire window measured from the last
 // successful sync, so the follower never reports unhealthy.
 func TestRealServerRestart(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		table1 := testVRPs()
 		srv1 := NewServer(table1)
 		var addr cacheAddr
@@ -849,7 +873,7 @@ func TestMultiSupervisorFailoverFailback(t *testing.T) {
 	tableS2 := addVRPs(tableS, rpki.VRP{Prefix: mp("10.64.0.0/10"), MaxLength: 12, AS: 64502})
 	tableP2 := addVRPs(tableP, rpki.VRP{Prefix: mp("192.0.2.0/24"), MaxLength: 24, AS: 64503})
 	scenario := func() (st MultiSupervisorStats, log []string) {
-		synctest.Run(func() {
+		bubble(t, func() {
 			start := time.Now()
 			srvP, srvS, srvP2 := NewServer(tableP), NewServer(tableS), NewServer(tableP2)
 			srvP2.SetSession(srvP.SessionID()+1, 1)
@@ -931,7 +955,7 @@ func dialClient(t *testing.T, addr *cacheAddr) *Client {
 // must keep every exchange intact and the table convergent. A caller stuck
 // for good on the slot or on its request is a deadlock the bubble reports.
 func TestConcurrentSyncResetDispatch(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		set := testVRPs()
 		srv := NewServer(set)
 		var addr cacheAddr
@@ -985,7 +1009,7 @@ func TestConcurrentSyncResetDispatch(t *testing.T) {
 // still reaches Notify(). Then concurrent Sync callers race a publisher:
 // deliveries must not overlap and must arrive in commit order.
 func TestSubscribeBlockingConsumer(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		set := testVRPs()
 		srv := NewServer(set)
 		var addr cacheAddr
@@ -1096,7 +1120,7 @@ func TestSubscribeBlockingConsumer(t *testing.T) {
 // the dispatch loop never takes the request. Every later call then fails
 // fast with the same error: none keeps the exchange slot.
 func TestSyncFailureSetsErr(t *testing.T) {
-	synctest.Run(func() {
+	bubble(t, func() {
 		cli, cache := net.Pipe()
 		c := NewClient(cli)
 		defer c.Close()

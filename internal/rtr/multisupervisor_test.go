@@ -95,6 +95,7 @@ func (f *follower) stop(t *testing.T) {
 // rebinds that exact address) and returns where it listens.
 func serve(t *testing.T, srv *Server, addr string) string {
 	t.Helper()
+	needStartFloor(t)
 	var l net.Listener
 	if addr != "" {
 		l = relisten(t, addr)

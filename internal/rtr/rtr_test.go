@@ -28,6 +28,7 @@ func testVRPs() *rpki.Set {
 // and a shutdown func.
 func startServer(t *testing.T, s *Server) (string, func()) {
 	t.Helper()
+	needStartFloor(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +84,27 @@ func waitBound(t *testing.T, limit time.Duration) time.Duration {
 		return min(limit, time.Until(dl)/4)
 	}
 	return limit
+}
+
+// startFloor is the part of the package's deadline no test starts a cache
+// in. Once a deadlock has failed test after test, each by a bounded wait, a
+// test that builds a 50,000-VRP set spends seconds before its first wait
+// under -race, and even a small one's set-up outlasts what is left: with a
+// deadlock in the cache's publish path and only the three heavy tests
+// checking, the package ended 0.4 s short of its timeout, and 38 ms with a
+// re-locked Server.mu.
+const startFloor = 15 * time.Second
+
+// needStartFloor fails t by name, before it builds or dials anything, when
+// less than startFloor is left of the package's deadline: the package then
+// ends in named failures, not in a test timeout that names only the test
+// that was running. startServer and serve call it, and so does each test
+// that builds a 50,000-VRP set before it starts its cache.
+func needStartFloor(t *testing.T) {
+	t.Helper()
+	if dl, ok := t.Deadline(); ok && time.Until(dl) < startFloor {
+		t.Fatalf("not started: %v left of the package's deadline, under the %v this test needs", time.Until(dl).Round(time.Millisecond), startFloor)
+	}
 }
 
 // dialBounded, syncBounded and notifyBounded are Dial and the Client's waits

@@ -30,16 +30,17 @@ func bigVRPSet(n int) *rpki.Set {
 }
 
 // TestSlowRouterIsolation is the regression test for a notify written to the
-// socket on the publisher's path (blockinglock's one real finding, since
+// socket on the publisher's path (a write under the publishers' lock, since
 // replaced by writers that each notify their own router) and for the retired
-// writer pool: routers wedge
-// their TCP read side with multi-megabyte responses pending, and the cache
-// must keep publishing at full speed — every healthy router notified and
-// synced within the round bound, far below the write deadline a publisher
-// or a shared writer blocked on a wedged socket would eat — then disconnect
-// the wedged routers by write deadline. Every wait — dial, reset, publish,
-// notify, sync, the deferred stop — is bounded (waitBounded): a deadlock
-// fails the test, naming the wait, instead of hanging the package.
+// writer pool: routers wedge their TCP read side with multi-megabyte
+// responses pending, and the cache must keep publishing at full speed —
+// every healthy router notified and synced within the round bound, far below
+// the write deadline a publisher or a shared writer blocked on a wedged
+// socket would eat — then disconnect the wedged routers by write deadline.
+// Every wait — dial, reset, publish, notify, sync, the deferred stop — is
+// bounded (waitBounded): a deadlock fails the test, naming the wait, instead
+// of hanging the package; each case starts only with startFloor of the
+// package's time left.
 func TestSlowRouterIsolation(t *testing.T) {
 	// writeTimeout is what one write to a wedged socket costs whoever waits
 	// for it. It must also be several times what a healthy router's
@@ -62,6 +63,7 @@ func TestSlowRouterIsolation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			needStartFloor(t)
 			srv := NewServer(bigVRPSet(50_000))
 			srv.WriteTimeout = writeTimeout
 			addr, stop := startServer(t, srv)
@@ -270,6 +272,7 @@ func (s *stuckConn) unstick() { s.freed.Do(func() { close(s.release) }) }
 // far side; Client.Close ends a bare Client's. The process returns to its
 // goroutine count from before the server started.
 func TestServerCloseLeavesNoGoroutine(t *testing.T) {
+	needStartFloor(t)
 	baseline := runtime.NumGoroutine()
 	srv := NewServer(bigVRPSet(50_000))
 	srv.WriteTimeout = time.Minute // Close, not the deadline, must end the wedge
@@ -339,6 +342,7 @@ func TestServerCloseLeavesNoGoroutine(t *testing.T) {
 // queue and is disconnected — the queue never grows without bound and its
 // writer never owes it unbounded work.
 func TestQueueOverflowDisconnect(t *testing.T) {
+	needStartFloor(t)
 	srv := NewServer(bigVRPSet(50_000))
 	addr, stop := startServer(t, srv)
 	defer waitBounded(t, "stopping the cache", func() error { stop(); return nil })
