@@ -18,7 +18,7 @@ fmt:
 # so the stdlib defaults are restated before the repo's pure functions.
 VET_PRINTF_FUNCS = logf,protoErr
 VET_UNUSEDRESULT_STD = context.WithCancel,context.WithDeadline,context.WithTimeout,context.WithValue,errors.New,fmt.Errorf,fmt.Sprint,fmt.Sprintf,slices.Clip,slices.Compact,slices.CompactFunc,slices.Delete,slices.DeleteFunc,slices.Grow,slices.Insert,slices.Replace,sort.Reverse
-VET_UNUSEDRESULT_REPRO = repro/internal/rtr.SerialLess,repro/internal/rtr.SerialNewer,repro/internal/rtr.SerialAdvance,repro/internal/rtr.appendPDU,repro/internal/rtr.appendHeader,repro/internal/rtr.appendPrefix,repro/internal/rov.NewIndex,repro/internal/rov.NewCompactIndex,repro/internal/rov.CompactFromIndex,repro/internal/rov.Diff,repro/internal/rpki.NextGroup,repro/internal/rpki.SortedSet
+VET_UNUSEDRESULT_REPRO = repro/internal/rtr.SerialLess,repro/internal/rtr.SerialNewer,repro/internal/rtr.SerialAdvance,repro/internal/rtr.appendPDU,repro/internal/rtr.appendHeader,repro/internal/rtr.appendPrefix,repro/internal/rov.NewIndex,repro/internal/rov.CompactFromIndex,repro/internal/rov.Diff,repro/internal/rpki.NextGroup,repro/internal/rpki.SortedSet
 vet:
 	$(GO) vet -printf.funcs=$(VET_PRINTF_FUNCS) \
 		-unusedresult.funcs=$(VET_UNUSEDRESULT_STD),$(VET_UNUSEDRESULT_REPRO) ./...

@@ -251,7 +251,7 @@ func BenchmarkAblationROVIndex(b *testing.B) {
 		}
 	})
 	b.Run("compact", func(b *testing.B) {
-		cx := rov.NewCompactIndex(d.VRPs)
+		cx := rov.NewIndex(d.VRPs)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -292,7 +292,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 // BenchmarkValidateBatch). ns/op is per batch of 1000 routes.
 func BenchmarkIndexValidateBatch(b *testing.B) {
 	d := getHeadline(b)
-	cx := rov.NewCompactIndex(d.VRPs)
+	cx := rov.NewIndex(d.VRPs)
 	rts := d.Table.Routes()[:1000]
 	routes := make([]rov.Route, len(rts))
 	for i, q := range rts {

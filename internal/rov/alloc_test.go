@@ -283,6 +283,27 @@ func TestIndexBuildAllocs(t *testing.T) {
 	}
 }
 
+// TestByPrefixAllocs is the gate on the sort a build out of pre-order pays,
+// on today's table as a Set lists it: the copy and the slab it sorts through,
+// and no more bytes than the two, each rounded up to the heap's 8 KiB pages;
+// the digit counts stay on the stack. Counted with the collector off, as
+// TestIndexBuildAllocs is.
+func TestByPrefixAllocs(t *testing.T) {
+	vrps := todayTable(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if got := testing.AllocsPerRun(3, func() { _ = byPrefix(vrps) }); got != 2 {
+		t.Errorf("byPrefix of %d VRPs: %v allocs, want 2", len(vrps), got)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sorted := byPrefix(vrps)
+	runtime.ReadMemStats(&after)
+	slabs := 2 * (uint64(cap(sorted))*uint64(unsafe.Sizeof(sorted[0])) + 8<<10)
+	if got := after.TotalAlloc - before.TotalAlloc; got > slabs {
+		t.Errorf("byPrefix of %d VRPs allocated %d bytes, want at most %d: two slabs", len(sorted), got, slabs)
+	}
+}
+
 // TestCompactFromIndexAllocs is the gate on the compact derivation, which is
 // no derivation: a compact index is its Index, on today's table and with four
 // IPv6 VRPs added, short ones among them, and taking one allocates nothing.

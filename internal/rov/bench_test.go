@@ -40,11 +40,11 @@ func benchRoutes(n int) []Route {
 	return out
 }
 
-// BenchmarkIndexBuild measures the arena build — a finger insert per VRP into
-// a slab sized once when the input is in order, not one pointer allocation per
-// prefix bit — over one 50k-VRP table in the three orders a builder meets:
-// the trie's pre-order (the wire stream, Diff's output, compaction), a Set's
-// AS-major order (NewIndex), and shuffled, where the finger helps least.
+// BenchmarkIndexBuild measures the one build — a counting pass, then an
+// append per node into slabs sized once — over one 50k-VRP table in the three
+// orders a builder meets: the trie's pre-order (the wire stream, Diff's
+// output, compaction), built as it comes; a Set's AS-major order (NewIndex)
+// and shuffled, each radix-sorted into a copy first.
 func BenchmarkIndexBuild(b *testing.B) {
 	s := benchSet()
 	shuffled := slices.Clone(s.VRPs())
@@ -87,7 +87,7 @@ func BenchmarkValidateBatch(b *testing.B) {
 // CompactIndex name: serial, the sorted variant whose bucket pass trades a
 // permutation allocation for slab locality, and four workers.
 func BenchmarkCompactValidateBatch(b *testing.B) {
-	cx := NewCompactIndex(benchSet())
+	cx := NewIndex(benchSet())
 	routes := benchRoutes(8192)
 	dst := make([]State, len(routes))
 	b.Run("serial", func(b *testing.B) {

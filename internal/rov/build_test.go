@@ -45,15 +45,16 @@ func v6Table() []rpki.VRP {
 	return out
 }
 
-// insertLoopIndex is the reference the finger builder is held to: every VRP
-// inserted by a descent into a slab hinted at one node per VRP — a prefix
-// shorter than /16 from the short-prefix trie's root, a longer one from its
-// slot, whose pages are appended as the first VRP in them needs them, the top
-// page first — through every child whose key its prefix extends, to its node
-// or to the child its key parts from, which moves under a new branch point
-// (appended first) or under the prefix's new node — each node's entries
-// gathered, a repeat dropped, and the spans laid out sorted, in node order,
-// IPv4's first, after the reserved cell.
+// insertLoopIndex is the reference every build is held to, given the same
+// VRPs in the trie's pre-order (inPreorder): every VRP inserted by a descent
+// into a slab hinted at one node per VRP — a prefix shorter than /16 from the
+// short-prefix trie's root, a longer one from its slot, whose pages are
+// appended as the first VRP in them needs them, the top page first — through
+// every child whose key its prefix extends, to its node or to the child its
+// key parts from, which moves under a new branch point (appended first) or
+// under the prefix's new node — each node's entries gathered, a repeat
+// dropped, and the spans laid out sorted, in node order, IPv4's first, after
+// the reserved cell.
 func insertLoopIndex(vrps []rpki.VRP) *Index {
 	ix := &Index{version: versions.Add(1), entries: make([]entry, 1)}
 	for _, v := range vrps {
@@ -144,13 +145,11 @@ func insertLoopIndex(vrps []rpki.VRP) *Index {
 	return ix
 }
 
-// checkSameSlabs fails unless got and want are the same index: page slabs
-// page for page, node slabs child for child and key for key, wide slabs,
-// roots, sizes, and at every node the same span. With cells, they are the same index cell for cell, span
-// offsets and entry slab included: what two builds in the trie's pre-order
-// make. A build from other input places its spans by counting, which leaves a
-// repeated VRP's cell unused.
-func checkSameSlabs(t *testing.T, name string, got, want *Index, cells bool) {
+// checkSameSlabs fails unless got and want are the same index cell for cell:
+// page slabs page for page, node slabs child for child, key for key and span
+// offset for span offset, wide slabs, roots, sizes and entry slabs — what two
+// builds of one set make, whatever order either was given.
+func checkSameSlabs(t *testing.T, name string, got, want *Index) {
 	t.Helper()
 	for slot := range want.fams {
 		g, w := &got.fams[slot], &want.fams[slot]
@@ -165,15 +164,12 @@ func checkSameSlabs(t *testing.T, name string, got, want *Index, cells bool) {
 		}
 		for j := range w.nodes {
 			gn, wn := g.nodes[j], w.nodes[j]
-			if gn.children != wn.children || gn.key != wn.key || gn.plen != wn.plen || cells && gn.off != wn.off {
+			if gn.children != wn.children || gn.key != wn.key || gn.plen != wn.plen || gn.off != wn.off {
 				t.Fatalf("%s, family %d: node %d is %+v, want %+v", name, slot, j, gn, wn)
-			}
-			if ge, we := span(got.entries, gn.off), span(want.entries, wn.off); !slices.Equal(ge, we) {
-				t.Fatalf("%s, family %d: node %d holds %v, want %v", name, slot, j, ge, we)
 			}
 		}
 	}
-	if cells && !slices.Equal(got.entries, want.entries) {
+	if !slices.Equal(got.entries, want.entries) {
 		t.Fatalf("%s: %d entry cells, not the %d wanted cell for cell", name, len(got.entries), len(want.entries))
 	}
 }
@@ -206,13 +202,21 @@ func checkSameTable(t *testing.T, name string, got, want *Index) {
 	}
 }
 
-// buildOrders returns vrps (which may repeat VRPs) as given and in the orders
-// a builder meets: the trie's pre-order, IPv4 first, as VisitVRPs streams it; a Set's
-// AS-major order; the pre-order reversed; shuffled; and the pre-order with the
-// two families' streams interleaved, each still in order.
-func buildOrders(vrps []rpki.VRP, seed int64) map[string][]rpki.VRP {
+// inPreorder returns a copy of vrps in the trie's pre-order, IPv4 first, as
+// VisitVRPs streams it: a stable sort on the prefix, so one prefix's VRPs keep
+// their order.
+func inPreorder(vrps []rpki.VRP) []rpki.VRP {
 	pre := slices.Clone(vrps)
 	slices.SortStableFunc(pre, func(a, b rpki.VRP) int { return a.Prefix.Compare(b.Prefix) })
+	return pre
+}
+
+// buildOrders returns vrps (which may repeat VRPs) as given and in the orders
+// a builder meets: the trie's pre-order; a Set's AS-major order; the
+// pre-order reversed; shuffled; and the pre-order with the two families'
+// streams interleaved, each still in order.
+func buildOrders(vrps []rpki.VRP, seed int64) map[string][]rpki.VRP {
+	pre := inPreorder(vrps)
 	asMajor := slices.Clone(vrps)
 	slices.SortStableFunc(asMajor, rpki.VRP.Compare)
 	reversed := slices.Clone(pre)
@@ -255,14 +259,12 @@ func buildTable(tb testing.TB) []rpki.VRP {
 	return append(vrps, vrps[100], vrps[len(vrps)-4], vrps[100], vrps[100])
 }
 
-// TestIndexBuildMatchesInsertLoop pins the finger builder against the
-// root-descent insert loop. In every input order the index is the loop's node
-// for node — the finger is a cache of the path, so the same nodes are created
-// in the same sequence — with the same entries at each, and in the trie's
-// pre-order, a family at a time or interleaved, cell for cell: spans written
-// in place leave no cell unused. Every order's index holds the table the
-// pre-ordered one does, in the trie's shape. The pre-ordered input is checked
-// to be what VisitVRPs streams.
+// TestIndexBuildMatchesInsertLoop pins the one builder against the
+// root-descent insert loop over the pre-order. In every input order the index
+// is the loop's cell for cell — a list out of pre-order is sorted first, so
+// the same nodes are created in the same sequence and every span is written in
+// place, leaving no cell unused — and holds the table in the trie's shape. The
+// pre-ordered input is checked to be what VisitVRPs streams.
 func TestIndexBuildMatchesInsertLoop(t *testing.T) {
 	orders := buildOrders(buildTable(t), 7)
 	want := insertLoopIndex(orders["preorder"])
@@ -281,11 +283,10 @@ func TestIndexBuildMatchesInsertLoop(t *testing.T) {
 	}
 	for name, vrps := range orders {
 		got := newIndexFromVRPs(vrps, nil)
-		inPlace := name == "preorder" || name == "interleaved"
-		checkSameSlabs(t, name, got, insertLoopIndex(vrps), inPlace)
+		checkSameSlabs(t, name, got, want)
 		checkSameTable(t, name, got, want)
 		checkShape(t, name, got)
-		if cells := len(got.entries); inPlace && cells != 1+got.Len() || !inPlace && cells != 1+len(vrps) {
+		if cells := len(got.entries); cells != 1+got.Len() {
 			t.Errorf("%s: %d entry cells for %d VRPs listed, %d of them distinct", name, cells, len(vrps), got.Len())
 		}
 	}
@@ -301,17 +302,14 @@ func nodeCaps(ix *Index) (capacity, length int) {
 	return capacity, length
 }
 
-// TestIndexBuildCapacity pins the slab sizing on both sides. Ordered input is
-// sized once: no family's slab is over len + len/64 + 64 nodes, and the
-// headroom takes a path-copied delta without regrowing — an exactly full slab
-// would grow by a quarter at the first one, in every table of every follower.
-// Unordered input cannot be counted before it is built: it is sized at the
-// bound of two nodes a VRP, which real tables come near — every prefix a node,
-// and nearly every one a branch point above it — under 1.3 × len here.
+// TestIndexBuildCapacity pins the slab sizing. Every order is counted before
+// it is built and sized once: no family's slab is over len + len/64 + 64
+// nodes, and the headroom takes a path-copied delta without regrowing — an
+// exactly full slab would grow by a quarter at the first one, in every table
+// of every follower.
 func TestIndexBuildCapacity(t *testing.T) {
-	orders := buildOrders(buildTable(t), 7)
-	for _, name := range []string{"preorder", "interleaved"} {
-		tab := NewTable(orders[name])
+	for name, vrps := range buildOrders(buildTable(t), 7) {
+		tab := NewTable(vrps)
 		ix := tab.Snapshot()
 		for slot := range ix.fams {
 			if n, c := len(ix.fams[slot].nodes), cap(ix.fams[slot].nodes); c > n+n/64+64 {
@@ -324,9 +322,73 @@ func TestIndexBuildCapacity(t *testing.T) {
 			t.Errorf("%s: node slabs of %d cells became %d at the first path-copied delta (%d VRPs → %d)", name, before, after, ix.Len(), tab.Len())
 		}
 	}
-	for _, name := range []string{"as-major", "reversed", "shuffled"} {
-		if c, n := nodeCaps(newIndexFromVRPs(orders[name], nil)); float64(c) > 1.3*float64(n) {
-			t.Errorf("%s: slabs of %d nodes for %d", name, c, n)
+}
+
+// TestNewIndexMatchesItsStream pins a Set's build to the wire's: NewIndex of
+// today's table, AS-major, is cell for cell and capacity for capacity the
+// index built from its own VisitVRPs stream, which is in pre-order.
+func TestNewIndexMatchesItsStream(t *testing.T) {
+	ix := NewIndex(rpki.NewSet(todayTable(t)))
+	streamed := newIndexFromVRPs(ix.AppendVRPs(nil), nil)
+	checkSameSlabs(t, "today's Set", ix, streamed)
+	for slot := range ix.fams {
+		g, w := &ix.fams[slot], &streamed.fams[slot]
+		if cap(g.nodes) != cap(w.nodes) || cap(g.pages) != cap(w.pages) {
+			t.Errorf("family %d: slabs of %d nodes and %d pages, the stream's %d and %d", slot, cap(g.nodes), cap(g.pages), cap(w.nodes), cap(w.pages))
+		}
+	}
+	if cap(ix.entries) != cap(streamed.entries) {
+		t.Errorf("an entry slab of %d cells, the stream's %d", cap(ix.entries), cap(streamed.entries))
+	}
+}
+
+// TestByPrefixOrder pins byPrefix to a stable comparison sort on the prefix.
+// Its key is the prefix alone, so the hand-built list's ties — three ASes on
+// one prefix, one of them with three maxLengths, listed out of (AS, maxLength)
+// order — keep the list's order only if the sort is stable, and its two IPv6
+// prefixes that differ only in their low 64 bits, the later one held by the
+// lower AS, come out right only if every low digit is sorted. A random list of
+// both families, every length and random low bits follows, as a Set lists it
+// and shuffled; byPrefix writes neither.
+func TestByPrefixOrder(t *testing.T) {
+	hand := []rpki.VRP{
+		v("192.0.2.0/24", 24, 64502), v("192.0.2.0/24", 28, 64501), v("192.0.2.0/24", 24, 64501),
+		v("192.0.2.0/24", 26, 64501), v("192.0.2.0/24", 24, 64500), v("192.0.0.0/16", 24, 64503),
+		v("10.0.0.0/8", 8, 64503), v("2001:db8::1:0:0/96", 96, 64500), v("2001:db8::/96", 128, 64501),
+		v("2001:db8::/32", 48, 64502),
+	}
+	rng := rand.New(rand.NewSource(37))
+	var random []rpki.VRP
+	for range 3000 {
+		fam, hi, lo := prefix.IPv4, uint64(rng.Uint32())<<32, uint64(0)
+		if rng.Intn(2) == 0 {
+			fam, hi, lo = prefix.IPv6, rng.Uint64(), rng.Uint64()
+		}
+		l := uint8(rng.Intn(int(fam.MaxLen()) + 1))
+		p, err := prefix.Make(fam, hi, lo, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 1 + rng.Intn(3) {
+			random = append(random, rpki.VRP{Prefix: p, MaxLength: l + uint8(rng.Intn(int(fam.MaxLen()-l)+1)), AS: rpki.ASN(rng.Intn(8))})
+		}
+	}
+	orders := buildOrders(random, 5)
+	for _, c := range []struct {
+		name string
+		vrps []rpki.VRP
+	}{{"hand-built", hand}, {"as-major", orders["as-major"]}, {"shuffled", orders["shuffled"]}} {
+		before := slices.Clone(c.vrps)
+		got, want := byPrefix(c.vrps), inPreorder(c.vrps)
+		if !slices.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Errorf("%s: byPrefix's %d VRPs part from the comparison sort's %d at index %d", c.name, len(got), len(want), i)
+		}
+		if !slices.Equal(c.vrps, before) {
+			t.Errorf("%s: byPrefix changed the list it read", c.name)
 		}
 	}
 }

@@ -4,16 +4,12 @@ import (
 	"sync"
 
 	"repro/internal/prefix"
-	"repro/internal/rpki"
 )
 
-// CompactIndex is another name for Index, kept with its constructors for
+// CompactIndex is another name for Index, kept with CompactFromIndex for
 // callers that name a validator by it: every snapshot carries the radix root
 // a compact read side would add.
 type CompactIndex = Index
-
-// NewCompactIndex is NewIndex.
-func NewCompactIndex(s *rpki.Set) *CompactIndex { return NewIndex(s) }
 
 // CompactFromIndex returns ix: every snapshot is what a compact index was.
 func CompactFromIndex(ix *Index) *CompactIndex { return ix }

@@ -65,7 +65,7 @@ func TestCompactIndexMatchesIndex(t *testing.T) {
 		ix := NewIndex(set)
 		ref := NewReference(set)
 		qs := probesFor(rng, set.VRPs())
-		checkCompactAgainst(t, "fromSet", NewCompactIndex(set), ix, ref, qs)
+		checkCompactAgainst(t, "fromSet", NewIndex(set), ix, ref, qs)
 		checkCompactAgainst(t, "fromIndex", CompactFromIndex(ix), ix, ref, qs)
 	}
 }
@@ -321,7 +321,7 @@ func TestCompactSlotSpans(t *testing.T) {
 // machinery treats specially: empty tables, one-family tables, /0 and
 // maximum-length VRPs, and invalid query prefixes.
 func TestCompactIndexEdgeCases(t *testing.T) {
-	empty := NewCompactIndex(rpki.NewSet(nil))
+	empty := NewIndex(rpki.NewSet(nil))
 	if got := empty.Validate(prefix.MustParse("10.0.0.0/8"), 1); got != NotFound {
 		t.Fatalf("empty table: %v, want NotFound", got)
 	}
@@ -341,7 +341,7 @@ func TestCompactIndexEdgeCases(t *testing.T) {
 		{Prefix: prefix.MustParse("2001:db8::1/128"), MaxLength: 128, AS: 64505},
 	}
 	set := rpki.NewSet(vrps)
-	cx := NewCompactIndex(set)
+	cx := NewIndex(set)
 	ix := NewIndex(set)
 	ref := NewReference(set)
 	queries := []Route{
@@ -382,7 +382,7 @@ func TestCompactBatchVariants(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		vrps = append(vrps, randomVRP(rng))
 	}
-	cx := NewCompactIndex(rpki.NewSet(vrps))
+	cx := NewIndex(rpki.NewSet(vrps))
 	for _, n := range []int{0, 1, sortedBatchMin - 1, 2048} {
 		routes := make([]Route, n)
 		for i := range routes {

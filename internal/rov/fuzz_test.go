@@ -168,7 +168,7 @@ func FuzzIndex(f *testing.F) {
 		ordered := newIndexFromVRPs(given, nil)
 		checkShape(t, "the build of the set", ix)
 		checkShape(t, "the ordered build", ordered)
-		checkSameSlabs(t, "the ordered build", ordered, insertLoopIndex(given), order == "preorder" || order == "interleaved")
+		checkSameSlabs(t, "the ordered build", ordered, insertLoopIndex(inPreorder(given)))
 		checkSameTable(t, "the ordered build", ordered, ix)
 		for _, q := range queries {
 			want := ref.Validate(q.Prefix, q.Origin)

@@ -15,7 +15,8 @@ import (
 // resident table is one: an RTR client's synchronized table, a cache server's
 // snapshot ring, and a router's LiveIndex, which validates against it.
 //
-// A table is built one way and changed one way. newIndexFromVRPs builds it —
+// A table is built one way and changed one way. newIndexFromVRPs builds it,
+// in the trie's pre-order, from a sorted copy if its list is out of it —
 // NewTable, ResetTo, the first full sync (an Apply into an empty table that
 // withdraws nothing) and compaction — and write changes it: every other delta,
 // whatever its size, and a compaction's catch-up.
@@ -64,7 +65,8 @@ type Table struct {
 	compactHook func()
 }
 
-// NewTable builds a table over vrps (a repeated VRP counts once).
+// NewTable builds a table over vrps, in any order, which it does not change
+// (a repeated VRP counts once).
 func NewTable(vrps []rpki.VRP) *Table {
 	t := &Table{}
 	t.cur.Store(newIndexFromVRPs(vrps, nil))

@@ -255,7 +255,7 @@ func TestCompactCopiesLiveSlab(t *testing.T) {
 	if got.fams[0].sameLineage(&src.fams[0]) || got.version != src.version {
 		t.Fatalf("the compaction published version %d on src's slabs: %v; want version %d in fresh slabs", got.version, got.fams[0].sameLineage(&src.fams[0]), src.version)
 	}
-	checkSameSlabs(t, "the compaction's rebuild", got, want, true)
+	checkSameSlabs(t, "the compaction's rebuild", got, want)
 	n0, _ := reachable(&src.fams[0])
 	n1, _ := reachable(&src.fams[1])
 	if _, live := nodeCaps(want); n0+n1 != live {

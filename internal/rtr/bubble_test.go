@@ -51,13 +51,24 @@ const day = 24 * time.Hour
 // to a virtual day in about a minute under -race; a virtual week would take
 // seven, past any package timeout. f's defers run before the watchdog is
 // cancelled, so a teardown that hangs trips it too.
+//
+// A root blocked on a sync.Mutex is not durably blocked, so the bubble's clock
+// stops and the virtual watchdog never fires. A second one, outside the
+// bubble, runs on the wall clock for waitBound's share of the time left, and
+// dumps and panics the same way.
 func bubble(t *testing.T, f func()) {
-	synctest.Run(func() {
-		watchdog := time.AfterFunc(day, func() {
+	stuck := func(what string) func() {
+		return func() {
 			buf := make([]byte, 1<<20)
 			os.Stderr.Write(buf[:runtime.Stack(buf, true)])
-			panic(t.Name() + ": the bubble is still running a virtual day after it started; every goroutine's stack is above")
-		})
+			panic(t.Name() + ": the bubble is still running " + what + " after it started; every goroutine's stack is above")
+		}
+	}
+	bound := waitBound(t, day)
+	wall := time.AfterFunc(bound, stuck(bound.Round(time.Millisecond).String()+" of wall-clock time"))
+	defer wall.Stop()
+	synctest.Run(func() {
+		watchdog := time.AfterFunc(day, stuck("a virtual day"))
 		defer watchdog.Stop()
 		f()
 	})

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/prefix"
 	"repro/internal/rpki"
 )
 
@@ -99,7 +98,8 @@ const startFloor = 15 * time.Second
 // less than startFloor is left of the package's deadline: the package then
 // ends in named failures, not in a test timeout that names only the test
 // that was running. startServer and serve call it, and so does each test
-// that builds a 50,000-VRP set before it starts its cache.
+// that builds a 50,000-VRP set before it starts its cache, or waits on a cache
+// before it starts one or without starting one.
 func needStartFloor(t *testing.T) {
 	t.Helper()
 	if dl, ok := t.Deadline(); ok && time.Until(dl) < startFloor {
@@ -360,6 +360,7 @@ func serialQueryResponse(t *testing.T, addr string, session uint16, serial Seria
 // current-k-1; one serial older than that needs an evicted delta and must
 // get Cache Reset.
 func TestKeepDeltasEvictionBoundary(t *testing.T) {
+	needStartFloor(t)
 	set := testVRPs()
 	srv := NewServer(set)
 	srv.keepDeltas = 3
@@ -594,6 +595,7 @@ func mirrorSet(mirror map[rpki.VRP]struct{}) *rpki.Set {
 // announcement of a VRP the router already holds, no withdrawal of one it
 // does not, no VRP appearing as both.
 func TestSerialDeltaMatchesChainedDeltas(t *testing.T) {
+	needStartFloor(t)
 	srv := NewServer(testVRPs())
 	srv.keepDeltas = 4
 
@@ -896,72 +898,6 @@ func TestNewServerLeavesItsArgumentAlone(t *testing.T) {
 		a, b := streamed[i-1], streamed[i]
 		if c := a.Prefix.Compare(b.Prefix); c > 0 || c == 0 && a.Compare(b) >= 0 {
 			t.Fatalf("the first full response is out of order at %d: %v before %v", i, a, b)
-		}
-	}
-}
-
-// TestNewServerOrder pins the slice NewServer builds its table from to the
-// comparison sort it replaced: the set's VRPs by prefix, then AS, then
-// MaxLength. byPrefix's key is the prefix alone, so the hand-built set's ties
-// — three ASes on one prefix, one of them with three maxLengths — come out
-// right only if the sort is stable, and its two IPv6 prefixes that differ
-// only in their low 64 bits, the later one held by the lower AS, only if
-// every lo digit is sorted. A random set of both families, every length and
-// random low bits follows.
-func TestNewServerOrder(t *testing.T) {
-	byComparison := func(set *rpki.Set) []rpki.VRP {
-		out := slices.Clone(set.VRPs())
-		slices.SortFunc(out, func(a, b rpki.VRP) int {
-			if c := a.Prefix.Compare(b.Prefix); c != 0 {
-				return c
-			}
-			return a.Compare(b)
-		})
-		return out
-	}
-	hand := rpki.NewSet([]rpki.VRP{
-		{Prefix: mp("192.0.2.0/24"), MaxLength: 24, AS: 64502},
-		{Prefix: mp("192.0.2.0/24"), MaxLength: 28, AS: 64501},
-		{Prefix: mp("192.0.2.0/24"), MaxLength: 24, AS: 64501},
-		{Prefix: mp("192.0.2.0/24"), MaxLength: 26, AS: 64501},
-		{Prefix: mp("192.0.2.0/24"), MaxLength: 24, AS: 64500},
-		{Prefix: mp("192.0.0.0/16"), MaxLength: 24, AS: 64503},
-		{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 64503},
-		{Prefix: mp("2001:db8::1:0:0/96"), MaxLength: 96, AS: 64500},
-		{Prefix: mp("2001:db8::/96"), MaxLength: 128, AS: 64501},
-		{Prefix: mp("2001:db8::/32"), MaxLength: 48, AS: 64502},
-	})
-	rng := rand.New(rand.NewSource(37))
-	var vrps []rpki.VRP
-	for range 3000 {
-		fam, hi, lo := prefix.IPv4, uint64(rng.Uint32())<<32, uint64(0)
-		if rng.Intn(2) == 0 {
-			fam, hi, lo = prefix.IPv6, rng.Uint64(), rng.Uint64()
-		}
-		l := uint8(rng.Intn(int(fam.MaxLen()) + 1))
-		p, err := prefix.Make(fam, hi, lo, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for range 1 + rng.Intn(3) {
-			vrps = append(vrps, rpki.VRP{Prefix: p, MaxLength: l + uint8(rng.Intn(int(fam.MaxLen()-l)+1)), AS: rpki.ASN(rng.Intn(8))})
-		}
-	}
-	for _, tc := range []struct {
-		name string
-		set  *rpki.Set
-	}{{"hand-built", hand}, {"random", rpki.NewSet(vrps)}} {
-		before := slices.Clone(tc.set.VRPs())
-		got, want := byPrefix(tc.set.VRPs()), byComparison(tc.set)
-		if !slices.Equal(got, want) {
-			i := 0
-			for i < min(len(got), len(want)) && got[i] == want[i] {
-				i++
-			}
-			t.Errorf("%s: byPrefix's %d VRPs part from the comparison sort's %d at index %d", tc.name, len(got), len(want), i)
-		}
-		if !slices.Equal(tc.set.VRPs(), before) {
-			t.Errorf("%s: byPrefix changed the set it read", tc.name)
 		}
 	}
 }

@@ -68,6 +68,7 @@ func TestSerialProperties(t *testing.T) {
 // session. The client's stale-notify drop orders by RFC 1982.
 func TestNotifyOrderAcrossSerialWrap(t *testing.T) {
 	t.Run("server", func(t *testing.T) {
+		needStartFloor(t)
 		srv := NewServer(testVRPs())
 		waitBounded(t, "SetSession before the router connects", func() error { srv.SetSession(0x1982, 0xfffffffe); return nil })
 		router, cache := net.Pipe()

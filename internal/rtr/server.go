@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,89 +192,25 @@ type conn struct {
 // NewServer creates a cache serving the given initial VRP set, which the
 // server keeps and the caller must not modify afterwards.
 //
-// The table is built once, from a copy of the set's VRPs in prefix order — the
-// bit trie's pre-order; the set, AS-major, is not touched: slabs sized once,
+// The table is built once from the set's VRPs, which stay as they are:
+// rov.NewTable builds from a copy in the trie's pre-order, so its slabs are
 // laid out in the order every full response, compaction and diff walks them,
-// as a cache's are after its first compaction. The walk under each full
-// response is 2.0 ms at today's 33,615 VRPs, not 2.5. The order is a radix
-// sort on the prefix alone (byPrefix): 3.1–3.5 ms of set-up at today's table
-// and 12 ms at the 182,501 VRPs of a quarter-scale full deployment on 2
-// vCPUs, where a comparison sort takes 7.6–8.3 and 46–52 ms.
+// as a cache's are after its first compaction.
 func NewServer(initial *rpki.Set) *Server {
 	if initial == nil {
 		initial = rpki.NewSet(nil)
 	}
-	ordered := byPrefix(initial.VRPs())
 	s := &Server{
 		Refresh:      3600,
 		Retry:        600,
 		Expire:       7200,
 		keepDeltas:   16,
 		WriteTimeout: 30 * time.Second,
-		live:         rov.NewTable(ordered),
+		live:         rov.NewTable(initial.VRPs()),
 		served:       initial,
 	}
 	s.store(&published{session: 0x5eed, serial: 1, snaps: []serialSnapshot{{serial: 1, table: s.live.Snapshot()}}})
 	return s
-}
-
-// prefixDigits is the number of 16-bit digits in a prefix's radix key.
-const prefixDigits = 10
-
-// prefixDigit returns the d-th 16-bit digit of v's prefix key, least
-// significant first: length, the address's low then high half, family. Keys
-// compared from the last digit down order VRPs as prefix.Compare.
-func prefixDigit(v *rpki.VRP, d int) uint16 {
-	hi, lo := v.Prefix.Bits()
-	switch {
-	case d == 0:
-		return uint16(v.Prefix.Len())
-	case d < 5:
-		return uint16(lo >> (16 * (d - 1)))
-	case d < 9:
-		return uint16(hi >> (16 * (d - 5)))
-	}
-	return uint16(v.Prefix.Family())
-}
-
-// byPrefix returns a copy of vrps, a Set's canonical list, in prefix order.
-// It is a stable LSD radix sort on the 16-bit digits of the prefix key, as
-// bgp.NewTable sorts routes: one pass counts every digit, a digit that every
-// VRP shares costs no pass, and the others move the VRPs between two slabs.
-// The key holds no AS and no maxLength, so no tie is broken by comparison:
-// the VRPs of one prefix arrive from the canonical list in (AS, maxLength)
-// order and a stable sort keeps them so, which is the order of a comparison
-// on (prefix, AS, maxLength).
-func byPrefix(vrps []rpki.VRP) []rpki.VRP {
-	rs := slices.Clone(vrps)
-	if len(rs) < 2 {
-		return rs
-	}
-	buf := make([]rpki.VRP, len(rs))
-	counts := new([prefixDigits][1 << 16]uint32)
-	for i := range rs {
-		for d := range prefixDigits {
-			counts[d][prefixDigit(&rs[i], d)]++
-		}
-	}
-	for d := range prefixDigits {
-		c := &counts[d]
-		if int(c[prefixDigit(&rs[0], d)]) == len(rs) {
-			continue // every VRP has this digit
-		}
-		var sum uint32
-		for k, n := range c {
-			c[k] = sum
-			sum += n
-		}
-		for i := range rs {
-			k := prefixDigit(&rs[i], d)
-			buf[c[k]] = rs[i]
-			c[k]++
-		}
-		rs, buf = buf, rs
-	}
-	return rs
 }
 
 // Serial returns the current serial number (lock-free).

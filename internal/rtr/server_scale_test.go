@@ -184,6 +184,7 @@ func TestServerCloseDuringPublish(t *testing.T) {
 // not end, until the test lets it go: a Close that waited under Server.mu
 // would hold the publish with it.
 func TestCloseWaitsUnlocked(t *testing.T) {
+	needStartFloor(t)
 	srv := NewServer(testVRPs())
 	router, cache := net.Pipe()
 	defer router.Close()
@@ -464,6 +465,7 @@ func TestConcurrentConnectDisconnectDuringPublish(t *testing.T) {
 // on every observed version: bounded ring, strictly consecutive serials,
 // the current serial resolvable to the current table, a constant session.
 func TestPublishedRingConsistency(t *testing.T) {
+	needStartFloor(t)
 	srv := NewServer(testVRPs())
 	srv.keepDeltas = 5
 	session := srv.SessionID()
